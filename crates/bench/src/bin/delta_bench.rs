@@ -10,7 +10,7 @@
 //! Emits `BENCH_delta.json`; the headline is the warm-sweep speedup
 //! (target ≥ 3×).
 
-use memo_core::delta::{delta_stats, pick_best, reset_delta_stats, DeltaContext};
+use memo_core::delta::{pick_best, DeltaContext, DeltaStats};
 use memo_core::pipeline::{ActivationPolicy, ExecutionPipeline, ExecutionReport, PipelineStages};
 use memo_core::session::Workload;
 use memo_model::config::ModelConfig;
@@ -36,12 +36,25 @@ fn sweep_baseline(w: &Workload, walk: &[(ParallelConfig, f64)]) -> Vec<Execution
         .collect()
 }
 
-/// One full-grid sweep through `execute_delta` with a fresh context.
-fn sweep_delta(w: &Workload, walk: &[(ParallelConfig, f64)]) -> Vec<ExecutionReport> {
+/// One full-grid sweep through `execute_delta` with a fresh context, whose
+/// telemetry is added to `total`.
+fn sweep_delta(
+    w: &Workload,
+    walk: &[(ParallelConfig, f64)],
+    total: &mut DeltaStats,
+) -> Vec<ExecutionReport> {
     let mut ctx = DeltaContext::new();
-    walk.iter()
+    let reports = walk
+        .iter()
         .map(|(cfg, alpha)| memo_alpha_pipeline(*alpha).execute_delta(w, cfg, &mut ctx))
-        .collect()
+        .collect();
+    let s = ctx.stats();
+    total.delta_runs += s.delta_runs;
+    total.full_fallbacks += s.full_fallbacks;
+    total.pin_hits += s.pin_hits;
+    total.pin_misses += s.pin_misses;
+    total.restamps += s.restamps;
+    reports
 }
 
 fn assert_reports_equal(a: &ExecutionReport, b: &ExecutionReport, what: &str) -> bool {
@@ -97,7 +110,7 @@ fn main() {
     profile_cache.reset_stats();
     segment_cache.clear();
     segment_cache.reset_stats();
-    reset_delta_stats();
+    let mut ds = DeltaStats::default();
 
     let t0 = Instant::now();
     let base_reports = sweep_baseline(&w, &walk);
@@ -106,7 +119,7 @@ fn main() {
     profile_cache.clear();
     segment_cache.clear();
     let t0 = Instant::now();
-    let delta_reports = sweep_delta(&w, &walk);
+    let delta_reports = sweep_delta(&w, &walk, &mut ds);
     let cold_delta_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // ---- parity: every cell bit-identical, same final pick ----------------
@@ -142,7 +155,7 @@ fn main() {
 
     // ---- warm sweeps: steady-state repeated-sweep timing ------------------
     let warm_baseline_ms = min_sweep_ms(warm_reps, || sweep_baseline(&w, &walk).len());
-    let warm_delta_ms = min_sweep_ms(warm_reps, || sweep_delta(&w, &walk).len());
+    let warm_delta_ms = min_sweep_ms(warm_reps, || sweep_delta(&w, &walk, &mut ds).len());
     let cold_speedup = cold_baseline_ms / cold_delta_ms.max(1e-9);
     let warm_speedup = warm_baseline_ms / warm_delta_ms.max(1e-9);
 
@@ -171,7 +184,6 @@ fn main() {
     );
 
     let seg = segment_cache.stats();
-    let ds = delta_stats();
     println!(
         "\nsegment cache: {} hits / {} misses / {} fallbacks; \
          delta: {} runs, {} pin hits, {} pin misses",

@@ -3,9 +3,10 @@
 //!
 //! Generates a deterministic stream of planning queries (48 tenants,
 //! Zipf-popular, 7B/13B models at 64K–256K context on 4–8 GPU slices),
-//! serves it twice — pooled (the product path: work-stealing pool, delta
-//! execution, shared profile/segment caches) and serial (the reference:
-//! one thread, full cached path) — and enforces:
+//! serves it twice, each leg from cold caches — pooled (the product path:
+//! work-stealing pool, delta execution, shared profile/segment caches,
+//! memoized serving picks) and serial (the reference: one thread, full
+//! cached path, serving picks recomputed) — and enforces:
 //!
 //! * **parity** — every record identical between the legs: same admitted
 //!   set, same shed reasons, same picked cell with a bit-identical
@@ -23,7 +24,13 @@ use memo_serve::{
 };
 use std::time::Instant;
 
+/// Serve `stream` on cold caches: every leg starts from the same (empty)
+/// profile and segment caches, so pooled and serial timings compare the
+/// execution paths, not the run order, and each leg's hit rate is earned
+/// by the stream's own locality.
 fn serve_leg(stream: &[memo_serve::PlanRequest], serial: bool) -> ServeReport {
+    memo_core::cache::ProfileCache::global().clear();
+    memo_swap::SegmentCache::global().clear();
     PlanServer::new(ServeConfig {
         serial,
         ..ServeConfig::default()
@@ -43,11 +50,6 @@ fn main() {
         spec.zipf_exponent,
         memo_parallel::pool::available_workers()
     );
-
-    // Cold fleet: both caches empty, so the hit rate below is earned by
-    // the stream's own locality, not by whoever ran before us.
-    memo_core::cache::ProfileCache::global().clear();
-    memo_swap::SegmentCache::global().clear();
 
     let t0 = Instant::now();
     let pooled = serve_leg(&stream, false);

@@ -6,7 +6,9 @@
 //! search, the ablation variants and the bench sweeps evaluate the *same*
 //! (workload, config) pair under different downstream stages over and over;
 //! this cache computes each distinct profile once and shares it as an
-//! `Arc<ProfileReport>`.
+//! `Arc<ProfileReport>`. The same shards memoize the memory plan of each
+//! profiled trace and `memo-serve`'s KV-policy pick
+//! ([`crate::serving::pick_policy`]) for each serving workload.
 //!
 //! Correctness argument: a hit returns the identical bytes a fresh
 //! `profile()` call would produce, because the key captures **every** input
@@ -17,7 +19,9 @@
 //! cached value. Eviction (when a shard overflows [`ProfileCache::SHARD_CAP`])
 //! only affects the hit rate, never a result.
 
+use crate::outcome::CellOutcome;
 use crate::profiler::{self, ProfileReport};
+use crate::serving;
 use crate::session::Workload;
 use memo_hal::calib::CalibFingerprint;
 use memo_model::config::ModelConfig;
@@ -27,6 +31,7 @@ use memo_plan::bilevel::BilevelReport;
 use memo_plan::dispatch::PlannerKind;
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -64,6 +69,30 @@ impl ProfileKey {
     }
 }
 
+/// Key of the serving table: every field of the [`Workload`], which is all
+/// [`serving::pick_policy`] reads. The host planning budget sits in the
+/// calibration's tier chain, so the fingerprint folds it in.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ServingKey {
+    model: ModelConfig,
+    n_gpus: usize,
+    seq_len: u64,
+    batch: u64,
+    calib: CalibFingerprint,
+}
+
+impl ServingKey {
+    fn new(w: &Workload) -> Self {
+        ServingKey {
+            model: w.model.clone(),
+            n_gpus: w.n_gpus,
+            seq_len: w.seq_len,
+            batch: w.batch,
+            calib: w.calib.fingerprint(),
+        }
+    }
+}
+
 /// Key of the plan table: the profile fingerprint plus the planner that
 /// consumed the trace. Bi-level and whole-trace plans for the same trace are
 /// distinct artifacts, so the planner knob must be part of the fingerprint —
@@ -76,11 +105,13 @@ pub struct PlanKey {
 
 /// Sharded, process-wide memo table for [`profiler::profile`] and for the
 /// memory plan derived from its trace. The plan table is keyed by
-/// [`PlanKey`] — the same [`ProfileKey`] inputs plus the planner knob.
+/// [`PlanKey`] — the same [`ProfileKey`] inputs plus the planner knob. A
+/// third table memoizes [`serving::pick_policy`], keyed by the workload.
 #[derive(Debug)]
 pub struct ProfileCache {
     shards: Vec<Mutex<HashMap<ProfileKey, Arc<ProfileReport>>>>,
     plan_shards: Vec<Mutex<HashMap<PlanKey, Arc<BilevelReport>>>>,
+    serving_shards: Vec<Mutex<HashMap<ServingKey, Arc<CellOutcome>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     enabled: AtomicBool,
@@ -189,13 +220,15 @@ impl ProfileCache {
     const SHARD_CAP: usize = 256;
 
     fn new() -> Self {
+        fn shards<T: Default>() -> Vec<Mutex<T>> {
+            (0..ProfileCache::SHARDS)
+                .map(|_| Mutex::new(T::default()))
+                .collect()
+        }
         ProfileCache {
-            shards: (0..Self::SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            plan_shards: (0..Self::SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            shards: shards(),
+            plan_shards: shards(),
+            serving_shards: shards(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
@@ -208,21 +241,47 @@ impl ProfileCache {
         CACHE.get_or_init(ProfileCache::new)
     }
 
-    fn shard_idx<K: std::hash::Hash>(&self, key: &K) -> usize {
-        use std::hash::Hasher;
+    /// Look `key` up in its shard of `table`, computing and inserting the
+    /// value on a miss. Returns the value and whether the lookup hit.
+    ///
+    /// The value is computed outside the lock: it is expensive, and
+    /// concurrent misses on one key are rare (the search fans out over
+    /// distinct configs). A racing duplicate insert is harmless, because
+    /// every memoized function is pure and both values are bit-identical.
+    fn memo<K: Hash + Eq, V>(
+        table: &[Mutex<HashMap<K, Arc<V>>>],
+        key: K,
+        compute: impl FnOnce() -> V,
+    ) -> (Arc<V>, bool) {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
+        let shard = &table[(h.finish() as usize) % table.len()];
+        if let Some(hit) = lock_shard(shard).get(&key) {
+            return (Arc::clone(hit), true);
+        }
+        let value = Arc::new(compute());
+        let mut map = lock_shard(shard);
+        if map.len() >= Self::SHARD_CAP {
+            map.clear();
+        }
+        map.insert(key, Arc::clone(&value));
+        (value, false)
     }
 
-    fn count_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        bump_scope(|s| s.hits += 1);
+    /// Record one profile/plan lookup in the global counters and the
+    /// thread's stats scope.
+    fn count(&self, hit: bool) {
+        if hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            bump_scope(|s| s.hits += 1);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            bump_scope(|s| s.misses += 1);
+        }
     }
 
-    fn count_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        bump_scope(|s| s.misses += 1);
+    fn bypass(&self, use_cache: bool) -> bool {
+        !use_cache || !self.enabled.load(Ordering::Relaxed)
     }
 
     /// Look up or compute the profile for `(w, cfg, policy, materialize_logits)`.
@@ -238,26 +297,13 @@ impl ProfileCache {
         materialize_logits: bool,
         use_cache: bool,
     ) -> Arc<ProfileReport> {
-        if !use_cache || !self.enabled.load(Ordering::Relaxed) {
-            return Arc::new(profiler::profile(w, cfg, policy, materialize_logits));
+        let compute = || profiler::profile(w, cfg, policy, materialize_logits);
+        if self.bypass(use_cache) {
+            return Arc::new(compute());
         }
         let key = ProfileKey::new(w, cfg, policy, materialize_logits);
-        let shard = &self.shards[self.shard_idx(&key)];
-        if let Some(hit) = lock_shard(shard).get(&key) {
-            self.count_hit();
-            return Arc::clone(hit);
-        }
-        // Compute outside the lock: profiles are expensive and concurrent
-        // misses on the same key are rare (the search fans out over distinct
-        // configs). A racing duplicate insert is harmless — both values are
-        // bit-identical by purity of `profile()`.
-        self.count_miss();
-        let report = Arc::new(profiler::profile(w, cfg, policy, materialize_logits));
-        let mut map = lock_shard(shard);
-        if map.len() >= Self::SHARD_CAP {
-            map.clear();
-        }
-        map.insert(key, Arc::clone(&report));
+        let (report, hit) = Self::memo(&self.shards, key, compute);
+        self.count(hit);
         report
     }
 
@@ -277,26 +323,32 @@ impl ProfileCache {
         trace: &IterationTrace,
         use_cache: bool,
     ) -> Arc<BilevelReport> {
-        if !use_cache || !self.enabled.load(Ordering::Relaxed) {
-            return Arc::new(crate::planner::plan_with(trace, planner));
+        let compute = || crate::planner::plan_with(trace, planner);
+        if self.bypass(use_cache) {
+            return Arc::new(compute());
         }
         let key = PlanKey {
             profile: ProfileKey::new(w, cfg, policy, materialize_logits),
             planner,
         };
-        let shard = &self.plan_shards[self.shard_idx(&key)];
-        if let Some(hit) = lock_shard(shard).get(&key) {
-            self.count_hit();
-            return Arc::clone(hit);
-        }
-        self.count_miss();
-        let report = Arc::new(crate::planner::plan_with(trace, planner));
-        let mut map = lock_shard(shard);
-        if map.len() >= Self::SHARD_CAP {
-            map.clear();
-        }
-        map.insert(key, Arc::clone(&report));
+        let (report, hit) = Self::memo(&self.plan_shards, key, compute);
+        self.count(hit);
         report
+    }
+
+    /// Look up or compute [`serving::pick_policy`] for `w`: the KV-cache
+    /// policy pick of a serving tenant. Bypassed like the other tables.
+    ///
+    /// These lookups are not counted in [`CacheStats`], which keeps
+    /// meaning profile and plan traffic: a serving request makes one
+    /// lookup where a training request makes dozens, so folding them in
+    /// would move every hit rate reported against the profile cache.
+    pub fn serving(&self, w: &Workload, use_cache: bool) -> Arc<CellOutcome> {
+        let compute = || serving::pick_policy(w);
+        if self.bypass(use_cache) {
+            return Arc::new(compute());
+        }
+        Self::memo(&self.serving_shards, ServingKey::new(w), compute).0
     }
 
     /// Hit/miss counters since the last reset.
@@ -330,6 +382,9 @@ impl ProfileCache {
             lock_shard(shard).clear();
         }
         for shard in &self.plan_shards {
+            lock_shard(shard).clear();
+        }
+        for shard in &self.serving_shards {
             lock_shard(shard).clear();
         }
     }
@@ -411,6 +466,7 @@ mod tests {
         }
         poison(&cache.shards);
         poison(&cache.plan_shards);
+        poison(&cache.serving_shards);
         let after = cache.profile(&w, &cfg, RematPolicy::MemoTokenWise, false, true);
         assert!(
             !Arc::ptr_eq(&before, &after),
@@ -422,6 +478,7 @@ mod tests {
         cache.clear();
         assert!(cache.shards.iter().all(|s| !s.is_poisoned()));
         assert!(cache.plan_shards.iter().all(|s| !s.is_poisoned()));
+        assert!(cache.serving_shards.iter().all(|s| !s.is_poisoned()));
     }
 
     #[test]
@@ -475,5 +532,63 @@ mod tests {
             CacheStats { hits: 1, misses: 1 },
             "inner counts fold outward"
         );
+    }
+
+    /// 7B on 8 GPUs at 64K with `gib` GiB of host budget: token-swap wins
+    /// at 16 GiB, paging at 1 TiB.
+    fn serving_w(gib: u64) -> Workload {
+        let mut w = w7(8, 64);
+        w.calib.set_host_memory_bytes(gib << 30);
+        w
+    }
+
+    #[test]
+    fn serving_hit_is_shared_uncounted_and_equal_to_a_fresh_pick() {
+        let cache = ProfileCache::new();
+        let w = serving_w(16);
+        let scope = CacheStatsScope::enter();
+        let first = cache.serving(&w, true);
+        let second = cache.serving(&w, true);
+        assert!(Arc::ptr_eq(&first, &second), "second lookup must hit");
+        let uncached = cache.serving(&w, false);
+        assert!(!Arc::ptr_eq(&first, &uncached));
+        assert_eq!(*first, *uncached);
+        assert_eq!(*first, serving::pick_policy(&w));
+        assert_eq!(scope.finish(), CacheStats::default());
+        assert_eq!(
+            cache.stats(),
+            CacheStats::default(),
+            "serving lookups stay out of CacheStats"
+        );
+    }
+
+    #[test]
+    fn serving_table_honours_clear_and_the_bypass() {
+        let cache = ProfileCache::new();
+        let w = serving_w(16);
+        let a = cache.serving(&w, true);
+        cache.clear();
+        let b = cache.serving(&w, true);
+        assert!(!Arc::ptr_eq(&a, &b), "clear empties the serving table");
+        cache.set_enabled(false);
+        let c = cache.serving(&w, true);
+        assert!(!Arc::ptr_eq(&b, &c), "a disabled cache bypasses the table");
+        cache.set_enabled(true);
+        let d = cache.serving(&w, true);
+        assert!(Arc::ptr_eq(&b, &d), "disabling does not drop entries");
+        for x in [&b, &c, &d] {
+            assert_eq!(**x, *a);
+        }
+    }
+
+    #[test]
+    fn serving_lookup_misses_when_only_the_host_budget_changes() {
+        let cache = ProfileCache::new();
+        let (tight, ample) = (serving_w(16), serving_w(1024));
+        let a = cache.serving(&tight, true);
+        let b = cache.serving(&ample, true);
+        assert!(!Arc::ptr_eq(&a, &b), "host budget is part of the key");
+        assert_ne!(*a, *b, "and it moves the pick");
+        assert_eq!(*b, serving::pick_policy(&ample));
     }
 }

@@ -38,20 +38,12 @@ use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 use memo_plan::bilevel::BilevelReport;
 use memo_plan::dispatch::PlannerKind;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-// ---- process-wide delta telemetry (advisory; `Relaxed` counters) ----------
-
-static DELTA_RUNS: AtomicU64 = AtomicU64::new(0);
-static FULL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-static PIN_HITS: AtomicU64 = AtomicU64::new(0);
-static PIN_MISSES: AtomicU64 = AtomicU64::new(0);
-static RESTAMPS: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative [`ExecutionPipeline::execute_delta`] telemetry. All contexts
-/// share one set of counters, like `PoolStats` — the observability layer
-/// wants "how incremental was this sweep" as one process-level answer.
+/// [`ExecutionPipeline::execute_delta`] telemetry of one [`DeltaContext`]:
+/// how incremental its sweep was. Each context counts only its own cells,
+/// so concurrent sweeps (one context per pool worker) never see each
+/// other's traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
     /// `execute_delta` invocations.
@@ -64,34 +56,6 @@ pub struct DeltaStats {
     pub pin_misses: u64,
     /// Context re-stamps (workload changed; every pin dropped).
     pub restamps: u64,
-}
-
-/// Snapshot the cumulative [`DeltaStats`].
-pub fn delta_stats() -> DeltaStats {
-    DeltaStats {
-        delta_runs: DELTA_RUNS.load(Ordering::Relaxed),
-        full_fallbacks: FULL_FALLBACKS.load(Ordering::Relaxed),
-        pin_hits: PIN_HITS.load(Ordering::Relaxed),
-        pin_misses: PIN_MISSES.load(Ordering::Relaxed),
-        restamps: RESTAMPS.load(Ordering::Relaxed),
-    }
-}
-
-/// Zero the cumulative counters (start of an observed region).
-pub fn reset_delta_stats() {
-    DELTA_RUNS.store(0, Ordering::Relaxed);
-    FULL_FALLBACKS.store(0, Ordering::Relaxed);
-    PIN_HITS.store(0, Ordering::Relaxed);
-    PIN_MISSES.store(0, Ordering::Relaxed);
-    RESTAMPS.store(0, Ordering::Relaxed);
-}
-
-pub(crate) fn count_delta_run() {
-    DELTA_RUNS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn count_full_fallback() {
-    FULL_FALLBACKS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Everything the profiler reads besides the strategy triple. Pins are only
@@ -142,11 +106,24 @@ pub struct DeltaContext {
     // a hash-map probe on the hot path. Cleared with the maps.
     mru_profile: Option<(PinKey, Arc<ProfileReport>)>,
     mru_plan: Option<(PlanPinKey, Arc<BilevelReport>)>,
+    stats: DeltaStats,
 }
 
 impl DeltaContext {
     pub fn new() -> Self {
         DeltaContext::default()
+    }
+
+    /// This context's telemetry since it was created.
+    pub fn stats(&self) -> DeltaStats {
+        self.stats
+    }
+
+    /// Count one `execute_delta` cell, and whether it fell back to full
+    /// simulation.
+    pub(crate) fn count_run(&mut self, full_fallback: bool) {
+        self.stats.delta_runs += 1;
+        self.stats.full_fallbacks += u64::from(full_fallback);
     }
 
     /// Drop every pin if `w` differs from the stamped workload. Called once
@@ -163,7 +140,7 @@ impl DeltaContext {
         });
         if !matches {
             if self.stamp.is_some() {
-                RESTAMPS.fetch_add(1, Ordering::Relaxed);
+                self.stats.restamps += 1;
             }
             self.profiles.clear();
             self.plans.clear();
@@ -187,15 +164,15 @@ impl DeltaContext {
         let key = (*cfg, policy, materialize_logits);
         if let Some((k, pin)) = &self.mru_profile {
             if *k == key {
-                PIN_HITS.fetch_add(1, Ordering::Relaxed);
+                self.stats.pin_hits += 1;
                 return Arc::clone(pin);
             }
         }
         let p = if let Some(pin) = self.profiles.get(&key) {
-            PIN_HITS.fetch_add(1, Ordering::Relaxed);
+            self.stats.pin_hits += 1;
             Arc::clone(pin)
         } else {
-            PIN_MISSES.fetch_add(1, Ordering::Relaxed);
+            self.stats.pin_misses += 1;
             let p = crate::cache::ProfileCache::global().profile(
                 w,
                 cfg,
@@ -226,15 +203,15 @@ impl DeltaContext {
         let key = (*cfg, policy, materialize_logits, planner);
         if let Some((k, pin)) = &self.mru_plan {
             if *k == key {
-                PIN_HITS.fetch_add(1, Ordering::Relaxed);
+                self.stats.pin_hits += 1;
                 return Arc::clone(pin);
             }
         }
         let p = if let Some(pin) = self.plans.get(&key) {
-            PIN_HITS.fetch_add(1, Ordering::Relaxed);
+            self.stats.pin_hits += 1;
             Arc::clone(pin)
         } else {
-            PIN_MISSES.fetch_add(1, Ordering::Relaxed);
+            self.stats.pin_misses += 1;
             let p = crate::cache::ProfileCache::global().plan(
                 w,
                 cfg,
@@ -417,11 +394,10 @@ mod tests {
     fn delta_alpha_grid_reuses_profile_and_plan_pins() {
         let w = w7(8, 64);
         let cfg = ParallelConfig::megatron(8, 1, 1, 1);
-        reset_delta_stats();
         let mut ctx = DeltaContext::new();
         let grid = w.alpha_grid_with(&cfg, 17, 2, &mut ctx);
         assert_eq!(grid.len(), 17);
-        let s = delta_stats();
+        let s = ctx.stats();
         assert_eq!(s.delta_runs, 17);
         assert_eq!(s.full_fallbacks, 0, "static plan never falls back");
         // One profile miss + one plan miss; every later cell pins both.
@@ -472,9 +448,9 @@ mod tests {
         let cfg = ParallelConfig::megatron(4, 2, 1, 1);
         let mut ctx = DeltaContext::new();
         let a = w64.alpha_grid_with(&cfg, 3, 2, &mut ctx);
-        let before = delta_stats().restamps;
+        assert_eq!(ctx.stats().restamps, 0, "the first stamp is not a re-stamp");
         let b = w128.alpha_grid_with(&cfg, 3, 2, &mut ctx);
-        assert_eq!(delta_stats().restamps, before + 1, "one re-stamp");
+        assert_eq!(ctx.stats().restamps, 1, "one re-stamp");
         // Both grids still match their from-scratch equivalents.
         for (w, grid) in [(&w64, &a), (&w128, &b)] {
             for (alpha, rep) in grid.iter() {
@@ -495,10 +471,9 @@ mod tests {
         let w = w7(8, 64);
         let cfg = ParallelConfig::megatron(4, 2, 1, 1);
         let mut ctx = DeltaContext::new();
-        let before = delta_stats().full_fallbacks;
         let delta =
             ExecutionPipeline::new(SystemSpec::MegatronLM).execute_delta(&w, &cfg, &mut ctx);
-        assert_eq!(delta_stats().full_fallbacks, before + 1);
+        assert_eq!(ctx.stats().full_fallbacks, 1);
         let full = ExecutionPipeline::new(SystemSpec::MegatronLM).execute_cached(&w, &cfg, true);
         assert_reports_equal(&delta, &full, "caching replay");
         assert_eq!(ctx.pinned(), (0, 0), "fallback pins nothing");

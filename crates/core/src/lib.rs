@@ -35,9 +35,7 @@ pub mod serving;
 pub mod session;
 
 pub use cache::{CacheStats, CacheStatsScope, ProfileCache};
-pub use delta::{
-    delta_stats, pick_best, pick_best_or_failure, reset_delta_stats, DeltaContext, DeltaStats,
-};
+pub use delta::{pick_best, pick_best_or_failure, DeltaContext, DeltaStats};
 pub use metrics::Metrics;
 pub use observer::RunObserver;
 pub use outcome::CellOutcome;

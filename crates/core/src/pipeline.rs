@@ -464,9 +464,9 @@ impl ExecutionPipeline {
         cfg: &ParallelConfig,
         ctx: &mut crate::delta::DeltaContext,
     ) -> ExecutionReport {
-        crate::delta::count_delta_run();
-        if matches!(self.stages.backend, MemoryBackend::CachingReplay { .. }) {
-            crate::delta::count_full_fallback();
+        let fallback = matches!(self.stages.backend, MemoryBackend::CachingReplay { .. });
+        ctx.count_run(fallback);
+        if fallback {
             return self.execute_cached(w, cfg, true);
         }
         debug_assert!(cfg

@@ -87,4 +87,21 @@ mod tests {
         assert!(fwd.n_tensors < 40, "fwd instance size {}", fwd.n_tensors);
         assert!(bwd.n_tensors < 40, "bwd instance size {}", bwd.n_tensors);
     }
+
+    #[test]
+    fn bilevel_plans_are_a_pure_function_of_the_trace() {
+        // CP2·PP4 at 64K: the level-2 instance has equal-duration,
+        // equal-size tensors, and the heuristic's stable sorts place them
+        // in input order. Each plan hashes its tensor maps under a fresh
+        // random seed; eight plans must still agree.
+        let w = Workload::new(ModelConfig::gpt_7b(), 8, 64 * 1024);
+        let cfg = ParallelConfig::megatron(1, 2, 4, 1);
+        let p = profiler::profile(&w, &cfg, RematPolicy::MemoTokenWise, false);
+        let first = plan(&p.trace);
+        for _ in 1..8 {
+            let again = plan(&p.trace);
+            assert_eq!(again.plan, first.plan);
+            assert_eq!(again.level2.nodes, first.level2.nodes);
+        }
+    }
 }

@@ -221,6 +221,7 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CacheStats, CacheStatsScope};
     use crate::testutil::w7;
 
     #[test]
@@ -257,28 +258,34 @@ mod tests {
             "Ulysses grid ({}) should sit under the bypass threshold",
             grid.len()
         );
-        let cache = crate::cache::ProfileCache::global();
+        // The scopes count this thread's lookups only, so concurrent tests
+        // sharing the global cache cannot move them. A bypassed grid runs
+        // on this thread, so an empty scope means no lookup at all.
         let oracle =
             w.run_best_or_failure_with(SystemSpec::DeepSpeed, SearchOptions::serial_uncached());
-        cache.clear();
-        cache.reset_stats();
+        let scope = CacheStatsScope::enter();
         let picked = w.run_best_or_failure(SystemSpec::DeepSpeed);
-        let stats = cache.stats();
         assert_eq!(
-            (stats.hits, stats.misses),
-            (0, 0),
+            scope.finish(),
+            CacheStats::default(),
             "bypass must skip the cache"
         );
         assert_eq!(picked, oracle);
 
-        // A Megatron-family grid is over the threshold and still uses it.
+        // A Megatron-family grid is over the threshold and still uses it
+        // (searched serially, so every lookup lands in this thread's scope).
         let big = search::enumerate_configs(SystemSpec::Memo, &w.model, w.n_gpus, gpn);
         assert!(big.len() > SMALL_GRID_BYPASS);
-        let _ = w.run_best(SystemSpec::Memo);
-        assert!(
-            cache.stats().misses > 0,
-            "large grids still populate the cache"
+        let scope = CacheStatsScope::enter();
+        let _ = w.run_best_with(
+            SystemSpec::Memo,
+            SearchOptions {
+                parallel: false,
+                cache: true,
+            },
         );
+        let s = scope.finish();
+        assert!(s.hits + s.misses > 0, "large grids still use the cache");
     }
 
     #[test]

@@ -166,6 +166,10 @@ pub fn plan_iteration(trace: &IterationTrace, opts: &PlanOptions) -> BilevelRepo
             direct.push((id, birth, death, bytes));
         }
     }
+    // Births are distinct event indices, so sorting by birth fixes the order
+    // the map's random iteration would not. The level-2 instance, and with
+    // it the solver's tie-breaks, is then a pure function of the trace.
+    direct.sort_by_key(|&(_, birth, _, _)| birth);
     for v in intra.values_mut() {
         v.sort_by_key(|&(_, birth, _, _)| birth);
     }

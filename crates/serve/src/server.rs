@@ -27,10 +27,9 @@
 use crate::admission::{AdmissionController, AdmissionPolicy};
 use crate::elastic::ElasticPools;
 use crate::request::{PlanReply, PlanRequest, RequestOutcome, RequestRecord, TenantKind};
-use memo_core::cache::{CacheStats, CacheStatsScope};
+use memo_core::cache::{CacheStats, CacheStatsScope, ProfileCache};
 use memo_core::delta::{pick_best_or_failure, DeltaContext};
 use memo_core::pipeline::{ActivationPolicy, ExecutionPipeline, PipelineStages};
-use memo_core::serving::ServingEngine;
 use memo_core::session::Workload;
 use memo_obs::json::Json;
 use memo_obs::latency::LatencySummary;
@@ -40,6 +39,7 @@ use memo_parallel::strategy::{KvCachePolicy, SystemSpec};
 use memo_swap::{SegmentCacheStats, SegmentStatsScope};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// α lattice each request's strategy grid is crossed with.
@@ -59,8 +59,8 @@ pub struct ServeConfig {
     pub host_total_bytes: u64,
     /// Fleet-wide arena budget gating in-flight concurrency.
     pub arena_total_bytes: u64,
-    /// Run the execution phase serially through the full cached path
-    /// (the parity reference leg).
+    /// Run the execution phase serially through the full cached path,
+    /// recomputing every serving pick uncached (the parity reference leg).
     pub serial: bool,
 }
 
@@ -416,9 +416,13 @@ fn plan_pipeline(alpha: f64) -> ExecutionPipeline {
 /// the thread-local stats scopes exact.
 ///
 /// Serving tenants take a different grid: the four [`KvCachePolicy`]
-/// legs of a decode cell, picked by tokens/sec. Both paths are pure
-/// functions of (request, frozen host budget), which is what keeps the
-/// pooled and serial legs record-identical.
+/// legs of a decode cell, picked by tokens/sec
+/// ([`memo_core::serving::pick_policy`]). The pooled leg memoizes that
+/// pick in the shared [`ProfileCache`]; the serial leg recomputes it, so
+/// the parity check verifies every memoized reply against a fresh
+/// replay. Both paths are pure functions of (request, frozen host
+/// budget), which is what keeps the pooled and serial legs
+/// record-identical.
 fn plan_one(adm: &Admitted, serial: bool, ctx: &mut DeltaContext) -> PlanReply {
     let t0 = Instant::now();
     let cache_scope = CacheStatsScope::enter();
@@ -427,30 +431,11 @@ fn plan_one(adm: &Admitted, serial: bool, ctx: &mut DeltaContext) -> PlanReply {
     let mut w = Workload::new(adm.req.model.config(), adm.req.n_gpus, adm.req.seq_len);
     w.calib.set_host_memory_bytes(adm.host_budget_bytes);
     if adm.req.kind == TenantKind::Serving {
-        let mut best: Option<(f64, memo_core::outcome::CellOutcome)> = None;
-        for &policy in &KvCachePolicy::ALL {
-            let mut eng = ServingEngine::from_workload(&w, policy);
-            // Trim the cell so a fleet of requests plans in milliseconds:
-            // a small saturated batch and a short decode phase still rank
-            // the policies the same way.
-            eng.params.max_batch = eng.params.max_batch.min(8);
-            eng.params.arrivals = 2 * eng.params.max_batch;
-            eng.params.decode_tokens = eng.params.decode_tokens.min(512);
-            let rep = eng.run();
-            let outcome = rep.to_outcome();
-            let score = if outcome.is_ok() {
-                rep.tokens_per_sec
-            } else {
-                f64::NEG_INFINITY
-            };
-            if best.as_ref().is_none_or(|(s, _)| score > *s) {
-                best = Some((score, outcome));
-            }
-        }
+        let outcome = ProfileCache::global().serving(&w, !serial);
         return PlanReply {
             picked: None,
             report: None,
-            outcome: best.expect("four policy legs ran").1,
+            outcome: Arc::unwrap_or_clone(outcome),
             grid_cells: KvCachePolicy::ALL.len(),
             host_budget_bytes: adm.host_budget_bytes,
             cache: cache_scope.finish(),
