@@ -38,7 +38,6 @@
 
 use crate::{AllocError, DeviceAllocator};
 use memo_model::trace::TensorId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -265,7 +264,7 @@ pub struct CachingStats {
 }
 
 /// What an [`AllocEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocEventKind {
     /// A block was handed out (`bytes` = rounded request size).
     Malloc,
@@ -284,7 +283,7 @@ pub enum AllocEventKind {
 /// run. Only populated when recording is enabled
 /// ([`CachingAllocator::record_events`]) — the default is a no-op `None`
 /// with zero overhead on the malloc/free hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocEvent {
     pub kind: AllocEventKind,
     /// The tensor involved (`None` for segment/reorg events).

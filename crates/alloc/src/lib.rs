@@ -40,10 +40,9 @@ pub mod snapshot;
 pub mod unified;
 
 use memo_model::trace::TensorId;
-use serde::{Deserialize, Serialize};
 
 /// Result of a failed allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AllocError {
     /// The device cannot satisfy the request even after reorganisation.
     OutOfMemory {

@@ -7,10 +7,9 @@
 
 use crate::{AllocError, DeviceAllocator};
 use memo_model::trace::{IterationTrace, MemOp};
-use serde::{Deserialize, Serialize};
 
 /// One sample of the series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sample {
     pub request_index: usize,
     pub allocated: u64,
@@ -18,7 +17,7 @@ pub struct Sample {
 }
 
 /// The recorded series plus outcome metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotSeries {
     pub samples: Vec<Sample>,
     pub reorgs: u64,

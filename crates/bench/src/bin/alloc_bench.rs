@@ -184,7 +184,7 @@ fn main() {
         headline, memo_1m.old_rps, memo_1m.new_rps
     );
 
-    // Hand-rolled JSON (the workspace has no serde_json).
+    // Hand-rolled JSON (the workspace has no JSON dependency).
     let cell_json: Vec<String> = cells
         .iter()
         .map(|c| {

@@ -3,15 +3,15 @@
 //! Sweeps the full Megatron-family strategy grid × a 17-point α lattice
 //! (7B, 8 GPUs, 1Mi context) twice per measurement: once through the PR 5
 //! cursor-only path (`execute_cached` per cell, fresh recurrence + timeline
-//! every time) and once through the delta path (`execute_delta`: profile/plan
-//! pins + the process-global segment cache, serpentine knob order, no
-//! timeline). Asserts per-cell bit-identical reports and the identical final
+//! every time) and once through the delta path (`ProfileSource::Pinned`:
+//! profile/plan pins + the process-global segment cache, serpentine knob
+//! order, no timeline). Asserts per-cell bit-identical reports and the identical final
 //! pick, then times the per-layer mixed-policy sweep the delta path opens.
 //! Emits `BENCH_delta.json`; the headline is the warm-sweep speedup
 //! (target ≥ 3×).
 
 use memo_core::delta::{pick_best, DeltaContext, DeltaStats};
-use memo_core::pipeline::{ActivationPolicy, ExecutionPipeline, ExecutionReport, PipelineStages};
+use memo_core::pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource};
 use memo_core::session::Workload;
 use memo_model::config::ModelConfig;
 use memo_parallel::search;
@@ -20,23 +20,16 @@ use memo_parallel::sweep::serpentine_pairs;
 use memo_swap::SegmentCache;
 use std::time::Instant;
 
-fn memo_alpha_pipeline(alpha: f64) -> ExecutionPipeline {
-    let mut stages = PipelineStages::for_spec(SystemSpec::Memo);
-    stages.policy = ActivationPolicy::TokenWise {
-        alpha_override: Some(alpha),
-        slots: 2,
-    };
-    ExecutionPipeline::with_stages(SystemSpec::Memo, stages)
-}
-
 /// One full-grid sweep through `execute_cached` (the PR 5 baseline).
 fn sweep_baseline(w: &Workload, walk: &[(ParallelConfig, f64)]) -> Vec<ExecutionReport> {
     walk.iter()
-        .map(|(cfg, alpha)| memo_alpha_pipeline(*alpha).execute_cached(w, cfg, true))
+        .map(|(cfg, alpha)| {
+            ExecutionPipeline::memo_at_alpha(*alpha, 2).execute_cached(w, cfg, true)
+        })
         .collect()
 }
 
-/// One full-grid sweep through `execute_delta` with a fresh context, whose
+/// One full-grid sweep through a fresh pinned context, whose
 /// telemetry is added to `total`.
 fn sweep_delta(
     w: &Workload,
@@ -46,7 +39,14 @@ fn sweep_delta(
     let mut ctx = DeltaContext::new();
     let reports = walk
         .iter()
-        .map(|(cfg, alpha)| memo_alpha_pipeline(*alpha).execute_delta(w, cfg, &mut ctx))
+        .map(|(cfg, alpha)| {
+            ExecutionPipeline::memo_at_alpha(*alpha, 2).execute_from(
+                w,
+                cfg,
+                ProfileSource::Pinned(&mut ctx),
+                None,
+            )
+        })
         .collect();
     let s = ctx.stats();
     total.delta_runs += s.delta_runs;
@@ -201,14 +201,7 @@ fn main() {
     for cfg in &configs {
         let grid = w.run_mixed_policy_grid(cfg, None, 2);
         for (k, rep) in &grid {
-            let spec = SystemSpec::MemoMixed((*k).min(u8::MAX as usize) as u8);
-            let mut stages = PipelineStages::for_spec(spec);
-            stages.policy = ActivationPolicy::MixedTokenWise {
-                swap_layers: *k,
-                alpha_override: None,
-                slots: 2,
-            };
-            let full = ExecutionPipeline::with_stages(spec, stages).execute_cached(&w, cfg, true);
+            let full = ExecutionPipeline::memo_mixed(*k, None, 2).execute_cached(&w, cfg, true);
             mixed_parity &=
                 assert_reports_equal(rep, &full, &format!("mixed {} k={k}", cfg.describe()));
             if let Some(m) = rep.outcome.metrics() {
@@ -235,7 +228,7 @@ fn main() {
         mb_tgs
     );
 
-    // Hand-rolled JSON (the workspace has no serde_json).
+    // Hand-rolled JSON (the workspace has no JSON dependency).
     let json = format!(
         "{{\n  \"bench\": \"delta\",\n  \"model\": \"{}\",\n  \"n_gpus\": {},\n  \
          \"seq_k\": {},\n  \"workers\": {},\n  \

@@ -250,7 +250,7 @@ fn main() {
     }
     println!("\nparity-checked cells: {checked} (all match the BnB optimum)");
 
-    // Hand-rolled JSON (the workspace has no serde_json).
+    // Hand-rolled JSON (the workspace has no JSON dependency).
     let cell_json: Vec<String> = cells
         .iter()
         .map(|c| {

@@ -478,7 +478,7 @@ fn main() {
         headline.max_seqs(KvCachePolicy::Caching),
     );
 
-    // Hand-rolled JSON (the workspace has no serde_json).
+    // Hand-rolled JSON (the workspace has no JSON dependency).
     let cell_json: Vec<String> = cells
         .iter()
         .map(|c| {

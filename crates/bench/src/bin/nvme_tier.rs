@@ -23,7 +23,7 @@ fn main() {
         let w = Workload::new(ModelConfig::gpt_7b(), 8, s_k * 1024);
         let full_host = w.run_with(SystemSpec::FullSwapPlan, &cfg);
         let base = w.run_with(SystemSpec::Memo, &cfg);
-        let nvme = w.run_with(SystemSpec::MemoNvme, &cfg);
+        let nvme = w.run_with(SystemSpec::MemoTiered(2), &cfg);
         println!(
             "{:>6}K | {:>20} | {:>20} | {:>20}",
             s_k,

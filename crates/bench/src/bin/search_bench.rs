@@ -56,7 +56,7 @@ fn table_opt(n: Option<u64>) -> String {
 }
 
 fn is_memo_family(sys: SystemSpec) -> bool {
-    matches!(sys, SystemSpec::Memo | SystemSpec::MemoNvme)
+    matches!(sys, SystemSpec::Memo | SystemSpec::MemoTiered(2))
 }
 
 /// Per-cell timing runs; the reported wall-clock is the minimum.
@@ -201,7 +201,7 @@ fn main() {
         headline
     );
 
-    // Hand-rolled JSON (the workspace has no serde_json).
+    // Hand-rolled JSON (the workspace has no JSON dependency).
     let cell_json: Vec<String> = cells
         .iter()
         .map(|c| {

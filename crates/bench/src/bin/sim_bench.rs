@@ -157,7 +157,7 @@ fn six_modes() -> Vec<(SystemSpec, ParallelConfig)> {
         (SystemSpec::MegatronKeepAll, mega),
         (SystemSpec::DeepSpeed, ParallelConfig::ulysses(8, 1)),
         (SystemSpec::TensorHybrid, mega),
-        (SystemSpec::MemoNvme, mega),
+        (SystemSpec::MemoTiered(2), mega),
     ]
 }
 
@@ -255,7 +255,7 @@ fn main() {
         "fast path must simulate >= 3x more iterations/sec at MEMO@1M, got {headline:.2}x"
     );
 
-    // Hand-rolled JSON (the workspace has no serde_json).
+    // Hand-rolled JSON (the workspace has no JSON dependency).
     let cell_json: Vec<String> = cells
         .iter()
         .map(|c| {

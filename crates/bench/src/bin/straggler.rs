@@ -7,13 +7,12 @@
 //! gradient synchronisation. Context for §5.2's observation that large
 //! model-parallel degrees carry heavy overheads — noise makes it worse.
 
-use memo_core::executor::run_memo_tiered;
 use memo_core::session::Workload;
 use memo_dist::groups::RankGrid;
 use memo_dist::iteration::{run_distributed_iteration, DistSpec};
 use memo_hal::time::SimTime;
 use memo_model::config::ModelConfig;
-use memo_parallel::strategy::ParallelConfig;
+use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 
 fn main() {
     let base = DistSpec {
@@ -98,7 +97,7 @@ fn main() {
     let cfg = ParallelConfig::megatron(4, 2, 1, 1);
     let healthy = {
         let w = Workload::new(ModelConfig::gpt_7b(), 8, 768 * 1024);
-        run_memo_tiered(&w, &cfg, 0)
+        w.run_with(SystemSpec::MemoTiered(0), &cfg)
             .mfu()
             .expect("healthy chain runs")
     };
@@ -107,7 +106,7 @@ fn main() {
         let nvme = w.calib.hierarchy.tiers.last_mut().expect("chain has NVMe");
         nvme.write_bandwidth = nvme_gbps * 1e9;
         nvme.read_bandwidth = nvme_gbps * 1e9;
-        let out = run_memo_tiered(&w, &cfg, 0);
+        let out = w.run_with(SystemSpec::MemoTiered(0), &cfg);
         let m = out.metrics().expect("degraded chain still runs");
         println!(
             "{:>13.0} GB/s {:>7.3} {:>7.3} {:>8.3}x",

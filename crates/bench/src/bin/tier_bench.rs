@@ -6,9 +6,9 @@
 //! tokens:
 //!
 //! * **3-tier** — GPU→host→NVMe, the calibration default. Asserted
-//!   bit-identical to the legacy `Memo`/`MemoNvme` modes (outcome, byte
-//!   and time breakdowns) at every sequence length: the N-tier waterfall
-//!   truncated to depth 1 is MEMO, to depth 2 is MEMO+NVMe.
+//!   bit-identical (outcome, byte and time breakdowns) at every sequence
+//!   length: the N-tier waterfall truncated to depth 1 is `Memo`, and
+//!   depth 2 (MEMO+NVMe) is the whole chain.
 //! * **4-tier** — GPU→host→CXL→NVMe: a 512 GiB CXL expander between
 //!   host DRAM and NVMe.
 //! * **5-tier** — the 4-tier chain plus a remote object-storage tier.
@@ -113,7 +113,7 @@ fn main() {
             let w = chain_workload(s_k * 1024, before, after);
             let report = w.run_report(SystemSpec::MemoTiered(0), &cfg);
             // The paper chain must be bit-identical to the legacy modes:
-            // depth 1 ≡ Memo, depth 2 and the whole chain ≡ MemoNvme.
+            // depth 1 ≡ Memo, and depth 2 ≡ the whole chain.
             let parity = (*tiers == 3).then(|| {
                 let eq = |a: &memo_core::pipeline::ExecutionReport,
                           b: &memo_core::pipeline::ExecutionReport| {
@@ -121,9 +121,7 @@ fn main() {
                 };
                 let host_only = w.run_report(SystemSpec::MemoTiered(1), &cfg);
                 let two = w.run_report(SystemSpec::MemoTiered(2), &cfg);
-                eq(&host_only, &w.run_report(SystemSpec::Memo, &cfg))
-                    && eq(&two, &w.run_report(SystemSpec::MemoNvme, &cfg))
-                    && eq(&report, &w.run_report(SystemSpec::MemoNvme, &cfg))
+                eq(&host_only, &w.run_report(SystemSpec::Memo, &cfg)) && eq(&two, &report)
             });
             if let Some(ok) = parity {
                 assert!(ok, "{chain}@{s_k}K: tiered run diverged from legacy modes");
@@ -161,7 +159,7 @@ fn main() {
     );
     println!("\nchains deeper than 3 tiers simulating 1M successfully: {deep_ok_at_1m}");
 
-    // Hand-rolled JSON (the workspace has no serde_json).
+    // Hand-rolled JSON (the workspace has no JSON dependency).
     let cell_json: Vec<String> = cells
         .iter()
         .map(|c| {

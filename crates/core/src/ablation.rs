@@ -12,10 +12,9 @@
 use crate::outcome::CellOutcome;
 use crate::session::Workload;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 4 (plus one extension row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
     FullRecompute,
     FullRecomputePlan,
@@ -75,7 +74,7 @@ pub fn run_variant(w: &Workload, variant: Variant, cfg: &ParallelConfig) -> Cell
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor;
+    use crate::pipeline::ExecutionPipeline;
 
     fn workload(s_k: u64) -> Workload {
         crate::testutil::w7(8, s_k)
@@ -161,7 +160,9 @@ mod tests {
                 n_layers: p.layers_local,
                 host_capacity: w.calib.host_capacity_per_gpu(),
             });
-            let memo = executor::run_memo_with_alpha(&w, &cfg(), Some(raw))
+            let memo = ExecutionPipeline::memo_at_alpha(raw, 2)
+                .execute_cached(&w, &cfg(), true)
+                .outcome
                 .mfu()
                 .unwrap();
             let hybrid = run_variant(&w, Variant::TensorHybrid, &cfg())

@@ -21,32 +21,32 @@
 //!    makespan, busy, idle, and host-peak figures come straight off the
 //!    [`memo_swap::schedule::ScalarSchedule`].
 //!
-//! [`ExecutionPipeline::execute_delta`] reports are bit-identical to
+//! Runs from [`ProfileSource::Pinned`] are bit-identical to
 //! `execute_cached` — every reuse layer keys on all of its inputs — and
 //! the lockstep differential suite (`tests/delta_differential.rs`) drives
 //! the two in parallel over randomized workloads and knob-adjacent
 //! strategy pairs, including OOM/OOHM divergence cells, to pin that.
 
 use crate::outcome::CellOutcome;
-use crate::pipeline::{ActivationPolicy, ExecutionPipeline, ExecutionReport, PipelineStages};
+use crate::pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource};
 use crate::profiler::ProfileReport;
 use crate::session::Workload;
 use memo_hal::calib::Calibration;
 use memo_model::config::ModelConfig;
 use memo_model::trace::{IterationTrace, RematPolicy};
-use memo_parallel::strategy::{ParallelConfig, SystemSpec};
+use memo_parallel::strategy::ParallelConfig;
 use memo_plan::bilevel::BilevelReport;
 use memo_plan::dispatch::PlannerKind;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// [`ExecutionPipeline::execute_delta`] telemetry of one [`DeltaContext`]:
+/// [`ProfileSource::Pinned`] telemetry of one [`DeltaContext`]:
 /// how incremental its sweep was. Each context counts only its own cells,
 /// so concurrent sweeps (one context per pool worker) never see each
 /// other's traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// `execute_delta` invocations.
+    /// Pipeline runs through this context.
     pub delta_runs: u64,
     /// Runs that fell back to full simulation (caching-replay backends).
     pub full_fallbacks: u64,
@@ -93,9 +93,9 @@ type PlanPinKey = (ParallelConfig, RematPolicy, bool, PlannerKind);
 
 /// Mutable per-sweep state of the delta path: pinned profile and plan
 /// `Arc`s keyed by the strategy triple, valid for one workload at a time.
-/// Create one per sweep (it is cheap) and thread it through
-/// [`ExecutionPipeline::execute_delta`]; the first call against a new
-/// workload re-stamps the context and drops every pin.
+/// Create one per sweep (it is cheap) and pass it as
+/// [`ProfileSource::Pinned`]; the first run against a new workload
+/// re-stamps the context and drops every pin.
 #[derive(Debug, Default)]
 pub struct DeltaContext {
     stamp: Option<WorkloadStamp>,
@@ -119,7 +119,7 @@ impl DeltaContext {
         self.stats
     }
 
-    /// Count one `execute_delta` cell, and whether it fell back to full
+    /// Count one pinned pipeline run, and whether it fell back to full
     /// simulation.
     pub(crate) fn count_run(&mut self, full_fallback: bool) {
         self.stats.delta_runs += 1;
@@ -127,8 +127,8 @@ impl DeltaContext {
     }
 
     /// Drop every pin if `w` differs from the stamped workload. Called once
-    /// per [`ExecutionPipeline::execute_delta`] cell, *before* any pin
-    /// lookup — `profile`/`plan` assume the stamp is current.
+    /// per pinned pipeline run, *before* any pin lookup — `profile`/`plan`
+    /// assume the stamp is current.
     pub(crate) fn restamp(&mut self, w: &Workload) {
         let matches = self.stamp.as_ref().is_some_and(|s| {
             // Cheap scalar fields first; the calibration walk goes last.
@@ -300,13 +300,12 @@ impl Workload {
         (0..points)
             .map(|i| {
                 let alpha = i as f64 / (points - 1) as f64;
-                let mut stages = PipelineStages::for_spec(SystemSpec::Memo);
-                stages.policy = ActivationPolicy::TokenWise {
-                    alpha_override: Some(alpha),
-                    slots,
-                };
-                let rep = ExecutionPipeline::with_stages(SystemSpec::Memo, stages)
-                    .execute_delta(self, cfg, ctx);
+                let rep = ExecutionPipeline::memo_at_alpha(alpha, slots).execute_from(
+                    self,
+                    cfg,
+                    ProfileSource::Pinned(ctx),
+                    None,
+                );
                 (alpha, rep)
             })
             .collect()
@@ -340,17 +339,12 @@ impl Workload {
         let max_k = layers_local.saturating_sub(slots);
         (0..=max_k)
             .map(|k| {
-                // The spec tag is reporting-only (clamped to u8); the
-                // policy carries the exact count.
-                let spec = SystemSpec::MemoMixed(k.min(u8::MAX as usize) as u8);
-                let mut stages = PipelineStages::for_spec(spec);
-                stages.policy = ActivationPolicy::MixedTokenWise {
-                    swap_layers: k,
-                    alpha_override,
-                    slots,
-                };
-                let rep =
-                    ExecutionPipeline::with_stages(spec, stages).execute_delta(self, cfg, ctx);
+                let rep = ExecutionPipeline::memo_mixed(k, alpha_override, slots).execute_from(
+                    self,
+                    cfg,
+                    ProfileSource::Pinned(ctx),
+                    None,
+                );
                 (k, rep)
             })
             .collect()
@@ -361,6 +355,7 @@ impl Workload {
 mod tests {
     use super::*;
     use crate::testutil::w7;
+    use memo_parallel::strategy::SystemSpec;
 
     fn assert_reports_equal(a: &ExecutionReport, b: &ExecutionReport, what: &str) {
         assert_eq!(a.outcome, b.outcome, "{what}: outcome");
@@ -376,13 +371,7 @@ mod tests {
         let grid = w.run_alpha_grid(&cfg, 17, 2);
         assert_eq!(grid.len(), 17);
         for (alpha, rep) in &grid {
-            let mut stages = PipelineStages::for_spec(SystemSpec::Memo);
-            stages.policy = ActivationPolicy::TokenWise {
-                alpha_override: Some(*alpha),
-                slots: 2,
-            };
-            let full = ExecutionPipeline::with_stages(SystemSpec::Memo, stages)
-                .execute_cached(&w, &cfg, true);
+            let full = ExecutionPipeline::memo_at_alpha(*alpha, 2).execute_cached(&w, &cfg, true);
             assert_reports_equal(rep, &full, &format!("alpha {alpha}"));
         }
         // The endpoints must differ (α = 0 recomputes everything, α = 1
@@ -414,14 +403,7 @@ mod tests {
         let layers_local = cfg.layers_local(w.model.n_layers);
         assert_eq!(grid.len(), layers_local - 2 + 1);
         for (k, rep) in &grid {
-            let spec = SystemSpec::MemoMixed(*k as u8);
-            let mut stages = PipelineStages::for_spec(spec);
-            stages.policy = ActivationPolicy::MixedTokenWise {
-                swap_layers: *k,
-                alpha_override: None,
-                slots: 2,
-            };
-            let full = ExecutionPipeline::with_stages(spec, stages).execute_cached(&w, &cfg, true);
+            let full = ExecutionPipeline::memo_mixed(*k, None, 2).execute_cached(&w, &cfg, true);
             assert_reports_equal(rep, &full, &format!("k = {k}"));
         }
         // k = layers_local − 2 is the uniform schedule: identical metrics
@@ -454,13 +436,8 @@ mod tests {
         // Both grids still match their from-scratch equivalents.
         for (w, grid) in [(&w64, &a), (&w128, &b)] {
             for (alpha, rep) in grid.iter() {
-                let mut stages = PipelineStages::for_spec(SystemSpec::Memo);
-                stages.policy = ActivationPolicy::TokenWise {
-                    alpha_override: Some(*alpha),
-                    slots: 2,
-                };
-                let full = ExecutionPipeline::with_stages(SystemSpec::Memo, stages)
-                    .execute_cached(w, &cfg, true);
+                let full =
+                    ExecutionPipeline::memo_at_alpha(*alpha, 2).execute_cached(w, &cfg, true);
                 assert_reports_equal(rep, &full, &format!("s = {}", w.seq_len));
             }
         }
@@ -471,8 +448,12 @@ mod tests {
         let w = w7(8, 64);
         let cfg = ParallelConfig::megatron(4, 2, 1, 1);
         let mut ctx = DeltaContext::new();
-        let delta =
-            ExecutionPipeline::new(SystemSpec::MegatronLM).execute_delta(&w, &cfg, &mut ctx);
+        let delta = ExecutionPipeline::new(SystemSpec::MegatronLM).execute_from(
+            &w,
+            &cfg,
+            ProfileSource::Pinned(&mut ctx),
+            None,
+        );
         assert_eq!(ctx.stats().full_fallbacks, 1);
         let full = ExecutionPipeline::new(SystemSpec::MegatronLM).execute_cached(&w, &cfg, true);
         assert_reports_equal(&delta, &full, "caching replay");
@@ -480,18 +461,33 @@ mod tests {
     }
 
     #[test]
+    fn pinned_runs_take_an_observer_without_changing_the_report() {
+        // One stage sequence: the observer reaches pinned runs too, and
+        // only reads what the stages computed.
+        let w = w7(8, 64);
+        let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+        let mut ctx = DeltaContext::new();
+        for spec in SystemSpec::ALL_MODES {
+            let pipe = ExecutionPipeline::new(spec);
+            let plain = pipe.execute_cached(&w, &cfg, true);
+            let mut obs = crate::observer::RunObserver::new();
+            let observed =
+                pipe.execute_from(&w, &cfg, ProfileSource::Pinned(&mut ctx), Some(&mut obs));
+            assert_reports_equal(&plain, &observed, &format!("{spec:?}"));
+            if observed.outcome.is_ok() {
+                assert!(obs.timeline.is_some(), "{spec:?}: timeline captured");
+            }
+        }
+    }
+
+    #[test]
     fn delta_reproduces_oohm_failure_cells() {
-        // α = 1.0 at a long context overflows the host (the executor's
+        // α = 1.0 at a long context overflows the host (the session's
         // OOHM test pins this workload); the delta path must report the
         // identical failure, and keep doing so on the cached re-run.
         let w = w7(8, 768);
         let cfg = ParallelConfig::megatron(4, 2, 1, 1);
-        let mut stages = PipelineStages::for_spec(SystemSpec::Memo);
-        stages.policy = ActivationPolicy::TokenWise {
-            alpha_override: Some(1.0),
-            slots: 2,
-        };
-        let pipe = ExecutionPipeline::with_stages(SystemSpec::Memo, stages);
+        let pipe = ExecutionPipeline::memo_at_alpha(1.0, 2);
         let full = pipe.execute_cached(&w, &cfg, true);
         assert!(
             matches!(full.outcome, CellOutcome::Oohm { .. }),
@@ -500,7 +496,7 @@ mod tests {
         );
         let mut ctx = DeltaContext::new();
         for round in 0..2 {
-            let delta = pipe.execute_delta(&w, &cfg, &mut ctx);
+            let delta = pipe.execute_from(&w, &cfg, ProfileSource::Pinned(&mut ctx), None);
             assert_reports_equal(&delta, &full, &format!("round {round}"));
         }
     }

@@ -12,8 +12,7 @@
 //!    memory backend, schedule, metrics — covering MEMO (rounding buffers +
 //!    three streams + planned addresses), the Megatron-LM / DeepSpeed
 //!    baselines (full recomputation + the caching allocator), and the
-//!    keep-all / tensor-hybrid / NVMe-tier variants. [`executor`] keeps the
-//!    named `run_*` wrappers.
+//!    keep-all / tensor-hybrid / N-tier variants.
 //!
 //! [`session`] is the user-facing API: build a [`session::Workload`], pick a
 //! [`SystemSpec`](memo_parallel::SystemSpec), `run_with()` — and read
@@ -24,7 +23,6 @@
 pub mod ablation;
 pub mod cache;
 pub mod delta;
-pub mod executor;
 pub mod metrics;
 pub mod observer;
 pub mod outcome;
@@ -39,7 +37,7 @@ pub use delta::{pick_best, pick_best_or_failure, DeltaContext, DeltaStats};
 pub use metrics::Metrics;
 pub use observer::RunObserver;
 pub use outcome::CellOutcome;
-pub use pipeline::{ExecutionPipeline, ExecutionReport};
+pub use pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource};
 pub use serving::{ServingEngine, ServingReport, ServingResources};
 pub use session::Workload;
 
@@ -48,7 +46,7 @@ pub(crate) mod testutil {
     use crate::session::Workload;
     use memo_model::config::ModelConfig;
 
-    /// The 7B test workload shared by the executor/session/ablation tests.
+    /// The 7B test workload shared by the session/delta/ablation tests.
     pub fn w7(n_gpus: usize, s_k: u64) -> Workload {
         Workload::new(ModelConfig::gpt_7b(), n_gpus, s_k * 1024)
     }

@@ -2,10 +2,9 @@
 
 use memo_model::config::ModelConfig;
 use memo_model::flops;
-use serde::{Deserialize, Serialize};
 
 /// Results of one successfully simulated training iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     /// Wall time of one iteration, seconds.
     pub iter_secs: f64,

@@ -5,7 +5,7 @@
 //! The observer is **opt-in and `Option`-gated**: every pipeline stage
 //! takes an `Option<&mut RunObserver>` and does nothing — no clock reads,
 //! no allocator recording, no timeline capture — when it is `None`. The
-//! default `execute`/`execute_cached` paths pass `None`, so observation
+//! default `execute_cached` path passes `None`, so observation
 //! costs nothing unless a caller explicitly asks for it, and golden-parity
 //! outputs cannot be perturbed by it (DESIGN.md §2c).
 
@@ -38,7 +38,7 @@ impl StageSecs {
 /// Everything one observed pipeline run collects.
 ///
 /// Construct with [`RunObserver::new`], pass as `Some(&mut obs)` to
-/// [`crate::pipeline::ExecutionPipeline::execute_observed`] (or
+/// [`crate::pipeline::ExecutionPipeline::execute_from`] (or
 /// [`crate::session::Workload::run_report_observed`]), then hand the
 /// filled observer to the `memo-obs` exporters.
 #[derive(Debug, Clone, Default)]

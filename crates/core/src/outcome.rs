@@ -2,10 +2,9 @@
 //! (`X_oom` — GPU memory exhausted; `X_oohm` — host memory exhausted).
 
 use crate::metrics::Metrics;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one (system, model, #GPUs, sequence length, strategy) cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CellOutcome {
     Ok(Metrics),
     /// GPU out-of-memory, with the shortfall diagnostics.

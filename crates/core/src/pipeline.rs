@@ -6,8 +6,9 @@
 //!    ([`crate::profiler`]);
 //! 2. **activation policy** ([`ActivationPolicy`]) — how activations survive
 //!    to the backward pass: token-wise α swap into rounding buffers,
-//!    per-tensor greedy swap, two-tier host+NVMe spill, full recomputation,
-//!    or keep-all. Swap policies can fail host/NVMe feasibility (`X_oohm`);
+//!    per-tensor greedy swap, an N-tier host/NVMe/… waterfall, full
+//!    recomputation, or keep-all. Swap policies can fail host/NVMe
+//!    feasibility (`X_oohm`);
 //! 3. **memory backend** ([`MemoryBackend`]) — where tensors live: the
 //!    bi-level static plan or a PyTorch-style caching-allocator replay.
 //!    Both report a peak, reorganisation count, and a uniform `X_oom`;
@@ -16,10 +17,13 @@
 //! 5. **metrics** — MFU/TGS plus the [`ByteBreakdown`]/[`TimeBreakdown`]
 //!    accounting of the [`ExecutionReport`].
 //!
-//! The `run_*` functions in [`crate::executor`] are thin wrappers over this
-//! pipeline, kept for callers that want a specific mode by name.
+//! One stage sequence serves every caller; a [`ProfileSource`] says where
+//! stages 1 and 3 get the profile and the static plan — the process-global
+//! [`ProfileCache`], or a [`DeltaContext`]'s pins on the delta path of dense
+//! grids.
 
-use crate::cache::ProfileCache;
+use crate::cache::{CacheStatsScope, ProfileCache};
+use crate::delta::DeltaContext;
 use crate::metrics::{compute_metrics, Metrics};
 use crate::observer::RunObserver;
 use crate::outcome::CellOutcome;
@@ -30,12 +34,14 @@ use memo_alloc::snapshot::{replay, SnapshotSeries};
 use memo_alloc::AllocError;
 use memo_hal::engine::{RecordLevel, Timeline};
 use memo_hal::time::SimTime;
-use memo_model::trace::RematPolicy;
+use memo_model::trace::{IterationTrace, RematPolicy};
 use memo_parallel::comm;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
+use memo_plan::bilevel::BilevelReport;
 use memo_plan::dispatch::PlannerKind;
 use memo_swap::schedule::{LayerCosts, TierTraffic, TierTrafficList};
 use memo_swap::tiers::TierStaging;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Stage 2: how activations survive from forward to backward.
@@ -51,9 +57,6 @@ pub enum ActivationPolicy {
     /// Capuchin-style granularity: greedily swap whole tensors, largest
     /// first, under the overlap and host budgets.
     TensorGreedy,
-    /// Two-tier α (extension): token rows the host cannot hold spill to
-    /// NVMe at lower bandwidth.
-    TwoTierNvme,
     /// N-tier α waterfall over the calibration's [`memo_hal::MemoryHierarchy`]:
     /// token rows cascade down the chain, each tier absorbing what the
     /// nearer tiers cannot. `depth = 0` uses the whole chain; `depth = d`
@@ -141,10 +144,6 @@ impl PipelineStages {
             SystemSpec::MemoBufferSlots(n) => token_wise(None, n as usize),
             SystemSpec::TensorHybrid => PipelineStages {
                 policy: ActivationPolicy::TensorGreedy,
-                ..token_wise(None, 2)
-            },
-            SystemSpec::MemoNvme => PipelineStages {
-                policy: ActivationPolicy::TwoTierNvme,
                 ..token_wise(None, 2)
             },
             SystemSpec::MemoTiered(depth) => PipelineStages {
@@ -286,6 +285,63 @@ pub struct ExecutionReport {
     pub outcome: CellOutcome,
 }
 
+/// Where stage 1 gets the profile and stage 3 the static plan.
+#[derive(Debug)]
+pub enum ProfileSource<'a> {
+    /// The process-global [`ProfileCache`]; `use_cache = false` recomputes
+    /// both unconditionally (the forced-serial baseline leg of the search).
+    Cache { use_cache: bool },
+    /// A [`DeltaContext`]'s pins: no key construction or shard locking on
+    /// reuse, and the swap-family schedule goes through the global
+    /// [`memo_swap::SegmentCache`]. Caching-replay backends have no
+    /// incremental structure to exploit and fall back to the global cache.
+    /// Reports are bit-identical to `Cache { use_cache: true }` — every
+    /// reuse layer keys on all of its inputs (the lockstep differential
+    /// suite asserts it).
+    Pinned(&'a mut DeltaContext),
+}
+
+impl ProfileSource<'_> {
+    fn profile(
+        &mut self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        st: &PipelineStages,
+    ) -> Arc<ProfileReport> {
+        match self {
+            ProfileSource::Cache { use_cache } => {
+                ProfileCache::global().profile(w, cfg, st.remat, st.materialize_logits, *use_cache)
+            }
+            ProfileSource::Pinned(ctx) => ctx.profile(w, cfg, st.remat, st.materialize_logits),
+        }
+    }
+
+    /// The memory plan of `trace`, which must be the trace of this
+    /// source's profile for the same key.
+    fn plan(
+        &mut self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        st: &PipelineStages,
+        trace: &IterationTrace,
+    ) -> Arc<BilevelReport> {
+        match self {
+            ProfileSource::Cache { use_cache } => ProfileCache::global().plan(
+                w,
+                cfg,
+                st.remat,
+                st.materialize_logits,
+                st.planner,
+                trace,
+                *use_cache,
+            ),
+            ProfileSource::Pinned(ctx) => {
+                ctx.plan(w, cfg, st.remat, st.materialize_logits, st.planner, trace)
+            }
+        }
+    }
+}
+
 /// The staged executor: resolve a [`SystemSpec`] into [`PipelineStages`]
 /// and run profile → policy → memory → schedule → metrics.
 #[derive(Debug, Clone, Copy)]
@@ -302,70 +358,85 @@ impl ExecutionPipeline {
         }
     }
 
-    /// Override the resolved stages (used by the `run_memo_with_alpha`
-    /// wrapper for arbitrary α ablations that no named spec covers).
-    pub fn with_stages(spec: SystemSpec, stages: PipelineStages) -> Self {
+    /// MEMO's token-wise policy at a fixed α with `slots` rounding buffers
+    /// (`alpha = 1.0` is the full-swapping ablation) — the α overrides and
+    /// dense α grids that no named spec covers.
+    pub fn memo_at_alpha(alpha: f64, slots: usize) -> Self {
+        let mut stages = PipelineStages::for_spec(SystemSpec::Memo);
+        stages.policy = ActivationPolicy::TokenWise {
+            alpha_override: Some(alpha),
+            slots,
+        };
+        ExecutionPipeline {
+            spec: SystemSpec::Memo,
+            stages,
+        }
+    }
+
+    /// The per-layer mixed policy with the exact swap-layer count `k`
+    /// (`SystemSpec::MemoMixed` carries it clamped to `u8` and fixes the
+    /// α and slot knobs).
+    pub fn memo_mixed(k: usize, alpha_override: Option<f64>, slots: usize) -> Self {
+        // The spec tag is reporting-only; the policy carries the exact count.
+        let spec = SystemSpec::MemoMixed(k.min(u8::MAX as usize) as u8);
+        let mut stages = PipelineStages::for_spec(spec);
+        stages.policy = ActivationPolicy::MixedTokenWise {
+            swap_layers: k,
+            alpha_override,
+            slots,
+        };
         ExecutionPipeline { spec, stages }
     }
 
-    pub fn spec(&self) -> SystemSpec {
-        self.spec
-    }
-
-    pub fn stages(&self) -> &PipelineStages {
-        &self.stages
-    }
-
-    /// Run the full pipeline for one workload + strategy.
-    pub fn execute(&self, w: &Workload, cfg: &ParallelConfig) -> ExecutionReport {
-        self.execute_cached(w, cfg, true)
-    }
-
-    /// [`Self::execute`] with explicit control over the [`ProfileCache`]:
-    /// `use_cache = false` recomputes the profile unconditionally (the
-    /// forced-serial baseline leg of `search_bench`). Cached and uncached
-    /// runs are bit-identical — the cache key covers every profiler input,
-    /// and stage-specific post-processing (`head_scale`) happens outside
-    /// the shared report.
+    /// Run the full pipeline for one workload + strategy, with explicit
+    /// control over the [`ProfileCache`]: `use_cache = false` recomputes
+    /// the profile unconditionally (the forced-serial baseline leg of
+    /// `search_bench`). Cached and uncached runs are bit-identical — the
+    /// cache key covers every profiler input, and stage-specific
+    /// post-processing (`head_scale`) happens outside the shared report.
     pub fn execute_cached(
         &self,
         w: &Workload,
         cfg: &ParallelConfig,
         use_cache: bool,
     ) -> ExecutionReport {
-        self.execute_observed(w, cfg, use_cache, None)
+        self.execute_from(w, cfg, ProfileSource::Cache { use_cache }, None)
     }
 
-    /// [`Self::execute_cached`] with an optional [`RunObserver`] threaded
-    /// through every stage. With `None` the pipeline takes the exact
-    /// unobserved path — no clock reads, no allocator event recording, no
+    /// The stage sequence, with the profile and plan taken from `source`
+    /// and an optional [`RunObserver`] threaded through every stage. With
+    /// `obs = None` the pipeline takes the exact unobserved path — no
+    /// clock reads, no stats scopes, no allocator event recording, no
     /// timeline capture — so observation can never perturb golden-parity
     /// outputs (the observer only *reads* what the stages already
     /// computed, and the one genuinely new artifact, the recompute-family
     /// timeline, is synthesized outside the metric path).
-    pub fn execute_observed(
+    pub fn execute_from(
         &self,
         w: &Workload,
         cfg: &ParallelConfig,
-        use_cache: bool,
+        mut source: ProfileSource<'_>,
         mut obs: Option<&mut RunObserver>,
     ) -> ExecutionReport {
         debug_assert!(cfg
             .validate(&w.model, w.n_gpus, w.calib.gpus_per_node.min(w.n_gpus))
             .is_ok());
+        if let ProfileSource::Pinned(ctx) = &mut source {
+            let fallback = matches!(self.stages.backend, MemoryBackend::CachingReplay { .. });
+            ctx.count_run(fallback);
+            if fallback {
+                source = ProfileSource::Cache { use_cache: true };
+            } else {
+                ctx.restamp(w);
+            }
+        }
 
         // ---- stage 1: profile ---------------------------------------------
         // Thread-local scope, not a global snapshot-diff: concurrent
         // requests on other workers must not leak into this run's counts.
-        let cache_scope = obs.as_ref().map(|_| crate::cache::CacheStatsScope::enter());
+        let cache_scope = obs.as_ref().map(|_| CacheStatsScope::enter());
         let t0 = obs.as_ref().map(|_| Instant::now());
-        let p = ProfileCache::global().profile(
-            w,
-            cfg,
-            self.stages.remat,
-            self.stages.materialize_logits,
-            use_cache,
-        );
+        let p = source.profile(w, cfg, &self.stages);
         if let Some(o) = obs.as_deref_mut() {
             o.stage_secs.profile = t0.unwrap().elapsed().as_secs_f64();
         }
@@ -373,10 +444,13 @@ impl ExecutionPipeline {
         // reproduces the old in-place `if head_scale != 1.0` mutation.
         let head_secs = p.head_secs * self.stages.head_scale;
 
-        let fail = |bytes, outcome| ExecutionReport {
+        let fail = |outcome| ExecutionReport {
             spec: self.spec,
             strategy: *cfg,
-            bytes,
+            bytes: ByteBreakdown {
+                model_states: p.model_states.total(),
+                ..ByteBreakdown::default()
+            },
             time: TimeBreakdown::default(),
             outcome,
         };
@@ -391,13 +465,7 @@ impl ExecutionPipeline {
             Ok(plan) => plan,
             Err(out) => {
                 finish_cache_delta(obs, cache_scope);
-                return fail(
-                    ByteBreakdown {
-                        model_states: p.model_states.total(),
-                        ..ByteBreakdown::default()
-                    },
-                    out,
-                );
+                return fail(out);
             }
         };
 
@@ -409,7 +477,7 @@ impl ExecutionPipeline {
             cfg,
             &p,
             &plan,
-            use_cache,
+            &mut source,
             obs.as_deref_mut(),
         );
         if let Some(o) = obs.as_deref_mut() {
@@ -419,13 +487,7 @@ impl ExecutionPipeline {
             Ok(mem) => mem,
             Err(out) => {
                 finish_cache_delta(obs, cache_scope);
-                return fail(
-                    ByteBreakdown {
-                        model_states: p.model_states.total(),
-                        ..ByteBreakdown::default()
-                    },
-                    out,
-                );
+                return fail(out);
             }
         };
 
@@ -439,7 +501,7 @@ impl ExecutionPipeline {
             &plan,
             &mem,
             self.stages.derate,
-            false,
+            matches!(source, ProfileSource::Pinned(_)),
             obs.as_deref_mut(),
         );
         let report = self.finalize(w, cfg, &plan, &mem, sched);
@@ -448,86 +510,6 @@ impl ExecutionPipeline {
         }
         finish_cache_delta(obs, cache_scope);
         report
-    }
-
-    /// [`Self::execute_cached`] driven through a [`crate::delta::DeltaContext`]:
-    /// the profile and bi-level plan come from the context's pinned `Arc`s
-    /// (no key construction or shard locking on reuse) and the swap-family
-    /// schedule goes through the global [`memo_swap::SegmentCache`]. The
-    /// report is bit-identical to `execute_cached(w, cfg, true)` — every
-    /// reuse layer keys on all of its inputs (asserted by the lockstep
-    /// differential suite). Caching-replay backends have no incremental
-    /// structure to exploit and fall back to full simulation.
-    pub fn execute_delta(
-        &self,
-        w: &Workload,
-        cfg: &ParallelConfig,
-        ctx: &mut crate::delta::DeltaContext,
-    ) -> ExecutionReport {
-        let fallback = matches!(self.stages.backend, MemoryBackend::CachingReplay { .. });
-        ctx.count_run(fallback);
-        if fallback {
-            return self.execute_cached(w, cfg, true);
-        }
-        debug_assert!(cfg
-            .validate(&w.model, w.n_gpus, w.calib.gpus_per_node.min(w.n_gpus))
-            .is_ok());
-        ctx.restamp(w);
-
-        let fail = |bytes, outcome| ExecutionReport {
-            spec: self.spec,
-            strategy: *cfg,
-            bytes,
-            time: TimeBreakdown::default(),
-            outcome,
-        };
-        let states_only = |p: &ProfileReport| ByteBreakdown {
-            model_states: p.model_states.total(),
-            ..ByteBreakdown::default()
-        };
-
-        // ---- stage 1: profile (context pin) -------------------------------
-        let p = ctx.profile(w, cfg, self.stages.remat, self.stages.materialize_logits);
-        let head_secs = p.head_secs * self.stages.head_scale;
-
-        // ---- stage 2: activation policy -----------------------------------
-        let plan = match decide_activation(&self.stages.policy, w, &p) {
-            Ok(plan) => plan,
-            Err(out) => return fail(states_only(&p), out),
-        };
-
-        // ---- stage 3: memory backend (static plan via context pin) --------
-        let plan_rep = ctx.plan(
-            w,
-            cfg,
-            self.stages.remat,
-            self.stages.materialize_logits,
-            self.stages.planner,
-            &p.trace,
-        );
-        let mem = match static_plan_accounting(
-            &p,
-            &plan,
-            plan_rep.plan.peak,
-            w.calib.usable_gpu_memory(),
-        ) {
-            Ok(mem) => mem,
-            Err(out) => return fail(states_only(&p), out),
-        };
-
-        // ---- stages 4+5: schedule and metrics -----------------------------
-        let sched = build_schedule(
-            w,
-            cfg,
-            &p,
-            head_secs,
-            &plan,
-            &mem,
-            self.stages.derate,
-            true,
-            None,
-        );
-        self.finalize(w, cfg, &plan, &mem, sched)
     }
 
     /// Stage 5: fold the schedule result into the [`ExecutionReport`].
@@ -587,7 +569,7 @@ impl ExecutionPipeline {
 /// thread-local, so the counts are exact for this run even while other
 /// workers hammer the same global cache (the old global snapshot-diff
 /// attributed their lookups to whichever observer finished last).
-fn finish_cache_delta(obs: Option<&mut RunObserver>, scope: Option<crate::cache::CacheStatsScope>) {
+fn finish_cache_delta(obs: Option<&mut RunObserver>, scope: Option<CacheStatsScope>) {
     if let (Some(o), Some(scope)) = (obs, scope) {
         let s = scope.finish();
         o.cache_hits += s.hits;
@@ -736,56 +718,6 @@ fn decide_activation(
             let alpha_equiv = picked as f64 / p.split.s_others.max(1) as f64;
             token_wise_plan(w, p, picked, alpha_equiv, 2)
         }
-        ActivationPolicy::TwoTierNvme => {
-            use memo_swap::alpha::{solve_alpha_two_tier, AlphaInputs};
-            let two = solve_alpha_two_tier(
-                &AlphaInputs {
-                    s_input: p.split.s_input,
-                    s_attn: p.split.s_attn,
-                    s_others: p.split.s_others,
-                    bandwidth: w.calib.effective_pcie(),
-                    t_layer_fwd: p.layer_time.fwd(),
-                    n_layers: p.layers_local,
-                    host_capacity: w.calib.host_capacity_per_gpu(),
-                },
-                w.calib.effective_nvme_per_gpu(),
-                w.calib.nvme_capacity_per_gpu(),
-            );
-            // With NVMe, even the mandatory input+attn tensors can spill, so
-            // the only hard failure is NVMe exhaustion itself.
-            let staged_layers = p.layers_local.saturating_sub(2) as u64;
-            let nvme_bytes = (two.alpha_nvme * p.split.s_others as f64).round() as u64
-                + if two.host_infeasible_at_zero {
-                    p.split.s_input + p.split.s_attn
-                } else {
-                    0
-                };
-            if staged_layers * nvme_bytes > w.calib.nvme_capacity_per_gpu() {
-                return Err(CellOutcome::Oohm {
-                    needed: staged_layers * nvme_bytes,
-                    capacity: w.calib.nvme_capacity_per_gpu(),
-                });
-            }
-            let alpha = two.alpha_total().min(1.0);
-            // Host carries input+attn plus its α share unless it cannot even
-            // hold the mandatory tensors (then everything routes via NVMe).
-            let host_bytes = if two.host_infeasible_at_zero {
-                0
-            } else {
-                p.split.s_input
-                    + p.split.s_attn
-                    + (two.alpha_host * p.split.s_others as f64).round() as u64
-            };
-            let mut traffic = TierTrafficList::new();
-            traffic.push(tier_traffic(w, 0, host_bytes));
-            traffic.push(tier_traffic(w, 1, nvme_bytes));
-            Ok(ActivationPlan::Swap {
-                alpha,
-                slots: 2,
-                traffic,
-                t_recompute: (1.0 - alpha) * p.layer_time.fwd_without_attention(),
-            })
-        }
         ActivationPolicy::Tiered { depth } => {
             use memo_swap::alpha::{solve_alpha_tiered, AlphaInputs, TierLink};
             let chain_len = w.calib.hierarchy.len().min(memo_swap::schedule::MAX_TIERS);
@@ -905,54 +837,13 @@ struct MemoryAccounting {
     reorgs: u64,
 }
 
-/// GPU byte accounting of the static-plan backend given the planned arena
-/// peak. The bi-level plan itself is fetched by the caller — through the
-/// [`ProfileCache`] or a [`crate::delta::DeltaContext`] pin — so both paths
-/// share one accounting function.
-fn static_plan_accounting(
-    p: &ProfileReport,
-    plan: &ActivationPlan,
-    arena_peak: u64,
-    usable: u64,
-) -> Result<MemoryAccounting, CellOutcome> {
-    let skeletal = match *plan {
-        // The mixed policy rotates the same `slots` rounding buffers
-        // through its swap + retained layers, so its skeletal GPU
-        // footprint is the uniform formula (recompute layers pass
-        // through without touching the ring).
-        ActivationPlan::Swap { alpha, slots, .. }
-        | ActivationPlan::MixedSwap { alpha, slots, .. } => {
-            memo_swap::buffers::skeletal_gpu_bytes_with_slots(
-                p.split.s_input,
-                p.split.s_attn,
-                p.split.s_others,
-                alpha,
-                slots,
-            )
-        }
-        ActivationPlan::Recompute { .. } => 0,
-    };
-    let bytes = ByteBreakdown {
-        model_states: p.model_states.total(),
-        skeletal_buffers: skeletal,
-        planned_arena: arena_peak,
-    };
-    if bytes.peak() > usable {
-        return Err(CellOutcome::Oom {
-            needed: bytes.peak(),
-            capacity: usable,
-        });
-    }
-    Ok(MemoryAccounting { bytes, reorgs: 0 })
-}
-
 fn account_memory(
     stages: &PipelineStages,
     w: &Workload,
     cfg: &ParallelConfig,
     p: &ProfileReport,
     plan: &ActivationPlan,
-    use_cache: bool,
+    source: &mut ProfileSource<'_>,
     obs: Option<&mut RunObserver>,
 ) -> Result<MemoryAccounting, CellOutcome> {
     let usable = w.calib.usable_gpu_memory();
@@ -960,16 +851,36 @@ fn account_memory(
         MemoryBackend::StaticPlan => {
             // The bi-level plan is a pure function of the trace, which is a
             // pure function of the profile key — memoized beside the profile.
-            let report = ProfileCache::global().plan(
-                w,
-                cfg,
-                stages.remat,
-                stages.materialize_logits,
-                stages.planner,
-                &p.trace,
-                use_cache,
-            );
-            static_plan_accounting(p, plan, report.plan.peak, usable)
+            let report = source.plan(w, cfg, stages, &p.trace);
+            let skeletal = match *plan {
+                // The mixed policy rotates the same `slots` rounding buffers
+                // through its swap + retained layers, so its skeletal GPU
+                // footprint is the uniform formula (recompute layers pass
+                // through without touching the ring).
+                ActivationPlan::Swap { alpha, slots, .. }
+                | ActivationPlan::MixedSwap { alpha, slots, .. } => {
+                    memo_swap::buffers::skeletal_gpu_bytes_with_slots(
+                        p.split.s_input,
+                        p.split.s_attn,
+                        p.split.s_others,
+                        alpha,
+                        slots,
+                    )
+                }
+                ActivationPlan::Recompute { .. } => 0,
+            };
+            let bytes = ByteBreakdown {
+                model_states: p.model_states.total(),
+                skeletal_buffers: skeletal,
+                planned_arena: report.plan.peak,
+            };
+            if bytes.peak() > usable {
+                return Err(CellOutcome::Oom {
+                    needed: bytes.peak(),
+                    capacity: usable,
+                });
+            }
+            Ok(MemoryAccounting { bytes, reorgs: 0 })
         }
         MemoryBackend::CachingReplay { zero3_prefetch } => {
             let extra_static = if zero3_prefetch {
@@ -1140,8 +1051,9 @@ fn staging_for(w: &Workload, traffic: &TierTrafficList) -> TierStaging {
 /// `head_secs` is the stage-scaled head time (the cached [`ProfileReport`]
 /// stays pristine so it can be shared across modes). `segment_cache` routes
 /// the unobserved swap-family builds through the global
-/// [`memo_swap::SegmentCache`] (the delta path); cached and uncached builds
-/// are bit-identical (the cache key covers every recurrence input).
+/// [`memo_swap::SegmentCache`] ([`ProfileSource::Pinned`]); cached and
+/// uncached builds are bit-identical (the cache key covers every recurrence
+/// input).
 #[allow(clippy::too_many_arguments)] // internal stage fn; args mirror the stage inputs
 fn build_schedule(
     w: &Workload,

@@ -2,7 +2,7 @@
 
 use crate::ablation::Variant;
 use crate::outcome::CellOutcome;
-use crate::pipeline::{ExecutionPipeline, ExecutionReport};
+use crate::pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource};
 use memo_hal::calib::Calibration;
 use memo_hal::topology::ClusterSpec;
 use memo_model::config::ModelConfig;
@@ -97,7 +97,7 @@ impl Workload {
     /// Like [`Self::run_with`], but returning the full structured report:
     /// the cell outcome plus the byte and time accounting behind it.
     pub fn run_report(&self, system: SystemSpec, cfg: &ParallelConfig) -> ExecutionReport {
-        ExecutionPipeline::new(system).execute(self, cfg)
+        ExecutionPipeline::new(system).execute_cached(self, cfg, true)
     }
 
     /// [`Self::run_report`] with a [`RunObserver`] collecting per-stage
@@ -109,7 +109,12 @@ impl Workload {
         cfg: &ParallelConfig,
         obs: &mut crate::observer::RunObserver,
     ) -> ExecutionReport {
-        ExecutionPipeline::new(system).execute_observed(self, cfg, true, Some(obs))
+        ExecutionPipeline::new(system).execute_from(
+            self,
+            cfg,
+            ProfileSource::Cache { use_cache: true },
+            Some(obs),
+        )
     }
 
     /// Run an ablation variant (Table 4) with an explicit configuration.
@@ -409,6 +414,220 @@ mod tests {
                 assert!(needed > capacity, "failure must show a shortfall");
             }
             other => panic!("expected a memory failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn memo_mfu_flat_across_lengths() {
+        // Table 3's signature: MEMO holds ≈50% MFU from 128K to 1024K.
+        let cfgs = [
+            (128, ParallelConfig::megatron(4, 2, 1, 1)),
+            (256, ParallelConfig::megatron(4, 2, 1, 1)),
+            (512, ParallelConfig::megatron(4, 2, 1, 1)),
+            (1024, ParallelConfig::megatron(8, 1, 1, 1)),
+        ];
+        for (s, cfg) in cfgs {
+            let out = w7(8, s).run_with(SystemSpec::Memo, &cfg);
+            let m = out
+                .metrics()
+                .unwrap_or_else(|| panic!("{s}K infeasible: {out:?}"));
+            assert!(
+                m.mfu > 0.42 && m.mfu < 0.60,
+                "{s}K: MFU {:.3} outside the ~50% band",
+                m.mfu
+            );
+        }
+    }
+
+    #[test]
+    fn megatron_pays_recompute_tax() {
+        let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+        let w = w7(8, 256);
+        let memo = w.run_with(SystemSpec::Memo, &cfg).mfu().unwrap();
+        let mega = w.run_with(SystemSpec::MegatronLM, &cfg).mfu().unwrap();
+        let ratio = memo / mega;
+        assert!(
+            ratio > 1.25,
+            "MEMO/Megatron MFU ratio {ratio:.2} too small (memo {memo:.3}, mega {mega:.3})"
+        );
+    }
+
+    #[test]
+    fn memo_oom_frontier_beyond_megatron() {
+        // Find the largest multiple of 128K each system survives (7B, 8 GPUs)
+        // with its best strategy.
+        let frontier = |sys: SystemSpec| -> u64 {
+            let mut best = 0;
+            for sk in (1..=12).map(|k| 128 * k as u64) {
+                let w = w7(8, sk);
+                if w.run_best(sys).is_some() {
+                    best = sk;
+                }
+            }
+            best
+        };
+        let memo = frontier(SystemSpec::Memo);
+        let mega = frontier(SystemSpec::MegatronLM);
+        let ds = frontier(SystemSpec::DeepSpeed);
+        assert!(
+            memo >= mega + 128 && mega >= ds,
+            "frontiers (K tokens): memo {memo}, megatron {mega}, deepspeed {ds}"
+        );
+        assert!(memo >= 1024, "MEMO must reach 1M (got {memo}K)");
+    }
+
+    #[test]
+    fn keepall_megatron_fast_but_short() {
+        // Without recomputation Megatron is faster per step but OOMs at a
+        // fraction of the full-recompute frontier.
+        let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+        let keep = w7(8, 64).run_with(SystemSpec::MegatronKeepAll, &cfg);
+        let full = w7(8, 64).run_with(SystemSpec::MegatronLM, &cfg);
+        let (keep, full) = (keep.mfu().unwrap(), full.mfu().unwrap());
+        assert!(keep > full, "no recompute tax: {keep} vs {full}");
+        // ...but it dies long before full recomputation does.
+        assert!(w7(8, 384).run_with(SystemSpec::MegatronLM, &cfg).is_ok());
+        assert!(!w7(8, 384)
+            .run_with(SystemSpec::MegatronKeepAll, &cfg)
+            .is_ok());
+    }
+
+    #[test]
+    fn deepspeed_limited_by_fp32_loss() {
+        // 7B on 8 GPUs: DS dies within a few hundred K (paper: 384K OOM).
+        let cfg = ParallelConfig::ulysses(8, 1);
+        assert!(w7(8, 256).run_with(SystemSpec::DeepSpeed, &cfg).is_ok());
+        let far = w7(8, 768).run_with(SystemSpec::DeepSpeed, &cfg);
+        assert!(!far.is_ok(), "DS should OOM well before 768K, got {far:?}");
+    }
+
+    #[test]
+    fn oohm_when_alpha_override_overflows_host() {
+        // Full swapping at extreme lengths exhausts the host share (the
+        // Table 4 "Full Swapping" column's X_oohm entries).
+        let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+        let out = ExecutionPipeline::memo_at_alpha(1.0, 2)
+            .execute_cached(&w7(8, 768), &cfg, true)
+            .outcome;
+        assert!(
+            matches!(out, CellOutcome::Oohm { .. }),
+            "full swapping at 768K should OOHM, got {out:?}"
+        );
+    }
+
+    #[test]
+    fn nvme_tier_dominates_host_only() {
+        let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+        let nvme = SystemSpec::MemoTiered(2);
+        for s in [512u64, 768, 1024] {
+            let w = w7(8, s);
+            let base = w.run_with(SystemSpec::Memo, &cfg).mfu().unwrap();
+            let tiered = w.run_with(nvme, &cfg).mfu().unwrap();
+            assert!(
+                tiered >= base - 1e-9,
+                "{s}K: nvme {tiered} < host-only {base}"
+            );
+        }
+        // where the host α is capped, NVMe must strictly help
+        let w = w7(8, 768);
+        let alpha = |spec| w.run_with(spec, &cfg).metrics().unwrap().alpha.unwrap();
+        let (base, tiered) = (alpha(SystemSpec::Memo), alpha(nvme));
+        assert!(
+            tiered > base,
+            "two-tier α {tiered} must exceed host-only α {base}"
+        );
+    }
+
+    #[test]
+    fn tiered_chain_reduces_to_legacy_modes() {
+        // On the default three-tier testbed chain, the N-tier waterfall
+        // truncated to one offload tier is MEMO, and run over the whole
+        // chain it is the two-offload-tier MEMO+NVMe — outcome, byte and
+        // time breakdowns all identical.
+        let mega = ParallelConfig::megatron(4, 2, 1, 1);
+        for s in [64u64, 256, 512, 768, 1024] {
+            let w = w7(8, s);
+            for (depth, legacy) in [(1u8, SystemSpec::Memo), (0, SystemSpec::MemoTiered(2))] {
+                let tiered = w.run_report(SystemSpec::MemoTiered(depth), &mega);
+                let base = w.run_report(legacy, &mega);
+                assert_eq!(
+                    tiered.outcome, base.outcome,
+                    "{s}K depth {depth} vs {legacy:?}"
+                );
+                assert_eq!(tiered.bytes, base.bytes, "{s}K depth {depth} bytes");
+                assert_eq!(tiered.time, base.time, "{s}K depth {depth} time");
+            }
+        }
+    }
+
+    #[test]
+    fn deeper_chain_extends_the_frontier_knob() {
+        // Adding a CXL-style tier between host and NVMe must never hurt:
+        // the waterfall's α is monotone in chain depth.
+        let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+        let mut w = w7(8, 768);
+        let nvme = w.calib.hierarchy.tiers.pop().unwrap();
+        w.calib.hierarchy.push(memo_hal::TierSpec {
+            name: "cxl".into(),
+            capacity_bytes: 512 << 30,
+            usable_fraction: 1.0,
+            write_bandwidth: 64e9,
+            read_bandwidth: 64e9,
+            utilization: 0.85,
+            sharing: memo_hal::TierSharing::Fixed(2.0),
+            latency_secs: 250e-9,
+        });
+        w.calib.hierarchy.push(nvme);
+        let alpha = |depth| {
+            w.run_with(SystemSpec::MemoTiered(depth), &cfg)
+                .metrics()
+                .unwrap()
+                .alpha
+                .unwrap()
+        };
+        let (two, four) = (alpha(2), alpha(0));
+        assert!(
+            four >= two,
+            "4-tier α {four} must not fall below host+CXL α {two}"
+        );
+    }
+
+    #[test]
+    fn memo_scales_to_64_gpus_8m() {
+        // Figure 12(c): 7B on 64 GPUs sustains >45% MFU up to 8M tokens.
+        let w = Workload::new(ModelConfig::gpt_7b(), 64, 8 * 1024 * 1024);
+        let cfg = ParallelConfig::megatron(8, 8, 1, 1);
+        let out = w.run_with(SystemSpec::Memo, &cfg);
+        let m = out.metrics().expect("8M on 64 GPUs must be feasible");
+        assert!(m.mfu > 0.45, "MFU {:.3}", m.mfu);
+    }
+
+    #[test]
+    fn report_breakdowns_account_for_the_iteration() {
+        // The ExecutionReport's byte and time decompositions must agree
+        // with the headline metrics for every mode that succeeds.
+        let w = w7(8, 256);
+        let mega = ParallelConfig::megatron(4, 2, 1, 1);
+        let ds = ParallelConfig::ulysses(8, 1);
+        for spec in SystemSpec::ALL_MODES {
+            let cfg = if spec == SystemSpec::DeepSpeed {
+                &ds
+            } else {
+                &mega
+            };
+            let report = w.run_report(spec, cfg);
+            let Some(m) = report.outcome.metrics() else {
+                continue;
+            };
+            assert_eq!(report.bytes.peak(), m.peak_gpu_bytes, "{spec:?} bytes");
+            let total = report.time.total();
+            assert!(
+                (total - m.iter_secs).abs() < 1e-6 * m.iter_secs.max(1.0),
+                "{spec:?}: breakdown {total} vs iter {}",
+                m.iter_secs
+            );
+            assert!(report.time.compute > 0.0, "{spec:?} compute");
+            assert!(report.time.optimizer > 0.0, "{spec:?} optimizer");
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Differential suite: [`ExecutionPipeline::execute_delta`] must be
-//! **bit-exact** with `execute_cached` — same outcome (including OOM/OOHM
+//! Differential suite: pipeline runs from a `DeltaContext`
+//! ([`ProfileSource::Pinned`]) must be **bit-exact** with `execute_cached` — same outcome (including OOM/OOHM
 //! failure cells with identical shortfall values), same byte and time
 //! decompositions, same final pick — while reusing profile pins and the
 //! process-global segment cache across a knob walk.
@@ -12,7 +12,7 @@
 
 use memo_core::delta::{pick_best, pick_best_or_failure, DeltaContext};
 use memo_core::outcome::CellOutcome;
-use memo_core::pipeline::{ActivationPolicy, ExecutionPipeline, ExecutionReport, PipelineStages};
+use memo_core::pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource};
 use memo_core::session::Workload;
 use memo_model::config::ModelConfig;
 use memo_parallel::search;
@@ -30,26 +30,6 @@ fn memo_grid(w: &Workload) -> Vec<ParallelConfig> {
     search::enumerate_configs(SystemSpec::Memo, &w.model, w.n_gpus, gpn)
 }
 
-fn token_wise(alpha: f64, slots: usize) -> ExecutionPipeline {
-    let mut stages = PipelineStages::for_spec(SystemSpec::Memo);
-    stages.policy = ActivationPolicy::TokenWise {
-        alpha_override: Some(alpha),
-        slots,
-    };
-    ExecutionPipeline::with_stages(SystemSpec::Memo, stages)
-}
-
-fn mixed(k: usize, slots: usize) -> ExecutionPipeline {
-    let spec = SystemSpec::MemoMixed(k.min(u8::MAX as usize) as u8);
-    let mut stages = PipelineStages::for_spec(spec);
-    stages.policy = ActivationPolicy::MixedTokenWise {
-        swap_layers: k,
-        alpha_override: None,
-        slots,
-    };
-    ExecutionPipeline::with_stages(spec, stages)
-}
-
 /// Run one cell through both paths and assert a bit-identical report.
 fn lockstep(
     pipe: &ExecutionPipeline,
@@ -59,7 +39,7 @@ fn lockstep(
     what: &str,
 ) -> ExecutionReport {
     let full = pipe.execute_cached(w, cfg, true);
-    let delta = pipe.execute_delta(w, cfg, ctx);
+    let delta = pipe.execute_from(w, cfg, ProfileSource::Pinned(ctx), None);
     assert_eq!(full.spec, delta.spec, "{what}: spec");
     assert_eq!(full.strategy, delta.strategy, "{what}: strategy");
     assert_eq!(full.outcome, delta.outcome, "{what}: outcome");
@@ -94,7 +74,7 @@ proptest! {
         let mut cells: Vec<((usize, usize), ExecutionReport)> = Vec::new();
         let visit = |ci: usize, ai: usize, ctx: &mut DeltaContext| {
             let rep = lockstep(
-                &token_wise(alpha_at(ai), slots),
+                &ExecutionPipeline::memo_at_alpha(alpha_at(ai), slots),
                 &w,
                 &grid[ci],
                 ctx,
@@ -118,7 +98,7 @@ proptest! {
         let full_cells: Vec<((usize, usize), ExecutionReport)> = cells
             .iter()
             .map(|(k, _)| {
-                (*k, token_wise(alpha_at(k.1), slots).execute_cached(&w, &grid[k.0], true))
+                (*k, ExecutionPipeline::memo_at_alpha(alpha_at(k.1), slots).execute_cached(&w, &grid[k.0], true))
             })
             .collect();
         let a = pick_best(&cells).map(|(k, _)| k);
@@ -145,7 +125,7 @@ proptest! {
         let mut ctx = DeltaContext::new();
         for (i, &dir) in steps.iter().enumerate() {
             lockstep(
-                &mixed(k, 2),
+                &ExecutionPipeline::memo_mixed(k, None, 2),
                 &w,
                 &cfg,
                 &mut ctx,
@@ -155,7 +135,7 @@ proptest! {
                 // Interleave a uniform token-wise cell through the same
                 // context: distinct policy, same strategy triple.
                 lockstep(
-                    &token_wise(0.5, 2),
+                    &ExecutionPipeline::memo_at_alpha(0.5, 2),
                     &w,
                     &cfg,
                     &mut ctx,
@@ -183,7 +163,7 @@ proptest! {
         for (i, &side) in flips.iter().enumerate() {
             let w = if side == 0 { &wa } else { &wb };
             lockstep(
-                &token_wise(alpha_at(alpha_idx), 2),
+                &ExecutionPipeline::memo_at_alpha(alpha_at(alpha_idx), 2),
                 w,
                 &cfg,
                 &mut ctx,
@@ -208,7 +188,7 @@ fn oohm_and_oom_cells_appear_and_match_at_one_million_tokens() {
     for (ci, cfg) in grid.iter().enumerate() {
         for ai in [0, ALPHA_POINTS - 1] {
             let rep = lockstep(
-                &token_wise(alpha_at(ai), 2),
+                &ExecutionPipeline::memo_at_alpha(alpha_at(ai), 2),
                 &w,
                 cfg,
                 &mut ctx,
@@ -245,7 +225,7 @@ fn fully_infeasible_grids_report_least_bad_failure_without_panicking() {
             (
                 ci,
                 lockstep(
-                    &token_wise(0.5, 2),
+                    &ExecutionPipeline::memo_at_alpha(0.5, 2),
                     &w,
                     cfg,
                     &mut ctx,

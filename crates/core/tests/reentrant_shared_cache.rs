@@ -1,6 +1,7 @@
 //! Re-entrant shared-cache execution: the serve layer drives
-//! `execute_cached` and `execute_delta` concurrently from many pool
-//! workers against the process-global `ProfileCache` and `SegmentCache`.
+//! `execute_cached` and pinned (`ProfileSource::Pinned`) runs concurrently
+//! from many pool workers against the process-global `ProfileCache` and
+//! `SegmentCache`.
 //! Correctness claim: results are a pure function of the cell — never of
 //! which worker ran it, which path (cached vs delta) evaluated it, or what
 //! the shared caches contained at the time. The property interleaves both
@@ -8,7 +9,7 @@
 //! reference pass.
 
 use memo_core::delta::DeltaContext;
-use memo_core::pipeline::{ActivationPolicy, ExecutionPipeline, ExecutionReport, PipelineStages};
+use memo_core::pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource};
 use memo_core::session::Workload;
 use memo_model::config::ModelConfig;
 use memo_parallel::pool::Pool;
@@ -25,15 +26,6 @@ fn alpha_at(idx: usize) -> f64 {
 fn memo_grid(w: &Workload) -> Vec<ParallelConfig> {
     let gpn = w.calib.gpus_per_node.min(w.n_gpus);
     search::enumerate_configs(SystemSpec::Memo, &w.model, w.n_gpus, gpn)
-}
-
-fn token_wise(alpha: f64, slots: usize) -> ExecutionPipeline {
-    let mut stages = PipelineStages::for_spec(SystemSpec::Memo);
-    stages.policy = ActivationPolicy::TokenWise {
-        alpha_override: Some(alpha),
-        slots,
-    };
-    ExecutionPipeline::with_stages(SystemSpec::Memo, stages)
 }
 
 fn assert_reports_equal(a: &ExecutionReport, b: &ExecutionReport, what: &str) {
@@ -72,7 +64,7 @@ proptest! {
         // Serial reference: always the full cached path, one thread.
         let serial: Vec<ExecutionReport> = cells
             .iter()
-            .map(|&(ci, ai, _)| token_wise(alpha_at(ai), 2).execute_cached(&w, &grid[ci], true))
+            .map(|&(ci, ai, _)| ExecutionPipeline::memo_at_alpha(alpha_at(ai), 2).execute_cached(&w, &grid[ci], true))
             .collect();
 
         // Pooled leg: per-worker contexts, interleaved paths, shared
@@ -82,9 +74,9 @@ proptest! {
             cells.clone(),
             DeltaContext::new,
             |ctx, (ci, ai, delta)| {
-                let pipe = token_wise(alpha_at(ai), 2);
+                let pipe = ExecutionPipeline::memo_at_alpha(alpha_at(ai), 2);
                 if delta {
-                    pipe.execute_delta(&w, &grid[ci], ctx)
+                    pipe.execute_from(&w, &grid[ci], ProfileSource::Pinned(ctx), None)
                 } else {
                     pipe.execute_cached(&w, &grid[ci], true)
                 }

@@ -10,10 +10,9 @@
 //! for NVLink), and DP groups stride the furthest apart.
 
 use memo_parallel::strategy::ParallelConfig;
-use serde::{Deserialize, Serialize};
 
 /// One rank's coordinates in the 4-D parallelism grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankCoords {
     pub dp: usize,
     pub pp: usize,

@@ -25,14 +25,13 @@
 //!   non-overlapped communication and the optimizer step are charged.
 
 use crate::hierarchy::MemoryHierarchy;
-use serde::{Deserialize, Serialize};
 
 pub const GIB: u64 = 1 << 30;
 pub const MIB: u64 = 1 << 20;
 pub const KIB: u64 = 1 << 10;
 
 /// Hardware and kernel-efficiency constants used by every cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// Peak dense fp16/bf16 throughput per GPU, in FLOP/s (A800: 312e12).
     pub peak_flops: f64,

@@ -37,24 +37,21 @@
 //! differential suites drive both in lockstep.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 
 /// Identifies a stream within one [`Timeline`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StreamId(pub usize);
 
 /// Identifies a recorded event within one [`Timeline`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(pub usize);
 
 /// Interned span label: an index into the owning timeline's [`SymTable`]
 /// (the same pattern as `memo_model::trace::Sym` for allocator traces).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(pub u32);
 
 impl Sym {
@@ -98,7 +95,7 @@ type PrehashedState = std::hash::BuildHasherDefault<PrehashedKey>;
 
 /// Deduplicated label table of one timeline. Index 0 is always the empty
 /// string, so [`Sym::EMPTY`] (and `Sym::default()`) resolve in any table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymTable {
     strings: Vec<String>,
     /// `fnv1a(label)` → index into `strings`. A miss costs one string
@@ -180,7 +177,7 @@ impl SymTable {
 }
 
 /// How much of the execution a [`Timeline`] records.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RecordLevel {
     /// Keep every span and mark (Figure-11 rendering, `--trace` export).
     #[default]
@@ -198,7 +195,7 @@ pub enum RecordLevel {
 /// the delta-simulation layer memoizes: simulate a schedule once, capture
 /// it, and splice the capture into later timelines without replaying the
 /// event machinery.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CursorSegment {
     /// Per-stream `(cursor_advance, busy_advance)`, in stream order.
     advances: Vec<(SimTime, SimTime)>,
@@ -239,7 +236,7 @@ impl CursorSegment {
 
 /// One executed operation, kept for timeline rendering and assertions.
 /// `Copy`: 32 bytes, no heap — the label is an interned [`Sym`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     pub stream: StreamId,
     pub start: SimTime,
@@ -248,7 +245,7 @@ pub struct Span {
 }
 
 /// What an instantaneous [`Mark`] on a stream denotes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MarkKind {
     /// An event was recorded on the stream ([`Timeline::record_event`]).
     Record(EventId),
@@ -261,7 +258,7 @@ pub enum MarkKind {
 /// An instantaneous occurrence on a stream — event records and waits —
 /// kept alongside [`Span`]s so exporters (e.g. the Chrome-trace writer in
 /// `memo-obs`) can show the cross-stream dependency points of Figure 11.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mark {
     pub stream: StreamId,
     /// For `Record`, the event's completion time; for `Wait`/`WaitUntil`,

@@ -11,10 +11,8 @@
 //! chain, and [`MemoryHierarchy::three_tier`] rebuilds the legacy chain
 //! bit-exactly so all goldens are unchanged.
 
-use serde::{Deserialize, Serialize};
-
 /// How many peers contend for a tier's link bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TierSharing {
     /// A fixed number of GPUs share the link (A800 PCIe switches: 2).
     Fixed(f64),
@@ -33,7 +31,7 @@ impl TierSharing {
 }
 
 /// One level of the offload chain: a capacity pool behind a shared link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierSpec {
     /// Human-readable tier name ("host", "nvme", "cxl", ...).
     pub name: String,
@@ -80,7 +78,7 @@ impl TierSpec {
 }
 
 /// The ordered offload chain below GPU HBM, nearest tier first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryHierarchy {
     pub tiers: Vec<TierSpec>,
 }

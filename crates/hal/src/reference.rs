@@ -13,12 +13,11 @@
 
 use crate::engine::{EventId, MarkKind, StreamId};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One executed operation with its heap-allocated label (the old span
 /// representation; the new engine interns labels as `Sym`s).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     pub stream: StreamId,
     pub start: SimTime,
@@ -27,7 +26,7 @@ pub struct Span {
 }
 
 /// An instantaneous occurrence on a stream — event records and waits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mark {
     pub stream: StreamId,
     /// For `Record`, the event's completion time; for `Wait`/`WaitUntil`,

@@ -6,10 +6,9 @@
 //! bandwidths come from [`crate::Calibration`].
 
 use crate::calib::Calibration;
-use serde::{Deserialize, Serialize};
 
 /// A class of interconnect; selects the effective bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
     /// CPU <-> GPU over PCIe (activation offload/prefetch path).
     PcieHost,
@@ -20,20 +19,20 @@ pub enum LinkKind {
 }
 
 /// Static description of one GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     pub memory_bytes: u64,
     pub peak_flops: f64,
 }
 
 /// Static description of a node's host side.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostSpec {
     pub memory_bytes: u64,
 }
 
 /// A homogeneous cluster: `n_nodes` nodes of `gpus_per_node` identical GPUs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     pub n_nodes: usize,
     pub gpus_per_node: usize,

@@ -23,14 +23,13 @@
 //! output, never recompute it" (§4.1).
 
 use crate::config::{DType, ModelConfig};
-use serde::{Deserialize, Serialize};
 
 /// Per-GPU dimensions of one transformer layer's activations.
 ///
 /// `tokens_local` is `b · s_local` where `s_local` is the sequence slice this
 /// GPU stores after sequence/context parallelism (`s / (tp·cp)` with
 /// Megatron-style SP enabled).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LayerDims {
     pub tokens_local: u64,
     pub hidden: u64,
@@ -60,7 +59,7 @@ impl LayerDims {
 }
 
 /// The skeletal tensors of Figure 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SkeletalKind {
     LayerInput,
     Ln1Out,
@@ -122,7 +121,7 @@ impl SkeletalKind {
 }
 
 /// One concrete skeletal tensor of a layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkeletalTensor {
     pub kind: SkeletalKind,
     pub bytes: u64,
@@ -141,7 +140,7 @@ pub fn skeletal_catalog(dims: &LayerDims) -> Vec<SkeletalTensor> {
 
 /// Aggregate skeletal sizes of one layer, split the way the α optimisation
 /// problem of §4.1 needs them: `S_input`, `S_attn` and `S_others`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkeletalSplit {
     /// Layer input tensor bytes (always swapped — recompute anchor).
     pub s_input: u64,

@@ -1,9 +1,7 @@
 //! GPT model configurations (paper Table 2) and parameter counting.
 
-use serde::{Deserialize, Serialize};
-
 /// Numeric storage type of activations / parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     F16,
     BF16,
@@ -21,7 +19,7 @@ impl DType {
 
 /// A decoder-only GPT configuration (Figure 3 architecture: embedding,
 /// `n_layers` identical transformer layers, final classifier).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModelConfig {
     pub name: &'static str,
     pub n_layers: usize,

@@ -24,27 +24,24 @@
 
 use crate::activations::LayerDims;
 use crate::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Allocator operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemOp {
     Malloc,
     Free,
 }
 
 /// Globally unique tensor identifier within one trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TensorId(pub u64);
 
 /// Interned label symbol: an index into the owning trace's
 /// [`TraceStrings`] table. Requests carry a 4-byte `Sym` instead of a
 /// heap-allocated `String`, so generating and replaying a 1M-token trace
 /// allocates each distinct label once instead of once per request.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(pub u32);
 
 impl Sym {
@@ -54,7 +51,7 @@ impl Sym {
 
 /// Deduplicated label table of one trace. Index 0 is always the empty
 /// string, so [`Sym::EMPTY`] (and `Sym::default()`) resolve in any table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceStrings {
     strings: Vec<String>,
     index: HashMap<String, u32>,
@@ -108,7 +105,7 @@ impl TraceStrings {
 
 /// One `malloc`/`free` request (one row of Figure 4). `Copy`: 24 bytes,
 /// no heap — the label is an interned [`Sym`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     pub op: MemOp,
     pub tensor: TensorId,
@@ -117,7 +114,7 @@ pub struct Request {
 }
 
 /// Which phase of the iteration a segment belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SegmentKind {
     EmbeddingFwd,
     LayerFwd(usize),
@@ -136,14 +133,14 @@ impl SegmentKind {
 }
 
 /// A contiguous slice of the request sequence belonging to one phase.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSegment {
     pub kind: SegmentKind,
     pub requests: Vec<Request>,
 }
 
 /// How skeletal activations are rematerialised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RematPolicy {
     /// Keep every skeletal tensor resident (no rematerialisation).
     KeepAll,
@@ -203,7 +200,7 @@ pub struct TraceCheck {
 }
 
 /// A full training-iteration trace, segmented by phase.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IterationTrace {
     pub segments: Vec<TraceSegment>,
     /// Interned label table; every request's `label` indexes into it.

@@ -1,11 +1,10 @@
 //! A minimal JSON value, emitter, and parser.
 //!
-//! The workspace builds offline: `serde` is a local marker-trait stub with
-//! no `serde_json` behind it, so every artifact this crate writes — Chrome
-//! traces, allocator event logs, run reports — is emitted and re-parsed
-//! through this hand-rolled value type instead. Numbers are stored as
-//! `f64`; every integer the exporters emit (byte counts, ids, counters) is
-//! far below 2^53, so the round-trip is exact.
+//! The workspace builds offline with no JSON dependency, so every artifact
+//! this crate writes — Chrome traces, allocator event logs, run reports —
+//! is emitted and re-parsed through this hand-rolled value type. Numbers
+//! are stored as `f64`; every integer the exporters emit (byte counts, ids,
+//! counters) is far below 2^53, so the round-trip is exact.
 
 use std::fmt::Write as _;
 
@@ -153,11 +152,17 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so a bound keeps hostile input (a million `[`) an
+/// error instead of a stack overflow; the exporters nest a handful deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document. Errors carry the byte offset.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -190,6 +195,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -234,8 +241,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -402,6 +420,22 @@ mod tests {
         assert!(parse("[1] garbage").is_err());
         let err = parse("nul").unwrap_err();
         assert_eq!(err.offset, 0);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let doc = parse(&nested(MAX_DEPTH)).expect("the limit itself parses");
+        let (mut v, mut depth) = (&doc, 1);
+        while let Some(inner) = v.as_arr().and_then(|a| a.first()) {
+            (v, depth) = (inner, depth + 1);
+        }
+        assert_eq!(depth, MAX_DEPTH);
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Far past the limit is an error, not a stack overflow.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]

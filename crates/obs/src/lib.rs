@@ -16,7 +16,7 @@
 //! * [`latency`] — nearest-rank percentile summaries (p50/p90/p99) of
 //!   per-request wall latencies, for the serve layer's fleet metrics;
 //! * [`json`] — the minimal hand-rolled JSON value the above share (the
-//!   workspace builds offline; there is no `serde_json`).
+//!   workspace builds offline, with no JSON dependency).
 //!
 //! Everything here *reads* state that collection left behind; collection
 //! itself lives with the collected (the allocator's `Option`-gated event

@@ -17,7 +17,6 @@ fn spec_json(spec: SystemSpec) -> Json {
         SystemSpec::MegatronKeepAll => variant("MegatronKeepAll"),
         SystemSpec::DeepSpeed => variant("DeepSpeed"),
         SystemSpec::TensorHybrid => variant("TensorHybrid"),
-        SystemSpec::MemoNvme => variant("MemoNvme"),
         SystemSpec::FullRecomputePlan => variant("FullRecomputePlan"),
         SystemSpec::FullSwapPlan => variant("FullSwapPlan"),
         SystemSpec::MemoBufferSlots(n) => {
@@ -59,7 +58,6 @@ fn parse_spec(doc: &Json) -> Result<SystemSpec, String> {
         "MegatronKeepAll" => SystemSpec::MegatronKeepAll,
         "DeepSpeed" => SystemSpec::DeepSpeed,
         "TensorHybrid" => SystemSpec::TensorHybrid,
-        "MemoNvme" => SystemSpec::MemoNvme,
         "FullRecomputePlan" => SystemSpec::FullRecomputePlan,
         "FullSwapPlan" => SystemSpec::FullSwapPlan,
         "MemoBufferSlots" => SystemSpec::MemoBufferSlots(

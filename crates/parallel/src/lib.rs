@@ -27,6 +27,4 @@ pub mod strategy;
 pub mod sweep;
 
 pub use cost::LayerTime;
-pub use strategy::{
-    KvCachePolicy, ParallelConfig, SearchFamily, StrategyError, SystemKind, SystemSpec,
-};
+pub use strategy::{KvCachePolicy, ParallelConfig, SearchFamily, StrategyError, SystemSpec};

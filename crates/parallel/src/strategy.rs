@@ -1,13 +1,12 @@
 //! Parallel configurations and their validity rules.
 
 use memo_model::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which execution mode a run simulates: the three paper systems, the two
-/// rematerialisation/granularity baselines, the NVMe extension, and the
+/// rematerialisation/granularity baselines, the N-tier extension, and the
 /// ablation variants of Table 4. Every variant dispatches through the same
 /// staged `ExecutionPipeline` in `memo-core`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemSpec {
     /// MEMO: Megatron-style parallelism + token-wise swap + memory plan.
     Memo,
@@ -21,8 +20,6 @@ pub enum SystemSpec {
     DeepSpeed,
     /// Capuchin-style hybrid: swap-vs-recompute decided per whole tensor.
     TensorHybrid,
-    /// MEMO with a third storage tier: host overflow spills to NVMe.
-    MemoNvme,
     /// Ablation: full recomputation with bi-level planned addresses.
     FullRecomputePlan,
     /// Ablation: α forced to 1 (swap everything, recompute nothing).
@@ -32,8 +29,9 @@ pub enum SystemSpec {
     /// MEMO over the calibration's full N-tier memory hierarchy, truncated
     /// to the first `depth` offload tiers (`0` = use the whole chain). The
     /// α program becomes the per-tier greedy waterfall; `MemoTiered(1)`
-    /// reproduces [`SystemSpec::Memo`] and `MemoTiered(2)`
-    /// [`SystemSpec::MemoNvme`] bit-exactly.
+    /// reproduces [`SystemSpec::Memo`] bit-exactly, and `MemoTiered(2)` is
+    /// MEMO with NVMe as a third storage tier: host overflow spills to
+    /// NVMe at lower bandwidth (displayed as `MEMO+NVMe`).
     MemoTiered(u8),
     /// Per-layer mixed-policy search point: the first `k` layers swap
     /// token-wise, the last two stay retained in their rounding buffers,
@@ -57,7 +55,7 @@ pub enum SystemSpec {
 
 /// How a serving run manages the KV cache — the serving-side mirror of the
 /// training contrast between the static plan and the caching allocator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KvCachePolicy {
     /// Block-paged KV cache: fixed-size pages, per-sequence page tables,
     /// O(1) append/release (the vLLM-style fast path).
@@ -118,7 +116,7 @@ impl SystemSpec {
         SystemSpec::MegatronKeepAll,
         SystemSpec::TensorHybrid,
         SystemSpec::Memo,
-        SystemSpec::MemoNvme,
+        SystemSpec::MemoTiered(2),
     ];
 
     /// The four serving modes (decode-phase KV-cache management).
@@ -136,10 +134,10 @@ impl SystemSpec {
             SystemSpec::MegatronKeepAll => "Megatron-KA",
             SystemSpec::DeepSpeed => "DeepSpeed",
             SystemSpec::TensorHybrid => "TensorHybrid",
-            SystemSpec::MemoNvme => "MEMO+NVMe",
             SystemSpec::FullRecomputePlan => "Recompute+Plan",
             SystemSpec::FullSwapPlan => "FullSwap+Plan",
             SystemSpec::MemoBufferSlots(_) => "MEMO-slots",
+            SystemSpec::MemoTiered(2) => "MEMO+NVMe",
             SystemSpec::MemoTiered(_) => "MEMO-tiered",
             SystemSpec::MemoMixed(_) => "MEMO-mixed",
             SystemSpec::MemoWholePlan => "MEMO-wholeplan",
@@ -166,13 +164,9 @@ impl SystemSpec {
     }
 }
 
-/// Former name of [`SystemSpec`] when it covered only the paper's three
-/// systems. Kept as an alias so existing call sites keep compiling.
-pub type SystemKind = SystemSpec;
-
 /// A concrete parallelism assignment. World size is the product of all
 /// degrees; unused dimensions stay at 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelConfig {
     /// Tensor parallel degree (Megatron/Memo).
     pub tp: usize,
@@ -327,7 +321,7 @@ impl ParallelConfig {
 }
 
 /// Why a configuration is invalid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyError {
     ZeroDegree,
     WorldMismatch { world: usize, n_gpus: usize },

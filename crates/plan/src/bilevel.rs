@@ -17,7 +17,6 @@ use crate::bnb::{self, BnbOptions, Solution};
 use crate::dsa::DsaInstance;
 use crate::memplan::{MemoryPlan, PlannedTensor};
 use memo_model::trace::{IterationTrace, MemOp, SegmentKind, TensorId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Planner configuration.
@@ -42,7 +41,7 @@ impl Default for PlanOptions {
 }
 
 /// Statistics of one solver invocation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LevelStats {
     pub n_tensors: usize,
     pub peak: u64,
@@ -66,7 +65,7 @@ impl From<&Solution> for LevelStats {
 /// Whole-trace planner info (present only when the plan came from the
 /// `PlannerKind::WholeTrace` dispatch path rather than the bi-level
 /// decomposition).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WholeTraceStats {
     pub backend: crate::dispatch::PlannerBackend,
     /// Boxing's certified `2·K·LOAD` bound (None on the exact path).
@@ -77,7 +76,7 @@ pub struct WholeTraceStats {
 /// the level-1 solves and `level2` the composition solve; for whole-trace
 /// plans the layer fields are `None`, `level2` describes the single flat
 /// solve, and `whole` names the backend that produced it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BilevelReport {
     pub plan: MemoryPlan,
     pub layer_fwd: Option<LevelStats>,

@@ -22,12 +22,11 @@ use crate::boxing::{self, BoxingOptions, Candidate};
 use crate::dsa::{Assignment, DsaInstance};
 use crate::memplan::MemoryPlan;
 use memo_model::trace::IterationTrace;
-use serde::{Deserialize, Serialize};
 
 /// Which planning pipeline handles an iteration trace. This is the
 /// `SystemSpec`-level knob threaded through the execution pipeline and the
 /// profile/plan caches (it participates in cache fingerprints).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlannerKind {
     /// The paper's bi-level decomposition (§4.2 / Figure 8).
     Bilevel,
@@ -45,7 +44,7 @@ impl PlannerKind {
 }
 
 /// The backend that actually solved a dispatched instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlannerBackend {
     /// Exact branch-and-bound.
     Exact,

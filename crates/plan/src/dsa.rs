@@ -13,12 +13,11 @@
 //! to million-interval traces.
 
 use memo_model::trace::{IterationTrace, MemOp, Request, TensorId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// One tensor to place. Lifespan is the half-open index interval
 /// `[birth, death)` over the request sequence's *event positions*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DsaTensor {
     pub id: TensorId,
     pub size: u64,
@@ -34,7 +33,7 @@ impl DsaTensor {
 }
 
 /// A DSA problem instance.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DsaInstance {
     pub tensors: Vec<DsaTensor>,
 }
@@ -175,7 +174,7 @@ impl DsaInstance {
 
 /// An address assignment for a [`DsaInstance`], `offsets[i]` for
 /// `instance.tensors[i]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     pub offsets: Vec<u64>,
     pub peak: u64,

@@ -6,18 +6,17 @@
 //! [`PlanAllocator`](memo_alloc::plan::PlanAllocator)-compatible address set.
 
 use memo_model::trace::{IterationTrace, MemOp, TensorId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One tensor's planned placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedTensor {
     pub offset: u64,
     pub bytes: u64,
 }
 
 /// The full iteration plan.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MemoryPlan {
     pub placements: HashMap<TensorId, PlannedTensor>,
     /// Peak bytes of the planned arena (the single up-front reservation).

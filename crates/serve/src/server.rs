@@ -29,7 +29,7 @@ use crate::elastic::ElasticPools;
 use crate::request::{PlanReply, PlanRequest, RequestOutcome, RequestRecord, TenantKind};
 use memo_core::cache::{CacheStats, CacheStatsScope, ProfileCache};
 use memo_core::delta::{pick_best_or_failure, DeltaContext};
-use memo_core::pipeline::{ActivationPolicy, ExecutionPipeline, PipelineStages};
+use memo_core::pipeline::{ExecutionPipeline, ProfileSource};
 use memo_core::session::Workload;
 use memo_obs::json::Json;
 use memo_obs::latency::LatencySummary;
@@ -400,15 +400,6 @@ impl PlanServer {
     }
 }
 
-fn plan_pipeline(alpha: f64) -> ExecutionPipeline {
-    let mut stages = PipelineStages::for_spec(SystemSpec::Memo);
-    stages.policy = ActivationPolicy::TokenWise {
-        alpha_override: Some(alpha),
-        slots: 2,
-    };
-    ExecutionPipeline::with_stages(SystemSpec::Memo, stages)
-}
-
 /// Execute one admitted request: cross the strategy grid with the α
 /// lattice, pick by TGS (or surface the least-bad failure), and scope
 /// cache traffic to exactly this request. The whole grid is evaluated on
@@ -448,12 +439,13 @@ fn plan_one(adm: &Admitted, serial: bool, ctx: &mut DeltaContext) -> PlanReply {
     let mut cells = Vec::with_capacity(grid.len() * ALPHA_POINTS);
     for (ci, cfg) in grid.iter().enumerate() {
         for ai in 0..ALPHA_POINTS {
-            let pipe = plan_pipeline(alpha_at(ai));
-            let rep = if serial {
-                pipe.execute_cached(&w, cfg, true)
+            let source = if serial {
+                ProfileSource::Cache { use_cache: true }
             } else {
-                pipe.execute_delta(&w, cfg, ctx)
+                ProfileSource::Pinned(ctx)
             };
+            let rep = ExecutionPipeline::memo_at_alpha(alpha_at(ai), 2)
+                .execute_from(&w, cfg, source, None);
             cells.push(((ci, ai), rep));
         }
     }

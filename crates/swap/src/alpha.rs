@@ -16,10 +16,8 @@
 //! Appendix-A strategies use, and coarse enough that the token split lands
 //! on clean tile boundaries).
 
-use serde::{Deserialize, Serialize};
-
 /// Inputs to the α solve, all per GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaInputs {
     /// Bytes of the layer-input tensor (always offloaded).
     pub s_input: u64,
@@ -38,7 +36,7 @@ pub struct AlphaInputs {
 }
 
 /// Which constraint fixed α.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BindingConstraint {
     /// α = 1 was feasible — nothing binds.
     None,
@@ -49,7 +47,7 @@ pub enum BindingConstraint {
 }
 
 /// Solution of the α program.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaSolution {
     /// The chosen fraction, on the 1/8 grid.
     pub alpha: f64,
@@ -293,13 +291,18 @@ mod tests {
 /// ```
 ///
 /// Host rows are preferred (PCIe is faster), so `α_host` is solved first.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// Kept as the test oracle of [`solve_alpha_tiered`], which reproduces it
+/// bit-for-bit on a one-extra-tier chain.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoTierSolution {
     pub alpha_host: f64,
     pub alpha_nvme: f64,
     pub host_infeasible_at_zero: bool,
 }
 
+#[cfg(test)]
 impl TwoTierSolution {
     pub fn alpha_total(&self) -> f64 {
         self.alpha_host + self.alpha_nvme
@@ -308,6 +311,7 @@ impl TwoTierSolution {
 
 /// Solve the two-tier program. `nvme_bandwidth = 0` disables the tier and
 /// reduces to [`solve_alpha`].
+#[cfg(test)]
 pub fn solve_alpha_two_tier(
     inp: &AlphaInputs,
     nvme_bandwidth: f64,
@@ -346,7 +350,7 @@ pub fn solve_alpha_two_tier(
 
 /// One tier of the offload chain beyond the host, as the α waterfall sees
 /// it: an effective per-GPU link bandwidth and a per-GPU capacity share.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierLink {
     /// Effective per-GPU bandwidth of the tier's link, bytes/s
     /// (≤ 0 disables the tier).
@@ -357,7 +361,7 @@ pub struct TierLink {
 
 /// Solution of the N-tier α program: one fraction per tier of the chain,
 /// host (tier 0) first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TieredSolution {
     /// Per-tier swapped fractions on the 1/8 grid, `alphas[0]` = host.
     pub alphas: Vec<f64>,
@@ -377,7 +381,8 @@ impl TieredSolution {
     }
 }
 
-/// N-tier greedy waterfall generalisation of [`solve_alpha_two_tier`]: the
+/// N-tier greedy waterfall generalisation of the two-tier host + NVMe
+/// program (`solve_alpha_two_tier`, kept as its test oracle): the
 /// host tier is solved by the base α program, then each deeper tier in
 /// chain order absorbs as much of the remaining fraction as its bandwidth
 /// headroom and capacity allow, each tier's spill quantised down to the
@@ -387,7 +392,7 @@ impl TieredSolution {
 /// the greedy order optimal for the per-tier-linear program. For chains of
 /// length ≤ 3 (≤ 1 entry in `extra`) this provably reduces to the legacy
 /// solvers — the loop body is the exact expression sequence of
-/// [`solve_alpha_two_tier`], so `extra == []` returns `[solve_alpha(..)
+/// `solve_alpha_two_tier`, so `extra == []` returns `[solve_alpha(..)
 /// .alpha]` and `extra == [nvme]` returns the two-tier solution
 /// bit-for-bit (differential-tested in `tiered_tests`).
 pub fn solve_alpha_tiered(inp: &AlphaInputs, extra: &[TierLink]) -> TieredSolution {

@@ -4,10 +4,8 @@
 //! reports OOHM — the `X_oohm` outcome in Tables 3 and 4 — when the staged
 //! bytes would exceed the GPU's share of node DRAM.
 
-use serde::{Deserialize, Serialize};
-
 /// Out-of-host-memory failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutOfHostMemory {
     pub requested: u64,
     pub used: u64,
@@ -27,7 +25,7 @@ impl std::fmt::Display for OutOfHostMemory {
 impl std::error::Error for OutOfHostMemory {}
 
 /// A simple reserve/release capacity tracker.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostStaging {
     capacity: u64,
     used: u64,

@@ -11,10 +11,9 @@
 
 use crate::host::{HostStaging, OutOfHostMemory};
 use crate::schedule::TierTrafficList;
-use serde::{Deserialize, Serialize};
 
 /// Out-of-memory failure of one tier of the chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutOfTierMemory {
     /// Index of the pool that overflowed (0 = host).
     pub tier: usize,
@@ -47,7 +46,7 @@ impl std::fmt::Display for OutOfTierMemory {
 impl std::error::Error for OutOfTierMemory {}
 
 /// One reserve/release capacity tracker per offload tier.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TierStaging {
     pools: Vec<HostStaging>,
 }

@@ -7,10 +7,10 @@
 //! ```
 
 use memo::core::delta::{pick_best_or_failure, DeltaContext};
-use memo::core::executor::run_serving;
 use memo::core::observer::RunObserver;
 use memo::core::outcome::CellOutcome;
 use memo::core::session::Workload;
+use memo::core::ServingEngine;
 use memo::model::config::ModelConfig;
 use memo::obs::alloc_trace::chrome_memory_counters;
 use memo::obs::chrome::TraceBuilder;
@@ -69,15 +69,22 @@ fn parse_seq_list(s: &str) -> Option<Vec<u64>> {
     s.split(',').map(|part| parse_seq(part.trim())).collect()
 }
 
+/// A positive token count with an optional k/m suffix; `None` for zero,
+/// garbage, or a length that overflows `u64`.
 fn parse_seq(s: &str) -> Option<u64> {
     let s = s.to_ascii_lowercase();
-    if let Some(v) = s.strip_suffix('m') {
-        v.parse::<u64>().ok().map(|v| v * 1024 * 1024)
+    let (digits, scale) = if let Some(v) = s.strip_suffix('m') {
+        (v, 1 << 20)
     } else if let Some(v) = s.strip_suffix('k') {
-        v.parse::<u64>().ok().map(|v| v * 1024)
+        (v, 1 << 10)
     } else {
-        s.parse().ok()
-    }
+        (s.as_str(), 1)
+    };
+    digits
+        .parse::<u64>()
+        .ok()?
+        .checked_mul(scale)
+        .filter(|&n| n > 0)
 }
 
 fn parse_model(s: &str) -> Option<ModelConfig> {
@@ -97,7 +104,7 @@ fn parse_system(s: &str) -> Option<SystemSpec> {
         "keepall" | "megatron-keepall" | "megatron-ka" => SystemSpec::MegatronKeepAll,
         "deepspeed" | "ds" => SystemSpec::DeepSpeed,
         "hybrid" | "tensor-hybrid" => SystemSpec::TensorHybrid,
-        "nvme" | "memo-nvme" => SystemSpec::MemoNvme,
+        "nvme" | "memo-nvme" => SystemSpec::MemoTiered(2),
         "tiered" | "memo-tiered" => SystemSpec::MemoTiered(0),
         "whole" | "wholeplan" | "memo-wholeplan" => SystemSpec::MemoWholePlan,
         "serve" => SystemSpec::Serving(KvCachePolicy::Paged),
@@ -283,7 +290,9 @@ fn report(
     // Serving cells replay the decode engine — there is no strategy
     // search, pipeline, or observer behind them.
     if let SystemSpec::Serving(policy) = system {
-        let outcome = run_serving(workload, policy);
+        let outcome = ServingEngine::from_workload(workload, policy)
+            .run()
+            .to_outcome();
         match outcome.metrics() {
             Some(m) => println!(
                 "{:<12} {:<18} util {:5.2}%   tok/s {:9.2}   KV {:5.1} GiB   host {:5.1} GiB{}",

@@ -76,3 +76,21 @@ fn alpha_points_rejects_degenerate_grids() {
         "error should name the >= 2 requirement"
     );
 }
+
+#[test]
+fn bad_sequence_lengths_exit_with_a_named_error() {
+    // Zero tokens, and a length whose k/m scaling overflows u64, are both
+    // invalid input: a clean exit 1 with the usual message, never a
+    // panic (exit 101) or a degenerate 0-token run.
+    for seq in ["0", "0k", "17592186044416m"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_memo-sim"))
+            .args(["--model", "7b", "--gpus", "8", "--seq", seq])
+            .output()
+            .expect("memo-sim must launch");
+        assert_eq!(out.status.code(), Some(1), "--seq {seq}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("bad sequence length"),
+            "--seq {seq}: error should name the bad sequence length"
+        );
+    }
+}

@@ -109,7 +109,9 @@ fn oohm_vs_oom_distinguished() {
     // exhausts device memory (OOM); the outcome type must distinguish them.
     let w = Workload::new(ModelConfig::gpt_7b(), 8, 768 * 1024);
     let cfg = ParallelConfig::megatron(4, 2, 1, 1);
-    let full_swap = memo::core::executor::run_memo_with_alpha(&w, &cfg, Some(1.0));
+    let full_swap = memo::core::ExecutionPipeline::memo_at_alpha(1.0, 2)
+        .execute_cached(&w, &cfg, true)
+        .outcome;
     assert!(matches!(
         full_swap,
         memo::core::outcome::CellOutcome::Oohm { .. }

@@ -29,7 +29,7 @@ fn six_modes() -> Vec<(SystemSpec, ParallelConfig)> {
         (SystemSpec::MegatronKeepAll, mega()),
         (SystemSpec::DeepSpeed, ParallelConfig::ulysses(8, 1)),
         (SystemSpec::TensorHybrid, mega()),
-        (SystemSpec::MemoNvme, mega()),
+        (SystemSpec::MemoTiered(2), mega()),
     ]
 }
 

@@ -132,7 +132,7 @@ fn parity_all_six_modes_at_64k() {
     );
     assert_cell(
         "nvme@64K",
-        &w.run_with(SystemSpec::MemoNvme, &mega()),
+        &w.run_with(SystemSpec::MemoTiered(2), &mega()),
         Pin {
             mfu: 0.5228700888565787,
             tgs: 1760.2998436830828,
@@ -209,7 +209,7 @@ fn parity_all_six_modes_at_256k() {
     );
     assert_cell(
         "nvme@256K",
-        &w.run_with(SystemSpec::MemoNvme, &mega()),
+        &w.run_with(SystemSpec::MemoTiered(2), &mega()),
         Pin {
             mfu: 0.5308736426898946,
             tgs: 669.7809779811616,
@@ -279,7 +279,7 @@ fn parity_all_six_modes_at_512k() {
     );
     assert_cell(
         "nvme@512K",
-        &w.run_with(SystemSpec::MemoNvme, &mega()),
+        &w.run_with(SystemSpec::MemoTiered(2), &mega()),
         Pin {
             mfu: 0.523260693657243,
             tgs: 360.0321773648767,
@@ -311,14 +311,14 @@ fn parity_extended_lengths() {
         Some(0.35714285714285715)
     );
     assert_eq!(
-        w.run_with(SystemSpec::MemoNvme, &mega())
+        w.run_with(SystemSpec::MemoTiered(2), &mega())
             .metrics()
             .unwrap()
             .alpha,
         Some(1.0)
     );
     assert_eq!(
-        w.run_with(SystemSpec::MemoNvme, &mega())
+        w.run_with(SystemSpec::MemoTiered(2), &mega())
             .metrics()
             .unwrap()
             .mfu,
@@ -377,7 +377,7 @@ fn parity_extended_lengths() {
     );
     assert_oom(
         "nvme@2048K",
-        &w.run_with(SystemSpec::MemoNvme, &mega()),
+        &w.run_with(SystemSpec::MemoTiered(2), &mega()),
         107468201984,
         73014444032,
     );
@@ -404,7 +404,7 @@ fn parity_small_host_oohm() {
         oohm,
         "hybrid small-host"
     );
-    let nvme = w.run_with(SystemSpec::MemoNvme, &mega());
+    let nvme = w.run_with(SystemSpec::MemoTiered(2), &mega());
     let m = nvme.metrics().expect("nvme must survive the small host");
     assert_eq!(m.mfu, 0.5026168479353263);
     assert_eq!(m.tgs, 345.828074487402);
@@ -416,12 +416,12 @@ fn parity_small_host_oohm() {
 
 #[test]
 fn parity_ablation_entry_points() {
-    // The wrapper entry points that carry extra parameters must hit the
+    // The entry points that carry extra parameters must hit the
     // same pinned numbers: slots=4 grows skeletal memory but not time, and
     // the α=1 override reproduces the full-swapping ablation.
-    use memo::core::executor::{run_memo_with_alpha, run_memo_with_buffer_slots};
+    use memo::core::ExecutionPipeline;
     let w = w7(256);
-    let slots4 = run_memo_with_buffer_slots(&w, &mega(), 4);
+    let slots4 = w.run_with(SystemSpec::MemoBufferSlots(4), &mega());
     let m = slots4.metrics().expect("slots=4 feasible at 256K");
     assert_eq!(m.mfu, 0.5308736426898946);
     assert_eq!(m.tgs, 669.7809779811616);
@@ -430,7 +430,9 @@ fn parity_ablation_entry_points() {
     assert_eq!(m.host_peak_bytes, 120259084288);
     assert_eq!(m.alpha, Some(1.0));
 
-    let fullswap = run_memo_with_alpha(&w, &mega(), Some(1.0));
+    let fullswap = ExecutionPipeline::memo_at_alpha(1.0, 2)
+        .execute_cached(&w, &mega(), true)
+        .outcome;
     let m = fullswap.metrics().expect("alpha=1 feasible at 256K");
     assert_eq!(m.mfu, 0.5308736426898946);
     assert_eq!(m.peak_gpu_bytes, 28548177920);
