@@ -7,8 +7,9 @@
 //! (workload, config) pair under different downstream stages over and over;
 //! this cache computes each distinct profile once and shares it as an
 //! `Arc<ProfileReport>`. The same shards memoize the memory plan of each
-//! profiled trace and `memo-serve`'s KV-policy pick
-//! ([`crate::serving::pick_policy`]) for each serving workload.
+//! profiled trace and `memo-serve`'s per-workload answer
+//! ([`crate::serving::pick`]): a training tenant's MEMO cell or a serving
+//! tenant's KV-cache policy.
 //!
 //! Correctness argument: a hit returns the identical bytes a fresh
 //! `profile()` call would produce, because the key captures **every** input
@@ -19,9 +20,8 @@
 //! cached value. Eviction (when a shard overflows [`ProfileCache::SHARD_CAP`])
 //! only affects the hit rate, never a result.
 
-use crate::outcome::CellOutcome;
 use crate::profiler::{self, ProfileReport};
-use crate::serving;
+use crate::serving::{self, Pick, TenantKind};
 use crate::session::Workload;
 use memo_hal::calib::CalibFingerprint;
 use memo_model::config::ModelConfig;
@@ -34,6 +34,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::LocalKey;
 
 /// Everything `profile()` reads, by value. Two equal keys guarantee
 /// bit-identical reports.
@@ -69,11 +70,13 @@ impl ProfileKey {
     }
 }
 
-/// Key of the serving table: every field of the [`Workload`], which is all
-/// [`serving::pick_policy`] reads. The host planning budget sits in the
-/// calibration's tier chain, so the fingerprint folds it in.
+/// Key of the pick table: which pick, and every field of the
+/// [`Workload`] — all that [`serving::pick`] reads. The host planning
+/// budget sits in the calibration's tier chain, so the fingerprint folds
+/// it in.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ServingKey {
+struct PickKey {
+    kind: TenantKind,
     model: ModelConfig,
     n_gpus: usize,
     seq_len: u64,
@@ -81,9 +84,10 @@ struct ServingKey {
     calib: CalibFingerprint,
 }
 
-impl ServingKey {
-    fn new(w: &Workload) -> Self {
-        ServingKey {
+impl PickKey {
+    fn new(w: &Workload, kind: TenantKind) -> Self {
+        PickKey {
+            kind,
             model: w.model.clone(),
             n_gpus: w.n_gpus,
             seq_len: w.seq_len,
@@ -106,12 +110,13 @@ pub struct PlanKey {
 /// Sharded, process-wide memo table for [`profiler::profile`] and for the
 /// memory plan derived from its trace. The plan table is keyed by
 /// [`PlanKey`] — the same [`ProfileKey`] inputs plus the planner knob. A
-/// third table memoizes [`serving::pick_policy`], keyed by the workload.
+/// third table memoizes [`serving::pick`], keyed by tenant kind and
+/// workload.
 #[derive(Debug)]
 pub struct ProfileCache {
     shards: Vec<Mutex<HashMap<ProfileKey, Arc<ProfileReport>>>>,
     plan_shards: Vec<Mutex<HashMap<PlanKey, Arc<BilevelReport>>>>,
-    serving_shards: Vec<Mutex<HashMap<ServingKey, Arc<CellOutcome>>>>,
+    pick_shards: Vec<Mutex<HashMap<PickKey, Arc<Pick>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     enabled: AtomicBool,
@@ -141,13 +146,17 @@ impl CacheStats {
     }
 }
 
+type ScopeSlot = Cell<Option<CacheStats>>;
+
 thread_local! {
-    /// Active stats scope on this thread (`None` = unscoped).
-    static CACHE_SCOPE: Cell<Option<CacheStats>> = const { Cell::new(None) };
+    /// Active profile/plan stats scope on this thread (`None` = unscoped).
+    static CACHE_SCOPE: ScopeSlot = const { Cell::new(None) };
+    /// Active pick-table stats scope on this thread.
+    static PICK_SCOPE: ScopeSlot = const { Cell::new(None) };
 }
 
-fn bump_scope(f: impl FnOnce(&mut CacheStats)) {
-    CACHE_SCOPE.with(|s| {
+fn bump_scope(slot: &'static LocalKey<ScopeSlot>, f: impl FnOnce(&mut CacheStats)) {
+    slot.with(|s| {
         if let Some(mut cur) = s.get() {
             f(&mut cur);
             s.set(Some(cur));
@@ -155,8 +164,9 @@ fn bump_scope(f: impl FnOnce(&mut CacheStats)) {
     });
 }
 
-/// RAII scope attributing this thread's profile/plan-cache lookups to one
-/// request. The process-global counters keep racing totals across every
+/// RAII scope attributing this thread's profile/plan-cache lookups (or,
+/// from [`Self::enter_picks`], pick-table lookups) to one request. The
+/// process-global counters keep racing totals across every
 /// thread; a scope observes exactly the lookups made between `enter` and
 /// `finish` *on this thread*, so concurrent requests on different pool
 /// workers report disjoint counts. Entering saves any enclosing scope;
@@ -164,14 +174,26 @@ fn bump_scope(f: impl FnOnce(&mut CacheStats)) {
 /// global counters do.
 #[derive(Debug)]
 pub struct CacheStatsScope {
+    slot: &'static LocalKey<ScopeSlot>,
     prev: Option<CacheStats>,
     done: bool,
 }
 
 impl CacheStatsScope {
     pub fn enter() -> Self {
+        Self::enter_on(&CACHE_SCOPE)
+    }
+
+    /// A scope over this thread's pick-table lookups
+    /// ([`ProfileCache::pick`]), kept apart from profile/plan traffic.
+    pub fn enter_picks() -> Self {
+        Self::enter_on(&PICK_SCOPE)
+    }
+
+    fn enter_on(slot: &'static LocalKey<ScopeSlot>) -> Self {
         CacheStatsScope {
-            prev: CACHE_SCOPE.replace(Some(CacheStats::default())),
+            slot,
+            prev: slot.replace(Some(CacheStats::default())),
             done: false,
         }
     }
@@ -186,8 +208,8 @@ impl CacheStatsScope {
             return CacheStats::default();
         }
         self.done = true;
-        let inner = CACHE_SCOPE.replace(self.prev).unwrap_or_default();
-        bump_scope(|outer| outer.absorb(inner));
+        let inner = self.slot.replace(self.prev).unwrap_or_default();
+        bump_scope(self.slot, |outer| outer.absorb(inner));
         inner
     }
 }
@@ -228,7 +250,7 @@ impl ProfileCache {
         ProfileCache {
             shards: shards(),
             plan_shards: shards(),
-            serving_shards: shards(),
+            pick_shards: shards(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
@@ -273,10 +295,10 @@ impl ProfileCache {
     fn count(&self, hit: bool) {
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            bump_scope(|s| s.hits += 1);
+            bump_scope(&CACHE_SCOPE, |s| s.hits += 1);
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            bump_scope(|s| s.misses += 1);
+            bump_scope(&CACHE_SCOPE, |s| s.misses += 1);
         }
     }
 
@@ -336,19 +358,25 @@ impl ProfileCache {
         report
     }
 
-    /// Look up or compute [`serving::pick_policy`] for `w`: the KV-cache
-    /// policy pick of a serving tenant. Bypassed like the other tables.
+    /// Look up or compute [`serving::pick`] for a `kind` tenant of `w`.
+    /// Bypassed like the other tables.
     ///
-    /// These lookups are not counted in [`CacheStats`], which keeps
-    /// meaning profile and plan traffic: a serving request makes one
-    /// lookup where a training request makes dozens, so folding them in
-    /// would move every hit rate reported against the profile cache.
-    pub fn serving(&self, w: &Workload, use_cache: bool) -> Arc<CellOutcome> {
-        let compute = || serving::pick_policy(w);
+    /// These lookups are counted only in the thread's
+    /// [`CacheStatsScope::enter_picks`] scope, never in [`CacheStats`]
+    /// or [`Self::stats`], which keep meaning profile and plan traffic: a
+    /// request makes one pick lookup, and a training miss makes dozens of
+    /// profile lookups underneath it.
+    pub fn pick(&self, w: &Workload, kind: TenantKind, use_cache: bool) -> Arc<Pick> {
+        let compute = || serving::pick(w, kind);
         if self.bypass(use_cache) {
             return Arc::new(compute());
         }
-        Self::memo(&self.serving_shards, ServingKey::new(w), compute).0
+        let (pick, hit) = Self::memo(&self.pick_shards, PickKey::new(w, kind), compute);
+        bump_scope(&PICK_SCOPE, |s| {
+            s.hits += u64::from(hit);
+            s.misses += u64::from(!hit);
+        });
+        pick
     }
 
     /// Hit/miss counters since the last reset.
@@ -384,7 +412,7 @@ impl ProfileCache {
         for shard in &self.plan_shards {
             lock_shard(shard).clear();
         }
-        for shard in &self.serving_shards {
+        for shard in &self.pick_shards {
             lock_shard(shard).clear();
         }
     }
@@ -454,6 +482,7 @@ mod tests {
         let w = w7(8, 64);
         let cfg = ParallelConfig::megatron(4, 2, 1, 1);
         let before = cache.profile(&w, &cfg, RematPolicy::MemoTokenWise, false, true);
+        let picks_before = KINDS.map(|kind| cache.pick(&w, kind, true));
         fn poison<T>(shards: &[Mutex<T>]) {
             for shard in shards {
                 let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -466,7 +495,7 @@ mod tests {
         }
         poison(&cache.shards);
         poison(&cache.plan_shards);
-        poison(&cache.serving_shards);
+        poison(&cache.pick_shards);
         let after = cache.profile(&w, &cfg, RematPolicy::MemoTokenWise, false, true);
         assert!(
             !Arc::ptr_eq(&before, &after),
@@ -475,10 +504,16 @@ mod tests {
         assert_eq!(*before, *after, "recompute is bit-identical");
         let hit = cache.profile(&w, &cfg, RematPolicy::MemoTokenWise, false, true);
         assert!(Arc::ptr_eq(&after, &hit), "memoization resumed");
+        for (kind, before) in KINDS.into_iter().zip(picks_before) {
+            let after = cache.pick(&w, kind, true);
+            assert!(!Arc::ptr_eq(&before, &after), "{kind:?}: recomputed");
+            assert_eq!(*before, *after);
+            assert!(Arc::ptr_eq(&after, &cache.pick(&w, kind, true)));
+        }
         cache.clear();
         assert!(cache.shards.iter().all(|s| !s.is_poisoned()));
         assert!(cache.plan_shards.iter().all(|s| !s.is_poisoned()));
-        assert!(cache.serving_shards.iter().all(|s| !s.is_poisoned()));
+        assert!(cache.pick_shards.iter().all(|s| !s.is_poisoned()));
     }
 
     #[test]
@@ -536,59 +571,106 @@ mod tests {
 
     /// 7B on 8 GPUs at 64K with `gib` GiB of host budget: token-swap wins
     /// at 16 GiB, paging at 1 TiB.
-    fn serving_w(gib: u64) -> Workload {
+    fn budget_w(gib: u64) -> Workload {
         let mut w = w7(8, 64);
         w.calib.set_host_memory_bytes(gib << 30);
         w
     }
 
+    const KINDS: [TenantKind; 2] = [TenantKind::Training, TenantKind::Serving];
+
     #[test]
-    fn serving_hit_is_shared_uncounted_and_equal_to_a_fresh_pick() {
+    fn pick_hits_are_shared_counted_apart_and_equal_to_a_fresh_pick() {
         let cache = ProfileCache::new();
-        let w = serving_w(16);
-        let scope = CacheStatsScope::enter();
-        let first = cache.serving(&w, true);
-        let second = cache.serving(&w, true);
-        assert!(Arc::ptr_eq(&first, &second), "second lookup must hit");
-        let uncached = cache.serving(&w, false);
-        assert!(!Arc::ptr_eq(&first, &uncached));
-        assert_eq!(*first, *uncached);
-        assert_eq!(*first, serving::pick_policy(&w));
-        assert_eq!(scope.finish(), CacheStats::default());
+        let w = budget_w(16);
+        for kind in KINDS {
+            let picks = CacheStatsScope::enter_picks();
+            let first = cache.pick(&w, kind, true);
+            let second = cache.pick(&w, kind, true);
+            assert!(Arc::ptr_eq(&first, &second), "{kind:?}: repeat must hit");
+            let uncached = cache.pick(&w, kind, false);
+            assert!(!Arc::ptr_eq(&first, &uncached));
+            assert_eq!(*first, *uncached);
+            assert_eq!(*first, serving::pick(&w, kind));
+            assert_eq!(
+                picks.finish(),
+                CacheStats { hits: 1, misses: 1 },
+                "the bypass is not a lookup"
+            );
+        }
+        assert_eq!(
+            *cache.pick(&w, TenantKind::Training, true),
+            serving::pick_training(&w)
+        );
         assert_eq!(
             cache.stats(),
             CacheStats::default(),
-            "serving lookups stay out of CacheStats"
+            "pick lookups stay out of CacheStats"
         );
     }
 
     #[test]
-    fn serving_table_honours_clear_and_the_bypass() {
+    fn pick_table_honours_clear_and_the_bypass() {
         let cache = ProfileCache::new();
-        let w = serving_w(16);
-        let a = cache.serving(&w, true);
-        cache.clear();
-        let b = cache.serving(&w, true);
-        assert!(!Arc::ptr_eq(&a, &b), "clear empties the serving table");
-        cache.set_enabled(false);
-        let c = cache.serving(&w, true);
-        assert!(!Arc::ptr_eq(&b, &c), "a disabled cache bypasses the table");
-        cache.set_enabled(true);
-        let d = cache.serving(&w, true);
-        assert!(Arc::ptr_eq(&b, &d), "disabling does not drop entries");
-        for x in [&b, &c, &d] {
-            assert_eq!(**x, *a);
+        let w = budget_w(16);
+        for kind in KINDS {
+            let a = cache.pick(&w, kind, true);
+            cache.clear();
+            let b = cache.pick(&w, kind, true);
+            assert!(!Arc::ptr_eq(&a, &b), "clear empties the pick table");
+            cache.set_enabled(false);
+            let picks = CacheStatsScope::enter_picks();
+            let c = cache.pick(&w, kind, true);
+            assert_eq!(picks.finish(), CacheStats::default());
+            assert!(!Arc::ptr_eq(&b, &c), "a disabled cache bypasses the table");
+            cache.set_enabled(true);
+            let d = cache.pick(&w, kind, true);
+            assert!(Arc::ptr_eq(&b, &d), "disabling does not drop entries");
+            for x in [&b, &c, &d] {
+                assert_eq!(**x, *a);
+            }
         }
     }
 
     #[test]
-    fn serving_lookup_misses_when_only_the_host_budget_changes() {
+    fn pick_lookup_misses_when_only_the_host_budget_changes() {
         let cache = ProfileCache::new();
-        let (tight, ample) = (serving_w(16), serving_w(1024));
-        let a = cache.serving(&tight, true);
-        let b = cache.serving(&ample, true);
-        assert!(!Arc::ptr_eq(&a, &b), "host budget is part of the key");
-        assert_ne!(*a, *b, "and it moves the pick");
-        assert_eq!(*b, serving::pick_policy(&ample));
+        let (tight, ample) = (budget_w(16), budget_w(1024));
+        for kind in KINDS {
+            let a = cache.pick(&tight, kind, true);
+            let b = cache.pick(&ample, kind, true);
+            assert!(!Arc::ptr_eq(&a, &b), "{kind:?}: host budget is in the key");
+            assert_eq!(*b, serving::pick(&ample, kind));
+        }
+        assert_ne!(
+            cache.pick(&tight, TenantKind::Serving, true).outcome,
+            cache.pick(&ample, TenantKind::Serving, true).outcome,
+            "the budget moves the serving pick"
+        );
+        let training = cache.pick(&ample, TenantKind::Training, true);
+        assert_eq!(*training, serving::pick_training(&ample));
+        assert!(training.picked.is_some() && training.report.is_some());
+    }
+
+    #[test]
+    fn training_and_serving_picks_of_one_workload_never_collide() {
+        let cache = ProfileCache::new();
+        let w = budget_w(16);
+        let training = cache.pick(&w, TenantKind::Training, true);
+        let serving = cache.pick(&w, TenantKind::Serving, true);
+        assert!(!Arc::ptr_eq(&training, &serving));
+        assert_ne!(*training, *serving);
+        assert_eq!(serving.grid_cells, 4);
+        assert!(serving.picked.is_none() && serving.report.is_none());
+        let picks = CacheStatsScope::enter_picks();
+        assert!(Arc::ptr_eq(
+            &training,
+            &cache.pick(&w, TenantKind::Training, true)
+        ));
+        assert!(Arc::ptr_eq(
+            &serving,
+            &cache.pick(&w, TenantKind::Serving, true)
+        ));
+        assert_eq!(picks.finish(), CacheStats { hits: 2, misses: 0 });
     }
 }

@@ -270,7 +270,7 @@ impl TimeBreakdown {
 /// Structured result of one pipeline run: the table-cell outcome plus the
 /// byte and time accounting behind it. Failed runs keep whatever accounting
 /// was established before the failing stage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// The mode that ran.
     pub spec: SystemSpec,

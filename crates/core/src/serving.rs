@@ -20,17 +20,22 @@
 //!
 //! Everything is deterministic: same workload, same policy, same
 //! [`ServingReport`]. [`pick_policy`] folds the four legs of one trimmed
-//! decode cell into the policy a serving tenant should run — the answer
-//! `memo-serve` gives, memoized by [`crate::cache::ProfileCache::serving`].
+//! decode cell into the policy a serving tenant should run, and
+//! [`pick_training`] folds a training tenant's strategy grid × α lattice
+//! into its MEMO cell — the two answers `memo-serve` gives, both memoized
+//! as a [`Pick`] by [`crate::cache::ProfileCache::pick`].
 
+use crate::delta::{pick_best_or_failure, DeltaContext};
 use crate::outcome::CellOutcome;
+use crate::pipeline::ExecutionReport;
 use crate::session::Workload;
 use memo_alloc::caching::CachingAllocator;
 use memo_alloc::paged::{PagedError, PagedKvAllocator};
 use memo_alloc::DeviceAllocator;
 use memo_model::decode::{generate_decode, DecodeEvent, DecodeParams, DecodeTrace};
 use memo_model::trace::TensorId;
-use memo_parallel::KvCachePolicy;
+use memo_parallel::search::enumerate_configs;
+use memo_parallel::{KvCachePolicy, ParallelConfig, SystemSpec};
 use memo_swap::alpha::TierLink;
 use memo_swap::kv::{plan_kv_swap, KvPager, KvSwapInputs};
 
@@ -185,7 +190,7 @@ fn pick_cell(w: &Workload, policy: KvCachePolicy) -> ServingEngine {
 /// scores −∞, so an all-infeasible cell reports the first leg's failure.
 ///
 /// A pure function of `w` — the memoization contract of
-/// [`crate::cache::ProfileCache::serving`].
+/// [`crate::cache::ProfileCache::pick`].
 pub fn pick_policy(w: &Workload) -> CellOutcome {
     let mut eng = pick_cell(w, KvCachePolicy::ALL[0]);
     let trace = generate_decode(&eng.params);
@@ -204,6 +209,85 @@ pub fn pick_policy(w: &Workload) -> CellOutcome {
         }
     }
     best.expect("KvCachePolicy::ALL is non-empty").1
+}
+
+/// α lattice [`pick_training`] crosses each strategy with.
+pub const ALPHA_POINTS: usize = 5;
+
+/// What a tenant runs on its cluster slice: a MEMO strategy grid
+/// (training) or a decode-phase KV-cache policy (serving). Selects the
+/// pick [`pick`] makes, and is part of the pick-table key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum TenantKind {
+    #[default]
+    Training,
+    Serving,
+}
+
+impl TenantKind {
+    pub fn label(&self) -> &'static str {
+        match self {
+            TenantKind::Training => "training",
+            TenantKind::Serving => "serving",
+        }
+    }
+}
+
+/// A tenant's planning answer: the value [`pick`] computes and
+/// [`crate::cache::ProfileCache::pick`] memoizes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Pick {
+    /// The winning (strategy, α) cell; `None` for a serving pick or when
+    /// the whole grid failed.
+    pub picked: Option<(ParallelConfig, f64)>,
+    /// Full report of the winning training cell.
+    pub report: Option<ExecutionReport>,
+    /// The pick's outcome, or the least-bad failure over the grid.
+    pub outcome: CellOutcome,
+    /// Cells evaluated: |strategy grid| × [`ALPHA_POINTS`] for training,
+    /// the [`KvCachePolicy::ALL`] legs for serving.
+    pub grid_cells: usize,
+}
+
+/// The MEMO cell a training tenant of `w` should run: every strategy of
+/// `enumerate_configs(SystemSpec::Memo, …)` crossed with the
+/// [`ALPHA_POINTS`] α lattice ([`Workload::alpha_grid_with`], one
+/// [`DeltaContext`] for the whole grid), folded by
+/// [`pick_best_or_failure`] — the pick by TGS, or the least-bad failure.
+///
+/// A pure function of `w`, like [`pick_policy`].
+pub fn pick_training(w: &Workload) -> Pick {
+    let gpn = w.calib.gpus_per_node.min(w.n_gpus);
+    let mut ctx = DeltaContext::new();
+    let cells: Vec<_> = enumerate_configs(SystemSpec::Memo, &w.model, w.n_gpus, gpn)
+        .into_iter()
+        .flat_map(|cfg| {
+            w.alpha_grid_with(&cfg, ALPHA_POINTS, 2, &mut ctx)
+                .into_iter()
+                .map(move |(alpha, rep)| ((cfg, alpha), rep))
+        })
+        .collect();
+    let (best, outcome) = pick_best_or_failure(&cells);
+    Pick {
+        picked: best.map(|(cell, _)| cell),
+        report: best.map(|(_, rep)| rep.clone()),
+        outcome,
+        grid_cells: cells.len(),
+    }
+}
+
+/// The pick a `kind` tenant of `w` gets: [`pick_training`], or
+/// [`pick_policy`]'s outcome with no strategy cell.
+pub fn pick(w: &Workload, kind: TenantKind) -> Pick {
+    match kind {
+        TenantKind::Training => pick_training(w),
+        TenantKind::Serving => Pick {
+            picked: None,
+            report: None,
+            outcome: pick_policy(w),
+            grid_cells: KvCachePolicy::ALL.len(),
+        },
+    }
 }
 
 /// Per-sequence replay state.

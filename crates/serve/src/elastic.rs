@@ -11,10 +11,10 @@
 //!
 //! * the **planning budget** — the host-memory capacity the planner is
 //!   told to plan against. It is quantized down to a power of two before
-//!   it reaches `Calibration::set_host_memory_bytes`, so the profile-cache
-//!   key only changes when a tenant's share moves by 2×, not on every
-//!   arrival/departure — this is what keeps the shared cache hot across
-//!   rebalances;
+//!   it reaches `Calibration::set_host_memory_bytes`, so the pick- and
+//!   profile-cache keys only change when a tenant's share moves by 2×,
+//!   not on every arrival/departure — this is what keeps the shared
+//!   caches hot across rebalances;
 //! * the **staging reservation** — per-request bytes reserved from the
 //!   slice while a request is in flight, gating admission concurrency.
 //!   Overflow maps to [`RejectReason::BudgetUnavailable`].
@@ -165,45 +165,54 @@ impl ElasticPools {
     }
 
     /// Stage one in-flight request's bytes against the tenant's slice.
+    /// Debug builds check the ledger against the slices afterwards.
     pub fn reserve(
         &mut self,
         tenant: usize,
         host_bytes: u64,
         arena_bytes: u64,
     ) -> Result<(), RejectReason> {
-        self.slices
+        let slice = self
+            .slices
             .get_mut(&tenant)
-            .expect("reserving tenant is active")
-            .reserve_layer(&traffic(host_bytes, arena_bytes))
-            .map(|()| {
+            .expect("reserving tenant is active");
+        let result = match slice.reserve_layer(&traffic(host_bytes, arena_bytes)) {
+            Ok(()) => {
                 self.ledger[HOST_TIER] += host_bytes;
                 self.ledger[ARENA_TIER] += arena_bytes;
-            })
-            .map_err(|e| {
+                Ok(())
+            }
+            Err(e) => {
                 // reserve_layer commits nearer tiers before failing; roll
                 // the host commit back so a shed request holds nothing.
                 if e.tier == ARENA_TIER {
-                    self.slices
-                        .get_mut(&tenant)
-                        .expect("reserving tenant is active")
-                        .release_layer(&traffic(host_bytes, 0));
+                    slice.release_layer(&traffic(host_bytes, 0));
                 }
-                RejectReason::BudgetUnavailable {
+                Err(RejectReason::BudgetUnavailable {
                     tier: e.tier,
                     requested: e.requested,
                     capacity: e.capacity,
-                }
-            })
+                })
+            }
+        };
+        debug_assert_eq!(self.drift_bytes(), 0, "reserve drifted the ledger");
+        result
     }
 
-    /// Release one in-flight request's bytes.
+    /// Release one in-flight request's bytes. Releasing more than the
+    /// ledger holds — a double release — panics in every build rather
+    /// than wrapping the ledger.
     pub fn release(&mut self, tenant: usize, host_bytes: u64, arena_bytes: u64) {
+        for (tier, bytes) in [(HOST_TIER, host_bytes), (ARENA_TIER, arena_bytes)] {
+            self.ledger[tier] = self.ledger[tier]
+                .checked_sub(bytes)
+                .expect("released bytes the ledger does not hold (double release)");
+        }
         self.slices
             .get_mut(&tenant)
             .expect("releasing tenant is active")
             .release_layer(&traffic(host_bytes, arena_bytes));
-        self.ledger[HOST_TIER] -= host_bytes;
-        self.ledger[ARENA_TIER] -= arena_bytes;
+        debug_assert_eq!(self.drift_bytes(), 0, "release drifted the ledger");
     }
 }
 
@@ -281,6 +290,38 @@ mod tests {
         // full host share is still reservable.
         pools.reserve(0, 8 * GIB, 0).unwrap();
         pools.release(0, 8 * GIB, 0);
+    }
+
+    #[test]
+    fn arena_reserve_failure_rolls_back_to_zero_drift() {
+        let mut pools = ElasticPools::new(8 * GIB, GIB);
+        pools.tenant_arrived(0);
+        pools.tenant_arrived(1);
+        pools.reserve(1, GIB, GIB / 4).unwrap();
+        // Tenant 0's host tier fits, its arena tier does not: the host
+        // commit is rolled back and nothing is left staged or ledgered.
+        assert!(matches!(
+            pools.reserve(0, GIB, GIB),
+            Err(RejectReason::BudgetUnavailable {
+                tier: ARENA_TIER,
+                ..
+            })
+        ));
+        assert_eq!(pools.drift_bytes(), 0);
+        pools.release(1, GIB, GIB / 4);
+        assert_eq!(pools.drift_bytes(), 0);
+        pools.tenant_departed(0);
+        pools.tenant_departed(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "double release")]
+    fn double_release_is_caught_by_the_ledger() {
+        let mut pools = ElasticPools::new(8 * GIB, 2 * GIB);
+        pools.tenant_arrived(0);
+        pools.reserve(0, GIB, GIB).unwrap();
+        pools.release(0, GIB, GIB);
+        pools.release(0, GIB, GIB);
     }
 
     #[test]

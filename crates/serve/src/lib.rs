@@ -20,9 +20,10 @@
 //!   on tenant arrival/departure, with power-of-two quantization of the
 //!   planning budget for profile-cache key stability;
 //! * [`server`] — the two-phase [`PlanServer`](server::PlanServer):
-//!   serial deterministic admission, then pooled execution with
-//!   per-request RAII stats scopes and wall-clock latency, summarized as
-//!   p50/p99 latency, queries/sec, and shared-cache hit rates.
+//!   serial deterministic admission, then pooled execution — one lookup
+//!   per request in `memo-core`'s pick table — with per-request RAII
+//!   stats scopes and wall-clock latency, summarized as p50/p99 latency,
+//!   queries/sec, and pick-table and shared-cache hit rates.
 
 pub mod admission;
 pub mod elastic;

@@ -2,11 +2,17 @@
 //! back, and why a request was turned away.
 
 use memo_core::cache::CacheStats;
-use memo_core::outcome::CellOutcome;
-use memo_core::pipeline::ExecutionReport;
+use memo_core::serving::Pick;
 use memo_model::config::ModelConfig;
-use memo_parallel::strategy::ParallelConfig;
 use memo_swap::SegmentCacheStats;
+use std::sync::Arc;
+
+/// What a tenant runs on its cluster slice. Training tenants plan MEMO
+/// strategy grids; serving tenants plan decode-phase KV-cache policies
+/// (`SystemSpec::Serving`). Both share the fleet's
+/// [`ElasticPools`](crate::elastic::ElasticPools) budgets, which is what
+/// the mixed-tenant `serve_bench` cell exercises.
+pub use memo_core::serving::TenantKind;
 
 /// The model sizes tenants can ask to plan for (Table 1 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,28 +39,6 @@ impl ModelSize {
             ModelSize::Gpt13b => "13b",
             ModelSize::Gpt30b => "30b",
             ModelSize::Gpt65b => "65b",
-        }
-    }
-}
-
-/// What a tenant runs on its cluster slice. Training tenants plan MEMO
-/// strategy grids; serving tenants plan decode-phase KV-cache policies
-/// (`SystemSpec::Serving`). Both share the fleet's [`ElasticPools`]
-/// budgets, which is what the mixed-tenant `serve_bench` cell exercises.
-///
-/// [`ElasticPools`]: crate::elastic::ElasticPools
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TenantKind {
-    #[default]
-    Training,
-    Serving,
-}
-
-impl TenantKind {
-    pub fn label(&self) -> &'static str {
-        match self {
-            TenantKind::Training => "training",
-            TenantKind::Serving => "serving",
         }
     }
 }
@@ -132,23 +116,20 @@ impl std::fmt::Display for RejectReason {
     }
 }
 
-/// A served plan: the picked strategy cell plus the per-request resource
+/// A served plan: the tenant's [`Pick`] plus the per-request resource
 /// accounting, scoped to exactly this request (see the stats-scope types
 /// in `memo-core`/`memo-swap`/`memo-parallel`).
 #[derive(Debug, Clone)]
 pub struct PlanReply {
-    /// The winning (strategy, α) cell, `None` when the whole grid failed.
-    pub picked: Option<(ParallelConfig, f64)>,
-    /// Full report of the winning cell (bit-comparable across legs).
-    pub report: Option<ExecutionReport>,
-    /// The pick's outcome, or the least-bad failure over the grid.
-    pub outcome: CellOutcome,
-    /// Cells evaluated ( |strategy grid| × α lattice ).
-    pub grid_cells: usize,
+    /// The picked cell (shared with the pick table on a memoized reply).
+    pub pick: Arc<Pick>,
     /// Host-memory planning budget the request ran under (quantized).
     pub host_budget_bytes: u64,
     /// Profile-cache traffic attributable to this request alone.
     pub cache: CacheStats,
+    /// Pick-table traffic of this request: one lookup, or none on the
+    /// uncached serial leg.
+    pub picks: CacheStats,
     /// Segment-cache traffic attributable to this request alone.
     pub segments: SegmentCacheStats,
     /// Wall-clock service latency of the planning work.
@@ -174,33 +155,19 @@ impl RequestRecord {
     /// reason's `X_*` label.
     pub fn cell(&self) -> String {
         match &self.outcome {
-            RequestOutcome::Planned(reply) => reply.outcome.cell(),
+            RequestOutcome::Planned(reply) => reply.pick.outcome.cell(),
             RequestOutcome::Rejected(reason) => reason.cell().into(),
         }
     }
 }
 
-/// Two replies describe the same plan: identical pick, identical outcome,
-/// and a bit-identical winning report (spec, strategy, outcome, bytes,
-/// time). Latency and cache traffic are deliberately excluded — they
-/// depend on timing and on what the shared caches already held.
+/// Two replies describe the same plan: identical pick, outcome and grid
+/// size, a bit-identical winning report (spec, strategy, outcome, bytes,
+/// time), and the same planning budget. Latency and cache traffic are
+/// deliberately excluded — they depend on timing and on what the shared
+/// caches already held.
 pub fn replies_match(a: &PlanReply, b: &PlanReply) -> bool {
-    let reports_match = match (&a.report, &b.report) {
-        (Some(x), Some(y)) => {
-            x.spec == y.spec
-                && x.strategy == y.strategy
-                && x.outcome == y.outcome
-                && x.bytes == y.bytes
-                && x.time == y.time
-        }
-        (None, None) => true,
-        _ => false,
-    };
-    a.picked == b.picked
-        && a.outcome == b.outcome
-        && a.grid_cells == b.grid_cells
-        && a.host_budget_bytes == b.host_budget_bytes
-        && reports_match
+    a.pick == b.pick && a.host_budget_bytes == b.host_budget_bytes
 }
 
 #[cfg(test)]

@@ -12,42 +12,33 @@
 //!    its quantized host planning budget *at admission* — later rebalances
 //!    never change what an in-flight request plans against.
 //! 2. **Execution (pooled, wall clock).** Admitted requests fan out over
-//!    the work-stealing [`Pool`], each worker owning a [`DeltaContext`]
-//!    and every request sharing the process-global profile and segment
-//!    caches. Per-request cache traffic and pool activity are scoped with
-//!    the RAII stats scopes, so concurrent requests report disjoint,
-//!    exact counts.
+//!    the work-stealing [`Pool`]. Each one is a single lookup in the
+//!    process-global pick table ([`ProfileCache::pick`]), keyed by tenant
+//!    kind and workload (frozen host budget included): a repeat costs one
+//!    hash probe, and a miss computes [`memo_core::serving::pick`] over
+//!    the shared profile and segment caches. Per-request cache traffic,
+//!    pick-table traffic and pool activity are scoped with the RAII stats
+//!    scopes, so concurrent requests report disjoint, exact counts.
 //!
 //! Because phase 1 never reads a wall clock and phase 2's results are a
-//! pure function of each request (the delta path is bit-identical to the
-//! cached path), a pooled serve and a serial serve of the same stream
-//! produce [`replies_match`]-identical records — the parity contract
-//! `serve_bench` enforces.
+//! pure function of each request, a pooled serve and a serial serve of
+//! the same stream produce [`replies_match`]-identical records — the
+//! parity contract `serve_bench` enforces. The serial leg bypasses the
+//! pick table and recomputes every pick, so the check verifies each
+//! memoized reply against a fresh one.
 
 use crate::admission::{AdmissionController, AdmissionPolicy};
 use crate::elastic::ElasticPools;
 use crate::request::{PlanReply, PlanRequest, RequestOutcome, RequestRecord, TenantKind};
 use memo_core::cache::{CacheStats, CacheStatsScope, ProfileCache};
-use memo_core::delta::{pick_best_or_failure, DeltaContext};
-use memo_core::pipeline::{ExecutionPipeline, ProfileSource};
 use memo_core::session::Workload;
 use memo_obs::json::Json;
 use memo_obs::latency::LatencySummary;
 use memo_parallel::pool::{Pool, PoolStats, PoolStatsScope};
-use memo_parallel::search;
-use memo_parallel::strategy::{KvCachePolicy, SystemSpec};
 use memo_swap::{SegmentCacheStats, SegmentStatsScope};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
 use std::time::Instant;
-
-/// α lattice each request's strategy grid is crossed with.
-pub const ALPHA_POINTS: usize = 5;
-
-fn alpha_at(idx: usize) -> f64 {
-    idx as f64 / (ALPHA_POINTS - 1) as f64
-}
 
 /// Server knobs.
 #[derive(Debug, Clone)]
@@ -59,8 +50,8 @@ pub struct ServeConfig {
     pub host_total_bytes: u64,
     /// Fleet-wide arena budget gating in-flight concurrency.
     pub arena_total_bytes: u64,
-    /// Run the execution phase serially through the full cached path,
-    /// recomputing every serving pick uncached (the parity reference leg).
+    /// Run the execution phase serially, recomputing every pick without
+    /// the pick table (the parity reference leg).
     pub serial: bool,
 }
 
@@ -123,6 +114,8 @@ pub struct ServeSummary {
     pub budget_drift_bytes: u64,
     /// Profile-cache traffic summed over the per-request scopes.
     pub profile_cache: CacheStats,
+    /// Pick-table traffic summed over the per-request scopes.
+    pub picks: CacheStats,
     /// Segment-cache traffic summed over the per-request scopes.
     pub segment_cache: SegmentCacheStats,
     /// Execution-pool activity of phase 2 (this serve only).
@@ -173,6 +166,9 @@ impl ServeSummary {
                 "profile_hit_rate".into(),
                 Json::num(self.profile_hit_rate()),
             ),
+            ("pick_hits".into(), Json::int(self.picks.hits)),
+            ("pick_misses".into(), Json::int(self.picks.misses)),
+            ("pick_hit_rate".into(), Json::num(self.picks.hit_rate())),
             ("segment_hits".into(), Json::int(self.segment_cache.hits)),
             (
                 "segment_misses".into(),
@@ -222,10 +218,9 @@ impl PlanServer {
         let pool_scope = PoolStatsScope::enter();
         let t0 = Instant::now();
         let replies: Vec<(usize, PlanReply)> = if self.cfg.serial {
-            let mut ctx = DeltaContext::new();
             admitted
                 .iter()
-                .map(|a| (a.idx, plan_one(a, true, &mut ctx)))
+                .map(|a| (a.idx, plan_one(a, false)))
                 .collect()
         } else {
             let pool = if self.cfg.workers == 0 {
@@ -233,9 +228,7 @@ impl PlanServer {
             } else {
                 Pool::new(self.cfg.workers)
             };
-            pool.map_with(admitted, DeltaContext::new, |ctx, a| {
-                (a.idx, plan_one(&a, false, ctx))
-            })
+            pool.map(admitted, |a| (a.idx, plan_one(&a, true)))
         };
         let wall_secs = t0.elapsed().as_secs_f64();
         let pool_stats = pool_scope.finish();
@@ -251,6 +244,7 @@ impl PlanServer {
             peak_active_tenants: fleet.peak_active_tenants,
             budget_drift_bytes: fleet.budget_drift_bytes,
             profile_cache: CacheStats::default(),
+            picks: CacheStats::default(),
             segment_cache: SegmentCacheStats::default(),
             pool: pool_stats,
             latency: None,
@@ -263,9 +257,11 @@ impl PlanServer {
         };
         let mut latencies = Vec::with_capacity(replies.len());
         for (idx, reply) in replies {
-            summary.feasible += usize::from(reply.outcome.is_ok());
+            summary.feasible += usize::from(reply.pick.outcome.is_ok());
             summary.profile_cache.hits += reply.cache.hits;
             summary.profile_cache.misses += reply.cache.misses;
+            summary.picks.hits += reply.picks.hits;
+            summary.picks.misses += reply.picks.misses;
             summary.segment_cache.hits += reply.segments.hits;
             summary.segment_cache.misses += reply.segments.misses;
             summary.segment_cache.fallbacks += reply.segments.fallbacks;
@@ -400,67 +396,27 @@ impl PlanServer {
     }
 }
 
-/// Execute one admitted request: cross the strategy grid with the α
-/// lattice, pick by TGS (or surface the least-bad failure), and scope
-/// cache traffic to exactly this request. The whole grid is evaluated on
-/// the calling worker thread — no nested fan-out — which is what makes
-/// the thread-local stats scopes exact.
-///
-/// Serving tenants take a different grid: the four [`KvCachePolicy`]
-/// legs of a decode cell, picked by tokens/sec
-/// ([`memo_core::serving::pick_policy`]). The pooled leg memoizes that
-/// pick in the shared [`ProfileCache`]; the serial leg recomputes it, so
-/// the parity check verifies every memoized reply against a fresh
-/// replay. Both paths are pure functions of (request, frozen host
-/// budget), which is what keeps the pooled and serial legs
-/// record-identical.
-fn plan_one(adm: &Admitted, serial: bool, ctx: &mut DeltaContext) -> PlanReply {
+/// Execute one admitted request: one [`ProfileCache::pick`] for its
+/// tenant kind under its frozen host budget — a training tenant's
+/// strategy grid × α lattice picked by TGS, or a serving tenant's
+/// KV-cache policy picked by tokens/sec — with cache traffic scoped to
+/// exactly this request. A miss is computed on the calling worker thread
+/// (no nested fan-out), which is what makes the thread-local stats scopes
+/// exact. The pooled leg looks picks up; the serial leg passes
+/// `use_cache = false` and recomputes them. Both are pure functions of
+/// (request, frozen host budget), which keeps the legs record-identical.
+fn plan_one(adm: &Admitted, use_cache: bool) -> PlanReply {
     let t0 = Instant::now();
     let cache_scope = CacheStatsScope::enter();
+    let pick_scope = CacheStatsScope::enter_picks();
     let seg_scope = SegmentStatsScope::enter();
-
     let mut w = Workload::new(adm.req.model.config(), adm.req.n_gpus, adm.req.seq_len);
     w.calib.set_host_memory_bytes(adm.host_budget_bytes);
-    if adm.req.kind == TenantKind::Serving {
-        let outcome = ProfileCache::global().serving(&w, !serial);
-        return PlanReply {
-            picked: None,
-            report: None,
-            outcome: Arc::unwrap_or_clone(outcome),
-            grid_cells: KvCachePolicy::ALL.len(),
-            host_budget_bytes: adm.host_budget_bytes,
-            cache: cache_scope.finish(),
-            segments: seg_scope.finish(),
-            latency_secs: t0.elapsed().as_secs_f64(),
-        };
-    }
-    let gpn = w.calib.gpus_per_node.min(w.n_gpus);
-    let grid = search::enumerate_configs(SystemSpec::Memo, &w.model, w.n_gpus, gpn);
-    let mut cells = Vec::with_capacity(grid.len() * ALPHA_POINTS);
-    for (ci, cfg) in grid.iter().enumerate() {
-        for ai in 0..ALPHA_POINTS {
-            let source = if serial {
-                ProfileSource::Cache { use_cache: true }
-            } else {
-                ProfileSource::Pinned(ctx)
-            };
-            let rep = ExecutionPipeline::memo_at_alpha(alpha_at(ai), 2)
-                .execute_from(&w, cfg, source, None);
-            cells.push(((ci, ai), rep));
-        }
-    }
-    let (pick, outcome) = pick_best_or_failure(&cells);
-    let (picked, report) = match pick {
-        Some(((ci, ai), rep)) => (Some((grid[ci], alpha_at(ai))), Some(rep.clone())),
-        None => (None, None),
-    };
     PlanReply {
-        picked,
-        report,
-        outcome,
-        grid_cells: cells.len(),
+        pick: ProfileCache::global().pick(&w, adm.req.kind, use_cache),
         host_budget_bytes: adm.host_budget_bytes,
         cache: cache_scope.finish(),
+        picks: pick_scope.finish(),
         segments: seg_scope.finish(),
         latency_secs: t0.elapsed().as_secs_f64(),
     }
@@ -471,6 +427,7 @@ mod tests {
     use super::*;
     use crate::request::{replies_match, RejectReason};
     use crate::zipf::{generate, StreamSpec};
+    use std::sync::Arc;
 
     fn small_stream() -> Vec<PlanRequest> {
         let mut spec = StreamSpec::new(6, 36, 11);
@@ -515,15 +472,14 @@ mod tests {
         let stream = small_stream();
         let report = PlanServer::new(ServeConfig::default()).serve(&stream);
         let s = &report.summary;
-        // Every planned request evaluated a full grid × α lattice; with 6
-        // tenants repeating their workloads, profile lookups must mostly
-        // hit after the first pass.
-        let lookups = s.profile_cache.hits + s.profile_cache.misses;
-        assert!(lookups > 0);
+        // Every planned request made one pick lookup; with 6 tenants
+        // repeating their workloads, picks must mostly hit after the first
+        // pass.
+        assert_eq!(s.picks.hits + s.picks.misses, s.planned as u64);
         assert!(
-            s.profile_hit_rate() >= 0.5,
-            "zipfian re-planning must keep the shared cache hot: {:.2}",
-            s.profile_hit_rate()
+            s.picks.hit_rate() >= 0.5,
+            "zipfian re-planning must keep the pick table hot: {:.2}",
+            s.picks.hit_rate()
         );
         assert_eq!(
             s.planned + s.shed_queue + s.shed_deadline + s.shed_budget,
@@ -536,6 +492,56 @@ mod tests {
             json.get("planned").and_then(Json::as_u64),
             Some(s.planned as u64)
         );
+        assert_eq!(
+            json.get("pick_hits").and_then(Json::as_u64),
+            Some(s.picks.hits)
+        );
+    }
+
+    #[test]
+    fn a_repeated_training_request_is_one_pick_hit_matching_a_fresh_pick() {
+        let req = |id: usize| PlanRequest {
+            id,
+            tenant: 0,
+            kind: TenantKind::Training,
+            model: crate::request::ModelSize::Gpt7b,
+            n_gpus: 4,
+            seq_len: 64 << 10,
+            arrival_secs: id as f64,
+            deadline_secs: 1.0,
+        };
+        let stream = [req(0), req(1)];
+        // One worker: the repeat runs after the first request filled the
+        // table.
+        let pooled = PlanServer::new(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .serve(&stream);
+        let serial = PlanServer::new(ServeConfig {
+            serial: true,
+            ..ServeConfig::default()
+        })
+        .serve(&stream);
+        let reply = |rep: &ServeReport, i: usize| match &rep.records[i].outcome {
+            RequestOutcome::Planned(r) => r.clone(),
+            RequestOutcome::Rejected(why) => panic!("request {i} shed: {why}"),
+        };
+        let (first, repeat) = (reply(&pooled, 0), reply(&pooled, 1));
+        assert_eq!(repeat.picks, CacheStats { hits: 1, misses: 0 });
+        assert_eq!(
+            repeat.cache,
+            CacheStats::default(),
+            "a hit profiles nothing"
+        );
+        assert!(Arc::ptr_eq(&first.pick, &repeat.pick));
+        assert!(repeat.pick.picked.is_some());
+        assert_eq!(repeat.pick.grid_cells % memo_core::serving::ALPHA_POINTS, 0);
+        for i in 0..2 {
+            let fresh = reply(&serial, i);
+            assert_eq!(fresh.picks, CacheStats::default(), "serial leg bypasses");
+            assert!(replies_match(&reply(&pooled, i), &fresh));
+        }
     }
 
     #[test]
@@ -565,8 +571,8 @@ mod tests {
                         served += 1;
                         // A serving plan carries a policy cell, not a
                         // parallel strategy.
-                        assert!(a.picked.is_none());
-                        assert_eq!(a.grid_cells, 4);
+                        assert!(a.pick.picked.is_none());
+                        assert_eq!(a.pick.grid_cells, 4);
                     }
                 }
                 (RequestOutcome::Rejected(a), RequestOutcome::Rejected(b)) => assert_eq!(a, b),

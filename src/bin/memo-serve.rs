@@ -4,7 +4,8 @@
 //! it through the two-phase [`PlanServer`] (admission on a virtual clock,
 //! pooled execution over the shared caches), and prints the fleet
 //! summary: planned/shed counts by reason, p50/p99 planning latency,
-//! queries/sec, shared-cache hit rates, and elastic-pool rebalances.
+//! queries/sec, pick-table and shared-cache hit rates, and elastic-pool
+//! rebalances.
 
 use memo::obs::json::Json;
 use memo::serve::{generate, AdmissionPolicy, PlanServer, RequestOutcome, ServeConfig, StreamSpec};
@@ -27,7 +28,7 @@ OPTIONS:
     --host-gib N       fleet host-staging budget in GiB (default 1024)
     --arena-gib N      fleet arena budget in GiB (default 64)
     --mean-gap-us N    mean arrival gap in microseconds (default 500)
-    --serial           serial reference leg (cached path, one worker)
+    --serial           serial reference leg (one worker, recomputes every pick)
     --report-json PATH write the summary JSON to PATH
     -h, --help         this text
 ";
@@ -141,7 +142,11 @@ fn main() -> ExitCode {
         s.planned, s.feasible, s.shed_queue, s.shed_deadline, s.shed_budget
     );
     println!(
-        "  caches: profile {:.1}% hit ({} / {})  segment {:.1}% hit ({} / {})",
+        "  caches: pick {:.1}% hit ({} / {})  profile {:.1}% hit ({} / {})  \
+         segment {:.1}% hit ({} / {})",
+        s.picks.hit_rate() * 100.0,
+        s.picks.hits,
+        s.picks.hits + s.picks.misses,
         s.profile_hit_rate() * 100.0,
         s.profile_cache.hits,
         s.profile_cache.hits + s.profile_cache.misses,
@@ -170,7 +175,7 @@ fn main() -> ExitCode {
     // A few sample records, head tenants first, for eyeballing.
     for r in report.records.iter().take(4) {
         let what = match &r.outcome {
-            RequestOutcome::Planned(p) => match &p.picked {
+            RequestOutcome::Planned(p) => match &p.pick.picked {
                 Some((cfg, alpha)) => format!(
                     "{} via {cfg:?} (α={alpha:.2}, budget {} GiB)",
                     r.cell(),
