@@ -5,28 +5,38 @@
 //! *normalised solution* property: any feasible placement can be compacted
 //! (pushing tensors toward address 0 in increasing-offset order) into one
 //! where every tensor sits either at offset 0 or flush on top of a
-//! temporally-conflicting tensor, without raising the peak. The search
-//! therefore branches over
+//! temporally-conflicting tensor with a lower offset, without raising the
+//! peak. Zero-size tensors occupy no addresses and sit at 0.
 //!
-//! * which unplaced tensor to place next (so every topological order of the
-//!   optimal solution's "support forest" is reachable), and
-//! * which candidate offset to give it: `0` or `offset_j + size_j` of a
-//!   placed conflicting tensor `j`.
+//! Branching. The DFS places tensors in the *canonical order* of such a
+//! solution: nondecreasing offset, ties by expansion position (birth, then
+//! index). A node carries the offset `level` and position of the last
+//! placement; every later tensor lands at or above `level`, and at `level`
+//! itself only from a later position. Above `level` a tensor's only
+//! normalised offset is the top of its highest placed conflict, so the
+//! search branches over *which* tensor comes next and nothing else. Each
+//! placement is enumerated at most once, and an optimal one is always
+//! among them: compact an optimum tensor by tensor to the lowest feasible
+//! offset, then sort it into canonical order.
 //!
-//! Pruning: a best-fit incumbent (from [`crate::heuristic`]), peak-based
-//! branch cuts, a clique-packing bound recomputed at every node (see
-//! [`Searcher::clique_bound`]), early exit when the incumbent meets the
-//! liveness lower bound (then it is provably optimal), symmetry breaking
-//! among identical tensors, and a node budget. Within the budget the solver
-//! is exact; beyond it, it returns the incumbent flagged `optimal = false`
-//! unless the bound closed.
+//! Pruning:
 //!
-//! The inner loop is allocation-free: candidate/interval/symmetry buffers
-//! are preallocated per depth and reused across the whole search, placed
-//! conflicts are kept as offset-sorted intervals so both candidate
-//! generation and feasibility checks stream them with early exit, and
-//! tensors are expanded in incumbent order (the heuristic's offsets are a
-//! strong hint for where the optimum packs tight).
+//! * a best-fit incumbent (from [`crate::heuristic`]) and branch cuts on
+//!   the placed tensor's top;
+//! * the *skyline bound*, recomputed at every node: at each birth `t`,
+//!   `level + Σ unplaced bytes live at t + Σ over placed live j of
+//!   max(0, top_j − level)` — the canonical order puts every unplaced byte
+//!   above `level`, beside what placed tensors already hold there. At the
+//!   root it is the liveness bound (LOAD);
+//! * early exit when the incumbent meets LOAD (then it is provably optimal);
+//! * symmetry breaking among identical `(size, birth, death)` tensors;
+//! * a node budget. Within the budget the solver is exact; beyond it, it
+//!   returns the incumbent flagged `optimal = false` unless the bound
+//!   closed.
+//!
+//! The inner loop is allocation-free: symmetry stamps are preallocated per
+//! depth and the skyline check points per instance. Byte sums saturate, so
+//! sizes near `u64::MAX` cannot overflow the search.
 
 use crate::dsa::{Assignment, DsaInstance};
 use crate::heuristic;
@@ -95,35 +105,23 @@ pub fn reset_solve_counter() {
     TOTAL_SOLVES.store(0, Ordering::Relaxed)
 }
 
-/// Reusable per-depth scratch. Each DFS depth owns one (taken/restored
-/// around the expansion loop), so recursion never clobbers a live buffer
-/// and no `Vec` is allocated per node.
-#[derive(Default)]
-struct DepthBuf {
-    /// Candidate offsets for the tensor under expansion, ascending.
-    candidates: Vec<u64>,
-    /// `(offset, end)` of placed conflicting tensors, sorted by offset.
-    placed_iv: Vec<(u64, u64)>,
-    /// Symmetry stamps per class: `class_seen[c] == stamp of this node`
-    /// marks class `c` as already expanded here. Depth-local so deeper
-    /// nodes (which bump the global stamp) cannot invalidate our marks.
-    class_seen: Vec<u64>,
-}
-
 struct Searcher<'a> {
     inst: &'a DsaInstance,
     /// Conflict adjacency, ascending index order.
     conflicts: Vec<Vec<usize>>,
     /// Symmetry class (identical `(size, birth, death)`) of each tensor.
     class_of: Vec<usize>,
-    /// Static expansion order: incumbent offset ascending, size descending.
+    /// Expansion order of the nonzero-size tensors: `(birth, index)`. A
+    /// tensor's position here breaks offset ties in the canonical order.
     order: Vec<usize>,
-    /// Tensors live at the max-liveness point (their sizes sum to the
-    /// liveness lower bound).
-    clique: Vec<usize>,
-    /// Scratch for [`Self::clique_bound`] (never live across recursion).
-    clique_iv: Vec<(u64, u64)>,
-    depth_bufs: Vec<DepthBuf>,
+    /// The skyline bound's check points: for each distinct birth, the
+    /// nonzero-size tensors live there.
+    live_at: Vec<Vec<usize>>,
+    /// Symmetry stamps per depth and class: `class_seen[d][c] == stamp` of
+    /// the node at depth `d` marks class `c` as already expanded there.
+    /// Depth-local so deeper nodes (which bump the stamp) cannot
+    /// invalidate our marks.
+    class_seen: Vec<Vec<u64>>,
     stamp: u64,
     best: Assignment,
     nodes: u64,
@@ -134,163 +132,92 @@ struct Searcher<'a> {
     lower_bound: u64,
 }
 
-/// Overlap test against an offset-sorted interval list, early-exiting once
-/// intervals start at or above `offset + size`.
-fn feasible_sorted(placed_iv: &[(u64, u64)], offset: u64, size: u64) -> bool {
-    for &(o, e) in placed_iv {
-        if o >= offset + size {
-            break;
-        }
-        if offset < e {
-            return false;
-        }
-    }
-    true
-}
-
 impl<'a> Searcher<'a> {
-    /// Node-local lower bound from the max-liveness clique: its placed
-    /// members occupy known, pairwise-disjoint address intervals, and the
-    /// unplaced members' bytes must land somewhere outside them. Packing
-    /// those bytes greedily into the gaps from address 0 upward (allowing
-    /// fractional splits — a relaxation, hence a valid bound) yields the
-    /// minimal address `P` any completion of this node can reach. At the
-    /// root this equals the liveness bound; once placements leave gaps the
-    /// clique cannot use, it is strictly stronger.
-    fn clique_bound(&mut self, current_peak: u64) -> u64 {
-        let mut iv = std::mem::take(&mut self.clique_iv);
-        iv.clear();
-        let mut unplaced_bytes = 0u64;
-        for idx in 0..self.clique.len() {
-            let i = self.clique[idx];
-            let size = self.inst.tensors[i].size;
-            if self.placed[i] {
-                iv.push((self.offsets[i], self.offsets[i] + size));
-            } else {
-                unplaced_bytes += size;
+    fn top(&self, j: usize) -> u64 {
+        self.offsets[j].saturating_add(self.inst.tensors[j].size)
+    }
+
+    /// Lowest offset above every placed conflict of `i`. Placed tensors
+    /// never sit above `level`, so this is `i`'s only normalised offset
+    /// at or above it.
+    fn floor(&self, i: usize) -> u64 {
+        self.conflicts[i]
+            .iter()
+            .filter(|&&j| self.placed[j])
+            .map(|&j| self.top(j))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The skyline bound of a node at `level` (see the module docs): no
+    /// completion in canonical order peaks below it.
+    fn skyline_bound(&self, level: u64) -> u64 {
+        let mut bound = level;
+        for live in &self.live_at {
+            let mut top = level;
+            for &j in live {
+                let above = if self.placed[j] {
+                    self.top(j).saturating_sub(level)
+                } else {
+                    self.inst.tensors[j].size
+                };
+                top = top.saturating_add(above);
             }
+            bound = bound.max(top);
         }
-        iv.sort_unstable();
-        let mut bound = current_peak;
-        let mut cursor = 0u64;
-        let mut rem = unplaced_bytes;
-        for &(o, e) in &iv {
-            if rem > 0 && o > cursor {
-                let used = (o - cursor).min(rem);
-                rem -= used;
-                if rem == 0 {
-                    bound = bound.max(cursor + used);
-                }
-            }
-            cursor = cursor.max(e);
-        }
-        if rem > 0 {
-            bound = bound.max(cursor + rem);
-        }
-        self.clique_iv = iv;
         bound
     }
 
-    fn dfs(&mut self, n_placed: usize, current_peak: u64) {
+    /// Expand the node whose last placement sat at offset `level` and
+    /// expansion position `next - 1`.
+    fn dfs(&mut self, depth: usize, level: u64, next: usize, peak: u64) {
         self.nodes += 1;
         if self.nodes > self.node_limit {
             self.exhausted = true;
             return;
         }
-        if current_peak >= self.best.peak {
-            return; // cannot improve
-        }
-        if self.clique_bound(current_peak) >= self.best.peak {
+        if self.skyline_bound(level) >= self.best.peak {
             return; // no completion fits under the incumbent
         }
-        let n = self.inst.tensors.len();
-        if n_placed == n {
+        if depth == self.order.len() {
             self.best = Assignment {
                 offsets: self.offsets.clone(),
-                peak: current_peak,
+                peak,
             };
             return;
         }
 
         self.stamp += 1;
         let stamp = self.stamp;
-        let mut bufs = std::mem::take(&mut self.depth_bufs[n_placed]);
-        for oi in 0..n {
-            let i = self.order[oi];
+        for pos in 0..self.order.len() {
+            let i = self.order[pos];
             if self.placed[i] {
                 continue;
             }
             // Symmetry breaking: among unplaced tensors with identical
             // (size, birth, death), expand only the first in order.
             let class = self.class_of[i];
-            if bufs.class_seen[class] == stamp {
+            if self.class_seen[depth][class] == stamp {
                 continue;
             }
-            bufs.class_seen[class] = stamp;
-            let t = self.inst.tensors[i];
-
-            bufs.placed_iv.clear();
-            for &j in &self.conflicts[i] {
-                if self.placed[j] {
-                    bufs.placed_iv
-                        .push((self.offsets[j], self.offsets[j] + self.inst.tensors[j].size));
-                }
+            self.class_seen[depth][class] = stamp;
+            let c = self.floor(i);
+            if c < level || (c == level && pos < next) {
+                continue; // not next in canonical order
             }
-            bufs.placed_iv.sort_unstable();
-
-            // Candidate offsets: 0 plus tops of placed conflicting tensors.
-            bufs.candidates.clear();
-            bufs.candidates.push(0);
-            bufs.candidates
-                .extend(bufs.placed_iv.iter().map(|&(_, e)| e));
-            bufs.candidates.sort_unstable();
-            bufs.candidates.dedup();
-
-            for ci in 0..bufs.candidates.len() {
-                let c = bufs.candidates[ci];
-                if c + t.size >= self.best.peak {
-                    break; // ascending candidates: every later one fails too
-                }
-                if !feasible_sorted(&bufs.placed_iv, c, t.size) {
-                    continue;
-                }
-                self.offsets[i] = c;
-                self.placed[i] = true;
-                self.dfs(n_placed + 1, current_peak.max(c + t.size));
-                self.placed[i] = false;
-                if self.exhausted || self.best.peak <= self.lower_bound {
-                    self.depth_bufs[n_placed] = bufs;
-                    return;
-                }
+            let top = c.saturating_add(self.inst.tensors[i].size);
+            if top >= self.best.peak {
+                continue;
             }
-        }
-        self.depth_bufs[n_placed] = bufs;
-    }
-}
-
-/// Indices of the tensors live at the point of maximum liveness (their
-/// sizes sum to `inst.lower_bound()`). Liveness peaks at some tensor's
-/// birth, so scanning births suffices.
-fn max_liveness_clique(inst: &DsaInstance, lower_bound: u64) -> Vec<usize> {
-    let mut best: Vec<usize> = Vec::new();
-    let mut best_bytes = 0u64;
-    for t in &inst.tensors {
-        let at = t.birth;
-        let mut members: Vec<usize> = Vec::new();
-        let mut bytes = 0u64;
-        for (j, u) in inst.tensors.iter().enumerate() {
-            if u.birth <= at && at < u.death {
-                members.push(j);
-                bytes += u.size;
+            self.offsets[i] = c;
+            self.placed[i] = true;
+            self.dfs(depth + 1, c, pos + 1, peak.max(top));
+            self.placed[i] = false;
+            if self.exhausted || self.best.peak <= self.lower_bound {
+                return;
             }
-        }
-        if bytes > best_bytes {
-            best_bytes = bytes;
-            best = members;
         }
     }
-    debug_assert_eq!(best_bytes, lower_bound);
-    best
 }
 
 /// Solve the instance. Exact within the node budget and size cap; otherwise
@@ -339,24 +266,20 @@ pub fn solve(inst: &DsaInstance, opts: BnbOptions) -> Solution {
         })
         .collect();
 
-    // Incumbent-aware expansion order: tensors the heuristic packs lowest
-    // go first (big ones ahead on ties), steering the DFS toward the
-    // incumbent's neighbourhood where improvements live.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| {
-        (
-            incumbent.offsets[i],
-            std::cmp::Reverse(inst.tensors[i].size),
-            i,
-        )
-    });
-
-    let clique = max_liveness_clique(inst, lower_bound);
-    let depth_bufs = (0..=n)
-        .map(|_| DepthBuf {
-            candidates: Vec::with_capacity(n + 1),
-            placed_iv: Vec::with_capacity(n),
-            class_seen: vec![0; keys.len()],
+    // Zero-size tensors start placed at offset 0, where they block nothing.
+    let placed: Vec<bool> = inst.tensors.iter().map(|t| t.size == 0).collect();
+    let mut order: Vec<usize> = (0..n).filter(|&i| !placed[i]).collect();
+    order.sort_by_key(|&i| (inst.tensors[i].birth, i));
+    let mut births: Vec<usize> = order.iter().map(|&i| inst.tensors[i].birth).collect();
+    births.dedup();
+    let live_at = births
+        .iter()
+        .map(|&at| {
+            order
+                .iter()
+                .copied()
+                .filter(|&j| inst.tensors[j].birth <= at && at < inst.tensors[j].death)
+                .collect()
         })
         .collect();
 
@@ -364,20 +287,19 @@ pub fn solve(inst: &DsaInstance, opts: BnbOptions) -> Solution {
         inst,
         conflicts,
         class_of,
+        class_seen: vec![vec![0; keys.len()]; order.len()],
         order,
-        clique,
-        clique_iv: Vec::with_capacity(n),
-        depth_bufs,
+        live_at,
         stamp: 0,
         best: incumbent,
         nodes: 0,
         node_limit: opts.node_limit,
         exhausted: false,
         offsets: vec![0; n],
-        placed: vec![false; n],
+        placed,
         lower_bound,
     };
-    s.dfs(0, 0);
+    s.dfs(0, 0, 0, 0);
     TOTAL_NODES.fetch_add(s.nodes, Ordering::Relaxed);
     let optimal = !s.exhausted || s.best.peak == lower_bound;
     debug_assert!(s.best.validate(inst).is_ok());
@@ -496,13 +418,71 @@ mod tests {
     }
 
     #[test]
+    fn matches_brute_force_with_identical_and_zero_size_tensors() {
+        // Copies of one (size, birth, death) exercise the symmetry classes
+        // and the canonical order's position tie-break; zero-size tensors
+        // the point semantics. An instance with OPT > LOAD makes the search
+        // exhaust rather than stop at the liveness bound.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        for round in 0..100 {
+            // Round 0: OPT 24 > LOAD 20 (sizes ×4 below), plus a zero-size
+            // tensor.
+            let (mut tensors, n) = if round == 0 {
+                let shape = [
+                    (1, 1, 4),
+                    (1, 0, 3),
+                    (2, 3, 4),
+                    (2, 2, 5),
+                    (4, 0, 1),
+                    (3, 1, 2),
+                    (1, 2, 3),
+                    (3, 4, 5),
+                    (0, 1, 4),
+                ];
+                (instance(&shape, 4).tensors, shape.len())
+            } else {
+                (Vec::new(), rng.gen_range(3..7))
+            };
+            while tensors.len() < n {
+                let id = tensors.len() as u64;
+                if !tensors.is_empty() && rng.gen_bool(0.3) {
+                    let twin = tensors[rng.gen_range(0..tensors.len())];
+                    tensors.push(DsaTensor {
+                        id: TensorId(id),
+                        ..twin
+                    });
+                } else {
+                    let birth = rng.gen_range(0..8usize);
+                    let size = rng.gen_range(0..5) * 4;
+                    tensors.push(t(id, size, birth, birth + rng.gen_range(1..6)));
+                }
+            }
+            let inst = DsaInstance { tensors };
+            let sol = solve(&inst, BnbOptions::default());
+            assert!(sol.optimal, "round {round}: search not exhausted");
+            sol.assignment.validate(&inst).unwrap();
+            let bf = brute_force(&inst);
+            assert_eq!(
+                sol.assignment.peak, bf,
+                "round {round}: bnb {} vs brute force {bf} for {inst:?}",
+                sol.assignment.peak
+            );
+            if round == 0 {
+                assert_eq!((bf, sol.lower_bound), (24, 20), "OPT > LOAD");
+            }
+        }
+    }
+
+    #[test]
     fn harder_instances_stay_optimal_and_node_counts_do_not_regress() {
         // The seed-7 corpus exercises real search pressure (the seed-3
         // corpus above closes at 0 nodes). The totals below were measured
         // with the pre-overhaul searcher (per-node allocations, O(n²)
         // symmetry scan, liveness-only bound): 15_514 nodes over the 12
         // rounds, with round 8 alone at 15_448. The reworked searcher must
-        // still be exact AND expand no more nodes than that baseline.
+        // still be exact AND expand no more nodes than that baseline; the
+        // canonical-order search with the skyline bound expands 2_234.
         use rand::{rngs::StdRng, Rng, SeedableRng};
         const BASELINE_TOTAL_NODES: u64 = 15_514;
         let mut rng = StdRng::seed_from_u64(7);
@@ -534,6 +514,170 @@ mod tests {
             total <= BASELINE_TOTAL_NODES,
             "node count regressed: {total} > baseline {BASELINE_TOTAL_NODES}"
         );
+    }
+
+    /// The seven distinct level-1 layer instances of a search-short run
+    /// (2K–4K tokens per GPU), sizes in units of their GCD. Every one
+    /// packs at exactly LOAD; the best-fit incumbent does not.
+    const SEARCH_SHORT_LAYERS: [&[(u64, usize, usize)]; 7] = [
+        &[
+            (1, 591, 592),
+            (16, 593, 597),
+            (32, 594, 595),
+            (16, 596, 601),
+            (32, 598, 599),
+            (4, 600, 603),
+            (4, 602, 621),
+            (4, 604, 612),
+            (8, 605, 606),
+            (4, 607, 618),
+            (4, 608, 617),
+            (4, 609, 616),
+            (2, 610, 611),
+            (4, 613, 620),
+            (24, 614, 615),
+        ],
+        &[
+            (1, 719, 720),
+            (8, 721, 725),
+            (16, 722, 727),
+            (32, 723, 724),
+            (16, 726, 731),
+            (32, 728, 729),
+            (4, 730, 733),
+            (4, 732, 751),
+            (4, 734, 742),
+            (8, 735, 736),
+            (4, 737, 748),
+            (4, 738, 747),
+            (4, 739, 746),
+            (2, 740, 741),
+            (4, 743, 750),
+            (24, 744, 745),
+        ],
+        &[
+            (1, 735, 736),
+            (16, 737, 741),
+            (20, 738, 739),
+            (16, 740, 745),
+            (20, 742, 743),
+            (4, 744, 747),
+            (4, 746, 765),
+            (4, 748, 756),
+            (5, 749, 750),
+            (4, 751, 762),
+            (4, 752, 761),
+            (4, 753, 760),
+            (2, 754, 755),
+            (4, 757, 764),
+            (15, 758, 759),
+        ],
+        &[
+            (1, 879, 880),
+            (16, 881, 885),
+            (28, 882, 883),
+            (16, 884, 889),
+            (28, 886, 887),
+            (4, 888, 891),
+            (4, 890, 909),
+            (4, 892, 900),
+            (7, 893, 894),
+            (4, 895, 906),
+            (4, 896, 905),
+            (4, 897, 904),
+            (2, 898, 899),
+            (4, 901, 908),
+            (21, 902, 903),
+        ],
+        &[
+            (1, 1071, 1072),
+            (8, 1073, 1077),
+            (16, 1074, 1079),
+            (28, 1075, 1076),
+            (16, 1078, 1083),
+            (28, 1080, 1081),
+            (4, 1082, 1085),
+            (4, 1084, 1103),
+            (4, 1086, 1094),
+            (7, 1087, 1088),
+            (4, 1089, 1100),
+            (4, 1090, 1099),
+            (4, 1091, 1098),
+            (2, 1092, 1093),
+            (4, 1095, 1102),
+            (21, 1096, 1097),
+        ],
+        &[
+            (1, 1455, 1456),
+            (16, 1457, 1461),
+            (32, 1458, 1459),
+            (16, 1460, 1465),
+            (32, 1462, 1463),
+            (4, 1464, 1467),
+            (4, 1466, 1485),
+            (4, 1468, 1476),
+            (8, 1469, 1470),
+            (4, 1471, 1482),
+            (4, 1472, 1481),
+            (4, 1473, 1480),
+            (2, 1474, 1475),
+            (4, 1477, 1484),
+            (24, 1478, 1479),
+        ],
+        &[
+            (1, 1775, 1776),
+            (8, 1777, 1781),
+            (16, 1778, 1783),
+            (32, 1779, 1780),
+            (16, 1782, 1787),
+            (32, 1784, 1785),
+            (4, 1786, 1789),
+            (4, 1788, 1807),
+            (4, 1790, 1798),
+            (8, 1791, 1792),
+            (4, 1793, 1804),
+            (4, 1794, 1803),
+            (4, 1795, 1802),
+            (2, 1796, 1797),
+            (4, 1799, 1806),
+            (24, 1800, 1801),
+        ],
+    ];
+
+    fn instance(shape: &[(u64, usize, usize)], unit: u64) -> DsaInstance {
+        DsaInstance {
+            tensors: shape
+                .iter()
+                .enumerate()
+                .map(|(i, &(size, birth, death))| t(i as u64, size * unit, birth, death))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn search_short_layers_close_at_the_liveness_bound() {
+        for (k, shape) in SEARCH_SHORT_LAYERS.iter().enumerate() {
+            let inst = instance(shape, 1);
+            let sol = solve(&inst, BnbOptions::default());
+            assert!(sol.optimal, "layer {k}: not proven");
+            assert_eq!(sol.assignment.peak, sol.lower_bound, "layer {k}");
+            assert!(sol.nodes <= 1_000, "layer {k}: {} nodes", sol.nodes);
+            sol.assignment.validate(&inst).unwrap();
+        }
+    }
+
+    #[test]
+    fn sizes_near_a_quarter_of_the_address_space_do_not_overflow() {
+        // The largest tensor of each layer lands just under u64::MAX / 4;
+        // every stack the search tries must saturate, not wrap or panic.
+        for (k, shape) in SEARCH_SHORT_LAYERS.iter().enumerate() {
+            let largest = shape.iter().map(|&(size, _, _)| size).max().unwrap();
+            let inst = instance(shape, u64::MAX / 4 / largest);
+            let sol = solve(&inst, BnbOptions::default());
+            assert!(sol.optimal, "layer {k}: not proven");
+            assert_eq!(sol.assignment.peak, sol.lower_bound, "layer {k}");
+            sol.assignment.validate(&inst).unwrap();
+        }
     }
 
     #[test]

@@ -26,12 +26,14 @@
 //!    the factor-2 is not even needed there).
 //!
 //! The solver returns the best of {recursive boxes, stacked bands, best-fit
-//! portfolio (small instances only)} after optional compaction polish, so
+//! portfolio (small instances only; refined by insertion local search
+//! within exact-search size)} after optional compaction polish, so
 //! its peak is **provably ≤ `2·K·LOAD`** — the `guarantee` field — while
 //! in practice landing much closer to the lower bound. Everything is
 //! O(n log n) per class level, which is what lets a ≥1M-interval trace
 //! solve in seconds (see `dsa_bench`).
 
+use crate::bnb::BnbOptions;
 use crate::dsa::{Assignment, DsaInstance};
 use crate::heuristic;
 use crate::index::IntervalIndex;
@@ -400,7 +402,12 @@ pub fn solve_with(inst: &DsaInstance, opts: &BoxingOptions) -> BoxingSolution {
         best = (Candidate::RecursiveBoxes, boxes_off, boxes_peak);
     }
     if n <= opts.portfolio_max_tensors && n > 0 {
-        let bf = heuristic::solve(inst);
+        // Within exact-search size the portfolio can afford local search.
+        let bf = if n <= BnbOptions::default().max_tensors {
+            heuristic::solve_by_insertion(inst)
+        } else {
+            heuristic::solve(inst)
+        };
         if bf.peak < best.2 {
             best = (Candidate::BestFit, bf.offsets, bf.peak);
         }

@@ -44,21 +44,21 @@ fn place(inst: &DsaInstance, order: &[usize]) -> Assignment {
         let mut busy: Vec<(u64, u64)> = Vec::new();
         for (j, tj) in inst.tensors.iter().enumerate() {
             if placed[j] && ti.overlaps(tj) {
-                busy.push((offsets[j], offsets[j] + tj.size));
+                busy.push((offsets[j], offsets[j].saturating_add(tj.size)));
             }
         }
         busy.sort_unstable();
         // Lowest gap scan.
         let mut candidate = 0u64;
         for (start, end) in busy {
-            if candidate + ti.size <= start {
+            if candidate.saturating_add(ti.size) <= start {
                 break;
             }
             candidate = candidate.max(end);
         }
         offsets[i] = candidate;
         placed[i] = true;
-        peak = peak.max(candidate + ti.size);
+        peak = peak.max(candidate.saturating_add(ti.size));
     }
     Assignment { offsets, peak }
 }
@@ -100,6 +100,53 @@ pub fn solve(inst: &DsaInstance) -> Assignment {
         .map(|&o| place(inst, &ordering(inst, o)))
         .min_by_key(|a| a.peak)
         .expect("at least one order")
+}
+
+/// [`solve`] refined by insertion local search: from each portfolio
+/// order, move one tensor to another position in the order whenever that
+/// lowers the best-fit peak, until no single move does or the peak meets
+/// the liveness bound. A pass costs O(n⁴), so this is for instances within
+/// exact-search size.
+pub(crate) fn solve_by_insertion(inst: &DsaInstance) -> Assignment {
+    let load = inst.lower_bound();
+    let mut best = solve(inst);
+    for &o in &ORDERS {
+        if best.peak <= load {
+            break;
+        }
+        let mut order = ordering(inst, o);
+        let mut a = place(inst, &order);
+        while a.peak > load {
+            let Some(better) = improving_move(inst, &mut order, a.peak) else {
+                break;
+            };
+            a = better;
+        }
+        if a.peak < best.peak {
+            best = a;
+        }
+    }
+    best
+}
+
+/// Apply the first single-tensor move in `order` whose best-fit placement
+/// peaks below `peak` and return that placement; `None` at a local
+/// optimum (then `order` is unchanged).
+fn improving_move(inst: &DsaInstance, order: &mut Vec<usize>, peak: u64) -> Option<Assignment> {
+    let n = order.len();
+    for from in 0..n {
+        for to in (0..n).filter(|&to| to != from) {
+            let i = order.remove(from);
+            order.insert(to, i);
+            let a = place(inst, order);
+            if a.peak < peak {
+                return Some(a);
+            }
+            let i = order.remove(to);
+            order.insert(from, i);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -161,6 +208,34 @@ mod tests {
             assert!(a.peak >= inst.lower_bound());
             assert_eq!(a.peak, a.measured_peak(&inst));
         }
+    }
+
+    #[test]
+    fn insertion_never_loses_to_the_portfolio_and_sometimes_beats_it() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut improved = 0;
+        for _ in 0..30 {
+            let n = rng.gen_range(8..29);
+            let tensors = (0..n)
+                .map(|i| {
+                    let birth = rng.gen_range(0..2 * n);
+                    t(
+                        i as u64,
+                        64 << rng.gen_range(0..4),
+                        birth,
+                        birth + rng.gen_range(1..n),
+                    )
+                })
+                .collect();
+            let inst = DsaInstance { tensors };
+            let (a, base) = (solve_by_insertion(&inst), solve(&inst));
+            a.validate(&inst).unwrap();
+            assert_eq!(a.peak, a.measured_peak(&inst));
+            assert!(inst.lower_bound() <= a.peak && a.peak <= base.peak);
+            improved += usize::from(a.peak < base.peak);
+        }
+        assert!(improved > 0, "local search never improved the portfolio");
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //! * [`dsa`] — problem representation, lifespan analysis, liveness lower
 //!   bound, assignment validation;
 //! * [`heuristic`] — best-fit placement over several orderings (the fallback
-//!   for instances too large for exact search);
-//! * [`bnb`] — an exact branch-and-bound solver for the MIP (provably
-//!   optimal on the instance sizes produced by the bi-level decomposition;
-//!   node-limited with a heuristic incumbent otherwise);
+//!   for instances too large for exact search), plus an insertion local
+//!   search over those orderings for small instances;
+//! * [`bnb`] — an exact branch-and-bound solver for the MIP (canonical-order
+//!   search with a skyline bound; proves level-1 layer instances optimal,
+//!   and returns its best-fit incumbent unproven above the size cap or the
+//!   node budget);
 //! * [`bilevel`] — level-1 solve of one transformer layer's fwd/bwd segment,
 //!   pseudo-request substitution, level-2 solve of the whole iteration;
 //! * [`index`] — sweep-line interval index (O(log n + k) conflict queries,
