@@ -155,10 +155,7 @@ mod tests {
     #[test]
     fn replay_empty_trace_is_well_formed() {
         use memo_model::trace::TraceStrings;
-        let trace = IterationTrace {
-            segments: Vec::new(),
-            strings: TraceStrings::new(),
-        };
+        let trace = IterationTrace::from_segments(Vec::new(), TraceStrings::new()).unwrap();
         let mut alloc = CachingAllocator::new(1 << 30);
         let series = replay(&mut alloc, &trace);
         assert!(series.samples.is_empty());
@@ -178,18 +175,16 @@ mod tests {
         use memo_model::trace::{MemOp, Request, SegmentKind, Sym, TraceSegment, TraceStrings};
         // A lone malloc with no matching free — invalid as a full iteration
         // trace, but replay must still produce a coherent one-sample series.
-        let trace = IterationTrace {
-            segments: vec![TraceSegment {
-                kind: SegmentKind::EmbeddingFwd,
-                requests: vec![Request {
-                    op: MemOp::Malloc,
-                    tensor: memo_model::trace::TensorId(0),
-                    bytes: 4096,
-                    label: Sym::EMPTY,
-                }],
+        let segment = TraceSegment {
+            kind: SegmentKind::EmbeddingFwd,
+            requests: vec![Request {
+                op: MemOp::Malloc,
+                tensor: memo_model::trace::TensorId(0),
+                bytes: 4096,
+                label: Sym::EMPTY,
             }],
-            strings: TraceStrings::new(),
         };
+        let trace = IterationTrace::from_segments(vec![segment], TraceStrings::new()).unwrap();
         let mut alloc = CachingAllocator::new(1 << 30);
         let series = replay(&mut alloc, &trace);
         assert_eq!(series.samples.len(), 1);

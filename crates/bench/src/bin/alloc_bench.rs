@@ -130,7 +130,7 @@ fn main() {
     for &policy in &policies {
         for &s_k in &seq_ks {
             let (trace, generate_ms) = build_trace(&model, &cfg, s_k * 1024, policy);
-            let reqs: Vec<Request> = trace.flatten().copied().collect();
+            let reqs: Vec<Request> = trace.flatten().collect();
             let reps = (2_000_000 / reqs.len().max(1)).clamp(10, 2000);
 
             let mut old = ReferenceCachingAllocator::new(CAPACITY);

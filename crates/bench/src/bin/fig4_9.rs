@@ -21,8 +21,7 @@ fn main() {
     print!("{}", trace.render_segment(SegmentKind::LayerBwd(0), 24));
 
     println!("\nFigure 9 — whole-iteration segment structure:\n");
-    let mut idx = 0usize;
-    for seg in &trace.segments {
+    for seg in trace.segments() {
         let label = match seg.kind {
             SegmentKind::EmbeddingFwd => "Embedding fwd".to_string(),
             SegmentKind::LayerFwd(i) => format!("Transformer layer {i} fwd"),
@@ -43,17 +42,16 @@ fn main() {
             _ => {
                 println!(
                     "  requests {:>5}..{:<5} {label} ({} requests)",
-                    idx,
-                    idx + seg.requests.len(),
-                    seg.requests.len()
+                    seg.start,
+                    seg.start + seg.len(),
+                    seg.len()
                 );
             }
         }
-        idx += seg.requests.len();
     }
     println!("\ntotal requests: {}", trace.len());
     println!(
-        "transformer segments identical: {}",
-        trace.transformer_segments_identical()
+        "transformer layers: {} (one forward and one backward body, repeated)",
+        trace.layers()
     );
 }

@@ -9,9 +9,13 @@
 //! malloc <tensor_id> <bytes> <label>
 //! free <tensor_id> <bytes> <label>
 //! ```
+//!
+//! The format spells every layer out; [`read_trace`] folds it back into the
+//! periodic [`IterationTrace`], so a file whose layer segments are not one
+//! body with per-layer tensor ids is rejected.
 
 use crate::trace::{
-    IterationTrace, MemOp, Request, SegmentKind, TensorId, TraceSegment, TraceStrings,
+    IterationTrace, MemOp, PeriodError, Request, SegmentKind, TensorId, TraceSegment, TraceStrings,
 };
 use std::io::{self, BufRead, BufWriter, Write};
 
@@ -44,10 +48,10 @@ fn parse_kind(tag: &str, arg: usize) -> Option<SegmentKind> {
 pub fn write_trace<W: Write>(trace: &IterationTrace, w: W) -> io::Result<()> {
     let mut w = BufWriter::new(w);
     writeln!(w, "{HEADER}")?;
-    for seg in &trace.segments {
+    for seg in trace.segments() {
         let (tag, arg) = kind_tag(seg.kind);
         writeln!(w, "segment {tag} {arg}")?;
-        for r in &seg.requests {
+        for r in seg.requests() {
             let op = match r.op {
                 MemOp::Malloc => "malloc",
                 MemOp::Free => "free",
@@ -70,6 +74,9 @@ pub fn write_trace<W: Write>(trace: &IterationTrace, w: W) -> io::Result<()> {
 pub struct ParseError {
     pub line: usize,
     pub message: String,
+    /// Set when the file parses but its layers are not periodic; `line` is
+    /// then the offending segment's header (0 for a layer-count mismatch).
+    pub period: Option<PeriodError>,
 }
 
 impl std::fmt::Display for ParseError {
@@ -89,8 +96,11 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<IterationTrace, ParseError> {
     let err = |line: usize, message: &str| ParseError {
         line,
         message: message.to_string(),
+        period: None,
     };
     let mut segments: Vec<TraceSegment> = Vec::new();
+    // Header line of each segment, for period errors.
+    let mut segment_lines: Vec<usize> = Vec::new();
     let mut strings = TraceStrings::new();
     for (i, line) in r.lines().enumerate() {
         let line = line.map_err(|e| err(i + 1, &e.to_string()))?;
@@ -120,6 +130,7 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<IterationTrace, ParseError> {
                     kind,
                     requests: Vec::new(),
                 });
+                segment_lines.push(i + 1);
             }
             Some(op @ ("malloc" | "free")) => {
                 let seg = segments
@@ -148,7 +159,18 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<IterationTrace, ParseError> {
             _ => return Err(err(i + 1, "unrecognised directive")),
         }
     }
-    Ok(IterationTrace { segments, strings })
+    IterationTrace::from_segments(segments, strings).map_err(|e| {
+        let line = match e {
+            PeriodError::LayerCounts { .. } => 0,
+            PeriodError::LayerOrder { segment } | PeriodError::LayerDiffers { segment } => {
+                segment_lines[segment]
+            }
+        };
+        ParseError {
+            period: Some(e),
+            ..err(line, &e.to_string())
+        }
+    })
 }
 
 #[cfg(test)]
@@ -185,6 +207,33 @@ mod tests {
         let text = format!("{HEADER}\nmalloc 0 128 x\n");
         let e = read_trace(text.as_bytes()).unwrap_err();
         assert!(e.message.contains("before first segment"));
+    }
+
+    #[test]
+    fn rejects_non_periodic_layers() {
+        let mut buf = Vec::new();
+        write_trace(&sample(), &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let header = |tag: &str| lines.iter().position(|l| *l == tag).unwrap();
+
+        // Resize the first request of layer 1's forward segment.
+        let at = header("segment layer_fwd 1") + 1;
+        let mut parts: Vec<String> = lines[at].split(' ').map(str::to_string).collect();
+        parts[2] = (parts[2].parse::<u64>().unwrap() + 512).to_string();
+        let mut edited: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        edited[at] = parts.join(" ");
+        let e = read_trace(edited.join("\n").as_bytes()).unwrap_err();
+        assert!(matches!(e.period, Some(PeriodError::LayerDiffers { .. })));
+        assert_eq!(e.line, at);
+
+        // Drop layer 0's backward segment: 3 forward layers, 2 backward.
+        let from = header("segment layer_bwd 0");
+        let to = header("segment embedding_bwd 0");
+        let mut dropped: Vec<&str> = lines.clone();
+        dropped.drain(from..to);
+        let e = read_trace(dropped.join("\n").as_bytes()).unwrap_err();
+        assert_eq!(e.period, Some(PeriodError::LayerCounts { fwd: 3, bwd: 2 }));
     }
 
     #[test]

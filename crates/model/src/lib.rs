@@ -11,8 +11,9 @@
 //!   elements per transformer layer; the FlashAttention output is exactly
 //!   1/16 = 6.25 % of it) plus the transient-activation catalog of §3.3;
 //! * [`trace`] — generation of the `malloc/free tensor_id size` memory
-//!   request sequences of Figures 4 and 9, segmented per layer and phase so
-//!   the bi-level planner can exploit the repetitive substructure;
+//!   request sequences of Figures 4 and 9, segmented per layer and phase,
+//!   with each layer's requests stored once as a forward and a backward
+//!   body that expand lazily;
 //! * [`chunked`] — the token-chunked offload request stream (MegaTrain
 //!   shape) with real model-derived sizes, streamed via a visitor;
 //! * [`decode`] — decode-phase (serving) traces: per-step KV append,

@@ -17,10 +17,25 @@
 //!   pre-allocated rounding buffers and never reach the allocator; the trace
 //!   contains only transient tensors.
 //!
-//! Requests are grouped into [`TraceSegment`]s (embedding fwd, each layer
-//! fwd, classifier fwd+bwd, each layer bwd, embedding bwd) because the
-//! bi-level planner collapses each transformer-layer segment into one pseudo
-//! request (Figure 8).
+//! Requests are grouped into segments (embedding fwd, each layer fwd,
+//! classifier fwd+bwd, each layer bwd, embedding bwd) because the bi-level
+//! planner collapses each transformer-layer segment into one pseudo request
+//! (Figure 8).
+//!
+//! # Periodic form
+//!
+//! Every transformer layer issues the same requests ("profiling one layer
+//! suffices", §4.3.2), so an [`IterationTrace`] stores them once: the head
+//! segments (embedding forward), one forward and one backward layer *body*
+//! with the layer count, the middle segments (classifier forward and
+//! backward) and the tail segments (embedding backward). A body request
+//! names its tensor by [`Slot`]: the k-th tensor the layer allocates in that
+//! direction, or one of the two cross-layer ports — the layer's input from
+//! below and the gradient from above. [`IterationTrace::segments`] and
+//! [`IterationTrace::flatten`] expand the bodies lazily, resolving each slot
+//! to the tensor id that layer uses, and yield the same segments, ids, sizes
+//! and labels that generating every layer would. Identical layer segments
+//! are therefore a property of the type, not something to check.
 
 use crate::activations::LayerDims;
 use crate::config::ModelConfig;
@@ -132,7 +147,9 @@ impl SegmentKind {
     }
 }
 
-/// A contiguous slice of the request sequence belonging to one phase.
+/// A contiguous slice of the request sequence belonging to one phase, with
+/// its tensor ids spelled out: the head, middle and tail of a periodic
+/// trace, and the input of [`IterationTrace::from_segments`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSegment {
     pub kind: SegmentKind,
@@ -187,6 +204,51 @@ impl TraceParams {
     }
 }
 
+/// The tensor a layer-body request names, resolved per layer by
+/// [`IterationTrace::resolve`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Slot {
+    /// The k-th tensor the layer allocates in its forward body.
+    Fwd(u32),
+    /// The k-th tensor the layer allocates in its backward body.
+    Bwd(u32),
+    /// The layer's input from below: the previous layer's output, or a head
+    /// tensor for layer 0.
+    Input,
+    /// The gradient from above: the next layer's input gradient, or a middle
+    /// tensor for the last layer.
+    Grad,
+}
+
+/// One request of a layer body: a [`Request`] whose tensor is a [`Slot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BodyRequest {
+    pub op: MemOp,
+    pub slot: Slot,
+    pub bytes: u64,
+    pub label: Sym,
+}
+
+/// How the slots of layer `l` map to tensor ids. Layer `l`'s forward body
+/// allocates ids `fwd_base + l·fwd_stride ..`; the backward bodies run from
+/// the last layer down, so layer `l`'s allocates ids
+/// `bwd_base + (L-1-l)·bwd_stride ..`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ports {
+    fwd_base: u64,
+    fwd_stride: u64,
+    bwd_base: u64,
+    bwd_stride: u64,
+    /// Layer 0's input.
+    input0: Option<TensorId>,
+    /// The last layer's incoming gradient.
+    grad_last: Option<TensorId>,
+    /// The forward slot a layer hands up as the next layer's input.
+    out_slot: Option<u32>,
+    /// The backward slot a layer hands down as the previous layer's gradient.
+    grad_slot: Option<u32>,
+}
+
 /// Successful [`IterationTrace::validate`] summary — everything the single
 /// validation pass learns about the trace, so callers that need both the
 /// tensor count and the liveness peak scan the request sequence once.
@@ -199,22 +261,173 @@ pub struct TraceCheck {
     pub peak_live_bytes: u64,
 }
 
-/// A full training-iteration trace, segmented by phase.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A full training-iteration trace in periodic form (see the module docs).
+#[derive(Debug, Clone)]
 pub struct IterationTrace {
-    pub segments: Vec<TraceSegment>,
+    head: Vec<TraceSegment>,
+    fwd: Vec<BodyRequest>,
+    middle: Vec<TraceSegment>,
+    bwd: Vec<BodyRequest>,
+    tail: Vec<TraceSegment>,
+    layers: usize,
+    ports: Ports,
     /// Interned label table; every request's `label` indexes into it.
     pub strings: TraceStrings,
 }
 
-impl IterationTrace {
-    /// All requests in execution order.
-    pub fn flatten(&self) -> impl Iterator<Item = &Request> {
-        self.segments.iter().flat_map(|s| s.requests.iter())
+/// One segment of an [`IterationTrace`], expanded on demand.
+#[derive(Debug, Clone, Copy)]
+pub struct Segment<'a> {
+    pub kind: SegmentKind,
+    /// Index of the segment's first request in the whole iteration.
+    pub start: usize,
+    trace: &'a IterationTrace,
+    requests: &'a [Request],
+    /// The body and layer of a transformer segment (then `requests` is empty).
+    layer: Option<(&'a [BodyRequest], usize)>,
+}
+
+impl<'a> Segment<'a> {
+    pub fn len(&self) -> usize {
+        self.requests.len() + self.layer.map_or(0, |(body, _)| body.len())
     }
 
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The layer body and layer index of a transformer segment.
+    pub fn layer(&self) -> Option<(&'a [BodyRequest], usize)> {
+        self.layer
+    }
+
+    /// The segment's requests with their tensor ids resolved.
+    pub fn requests(&self) -> impl Iterator<Item = Request> + 'a {
+        let trace = self.trace;
+        let (body, layer) = self.layer.unwrap_or((&[], 0));
+        self.requests
+            .iter()
+            .copied()
+            .chain(body.iter().map(move |r| Request {
+                op: r.op,
+                tensor: trace.resolve(r.slot, layer),
+                bytes: r.bytes,
+                label: r.label,
+            }))
+    }
+}
+
+/// A [`Segment`] before its start is known: kind, spelled-out requests,
+/// and layer body.
+type SegmentParts<'a> = (
+    SegmentKind,
+    &'a [Request],
+    Option<(&'a [BodyRequest], usize)>,
+);
+
+/// Why a segment list has no periodic form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PeriodError {
+    /// The forward and backward layer-segment counts differ.
+    LayerCounts { fwd: usize, bwd: usize },
+    /// Segment `segment` breaks the order head, `LayerFwd(0..L)`, middle,
+    /// `LayerBwd(L-1..=0)`, tail.
+    LayerOrder { segment: usize },
+    /// Layer segment `segment` is not layer 0's segment with that layer's
+    /// tensor ids.
+    LayerDiffers { segment: usize },
+}
+
+impl std::fmt::Display for PeriodError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PeriodError::LayerCounts { fwd, bwd } => {
+                write!(f, "{fwd} forward but {bwd} backward layer segments")
+            }
+            PeriodError::LayerOrder { segment } => {
+                write!(f, "segment {segment} is out of layer order")
+            }
+            PeriodError::LayerDiffers { segment } => {
+                write!(f, "layer segment {segment} differs from layer 0's")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PeriodError {}
+
+impl IterationTrace {
+    /// Number of transformer layers (each contributes one forward and one
+    /// backward segment).
+    pub fn layers(&self) -> usize {
+        self.layers
+    }
+
+    /// The tensor id `slot` names in layer `layer`.
+    pub fn resolve(&self, slot: Slot, layer: usize) -> TensorId {
+        self.try_resolve(slot, layer)
+            .expect("construction resolves every port a body uses")
+    }
+
+    fn try_resolve(&self, slot: Slot, layer: usize) -> Option<TensorId> {
+        let p = &self.ports;
+        let (l, last) = (layer as u64, self.layers as u64 - 1);
+        let fwd = |l: u64, s: u32| p.fwd_base + l * p.fwd_stride + u64::from(s);
+        let bwd = |l: u64, s: u32| p.bwd_base + (last - l) * p.bwd_stride + u64::from(s);
+        Some(TensorId(match slot {
+            Slot::Fwd(s) => fwd(l, s),
+            Slot::Bwd(s) => bwd(l, s),
+            Slot::Input if l == 0 => return p.input0,
+            Slot::Input => fwd(l - 1, p.out_slot?),
+            Slot::Grad if l == last => return p.grad_last,
+            Slot::Grad => bwd(l + 1, p.grad_slot?),
+        }))
+    }
+
+    /// The segments in execution order: head, each layer's forward, middle,
+    /// each layer's backward (last layer first), tail.
+    pub fn segments(&self) -> impl Iterator<Item = Segment<'_>> + '_ {
+        fn spelled(segs: &[TraceSegment]) -> impl Iterator<Item = SegmentParts<'_>> {
+            segs.iter().map(|s| (s.kind, &s.requests[..], None))
+        }
+        fn layer(kind: SegmentKind, body: &[BodyRequest], l: usize) -> SegmentParts<'_> {
+            (kind, &[], Some((body, l)))
+        }
+        let fwd = (0..self.layers).map(|l| layer(SegmentKind::LayerFwd(l), &self.fwd, l));
+        let bwd = (0..self.layers)
+            .rev()
+            .map(|l| layer(SegmentKind::LayerBwd(l), &self.bwd, l));
+        let mut start = 0;
+        spelled(&self.head)
+            .chain(fwd)
+            .chain(spelled(&self.middle))
+            .chain(bwd)
+            .chain(spelled(&self.tail))
+            .map(move |(kind, requests, layer)| {
+                let seg = Segment {
+                    kind,
+                    start,
+                    trace: self,
+                    requests,
+                    layer,
+                };
+                start += seg.len();
+                seg
+            })
+    }
+
+    /// All requests in execution order, layer bodies expanded.
+    pub fn flatten(&self) -> impl Iterator<Item = Request> + '_ {
+        self.segments().flat_map(|s| s.requests())
+    }
+
+    /// Number of requests in the expanded iteration.
     pub fn len(&self) -> usize {
-        self.segments.iter().map(|s| s.requests.len()).sum()
+        let spelled = |segs: &[TraceSegment]| segs.iter().map(|s| s.requests.len()).sum::<usize>();
+        spelled(&self.head)
+            + spelled(&self.middle)
+            + spelled(&self.tail)
+            + self.layers * (self.fwd.len() + self.bwd.len())
     }
 
     pub fn is_empty(&self) -> bool {
@@ -224,6 +437,173 @@ impl IterationTrace {
     /// The label string of a request (resolved through the trace's table).
     pub fn label_of(&self, r: &Request) -> &str {
         self.strings.resolve(r.label)
+    }
+
+    /// Fold a spelled-out segment list into periodic form: layer 0's
+    /// segments become the bodies, and every other layer segment must equal
+    /// them with that layer's tensor ids.
+    pub fn from_segments(
+        segments: Vec<TraceSegment>,
+        strings: TraceStrings,
+    ) -> Result<IterationTrace, PeriodError> {
+        let count = |want_fwd: bool| {
+            segments
+                .iter()
+                .filter(|s| match s.kind {
+                    SegmentKind::LayerFwd(_) => want_fwd,
+                    SegmentKind::LayerBwd(_) => !want_fwd,
+                    _ => false,
+                })
+                .count()
+        };
+        let (layers, bwd_layers) = (count(true), count(false));
+        if layers != bwd_layers {
+            return Err(PeriodError::LayerCounts {
+                fwd: layers,
+                bwd: bwd_layers,
+            });
+        }
+        // Expected layout: head [..a], forward layers [a..m], middle
+        // [m..b], backward layers [b..t], tail [t..].
+        let first_layer = |from: usize| {
+            segments[from..]
+                .iter()
+                .position(|s| s.kind.is_transformer())
+                .map_or(segments.len(), |p| from + p)
+        };
+        let a = first_layer(0);
+        let m = a + layers;
+        let b = first_layer(m.min(segments.len()));
+        let t = b + layers;
+        for (i, s) in segments.iter().enumerate() {
+            let ok = match s.kind {
+                SegmentKind::LayerFwd(l) => (a..m).contains(&i) && l == i - a,
+                SegmentKind::LayerBwd(l) => (b..t).contains(&i) && l == t - 1 - i,
+                _ => !(a..m).contains(&i) && !(b..t).contains(&i),
+            };
+            if !ok {
+                return Err(PeriodError::LayerOrder { segment: i });
+            }
+        }
+        let mut rest = segments;
+        let tail = rest.split_off(t);
+        let bwd_segs = rest.split_off(b);
+        let middle = rest.split_off(m);
+        let fwd_segs = rest.split_off(a);
+        let head = rest;
+        let mut trace = IterationTrace {
+            head,
+            fwd: Vec::new(),
+            middle,
+            bwd: Vec::new(),
+            tail,
+            layers,
+            ports: Ports::default(),
+            strings,
+        };
+        if layers == 0 {
+            return Ok(trace);
+        }
+
+        // Layer 0's slots are the tensors its segments allocate, in order.
+        // Any other tensor is a port: the input if it was allocated before
+        // the layer (in the head), else the gradient from above.
+        let mallocs = |seg: &TraceSegment| -> Vec<TensorId> {
+            let m = seg.requests.iter().filter(|r| r.op == MemOp::Malloc);
+            m.map(|r| r.tensor).collect()
+        };
+        let (fwd0, bwd0) = (&fwd_segs[0], &bwd_segs[layers - 1]);
+        let (fwd_ids, bwd_ids) = (mallocs(fwd0), mallocs(bwd0));
+        let mut slots: HashMap<TensorId, Slot> = HashMap::new();
+        for t in trace.head.iter().flat_map(mallocs) {
+            slots.insert(t, Slot::Input);
+        }
+        for (k, &t) in bwd_ids.iter().enumerate() {
+            slots.insert(t, Slot::Bwd(k as u32));
+        }
+        for (k, &t) in fwd_ids.iter().enumerate() {
+            slots.insert(t, Slot::Fwd(k as u32));
+        }
+        let slot_of = |id: TensorId| slots.get(&id).copied().unwrap_or(Slot::Grad);
+        let body = |seg: &TraceSegment| -> Vec<BodyRequest> {
+            let body = seg.requests.iter().map(|r| BodyRequest {
+                op: r.op,
+                slot: slot_of(r.tensor),
+                bytes: r.bytes,
+                label: r.label,
+            });
+            body.collect()
+        };
+        trace.fwd = body(fwd0);
+        trace.bwd = body(bwd0);
+
+        // The tensor a layer's segments use where the bodies name `slot`.
+        let port = |layer: usize, slot: Slot| {
+            let find = |body: &[BodyRequest], seg: &TraceSegment| {
+                let k = body.iter().position(|r| r.slot == slot)?;
+                seg.requests.get(k).map(|r| r.tensor)
+            };
+            find(&trace.fwd, &fwd_segs[layer])
+                .or_else(|| find(&trace.bwd, &bwd_segs[layers - 1 - layer]))
+        };
+        let (fwd_stride, bwd_stride) = (fwd_ids.len() as u64, bwd_ids.len() as u64);
+        let fwd_base = fwd_ids.first().map_or(0, |t| t.0);
+        let bwd_base = bwd_ids.first().map_or(Some(0), |t| {
+            t.0.checked_sub((layers as u64 - 1) * bwd_stride)
+        });
+        // Ids must not overflow in any layer (they come from a file).
+        let differs = PeriodError::LayerDiffers { segment: t - 1 };
+        let bwd_base = bwd_base.ok_or(differs)?;
+        let fits = |base: u64, stride: u64| {
+            let span = (layers as u64).checked_mul(stride);
+            span.and_then(|n| base.checked_add(n)).is_some()
+        };
+        if !fits(fwd_base, fwd_stride) || !fits(bwd_base, bwd_stride) {
+            return Err(differs);
+        }
+        let offset = |id: Option<TensorId>, base: u64, stride: u64| {
+            let k = id?.0.checked_sub(base)?;
+            (k < stride).then_some(k as u32)
+        };
+        trace.ports = Ports {
+            fwd_base,
+            fwd_stride,
+            bwd_base,
+            bwd_stride,
+            input0: port(0, Slot::Input),
+            grad_last: port(layers - 1, Slot::Grad),
+            out_slot: (layers > 1)
+                .then(|| offset(port(1, Slot::Input), fwd_base, fwd_stride))
+                .flatten(),
+            grad_slot: (layers > 1)
+                .then(|| {
+                    let base = bwd_base + (layers as u64 - 2) * bwd_stride;
+                    offset(port(0, Slot::Grad), base, bwd_stride)
+                })
+                .flatten(),
+        };
+
+        // Every layer segment must be the body with its layer's ids.
+        let same = |seg: &TraceSegment, body: &[BodyRequest], layer: usize| {
+            seg.requests.len() == body.len()
+                && seg.requests.iter().zip(body).all(|(r, br)| {
+                    r.op == br.op
+                        && r.bytes == br.bytes
+                        && r.label == br.label
+                        && trace.try_resolve(br.slot, layer) == Some(r.tensor)
+                })
+        };
+        for (l, seg) in fwd_segs.iter().enumerate() {
+            if !same(seg, &trace.fwd, l) {
+                return Err(PeriodError::LayerDiffers { segment: a + l });
+            }
+        }
+        for (j, seg) in bwd_segs.iter().enumerate() {
+            if !same(seg, &trace.bwd, layers - 1 - j) {
+                return Err(PeriodError::LayerDiffers { segment: b + j });
+            }
+        }
+        Ok(trace)
     }
 
     /// Peak of the sum of live tensor bytes over the request sequence — a
@@ -283,36 +663,6 @@ impl IterationTrace {
         })
     }
 
-    /// True if all `LayerFwd` segments have identical (size, op) sequences,
-    /// and likewise all `LayerBwd` segments — the property the bi-level
-    /// decomposition relies on.
-    pub fn transformer_segments_identical(&self) -> bool {
-        let shape = |seg: &TraceSegment| -> Vec<(MemOp, u64)> {
-            seg.requests.iter().map(|r| (r.op, r.bytes)).collect()
-        };
-        for pattern in [true, false] {
-            // true => forward segments, false => backward segments
-            let mut reference: Option<Vec<(MemOp, u64)>> = None;
-            for seg in &self.segments {
-                let matches = match seg.kind {
-                    SegmentKind::LayerFwd(_) => pattern,
-                    SegmentKind::LayerBwd(_) => !pattern,
-                    _ => continue,
-                };
-                if !matches {
-                    continue;
-                }
-                let s = shape(seg);
-                match &reference {
-                    None => reference = Some(s),
-                    Some(r) if *r != s => return false,
-                    Some(_) => {}
-                }
-            }
-        }
-        true
-    }
-
     /// Render the first `n` requests of a segment in Figure 4's tabular form.
     pub fn render_segment(&self, kind: SegmentKind, n: usize) -> String {
         use std::fmt::Write as _;
@@ -322,40 +672,40 @@ impl IterationTrace {
             "{:<6} {:<12} {:<10} {:<12} label",
             "index", "instruction", "tensor_id", "size"
         );
-        let mut idx = 0usize;
-        for seg in &self.segments {
-            for r in &seg.requests {
-                if seg.kind == kind && idx < n + self.index_of(kind) {
-                    let _ = writeln!(
-                        out,
-                        "{:<6} {:<12} {:<10} {:<12} {}",
-                        idx,
-                        match r.op {
-                            MemOp::Malloc => "malloc",
-                            MemOp::Free => "free",
-                        },
-                        r.tensor.0,
-                        human_bytes(r.bytes),
-                        self.strings.resolve(r.label)
-                    );
-                }
-                idx += 1;
-            }
+        let Some(seg) = self.segments().find(|s| s.kind == kind) else {
+            return out;
+        };
+        for (i, r) in seg.requests().take(n).enumerate() {
+            let _ = writeln!(
+                out,
+                "{:<6} {:<12} {:<10} {:<12} {}",
+                seg.start + i,
+                match r.op {
+                    MemOp::Malloc => "malloc",
+                    MemOp::Free => "free",
+                },
+                r.tensor.0,
+                human_bytes(r.bytes),
+                self.strings.resolve(r.label)
+            );
         }
         out
     }
+}
 
-    fn index_of(&self, kind: SegmentKind) -> usize {
-        let mut idx = 0;
-        for seg in &self.segments {
-            if seg.kind == kind {
-                return idx;
-            }
-            idx += seg.requests.len();
-        }
-        idx
+/// Two traces are equal when they expand to the same segments and requests
+/// over the same label table, whichever way each was built.
+impl PartialEq for IterationTrace {
+    fn eq(&self, other: &Self) -> bool {
+        let shape =
+            |t: &IterationTrace| t.segments().map(|s| (s.kind, s.len())).collect::<Vec<_>>();
+        self.strings == other.strings
+            && shape(self) == shape(other)
+            && self.flatten().eq(other.flatten())
     }
 }
+
+impl Eq for IterationTrace {}
 
 /// Human-readable byte size (MiB granularity like Figure 4).
 pub fn human_bytes(b: u64) -> String {
@@ -399,6 +749,11 @@ impl std::error::Error for TraceError {}
 // ---------------------------------------------------------------------------
 
 /// Builder holding the id counter, open tensors and the label table.
+///
+/// While a layer body is generated, ids live in slot space: forward-body
+/// tensors are `FWD + k`, backward-body tensors `BWD + k`, and the two ports
+/// are `INPUT` and `GRAD`. [`TraceBuilder::end_body`] turns them into
+/// [`Slot`]s. Spelled-out ids stay below `FWD`.
 struct TraceBuilder {
     next_id: u64,
     segments: Vec<TraceSegment>,
@@ -407,6 +762,11 @@ struct TraceBuilder {
     open: HashMap<TensorId, u64>,
     strings: TraceStrings,
 }
+
+const FWD: u64 = 1 << 61;
+const BWD: u64 = 1 << 62;
+const INPUT: TensorId = TensorId(u64::MAX);
+const GRAD: TensorId = TensorId(u64::MAX - 1);
 
 impl TraceBuilder {
     fn new() -> Self {
@@ -431,6 +791,31 @@ impl TraceBuilder {
             kind,
             requests: std::mem::take(&mut self.current),
         });
+    }
+
+    /// Close a layer body generated in slot space.
+    fn end_body(&mut self) -> Vec<BodyRequest> {
+        self.current_kind.take().expect("no open segment");
+        let slot = |t: TensorId| match t {
+            INPUT => Slot::Input,
+            GRAD => Slot::Grad,
+            TensorId(id) if id >= BWD => Slot::Bwd((id - BWD) as u32),
+            TensorId(id) => Slot::Fwd((id - FWD) as u32),
+        };
+        let body = self.current.drain(..).map(|r| BodyRequest {
+            op: r.op,
+            slot: slot(r.tensor),
+            bytes: r.bytes,
+            label: r.label,
+        });
+        body.collect()
+    }
+
+    /// Give open tensor `from` the id `to`.
+    fn rename(&mut self, from: TensorId, to: TensorId) -> TensorId {
+        let bytes = self.open.remove(&from).expect("renaming an open tensor");
+        self.open.insert(to, bytes);
+        to
     }
 
     fn malloc(&mut self, bytes: u64, label: &str) -> TensorId {
@@ -461,13 +846,10 @@ impl TraceBuilder {
         });
     }
 
-    fn finish(self) -> IterationTrace {
+    fn finish(self) -> (Vec<TraceSegment>, TraceStrings) {
         assert!(self.current_kind.is_none(), "unclosed segment");
         assert!(self.open.is_empty(), "tensors leaked at trace end");
-        IterationTrace {
-            segments: self.segments,
-            strings: self.strings,
-        }
+        (self.segments, self.strings)
     }
 }
 
@@ -489,36 +871,93 @@ struct LayerSkeleton {
     gelu: Option<TensorId>,
 }
 
-/// Generate the full iteration trace for the given parameters.
+/// Generate the iteration trace for the given parameters: the embedding
+/// and classifier segments spelled out, one forward and one backward layer
+/// body, and the ports that chain `params.model.n_layers` copies of them.
 pub fn generate(params: &TraceParams) -> IterationTrace {
     let mut b = TraceBuilder::new();
     let n = params.model.n_layers;
-    let memo = matches!(params.policy, RematPolicy::MemoTokenWise);
+    let mut boundary = embedding_forward(&mut b, params);
+    let head = std::mem::take(&mut b.segments);
 
-    // ---- embedding forward -------------------------------------------------
-    // Under MEMO the embedding output is staged and copied into layer 0's
-    // rounding-buffer slot, so it does not outlive this segment.
+    // ---- transformer forward: layer 0 in slot space -------------------------
+    let mut ports = Ports {
+        fwd_base: b.next_id,
+        input0: boundary,
+        ..Ports::default()
+    };
+    let mut fwd = Vec::new();
+    let mut skeleton = None;
+    if n > 0 {
+        // Layer 0's input becomes every layer's input port.
+        let input = boundary.map(|t| b.rename(t, INPUT));
+        b.next_id = FWD;
+        b.begin(SegmentKind::LayerFwd(0));
+        let (skel, out) = layer_forward(&mut b, params, input, false);
+        fwd = b.end_body();
+        ports.fwd_stride = b.next_id - FWD;
+        ports.out_slot = out.map(|t| (t.0 - FWD) as u32);
+        // The classifier reads the last layer's output.
+        let last = ports.fwd_base + (n as u64 - 1) * ports.fwd_stride;
+        boundary = out.map(|t| b.rename(t, TensorId(last + t.0 - FWD)));
+        b.next_id = ports.fwd_base + n as u64 * ports.fwd_stride;
+        skeleton = Some(skel);
+    }
+
+    let mut grad_boundary = classifier(&mut b, params, boundary);
+    let middle = std::mem::take(&mut b.segments);
+
+    // ---- transformer backward: the last layer in slot space ------------------
+    let mut bwd = Vec::new();
+    if let Some(skel) = skeleton {
+        ports.grad_last = Some(grad_boundary);
+        ports.bwd_base = b.next_id;
+        let grad = b.rename(grad_boundary, GRAD);
+        b.next_id = BWD;
+        b.begin(SegmentKind::LayerBwd(n - 1));
+        let grad_in = layer_backward(&mut b, params, skel, grad);
+        bwd = b.end_body();
+        ports.bwd_stride = b.next_id - BWD;
+        ports.grad_slot = Some((grad_in.0 - BWD) as u32);
+        // The embedding backward reads layer 0's input gradient.
+        let first = ports.bwd_base + (n as u64 - 1) * ports.bwd_stride;
+        grad_boundary = b.rename(grad_in, TensorId(first + grad_in.0 - BWD));
+        b.next_id = ports.bwd_base + n as u64 * ports.bwd_stride;
+    }
+
+    embedding_backward(&mut b, params, grad_boundary);
+    let (tail, strings) = b.finish();
+    IterationTrace {
+        head,
+        fwd,
+        middle,
+        bwd,
+        tail,
+        layers: n,
+        ports,
+        strings,
+    }
+}
+
+/// Embedding forward; returns the tensor feeding layer 0. Under MEMO the
+/// embedding output is staged and copied into layer 0's rounding-buffer
+/// slot, so it does not outlive this segment.
+fn embedding_forward(b: &mut TraceBuilder, params: &TraceParams) -> Option<TensorId> {
     b.begin(SegmentKind::EmbeddingFwd);
     let emb_out = b.malloc(params.dims.bsh_bytes(), "embedding_out");
-    let mut boundary = if memo {
+    let boundary = if matches!(params.policy, RematPolicy::MemoTokenWise) {
         b.free(emb_out, "embedding_out");
         None
     } else {
         Some(emb_out)
     };
     b.end();
+    boundary
+}
 
-    // ---- transformer forward ----------------------------------------------
-    let mut skeletons: Vec<LayerSkeleton> = Vec::with_capacity(n);
-    for layer in 0..n {
-        b.begin(SegmentKind::LayerFwd(layer));
-        let (skel, out) = layer_forward(&mut b, params, boundary, false);
-        skeletons.push(skel);
-        boundary = out;
-        b.end();
-    }
-
-    // ---- classifier forward + backward -------------------------------------
+/// Classifier forward and backward over the last layer's output
+/// `boundary`; returns the gradient flowing into the last layer.
+fn classifier(b: &mut TraceBuilder, params: &TraceParams, boundary: Option<TensorId>) -> TensorId {
     b.begin(SegmentKind::ClassifierFwd);
     // Under MEMO the classifier input is staged out of the last rounding
     // buffer into an ordinary tensor.
@@ -537,7 +976,7 @@ pub fn generate(params: &TraceParams) -> IterationTrace {
         let probs = b.malloc(elems * 4, "softmax_probs_fp32");
         Some((logits16, logits32, probs, elems))
     } else {
-        classifier_chunks(&mut b, params, "logits");
+        classifier_chunks(b, params, "logits");
         None
     };
     b.end();
@@ -552,30 +991,23 @@ pub fn generate(params: &TraceParams) -> IterationTrace {
         b.free(logits16, "logits_fp16");
         b.free(grad16, "logit_grad_fp16");
     } else {
-        classifier_chunks(&mut b, params, "logit_grad");
+        classifier_chunks(b, params, "logit_grad");
     }
-    let mut grad_boundary = b.malloc(params.dims.bsh_bytes(), "grad_final_norm");
+    let grad_boundary = b.malloc(params.dims.bsh_bytes(), "grad_final_norm");
     b.free(final_ln, "final_norm_out");
     b.free(classifier_in, "classifier_in");
     b.end();
+    grad_boundary
+}
 
-    // ---- transformer backward ----------------------------------------------
-    for layer in (0..n).rev() {
-        b.begin(SegmentKind::LayerBwd(layer));
-        let skel = skeletons[layer].clone();
-        grad_boundary = layer_backward(&mut b, params, skel, grad_boundary);
-        b.end();
-    }
-
-    // ---- embedding backward -------------------------------------------------
+/// Embedding backward, consuming layer 0's input gradient.
+fn embedding_backward(b: &mut TraceBuilder, params: &TraceParams, grad: TensorId) {
     b.begin(SegmentKind::EmbeddingBwd);
     // embedding gradient scatter: workspace proportional to local tokens
     let ws = b.malloc(params.dims.bsh_bytes(), "embedding_grad_ws");
     b.free(ws, "embedding_grad_ws");
-    b.free(grad_boundary, "grad_embedding_out");
+    b.free(grad, "grad_embedding_out");
     b.end();
-
-    b.finish()
 }
 
 /// Emit the forward request sequence of one transformer layer.
@@ -871,10 +1303,19 @@ mod tests {
             RematPolicy::MemoTokenWise,
         ] {
             let t = generate(&params(policy));
-            assert!(
-                t.transformer_segments_identical(),
-                "{policy:?}: layer segments differ"
-            );
+            for fwd in [true, false] {
+                let shapes: Vec<Vec<(MemOp, u64, Sym)>> = t
+                    .segments()
+                    .filter(|s| matches!(s.kind, SegmentKind::LayerFwd(_)) == fwd)
+                    .filter(|s| s.kind.is_transformer())
+                    .map(|s| s.requests().map(|r| (r.op, r.bytes, r.label)).collect())
+                    .collect();
+                assert_eq!(shapes.len(), 4);
+                assert!(
+                    shapes.windows(2).all(|w| w[0] == w[1]),
+                    "{policy:?}: layer segments differ"
+                );
+            }
         }
     }
 
@@ -905,10 +1346,9 @@ mod tests {
         // under MEMO (where the trace is all-transient) vs the 10 skeletal.
         let t = generate(&params(RematPolicy::MemoTokenWise));
         let mallocs: usize = t
-            .segments
-            .iter()
+            .segments()
             .filter(|s| matches!(s.kind, SegmentKind::LayerFwd(0) | SegmentKind::LayerBwd(0)))
-            .flat_map(|s| &s.requests)
+            .flat_map(|s| s.requests())
             .filter(|r| r.op == MemOp::Malloc)
             .count();
         assert!(mallocs >= 25, "only {mallocs} transient mallocs per layer");
@@ -917,7 +1357,7 @@ mod tests {
     #[test]
     fn segment_kinds_in_execution_order() {
         let t = generate(&params(RematPolicy::FullRecompute));
-        let kinds: Vec<_> = t.segments.iter().map(|s| s.kind).collect();
+        let kinds: Vec<_> = t.segments().map(|s| s.kind).collect();
         assert_eq!(kinds[0], SegmentKind::EmbeddingFwd);
         assert_eq!(kinds[1], SegmentKind::LayerFwd(0));
         assert!(kinds.contains(&SegmentKind::ClassifierFwd));
@@ -964,7 +1404,7 @@ mod tests {
     fn labels_are_interned() {
         let t = generate(&params(RematPolicy::FullRecompute));
         // Requests are Copy and carry a 4-byte symbol, not a String.
-        let first = *t.flatten().next().unwrap();
+        let first = t.flatten().next().unwrap();
         assert_eq!(t.label_of(&first), "embedding_out");
         // The table is tiny compared to the request count: every repeated
         // label (one per layer per iteration) resolves to the same symbol.
@@ -1000,5 +1440,133 @@ mod tests {
         assert_eq!(human_bytes(128 << 20), "128MB");
         assert_eq!(human_bytes(512), "512B");
         assert_eq!(human_bytes(3 << 30), "3.00GB");
+    }
+
+    /// The expanded generator: every layer spelled out, as the periodic
+    /// [`generate`] must reproduce.
+    fn reference(params: &TraceParams) -> (Vec<TraceSegment>, TraceStrings) {
+        let mut b = TraceBuilder::new();
+        let n = params.model.n_layers;
+        let mut boundary = embedding_forward(&mut b, params);
+        let mut skeletons = Vec::with_capacity(n);
+        for layer in 0..n {
+            b.begin(SegmentKind::LayerFwd(layer));
+            let (skel, out) = layer_forward(&mut b, params, boundary, false);
+            skeletons.push(skel);
+            boundary = out;
+            b.end();
+        }
+        let mut grad = classifier(&mut b, params, boundary);
+        for layer in (0..n).rev() {
+            b.begin(SegmentKind::LayerBwd(layer));
+            grad = layer_backward(&mut b, params, skeletons[layer].clone(), grad);
+            b.end();
+        }
+        embedding_backward(&mut b, params, grad);
+        b.finish()
+    }
+
+    /// Every policy × comm factor × logits mode × layer count of the
+    /// differential grid.
+    fn grid() -> Vec<TraceParams> {
+        let mut out = Vec::new();
+        for policy in [
+            RematPolicy::KeepAll,
+            RematPolicy::FullRecompute,
+            RematPolicy::MemoTokenWise,
+        ] {
+            for comm_factor in [1, 2] {
+                for materialize_logits in [false, true] {
+                    for layers in [1, 2, 5] {
+                        let m = ModelConfig::tiny(layers, 64, 4, 128);
+                        let dims = LayerDims::new(256, &m, DType::BF16);
+                        let mut p = TraceParams::new(&m, dims, policy);
+                        p.comm_factor = comm_factor;
+                        p.ce_chunk_tokens = 64;
+                        p.materialize_logits = materialize_logits;
+                        out.push(p);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn periodic_trace_expands_to_the_reference() {
+        for p in grid() {
+            let case = (
+                p.policy,
+                p.comm_factor,
+                p.materialize_logits,
+                p.model.n_layers,
+            );
+            let t = generate(&p);
+            let (segments, strings) = reference(&p);
+            assert_eq!(t.strings, strings, "{case:?}: label tables differ");
+            assert_eq!(t.layers(), p.model.n_layers);
+            let expanded: Vec<(SegmentKind, usize, Vec<Request>)> = t
+                .segments()
+                .map(|s| (s.kind, s.start, s.requests().collect()))
+                .collect();
+            let mut start = 0;
+            let spelled: Vec<(SegmentKind, usize, Vec<Request>)> = segments
+                .iter()
+                .map(|s| {
+                    start += s.requests.len();
+                    (s.kind, start - s.requests.len(), s.requests.clone())
+                })
+                .collect();
+            assert_eq!(expanded, spelled, "{case:?}: expansion differs");
+            assert_eq!(t.len(), start, "{case:?}: len is not the expanded length");
+            // Folding the spelled-out segments recovers the same trace.
+            let folded = IterationTrace::from_segments(segments, strings).unwrap();
+            assert_eq!(folded, t, "{case:?}: fold differs");
+        }
+    }
+
+    #[test]
+    fn from_segments_rejects_non_periodic_layers() {
+        let p = params(RematPolicy::FullRecompute);
+        let fold = |segments| IterationTrace::from_segments(segments, reference(&p).1);
+        let (segments, _) = reference(&p);
+        let bwd0 = segments.len() - 2;
+        assert!(matches!(segments[bwd0].kind, SegmentKind::LayerBwd(0)));
+
+        let mut resized = segments.clone();
+        resized[3].requests[0].bytes += 512;
+        assert_eq!(
+            fold(resized).unwrap_err(),
+            PeriodError::LayerDiffers { segment: 3 }
+        );
+
+        let mut renumbered = segments.clone();
+        renumbered[2].requests[0].tensor.0 += 1;
+        assert!(matches!(
+            fold(renumbered).unwrap_err(),
+            PeriodError::LayerDiffers { .. }
+        ));
+
+        let mut short = segments.clone();
+        short.remove(bwd0);
+        assert_eq!(
+            fold(short).unwrap_err(),
+            PeriodError::LayerCounts { fwd: 4, bwd: 3 }
+        );
+
+        let mut swapped = segments.clone();
+        swapped.swap(1, 2);
+        assert_eq!(
+            fold(swapped).unwrap_err(),
+            PeriodError::LayerOrder { segment: 1 }
+        );
+
+        // Without layers every segment is head: any sequence folds.
+        let flat = vec![TraceSegment {
+            kind: SegmentKind::ClassifierFwd,
+            requests: segments[0].requests.clone(),
+        }];
+        let t = IterationTrace::from_segments(flat, TraceStrings::new()).unwrap();
+        assert_eq!((t.layers(), t.len()), (0, segments[0].requests.len()));
     }
 }

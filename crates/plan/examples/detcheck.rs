@@ -80,19 +80,18 @@ fn main() {
             label: Sym::EMPTY,
         })
         .collect();
-    let trace = IterationTrace {
-        segments: vec![TraceSegment {
-            kind: SegmentKind::EmbeddingFwd,
-            requests,
-        }],
-        strings: TraceStrings::new(),
+    let segment = TraceSegment {
+        kind: SegmentKind::EmbeddingFwd,
+        requests,
     };
+    let trace = IterationTrace::from_segments(vec![segment], TraceStrings::new())
+        .expect("a trace without layers is periodic");
     trace.validate().expect("valid trace");
     let report = plan_iteration(&trace, &PlanOptions::default());
     report.plan.validate_against(&trace).unwrap();
     let mut entries: Vec<_> = report
         .plan
-        .placements
+        .placements()
         .iter()
         .map(|(id, pt)| (id.0, pt.offset, pt.bytes))
         .collect();

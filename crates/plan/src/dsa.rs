@@ -121,7 +121,7 @@ impl DsaInstance {
     pub fn from_trace(trace: &IterationTrace) -> DsaInstance {
         let mut b = DsaInstanceBuilder::new();
         for r in trace.flatten() {
-            b.push(r);
+            b.push(&r);
         }
         b.finish().expect("validated traces have no open tensors")
     }

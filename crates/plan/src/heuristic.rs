@@ -9,6 +9,7 @@
 //! factor off optimal in theory and usually optimal on layered traces.
 
 use crate::dsa::{Assignment, DsaInstance};
+use crate::index::IntervalIndex;
 
 /// Placement orders tried by [`solve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,36 +32,45 @@ const ORDERS: [Order; 4] = [
 ];
 
 /// Place tensors one by one in `order`, each at the lowest offset that fits
-/// among its already-placed temporal conflicts.
-fn place(inst: &DsaInstance, order: &[usize]) -> Assignment {
+/// among its already-placed temporal conflicts, read from `adj` (each
+/// tensor's conflicts, as [`IntervalIndex::adjacency`] lists them).
+fn place(inst: &DsaInstance, adj: &[Vec<usize>], order: &[usize]) -> Assignment {
     let n = inst.tensors.len();
     let mut offsets = vec![0u64; n];
     let mut placed = vec![false; n];
     let mut peak = 0u64;
+    let mut busy: Vec<(u64, u64)> = Vec::new();
 
     for &i in order {
-        let ti = inst.tensors[i];
-        // Collect occupied address intervals of placed conflicting tensors.
-        let mut busy: Vec<(u64, u64)> = Vec::new();
-        for (j, tj) in inst.tensors.iter().enumerate() {
-            if placed[j] && ti.overlaps(tj) {
-                busy.push((offsets[j], offsets[j].saturating_add(tj.size)));
-            }
-        }
+        let size = inst.tensors[i].size;
+        // Occupied address intervals of placed conflicting tensors.
+        busy.clear();
+        busy.extend(
+            adj[i]
+                .iter()
+                .filter(|&&j| placed[j])
+                .map(|&j| (offsets[j], offsets[j].saturating_add(inst.tensors[j].size))),
+        );
         busy.sort_unstable();
         // Lowest gap scan.
         let mut candidate = 0u64;
-        for (start, end) in busy {
-            if candidate.saturating_add(ti.size) <= start {
+        for &(start, end) in &busy {
+            if candidate.saturating_add(size) <= start {
                 break;
             }
             candidate = candidate.max(end);
         }
         offsets[i] = candidate;
         placed[i] = true;
-        peak = peak.max(candidate.saturating_add(ti.size));
+        peak = peak.max(candidate.saturating_add(size));
     }
     Assignment { offsets, peak }
+}
+
+/// Every tensor's temporal conflicts, computed once per instance and shared
+/// by all placement orders.
+fn adjacency(inst: &DsaInstance) -> Vec<Vec<usize>> {
+    IntervalIndex::new(inst).adjacency(inst)
 }
 
 fn ordering(inst: &DsaInstance, order: Order) -> Vec<usize> {
@@ -95,9 +105,13 @@ pub fn solve(inst: &DsaInstance) -> Assignment {
             peak: 0,
         };
     }
+    solve_with(inst, &adjacency(inst))
+}
+
+fn solve_with(inst: &DsaInstance, adj: &[Vec<usize>]) -> Assignment {
     ORDERS
         .iter()
-        .map(|&o| place(inst, &ordering(inst, o)))
+        .map(|&o| place(inst, adj, &ordering(inst, o)))
         .min_by_key(|a| a.peak)
         .expect("at least one order")
 }
@@ -109,15 +123,16 @@ pub fn solve(inst: &DsaInstance) -> Assignment {
 /// exact-search size.
 pub(crate) fn solve_by_insertion(inst: &DsaInstance) -> Assignment {
     let load = inst.lower_bound();
-    let mut best = solve(inst);
+    let adj = adjacency(inst);
+    let mut best = solve_with(inst, &adj);
     for &o in &ORDERS {
         if best.peak <= load {
             break;
         }
         let mut order = ordering(inst, o);
-        let mut a = place(inst, &order);
+        let mut a = place(inst, &adj, &order);
         while a.peak > load {
-            let Some(better) = improving_move(inst, &mut order, a.peak) else {
+            let Some(better) = improving_move(inst, &adj, &mut order, a.peak) else {
                 break;
             };
             a = better;
@@ -132,13 +147,18 @@ pub(crate) fn solve_by_insertion(inst: &DsaInstance) -> Assignment {
 /// Apply the first single-tensor move in `order` whose best-fit placement
 /// peaks below `peak` and return that placement; `None` at a local
 /// optimum (then `order` is unchanged).
-fn improving_move(inst: &DsaInstance, order: &mut Vec<usize>, peak: u64) -> Option<Assignment> {
+fn improving_move(
+    inst: &DsaInstance,
+    adj: &[Vec<usize>],
+    order: &mut Vec<usize>,
+    peak: u64,
+) -> Option<Assignment> {
     let n = order.len();
     for from in 0..n {
         for to in (0..n).filter(|&to| to != from) {
             let i = order.remove(from);
             order.insert(to, i);
-            let a = place(inst, order);
+            let a = place(inst, adj, order);
             if a.peak < peak {
                 return Some(a);
             }
@@ -154,6 +174,65 @@ mod tests {
     use super::*;
     use crate::dsa::DsaTensor;
     use memo_model::trace::TensorId;
+
+    /// The O(n²) placement that scans every tensor for conflicts: the
+    /// oracle for [`place`].
+    fn place_by_scan(inst: &DsaInstance, order: &[usize]) -> Assignment {
+        let n = inst.tensors.len();
+        let mut offsets = vec![0u64; n];
+        let mut placed = vec![false; n];
+        let mut peak = 0u64;
+
+        for &i in order {
+            let ti = inst.tensors[i];
+            let mut busy: Vec<(u64, u64)> = Vec::new();
+            for (j, tj) in inst.tensors.iter().enumerate() {
+                if placed[j] && ti.overlaps(tj) {
+                    busy.push((offsets[j], offsets[j].saturating_add(tj.size)));
+                }
+            }
+            busy.sort_unstable();
+            let mut candidate = 0u64;
+            for (start, end) in busy {
+                if candidate.saturating_add(ti.size) <= start {
+                    break;
+                }
+                candidate = candidate.max(end);
+            }
+            offsets[i] = candidate;
+            placed[i] = true;
+            peak = peak.max(candidate.saturating_add(ti.size));
+        }
+        Assignment { offsets, peak }
+    }
+
+    #[test]
+    fn adjacency_placement_matches_the_scan_oracle() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..200 {
+            let n = rng.gen_range(1..60);
+            let horizon = rng.gen_range(1..3 * n);
+            let tensors = (0..n)
+                .map(|i| {
+                    // Zero sizes and empty lifespans included.
+                    let birth = rng.gen_range(0..horizon);
+                    t(
+                        i as u64,
+                        rng.gen_range(0..5) * 64,
+                        birth,
+                        birth + rng.gen_range(0..horizon),
+                    )
+                })
+                .collect();
+            let inst = DsaInstance { tensors };
+            let adj = adjacency(&inst);
+            for o in ORDERS {
+                let order = ordering(&inst, o);
+                assert_eq!(place(&inst, &adj, &order), place_by_scan(&inst, &order));
+            }
+        }
+    }
 
     fn t(id: u64, size: u64, birth: usize, death: usize) -> DsaTensor {
         DsaTensor {

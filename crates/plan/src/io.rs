@@ -8,7 +8,7 @@
 
 use crate::memplan::{MemoryPlan, PlannedTensor};
 use memo_model::trace::TensorId;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::io::{self, BufRead, BufWriter, Write};
 
 const HEADER: &str = "# memo-plan v1";
@@ -18,9 +18,7 @@ pub fn write_plan<W: Write>(plan: &MemoryPlan, w: W) -> io::Result<()> {
     let mut w = BufWriter::new(w);
     writeln!(w, "{HEADER}")?;
     writeln!(w, "peak {}", plan.peak)?;
-    let mut entries: Vec<_> = plan.placements.iter().collect();
-    entries.sort_by_key(|(id, _)| id.0);
-    for (id, p) in entries {
+    for (id, p) in plan.placements() {
         writeln!(w, "place {} {} {}", id.0, p.offset, p.bytes)?;
     }
     w.flush()
@@ -52,7 +50,8 @@ pub fn read_plan<R: BufRead>(r: R) -> Result<MemoryPlan, PlanParseError> {
         message: message.to_string(),
     };
     let mut peak: Option<u64> = None;
-    let mut placements: HashMap<TensorId, PlannedTensor> = HashMap::new();
+    let mut placements: Vec<(TensorId, PlannedTensor)> = Vec::new();
+    let mut seen: HashSet<TensorId> = HashSet::new();
     for (i, line) in r.lines().enumerate() {
         let line = line.map_err(|e| err(i + 1, &e.to_string()))?;
         let line = line.trim();
@@ -87,20 +86,16 @@ pub fn read_plan<R: BufRead>(r: R) -> Result<MemoryPlan, PlanParseError> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| err(i + 1, "bad size"))?;
-                if placements
-                    .insert(TensorId(id), PlannedTensor { offset, bytes })
-                    .is_some()
-                {
+                if !seen.insert(TensorId(id)) {
                     return Err(err(i + 1, "duplicate placement"));
                 }
+                placements.push((TensorId(id), PlannedTensor { offset, bytes }));
             }
             _ => return Err(err(i + 1, "unrecognised directive")),
         }
     }
-    Ok(MemoryPlan {
-        placements,
-        peak: peak.ok_or_else(|| err(0, "missing peak"))?,
-    })
+    let peak = peak.ok_or_else(|| err(0, "missing peak"))?;
+    Ok(MemoryPlan::new(placements, peak))
 }
 
 #[cfg(test)]

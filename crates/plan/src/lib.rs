@@ -20,8 +20,9 @@
 //!   search with a skyline bound; proves level-1 layer instances optimal,
 //!   and returns its best-fit incumbent unproven above the size cap or the
 //!   node budget);
-//! * [`bilevel`] — level-1 solve of one transformer layer's fwd/bwd segment,
-//!   pseudo-request substitution, level-2 solve of the whole iteration;
+//! * [`bilevel`] — level-1 solve of the trace's fwd/bwd layer bodies,
+//!   pseudo-request substitution, level-2 solve of the whole iteration
+//!   built from body offsets without expanding the trace;
 //! * [`index`] — sweep-line interval index (O(log n + k) conflict queries,
 //!   O(n log n + K) all-pairs adjacency) replacing the linear-scan
 //!   `conflicts_of` on hot paths;

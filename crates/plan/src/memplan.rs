@@ -6,7 +6,6 @@
 //! [`PlanAllocator`](memo_alloc::plan::PlanAllocator)-compatible address set.
 
 use memo_model::trace::{IterationTrace, MemOp, TensorId};
-use std::collections::HashMap;
 
 /// One tensor's planned placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,38 +17,63 @@ pub struct PlannedTensor {
 /// The full iteration plan.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MemoryPlan {
-    pub placements: HashMap<TensorId, PlannedTensor>,
+    /// One placement per tensor, sorted by tensor id. A sorted `Vec`
+    /// instead of a map: the planner builds plans on the search path, where
+    /// only `peak` is read, so building one must not hash every tensor.
+    placements: Vec<(TensorId, PlannedTensor)>,
     /// Peak bytes of the planned arena (the single up-front reservation).
     pub peak: u64,
 }
 
 impl MemoryPlan {
+    /// A plan from `(tensor, placement)` pairs in any order.
+    ///
+    /// Panics if a tensor is placed twice.
+    pub fn new(mut placements: Vec<(TensorId, PlannedTensor)>, peak: u64) -> MemoryPlan {
+        if !placements.is_sorted_by_key(|&(id, _)| id) {
+            placements.sort_unstable_by_key(|&(id, _)| id);
+        }
+        assert!(
+            placements.windows(2).all(|w| w[0].0 != w[1].0),
+            "tensor placed twice"
+        );
+        MemoryPlan { placements, peak }
+    }
+
     /// Build a plan from a solved DSA assignment over `inst`.
     pub fn from_assignment(
         inst: &crate::dsa::DsaInstance,
         assignment: &crate::dsa::Assignment,
     ) -> MemoryPlan {
-        let mut placements = HashMap::with_capacity(inst.len());
-        for (t, &o) in inst.tensors.iter().zip(&assignment.offsets) {
-            placements.insert(
-                t.id,
-                PlannedTensor {
-                    offset: o,
-                    bytes: t.size,
-                },
-            );
-        }
-        MemoryPlan {
-            placements,
-            peak: assignment.peak,
-        }
+        let placements = inst.tensors.iter().zip(&assignment.offsets).map(|(t, &o)| {
+            let p = PlannedTensor {
+                offset: o,
+                bytes: t.size,
+            };
+            (t.id, p)
+        });
+        MemoryPlan::new(placements.collect(), assignment.peak)
+    }
+
+    /// Every placement, sorted by tensor id.
+    pub fn placements(&self) -> &[(TensorId, PlannedTensor)] {
+        &self.placements
+    }
+
+    /// The placement of `tensor`, if planned.
+    pub fn get(&self, tensor: TensorId) -> Option<&PlannedTensor> {
+        let i = self
+            .placements
+            .binary_search_by_key(&tensor, |&(id, _)| id)
+            .ok()?;
+        Some(&self.placements[i].1)
     }
 
     /// `(tensor, offset, bytes)` triples for building a `PlanAllocator`.
     pub fn address_triples(&self) -> impl Iterator<Item = (TensorId, u64, u64)> + '_ {
         self.placements
             .iter()
-            .map(|(&id, p)| (id, p.offset, p.bytes))
+            .map(|&(id, p)| (id, p.offset, p.bytes))
     }
 
     /// Validate the plan against the trace it was built for: every request
@@ -62,8 +86,7 @@ impl MemoryPlan {
             match r.op {
                 MemOp::Malloc => {
                     let p = self
-                        .placements
-                        .get(&r.tensor)
+                        .get(r.tensor)
                         .ok_or_else(|| format!("tensor {} not planned", r.tensor.0))?;
                     if p.bytes < r.bytes {
                         return Err(format!(
@@ -113,21 +136,19 @@ mod tests {
         let m = ModelConfig::tiny(2, 32, 2, 64);
         let dims = LayerDims::new(64, &m, DType::BF16);
         let trace = generate(&TraceParams::new(&m, dims, RematPolicy::FullRecompute));
-        let mut plan = MemoryPlan::default();
+        let mut placements = Vec::new();
         let mut cursor = 0u64;
         for r in trace.flatten() {
             if r.op == MemOp::Malloc {
-                plan.placements.insert(
-                    r.tensor,
-                    PlannedTensor {
-                        offset: cursor,
-                        bytes: r.bytes,
-                    },
-                );
+                let p = PlannedTensor {
+                    offset: cursor,
+                    bytes: r.bytes,
+                };
+                placements.push((r.tensor, p));
                 cursor += r.bytes;
             }
         }
-        plan.peak = cursor;
+        let plan = MemoryPlan::new(placements, cursor);
         plan.validate_against(&trace).unwrap();
     }
 
@@ -137,21 +158,19 @@ mod tests {
         let dims = LayerDims::new(64, &m, DType::BF16);
         let trace = generate(&TraceParams::new(&m, dims, RematPolicy::FullRecompute));
         // Place everything at offset 0 — guaranteed overlap somewhere.
-        let mut plan = MemoryPlan::default();
+        let mut placements = Vec::new();
         let mut max_bytes = 0;
         for r in trace.flatten() {
             if r.op == MemOp::Malloc {
-                plan.placements.insert(
-                    r.tensor,
-                    PlannedTensor {
-                        offset: 0,
-                        bytes: r.bytes,
-                    },
-                );
+                let p = PlannedTensor {
+                    offset: 0,
+                    bytes: r.bytes,
+                };
+                placements.push((r.tensor, p));
                 max_bytes = max_bytes.max(r.bytes);
             }
         }
-        plan.peak = max_bytes;
+        let plan = MemoryPlan::new(placements, max_bytes);
         assert!(plan.validate_against(&trace).is_err());
     }
 }

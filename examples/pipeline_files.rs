@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     write_plan(&report.plan, File::create(&plan_path)?)?;
     println!(
         "[planner]  wrote plan with {} placements, peak {:.3} GiB, to {}",
-        report.plan.placements.len(),
+        report.plan.placements().len(),
         report.plan.peak as f64 / (1u64 << 30) as f64,
         plan_path.display()
     );

@@ -119,7 +119,7 @@ proptest! {
     ) {
         use memo::model::activations::LayerDims;
         use memo::model::config::{DType, ModelConfig};
-        use memo::model::trace::{generate, RematPolicy, TraceParams};
+        use memo::model::trace::{generate, RematPolicy, SegmentKind, TraceParams};
         let hidden = 1usize << hidden_pow;
         let m = ModelConfig::tiny(layers, hidden, 2, 64);
         let dims = LayerDims::new(tokens, &m, DType::BF16);
@@ -132,7 +132,18 @@ proptest! {
         p.comm_factor = comm;
         let t = generate(&p);
         prop_assert!(t.validate().is_ok());
-        prop_assert!(t.transformer_segments_identical());
+        // Every forward layer segment expands to the same (op, size)
+        // sequence, and likewise every backward one.
+        for fwd in [true, false] {
+            let shapes: Vec<Vec<_>> = t
+                .segments()
+                .filter(|s| s.kind.is_transformer())
+                .filter(|s| matches!(s.kind, SegmentKind::LayerFwd(_)) == fwd)
+                .map(|s| s.requests().map(|r| (r.op, r.bytes)).collect())
+                .collect();
+            prop_assert_eq!(shapes.len(), layers);
+            prop_assert!(shapes.windows(2).all(|w| w[0] == w[1]));
+        }
     }
 }
 
