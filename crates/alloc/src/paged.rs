@@ -19,8 +19,9 @@
 //!
 //! The contract is *lowest-free-page-id* allocation, so page tables are
 //! a pure function of the operation sequence and [`PagedSnapshot`]s must
-//! be bit-identical between the two. `kv_bench` and the proptest
-//! differential (`tests/paged_differential.rs`) hold them in lockstep.
+//! be bit-identical between the two. The decode-trace cells of the root
+//! `tests/serving_kv.rs` and the proptest differential
+//! (`tests/paged_differential.rs`) hold them in lockstep.
 
 /// Why an operation was refused. Appends are atomic: if the tail of a
 /// multi-page append would not fit, no page is taken.

@@ -5,9 +5,9 @@
 //! [`ReferenceCachingAllocator`] and [`CachingAllocator`] must be
 //! *bit-exact*: identical addresses, [`CachingStats`], reorganisation
 //! counts, and [`AllocEvent`] streams on any request sequence. The
-//! randomized differential test (`tests/differential.rs`) and
-//! `bench/src/bin/alloc_bench.rs` both replay the two implementations side
-//! by side and compare everything observable.
+//! differential test (`tests/differential.rs`, on randomized scripts and on
+//! 7B traces up to 1M tokens) replays the two implementations side by side
+//! and compares everything observable.
 //!
 //! One deliberate deviation from the original code: reorganisation used to
 //! collect its fully-free victims from a `HashMap` iteration, whose order is

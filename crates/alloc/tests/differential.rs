@@ -12,7 +12,8 @@ use memo_alloc::reference::ReferenceCachingAllocator;
 use memo_alloc::{snapshot, DeviceAllocator};
 use memo_model::activations::LayerDims;
 use memo_model::config::{DType, ModelConfig};
-use memo_model::trace::{generate, RematPolicy, TensorId, TraceParams};
+use memo_model::trace::{generate, IterationTrace, RematPolicy, TensorId, TraceParams};
+use memo_parallel::strategy::ParallelConfig;
 
 const MIB: u64 = 1 << 20;
 
@@ -166,26 +167,66 @@ fn identical_through_oom() {
     pair.finish();
 }
 
+/// Replay `trace` through both implementations, recording everything:
+/// the Figure 1(a) series, stats, free-index aggregates and event streams
+/// must match.
+fn assert_replays_identical(trace: &IterationTrace, capacity: u64, what: &str) {
+    let mut new = CachingAllocator::new(capacity);
+    let mut old = ReferenceCachingAllocator::new(capacity);
+    new.record_events(true);
+    old.record_events(true);
+    let series_new = snapshot::replay(&mut new, trace);
+    let series_old = snapshot::replay(&mut old, trace);
+    assert_eq!(series_new, series_old, "{what}: series diverged");
+    assert_eq!(new.stats(), old.stats(), "{what}: stats diverged");
+    assert_eq!(new.total_free_bytes(), old.total_free_bytes(), "{what}");
+    assert_eq!(new.largest_free_block(), old.largest_free_block(), "{what}");
+    assert_eq!(
+        new.take_events(),
+        old.take_events(),
+        "{what}: events diverged"
+    );
+}
+
+/// The per-GPU trace the profiler builds for `model` under `cfg`
+/// (sequence/tensor-parallel sharding, pipeline-local layers).
+fn sharded_trace(
+    model: &ModelConfig,
+    cfg: &ParallelConfig,
+    seq_len: u64,
+    policy: RematPolicy,
+) -> IterationTrace {
+    let dims = LayerDims::new(cfg.tokens_local(seq_len), model, DType::BF16);
+    let mut local_model = model.clone();
+    local_model.n_layers = cfg.layers_local(model.n_layers);
+    let mut params = TraceParams::new(&local_model, dims, policy);
+    params.vocab_local = (model.vocab as u64).div_ceil(cfg.tp as u64);
+    params.comm_factor = if cfg.sp { cfg.tp as u64 } else { 1 };
+    params.ce_chunk_tokens = 8192;
+    generate(&params)
+}
+
 #[test]
 fn identical_on_generated_traces() {
-    // Real traces from the model layer, replayed through `snapshot::replay`
-    // on both implementations: the Figure 1(a) series must match sample for
-    // sample, for both remat policies, on roomy and on reorg-forcing
-    // devices.
+    // Real traces from the model layer: a tiny model on roomy and on
+    // reorg-forcing devices, and the 7B per-GPU traces on 8 GPUs
+    // (TP4·CP2) at 64K–1M tokens on a roomy 2^42 B device, for both remat
+    // policies.
+    let policies = [RematPolicy::FullRecompute, RematPolicy::MemoTokenWise];
     let m = ModelConfig::tiny(4, 64, 4, 256);
     let dims = LayerDims::new(512, &m, DType::BF16);
-    for policy in [RematPolicy::FullRecompute, RematPolicy::MemoTokenWise] {
+    for policy in policies {
         let trace = generate(&TraceParams::new(&m, dims, policy));
         for capacity in [1u64 << 40, 24 * MIB] {
-            let mut new = CachingAllocator::new(capacity);
-            let mut old = ReferenceCachingAllocator::new(capacity);
-            new.record_events(true);
-            old.record_events(true);
-            let series_new = snapshot::replay(&mut new, &trace);
-            let series_old = snapshot::replay(&mut old, &trace);
-            assert_eq!(series_new, series_old, "series diverged ({policy:?})");
-            assert_eq!(new.stats(), old.stats());
-            assert_eq!(new.take_events(), old.take_events());
+            assert_replays_identical(&trace, capacity, &format!("tiny {policy:?} @ {capacity} B"));
+        }
+    }
+    let m = ModelConfig::gpt_7b();
+    let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+    for policy in policies {
+        for seq_k in [64u64, 256, 1024] {
+            let trace = sharded_trace(&m, &cfg, seq_k * 1024, policy);
+            assert_replays_identical(&trace, 1 << 42, &format!("7B {policy:?} @ {seq_k}K"));
         }
     }
 }

@@ -1,0 +1,308 @@
+//! Wall-clock gates of the fast paths. Run in release mode:
+//!
+//! ```text
+//! cargo run --release -p memo-bench --bin speed_gates
+//! ```
+//!
+//! Prints one `PASS`/`FAIL` line per gate, writes no file, and exits 1 if
+//! any gate misses. The bit-exactness of each fast path is checked by the
+//! workspace tests on the same cells (`memo_bench::inputs`); this bin only
+//! times them:
+//!
+//! * the iteration-simulation fast path (`RecordLevel::CursorOnly` with
+//!   steady-state splicing) ≥ 3× the reference engine at MEMO@1M;
+//! * paged KV replay ≥ 3× the caching allocator's realloc pattern at
+//!   13B@256K;
+//! * the delta path over the dense MEMO@1M grid: warm sweep ≥ 3× and cold
+//!   sweep ≥ 1× the per-cell `execute_cached` baseline, and the
+//!   mixed-policy sweep (with full-simulation verification) < 30 s;
+//! * the 1,013,850-interval MegaTrain chunked instance plans in < 30 s,
+//!   validates, and stays within the boxing guarantee (`gap_ok`).
+
+use memo_alloc::caching::CachingAllocator;
+use memo_alloc::paged::PagedKvAllocator;
+use memo_alloc::DeviceAllocator;
+use memo_bench::inputs::{kv_cell, memo_grid, sim_inputs, KvCell};
+use memo_core::cache::ProfileCache;
+use memo_core::delta::DeltaContext;
+use memo_core::pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource};
+use memo_core::session::Workload;
+use memo_hal::engine::RecordLevel;
+use memo_model::chunked::ChunkedParams;
+use memo_model::config::ModelConfig;
+use memo_model::decode::DecodeEvent;
+use memo_model::trace::TensorId;
+use memo_parallel::strategy::ParallelConfig;
+use memo_plan::dispatch::{self, DispatchOptions};
+use memo_plan::DsaInstanceBuilder;
+use memo_swap::SegmentCache;
+use std::hint::black_box;
+use std::process::ExitCode;
+use std::time::Instant;
+
+/// Print one gate line; returns whether it passed.
+fn gate(name: &str, pass: bool, detail: String) -> bool {
+    println!("{} {name}: {detail}", if pass { "PASS" } else { "FAIL" });
+    pass
+}
+
+/// Warm up, then time `reps` calls. Returns average wall-ms.
+fn mean_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+    for _ in 0..reps / 10 + 2 {
+        f();
+    }
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    t0.elapsed().as_secs_f64() * 1e3 / reps as f64
+}
+
+/// Best wall-ms of `reps` calls.
+fn min_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        f();
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    best
+}
+
+fn sim_gate() -> bool {
+    let w = Workload::new(ModelConfig::gpt_7b(), 8, 1 << 20);
+    let si = sim_inputs(&w, &ParallelConfig::megatron(4, 2, 1, 1));
+    // Calibrate the rep count off the reference leg so each leg times
+    // ~0.2 s of reference builds.
+    let t0 = Instant::now();
+    black_box(si.reference());
+    let est = t0.elapsed().as_secs_f64().max(1e-7);
+    let reps = ((0.2 / est) as usize).clamp(200, 200_000);
+    let reference_ms = mean_ms(reps, || {
+        black_box(si.reference());
+    });
+    let fast_ms = mean_ms(reps, || {
+        black_box(si.schedule(RecordLevel::CursorOnly));
+    });
+    let speedup = reference_ms / fast_ms.max(1e-12);
+    gate(
+        "sim fast path vs reference engine at MEMO@1M",
+        speedup >= 3.0,
+        format!("{speedup:.2}x ({reference_ms:.4} -> {fast_ms:.4} ms per build; gate >= 3x)"),
+    )
+}
+
+/// Replay the decode trace on the paged allocator; a sequence whose
+/// append fails is released (preempted).
+fn paged_replay(cell: &KvCell) {
+    let kv = cell.kv();
+    let mut a = PagedKvAllocator::new(cell.device, cell.page);
+    let mut dead = vec![false; cell.trace.params.arrivals];
+    for ev in &cell.trace.events {
+        match *ev {
+            DecodeEvent::Arrive { seq, prompt_tokens } => {
+                a.admit(seq).expect("fresh sequence id");
+                if a.append_bytes(seq, prompt_tokens * kv).is_err() {
+                    a.release(seq).expect("admitted sequence");
+                    dead[seq as usize] = true;
+                }
+            }
+            DecodeEvent::Append { seq } => {
+                if !dead[seq as usize] && a.append_bytes(seq, kv).is_err() {
+                    a.release(seq).expect("admitted sequence");
+                    dead[seq as usize] = true;
+                }
+            }
+            DecodeEvent::Depart { seq } => {
+                if !dead[seq as usize] {
+                    a.release(seq).expect("admitted sequence");
+                    dead[seq as usize] = true;
+                }
+            }
+            DecodeEvent::StepEnd => {}
+        }
+    }
+    black_box(a);
+}
+
+/// Replay the decode trace on the `CachingAllocator` realloc pattern:
+/// arrive mallocs the prompt KV; every append mallocs the grown tensor
+/// before freeing the old one; depart frees.
+fn caching_replay(cell: &KvCell) {
+    let kv = cell.kv();
+    let mut a = CachingAllocator::new(cell.device);
+    // Live tensor id and byte size per sequence; None = dead.
+    let mut live: Vec<Option<(u64, u64)>> = vec![None; cell.trace.params.arrivals];
+    let mut next_id: u64 = 0;
+    let mut fresh = || {
+        next_id += 1;
+        TensorId(next_id)
+    };
+    for ev in &cell.trace.events {
+        match *ev {
+            DecodeEvent::Arrive { seq, prompt_tokens } => {
+                let id = fresh();
+                let bytes = prompt_tokens * kv;
+                if a.malloc(id, bytes).is_ok() {
+                    live[seq as usize] = Some((id.0, bytes));
+                }
+            }
+            DecodeEvent::Append { seq } => {
+                let Some((old, bytes)) = live[seq as usize] else {
+                    continue;
+                };
+                let id = fresh();
+                let grown = a.malloc(id, bytes + kv).is_ok();
+                a.free(TensorId(old));
+                live[seq as usize] = grown.then_some((id.0, bytes + kv));
+            }
+            DecodeEvent::Depart { seq } => {
+                if let Some((id, _)) = live[seq as usize].take() {
+                    a.free(TensorId(id));
+                }
+            }
+            DecodeEvent::StepEnd => {}
+        }
+    }
+    black_box(a);
+}
+
+fn kv_gate() -> bool {
+    let cell = kv_cell(ModelConfig::gpt_13b(), 256 << 10);
+    let paged_ms = min_ms(3, || paged_replay(&cell));
+    let caching_ms = min_ms(3, || caching_replay(&cell));
+    let speedup = caching_ms / paged_ms.max(1e-12);
+    gate(
+        "paged KV replay vs caching realloc at 13B@256K",
+        speedup >= 3.0,
+        format!("{speedup:.2}x ({caching_ms:.2} -> {paged_ms:.2} ms per replay; gate >= 3x)"),
+    )
+}
+
+/// One sweep of the walk through `execute_cached`, one cell at a time.
+fn sweep_baseline(w: &Workload, walk: &[(ParallelConfig, f64)]) -> Vec<ExecutionReport> {
+    walk.iter()
+        .map(|(cfg, alpha)| {
+            ExecutionPipeline::memo_at_alpha(*alpha, 2).execute_cached(w, cfg, true)
+        })
+        .collect()
+}
+
+/// One sweep of the walk through a fresh pinned `DeltaContext`.
+fn sweep_delta(w: &Workload, walk: &[(ParallelConfig, f64)]) -> Vec<ExecutionReport> {
+    let mut ctx = DeltaContext::new();
+    walk.iter()
+        .map(|(cfg, alpha)| {
+            ExecutionPipeline::memo_at_alpha(*alpha, 2).execute_from(
+                w,
+                cfg,
+                ProfileSource::Pinned(&mut ctx),
+                None,
+            )
+        })
+        .collect()
+}
+
+fn delta_gates() -> [bool; 3] {
+    let w = Workload::new(ModelConfig::gpt_7b(), 8, 1 << 20);
+    let grid = memo_grid(&w);
+    let walk = &grid.walk;
+    let cells = walk.len();
+
+    // Cold: every leg starts from empty profile and segment caches.
+    let clear = || {
+        ProfileCache::global().clear();
+        SegmentCache::global().clear();
+    };
+    clear();
+    let cold_baseline_ms = min_ms(1, || {
+        black_box(sweep_baseline(&w, walk));
+    });
+    clear();
+    let cold_delta_ms = min_ms(1, || {
+        black_box(sweep_delta(&w, walk));
+    });
+    let cold = cold_baseline_ms / cold_delta_ms.max(1e-9);
+
+    // Warm: steady-state repeated sweeps, best of 25.
+    let warm_baseline_ms = min_ms(25, || {
+        black_box(sweep_baseline(&w, walk));
+    });
+    let warm_delta_ms = min_ms(25, || {
+        black_box(sweep_delta(&w, walk));
+    });
+    let warm = warm_baseline_ms / warm_delta_ms.max(1e-9);
+
+    // Mixed-policy sweep: every swap-layer count of every strategy,
+    // each cell re-run through full simulation.
+    let t0 = Instant::now();
+    let mut mixed_cells = 0usize;
+    for cfg in &grid.configs {
+        for (k, rep) in w.run_mixed_policy_grid(cfg, None, 2) {
+            let full = ExecutionPipeline::memo_mixed(k, None, 2).execute_cached(&w, cfg, true);
+            black_box((rep, full));
+            mixed_cells += 1;
+        }
+    }
+    let mixed_ms = t0.elapsed().as_secs_f64() * 1e3;
+
+    [
+        gate(
+            "delta warm sweep vs execute_cached, MEMO@1M grid",
+            warm >= 3.0,
+            format!(
+                "{warm:.2}x over {cells} cells ({warm_baseline_ms:.3} -> {warm_delta_ms:.3} ms; \
+                 gate >= 3x)"
+            ),
+        ),
+        gate(
+            "delta cold sweep vs execute_cached, MEMO@1M grid",
+            cold >= 1.0,
+            format!(
+                "{cold:.2}x over {cells} cells ({cold_baseline_ms:.3} -> {cold_delta_ms:.3} ms; \
+                 gate >= 1x)"
+            ),
+        ),
+        gate(
+            "delta mixed-policy sweep, MEMO@1M",
+            mixed_ms < 30_000.0,
+            format!("{mixed_ms:.1} ms for {mixed_cells} cells with verification (gate < 30000 ms)"),
+        ),
+    ]
+}
+
+fn megatrain_gate() -> bool {
+    let params = ChunkedParams::megatrain();
+    let mut builder = DsaInstanceBuilder::new();
+    memo_model::chunked::for_each_request(&params, |r| builder.push(r));
+    let inst = builder.finish().expect("chunked trace must be balanced");
+    let t0 = Instant::now();
+    let sol = dispatch::solve(&inst, &DispatchOptions::default());
+    let ms = t0.elapsed().as_secs_f64() * 1e3;
+    let valid = sol.assignment.validate(&inst).is_ok();
+    let peak = sol.assignment.peak;
+    let gap_ok = peak >= sol.lower_bound && sol.guarantee.is_none_or(|g| peak <= g);
+    gate(
+        "MegaTrain chunked plan",
+        inst.len() >= 1_000_000 && ms < 30_000.0 && valid && gap_ok,
+        format!(
+            "{} intervals in {ms:.1} ms, valid {valid}, gap_ok {gap_ok} \
+             (gap {:.3}; gate >= 1M intervals, < 30000 ms, valid, gap_ok)",
+            inst.len(),
+            peak as f64 / sol.lower_bound.max(1) as f64
+        ),
+    )
+}
+
+fn main() -> ExitCode {
+    let mut results = vec![sim_gate(), kv_gate()];
+    results.extend(delta_gates());
+    results.push(megatrain_gate());
+    let misses = results.iter().filter(|&&ok| !ok).count();
+    if misses == 0 {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("{misses} of {} speed gates missed", results.len());
+        ExitCode::FAILURE
+    }
+}

@@ -1,10 +1,13 @@
 //! # memo-bench — experiment regeneration harness
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §3 for the
-//! index), plus Criterion micro-benchmarks. This library holds the shared
-//! sweep driver, table formatting, and the paper's reported numbers
-//! (embedded for side-by-side "paper vs reproduced" output).
+//! index), plus `speed_gates`, the release-mode wall-clock gates of the
+//! fast paths. This library holds the shared sweep driver, table
+//! formatting, the paper's reported numbers (embedded for side-by-side
+//! "paper vs reproduced" output) and the cell inputs that the speed gates
+//! share with the differential tests.
 
+pub mod inputs;
 pub mod paper;
 pub mod sweep;
 

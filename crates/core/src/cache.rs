@@ -122,7 +122,8 @@ pub struct ProfileCache {
     enabled: AtomicBool,
 }
 
-/// Hit/miss counters since the last [`ProfileCache::reset_stats`].
+/// Hit/miss counters: cumulative for a [`ProfileCache`], or per request
+/// inside a scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     pub hits: u64,
@@ -379,7 +380,7 @@ impl ProfileCache {
         pick
     }
 
-    /// Hit/miss counters since the last reset.
+    /// Hit/miss counters since the cache was built.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -387,14 +388,8 @@ impl ProfileCache {
         }
     }
 
-    /// Zero the hit/miss counters (bench runs measure per-phase rates).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-
-    /// Globally enable/disable the cache (e.g. the forced-serial baseline
-    /// leg of `search_bench`). Disabling does not drop existing entries.
+    /// Globally enable/disable the cache. Disabling does not drop existing
+    /// entries.
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }

@@ -390,8 +390,8 @@ impl ExecutionPipeline {
 
     /// Run the full pipeline for one workload + strategy, with explicit
     /// control over the [`ProfileCache`]: `use_cache = false` recomputes
-    /// the profile unconditionally (the forced-serial baseline leg of
-    /// `search_bench`). Cached and uncached runs are bit-identical — the
+    /// the profile unconditionally (the serial oracle of
+    /// `tests/search_parallel.rs`). Cached and uncached runs are bit-identical — the
     /// cache key covers every profiler input, and stage-specific
     /// post-processing (`head_scale`) happens outside the shared report.
     pub fn execute_cached(

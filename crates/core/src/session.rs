@@ -11,8 +11,7 @@ use memo_parallel::search;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 
 /// Knobs of the strategy search. Both default on; the forced-serial,
-/// cache-disabled combination is the baseline leg of `search_bench` and the
-/// oracle of the parallel-parity tests.
+/// cache-disabled combination is the oracle of the parallel-parity tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchOptions {
     /// Fan the per-config evaluations out over the work-stealing
@@ -37,7 +36,7 @@ impl Default for SearchOptions {
 /// construction + hashing) exceed any reuse such a grid can generate, and
 /// a small grid's keys are rarely shared with other searches (DeepSpeed's
 /// Ulysses grid pairs `FullRecompute` with materialized logits — no other
-/// backend asks for that profile). See `BENCH_search.json`.
+/// backend asks for that profile).
 pub const SMALL_GRID_BYPASS: usize = 8;
 
 impl SearchOptions {

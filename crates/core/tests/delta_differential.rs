@@ -205,6 +205,67 @@ fn oohm_and_oom_cells_appear_and_match_at_one_million_tokens() {
     assert!(saw_ok, "1M grid endpoints must contain feasible cells");
 }
 
+/// The dense MEMO@1M grid `speed_gates` sweeps (7B, 8 GPUs): a full
+/// `execute_cached` sweep and a pinned-context sweep of the 340-cell
+/// serpentine walk (every strategy × 17 α) are bit-identical cell by
+/// cell, pick the same cell, and contain a feasible one; every cell of the
+/// 424-cell mixed-policy grid matches a full `memo_mixed` run.
+#[test]
+fn dense_grid_at_one_million_tokens_is_bit_identical() {
+    let w = Workload::new(ModelConfig::gpt_7b(), 8, 1 << 20);
+    let grid = memo_bench::inputs::memo_grid(&w);
+    assert_eq!(grid.walk.len(), 340);
+    let full: Vec<(usize, ExecutionReport)> = grid
+        .walk
+        .iter()
+        .map(|(cfg, alpha)| {
+            ExecutionPipeline::memo_at_alpha(*alpha, 2).execute_cached(&w, cfg, true)
+        })
+        .enumerate()
+        .collect();
+    let mut ctx = DeltaContext::new();
+    let delta: Vec<(usize, ExecutionReport)> = grid
+        .walk
+        .iter()
+        .map(|(cfg, alpha)| {
+            ExecutionPipeline::memo_at_alpha(*alpha, 2).execute_from(
+                &w,
+                cfg,
+                ProfileSource::Pinned(&mut ctx),
+                None,
+            )
+        })
+        .enumerate()
+        .collect();
+    for ((i, a), (_, b)) in full.iter().zip(&delta) {
+        let (cfg, alpha) = &grid.walk[*i];
+        let what = format!("cell {i} ({} alpha={alpha:.3})", cfg.describe());
+        assert_eq!(a.outcome, b.outcome, "{what}: outcome");
+        assert_eq!(a.bytes, b.bytes, "{what}: bytes");
+        assert_eq!(a.time, b.time, "{what}: time");
+    }
+    let pick = pick_best(&full).map(|(i, _)| i);
+    assert_eq!(
+        pick,
+        pick_best(&delta).map(|(i, _)| i),
+        "grid pick diverged"
+    );
+    assert!(pick.is_some(), "no feasible cell in the MEMO@1M grid");
+
+    let mut mixed_cells = 0;
+    for cfg in &grid.configs {
+        for (k, rep) in w.run_mixed_policy_grid(cfg, None, 2) {
+            let full = ExecutionPipeline::memo_mixed(k, None, 2).execute_cached(&w, cfg, true);
+            let what = format!("mixed {} k={k}", cfg.describe());
+            assert_eq!(rep.outcome, full.outcome, "{what}: outcome");
+            assert_eq!(rep.bytes, full.bytes, "{what}: bytes");
+            assert_eq!(rep.time, full.time, "{what}: time");
+            mixed_cells += 1;
+        }
+    }
+    assert_eq!(mixed_cells, 424);
+}
+
 /// A fully-infeasible grid (every cell OOM on a starved GPU) must not
 /// panic any dense-grid helper: `pick_best` returns `None` and
 /// `pick_best_or_failure` surfaces the least-bad failure by

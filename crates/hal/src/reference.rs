@@ -3,7 +3,7 @@
 //! pattern as `memo_alloc::reference`): heap-allocated `String` span labels,
 //! unconditional span/mark recording, `busy_time` summed over spans.
 //!
-//! `sim_bench` times this engine against the fast path, and the
+//! `speed_gates` times this engine against the fast path, and the
 //! differential suites in `crates/hal/tests` and `crates/swap/tests` drive
 //! both in lockstep asserting bit-identical makespans, cursors, and (at
 //! full recording) span/mark streams. Do not optimise this module.

@@ -12,7 +12,7 @@
 //! layer until its backward.
 //!
 //! The stream is exposed as a visitor ([`for_each_request`]) so callers
-//! — `dsa_bench`'s MegaTrain cell in particular — can feed a
+//! — `speed_gates`' MegaTrain gate in particular — can feed a
 //! `DsaInstanceBuilder` without materialising ~2M [`Request`]s.
 
 use crate::config::{DType, ModelConfig};

@@ -80,7 +80,7 @@ impl ModelConfig {
 
     /// 100B-class model (beyond the paper's Table 2): 90 layers, h=9600,
     /// 75 heads (head_dim 128) — the MegaTrain regime target for
-    /// whole-trace planning and the `dsa_bench` 100B cells.
+    /// whole-trace planning and the 100B cells of `tests/plan_execution.rs`.
     pub const fn gpt_100b() -> Self {
         ModelConfig {
             name: "100B",

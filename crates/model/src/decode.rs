@@ -193,7 +193,8 @@ impl DecodeTrace {
     /// pattern. A sequence's KV lives in one contiguous tensor; every
     /// append allocates a tensor one token larger and frees the old one
     /// (malloc-before-free, like `torch.cat` during the copy). This is
-    /// the request stream whose fragmentation story `kv_bench` pins.
+    /// the request stream whose fragmentation story `tests/serving_kv.rs`
+    /// pins.
     pub fn caching_requests(&self) -> Vec<Request> {
         let kv = self.params.kv_bytes_per_token();
         let mut out = Vec::with_capacity(self.events.len() * 2);

@@ -44,7 +44,7 @@ impl LatencySummary {
         })
     }
 
-    /// JSON object for bench reports (`BENCH_serve.json`) and `--report-json`.
+    /// JSON object for `memo-serve --report-json` and `ServeSummary::to_json`.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("count".into(), Json::int(self.count as u64)),

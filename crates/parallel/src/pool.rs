@@ -32,12 +32,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Cumulative process-wide pool telemetry (advisory; `Relaxed` counters).
-///
-/// All [`Pool`] instances share one set of counters: the pool itself is a
-/// throwaway value, but the observability layer wants "how parallel was
-/// this search" as a single process-level answer. Read with [`stats`],
-/// zero with [`reset_stats`] at the start of the region of interest.
+/// Pool telemetry for the batches one thread started inside a
+/// [`PoolStatsScope`] (advisory counts; the scope is the only reader).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// `run` invocations (batches of jobs).
@@ -59,11 +55,6 @@ impl PoolStats {
     }
 }
 
-static BATCHES: AtomicU64 = AtomicU64::new(0);
-static JOBS: AtomicU64 = AtomicU64::new(0);
-static HELPERS_SPAWNED: AtomicU64 = AtomicU64::new(0);
-static STEALS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     /// Active stats scope on this thread (`None` = unscoped).
     static POOL_SCOPE: Cell<Option<PoolStats>> = const { Cell::new(None) };
@@ -79,13 +70,12 @@ fn bump_scope(f: impl FnOnce(&mut PoolStats)) {
 }
 
 /// RAII scope attributing pool work *initiated from this thread* to one
-/// request. The process-global counters ([`stats`]) keep racing totals
-/// across every caller; a scope observes exactly the batches started
-/// between `enter` and `finish` on this thread — including the steals and
-/// helper threads those batches used, which are credited to the initiating
-/// thread when each batch completes. Concurrent requests on different
-/// threads therefore report disjoint, correct counts. Entering saves any
-/// enclosing scope; finishing folds the inner counts back into it.
+/// request. A scope observes exactly the batches started between `enter`
+/// and `finish` on this thread — including the steals and helper threads
+/// those batches used, which are credited to the initiating thread when
+/// each batch completes. Concurrent requests on different threads
+/// therefore report disjoint, correct counts. Entering saves any enclosing
+/// scope; finishing folds the inner counts back into it.
 #[derive(Debug)]
 pub struct PoolStatsScope {
     prev: Option<PoolStats>,
@@ -120,24 +110,6 @@ impl Drop for PoolStatsScope {
     fn drop(&mut self) {
         self.close();
     }
-}
-
-/// Snapshot the cumulative [`PoolStats`].
-pub fn stats() -> PoolStats {
-    PoolStats {
-        batches: BATCHES.load(Ordering::Relaxed),
-        jobs: JOBS.load(Ordering::Relaxed),
-        helpers_spawned: HELPERS_SPAWNED.load(Ordering::Relaxed),
-        steals: STEALS.load(Ordering::Relaxed),
-    }
-}
-
-/// Zero the cumulative counters (start of an observed region).
-pub fn reset_stats() {
-    BATCHES.store(0, Ordering::Relaxed);
-    JOBS.store(0, Ordering::Relaxed);
-    HELPERS_SPAWNED.store(0, Ordering::Relaxed);
-    STEALS.store(0, Ordering::Relaxed);
 }
 
 /// Number of workers the host supports (`available_parallelism`, min 1).
@@ -176,11 +148,8 @@ fn release_helpers(n: usize) {
     }
 }
 
-/// Record a batch in the globals and the calling thread's scope (if any).
+/// Record a batch in the calling thread's scope (if any).
 fn count_batch(jobs: usize, helpers: usize) {
-    BATCHES.fetch_add(1, Ordering::Relaxed);
-    JOBS.fetch_add(jobs as u64, Ordering::Relaxed);
-    HELPERS_SPAWNED.fetch_add(helpers as u64, Ordering::Relaxed);
     bump_scope(|s| {
         s.batches += 1;
         s.jobs += jobs as u64;
@@ -189,10 +158,9 @@ fn count_batch(jobs: usize, helpers: usize) {
 }
 
 /// Fold a finished batch's steal count (accumulated per run so helper
-/// threads don't write the caller's thread-local) into the globals and the
-/// calling thread's scope.
+/// threads don't write the caller's thread-local) into the calling
+/// thread's scope.
 fn count_steals(stolen: u64) {
-    STEALS.fetch_add(stolen, Ordering::Relaxed);
     bump_scope(|s| s.steals += stolen);
 }
 
@@ -445,7 +413,7 @@ fn steal(me: usize, queues: &[Mutex<VecDeque<usize>>], steals: &AtomicU64) -> Op
         if let Some(idx) = queues[w].lock().expect("queue mutex poisoned").pop_back() {
             // Per-run accumulator: helper threads must not touch the
             // caller's thread-local scope, so the run folds this into the
-            // globals (and the initiating scope) once, at batch end.
+            // initiating scope once, at batch end.
             steals.fetch_add(1, Ordering::Relaxed);
             return Some(idx);
         }
@@ -539,24 +507,23 @@ mod tests {
 
     #[test]
     fn stats_count_batches_and_jobs() {
-        // Counters are process-global and other tests run concurrently, so
-        // assert on deltas with ≥.
-        let before = stats();
+        // A scope sees only this thread's batches, so sibling tests running
+        // concurrently cannot move the counts.
+        let scope = PoolStatsScope::enter();
         let out = Pool::machine().run((0..32).map(|i| move || i).collect::<Vec<_>>());
         assert_eq!(out.len(), 32);
-        let after = stats();
-        assert!(after.batches > before.batches);
-        assert!(after.jobs >= before.jobs + 32);
-        assert!(after.helpers_spawned >= before.helpers_spawned);
-        assert!(after.steals >= before.steals);
+        let s = scope.finish();
+        assert_eq!(s.batches, 1);
+        assert_eq!(s.jobs, 32);
+        assert!(s.helpers_spawned < available_workers() as u64);
     }
 
     #[test]
     fn overlapping_scopes_report_disjoint_exact_counts() {
         use std::sync::{Arc, Barrier};
         // Two "requests" on separate threads, each running its own batches
-        // inside its own scope while the other is mid-flight. The global
-        // counters race; each scope must see exactly its own batches/jobs.
+        // inside its own scope while the other is mid-flight; each scope must
+        // see exactly its own batches/jobs.
         let barrier = Arc::new(Barrier::new(2));
         let spawn = |batches: usize, jobs_per: usize| {
             let barrier = Arc::clone(&barrier);
@@ -607,8 +574,7 @@ mod tests {
         assert_eq!(s.jobs, 64);
         // With worker 0 pinned on the slow job its whole block gets stolen
         // (scheduling-dependent, so no exact count — but the plumbing must
-        // deliver the run's steals to this scope, matching the globals'
-        // growth for this batch).
+        // deliver the run's steals to this scope).
         assert!(s.steals <= 64);
     }
 

@@ -40,7 +40,6 @@
 
 use crate::dsa::{Assignment, DsaInstance};
 use crate::heuristic;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Solver configuration.
 #[derive(Debug, Clone, Copy)]
@@ -70,39 +69,6 @@ pub struct Solution {
     pub nodes: u64,
     /// Liveness lower bound of the instance.
     pub lower_bound: u64,
-}
-
-/// Process-wide count of search nodes expanded by every [`solve`] call
-/// (planner instrumentation for `search_bench`).
-static TOTAL_NODES: AtomicU64 = AtomicU64::new(0);
-
-/// Total nodes expanded across all [`solve`] calls since process start (or
-/// the last [`reset_node_counter`]).
-pub fn nodes_expanded_total() -> u64 {
-    TOTAL_NODES.load(Ordering::Relaxed)
-}
-
-/// Zero the global node counter (bench runs measure per-phase counts).
-pub fn reset_node_counter() {
-    TOTAL_NODES.store(0, Ordering::Relaxed)
-}
-
-/// Process-wide count of [`solve`] invocations, counted at entry — unlike
-/// [`nodes_expanded_total`], this moves even when the heuristic closes the
-/// bound immediately and zero nodes are expanded. `search_bench` uses the
-/// pair to tell "BnB ran and was lucky" (solves > 0, nodes == 0) from
-/// "this cell never reached the planner" (solves == 0).
-static TOTAL_SOLVES: AtomicU64 = AtomicU64::new(0);
-
-/// Total [`solve`] calls since process start (or the last
-/// [`reset_solve_counter`]).
-pub fn solves_total() -> u64 {
-    TOTAL_SOLVES.load(Ordering::Relaxed)
-}
-
-/// Zero the global solve counter.
-pub fn reset_solve_counter() {
-    TOTAL_SOLVES.store(0, Ordering::Relaxed)
 }
 
 struct Searcher<'a> {
@@ -223,7 +189,6 @@ impl<'a> Searcher<'a> {
 /// Solve the instance. Exact within the node budget and size cap; otherwise
 /// returns the best-fit incumbent (still validated, just not certified).
 pub fn solve(inst: &DsaInstance, opts: BnbOptions) -> Solution {
-    TOTAL_SOLVES.fetch_add(1, Ordering::Relaxed);
     let lower_bound = inst.lower_bound();
     let incumbent = heuristic::solve(inst);
     debug_assert!(incumbent.validate(inst).is_ok());
@@ -300,7 +265,6 @@ pub fn solve(inst: &DsaInstance, opts: BnbOptions) -> Solution {
         lower_bound,
     };
     s.dfs(0, 0, 0, 0);
-    TOTAL_NODES.fetch_add(s.nodes, Ordering::Relaxed);
     let optimal = !s.exhausted || s.best.peak == lower_bound;
     debug_assert!(s.best.validate(inst).is_ok());
     Solution {
@@ -681,33 +645,14 @@ mod tests {
     }
 
     #[test]
-    fn global_node_counter_accumulates() {
-        let before = nodes_expanded_total();
-        let inst = DsaInstance {
-            tensors: vec![t(0, 4, 0, 3), t(1, 4, 4, 8), t(2, 6, 2, 6), t(3, 2, 1, 7)],
-        };
-        let sol = solve(&inst, BnbOptions::default());
-        assert_eq!(
-            nodes_expanded_total() - before,
-            sol.nodes,
-            "global counter must advance by exactly the solve's nodes"
-        );
-    }
-
-    #[test]
     fn instant_optimality_when_heuristic_hits_bound() {
         let inst = DsaInstance {
             tensors: vec![t(0, 8, 0, 2), t(1, 8, 2, 4)],
         };
-        let solves_before = solves_total();
         let sol = solve(&inst, BnbOptions::default());
         assert!(sol.optimal);
         assert_eq!(sol.nodes, 0, "bound should close without search");
         assert_eq!(sol.assignment.peak, 8);
-        // The solve counter moves even on the zero-node early return —
-        // that's the whole point of tracking it separately from nodes.
-        // (`>=`: sibling tests may solve concurrently in this process.)
-        assert!(solves_total() - solves_before >= 1);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! its peak is **provably ≤ `2·K·LOAD`** — the `guarantee` field — while
 //! in practice landing much closer to the lower bound. Everything is
 //! O(n log n) per class level, which is what lets a ≥1M-interval trace
-//! solve in seconds (see `dsa_bench`).
+//! solve in seconds (gated by `speed_gates`).
 
 use crate::bnb::BnbOptions;
 use crate::dsa::{Assignment, DsaInstance};

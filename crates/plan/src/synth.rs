@@ -6,8 +6,8 @@
 //! via aggressive NVMe offload) is different: token-wise chunking across
 //! hundreds of layers and hundreds of chunks per layer yields *millions*
 //! of transient intervals per iteration. This module generates that shape
-//! directly through the streaming [`DsaInstanceBuilder`], so `dsa_bench`
-//! can stress the boxing path at scales where exact search is infeasible.
+//! directly through the streaming [`DsaInstanceBuilder`], so tests can
+//! stress the boxing path at scales where exact search is infeasible.
 
 use crate::dsa::{DsaInstance, DsaInstanceBuilder};
 use memo_model::trace::{MemOp, Request, Sym, TensorId};

@@ -1,10 +1,11 @@
 //! Randomized and scale coverage for the whole-model DSA planner stack:
 //! the boxing solver's invariants, the size-based dispatch thresholds, the
-//! sweep validator against its quadratic oracle, and the interval index
-//! against the linear-scan `conflicts_of`.
+//! sweep validator against its quadratic oracle, the interval index
+//! against the linear-scan `conflicts_of`, and boxing against the exact
+//! branch-and-bound optimum on a seeded corpus.
 
 use memo_model::trace::TensorId;
-use memo_plan::bnb::BnbOptions;
+use memo_plan::bnb::{self, BnbOptions};
 use memo_plan::boxing::{self, BoxingOptions};
 use memo_plan::dispatch::{self, DispatchOptions, PlannerBackend};
 use memo_plan::synth::{megatrain_instance, MegaTrainParams};
@@ -157,4 +158,64 @@ fn megatrain_midscale_plans_within_certificate() {
     sol.assignment.validate(&inst).unwrap();
     assert!(sol.assignment.peak >= sol.lower_bound);
     assert!(sol.assignment.peak <= sol.guarantee.expect("boxing path"));
+}
+
+/// xorshift64* — deterministic corpus, no external RNG crates.
+struct Xorshift(u64);
+
+impl Xorshift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+/// A seeded corpus instance: `n` tensors with jittered power-of-two-ish
+/// sizes and random sub-intervals of a short event horizon.
+fn corpus_instance(seed: u64, n: usize) -> DsaInstance {
+    let mut rng = Xorshift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    let horizon = 2 * n;
+    let tensors = (0..n)
+        .map(|i| {
+            let size = 64u64 << (rng.next() % 4);
+            let birth = (rng.next() as usize) % (horizon - 1);
+            let death = birth + 1 + (rng.next() as usize) % (horizon - birth - 1).max(1);
+            DsaTensor {
+                id: TensorId(i as u64),
+                size,
+                birth,
+                death,
+            }
+        })
+        .collect();
+    DsaInstance { tensors }
+}
+
+// Small instances where exact search completes: wherever BnB proves
+// optimality, boxing (best-fit portfolio and compaction polish included)
+// lands on the same peak, and the dispatched plan sits in its bounds.
+#[test]
+fn boxing_matches_the_proven_optimum_on_the_seeded_corpus() {
+    let mut proven = 0;
+    for seed in 1..=12u64 {
+        let n = 20 + (seed as usize % 3) * 4; // 20, 24, 28
+        let inst = corpus_instance(seed, n);
+        let sol = dispatch::solve(&inst, &DispatchOptions::default());
+        sol.assignment.validate(&inst).unwrap();
+        assert!(sol.assignment.peak >= sol.lower_bound, "seed {seed}");
+        assert!(sol.guarantee.is_none_or(|g| sol.assignment.peak <= g));
+        let exact = bnb::solve(&inst, BnbOptions::default());
+        let boxed = boxing::solve(&inst);
+        boxed.assignment.validate(&inst).unwrap();
+        if exact.optimal {
+            proven += 1;
+            assert_eq!(
+                boxed.assignment.peak, exact.assignment.peak,
+                "seed {seed}: boxing missed the BnB optimum"
+            );
+        }
+    }
+    assert!(proven >= 8, "only {proven} corpus cells proven");
 }

@@ -9,7 +9,7 @@
 //! Everything here is a function of the request stream — the service
 //! estimate is a cost model, not a measurement — so the admitted set is
 //! identical between the pooled and serial legs of the server (the parity
-//! contract of `serve_bench`), and identical across machines. Measured
+//! contract of the server tests), and identical across machines. Measured
 //! latencies are recorded downstream for reporting, never fed back.
 
 use crate::request::{PlanRequest, RejectReason};

@@ -97,7 +97,8 @@ impl ElasticPools {
 
     /// Budget-accounting drift: absolute gap, summed over both tiers,
     /// between the reservation ledger and what the slices actually hold.
-    /// Zero at all times is the mixed-tenant `serve_bench` contract —
+    /// Zero at all times is the mixed-tenant contract (asserted by the
+    /// server's `mixed_tenants_share_the_fleet_without_drift` test) —
     /// rebalances, failed-reserve rollbacks, and tenant churn must never
     /// leak or double-count staged bytes.
     pub fn drift_bytes(&self) -> u64 {

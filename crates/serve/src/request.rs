@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// strategy grids; serving tenants plan decode-phase KV-cache policies
 /// (`SystemSpec::Serving`). Both share the fleet's
 /// [`ElasticPools`](crate::elastic::ElasticPools) budgets, which is what
-/// the mixed-tenant `serve_bench` cell exercises.
+/// the mixed-tenant server tests exercise.
 pub use memo_core::serving::TenantKind;
 
 /// The model sizes tenants can ask to plan for (Table 1 of the paper).

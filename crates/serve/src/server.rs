@@ -23,7 +23,7 @@
 //! Because phase 1 never reads a wall clock and phase 2's results are a
 //! pure function of each request, a pooled serve and a serial serve of
 //! the same stream produce [`replies_match`]-identical records — the
-//! parity contract `serve_bench` enforces. The serial leg bypasses the
+//! parity contract the server tests enforce. The serial leg bypasses the
 //! pick table and recomputes every pick, so the check verifies each
 //! memoized reply against a fresh one.
 
@@ -110,7 +110,7 @@ pub struct ServeSummary {
     pub peak_active_tenants: usize,
     /// Worst gap between the pools' reservation ledger and the slices'
     /// actual staged bytes, sampled at every admission step. Must be 0:
-    /// the mixed-tenant `serve_bench` cell asserts it.
+    /// the mixed-tenant server tests assert it.
     pub budget_drift_bytes: u64,
     /// Profile-cache traffic summed over the per-request scopes.
     pub profile_cache: CacheStats,
@@ -437,15 +437,16 @@ mod tests {
         generate(&spec)
     }
 
-    #[test]
-    fn pooled_and_serial_legs_agree_record_by_record() {
-        let stream = small_stream();
-        let pooled = PlanServer::new(ServeConfig::default()).serve(&stream);
+    /// Serve `stream` pooled and serial, and assert the legs agree record
+    /// by record: same admitted set, same shed reasons, same picked cell
+    /// with a bit-identical winning report.
+    fn serve_both_legs(stream: &[PlanRequest]) -> (ServeReport, ServeReport) {
+        let pooled = PlanServer::new(ServeConfig::default()).serve(stream);
         let serial = PlanServer::new(ServeConfig {
             serial: true,
             ..ServeConfig::default()
         })
-        .serve(&stream);
+        .serve(stream);
         assert_eq!(pooled.records.len(), stream.len());
         assert_eq!(pooled.summary.planned, serial.summary.planned);
         for (p, s) in pooled.records.iter().zip(&serial.records) {
@@ -463,8 +464,42 @@ mod tests {
                 _ => panic!("request {} admitted on one leg only", p.request.id),
             }
         }
+        (pooled, serial)
+    }
+
+    #[test]
+    fn pooled_and_serial_legs_agree_record_by_record() {
+        let (pooled, _) = serve_both_legs(&small_stream());
         assert!(pooled.summary.planned > 0);
         assert!(pooled.summary.latency.is_some());
+    }
+
+    #[test]
+    fn zipfian_fleet_sheds_rebalances_and_keeps_picks_hot() {
+        // 48 Zipf-popular tenants, 1,500 requests with SLOs tight enough
+        // to shed some.
+        let mut spec = StreamSpec::new(48, 1500, 42);
+        spec.mean_gap_secs = 0.5e-3;
+        spec.deadline_range_secs = (2e-3, 60e-3);
+        let (pooled, _) = serve_both_legs(&generate(&spec));
+        let s = &pooled.summary;
+        assert!(s.planned > 0, "the fleet must plan something");
+        assert!(
+            s.shed_queue + s.shed_deadline + s.shed_budget > 0,
+            "the mix is tuned to shed at least one request"
+        );
+        assert!(
+            s.picks.hit_rate() >= 0.5,
+            "pick-table hit rate {:.2} below 0.5",
+            s.picks.hit_rate()
+        );
+        assert!(
+            s.rebalances >= spec.tenants as u64,
+            "every tenant arrival must rebalance the fleet"
+        );
+        let lat = s.latency.expect("planned requests have latencies");
+        assert!(lat.p50_secs <= lat.p99_secs && lat.p99_secs <= lat.max_secs);
+        assert!(s.qps > 0.0);
     }
 
     #[test]
@@ -546,40 +581,48 @@ mod tests {
 
     #[test]
     fn mixed_tenants_share_the_fleet_without_drift() {
-        let mut spec = StreamSpec::new(6, 24, 13);
-        spec.serving_stride = 2; // odd tenants serve, even tenants train
-        spec.mean_gap_secs = 1e-3;
-        spec.deadline_range_secs = (0.5, 1.0);
-        let stream = generate(&spec);
-        assert!(stream.iter().any(|r| r.kind == TenantKind::Serving));
-        assert!(stream.iter().any(|r| r.kind == TenantKind::Training));
+        // Odd tenants serve, even tenants train, against the same elastic
+        // budgets: a small stream with generous SLOs and a 24-tenant,
+        // 300-request one with tight SLOs.
+        for (tenants, requests, seed, gap, deadlines) in [
+            (6, 24, 13, 1e-3, (0.5, 1.0)),
+            (24, 300, 77, 0.5e-3, (5e-3, 80e-3)),
+        ] {
+            let mut spec = StreamSpec::new(tenants, requests, seed);
+            spec.serving_stride = 2;
+            spec.mean_gap_secs = gap;
+            spec.deadline_range_secs = deadlines;
+            let stream = generate(&spec);
+            assert!(stream.iter().any(|r| r.kind == TenantKind::Serving));
+            assert!(stream.iter().any(|r| r.kind == TenantKind::Training));
 
-        let pooled = PlanServer::new(ServeConfig::default()).serve(&stream);
-        let serial = PlanServer::new(ServeConfig {
-            serial: true,
-            ..ServeConfig::default()
-        })
-        .serve(&stream);
-        assert_eq!(pooled.summary.budget_drift_bytes, 0);
-        assert_eq!(serial.summary.budget_drift_bytes, 0);
-        let mut served = 0;
-        for (p, s) in pooled.records.iter().zip(&serial.records) {
-            match (&p.outcome, &s.outcome) {
-                (RequestOutcome::Planned(a), RequestOutcome::Planned(b)) => {
-                    assert!(replies_match(a, b), "request {} diverged", p.request.id);
-                    if p.request.kind == TenantKind::Serving {
-                        served += 1;
-                        // A serving plan carries a policy cell, not a
-                        // parallel strategy.
-                        assert!(a.pick.picked.is_none());
-                        assert_eq!(a.pick.grid_cells, 4);
-                    }
+            let (pooled, serial) = serve_both_legs(&stream);
+            assert_eq!(pooled.summary.budget_drift_bytes, 0);
+            assert_eq!(serial.summary.budget_drift_bytes, 0);
+            let (mut served, mut trained) = (0, 0);
+            for r in &pooled.records {
+                let RequestOutcome::Planned(reply) = &r.outcome else {
+                    continue;
+                };
+                if r.request.kind == TenantKind::Serving {
+                    served += 1;
+                    // A serving plan carries a policy cell, not a parallel
+                    // strategy.
+                    assert!(reply.pick.picked.is_none());
+                    assert_eq!(reply.pick.grid_cells, 4);
+                } else {
+                    trained += 1;
                 }
-                (RequestOutcome::Rejected(a), RequestOutcome::Rejected(b)) => assert_eq!(a, b),
-                _ => panic!("request {} admitted on one leg only", p.request.id),
             }
+            assert!(
+                served > 0,
+                "{tenants} tenants: some serving requests planned"
+            );
+            assert!(
+                trained > 0,
+                "{tenants} tenants: some training requests planned"
+            );
         }
-        assert!(served > 0, "some serving requests must be planned");
     }
 
     #[test]

@@ -369,12 +369,6 @@ impl SegmentCache {
         }
     }
 
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.fallbacks.store(0, Ordering::Relaxed);
-    }
-
     /// Globally enable/disable memoization (lookups and inserts).
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
@@ -384,8 +378,7 @@ impl SegmentCache {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Drop every memoized segment (stats are kept; see
-    /// [`Self::reset_stats`]).
+    /// Drop every memoized segment (stats are kept).
     pub fn clear(&self) {
         for shard in &self.shards {
             lock_shard(shard).clear();

@@ -4,7 +4,7 @@
 //! heap-labelled span per op, every layer simulated through the event
 //! machinery.
 //!
-//! `sim_bench` times this builder against the fast path, and
+//! `speed_gates` times this builder against the fast path, and
 //! `crates/swap/tests/differential.rs` drives both in lockstep asserting
 //! bit-identical makespans, per-stream cursors, busy times, host peaks and
 //! OOHM errors. Do not optimise this module.

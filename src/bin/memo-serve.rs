@@ -33,6 +33,15 @@ OPTIONS:
     -h, --help         this text
 ";
 
+/// A positive GiB count as bytes; `None` when it is zero, malformed or
+/// too large for `u64` bytes (a plain `<< 30` would drop the high bits).
+fn gib_to_bytes(v: &str) -> Option<u64> {
+    v.parse::<u64>()
+        .ok()
+        .filter(|&n| n > 0)?
+        .checked_mul(1 << 30)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut tenants = 48usize;
@@ -42,8 +51,8 @@ fn main() -> ExitCode {
     let mut gpus = 8usize;
     let mut queue_depth = 64usize;
     let mut workers = 0usize;
-    let mut host_gib = 1024u64;
-    let mut arena_gib = 64u64;
+    let mut host_bytes = 1024u64 << 30;
+    let mut arena_bytes = 64u64 << 30;
     let mut mean_gap_us = 500u64;
     let mut serial = false;
     let mut report_path: Option<String> = None;
@@ -84,13 +93,13 @@ fn main() -> ExitCode {
                 Some(n) => workers = n,
                 None => return bad("--workers"),
             },
-            "--host-gib" => match take().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => host_gib = n,
-                _ => return bad("--host-gib"),
+            "--host-gib" => match take().and_then(|v| gib_to_bytes(&v)) {
+                Some(b) => host_bytes = b,
+                None => return bad("--host-gib"),
             },
-            "--arena-gib" => match take().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => arena_gib = n,
-                _ => return bad("--arena-gib"),
+            "--arena-gib" => match take().and_then(|v| gib_to_bytes(&v)) {
+                Some(b) => arena_bytes = b,
+                None => return bad("--arena-gib"),
             },
             "--mean-gap-us" => match take().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => mean_gap_us = n,
@@ -124,8 +133,8 @@ fn main() -> ExitCode {
             max_queue_depth: queue_depth,
             ..AdmissionPolicy::default()
         },
-        host_total_bytes: host_gib << 30,
-        arena_total_bytes: arena_gib << 30,
+        host_total_bytes: host_bytes,
+        arena_total_bytes: arena_bytes,
         serial,
     });
     let report = server.serve(&stream);

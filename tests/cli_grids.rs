@@ -1,6 +1,7 @@
 //! Smoke test for the dense-grid CLI flags: run the real `memo-sim` binary
 //! with `--alpha-points` / `--mixed-policy` (the delta-simulation sweeps)
-//! and check that both tables and their picks come out.
+//! and check that both tables and their picks come out; reject bad numeric
+//! flags of `memo-sim` and `memo-serve` with a named error.
 
 use std::process::Command;
 
@@ -92,5 +93,25 @@ fn bad_sequence_lengths_exit_with_a_named_error() {
             String::from_utf8_lossy(&out.stderr).contains("bad sequence length"),
             "--seq {seq}: error should name the bad sequence length"
         );
+    }
+}
+
+#[test]
+fn memo_serve_rejects_gib_budgets_that_overflow_bytes() {
+    // 2^34 GiB is exactly 2^64 bytes and 2^34 + 1 GiB wraps to 1 GiB under
+    // a plain shift: both must be rejected, not served with a truncated
+    // budget.
+    for flag in ["--host-gib", "--arena-gib"] {
+        for gib in ["17179869184", "17179869185"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_memo-serve"))
+                .args([flag, gib, "--requests", "1"])
+                .output()
+                .expect("memo-serve must launch");
+            assert_eq!(out.status.code(), Some(1), "{flag} {gib}");
+            assert!(
+                String::from_utf8_lossy(&out.stderr).contains(flag),
+                "{flag} {gib}: error should name the flag"
+            );
+        }
     }
 }

@@ -5,12 +5,16 @@
 //! observed run records at `RecordLevel::Full` and drives the event loop
 //! span by span. The two must agree bit-for-bit on every reported number —
 //! outcome metrics, byte and time breakdowns, and the OOM/OOHM
-//! diagnostics — across all six execution modes.
+//! diagnostics — across all six execution modes. Underneath, the swap
+//! schedule builder itself must match the verbatim pre-fast-path event
+//! loop on the reference engine at both recording levels.
 
 use memo::core::observer::RunObserver;
 use memo::core::session::Workload;
+use memo::hal::engine::RecordLevel;
 use memo::model::config::ModelConfig;
 use memo::parallel::strategy::{ParallelConfig, SystemSpec};
+use memo_bench::inputs::sim_inputs;
 
 fn w7(s_k: u64) -> Workload {
     Workload::new(ModelConfig::gpt_7b(), 8, s_k * 1024)
@@ -53,6 +57,25 @@ fn six_modes_bit_identical_across_sequence_lengths() {
         let w = w7(s_k);
         for (spec, cfg) in six_modes() {
             assert_cell_parity(&w, spec, &cfg);
+        }
+    }
+}
+
+#[test]
+fn schedule_builder_matches_the_reference_engine() {
+    // The profiled MEMO inputs `speed_gates` times: reference engine vs the
+    // interned engine recording `Full` spans and `CursorOnly` (spliced).
+    for s_k in [64, 256, 1024] {
+        let si = sim_inputs(&w7(s_k), &mega());
+        let r = si.reference();
+        for level in [RecordLevel::Full, RecordLevel::CursorOnly] {
+            let s = si.schedule(level);
+            let what = format!("{s_k}K {level:?}");
+            assert_eq!(s.makespan, r.makespan, "{what}: makespan");
+            assert_eq!(s.forward_end, r.forward_end, "{what}: forward end");
+            assert_eq!(s.compute_busy, r.compute_busy, "{what}: compute busy");
+            assert_eq!(s.compute_idle, r.compute_idle, "{what}: compute idle");
+            assert_eq!(s.host_peak, r.host_peak, "{what}: host peak");
         }
     }
 }

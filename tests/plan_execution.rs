@@ -1,6 +1,7 @@
 //! Cross-crate integration: memory plans produced by `memo-plan` must
 //! execute flawlessly on `memo-alloc`'s plan allocator for traces produced
-//! by `memo-model` under every policy and a range of shapes.
+//! by `memo-model` under every policy and a range of shapes, and whole
+//! profiled traces up to 100B-class models must plan within their bounds.
 
 use memo::alloc::plan::PlanAllocator;
 use memo::alloc::snapshot::replay;
@@ -116,5 +117,65 @@ fn file_pipeline_roundtrip_preserves_everything() {
         let mut alloc = PlanAllocator::from_addresses(plan2.address_triples(), plan2.peak);
         let series = replay(&mut alloc, &trace);
         assert!(series.oom.is_none());
+    }
+}
+
+#[test]
+fn whole_model_traces_plan_within_the_certified_gap() {
+    // Real per-GPU iteration traces from 7B to 100B-class models, including
+    // the 1M-token regime the NVMe-tiered chain targets, planned whole
+    // through the size-based dispatch policy (far above BnB's size cap).
+    use memo::core::profiler;
+    use memo::core::session::Workload;
+    use memo::parallel::strategy::ParallelConfig;
+    use memo::plan::dispatch::{self, DispatchOptions};
+    use memo::plan::DsaInstance;
+    let cells = [
+        (
+            ModelConfig::gpt_7b(),
+            8,
+            64 << 10,
+            ParallelConfig::megatron(4, 2, 1, 1),
+        ),
+        (
+            ModelConfig::gpt_13b(),
+            8,
+            256 << 10,
+            ParallelConfig::megatron(4, 2, 1, 1),
+        ),
+        (
+            ModelConfig::gpt_30b(),
+            16,
+            512 << 10,
+            ParallelConfig::megatron(8, 2, 1, 1),
+        ),
+        (
+            ModelConfig::gpt_65b(),
+            16,
+            1 << 20,
+            ParallelConfig::megatron(8, 2, 1, 1),
+        ),
+        (
+            ModelConfig::gpt_100b(),
+            8,
+            1 << 20,
+            ParallelConfig::megatron(1, 8, 1, 1),
+        ),
+    ];
+    for (model, n_gpus, seq, cfg) in cells {
+        let label = format!("{}@{}k", model.name, seq >> 10);
+        let w = Workload::new(model, n_gpus, seq);
+        let p = profiler::profile(&w, &cfg, RematPolicy::MemoTokenWise, false);
+        let inst = DsaInstance::from_trace(&p.trace);
+        let sol = dispatch::solve(&inst, &DispatchOptions::default());
+        sol.assignment
+            .validate(&inst)
+            .unwrap_or_else(|e| panic!("{label}: invalid assignment: {e}"));
+        let peak = sol.assignment.peak;
+        assert!(peak >= sol.lower_bound, "{label}: below the liveness bound");
+        assert!(
+            sol.guarantee.is_none_or(|g| peak <= g),
+            "{label}: peak outside the certified gap"
+        );
     }
 }

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 /// through the pool + cache or forced serial and uncached.
 #[test]
 fn parallel_cached_search_matches_serial_for_every_mode() {
-    for &(n_gpus, seq_k) in &[(8usize, 64u64), (8, 256)] {
+    for &(n_gpus, seq_k) in &[(8usize, 64u64), (8, 256), (8, 1024)] {
         let w = Workload::new(ModelConfig::gpt_7b(), n_gpus, seq_k * 1024);
         for &sys in &SystemSpec::ALL_MODES {
             let serial = w.run_best_or_failure_with(sys, SearchOptions::serial_uncached());
