@@ -1,5 +1,5 @@
 //! Expandable segments — the virtual-memory answer to fragmentation
-//! (PyTorch `expandable_segments:True`, GMLake [17] in the paper's intro).
+//! (PyTorch `expandable_segments:True`, GMLake \[17\] in the paper's intro).
 //!
 //! Instead of many fixed `cudaMalloc` segments, the allocator reserves one
 //! huge *virtual* range and maps physical pages (2 MiB granularity) on

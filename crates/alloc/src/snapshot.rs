@@ -1,6 +1,6 @@
 //! Memory snapshots: the allocated-vs-reserved time series of Figure 1(a).
 //!
-//! Feeding an [`IterationTrace`](memo_model::trace::IterationTrace) through an
+//! Feeding an [`IterationTrace`] through an
 //! allocator while recording both counters after every request reproduces the
 //! PyTorch `torch.cuda.memory._snapshot()` view the paper uses to visualise
 //! fragmentation.

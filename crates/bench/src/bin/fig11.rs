@@ -5,13 +5,14 @@
 
 use memo_core::profiler;
 use memo_core::session::Workload;
+use memo_hal::engine::RecordLevel;
 use memo_hal::time::SimTime;
 use memo_hal::timeline::render_ascii;
 use memo_model::config::ModelConfig;
 use memo_model::trace::RematPolicy;
 use memo_obs::chrome::TraceBuilder;
 use memo_parallel::strategy::ParallelConfig;
-use memo_swap::schedule::{build_iteration_schedule, LayerCosts};
+use memo_swap::schedule::{build_schedule, LayerCosts, LayerSegment};
 use memo_swap::tiers::TierStaging;
 
 fn main() {
@@ -43,7 +44,8 @@ fn main() {
             w.calib.effective_pcie(),
         );
         let mut host = TierStaging::unbounded(1);
-        let out = build_iteration_schedule(n, costs, SimTime::ZERO, &mut host, 0)
+        let layout = LayerSegment::uniform(n, 2, costs);
+        let out = build_schedule(&layout, SimTime::ZERO, &mut host, 2, RecordLevel::Full)
             .expect("host unconstrained here");
         println!("--- {label}");
         print!("{}", render_ascii(&out.timeline, 110));

@@ -12,7 +12,7 @@ use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 use memo_parallel::sweep::serpentine_pairs;
 use memo_swap::reference::ReferenceScheduleOutcome;
 use memo_swap::schedule::{
-    build_iteration_schedule_recorded, LayerCosts, ScheduleOutcome, TierTraffic, TierTrafficList,
+    build_schedule, LayerCosts, LayerSegment, ScheduleOutcome, TierTraffic, TierTrafficList,
 };
 use memo_swap::tiers::TierStaging;
 
@@ -76,16 +76,8 @@ impl SimInputs {
     /// splice steady-state layers).
     pub fn schedule(&self, level: RecordLevel) -> ScheduleOutcome {
         let mut host = TierStaging::single(self.host_capacity);
-        build_iteration_schedule_recorded(
-            self.n_layers,
-            self.costs,
-            self.t_head,
-            &mut host,
-            self.buffer_bytes,
-            self.slots,
-            level,
-        )
-        .expect("host fits")
+        let layout = LayerSegment::uniform(self.n_layers, self.slots, self.costs);
+        build_schedule(&layout, self.t_head, &mut host, self.slots, level).expect("host fits")
     }
 }
 

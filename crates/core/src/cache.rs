@@ -17,7 +17,7 @@
 //! pattern ([`memo_hal::calib::Calibration::fingerprint`]), so any change
 //! that could perturb a float in the report changes the key. Stages that
 //! post-process the report (the DeepSpeed `head_scale`) do so *outside* the
-//! cached value. Eviction (when a shard overflows [`ProfileCache::SHARD_CAP`])
+//! cached value. Eviction (when a shard overflows `ProfileCache::SHARD_CAP`)
 //! only affects the hit rate, never a result.
 
 use crate::profiler::{self, ProfileReport};

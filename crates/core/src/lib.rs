@@ -2,10 +2,10 @@
 //!
 //! Ties every substrate together into the paper's three-component pipeline:
 //!
-//! 1. [`profiler::JobProfiler`] runs a profiling pass: generates the memory
+//! 1. [`profiler::profile`] runs a profiling pass: generates the memory
 //!    request trace, measures (models) per-layer times, and solves the α
 //!    program;
-//! 2. [`planner::MemoryPlanner`] runs the bi-level MIP over the trace and
+//! 2. [`planner::plan`] runs the bi-level MIP over the trace and
 //!    emits a [`MemoryPlan`](memo_plan::MemoryPlan);
 //! 3. [`pipeline::ExecutionPipeline`] runs the training iteration on the
 //!    simulated cluster as explicit stages — profile, activation policy,

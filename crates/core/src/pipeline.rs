@@ -39,7 +39,7 @@ use memo_parallel::comm;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 use memo_plan::bilevel::BilevelReport;
 use memo_plan::dispatch::PlannerKind;
-use memo_swap::schedule::{LayerCosts, TierTraffic, TierTrafficList};
+use memo_swap::schedule::{LayerCosts, LayerSegment, SegmentPolicy, TierTraffic, TierTrafficList};
 use memo_swap::tiers::TierStaging;
 use std::sync::Arc;
 use std::time::Instant;
@@ -580,29 +580,19 @@ fn finish_cache_delta(obs: Option<&mut RunObserver>, scope: Option<CacheStatsSco
 /// Outcome of stage 2: the per-layer activation traffic.
 #[derive(Debug, Clone, Copy)]
 enum ActivationPlan {
-    /// Swap family: three-stream schedule with these per-layer costs.
+    /// Swap family: the three-stream schedule of the layout
+    /// `[Swap × swap_layers][Recompute × rest][Retained × slots]` — the
+    /// paper's uniform schedule when no layer is left to recompute.
     Swap {
         /// Reported α (token fraction swapped of the "others" bytes).
         alpha: f64,
-        /// Rounding-buffer slots.
-        slots: usize,
-        /// Per-layer staged traffic across the offload chain, nearest tier
-        /// first (tier 0 = host over PCIe).
-        traffic: TierTrafficList,
-        /// Token-wise recompute seconds before each swapped layer's backward.
-        t_recompute: f64,
-    },
-    /// Mixed per-layer policy: `swap_layers` token-wise swap layers, then
-    /// full-recompute layers, then `slots` retained layers — the segmented
-    /// three-stream schedule of [`memo_swap::segmented`].
-    MixedSwap {
-        /// Reported α of the swapping layers.
-        alpha: f64,
-        /// Token-wise swap layers (already clamped to `layers_local − slots`).
+        /// Token-wise swap layers (at most `layers_local − slots`); the
+        /// layers between them and the retained ones fully recompute.
         swap_layers: usize,
         /// Rounding-buffer slots (= retained layers).
         slots: usize,
-        /// Per-layer staged traffic of each *swapping* layer.
+        /// Per-layer staged traffic of each swapping layer across the
+        /// offload chain, nearest tier first (tier 0 = host over PCIe).
         traffic: TierTrafficList,
         /// Token-wise recompute seconds before each swapped layer's backward.
         t_recompute: f64,
@@ -614,32 +604,10 @@ enum ActivationPlan {
 impl ActivationPlan {
     fn reported_alpha(&self) -> Option<f64> {
         match self {
-            ActivationPlan::Swap { alpha, .. } | ActivationPlan::MixedSwap { alpha, .. } => {
-                Some(*alpha)
-            }
+            ActivationPlan::Swap { alpha, .. } => Some(*alpha),
             ActivationPlan::Recompute { .. } => None,
         }
     }
-}
-
-/// Shared host-feasibility gate of the single-tier swap policies: the
-/// solver's α is feasible by construction unless even α = 0 overflows the
-/// host; overrides and greedy picks may not be.
-fn host_feasibility(
-    w: &Workload,
-    p: &ProfileReport,
-    offload_bytes: u64,
-) -> Result<(), CellOutcome> {
-    let host_capacity = w.calib.host_capacity_per_gpu();
-    let staged_layers = p.layers_local.saturating_sub(2) as u64;
-    let staged = staged_layers * offload_bytes;
-    if p.alpha.host_infeasible_at_zero || staged > host_capacity {
-        return Err(CellOutcome::Oohm {
-            needed: staged.max(staged_layers * p.split.swapped_bytes(0.0)),
-            capacity: host_capacity,
-        });
-    }
-    Ok(())
 }
 
 /// One tier's traffic entry, with the link parameters taken from the
@@ -654,7 +622,34 @@ fn tier_traffic(w: &Workload, tier: usize, bytes: u64) -> TierTraffic {
 }
 
 /// Token-wise swap of `swapped_others` bytes of the recomputable skeletal
-/// tensors per layer; the rest is recomputed before the layer's backward.
+/// tensors per layer on the first `swap_layers` layers; the rest of each
+/// swapping layer is recomputed before its backward.
+fn token_wise_swap(
+    w: &Workload,
+    p: &ProfileReport,
+    swapped_others: u64,
+    report_alpha: f64,
+    slots: usize,
+    swap_layers: usize,
+) -> ActivationPlan {
+    let offload_bytes = p.split.s_input + p.split.s_attn + swapped_others;
+    let recompute_fraction = 1.0 - swapped_others as f64 / p.split.s_others.max(1) as f64;
+    let mut traffic = TierTrafficList::new();
+    traffic.push(tier_traffic(w, 0, offload_bytes));
+    ActivationPlan::Swap {
+        alpha: report_alpha,
+        swap_layers,
+        slots,
+        traffic,
+        t_recompute: recompute_fraction * p.layer_time.fwd_without_attention(),
+    }
+}
+
+/// [`token_wise_swap`] on every layer but the last `slots`, behind the
+/// host gate shared by the single-tier swap policies: the solver's α is
+/// feasible by construction unless even α = 0 overflows the host;
+/// overrides and greedy picks may not be. The gate counts the layers the
+/// schedule stages.
 fn token_wise_plan(
     w: &Workload,
     p: &ProfileReport,
@@ -662,17 +657,24 @@ fn token_wise_plan(
     report_alpha: f64,
     slots: usize,
 ) -> Result<ActivationPlan, CellOutcome> {
-    let offload_bytes = p.split.s_input + p.split.s_attn + swapped_others;
-    host_feasibility(w, p, offload_bytes)?;
-    let recompute_fraction = 1.0 - swapped_others as f64 / p.split.s_others.max(1) as f64;
-    let mut traffic = TierTrafficList::new();
-    traffic.push(tier_traffic(w, 0, offload_bytes));
-    Ok(ActivationPlan::Swap {
-        alpha: report_alpha,
+    let swap_layers = p.layers_local.saturating_sub(slots);
+    let host_capacity = w.calib.host_capacity_per_gpu();
+    let staged_layers = swap_layers as u64;
+    let staged = staged_layers * (p.split.s_input + p.split.s_attn + swapped_others);
+    if p.alpha.host_infeasible_at_zero || staged > host_capacity {
+        return Err(CellOutcome::Oohm {
+            needed: staged.max(staged_layers * p.split.swapped_bytes(0.0)),
+            capacity: host_capacity,
+        });
+    }
+    Ok(token_wise_swap(
+        w,
+        p,
+        swapped_others,
+        report_alpha,
         slots,
-        traffic,
-        t_recompute: recompute_fraction * p.layer_time.fwd_without_attention(),
-    })
+        swap_layers,
+    ))
 }
 
 fn decide_activation(
@@ -789,6 +791,7 @@ fn decide_activation(
             let alpha = sol.alpha_total().min(1.0);
             Ok(ActivationPlan::Swap {
                 alpha,
+                swap_layers: staged_layers as usize,
                 slots: 2,
                 traffic,
                 t_recompute: (1.0 - alpha) * p.layer_time.fwd_without_attention(),
@@ -801,29 +804,19 @@ fn decide_activation(
         } => {
             let alpha = alpha_override.unwrap_or(p.alpha.alpha);
             let swapped_others = (alpha * p.split.s_others as f64).round() as u64;
-            let offload_bytes = p.split.s_input + p.split.s_attn + swapped_others;
             let k = swap_layers.min(p.layers_local.saturating_sub(slots));
-            // Unlike the uniform gate, only the `k` swapping layers stage —
-            // `k = 0` is always host-feasible (pure recompute + retained),
-            // which is exactly the search space this policy opens.
+            // Unlike the uniform gate, α = 0 overflowing the host is no
+            // failure — `k = 0` is always host-feasible (pure recompute +
+            // retained), which is exactly the search space this policy opens.
             let host_capacity = w.calib.host_capacity_per_gpu();
-            let staged = k as u64 * offload_bytes;
+            let staged = k as u64 * (p.split.s_input + p.split.s_attn + swapped_others);
             if staged > host_capacity {
                 return Err(CellOutcome::Oohm {
                     needed: staged,
                     capacity: host_capacity,
                 });
             }
-            let recompute_fraction = 1.0 - swapped_others as f64 / p.split.s_others.max(1) as f64;
-            let mut traffic = TierTrafficList::new();
-            traffic.push(tier_traffic(w, 0, offload_bytes));
-            Ok(ActivationPlan::MixedSwap {
-                alpha,
-                swap_layers: k,
-                slots,
-                traffic,
-                t_recompute: recompute_fraction * p.layer_time.fwd_without_attention(),
-            })
+            Ok(token_wise_swap(w, p, swapped_others, alpha, slots, k))
         }
         ActivationPolicy::FullRecompute => Ok(ActivationPlan::Recompute { refwd: true }),
         ActivationPolicy::KeepAll => Ok(ActivationPlan::Recompute { refwd: false }),
@@ -853,12 +846,10 @@ fn account_memory(
             // pure function of the profile key — memoized beside the profile.
             let report = source.plan(w, cfg, stages, &p.trace);
             let skeletal = match *plan {
-                // The mixed policy rotates the same `slots` rounding buffers
-                // through its swap + retained layers, so its skeletal GPU
-                // footprint is the uniform formula (recompute layers pass
-                // through without touching the ring).
-                ActivationPlan::Swap { alpha, slots, .. }
-                | ActivationPlan::MixedSwap { alpha, slots, .. } => {
+                // Swap and retained layers rotate through the same `slots`
+                // rounding buffers; recompute layers pass through without
+                // touching the ring.
+                ActivationPlan::Swap { alpha, slots, .. } => {
                     memo_swap::buffers::skeletal_gpu_bytes_with_slots(
                         p.split.s_input,
                         p.split.s_attn,
@@ -1088,6 +1079,7 @@ fn build_schedule(
         };
     match *plan {
         ActivationPlan::Swap {
+            swap_layers,
             slots,
             traffic,
             t_recompute,
@@ -1099,17 +1091,28 @@ fn build_schedule(
                 t_recompute: SimTime::from_secs_f64(t_recompute),
                 traffic,
             };
+            // [Swap × k][Recompute × rec][Retained × last slots]: recompute
+            // layers re-forward in full (`lt.fwd()`); `rec = 0` is the
+            // paper's uniform schedule.
+            let n = p.layers_local;
+            let retained = slots.min(n);
+            let rec = n - swap_layers - retained;
+            let mut refwd_costs = costs;
+            refwd_costs.t_recompute = SimTime::from_secs_f64(lt.fwd());
+            let segments = [
+                LayerSegment::new(swap_layers, SegmentPolicy::Swap, costs),
+                LayerSegment::new(rec, SegmentPolicy::Recompute, refwd_costs),
+                LayerSegment::new(retained, SegmentPolicy::Retained, costs),
+            ];
             let mut staging = staging_for(w, &traffic);
-            // Only layers `i + slots < n` swap, and only those recompute.
-            let swapped_layers = p.layers_local.saturating_sub(slots) as f64;
-            let recompute = swapped_layers * t_recompute;
+            let recompute = swap_layers as f64 * t_recompute + rec as f64 * lt.fwd();
             let t_head = SimTime::from_secs_f64(head_secs);
             if obs.is_none() && segment_cache {
                 // Delta path: the memoized cursor-only recurrence. No
                 // timeline is materialised at all — makespan, busy, idle,
                 // and the staging peak come straight off the scalars.
                 let s = memo_swap::SegmentCache::global()
-                    .schedule_cursor_only(p.layers_local, costs, t_head, &mut staging, slots, true)
+                    .schedule_cursor_only(&segments, t_head, &mut staging, slots)
                     .map_err(oohm)?;
                 return Ok(finish_swap(
                     s.makespan(),
@@ -1129,82 +1132,12 @@ fn build_schedule(
             } else {
                 RecordLevel::CursorOnly
             };
-            let mut sched = memo_swap::schedule::build_iteration_schedule_recorded(
-                p.layers_local,
-                costs,
-                t_head,
-                &mut staging,
-                p.split.total(),
-                slots,
-                level,
-            )
-            .map_err(oohm)?;
+            let mut sched =
+                memo_swap::build_schedule(&segments, t_head, &mut staging, slots, level)
+                    .map_err(oohm)?;
             if let Some(o) = obs {
                 // The three-stream schedule already *is* a timeline; hand
                 // it over instead of letting the pipeline drop it.
-                o.timeline = Some(std::mem::take(&mut sched.timeline));
-            }
-            Ok(finish_swap(
-                sched.makespan,
-                sched.compute_busy,
-                sched.compute_idle,
-                sched.host_peak,
-                recompute,
-            ))
-        }
-        ActivationPlan::MixedSwap {
-            swap_layers,
-            slots,
-            traffic,
-            t_recompute,
-            ..
-        } => {
-            use memo_swap::segmented::{LayerSegment, SegmentPolicy};
-            let costs = LayerCosts {
-                t_fwd: SimTime::from_secs_f64(lt.fwd()),
-                t_bwd: SimTime::from_secs_f64(lt.bwd),
-                t_recompute: SimTime::from_secs_f64(t_recompute),
-                traffic,
-            };
-            // [Swap × k][Recompute × rec][Retained × last slots]: recompute
-            // layers re-forward in full (`lt.fwd()`); at `rec = 0` this is
-            // bit-identical to the uniform schedule (swap's differential
-            // suite pins it).
-            let n = p.layers_local;
-            let retained = slots.min(n);
-            let k = swap_layers.min(n - retained);
-            let rec = n - k - retained;
-            let mut refwd_costs = costs;
-            refwd_costs.t_recompute = SimTime::from_secs_f64(lt.fwd());
-            let segments = [
-                LayerSegment::new(k, SegmentPolicy::Swap, costs),
-                LayerSegment::new(rec, SegmentPolicy::Recompute, refwd_costs),
-                LayerSegment::new(retained, SegmentPolicy::Retained, costs),
-            ];
-            let mut staging = staging_for(w, &traffic);
-            let recompute = k as f64 * t_recompute + rec as f64 * lt.fwd();
-            let t_head = SimTime::from_secs_f64(head_secs);
-            if obs.is_none() {
-                let s = memo_swap::build_segmented_scalars(&segments, t_head, &mut staging, slots)
-                    .map_err(oohm)?;
-                return Ok(finish_swap(
-                    s.makespan(),
-                    s.compute_busy,
-                    s.compute_idle(),
-                    staging.host_peak(),
-                    recompute,
-                ));
-            }
-            let mut sched = memo_swap::build_segmented_schedule_recorded(
-                &segments,
-                t_head,
-                &mut staging,
-                p.split.total(),
-                slots,
-                RecordLevel::Full,
-            )
-            .map_err(oohm)?;
-            if let Some(o) = obs {
                 o.timeline = Some(std::mem::take(&mut sched.timeline));
             }
             Ok(finish_swap(
@@ -1255,6 +1188,32 @@ fn build_schedule(
                 },
                 0,
             ))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::w7;
+
+    #[test]
+    fn host_gate_counts_the_layers_the_schedule_stages() {
+        // 7B on 8 GPUs at 256K, full swap on 4 rounding buffers: the
+        // schedule stages 28 layers × 4 GiB, so a host that holds 29 of
+        // them must not be refused for the 30 that two buffers would stage.
+        let mut w = w7(8, 256);
+        let per_gpu = 124_554_051_584u64;
+        let host = &w.calib.hierarchy.tiers[0];
+        let node_bytes = per_gpu as f64 * w.calib.gpus_per_node as f64 / host.usable_fraction;
+        w.calib.set_host_memory_bytes(node_bytes.ceil() as u64);
+        let capacity = w.calib.host_capacity_per_gpu();
+        assert!(capacity > 28 * (4 << 30) && capacity < 30 * (4 << 30));
+        let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+        let report = ExecutionPipeline::memo_at_alpha(1.0, 4).execute_cached(&w, &cfg, true);
+        match report.outcome {
+            CellOutcome::Ok(m) => assert_eq!(m.host_peak_bytes, 120_259_084_288),
+            other => panic!("expected a feasible run, got {other:?}"),
         }
     }
 }

@@ -99,7 +99,7 @@ impl Workload {
         ExecutionPipeline::new(system).execute_cached(self, cfg, true)
     }
 
-    /// [`Self::run_report`] with a [`RunObserver`] collecting per-stage
+    /// [`Self::run_report`] with a [`RunObserver`](crate::observer::RunObserver) collecting per-stage
     /// wall timing, cache statistics, the stream timeline, and the
     /// allocator event log (see `memo-obs` for the exporters).
     pub fn run_report_observed(

@@ -177,7 +177,8 @@ mod tests {
         };
         let dist = run_distributed_iteration(&grid(4, 2, 1), &spec);
 
-        use memo_swap::schedule::{build_iteration_schedule, LayerCosts};
+        use memo_hal::engine::RecordLevel;
+        use memo_swap::schedule::{build_schedule, LayerCosts, LayerSegment};
         use memo_swap::tiers::TierStaging;
         let costs = LayerCosts::single_tier(
             spec.t_fwd,
@@ -187,8 +188,9 @@ mod tests {
             1_000_000.0 / spec.t_offload.as_secs_f64(),
         );
         let mut host = TierStaging::unbounded(1);
+        let layout = LayerSegment::uniform(spec.layers, 2, costs);
         let single =
-            build_iteration_schedule(spec.layers, costs, SimTime::ZERO, &mut host, 0).unwrap();
+            build_schedule(&layout, SimTime::ZERO, &mut host, 2, RecordLevel::Full).unwrap();
         // The distributed run omits the backward prefetch waits, which are
         // fully hidden at these costs, so the makespans must agree exactly.
         assert_eq!(dist.makespan, single.makespan);

@@ -1,4 +1,4 @@
-//! ASCII rendering of a [`Timeline`](crate::engine::Timeline), used to
+//! ASCII rendering of a [`Timeline`], used to
 //! regenerate Figure 11 (the compute/offload/prefetch schedule with and
 //! without token-wise recomputation).
 

@@ -35,7 +35,7 @@
 //!   whole-trace planning entry point;
 //! * [`synth`] — synthetic MegaTrain-class trace generator (100B+ models,
 //!   few GPUs, NVMe offload) for stressing the large-instance path;
-//! * [`memplan`] — the resulting [`MemoryPlan`](memplan::MemoryPlan)
+//! * [`memplan`] — the resulting [`MemoryPlan`]
 //!   consumed by `memo_alloc::plan::PlanAllocator`.
 
 pub mod bilevel;

@@ -3,7 +3,7 @@
 //! The plan is the artifact flowing from MEMO's memory planner to its runtime
 //! executor (Figure 10). It is serialisable (the paper's components exchange
 //! it as a file) and convertible into a
-//! [`PlanAllocator`](memo_alloc::plan::PlanAllocator)-compatible address set.
+//! `memo_alloc::plan::PlanAllocator`-compatible address set.
 
 use memo_model::trace::{IterationTrace, MemOp, TensorId};
 

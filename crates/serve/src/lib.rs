@@ -7,9 +7,9 @@
 //! driven through the shared work-stealing pool with the process-global
 //! profile and segment caches shared across requests.
 //!
-//! * [`request`] — the wire types: [`PlanRequest`](request::PlanRequest),
-//!   [`PlanReply`](request::PlanReply), and the typed
-//!   [`RejectReason`](request::RejectReason) whose `cell()` renders
+//! * [`request`] — the wire types: [`PlanRequest`],
+//!   [`PlanReply`], and the typed
+//!   [`RejectReason`] whose `cell()` renders
 //!   `X_queue` / `X_deadline` / `X_budget` like the paper tables' `X_oom`;
 //! * [`zipf`] — deterministic Zipfian multi-tenant stream generation;
 //! * [`admission`] — queue-depth and deadline shedding on a deterministic
@@ -19,7 +19,7 @@
 //!   per-tenant [`TierStaging`](memo_swap::TierStaging) slices, rebalanced
 //!   on tenant arrival/departure, with power-of-two quantization of the
 //!   planning budget for profile-cache key stability;
-//! * [`server`] — the two-phase [`PlanServer`](server::PlanServer):
+//! * [`server`] — the two-phase [`PlanServer`]:
 //!   serial deterministic admission, then pooled execution — one lookup
 //!   per request in `memo-core`'s pick table — with per-request RAII
 //!   stats scopes and wall-clock latency, summarized as p50/p99 latency,

@@ -62,7 +62,7 @@ pub struct PlanRequest {
 }
 
 /// Why admission control turned a request away. `cell()` renders the
-/// paper-table style label, like [`CellOutcome::cell`] does for planning
+/// paper-table style label, like [`memo_core::CellOutcome::cell`] does for planning
 /// failures — a shed request is an `X_*` cell of the fleet table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RejectReason {

@@ -22,7 +22,7 @@
 //!
 //! Because phase 1 never reads a wall clock and phase 2's results are a
 //! pure function of each request, a pooled serve and a serial serve of
-//! the same stream produce [`replies_match`]-identical records — the
+//! the same stream produce [`replies_match`](crate::request::replies_match)-identical records — the
 //! parity contract the server tests enforce. The serial leg bypasses the
 //! pick table and recomputes every pick, so the check verifies each
 //! memoized reply against a fresh one.

@@ -15,7 +15,7 @@
 //! backward.
 //!
 //! This type is a pure state machine over
-//! [`EventId`](memo_hal::engine::EventId)s; the executor owns the
+//! [`EventId`]s; the executor owns the
 //! [`Timeline`](memo_hal::engine::Timeline) and asks the manager which event
 //! must be awaited before each transition. Every illegal transition panics:
 //! a buffer-safety bug in the scheduler must never silently corrupt the

@@ -3,37 +3,46 @@
 //! Strategy search evaluates dense grids of candidates whose schedules
 //! differ in a single knob — and re-evaluates the *same* schedule inputs
 //! across sweep passes, serving queries, and lockstep verification legs.
-//! The [`SegmentCache`] memoizes the scalar result of the cursor-only fast
-//! path ([`build_fast_scalars`]) keyed by a bit-exact fingerprint of every
-//! input the recurrence reads: layer count, buffer slots, per-layer costs
-//! (fwd/bwd/recompute times and the whole [`TierTrafficList`]), the head
-//! block, and the *entry state* of every staging pool (capacity and used
-//! bytes). Because the recurrence is a pure function of exactly these
-//! inputs, a hit can skip the simulation entirely and replay only the
-//! staging side effects in bulk through the PR 5 splice primitives
-//! ([`TierStaging::reserve_layers`] / [`TierStaging::release_layers`]),
-//! whose contract is state- and error-identical to the sequential
-//! per-layer loop. Failed builds are memoized too: a hit on an
-//! out-of-tier-memory entry replays the sequential reservation up to the
-//! failing layer, leaving the exact partial state the real build leaves.
+//! The [`SegmentCache`] memoizes the scalar result of the cursor-only
+//! schedule ([`build_schedule_scalars`]) keyed by a bit-exact fingerprint
+//! of every input the recurrence reads: buffer slots, the head block,
+//! every run of the layout (count, policy, fwd/bwd/recompute times, and
+//! each Swap run's whole
+//! [`TierTrafficList`](crate::schedule::TierTrafficList)), and the *entry
+//! state* of every staging pool (capacity and used bytes). Because the
+//! recurrence is a pure function of exactly these inputs, a hit can skip
+//! the simulation entirely and replay only the staging side effects in
+//! bulk through the splice primitives ([`TierStaging::reserve_layers`] /
+//! [`TierStaging::release_layers`]), whose contract is state- and
+//! error-identical to the sequential per-layer loop. Failed builds are
+//! memoized too: a hit on an out-of-tier-memory entry replays the
+//! reservations up to the failing layer, leaving the exact partial state
+//! the real build leaves.
 //!
-//! Divergence rules (fall back to the full fast path, counted in
-//! [`SegmentCacheStats::fallbacks`]): cache disabled, caller opted out,
-//! staging narrower than the traffic chain, or a chain/pool shape beyond
-//! the fixed key capacity. See DESIGN.md §2g.
+//! Divergence rules (fall back to the uncached build, counted in
+//! [`SegmentCacheStats::fallbacks`]): staging narrower than a Swap run's
+//! traffic chain, or a layout the fixed-capacity key cannot hold (more
+//! than `MAX_KEY_RUNS` runs, or more words than fit). See DESIGN.md §2g.
 
-use crate::schedule::{build_fast_scalars, LayerCosts, ScalarSchedule, MAX_TIERS};
+use crate::schedule::{
+    build_schedule_scalars, LayerSegment, ScalarSchedule, SegmentPolicy, MAX_TIERS,
+};
 use crate::tiers::{OutOfTierMemory, TierStaging};
 use memo_hal::time::SimTime;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Fixed word capacity of a [`ScheduleKey`]: 7 scalar words, 3 per traffic
-/// tier, and 2 per staging pool.
-const MAX_KEY_WORDS: usize = 7 + 3 * MAX_TIERS + 1 + 2 * MAX_TIERS;
+/// Most runs a [`ScheduleKey`] holds: the pipeline's
+/// `[Swap][Recompute][Retained]` layout.
+const MAX_KEY_RUNS: usize = 3;
+
+/// Fixed word capacity of a [`ScheduleKey`]: 3 header words, 5 per run,
+/// one full-depth traffic chain (1 + 3 per tier) across the Swap runs, and
+/// 1 + 2 per staging pool.
+const MAX_KEY_WORDS: usize = 3 + 5 * MAX_KEY_RUNS + 1 + 3 * MAX_TIERS + 1 + 2 * MAX_TIERS;
 
 /// Bit-exact fingerprint of every input the schedule recurrence reads.
 /// Two equal keys imply bit-identical [`ScalarSchedule`]s *and* identical
@@ -45,17 +54,23 @@ pub struct ScheduleKey {
 }
 
 impl ScheduleKey {
-    /// Fingerprint a schedule build. `None` when the shape exceeds the
-    /// fixed key capacity (deeper staging chain than [`MAX_TIERS`]) — the
-    /// caller falls back to the uncached path.
+    /// Fingerprint a schedule build. `None` when the layout exceeds the
+    /// fixed key capacity — more than `MAX_KEY_RUNS` runs, or traffic
+    /// and staging chains too deep for the words left — and the caller
+    /// falls back to the uncached path.
     pub fn new(
-        n_layers: usize,
-        costs: &LayerCosts,
+        segments: &[LayerSegment],
         t_head: SimTime,
         staging: &TierStaging,
         slots: usize,
     ) -> Option<ScheduleKey> {
-        if staging.len() > MAX_TIERS {
+        if segments.len() > MAX_KEY_RUNS {
+            return None;
+        }
+        let traffic_words: usize = swap_runs(segments)
+            .map(|s| 1 + 3 * s.costs.traffic.len())
+            .sum();
+        if 3 + 5 * segments.len() + traffic_words + 1 + 2 * staging.len() > MAX_KEY_WORDS {
             return None;
         }
         let mut words = [0u64; MAX_KEY_WORDS];
@@ -64,17 +79,23 @@ impl ScheduleKey {
             words[n] = w;
             n += 1;
         };
-        push(n_layers as u64);
         push(slots as u64);
         push(t_head.0);
-        push(costs.t_fwd.0);
-        push(costs.t_bwd.0);
-        push(costs.t_recompute.0);
-        push(costs.traffic.len() as u64);
-        for t in &costs.traffic {
-            push(t.bytes);
-            push(t.bandwidth.to_bits());
-            push(t.latency_secs.to_bits());
+        push(segments.len() as u64);
+        for seg in segments {
+            push(seg.count as u64);
+            push(seg.policy as u64);
+            push(seg.costs.t_fwd.0);
+            push(seg.costs.t_bwd.0);
+            push(seg.costs.t_recompute.0);
+            if seg.policy == SegmentPolicy::Swap {
+                push(seg.costs.traffic.len() as u64);
+                for t in &seg.costs.traffic {
+                    push(t.bytes);
+                    push(t.bandwidth.to_bits());
+                    push(t.latency_secs.to_bits());
+                }
+            }
         }
         push(staging.len() as u64);
         for tier in 0..staging.len() {
@@ -91,6 +112,11 @@ impl ScheduleKey {
     fn as_words(&self) -> &[u64] {
         &self.words[..self.len as usize]
     }
+}
+
+/// The runs that stage traffic.
+fn swap_runs(segments: &[LayerSegment]) -> impl Iterator<Item = &LayerSegment> {
+    segments.iter().filter(|s| s.policy == SegmentPolicy::Swap)
 }
 
 impl PartialEq for ScheduleKey {
@@ -150,8 +176,8 @@ pub struct SegmentCacheStats {
     pub hits: u64,
     /// Builds simulated and memoized.
     pub misses: u64,
-    /// Builds that bypassed the cache (disabled, opted out, or a shape
-    /// beyond the key capacity).
+    /// Builds that bypassed the cache (a staging chain narrower than the
+    /// traffic, or a layout beyond the key capacity).
     pub fallbacks: u64,
 }
 
@@ -241,7 +267,6 @@ pub struct SegmentCache {
     hits: AtomicU64,
     misses: AtomicU64,
     fallbacks: AtomicU64,
-    enabled: AtomicBool,
 }
 
 impl SegmentCache {
@@ -258,7 +283,6 @@ impl SegmentCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
         }
     }
 
@@ -292,37 +316,33 @@ impl SegmentCache {
     /// Cursor-only schedule build through the cache.
     ///
     /// * **Hit (Ok)**: return the memoized scalars and replay the staging
-    ///   effects in bulk — `swapped` reserves then `swapped` releases, the
-    ///   exact sequence the fast path performs (all reserves precede all
-    ///   releases), via the batched splice primitives whose state and
+    ///   effects in bulk — every Swap run's reserves, then its releases,
+    ///   the order the recurrence performs them in (all reserves precede
+    ///   all releases), via the batched splice primitives whose state and
     ///   errors match the sequential loop bit-for-bit.
-    /// * **Hit (Err)**: replay the sequential reservation until it fails,
+    /// * **Hit (Err)**: replay the reservations until they fail,
     ///   reproducing the error and the partial staging state of the real
     ///   build.
-    /// * **Miss**: run [`build_fast_scalars`] and memoize its result
+    /// * **Miss**: run [`build_schedule_scalars`] and memoize its result
     ///   (failures included).
-    /// * **Divergence** (disabled / `use_cache == false` / staging narrower
-    ///   than the traffic chain / shape beyond the key capacity): run the
-    ///   fast path uncached.
+    /// * **Divergence** (staging narrower than a Swap run's traffic chain,
+    ///   or a layout beyond the key capacity): run it uncached.
     pub fn schedule_cursor_only(
         &self,
-        n_layers: usize,
-        costs: LayerCosts,
+        segments: &[LayerSegment],
         t_head: SimTime,
         staging: &mut TierStaging,
         slots: usize,
-        use_cache: bool,
     ) -> Result<ScalarSchedule, OutOfTierMemory> {
-        if !use_cache
-            || !self.enabled.load(Ordering::Relaxed)
-            || staging.len() < costs.traffic.len()
-        {
+        let narrow = swap_runs(segments).any(|s| staging.len() < s.costs.traffic.len());
+        let key = if narrow {
+            None
+        } else {
+            ScheduleKey::new(segments, t_head, staging, slots)
+        };
+        let Some(key) = key else {
             self.count_fallback();
-            return build_fast_scalars(n_layers, costs, t_head, staging, slots);
-        }
-        let Some(key) = ScheduleKey::new(n_layers, &costs, t_head, staging, slots) else {
-            self.count_fallback();
-            return build_fast_scalars(n_layers, costs, t_head, staging, slots);
+            return build_schedule_scalars(segments, t_head, staging, slots);
         };
         let cached = {
             let shard = lock_shard(self.shard(&key));
@@ -330,29 +350,24 @@ impl SegmentCache {
         };
         if let Some(entry) = cached {
             self.count_hit();
-            let swapped = n_layers.saturating_sub(slots) as u64;
+            // Deterministic: the key captures every pool's capacity and
+            // used bytes, so a state that admitted the reserves once admits
+            // them again — and one that failed fails identically.
+            for seg in swap_runs(segments) {
+                staging.reserve_layers(&seg.costs.traffic, seg.count as u64)?;
+            }
             return match entry {
                 Ok(s) => {
-                    if swapped > 0 {
-                        // Deterministic: the key captures every pool's
-                        // capacity and used bytes, so a state that admitted
-                        // the reserves once admits them again.
-                        staging.reserve_layers(&costs.traffic, swapped)?;
-                        staging.release_layers(&costs.traffic, swapped);
+                    for seg in swap_runs(segments) {
+                        staging.release_layers(&seg.costs.traffic, seg.count as u64);
                     }
                     Ok(s)
                 }
-                Err(e) => {
-                    for _ in 0..swapped {
-                        staging.reserve_layer(&costs.traffic)?;
-                    }
-                    // Same determinism argument, in the failing direction.
-                    unreachable!("memoized failure {e} did not reproduce")
-                }
+                Err(e) => unreachable!("memoized failure {e} did not reproduce"),
             };
         }
         self.count_miss();
-        let result = build_fast_scalars(n_layers, costs, t_head, staging, slots);
+        let result = build_schedule_scalars(segments, t_head, staging, slots);
         let mut shard = lock_shard(self.shard(&key));
         if shard.len() >= Self::SHARD_CAP {
             shard.clear();
@@ -367,15 +382,6 @@ impl SegmentCache {
             misses: self.misses.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
         }
-    }
-
-    /// Globally enable/disable memoization (lookups and inserts).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Drop every memoized segment (stats are kept).
@@ -395,7 +401,18 @@ impl Default for SegmentCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{TierTraffic, TierTrafficList};
+    use crate::schedule::{LayerCosts, TierTraffic, TierTrafficList};
+
+    /// The paper's layout on two slots, through `cache`.
+    fn cached(
+        cache: &SegmentCache,
+        n: usize,
+        c: LayerCosts,
+        t_head: SimTime,
+        staging: &mut TierStaging,
+    ) -> Result<ScalarSchedule, OutOfTierMemory> {
+        cache.schedule_cursor_only(&LayerSegment::uniform(n, 2, c), t_head, staging, 2)
+    }
 
     fn costs(offload_bytes: u64) -> LayerCosts {
         LayerCosts::single_tier(
@@ -412,13 +429,9 @@ mod tests {
         let cache = SegmentCache::new();
         let c = costs(1_000_000);
         let mut s1 = TierStaging::single(100_000_000);
-        let miss = cache
-            .schedule_cursor_only(12, c, SimTime::from_millis(5), &mut s1, 2, true)
-            .unwrap();
+        let miss = cached(&cache, 12, c, SimTime::from_millis(5), &mut s1).unwrap();
         let mut s2 = TierStaging::single(100_000_000);
-        let hit = cache
-            .schedule_cursor_only(12, c, SimTime::from_millis(5), &mut s2, 2, true)
-            .unwrap();
+        let hit = cached(&cache, 12, c, SimTime::from_millis(5), &mut s2).unwrap();
         assert_eq!(miss, hit);
         assert_eq!(s1, s2, "staging replay must reproduce used bytes and peaks");
         assert_eq!(cache.stats().hits, 1);
@@ -430,13 +443,9 @@ mod tests {
         let cache = SegmentCache::new();
         let c = costs(1_000_000);
         let mut s1 = TierStaging::single(3 * 1_000_000);
-        let e1 = cache
-            .schedule_cursor_only(12, c, SimTime::ZERO, &mut s1, 2, true)
-            .unwrap_err();
+        let e1 = cached(&cache, 12, c, SimTime::ZERO, &mut s1).unwrap_err();
         let mut s2 = TierStaging::single(3 * 1_000_000);
-        let e2 = cache
-            .schedule_cursor_only(12, c, SimTime::ZERO, &mut s2, 2, true)
-            .unwrap_err();
+        let e2 = cached(&cache, 12, c, SimTime::ZERO, &mut s2).unwrap_err();
         assert_eq!(e1, e2);
         assert_eq!(s1, s2, "partial commit state must match the real build");
         assert_eq!(cache.stats().hits, 1);
@@ -449,12 +458,10 @@ mod tests {
         let cache = SegmentCache::new();
         let c = costs(1_000_000);
         let mut fresh = TierStaging::single(10 * 1_000_000);
-        cache
-            .schedule_cursor_only(12, c, SimTime::ZERO, &mut fresh, 2, true)
-            .unwrap();
+        cached(&cache, 12, c, SimTime::ZERO, &mut fresh).unwrap();
         let mut dirty = TierStaging::single(10 * 1_000_000);
         dirty.reserve_layer(&c.traffic).unwrap();
-        let r = cache.schedule_cursor_only(12, c, SimTime::ZERO, &mut dirty, 2, true);
+        let r = cached(&cache, 12, c, SimTime::ZERO, &mut dirty);
         assert_eq!(cache.stats().hits, 0, "dirty pool must miss");
         // 10 layers swap but only 9 more layers fit on top of the 1 staged.
         assert!(r.is_err());
@@ -472,36 +479,23 @@ mod tests {
                         let mut a = TierStaging::single(8 * 2_000_000);
                         let mut b = TierStaging::single(8 * 2_000_000);
                         let via = cache.schedule_cursor_only(
-                            n,
-                            c,
+                            &LayerSegment::uniform(n, slots, c),
                             SimTime::from_millis(1),
                             &mut a,
                             slots,
-                            true,
                         );
-                        let raw = build_fast_scalars(n, c, SimTime::from_millis(1), &mut b, slots);
+                        let raw = build_schedule_scalars(
+                            &LayerSegment::uniform(n, slots, c),
+                            SimTime::from_millis(1),
+                            &mut b,
+                            slots,
+                        );
                         assert_eq!(via, raw);
                         assert_eq!(a, b);
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn opt_out_and_disable_bypass_the_cache() {
-        let cache = SegmentCache::new();
-        let c = costs(1_000_000);
-        let mut s = TierStaging::unbounded(1);
-        cache
-            .schedule_cursor_only(8, c, SimTime::ZERO, &mut s, 2, false)
-            .unwrap();
-        cache.set_enabled(false);
-        cache
-            .schedule_cursor_only(8, c, SimTime::ZERO, &mut s, 2, true)
-            .unwrap();
-        let st = cache.stats();
-        assert_eq!((st.hits, st.misses, st.fallbacks), (0, 0, 2));
     }
 
     #[test]
@@ -513,9 +507,7 @@ mod tests {
         let cache = SegmentCache::new();
         let c = costs(1_000_000);
         let mut s1 = TierStaging::single(100_000_000);
-        let before = cache
-            .schedule_cursor_only(12, c, SimTime::from_millis(5), &mut s1, 2, true)
-            .unwrap();
+        let before = cached(&cache, 12, c, SimTime::from_millis(5), &mut s1).unwrap();
         // Poison every shard so the test does not depend on which shard
         // the key hashes to.
         for shard in &cache.shards {
@@ -529,15 +521,11 @@ mod tests {
         // Next request: served (recomputed — the poisoned shard was
         // cleared), bit-identical, and memoized again.
         let mut s2 = TierStaging::single(100_000_000);
-        let after = cache
-            .schedule_cursor_only(12, c, SimTime::from_millis(5), &mut s2, 2, true)
-            .unwrap();
+        let after = cached(&cache, 12, c, SimTime::from_millis(5), &mut s2).unwrap();
         assert_eq!(before, after);
         assert_eq!(s1, s2);
         let mut s3 = TierStaging::single(100_000_000);
-        let hit = cache
-            .schedule_cursor_only(12, c, SimTime::from_millis(5), &mut s3, 2, true)
-            .unwrap();
+        let hit = cached(&cache, 12, c, SimTime::from_millis(5), &mut s3).unwrap();
         assert_eq!(before, hit);
         // miss (cold), miss (post-poison recompute), then a clean hit.
         let st = cache.stats();
@@ -565,15 +553,19 @@ mod tests {
                 let c = costs(offload);
                 for _ in 0..reps {
                     let mut s = TierStaging::single(100_000_000);
-                    cache
-                        .schedule_cursor_only(12, c, SimTime::ZERO, &mut s, 2, true)
-                        .unwrap();
+                    cached(&cache, 12, c, SimTime::ZERO, &mut s).unwrap();
                 }
-                // One fallback, attributed to this scope only.
+                // One fallback, attributed to this scope only: a two-tier
+                // chain over a one-pool staging (a two-layer model stages
+                // nothing, so the uncached build succeeds).
+                let mut deep = c;
+                deep.traffic.push(TierTraffic {
+                    bytes: 1,
+                    bandwidth: 1e9,
+                    latency_secs: 0.0,
+                });
                 let mut s = TierStaging::single(100_000_000);
-                cache
-                    .schedule_cursor_only(12, c, SimTime::ZERO, &mut s, 2, false)
-                    .unwrap();
+                cached(&cache, 2, deep, SimTime::ZERO, &mut s).unwrap();
                 scope.finish()
             })
         };
@@ -594,14 +586,10 @@ mod tests {
         let c = costs(1_000_000);
         let outer = SegmentStatsScope::enter();
         let mut s = TierStaging::single(100_000_000);
-        cache
-            .schedule_cursor_only(12, c, SimTime::ZERO, &mut s, 2, true)
-            .unwrap();
+        cached(&cache, 12, c, SimTime::ZERO, &mut s).unwrap();
         let inner = SegmentStatsScope::enter();
         let mut s2 = TierStaging::single(100_000_000);
-        cache
-            .schedule_cursor_only(12, c, SimTime::ZERO, &mut s2, 2, true)
-            .unwrap();
+        cached(&cache, 12, c, SimTime::ZERO, &mut s2).unwrap();
         let si = inner.finish();
         assert_eq!((si.hits, si.misses), (1, 0));
         let so = outer.finish();
@@ -629,19 +617,13 @@ mod tests {
             traffic,
         );
         let mut a = TierStaging::new(&[u64::MAX / 2, 10 * 400_000]);
-        let first = cache
-            .schedule_cursor_only(10, c, SimTime::ZERO, &mut a, 2, true)
-            .unwrap();
+        let first = cached(&cache, 10, c, SimTime::ZERO, &mut a).unwrap();
         // Same shape, deeper tier smaller: must miss and fail on tier 1.
         let mut b = TierStaging::new(&[u64::MAX / 2, 3 * 400_000]);
-        let err = cache
-            .schedule_cursor_only(10, c, SimTime::ZERO, &mut b, 2, true)
-            .unwrap_err();
+        let err = cached(&cache, 10, c, SimTime::ZERO, &mut b).unwrap_err();
         assert_eq!(err.tier, 1);
         let mut a2 = TierStaging::new(&[u64::MAX / 2, 10 * 400_000]);
-        let hit = cache
-            .schedule_cursor_only(10, c, SimTime::ZERO, &mut a2, 2, true)
-            .unwrap();
+        let hit = cached(&cache, 10, c, SimTime::ZERO, &mut a2).unwrap();
         assert_eq!(first, hit);
         assert_eq!(cache.stats().hits, 1);
     }

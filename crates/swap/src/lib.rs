@@ -13,12 +13,17 @@
 //!   ([`buffers`]). When `α = 0` a single buffer suffices (§4.1 special
 //!   case).
 //! * The offload / prefetch / recompute operations are laid out on three
-//!   streams ([`schedule`]) exactly as in Figure 11.
+//!   streams ([`schedule`]) exactly as in Figure 11. One builder serves
+//!   every per-layer layout — runs of swapped, fully recomputed and
+//!   retained layers, the paper's schedule being the two-run
+//!   [`LayerSegment::uniform`] — recorded in full or cursor-only with each
+//!   swap run's steady state spliced in closed form; [`reference`](mod@reference) keeps
+//!   the original event-loop builder as the differential oracle, and
+//!   [`delta`] memoizes the cursor-only builds.
 //! * Host staging capacity (and OOHM) is tracked by [`host`]; the N-tier
 //!   offload chain keeps one such pool per tier in [`tiers`], and the
 //!   α program generalises to a per-tier greedy waterfall
 //!   ([`alpha::solve_alpha_tiered`]).
-
 //! * The same α program drives token-wise **KV** swapping for the serving
 //!   workload family ([`kv`]): the decode step is the overlap window, the
 //!   KV cache the α-managed pool, and cold sequences page down the tier
@@ -31,7 +36,6 @@ pub mod host;
 pub mod kv;
 pub mod reference;
 pub mod schedule;
-pub mod segmented;
 pub mod tiers;
 
 pub use alpha::{
@@ -43,10 +47,7 @@ pub use delta::{ScheduleKey, SegmentCache, SegmentCacheStats, SegmentStatsScope}
 pub use host::HostStaging;
 pub use kv::{plan_kv_swap, plan_kv_tiered, KvPager, KvSwapInputs, KvSwapPlan, KvTieredPlan};
 pub use schedule::{
-    build_iteration_schedule, build_iteration_schedule_recorded, LayerCosts, ScalarSchedule,
-    ScheduleOutcome, TierTraffic, TierTrafficList, MAX_TIERS,
-};
-pub use segmented::{
-    build_segmented_scalars, build_segmented_schedule_recorded, LayerSegment, SegmentPolicy,
+    build_schedule, build_schedule_scalars, LayerCosts, LayerSegment, ScalarSchedule,
+    ScheduleOutcome, SegmentPolicy, TierTraffic, TierTrafficList, MAX_TIERS,
 };
 pub use tiers::{OutOfTierMemory, TierStaging};

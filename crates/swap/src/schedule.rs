@@ -9,6 +9,15 @@
 //! recompute of the non-swapped slice runs on the compute stream immediately
 //! before each backward.
 //!
+//! A schedule is built from a *layout*: runs of layers ([`LayerSegment`]),
+//! each in one of three roles ([`SegmentPolicy`]) — token-wise swap, full
+//! recompute, or retained in a rounding buffer. The paper's schedule is
+//! the two-run layout [`LayerSegment::uniform`]; the delta-search extension
+//! puts full-recompute layers between the swapping prefix and the retained
+//! tail, trading host-staging pressure for re-forward compute. One
+//! recurrence serves every layout ([`build_schedule`]), recorded in full or
+//! cursor-only with each Swap run's steady region spliced in closed form.
+//!
 //! A layer's staged slice may span several tiers of the offload chain
 //! ([`TierTrafficList`]): the per-layer transfer time is the sum of the
 //! per-tier transfer times (the chain is traversed serially), and each
@@ -19,9 +28,8 @@
 //! out-of-tier failure if the staged activations overflow any pool — the
 //! simulation's `X_oohm` when the host tier binds.
 
-use crate::buffers::RoundingBuffers;
 use crate::tiers::{OutOfTierMemory, TierStaging};
-use memo_hal::engine::{CursorSegment, RecordLevel, StreamId, Timeline};
+use memo_hal::engine::{CursorSegment, EventId, RecordLevel, Timeline};
 use memo_hal::time::SimTime;
 
 /// Maximum offload tiers a layer's traffic can span (chain depth below GPU
@@ -263,173 +271,287 @@ impl ScalarSchedule {
     }
 }
 
-/// Streams created by the builder, in order.
-#[derive(Debug, Clone, Copy)]
-struct Streams {
-    compute: StreamId,
-    offload: StreamId,
-    prefetch: StreamId,
+/// How one layer's activations survive to its backward pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegmentPolicy {
+    /// Token-wise swap: offload the staged slice in the forward pass,
+    /// prefetch it and recompute the non-swapped slice in the backward
+    /// pass. Occupies a rounding-buffer slot.
+    Swap,
+    /// Full recompute: nothing staged, no buffer slot; the backward pass
+    /// re-runs the layer's forward (`t_recompute`) before its gradient step.
+    Recompute,
+    /// Resident in a rounding buffer: no traffic, no recompute.
+    Retained,
 }
 
-/// Build the full transformer-layer schedule with a `t_head` block (final
-/// norm + classifier fwd/bwd + loss) between forward and backward.
+/// A run of consecutive layers sharing one policy and one cost profile.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LayerSegment {
+    pub count: usize,
+    pub policy: SegmentPolicy,
+    /// Per-layer costs; `traffic` is read only for `Swap` layers and
+    /// `t_recompute` only for `Swap`/`Recompute` layers.
+    pub costs: LayerCosts,
+}
+
+impl LayerSegment {
+    pub fn new(count: usize, policy: SegmentPolicy, costs: LayerCosts) -> Self {
+        LayerSegment {
+            count,
+            policy,
+            costs,
+        }
+    }
+
+    /// The paper's schedule (§4.1): every layer swaps token-wise except the
+    /// last `slots`, which stay resident in their rounding buffers —
+    /// `[Swap × n−min(slots,n)][Retained × min(slots,n)]`.
+    pub fn uniform(n_layers: usize, slots: usize, costs: LayerCosts) -> [LayerSegment; 2] {
+        let retained = slots.min(n_layers);
+        [
+            LayerSegment::new(n_layers - retained, SegmentPolicy::Swap, costs),
+            LayerSegment::new(retained, SegmentPolicy::Retained, costs),
+        ]
+    }
+}
+
+/// Check the invariants a layout must meet and return its number of
+/// buffer users (Swap + Retained layers). Buffer rotation is over buffer
+/// users by their occupancy ordinal, not the raw layer index — Recompute
+/// layers pass through without touching the ring. Panics on an ill-formed
+/// layout; these are construction bugs, not data-dependent failures:
 ///
-/// `n_layers ≥ 1`. Layers `n−1` and `n−2` are never offloaded (§4.1).
-pub fn build_iteration_schedule(
-    n_layers: usize,
-    costs: LayerCosts,
-    t_head: SimTime,
-    staging: &mut TierStaging,
-    buffer_bytes: u64,
-) -> Result<ScheduleOutcome, OutOfTierMemory> {
-    build_iteration_schedule_with_slots(n_layers, costs, t_head, staging, buffer_bytes, 2)
+/// * a Swap ordinal `b` must have an occupant at ordinal `b + slots`
+///   (whose backward kicks the prefetch), i.e. `b < users − slots`;
+/// * a Retained ordinal must be among the last `slots` occupants
+///   (`b ≥ users − slots`), or the next user of its slot would overwrite
+///   resident activations in the forward pass.
+fn validate_layout(segments: &[LayerSegment], slots: usize) -> usize {
+    assert!(
+        segments.iter().any(|s| s.count > 0),
+        "schedule needs at least one layer"
+    );
+    assert!(slots >= 2, "rotation needs at least two slots");
+    let users: usize = segments
+        .iter()
+        .filter(|s| s.policy != SegmentPolicy::Recompute)
+        .map(|s| s.count)
+        .sum();
+    let swap_cut = users.saturating_sub(slots);
+    let (mut b, mut layer) = (0usize, 0usize);
+    for seg in segments {
+        match seg.policy {
+            SegmentPolicy::Recompute => {}
+            SegmentPolicy::Swap => {
+                let bad = b.max(swap_cut);
+                let bad_layer = layer + (bad - b);
+                assert!(
+                    b + seg.count <= swap_cut,
+                    "layer {bad_layer}: Swap at buffer ordinal {bad} of {users} has no \
+                     ordinal {bad}+{slots} occupant to kick its prefetch"
+                );
+            }
+            SegmentPolicy::Retained => {
+                assert!(
+                    seg.count == 0 || b >= swap_cut,
+                    "layer {layer}: Retained at buffer ordinal {b} of {users} would \
+                     be clobbered by the ordinal {b}+{slots} occupant"
+                );
+            }
+        }
+        if seg.policy != SegmentPolicy::Recompute {
+            b += seg.count;
+        }
+        layer += seg.count;
+    }
+    users
 }
 
-/// [`build_iteration_schedule`] generalised to `slots ≥ 2` rotating buffers:
-/// layer `i+slots` waits on layer `i`'s offload, so an offload may hide
-/// under `slots − 1` layers of compute (and the last `slots` layers never
-/// swap).
-pub fn build_iteration_schedule_with_slots(
-    n_layers: usize,
-    costs: LayerCosts,
-    t_head: SimTime,
-    staging: &mut TierStaging,
-    buffer_bytes: u64,
-    slots: usize,
-) -> Result<ScheduleOutcome, OutOfTierMemory> {
-    build_iteration_schedule_recorded(
-        n_layers,
-        costs,
-        t_head,
-        staging,
-        buffer_bytes,
-        slots,
-        RecordLevel::Full,
-    )
+/// The Swap layer whose prefetch a backward kicks: the buffer user `slots`
+/// ordinals below the layer that frees the slot. Walks the runs backwards
+/// alongside the backward pass, so a whole schedule costs one pass over
+/// the runs.
+struct KickTarget<'a> {
+    segments: &'a [LayerSegment],
+    /// Run holding the current target.
+    run: usize,
+    /// First buffer ordinal and first layer index of `run`.
+    ordinal: usize,
+    layer: usize,
+    /// Transfer time of a layer of `run`.
+    t_transfer: SimTime,
 }
 
-/// [`build_iteration_schedule_with_slots`] with an explicit recording level.
+impl<'a> KickTarget<'a> {
+    fn new(segments: &'a [LayerSegment], users: usize, n_layers: usize) -> Self {
+        KickTarget {
+            segments,
+            run: segments.len(),
+            ordinal: users,
+            layer: n_layers,
+            t_transfer: SimTime::ZERO,
+        }
+    }
+
+    /// Move to the run holding ordinal `b` (at or below every earlier
+    /// seek) and return the layer index of that buffer user.
+    fn seek(&mut self, b: usize) -> usize {
+        if b < self.ordinal {
+            while b < self.ordinal {
+                self.run -= 1;
+                let seg = &self.segments[self.run];
+                self.layer -= seg.count;
+                if seg.policy != SegmentPolicy::Recompute {
+                    self.ordinal -= seg.count;
+                }
+            }
+            self.t_transfer = self.segments[self.run].costs.t_transfer();
+        }
+        self.layer + (b - self.ordinal)
+    }
+}
+
+/// Build the transformer-layer schedule of a layout with a `t_head` block
+/// (final norm + classifier fwd/bwd + loss) between forward and backward,
+/// over `slots ≥ 2` rotating buffers: buffer user `b + slots` waits on
+/// user `b`'s offload, so an offload may hide under `slots − 1` layers of
+/// compute. [`LayerSegment::uniform`] is the paper's layout.
 ///
-/// * [`RecordLevel::Full`] runs the event-machinery simulation and returns a
-///   timeline with every span and mark — the `--trace`/Figure-11 path.
-/// * [`RecordLevel::CursorOnly`] runs the steady-state fast path: the layer
-///   recurrence is evaluated in scalar u64 arithmetic, and once the
-///   homogeneous mid-layer region settles into a constant per-layer delta,
-///   the remaining layers are spliced in closed form. Makespan, per-stream
-///   cursors, busy times, per-tier peaks and out-of-tier errors are
-///   bit-identical to the `Full` run (asserted by `tests/differential.rs`);
-///   the returned timeline carries cursors and busy totals but no spans.
-pub fn build_iteration_schedule_recorded(
-    n_layers: usize,
-    costs: LayerCosts,
+/// * [`RecordLevel::Full`] runs the event machinery and returns a timeline
+///   with every span and mark — the `--trace`/Figure-11 path.
+/// * [`RecordLevel::CursorOnly`] runs [`build_schedule_scalars`]: the same
+///   recurrence in scalar u64 arithmetic, with each Swap run's steady
+///   region spliced in closed form. Makespan, per-stream cursors, busy
+///   times, per-tier peaks and out-of-tier errors are bit-identical to the
+///   `Full` run (asserted by `tests/differential.rs`); the returned
+///   timeline carries cursors and busy totals but no spans.
+pub fn build_schedule(
+    segments: &[LayerSegment],
     t_head: SimTime,
     staging: &mut TierStaging,
-    buffer_bytes: u64,
     slots: usize,
     level: RecordLevel,
 ) -> Result<ScheduleOutcome, OutOfTierMemory> {
-    assert!(n_layers >= 1);
     match level {
-        RecordLevel::Full => {
-            build_event_loop(n_layers, costs, t_head, staging, buffer_bytes, slots)
+        RecordLevel::Full => build_event_loop(segments, t_head, staging, slots),
+        RecordLevel::CursorOnly => {
+            let s = build_schedule_scalars(segments, t_head, staging, slots)?;
+            Ok(s.into_outcome(staging))
         }
-        RecordLevel::CursorOnly => build_fast(n_layers, costs, t_head, staging, slots),
     }
 }
 
 /// The full event-machinery simulation (every op a span, every dependency a
-/// recorded event), with arenas pre-sized from the exact op counts.
+/// recorded event), with arenas pre-sized from the exact op counts — the
+/// differential reference of [`build_schedule_scalars`].
 fn build_event_loop(
-    n_layers: usize,
-    costs: LayerCosts,
+    segments: &[LayerSegment],
     t_head: SimTime,
     staging: &mut TierStaging,
-    buffer_bytes: u64,
     slots: usize,
 ) -> Result<ScheduleOutcome, OutOfTierMemory> {
-    let mut tl = Timeline::new();
-    // Exact op counts: `swapped` layers offload in the forward pass and
-    // prefetch + (optionally) recompute in the backward pass.
-    let n = n_layers;
-    let swapped = n.saturating_sub(slots);
-    let n_spans = 2 * n
-        + 2 * swapped
-        + usize::from(t_head > SimTime::ZERO)
-        + if costs.t_recompute > SimTime::ZERO {
-            swapped
-        } else {
-            0
-        };
-    let n_events = 2 * n + 2 * swapped;
-    // Marks: one per recorded event, plus the four wait sites (forward
-    // compute, offload, backward compute, prefetch) — `swapped` each.
-    tl.reserve_ops(n_spans, n_events + 4 * swapped, n_events);
-    let s = Streams {
-        compute: tl.add_stream("compute"),
-        offload: tl.add_stream("offload"),
-        prefetch: tl.add_stream("prefetch"),
-    };
-    let mut buffers = RoundingBuffers::with_slots(slots, buffer_bytes);
-    let t_transfer = costs.t_transfer();
-    // Layers that swap: all but the last `slots`.
-    let swaps = |layer: usize| layer + slots < n_layers;
-
-    // ---- forward ------------------------------------------------------------
-    for layer in 0..n_layers {
-        if let Some(ev) = buffers.acquire_for_forward(layer) {
-            tl.wait_event(s.compute, ev);
+    let users = validate_layout(segments, slots);
+    // Exact op counts: Swap layers offload in the forward pass and prefetch
+    // in the backward pass; Swap and Recompute layers with a nonzero
+    // `t_recompute` add one recompute span each.
+    let (mut n, mut swaps, mut remats) = (0usize, 0usize, 0usize);
+    for seg in segments {
+        n += seg.count;
+        if seg.policy == SegmentPolicy::Swap {
+            swaps += seg.count;
         }
-        tl.enqueue_fmt(s.compute, costs.t_fwd, format_args!("fwd L{layer}"));
-        let fwd_done = tl.record_event(s.compute);
-        if swaps(layer) {
-            staging.reserve_layer(&costs.traffic)?;
-            tl.wait_event(s.offload, fwd_done);
-            tl.enqueue_fmt(s.offload, t_transfer, format_args!("off L{layer}"));
-            let off_done = tl.record_event(s.offload);
-            buffers.offload_enqueued(layer, off_done);
-        } else {
-            buffers.retain_for_backward(layer);
+        if seg.policy != SegmentPolicy::Retained && seg.costs.t_recompute > SimTime::ZERO {
+            remats += seg.count;
         }
     }
-    let forward_end = tl.stream_cursor(s.compute);
+    let mut tl = Timeline::new();
+    let n_spans = 2 * n + 2 * swaps + usize::from(t_head > SimTime::ZERO) + remats;
+    let n_events = 2 * n + 2 * swaps;
+    // Marks: one per recorded event, plus the four wait sites (forward
+    // compute, offload, backward compute, prefetch) — `swaps` each.
+    tl.reserve_ops(n_spans, n_events + 4 * swaps, n_events);
+    let compute = tl.add_stream("compute");
+    let offload = tl.add_stream("offload");
+    let prefetch = tl.add_stream("prefetch");
+
+    // ---- forward ------------------------------------------------------------
+    // Offload-done event of the current occupant of each buffer slot.
+    let mut off_done: Vec<Option<EventId>> = vec![None; slots];
+    let (mut layer, mut b) = (0usize, 0usize);
+    for seg in segments {
+        let user = seg.policy != SegmentPolicy::Recompute;
+        let t_transfer = seg.costs.t_transfer();
+        for _ in 0..seg.count {
+            if user && b >= slots {
+                let ev =
+                    off_done[b % slots].expect("layout validity: previous slot occupant swaps");
+                tl.wait_event(compute, ev);
+            }
+            tl.enqueue_fmt(compute, seg.costs.t_fwd, format_args!("fwd L{layer}"));
+            let fwd_done = tl.record_event(compute);
+            if seg.policy == SegmentPolicy::Swap {
+                staging.reserve_layer(&seg.costs.traffic)?;
+                tl.wait_event(offload, fwd_done);
+                tl.enqueue_fmt(offload, t_transfer, format_args!("off L{layer}"));
+                off_done[b % slots] = Some(tl.record_event(offload));
+            }
+            b += usize::from(user);
+            layer += 1;
+        }
+    }
+    let forward_end = tl.stream_cursor(compute);
 
     // ---- head (final norm, classifier, loss) --------------------------------
     if t_head > SimTime::ZERO {
-        tl.enqueue(s.compute, t_head, "head");
+        tl.enqueue(compute, t_head, "head");
     }
 
     // ---- backward -----------------------------------------------------------
-    for layer in (0..n_layers).rev() {
-        if swaps(layer) {
-            // The prefetch was enqueued when layer+2's backward finished.
-            let pf_done = buffers.prefetch_complete(layer);
-            tl.wait_event(s.compute, pf_done);
-            if costs.t_recompute > SimTime::ZERO {
-                tl.enqueue_fmt(s.compute, costs.t_recompute, format_args!("remat L{layer}"));
+    // Prefetch-done event of the Swap user at each ordinal, by its slot: the
+    // kick for ordinal `b` lands `slots` backwards before `b`'s own, and
+    // the kicks in between fill the other slots.
+    let mut pf_done: Vec<Option<EventId>> = vec![None; slots];
+    let mut kick = KickTarget::new(segments, users, n);
+    for seg in segments.iter().rev() {
+        let costs = &seg.costs;
+        for _ in 0..seg.count {
+            layer -= 1;
+            match seg.policy {
+                SegmentPolicy::Recompute => {
+                    if costs.t_recompute > SimTime::ZERO {
+                        tl.enqueue_fmt(compute, costs.t_recompute, format_args!("refwd L{layer}"));
+                    }
+                }
+                SegmentPolicy::Swap => {
+                    b -= 1;
+                    let ev = pf_done[b % slots].expect("prefetch must be kicked before backward");
+                    tl.wait_event(compute, ev);
+                    if costs.t_recompute > SimTime::ZERO {
+                        tl.enqueue_fmt(compute, costs.t_recompute, format_args!("remat L{layer}"));
+                    }
+                }
+                SegmentPolicy::Retained => b -= 1,
             }
-        }
-        tl.enqueue_fmt(s.compute, costs.t_bwd, format_args!("bwd L{layer}"));
-        let bwd_done = tl.record_event(s.compute);
-        buffers.release_after_backward(layer);
-        if swaps(layer) {
-            staging.release_layer(&costs.traffic);
-        }
-        // Kick the prefetch of the slot's next occupant now that it's free.
-        if layer >= slots && swaps(layer - slots) {
-            tl.wait_event(s.prefetch, bwd_done);
-            tl.enqueue_fmt(
-                s.prefetch,
-                t_transfer,
-                format_args!("pf L{}", layer - slots),
-            );
-            let pf_done = tl.record_event(s.prefetch);
-            buffers.prefetch_enqueued(layer - slots, pf_done);
+            tl.enqueue_fmt(compute, costs.t_bwd, format_args!("bwd L{layer}"));
+            let bwd_done = tl.record_event(compute);
+            if seg.policy == SegmentPolicy::Swap {
+                staging.release_layer(&costs.traffic);
+            }
+            if seg.policy != SegmentPolicy::Recompute && b >= slots {
+                // This backward frees slot b % slots: kick the prefetch of
+                // the Swap layer occupying ordinal b − slots.
+                let target = kick.seek(b - slots);
+                tl.wait_event(prefetch, bwd_done);
+                tl.enqueue_fmt(prefetch, kick.t_transfer, format_args!("pf L{target}"));
+                pf_done[b % slots] = Some(tl.record_event(prefetch));
+            }
         }
     }
 
     tl.check_causality().expect("schedule must be causal");
     let makespan = tl.makespan();
-    let compute_busy = tl.busy_time(s.compute);
+    let compute_busy = tl.busy_time(compute);
     Ok(ScheduleOutcome {
         forward_end,
         makespan,
@@ -455,17 +577,17 @@ fn offset(base: SimTime, rel: i128) -> SimTime {
     SimTime(t as u64)
 }
 
-/// Detects the steady state of the homogeneous mid-layer region.
+/// Detects the steady state of a Swap run.
 ///
-/// After each mid-region layer the recurrence is summarised *relative to
+/// After each layer of the run the recurrence is summarised *relative to
 /// the compute cursor*: the IO-stream cursor offset and the ring of
-/// in-flight transfer completion offsets, in next-read order. The next
-/// layer's transition is a pure function of this relative state, so two
-/// consecutive layers with equal state imply every remaining mid layer
-/// repeats the same transition — each advancing all clocks by the same
-/// `delta` — and can be spliced in closed form. Heterogeneous regions
-/// (state never repeats) simply never trigger the splice and fall through
-/// to per-layer simulation.
+/// in-flight transfer completion offsets, in next-read order. Within a run
+/// the next layer's transition is a pure function of this relative state,
+/// so two consecutive layers with equal state imply every remaining layer
+/// of the run repeats the same transition — each advancing all clocks by
+/// the same `delta` — and can be spliced in closed form. Runs whose state
+/// never repeats never trigger the splice and fall through to per-layer
+/// simulation.
 struct SteadyDetector {
     slots: usize,
     prev_c: SimTime,
@@ -486,12 +608,12 @@ impl SteadyDetector {
         }
     }
 
+    /// Forget the previous layer: the next push starts a new run.
     fn reset(&mut self) {
         self.prev_valid = false;
-        self.prev.clear();
     }
 
-    /// Feed the state after one mid-region layer (`ring(j)` = the j-th
+    /// Feed the state after one layer of the run (`ring(j)` = the j-th
     /// in-flight completion time in next-read order). Returns the steady
     /// per-layer advance once two consecutive layers match.
     fn push(
@@ -524,77 +646,96 @@ impl SteadyDetector {
     }
 }
 
-/// The cursor-only fast path: the same recurrence as [`build_event_loop`],
-/// evaluated in scalar u64 arithmetic with the steady mid-layer region
-/// spliced analytically. See DESIGN.md §2e for the bit-exactness argument.
-fn build_fast(
-    n_layers: usize,
-    costs: LayerCosts,
-    t_head: SimTime,
-    staging: &mut TierStaging,
-    slots: usize,
-) -> Result<ScheduleOutcome, OutOfTierMemory> {
-    let s = build_fast_scalars(n_layers, costs, t_head, staging, slots)?;
-    Ok(s.into_outcome(staging))
-}
-
-/// The scalar core of the cursor-only fast path: runs the layer recurrence
-/// (with the steady mid-layer splice) against `staging` and returns the
-/// resulting cursors and busy totals without building a timeline. This is
-/// the unit the segment cache ([`crate::delta`]) memoizes; callers wanting
-/// a [`ScheduleOutcome`] use [`ScalarSchedule::into_outcome`].
-pub fn build_fast_scalars(
-    n_layers: usize,
-    costs: LayerCosts,
+/// The cursor-only schedule: the recurrence of [`build_schedule`]'s event
+/// loop in scalar u64 arithmetic, walking the runs without expanding them.
+/// Inside each Swap run the steady region is spliced in closed form —
+/// forward while the run continues, backward while both the layer and its
+/// prefetch-kick target lie in the run — with the staging effects batched
+/// through [`TierStaging::reserve_layers`] / [`TierStaging::release_layers`].
+/// Returns the cursors and busy totals without building a timeline; this is
+/// the unit the segment cache ([`crate::delta`]) memoizes, and callers
+/// wanting a [`ScheduleOutcome`] use [`ScalarSchedule::into_outcome`]. See
+/// DESIGN.md §2e for the bit-exactness argument.
+pub fn build_schedule_scalars(
+    segments: &[LayerSegment],
     t_head: SimTime,
     staging: &mut TierStaging,
     slots: usize,
 ) -> Result<ScalarSchedule, OutOfTierMemory> {
-    let n = n_layers;
-    let tf = costs.t_fwd;
-    let tb = costs.t_bwd;
-    let tr = costs.t_recompute;
-    let tt = costs.t_transfer();
-    let swapped = n.saturating_sub(slots) as u64;
-    // Layers in [slots, mid_end) both wait on their slot and swap — the
-    // homogeneous region the splice targets.
-    let mid_end = n.saturating_sub(slots);
+    let users = validate_layout(segments, slots);
     let mut detect = SteadyDetector::new(slots);
+    // Busy totals as the event loop accumulates them (commutative u64 sums
+    // of the same durations, so bit-identical).
+    let mut compute_busy = t_head;
+    let mut io_busy = SimTime::ZERO;
+    let mut n_layers = 0usize;
 
     // ---- forward ------------------------------------------------------------
-    // c/o: compute and offload stream cursors; off_end[i % slots]: completion
-    // time of the in-flight offload occupying slot i % slots.
+    // c/o: compute and offload stream cursors; off_end[b % slots]: completion
+    // time of the in-flight offload of the slot's current occupant.
     let mut c = SimTime::ZERO;
     let mut o = SimTime::ZERO;
     let mut off_end = vec![SimTime::ZERO; slots];
-    let mut i = 0usize;
-    while i < n {
-        if i >= slots {
-            // The slot's previous occupant (layer i − slots) is offloading.
-            c = c.max(off_end[i % slots]);
-        }
-        c += tf;
-        if i + slots < n {
-            staging.reserve_layer(&costs.traffic)?;
-            o = o.max(c) + tt;
-            off_end[i % slots] = o;
-        }
-        if i >= slots && i + 1 < mid_end {
-            if let Some(delta) = detect.push(c, o, |j| off_end[(i + 1 + j) % slots]) {
-                // Steady: splice layers i+1 ..= mid_end−1 in one step.
-                let m = mid_end - 1;
-                let k = (m - i) as u64;
-                staging.reserve_layers(&costs.traffic, k)?;
-                c += scale(delta, k);
-                let (rel_io, rel_ring) = detect.state();
-                o = offset(c, rel_io);
-                for (j, &r) in rel_ring.iter().enumerate() {
-                    off_end[(m + 1 + j) % slots] = offset(c, r);
+    let mut b = 0usize;
+    for seg in segments {
+        let LayerCosts {
+            t_fwd: tf,
+            t_bwd: tb,
+            t_recompute: tr,
+            ref traffic,
+        } = seg.costs;
+        let k = seg.count as u64;
+        n_layers += seg.count;
+        compute_busy += scale(tf + tb, k);
+        match seg.policy {
+            SegmentPolicy::Recompute => {
+                c += scale(tf, k);
+                compute_busy += scale(tr, k);
+            }
+            SegmentPolicy::Retained => {
+                for _ in 0..seg.count {
+                    if b >= slots {
+                        // The slot's previous occupant (always a Swap layer
+                        // by layout validity) is offloading.
+                        c = c.max(off_end[b % slots]);
+                    }
+                    c += tf;
+                    b += 1;
                 }
-                i = m;
+            }
+            SegmentPolicy::Swap => {
+                let tt = seg.costs.t_transfer();
+                compute_busy += scale(tr, k);
+                io_busy += scale(tt, k);
+                let end = b + seg.count;
+                detect.reset();
+                while b < end {
+                    if b >= slots {
+                        c = c.max(off_end[b % slots]);
+                    }
+                    c += tf;
+                    staging.reserve_layer(traffic)?;
+                    o = o.max(c) + tt;
+                    off_end[b % slots] = o;
+                    if b >= slots && b + 1 < end {
+                        if let Some(delta) = detect.push(c, o, |j| off_end[(b + 1 + j) % slots]) {
+                            // Steady: splice ordinals b+1 ..= end−1 in one step.
+                            let m = end - 1;
+                            let k = (m - b) as u64;
+                            staging.reserve_layers(traffic, k)?;
+                            c += scale(delta, k);
+                            let (rel_io, rel_ring) = detect.state();
+                            o = offset(c, rel_io);
+                            for (j, &r) in rel_ring.iter().enumerate() {
+                                off_end[(m + 1 + j) % slots] = offset(c, r);
+                            }
+                            b = m;
+                        }
+                    }
+                    b += 1;
+                }
             }
         }
-        i += 1;
     }
     let forward_end = c;
 
@@ -602,49 +743,62 @@ pub fn build_fast_scalars(
     c += t_head;
 
     // ---- backward -----------------------------------------------------------
-    detect.reset();
+    // p: prefetch stream cursor; pf_end[b % slots]: completion time of the
+    // prefetch of the Swap user at ordinal b.
     let mut p = SimTime::ZERO;
     let mut pf_end = vec![SimTime::ZERO; slots];
-    let mut i = n;
-    while i > 0 {
-        let layer = i - 1;
-        let swaps_l = layer + slots < n;
-        if swaps_l {
-            // Wait for the prefetch kicked by layer layer+slots's backward,
-            // then recompute the non-swapped token slice.
-            c = c.max(pf_end[layer % slots]) + tr;
+    let mut kick = KickTarget::new(segments, users, n_layers);
+    for seg in segments.iter().rev() {
+        let LayerCosts {
+            t_bwd: tb,
+            t_recompute: tr,
+            ref traffic,
+            ..
+        } = seg.costs;
+        if seg.policy == SegmentPolicy::Recompute {
+            // Re-forward the whole layer, then its backward.
+            c += scale(tr + tb, seg.count as u64);
+            continue;
         }
-        c += tb;
-        if swaps_l {
-            staging.release_layer(&costs.traffic);
-        }
-        if layer >= slots {
-            // Layer layer−slots always swaps here; its prefetch starts when
-            // this backward frees the shared slot (layer % slots).
-            p = p.max(c) + tt;
-            pf_end[layer % slots] = p;
-        }
-        if layer > slots && layer < mid_end {
-            if let Some(delta) = detect.push(c, p, |j| pf_end[(layer - 1 - j) % slots]) {
-                // Steady: splice layers layer−1 ..= slots in one step.
-                let k = (layer - slots) as u64;
-                staging.release_layers(&costs.traffic, k);
-                c += scale(delta, k);
-                let (rel_io, rel_ring) = detect.state();
-                p = offset(c, rel_io);
-                for (j, &r) in rel_ring.iter().enumerate() {
-                    pf_end[(slots - 1 - j) % slots] = offset(c, r);
+        let swap = seg.policy == SegmentPolicy::Swap;
+        let start = b - seg.count;
+        // Layers at or above `lo` kick a target inside this run.
+        let lo = start + slots;
+        detect.reset();
+        while b > start {
+            b -= 1;
+            if swap {
+                // Wait for the prefetch kicked by the ordinal b+slots
+                // occupant's backward, then recompute the non-swapped slice.
+                c = c.max(pf_end[b % slots]) + tr;
+            }
+            c += tb;
+            if swap {
+                staging.release_layer(traffic);
+            }
+            if b >= slots {
+                // This backward frees the slot: kick the prefetch of the
+                // Swap layer at ordinal b − slots.
+                kick.seek(b - slots);
+                p = p.max(c) + kick.t_transfer;
+                pf_end[b % slots] = p;
+            }
+            if swap && b > lo {
+                if let Some(delta) = detect.push(c, p, |j| pf_end[(b - 1 - j) % slots]) {
+                    // Steady: splice ordinals b−1 ..= lo in one step.
+                    let k = (b - lo) as u64;
+                    staging.release_layers(traffic, k);
+                    c += scale(delta, k);
+                    let (rel_io, rel_ring) = detect.state();
+                    p = offset(c, rel_io);
+                    for (j, &r) in rel_ring.iter().enumerate() {
+                        pf_end[(lo - 1 - j) % slots] = offset(c, r);
+                    }
+                    b = lo;
                 }
-                i = slots + 1;
             }
         }
-        i -= 1;
     }
-
-    // Busy times as the event loop accumulates them (commutative u64 sums
-    // of the same durations, so bit-identical).
-    let compute_busy = scale(tf, n as u64) + t_head + scale(tr, swapped) + scale(tb, n as u64);
-    let io_busy = scale(tt, swapped);
 
     Ok(ScalarSchedule {
         forward_end,
@@ -672,9 +826,41 @@ mod tests {
         )
     }
 
+    /// The paper's layout on `slots` buffers, fully recorded.
+    fn uniform(
+        n: usize,
+        c: LayerCosts,
+        t_head: SimTime,
+        staging: &mut TierStaging,
+        slots: usize,
+    ) -> Result<ScheduleOutcome, OutOfTierMemory> {
+        let segs = LayerSegment::uniform(n, slots, c);
+        build_schedule(&segs, t_head, staging, slots, RecordLevel::Full)
+    }
+
     fn run(n: usize, c: LayerCosts) -> ScheduleOutcome {
         let mut staging = TierStaging::unbounded(1);
-        build_iteration_schedule(n, c, SimTime::from_millis(5), &mut staging, 0).unwrap()
+        uniform(n, c, SimTime::from_millis(5), &mut staging, 2).unwrap()
+    }
+
+    /// The MEMO-shaped layout: k swap, then recompute, then `slots` retained.
+    fn mixed(n: usize, k: usize, slots: usize, c: LayerCosts, refwd_ms: u64) -> Vec<LayerSegment> {
+        assert!(k + slots <= n);
+        let mut refwd = c;
+        refwd.t_recompute = SimTime::from_millis(refwd_ms);
+        vec![
+            LayerSegment::new(k, SegmentPolicy::Swap, c),
+            LayerSegment::new(n - k - slots, SegmentPolicy::Recompute, refwd),
+            LayerSegment::new(slots, SegmentPolicy::Retained, c),
+        ]
+    }
+
+    fn assert_outcomes_match(a: &ScheduleOutcome, b: &ScheduleOutcome) {
+        assert_eq!(a.forward_end, b.forward_end);
+        assert_eq!(a.makespan, b.makespan);
+        assert_eq!(a.compute_busy, b.compute_busy);
+        assert_eq!(a.compute_idle, b.compute_idle);
+        assert_eq!(a.host_peak, b.host_peak);
     }
 
     #[test]
@@ -727,7 +913,7 @@ mod tests {
     fn host_usage_returns_to_zero() {
         let mut staging = TierStaging::unbounded(1);
         let c = costs(10, 0.5, 0);
-        build_iteration_schedule(8, c, SimTime::ZERO, &mut staging, 0).unwrap();
+        uniform(8, c, SimTime::ZERO, &mut staging, 2).unwrap();
         assert_eq!(staging.host_used(), 0);
         assert_eq!(staging.host_peak(), 6 * c.host_bytes());
     }
@@ -736,7 +922,7 @@ mod tests {
     fn oohm_surfaces() {
         let mut staging = TierStaging::single(3 * 1_000_000); // room for 3 layers
         let c = costs(10, 0.5, 0);
-        let err = build_iteration_schedule(12, c, SimTime::ZERO, &mut staging, 0).unwrap_err();
+        let err = uniform(12, c, SimTime::ZERO, &mut staging, 2).unwrap_err();
         assert_eq!(err.capacity, 3_000_000);
         assert_eq!(err.tier, 0);
     }
@@ -752,7 +938,7 @@ mod tests {
             latency_secs: 0.0,
         });
         let mut staging = TierStaging::new(&[u64::MAX / 2, 3 * 500_000]);
-        let err = build_iteration_schedule(12, c, SimTime::ZERO, &mut staging, 0).unwrap_err();
+        let err = uniform(12, c, SimTime::ZERO, &mut staging, 2).unwrap_err();
         assert_eq!(err.tier, 1);
         assert_eq!(err.capacity, 1_500_000);
         assert_eq!(staging.host_used(), 4 * 1_000_000);
@@ -811,8 +997,7 @@ mod tests {
     fn tiny_models_skip_swapping_entirely() {
         // n = 2: both layers retained; no offload traffic at all.
         let mut staging = TierStaging::single(1);
-        let out =
-            build_iteration_schedule(2, costs(10, 2.0, 0), SimTime::ZERO, &mut staging, 0).unwrap();
+        let out = uniform(2, costs(10, 2.0, 0), SimTime::ZERO, &mut staging, 2).unwrap();
         assert_eq!(staging.host_peak(), 0);
         assert_eq!(out.compute_idle, SimTime::ZERO);
     }
@@ -827,8 +1012,7 @@ mod tests {
         let c = costs(10, 1.5, 0);
         let run_slots = |slots: usize| {
             let mut staging = TierStaging::unbounded(1);
-            build_iteration_schedule_with_slots(24, c, SimTime::ZERO, &mut staging, 0, slots)
-                .unwrap()
+            uniform(24, c, SimTime::ZERO, &mut staging, slots).unwrap()
         };
         let two = run_slots(2);
         let three = run_slots(3);
@@ -853,5 +1037,127 @@ mod tests {
         assert!(art.contains("compute"));
         assert!(art.contains("offload"));
         assert!(art.contains("prefetch"));
+    }
+
+    #[test]
+    fn scalar_path_matches_event_loop_on_mixed_layouts() {
+        for n in [4usize, 6, 9, 16] {
+            for slots in [2usize, 3] {
+                if n < slots + 1 {
+                    continue;
+                }
+                for k in 0..=(n - slots) {
+                    for ratio in [0.6, 1.7] {
+                        let c = costs(10, ratio, 3);
+                        let segs = mixed(n, k, slots, c, 9);
+                        let mut s1 = TierStaging::unbounded(1);
+                        let mut s2 = TierStaging::unbounded(1);
+                        let full = build_schedule(
+                            &segs,
+                            SimTime::from_millis(5),
+                            &mut s1,
+                            slots,
+                            RecordLevel::Full,
+                        )
+                        .unwrap();
+                        let fast = build_schedule(
+                            &segs,
+                            SimTime::from_millis(5),
+                            &mut s2,
+                            slots,
+                            RecordLevel::CursorOnly,
+                        )
+                        .unwrap();
+                        assert_outcomes_match(&full, &fast);
+                        assert_eq!(s1, s2);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fewer_swap_layers_cut_host_peak_and_add_refwd_time() {
+        let c = costs(10, 0.8, 3);
+        let n = 12;
+        let all = mixed(n, n - 2, 2, c, 0);
+        let half = mixed(n, 5, 2, c, 10);
+        let mut s_all = TierStaging::unbounded(1);
+        let mut s_half = TierStaging::unbounded(1);
+        let out_all =
+            build_schedule(&all, SimTime::ZERO, &mut s_all, 2, RecordLevel::CursorOnly).unwrap();
+        let out_half = build_schedule(
+            &half,
+            SimTime::ZERO,
+            &mut s_half,
+            2,
+            RecordLevel::CursorOnly,
+        )
+        .unwrap();
+        assert_eq!(s_half.host_peak(), 5 * c.host_bytes());
+        assert!(s_half.host_peak() < s_all.host_peak());
+        // 5 recompute layers × 10 ms refwd lands on the compute stream.
+        assert!(out_half.compute_busy > out_all.compute_busy);
+    }
+
+    #[test]
+    fn oohm_failure_is_identical_across_levels() {
+        let c = costs(10, 0.5, 0);
+        let segs = mixed(12, 10, 2, c, 0);
+        let mut s1 = TierStaging::single(3 * 1_000_000);
+        let mut s2 = TierStaging::single(3 * 1_000_000);
+        let e_full =
+            build_schedule(&segs, SimTime::ZERO, &mut s1, 2, RecordLevel::Full).unwrap_err();
+        let e_fast =
+            build_schedule(&segs, SimTime::ZERO, &mut s2, 2, RecordLevel::CursorOnly).unwrap_err();
+        assert_eq!(e_full, e_fast);
+        assert_eq!(s1, s2);
+    }
+
+    #[test]
+    #[should_panic(expected = "kick its prefetch")]
+    fn swap_without_successor_is_rejected() {
+        // Swap in the last `slots` buffer ordinals: no one kicks its
+        // prefetch.
+        let c = costs(10, 1.0, 0);
+        let segs = vec![
+            LayerSegment::new(1, SegmentPolicy::Swap, c),
+            LayerSegment::new(1, SegmentPolicy::Retained, c),
+        ];
+        let mut s = TierStaging::unbounded(1);
+        let _ = build_schedule_scalars(&segs, SimTime::ZERO, &mut s, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "clobbered")]
+    fn retained_before_a_later_buffer_user_is_rejected() {
+        let c = costs(10, 1.0, 0);
+        let segs = vec![
+            LayerSegment::new(1, SegmentPolicy::Retained, c),
+            LayerSegment::new(1, SegmentPolicy::Swap, c),
+            LayerSegment::new(2, SegmentPolicy::Retained, c),
+        ];
+        let mut s = TierStaging::unbounded(1);
+        let _ = build_schedule_scalars(&segs, SimTime::ZERO, &mut s, 2);
+    }
+
+    #[test]
+    fn all_recompute_layout_is_pure_compute() {
+        let mut c = costs(10, 1.0, 0);
+        c.t_recompute = SimTime::from_millis(10);
+        let segs = vec![
+            LayerSegment::new(6, SegmentPolicy::Recompute, c),
+            LayerSegment::new(2, SegmentPolicy::Retained, c),
+        ];
+        let mut s = TierStaging::unbounded(1);
+        let out = build_schedule_scalars(&segs, SimTime::from_millis(5), &mut s, 2).unwrap();
+        assert_eq!(out.io_busy, SimTime::ZERO);
+        assert_eq!(s.host_peak(), 0);
+        // 8 fwd + head + 6 refwd + 8 bwd, fully serial.
+        assert_eq!(
+            out.makespan(),
+            SimTime::from_millis(8 * 10 + 5 + 6 * 10 + 8 * 20)
+        );
+        assert_eq!(out.compute_idle(), SimTime::ZERO);
     }
 }

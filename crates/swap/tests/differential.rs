@@ -7,12 +7,17 @@
 //! builders — and identical span/mark streams (after symbol resolution)
 //! between the full-recording run and the reference. OOHM failures must
 //! produce identical error values and leave the host tracker in the same
-//! state.
+//! state. The reference only knows the paper's uniform schedule, so those
+//! cells drive [`build_schedule`] with [`LayerSegment::uniform`]; mixed
+//! layouts (recompute runs, several swap runs) check the spliced scalar
+//! path against the full event loop.
 
 use memo_hal::engine::{MarkKind, RecordLevel, StreamId};
 use memo_hal::time::SimTime;
 use memo_swap::reference as ref_sched;
-use memo_swap::schedule::{build_iteration_schedule_recorded, LayerCosts, TierTraffic};
+use memo_swap::schedule::{
+    build_schedule, build_schedule_scalars, LayerCosts, LayerSegment, SegmentPolicy, TierTraffic,
+};
 use memo_swap::tiers::TierStaging;
 
 /// A schedule scenario: one cell of the differential grid.
@@ -172,21 +177,18 @@ fn run_cell_with(
         0,
         sc.slots,
     );
-    let full = build_iteration_schedule_recorded(
-        sc.n_layers,
-        sc.costs,
+    let layout = LayerSegment::uniform(sc.n_layers, sc.slots, sc.costs);
+    let full = build_schedule(
+        &layout,
         sc.t_head,
         &mut host_full,
-        0,
         sc.slots,
         RecordLevel::Full,
     );
-    let fast = build_iteration_schedule_recorded(
-        sc.n_layers,
-        sc.costs,
+    let fast = build_schedule(
+        &layout,
         sc.t_head,
         &mut host_fast,
-        0,
         sc.slots,
         RecordLevel::CursorOnly,
     );
@@ -331,5 +333,97 @@ fn deep_tier_oohm_bit_identical() {
         };
         let staging = || TierStaging::new(&[u64::MAX / 2, layers_fit * (b / 2) + b / 8]);
         run_cell_with(sc, staging(), staging(), staging());
+    }
+}
+
+/// Mixed layouts through the spliced scalar path vs the full event loop:
+/// swap runs long enough to reach their steady state next to recompute
+/// runs, a second swap run whose first layers kick prefetches into the
+/// first run (the backward splice must stop where the kick targets leave
+/// its run), two swap runs of equal costs, and staging that fails
+/// part-way through a swap run.
+#[test]
+fn spliced_mixed_layouts_match_the_event_loop() {
+    let b = 1_000_000u64;
+    let head = ms(5);
+    for slots in 2..=4usize {
+        for swap in 0..=40usize {
+            for recompute in 0..=5usize {
+                for &(ratio, second_ratio) in &[(0.5, 1.7), (1.7, 0.6)] {
+                    let first = costs(10, ratio, 3, b);
+                    let second = costs(7, second_ratio, 2, b / 2);
+                    let mut refwd = first;
+                    refwd.t_recompute = ms(10);
+                    let run = LayerSegment::new;
+                    let layouts = [
+                        vec![
+                            run(swap, SegmentPolicy::Swap, first),
+                            run(recompute, SegmentPolicy::Recompute, refwd),
+                            run(slots, SegmentPolicy::Retained, first),
+                        ],
+                        vec![
+                            run(recompute, SegmentPolicy::Recompute, refwd),
+                            run(swap, SegmentPolicy::Swap, first),
+                            run(slots, SegmentPolicy::Retained, second),
+                        ],
+                        vec![
+                            run(swap, SegmentPolicy::Swap, first),
+                            run(recompute, SegmentPolicy::Recompute, refwd),
+                            run(slots + 3, SegmentPolicy::Swap, second),
+                            run(slots, SegmentPolicy::Retained, second),
+                        ],
+                        // Two runs of one cost profile: a steady state
+                        // carried over from the other run must not splice.
+                        vec![
+                            run(swap, SegmentPolicy::Swap, first),
+                            run(recompute, SegmentPolicy::Recompute, refwd),
+                            run(2 * slots + 3, SegmentPolicy::Swap, first),
+                            run(slots, SegmentPolicy::Retained, first),
+                        ],
+                    ];
+                    for layout in &layouts {
+                        // Roomy, and room for half the first swap run (the
+                        // failure lands inside it, past any splice point).
+                        for capacity in [u64::MAX / 2, (swap as u64 / 2) * b + b / 2] {
+                            check_mixed(layout, head, slots, capacity);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn check_mixed(layout: &[LayerSegment], t_head: SimTime, slots: usize, capacity: u64) {
+    let mut host_full = TierStaging::single(capacity);
+    let mut host_fast = TierStaging::single(capacity);
+    let full = build_schedule(layout, t_head, &mut host_full, slots, RecordLevel::Full);
+    let fast = build_schedule_scalars(layout, t_head, &mut host_fast, slots);
+    let ctx = format!("{layout:?} slots {slots} capacity {capacity}");
+    assert_eq!(host_full, host_fast, "{ctx}: staging state diverged");
+    match (full, fast) {
+        (Err(e_full), Err(e_fast)) => assert_eq!(e_full, e_fast, "{ctx}: error"),
+        (Ok(f), Ok(q)) => {
+            let [c, o, p] = streams();
+            assert_eq!(f.forward_end, q.forward_end, "{ctx}: forward_end");
+            assert_eq!(f.makespan, q.makespan(), "{ctx}: makespan");
+            assert_eq!(f.timeline.stream_cursor(c), q.compute_end, "{ctx}: compute");
+            assert_eq!(f.timeline.stream_cursor(o), q.offload_end, "{ctx}: offload");
+            assert_eq!(
+                f.timeline.stream_cursor(p),
+                q.prefetch_end,
+                "{ctx}: prefetch"
+            );
+            assert_eq!(f.compute_busy, q.compute_busy, "{ctx}: compute busy");
+            assert_eq!(f.compute_idle, q.compute_idle(), "{ctx}: compute idle");
+            assert_eq!(f.timeline.busy_time(o), q.io_busy, "{ctx}: offload busy");
+            assert_eq!(f.timeline.busy_time(p), q.io_busy, "{ctx}: prefetch busy");
+            assert_eq!(f.host_peak, host_fast.host_peak(), "{ctx}: host peak");
+        }
+        (f, q) => panic!(
+            "{ctx}: builders disagree on success: full {:?} fast {:?}",
+            f.is_ok(),
+            q.is_ok()
+        ),
     }
 }

@@ -212,7 +212,8 @@ proptest! {
         ratio in 0.1f64..3.0,
         remat_ms in 0u64..10,
     ) {
-        use memo::swap::schedule::{build_iteration_schedule, LayerCosts};
+        use memo::hal::engine::RecordLevel;
+        use memo::swap::schedule::{build_schedule, LayerCosts, LayerSegment};
         use memo::swap::tiers::TierStaging;
         let bytes = 1_000_000u64;
         let t_fwd = SimTime::from_millis(fwd_ms);
@@ -224,7 +225,8 @@ proptest! {
             bytes as f64 / (t_fwd.as_secs_f64() * ratio),
         );
         let mut host = TierStaging::unbounded(1);
-        let out = build_iteration_schedule(layers, costs, SimTime::ZERO, &mut host, 0).unwrap();
+        let layout = LayerSegment::uniform(layers, 2, costs);
+        let out = build_schedule(&layout, SimTime::ZERO, &mut host, 2, RecordLevel::Full).unwrap();
         prop_assert_eq!(host.host_used(), 0, "host must drain");
         let compute_total = SimTime::from_millis(layers as u64 * 3 * fwd_ms);
         prop_assert!(out.makespan >= compute_total);
