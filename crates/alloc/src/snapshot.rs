@@ -118,6 +118,29 @@ pub fn replay<A: DeviceAllocator>(alloc: &mut A, trace: &IterationTrace) -> Snap
     }
 }
 
+/// [`replay`] for callers that read only the peak: drive the same requests
+/// and return `(peak_reserved, oom)` without recording a series. The peak
+/// equals `replay(..).peak_reserved()` on the same allocator state, and the
+/// allocator is left in the same state (reorganisations included).
+pub fn replay_peak<A: DeviceAllocator>(
+    alloc: &mut A,
+    trace: &IterationTrace,
+) -> (u64, Option<AllocError>) {
+    let mut peak = 0;
+    for r in trace.flatten() {
+        match r.op {
+            MemOp::Malloc => {
+                if let Err(e) = alloc.malloc(r.tensor, r.bytes) {
+                    return (peak, Some(e));
+                }
+            }
+            MemOp::Free => alloc.free(r.tensor),
+        }
+        peak = peak.max(alloc.reserved_bytes());
+    }
+    (peak, None)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,6 +219,20 @@ mod tests {
         assert_eq!(series.peak_allocated(), 4096);
         assert_eq!(series.peak_fragmentation(), s.reserved - s.allocated);
         assert_eq!(series.downsample(5).len(), 1);
+    }
+
+    #[test]
+    fn replay_peak_matches_replay() {
+        let trace = small_trace();
+        for capacity in [1u64 << 40, 1 << 20] {
+            let mut a = CachingAllocator::new(capacity);
+            let mut b = CachingAllocator::new(capacity);
+            let series = replay(&mut a, &trace);
+            let (peak, oom) = replay_peak(&mut b, &trace);
+            assert_eq!(peak, series.peak_reserved(), "{capacity}");
+            assert_eq!(oom, series.oom, "{capacity}");
+            assert_eq!(b.reorg_count(), series.reorgs, "{capacity}");
+        }
     }
 
     #[test]

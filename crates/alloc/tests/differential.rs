@@ -186,6 +186,25 @@ fn assert_replays_identical(trace: &IterationTrace, capacity: u64, what: &str) {
         old.take_events(),
         "{what}: events diverged"
     );
+    assert_peak_only_matches(trace, capacity, what);
+}
+
+/// The peak-only drive loop against the recorded series, over a warm-up
+/// and a steady pass on one allocator (the caching-replay pipeline's
+/// shape): the same peak, OOM and reorganisation count on each pass.
+fn assert_peak_only_matches(trace: &IterationTrace, capacity: u64, what: &str) {
+    let mut series_alloc = CachingAllocator::new(capacity);
+    let mut peak_alloc = CachingAllocator::new(capacity);
+    for pass in ["warm-up", "steady"] {
+        let series = snapshot::replay(&mut series_alloc, trace);
+        let (peak, oom) = snapshot::replay_peak(&mut peak_alloc, trace);
+        assert_eq!(peak, series.peak_reserved(), "{what} {pass}: peak");
+        assert_eq!(oom, series.oom, "{what} {pass}: oom");
+        assert_eq!(peak_alloc.reorg_count(), series.reorgs, "{what} {pass}");
+        if oom.is_some() {
+            break;
+        }
+    }
 }
 
 /// The per-GPU trace the profiler builds for `model` under `cfg`

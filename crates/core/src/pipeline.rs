@@ -30,7 +30,7 @@ use crate::outcome::CellOutcome;
 use crate::profiler::ProfileReport;
 use crate::session::Workload;
 use memo_alloc::caching::CachingAllocator;
-use memo_alloc::snapshot::{replay, SnapshotSeries};
+use memo_alloc::snapshot::replay_peak;
 use memo_alloc::AllocError;
 use memo_hal::engine::{RecordLevel, Timeline};
 use memo_hal::time::SimTime;
@@ -422,7 +422,7 @@ impl ExecutionPipeline {
             .validate(&w.model, w.n_gpus, w.calib.gpus_per_node.min(w.n_gpus))
             .is_ok());
         if let ProfileSource::Pinned(ctx) = &mut source {
-            let fallback = matches!(self.stages.backend, MemoryBackend::CachingReplay { .. });
+            let fallback = self.replays_allocator();
             ctx.count_run(fallback);
             if fallback {
                 source = ProfileSource::Cache { use_cache: true };
@@ -440,10 +440,79 @@ impl ExecutionPipeline {
         if let Some(o) = obs.as_deref_mut() {
             o.stage_secs.profile = t0.unwrap().elapsed().as_secs_f64();
         }
-        // `x * 1.0` is bit-exact for finite x, so the unconditional multiply
-        // reproduces the old in-place `if head_scale != 1.0` mutation.
-        let head_secs = p.head_secs * self.stages.head_scale;
+        let report = self.run_stages(w, cfg, &p, &mut source, obs.as_deref_mut());
+        finish_cache_delta(obs, cache_scope);
+        report
+    }
 
+    /// Whether stage 3 replays the caching allocator
+    /// ([`MemoryBackend::CachingReplay`]): the modes whose strategy search
+    /// bounds every config before replaying any.
+    pub(crate) fn replays_allocator(&self) -> bool {
+        matches!(self.stages.backend, MemoryBackend::CachingReplay { .. })
+    }
+
+    /// Stage 1 alone, through the global [`ProfileCache`].
+    pub(crate) fn profile(
+        &self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        use_cache: bool,
+    ) -> Arc<ProfileReport> {
+        ProfileSource::Cache { use_cache }.profile(w, cfg, &self.stages)
+    }
+
+    /// An upper bound on the TGS a caching-replay run of `cfg` on profile
+    /// `p` can report: the closed-form recompute time with no
+    /// reorganisation stalls, i.e. without replaying the allocator. Replay
+    /// only adds `stalls ≥ 0` to the same sum before the positive derate,
+    /// and TGS falls as the iteration time grows, so a successful run's TGS
+    /// never exceeds this (IEEE rounding is monotone). `+∞` — no bound —
+    /// when the policy fails or the zero-stall time is degenerate.
+    pub(crate) fn replay_tgs_bound(
+        &self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        p: &ProfileReport,
+    ) -> f64 {
+        let Ok(ActivationPlan::Recompute { refwd }) = decide_activation(&self.stages.policy, w, p)
+        else {
+            return f64::INFINITY;
+        };
+        let t = recompute_timing(w, cfg, p, self.head_secs(p), refwd, self.stages.derate, 0.0);
+        mfu_tgs(w, cfg, t.iter_secs).map_or(f64::INFINITY, |(_, tgs)| tgs)
+    }
+
+    /// Stages 2–5 of a caching-replay mode on a profile the caller already
+    /// holds: bit-identical to [`Self::execute_cached`]'s outcome, with no
+    /// second profile or cache lookup (the replay backend reads no plan).
+    pub(crate) fn execute_profiled(
+        &self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        p: &ProfileReport,
+    ) -> CellOutcome {
+        debug_assert!(self.replays_allocator());
+        let mut source = ProfileSource::Cache { use_cache: false };
+        self.run_stages(w, cfg, p, &mut source, None).outcome
+    }
+
+    /// The profiled head seconds under this mode's `head_scale`. `x * 1.0`
+    /// is bit-exact for finite x, so the unconditional multiply reproduces
+    /// the old in-place `if head_scale != 1.0` mutation.
+    fn head_secs(&self, p: &ProfileReport) -> f64 {
+        p.head_secs * self.stages.head_scale
+    }
+
+    /// Stages 2–5 on the profile `p`; `source` supplies the static plan.
+    fn run_stages(
+        &self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        p: &ProfileReport,
+        source: &mut ProfileSource<'_>,
+        mut obs: Option<&mut RunObserver>,
+    ) -> ExecutionReport {
         let fail = |outcome| ExecutionReport {
             spec: self.spec,
             strategy: *cfg,
@@ -457,38 +526,24 @@ impl ExecutionPipeline {
 
         // ---- stage 2: activation policy -----------------------------------
         let t0 = obs.as_ref().map(|_| Instant::now());
-        let plan = decide_activation(&self.stages.policy, w, &p);
+        let plan = decide_activation(&self.stages.policy, w, p);
         if let Some(o) = obs.as_deref_mut() {
             o.stage_secs.policy = t0.unwrap().elapsed().as_secs_f64();
         }
         let plan = match plan {
             Ok(plan) => plan,
-            Err(out) => {
-                finish_cache_delta(obs, cache_scope);
-                return fail(out);
-            }
+            Err(out) => return fail(out),
         };
 
         // ---- stage 3: memory backend --------------------------------------
         let t0 = obs.as_ref().map(|_| Instant::now());
-        let mem = account_memory(
-            &self.stages,
-            w,
-            cfg,
-            &p,
-            &plan,
-            &mut source,
-            obs.as_deref_mut(),
-        );
+        let mem = account_memory(&self.stages, w, cfg, p, &plan, source, obs.as_deref_mut());
         if let Some(o) = obs.as_deref_mut() {
             o.stage_secs.memory = t0.unwrap().elapsed().as_secs_f64();
         }
         let mem = match mem {
             Ok(mem) => mem,
-            Err(out) => {
-                finish_cache_delta(obs, cache_scope);
-                return fail(out);
-            }
+            Err(out) => return fail(out),
         };
 
         // ---- stages 4+5: schedule and metrics -----------------------------
@@ -496,8 +551,8 @@ impl ExecutionPipeline {
         let sched = build_schedule(
             w,
             cfg,
-            &p,
-            head_secs,
+            p,
+            self.head_secs(p),
             &plan,
             &mem,
             self.stages.derate,
@@ -505,10 +560,9 @@ impl ExecutionPipeline {
             obs.as_deref_mut(),
         );
         let report = self.finalize(w, cfg, &plan, &mem, sched);
-        if let Some(o) = obs.as_deref_mut() {
+        if let Some(o) = obs {
             o.stage_secs.schedule = t0.unwrap().elapsed().as_secs_f64();
         }
-        finish_cache_delta(obs, cache_scope);
         report
     }
 
@@ -523,15 +577,7 @@ impl ExecutionPipeline {
     ) -> ExecutionReport {
         match sched {
             Ok((iter_secs, time, host_peak)) => {
-                let samples = w.batch * cfg.dp as u64;
-                let outcome = match compute_metrics(
-                    &w.model,
-                    w.seq_len,
-                    samples,
-                    w.n_gpus,
-                    w.calib.peak_flops,
-                    iter_secs,
-                ) {
+                let outcome = match mfu_tgs(w, cfg, iter_secs) {
                     Some((mfu, tgs)) => CellOutcome::Ok(Metrics {
                         iter_secs,
                         mfu,
@@ -563,6 +609,20 @@ impl ExecutionPipeline {
             },
         }
     }
+}
+
+/// MFU and TGS of one iteration of `iter_secs` ([`compute_metrics`] over
+/// the strategy's data-parallel batch).
+fn mfu_tgs(w: &Workload, cfg: &ParallelConfig, iter_secs: f64) -> Option<(f64, f64)> {
+    let samples = w.batch * cfg.dp as u64;
+    compute_metrics(
+        &w.model,
+        w.seq_len,
+        samples,
+        w.n_gpus,
+        w.calib.peak_flops,
+        iter_secs,
+    )
 }
 
 /// Fold the run's [`ProfileCache`] lookups into the observer. The scope is
@@ -879,14 +939,14 @@ fn account_memory(
             } else {
                 0
             };
-            let series = caching_replay_pass(w, cfg, p, extra_static, obs)?;
+            let (peak_reserved, reorgs) = caching_replay_pass(w, cfg, p, extra_static, obs)?;
             Ok(MemoryAccounting {
                 bytes: ByteBreakdown {
                     model_states: memo_parallel::memory::params_bytes(&w.model, cfg) + extra_static,
                     skeletal_buffers: 0,
-                    planned_arena: series.peak_reserved(),
+                    planned_arena: peak_reserved,
                 },
-                reorgs: series.reorgs,
+                reorgs,
             })
         }
     }
@@ -897,14 +957,16 @@ fn account_memory(
 /// allocation of persistent gradient/Adam tensors (which land scattered in
 /// the cached activation segments and pin them), then a steady-state
 /// iteration whose reorganisations and peak are what training actually pays
-/// every step. Returns the steady-state snapshot.
+/// every step. Returns the steady-state iteration's peak reserved bytes and
+/// reorganisation count — all the pipeline reads, so the passes drive the
+/// allocator through [`replay_peak`] and record no per-request series.
 fn caching_replay_pass(
     w: &Workload,
     cfg: &ParallelConfig,
     p: &ProfileReport,
     extra_static: u64,
     obs: Option<&mut RunObserver>,
-) -> Result<SnapshotSeries, CellOutcome> {
+) -> Result<(u64, u64), CellOutcome> {
     use memo_alloc::DeviceAllocator as _;
     use memo_model::trace::TensorId;
 
@@ -923,9 +985,8 @@ fn caching_replay_pass(
     // allocations; it is enabled just before the steady replay below.
 
     // Iteration 1 (warm-up).
-    let warmup = replay(&mut alloc, &p.trace);
-    if let Some(err) = &warmup.oom {
-        return Err(replay_oom(err, static_bytes, usable));
+    if let (_, Some(err)) = replay_peak(&mut alloc, &p.trace) {
+        return Err(replay_oom(&err, static_bytes, usable));
     }
 
     // First optimizer step: grads + Adam states appear, permanently.
@@ -941,7 +1002,9 @@ fn caching_replay_pass(
         }) = alloc.malloc(id, bytes)
         {
             return Err(CellOutcome::Oom {
-                needed: static_bytes + reserved + requested,
+                needed: static_bytes
+                    .saturating_add(reserved)
+                    .saturating_add(requested),
                 capacity: usable,
             });
         }
@@ -950,16 +1013,14 @@ fn caching_replay_pass(
 
     // Steady-state iteration.
     alloc.record_events(obs.is_some());
-    let series = replay(&mut alloc, &p.trace);
+    let (peak_reserved, oom) = replay_peak(&mut alloc, &p.trace);
     if let Some(o) = obs {
         o.alloc_events = alloc.take_events();
     }
-    if let Some(err) = &series.oom {
-        return Err(replay_oom(err, static_bytes, usable));
+    if let Some(err) = oom {
+        return Err(replay_oom(&err, static_bytes, usable));
     }
-    let mut series = series;
-    series.reorgs = alloc.reorg_count() - reorgs_before_steady;
-    Ok(series)
+    Ok((peak_reserved, alloc.reorg_count() - reorgs_before_steady))
 }
 
 /// A single-stream timeline for the recompute family, mirroring the
@@ -1000,9 +1061,11 @@ fn synthesize_recompute_timeline(
     tl
 }
 
-/// A replay OOM with the static bytes folded into the shortfall. Plan
-/// errors (`NotInPlan`/`PlanOverlap`) cannot occur on a caching allocator,
-/// but are still reported with real numbers rather than a sentinel.
+/// A replay OOM with the static bytes folded into the shortfall, saturating
+/// at `u64::MAX` (a wrapped sum would rank as the smallest shortfall and win
+/// the least-bad failure). Plan errors (`NotInPlan`/`PlanOverlap`) cannot
+/// occur on a caching allocator, but are still reported with real numbers
+/// rather than a sentinel.
 fn replay_oom(err: &AllocError, static_bytes: u64, usable: u64) -> CellOutcome {
     match *err {
         AllocError::OutOfMemory {
@@ -1010,7 +1073,9 @@ fn replay_oom(err: &AllocError, static_bytes: u64, usable: u64) -> CellOutcome {
             reserved,
             ..
         } => CellOutcome::Oom {
-            needed: static_bytes + reserved + requested,
+            needed: static_bytes
+                .saturating_add(reserved)
+                .saturating_add(requested),
             capacity: usable,
         },
         AllocError::NotInPlan(_) | AllocError::PlanOverlap(_, _) => CellOutcome::Oom {
@@ -1036,6 +1101,51 @@ fn staging_for(w: &Workload, traffic: &TierTrafficList) -> TierStaging {
         capacities.push(w.calib.tier_capacity_per_gpu(k));
     }
     TierStaging::new(&capacities)
+}
+
+/// The recompute family's closed-form iteration (see [`recompute_timing`]).
+struct RecomputeTiming {
+    /// Per-stage work: forward, head, optional re-forward, backward.
+    compute: f64,
+    /// Divisor on the raw seconds (1.0 unless the mode derates).
+    derate: f64,
+    /// `(compute · bubble + optimizer + grad sync + stalls) / derate`.
+    iter_secs: f64,
+}
+
+/// The closed-form recompute-family timing with `stalls` seconds of
+/// reorganisation. Stage 4's `Recompute` arm and the search's zero-stall
+/// replay bound ([`ExecutionPipeline::replay_tgs_bound`]) both call it, so
+/// the bound cannot drift from the time it bounds: `stalls` enters last,
+/// as one non-negative addend before the division.
+fn recompute_timing(
+    w: &Workload,
+    cfg: &ParallelConfig,
+    p: &ProfileReport,
+    head_secs: f64,
+    refwd: bool,
+    derate: bool,
+    stalls: f64,
+) -> RecomputeTiming {
+    let layers = p.layers_local as f64;
+    let lt = &p.layer_time;
+    let compute = if refwd {
+        layers * (2.0 * lt.fwd() + lt.bwd) + head_secs
+    } else {
+        layers * (lt.fwd() + lt.bwd) + head_secs
+    };
+    let bubble_factor = comm::pipeline_bubble_factor(cfg.pp, w.batch as usize);
+    let raw = compute * bubble_factor + p.optimizer_secs + p.grad_sync_secs + stalls;
+    let derate = if derate {
+        w.calib.ds_compute_derate
+    } else {
+        1.0
+    };
+    RecomputeTiming {
+        compute,
+        derate,
+        iter_secs: raw / derate,
+    }
 }
 
 /// Stage 4: the iteration seconds, their decomposition, and the host peak.
@@ -1150,21 +1260,12 @@ fn build_schedule(
         }
         ActivationPlan::Recompute { refwd } => {
             let layers = p.layers_local as f64;
-            // Forward, head, optional re-forward + backward, plus fixed
-            // costs and reorganisation stalls — the closed-form baseline.
-            let compute = if refwd {
-                layers * (2.0 * lt.fwd() + lt.bwd) + head_secs
-            } else {
-                layers * (lt.fwd() + lt.bwd) + head_secs
-            };
             let stalls = mem.reorgs as f64 * w.calib.reorg_penalty_secs;
-            let raw = compute * bubble_factor + p.optimizer_secs + p.grad_sync_secs + stalls;
-            let derate = if derate {
-                w.calib.ds_compute_derate
-            } else {
-                1.0
-            };
-            let iter_secs = raw / derate;
+            let RecomputeTiming {
+                compute,
+                derate,
+                iter_secs,
+            } = recompute_timing(w, cfg, p, head_secs, refwd, derate, stalls);
             let useful = layers * (lt.fwd() + lt.bwd) + head_secs;
             let refwd_secs = if refwd { layers * lt.fwd() } else { 0.0 };
             if let Some(o) = obs {
@@ -1196,6 +1297,25 @@ fn build_schedule(
 mod tests {
     use super::*;
     use crate::testutil::w7;
+
+    #[test]
+    fn replay_oom_saturates_instead_of_wrapping() {
+        // A wrapped `needed` would rank as the smallest shortfall and win
+        // the search's least-bad failure.
+        let err = AllocError::OutOfMemory {
+            requested: u64::MAX / 2 + 2,
+            allocated: u64::MAX / 4,
+            reserved: u64::MAX / 2,
+            capacity: 80 << 30,
+        };
+        assert_eq!(
+            replay_oom(&err, 1 << 30, 80 << 30),
+            CellOutcome::Oom {
+                needed: u64::MAX,
+                capacity: 80 << 30,
+            }
+        );
+    }
 
     #[test]
     fn host_gate_counts_the_layers_the_schedule_stages() {

@@ -114,7 +114,7 @@ pub fn profile(
         naive_params.comm_factor = params.comm_factor;
         let naive = trace::generate(&naive_params);
         let mut um = UnifiedMemoryAllocator::new(usable, w.calib.host_capacity_per_gpu());
-        let _ = memo_alloc::snapshot::replay(&mut um, &naive);
+        let _ = memo_alloc::snapshot::replay_peak(&mut um, &naive);
         ProfilingMode::UnifiedMemory {
             migration_secs: um.estimated_migration_secs(w.calib.effective_pcie()),
         }

@@ -3,12 +3,14 @@
 use crate::ablation::Variant;
 use crate::outcome::CellOutcome;
 use crate::pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource};
+use crate::profiler::ProfileReport;
 use memo_hal::calib::Calibration;
 use memo_hal::topology::ClusterSpec;
 use memo_model::config::ModelConfig;
 use memo_parallel::pool::Pool;
 use memo_parallel::search;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
+use std::sync::Arc;
 
 /// Knobs of the strategy search. Both default on; the forced-serial,
 /// cache-disabled combination is the oracle of the parallel-parity tests.
@@ -38,6 +40,12 @@ impl Default for SearchOptions {
 /// Ulysses grid pairs `FullRecompute` with materialized logits — no other
 /// backend asks for that profile).
 pub const SMALL_GRID_BYPASS: usize = 8;
+
+/// Caching-allocator replays per best-first batch of the strategy search
+/// ([`best_first`]): wide enough to keep a small pool busy, narrow enough
+/// that the incumbent tightens before most of the grid is replayed. A
+/// constant, not a knob — the replayed set depends on it.
+const REPLAY_BATCH: usize = 4;
 
 impl SearchOptions {
     /// Serial, uncached: exactly the pre-pool code path.
@@ -167,6 +175,14 @@ impl Workload {
     /// enumeration-index order, so the `>=` tie-break below keeps its
     /// "last enumerated wins" semantics bit-exactly regardless of which
     /// worker finished first (golden parity depends on this — DESIGN.md).
+    ///
+    /// Caching-replay modes (Megatron-LM, keep-all, DeepSpeed) bound before
+    /// they replay: every config is profiled and given its zero-stall TGS
+    /// bound, and the allocator replays run best bound first, stopping once
+    /// the next bound is strictly below the best replayed TGS
+    /// ([`best_first`]). A pruned config can neither win nor tie, and a
+    /// search with no feasible config replays everything, so the fold over
+    /// the replayed configs returns what the exhaustive fold would.
     fn search_strategies(
         &self,
         system: SystemSpec,
@@ -183,14 +199,19 @@ impl Workload {
         let parallel = opts.parallel && !small;
         let use_cache = opts.cache && !small;
         let pipeline = ExecutionPipeline::new(system);
-        let evaluate = |cfg: &ParallelConfig| pipeline.execute_cached(self, cfg, use_cache).outcome;
-        let outcomes: Vec<(ParallelConfig, CellOutcome)> = if parallel {
-            Pool::machine().map(configs, |cfg| (cfg, evaluate(&cfg)))
+        let outcomes: Vec<(ParallelConfig, CellOutcome)> = if pipeline.replays_allocator() {
+            self.replay_best_first(&pipeline, configs, parallel, use_cache)
         } else {
-            configs
-                .into_iter()
-                .map(|cfg| (cfg, evaluate(&cfg)))
-                .collect()
+            let evaluate =
+                |cfg: &ParallelConfig| pipeline.execute_cached(self, cfg, use_cache).outcome;
+            if parallel {
+                Pool::machine().map(configs, |cfg| (cfg, evaluate(&cfg)))
+            } else {
+                configs
+                    .into_iter()
+                    .map(|cfg| (cfg, evaluate(&cfg)))
+                    .collect()
+            }
         };
 
         let mut best: Option<(ParallelConfig, CellOutcome, f64)> = None;
@@ -220,6 +241,103 @@ impl Workload {
             failure.unwrap_or(CellOutcome::NoValidStrategy),
         )
     }
+
+    /// The caching-replay leg of [`Self::search_strategies`]: profile and
+    /// bound every config, replay in [`best_first`] order on the profiles
+    /// already held, and return the replayed configs with their outcomes in
+    /// enumeration order.
+    fn replay_best_first(
+        &self,
+        pipeline: &ExecutionPipeline,
+        configs: Vec<ParallelConfig>,
+        parallel: bool,
+        use_cache: bool,
+    ) -> Vec<(ParallelConfig, CellOutcome)> {
+        let bound = |cfg: &ParallelConfig| {
+            let p = pipeline.profile(self, cfg, use_cache);
+            let b = pipeline.replay_tgs_bound(self, cfg, &p);
+            (p, b)
+        };
+        let profiled: Vec<(Arc<ProfileReport>, f64)> = if parallel {
+            Pool::machine().map(configs.iter().collect(), bound)
+        } else {
+            configs.iter().map(bound).collect()
+        };
+        let bounds: Vec<f64> = profiled.iter().map(|&(_, b)| b).collect();
+        let mut outcomes: Vec<Option<CellOutcome>> = vec![None; configs.len()];
+        best_first(&bounds, |batch| {
+            let replay = |i: usize| pipeline.execute_profiled(self, &configs[i], &profiled[i].0);
+            let outs: Vec<CellOutcome> = if parallel {
+                Pool::machine().map(batch.to_vec(), replay)
+            } else {
+                batch.iter().map(|&i| replay(i)).collect()
+            };
+            batch
+                .iter()
+                .zip(outs)
+                .map(|(&i, out)| {
+                    let tgs = out.metrics().map(|m| m.tgs);
+                    outcomes[i] = Some(out);
+                    tgs
+                })
+                .collect()
+        });
+        configs
+            .into_iter()
+            .zip(outcomes)
+            .filter_map(|(cfg, out)| Some((cfg, out?)))
+            .collect()
+    }
+}
+
+/// Best-first evaluation under upper bounds. Visits the indices of `bounds`
+/// in descending bound order (stable, so equal bounds keep index order),
+/// [`REPLAY_BATCH`] at a time; `evaluate` receives each batch and returns
+/// the score of each index in it, `None` for an infeasible one. Stops before
+/// the first index whose bound is strictly below the best score so far:
+/// that index, and every one after it, cannot beat or tie the incumbent.
+///
+/// A tie with the incumbent is still evaluated (the caller's fold keeps the
+/// last enumerated of equals), and until some index is feasible nothing is
+/// pruned. A non-finite bound proves nothing: it sorts first, as `+∞`, and
+/// is never pruned. The evaluated set depends only on the bounds, the
+/// scores and the batch size.
+fn best_first(bounds: &[f64], mut evaluate: impl FnMut(&[usize]) -> Vec<Option<f64>>) {
+    let key = |i: usize| {
+        let b = bounds[i];
+        if b.is_finite() {
+            b
+        } else {
+            f64::INFINITY
+        }
+    };
+    let mut order: Vec<usize> = (0..bounds.len()).collect();
+    order.sort_by(|&a, &b| key(b).total_cmp(&key(a)));
+    let mut incumbent = f64::NEG_INFINITY;
+    let mut rest = &order[..];
+    loop {
+        let take = rest
+            .iter()
+            .take(REPLAY_BATCH)
+            .take_while(|&&i| !pruned(key(i), incumbent))
+            .count();
+        if take == 0 {
+            break;
+        }
+        let (batch, tail) = rest.split_at(take);
+        for score in evaluate(batch).into_iter().flatten() {
+            if score > incumbent {
+                incumbent = score;
+            }
+        }
+        rest = tail;
+    }
+}
+
+/// The stopping rule of [`best_first`]: strictly below, so a tie with the
+/// incumbent is evaluated and a NaN bound never prunes.
+fn pruned(bound: f64, incumbent: f64) -> bool {
+    bound < incumbent
 }
 
 #[cfg(test)]
@@ -290,6 +408,186 @@ mod tests {
         );
         let s = scope.finish();
         assert!(s.hits + s.misses > 0, "large grids still use the cache");
+    }
+
+    /// Runs [`best_first`] on `bounds`, scoring index `i` with `scores[i]`,
+    /// and returns the batches it evaluated.
+    fn best_first_batches(bounds: &[f64], scores: &[Option<f64>]) -> Vec<Vec<usize>> {
+        let mut batches = Vec::new();
+        best_first(bounds, |batch| {
+            batches.push(batch.to_vec());
+            batch.iter().map(|&i| scores[i]).collect()
+        });
+        batches
+    }
+
+    #[test]
+    fn best_first_stops_at_batch_boundaries() {
+        // Bounds descend with the index; the first batch's best score (9.0)
+        // prunes everything bounded strictly below it.
+        let bounds = [10.0, 9.5, 9.2, 9.1, 9.0, 8.9, 8.0, 7.0, 6.0];
+        let mut scores = vec![None; bounds.len()];
+        scores[1] = Some(9.0);
+        assert_eq!(
+            best_first_batches(&bounds, &scores),
+            [vec![0, 1, 2, 3], vec![4]]
+        );
+        // An incumbent found only in the second batch stops the third.
+        let mut scores = vec![None; bounds.len()];
+        scores[5] = Some(8.5);
+        assert_eq!(
+            best_first_batches(&bounds, &scores),
+            [vec![0, 1, 2, 3], vec![4, 5, 6, 7]]
+        );
+        // Enumeration order is not bound order: the sort is by bound,
+        // stable among equals.
+        let bounds = [1.0, 5.0, 3.0, 5.0, 2.0, 4.0];
+        let scores = [None, Some(0.5), None, None, None, None];
+        assert_eq!(
+            best_first_batches(&bounds, &scores),
+            [vec![1, 3, 5, 2], vec![4, 0]]
+        );
+        let scores = [None, None, Some(2.0), None, None, None];
+        assert_eq!(
+            best_first_batches(&bounds, &scores),
+            [vec![1, 3, 5, 2], vec![4]]
+        );
+        assert!(best_first_batches(&[], &[]).is_empty());
+    }
+
+    #[test]
+    fn best_first_evaluates_a_tie_with_the_incumbent() {
+        // Index 4's bound equals the incumbent: it could tie, and the fold
+        // keeps the last enumerated of equals, so it must be evaluated.
+        let bounds = [10.0, 10.0, 10.0, 10.0, 7.0, 6.0];
+        let scores = [Some(7.0), None, None, None, Some(7.0), None];
+        assert_eq!(
+            best_first_batches(&bounds, &scores),
+            [vec![0, 1, 2, 3], vec![4]]
+        );
+    }
+
+    #[test]
+    fn best_first_never_prunes_non_finite_bounds() {
+        // A non-finite bound proves nothing: it sorts first and is always
+        // evaluated, however good the incumbent.
+        let bounds = [1.0, f64::NAN, f64::NEG_INFINITY, 50.0, f64::INFINITY, 2.0];
+        let scores = [None, None, None, Some(40.0), None, None];
+        assert_eq!(best_first_batches(&bounds, &scores), [vec![1, 2, 4, 3]]);
+        let bounds = [f64::NAN, 1.0, -f64::NAN, f64::NEG_INFINITY, 2.0, 3.0];
+        let scores = [None, None, None, None, None, Some(100.0)];
+        assert_eq!(best_first_batches(&bounds, &scores), [vec![0, 2, 3, 5]]);
+    }
+
+    #[test]
+    fn best_first_without_a_feasible_result_evaluates_everything() {
+        let bounds: Vec<f64> = (0..11).map(|i| (i * 7 % 11) as f64).collect();
+        let batches = best_first_batches(&bounds, &[None; 11]);
+        assert_eq!(batches.iter().map(Vec::len).collect::<Vec<_>>(), [4, 4, 3]);
+        let mut seen: Vec<usize> = batches.concat();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..11).collect::<Vec<_>>());
+    }
+
+    /// The strategy-search grids of the pruning tests: the
+    /// `tests/search_parallel.rs` cells (7B, 8 GPUs, 64K / 256K / 1024K)
+    /// and two search-short shapes (7B on 4 GPUs at 2K tokens per GPU, 65B
+    /// on 16 GPUs at 4K tokens per GPU) on 512 GiB DRAM and 16 GB/s PCIe.
+    fn pruning_grids() -> Vec<Workload> {
+        let mut cells: Vec<Workload> = [64, 256, 1024].map(|s| w7(8, s)).to_vec();
+        for (model, n_gpus, per_gpu) in [
+            (ModelConfig::gpt_7b(), 4usize, 2u64 << 10),
+            (ModelConfig::gpt_65b(), 16, 4 << 10),
+        ] {
+            let mut w = Workload::new(model, n_gpus, per_gpu * n_gpus as u64);
+            w.calib.set_host_memory_bytes(512 << 30);
+            w.calib.set_pcie_bandwidth(16e9);
+            cells.push(w);
+        }
+        cells
+    }
+
+    #[test]
+    fn replay_bound_is_at_least_the_replayed_tgs() {
+        let caching = [
+            SystemSpec::MegatronLM,
+            SystemSpec::MegatronKeepAll,
+            SystemSpec::DeepSpeed,
+        ];
+        let (mut feasible, mut below_best) = (0, 0);
+        for w in pruning_grids() {
+            let gpn = w.calib.gpus_per_node.min(w.n_gpus);
+            for spec in caching {
+                let pipeline = ExecutionPipeline::new(spec);
+                assert!(pipeline.replays_allocator(), "{spec:?}");
+                let mut best = f64::NEG_INFINITY;
+                let mut bounds = Vec::new();
+                for cfg in search::enumerate_configs(spec, &w.model, w.n_gpus, gpn) {
+                    let p = pipeline.profile(&w, &cfg, true);
+                    let bound = pipeline.replay_tgs_bound(&w, &cfg, &p);
+                    assert!(bound.is_finite(), "{spec:?} {}", cfg.describe());
+                    bounds.push(bound);
+                    let out = pipeline.execute_profiled(&w, &cfg, &p);
+                    assert_eq!(out, w.run_with(spec, &cfg), "{spec:?} {}", cfg.describe());
+                    if let Some(m) = out.metrics() {
+                        assert!(
+                            m.tgs <= bound,
+                            "{spec:?} {} @ {}: replayed TGS {} above its bound {bound}",
+                            cfg.describe(),
+                            w.seq_len,
+                            m.tgs
+                        );
+                        feasible += 1;
+                        best = best.max(m.tgs);
+                    }
+                }
+                below_best += bounds.iter().filter(|&&b| b < best).count();
+            }
+        }
+        // The grids exercise the bound: feasible replays, and prunable ones.
+        assert!(feasible > 0 && below_best > 0, "{feasible} / {below_best}");
+    }
+
+    #[test]
+    fn pruned_search_matches_the_exhaustive_fold() {
+        // The documented fold over every enumerated config, run one by one:
+        // `>=` on TGS (last enumerated wins among equals), minimum
+        // `failure_rank` among failures.
+        let exhaustive = |w: &Workload, spec: SystemSpec| {
+            let gpn = w.calib.gpus_per_node.min(w.n_gpus);
+            let mut best: Option<(ParallelConfig, CellOutcome, f64)> = None;
+            let mut failure = CellOutcome::NoValidStrategy;
+            for cfg in search::enumerate_configs(spec, &w.model, w.n_gpus, gpn) {
+                let out = w.run_with(spec, &cfg);
+                match out.metrics().map(|m| m.tgs) {
+                    Some(tgs) if best.as_ref().is_none_or(|(_, _, b)| tgs >= *b) => {
+                        best = Some((cfg, out, tgs));
+                    }
+                    Some(_) => {}
+                    None if out.failure_rank() < failure.failure_rank() => failure = out,
+                    None => {}
+                }
+            }
+            match best {
+                Some((cfg, out, _)) => (Some(cfg), out),
+                None => (None, failure),
+            }
+        };
+        for w in pruning_grids() {
+            for spec in SystemSpec::ALL_MODES {
+                let oracle = exhaustive(&w, spec);
+                for opts in [SearchOptions::default(), SearchOptions::serial_uncached()] {
+                    assert_eq!(
+                        w.run_best_or_failure_with(spec, opts),
+                        oracle,
+                        "{spec:?} {} on {} GPUs at {} tokens, {opts:?}",
+                        w.model.name,
+                        w.n_gpus,
+                        w.seq_len
+                    );
+                }
+            }
+        }
     }
 
     #[test]
