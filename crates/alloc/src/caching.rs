@@ -37,9 +37,8 @@
 //! tie-breaks.
 
 use crate::{AllocError, DeviceAllocator};
+use memo_model::hash::FxHashMap;
 use memo_model::trace::TensorId;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 const ROUND: u64 = 512;
 const SMALL_LIMIT: u64 = 1 << 20; // requests below this go to the small pool
@@ -53,52 +52,6 @@ const LARGE_SPLIT_REMAINDER: u64 = 1 << 20;
 /// in a `u64`, so `log2(size/512) < 55 < 64` always indexes in range and
 /// the occupancy bitmap fits one word.
 const N_CLASSES: usize = 64;
-
-/// Minimal FxHash-style integer hasher for the hot-path maps (tensor id →
-/// block location, segment base → vec index). Not DoS-hardened — every key
-/// is an internal trace id or a virtual address we generated ourselves.
-#[derive(Debug, Default, Clone)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Pool {
@@ -318,10 +271,10 @@ pub struct CachingAllocator {
     /// grows, and the reorganisation compaction preserves relative order.
     segments: Vec<Segment>,
     /// base address → index into `segments`.
-    seg_index: FxMap<u64, u32>,
+    seg_index: FxHashMap<u64, u32>,
     free_small: SegregatedLists,
     free_large: SegregatedLists,
-    live: FxMap<TensorId, (u64, u64)>, // id -> (segment base, offset)
+    live: FxHashMap<TensorId, (u64, u64)>, // id -> (segment base, offset)
     allocated: u64,
     reserved: u64,
     stats: CachingStats,
@@ -337,10 +290,10 @@ impl CachingAllocator {
             capacity,
             va_cursor: 0,
             segments: Vec::new(),
-            seg_index: FxMap::default(),
+            seg_index: FxHashMap::default(),
             free_small: SegregatedLists::new(),
             free_large: SegregatedLists::new(),
-            live: FxMap::default(),
+            live: FxHashMap::default(),
             allocated: 0,
             reserved: 0,
             stats: CachingStats::default(),

@@ -17,7 +17,8 @@
 //!   sweep ≥ 1× the per-cell `execute_cached` baseline, and the
 //!   mixed-policy sweep (with full-simulation verification) < 30 s;
 //! * the 1,013,850-interval MegaTrain chunked instance plans in < 30 s,
-//!   validates, and stays within the boxing guarantee (`gap_ok`).
+//!   validates, stays within the boxing guarantee (`gap_ok`) and is proven
+//!   optimal (peak at the liveness bound).
 
 use memo_alloc::caching::CachingAllocator;
 use memo_alloc::paged::PagedKvAllocator;
@@ -282,12 +283,13 @@ fn megatrain_gate() -> bool {
     let valid = sol.assignment.validate(&inst).is_ok();
     let peak = sol.assignment.peak;
     let gap_ok = peak >= sol.lower_bound && sol.guarantee.is_none_or(|g| peak <= g);
+    let optimal = sol.optimal;
     gate(
         "MegaTrain chunked plan",
-        inst.len() >= 1_000_000 && ms < 30_000.0 && valid && gap_ok,
+        inst.len() >= 1_000_000 && ms < 30_000.0 && valid && gap_ok && optimal,
         format!(
-            "{} intervals in {ms:.1} ms, valid {valid}, gap_ok {gap_ok} \
-             (gap {:.3}; gate >= 1M intervals, < 30000 ms, valid, gap_ok)",
+            "{} intervals in {ms:.1} ms, valid {valid}, gap_ok {gap_ok}, optimal {optimal} \
+             (gap {:.3}; gate >= 1M intervals, < 30000 ms, valid, gap_ok, optimal)",
             inst.len(),
             peak as f64 / sol.lower_bound.max(1) as f64
         ),

@@ -17,13 +17,16 @@
 //! * [`chunked`] — the token-chunked offload request stream (MegaTrain
 //!   shape) with real model-derived sizes, streamed via a visitor;
 //! * [`decode`] — decode-phase (serving) traces: per-step KV append,
-//!   continuous-batching arrivals/departures on a virtual step clock.
+//!   continuous-batching arrivals/departures on a virtual step clock;
+//! * [`hash`] — the Fx integer hasher shared by the allocator's and the
+//!   DSA builder's hot-path maps.
 
 pub mod activations;
 pub mod chunked;
 pub mod config;
 pub mod decode;
 pub mod flops;
+pub mod hash;
 pub mod io;
 pub mod trace;
 

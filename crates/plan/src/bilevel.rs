@@ -355,8 +355,9 @@ pub fn plan_iteration(trace: &IterationTrace, opts: &PlanOptions) -> BilevelRepo
 }
 
 /// Plan the whole iteration as one flat instance under the size-based
-/// dispatch policy (exact BnB below the threshold, boxing above it,
-/// best-fit as last resort) — the `PlannerKind::WholeTrace` pipeline.
+/// dispatch policy (exact BnB below the threshold, the boxing family with
+/// its skyline certificate above it) — the `PlannerKind::WholeTrace`
+/// pipeline.
 pub fn plan_whole(
     trace: &IterationTrace,
     opts: &crate::dispatch::DispatchOptions,

@@ -3,8 +3,18 @@
 //! Exact branch-and-bound ([`crate::bnb`]) is limited to the tiny instances
 //! produced by the bi-level decomposition; the whole-model ("flat")
 //! formulation of §4.2 carries thousands to millions of intervals. This
-//! module implements a boxing solver in the idealloc/Buchsbaum family:
+//! module implements a boxing solver in the idealloc/Buchsbaum family,
+//! behind a certificate that usually makes it unnecessary:
 //!
+//! 0. **Certificate before boxing** (the `skyline` module): place tensors
+//!    longest-surviving first, each directly on top of the highest tensor
+//!    already placed in its lifespan. Stack-shaped traces (token-chunked
+//!    ones: layer inputs and carried chunk outputs freed in reverse
+//!    allocation order, chunk transients nested inside them) come out at
+//!    exactly the liveness bound `LOAD`, and `peak == LOAD` proves the
+//!    plan optimal, so the solver returns it at once. Otherwise it becomes
+//!    one more candidate below. It is a member of the best-fit portfolio
+//!    and is reported as [`Candidate::BestFit`].
 //! 1. **Jobset analysis** ([`jobsets`]): sweep the birth/death event points
 //!    and record, per power-of-two *height class* `c` (true sizes in
 //!    `(2^(c-1), 2^c]`), the maximum number of concurrently-live tensors
@@ -25,11 +35,12 @@
 //!    `T_c·2^c < 2·maxload_c ≤ 2·LOAD` (class 0 sizes are exactly 1, so
 //!    the factor-2 is not even needed there).
 //!
-//! The solver returns the best of {recursive boxes, stacked bands, best-fit
-//! portfolio (small instances only; refined by insertion local search
-//! within exact-search size)} after optional compaction polish, so
-//! its peak is **provably ≤ `2·K·LOAD`** — the `guarantee` field — while
-//! in practice landing much closer to the lower bound. Everything is
+//! Past the certificate, the solver returns the best of {recursive boxes,
+//! stacked bands, best-fit portfolio (small instances only; refined by
+//! insertion local search within exact-search size), skyline} after
+//! optional compaction polish, so its peak is **provably ≤ `2·K·LOAD`** —
+//! the `guarantee` field, which the certificate's early exit reports too —
+//! while in practice landing much closer to the lower bound. Everything is
 //! O(n log n) per class level, which is what lets a ≥1M-interval trace
 //! solve in seconds (gated by `speed_gates`).
 
@@ -37,6 +48,7 @@ use crate::bnb::BnbOptions;
 use crate::dsa::{Assignment, DsaInstance};
 use crate::heuristic;
 use crate::index::IntervalIndex;
+use crate::skyline;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -44,7 +56,9 @@ use std::collections::{BTreeMap, BinaryHeap};
 /// (also exercised by the dispatch tests).
 #[derive(Debug, Clone)]
 pub struct BoxingOptions {
-    /// Run the O(n²) best-fit portfolio candidate when `n ≤` this.
+    /// Run the O(n²) best-fit portfolio candidate when `n ≤` this. The
+    /// portfolio's O(n log n) skyline certificate runs at every `n`; `0`
+    /// turns the whole portfolio off, the skyline included.
     pub portfolio_max_tensors: usize,
     /// Run compaction polish passes when `n ≤` this.
     pub polish_max_tensors: usize,
@@ -140,6 +154,15 @@ fn class_of(size: u64) -> u32 {
 
 /// Compute the event-point liveness jobsets.
 pub fn jobsets(inst: &DsaInstance) -> Jobsets {
+    Jobsets {
+        load: inst.lower_bound(),
+        classes: class_loads(inst),
+    }
+}
+
+/// The per-class half of [`jobsets`]. Byte sums run in 128 bits and
+/// saturate at `u64::MAX`.
+fn class_loads(inst: &DsaInstance) -> Vec<ClassLoad> {
     let mut per_class: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
     for (i, t) in inst.tensors.iter().enumerate() {
         if t.size == 0 {
@@ -147,20 +170,20 @@ pub fn jobsets(inst: &DsaInstance) -> Jobsets {
         }
         per_class.entry(class_of(t.size)).or_default().push(i);
     }
-    let classes = per_class
+    per_class
         .iter()
         .map(|(&class, members)| {
             // Sweep this class's events: deaths before births at equal
             // positions (half-open lifespans).
-            let mut events: Vec<(usize, i64, i64)> = Vec::with_capacity(members.len() * 2);
+            let mut events: Vec<(usize, i64, i128)> = Vec::with_capacity(members.len() * 2);
             for &i in members {
                 let t = &inst.tensors[i];
-                events.push((t.birth, 1, t.size as i64));
-                events.push((t.death, -1, -(t.size as i64)));
+                events.push((t.birth, 1, i128::from(t.size)));
+                events.push((t.death, -1, -i128::from(t.size)));
             }
             events.sort_unstable_by_key(|&(pos, d, _)| (pos, d));
-            let (mut live, mut bytes) = (0i64, 0i64);
-            let (mut tracks, mut max_bytes) = (0i64, 0i64);
+            let (mut live, mut bytes) = (0i64, 0i128);
+            let (mut tracks, mut max_bytes) = (0i64, 0i128);
             for (_, d, b) in events {
                 live += d;
                 bytes += b;
@@ -171,14 +194,10 @@ pub fn jobsets(inst: &DsaInstance) -> Jobsets {
                 class,
                 count: members.len(),
                 tracks: tracks as usize,
-                max_live_bytes: max_bytes as u64,
+                max_live_bytes: u64::try_from(max_bytes).unwrap_or(u64::MAX),
             }
         })
-        .collect();
-    Jobsets {
-        load: inst.lower_bound(),
-        classes,
-    }
+        .collect()
 }
 
 /// A boxing work item: either an original tensor (leaf) or a box merging
@@ -384,15 +403,40 @@ pub fn solve(inst: &DsaInstance) -> BoxingSolution {
     solve_with(inst, &BoxingOptions::default())
 }
 
-/// Solve: jobset analysis, candidate generation, polish, certification.
+/// Solve: skyline certificate, then jobset analysis, candidate
+/// generation, polish, certification.
 pub fn solve_with(inst: &DsaInstance, opts: &BoxingOptions) -> BoxingSolution {
     let n = inst.tensors.len();
-    let js = jobsets(inst);
-    let k = js.classes.len() as u64;
+    let (pos, span) = inst.dense_positions();
+    let load = inst.load_at(&pos, span);
+    let certify = |classes: usize| load.saturating_mul(2).saturating_mul(classes as u64);
+    let mut sky = (opts.portfolio_max_tensors > 0).then(|| skyline::place(inst, &pos, span));
+    drop(pos);
+    if let Some((offsets, peak)) = sky.take_if(|&mut (_, peak)| peak == load) {
+        // Optimal: boxing cannot beat it. Report the same `2·K·LOAD`.
+        let mask = inst
+            .tensors
+            .iter()
+            .filter(|t| t.size > 0)
+            .fold(0u64, |m, t| m | 1 << class_of(t.size));
+        let classes = mask.count_ones() as usize;
+        return BoxingSolution {
+            assignment: Assignment { offsets, peak },
+            lower_bound: load,
+            guarantee: certify(classes),
+            stats: BoxingStats {
+                n_tensors: n,
+                classes,
+                candidate: Candidate::BestFit,
+                polish_passes: 0,
+            },
+        };
+    }
+    let classes = class_loads(inst);
     // Certified bound peak ≤ 2·K·LOAD (see module docs); the returned
     // assignment is the min over candidates that include stacked bands,
     // whose peak obeys the bound by construction.
-    let guarantee = js.load.saturating_mul(2).saturating_mul(k);
+    let guarantee = certify(classes.len());
 
     let (bands_off, bands_peak) = stacked_bands(inst);
     debug_assert!(bands_peak <= guarantee);
@@ -410,6 +454,11 @@ pub fn solve_with(inst: &DsaInstance, opts: &BoxingOptions) -> BoxingSolution {
         };
         if bf.peak < best.2 {
             best = (Candidate::BestFit, bf.offsets, bf.peak);
+        }
+    }
+    if let Some((offsets, peak)) = sky {
+        if peak < best.2 {
+            best = (Candidate::BestFit, offsets, peak);
         }
     }
     let (candidate, mut offsets, mut peak) = best;
@@ -436,11 +485,11 @@ pub fn solve_with(inst: &DsaInstance, opts: &BoxingOptions) -> BoxingSolution {
     debug_assert!(peak <= guarantee || n == 0);
     BoxingSolution {
         assignment,
-        lower_bound: js.load,
+        lower_bound: load,
         guarantee,
         stats: BoxingStats {
             n_tensors: n,
-            classes: js.classes.len(),
+            classes: classes.len(),
             candidate,
             polish_passes,
         },
@@ -545,6 +594,47 @@ mod tests {
         assert_eq!(sol.assignment.peak, 8);
         assert_eq!(sol.assignment.offsets[0], 0);
         assert_eq!(sol.assignment.offsets[2], 0);
+    }
+
+    /// The certificate's early exit reports the same `2·K·LOAD` guarantee
+    /// and class count as a full solve.
+    #[test]
+    fn certified_exit_reports_the_boxing_guarantee() {
+        // Nested lifespans over five height classes, plus a zero-size one.
+        let inst = DsaInstance {
+            tensors: vec![
+                t(0, 100, 0, 20),
+                t(1, 3, 1, 9),
+                t(2, 17, 2, 5),
+                t(3, 0, 3, 4),
+                t(4, 1, 10, 19),
+                t(5, 64, 11, 12),
+            ],
+        };
+        let sol = solve(&inst);
+        let js = jobsets(&inst);
+        assert_eq!(sol.assignment.peak, js.load, "stack-shaped: optimal");
+        assert_eq!(sol.stats.candidate, Candidate::BestFit);
+        assert_eq!(sol.stats.polish_passes, 0);
+        assert_eq!(sol.stats.classes, js.classes.len());
+        assert_eq!(sol.guarantee, 2 * js.classes.len() as u64 * js.load);
+        sol.assignment.validate(&inst).unwrap();
+    }
+
+    #[test]
+    fn jobsets_sum_bytes_past_i64() {
+        let huge = (1u64 << 63) + 1;
+        let inst = DsaInstance {
+            tensors: vec![t(0, huge, 0, 4), t(1, huge, 2, 6), t(2, 5, 0, 1)],
+        };
+        let js = jobsets(&inst);
+        assert_eq!(js.load, u64::MAX);
+        let top = js.classes.last().unwrap();
+        assert_eq!(
+            (top.class, top.tracks, top.max_live_bytes),
+            (63, 2, u64::MAX)
+        );
+        assert_eq!(js.classes[0].max_live_bytes, 5);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Size-based planner dispatch: exact BnB below a threshold, boxing above
-//! it, best-fit as last resort.
+//! Size-based planner dispatch: exact BnB below a threshold, the boxing
+//! family above it.
 //!
 //! Documented thresholds (exercised by the tests here and in
 //! `tests/boxing_scale.rs`):
@@ -7,10 +7,14 @@
 //! * `n ≤ DispatchOptions::exact.max_tensors` (default 40) → exact
 //!   branch-and-bound ([`crate::bnb`]), backend [`PlannerBackend::Exact`];
 //! * above that → the boxing solver ([`crate::boxing`]), backend
-//!   [`PlannerBackend::Boxing`] — unless its internal best-fit portfolio
-//!   candidate (run for `n ≤ BoxingOptions::portfolio_max_tensors`,
-//!   default 4096) produced the winning packing, which is reported as
-//!   [`PlannerBackend::BestFit`] (the last-resort heuristic).
+//!   [`PlannerBackend::Boxing`] — unless a best-fit portfolio member
+//!   produced the winning packing, which is reported as
+//!   [`PlannerBackend::BestFit`]. The portfolio is the skyline
+//!   certificate (every `n`; it returns at once when its peak equals the
+//!   liveness bound, which token-chunked traces reach) and the O(n²)
+//!   best-fit heuristic (`n ≤ BoxingOptions::portfolio_max_tensors`,
+//!   default 4096). With `portfolio_max_tensors == 0` neither runs and
+//!   only the boxing candidates are reported.
 //!
 //! [`plan_whole_trace`] is the whole-model entry point: it streams the
 //! trace into a flat [`DsaInstance`] and dispatches it, producing a
@@ -50,7 +54,8 @@ pub enum PlannerBackend {
     Exact,
     /// Boxing (recursive boxes or stacked bands candidate won).
     Boxing,
-    /// Boxing ran, but its best-fit portfolio candidate won.
+    /// A best-fit portfolio member won: the skyline certificate or the
+    /// best-fit heuristic.
     BestFit,
 }
 
@@ -190,6 +195,38 @@ mod tests {
         };
         let sol = solve(&chain(41, true), &opts);
         assert_eq!(sol.backend, PlannerBackend::Boxing);
+    }
+
+    /// Token-chunked traces (power-of-two, 1.5× and odd chunk sizes, with
+    /// and without a partial last chunk) are stack-shaped: the skyline
+    /// certificate plans them at the liveness bound.
+    #[test]
+    fn chunked_traces_plan_at_the_liveness_bound() {
+        use memo_model::chunked::{for_each_request, ChunkedParams};
+        use memo_model::config::{DType, ModelConfig};
+        for (seq, chunk) in [
+            (1024, 256),
+            (1000, 256),
+            (1152, 384),
+            (1000, 384),
+            (1000, 97),
+        ] {
+            let p = ChunkedParams {
+                model: ModelConfig::tiny(3, 64, 4, 256),
+                dtype: DType::F16,
+                seq_tokens: seq,
+                chunk_tokens: chunk,
+            };
+            let mut b = crate::DsaInstanceBuilder::new();
+            for_each_request(&p, |r| b.push(r));
+            let inst = b.finish().unwrap();
+            let sol = solve(&inst, &DispatchOptions::default());
+            sol.assignment.validate(&inst).unwrap();
+            assert_eq!(sol.backend, PlannerBackend::BestFit, "{seq}/{chunk}");
+            assert!(sol.optimal, "{seq}/{chunk}");
+            assert_eq!(sol.assignment.peak, sol.lower_bound, "{seq}/{chunk}");
+            assert_eq!(sol.lower_bound, inst.lower_bound());
+        }
     }
 
     #[test]

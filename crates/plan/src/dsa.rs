@@ -12,8 +12,9 @@
 //! [`Assignment::validate`] and the [`crate::boxing`] solver it now scales
 //! to million-interval traces.
 
+use memo_model::hash::FxHashMap;
 use memo_model::trace::{IterationTrace, MemOp, Request, TensorId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// One tensor to place. Lifespan is the half-open index interval
 /// `[birth, death)` over the request sequence's *event positions*.
@@ -44,7 +45,7 @@ pub struct DsaInstance {
 /// `[birth, death)` cursor intervals.
 #[derive(Debug, Default)]
 pub struct DsaInstanceBuilder {
-    open: HashMap<TensorId, (usize, u64)>,
+    open: FxHashMap<TensorId, (usize, u64)>,
     tensors: Vec<DsaTensor>,
     cursor: usize,
     dangling_free: bool,
@@ -137,22 +138,69 @@ impl DsaInstance {
     /// Liveness lower bound: at any event point, all live tensors must fit,
     /// so `max_t Σ_{live at t} size` bounds every assignment's peak from
     /// below. (This is the clique bound on the interval-overlap graph.)
+    /// Saturates at `u64::MAX`; a tensor with `death <= birth` is live at
+    /// no position.
     pub fn lower_bound(&self) -> u64 {
-        // Sweep birth/death events.
-        let mut events: Vec<(usize, i64)> = Vec::with_capacity(self.tensors.len() * 2);
-        for t in &self.tensors {
-            events.push((t.birth, t.size as i64));
-            events.push((t.death, -(t.size as i64)));
+        let (pos, span) = self.dense_positions();
+        self.load_at(&pos, span)
+    }
+
+    /// [`lower_bound`](Self::lower_bound) over positions from
+    /// [`dense_positions`](Self::dense_positions): one delta sweep. A birth
+    /// and a death at the same position net out, which is the half-open
+    /// "deaths first" rule. Byte sums run in 128 bits.
+    pub(crate) fn load_at(&self, pos: &[(usize, usize)], span: usize) -> u64 {
+        let mut delta = vec![0i128; span];
+        for (t, &(b, d)) in self.tensors.iter().zip(pos) {
+            if b < d {
+                delta[b] += i128::from(t.size);
+                delta[d] -= i128::from(t.size);
+            }
         }
-        // Deaths before births at the same index: lifespans are half-open.
-        events.sort_by_key(|&(i, delta)| (i, delta));
-        let mut live = 0i64;
-        let mut peak = 0i64;
-        for (_, delta) in events {
-            live += delta;
+        let (mut live, mut peak) = (0i128, 0i128);
+        for x in delta {
+            live += x;
             peak = peak.max(live);
         }
-        peak as u64
+        u64::try_from(peak).unwrap_or(u64::MAX)
+    }
+
+    /// Every tensor's `(birth, death)` renumbered onto `0..span`, order and
+    /// equality preserved. Positions are shifted by the smallest one; if
+    /// that leaves more than `2·n + 2` slots, they are rank-compressed with
+    /// one sort instead, so memory stays O(n) for any position values.
+    pub(crate) fn dense_positions(&self) -> (Vec<(usize, usize)>, usize) {
+        let n = self.tensors.len();
+        let ends = || self.tensors.iter().flat_map(|t| [t.birth, t.death]);
+        if n == 0 {
+            return (Vec::new(), 0);
+        }
+        let (lo, hi) = ends().fold((usize::MAX, 0), |(lo, hi), p| (lo.min(p), hi.max(p)));
+        if hi - lo <= 2 * n + 1 {
+            let pos = self
+                .tensors
+                .iter()
+                .map(|t| (t.birth - lo, t.death - lo))
+                .collect();
+            return (pos, hi - lo + 1);
+        }
+        // (position, 2·tensor + is_death), ranked in one sorted pass.
+        let mut keys: Vec<(usize, usize)> = ends().enumerate().map(|(k, p)| (p, k)).collect();
+        keys.sort_unstable();
+        let mut pos = vec![(0, 0); n];
+        let mut rank = 0;
+        for (j, &(p, k)) in keys.iter().enumerate() {
+            if j > 0 && p != keys[j - 1].0 {
+                rank += 1;
+            }
+            let slot = &mut pos[k / 2];
+            if k % 2 == 0 {
+                slot.0 = rank;
+            } else {
+                slot.1 = rank;
+            }
+        }
+        (pos, rank + 1)
     }
 
     /// Indices of tensors overlapping tensor `i`, by linear scan.
@@ -344,6 +392,7 @@ impl Assignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(id: u64, size: u64, birth: usize, death: usize) -> DsaTensor {
         DsaTensor {
@@ -371,6 +420,91 @@ mod tests {
         };
         // at event 2..4: tensors 0+1 live => 30; at 5: 20+5 = 25
         assert_eq!(inst.lower_bound(), 30);
+    }
+
+    /// The event-sort sweep `lower_bound` ran before dense positions
+    /// (exact while byte sums fit an `i64`), kept as its oracle.
+    fn lower_bound_by_event_sort(inst: &DsaInstance) -> u64 {
+        let mut events: Vec<(usize, i64)> = Vec::with_capacity(inst.tensors.len() * 2);
+        for t in &inst.tensors {
+            events.push((t.birth, t.size as i64));
+            events.push((t.death, -(t.size as i64)));
+        }
+        // Deaths before births at the same index: lifespans are half-open.
+        events.sort_by_key(|&(i, delta)| (i, delta));
+        let mut live = 0i64;
+        let mut peak = 0i64;
+        for (_, delta) in events {
+            live += delta;
+            peak = peak.max(live);
+        }
+        peak as u64
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Zero sizes, empty lifespans, a shifted base and sparse strides
+        // (which take the rank-compression path).
+        #[test]
+        fn dense_lower_bound_matches_the_event_sort(
+            raw in prop::collection::vec((0u64..1 << 40, 0usize..80, 0usize..24), 0..80),
+            base in prop::sample::select(vec![0usize, 7, 999, usize::MAX / 4]),
+            stride in prop::sample::select(vec![1usize, 2, 3, 1 << 40]),
+        ) {
+            let tensors = raw.iter().enumerate().map(|(i, &(size, b, len))| {
+                let size = if size % 8 == 0 { 0 } else { size };
+                t(i as u64, size, base + b * stride, base + (b + len) * stride)
+            });
+            let inst = DsaInstance { tensors: tensors.collect() };
+            prop_assert_eq!(inst.lower_bound(), lower_bound_by_event_sort(&inst));
+            // Dense positions keep order and equality, in O(n) slots.
+            let (pos, span) = inst.dense_positions();
+            prop_assert!(span <= 2 * inst.len() + 2);
+            let mut ends: Vec<(usize, usize)> = inst
+                .tensors
+                .iter()
+                .zip(&pos)
+                .flat_map(|(t, &(b, d))| [(t.birth, b), (t.death, d)])
+                .collect();
+            ends.sort_unstable();
+            prop_assert!(ends.iter().all(|&(_, x)| x < span));
+            for w in ends.windows(2) {
+                prop_assert_eq!(w[0].0 == w[1].0, w[0].1 == w[1].1);
+                prop_assert!(w[0].1 <= w[1].1);
+            }
+        }
+    }
+
+    #[test]
+    fn dense_lower_bound_matches_the_event_sort_on_chunked_traces() {
+        use memo_model::chunked::{for_each_request, ChunkedParams};
+        use memo_model::config::{DType, ModelConfig};
+        for (seq, chunk, base) in [(1000, 256, 0), (1024, 128, 5), (999, 96, 1 << 33)] {
+            let p = ChunkedParams {
+                model: ModelConfig::tiny(3, 64, 4, 256),
+                dtype: DType::F16,
+                seq_tokens: seq,
+                chunk_tokens: chunk,
+            };
+            let mut b = DsaInstanceBuilder::with_base(base);
+            for_each_request(&p, |r| b.push(r));
+            let inst = b.finish().unwrap();
+            assert_eq!(inst.lower_bound(), lower_bound_by_event_sort(&inst));
+        }
+    }
+
+    #[test]
+    fn lower_bound_sums_bytes_past_i64() {
+        let huge = (1u64 << 63) + 1;
+        let inst = DsaInstance {
+            tensors: vec![t(0, huge, 0, 4), t(1, 3, 4, 6)],
+        };
+        assert_eq!(inst.lower_bound(), huge);
+        let inst = DsaInstance {
+            tensors: vec![t(0, huge, 0, 4), t(1, huge, 2, 6)],
+        };
+        assert_eq!(inst.lower_bound(), u64::MAX, "saturates");
     }
 
     #[test]

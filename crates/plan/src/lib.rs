@@ -26,12 +26,14 @@
 //! * [`index`] — sweep-line interval index (O(log n + k) conflict queries,
 //!   O(n log n + K) all-pairs adjacency) replacing the linear-scan
 //!   `conflicts_of` on hot paths;
-//! * [`boxing`] — near-optimal whole-trace solver: jobset analysis plus
-//!   recursive boxing into power-of-two height classes, with a certified
-//!   multiplicative gap to the liveness lower bound; scales to
+//! * [`boxing`] — near-optimal whole-trace solver: a longest-surviving-first
+//!   skyline placement that proves stack-shaped (token-chunked) traces
+//!   optimal at the liveness bound before any boxing runs, then jobset
+//!   analysis plus recursive boxing into power-of-two height classes, with
+//!   a certified multiplicative gap to the liveness lower bound; scales to
 //!   million-interval instances where exact search is infeasible;
 //! * [`dispatch`] — size-based planner dispatch (exact BnB below a
-//!   threshold, boxing above it, best-fit as last resort) and the
+//!   threshold, the boxing family above it) and the
 //!   whole-trace planning entry point;
 //! * [`synth`] — synthetic MegaTrain-class trace generator (100B+ models,
 //!   few GPUs, NVMe offload) for stressing the large-instance path;
@@ -47,6 +49,7 @@ pub mod heuristic;
 pub mod index;
 pub mod io;
 pub mod memplan;
+mod skyline;
 pub mod synth;
 
 pub use bilevel::{plan_iteration, plan_whole, BilevelReport, PlanOptions, WholeTraceStats};
