@@ -483,6 +483,38 @@ impl ExecutionPipeline {
         mfu_tgs(w, cfg, t.iter_secs).map_or(f64::INFINITY, |(_, tgs)| tgs)
     }
 
+    /// Whether a caching-replay run of `cfg` on profile `p` is certain to
+    /// end `X_oom`, from liveness alone: the static bytes, every persistent
+    /// optimizer tensor and the trace's liveness peak exceed the usable
+    /// device memory (summed in `u128`). Inside the allocator, live bytes ≤
+    /// allocated ≤ reserved ≤ the `usable − static` it manages, and the
+    /// steady pass reaches the liveness peak with every persistent tensor
+    /// live, so some `malloc` up to there fails (if the static bytes alone
+    /// are not refused first). The outcome is `Oom` — never `Ok` or
+    /// `Degenerate` — but its shortfall is only known by replaying.
+    pub(crate) fn replay_must_oom(
+        &self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        p: &ProfileReport,
+    ) -> bool {
+        let MemoryBackend::CachingReplay { zero3_prefetch } = self.stages.backend else {
+            return false;
+        };
+        let usable = u128::from(w.calib.usable_gpu_memory());
+        let static_bytes = u128::from(replay_static_bytes(w, cfg, zero3_prefetch));
+        // The replay's own first check; it also keeps the persistent sizes
+        // of a model this large from being computed at all.
+        if static_bytes >= usable {
+            return true;
+        }
+        let persistent: u128 = memo_parallel::memory::persistent_tensor_sizes(&w.model, cfg)
+            .into_iter()
+            .map(u128::from)
+            .sum();
+        static_bytes + persistent + u128::from(p.trace.peak_live_bytes()) > usable
+    }
+
     /// Stages 2–5 of a caching-replay mode on a profile the caller already
     /// holds: bit-identical to [`Self::execute_cached`]'s outcome, with no
     /// second profile or cache lookup (the replay backend reads no plan).
@@ -934,15 +966,11 @@ fn account_memory(
             Ok(MemoryAccounting { bytes, reorgs: 0 })
         }
         MemoryBackend::CachingReplay { zero3_prefetch } => {
-            let extra_static = if zero3_prefetch {
-                2 * memo_parallel::memory::zero3_gather_bytes(&w.model, cfg)
-            } else {
-                0
-            };
-            let (peak_reserved, reorgs) = caching_replay_pass(w, cfg, p, extra_static, obs)?;
+            let static_bytes = replay_static_bytes(w, cfg, zero3_prefetch);
+            let (peak_reserved, reorgs) = caching_replay_pass(w, cfg, p, static_bytes, obs)?;
             Ok(MemoryAccounting {
                 bytes: ByteBreakdown {
-                    model_states: memo_parallel::memory::params_bytes(&w.model, cfg) + extra_static,
+                    model_states: static_bytes,
                     skeletal_buffers: 0,
                     planned_arena: peak_reserved,
                 },
@@ -952,26 +980,40 @@ fn account_memory(
     }
 }
 
+/// The bytes a caching-replay run pins outside the allocator: the fp16
+/// parameters, plus two ZeRO-3 gather buffers under `zero3_prefetch`.
+/// Saturates at `u64::MAX`, which no device holds, so an overflowing model
+/// is a typed `X_oom` rather than a wrapped sum that fits.
+fn replay_static_bytes(w: &Workload, cfg: &ParallelConfig, zero3_prefetch: bool) -> u64 {
+    let params = memo_parallel::memory::params_bytes(&w.model, cfg);
+    if zero3_prefetch {
+        let gather = memo_parallel::memory::zero3_gather_bytes(&w.model, cfg);
+        params.saturating_add(gather.saturating_mul(2))
+    } else {
+        params
+    }
+}
+
 /// Replay a baseline through the caching allocator the way a real PyTorch
 /// job runs: iteration 1 on a fresh allocator, then the optimizer's lazy
 /// allocation of persistent gradient/Adam tensors (which land scattered in
 /// the cached activation segments and pin them), then a steady-state
 /// iteration whose reorganisations and peak are what training actually pays
-/// every step. Returns the steady-state iteration's peak reserved bytes and
+/// every step. `static_bytes` ([`replay_static_bytes`]) stay outside the
+/// allocator. Returns the steady-state iteration's peak reserved bytes and
 /// reorganisation count — all the pipeline reads, so the passes drive the
 /// allocator through [`replay_peak`] and record no per-request series.
 fn caching_replay_pass(
     w: &Workload,
     cfg: &ParallelConfig,
     p: &ProfileReport,
-    extra_static: u64,
+    static_bytes: u64,
     obs: Option<&mut RunObserver>,
 ) -> Result<(u64, u64), CellOutcome> {
     use memo_alloc::DeviceAllocator as _;
     use memo_model::trace::TensorId;
 
     let usable = w.calib.usable_gpu_memory();
-    let static_bytes = memo_parallel::memory::params_bytes(&w.model, cfg) + extra_static;
     if static_bytes >= usable {
         return Err(CellOutcome::Oom {
             needed: static_bytes,
@@ -1297,6 +1339,7 @@ fn build_schedule(
 mod tests {
     use super::*;
     use crate::testutil::w7;
+    use memo_model::config::ModelConfig;
 
     #[test]
     fn replay_oom_saturates_instead_of_wrapping() {
@@ -1315,6 +1358,39 @@ mod tests {
                 capacity: 80 << 30,
             }
         );
+    }
+
+    #[test]
+    fn replay_static_bytes_saturate_to_a_typed_oom() {
+        // One layer so wide that the fp16 parameters (2·P ≈ 0.75·2⁶⁴ or
+        // 0.375·2⁶⁴ bytes) and the two ZeRO-3 gather buffers overflow
+        // `u64` together: the gather product itself in the first shape,
+        // only their sum in the second. The profile is a small one, since
+        // the static bytes come from the workload's model alone.
+        let small = Workload::new(ModelConfig::gpt_7b(), 1, 1 << 10);
+        let cfg = ParallelConfig::ulysses(1, 1);
+        let ds = ExecutionPipeline::new(SystemSpec::DeepSpeed);
+        let p = ds.profile(&small, &cfg, false);
+        for (hidden, ffn_hidden) in [(1usize << 30, 1usize << 30), (1 << 29, 1 << 31)] {
+            let mut huge = small.clone();
+            huge.model = ModelConfig {
+                name: "huge",
+                n_layers: 1,
+                hidden,
+                ffn_hidden,
+                n_heads: 1,
+                vocab: 1,
+            };
+            assert_eq!(replay_static_bytes(&huge, &cfg, true), u64::MAX);
+            assert!(ds.replay_must_oom(&huge, &cfg, &p));
+            assert_eq!(
+                ds.execute_profiled(&huge, &cfg, &p),
+                CellOutcome::Oom {
+                    needed: u64::MAX,
+                    capacity: huge.calib.usable_gpu_memory(),
+                }
+            );
+        }
     }
 
     #[test]

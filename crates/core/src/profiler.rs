@@ -54,8 +54,49 @@ pub struct ProfileReport {
     pub dims: LayerDims,
     /// Per-GPU model-state bytes.
     pub model_states: ModelStateBytes,
-    /// How the profiling pass ran.
-    pub mode: ProfilingMode,
+}
+
+/// The per-GPU trace parameters of `cfg`'s shard of `w`, recording
+/// `n_layers` transformer layers under `policy`.
+fn local_trace_params(
+    w: &Workload,
+    cfg: &ParallelConfig,
+    n_layers: usize,
+    policy: RematPolicy,
+) -> TraceParams {
+    let tokens_local = cfg.tokens_local(w.seq_len) * w.batch;
+    let dims = LayerDims::new(tokens_local, &w.model, DType::BF16);
+    let mut local_model = w.model.clone();
+    local_model.n_layers = n_layers;
+    let mut params = TraceParams::new(&local_model, dims, policy);
+    params.vocab_local = (w.model.vocab as u64).div_ceil(cfg.tp as u64);
+    params.comm_factor = if cfg.sp { cfg.tp as u64 } else { 1 };
+    params
+}
+
+/// How the profiling pass of `cfg` on `w` has to run (§4.3.2). Profiling
+/// records one layer's requests without MEMO's memory techniques, so the
+/// working set is the full skeletal footprint plus transients; if that
+/// oversubscribes the device, a 1–2-layer keep-all trace is replayed under
+/// Unified Memory to estimate the migration cost. Nothing in a strategy
+/// search reads the mode, so [`profile`] does not compute it.
+pub fn profiling_mode(w: &Workload, cfg: &ParallelConfig) -> ProfilingMode {
+    let layers_local = cfg.layers_local(w.model.n_layers);
+    // The profiling pass records raw requests with *no* memory-saving
+    // techniques active, so it sees the keep-everything footprint of the
+    // layers it records (1-2 of them).
+    let naive = local_trace_params(w, cfg, layers_local.min(2), RematPolicy::KeepAll);
+    let split = activations::skeletal_split(&naive.dims);
+    let single_layer_bytes = split.total() + split.total() / 2; // + transient slack
+    let usable = w.calib.usable_gpu_memory();
+    if single_layer_bytes <= usable {
+        return ProfilingMode::SingleLayer;
+    }
+    let mut um = UnifiedMemoryAllocator::new(usable, w.calib.host_capacity_per_gpu());
+    let _ = memo_alloc::snapshot::replay_peak(&mut um, &trace::generate(&naive));
+    ProfilingMode::UnifiedMemory {
+        migration_secs: um.estimated_migration_secs(w.calib.effective_pcie()),
+    }
 }
 
 /// Profile a workload under a strategy and rematerialisation policy.
@@ -67,16 +108,11 @@ pub fn profile(
     policy: RematPolicy,
     materialize_logits: bool,
 ) -> ProfileReport {
-    let tokens_local = cfg.tokens_local(w.seq_len) * w.batch;
-    let dims = LayerDims::new(tokens_local, &w.model, DType::BF16);
     let layers_local = cfg.layers_local(w.model.n_layers);
 
     // Per-GPU trace: this GPU hosts `layers_local` transformer layers.
-    let mut local_model = w.model.clone();
-    local_model.n_layers = layers_local;
-    let mut params = TraceParams::new(&local_model, dims, policy);
-    params.vocab_local = (w.model.vocab as u64).div_ceil(cfg.tp as u64);
-    params.comm_factor = if cfg.sp { cfg.tp as u64 } else { 1 };
+    let mut params = local_trace_params(w, cfg, layers_local, policy);
+    let dims = params.dims;
     params.ce_chunk_tokens = 8192;
     params.materialize_logits = materialize_logits;
     let trace = trace::generate(&params);
@@ -95,31 +131,6 @@ pub fn profile(
         host_capacity: w.calib.host_capacity_per_gpu(),
     });
 
-    // §4.3.2: determine the profiling mode. Profiling records one layer's
-    // requests without MEMO's memory techniques, so the working set is the
-    // full skeletal footprint plus transients; if that oversubscribes the
-    // device, replay under Unified Memory to estimate the migration cost.
-    let single_layer_bytes = split.total() + split.total() / 2; // + transient slack
-    let usable = w.calib.usable_gpu_memory();
-    let mode = if single_layer_bytes <= usable {
-        ProfilingMode::SingleLayer
-    } else {
-        // The profiling pass records raw requests with *no* memory-saving
-        // techniques active, so it sees the keep-everything footprint of the
-        // layers it records.
-        let mut naive_model = w.model.clone();
-        naive_model.n_layers = layers_local.min(2); // profiler records 1-2 layers
-        let mut naive_params = TraceParams::new(&naive_model, dims, RematPolicy::KeepAll);
-        naive_params.vocab_local = params.vocab_local;
-        naive_params.comm_factor = params.comm_factor;
-        let naive = trace::generate(&naive_params);
-        let mut um = UnifiedMemoryAllocator::new(usable, w.calib.host_capacity_per_gpu());
-        let _ = memo_alloc::snapshot::replay_peak(&mut um, &naive);
-        ProfilingMode::UnifiedMemory {
-            migration_secs: um.estimated_migration_secs(w.calib.effective_pcie()),
-        }
-    };
-
     ProfileReport {
         trace,
         layer_time,
@@ -131,7 +142,6 @@ pub fn profile(
         layers_local,
         dims,
         model_states: memory::model_state_bytes(&w.model, cfg),
-        mode,
     }
 }
 
@@ -193,8 +203,7 @@ mod tests {
     fn profiling_mode_single_layer_at_moderate_lengths() {
         let w = Workload::new(ModelConfig::gpt_7b(), 8, 256 * 1024);
         let cfg = ParallelConfig::megatron(4, 2, 1, 1);
-        let p = profile(&w, &cfg, RematPolicy::MemoTokenWise, false);
-        assert_eq!(p.mode, ProfilingMode::SingleLayer);
+        assert_eq!(profiling_mode(&w, &cfg), ProfilingMode::SingleLayer);
     }
 
     #[test]
@@ -204,8 +213,7 @@ mod tests {
         // migration cost (the paper's exact fallback).
         let w = Workload::new(ModelConfig::gpt_7b(), 8, 40 << 20);
         let cfg = ParallelConfig::megatron(8, 1, 1, 1);
-        let p = profile(&w, &cfg, RematPolicy::MemoTokenWise, false);
-        match p.mode {
+        match profiling_mode(&w, &cfg) {
             ProfilingMode::UnifiedMemory { migration_secs } => {
                 assert!(migration_secs > 0.0);
             }

@@ -33,19 +33,15 @@ impl Default for SearchOptions {
     }
 }
 
-/// Strategy grids at or below this size skip both the worker pool and the
-/// profile cache: the per-config fixed costs (task hand-off, `ProfileKey`
-/// construction + hashing) exceed any reuse such a grid can generate, and
-/// a small grid's keys are rarely shared with other searches (DeepSpeed's
-/// Ulysses grid pairs `FullRecompute` with materialized logits — no other
-/// backend asks for that profile).
+/// Strategy grids at or below this size skip the profile cache, and the
+/// worker pool too when their mode plans statically: the per-config fixed
+/// costs (task hand-off, `ProfileKey` construction + hashing) exceed any
+/// reuse such a grid can generate, and a small grid's keys are rarely
+/// shared with other searches (DeepSpeed's Ulysses grid pairs
+/// `FullRecompute` with materialized logits — no other backend asks for
+/// that profile). Caching-replay grids use the pool whatever their size:
+/// one allocator replay costs far more than a hand-off.
 pub const SMALL_GRID_BYPASS: usize = 8;
-
-/// Caching-allocator replays per best-first batch of the strategy search
-/// ([`best_first`]): wide enough to keep a small pool busy, narrow enough
-/// that the incumbent tightens before most of the grid is replayed. A
-/// constant, not a knob — the replayed set depends on it.
-const REPLAY_BATCH: usize = 4;
 
 impl SearchOptions {
     /// Serial, uncached: exactly the pre-pool code path.
@@ -176,13 +172,16 @@ impl Workload {
     /// "last enumerated wins" semantics bit-exactly regardless of which
     /// worker finished first (golden parity depends on this — DESIGN.md).
     ///
-    /// Caching-replay modes (Megatron-LM, keep-all, DeepSpeed) bound before
-    /// they replay: every config is profiled and given its zero-stall TGS
-    /// bound, and the allocator replays run best bound first, stopping once
-    /// the next bound is strictly below the best replayed TGS
-    /// ([`best_first`]). A pruned config can neither win nor tie, and a
-    /// search with no feasible config replays everything, so the fold over
-    /// the replayed configs returns what the exhaustive fold would.
+    /// Caching-replay modes (Megatron-LM, keep-all, DeepSpeed) replay only
+    /// what the pick needs ([`Self::replay_best_first`]). Every config is
+    /// profiled, given its zero-stall TGS bound, and checked against the
+    /// liveness certificate that proves it `X_oom`. The uncertified configs
+    /// replay one at a time, best bound first, stopping once the next bound
+    /// is strictly below the best replayed TGS ([`best_first`]): a pruned
+    /// config can neither win nor tie. A certified config cannot win at
+    /// all, so it replays only when no config turned out feasible, for its
+    /// shortfall in the least-bad-failure fold. The fold therefore returns
+    /// what the exhaustive fold over every config would.
     fn search_strategies(
         &self,
         system: SystemSpec,
@@ -191,27 +190,20 @@ impl Workload {
         let gpn = self.calib.gpus_per_node.min(self.n_gpus);
         let configs = search::enumerate_configs(system, &self.model, self.n_gpus, gpn);
         // Tiny grids (DeepSpeed's Ulysses axis is 4 configs at 8 GPUs) lose
-        // more to pool dispatch and cache fingerprinting than either can
-        // return — the whole grid evaluates faster than one ProfileKey
-        // hash. Bypass both; the outcome is identical either way (the
-        // cache is a pure memo and the reduction is order-fixed).
+        // more to cache fingerprinting than it can return, and a tiny
+        // static-plan grid evaluates faster than the pool hands it out.
+        // Either way the outcome is identical (the cache is a pure memo and
+        // the reduction is order-fixed).
         let small = configs.len() <= SMALL_GRID_BYPASS;
-        let parallel = opts.parallel && !small;
         let use_cache = opts.cache && !small;
         let pipeline = ExecutionPipeline::new(system);
         let outcomes: Vec<(ParallelConfig, CellOutcome)> = if pipeline.replays_allocator() {
-            self.replay_best_first(&pipeline, configs, parallel, use_cache)
+            self.replay_best_first(&pipeline, configs, opts.parallel, use_cache)
         } else {
-            let evaluate =
-                |cfg: &ParallelConfig| pipeline.execute_cached(self, cfg, use_cache).outcome;
-            if parallel {
-                Pool::machine().map(configs, |cfg| (cfg, evaluate(&cfg)))
-            } else {
-                configs
-                    .into_iter()
-                    .map(|cfg| (cfg, evaluate(&cfg)))
-                    .collect()
-            }
+            map_in_order(opts.parallel && !small, configs, |cfg| {
+                let out = pipeline.execute_cached(self, &cfg, use_cache).outcome;
+                (cfg, out)
+            })
         };
 
         let mut best: Option<(ParallelConfig, CellOutcome, f64)> = None;
@@ -242,10 +234,13 @@ impl Workload {
         )
     }
 
-    /// The caching-replay leg of [`Self::search_strategies`]: profile and
-    /// bound every config, replay in [`best_first`] order on the profiles
-    /// already held, and return the replayed configs with their outcomes in
-    /// enumeration order.
+    /// The caching-replay leg of [`Self::search_strategies`]: one map
+    /// profiles, bounds and certifies every config; the uncertified ones
+    /// replay in [`best_first`] order on the profiles already held; the
+    /// certified ones replay in one map only if nothing was feasible.
+    /// Returns the replayed configs with their outcomes in enumeration
+    /// order. The replayed set depends on the bounds and outcomes alone,
+    /// never on the thread count.
     fn replay_best_first(
         &self,
         pipeline: &ExecutionPipeline,
@@ -253,35 +248,31 @@ impl Workload {
         parallel: bool,
         use_cache: bool,
     ) -> Vec<(ParallelConfig, CellOutcome)> {
-        let bound = |cfg: &ParallelConfig| {
-            let p = pipeline.profile(self, cfg, use_cache);
-            let b = pipeline.replay_tgs_bound(self, cfg, &p);
-            (p, b)
-        };
-        let profiled: Vec<(Arc<ProfileReport>, f64)> = if parallel {
-            Pool::machine().map(configs.iter().collect(), bound)
-        } else {
-            configs.iter().map(bound).collect()
-        };
-        let bounds: Vec<f64> = profiled.iter().map(|&(_, b)| b).collect();
+        let profiled: Vec<(Arc<ProfileReport>, f64, bool)> =
+            map_in_order(parallel, configs.iter().collect(), |cfg| {
+                let p = pipeline.profile(self, cfg, use_cache);
+                let bound = pipeline.replay_tgs_bound(self, cfg, &p);
+                let certified = pipeline.replay_must_oom(self, cfg, &p);
+                (p, bound, certified)
+            });
+        let replay = |i: usize| pipeline.execute_profiled(self, &configs[i], &profiled[i].0);
+        let (certified, open): (Vec<usize>, Vec<usize>) =
+            (0..configs.len()).partition(|&i| profiled[i].2);
+        let bounds: Vec<f64> = open.iter().map(|&i| profiled[i].1).collect();
         let mut outcomes: Vec<Option<CellOutcome>> = vec![None; configs.len()];
-        best_first(&bounds, |batch| {
-            let replay = |i: usize| pipeline.execute_profiled(self, &configs[i], &profiled[i].0);
-            let outs: Vec<CellOutcome> = if parallel {
-                Pool::machine().map(batch.to_vec(), replay)
-            } else {
-                batch.iter().map(|&i| replay(i)).collect()
-            };
-            batch
-                .iter()
-                .zip(outs)
-                .map(|(&i, out)| {
-                    let tgs = out.metrics().map(|m| m.tgs);
-                    outcomes[i] = Some(out);
-                    tgs
-                })
-                .collect()
+        let mut feasible = false;
+        best_first(&bounds, |k| {
+            let out = replay(open[k]);
+            let tgs = out.metrics().map(|m| m.tgs);
+            feasible |= tgs.is_some();
+            outcomes[open[k]] = Some(out);
+            tgs
         });
+        if !feasible {
+            for (i, out) in map_in_order(parallel, certified, |i| (i, replay(i))) {
+                outcomes[i] = Some(out);
+            }
+        }
         configs
             .into_iter()
             .zip(outcomes)
@@ -290,19 +281,33 @@ impl Workload {
     }
 }
 
+/// `items` mapped through `f`, in order: fanned out over the
+/// work-stealing [`Pool`] when `parallel`, else on this thread.
+fn map_in_order<I: Send, T: Send>(
+    parallel: bool,
+    items: Vec<I>,
+    f: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
+    if parallel {
+        Pool::machine().map(items, f)
+    } else {
+        items.into_iter().map(f).collect()
+    }
+}
+
 /// Best-first evaluation under upper bounds. Visits the indices of `bounds`
-/// in descending bound order (stable, so equal bounds keep index order),
-/// [`REPLAY_BATCH`] at a time; `evaluate` receives each batch and returns
-/// the score of each index in it, `None` for an infeasible one. Stops before
-/// the first index whose bound is strictly below the best score so far:
-/// that index, and every one after it, cannot beat or tie the incumbent.
+/// one at a time in descending bound order (stable, so equal bounds keep
+/// index order); `evaluate` returns each index's score, `None` for an
+/// infeasible one. Stops before the first index whose bound is strictly
+/// below the best score so far: that index, and every one after it, cannot
+/// beat or tie the incumbent.
 ///
 /// A tie with the incumbent is still evaluated (the caller's fold keeps the
 /// last enumerated of equals), and until some index is feasible nothing is
 /// pruned. A non-finite bound proves nothing: it sorts first, as `+∞`, and
-/// is never pruned. The evaluated set depends only on the bounds, the
-/// scores and the batch size.
-fn best_first(bounds: &[f64], mut evaluate: impl FnMut(&[usize]) -> Vec<Option<f64>>) {
+/// is never pruned. The evaluated sequence depends only on the bounds and
+/// the scores.
+fn best_first(bounds: &[f64], mut evaluate: impl FnMut(usize) -> Option<f64>) {
     let key = |i: usize| {
         let b = bounds[i];
         if b.is_finite() {
@@ -314,23 +319,13 @@ fn best_first(bounds: &[f64], mut evaluate: impl FnMut(&[usize]) -> Vec<Option<f
     let mut order: Vec<usize> = (0..bounds.len()).collect();
     order.sort_by(|&a, &b| key(b).total_cmp(&key(a)));
     let mut incumbent = f64::NEG_INFINITY;
-    let mut rest = &order[..];
-    loop {
-        let take = rest
-            .iter()
-            .take(REPLAY_BATCH)
-            .take_while(|&&i| !pruned(key(i), incumbent))
-            .count();
-        if take == 0 {
+    for i in order {
+        if pruned(key(i), incumbent) {
             break;
         }
-        let (batch, tail) = rest.split_at(take);
-        for score in evaluate(batch).into_iter().flatten() {
-            if score > incumbent {
-                incumbent = score;
-            }
+        if let Some(score) = evaluate(i) {
+            incumbent = incumbent.max(score);
         }
-        rest = tail;
     }
 }
 
@@ -381,18 +376,27 @@ mod tests {
             grid.len()
         );
         // The scopes count this thread's lookups only, so concurrent tests
-        // sharing the global cache cannot move them. A bypassed grid runs
-        // on this thread, so an empty scope means no lookup at all.
+        // sharing the global cache cannot move them. A caching-replay grid
+        // runs on the pool whatever its size, and pooled lookups would land
+        // in the workers' scopes, so the cache assertion searches serially
+        // with the cache enabled: the bypass alone must keep it untouched.
         let oracle =
             w.run_best_or_failure_with(SystemSpec::DeepSpeed, SearchOptions::serial_uncached());
         let scope = CacheStatsScope::enter();
-        let picked = w.run_best_or_failure(SystemSpec::DeepSpeed);
+        let serial = w.run_best_or_failure_with(
+            SystemSpec::DeepSpeed,
+            SearchOptions {
+                parallel: false,
+                cache: true,
+            },
+        );
         assert_eq!(
             scope.finish(),
             CacheStats::default(),
             "bypass must skip the cache"
         );
-        assert_eq!(picked, oracle);
+        assert_eq!(serial, oracle);
+        assert_eq!(w.run_best_or_failure(SystemSpec::DeepSpeed), oracle);
 
         // A Megatron-family grid is over the threshold and still uses it
         // (searched serially, so every lookup lands in this thread's scope).
@@ -411,48 +415,37 @@ mod tests {
     }
 
     /// Runs [`best_first`] on `bounds`, scoring index `i` with `scores[i]`,
-    /// and returns the batches it evaluated.
-    fn best_first_batches(bounds: &[f64], scores: &[Option<f64>]) -> Vec<Vec<usize>> {
-        let mut batches = Vec::new();
-        best_first(bounds, |batch| {
-            batches.push(batch.to_vec());
-            batch.iter().map(|&i| scores[i]).collect()
+    /// and returns the indices it evaluated, in order.
+    fn best_first_order(bounds: &[f64], scores: &[Option<f64>]) -> Vec<usize> {
+        let mut order = Vec::new();
+        best_first(bounds, |i| {
+            order.push(i);
+            scores[i]
         });
-        batches
+        order
     }
 
     #[test]
-    fn best_first_stops_at_batch_boundaries() {
-        // Bounds descend with the index; the first batch's best score (9.0)
-        // prunes everything bounded strictly below it.
+    fn best_first_stops_at_the_first_bound_below_the_incumbent() {
+        // Bounds descend with the index; index 1's score (9.0) prunes
+        // everything bounded strictly below it.
         let bounds = [10.0, 9.5, 9.2, 9.1, 9.0, 8.9, 8.0, 7.0, 6.0];
         let mut scores = vec![None; bounds.len()];
         scores[1] = Some(9.0);
-        assert_eq!(
-            best_first_batches(&bounds, &scores),
-            [vec![0, 1, 2, 3], vec![4]]
-        );
-        // An incumbent found only in the second batch stops the third.
+        assert_eq!(best_first_order(&bounds, &scores), [0, 1, 2, 3, 4]);
+        // A late incumbent stops the search right after it: index 6's
+        // bound (8.0) is already below 8.5.
         let mut scores = vec![None; bounds.len()];
         scores[5] = Some(8.5);
-        assert_eq!(
-            best_first_batches(&bounds, &scores),
-            [vec![0, 1, 2, 3], vec![4, 5, 6, 7]]
-        );
+        assert_eq!(best_first_order(&bounds, &scores), [0, 1, 2, 3, 4, 5]);
         // Enumeration order is not bound order: the sort is by bound,
         // stable among equals.
         let bounds = [1.0, 5.0, 3.0, 5.0, 2.0, 4.0];
         let scores = [None, Some(0.5), None, None, None, None];
-        assert_eq!(
-            best_first_batches(&bounds, &scores),
-            [vec![1, 3, 5, 2], vec![4, 0]]
-        );
+        assert_eq!(best_first_order(&bounds, &scores), [1, 3, 5, 2, 4, 0]);
         let scores = [None, None, Some(2.0), None, None, None];
-        assert_eq!(
-            best_first_batches(&bounds, &scores),
-            [vec![1, 3, 5, 2], vec![4]]
-        );
-        assert!(best_first_batches(&[], &[]).is_empty());
+        assert_eq!(best_first_order(&bounds, &scores), [1, 3, 5, 2, 4]);
+        assert!(best_first_order(&[], &[]).is_empty());
     }
 
     #[test]
@@ -461,10 +454,7 @@ mod tests {
         // keeps the last enumerated of equals, so it must be evaluated.
         let bounds = [10.0, 10.0, 10.0, 10.0, 7.0, 6.0];
         let scores = [Some(7.0), None, None, None, Some(7.0), None];
-        assert_eq!(
-            best_first_batches(&bounds, &scores),
-            [vec![0, 1, 2, 3], vec![4]]
-        );
+        assert_eq!(best_first_order(&bounds, &scores), [0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -473,28 +463,29 @@ mod tests {
         // evaluated, however good the incumbent.
         let bounds = [1.0, f64::NAN, f64::NEG_INFINITY, 50.0, f64::INFINITY, 2.0];
         let scores = [None, None, None, Some(40.0), None, None];
-        assert_eq!(best_first_batches(&bounds, &scores), [vec![1, 2, 4, 3]]);
+        assert_eq!(best_first_order(&bounds, &scores), [1, 2, 4, 3]);
         let bounds = [f64::NAN, 1.0, -f64::NAN, f64::NEG_INFINITY, 2.0, 3.0];
         let scores = [None, None, None, None, None, Some(100.0)];
-        assert_eq!(best_first_batches(&bounds, &scores), [vec![0, 2, 3, 5]]);
+        assert_eq!(best_first_order(&bounds, &scores), [0, 2, 3, 5]);
     }
 
     #[test]
     fn best_first_without_a_feasible_result_evaluates_everything() {
         let bounds: Vec<f64> = (0..11).map(|i| (i * 7 % 11) as f64).collect();
-        let batches = best_first_batches(&bounds, &[None; 11]);
-        assert_eq!(batches.iter().map(Vec::len).collect::<Vec<_>>(), [4, 4, 3]);
-        let mut seen: Vec<usize> = batches.concat();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..11).collect::<Vec<_>>());
+        let order = best_first_order(&bounds, &[None; 11]);
+        // Every index, best bound first.
+        let visited: Vec<f64> = order.iter().map(|&i| bounds[i]).collect();
+        assert_eq!(visited, (0..11).rev().map(f64::from).collect::<Vec<_>>());
     }
 
     /// The strategy-search grids of the pruning tests: the
-    /// `tests/search_parallel.rs` cells (7B, 8 GPUs, 64K / 256K / 1024K)
-    /// and two search-short shapes (7B on 4 GPUs at 2K tokens per GPU, 65B
-    /// on 16 GPUs at 4K tokens per GPU) on 512 GiB DRAM and 16 GB/s PCIe.
+    /// `tests/search_parallel.rs` cells (7B, 8 GPUs, 64K / 256K / 1024K),
+    /// 7B on 8 GPUs at 2048K (infeasible in every mode, so every search
+    /// ends in the failure fold), and two search-short shapes (7B on 4 GPUs
+    /// at 2K tokens per GPU, 65B on 16 GPUs at 4K tokens per GPU) on
+    /// 512 GiB DRAM and 16 GB/s PCIe.
     fn pruning_grids() -> Vec<Workload> {
-        let mut cells: Vec<Workload> = [64, 256, 1024].map(|s| w7(8, s)).to_vec();
+        let mut cells: Vec<Workload> = [64, 256, 1024, 2048].map(|s| w7(8, s)).to_vec();
         for (model, n_gpus, per_gpu) in [
             (ModelConfig::gpt_7b(), 4usize, 2u64 << 10),
             (ModelConfig::gpt_65b(), 16, 4 << 10),
@@ -546,6 +537,51 @@ mod tests {
         }
         // The grids exercise the bound: feasible replays, and prunable ones.
         assert!(feasible > 0 && below_best > 0, "{feasible} / {below_best}");
+    }
+
+    #[test]
+    fn replay_must_oom_implies_oom() {
+        let caching = [
+            SystemSpec::MegatronLM,
+            SystemSpec::MegatronKeepAll,
+            SystemSpec::DeepSpeed,
+        ];
+        let mut cells = pruning_grids();
+        // A 2 GiB device: no 7B strategy's parameters fit.
+        let mut small_gpu = Workload::new(ModelConfig::gpt_7b(), 4, 8 << 10);
+        small_gpu.calib.gpu_memory_bytes = 2 << 30;
+        cells.push(small_gpu);
+        let (mut certified, mut deferred) = (0, 0);
+        for w in cells {
+            let gpn = w.calib.gpus_per_node.min(w.n_gpus);
+            for spec in caching {
+                let pipeline = ExecutionPipeline::new(spec);
+                let mut best = f64::NEG_INFINITY;
+                let mut certified_bounds = Vec::new();
+                for cfg in search::enumerate_configs(spec, &w.model, w.n_gpus, gpn) {
+                    let p = pipeline.profile(&w, &cfg, true);
+                    let out = w.run_with(spec, &cfg);
+                    if let Some(m) = out.metrics() {
+                        best = best.max(m.tgs);
+                    }
+                    if pipeline.replay_must_oom(&w, &cfg, &p) {
+                        assert!(
+                            matches!(out, CellOutcome::Oom { .. }),
+                            "{spec:?} {} @ {}: certified, but {out:?}",
+                            cfg.describe(),
+                            w.seq_len
+                        );
+                        certified += 1;
+                        certified_bounds.push(pipeline.replay_tgs_bound(&w, &cfg, &p));
+                    }
+                }
+                // A certified config the bound alone would have replayed.
+                if best.is_finite() {
+                    deferred += certified_bounds.iter().filter(|&&b| b >= best).count();
+                }
+            }
+        }
+        assert!(certified > 0 && deferred > 0, "{certified} / {deferred}");
     }
 
     #[test]

@@ -607,23 +607,36 @@ impl IterationTrace {
     }
 
     /// Peak of the sum of live tensor bytes over the request sequence — a
-    /// lower bound for any address assignment.
+    /// lower bound for any address assignment. Frees saturate at zero live
+    /// bytes, and the peak saturates at `u64::MAX`.
     ///
-    /// Callers that also validate should use the peak returned by
-    /// [`validate`](Self::validate) instead of paying a second scan.
+    /// Read off the periodic form: each layer body is summarised once (net
+    /// delta, max prefix, saturation floor) and its `L` repeats are applied
+    /// in closed form, so the cost is O(head + body + middle + body + tail),
+    /// independent of `L`.
     pub fn peak_live_bytes(&self) -> u64 {
-        let mut live = 0u64;
-        let mut peak = 0u64;
-        for r in self.flatten() {
-            match r.op {
-                MemOp::Malloc => {
-                    live += r.bytes;
-                    peak = peak.max(live);
-                }
-                MemOp::Free => live = live.saturating_sub(r.bytes),
-            }
+        let spelled = |segs: &[TraceSegment]| {
+            LiveRun::of(
+                segs.iter()
+                    .flat_map(|s| &s.requests)
+                    .map(|r| (r.op, r.bytes)),
+            )
+        };
+        let body = |body: &[BodyRequest]| {
+            LiveRun::of(body.iter().map(|r| (r.op, r.bytes))).repeat(self.layers)
+        };
+        let runs = [
+            spelled(&self.head),
+            body(&self.fwd),
+            spelled(&self.middle),
+            body(&self.bwd),
+            spelled(&self.tail),
+        ];
+        let (mut live, mut peak) = (0i128, 0i128);
+        for run in &runs {
+            live = run.apply(live, &mut peak);
         }
-        peak
+        u64::try_from(peak).unwrap_or(u64::MAX)
     }
 
     /// Check that every malloc has exactly one later free with the same size,
@@ -706,6 +719,73 @@ impl PartialEq for IterationTrace {
 }
 
 impl Eq for IterationTrace {}
+
+/// What a run of requests does to [`IterationTrace::peak_live_bytes`]'
+/// live-byte counter: entered with `x` live bytes, it leaves
+/// `max(x + net, floor)` live (frees saturate at zero) and peaks at
+/// `max(x + rise, top)`. `None` stands for `−∞`: a run with no free has no
+/// floor, one with no malloc no peak. Sums saturate in `i128`.
+#[derive(Debug, Clone, Copy, Default)]
+struct LiveRun {
+    net: i128,
+    floor: Option<i128>,
+    rise: Option<i128>,
+    top: Option<i128>,
+}
+
+impl LiveRun {
+    fn of(requests: impl Iterator<Item = (MemOp, u64)>) -> LiveRun {
+        let mut run = LiveRun::default();
+        for (op, bytes) in requests {
+            let b = i128::from(bytes);
+            match op {
+                MemOp::Malloc => {
+                    run.net = run.net.saturating_add(b);
+                    run.floor = run.floor.map(|f| f.saturating_add(b));
+                    run.rise = run.rise.max(Some(run.net));
+                    run.top = run.top.max(run.floor);
+                }
+                MemOp::Free => {
+                    run.net = run.net.saturating_sub(b);
+                    run.floor = Some(run.floor.map_or(0, |f| f.saturating_sub(b).max(0)));
+                }
+            }
+        }
+        run
+    }
+
+    /// The run repeated `n` times, in closed form. Repeat `k` (from 0) is
+    /// entered with `max(x + k·net, floor + max(0, (k−1)·net))` live, so
+    /// over `n` repeats the `x` terms peak at `rise + max(0, (n−1)·net)`
+    /// and the floor terms at `floor + rise + max(0, (n−2)·net)`.
+    fn repeat(self, n: usize) -> LiveRun {
+        if n == 0 {
+            return LiveRun::default();
+        }
+        let n = n as i128;
+        let grow = |k: i128| k.saturating_mul(self.net).max(0);
+        let plus = |a: Option<i128>, k: i128| a.map(|a| a.saturating_add(grow(k)));
+        let stacked = match (self.floor, self.rise) {
+            (Some(f), Some(r)) if n >= 2 => plus(Some(f.saturating_add(r)), n - 2),
+            _ => None,
+        };
+        LiveRun {
+            net: n.saturating_mul(self.net),
+            floor: plus(self.floor, n - 1),
+            rise: plus(self.rise, n - 1),
+            top: self.top.max(stacked),
+        }
+    }
+
+    /// The live bytes after the run from `live`, raising `peak` to the
+    /// run's own peak.
+    fn apply(&self, live: i128, peak: &mut i128) -> i128 {
+        let rise = self.rise.map(|r| live.saturating_add(r));
+        *peak = (*peak).max(rise.max(self.top).unwrap_or(i128::MIN));
+        live.saturating_add(self.net)
+            .max(self.floor.unwrap_or(i128::MIN))
+    }
+}
 
 /// Human-readable byte size (MiB granularity like Figure 4).
 pub fn human_bytes(b: u64) -> String {
@@ -1292,6 +1372,130 @@ mod tests {
                 t.peak_live_bytes(),
                 "{policy:?}: validate's single-pass peak diverges"
             );
+        }
+    }
+
+    /// The liveness peak of the flattened trace: a `u128` counter whose
+    /// frees saturate at zero, reported saturated to `u64`.
+    fn flat_peak(t: &IterationTrace) -> u64 {
+        let (mut live, mut peak) = (0u128, 0u128);
+        for r in t.flatten() {
+            match r.op {
+                MemOp::Malloc => {
+                    live += u128::from(r.bytes);
+                    peak = peak.max(live);
+                }
+                MemOp::Free => live = live.saturating_sub(u128::from(r.bytes)),
+            }
+        }
+        u64::try_from(peak).unwrap_or(u64::MAX)
+    }
+
+    #[test]
+    fn periodic_peak_matches_the_expanded_scan() {
+        for policy in [
+            RematPolicy::KeepAll,
+            RematPolicy::FullRecompute,
+            RematPolicy::MemoTokenWise,
+        ] {
+            for layers in [0, 1, 2, 7] {
+                for materialize_logits in [false, true] {
+                    let mut p = params(policy);
+                    p.model.n_layers = layers;
+                    p.materialize_logits = materialize_logits;
+                    let t = generate(&p);
+                    assert_eq!(t.layers(), layers);
+                    let what = format!("{policy:?}, {layers} layers, logits {materialize_logits}");
+                    assert_eq!(t.peak_live_bytes(), flat_peak(&t), "{what}");
+                    assert_eq!(
+                        t.peak_live_bytes(),
+                        t.validate().unwrap().peak_live_bytes,
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn live_run_repeat_matches_repeated_application() {
+        // Bodies that rise, fall, over-free (the counter floors at zero)
+        // or do nothing, entered at several live counts: the closed form
+        // equals `n` applications and the run of the `n`-fold body. The
+        // over-freeing bodies that still grow are the ones whose floor
+        // terms set the peak.
+        use MemOp::{Free, Malloc};
+        let bodies: [&[(MemOp, u64)]; 9] = [
+            &[],
+            &[(Malloc, 5), (Free, 5)],
+            &[(Malloc, 4), (Malloc, 3), (Free, 4)],
+            &[(Free, 6), (Malloc, 2)],
+            &[(Free, 10), (Malloc, 20)],
+            &[(Malloc, 3), (Free, 10), (Malloc, 12), (Free, 1)],
+            &[(Malloc, 9), (Free, 20), (Malloc, 1), (Malloc, 4), (Free, 2)],
+            &[(Free, 1), (Free, 1)],
+            &[(Malloc, u64::MAX), (Malloc, u64::MAX), (Free, 1)],
+        ];
+        for body in bodies {
+            let run = LiveRun::of(body.iter().copied());
+            for n in 0..6 {
+                let repeated = LiveRun::of(body.iter().copied().cycle().take(n * body.len()));
+                for x in [0i128, 1, 3, 7, 100] {
+                    let (mut live, mut peak) = (x, 0i128);
+                    for _ in 0..n {
+                        live = run.apply(live, &mut peak);
+                    }
+                    for r in [run.repeat(n), repeated] {
+                        let mut p = 0i128;
+                        assert_eq!(
+                            (r.apply(x, &mut p), p),
+                            (live, peak),
+                            "{body:?} x{n} from {x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn periodic_peak_saturates_like_the_expanded_scan() {
+        // A free of more than is live floors the counter at zero inside a
+        // layer body too (5, where unsaturated arithmetic would say 3); a
+        // sum past `u64::MAX` reports `u64::MAX`.
+        let mut strings = TraceStrings::new();
+        let label = strings.intern("t");
+        let req = |op, tensor, bytes| Request {
+            op,
+            tensor: TensorId(tensor),
+            bytes,
+            label,
+        };
+        let seg = |kind, requests| TraceSegment { kind, requests };
+        let body = vec![
+            req(MemOp::Free, 100, 7),
+            req(MemOp::Malloc, 10, 5),
+            req(MemOp::Free, 10, 5),
+        ];
+        let segments = vec![
+            seg(SegmentKind::EmbeddingFwd, vec![req(MemOp::Malloc, 1, 3)]),
+            seg(SegmentKind::LayerFwd(0), body),
+            seg(SegmentKind::ClassifierFwd, vec![]),
+            seg(SegmentKind::LayerBwd(0), vec![]),
+            seg(SegmentKind::EmbeddingBwd, vec![req(MemOp::Malloc, 2, 4)]),
+        ];
+        let t = IterationTrace::from_segments(segments, strings.clone()).unwrap();
+        assert_eq!(t.peak_live_bytes(), flat_peak(&t));
+        assert_eq!(t.peak_live_bytes(), 5);
+
+        for tail in [1, u64::MAX] {
+            let huge = vec![seg(
+                SegmentKind::EmbeddingFwd,
+                vec![req(MemOp::Malloc, 1, u64::MAX), req(MemOp::Malloc, 2, tail)],
+            )];
+            let t = IterationTrace::from_segments(huge, strings.clone()).unwrap();
+            assert_eq!(t.peak_live_bytes(), u64::MAX);
+            assert_eq!(flat_peak(&t), u64::MAX);
         }
     }
 

@@ -12,9 +12,9 @@
 //! [`Assignment::validate`] and the [`crate::boxing`] solver it now scales
 //! to million-interval traces.
 
+use crate::bitset::BitTree;
 use memo_model::hash::FxHashMap;
 use memo_model::trace::{IterationTrace, MemOp, Request, TensorId};
-use std::collections::BTreeMap;
 
 /// One tensor to place. Lifespan is the half-open index interval
 /// `[birth, death)` over the request sequence's *event positions*.
@@ -220,6 +220,40 @@ impl DsaInstance {
     }
 }
 
+/// Tensor indices bucketed by a key in `0..span`, ascending within each
+/// bucket: one counting sort. Indices must fit a `u32`.
+struct Buckets {
+    idx: Vec<u32>,
+    /// `ends[p]` is one past bucket `p`'s last entry.
+    ends: Vec<u32>,
+}
+
+impl Buckets {
+    fn new(span: usize, keys: impl Iterator<Item = usize> + Clone) -> Self {
+        let mut ends = vec![0u32; span + 1];
+        for k in keys.clone() {
+            ends[k + 1] += 1;
+        }
+        for p in 1..=span {
+            ends[p] += ends[p - 1];
+        }
+        // `ends[p]` starts at bucket `p`'s first slot and is advanced past
+        // each entry placed there, ending at bucket `p + 1`'s first slot.
+        let mut idx = vec![0u32; ends[span] as usize];
+        for (i, k) in keys.enumerate() {
+            idx[ends[k] as usize] = i as u32;
+            ends[k] += 1;
+        }
+        ends.pop();
+        Buckets { idx, ends }
+    }
+
+    fn at(&self, p: usize) -> &[u32] {
+        let lo = p.checked_sub(1).map_or(0, |q| self.ends[q]);
+        &self.idx[lo as usize..self.ends[p] as usize]
+    }
+}
+
 /// An address assignment for a [`DsaInstance`], `offsets[i]` for
 /// `instance.tensors[i]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,100 +267,121 @@ impl Assignment {
     /// ranges, and no tensor exceeds the reported peak.
     ///
     /// Runs an O(n log n) event sweep: replay births/deaths in event order
-    /// keeping the live tensors in an address-ordered map; since the live
-    /// set is pairwise disjoint by induction, a new tensor only needs to be
-    /// checked against its address predecessor and successor. Address
-    /// arithmetic is `checked_add` so `u64::MAX`-adjacent offsets report an
-    /// error instead of overflowing.
+    /// (position, deaths before births, tensor index) keeping the live
+    /// tensors in address order; since the live set is pairwise disjoint by
+    /// induction, a new tensor only needs to be checked against its address
+    /// predecessor and successor. Address arithmetic is `checked_add` so
+    /// `u64::MAX`-adjacent offsets report an error instead of overflowing.
+    ///
+    /// The event order is a counting sort over
+    /// `DsaInstance::dense_positions`, and the live sets are
+    /// hierarchical bitsets over each tensor's rank in `(offset, index)`
+    /// order, so the only comparison sort is the rank sort. More than
+    /// `u32::MAX` tensors is an error (ranks and indices are `u32`).
     pub fn validate(&self, inst: &DsaInstance) -> Result<(), String> {
-        if self.offsets.len() != inst.tensors.len() {
+        let n = inst.tensors.len();
+        if self.offsets.len() != n {
             return Err(format!(
                 "assignment covers {} of {} tensors",
                 self.offsets.len(),
-                inst.tensors.len()
+                n
             ));
         }
-        // (event position, is_birth, tensor index); deaths sort before
-        // births at the same position (half-open lifespans).
-        let mut events: Vec<(usize, bool, u32)> = Vec::with_capacity(inst.tensors.len() * 2);
-        for (i, t) in inst.tensors.iter().enumerate() {
-            events.push((t.birth, true, i as u32));
-            events.push((t.death, false, i as u32));
+        if u32::try_from(n).is_err() {
+            return Err(format!(
+                "{n} tensors exceed the validator's u32 index limit"
+            ));
         }
-        events.sort_unstable();
-        // Live tensors keyed by (offset, index); the index disambiguates
-        // shared offsets. Nonzero-size live ranges are pairwise disjoint by
-        // induction (we abort on the first error), so a newcomer only needs
-        // its address predecessor and successor checked. Zero-size tensors
-        // are kept apart as *points*: per the (legacy, naive) overlap
-        // formula a point conflicts with a range iff it lies strictly
-        // inside it, so points cannot be allowed to mask a range's true
-        // neighbors.
-        let mut live_nz: BTreeMap<(u64, u32), u64> = BTreeMap::new();
-        let mut live_pt: BTreeMap<(u64, u32), ()> = BTreeMap::new();
+        // `by_rank[r]` is the tensor of rank `r`: a stable sort by offset
+        // breaks ties by index.
+        let mut by_rank: Vec<u32> = (0..n as u32).collect();
+        by_rank.sort_by_key(|&i| self.offsets[i as usize]);
+        let mut rank = vec![0u32; n];
+        for (r, &i) in by_rank.iter().enumerate() {
+            rank[i as usize] = r as u32;
+        }
+        let tensor_at = |r: usize| by_rank[r] as usize;
+        let (pos, span) = inst.dense_positions();
+        let deaths = Buckets::new(span, pos.iter().map(|&(_, d)| d));
+        let births = Buckets::new(span, pos.iter().map(|&(b, _)| b));
+        // Nonzero-size live ranges are pairwise disjoint by induction (we
+        // abort on the first error), so a newcomer only needs its address
+        // predecessor and successor checked. Zero-size tensors are kept
+        // apart as *points*: per the (legacy, naive) overlap formula a point
+        // conflicts with a range iff it lies strictly inside it, so points
+        // cannot be allowed to mask a range's true neighbors.
+        let mut live_nz = BitTree::new(n);
+        let mut live_pt = BitTree::new(n);
         let overlap_err = |a: usize, b: usize| {
             Err(format!(
                 "live tensors {} and {} overlap at addresses {} and {}",
                 inst.tensors[a].id.0, inst.tensors[b].id.0, self.offsets[a], self.offsets[b]
             ))
         };
-        for (_, is_birth, i) in events {
-            let idx = i as usize;
-            let t = &inst.tensors[idx];
-            let off = self.offsets[idx];
-            if !is_birth {
-                if t.size == 0 {
-                    live_pt.remove(&(off, i));
+        for p in 0..span {
+            for &i in deaths.at(p) {
+                let r = rank[i as usize] as usize;
+                if inst.tensors[i as usize].size == 0 {
+                    live_pt.remove(r);
                 } else {
-                    live_nz.remove(&(off, i));
-                }
-                continue;
-            }
-            let end = off.checked_add(t.size).ok_or_else(|| {
-                format!(
-                    "tensor {} at offset {} + size {} overflows the address space",
-                    t.id.0, off, t.size
-                )
-            })?;
-            if end > self.peak {
-                return Err(format!(
-                    "tensor {} at {}..{} exceeds peak {}",
-                    t.id.0, off, end, self.peak
-                ));
-            }
-            if t.death <= t.birth {
-                // Zero-width lifespan (never produced by the builder):
-                // peak/overflow checked above, conflicts with nothing.
-                continue;
-            }
-            // Predecessor range [p_off, p_end): overlaps iff it straddles
-            // `off` (for points, iff `off` is strictly inside it).
-            if let Some((&(p_off, p_idx), &p_end)) = live_nz.range(..(off, i)).next_back() {
-                if p_off < end && p_end > off {
-                    return overlap_err(p_idx as usize, idx);
+                    live_nz.remove(r);
                 }
             }
-            if t.size > 0 {
-                // Successor range starts at s_off ≥ off; nonzero, so it
-                // overlaps iff it starts before our end.
-                if let Some((&(s_off, s_idx), _)) = live_nz.range((off, i)..).next() {
-                    if s_off < end {
-                        return overlap_err(idx, s_idx as usize);
+            for &i in births.at(p) {
+                let idx = i as usize;
+                let t = &inst.tensors[idx];
+                let off = self.offsets[idx];
+                let r = rank[idx] as usize;
+                let end = off.checked_add(t.size).ok_or_else(|| {
+                    format!(
+                        "tensor {} at offset {} + size {} overflows the address space",
+                        t.id.0, off, t.size
+                    )
+                })?;
+                if end > self.peak {
+                    return Err(format!(
+                        "tensor {} at {}..{} exceeds peak {}",
+                        t.id.0, off, end, self.peak
+                    ));
+                }
+                if t.death <= t.birth {
+                    // Zero-width lifespan (never produced by the builder):
+                    // peak/overflow checked above, conflicts with nothing.
+                    continue;
+                }
+                // Predecessor range [p_off, p_end): overlaps iff it
+                // straddles `off` (for points, iff `off` is strictly inside
+                // it). Its end did not overflow at its own birth.
+                if let Some(below) = r.checked_sub(1).and_then(|x| live_nz.pred(x)) {
+                    let j = tensor_at(below);
+                    let p_off = self.offsets[j];
+                    if p_off < end && p_off + inst.tensors[j].size > off {
+                        return overlap_err(j, idx);
                     }
                 }
-                // A live point strictly inside (off, end) conflicts.
-                use std::ops::Bound;
-                if let Some((&(q_off, q_idx), _)) = live_pt
-                    .range((Bound::Excluded((off, u32::MAX)), Bound::Unbounded))
-                    .next()
-                {
-                    if q_off < end {
-                        return overlap_err(idx, q_idx as usize);
+                if t.size > 0 {
+                    // Successor range starts at s_off ≥ off; nonzero, so it
+                    // overlaps iff it starts before our end.
+                    if let Some(s) = live_nz.succ(r + 1) {
+                        let j = tensor_at(s);
+                        if self.offsets[j] < end {
+                            return overlap_err(idx, j);
+                        }
                     }
+                    // A live point strictly inside (off, end) conflicts.
+                    if !live_pt.is_empty() {
+                        let above = by_rank.partition_point(|&j| self.offsets[j as usize] <= off);
+                        if let Some(q) = live_pt.succ(above) {
+                            let j = tensor_at(q);
+                            if self.offsets[j] < end {
+                                return overlap_err(idx, j);
+                            }
+                        }
+                    }
+                    live_nz.insert(r);
+                } else {
+                    live_pt.insert(r);
                 }
-                live_nz.insert((off, i), end);
-            } else {
-                live_pt.insert((off, i), ());
             }
         }
         Ok(())
@@ -594,6 +649,195 @@ mod tests {
         };
         assert!(bad.validate(&inst).is_err());
         assert!(bad.validate_naive(&inst).is_err());
+    }
+
+    /// The BTreeMap event sweep `validate` ran before ranks and bitsets,
+    /// kept as its differential oracle.
+    fn validate_sweep(a: &Assignment, inst: &DsaInstance) -> Result<(), String> {
+        use std::collections::BTreeMap;
+        use std::ops::Bound;
+        if a.offsets.len() != inst.tensors.len() {
+            return Err(format!(
+                "assignment covers {} of {} tensors",
+                a.offsets.len(),
+                inst.tensors.len()
+            ));
+        }
+        let mut events: Vec<(usize, bool, u32)> = Vec::with_capacity(inst.tensors.len() * 2);
+        for (i, t) in inst.tensors.iter().enumerate() {
+            events.push((t.birth, true, i as u32));
+            events.push((t.death, false, i as u32));
+        }
+        events.sort_unstable();
+        let mut live_nz: BTreeMap<(u64, u32), u64> = BTreeMap::new();
+        let mut live_pt: BTreeMap<(u64, u32), ()> = BTreeMap::new();
+        let overlap_err = |x: usize, y: usize| {
+            Err(format!(
+                "live tensors {} and {} overlap at addresses {} and {}",
+                inst.tensors[x].id.0, inst.tensors[y].id.0, a.offsets[x], a.offsets[y]
+            ))
+        };
+        for (_, is_birth, i) in events {
+            let idx = i as usize;
+            let t = &inst.tensors[idx];
+            let off = a.offsets[idx];
+            if !is_birth {
+                if t.size == 0 {
+                    live_pt.remove(&(off, i));
+                } else {
+                    live_nz.remove(&(off, i));
+                }
+                continue;
+            }
+            let end = off.checked_add(t.size).ok_or_else(|| {
+                format!(
+                    "tensor {} at offset {} + size {} overflows the address space",
+                    t.id.0, off, t.size
+                )
+            })?;
+            if end > a.peak {
+                return Err(format!(
+                    "tensor {} at {}..{} exceeds peak {}",
+                    t.id.0, off, end, a.peak
+                ));
+            }
+            if t.death <= t.birth {
+                continue;
+            }
+            if let Some((&(p_off, p_idx), &p_end)) = live_nz.range(..(off, i)).next_back() {
+                if p_off < end && p_end > off {
+                    return overlap_err(p_idx as usize, idx);
+                }
+            }
+            if t.size > 0 {
+                if let Some((&(s_off, s_idx), _)) = live_nz.range((off, i)..).next() {
+                    if s_off < end {
+                        return overlap_err(idx, s_idx as usize);
+                    }
+                }
+                if let Some((&(q_off, q_idx), _)) = live_pt
+                    .range((Bound::Excluded((off, u32::MAX)), Bound::Unbounded))
+                    .next()
+                {
+                    if q_off < end {
+                        return overlap_err(idx, q_idx as usize);
+                    }
+                }
+                live_nz.insert((off, i), end);
+            } else {
+                live_pt.insert((off, i), ());
+            }
+        }
+        Ok(())
+    }
+
+    /// `validate` returns exactly the old sweep's `Result`, error text
+    /// included, and agrees with the naive validator on validity. The
+    /// sweeps skip a tensor whose lifespan is empty (`death <= birth`)
+    /// after its peak check, while `DsaTensor::overlaps` lets it conflict
+    /// with the tensors live around it, so the naive comparison needs
+    /// every lifespan nonempty.
+    fn assert_validators_agree(a: &Assignment, inst: &DsaInstance) {
+        let got = a.validate(inst);
+        assert_eq!(got, validate_sweep(a, inst), "{inst:?} {a:?}");
+        if inst.tensors.iter().all(|t| t.birth < t.death) {
+            assert_eq!(
+                got.is_ok(),
+                a.validate_naive(inst).is_ok(),
+                "{got:?} {inst:?} {a:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Zero sizes, empty and inverted lifespans, shared positions, and
+        /// offsets drawn from a few values (so that they are shared) or
+        /// `u64::MAX`-adjacent.
+        #[test]
+        fn validate_matches_the_sweep_and_naive_oracles(
+            raw in prop::collection::vec(
+                (0u64..10, 0usize..16, 0usize..8, 0u8..4, 0u64..24),
+                0..40,
+            ),
+            peak in prop::sample::select(vec![24u64, 30, u64::MAX]),
+            empty in prop::sample::select(vec![false, true]),
+        ) {
+            // Without `empty`, every lifespan is nonempty and the naive
+            // validator joins the comparison.
+            let tensors = raw.iter().enumerate().map(|(i, &(size, birth, len, kind, _))| {
+                let death = match (empty, kind) {
+                    (false, _) => birth + len.max(1),
+                    (true, 0) => birth.saturating_sub(len),
+                    (true, _) => birth + len,
+                };
+                t(i as u64, size.saturating_sub(3), birth, death)
+            });
+            let offsets = raw.iter().map(|&(_, _, _, kind, off)| {
+                if kind == 1 && off < 4 { u64::MAX - off } else { off }
+            });
+            let inst = DsaInstance { tensors: tensors.collect() };
+            assert_validators_agree(&Assignment { offsets: offsets.collect(), peak }, &inst);
+        }
+
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Valid plans (the skyline's) and every one-offset mutation of
+        /// them: each tensor moved onto another tensor's offset, or by ±1.
+        #[test]
+        fn validate_matches_the_oracles_on_mutated_valid_plans(
+            raw in prop::collection::vec((0u64..12, 0usize..30, 0usize..10), 1..30),
+            shortest in prop::sample::select(vec![0usize, 1]),
+        ) {
+            let tensors = raw.iter().enumerate().map(|(i, &(size, birth, len))| {
+                t(i as u64, size.saturating_sub(2), birth, birth + len.max(shortest))
+            });
+            let inst = DsaInstance { tensors: tensors.collect() };
+            let (pos, span) = inst.dense_positions();
+            let (offsets, peak) = crate::skyline::place(&inst, &pos, span);
+            let valid = Assignment { offsets, peak };
+            prop_assert!(valid.validate(&inst).is_ok());
+            assert_validators_agree(&valid, &inst);
+            for i in 0..inst.len() {
+                let o = valid.offsets[i];
+                let moves = valid.offsets.iter().copied().chain([o + 1, o.saturating_sub(1)]);
+                for to in moves {
+                    let mut a = valid.clone();
+                    a.offsets[i] = to;
+                    assert_validators_agree(&a, &inst);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_matches_the_sweep_on_a_chunked_plan() {
+        use memo_model::chunked::{for_each_request, ChunkedParams};
+        use memo_model::config::{DType, ModelConfig};
+        let p = ChunkedParams {
+            model: ModelConfig::tiny(3, 64, 4, 256),
+            dtype: DType::F16,
+            seq_tokens: 1000,
+            chunk_tokens: 128,
+        };
+        let mut b = DsaInstanceBuilder::new();
+        for_each_request(&p, |r| b.push(r));
+        let inst = b.finish().unwrap();
+        let (pos, span) = inst.dense_positions();
+        let (offsets, peak) = crate::skyline::place(&inst, &pos, span);
+        let mut a = Assignment { offsets, peak };
+        assert_eq!(a.validate(&inst), Ok(()));
+        assert_eq!(validate_sweep(&a, &inst), Ok(()));
+        // Drop the largest tensor onto the one below it.
+        let top = (0..inst.len()).max_by_key(|&i| a.offsets[i]).unwrap();
+        a.offsets[top] = a.offsets[top].saturating_sub(1);
+        let err = a.validate(&inst);
+        assert!(err.is_err());
+        assert_eq!(err, validate_sweep(&a, &inst));
     }
 
     #[test]

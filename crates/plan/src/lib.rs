@@ -41,6 +41,7 @@
 //!   consumed by `memo_alloc::plan::PlanAllocator`.
 
 pub mod bilevel;
+mod bitset;
 pub mod bnb;
 pub mod boxing;
 pub mod dispatch;

@@ -20,106 +20,20 @@
 //! dominated by the order sort (nearly free for builder-made instances,
 //! which arrive sorted by ascending death).
 
+use crate::bitset::BitTree;
 use crate::dsa::DsaInstance;
 use std::cmp::Reverse;
-
-/// A set of positions in `0..universe` as a hierarchy of 64-ary bitsets:
-/// a set bit at level `k + 1` marks a nonzero word at level `k`.
-struct Starts {
-    levels: Vec<Vec<u64>>,
-}
-
-impl Starts {
-    fn new(universe: usize) -> Self {
-        let mut levels = Vec::new();
-        let mut words = universe.div_ceil(64).max(1);
-        loop {
-            levels.push(vec![0u64; words]);
-            if words == 1 {
-                return Starts { levels };
-            }
-            words = words.div_ceil(64);
-        }
-    }
-
-    fn contains(&self, x: usize) -> bool {
-        self.levels[0][x >> 6] >> (x & 63) & 1 == 1
-    }
-
-    fn insert(&mut self, mut x: usize) {
-        for level in &mut self.levels {
-            let word = &mut level[x >> 6];
-            let was_empty = *word == 0;
-            *word |= 1 << (x & 63);
-            if !was_empty {
-                return;
-            }
-            x >>= 6;
-        }
-    }
-
-    fn remove(&mut self, mut x: usize) {
-        for level in &mut self.levels {
-            let word = &mut level[x >> 6];
-            *word &= !(1 << (x & 63));
-            if *word != 0 {
-                return;
-            }
-            x >>= 6;
-        }
-    }
-
-    /// Smallest member `>= x`.
-    fn succ(&self, mut x: usize) -> Option<usize> {
-        let mut k = 0;
-        loop {
-            let words = self.levels.get(k)?;
-            let w = words.get(x >> 6)? & (u64::MAX << (x & 63));
-            if w != 0 {
-                x = (x & !63) | w.trailing_zeros() as usize;
-                break;
-            }
-            x = (x >> 6) + 1;
-            k += 1;
-        }
-        while k > 0 {
-            k -= 1;
-            x = (x << 6) | self.levels[k][x].trailing_zeros() as usize;
-        }
-        Some(x)
-    }
-
-    /// Largest member `<= x`.
-    fn pred(&self, mut x: usize) -> Option<usize> {
-        let mut k = 0;
-        loop {
-            let words = self.levels.get(k)?;
-            let w = words[x >> 6] & (u64::MAX >> (63 - (x & 63)));
-            if w != 0 {
-                x = (x & !63) | (63 - w.leading_zeros() as usize);
-                break;
-            }
-            x = (x >> 6).checked_sub(1)?;
-            k += 1;
-        }
-        while k > 0 {
-            k -= 1;
-            x = (x << 6) | (63 - self.levels[k][x].leading_zeros() as usize);
-        }
-        Some(x)
-    }
-}
 
 /// The skyline: `top[s]` is the height on `[s, next start)` for every
 /// start `s`. Position 0 is always a start, so every position has one.
 struct Skyline {
-    starts: Starts,
+    starts: BitTree,
     top: Vec<u64>,
 }
 
 impl Skyline {
     fn new(span: usize) -> Self {
-        let mut starts = Starts::new(span);
+        let mut starts = BitTree::new(span);
         starts.insert(0);
         Skyline {
             starts,
@@ -276,30 +190,6 @@ mod tests {
             prop_assert!(span <= 2 * inst.len() + 2, "dense positions are O(n)");
             prop_assert_eq!(place(&inst, &pos, span).0, oracle(&inst));
         }
-    }
-
-    #[test]
-    fn starts_succ_and_pred_cross_every_level() {
-        let universe = 64 * 64 * 64 + 5;
-        let mut s = Starts::new(universe);
-        assert_eq!(s.levels.len(), 4);
-        for x in [0, 63, 64, 4095, 4096, 262_143, universe - 1] {
-            s.insert(x);
-            assert!(s.contains(x));
-        }
-        assert_eq!(s.succ(1), Some(63));
-        assert_eq!(s.succ(65), Some(4095));
-        assert_eq!(s.succ(4097), Some(262_143));
-        assert_eq!(s.succ(262_144), Some(universe - 1));
-        assert_eq!(s.succ(universe), None);
-        assert_eq!(s.pred(262_142), Some(4096));
-        assert_eq!(s.pred(universe - 2), Some(262_143));
-        s.remove(262_143);
-        s.remove(4096);
-        assert_eq!(s.succ(4096), Some(universe - 1));
-        assert_eq!(s.pred(universe - 2), Some(4095));
-        s.remove(0);
-        assert_eq!(s.pred(62), None);
     }
 
     /// Laminar instances (any two lifespans nested or disjoint) plan at
