@@ -22,19 +22,23 @@
 //!
 //! ## The replay fast path (DESIGN.md §2d)
 //!
-//! The free-block index is **size-class segregated**: each pool keeps 64
-//! power-of-two classes over the 512 B-rounded sizes (class *k* holds sizes
-//! in `[512·2^k, 512·2^(k+1))`) with a `u64` occupancy bitmap for
-//! first-nonempty-class lookup and an in-class best-fit scan. Block
-//! metadata lives in per-segment offset-sorted vectors, so coalescing finds
-//! both neighbours in O(1) after one binary search. This replaces the
-//! original global `BTreeSet<(size, base, offset)>` probes on every
-//! `malloc`/`free` — the pre-optimization implementation survives verbatim
-//! as [`crate::reference::ReferenceCachingAllocator`], and the two are kept
+//! Blocks are nodes of one slab, linked `prev`/`next` to their address
+//! neighbours inside their segment, the way `CUDACachingAllocator` links
+//! its `Block`s: a live tensor maps straight to its node, and splitting
+//! and coalescing are link edits. The free blocks are indexed **by size
+//! class**: each pool keeps 64 power-of-two classes over the 512 B-rounded
+//! sizes (class *k* holds sizes in `[512·2^k, 512·2^(k+1))`) with a `u64`
+//! occupancy bitmap for first-nonempty-class lookup and an in-class
+//! best-fit scan. A free node records its position in its class, so
+//! taking it out is one `swap_remove`. Apart from that scan, `malloc` and
+//! `free` are O(1): one hash lookup of the tensor and a few link edits.
+//!
+//! The pre-optimization implementation survives verbatim as
+//! [`crate::reference::ReferenceCachingAllocator`], and the two are kept
 //! **bit-exact** (identical addresses, stats, reorganisation counts and
-//! event streams) by a randomized differential test; `best_fit` reproduces
-//! the BTree's `(size, base, offset)` tuple order exactly, including
-//! tie-breaks.
+//! event streams) by a randomized differential test; the best-fit scan
+//! reproduces the BTree's `(size, base, offset)` tuple order exactly,
+//! including tie-breaks.
 
 use crate::{AllocError, DeviceAllocator};
 use memo_model::hash::FxHashMap;
@@ -53,25 +57,59 @@ const LARGE_SPLIT_REMAINDER: u64 = 1 << 20;
 /// the occupancy bitmap fits one word.
 const N_CLASSES: usize = 64;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The null link: no neighbour, or (in [`Node::slot`]) not in a free list.
+const NIL: u32 = u32::MAX;
+
+/// The two pools, indexing `CachingAllocator::free`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pool {
-    Small,
-    Large,
+    Small = 0,
+    Large = 1,
 }
 
+/// One block of a segment: a slab node linked to its address neighbours.
 #[derive(Debug, Clone, Copy)]
-struct Block {
+struct Node {
+    /// Index of the owning segment in `CachingAllocator::segments`.
+    seg: u32,
+    /// The blocks just below and just above this one in the segment.
+    prev: u32,
+    next: u32,
+    /// Position in its size-class bucket while the block is cached, `NIL`
+    /// while it is handed out: a block is free iff it is listed.
+    slot: u32,
+    off: u64,
     size: u64,
-    free: bool,
+}
+
+impl Node {
+    #[inline]
+    fn is_free(&self) -> bool {
+        self.slot != NIL
+    }
+}
+
+/// Merge `gone`, the block right above `keep`, into `keep`. The caller
+/// recycles `gone`'s slab index.
+#[inline]
+fn absorb_next(nodes: &mut [Node], keep: u32, gone: u32) {
+    let Node { size, next, .. } = nodes[gone as usize];
+    let k = &mut nodes[keep as usize];
+    k.size += size;
+    k.next = next;
+    if next != NIL {
+        nodes[next as usize].prev = keep;
+    }
 }
 
 /// One cached free block: the `(size, base, off)` triple the old BTree
-/// index stored, kept in a size-class bucket instead.
+/// index stored, kept in a size-class bucket with its node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FreeEntry {
     size: u64,
     base: u64,
     off: u64,
+    node: u32,
 }
 
 impl FreeEntry {
@@ -108,23 +146,35 @@ impl SegregatedLists {
         }
     }
 
+    /// List `node` (of the segment at `base`) as free.
     #[inline]
-    fn insert(&mut self, e: FreeEntry) {
-        let k = class_of(e.size);
-        self.classes[k].push(e);
+    fn insert(&mut self, nodes: &mut [Node], node: u32, base: u64) {
+        let n = &mut nodes[node as usize];
+        let k = class_of(n.size);
+        let class = &mut self.classes[k];
+        n.slot = class.len() as u32;
+        class.push(FreeEntry {
+            size: n.size,
+            base,
+            off: n.off,
+            node,
+        });
         self.occupancy |= 1 << k;
-        self.total_free += e.size;
+        self.total_free += n.size;
     }
 
+    /// Unlist `node`: swap-remove its entry and fix the stored position of
+    /// the entry moved into its place.
     #[inline]
-    fn remove(&mut self, size: u64, base: u64, off: u64) {
-        let k = class_of(size);
+    fn remove(&mut self, nodes: &mut [Node], node: u32) {
+        let n = &mut nodes[node as usize];
+        let (k, i, size) = (class_of(n.size), n.slot as usize, n.size);
+        n.slot = NIL;
         let class = &mut self.classes[k];
-        let i = class
-            .iter()
-            .position(|e| e.off == off && e.base == base && e.size == size)
-            .expect("free entry exists");
         class.swap_remove(i);
+        if let Some(moved) = class.get(i) {
+            nodes[moved.node as usize].slot = i as u32;
+        }
         if class.is_empty() {
             self.occupancy &= !(1 << k);
         }
@@ -179,31 +229,16 @@ impl SegregatedLists {
     }
 }
 
-/// A `cudaMalloc`'d segment. Blocks are an offset-sorted vector, so both
-/// coalescing neighbours sit at adjacent indices after one binary search.
-#[derive(Debug)]
+/// A `cudaMalloc`'d segment: its blocks are the node list from `head`
+/// (the block at offset 0, which merges never remove) along `next`.
+#[derive(Debug, Clone, Copy)]
 struct Segment {
     base: u64,
     size: u64,
     pool: Pool,
-    /// (offset within segment, block), sorted by offset.
-    blocks: Vec<(u64, Block)>,
+    head: u32,
     live_blocks: usize,
 }
-
-impl Segment {
-    fn is_fully_free(&self) -> bool {
-        self.live_blocks == 0
-    }
-
-    #[inline]
-    fn idx_of(&self, off: u64) -> usize {
-        self.blocks
-            .binary_search_by_key(&off, |&(o, _)| o)
-            .expect("block exists")
-    }
-}
-
 /// Aggregate statistics of one allocator lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CachingStats {
@@ -270,11 +305,14 @@ pub struct CachingAllocator {
     /// Segments in creation order — ascending base, because the cursor only
     /// grows, and the reorganisation compaction preserves relative order.
     segments: Vec<Segment>,
-    /// base address → index into `segments`.
-    seg_index: FxHashMap<u64, u32>,
-    free_small: SegregatedLists,
-    free_large: SegregatedLists,
-    live: FxHashMap<TensorId, (u64, u64)>, // id -> (segment base, offset)
+    /// The block slab. Indices of merged-away and released blocks wait in
+    /// `spare` for reuse.
+    nodes: Vec<Node>,
+    spare: Vec<u32>,
+    /// Free lists, indexed by [`Pool`].
+    free: [SegregatedLists; 2],
+    /// Live tensor → its block.
+    live: FxHashMap<TensorId, u32>,
     allocated: u64,
     reserved: u64,
     stats: CachingStats,
@@ -290,9 +328,9 @@ impl CachingAllocator {
             capacity,
             va_cursor: 0,
             segments: Vec::new(),
-            seg_index: FxHashMap::default(),
-            free_small: SegregatedLists::new(),
-            free_large: SegregatedLists::new(),
+            nodes: Vec::new(),
+            spare: Vec::new(),
+            free: [SegregatedLists::new(), SegregatedLists::new()],
             live: FxHashMap::default(),
             allocated: 0,
             reserved: 0,
@@ -355,14 +393,18 @@ impl CachingAllocator {
     /// actually be served from, independent of how rounding slack inside
     /// live blocks is attributed to the counters.
     pub fn total_free_bytes(&self) -> u64 {
-        self.free_small.total_free + self.free_large.total_free
+        self.free.iter().map(|l| l.total_free).sum()
     }
 
     /// The largest single free block currently cached. A request above this
     /// cannot be served from cache even though `fragmentation_bytes` may be
     /// huge — the essence of external fragmentation.
     pub fn largest_free_block(&self) -> u64 {
-        self.free_small.largest().max(self.free_large.largest())
+        self.free
+            .iter()
+            .map(SegregatedLists::largest)
+            .max()
+            .unwrap_or(0)
     }
 
     /// External fragmentation ratio: `1 − largest_free / total_free`
@@ -416,179 +458,185 @@ impl CachingAllocator {
         }
     }
 
+    /// The accounting invariants, checked after every `malloc`, `free` and
+    /// reorganisation in debug builds: reserved bytes are exactly the
+    /// allocated plus the cached free ones (unsplit slack counts as
+    /// allocated), `allocated ≤ reserved ≤ capacity`, and the segments'
+    /// live-block counts sum to the live tensors.
     #[inline]
-    fn lists(&mut self, pool: Pool) -> &mut SegregatedLists {
-        match pool {
-            Pool::Small => &mut self.free_small,
-            Pool::Large => &mut self.free_large,
+    fn check_accounting(&self) {
+        debug_assert_eq!(
+            self.reserved,
+            self.allocated + self.total_free_bytes(),
+            "reserved != allocated + free"
+        );
+        debug_assert!(
+            self.allocated <= self.reserved && self.reserved <= self.capacity,
+            "allocated {} / reserved {} / capacity {} out of order",
+            self.allocated,
+            self.reserved,
+            self.capacity
+        );
+        debug_assert_eq!(
+            self.segments.iter().map(|s| s.live_blocks).sum::<usize>(),
+            self.live.len(),
+            "segment live blocks != live tensors"
+        );
+    }
+
+    /// Put `node` in the slab, reusing a spare index if there is one.
+    fn new_node(&mut self, node: Node) -> u32 {
+        if let Some(i) = self.spare.pop() {
+            self.nodes[i as usize] = node;
+            return i;
         }
+        let i = self.nodes.len();
+        assert!(i < NIL as usize, "more than 2^32 - 1 blocks");
+        self.nodes.push(node);
+        i as u32
     }
 
-    /// Best-fit search in the pool's segregated free lists.
-    #[inline]
-    fn find_free_block(&self, pool: Pool, rounded: u64) -> Option<(u64, u64)> {
-        let lists = match pool {
-            Pool::Small => &self.free_small,
-            Pool::Large => &self.free_large,
-        };
-        lists.best_fit(rounded).map(|e| (e.base, e.off))
-    }
-
-    fn take_block(&mut self, pool: Pool, base: u64, off: u64, rounded: u64) -> u64 {
-        let si = *self.seg_index.get(&base).expect("segment exists") as usize;
-        let seg = &mut self.segments[si];
-        let bi = seg.idx_of(off);
-        let block = seg.blocks[bi].1;
-        debug_assert!(block.free && block.size >= rounded);
-        let lists = match pool {
-            Pool::Small => &mut self.free_small,
-            Pool::Large => &mut self.free_large,
-        };
-        lists.remove(block.size, base, off);
-
-        let remainder = block.size - rounded;
+    /// Hand the free block `node` out for a `rounded`-byte request,
+    /// splitting off the remainder as a new free block when it is large
+    /// enough. Returns the block's address.
+    fn take_block(&mut self, pool: Pool, node: u32, rounded: u64) -> u64 {
+        self.free[pool as usize].remove(&mut self.nodes, node);
+        let Node {
+            seg,
+            next,
+            off,
+            size,
+            ..
+        } = self.nodes[node as usize];
+        debug_assert!(size >= rounded);
+        let base = self.segments[seg as usize].base;
+        let remainder = size - rounded;
         if remainder >= Self::min_split_remainder(pool) {
-            seg.blocks[bi].1 = Block {
-                size: rounded,
-                free: false,
-            };
-            seg.blocks.insert(
-                bi + 1,
-                (
-                    off + rounded,
-                    Block {
-                        size: remainder,
-                        free: true,
-                    },
-                ),
-            );
-            lists.insert(FreeEntry {
-                size: remainder,
-                base,
+            let rest = self.new_node(Node {
+                seg,
+                prev: node,
+                next,
+                slot: NIL,
                 off: off + rounded,
+                size: remainder,
             });
-            seg.live_blocks += 1;
+            if next != NIL {
+                self.nodes[next as usize].prev = rest;
+            }
+            let taken = &mut self.nodes[node as usize];
+            taken.next = rest;
+            taken.size = rounded;
+            self.free[pool as usize].insert(&mut self.nodes, rest, base);
             self.allocated += rounded;
         } else {
-            seg.blocks[bi].1.free = false;
-            seg.live_blocks += 1;
             // The whole (possibly over-sized) block is handed out; the slack
             // is internal fragmentation counted as allocated, like PyTorch's
             // "allocated" counter which tracks block sizes.
-            self.allocated += block.size;
+            self.allocated += size;
         }
+        self.segments[seg as usize].live_blocks += 1;
         base + off
     }
 
+    /// Give `node` to tensor `id` and record the malloc.
+    fn hand_out(&mut self, id: TensorId, pool: Pool, node: u32, rounded: u64) -> u64 {
+        let addr = self.take_block(pool, node, rounded);
+        self.live.insert(id, node);
+        self.stats.peak_allocated = self.stats.peak_allocated.max(self.allocated);
+        self.emit(AllocEventKind::Malloc, Some(id), rounded);
+        self.check_accounting();
+        addr
+    }
+
     /// Simulated `cudaMalloc`: create a new segment with one free block.
-    fn cuda_malloc(&mut self, pool: Pool, seg_size: u64) -> Option<u64> {
+    fn cuda_malloc(&mut self, pool: Pool, seg_size: u64) -> Option<u32> {
         if self.reserved + seg_size > self.capacity {
             return None;
         }
         let base = self.va_cursor;
         self.va_cursor += seg_size + SEGMENT_ROUND; // guard gap between segments
-        self.seg_index.insert(base, self.segments.len() as u32);
+        let seg = self.segments.len() as u32;
+        let head = self.new_node(Node {
+            seg,
+            prev: NIL,
+            next: NIL,
+            slot: NIL,
+            off: 0,
+            size: seg_size,
+        });
         self.segments.push(Segment {
             base,
             size: seg_size,
             pool,
-            blocks: vec![(
-                0,
-                Block {
-                    size: seg_size,
-                    free: true,
-                },
-            )],
+            head,
             live_blocks: 0,
         });
-        self.lists(pool).insert(FreeEntry {
-            size: seg_size,
-            base,
-            off: 0,
-        });
+        self.free[pool as usize].insert(&mut self.nodes, head, base);
         self.reserved += seg_size;
         self.stats.n_segments_created += 1;
         self.stats.peak_reserved = self.stats.peak_reserved.max(self.reserved);
         self.emit(AllocEventKind::SegmentCreate, None, seg_size);
-        Some(base)
+        Some(head)
     }
 
     /// The reorganisation path: `cudaFree` every fully-free segment, in
     /// ascending-base order (the canonical order, see module docs), via one
-    /// in-place compaction pass — no temporary victim list.
-    /// Returns the number of segments released.
-    fn release_cached_segments(&mut self) -> usize {
+    /// in-place compaction pass — no temporary victim list. A kept segment
+    /// that moves down has its blocks' `seg` rewritten.
+    fn release_cached_segments(&mut self) {
         let n = self.segments.len();
         let mut kept = 0usize;
         for i in 0..n {
-            if self.segments[i].is_fully_free() {
-                let blocks = std::mem::take(&mut self.segments[i].blocks);
-                let (base, size, pool) = {
-                    let s = &self.segments[i];
-                    (s.base, s.size, s.pool)
-                };
-                let lists = match pool {
-                    Pool::Small => &mut self.free_small,
-                    Pool::Large => &mut self.free_large,
-                };
-                for &(off, b) in &blocks {
-                    debug_assert!(b.free);
-                    lists.remove(b.size, base, off);
+            let s = self.segments[i];
+            let mut node = s.head;
+            if s.live_blocks == 0 {
+                // Coalescing has merged a fully free segment into one
+                // block, but walking the list does not rely on that.
+                while node != NIL {
+                    let next = self.nodes[node as usize].next;
+                    self.free[s.pool as usize].remove(&mut self.nodes, node);
+                    self.spare.push(node);
+                    node = next;
                 }
-                self.seg_index.remove(&base);
-                self.reserved -= size;
+                self.reserved -= s.size;
                 self.stats.n_segments_released += 1;
-                self.emit(AllocEventKind::SegmentRelease, None, size);
+                self.emit(AllocEventKind::SegmentRelease, None, s.size);
             } else {
                 if kept != i {
-                    self.segments.swap(kept, i);
-                    let moved_base = self.segments[kept].base;
-                    self.seg_index.insert(moved_base, kept as u32);
+                    self.segments[kept] = s;
+                    while node != NIL {
+                        let n = &mut self.nodes[node as usize];
+                        n.seg = kept as u32;
+                        node = n.next;
+                    }
                 }
                 kept += 1;
             }
         }
         self.segments.truncate(kept);
-        n - kept
     }
 
-    fn coalesce(&mut self, base: u64, off: u64) {
-        let si = *self.seg_index.get(&base).expect("segment exists") as usize;
-        let seg = &mut self.segments[si];
-        let lists = match seg.pool {
-            Pool::Small => &mut self.free_small,
-            Pool::Large => &mut self.free_large,
-        };
-        let bi = seg.idx_of(off);
-        let mut start_i = bi;
-        let mut start = off;
-        let mut size = seg.blocks[bi].1.size;
-
-        // Next neighbour first (its index is unaffected by a prev merge).
-        if bi + 1 < seg.blocks.len() {
-            let (noff, nb) = seg.blocks[bi + 1];
-            if nb.free && off + size == noff {
-                size += nb.size;
-                lists.remove(nb.size, base, noff);
-                seg.blocks.remove(bi + 1);
-            }
+    /// Return the just-freed `node` to its pool, merged with whichever
+    /// address neighbours are free.
+    fn coalesce(&mut self, node: u32) {
+        let Node {
+            seg, prev, next, ..
+        } = self.nodes[node as usize];
+        let Segment { base, pool, .. } = self.segments[seg as usize];
+        let (lists, nodes) = (&mut self.free[pool as usize], &mut self.nodes);
+        let mut merged = node;
+        if next != NIL && nodes[next as usize].is_free() {
+            lists.remove(nodes, next);
+            absorb_next(nodes, node, next);
+            self.spare.push(next);
         }
-        if bi > 0 {
-            let (poff, pb) = seg.blocks[bi - 1];
-            if pb.free && poff + pb.size == off {
-                start = poff;
-                size += pb.size;
-                lists.remove(pb.size, base, poff);
-                seg.blocks.remove(bi);
-                start_i = bi - 1;
-            }
+        if prev != NIL && nodes[prev as usize].is_free() {
+            lists.remove(nodes, prev);
+            absorb_next(nodes, prev, node);
+            self.spare.push(node);
+            merged = prev;
         }
-        seg.blocks[start_i] = (start, Block { size, free: true });
-        lists.insert(FreeEntry {
-            size,
-            base,
-            off: start,
-        });
+        lists.insert(nodes, merged, base);
     }
 }
 
@@ -604,64 +652,47 @@ impl DeviceAllocator for CachingAllocator {
         self.stats.n_mallocs += 1;
 
         // 1. cached block?
-        if let Some((base, off)) = self.find_free_block(pool, rounded) {
-            let addr = self.take_block(pool, base, off, rounded);
-            self.live.insert(id, (base, addr - base));
-            self.stats.peak_allocated = self.stats.peak_allocated.max(self.allocated);
-            self.emit(AllocEventKind::Malloc, Some(id), rounded);
-            return Ok(addr);
+        if let Some(e) = self.free[pool as usize].best_fit(rounded) {
+            return Ok(self.hand_out(id, pool, e.node, rounded));
         }
 
         // 2. fresh segment?
         let seg_size = Self::segment_size_for(pool, rounded);
-        if let Some(base) = self.cuda_malloc(pool, seg_size) {
-            let addr = self.take_block(pool, base, 0, rounded);
-            self.live.insert(id, (base, addr - base));
-            self.stats.peak_allocated = self.stats.peak_allocated.max(self.allocated);
-            self.emit(AllocEventKind::Malloc, Some(id), rounded);
-            return Ok(addr);
+        if let Some(node) = self.cuda_malloc(pool, seg_size) {
+            return Ok(self.hand_out(id, pool, node, rounded));
         }
 
-        // 3. reorganise and retry (the expensive path).
+        // 3. reorganise and retry (the expensive path). Released segments
+        // were fully free and the remaining cached blocks were already
+        // searched, so only a fresh cudaMalloc can help.
         self.stats.n_reorgs += 1;
         self.emit(AllocEventKind::Reorg, None, 0);
         self.release_cached_segments();
-        // After releasing, a cached block may also have become available in
-        // another segment? No — released segments were fully free; remaining
-        // cached blocks were already searched. Only a fresh cudaMalloc helps.
-        if let Some(base) = self.cuda_malloc(pool, seg_size) {
-            let addr = self.take_block(pool, base, 0, rounded);
-            self.live.insert(id, (base, addr - base));
-            self.stats.peak_allocated = self.stats.peak_allocated.max(self.allocated);
-            self.emit(AllocEventKind::Malloc, Some(id), rounded);
-            return Ok(addr);
+        self.check_accounting();
+        match self.cuda_malloc(pool, seg_size) {
+            Some(node) => Ok(self.hand_out(id, pool, node, rounded)),
+            None => Err(AllocError::OutOfMemory {
+                requested: bytes,
+                allocated: self.allocated,
+                reserved: self.reserved,
+                capacity: self.capacity,
+            }),
         }
-
-        Err(AllocError::OutOfMemory {
-            requested: bytes,
-            allocated: self.allocated,
-            reserved: self.reserved,
-            capacity: self.capacity,
-        })
     }
 
     fn free(&mut self, id: TensorId) {
-        let (base, off) = self
+        let node = self
             .live
             .remove(&id)
             .unwrap_or_else(|| panic!("freeing unknown tensor {}", id.0));
-        let si = *self.seg_index.get(&base).expect("segment exists") as usize;
-        let seg = &mut self.segments[si];
-        let bi = seg.idx_of(off);
-        let block = &mut seg.blocks[bi].1;
-        debug_assert!(!block.free);
-        block.free = true;
-        let freed = block.size;
-        self.allocated -= freed;
-        seg.live_blocks -= 1;
+        let Node { seg, size, .. } = self.nodes[node as usize];
+        debug_assert!(!self.nodes[node as usize].is_free());
+        self.allocated -= size;
+        self.segments[seg as usize].live_blocks -= 1;
         self.stats.n_frees += 1;
-        self.coalesce(base, off);
-        self.emit(AllocEventKind::Free, Some(id), freed);
+        self.coalesce(node);
+        self.emit(AllocEventKind::Free, Some(id), size);
+        self.check_accounting();
     }
 
     fn allocated_bytes(&self) -> u64 {
@@ -1006,6 +1037,26 @@ mod tests {
         // a 60MiB request cannot use the five 30MiB holes
         a.malloc(tid(100), 60 * MIB).unwrap();
         assert!(a.reserved_bytes() > 10 * 30 * MIB);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "reserved != allocated + free")]
+    fn corrupted_counter_trips_the_accounting_check() {
+        let mut a = CachingAllocator::new(1 << 30);
+        a.malloc(tid(0), 4 * MIB).unwrap();
+        a.allocated += ROUND; // drift: bytes no block accounts for
+        a.free(tid(0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "segment live blocks != live tensors")]
+    fn corrupted_live_count_trips_the_accounting_check() {
+        let mut a = CachingAllocator::new(1 << 30);
+        a.malloc(tid(0), 4 * MIB).unwrap();
+        a.segments[0].live_blocks += 1;
+        a.malloc(tid(1), 4 * MIB).unwrap();
     }
 
     #[test]

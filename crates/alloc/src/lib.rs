@@ -20,7 +20,9 @@
 //!   alternative to MEMO's static planning.
 //! * [`reference::ReferenceCachingAllocator`] is the original BTree-indexed
 //!   caching allocator, kept verbatim as the bit-exactness oracle for the
-//!   segregated-free-list fast path in [`caching`] (see DESIGN.md §2d).
+//!   fast path in [`caching`]: blocks as linked slab nodes, free blocks in
+//!   size-class lists, O(1) per request apart from the best-fit scan of one
+//!   class (see DESIGN.md §2d).
 //! * [`paged::PagedKvAllocator`] is the serving-side answer: fixed-size KV
 //!   pages, per-sequence page tables, O(1) append/release — run in lockstep
 //!   with [`paged::PagedKvReference`] per the same oracle pattern

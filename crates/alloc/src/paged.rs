@@ -91,20 +91,79 @@ fn pages_for(bytes: u64, page_bytes: u64) -> u64 {
 // Fast path: two-level bitmap
 // ---------------------------------------------------------------------------
 
-/// Fixed-size-page KV allocator with a two-level free bitmap.
+/// The two-level free bitmap of [`PagedKvAllocator`].
 ///
 /// Level 0 is one bit per page (`1` = free); level 1 summarises each u64
-/// word (`1` = word has a free page). Finding the lowest free page id is
-/// two `trailing_zeros` calls over the summary words — O(capacity/4096)
-/// words touched, constant in practice.
+/// word (`1` = word has a free page). `low` is a summary word at or below
+/// the lowest nonzero one, so the scan for the lowest free page starts
+/// there instead of at word 0.
+#[derive(Debug, Clone)]
+struct FreeBits {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    low: usize,
+}
+
+impl FreeBits {
+    /// All of `n_pages` free.
+    fn new(n_pages: u64) -> Self {
+        let n_words = (n_pages as usize).div_ceil(64);
+        let mut words = vec![u64::MAX; n_words];
+        // Clear the bits past n_pages in the last word.
+        let tail = n_pages as usize % 64;
+        if tail != 0 {
+            words[n_words - 1] = (1u64 << tail) - 1;
+        }
+        let mut summary = vec![0u64; n_words.div_ceil(64)];
+        for (i, &w) in words.iter().enumerate() {
+            if w != 0 {
+                summary[i / 64] |= 1 << (i % 64);
+            }
+        }
+        FreeBits {
+            words,
+            summary,
+            low: 0,
+        }
+    }
+
+    /// Take the lowest free page id; the caller guarantees one is free.
+    #[inline]
+    fn take_lowest(&mut self) -> u32 {
+        let mut si = self.low;
+        while self.summary[si] == 0 {
+            si += 1;
+        }
+        self.low = si;
+        let wi = si * 64 + self.summary[si].trailing_zeros() as usize;
+        let bit = self.words[wi].trailing_zeros() as usize;
+        self.words[wi] &= !(1u64 << bit);
+        if self.words[wi] == 0 {
+            self.summary[si] &= !(1u64 << (wi % 64));
+        }
+        (wi * 64 + bit) as u32
+    }
+
+    fn give_back(&mut self, page: u32) {
+        let wi = page as usize / 64;
+        let bit = page as usize % 64;
+        debug_assert_eq!(self.words[wi] & (1 << bit), 0, "double free of page {page}");
+        self.words[wi] |= 1 << bit;
+        self.summary[wi / 64] |= 1 << (wi % 64);
+        self.low = self.low.min(wi / 64);
+    }
+}
+
+/// Fixed-size-page KV allocator with a two-level free bitmap.
+///
+/// Finding the lowest free page id is two `trailing_zeros` calls over the
+/// summary words, starting at the lowest nonzero one — constant in
+/// practice.
 #[derive(Debug, Clone)]
 pub struct PagedKvAllocator {
     page_bytes: u64,
     n_pages: u64,
-    /// Level-0 bitmap: bit set ⇔ page free.
-    words: Vec<u64>,
-    /// Level-1 summary: bit set ⇔ corresponding level-0 word non-zero.
-    summary: Vec<u64>,
+    bits: FreeBits,
     free: u64,
     seqs: Vec<Option<SeqKv>>,
     stats: PagedStats,
@@ -116,25 +175,10 @@ impl PagedKvAllocator {
         let n_pages = capacity_bytes / page_bytes;
         assert!(n_pages > 0, "capacity below one page");
         assert!(n_pages <= u32::MAX as u64, "page ids are u32");
-        let n_words = (n_pages as usize).div_ceil(64);
-        let mut words = vec![u64::MAX; n_words];
-        // Clear the bits past n_pages in the last word.
-        let tail = n_pages as usize % 64;
-        if tail != 0 {
-            words[n_words - 1] = (1u64 << tail) - 1;
-        }
-        let n_sum = n_words.div_ceil(64);
-        let mut summary = vec![0u64; n_sum];
-        for (i, &w) in words.iter().enumerate() {
-            if w != 0 {
-                summary[i / 64] |= 1 << (i % 64);
-            }
-        }
         PagedKvAllocator {
             page_bytes,
             n_pages,
-            words,
-            summary,
+            bits: FreeBits::new(n_pages),
             free: n_pages,
             seqs: Vec::new(),
             stats: PagedStats::default(),
@@ -161,35 +205,6 @@ impl PagedKvAllocator {
         self.stats
     }
 
-    /// Lowest free page id; caller guarantees `self.free > 0`.
-    fn take_lowest(&mut self) -> u32 {
-        debug_assert!(self.free > 0);
-        let mut si = 0;
-        while self.summary[si] == 0 {
-            si += 1;
-        }
-        let wi = si * 64 + self.summary[si].trailing_zeros() as usize;
-        let bit = self.words[wi].trailing_zeros() as usize;
-        self.words[wi] &= !(1u64 << bit);
-        if self.words[wi] == 0 {
-            self.summary[si] &= !(1u64 << (wi % 64));
-        }
-        self.free -= 1;
-        self.stats.page_allocs += 1;
-        self.stats.peak_pages_in_use = self.stats.peak_pages_in_use.max(self.pages_in_use());
-        (wi * 64 + bit) as u32
-    }
-
-    fn give_back(&mut self, page: u32) {
-        let wi = page as usize / 64;
-        let bit = page as usize % 64;
-        debug_assert_eq!(self.words[wi] & (1 << bit), 0, "double free of page {page}");
-        self.words[wi] |= 1 << bit;
-        self.summary[wi / 64] |= 1 << (wi % 64);
-        self.free += 1;
-        self.stats.page_frees += 1;
-    }
-
     /// Admit a new sequence with an empty page table.
     pub fn admit(&mut self, seq: u32) -> Result<(), PagedError> {
         if self.seqs.len() <= seq as usize {
@@ -212,12 +227,17 @@ impl PagedKvAllocator {
         let page_bytes = self.page_bytes;
         let kv = self
             .seqs
-            .get(seq as usize)
-            .and_then(|s| s.as_ref())
+            .get_mut(seq as usize)
+            .and_then(Option::as_mut)
             .ok_or(PagedError::UnknownSequence(seq))?;
-        let held = kv.pages.len() as u64 * page_bytes;
-        let need =
-            pages_for(kv.bytes + bytes, page_bytes).saturating_sub(pages_for(held, page_bytes));
+        // An append that fits the held pages (most decode steps) needs no
+        // division.
+        let (total, held) = (kv.bytes + bytes, kv.pages.len() as u64);
+        let need = if total <= held * page_bytes {
+            0
+        } else {
+            pages_for(total, page_bytes) - held
+        };
         if need > self.free {
             self.stats.failed_appends += 1;
             return Err(PagedError::OutOfPages {
@@ -225,13 +245,14 @@ impl PagedKvAllocator {
                 free_pages: self.free,
             });
         }
-        let mut fresh = Vec::with_capacity(need as usize);
         for _ in 0..need {
-            fresh.push(self.take_lowest());
+            kv.pages.push(self.bits.take_lowest());
         }
-        let kv = self.seqs[seq as usize].as_mut().unwrap();
-        kv.pages.extend(fresh);
         kv.bytes += bytes;
+        // Pages in use only grow during the loop, so its end is its peak.
+        self.free -= need;
+        self.stats.page_allocs += need;
+        self.stats.peak_pages_in_use = self.stats.peak_pages_in_use.max(self.pages_in_use());
         self.stats.appends += 1;
         Ok(())
     }
@@ -243,9 +264,11 @@ impl PagedKvAllocator {
             .get_mut(seq as usize)
             .and_then(|s| s.take())
             .ok_or(PagedError::UnknownSequence(seq))?;
-        for page in kv.pages {
-            self.give_back(page);
+        for &page in &kv.pages {
+            self.bits.give_back(page);
         }
+        self.free += kv.pages.len() as u64;
+        self.stats.page_frees += kv.pages.len() as u64;
         Ok(())
     }
 

@@ -1,6 +1,6 @@
 //! The pre-optimization `CachingAllocator` — `BTreeSet` free index,
 //! per-segment `BTreeMap` block maps — kept verbatim as the differential
-//! oracle for the segregated-free-list fast path in [`crate::caching`].
+//! oracle for the linked-block fast path in [`crate::caching`].
 //!
 //! [`ReferenceCachingAllocator`] and [`CachingAllocator`] must be
 //! *bit-exact*: identical addresses, [`CachingStats`], reorganisation

@@ -1,4 +1,4 @@
-//! Differential test: the segregated-free-list [`CachingAllocator`] must be
+//! Differential test: the linked-block [`CachingAllocator`] must be
 //! **bit-exact** with the original BTree-indexed implementation, preserved
 //! verbatim as [`ReferenceCachingAllocator`].
 //!
@@ -12,7 +12,7 @@ use memo_alloc::reference::ReferenceCachingAllocator;
 use memo_alloc::{snapshot, DeviceAllocator};
 use memo_model::activations::LayerDims;
 use memo_model::config::{DType, ModelConfig};
-use memo_model::trace::{generate, IterationTrace, RematPolicy, TensorId, TraceParams};
+use memo_model::trace::{generate, IterationTrace, MemOp, RematPolicy, TensorId, TraceParams};
 use memo_parallel::strategy::ParallelConfig;
 
 const MIB: u64 = 1 << 20;
@@ -250,6 +250,61 @@ fn identical_on_generated_traces() {
     }
 }
 
+/// Run `trace` the way the caching-replay search does, on one lockstep
+/// pair: a warm-up iteration, the optimizer's persistent tensors (ids
+/// `(1 << 40) + k`, as the pipeline numbers them), then the steady
+/// iteration. Returns false at the first OOM, where the pipeline stops.
+fn replay_like_the_search(pair: &mut Lockstep, trace: &IterationTrace, persistent: &[u64]) -> bool {
+    let iteration = |pair: &mut Lockstep| {
+        trace.flatten().all(|r| match r.op {
+            MemOp::Malloc => pair.malloc(r.tensor, r.bytes),
+            MemOp::Free => {
+                pair.free(r.tensor);
+                true
+            }
+        })
+    };
+    iteration(pair)
+        && persistent
+            .iter()
+            .enumerate()
+            .all(|(k, &bytes)| pair.malloc(tid((1 << 40) + k as u64), bytes))
+        && iteration(pair)
+}
+
+#[test]
+fn identical_on_the_search_replay_shape() {
+    // The Megatron-LM (FullRecompute) and keep-all traces of 7B on 8 GPUs
+    // (TP4·CP2), on a roomy device and on devices cut to fractions of the
+    // roomy run's peak: OOMs land in the warm-up, in the persistent
+    // tensors and in the steady iteration, and some runs survive only by
+    // reorganising.
+    let m = ModelConfig::gpt_7b();
+    let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+    let persistent = memo_parallel::memory::persistent_tensor_sizes(&m, &cfg);
+    let (mut reorganised, mut ooms) = (0, 0);
+    for policy in [RematPolicy::FullRecompute, RematPolicy::KeepAll] {
+        for seq_k in [64u64, 256, 1024] {
+            let trace = sharded_trace(&m, &cfg, seq_k * 1024, policy);
+            let mut roomy = Lockstep::new(1 << 42);
+            assert!(replay_like_the_search(&mut roomy, &trace, &persistent));
+            let peak = roomy.new.stats().peak_reserved;
+            roomy.finish();
+            for percent in [99u64, 97, 90, 60, 40] {
+                let mut pair = Lockstep::new(peak / 100 * percent);
+                if replay_like_the_search(&mut pair, &trace, &persistent) {
+                    reorganised += (pair.new.reorg_count() > 0) as usize;
+                } else {
+                    ooms += 1;
+                }
+                pair.finish();
+            }
+        }
+    }
+    assert!(reorganised > 0, "no run survived by reorganising");
+    assert!(ooms > 0, "no capacity forced an OOM");
+}
+
 mod random_scripts {
     use super::*;
     use proptest::prelude::*;
@@ -266,6 +321,30 @@ mod random_scripts {
             roomy in 0u8..=1,
         ) {
             let capacity = if roomy == 1 { 1 << 36 } else { 256 * MIB };
+            drive(capacity, &script);
+        }
+
+        // Devices of a few segments: nearly every large request releases
+        // cached segments, the compaction moves the survivors down, and
+        // block nodes are recycled on every split and merge. Sizes cover
+        // the small pool, large blocks carved from 20 MiB segments, and
+        // exact-size segments.
+        #[test]
+        fn lockstep_on_tiny_devices(
+            raw in prop::collection::vec((0u8..=2, 0u8..=2, 1u64..8 * MIB), 1..300),
+            capacity in 22 * MIB..72 * MIB,
+        ) {
+            let script: Vec<(u8, u64)> = raw
+                .iter()
+                .map(|&(op, scale, bytes)| {
+                    let bytes = match scale {
+                        0 => bytes % MIB + 1,
+                        1 => bytes,
+                        _ => 3 * bytes,
+                    };
+                    ((op == 2) as u8, bytes)
+                })
+                .collect();
             drive(capacity, &script);
         }
     }

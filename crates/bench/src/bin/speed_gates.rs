@@ -13,6 +13,9 @@
 //!   steady-state splicing) ≥ 3× the reference engine at MEMO@1M;
 //! * paged KV replay ≥ 3× the caching allocator's realloc pattern at
 //!   13B@256K;
+//! * caching-allocator trace replay ≥ 3× `ReferenceCachingAllocator` on
+//!   the 7B/8-GPU (TP4·CP2) traces at {64K, 256K, 1M} × {FullRecompute,
+//!   KeepAll};
 //! * the delta path over the dense MEMO@1M grid: warm sweep ≥ 3× and cold
 //!   sweep ≥ 1× the per-cell `execute_cached` baseline, and the
 //!   mixed-policy sweep (with full-simulation verification) < 30 s;
@@ -23,8 +26,10 @@
 
 use memo_alloc::caching::CachingAllocator;
 use memo_alloc::paged::PagedKvAllocator;
+use memo_alloc::reference::ReferenceCachingAllocator;
+use memo_alloc::snapshot::replay_peak;
 use memo_alloc::DeviceAllocator;
-use memo_bench::inputs::{kv_cell, memo_grid, sim_inputs, KvCell};
+use memo_bench::inputs::{kv_cell, memo_grid, replay_traces, sim_inputs, KvCell};
 use memo_core::cache::ProfileCache;
 use memo_core::delta::DeltaContext;
 use memo_core::pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource};
@@ -33,7 +38,7 @@ use memo_hal::engine::RecordLevel;
 use memo_model::chunked::ChunkedParams;
 use memo_model::config::ModelConfig;
 use memo_model::decode::DecodeEvent;
-use memo_model::trace::TensorId;
+use memo_model::trace::{IterationTrace, TensorId};
 use memo_parallel::strategy::ParallelConfig;
 use memo_plan::dispatch::{self, DispatchOptions};
 use memo_plan::DsaInstanceBuilder;
@@ -181,6 +186,53 @@ fn kv_gate() -> bool {
     )
 }
 
+/// The warm-up and steady passes a caching-replay search runs per config,
+/// on a fresh device large enough that neither pass reorganises.
+fn replay_twice<A: DeviceAllocator>(mut a: A, trace: &IterationTrace) {
+    black_box(replay_peak(&mut a, trace));
+    black_box(replay_peak(&mut a, trace));
+}
+
+fn caching_replay_gate() -> bool {
+    const ROOMY: u64 = 1 << 42;
+    const PAIRS: usize = 11;
+    let traces = replay_traces();
+    let requests: usize = traces.iter().map(|t| 2 * t.len()).sum();
+    let fast = || {
+        for t in &traces {
+            replay_twice(CachingAllocator::new(ROOMY), t);
+        }
+    };
+    let reference = || {
+        for t in &traces {
+            replay_twice(ReferenceCachingAllocator::new(ROOMY), t);
+        }
+    };
+    // Calibrate off the reference leg so each leg times ~50 ms, then time
+    // the legs in alternating repetitions so both see the same machine
+    // mode; the gate reads the median per-pair ratio.
+    let t0 = Instant::now();
+    reference();
+    let reps = ((0.05 / t0.elapsed().as_secs_f64().max(1e-7)) as usize).clamp(1, 10_000);
+    let mut pairs: Vec<(f64, f64)> = (0..PAIRS)
+        .map(|_| (mean_ms(reps, fast), mean_ms(reps, reference)))
+        .collect();
+    pairs.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
+    let (fast_ms, reference_ms) = pairs[PAIRS / 2];
+    let speedup = reference_ms / fast_ms.max(1e-12);
+    let ns = |ms: f64| ms * 1e6 / requests as f64;
+    gate(
+        "caching replay fast path vs reference allocator, 7B TP4·CP2 traces",
+        speedup >= 3.0,
+        format!(
+            "{speedup:.2}x over {} traces ({:.0} -> {:.0} ns per request; gate >= 3x)",
+            traces.len(),
+            ns(reference_ms),
+            ns(fast_ms)
+        ),
+    )
+}
+
 /// One sweep of the walk through `execute_cached`, one cell at a time.
 fn sweep_baseline(w: &Workload, walk: &[(ParallelConfig, f64)]) -> Vec<ExecutionReport> {
     walk.iter()
@@ -302,7 +354,7 @@ fn megatrain_gate() -> bool {
 }
 
 fn main() -> ExitCode {
-    let mut results = vec![sim_gate(), kv_gate()];
+    let mut results = vec![sim_gate(), kv_gate(), caching_replay_gate()];
     results.extend(delta_gates());
     results.push(megatrain_gate());
     let misses = results.iter().filter(|&&ok| !ok).count();

@@ -6,7 +6,7 @@ use memo_hal::engine::RecordLevel;
 use memo_hal::time::SimTime;
 use memo_model::config::ModelConfig;
 use memo_model::decode::{generate_decode, DecodeParams, DecodeTrace};
-use memo_model::trace::RematPolicy;
+use memo_model::trace::{IterationTrace, RematPolicy};
 use memo_parallel::search;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 use memo_parallel::sweep::serpentine_pairs;
@@ -153,4 +153,21 @@ pub fn kv_cell(model: ModelConfig, context: u64) -> KvCell {
         page: (context_tokens / 1024).max(PAGE_TOKENS) * kv,
         trace,
     }
+}
+
+/// The per-GPU traces the caching-replay gate times: 7B on 8 GPUs
+/// (TP4·CP2) at {64K, 256K, 1M} tokens under FullRecompute and KeepAll,
+/// exactly as `profile` builds them for the Megatron-LM and keep-all
+/// searches. `crates/alloc/tests/differential.rs` replays the same traces
+/// through both allocators in lockstep.
+pub fn replay_traces() -> Vec<IterationTrace> {
+    let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+    let mut traces = Vec::new();
+    for seq_k in [64u64, 256, 1024] {
+        let w = Workload::new(ModelConfig::gpt_7b(), 8, seq_k << 10);
+        for policy in [RematPolicy::FullRecompute, RematPolicy::KeepAll] {
+            traces.push(memo_core::profiler::profile(&w, &cfg, policy, false).trace);
+        }
+    }
+    traces
 }

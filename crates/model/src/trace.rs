@@ -39,6 +39,7 @@
 
 use crate::activations::LayerDims;
 use crate::config::ModelConfig;
+use crate::hash::FxHashMap;
 use std::collections::HashMap;
 
 /// Allocator operation.
@@ -69,14 +70,14 @@ impl Sym {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceStrings {
     strings: Vec<String>,
-    index: HashMap<String, u32>,
+    index: FxHashMap<String, u32>,
 }
 
 impl Default for TraceStrings {
     fn default() -> Self {
         let mut t = TraceStrings {
             strings: Vec::new(),
-            index: HashMap::new(),
+            index: FxHashMap::default(),
         };
         t.intern("");
         t
@@ -839,7 +840,7 @@ struct TraceBuilder {
     segments: Vec<TraceSegment>,
     current: Vec<Request>,
     current_kind: Option<SegmentKind>,
-    open: HashMap<TensorId, u64>,
+    open: FxHashMap<TensorId, u64>,
     strings: TraceStrings,
 }
 
@@ -855,7 +856,7 @@ impl TraceBuilder {
             segments: Vec::new(),
             current: Vec::new(),
             current_kind: None,
-            open: HashMap::new(),
+            open: FxHashMap::default(),
             strings: TraceStrings::new(),
         }
     }

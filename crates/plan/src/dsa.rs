@@ -262,9 +262,81 @@ pub struct Assignment {
     pub peak: u64,
 }
 
+/// The live sets of [`Assignment::validate`]'s sweep, as `(offset, index)`
+/// ranks: nonzero-size ranges (pairwise disjoint, since the sweep stops at
+/// the first overlap) and zero-size points.
+struct LiveRanks<'a> {
+    offsets: &'a [u64],
+    tensors: &'a [DsaTensor],
+    /// `by_rank[r]` is the tensor of rank `r`.
+    by_rank: &'a [u32],
+    ranges: BitTree,
+    points: BitTree,
+}
+
+impl LiveRanks<'_> {
+    /// The first live tensor that `accept` admits and whose addresses meet
+    /// tensor `i`'s `[off, end)` (rank `r`), as the `(a, b)` pair the
+    /// overlap error names. Candidates come in address order: the range
+    /// straddling `off`, the ranges starting in `[off, end)`, then the
+    /// points strictly inside `(off, end)` (per the naive overlap formula a
+    /// point conflicts with a range iff it lies strictly inside it, so
+    /// points cannot be allowed to mask a range's true neighbours). When
+    /// `accept` admits every live tensor, only the first of each kind is
+    /// looked at.
+    fn conflict(
+        &self,
+        i: usize,
+        r: usize,
+        end: u64,
+        accept: impl Fn(usize) -> bool,
+    ) -> Option<(usize, usize)> {
+        let off = self.offsets[i];
+        let at = |q: usize| self.by_rank[q] as usize;
+        // The predecessor range's end did not overflow at its own birth.
+        if let Some(j) = r.checked_sub(1).and_then(|x| self.ranges.pred(x)).map(at) {
+            let p_off = self.offsets[j];
+            if p_off < end && p_off + self.tensors[j].size > off && accept(j) {
+                return Some((j, i));
+            }
+        }
+        if end == off {
+            return None;
+        }
+        let mut q = r + 1;
+        while let Some(s) = self.ranges.succ(q) {
+            let j = at(s);
+            if self.offsets[j] >= end {
+                break;
+            }
+            if accept(j) {
+                return Some((i, j));
+            }
+            q = s + 1;
+        }
+        if !self.points.is_empty() {
+            let mut q = self
+                .by_rank
+                .partition_point(|&j| self.offsets[j as usize] <= off);
+            while let Some(s) = self.points.succ(q) {
+                let j = at(s);
+                if self.offsets[j] >= end {
+                    break;
+                }
+                if accept(j) {
+                    return Some((i, j));
+                }
+                q = s + 1;
+            }
+        }
+        None
+    }
+}
+
 impl Assignment {
-    /// Verify the assignment: overlapping lifespans get disjoint address
-    /// ranges, and no tensor exceeds the reported peak.
+    /// Verify the assignment: tensors whose lifespans overlap (by
+    /// [`DsaTensor::overlaps`]) get disjoint address ranges, and no tensor
+    /// exceeds the reported peak.
     ///
     /// Runs an O(n log n) event sweep: replay births/deaths in event order
     /// (position, deaths before births, tensor index) keeping the live
@@ -272,6 +344,14 @@ impl Assignment {
     /// induction, a new tensor only needs to be checked against its address
     /// predecessor and successor. Address arithmetic is `checked_add` so
     /// `u64::MAX`-adjacent offsets report an error instead of overflowing.
+    ///
+    /// A tensor with an empty lifespan (`death <= birth`) is checked at its
+    /// birth `b`, after the deaths there and before the births, against
+    /// the live tensors born before its death: by `overlaps`, exactly the
+    /// tensors it conflicts with. It never joins the live set (two empty
+    /// lifespans never overlap). A point (`death == birth`) admits every
+    /// live tensor, so it costs what a birth does; an inverted lifespan
+    /// walks the live tensors under its address range.
     ///
     /// The event order is a counting sort over
     /// `DsaInstance::dense_positions`, and the live sets are
@@ -300,87 +380,66 @@ impl Assignment {
         for (r, &i) in by_rank.iter().enumerate() {
             rank[i as usize] = r as u32;
         }
-        let tensor_at = |r: usize| by_rank[r] as usize;
         let (pos, span) = inst.dense_positions();
         let deaths = Buckets::new(span, pos.iter().map(|&(_, d)| d));
         let births = Buckets::new(span, pos.iter().map(|&(b, _)| b));
-        // Nonzero-size live ranges are pairwise disjoint by induction (we
-        // abort on the first error), so a newcomer only needs its address
-        // predecessor and successor checked. Zero-size tensors are kept
-        // apart as *points*: per the (legacy, naive) overlap formula a point
-        // conflicts with a range iff it lies strictly inside it, so points
-        // cannot be allowed to mask a range's true neighbors.
-        let mut live_nz = BitTree::new(n);
-        let mut live_pt = BitTree::new(n);
-        let overlap_err = |a: usize, b: usize| {
-            Err(format!(
-                "live tensors {} and {} overlap at addresses {} and {}",
-                inst.tensors[a].id.0, inst.tensors[b].id.0, self.offsets[a], self.offsets[b]
-            ))
+        let mut live = LiveRanks {
+            offsets: &self.offsets,
+            tensors: &inst.tensors,
+            by_rank: &by_rank,
+            ranges: BitTree::new(n),
+            points: BitTree::new(n),
         };
         for p in 0..span {
             for &i in deaths.at(p) {
                 let r = rank[i as usize] as usize;
                 if inst.tensors[i as usize].size == 0 {
-                    live_pt.remove(r);
+                    live.points.remove(r);
                 } else {
-                    live_nz.remove(r);
+                    live.ranges.remove(r);
                 }
             }
-            for &i in births.at(p) {
-                let idx = i as usize;
-                let t = &inst.tensors[idx];
-                let off = self.offsets[idx];
-                let r = rank[idx] as usize;
-                let end = off.checked_add(t.size).ok_or_else(|| {
-                    format!(
-                        "tensor {} at offset {} + size {} overflows the address space",
-                        t.id.0, off, t.size
-                    )
-                })?;
-                if end > self.peak {
-                    return Err(format!(
-                        "tensor {} at {}..{} exceeds peak {}",
-                        t.id.0, off, end, self.peak
-                    ));
-                }
-                if t.death <= t.birth {
-                    // Zero-width lifespan (never produced by the builder):
-                    // peak/overflow checked above, conflicts with nothing.
-                    continue;
-                }
-                // Predecessor range [p_off, p_end): overlaps iff it
-                // straddles `off` (for points, iff `off` is strictly inside
-                // it). Its end did not overflow at its own birth.
-                if let Some(below) = r.checked_sub(1).and_then(|x| live_nz.pred(x)) {
-                    let j = tensor_at(below);
-                    let p_off = self.offsets[j];
-                    if p_off < end && p_off + inst.tensors[j].size > off {
-                        return overlap_err(j, idx);
+            // Empty lifespans first, then the tensors that join the live set.
+            for empty_pass in [true, false] {
+                for &i in births.at(p) {
+                    let idx = i as usize;
+                    let (b, d) = pos[idx];
+                    if (d <= b) != empty_pass {
+                        continue;
                     }
-                }
-                if t.size > 0 {
-                    // Successor range starts at s_off ≥ off; nonzero, so it
-                    // overlaps iff it starts before our end.
-                    if let Some(s) = live_nz.succ(r + 1) {
-                        let j = tensor_at(s);
-                        if self.offsets[j] < end {
-                            return overlap_err(idx, j);
+                    let t = &inst.tensors[idx];
+                    let off = self.offsets[idx];
+                    let end = off.checked_add(t.size).ok_or_else(|| {
+                        format!(
+                            "tensor {} at offset {} + size {} overflows the address space",
+                            t.id.0, off, t.size
+                        )
+                    })?;
+                    if end > self.peak {
+                        return Err(format!(
+                            "tensor {} at {}..{} exceeds peak {}",
+                            t.id.0, off, end, self.peak
+                        ));
+                    }
+                    // Every live tensor was born by `p`, before `d` unless
+                    // the lifespan is empty.
+                    let r = rank[idx] as usize;
+                    if let Some((x, y)) = live.conflict(idx, r, end, |j| pos[j].0 < d) {
+                        return Err(format!(
+                            "live tensors {} and {} overlap at addresses {} and {}",
+                            inst.tensors[x].id.0,
+                            inst.tensors[y].id.0,
+                            self.offsets[x],
+                            self.offsets[y]
+                        ));
+                    }
+                    if !empty_pass {
+                        if t.size == 0 {
+                            live.points.insert(r);
+                        } else {
+                            live.ranges.insert(r);
                         }
                     }
-                    // A live point strictly inside (off, end) conflicts.
-                    if !live_pt.is_empty() {
-                        let above = by_rank.partition_point(|&j| self.offsets[j as usize] <= off);
-                        if let Some(q) = live_pt.succ(above) {
-                            let j = tensor_at(q);
-                            if self.offsets[j] < end {
-                                return overlap_err(idx, j);
-                            }
-                        }
-                    }
-                    live_nz.insert(r);
-                } else {
-                    live_pt.insert(r);
                 }
             }
         }
@@ -652,7 +711,9 @@ mod tests {
     }
 
     /// The BTreeMap event sweep `validate` ran before ranks and bitsets,
-    /// kept as its differential oracle.
+    /// kept as its differential oracle, with the same rule for empty
+    /// lifespans: checked at their birth, after the deaths and before the
+    /// births there, against the live tensors born before their death.
     fn validate_sweep(a: &Assignment, inst: &DsaInstance) -> Result<(), String> {
         use std::collections::BTreeMap;
         use std::ops::Bound;
@@ -663,10 +724,15 @@ mod tests {
                 inst.tensors.len()
             ));
         }
-        let mut events: Vec<(usize, bool, u32)> = Vec::with_capacity(inst.tensors.len() * 2);
+        // (position, 0 death / 1 empty lifespan / 2 birth, tensor)
+        let mut events: Vec<(usize, u8, u32)> = Vec::with_capacity(inst.tensors.len() * 2);
         for (i, t) in inst.tensors.iter().enumerate() {
-            events.push((t.birth, true, i as u32));
-            events.push((t.death, false, i as u32));
+            if t.death <= t.birth {
+                events.push((t.birth, 1, i as u32));
+            } else {
+                events.push((t.birth, 2, i as u32));
+                events.push((t.death, 0, i as u32));
+            }
         }
         events.sort_unstable();
         let mut live_nz: BTreeMap<(u64, u32), u64> = BTreeMap::new();
@@ -677,11 +743,11 @@ mod tests {
                 inst.tensors[x].id.0, inst.tensors[y].id.0, a.offsets[x], a.offsets[y]
             ))
         };
-        for (_, is_birth, i) in events {
+        for (_, kind, i) in events {
             let idx = i as usize;
             let t = &inst.tensors[idx];
             let off = a.offsets[idx];
-            if !is_birth {
+            if kind == 0 {
                 if t.size == 0 {
                     live_pt.remove(&(off, i));
                 } else {
@@ -701,52 +767,52 @@ mod tests {
                     t.id.0, off, end, a.peak
                 ));
             }
-            if t.death <= t.birth {
-                continue;
-            }
+            let accept = |j: u32| inst.tensors[j as usize].birth < t.death;
             if let Some((&(p_off, p_idx), &p_end)) = live_nz.range(..(off, i)).next_back() {
-                if p_off < end && p_end > off {
+                if p_off < end && p_end > off && accept(p_idx) {
                     return overlap_err(p_idx as usize, idx);
                 }
             }
             if t.size > 0 {
-                if let Some((&(s_off, s_idx), _)) = live_nz.range((off, i)..).next() {
-                    if s_off < end {
+                for (&(s_off, s_idx), _) in live_nz.range((off, i)..) {
+                    if s_off >= end {
+                        break;
+                    }
+                    if accept(s_idx) {
                         return overlap_err(idx, s_idx as usize);
                     }
                 }
-                if let Some((&(q_off, q_idx), _)) = live_pt
-                    .range((Bound::Excluded((off, u32::MAX)), Bound::Unbounded))
-                    .next()
-                {
-                    if q_off < end {
+                let above = (Bound::Excluded((off, u32::MAX)), Bound::Unbounded);
+                for (&(q_off, q_idx), _) in live_pt.range(above) {
+                    if q_off >= end {
+                        break;
+                    }
+                    if accept(q_idx) {
                         return overlap_err(idx, q_idx as usize);
                     }
                 }
-                live_nz.insert((off, i), end);
-            } else {
-                live_pt.insert((off, i), ());
+            }
+            if kind == 2 {
+                if t.size > 0 {
+                    live_nz.insert((off, i), end);
+                } else {
+                    live_pt.insert((off, i), ());
+                }
             }
         }
         Ok(())
     }
 
     /// `validate` returns exactly the old sweep's `Result`, error text
-    /// included, and agrees with the naive validator on validity. The
-    /// sweeps skip a tensor whose lifespan is empty (`death <= birth`)
-    /// after its peak check, while `DsaTensor::overlaps` lets it conflict
-    /// with the tensors live around it, so the naive comparison needs
-    /// every lifespan nonempty.
+    /// included, and agrees with the naive validator on validity.
     fn assert_validators_agree(a: &Assignment, inst: &DsaInstance) {
         let got = a.validate(inst);
         assert_eq!(got, validate_sweep(a, inst), "{inst:?} {a:?}");
-        if inst.tensors.iter().all(|t| t.birth < t.death) {
-            assert_eq!(
-                got.is_ok(),
-                a.validate_naive(inst).is_ok(),
-                "{got:?} {inst:?} {a:?}"
-            );
-        }
+        assert_eq!(
+            got.is_ok(),
+            a.validate_naive(inst).is_ok(),
+            "{got:?} {inst:?} {a:?}"
+        );
     }
 
     proptest! {
@@ -764,8 +830,7 @@ mod tests {
             peak in prop::sample::select(vec![24u64, 30, u64::MAX]),
             empty in prop::sample::select(vec![false, true]),
         ) {
-            // Without `empty`, every lifespan is nonempty and the naive
-            // validator joins the comparison.
+            // Without `empty`, every lifespan is nonempty.
             let tensors = raw.iter().enumerate().map(|(i, &(size, birth, len, kind, _))| {
                 let death = match (empty, kind) {
                     (false, _) => birth + len.max(1),
