@@ -19,6 +19,9 @@
 //! * the delta path over the dense MEMO@1M grid: warm sweep ≥ 3× and cold
 //!   sweep ≥ 1× the per-cell `execute_cached` baseline, and the
 //!   mixed-policy sweep (with full-simulation verification) < 30 s;
+//! * a cold, serial TensorHybrid strategy search ≥ 2× an exhaustive
+//!   `run_with` fold over the same grid at 7B/8 GPUs {256K, 1M}: the
+//!   search plans only the configs its pick needs;
 //! * the 1,013,850-interval MegaTrain chunked instance plans in < 30 s,
 //!   validates in at most 3× the plan's time, stays within the boxing
 //!   guarantee (`gap_ok`) and is proven optimal (peak at the liveness
@@ -33,13 +36,14 @@ use memo_bench::inputs::{kv_cell, memo_grid, replay_traces, sim_inputs, KvCell};
 use memo_core::cache::ProfileCache;
 use memo_core::delta::DeltaContext;
 use memo_core::pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource};
-use memo_core::session::Workload;
+use memo_core::session::{SearchOptions, Workload};
 use memo_hal::engine::RecordLevel;
 use memo_model::chunked::ChunkedParams;
 use memo_model::config::ModelConfig;
 use memo_model::decode::DecodeEvent;
 use memo_model::trace::{IterationTrace, TensorId};
-use memo_parallel::strategy::ParallelConfig;
+use memo_parallel::search::enumerate_configs;
+use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 use memo_plan::dispatch::{self, DispatchOptions};
 use memo_plan::DsaInstanceBuilder;
 use memo_swap::SegmentCache;
@@ -233,6 +237,60 @@ fn caching_replay_gate() -> bool {
     )
 }
 
+/// Empty the profile, plan and segment caches.
+fn clear_caches() {
+    ProfileCache::global().clear();
+    SegmentCache::global().clear();
+}
+
+fn static_search_gate() -> bool {
+    const PAIRS: usize = 11;
+    let spec = SystemSpec::TensorHybrid;
+    let cells = [256u64, 1024].map(|k| Workload::new(ModelConfig::gpt_7b(), 8, k << 10));
+    // Serial, so the ratio measures the pruning rather than the pool width.
+    let opts = SearchOptions {
+        parallel: false,
+        cache: true,
+    };
+    let search = || {
+        for w in &cells {
+            clear_caches();
+            black_box(w.run_best_or_failure_with(spec, opts));
+        }
+    };
+    let exhaustive = || {
+        for w in &cells {
+            clear_caches();
+            let gpn = w.calib.gpus_per_node.min(w.n_gpus);
+            let best = enumerate_configs(spec, &w.model, w.n_gpus, gpn)
+                .iter()
+                .filter_map(|cfg| w.run_with(spec, cfg).metrics().map(|m| m.tgs))
+                .fold(f64::NEG_INFINITY, f64::max);
+            black_box(best);
+        }
+    };
+    // Calibrate off the exhaustive leg so each leg times ~50 ms, then
+    // alternate the legs and read the median per-pair ratio.
+    let t0 = Instant::now();
+    exhaustive();
+    let reps = ((0.05 / t0.elapsed().as_secs_f64().max(1e-7)) as usize).clamp(1, 1_000);
+    let mut pairs: Vec<(f64, f64)> = (0..PAIRS)
+        .map(|_| (mean_ms(reps, search), mean_ms(reps, exhaustive)))
+        .collect();
+    pairs.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
+    let (search_ms, exhaustive_ms) = pairs[PAIRS / 2];
+    let speedup = exhaustive_ms / search_ms.max(1e-12);
+    gate(
+        "cold static-plan search vs exhaustive fold, TensorHybrid 7B/8 GPUs {256K, 1M}",
+        speedup >= 2.0,
+        format!(
+            "{speedup:.2}x ({exhaustive_ms:.2} -> {search_ms:.2} ms per pass over {} cells; \
+             gate >= 2x)",
+            cells.len()
+        ),
+    )
+}
+
 /// One sweep of the walk through `execute_cached`, one cell at a time.
 fn sweep_baseline(w: &Workload, walk: &[(ParallelConfig, f64)]) -> Vec<ExecutionReport> {
     walk.iter()
@@ -264,15 +322,11 @@ fn delta_gates() -> [bool; 3] {
     let cells = walk.len();
 
     // Cold: every leg starts from empty profile and segment caches.
-    let clear = || {
-        ProfileCache::global().clear();
-        SegmentCache::global().clear();
-    };
-    clear();
+    clear_caches();
     let cold_baseline_ms = min_ms(1, || {
         black_box(sweep_baseline(&w, walk));
     });
-    clear();
+    clear_caches();
     let cold_delta_ms = min_ms(1, || {
         black_box(sweep_delta(&w, walk));
     });
@@ -354,7 +408,12 @@ fn megatrain_gate() -> bool {
 }
 
 fn main() -> ExitCode {
-    let mut results = vec![sim_gate(), kv_gate(), caching_replay_gate()];
+    let mut results = vec![
+        sim_gate(),
+        kv_gate(),
+        caching_replay_gate(),
+        static_search_gate(),
+    ];
     results.extend(delta_gates());
     results.push(megatrain_gate());
     let misses = results.iter().filter(|&&ok| !ok).count();

@@ -234,9 +234,13 @@ pub struct ByteBreakdown {
 }
 
 impl ByteBreakdown {
-    /// Peak GPU bytes: everything resident at once.
+    /// Peak GPU bytes: everything resident at once. Saturates at
+    /// `u64::MAX`, which no device holds, so an overflowing sum is a typed
+    /// `X_oom` rather than a wrapped total that fits.
     pub fn peak(&self) -> u64 {
-        self.model_states + self.skeletal_buffers + self.planned_arena
+        self.model_states
+            .saturating_add(self.skeletal_buffers)
+            .saturating_add(self.planned_arena)
     }
 }
 
@@ -340,6 +344,20 @@ impl ProfileSource<'_> {
             }
         }
     }
+}
+
+/// What the strategy search knows about one config before stage 3
+/// ([`ExecutionPipeline::screen`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Screen {
+    /// The config may succeed, with a TGS of at most this: exact for a
+    /// static plan, the zero-stall bound for a caching replay.
+    Bound(f64),
+    /// The config cannot succeed: stage 2 or 4 failed, or the timing is
+    /// degenerate. Its failure may still depend on stage 3.
+    CannotSucceed,
+    /// The config is certain to end `X_oom`, from liveness alone.
+    MustOom,
 }
 
 /// The staged executor: resolve a [`SystemSpec`] into [`PipelineStages`]
@@ -446,8 +464,9 @@ impl ExecutionPipeline {
     }
 
     /// Whether stage 3 replays the caching allocator
-    /// ([`MemoryBackend::CachingReplay`]): the modes whose strategy search
-    /// bounds every config before replaying any.
+    /// ([`MemoryBackend::CachingReplay`]). The strategy search hands such
+    /// grids to the pool whatever their size: one replay costs far more
+    /// than a hand-off.
     pub(crate) fn replays_allocator(&self) -> bool {
         matches!(self.stages.backend, MemoryBackend::CachingReplay { .. })
     }
@@ -460,6 +479,49 @@ impl ExecutionPipeline {
         use_cache: bool,
     ) -> Arc<ProfileReport> {
         ProfileSource::Cache { use_cache }.profile(w, cfg, &self.stages)
+    }
+
+    /// What the strategy search learns about `cfg` on profile `p` without
+    /// running stage 3 (no plan, no allocator replay).
+    ///
+    /// A static plan runs stages 2 and 4 and reports the **exact** TGS:
+    /// the Swap arm of stage 4 never reads the memory accounting, the
+    /// Recompute arm reads only its reorganisations (0 under a static
+    /// plan), and stage 5 reads the plan only for `peak_gpu_bytes`. So the
+    /// plan decides only *whether* the config succeeds. Every valid plan
+    /// peaks at or above the trace's liveness peak, so `model states +
+    /// skeletal buffers + peak_live_bytes > usable` (in `u128`) proves
+    /// stage 3's `X_oom`, which precedes any stage 4 failure.
+    ///
+    /// A caching replay is bounded by [`Self::replay_tgs_bound`] and
+    /// certified by [`Self::replay_must_oom`].
+    pub(crate) fn screen(&self, w: &Workload, cfg: &ParallelConfig, p: &ProfileReport) -> Screen {
+        if self.replays_allocator() {
+            return if self.replay_must_oom(w, cfg, p) {
+                Screen::MustOom
+            } else {
+                Screen::Bound(self.replay_tgs_bound(w, cfg, p))
+            };
+        }
+        let Ok(plan) = decide_activation(&self.stages.policy, w, p) else {
+            return Screen::CannotSucceed;
+        };
+        let resident = u128::from(p.model_states.total()) + u128::from(skeletal_bytes(p, &plan));
+        let usable = u128::from(w.calib.usable_gpu_memory());
+        if resident + u128::from(p.trace.peak_live_bytes()) > usable {
+            return Screen::MustOom;
+        }
+        let mem = MemoryAccounting {
+            bytes: ByteBreakdown::default(),
+            reorgs: 0,
+        };
+        let head_secs = self.head_secs(p);
+        let derate = self.stages.derate;
+        match build_schedule(w, cfg, p, head_secs, &plan, &mem, derate, false, None) {
+            Ok((iter_secs, _, _)) => mfu_tgs(w, cfg, iter_secs)
+                .map_or(Screen::CannotSucceed, |(_, tgs)| Screen::Bound(tgs)),
+            Err(_) => Screen::CannotSucceed,
+        }
     }
 
     /// An upper bound on the TGS a caching-replay run of `cfg` on profile
@@ -515,17 +577,18 @@ impl ExecutionPipeline {
         static_bytes + persistent + u128::from(p.trace.peak_live_bytes()) > usable
     }
 
-    /// Stages 2–5 of a caching-replay mode on a profile the caller already
-    /// holds: bit-identical to [`Self::execute_cached`]'s outcome, with no
-    /// second profile or cache lookup (the replay backend reads no plan).
+    /// Stages 2–5 on a profile the caller already holds: bit-identical to
+    /// [`Self::execute_cached`]'s outcome, with no second profile lookup. A
+    /// static plan still comes from the [`ProfileCache`] under
+    /// `use_cache`, so modes that share a trace share its plan.
     pub(crate) fn execute_profiled(
         &self,
         w: &Workload,
         cfg: &ParallelConfig,
         p: &ProfileReport,
+        use_cache: bool,
     ) -> CellOutcome {
-        debug_assert!(self.replays_allocator());
-        let mut source = ProfileSource::Cache { use_cache: false };
+        let mut source = ProfileSource::Cache { use_cache };
         self.run_stages(w, cfg, p, &mut source, None).outcome
     }
 
@@ -937,24 +1000,9 @@ fn account_memory(
             // The bi-level plan is a pure function of the trace, which is a
             // pure function of the profile key — memoized beside the profile.
             let report = source.plan(w, cfg, stages, &p.trace);
-            let skeletal = match *plan {
-                // Swap and retained layers rotate through the same `slots`
-                // rounding buffers; recompute layers pass through without
-                // touching the ring.
-                ActivationPlan::Swap { alpha, slots, .. } => {
-                    memo_swap::buffers::skeletal_gpu_bytes_with_slots(
-                        p.split.s_input,
-                        p.split.s_attn,
-                        p.split.s_others,
-                        alpha,
-                        slots,
-                    )
-                }
-                ActivationPlan::Recompute { .. } => 0,
-            };
             let bytes = ByteBreakdown {
                 model_states: p.model_states.total(),
-                skeletal_buffers: skeletal,
+                skeletal_buffers: skeletal_bytes(p, plan),
                 planned_arena: report.plan.peak,
             };
             if bytes.peak() > usable {
@@ -977,6 +1025,24 @@ fn account_memory(
                 reorgs,
             })
         }
+    }
+}
+
+/// The rounding-buffer bytes a static plan holds beside its arena. Swap
+/// and retained layers rotate through the same `slots` rounding buffers;
+/// recompute layers pass through without touching the ring.
+fn skeletal_bytes(p: &ProfileReport, plan: &ActivationPlan) -> u64 {
+    match *plan {
+        ActivationPlan::Swap { alpha, slots, .. } => {
+            memo_swap::buffers::skeletal_gpu_bytes_with_slots(
+                p.split.s_input,
+                p.split.s_attn,
+                p.split.s_others,
+                alpha,
+                slots,
+            )
+        }
+        ActivationPlan::Recompute { .. } => 0,
     }
 }
 
@@ -1127,10 +1193,12 @@ fn replay_oom(err: &AllocError, static_bytes: u64, usable: u64) -> CellOutcome {
     }
 }
 
-/// Map a staging failure into the cell outcome.
+/// Map a staging failure into the cell outcome, saturating like
+/// [`replay_oom`]: a pool refuses a request whose sum with its used bytes
+/// passes `u64::MAX`.
 fn oohm(e: memo_swap::tiers::OutOfTierMemory) -> CellOutcome {
     CellOutcome::Oohm {
-        needed: e.used + e.requested,
+        needed: e.used.saturating_add(e.requested),
         capacity: e.capacity,
     }
 }
@@ -1384,7 +1452,7 @@ mod tests {
             assert_eq!(replay_static_bytes(&huge, &cfg, true), u64::MAX);
             assert!(ds.replay_must_oom(&huge, &cfg, &p));
             assert_eq!(
-                ds.execute_profiled(&huge, &cfg, &p),
+                ds.execute_profiled(&huge, &cfg, &p, false),
                 CellOutcome::Oom {
                     needed: u64::MAX,
                     capacity: huge.calib.usable_gpu_memory(),

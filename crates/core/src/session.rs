@@ -2,7 +2,7 @@
 
 use crate::ablation::Variant;
 use crate::outcome::CellOutcome;
-use crate::pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource};
+use crate::pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource, Screen};
 use crate::profiler::ProfileReport;
 use memo_hal::calib::Calibration;
 use memo_hal::topology::ClusterSpec;
@@ -16,11 +16,13 @@ use std::sync::Arc;
 /// cache-disabled combination is the oracle of the parallel-parity tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchOptions {
-    /// Fan the per-config evaluations out over the work-stealing
-    /// [`Pool`]. The reduction stays serial in enumeration order, so the
-    /// picked (cfg, outcome) is bit-identical to a serial run.
+    /// Fan the per-config screens (and the failure fold's evaluations)
+    /// out over the work-stealing [`Pool`]. The best-first evaluations and
+    /// the reduction stay serial, so the picked (cfg, outcome) is
+    /// bit-identical to a serial run.
     pub parallel: bool,
-    /// Share profiles through the global [`crate::cache::ProfileCache`].
+    /// Share profiles and static plans through the global
+    /// [`crate::cache::ProfileCache`].
     pub cache: bool,
 }
 
@@ -40,7 +42,10 @@ impl Default for SearchOptions {
 /// shared with other searches (DeepSpeed's Ulysses grid pairs
 /// `FullRecompute` with materialized logits — no other backend asks for
 /// that profile). Caching-replay grids use the pool whatever their size:
-/// one allocator replay costs far more than a hand-off.
+/// the failure fold of a grid with nothing feasible replays every config,
+/// and one allocator replay costs far more than a hand-off. Either way the
+/// search runs the same best-first loop, so the bypass never changes which
+/// configs are evaluated.
 pub const SMALL_GRID_BYPASS: usize = 8;
 
 impl SearchOptions {
@@ -166,22 +171,13 @@ impl Workload {
     /// shortfall wins. [`CellOutcome::NoValidStrategy`] when the space is
     /// empty.
     ///
-    /// The per-config evaluations are independent and fan out over the
-    /// work-stealing pool; the *reduction* stays a serial fold in
-    /// enumeration-index order, so the `>=` tie-break below keeps its
-    /// "last enumerated wins" semantics bit-exactly regardless of which
-    /// worker finished first (golden parity depends on this — DESIGN.md).
-    ///
-    /// Caching-replay modes (Megatron-LM, keep-all, DeepSpeed) replay only
-    /// what the pick needs ([`Self::replay_best_first`]). Every config is
-    /// profiled, given its zero-stall TGS bound, and checked against the
-    /// liveness certificate that proves it `X_oom`. The uncertified configs
-    /// replay one at a time, best bound first, stopping once the next bound
-    /// is strictly below the best replayed TGS ([`best_first`]): a pruned
-    /// config can neither win nor tie. A certified config cannot win at
-    /// all, so it replays only when no config turned out feasible, for its
-    /// shortfall in the least-bad-failure fold. The fold therefore returns
-    /// what the exhaustive fold over every config would.
+    /// The fold runs serially in enumeration-index order over the configs
+    /// [`Self::evaluate_best_first`] evaluated, so the `>=` tie-break below
+    /// keeps its "last enumerated wins" semantics bit-exactly regardless of
+    /// which worker finished first (golden parity depends on this —
+    /// DESIGN.md). The configs it skips can neither win nor tie the pick,
+    /// nor be the least-bad failure, so the fold returns what the
+    /// exhaustive fold over every config would.
     fn search_strategies(
         &self,
         system: SystemSpec,
@@ -195,16 +191,9 @@ impl Workload {
         // Either way the outcome is identical (the cache is a pure memo and
         // the reduction is order-fixed).
         let small = configs.len() <= SMALL_GRID_BYPASS;
-        let use_cache = opts.cache && !small;
         let pipeline = ExecutionPipeline::new(system);
-        let outcomes: Vec<(ParallelConfig, CellOutcome)> = if pipeline.replays_allocator() {
-            self.replay_best_first(&pipeline, configs, opts.parallel, use_cache)
-        } else {
-            map_in_order(opts.parallel && !small, configs, |cfg| {
-                let out = pipeline.execute_cached(self, &cfg, use_cache).outcome;
-                (cfg, out)
-            })
-        };
+        let parallel = opts.parallel && (!small || pipeline.replays_allocator());
+        let outcomes = self.evaluate_best_first(&pipeline, configs, parallel, opts.cache && !small);
 
         let mut best: Option<(ParallelConfig, CellOutcome, f64)> = None;
         let mut failure: Option<CellOutcome> = None;
@@ -234,43 +223,80 @@ impl Workload {
         )
     }
 
-    /// The caching-replay leg of [`Self::search_strategies`]: one map
-    /// profiles, bounds and certifies every config; the uncertified ones
-    /// replay in [`best_first`] order on the profiles already held; the
-    /// certified ones replay in one map only if nothing was feasible.
-    /// Returns the replayed configs with their outcomes in enumeration
-    /// order. The replayed set depends on the bounds and outcomes alone,
+    /// Evaluate only the configs the pick and the least-bad failure need,
+    /// for either memory backend:
+    ///
+    /// 1. One map profiles and [screens](ExecutionPipeline::screen) every
+    ///    config: a TGS bound (exact for a static plan), *cannot succeed*,
+    ///    or certified `X_oom`.
+    /// 2. The bounded configs run stages 2–5 one at a time, in
+    ///    [`best_first`] order, on the profiles already held.
+    /// 3. Only if none succeeded: the *cannot succeed* configs run in one
+    ///    map, and then the certified ones too, unless some outcome so far
+    ///    is `X_oohm` ([`CellOutcome::failure_rank`] puts every OOHM below
+    ///    every OOM, so no certified config could be the least-bad failure).
+    ///
+    /// Returns the evaluated configs with their outcomes in enumeration
+    /// order. The evaluated set depends on the screens and outcomes alone,
     /// never on the thread count.
-    fn replay_best_first(
+    fn evaluate_best_first(
         &self,
         pipeline: &ExecutionPipeline,
         configs: Vec<ParallelConfig>,
         parallel: bool,
         use_cache: bool,
     ) -> Vec<(ParallelConfig, CellOutcome)> {
-        let profiled: Vec<(Arc<ProfileReport>, f64, bool)> =
+        let screened: Vec<(Arc<ProfileReport>, Screen)> =
             map_in_order(parallel, configs.iter().collect(), |cfg| {
                 let p = pipeline.profile(self, cfg, use_cache);
-                let bound = pipeline.replay_tgs_bound(self, cfg, &p);
-                let certified = pipeline.replay_must_oom(self, cfg, &p);
-                (p, bound, certified)
+                let screen = pipeline.screen(self, cfg, &p);
+                (p, screen)
             });
-        let replay = |i: usize| pipeline.execute_profiled(self, &configs[i], &profiled[i].0);
-        let (certified, open): (Vec<usize>, Vec<usize>) =
-            (0..configs.len()).partition(|&i| profiled[i].2);
-        let bounds: Vec<f64> = open.iter().map(|&i| profiled[i].1).collect();
+        let evaluate = |i: usize| {
+            let (p, screen) = &screened[i];
+            let out = pipeline.execute_profiled(self, &configs[i], p, use_cache);
+            debug_assert!(
+                pipeline.replays_allocator()
+                    || out.metrics().is_none_or(
+                        |m| matches!(screen, Screen::Bound(b) if b.to_bits() == m.tgs.to_bits())
+                    ),
+                "a static plan's screen is its exact TGS: {screen:?} vs {out:?}"
+            );
+            out
+        };
+        let (mut open, mut bounds, mut cannot_succeed, mut certified) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for (i, (_, screen)) in screened.iter().enumerate() {
+            match *screen {
+                Screen::Bound(bound) => {
+                    open.push(i);
+                    bounds.push(bound);
+                }
+                Screen::CannotSucceed => cannot_succeed.push(i),
+                Screen::MustOom => certified.push(i),
+            }
+        }
         let mut outcomes: Vec<Option<CellOutcome>> = vec![None; configs.len()];
         let mut feasible = false;
         best_first(&bounds, |k| {
-            let out = replay(open[k]);
+            let out = evaluate(open[k]);
             let tgs = out.metrics().map(|m| m.tgs);
             feasible |= tgs.is_some();
             outcomes[open[k]] = Some(out);
             tgs
         });
         if !feasible {
-            for (i, out) in map_in_order(parallel, certified, |i| (i, replay(i))) {
+            for (i, out) in map_in_order(parallel, cannot_succeed, |i| (i, evaluate(i))) {
                 outcomes[i] = Some(out);
+            }
+            let oohm = outcomes
+                .iter()
+                .flatten()
+                .any(|out| matches!(out, CellOutcome::Oohm { .. }));
+            if !oohm {
+                for (i, out) in map_in_order(parallel, certified, |i| (i, evaluate(i))) {
+                    outcomes[i] = Some(out);
+                }
             }
         }
         configs
@@ -481,9 +507,11 @@ mod tests {
     /// The strategy-search grids of the pruning tests: the
     /// `tests/search_parallel.rs` cells (7B, 8 GPUs, 64K / 256K / 1024K),
     /// 7B on 8 GPUs at 2048K (infeasible in every mode, so every search
-    /// ends in the failure fold), and two search-short shapes (7B on 4 GPUs
-    /// at 2K tokens per GPU, 65B on 16 GPUs at 4K tokens per GPU) on
-    /// 512 GiB DRAM and 16 GB/s PCIe.
+    /// ends in the failure fold; the static-plan ones know an OOHM), two
+    /// search-short shapes (7B on 4 GPUs at 2K tokens per GPU, 65B on
+    /// 16 GPUs at 4K tokens per GPU) on 512 GiB DRAM and 16 GB/s PCIe, and
+    /// 7B on four 2 GiB GPUs at 8K, where no strategy's parameters fit (every
+    /// config is certified `X_oom` and no OOHM is known).
     fn pruning_grids() -> Vec<Workload> {
         let mut cells: Vec<Workload> = [64, 256, 1024, 2048].map(|s| w7(8, s)).to_vec();
         for (model, n_gpus, per_gpu) in [
@@ -495,7 +523,31 @@ mod tests {
             w.calib.set_pcie_bandwidth(16e9);
             cells.push(w);
         }
+        let mut small_gpu = Workload::new(ModelConfig::gpt_7b(), 4, 8 << 10);
+        small_gpu.calib.gpu_memory_bytes = 2 << 30;
+        cells.push(small_gpu);
         cells
+    }
+
+    /// The static-plan modes of [`SystemSpec::ALL_MODES`].
+    fn static_modes() -> impl Iterator<Item = SystemSpec> {
+        SystemSpec::ALL_MODES
+            .into_iter()
+            .filter(|&spec| !ExecutionPipeline::new(spec).replays_allocator())
+    }
+
+    /// Every config of `spec`'s grid on `w`, with its screen and the
+    /// outcome [`Workload::run_with`] reports for it.
+    fn screened_grid(w: &Workload, spec: SystemSpec) -> Vec<(Screen, CellOutcome)> {
+        let pipeline = ExecutionPipeline::new(spec);
+        let gpn = w.calib.gpus_per_node.min(w.n_gpus);
+        search::enumerate_configs(spec, &w.model, w.n_gpus, gpn)
+            .into_iter()
+            .map(|cfg| {
+                let p = pipeline.profile(w, &cfg, true);
+                (pipeline.screen(w, &cfg, &p), w.run_with(spec, &cfg))
+            })
+            .collect()
     }
 
     #[test]
@@ -518,7 +570,7 @@ mod tests {
                     let bound = pipeline.replay_tgs_bound(&w, &cfg, &p);
                     assert!(bound.is_finite(), "{spec:?} {}", cfg.describe());
                     bounds.push(bound);
-                    let out = pipeline.execute_profiled(&w, &cfg, &p);
+                    let out = pipeline.execute_profiled(&w, &cfg, &p, true);
                     assert_eq!(out, w.run_with(spec, &cfg), "{spec:?} {}", cfg.describe());
                     if let Some(m) = out.metrics() {
                         assert!(
@@ -546,13 +598,8 @@ mod tests {
             SystemSpec::MegatronKeepAll,
             SystemSpec::DeepSpeed,
         ];
-        let mut cells = pruning_grids();
-        // A 2 GiB device: no 7B strategy's parameters fit.
-        let mut small_gpu = Workload::new(ModelConfig::gpt_7b(), 4, 8 << 10);
-        small_gpu.calib.gpu_memory_bytes = 2 << 30;
-        cells.push(small_gpu);
         let (mut certified, mut deferred) = (0, 0);
-        for w in cells {
+        for w in pruning_grids() {
             let gpn = w.calib.gpus_per_node.min(w.n_gpus);
             for spec in caching {
                 let pipeline = ExecutionPipeline::new(spec);
@@ -585,6 +632,96 @@ mod tests {
     }
 
     #[test]
+    fn static_screen_is_exact() {
+        let (mut exact, mut cannot_succeed) = (0, 0);
+        for w in pruning_grids() {
+            for spec in static_modes() {
+                for (screen, out) in screened_grid(&w, spec) {
+                    let at = || format!("{spec:?} @ {}: {screen:?} vs {out:?}", w.seq_len);
+                    match (screen, out.metrics()) {
+                        (Screen::Bound(tgs), Some(m)) => {
+                            assert_eq!(tgs.to_bits(), m.tgs.to_bits(), "{}", at());
+                            exact += 1;
+                        }
+                        // Only stage 3 can fail a bounded config.
+                        (Screen::Bound(_), None) => {
+                            assert!(matches!(out, CellOutcome::Oom { .. }), "{}", at())
+                        }
+                        (Screen::CannotSucceed, m) => {
+                            assert!(m.is_none(), "{}", at());
+                            cannot_succeed += 1;
+                        }
+                        // `static_certificate_implies_oom` checks these.
+                        (Screen::MustOom, _) => {}
+                    }
+                }
+            }
+        }
+        assert!(
+            exact > 0 && cannot_succeed > 0,
+            "{exact} / {cannot_succeed}"
+        );
+    }
+
+    #[test]
+    fn static_certificate_implies_oom() {
+        let (mut certified, mut beside_feasible) = (0, 0);
+        for w in pruning_grids() {
+            for spec in static_modes() {
+                let rows = screened_grid(&w, spec);
+                let feasible = rows.iter().any(|(_, out)| out.is_ok());
+                for (screen, out) in rows {
+                    if screen == Screen::MustOom {
+                        assert!(
+                            matches!(out, CellOutcome::Oom { .. }),
+                            "{spec:?} @ {}: certified, but {out:?}",
+                            w.seq_len
+                        );
+                        certified += 1;
+                        beside_feasible += usize::from(feasible);
+                    }
+                }
+            }
+        }
+        // Certified configs in grids the search prunes, and in grids it
+        // folds for the least-bad failure.
+        assert!(
+            beside_feasible > 0 && certified > beside_feasible,
+            "{certified} / {beside_feasible}"
+        );
+    }
+
+    #[test]
+    fn static_search_plans_fewer_configs_than_its_grid() {
+        // A serial, cached TensorHybrid search on a feasible cell, cold: the
+        // PCIe rate keys its profiles and plans apart from every other
+        // test's. Each config is profiled once, so the lookups beyond one
+        // per config are the plans.
+        let mut w = w7(8, 256);
+        w.calib.set_pcie_bandwidth(23.5e9);
+        let gpn = w.calib.gpus_per_node.min(w.n_gpus);
+        let configs = search::enumerate_configs(SystemSpec::TensorHybrid, &w.model, w.n_gpus, gpn)
+            .len() as u64;
+        assert!(configs > SMALL_GRID_BYPASS as u64);
+        let scope = CacheStatsScope::enter();
+        let (cfg, out) = w.run_best_or_failure_with(
+            SystemSpec::TensorHybrid,
+            SearchOptions {
+                parallel: false,
+                cache: true,
+            },
+        );
+        let lookups = scope.finish();
+        assert!(cfg.is_some() && out.is_ok(), "{out:?}");
+        assert_eq!(lookups.hits, 0, "a cold search");
+        let plans = lookups.misses - configs;
+        assert!(
+            plans > 0 && plans < configs,
+            "{plans} plans for {configs} configs"
+        );
+    }
+
+    #[test]
     fn pruned_search_matches_the_exhaustive_fold() {
         // The documented fold over every enumerated config, run one by one:
         // `>=` on TGS (last enumerated wins among equals), minimum
@@ -609,7 +746,52 @@ mod tests {
                 None => (None, failure),
             }
         };
+        // Static-plan searches reaching each branch of the pruning: bounded
+        // configs pruned beside a feasible pick; all failed, with an OOHM
+        // known, so the certified configs go unplanned; all failed with OOM
+        // only, so they are planned for the least-bad failure. A serial,
+        // cached search looks each config's profile up once and each
+        // evaluated config's plan once, so its lookups count its plans.
+        let (mut pruned, mut certified_skipped, mut certified_planned) = (0, 0, 0);
         for w in pruning_grids() {
+            for spec in static_modes() {
+                let rows = screened_grid(&w, spec);
+                let n = rows.len() as u64;
+                if n <= SMALL_GRID_BYPASS as u64 {
+                    continue; // the search bypasses the cache: nothing to count
+                }
+                let scope = CacheStatsScope::enter();
+                let serial_cached = SearchOptions {
+                    parallel: false,
+                    cache: true,
+                };
+                let _ = w.run_best_or_failure_with(spec, serial_cached);
+                let lookups = scope.finish();
+                let plans = lookups.hits + lookups.misses - n;
+                let count =
+                    |f: &dyn Fn(&Screen) -> bool| rows.iter().filter(|(s, _)| f(s)).count() as u64;
+                let best = rows
+                    .iter()
+                    .filter_map(|(_, out)| out.metrics().map(|m| m.tgs))
+                    .fold(f64::NEG_INFINITY, f64::max);
+                let oohm = rows.iter().any(|(screen, out)| {
+                    *screen != Screen::MustOom && matches!(out, CellOutcome::Oohm { .. })
+                });
+                let certified = count(&|s| *s == Screen::MustOom);
+                let at = format!("{spec:?} @ {}: {plans} plans", w.seq_len);
+                if best.is_finite() {
+                    // Exactly the configs bounded at or above the pick.
+                    let kept = count(&|s| matches!(s, Screen::Bound(b) if *b >= best));
+                    assert_eq!(plans, kept, "{at}");
+                    pruned += count(&|s| matches!(s, Screen::Bound(b) if *b < best));
+                } else if certified > 0 && oohm {
+                    assert!(plans <= n - certified, "{at}");
+                    certified_skipped += 1;
+                } else if certified > 0 {
+                    assert!(plans >= certified, "{at}");
+                    certified_planned += 1;
+                }
+            }
             for spec in SystemSpec::ALL_MODES {
                 let oracle = exhaustive(&w, spec);
                 for opts in [SearchOptions::default(), SearchOptions::serial_uncached()] {
@@ -624,6 +806,10 @@ mod tests {
                 }
             }
         }
+        assert!(
+            pruned > 0 && certified_skipped > 0 && certified_planned > 0,
+            "{pruned} / {certified_skipped} / {certified_planned}"
+        );
     }
 
     #[test]

@@ -42,26 +42,28 @@ impl HostStaging {
     }
 
     /// An effectively unlimited tracker for tests, benches and models that
-    /// only want the peak accounting. The capacity is `u64::MAX / 2` rather
-    /// than `u64::MAX` so that `used + bytes` in [`Self::reserve`] and the
-    /// `fit * bytes` product in [`Self::reserve_many`] cannot overflow u64
-    /// for any request that itself fits in the tracker.
+    /// only want the peak accounting: the capacity is `u64::MAX / 2`.
     pub fn unbounded() -> Self {
         HostStaging::new(u64::MAX / 2)
     }
 
-    /// Stage `bytes` on the host (an offload landing).
+    /// Stage `bytes` on the host (an offload landing). A sum past
+    /// `u64::MAX` exceeds every capacity, so it is refused like any other
+    /// overflow.
     pub fn reserve(&mut self, bytes: u64) -> Result<(), OutOfHostMemory> {
-        if self.used + bytes > self.capacity {
-            return Err(OutOfHostMemory {
+        match self.used.checked_add(bytes) {
+            Some(used) if used <= self.capacity => {
+                self.used = used;
+                self.peak = self.peak.max(used);
+                self.check();
+                Ok(())
+            }
+            _ => Err(OutOfHostMemory {
                 requested: bytes,
                 used: self.used,
                 capacity: self.capacity,
-            });
+            }),
         }
-        self.used += bytes;
-        self.peak = self.peak.max(self.used);
-        Ok(())
     }
 
     /// Stage `count` reservations of `bytes` each, with semantics identical
@@ -74,17 +76,19 @@ impl HostStaging {
             return Ok(());
         }
         let fit = (self.capacity - self.used.min(self.capacity)) / bytes;
+        // `fit · bytes ≤ capacity − used`, so neither product nor sum can
+        // overflow.
+        let staged = fit.min(count) * bytes;
+        self.used += staged;
+        self.peak = self.peak.max(self.used);
+        self.check();
         if fit < count {
-            self.used += fit * bytes;
-            self.peak = self.peak.max(self.used);
             return Err(OutOfHostMemory {
                 requested: bytes,
                 used: self.used,
                 capacity: self.capacity,
             });
         }
-        self.used += count * bytes;
-        self.peak = self.peak.max(self.used);
         Ok(())
     }
 
@@ -92,14 +96,17 @@ impl HostStaging {
     pub fn release(&mut self, bytes: u64) {
         assert!(bytes <= self.used, "releasing more than staged");
         self.used -= bytes;
+        self.check();
     }
 
     /// Release `count` reservations of `bytes` each ([`Self::release`]
-    /// batched for the schedule fast path).
+    /// batched for the schedule fast path). A total past `u64::MAX` is
+    /// more than was ever staged.
     pub fn release_many(&mut self, bytes: u64, count: u64) {
-        let total = bytes * count;
-        assert!(total <= self.used, "releasing more than staged");
+        let total = bytes.checked_mul(count).filter(|&t| t <= self.used);
+        let total = total.expect("releasing more than staged");
         self.used -= total;
+        self.check();
     }
 
     /// Elastically resize the pool in place (the eLLM-style repartition
@@ -109,6 +116,19 @@ impl HostStaging {
     /// new capacity.
     pub fn set_capacity(&mut self, capacity: u64) {
         self.capacity = capacity;
+        self.check();
+    }
+
+    /// Debug builds check the accounting after every operation: the bytes
+    /// staged never exceed their high-water mark. (`used ≤ capacity` is not
+    /// an invariant: [`Self::set_capacity`] may over-commit the pool.)
+    fn check(&self) {
+        debug_assert!(
+            self.used <= self.peak,
+            "staging accounting: {} bytes used above the {} byte peak",
+            self.used,
+            self.peak
+        );
     }
 
     pub fn used(&self) -> u64 {
@@ -224,6 +244,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn reserve_refuses_a_sum_past_u64_max() {
+        // A full `u64::MAX` pool: `used + 1` would wrap to 0 and fit.
+        let mut h = HostStaging::new(u64::MAX);
+        h.reserve(u64::MAX).unwrap();
+        let full = h.clone();
+        for bytes in [1, 2, u64::MAX] {
+            assert_eq!(
+                h.reserve(bytes),
+                Err(OutOfHostMemory {
+                    requested: bytes,
+                    used: u64::MAX,
+                    capacity: u64::MAX,
+                })
+            );
+            assert_eq!(h, full, "a refused reserve changes nothing");
+        }
+        // One byte short of full still takes exactly one more byte.
+        let mut h = HostStaging::new(u64::MAX);
+        h.reserve(u64::MAX - 1).unwrap();
+        assert!(h.reserve(2).is_err());
+        h.reserve(1).unwrap();
+        assert_eq!((h.used(), h.peak()), (u64::MAX, u64::MAX));
+        // The batched primitive agrees at the same edge.
+        let mut h = HostStaging::new(u64::MAX);
+        let err = h.reserve_many(u64::MAX / 2 + 1, 2).unwrap_err();
+        assert_eq!((err.used, h.used()), (u64::MAX / 2 + 1, u64::MAX / 2 + 1));
+    }
+
+    #[test]
+    fn release_many_at_the_u64_edge() {
+        let mut h = HostStaging::new(u64::MAX);
+        h.reserve_many(u64::MAX / 3, 3).unwrap();
+        assert_eq!(h.used(), u64::MAX);
+        h.release_many(u64::MAX / 3, 2);
+        assert_eq!(h.used(), u64::MAX / 3);
+        h.release_many(u64::MAX / 3, 1);
+        assert_eq!((h.used(), h.peak()), (0, u64::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "releasing more than staged")]
+    fn release_many_refuses_a_wrapping_total() {
+        // 2⁶³ · 2 wraps to 0, which an unchecked product would release.
+        let mut h = HostStaging::new(u64::MAX);
+        h.reserve(1 << 63).unwrap();
+        h.release_many(1 << 63, 2);
     }
 
     #[test]
