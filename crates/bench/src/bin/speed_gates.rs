@@ -16,9 +16,10 @@
 //! * caching-allocator trace replay ≥ 3× `ReferenceCachingAllocator` on
 //!   the 7B/8-GPU (TP4·CP2) traces at {64K, 256K, 1M} × {FullRecompute,
 //!   KeepAll};
-//! * the delta path over the dense MEMO@1M grid: warm sweep ≥ 3× and cold
-//!   sweep ≥ 1× the per-cell `execute_cached` baseline, and the
-//!   mixed-policy sweep (with full-simulation verification) < 30 s;
+//! * the "delta" gates: grid rows (`Workload::run_alpha_grid`) over the
+//!   dense MEMO@1M grid, warm sweep ≥ 3× and cold sweep ≥ 1× the per-cell
+//!   `execute_cached` baseline, and the mixed-policy sweep (with
+//!   full-simulation verification) < 30 s;
 //! * a cold, serial TensorHybrid strategy search ≥ 2× an exhaustive
 //!   `run_with` fold over the same grid at 7B/8 GPUs {256K, 1M}: the
 //!   search plans only the configs its pick needs;
@@ -32,10 +33,9 @@ use memo_alloc::paged::PagedKvAllocator;
 use memo_alloc::reference::ReferenceCachingAllocator;
 use memo_alloc::snapshot::replay_peak;
 use memo_alloc::DeviceAllocator;
-use memo_bench::inputs::{kv_cell, memo_grid, replay_traces, sim_inputs, KvCell};
+use memo_bench::inputs::{kv_cell, memo_grid, replay_traces, sim_inputs, KvCell, MemoGrid};
 use memo_core::cache::ProfileCache;
-use memo_core::delta::DeltaContext;
-use memo_core::pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource};
+use memo_core::pipeline::{ExecutionPipeline, ExecutionReport};
 use memo_core::session::{SearchOptions, Workload};
 use memo_hal::engine::RecordLevel;
 use memo_model::chunked::ChunkedParams;
@@ -291,55 +291,48 @@ fn static_search_gate() -> bool {
     )
 }
 
-/// One sweep of the walk through `execute_cached`, one cell at a time.
-fn sweep_baseline(w: &Workload, walk: &[(ParallelConfig, f64)]) -> Vec<ExecutionReport> {
-    walk.iter()
+/// One sweep of the grid through `execute_cached`, one cell at a time.
+fn sweep_baseline(w: &Workload, grid: &MemoGrid) -> Vec<ExecutionReport> {
+    grid.cells()
         .map(|(cfg, alpha)| {
-            ExecutionPipeline::memo_at_alpha(*alpha, 2).execute_cached(w, cfg, true)
+            ExecutionPipeline::memo_at_alpha(alpha, 2).execute_cached(w, &cfg, true)
         })
         .collect()
 }
 
-/// One sweep of the walk through a fresh pinned `DeltaContext`.
-fn sweep_delta(w: &Workload, walk: &[(ParallelConfig, f64)]) -> Vec<ExecutionReport> {
-    let mut ctx = DeltaContext::new();
-    walk.iter()
-        .map(|(cfg, alpha)| {
-            ExecutionPipeline::memo_at_alpha(*alpha, 2).execute_from(
-                w,
-                cfg,
-                ProfileSource::Pinned(&mut ctx),
-                None,
-            )
-        })
+/// One sweep of the grid as `run_alpha_grid` rows, one per strategy.
+fn sweep_rows(w: &Workload, grid: &MemoGrid) -> Vec<ExecutionReport> {
+    grid.configs
+        .iter()
+        .flat_map(|cfg| w.run_alpha_grid(cfg, grid.alphas.len(), 2))
+        .map(|(_, rep)| rep)
         .collect()
 }
 
 fn delta_gates() -> [bool; 3] {
     let w = Workload::new(ModelConfig::gpt_7b(), 8, 1 << 20);
     let grid = memo_grid(&w);
-    let walk = &grid.walk;
-    let cells = walk.len();
+    let cells = grid.cells().count();
 
     // Cold: every leg starts from empty profile and segment caches.
     clear_caches();
     let cold_baseline_ms = min_ms(1, || {
-        black_box(sweep_baseline(&w, walk));
+        black_box(sweep_baseline(&w, &grid));
     });
     clear_caches();
-    let cold_delta_ms = min_ms(1, || {
-        black_box(sweep_delta(&w, walk));
+    let cold_rows_ms = min_ms(1, || {
+        black_box(sweep_rows(&w, &grid));
     });
-    let cold = cold_baseline_ms / cold_delta_ms.max(1e-9);
+    let cold = cold_baseline_ms / cold_rows_ms.max(1e-9);
 
     // Warm: steady-state repeated sweeps, best of 25.
     let warm_baseline_ms = min_ms(25, || {
-        black_box(sweep_baseline(&w, walk));
+        black_box(sweep_baseline(&w, &grid));
     });
-    let warm_delta_ms = min_ms(25, || {
-        black_box(sweep_delta(&w, walk));
+    let warm_rows_ms = min_ms(25, || {
+        black_box(sweep_rows(&w, &grid));
     });
-    let warm = warm_baseline_ms / warm_delta_ms.max(1e-9);
+    let warm = warm_baseline_ms / warm_rows_ms.max(1e-9);
 
     // Mixed-policy sweep: every swap-layer count of every strategy,
     // each cell re-run through full simulation.
@@ -359,7 +352,7 @@ fn delta_gates() -> [bool; 3] {
             "delta warm sweep vs execute_cached, MEMO@1M grid",
             warm >= 3.0,
             format!(
-                "{warm:.2}x over {cells} cells ({warm_baseline_ms:.3} -> {warm_delta_ms:.3} ms; \
+                "{warm:.2}x over {cells} cells ({warm_baseline_ms:.3} -> {warm_rows_ms:.3} ms; \
                  gate >= 3x)"
             ),
         ),
@@ -367,7 +360,7 @@ fn delta_gates() -> [bool; 3] {
             "delta cold sweep vs execute_cached, MEMO@1M grid",
             cold >= 1.0,
             format!(
-                "{cold:.2}x over {cells} cells ({cold_baseline_ms:.3} -> {cold_delta_ms:.3} ms; \
+                "{cold:.2}x over {cells} cells ({cold_baseline_ms:.3} -> {cold_rows_ms:.3} ms; \
                  gate >= 1x)"
             ),
         ),

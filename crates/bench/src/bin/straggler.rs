@@ -105,7 +105,6 @@ fn main() {
         let mut w = Workload::new(ModelConfig::gpt_7b(), 8, 768 * 1024);
         let nvme = w.calib.hierarchy.tiers.last_mut().expect("chain has NVMe");
         nvme.write_bandwidth = nvme_gbps * 1e9;
-        nvme.read_bandwidth = nvme_gbps * 1e9;
         let out = w.run_with(SystemSpec::MemoTiered(0), &cfg);
         let m = out.metrics().expect("degraded chain still runs");
         println!(

@@ -9,7 +9,6 @@ use memo_model::decode::{generate_decode, DecodeParams, DecodeTrace};
 use memo_model::trace::{IterationTrace, RematPolicy};
 use memo_parallel::search;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
-use memo_parallel::sweep::serpentine_pairs;
 use memo_swap::reference::ReferenceScheduleOutcome;
 use memo_swap::schedule::{
     build_schedule, LayerCosts, LayerSegment, ScheduleOutcome, TierTraffic, TierTrafficList,
@@ -82,26 +81,34 @@ impl SimInputs {
 }
 
 /// α lattice points of the dense MEMO grid.
-const GRID_ALPHA_POINTS: usize = 17;
+pub const GRID_ALPHA_POINTS: usize = 17;
 
-/// The dense MEMO grid of a workload: every Megatron-family strategy, and
-/// the serpentine (strategy, α) walk over them, in which the strategy (a
-/// new profile and plan) changes only at row boundaries.
+/// The dense MEMO grid of a workload: every Megatron-family strategy (one
+/// row each) crossed with [`GRID_ALPHA_POINTS`] α points from 0 to 1, the
+/// cells `Workload::run_alpha_grid` sweeps row by row.
 #[derive(Debug, Clone)]
 pub struct MemoGrid {
     pub configs: Vec<ParallelConfig>,
-    pub walk: Vec<(ParallelConfig, f64)>,
+    pub alphas: Vec<f64>,
 }
 
-/// The [`MemoGrid`] of `w` (17 α points from 0 to 1).
+impl MemoGrid {
+    /// Every (strategy, α) cell, row by row.
+    pub fn cells(&self) -> impl Iterator<Item = (ParallelConfig, f64)> + '_ {
+        self.configs
+            .iter()
+            .flat_map(|&cfg| self.alphas.iter().map(move |&alpha| (cfg, alpha)))
+    }
+}
+
+/// The [`MemoGrid`] of `w`.
 pub fn memo_grid(w: &Workload) -> MemoGrid {
     let gpn = w.calib.gpus_per_node.min(w.n_gpus);
     let configs = search::enumerate_configs(SystemSpec::Memo, &w.model, w.n_gpus, gpn);
-    let alphas: Vec<f64> = (0..GRID_ALPHA_POINTS)
+    let alphas = (0..GRID_ALPHA_POINTS)
         .map(|i| i as f64 / (GRID_ALPHA_POINTS - 1) as f64)
         .collect();
-    let walk = serpentine_pairs(&configs, &alphas);
-    MemoGrid { configs, walk }
+    MemoGrid { configs, alphas }
 }
 
 /// Device KV budget in half sequences: 8 full-context sequences plus half

@@ -32,7 +32,7 @@ use memo_plan::dispatch::PlannerKind;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::LocalKey;
 
@@ -119,7 +119,6 @@ pub struct ProfileCache {
     pick_shards: Vec<Mutex<HashMap<PickKey, Arc<Pick>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    enabled: AtomicBool,
 }
 
 /// Hit/miss counters: cumulative for a [`ProfileCache`], or per request
@@ -254,7 +253,6 @@ impl ProfileCache {
             pick_shards: shards(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
         }
     }
 
@@ -303,13 +301,9 @@ impl ProfileCache {
         }
     }
 
-    fn bypass(&self, use_cache: bool) -> bool {
-        !use_cache || !self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Look up or compute the profile for `(w, cfg, policy, materialize_logits)`.
     ///
-    /// With the cache disabled (or `use_cache` false) this is a plain
+    /// With `use_cache` false this is a plain
     /// `profile()` call wrapped in a fresh `Arc` — no lookup, no insert,
     /// no stats.
     pub fn profile(
@@ -321,7 +315,7 @@ impl ProfileCache {
         use_cache: bool,
     ) -> Arc<ProfileReport> {
         let compute = || profiler::profile(w, cfg, policy, materialize_logits);
-        if self.bypass(use_cache) {
+        if !use_cache {
             return Arc::new(compute());
         }
         let key = ProfileKey::new(w, cfg, policy, materialize_logits);
@@ -347,7 +341,7 @@ impl ProfileCache {
         use_cache: bool,
     ) -> Arc<BilevelReport> {
         let compute = || crate::planner::plan_with(trace, planner);
-        if self.bypass(use_cache) {
+        if !use_cache {
             return Arc::new(compute());
         }
         let key = PlanKey {
@@ -369,7 +363,7 @@ impl ProfileCache {
     /// profile lookups underneath it.
     pub fn pick(&self, w: &Workload, kind: TenantKind, use_cache: bool) -> Arc<Pick> {
         let compute = || serving::pick(w, kind);
-        if self.bypass(use_cache) {
+        if !use_cache {
             return Arc::new(compute());
         }
         let (pick, hit) = Self::memo(&self.pick_shards, PickKey::new(w, kind), compute);
@@ -386,17 +380,6 @@ impl ProfileCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Globally enable/disable the cache. Disabling does not drop existing
-    /// entries.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether lookups are currently enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Drop every cached entry (tests; bench runs isolating phases).
@@ -453,9 +436,8 @@ mod tests {
         let cache = ProfileCache::new();
         let w = w7(8, 64);
         let cfg = ParallelConfig::megatron(8, 1, 1, 1);
-        cache.set_enabled(false);
-        let a = cache.profile(&w, &cfg, RematPolicy::MemoTokenWise, false, true);
-        let b = cache.profile(&w, &cfg, RematPolicy::MemoTokenWise, false, true);
+        let a = cache.profile(&w, &cfg, RematPolicy::MemoTokenWise, false, false);
+        let b = cache.profile(&w, &cfg, RematPolicy::MemoTokenWise, false, false);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0 });
         assert_eq!(*a, *b, "bypass still deterministic");
@@ -613,14 +595,15 @@ mod tests {
             cache.clear();
             let b = cache.pick(&w, kind, true);
             assert!(!Arc::ptr_eq(&a, &b), "clear empties the pick table");
-            cache.set_enabled(false);
             let picks = CacheStatsScope::enter_picks();
-            let c = cache.pick(&w, kind, true);
+            let c = cache.pick(&w, kind, false);
             assert_eq!(picks.finish(), CacheStats::default());
-            assert!(!Arc::ptr_eq(&b, &c), "a disabled cache bypasses the table");
-            cache.set_enabled(true);
+            assert!(
+                !Arc::ptr_eq(&b, &c),
+                "`use_cache = false` bypasses the table"
+            );
             let d = cache.pick(&w, kind, true);
-            assert!(Arc::ptr_eq(&b, &d), "disabling does not drop entries");
+            assert!(Arc::ptr_eq(&b, &d), "the bypass does not drop entries");
             for x in [&b, &c, &d] {
                 assert_eq!(**x, *a);
             }

@@ -22,7 +22,6 @@
 
 pub mod ablation;
 pub mod cache;
-pub mod delta;
 pub mod metrics;
 pub mod observer;
 pub mod outcome;
@@ -33,20 +32,19 @@ pub mod serving;
 pub mod session;
 
 pub use cache::{CacheStats, CacheStatsScope, ProfileCache};
-pub use delta::{pick_best, pick_best_or_failure, DeltaContext, DeltaStats};
 pub use metrics::Metrics;
 pub use observer::RunObserver;
 pub use outcome::CellOutcome;
-pub use pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource};
+pub use pipeline::{ExecutionPipeline, ExecutionReport};
 pub use serving::{ServingEngine, ServingReport, ServingResources};
-pub use session::Workload;
+pub use session::{pick_best_or_failure, Workload};
 
 #[cfg(test)]
 pub(crate) mod testutil {
     use crate::session::Workload;
     use memo_model::config::ModelConfig;
 
-    /// The 7B test workload shared by the session/delta/ablation tests.
+    /// The 7B test workload shared by the session/ablation tests.
     pub fn w7(n_gpus: usize, s_k: u64) -> Workload {
         Workload::new(ModelConfig::gpt_7b(), n_gpus, s_k * 1024)
     }

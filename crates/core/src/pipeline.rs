@@ -17,13 +17,14 @@
 //! 5. **metrics** — MFU/TGS plus the [`ByteBreakdown`]/[`TimeBreakdown`]
 //!    accounting of the [`ExecutionReport`].
 //!
-//! One stage sequence serves every caller; a [`ProfileSource`] says where
-//! stages 1 and 3 get the profile and the static plan — the process-global
-//! [`ProfileCache`], or a [`DeltaContext`]'s pins on the delta path of dense
-//! grids.
+//! One private stage runner serves every caller. [`ExecutionPipeline::execute_from`]
+//! looks the profile and the static plan up in the process-global
+//! [`ProfileCache`]; the strategy search runs stages 2–5 on a profile it
+//! already holds; and a grid row (`Workload::run_alpha_grid`,
+//! `Workload::run_mixed_policy_grid`) holds one profile and one plan for
+//! every cell of its strategy.
 
 use crate::cache::{CacheStatsScope, ProfileCache};
-use crate::delta::DeltaContext;
 use crate::metrics::{compute_metrics, Metrics};
 use crate::observer::RunObserver;
 use crate::outcome::CellOutcome;
@@ -34,7 +35,7 @@ use memo_alloc::snapshot::replay_peak;
 use memo_alloc::AllocError;
 use memo_hal::engine::{RecordLevel, Timeline};
 use memo_hal::time::SimTime;
-use memo_model::trace::{IterationTrace, RematPolicy};
+use memo_model::trace::RematPolicy;
 use memo_parallel::comm;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 use memo_plan::bilevel::BilevelReport;
@@ -63,7 +64,7 @@ pub enum ActivationPolicy {
     /// truncates it to the first `d` offload tiers (so `d = 1` is the
     /// host-only token-wise policy and `d = 2` the host+NVMe pair).
     Tiered { depth: u8 },
-    /// Per-layer mixed policy (the delta-search extension): the first
+    /// Per-layer mixed policy (the dense-grid extension): the first
     /// `swap_layers` layers swap token-wise exactly as [`Self::TokenWise`],
     /// the last `slots` layers stay resident in their rounding buffers, and
     /// every layer in between fully recomputes — trading host-staging
@@ -289,61 +290,18 @@ pub struct ExecutionReport {
     pub outcome: CellOutcome,
 }
 
-/// Where stage 1 gets the profile and stage 3 the static plan.
-#[derive(Debug)]
-pub enum ProfileSource<'a> {
-    /// The process-global [`ProfileCache`]; `use_cache = false` recomputes
-    /// both unconditionally (the forced-serial baseline leg of the search).
-    Cache { use_cache: bool },
-    /// A [`DeltaContext`]'s pins: no key construction or shard locking on
-    /// reuse, and the swap-family schedule goes through the global
-    /// [`memo_swap::SegmentCache`]. Caching-replay backends have no
-    /// incremental structure to exploit and fall back to the global cache.
-    /// Reports are bit-identical to `Cache { use_cache: true }` — every
-    /// reuse layer keys on all of its inputs (the lockstep differential
-    /// suite asserts it).
-    Pinned(&'a mut DeltaContext),
-}
-
-impl ProfileSource<'_> {
-    fn profile(
-        &mut self,
-        w: &Workload,
-        cfg: &ParallelConfig,
-        st: &PipelineStages,
-    ) -> Arc<ProfileReport> {
-        match self {
-            ProfileSource::Cache { use_cache } => {
-                ProfileCache::global().profile(w, cfg, st.remat, st.materialize_logits, *use_cache)
-            }
-            ProfileSource::Pinned(ctx) => ctx.profile(w, cfg, st.remat, st.materialize_logits),
-        }
-    }
-
-    /// The memory plan of `trace`, which must be the trace of this
-    /// source's profile for the same key.
-    fn plan(
-        &mut self,
-        w: &Workload,
-        cfg: &ParallelConfig,
-        st: &PipelineStages,
-        trace: &IterationTrace,
-    ) -> Arc<BilevelReport> {
-        match self {
-            ProfileSource::Cache { use_cache } => ProfileCache::global().plan(
-                w,
-                cfg,
-                st.remat,
-                st.materialize_logits,
-                st.planner,
-                trace,
-                *use_cache,
-            ),
-            ProfileSource::Pinned(ctx) => {
-                ctx.plan(w, cfg, st.remat, st.materialize_logits, st.planner, trace)
-            }
-        }
-    }
+/// Where stage 3 gets the static plan.
+enum PlanSource<'a> {
+    /// The global [`ProfileCache`]; `use_cache = false` recomputes the
+    /// plan unconditionally.
+    Lookup { use_cache: bool },
+    /// A grid row's plan, looked up in the cache by the first cell that
+    /// reaches stage 3 and held for the rest of the row. Row cells also
+    /// build their swap schedules through the global
+    /// [`memo_swap::SegmentCache`]. The cells share one strategy, remat
+    /// policy and planner, so the held plan is the one every cell would
+    /// look up.
+    Row(&'a mut Option<Arc<BilevelReport>>),
 }
 
 /// What the strategy search knows about one config before stage 3
@@ -418,47 +376,38 @@ impl ExecutionPipeline {
         cfg: &ParallelConfig,
         use_cache: bool,
     ) -> ExecutionReport {
-        self.execute_from(w, cfg, ProfileSource::Cache { use_cache }, None)
+        self.execute_from(w, cfg, use_cache, None)
     }
 
-    /// The stage sequence, with the profile and plan taken from `source`
-    /// and an optional [`RunObserver`] threaded through every stage. With
-    /// `obs = None` the pipeline takes the exact unobserved path — no
-    /// clock reads, no stats scopes, no allocator event recording, no
-    /// timeline capture — so observation can never perturb golden-parity
-    /// outputs (the observer only *reads* what the stages already
-    /// computed, and the one genuinely new artifact, the recompute-family
-    /// timeline, is synthesized outside the metric path).
+    /// [`Self::execute_cached`] with an optional [`RunObserver`] threaded
+    /// through every stage. With `obs = None` the pipeline takes the exact
+    /// unobserved path — no clock reads, no stats scopes, no allocator
+    /// event recording, no timeline capture — so observation can never
+    /// perturb golden-parity outputs (the observer only *reads* what the
+    /// stages already computed, and the one genuinely new artifact, the
+    /// recompute-family timeline, is synthesized outside the metric path).
     pub fn execute_from(
         &self,
         w: &Workload,
         cfg: &ParallelConfig,
-        mut source: ProfileSource<'_>,
+        use_cache: bool,
         mut obs: Option<&mut RunObserver>,
     ) -> ExecutionReport {
         debug_assert!(cfg
             .validate(&w.model, w.n_gpus, w.calib.gpus_per_node.min(w.n_gpus))
             .is_ok());
-        if let ProfileSource::Pinned(ctx) = &mut source {
-            let fallback = self.replays_allocator();
-            ctx.count_run(fallback);
-            if fallback {
-                source = ProfileSource::Cache { use_cache: true };
-            } else {
-                ctx.restamp(w);
-            }
-        }
 
         // ---- stage 1: profile ---------------------------------------------
         // Thread-local scope, not a global snapshot-diff: concurrent
         // requests on other workers must not leak into this run's counts.
         let cache_scope = obs.as_ref().map(|_| CacheStatsScope::enter());
         let t0 = obs.as_ref().map(|_| Instant::now());
-        let p = source.profile(w, cfg, &self.stages);
+        let p = self.profile(w, cfg, use_cache);
         if let Some(o) = obs.as_deref_mut() {
             o.stage_secs.profile = t0.unwrap().elapsed().as_secs_f64();
         }
-        let report = self.run_stages(w, cfg, &p, &mut source, obs.as_deref_mut());
+        let source = PlanSource::Lookup { use_cache };
+        let report = self.run_stages(w, cfg, &p, source, obs.as_deref_mut());
         finish_cache_delta(obs, cache_scope);
         report
     }
@@ -478,7 +427,8 @@ impl ExecutionPipeline {
         cfg: &ParallelConfig,
         use_cache: bool,
     ) -> Arc<ProfileReport> {
-        ProfileSource::Cache { use_cache }.profile(w, cfg, &self.stages)
+        let st = &self.stages;
+        ProfileCache::global().profile(w, cfg, st.remat, st.materialize_logits, use_cache)
     }
 
     /// What the strategy search learns about `cfg` on profile `p` without
@@ -588,8 +538,24 @@ impl ExecutionPipeline {
         p: &ProfileReport,
         use_cache: bool,
     ) -> CellOutcome {
-        let mut source = ProfileSource::Cache { use_cache };
-        self.run_stages(w, cfg, p, &mut source, None).outcome
+        let source = PlanSource::Lookup { use_cache };
+        self.run_stages(w, cfg, p, source, None).outcome
+    }
+
+    /// One cell of a grid row: stages 2–5 on the row's profile `p`, with
+    /// the static plan held in `plan` (looked up through the cache on the
+    /// first cell that reaches stage 3). Bit-identical to
+    /// [`Self::execute_cached`]: the cache returns the same plan to every
+    /// cell of the row, and the segment cache keys on every input of the
+    /// schedule recurrence.
+    pub(crate) fn execute_row(
+        &self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        p: &ProfileReport,
+        plan: &mut Option<Arc<BilevelReport>>,
+    ) -> ExecutionReport {
+        self.run_stages(w, cfg, p, PlanSource::Row(plan), None)
     }
 
     /// The profiled head seconds under this mode's `head_scale`. `x * 1.0`
@@ -605,7 +571,7 @@ impl ExecutionPipeline {
         w: &Workload,
         cfg: &ParallelConfig,
         p: &ProfileReport,
-        source: &mut ProfileSource<'_>,
+        mut source: PlanSource<'_>,
         mut obs: Option<&mut RunObserver>,
     ) -> ExecutionReport {
         let fail = |outcome| ExecutionReport {
@@ -632,7 +598,15 @@ impl ExecutionPipeline {
 
         // ---- stage 3: memory backend --------------------------------------
         let t0 = obs.as_ref().map(|_| Instant::now());
-        let mem = account_memory(&self.stages, w, cfg, p, &plan, source, obs.as_deref_mut());
+        let mem = account_memory(
+            &self.stages,
+            w,
+            cfg,
+            p,
+            &plan,
+            &mut source,
+            obs.as_deref_mut(),
+        );
         if let Some(o) = obs.as_deref_mut() {
             o.stage_secs.memory = t0.unwrap().elapsed().as_secs_f64();
         }
@@ -651,7 +625,7 @@ impl ExecutionPipeline {
             &plan,
             &mem,
             self.stages.derate,
-            matches!(source, ProfileSource::Pinned(_)),
+            matches!(source, PlanSource::Row(_)),
             obs.as_deref_mut(),
         );
         let report = self.finalize(w, cfg, &plan, &mem, sched);
@@ -991,7 +965,7 @@ fn account_memory(
     cfg: &ParallelConfig,
     p: &ProfileReport,
     plan: &ActivationPlan,
-    source: &mut ProfileSource<'_>,
+    source: &mut PlanSource<'_>,
     obs: Option<&mut RunObserver>,
 ) -> Result<MemoryAccounting, CellOutcome> {
     let usable = w.calib.usable_gpu_memory();
@@ -999,7 +973,21 @@ fn account_memory(
         MemoryBackend::StaticPlan => {
             // The bi-level plan is a pure function of the trace, which is a
             // pure function of the profile key — memoized beside the profile.
-            let report = source.plan(w, cfg, stages, &p.trace);
+            let lookup = |use_cache| {
+                ProfileCache::global().plan(
+                    w,
+                    cfg,
+                    stages.remat,
+                    stages.materialize_logits,
+                    stages.planner,
+                    &p.trace,
+                    use_cache,
+                )
+            };
+            let report = match source {
+                PlanSource::Lookup { use_cache } => lookup(*use_cache),
+                PlanSource::Row(held) => Arc::clone(held.get_or_insert_with(|| lookup(true))),
+            };
             let bytes = ByteBreakdown {
                 model_states: p.model_states.total(),
                 skeletal_buffers: skeletal_bytes(p, plan),
@@ -1261,10 +1249,9 @@ fn recompute_timing(
 /// Stage 4: the iteration seconds, their decomposition, and the host peak.
 /// `head_secs` is the stage-scaled head time (the cached [`ProfileReport`]
 /// stays pristine so it can be shared across modes). `segment_cache` routes
-/// the unobserved swap-family builds through the global
-/// [`memo_swap::SegmentCache`] ([`ProfileSource::Pinned`]); cached and
-/// uncached builds are bit-identical (the cache key covers every recurrence
-/// input).
+/// the unobserved swap-family builds of a grid row through the global
+/// [`memo_swap::SegmentCache`]; cached and uncached builds are bit-identical
+/// (the cache key covers every recurrence input).
 #[allow(clippy::too_many_arguments)] // internal stage fn; args mirror the stage inputs
 fn build_schedule(
     w: &Workload,
@@ -1328,7 +1315,7 @@ fn build_schedule(
             let recompute = swap_layers as f64 * t_recompute + rec as f64 * lt.fwd();
             let t_head = SimTime::from_secs_f64(head_secs);
             if obs.is_none() && segment_cache {
-                // Delta path: the memoized cursor-only recurrence. No
+                // Grid rows: the memoized cursor-only recurrence. No
                 // timeline is materialised at all — makespan, busy, idle,
                 // and the staging peak come straight off the scalars.
                 let s = memo_swap::SegmentCache::global()

@@ -25,10 +25,9 @@
 //! into its MEMO cell — the two answers `memo-serve` gives, both memoized
 //! as a [`Pick`] by [`crate::cache::ProfileCache::pick`].
 
-use crate::delta::{pick_best_or_failure, DeltaContext};
 use crate::outcome::CellOutcome;
 use crate::pipeline::ExecutionReport;
-use crate::session::Workload;
+use crate::session::{pick_best_or_failure, Workload};
 use memo_alloc::caching::CachingAllocator;
 use memo_alloc::paged::{PagedError, PagedKvAllocator};
 use memo_alloc::DeviceAllocator;
@@ -251,25 +250,24 @@ pub struct Pick {
 
 /// The MEMO cell a training tenant of `w` should run: every strategy of
 /// `enumerate_configs(SystemSpec::Memo, …)` crossed with the
-/// [`ALPHA_POINTS`] α lattice ([`Workload::alpha_grid_with`], one
-/// [`DeltaContext`] for the whole grid), folded by
-/// [`pick_best_or_failure`] — the pick by TGS, or the least-bad failure.
+/// [`ALPHA_POINTS`] α lattice (one [`Workload::run_alpha_grid`] row per
+/// strategy), folded by [`pick_best_or_failure`] — the pick by TGS, or the
+/// least-bad failure.
 ///
 /// A pure function of `w`, like [`pick_policy`].
 pub fn pick_training(w: &Workload) -> Pick {
     let gpn = w.calib.gpus_per_node.min(w.n_gpus);
-    let mut ctx = DeltaContext::new();
     let cells: Vec<_> = enumerate_configs(SystemSpec::Memo, &w.model, w.n_gpus, gpn)
         .into_iter()
         .flat_map(|cfg| {
-            w.alpha_grid_with(&cfg, ALPHA_POINTS, 2, &mut ctx)
+            w.run_alpha_grid(&cfg, ALPHA_POINTS, 2)
                 .into_iter()
                 .map(move |(alpha, rep)| ((cfg, alpha), rep))
         })
         .collect();
-    let (best, outcome) = pick_best_or_failure(&cells);
+    let (best, outcome) = pick_best_or_failure(&cells, |(_, rep)| &rep.outcome);
     Pick {
-        picked: best.map(|(cell, _)| cell),
+        picked: best.map(|(cell, _)| *cell),
         report: best.map(|(_, rep)| rep.clone()),
         outcome,
         grid_cells: cells.len(),

@@ -1,8 +1,15 @@
 //! The user-facing API: describe a workload, pick a system, run.
+//!
+//! Beside single runs it holds the two ways of evaluating many cells: the
+//! best-first strategy search (`Workload::run_best` and friends) and the
+//! dense grid rows (`Workload::run_alpha_grid`,
+//! `Workload::run_mixed_policy_grid`), which hold one profile and one plan
+//! for every cell of their strategy. Both fold their cells with
+//! [`pick_best_or_failure`].
 
 use crate::ablation::Variant;
 use crate::outcome::CellOutcome;
-use crate::pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource, Screen};
+use crate::pipeline::{ExecutionPipeline, ExecutionReport, Screen};
 use crate::profiler::ProfileReport;
 use memo_hal::calib::Calibration;
 use memo_hal::topology::ClusterSpec;
@@ -117,12 +124,7 @@ impl Workload {
         cfg: &ParallelConfig,
         obs: &mut crate::observer::RunObserver,
     ) -> ExecutionReport {
-        ExecutionPipeline::new(system).execute_from(
-            self,
-            cfg,
-            ProfileSource::Cache { use_cache: true },
-            Some(obs),
-        )
+        ExecutionPipeline::new(system).execute_from(self, cfg, true, Some(obs))
     }
 
     /// Run an ablation variant (Table 4) with an explicit configuration.
@@ -171,8 +173,9 @@ impl Workload {
     /// shortfall wins. [`CellOutcome::NoValidStrategy`] when the space is
     /// empty.
     ///
-    /// The fold runs serially in enumeration-index order over the configs
-    /// [`Self::evaluate_best_first`] evaluated, so the `>=` tie-break below
+    /// The fold ([`pick_best_or_failure`]) runs serially in
+    /// enumeration-index order over the configs
+    /// [`Self::evaluate_best_first`] evaluated, so its `>=` tie-break
     /// keeps its "last enumerated wins" semantics bit-exactly regardless of
     /// which worker finished first (golden parity depends on this —
     /// DESIGN.md). The configs it skips can neither win nor tie the pick,
@@ -194,33 +197,7 @@ impl Workload {
         let pipeline = ExecutionPipeline::new(system);
         let parallel = opts.parallel && (!small || pipeline.replays_allocator());
         let outcomes = self.evaluate_best_first(&pipeline, configs, parallel, opts.cache && !small);
-
-        let mut best: Option<(ParallelConfig, CellOutcome, f64)> = None;
-        let mut failure: Option<CellOutcome> = None;
-        for (cfg, out) in outcomes {
-            match out.metrics().map(|m| m.tgs) {
-                Some(tgs) => {
-                    // `>=` matches `Iterator::max_by` (ties keep the last
-                    // enumerated config), preserving pre-refactor picks.
-                    if best.as_ref().is_none_or(|(_, _, b)| tgs >= *b) {
-                        best = Some((cfg, out, tgs));
-                    }
-                }
-                None => {
-                    if out.failure_rank()
-                        < failure
-                            .as_ref()
-                            .map_or(u128::MAX, CellOutcome::failure_rank)
-                    {
-                        failure = Some(out);
-                    }
-                }
-            }
-        }
-        (
-            best.map(|(cfg, out, _)| (cfg, out)),
-            failure.unwrap_or(CellOutcome::NoValidStrategy),
-        )
+        pick_best_or_failure(outcomes, |(_, out)| out)
     }
 
     /// Evaluate only the configs the pick and the least-bad failure need,
@@ -304,6 +281,110 @@ impl Workload {
             .zip(outcomes)
             .filter_map(|(cfg, out)| Some((cfg, out?)))
             .collect()
+    }
+
+    /// Sweep a dense α grid for the MEMO token-wise policy under one
+    /// strategy: `points ≥ 2` evenly spaced overrides on [0, 1], in
+    /// ascending order. Failed cells (OOHM at high α) are reported in
+    /// place, exactly as `execute_cached` would report them.
+    pub fn run_alpha_grid(
+        &self,
+        cfg: &ParallelConfig,
+        points: usize,
+        slots: usize,
+    ) -> Vec<(f64, ExecutionReport)> {
+        assert!(points >= 2, "an α grid needs at least its two endpoints");
+        self.run_row(
+            cfg,
+            (0..points).map(|i| {
+                let alpha = i as f64 / (points - 1) as f64;
+                (alpha, ExecutionPipeline::memo_at_alpha(alpha, slots))
+            }),
+        )
+    }
+
+    /// Sweep the per-layer mixed-policy lattice under one strategy: for
+    /// each `k` in `0 ..= layers_local − slots`, the first `k` layers swap
+    /// token-wise (at the solved or overridden α), the last `slots` stay
+    /// retained, and the rest fully recompute. The top cell (`k =
+    /// layers_local − slots`) is bit-identical to uniform MEMO at `slots =
+    /// 2`.
+    pub fn run_mixed_policy_grid(
+        &self,
+        cfg: &ParallelConfig,
+        alpha_override: Option<f64>,
+        slots: usize,
+    ) -> Vec<(usize, ExecutionReport)> {
+        let max_k = cfg.layers_local(self.model.n_layers).saturating_sub(slots);
+        self.run_row(
+            cfg,
+            (0..=max_k).map(|k| (k, ExecutionPipeline::memo_mixed(k, alpha_override, slots))),
+        )
+    }
+
+    /// One grid row: every cell runs under `cfg` with the same remat
+    /// policy and planner, so the row looks its profile up once and its
+    /// static plan at most once, and runs stages 2–5 of every cell on
+    /// them ([`ExecutionPipeline::execute_row`]).
+    fn run_row<K>(
+        &self,
+        cfg: &ParallelConfig,
+        cells: impl Iterator<Item = (K, ExecutionPipeline)>,
+    ) -> Vec<(K, ExecutionReport)> {
+        let mut profile: Option<Arc<ProfileReport>> = None;
+        let mut plan = None;
+        cells
+            .map(|(key, pipe)| {
+                let p = profile.get_or_insert_with(|| pipe.profile(self, cfg, true));
+                (key, pipe.execute_row(self, cfg, p, &mut plan))
+            })
+            .collect()
+    }
+}
+
+/// The TGS-best of `cells`, or the least-bad failure when none succeeded —
+/// the one fold of the strategy search and the dense grids. `outcome`
+/// reads a cell's [`CellOutcome`].
+///
+/// - On equal TGS, `>=` keeps the last cell in iteration order, as
+///   `Iterator::max_by` does.
+/// - Among failures, the first cell of minimum
+///   [`CellOutcome::failure_rank`] wins: any OOHM before any OOM, smallest
+///   shortfall first.
+///
+/// Returns the pick with its outcome, or `None` with the least-bad failure
+/// ([`CellOutcome::NoValidStrategy`] when `cells` is empty).
+pub fn pick_best_or_failure<T>(
+    cells: impl IntoIterator<Item = T>,
+    outcome: impl Fn(&T) -> &CellOutcome,
+) -> (Option<T>, CellOutcome) {
+    let mut best: Option<(T, f64)> = None;
+    let mut failure: Option<(u128, CellOutcome)> = None;
+    for cell in cells {
+        let out = outcome(&cell);
+        match out.metrics().map(|m| m.tgs) {
+            Some(tgs) => {
+                if best.as_ref().is_none_or(|(_, b)| tgs >= *b) {
+                    best = Some((cell, tgs));
+                }
+            }
+            None => {
+                let rank = out.failure_rank();
+                if failure.as_ref().is_none_or(|(r, _)| rank < *r) {
+                    failure = Some((rank, out.clone()));
+                }
+            }
+        }
+    }
+    match best {
+        Some((cell, _)) => {
+            let out = outcome(&cell).clone();
+            (Some(cell), out)
+        }
+        None => (
+            None,
+            failure.map_or(CellOutcome::NoValidStrategy, |(_, out)| out),
+        ),
     }
 }
 
@@ -1091,7 +1172,6 @@ mod tests {
             capacity_bytes: 512 << 30,
             usable_fraction: 1.0,
             write_bandwidth: 64e9,
-            read_bandwidth: 64e9,
             utilization: 0.85,
             sharing: memo_hal::TierSharing::Fixed(2.0),
             latency_secs: 250e-9,
@@ -1148,5 +1228,176 @@ mod tests {
             assert!(report.time.compute > 0.0, "{spec:?} compute");
             assert!(report.time.optimizer > 0.0, "{spec:?} optimizer");
         }
+    }
+
+    fn assert_reports_equal(a: &ExecutionReport, b: &ExecutionReport, what: &str) {
+        assert_eq!(a.outcome, b.outcome, "{what}: outcome");
+        assert_eq!(a.bytes, b.bytes, "{what}: bytes");
+        assert_eq!(a.time, b.time, "{what}: time");
+        assert_eq!(a.strategy, b.strategy, "{what}: strategy");
+    }
+
+    #[test]
+    fn alpha_grid_is_bit_identical_to_cached_runs() {
+        let w = w7(8, 64);
+        let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+        let grid = w.run_alpha_grid(&cfg, 17, 2);
+        assert_eq!(grid.len(), 17);
+        for (alpha, rep) in &grid {
+            let full = ExecutionPipeline::memo_at_alpha(*alpha, 2).execute_cached(&w, &cfg, true);
+            assert_reports_equal(rep, &full, &format!("alpha {alpha}"));
+        }
+        // The endpoints must differ (α = 0 recomputes everything, α = 1
+        // swaps everything) or the grid is degenerate.
+        assert_ne!(grid[0].1.time, grid[16].1.time);
+    }
+
+    #[test]
+    fn alpha_grid_makes_one_profile_and_at_most_one_plan_lookup() {
+        // The scope counts this thread's lookups only, hits and misses
+        // alike, so concurrent tests sharing the global cache cannot move
+        // it. Per-cell lookups would read 2 per point.
+        let w = w7(8, 64);
+        let cfg = ParallelConfig::megatron(8, 1, 1, 1);
+        for points in [2, 5, 17] {
+            let scope = CacheStatsScope::enter();
+            let grid = w.run_alpha_grid(&cfg, points, 2);
+            let s = scope.finish();
+            assert!(grid.iter().all(|(_, rep)| rep.outcome.is_ok()));
+            assert_eq!(
+                s.hits + s.misses,
+                2,
+                "{points} points: one profile, one plan"
+            );
+        }
+        // With no host to stage on, every cell fails in stage 2: the row
+        // looks its profile up and never its plan.
+        let mut starved = w.clone();
+        starved.calib.set_host_memory_bytes(0);
+        let scope = CacheStatsScope::enter();
+        let grid = starved.run_alpha_grid(&cfg, 17, 2);
+        let s = scope.finish();
+        assert!(grid
+            .iter()
+            .all(|(_, rep)| matches!(rep.outcome, CellOutcome::Oohm { .. })));
+        assert_eq!(s.hits + s.misses, 1, "a profile and no plan");
+    }
+
+    #[test]
+    fn mixed_policy_grid_matches_cached_and_tops_out_at_uniform_memo() {
+        let w = w7(8, 64);
+        let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+        let grid = w.run_mixed_policy_grid(&cfg, None, 2);
+        let layers_local = cfg.layers_local(w.model.n_layers);
+        assert_eq!(grid.len(), layers_local - 2 + 1);
+        for (k, rep) in &grid {
+            let full = ExecutionPipeline::memo_mixed(*k, None, 2).execute_cached(&w, &cfg, true);
+            assert_reports_equal(rep, &full, &format!("k = {k}"));
+        }
+        // k = layers_local − 2 is the uniform schedule: identical metrics
+        // to plain MEMO under the same strategy.
+        let top = &grid.last().unwrap().1;
+        let memo = ExecutionPipeline::new(SystemSpec::Memo).execute_cached(&w, &cfg, true);
+        assert_eq!(top.outcome, memo.outcome);
+        assert_eq!(top.bytes, memo.bytes);
+        assert_eq!(top.time, memo.time);
+        // Fewer swap layers stage less on the host but pay refwd compute.
+        let m_top = top.outcome.metrics().expect("uniform point feasible");
+        let m_zero = grid[0].1.outcome.metrics().expect("k = 0 always fits");
+        assert!(m_zero.host_peak_bytes < m_top.host_peak_bytes);
+        assert!(
+            m_zero.iter_secs > m_top.iter_secs,
+            "refwd compute costs time"
+        );
+    }
+
+    #[test]
+    fn alpha_grid_reproduces_oohm_failure_cells() {
+        // α = 1.0 at a long context overflows the host (the OOHM test
+        // above pins this workload); a row must report the identical
+        // failure, and keep doing so on a second row over warm caches.
+        let w = w7(8, 768);
+        let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+        let full = ExecutionPipeline::memo_at_alpha(1.0, 2).execute_cached(&w, &cfg, true);
+        assert!(
+            matches!(full.outcome, CellOutcome::Oohm { .. }),
+            "expected OOHM, got {:?}",
+            full.outcome
+        );
+        for round in 0..2 {
+            let grid = w.run_alpha_grid(&cfg, 2, 2);
+            assert_eq!(grid[1].0, 1.0);
+            assert_reports_equal(&grid[1].1, &full, &format!("round {round}"));
+        }
+    }
+
+    #[test]
+    fn pick_best_uses_last_wins_tie_break() {
+        let w = w7(8, 64);
+        let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+        let grid = w.run_alpha_grid(&cfg, 5, 2);
+        let (pick, outcome) = pick_best_or_failure(&grid, |(_, rep)| &rep.outcome);
+        let (best_alpha, best) = pick.expect("some α is feasible");
+        assert_eq!(outcome, best.outcome);
+        let best_tgs = best.outcome.metrics().unwrap().tgs;
+        // Every feasible cell's TGS is ≤ the pick's, and the pick is the
+        // *last* cell attaining it.
+        let mut last_at_max = None;
+        for (a, rep) in &grid {
+            if let Some(m) = rep.outcome.metrics() {
+                assert!(m.tgs <= best_tgs);
+                if m.tgs == best_tgs {
+                    last_at_max = Some(*a);
+                }
+            }
+        }
+        assert_eq!(Some(*best_alpha), last_at_max);
+    }
+
+    #[test]
+    fn one_fold_keeps_the_last_best_and_the_first_least_bad() {
+        let ok = |tgs| {
+            CellOutcome::Ok(crate::metrics::Metrics {
+                iter_secs: 1.0,
+                mfu: 0.5,
+                tgs,
+                peak_gpu_bytes: 0,
+                host_peak_bytes: 0,
+                reorgs: 0,
+                alpha: None,
+                strategy: String::new(),
+            })
+        };
+        let oom = |needed, capacity| CellOutcome::Oom { needed, capacity };
+        let oohm = |needed, capacity| CellOutcome::Oohm { needed, capacity };
+        // Any OOHM ranks below any OOM, a smaller shortfall below a larger
+        // one, and of the two 2-byte OOHM shortfalls the first wins.
+        let cells = [
+            (0, oom(11, 10)),
+            (1, oohm(30, 10)),
+            (2, oohm(12, 10)),
+            (3, oohm(22, 20)),
+        ];
+        let (pick, failure) = pick_best_or_failure(&cells, |(_, out)| out);
+        assert!(pick.is_none());
+        assert_eq!(failure, oohm(12, 10));
+        let (_, failure) = pick_best_or_failure(cells.iter().rev(), |(_, out)| out);
+        assert_eq!(failure, oohm(22, 20));
+        // A success beats every failure; of equal TGS the last cell wins.
+        let cells = [
+            (0, ok(2.0)),
+            (1, oom(11, 10)),
+            (2, ok(3.0)),
+            (3, ok(3.0)),
+            (4, ok(1.0)),
+        ];
+        let (pick, outcome) = pick_best_or_failure(&cells, |(_, out)| out);
+        assert_eq!(pick.map(|(i, _)| *i), Some(3));
+        assert_eq!(outcome, ok(3.0));
+        let empty: [(u8, CellOutcome); 0] = [];
+        assert_eq!(
+            pick_best_or_failure(&empty, |(_, out)| out),
+            (None, CellOutcome::NoValidStrategy)
+        );
     }
 }

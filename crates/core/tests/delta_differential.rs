@@ -1,199 +1,153 @@
-//! Differential suite: pipeline runs from a `DeltaContext`
-//! ([`ProfileSource::Pinned`]) must be **bit-exact** with `execute_cached` — same outcome (including OOM/OOHM
-//! failure cells with identical shortfall values), same byte and time
-//! decompositions, same final pick — while reusing profile pins and the
-//! process-global segment cache across a knob walk.
+//! Differential suite: grid rows (`Workload::run_alpha_grid`,
+//! `Workload::run_mixed_policy_grid`) must be **bit-exact** with
+//! `execute_cached` — same outcome (including OOM/OOHM failure cells with
+//! identical shortfall values), same byte and time decompositions, same
+//! final pick — while each row holds one profile and one plan and builds
+//! its swap schedules through the process-global segment cache.
 //!
-//! The properties drive both paths in lockstep over randomized workloads
-//! and *knob-adjacent* cells (α ± one grid step, swap-layer count ± 1,
-//! neighbouring strategies), because adjacency is exactly what the delta
-//! layer exploits: a wrong segment-cache key or a stale pin shows up as a
-//! divergence on the cell after the knob change, not on the first cell.
+//! The properties compare every cell of randomized rows field by field,
+//! because adjacency is exactly what a row exploits: a wrong segment-cache
+//! key or a stale held plan shows up as a divergence on the cell after the
+//! knob change, not on the first cell.
 
-use memo_core::delta::{pick_best, pick_best_or_failure, DeltaContext};
 use memo_core::outcome::CellOutcome;
-use memo_core::pipeline::{ExecutionPipeline, ExecutionReport, ProfileSource};
-use memo_core::session::Workload;
+use memo_core::pipeline::{ExecutionPipeline, ExecutionReport};
+use memo_core::session::{pick_best_or_failure, Workload};
 use memo_model::config::ModelConfig;
 use memo_parallel::search;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 use proptest::prelude::*;
-
-const ALPHA_POINTS: usize = 17;
-
-fn alpha_at(idx: usize) -> f64 {
-    idx as f64 / (ALPHA_POINTS - 1) as f64
-}
 
 fn memo_grid(w: &Workload) -> Vec<ParallelConfig> {
     let gpn = w.calib.gpus_per_node.min(w.n_gpus);
     search::enumerate_configs(SystemSpec::Memo, &w.model, w.n_gpus, gpn)
 }
 
-/// Run one cell through both paths and assert a bit-identical report.
-fn lockstep(
+/// Assert that a row cell is bit-identical to its `execute_cached` run.
+fn assert_matches_cached(
     pipe: &ExecutionPipeline,
     w: &Workload,
     cfg: &ParallelConfig,
-    ctx: &mut DeltaContext,
+    row: &ExecutionReport,
     what: &str,
 ) -> ExecutionReport {
     let full = pipe.execute_cached(w, cfg, true);
-    let delta = pipe.execute_from(w, cfg, ProfileSource::Pinned(ctx), None);
-    assert_eq!(full.spec, delta.spec, "{what}: spec");
-    assert_eq!(full.strategy, delta.strategy, "{what}: strategy");
-    assert_eq!(full.outcome, delta.outcome, "{what}: outcome");
-    assert_eq!(full.bytes, delta.bytes, "{what}: bytes");
-    assert_eq!(full.time, delta.time, "{what}: time");
+    assert_eq!(full.spec, row.spec, "{what}: spec");
+    assert_eq!(full.strategy, row.strategy, "{what}: strategy");
+    assert_eq!(full.outcome, row.outcome, "{what}: outcome");
+    assert_eq!(full.bytes, row.bytes, "{what}: bytes");
+    assert_eq!(full.time, row.time, "{what}: time");
     full
+}
+
+/// One α row of `cfg`, every cell checked against `execute_cached`.
+/// Returns the row's cells and their cached twins, keyed by α.
+#[allow(clippy::type_complexity)]
+fn checked_alpha_row(
+    w: &Workload,
+    cfg: &ParallelConfig,
+    points: usize,
+    slots: usize,
+    what: &str,
+) -> (Vec<(f64, ExecutionReport)>, Vec<(f64, ExecutionReport)>) {
+    let row = w.run_alpha_grid(cfg, points, slots);
+    assert_eq!(row.len(), points, "{what}: row length");
+    let full = row
+        .iter()
+        .map(|(alpha, rep)| {
+            let pipe = ExecutionPipeline::memo_at_alpha(*alpha, slots);
+            let full = assert_matches_cached(&pipe, w, cfg, rep, &format!("{what} alpha {alpha}"));
+            (*alpha, full)
+        })
+        .collect();
+    (row, full)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random walk on the (strategy, α) lattice: every step moves exactly
-    /// one knob by one step (the delta order), every visited cell is
-    /// checked in lockstep, and the TGS pick over the visited cells is
-    /// identical between the two paths. Long contexts (768K+) push high-α
-    /// cells into OOHM and tight strategies into OOM, so failure cells are
-    /// part of every walk.
+    /// Random α rows: a random workload (64K–1M), one to three random
+    /// strategies, 2–17 points and 2 or 3 slots. Every cell is checked
+    /// against `execute_cached`, and the TGS pick over the rows is
+    /// identical between the two. Long contexts (768K+) push high-α cells
+    /// into OOHM and tight strategies into OOM, so failure cells are part
+    /// of most cases.
     #[test]
     fn random_knob_walks_are_bit_identical(
         seq_k in prop::sample::select(vec![64u64, 128, 256, 512, 768, 1024]),
-        cfg_start in 0usize..64,
-        alpha_start in 0usize..ALPHA_POINTS,
+        cfgs in prop::collection::vec(0usize..64, 1..4),
+        points in prop::sample::select(vec![2usize, 5, 9, 17]),
         slots in prop::sample::select(vec![2usize, 3]),
-        steps in prop::collection::vec((0u8..2, 0u8..2), 1..14),
     ) {
         let w = Workload::new(ModelConfig::gpt_7b(), 8, seq_k * 1024);
         let grid = memo_grid(&w);
         prop_assert!(!grid.is_empty());
-        let mut ci = cfg_start % grid.len();
-        let mut ai = alpha_start;
-        let mut ctx = DeltaContext::new();
-        let mut cells: Vec<((usize, usize), ExecutionReport)> = Vec::new();
-        let visit = |ci: usize, ai: usize, ctx: &mut DeltaContext| {
-            let rep = lockstep(
-                &ExecutionPipeline::memo_at_alpha(alpha_at(ai), slots),
-                &w,
-                &grid[ci],
-                ctx,
-                &format!("seq {seq_k}K cfg {ci} alpha idx {ai} slots {slots}"),
-            );
-            ((ci, ai), rep)
-        };
-        cells.push(visit(ci, ai, &mut ctx));
-        for &(knob, dir) in &steps {
-            if knob == 0 {
-                // Strategy axis: ± one enumeration neighbour, clamped.
-                ci = if dir == 0 { ci.saturating_sub(1) } else { (ci + 1).min(grid.len() - 1) };
-            } else {
-                ai = if dir == 0 { ai.saturating_sub(1) } else { (ai + 1).min(ALPHA_POINTS - 1) };
-            }
-            cells.push(visit(ci, ai, &mut ctx));
+        let mut cells = Vec::new();
+        let mut full_cells = Vec::new();
+        for ci in cfgs.into_iter().map(|c| c % grid.len()) {
+            let what = format!("seq {seq_k}K cfg {ci} points {points} slots {slots}");
+            let (row, full) = checked_alpha_row(&w, &grid[ci], points, slots, &what);
+            cells.extend(row.into_iter().map(|(alpha, rep)| ((ci, alpha), rep)));
+            full_cells.extend(full.into_iter().map(|(alpha, rep)| ((ci, alpha), rep)));
         }
 
-        // Pick parity: the delta fold over delta reports must agree with
-        // the same fold over the full-simulation reports.
-        let full_cells: Vec<((usize, usize), ExecutionReport)> = cells
-            .iter()
-            .map(|(k, _)| {
-                (*k, ExecutionPipeline::memo_at_alpha(alpha_at(k.1), slots).execute_cached(&w, &grid[k.0], true))
-            })
-            .collect();
-        let a = pick_best(&cells).map(|(k, _)| k);
-        let b = pick_best(&full_cells).map(|(k, _)| k);
-        prop_assert_eq!(a, b, "pick diverged over the walk");
+        // Pick parity: the fold over row reports must agree with the same
+        // fold over the full-simulation reports.
+        let (a, fa) = pick_best_or_failure(&cells, |(_, rep)| &rep.outcome);
+        let (b, fb) = pick_best_or_failure(&full_cells, |(_, rep)| &rep.outcome);
+        prop_assert_eq!(a.map(|(k, _)| *k), b.map(|(k, _)| *k), "pick diverged over the rows");
+        prop_assert_eq!(fa, fb, "pick outcome diverged over the rows");
     }
 
-    /// Mixed-policy k-walk: adjacent swap-layer counts under a random
-    /// strategy, lockstep-checked, sharing one context with interleaved
-    /// uniform-MEMO cells (pin keys must not bleed between policies).
+    /// Random mixed-policy rows: every swap-layer count of a random
+    /// strategy, at the solved or an overridden α and 2 or 3 slots, each
+    /// cell checked against `execute_cached`; a uniform α row of the same
+    /// strategy runs between them through the same caches (held plans and
+    /// segment-cache keys must not bleed between policies).
     #[test]
     fn mixed_policy_walks_are_bit_identical(
         seq_k in prop::sample::select(vec![64u64, 256, 768]),
         cfg_pick in 0usize..64,
-        k_start in 0usize..32,
-        steps in prop::collection::vec(0u8..2, 1..10),
+        alpha_idx in 0usize..20,
+        slots in prop::sample::select(vec![2usize, 3]),
     ) {
         let w = Workload::new(ModelConfig::gpt_7b(), 8, seq_k * 1024);
         let grid = memo_grid(&w);
         let cfg = grid[cfg_pick % grid.len()];
+        // Indices past the 17-point lattice take the solved α.
+        let alpha_override = (alpha_idx <= 16).then(|| alpha_idx as f64 / 16.0);
         let layers_local = cfg.layers_local(w.model.n_layers);
-        let k_max = layers_local.saturating_sub(2);
-        let mut k = k_start.min(k_max);
-        let mut ctx = DeltaContext::new();
-        for (i, &dir) in steps.iter().enumerate() {
-            lockstep(
-                &ExecutionPipeline::memo_mixed(k, None, 2),
-                &w,
-                &cfg,
-                &mut ctx,
-                &format!("seq {seq_k}K mixed k {k}"),
-            );
-            if i % 3 == 2 {
-                // Interleave a uniform token-wise cell through the same
-                // context: distinct policy, same strategy triple.
-                lockstep(
-                    &ExecutionPipeline::memo_at_alpha(0.5, 2),
+        for round in 0..2 {
+            let row = w.run_mixed_policy_grid(&cfg, alpha_override, slots);
+            prop_assert_eq!(row.len(), layers_local.saturating_sub(slots) + 1);
+            for (k, rep) in &row {
+                assert_matches_cached(
+                    &ExecutionPipeline::memo_mixed(*k, alpha_override, slots),
                     &w,
                     &cfg,
-                    &mut ctx,
-                    &format!("seq {seq_k}K interleaved uniform"),
+                    rep,
+                    &format!("seq {seq_k}K mixed k {k} alpha {alpha_override:?} round {round}"),
                 );
             }
-            k = if dir == 0 { k.saturating_sub(1) } else { (k + 1).min(k_max) };
-        }
-    }
-
-    /// Workload flips mid-walk: the context must restamp and stay
-    /// bit-exact on both sides of every boundary (stale pins across a
-    /// workload change are the classic incremental-evaluation bug).
-    #[test]
-    fn workload_changes_restamp_without_divergence(
-        seq_a in prop::sample::select(vec![64u64, 256, 768]),
-        seq_b in prop::sample::select(vec![128u64, 512, 1024]),
-        alpha_idx in 0usize..ALPHA_POINTS,
-        flips in prop::collection::vec(0u8..2, 2..8),
-    ) {
-        let wa = Workload::new(ModelConfig::gpt_7b(), 8, seq_a * 1024);
-        let wb = Workload::new(ModelConfig::gpt_7b(), 8, seq_b * 1024);
-        let cfg = memo_grid(&wa)[0];
-        let mut ctx = DeltaContext::new();
-        for (i, &side) in flips.iter().enumerate() {
-            let w = if side == 0 { &wa } else { &wb };
-            lockstep(
-                &ExecutionPipeline::memo_at_alpha(alpha_at(alpha_idx), 2),
-                w,
-                &cfg,
-                &mut ctx,
-                &format!("flip {i} side {side}"),
-            );
+            checked_alpha_row(&w, &cfg, 5, slots, &format!("seq {seq_k}K interleaved uniform"));
         }
     }
 }
 
-/// Deterministic spot check that the random walks do traverse failure
-/// cells: at 1M and α = 1.0 the 7B grid must contain OOHM cells, and both
-/// paths must report them identically (this is the divergence-cell case
-/// the ISSUE calls out, pinned without relying on proptest's sampling).
+/// Deterministic spot check that the random rows do traverse failure
+/// cells: at 1M the α endpoints of the 7B grid must contain OOHM and OOM
+/// cells, and rows must report them exactly as `execute_cached` does
+/// (pinned without relying on proptest's sampling).
 #[test]
 fn oohm_and_oom_cells_appear_and_match_at_one_million_tokens() {
     let w = Workload::new(ModelConfig::gpt_7b(), 8, 1024 * 1024);
     let grid = memo_grid(&w);
-    let mut ctx = DeltaContext::new();
     let mut saw_oohm = false;
     let mut saw_oom = false;
     let mut saw_ok = false;
     for (ci, cfg) in grid.iter().enumerate() {
-        for ai in [0, ALPHA_POINTS - 1] {
-            let rep = lockstep(
-                &ExecutionPipeline::memo_at_alpha(alpha_at(ai), 2),
-                &w,
-                cfg,
-                &mut ctx,
-                &format!("endpoint cfg {ci} alpha idx {ai}"),
-            );
+        let (row, _) = checked_alpha_row(&w, cfg, 2, 2, &format!("endpoint cfg {ci}"));
+        for (_, rep) in &row {
             let label = format!("{:?}", rep.outcome);
             saw_oohm |= label.starts_with("Oohm");
             saw_oom |= label.starts_with("Oom");
@@ -206,48 +160,48 @@ fn oohm_and_oom_cells_appear_and_match_at_one_million_tokens() {
 }
 
 /// The dense MEMO@1M grid `speed_gates` sweeps (7B, 8 GPUs): a full
-/// `execute_cached` sweep and a pinned-context sweep of the 340-cell
-/// serpentine walk (every strategy × 17 α) are bit-identical cell by
-/// cell, pick the same cell, and contain a feasible one; every cell of the
-/// 424-cell mixed-policy grid matches a full `memo_mixed` run.
+/// `execute_cached` sweep and the `run_alpha_grid` rows of the 340-cell
+/// grid (every strategy × 17 α) are bit-identical cell by cell, pick the
+/// same cell, and contain a feasible one; every cell of the 424-cell
+/// mixed-policy grid matches a full `memo_mixed` run.
 #[test]
 fn dense_grid_at_one_million_tokens_is_bit_identical() {
     let w = Workload::new(ModelConfig::gpt_7b(), 8, 1 << 20);
     let grid = memo_bench::inputs::memo_grid(&w);
-    assert_eq!(grid.walk.len(), 340);
-    let full: Vec<(usize, ExecutionReport)> = grid
-        .walk
+    let cells: Vec<(ParallelConfig, f64)> = grid.cells().collect();
+    assert_eq!(cells.len(), 340);
+    let full: Vec<(usize, ExecutionReport)> = cells
         .iter()
         .map(|(cfg, alpha)| {
             ExecutionPipeline::memo_at_alpha(*alpha, 2).execute_cached(&w, cfg, true)
         })
         .enumerate()
         .collect();
-    let mut ctx = DeltaContext::new();
-    let delta: Vec<(usize, ExecutionReport)> = grid
-        .walk
+    let rows: Vec<(usize, ExecutionReport)> = grid
+        .configs
         .iter()
-        .map(|(cfg, alpha)| {
-            ExecutionPipeline::memo_at_alpha(*alpha, 2).execute_from(
-                &w,
-                cfg,
-                ProfileSource::Pinned(&mut ctx),
-                None,
-            )
-        })
+        .flat_map(|cfg| w.run_alpha_grid(cfg, grid.alphas.len(), 2))
+        .map(|(_, rep)| rep)
         .enumerate()
         .collect();
-    for ((i, a), (_, b)) in full.iter().zip(&delta) {
-        let (cfg, alpha) = &grid.walk[*i];
+    assert_eq!(rows.len(), cells.len());
+    for ((i, a), (_, b)) in full.iter().zip(&rows) {
+        let (cfg, alpha) = &cells[*i];
         let what = format!("cell {i} ({} alpha={alpha:.3})", cfg.describe());
+        assert_eq!(a.spec, b.spec, "{what}: spec");
+        assert_eq!(a.strategy, b.strategy, "{what}: strategy");
         assert_eq!(a.outcome, b.outcome, "{what}: outcome");
         assert_eq!(a.bytes, b.bytes, "{what}: bytes");
         assert_eq!(a.time, b.time, "{what}: time");
     }
-    let pick = pick_best(&full).map(|(i, _)| i);
+    let pick = pick_best_or_failure(&full, |(_, rep)| &rep.outcome)
+        .0
+        .map(|(i, _)| *i);
     assert_eq!(
         pick,
-        pick_best(&delta).map(|(i, _)| i),
+        pick_best_or_failure(&rows, |(_, rep)| &rep.outcome)
+            .0
+            .map(|(i, _)| *i),
         "grid pick diverged"
     );
     assert!(pick.is_some(), "no feasible cell in the MEMO@1M grid");
@@ -267,10 +221,10 @@ fn dense_grid_at_one_million_tokens_is_bit_identical() {
 }
 
 /// A fully-infeasible grid (every cell OOM on a starved GPU) must not
-/// panic any dense-grid helper: `pick_best` returns `None` and
-/// `pick_best_or_failure` surfaces the least-bad failure by
-/// `CellOutcome::failure_rank`, mirroring `run_best_or_failure`'s
-/// `NoValidStrategy` path for the empty grid.
+/// panic any dense-grid helper: `pick_best_or_failure` finds no pick and
+/// surfaces the least-bad failure by `CellOutcome::failure_rank`,
+/// mirroring `run_best_or_failure`'s `NoValidStrategy` path for the empty
+/// grid.
 #[test]
 fn fully_infeasible_grids_report_least_bad_failure_without_panicking() {
     let mut w = Workload::new(ModelConfig::gpt_7b(), 8, 256 * 1024);
@@ -278,29 +232,19 @@ fn fully_infeasible_grids_report_least_bad_failure_without_panicking() {
     w.calib.gpu_memory_bytes = 2 << 30;
     let grid = memo_grid(&w);
     assert!(!grid.is_empty());
-    let mut ctx = DeltaContext::new();
-    let cells: Vec<(usize, ExecutionReport)> = grid
+    let cells: Vec<((usize, f64), ExecutionReport)> = grid
         .iter()
         .enumerate()
-        .map(|(ci, cfg)| {
-            (
-                ci,
-                lockstep(
-                    &ExecutionPipeline::memo_at_alpha(0.5, 2),
-                    &w,
-                    cfg,
-                    &mut ctx,
-                    &format!("starved cfg {ci}"),
-                ),
-            )
+        .flat_map(|(ci, cfg)| {
+            let (row, _) = checked_alpha_row(&w, cfg, 3, 2, &format!("starved cfg {ci}"));
+            row.into_iter().map(move |(alpha, rep)| ((ci, alpha), rep))
         })
         .collect();
     assert!(
         cells.iter().all(|(_, rep)| !rep.outcome.is_ok()),
         "2 GiB GPUs must make every cell infeasible"
     );
-    assert!(pick_best(&cells).is_none());
-    let (pick, failure) = pick_best_or_failure(&cells);
+    let (pick, failure) = pick_best_or_failure(&cells, |(_, rep)| &rep.outcome);
     assert!(pick.is_none());
     // The reported failure is the least-bad one actually in the grid.
     let min_rank = cells
@@ -317,7 +261,7 @@ fn fully_infeasible_grids_report_least_bad_failure_without_panicking() {
     }
     // The empty grid degrades to NoValidStrategy, not a panic.
     let empty: Vec<(usize, ExecutionReport)> = Vec::new();
-    let (pick, failure) = pick_best_or_failure(&empty);
+    let (pick, failure) = pick_best_or_failure(&empty, |(_, rep)| &rep.outcome);
     assert!(pick.is_none());
     assert_eq!(failure, CellOutcome::NoValidStrategy);
 }

@@ -175,11 +175,10 @@ impl Calibration {
         }
     }
 
-    /// Re-rate the CPU<->GPU link (tier 0) in both directions.
+    /// Re-rate the CPU<->GPU link (tier 0).
     pub fn set_pcie_bandwidth(&mut self, bytes_per_sec: f64) {
         if let Some(t) = self.hierarchy.tiers.first_mut() {
             t.write_bandwidth = bytes_per_sec;
-            t.read_bandwidth = bytes_per_sec;
         }
     }
 
@@ -241,51 +240,6 @@ impl Calibration {
             optimizer_secs_per_bparam.to_bits(),
             ds_compute_derate.to_bits(),
         ])
-    }
-
-    /// Bit-exact equality with `other`: `true` iff the two calibrations
-    /// [`fingerprint`](Self::fingerprint) equal, but without the FNV pass
-    /// over the tier chain — plain field compares with early exit. The
-    /// delta path's per-cell workload-stamp check runs this in its hot
-    /// loop. The exhaustive destructuring makes adding a field without
-    /// comparing it a compile error.
-    pub fn bits_eq(&self, other: &Calibration) -> bool {
-        let &Calibration {
-            peak_flops,
-            gemm_efficiency,
-            attn_efficiency,
-            elementwise_efficiency,
-            gpu_memory_bytes,
-            gpu_reserved_bytes,
-            gpus_per_node,
-            ref hierarchy,
-            nvlink_bandwidth,
-            nvlink_utilization,
-            ib_bandwidth,
-            ib_utilization,
-            reorg_penalty_secs,
-            kernel_launch_secs,
-            comm_overlap_fraction,
-            optimizer_secs_per_bparam,
-            ds_compute_derate,
-        } = self;
-        peak_flops.to_bits() == other.peak_flops.to_bits()
-            && gemm_efficiency.to_bits() == other.gemm_efficiency.to_bits()
-            && attn_efficiency.to_bits() == other.attn_efficiency.to_bits()
-            && elementwise_efficiency.to_bits() == other.elementwise_efficiency.to_bits()
-            && gpu_memory_bytes == other.gpu_memory_bytes
-            && gpu_reserved_bytes == other.gpu_reserved_bytes
-            && gpus_per_node == other.gpus_per_node
-            && nvlink_bandwidth.to_bits() == other.nvlink_bandwidth.to_bits()
-            && nvlink_utilization.to_bits() == other.nvlink_utilization.to_bits()
-            && ib_bandwidth.to_bits() == other.ib_bandwidth.to_bits()
-            && ib_utilization.to_bits() == other.ib_utilization.to_bits()
-            && reorg_penalty_secs.to_bits() == other.reorg_penalty_secs.to_bits()
-            && kernel_launch_secs.to_bits() == other.kernel_launch_secs.to_bits()
-            && comm_overlap_fraction.to_bits() == other.comm_overlap_fraction.to_bits()
-            && optimizer_secs_per_bparam.to_bits() == other.optimizer_secs_per_bparam.to_bits()
-            && ds_compute_derate.to_bits() == other.ds_compute_derate.to_bits()
-            && hierarchy.chain_bits_eq(&other.hierarchy)
     }
 }
 
@@ -352,7 +306,6 @@ mod tests {
         // fingerprint when it changes.
         let base = Calibration::default();
         assert_eq!(base.fingerprint(), Calibration::default().fingerprint());
-        assert!(base.bits_eq(&Calibration::default()));
         type CalibEdit = Box<dyn Fn(&mut Calibration)>;
         let cases: Vec<(&str, CalibEdit)> = vec![
             ("peak_flops", Box::new(|c| c.peak_flops += 1.0)),
@@ -410,7 +363,6 @@ mod tests {
                         capacity_bytes: 512 * GIB,
                         usable_fraction: 1.0,
                         write_bandwidth: 64e9,
-                        read_bandwidth: 64e9,
                         utilization: 0.85,
                         sharing: TierSharing::Fixed(2.0),
                         latency_secs: 250e-9,
@@ -426,10 +378,6 @@ mod tests {
                 c.fingerprint(),
                 "perturbing {label} did not change the fingerprint"
             );
-            assert!(
-                !base.bits_eq(&c),
-                "perturbing {label} was invisible to bits_eq"
-            );
         }
         // Every field of every tier, in both tiers of the default chain.
         type TierEdit = Box<dyn Fn(&mut TierSpec)>;
@@ -438,7 +386,6 @@ mod tests {
             ("capacity_bytes", Box::new(|t| t.capacity_bytes += 1)),
             ("usable_fraction", Box::new(|t| t.usable_fraction += 0.01)),
             ("write_bandwidth", Box::new(|t| t.write_bandwidth += 1.0)),
-            ("read_bandwidth", Box::new(|t| t.read_bandwidth += 1.0)),
             ("utilization", Box::new(|t| t.utilization += 0.01)),
             (
                 "sharing",
@@ -459,10 +406,6 @@ mod tests {
                     base.fingerprint(),
                     c.fingerprint(),
                     "perturbing tier {idx} {label} did not change the fingerprint"
-                );
-                assert!(
-                    !base.bits_eq(&c),
-                    "perturbing tier {idx} {label} was invisible to bits_eq"
                 );
             }
         }

@@ -42,10 +42,8 @@ pub struct TierSpec {
     /// division (the legacy NVMe path), otherwise through the float path
     /// (the legacy host-DRAM path).
     pub usable_fraction: f64,
-    /// Nominal GPU→tier (offload) bandwidth, bytes/s.
+    /// Nominal GPU↔tier link bandwidth, bytes/s (offload and prefetch).
     pub write_bandwidth: f64,
-    /// Nominal tier→GPU (prefetch) bandwidth, bytes/s.
-    pub read_bandwidth: f64,
     /// Achievable fraction of the nominal link rate.
     pub utilization: f64,
     /// Link contention model.
@@ -58,11 +56,6 @@ impl TierSpec {
     /// Effective per-GPU offload bandwidth under concurrent use (bytes/s).
     pub fn effective_write_bandwidth(&self, gpus_per_node: usize) -> f64 {
         self.write_bandwidth * self.utilization / self.sharing.sharers(gpus_per_node)
-    }
-
-    /// Effective per-GPU prefetch bandwidth under concurrent use (bytes/s).
-    pub fn effective_read_bandwidth(&self, gpus_per_node: usize) -> f64 {
-        self.read_bandwidth * self.utilization / self.sharing.sharers(gpus_per_node)
     }
 
     /// This GPU's share of the tier's usable capacity (bytes).
@@ -110,7 +103,6 @@ impl MemoryHierarchy {
                     capacity_bytes: host_memory_bytes,
                     usable_fraction: host_usable_fraction,
                     write_bandwidth: pcie_bandwidth,
-                    read_bandwidth: pcie_bandwidth,
                     utilization: pcie_utilization,
                     sharing: TierSharing::Fixed(pcie_sharers),
                     latency_secs: 0.0,
@@ -120,7 +112,6 @@ impl MemoryHierarchy {
                     capacity_bytes: nvme_capacity_bytes,
                     usable_fraction: 1.0,
                     write_bandwidth: nvme_bandwidth,
-                    read_bandwidth: nvme_bandwidth,
                     utilization: 1.0,
                     sharing: TierSharing::NodeGpus,
                     latency_secs: 0.0,
@@ -167,7 +158,6 @@ impl MemoryHierarchy {
                 capacity_bytes,
                 usable_fraction,
                 write_bandwidth,
-                read_bandwidth,
                 utilization,
                 sharing,
                 latency_secs,
@@ -180,7 +170,6 @@ impl MemoryHierarchy {
             mix(&mut h, *capacity_bytes);
             mix(&mut h, usable_fraction.to_bits());
             mix(&mut h, write_bandwidth.to_bits());
-            mix(&mut h, read_bandwidth.to_bits());
             mix(&mut h, utilization.to_bits());
             match sharing {
                 TierSharing::Fixed(n) => {
@@ -192,45 +181,6 @@ impl MemoryHierarchy {
             mix(&mut h, latency_secs.to_bits());
         }
         h
-    }
-
-    /// Bit-exact chain equality: `true` iff the two chains would
-    /// [`chain_hash`](Self::chain_hash) equal (same tiers, same order, every
-    /// float by its IEEE-754 bit pattern). An order of magnitude cheaper
-    /// than hashing both sides — plain compares with early exit, no FNV
-    /// mixing — which is what the delta path's per-cell stamp check needs.
-    pub fn chain_bits_eq(&self, other: &MemoryHierarchy) -> bool {
-        fn tier_bits_eq(a: &TierSpec, b: &TierSpec) -> bool {
-            let TierSpec {
-                name,
-                capacity_bytes,
-                usable_fraction,
-                write_bandwidth,
-                read_bandwidth,
-                utilization,
-                sharing,
-                latency_secs,
-            } = a;
-            let sharing_eq = match (sharing, &b.sharing) {
-                (TierSharing::Fixed(x), TierSharing::Fixed(y)) => x.to_bits() == y.to_bits(),
-                (TierSharing::NodeGpus, TierSharing::NodeGpus) => true,
-                _ => false,
-            };
-            *name == b.name
-                && *capacity_bytes == b.capacity_bytes
-                && usable_fraction.to_bits() == b.usable_fraction.to_bits()
-                && write_bandwidth.to_bits() == b.write_bandwidth.to_bits()
-                && read_bandwidth.to_bits() == b.read_bandwidth.to_bits()
-                && utilization.to_bits() == b.utilization.to_bits()
-                && sharing_eq
-                && latency_secs.to_bits() == b.latency_secs.to_bits()
-        }
-        self.tiers.len() == other.tiers.len()
-            && self
-                .tiers
-                .iter()
-                .zip(&other.tiers)
-                .all(|(a, b)| tier_bits_eq(a, b))
     }
 }
 
@@ -278,7 +228,6 @@ mod tests {
             capacity_bytes: 512 << 30,
             usable_fraction: 1.0,
             write_bandwidth: 64e9,
-            read_bandwidth: 64e9,
             utilization: 0.85,
             sharing: TierSharing::Fixed(2.0),
             latency_secs: 250e-9,

@@ -24,7 +24,6 @@ pub mod pipeline;
 pub mod pool;
 pub mod search;
 pub mod strategy;
-pub mod sweep;
 
 pub use cost::LayerTime;
 pub use strategy::{KvCachePolicy, ParallelConfig, SearchFamily, StrategyError, SystemSpec};

@@ -265,109 +265,6 @@ impl Pool {
                 .collect::<Vec<_>>(),
         )
     }
-
-    /// Like [`Self::map`], but each worker lazily builds one context with
-    /// `init` and threads it mutably through every item it executes — the
-    /// delta sweeps give each worker its own `DeltaContext` this way.
-    /// Results keep item order; *which* items share a context depends on
-    /// the steal schedule, so `f` must produce results independent of the
-    /// context's history (a pure memo, not an accumulator). On the serial
-    /// fast path a single context sees every item in submission order.
-    pub fn map_with<I, T, C>(
-        &self,
-        items: Vec<I>,
-        init: impl Fn() -> C + Sync,
-        f: impl Fn(&mut C, I) -> T + Sync,
-    ) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-    {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let helpers = if self.width <= 1 || n <= 1 {
-            0
-        } else {
-            acquire_helpers((self.width - 1).min(n - 1))
-        };
-        count_batch(n, helpers);
-        if helpers == 0 {
-            let mut ctx = init();
-            return items.into_iter().map(|item| f(&mut ctx, item)).collect();
-        }
-        let workers = helpers + 1;
-
-        let items: Vec<Mutex<Option<I>>> =
-            items.into_iter().map(|it| Mutex::new(Some(it))).collect();
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| {
-                let lo = w * n / workers;
-                let hi = (w + 1) * n / workers;
-                Mutex::new((lo..hi).collect())
-            })
-            .collect();
-
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let run_steals = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            let items = &items;
-            let queues = &queues;
-            let init = &init;
-            let f = &f;
-            let run_steals = &run_steals;
-            let handles: Vec<_> = (1..workers)
-                .map(|w| {
-                    scope.spawn(move || worker_loop_with(w, items, queues, init, f, run_steals))
-                })
-                .collect();
-            let mut done = worker_loop_with(0, items, queues, &init, &f, run_steals);
-            for h in handles {
-                done.extend(h.join().expect("pool worker panicked"));
-            }
-            for (idx, value) in done {
-                slots[idx] = Some(value);
-            }
-        });
-        release_helpers(helpers);
-        count_steals(run_steals.into_inner());
-        slots
-            .into_iter()
-            .map(|s| s.expect("every item index produced a result"))
-            .collect()
-    }
-}
-
-/// [`worker_loop`] with a lazily-built per-worker context threaded through
-/// every executed item. The context never crosses a thread boundary — it is
-/// built, used, and dropped on the worker — so it needs no `Send`.
-fn worker_loop_with<I, T, C>(
-    me: usize,
-    items: &[Mutex<Option<I>>],
-    queues: &[Mutex<VecDeque<usize>>],
-    init: &(impl Fn() -> C + Sync),
-    f: &(impl Fn(&mut C, I) -> T + Sync),
-    steals: &AtomicU64,
-) -> Vec<(usize, T)>
-where
-    I: Send,
-    T: Send,
-{
-    let mut out = Vec::new();
-    let mut ctx: Option<C> = None;
-    loop {
-        let idx = pop_own(&queues[me]).or_else(|| steal(me, queues, steals));
-        let Some(idx) = idx else { break };
-        let item = items[idx]
-            .lock()
-            .expect("item mutex poisoned")
-            .take()
-            .expect("item indices are claimed exactly once");
-        let ctx = ctx.get_or_insert_with(init);
-        out.push((idx, f(ctx, item)));
-    }
-    out
 }
 
 /// One worker: drain own deque from the front, then steal from the back of
@@ -594,48 +491,5 @@ mod tests {
     fn map_preserves_order() {
         let out = Pool::machine().map((0..100).collect::<Vec<_>>(), |x| x + 1);
         assert_eq!(out, (1..101).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_with_preserves_order_and_bounds_context_count() {
-        let inits = AtomicUsize::new(0);
-        let out = Pool::machine().map_with(
-            (0..100u64).collect::<Vec<_>>(),
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-                0u64 // per-worker scratch; results must not depend on it
-            },
-            |scratch, x| {
-                *scratch += 1;
-                x * 2
-            },
-        );
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-        let built = inits.load(Ordering::SeqCst);
-        assert!(
-            (1..=available_workers()).contains(&built),
-            "{built} contexts for {} workers",
-            available_workers()
-        );
-    }
-
-    #[test]
-    fn map_with_serial_path_threads_one_context_through_all_items() {
-        let out = Pool::new(1).map_with(
-            (0..8u64).collect::<Vec<_>>(),
-            || 0u64,
-            |seen, x| {
-                *seen += 1;
-                (*seen, x)
-            },
-        );
-        // One context, submission order: the running count is the index.
-        assert_eq!(out, (0..8).map(|x| (x + 1, x)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_with_empty_input() {
-        let out: Vec<u8> = Pool::machine().map_with(Vec::<u8>::new(), || (), |_, x| x);
-        assert!(out.is_empty());
     }
 }

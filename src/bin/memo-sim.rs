@@ -6,10 +6,9 @@
 //! memo-sim --model 7b --gpus 8 --seq 256k --all
 //! ```
 
-use memo::core::delta::{pick_best_or_failure, DeltaContext};
 use memo::core::observer::RunObserver;
 use memo::core::outcome::CellOutcome;
-use memo::core::session::Workload;
+use memo::core::session::{pick_best_or_failure, Workload};
 use memo::core::ServingEngine;
 use memo::model::config::ModelConfig;
 use memo::obs::alloc_trace::chrome_memory_counters;
@@ -51,7 +50,7 @@ OPTIONS:
     --host-mem-gib <N>                   per-node host DRAM override (GiB)
     --alpha-points <N>                   N-point dense α grid (N >= 2) over [0, 1]
                                          at the best (or fixed) MEMO strategy,
-                                         swept through the delta-simulation path
+                                         swept as one grid row (one profile, one plan)
     --mixed-policy                       per-layer mixed-policy search at the same
                                          strategy: k = 0..=L-2 swapped layers,
                                          remaining layers recomputed token-wise
@@ -213,16 +212,12 @@ impl ObsSink {
     }
 }
 
-/// Dense α grid at one MEMO strategy, swept through the delta path
-/// ([`Workload::alpha_grid_with`]): profile/plan pins plus the segment
-/// cache make the per-α cost a cache splice, not a fresh simulation.
-fn print_alpha_grid(
-    workload: &Workload,
-    cfg: &ParallelConfig,
-    points: usize,
-    ctx: &mut DeltaContext,
-) {
-    let grid = workload.alpha_grid_with(cfg, points, 2, ctx);
+/// Dense α grid at one MEMO strategy, swept as one grid row
+/// ([`Workload::run_alpha_grid`]): one profile and one plan for every α,
+/// and the segment cache makes the per-α cost a cache splice, not a fresh
+/// simulation.
+fn print_alpha_grid(workload: &Workload, cfg: &ParallelConfig, points: usize) {
+    let grid = workload.run_alpha_grid(cfg, points, 2);
     println!("α grid — {} points at MEMO {}", points, cfg.describe());
     for (alpha, rep) in &grid {
         match rep.outcome.metrics() {
@@ -235,7 +230,7 @@ fn print_alpha_grid(
             None => println!("    α={alpha:<6.4}   {}", rep.outcome.cell()),
         }
     }
-    match pick_best_or_failure(&grid) {
+    match pick_best_or_failure(&grid, |(_, rep)| &rep.outcome) {
         (Some((alpha, rep)), _) => match rep.outcome.metrics() {
             Some(m) => println!("    pick: α={alpha:.4} (TGS {:.2})", m.tgs),
             None => println!("    pick: α={alpha:.4} ({})", rep.outcome.cell()),
@@ -249,8 +244,8 @@ fn print_alpha_grid(
 
 /// Per-layer mixed-policy search at one strategy: k = 0..=L-2 layers
 /// swapped whole, the rest recomputed token-wise at the solved α.
-fn print_mixed_policy_grid(workload: &Workload, cfg: &ParallelConfig, ctx: &mut DeltaContext) {
-    let grid = workload.mixed_policy_grid_with(cfg, None, 2, ctx);
+fn print_mixed_policy_grid(workload: &Workload, cfg: &ParallelConfig) {
+    let grid = workload.run_mixed_policy_grid(cfg, None, 2);
     println!(
         "mixed-policy grid — k = 0..={} swapped layers at MEMO {}",
         grid.len().saturating_sub(1),
@@ -268,7 +263,7 @@ fn print_mixed_policy_grid(workload: &Workload, cfg: &ParallelConfig, ctx: &mut 
             None => println!("    k={k:<3}   {}", rep.outcome.cell()),
         }
     }
-    match pick_best_or_failure(&grid) {
+    match pick_best_or_failure(&grid, |(_, rep)| &rep.outcome) {
         (Some((k, rep)), _) => match rep.outcome.metrics() {
             Some(m) => println!("    pick: k={k} (TGS {:.2})", m.tgs),
             None => println!("    pick: k={k} ({})", rep.outcome.cell()),
@@ -486,9 +481,6 @@ fn main() -> ExitCode {
     };
     let mut all_ok = true;
     let mut sink = (trace_path.is_some() || report_path.is_some()).then(ObsSink::default);
-    // One delta context across every sequence length: it restamps itself on
-    // workload changes, so the grids reuse pins wherever keys still match.
-    let mut grid_ctx = DeltaContext::new();
     for s in seqs {
         let mut workload = Workload::new(model.clone(), gpus, s);
         workload.batch = batch;
@@ -530,10 +522,10 @@ fn main() -> ExitCode {
             match cfg {
                 Some(cfg) => {
                     if let Some(points) = alpha_points {
-                        print_alpha_grid(&workload, &cfg, points, &mut grid_ctx);
+                        print_alpha_grid(&workload, &cfg, points);
                     }
                     if mixed_policy {
-                        print_mixed_policy_grid(&workload, &cfg, &mut grid_ctx);
+                        print_mixed_policy_grid(&workload, &cfg);
                     }
                 }
                 None => println!("grids skipped: no feasible MEMO strategy at this length"),

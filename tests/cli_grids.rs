@@ -1,5 +1,5 @@
 //! Smoke test for the dense-grid CLI flags: run the real `memo-sim` binary
-//! with `--alpha-points` / `--mixed-policy` (the delta-simulation sweeps)
+//! with `--alpha-points` / `--mixed-policy` (the grid-row sweeps)
 //! and check that both tables and their picks come out; reject bad numeric
 //! flags of `memo-sim` and `memo-serve` with a named error.
 
