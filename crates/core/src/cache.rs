@@ -25,12 +25,12 @@ use crate::serving::{self, Pick, TenantKind};
 use crate::session::Workload;
 use memo_hal::calib::CalibFingerprint;
 use memo_model::config::ModelConfig;
+use memo_model::hash::{FxHashMap, FxHasher};
 use memo_model::trace::{IterationTrace, RematPolicy};
 use memo_parallel::strategy::ParallelConfig;
 use memo_plan::bilevel::BilevelReport;
 use memo_plan::dispatch::PlannerKind;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -107,6 +107,11 @@ pub struct PlanKey {
     planner: PlannerKind,
 }
 
+/// One lock-guarded shard of a memo table. Keys are built by the program
+/// (no crafted collisions), and the maps are never iterated, so the Fx
+/// hasher cannot move any output.
+type Shard<K, V> = Mutex<FxHashMap<K, Arc<V>>>;
+
 /// Sharded, process-wide memo table for [`profiler::profile`] and for the
 /// memory plan derived from its trace. The plan table is keyed by
 /// [`PlanKey`] — the same [`ProfileKey`] inputs plus the planner knob. A
@@ -114,9 +119,9 @@ pub struct PlanKey {
 /// workload.
 #[derive(Debug)]
 pub struct ProfileCache {
-    shards: Vec<Mutex<HashMap<ProfileKey, Arc<ProfileReport>>>>,
-    plan_shards: Vec<Mutex<HashMap<PlanKey, Arc<BilevelReport>>>>,
-    pick_shards: Vec<Mutex<HashMap<PickKey, Arc<Pick>>>>,
+    shards: Vec<Shard<ProfileKey, ProfileReport>>,
+    plan_shards: Vec<Shard<PlanKey, BilevelReport>>,
+    pick_shards: Vec<Shard<PickKey, Pick>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -225,7 +230,7 @@ impl Drop for CacheStatsScope {
 /// recovered shard is dropped wholesale — losing cached entries, never
 /// correctness (every entry is recomputable) — and the poison flag is
 /// cleared so later locks are clean.
-fn lock_shard<K, V>(shard: &Mutex<HashMap<K, V>>) -> MutexGuard<'_, HashMap<K, V>> {
+fn lock_shard<K, V>(shard: &Shard<K, V>) -> MutexGuard<'_, FxHashMap<K, Arc<V>>> {
     shard.lock().unwrap_or_else(|poisoned| {
         shard.clear_poison();
         let mut guard = poisoned.into_inner();
@@ -270,13 +275,15 @@ impl ProfileCache {
     /// distinct configs). A racing duplicate insert is harmless, because
     /// every memoized function is pure and both values are bit-identical.
     fn memo<K: Hash + Eq, V>(
-        table: &[Mutex<HashMap<K, Arc<V>>>],
+        table: &[Shard<K, V>],
         key: K,
         compute: impl FnOnce() -> V,
     ) -> (Arc<V>, bool) {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        // The shard comes from the hash's high half: an Fx hash ends in a
+        // multiply, so its low bits are the weakest.
+        let mut h = FxHasher::default();
         key.hash(&mut h);
-        let shard = &table[(h.finish() as usize) % table.len()];
+        let shard = &table[(h.finish() >> 32) as usize % table.len()];
         if let Some(hit) = lock_shard(shard).get(&key) {
             return (Arc::clone(hit), true);
         }
@@ -318,7 +325,17 @@ impl ProfileCache {
         if !use_cache {
             return Arc::new(compute());
         }
-        let key = ProfileKey::new(w, cfg, policy, materialize_logits);
+        self.profile_keyed(ProfileKey::new(w, cfg, policy, materialize_logits), compute)
+    }
+
+    /// [`Self::profile`] under a key the caller built: a grid row keeps it
+    /// for its plan lookup ([`Self::plan_keyed`]), so the row fingerprints
+    /// its calibration once.
+    pub(crate) fn profile_keyed(
+        &self,
+        key: ProfileKey,
+        compute: impl FnOnce() -> ProfileReport,
+    ) -> Arc<ProfileReport> {
         let (report, hit) = Self::memo(&self.shards, key, compute);
         self.count(hit);
         report
@@ -340,14 +357,22 @@ impl ProfileCache {
         trace: &IterationTrace,
         use_cache: bool,
     ) -> Arc<BilevelReport> {
-        let compute = || crate::planner::plan_with(trace, planner);
         if !use_cache {
-            return Arc::new(compute());
+            return Arc::new(crate::planner::plan_with(trace, planner));
         }
-        let key = PlanKey {
-            profile: ProfileKey::new(w, cfg, policy, materialize_logits),
-            planner,
-        };
+        let profile = ProfileKey::new(w, cfg, policy, materialize_logits);
+        self.plan_keyed(profile, planner, trace)
+    }
+
+    /// [`Self::plan`] under the profile's key.
+    pub(crate) fn plan_keyed(
+        &self,
+        profile: ProfileKey,
+        planner: PlannerKind,
+        trace: &IterationTrace,
+    ) -> Arc<BilevelReport> {
+        let compute = || crate::planner::plan_with(trace, planner);
+        let key = PlanKey { profile, planner };
         let (report, hit) = Self::memo(&self.plan_shards, key, compute);
         self.count(hit);
         report

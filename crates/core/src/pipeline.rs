@@ -24,7 +24,7 @@
 //! `Workload::run_mixed_policy_grid`) holds one profile and one plan for
 //! every cell of its strategy.
 
-use crate::cache::{CacheStatsScope, ProfileCache};
+use crate::cache::{CacheStatsScope, ProfileCache, ProfileKey};
 use crate::metrics::{compute_metrics, Metrics};
 use crate::observer::RunObserver;
 use crate::outcome::CellOutcome;
@@ -295,13 +295,16 @@ enum PlanSource<'a> {
     /// The global [`ProfileCache`]; `use_cache = false` recomputes the
     /// plan unconditionally.
     Lookup { use_cache: bool },
-    /// A grid row's plan, looked up in the cache by the first cell that
-    /// reaches stage 3 and held for the rest of the row. Row cells also
-    /// build their swap schedules through the global
+    /// A grid row's plan, looked up under the row's profile `key` by the
+    /// first cell that reaches stage 3 and held for the rest of the row.
+    /// Row cells also build their swap schedules through the global
     /// [`memo_swap::SegmentCache`]. The cells share one strategy, remat
     /// policy and planner, so the held plan is the one every cell would
     /// look up.
-    Row(&'a mut Option<Arc<BilevelReport>>),
+    Row {
+        key: &'a ProfileKey,
+        plan: &'a mut Option<Arc<BilevelReport>>,
+    },
 }
 
 /// What the strategy search knows about one config before stage 3
@@ -431,6 +434,20 @@ impl ExecutionPipeline {
         ProfileCache::global().profile(w, cfg, st.remat, st.materialize_logits, use_cache)
     }
 
+    /// A grid row's cached profile and the key it was looked up under,
+    /// which [`Self::execute_row`] reuses for the row's plan lookup.
+    pub(crate) fn row_profile(
+        &self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+    ) -> (Arc<ProfileReport>, ProfileKey) {
+        let (remat, logits) = (self.stages.remat, self.stages.materialize_logits);
+        let key = ProfileKey::new(w, cfg, remat, logits);
+        let compute = || crate::profiler::profile(w, cfg, remat, logits);
+        let p = ProfileCache::global().profile_keyed(key.clone(), compute);
+        (p, key)
+    }
+
     /// What the strategy search learns about `cfg` on profile `p` without
     /// running stage 3 (no plan, no allocator replay).
     ///
@@ -543,8 +560,8 @@ impl ExecutionPipeline {
     }
 
     /// One cell of a grid row: stages 2–5 on the row's profile `p`, with
-    /// the static plan held in `plan` (looked up through the cache on the
-    /// first cell that reaches stage 3). Bit-identical to
+    /// the static plan held in `plan` (looked up through the cache under
+    /// `key` on the first cell that reaches stage 3). Bit-identical to
     /// [`Self::execute_cached`]: the cache returns the same plan to every
     /// cell of the row, and the segment cache keys on every input of the
     /// schedule recurrence.
@@ -553,9 +570,10 @@ impl ExecutionPipeline {
         w: &Workload,
         cfg: &ParallelConfig,
         p: &ProfileReport,
+        key: &ProfileKey,
         plan: &mut Option<Arc<BilevelReport>>,
     ) -> ExecutionReport {
-        self.run_stages(w, cfg, p, PlanSource::Row(plan), None)
+        self.run_stages(w, cfg, p, PlanSource::Row { key, plan }, None)
     }
 
     /// The profiled head seconds under this mode's `head_scale`. `x * 1.0`
@@ -625,7 +643,7 @@ impl ExecutionPipeline {
             &plan,
             &mem,
             self.stages.derate,
-            matches!(source, PlanSource::Row(_)),
+            matches!(source, PlanSource::Row { .. }),
             obs.as_deref_mut(),
         );
         let report = self.finalize(w, cfg, &plan, &mem, sched);
@@ -973,20 +991,25 @@ fn account_memory(
         MemoryBackend::StaticPlan => {
             // The bi-level plan is a pure function of the trace, which is a
             // pure function of the profile key — memoized beside the profile.
-            let lookup = |use_cache| {
-                ProfileCache::global().plan(
-                    w,
-                    cfg,
-                    stages.remat,
-                    stages.materialize_logits,
-                    stages.planner,
-                    &p.trace,
-                    use_cache,
-                )
-            };
-            let report = match source {
-                PlanSource::Lookup { use_cache } => lookup(*use_cache),
-                PlanSource::Row(held) => Arc::clone(held.get_or_insert_with(|| lookup(true))),
+            // A row's cells borrow the plan the row holds.
+            let looked_up;
+            let report: &BilevelReport = match source {
+                PlanSource::Lookup { use_cache } => {
+                    looked_up = ProfileCache::global().plan(
+                        w,
+                        cfg,
+                        stages.remat,
+                        stages.materialize_logits,
+                        stages.planner,
+                        &p.trace,
+                        *use_cache,
+                    );
+                    &looked_up
+                }
+                PlanSource::Row { key, plan: held } => held.get_or_insert_with(|| {
+                    let key = (*key).clone();
+                    ProfileCache::global().plan_keyed(key, stages.planner, &p.trace)
+                }),
             };
             let bytes = ByteBreakdown {
                 model_states: p.model_states.total(),
@@ -1194,11 +1217,15 @@ fn oohm(e: memo_swap::tiers::OutOfTierMemory) -> CellOutcome {
 /// One staging pool per tier the plan touches: the host pool carries its
 /// legacy `.max(1)` floor, deeper pools their exact capacity shares.
 fn staging_for(w: &Workload, traffic: &TierTrafficList) -> TierStaging {
-    let mut capacities = vec![w.calib.host_capacity_per_gpu().max(1)];
-    for k in 1..traffic.len() {
-        capacities.push(w.calib.tier_capacity_per_gpu(k));
+    let n = traffic.len().max(1);
+    let mut capacities = [0u64; memo_swap::schedule::MAX_TIERS];
+    for (k, c) in capacities[..n].iter_mut().enumerate() {
+        *c = match k {
+            0 => w.calib.host_capacity_per_gpu().max(1),
+            _ => w.calib.tier_capacity_per_gpu(k),
+        };
     }
-    TierStaging::new(&capacities)
+    TierStaging::new(&capacities[..n])
 }
 
 /// The recompute family's closed-form iteration (see [`recompute_timing`]).

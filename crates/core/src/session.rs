@@ -331,12 +331,12 @@ impl Workload {
         cfg: &ParallelConfig,
         cells: impl Iterator<Item = (K, ExecutionPipeline)>,
     ) -> Vec<(K, ExecutionReport)> {
-        let mut profile: Option<Arc<ProfileReport>> = None;
+        let mut profile = None;
         let mut plan = None;
         cells
             .map(|(key, pipe)| {
-                let p = profile.get_or_insert_with(|| pipe.profile(self, cfg, true));
-                (key, pipe.execute_row(self, cfg, p, &mut plan))
+                let (p, profile_key) = profile.get_or_insert_with(|| pipe.row_profile(self, cfg));
+                (key, pipe.execute_row(self, cfg, p, profile_key, &mut plan))
             })
             .collect()
     }

@@ -1,14 +1,15 @@
-//! One Fx-style integer hasher for the workspace's hot-path maps.
+//! One Fx-style hasher for the workspace's hot-path maps.
 //!
-//! Keys are trace tensor ids and addresses the simulation generated
-//! itself, so SipHash's protection against crafted collisions buys
-//! nothing there, and a multiply-rotate hash is much cheaper.
+//! Keys are trace tensor ids, addresses, trace labels and profile-cache
+//! keys the program generated itself, so SipHash's protection against
+//! crafted collisions buys nothing there, and a multiply-rotate hash is
+//! much cheaper.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Minimal FxHash-style integer hasher. Not DoS-hardened: use it only for
-/// keys the program generated (trace ids, simulated addresses).
+/// Minimal FxHash-style hasher. Not DoS-hardened: use it only for keys the
+/// program generated (trace ids, simulated addresses, labels, cache keys).
 #[derive(Debug, Default, Clone)]
 pub struct FxHasher {
     hash: u64,
@@ -27,9 +28,16 @@ impl Hasher for FxHasher {
         self.hash
     }
 
+    /// Folds whole 8-byte little-endian words, then the tail byte by byte,
+    /// so a byte-slice key (a string, a `[u64; N]` fingerprint) costs one
+    /// multiply per word.
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
             self.add(b as u64);
         }
     }
@@ -52,3 +60,28 @@ impl Hasher for FxHasher {
 
 /// A `HashMap` keyed through [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn write_folds_little_endian_words_then_tail_bytes() {
+        let bytes: Vec<u8> = (0..29u8).map(|b| b.wrapping_mul(37) ^ 0x5a).collect();
+        for len in 0..=bytes.len() {
+            let slice = &bytes[..len];
+            let mut by_slice = FxHasher::default();
+            by_slice.write(slice);
+            let mut by_word = FxHasher::default();
+            let words = slice.chunks_exact(8);
+            let tail = words.remainder();
+            for w in words {
+                by_word.write_u64(u64::from_le_bytes(w.try_into().unwrap()));
+            }
+            for &b in tail {
+                by_word.write_u8(b);
+            }
+            assert_eq!(by_slice.finish(), by_word.finish(), "{len} bytes");
+        }
+    }
+}

@@ -18,8 +18,8 @@
 //!   shape) with real model-derived sizes, streamed via a visitor;
 //! * [`decode`] — decode-phase (serving) traces: per-step KV append,
 //!   continuous-batching arrivals/departures on a virtual step clock;
-//! * [`hash`] — the Fx integer hasher shared by the allocator's and the
-//!   DSA builder's hot-path maps.
+//! * [`hash`] — the Fx hasher shared by the allocator's and the DSA
+//!   builder's hot-path maps, the trace label table and the profile cache.
 
 pub mod activations;
 pub mod chunked;

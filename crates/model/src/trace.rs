@@ -40,6 +40,7 @@
 use crate::activations::LayerDims;
 use crate::config::ModelConfig;
 use crate::hash::FxHashMap;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Allocator operation.
@@ -67,20 +68,20 @@ impl Sym {
 
 /// Deduplicated label table of one trace. Index 0 is always the empty
 /// string, so [`Sym::EMPTY`] (and `Sym::default()`) resolve in any table.
+/// Symbols are numbered in order of first sight.
+///
+/// The generator's labels are string literals and are stored borrowed, so
+/// a generated trace's table costs its two pre-sized containers and no
+/// string allocation; labels read from a file are stored owned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceStrings {
-    strings: Vec<String>,
-    index: FxHashMap<String, u32>,
+    strings: Vec<Cow<'static, str>>,
+    index: FxHashMap<Cow<'static, str>, u32>,
 }
 
 impl Default for TraceStrings {
     fn default() -> Self {
-        let mut t = TraceStrings {
-            strings: Vec::new(),
-            index: FxHashMap::default(),
-        };
-        t.intern("");
-        t
+        Self::with_capacity(0)
     }
 }
 
@@ -89,24 +90,43 @@ impl TraceStrings {
         Self::default()
     }
 
+    /// An empty table with room for `n` labels besides the empty string.
+    fn with_capacity(n: usize) -> Self {
+        let mut t = TraceStrings {
+            strings: Vec::with_capacity(n + 1),
+            index: FxHashMap::with_capacity_and_hasher(n + 1, Default::default()),
+        };
+        t.intern_static("");
+        t
+    }
+
     /// Intern `label`, allocating only on first sight.
     pub fn intern(&mut self, label: &str) -> Sym {
-        if let Some(&i) = self.index.get(label) {
-            return Sym(i);
+        match self.index.get(label) {
+            Some(&i) => Sym(i),
+            None => self.insert(Cow::Owned(label.to_string())),
         }
+    }
+
+    /// Intern a label that lives for the whole program, without allocating.
+    fn intern_static(&mut self, label: &'static str) -> Sym {
+        match self.index.get(label) {
+            Some(&i) => Sym(i),
+            None => self.insert(Cow::Borrowed(label)),
+        }
+    }
+
+    fn insert(&mut self, label: Cow<'static, str>) -> Sym {
         let i = u32::try_from(self.strings.len()).expect("label table overflow");
-        self.strings.push(label.to_string());
-        self.index.insert(label.to_string(), i);
+        self.index.insert(label.clone(), i);
+        self.strings.push(label);
         Sym(i)
     }
 
     /// The string behind `sym` (empty string for out-of-table symbols, so a
     /// default-constructed `Sym` is always printable).
     pub fn resolve(&self, sym: Sym) -> &str {
-        self.strings
-            .get(sym.0 as usize)
-            .map(String::as_str)
-            .unwrap_or("")
+        self.strings.get(sym.0 as usize).map_or("", |s| &s[..])
     }
 
     /// Number of distinct labels (including the empty string at index 0).
@@ -838,9 +858,14 @@ impl std::error::Error for TraceError {}
 struct TraceBuilder {
     next_id: u64,
     segments: Vec<TraceSegment>,
+    /// The open segment's requests; closing a segment copies them out, so
+    /// this buffer grows once per trace.
     current: Vec<Request>,
     current_kind: Option<SegmentKind>,
-    open: FxHashMap<TensorId, u64>,
+    /// Open tensors and their sizes, oldest first. At most a few dozen are
+    /// open at once and most frees hit a recent one, so a search from the
+    /// back beats hashing.
+    open: Vec<(TensorId, u64)>,
     strings: TraceStrings,
 }
 
@@ -854,10 +879,10 @@ impl TraceBuilder {
         TraceBuilder {
             next_id: 0,
             segments: Vec::new(),
-            current: Vec::new(),
+            current: Vec::with_capacity(128),
             current_kind: None,
-            open: FxHashMap::default(),
-            strings: TraceStrings::new(),
+            open: Vec::with_capacity(32),
+            strings: TraceStrings::with_capacity(64),
         }
     }
 
@@ -870,7 +895,7 @@ impl TraceBuilder {
         let kind = self.current_kind.take().expect("no open segment");
         self.segments.push(TraceSegment {
             kind,
-            requests: std::mem::take(&mut self.current),
+            requests: self.current.drain(..).collect(),
         });
     }
 
@@ -892,18 +917,22 @@ impl TraceBuilder {
         body.collect()
     }
 
+    fn find_open(&self, id: TensorId) -> Option<usize> {
+        self.open.iter().rposition(|&(t, _)| t == id)
+    }
+
     /// Give open tensor `from` the id `to`.
     fn rename(&mut self, from: TensorId, to: TensorId) -> TensorId {
-        let bytes = self.open.remove(&from).expect("renaming an open tensor");
-        self.open.insert(to, bytes);
+        let k = self.find_open(from).expect("renaming an open tensor");
+        self.open[k].0 = to;
         to
     }
 
-    fn malloc(&mut self, bytes: u64, label: &str) -> TensorId {
+    fn malloc(&mut self, bytes: u64, label: &'static str) -> TensorId {
         let id = TensorId(self.next_id);
         self.next_id += 1;
-        self.open.insert(id, bytes);
-        let label = self.strings.intern(label);
+        self.open.push((id, bytes));
+        let label = self.strings.intern_static(label);
         self.current.push(Request {
             op: MemOp::Malloc,
             tensor: id,
@@ -913,12 +942,12 @@ impl TraceBuilder {
         id
     }
 
-    fn free(&mut self, id: TensorId, label: &str) {
-        let bytes = self
-            .open
-            .remove(&id)
+    fn free(&mut self, id: TensorId, label: &'static str) {
+        let k = self
+            .find_open(id)
             .unwrap_or_else(|| panic!("freeing unknown tensor {}", id.0));
-        let label = self.strings.intern(label);
+        let (_, bytes) = self.open.remove(k);
+        let label = self.strings.intern_static(label);
         self.current.push(Request {
             op: MemOp::Free,
             tensor: id,
@@ -1057,7 +1086,7 @@ fn classifier(b: &mut TraceBuilder, params: &TraceParams, boundary: Option<Tenso
         let probs = b.malloc(elems * 4, "softmax_probs_fp32");
         Some((logits16, logits32, probs, elems))
     } else {
-        classifier_chunks(b, params, "logits");
+        classifier_chunks(b, params, LOGIT_CHUNK_LABELS);
         None
     };
     b.end();
@@ -1072,7 +1101,7 @@ fn classifier(b: &mut TraceBuilder, params: &TraceParams, boundary: Option<Tenso
         b.free(logits16, "logits_fp16");
         b.free(grad16, "logit_grad_fp16");
     } else {
-        classifier_chunks(b, params, "logit_grad");
+        classifier_chunks(b, params, LOGIT_GRAD_CHUNK_LABELS);
     }
     let grad_boundary = b.malloc(params.dims.bsh_bytes(), "grad_final_norm");
     b.free(final_ln, "final_norm_out");
@@ -1251,7 +1280,7 @@ fn layer_backward(
     }
     let in_buffers = matches!(p.policy, RematPolicy::MemoTokenWise);
 
-    let free_skel = |b: &mut TraceBuilder, id: Option<TensorId>, label: &str| {
+    let free_skel = |b: &mut TraceBuilder, id: Option<TensorId>, label: &'static str| {
         if let Some(id) = id {
             if !in_buffers {
                 b.free(id, label);
@@ -1325,20 +1354,35 @@ fn layer_backward(
     grad_input
 }
 
+/// The (logits, softmax workspace) labels of the two representative
+/// cross-entropy chunks, forward and backward.
+const LOGIT_CHUNK_LABELS: [(&str, &str); 2] = [
+    ("logits_chunk0", "logits_softmax_ws0"),
+    ("logits_chunk1", "logits_softmax_ws1"),
+];
+const LOGIT_GRAD_CHUNK_LABELS: [(&str, &str); 2] = [
+    ("logit_grad_chunk0", "logit_grad_softmax_ws0"),
+    ("logit_grad_chunk1", "logit_grad_softmax_ws1"),
+];
+
 /// Chunked vocab-parallel cross-entropy: logits (and their gradients) only
 /// ever materialise one chunk at a time.
-fn classifier_chunks(b: &mut TraceBuilder, p: &TraceParams, what: &str) {
+fn classifier_chunks(
+    b: &mut TraceBuilder,
+    p: &TraceParams,
+    labels: [(&'static str, &'static str); 2],
+) {
     let tokens = p.dims.tokens_local;
     let chunk = p.ce_chunk_tokens.min(tokens).max(1);
     let n_chunks = tokens.div_ceil(chunk);
     // Representative first/last chunk pair keeps traces compact while
     // preserving the peak (all chunks are identical in size).
-    let reps = n_chunks.min(2);
-    for i in 0..reps {
-        let logits = b.malloc(chunk * p.vocab_local * 4, &format!("{what}_chunk{i}"));
-        let softmax_ws = b.malloc(chunk * 8, &format!("{what}_softmax_ws{i}"));
-        b.free(softmax_ws, &format!("{what}_softmax_ws{i}"));
-        b.free(logits, &format!("{what}_chunk{i}"));
+    let reps = n_chunks.min(2) as usize;
+    for (logits_label, ws_label) in labels.into_iter().take(reps) {
+        let logits = b.malloc(chunk * p.vocab_local * 4, logits_label);
+        let softmax_ws = b.malloc(chunk * 8, ws_label);
+        b.free(softmax_ws, ws_label);
+        b.free(logits, logits_label);
     }
 }
 
@@ -1773,5 +1817,87 @@ mod tests {
         }];
         let t = IterationTrace::from_segments(flat, TraceStrings::new()).unwrap();
         assert_eq!((t.layers(), t.len()), (0, segments[0].requests.len()));
+    }
+
+    /// FNV-1a over `write_trace`'s bytes.
+    fn file_digest(t: &IterationTrace) -> u64 {
+        let mut buf = Vec::new();
+        crate::io::write_trace(t, &mut buf).unwrap();
+        buf.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// `write_trace` digests of every [`grid`] entry (in order, layers
+    /// innermost), then 7B at 32K local tokens under KeepAll,
+    /// FullRecompute and MemoTokenWise. They pin every label, id, size and
+    /// segment boundary the generator emits; `io::tests::roundtrip_identity`
+    /// pins the `Sym` numbering. Re-record them only for a deliberate
+    /// change of a generated trace.
+    const DIGESTS: [u64; 39] = [
+        0xfd7c_37a2_6592_5033,
+        0x0a20_af42_4a3e_325f,
+        0x5d1a_1313_00ae_6269,
+        0x77fd_83d4_a47f_53bf,
+        0xa7a2_19ee_3335_730b,
+        0x7457_d07a_7456_2c73,
+        0xc227_34fb_3817_662d,
+        0x5a92_6943_48db_297f,
+        0x103d_dcdf_a76b_03c1,
+        0x9bb6_d5fc_6c40_a731,
+        0x934a_38fd_e042_4c3d,
+        0x3ff4_34dc_099a_1fa3,
+        0xce7c_7fdb_d423_83c2,
+        0x5a46_9aba_9998_b96d,
+        0x4d27_2833_903d_5614,
+        0xc119_904d_a189_f290,
+        0x4a49_0150_e01d_d523,
+        0xca46_78e6_d742_4832,
+        0x4e13_0756_4ec1_93b8,
+        0x8286_251e_77eb_c29d,
+        0x14c9_3030_17e8_48c0,
+        0xf1c8_729c_aa93_d610,
+        0xca83_d266_49e5_7457,
+        0xf3a4_bc6b_26c6_17b2,
+        0xd666_1305_65f4_a2fe,
+        0x01b5_9cdd_8ffa_7242,
+        0x7138_73a7_f745_bac0,
+        0x9966_8399_5a21_7cfe,
+        0x1bd1_b762_c92c_e23c,
+        0x58dd_268e_273c_aef6,
+        0xcb11_d4fd_b42e_49b8,
+        0x10e7_a673_5efd_2e2c,
+        0x7f50_84ee_c753_d3b6,
+        0xb14b_5c20_cb0a_c578,
+        0x60e0_fe36_aff5_0474,
+        0x440f_abc9_085d_f26c,
+        0xb76e_f263_0e5e_ced9,
+        0x3293_01b6_0797_5a69,
+        0x5443_45a1_a37c_85fc,
+    ];
+
+    #[test]
+    fn generated_traces_match_the_recorded_digests() {
+        let mut cases = grid();
+        for policy in [
+            RematPolicy::KeepAll,
+            RematPolicy::FullRecompute,
+            RematPolicy::MemoTokenWise,
+        ] {
+            let m = ModelConfig::gpt_7b();
+            let dims = LayerDims::new(32 * 1024, &m, DType::BF16);
+            cases.push(TraceParams::new(&m, dims, policy));
+        }
+        assert_eq!(cases.len(), DIGESTS.len());
+        for (p, &want) in cases.iter().zip(&DIGESTS) {
+            let case = (
+                p.model.name,
+                p.policy,
+                p.comm_factor,
+                p.materialize_logits,
+                p.model.n_layers,
+            );
+            assert_eq!(file_digest(&generate(p)), want, "{case:?}");
+        }
     }
 }

@@ -299,24 +299,35 @@ impl ParallelConfig {
 
     /// Human-readable strategy string, e.g. `TP4·CP2·DP1` or `SP8·DP4·Z3`.
     pub fn describe(&self) -> String {
-        let mut parts = Vec::new();
-        if self.ulysses > 1 {
-            parts.push(format!("SP{}", self.ulysses));
+        use std::fmt::Write as _;
+        let z = usize::from(self.zero_stage);
+        let parts = [
+            ("SP", self.ulysses, self.ulysses > 1),
+            ("TP", self.tp, self.tp > 1),
+            ("CP", self.cp, self.cp > 1),
+            ("PP", self.pp, self.pp > 1),
+            ("DP", self.dp, true),
+            ("Z", z, z > 0),
+        ];
+        // One string, written in place, single digits without the
+        // formatter: every successful cell of a search or grid row
+        // describes its strategy.
+        let mut out = String::with_capacity(24);
+        for (tag, degree, shown) in parts {
+            if !shown {
+                continue;
+            }
+            if !out.is_empty() {
+                out.push('·');
+            }
+            out.push_str(tag);
+            if degree < 10 {
+                out.push(char::from(b'0' + degree as u8));
+            } else {
+                let _ = write!(out, "{degree}");
+            }
         }
-        if self.tp > 1 {
-            parts.push(format!("TP{}", self.tp));
-        }
-        if self.cp > 1 {
-            parts.push(format!("CP{}", self.cp));
-        }
-        if self.pp > 1 {
-            parts.push(format!("PP{}", self.pp));
-        }
-        parts.push(format!("DP{}", self.dp));
-        if self.zero_stage > 0 {
-            parts.push(format!("Z{}", self.zero_stage));
-        }
-        parts.join("·")
+        out
     }
 }
 
@@ -414,6 +425,7 @@ mod tests {
             "TP4·CP2·DP1·Z1"
         );
         assert_eq!(ParallelConfig::ulysses(8, 2).describe(), "SP8·DP2·Z3");
+        assert_eq!(ParallelConfig::dp_only(16).describe(), "DP16·Z1");
     }
 
     #[test]
