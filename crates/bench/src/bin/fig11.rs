@@ -5,7 +5,6 @@
 
 use memo_core::profiler;
 use memo_core::session::Workload;
-use memo_hal::engine::RecordLevel;
 use memo_hal::time::SimTime;
 use memo_hal::timeline::render_ascii;
 use memo_model::config::ModelConfig;
@@ -45,8 +44,8 @@ fn main() {
         );
         let mut host = TierStaging::unbounded(1);
         let layout = LayerSegment::uniform(n, 2, costs);
-        let out = build_schedule(&layout, SimTime::ZERO, &mut host, 2, RecordLevel::Full)
-            .expect("host unconstrained here");
+        let out =
+            build_schedule(&layout, SimTime::ZERO, &mut host, 2).expect("host unconstrained here");
         println!("--- {label}");
         print!("{}", render_ascii(&out.timeline, 110));
         println!(

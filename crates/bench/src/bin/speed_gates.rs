@@ -9,7 +9,7 @@
 //! workspace tests on the same cells (`memo_bench::inputs`); this bin only
 //! times them:
 //!
-//! * the iteration-simulation fast path (`RecordLevel::CursorOnly` with
+//! * the iteration-simulation fast path (`build_schedule_scalars`, with
 //!   steady-state splicing) ≥ 3× the reference engine at MEMO@1M;
 //! * paged KV replay ≥ 3× the caching allocator's realloc pattern at
 //!   13B@256K;
@@ -37,7 +37,6 @@ use memo_bench::inputs::{kv_cell, memo_grid, replay_traces, sim_inputs, KvCell, 
 use memo_core::cache::ProfileCache;
 use memo_core::pipeline::{ExecutionPipeline, ExecutionReport};
 use memo_core::session::{SearchOptions, Workload};
-use memo_hal::engine::RecordLevel;
 use memo_model::chunked::ChunkedParams;
 use memo_model::config::ModelConfig;
 use memo_model::decode::DecodeEvent;
@@ -93,7 +92,7 @@ fn sim_gate() -> bool {
         black_box(si.reference());
     });
     let fast_ms = mean_ms(reps, || {
-        black_box(si.schedule(RecordLevel::CursorOnly));
+        black_box(si.scalars());
     });
     let speedup = reference_ms / fast_ms.max(1e-12);
     gate(

@@ -2,7 +2,6 @@
 //! `speed_gates` bin, so a gate times exactly the cells a test checks.
 
 use memo_core::session::Workload;
-use memo_hal::engine::RecordLevel;
 use memo_hal::time::SimTime;
 use memo_model::config::ModelConfig;
 use memo_model::decode::{generate_decode, DecodeParams, DecodeTrace};
@@ -11,7 +10,8 @@ use memo_parallel::search;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 use memo_swap::reference::ReferenceScheduleOutcome;
 use memo_swap::schedule::{
-    build_schedule, LayerCosts, LayerSegment, ScheduleOutcome, TierTraffic, TierTrafficList,
+    build_schedule, build_schedule_scalars, LayerCosts, LayerSegment, ScalarSchedule,
+    ScheduleOutcome, TierTraffic, TierTrafficList,
 };
 use memo_swap::tiers::TierStaging;
 
@@ -71,12 +71,21 @@ impl SimInputs {
         .expect("host fits")
     }
 
-    /// The schedule on the interned engine at `level` (`CursorOnly` may
-    /// splice steady-state layers).
-    pub fn schedule(&self, level: RecordLevel) -> ScheduleOutcome {
+    /// The schedule recorded on the interned engine.
+    pub fn schedule(&self) -> ScheduleOutcome {
         let mut host = TierStaging::single(self.host_capacity);
         let layout = LayerSegment::uniform(self.n_layers, self.slots, self.costs);
-        build_schedule(&layout, self.t_head, &mut host, self.slots, level).expect("host fits")
+        build_schedule(&layout, self.t_head, &mut host, self.slots).expect("host fits")
+    }
+
+    /// The scalar schedule (steady-state layers spliced) and its host
+    /// staging peak.
+    pub fn scalars(&self) -> (ScalarSchedule, u64) {
+        let mut host = TierStaging::single(self.host_capacity);
+        let layout = LayerSegment::uniform(self.n_layers, self.slots, self.costs);
+        let s =
+            build_schedule_scalars(&layout, self.t_head, &mut host, self.slots).expect("host fits");
+        (s, host.host_peak())
     }
 }
 

@@ -33,7 +33,7 @@ use crate::session::Workload;
 use memo_alloc::caching::CachingAllocator;
 use memo_alloc::snapshot::replay_peak;
 use memo_alloc::AllocError;
-use memo_hal::engine::{RecordLevel, Timeline};
+use memo_hal::engine::Timeline;
 use memo_hal::time::SimTime;
 use memo_model::trace::RematPolicy;
 use memo_parallel::comm;
@@ -1341,44 +1341,42 @@ fn build_schedule(
             let mut staging = staging_for(w, &traffic);
             let recompute = swap_layers as f64 * t_recompute + rec as f64 * lt.fwd();
             let t_head = SimTime::from_secs_f64(head_secs);
-            if obs.is_none() && segment_cache {
-                // Grid rows: the memoized cursor-only recurrence. No
-                // timeline is materialised at all — makespan, busy, idle,
-                // and the staging peak come straight off the scalars.
-                let s = memo_swap::SegmentCache::global()
-                    .schedule_cursor_only(&segments, t_head, &mut staging, slots)
+            if let Some(o) = obs {
+                // Observed runs record the Figure-11 timeline. The
+                // three-stream schedule already *is* a timeline; hand it
+                // over instead of letting the pipeline drop it.
+                let sched = memo_swap::build_schedule(&segments, t_head, &mut staging, slots)
                     .map_err(oohm)?;
+                o.timeline = Some(sched.timeline);
                 return Ok(finish_swap(
-                    s.makespan(),
-                    s.compute_busy,
-                    s.compute_idle(),
-                    staging.host_peak(),
+                    sched.makespan,
+                    sched.compute_busy,
+                    sched.compute_idle,
+                    sched.host_peak,
                     recompute,
                 ));
             }
-            // Unobserved runs — the strategy search's inner loop — take the
-            // cursor-only fast path (steady-state layer splicing, no spans);
-            // observed runs keep the fully recorded Figure-11 timeline. The
-            // two are bit-identical on every metric (swap's differential
+            // Unobserved runs (the strategy search's inner loop, grid rows)
+            // read the scalar recurrence: steady-state layer splicing, no
+            // timeline at all. Grid rows memoize it. It is bit-identical to
+            // the recorded build on every metric (swap's differential
             // suite), so the choice is invisible to the outcome.
-            let level = if obs.is_some() {
-                RecordLevel::Full
+            let s = if segment_cache {
+                memo_swap::SegmentCache::global().schedule_cursor_only(
+                    &segments,
+                    t_head,
+                    &mut staging,
+                    slots,
+                )
             } else {
-                RecordLevel::CursorOnly
-            };
-            let mut sched =
-                memo_swap::build_schedule(&segments, t_head, &mut staging, slots, level)
-                    .map_err(oohm)?;
-            if let Some(o) = obs {
-                // The three-stream schedule already *is* a timeline; hand
-                // it over instead of letting the pipeline drop it.
-                o.timeline = Some(std::mem::take(&mut sched.timeline));
+                memo_swap::build_schedule_scalars(&segments, t_head, &mut staging, slots)
             }
+            .map_err(oohm)?;
             Ok(finish_swap(
-                sched.makespan,
-                sched.compute_busy,
-                sched.compute_idle,
-                sched.host_peak,
+                s.makespan(),
+                s.compute_busy,
+                s.compute_idle(),
+                staging.host_peak(),
                 recompute,
             ))
         }

@@ -1,6 +1,6 @@
 //! Per-rank timelines with collective synchronisation.
 
-use memo_hal::engine::{EventId, RecordLevel, StreamId, Timeline};
+use memo_hal::engine::{EventId, StreamId, Timeline};
 use memo_hal::time::SimTime;
 use std::fmt;
 
@@ -16,18 +16,12 @@ pub struct ClusterTimeline {
 
 impl ClusterTimeline {
     pub fn new(world: usize) -> Self {
-        Self::with_recording(world, RecordLevel::Full)
-    }
-
-    /// A cluster whose per-rank timelines record at `level`
-    /// ([`RecordLevel::CursorOnly`] for makespan-only sweeps).
-    pub fn with_recording(world: usize, level: RecordLevel) -> Self {
         let mut timelines = Vec::with_capacity(world);
         let mut compute = Vec::with_capacity(world);
         let mut offload = Vec::with_capacity(world);
         let mut prefetch = Vec::with_capacity(world);
         for _ in 0..world {
-            let mut tl = Timeline::with_recording(level);
+            let mut tl = Timeline::new();
             compute.push(tl.add_stream("compute"));
             offload.push(tl.add_stream("offload"));
             prefetch.push(tl.add_stream("prefetch"));
@@ -50,8 +44,7 @@ impl ClusterTimeline {
         self.timelines[rank].enqueue(self.compute[rank], dur, label)
     }
 
-    /// [`Self::compute`] with a lazily formatted label (never formatted at
-    /// cursor-only recording).
+    /// [`Self::compute`] with a formatted label.
     pub fn compute_fmt(&mut self, rank: usize, dur: SimTime, label: fmt::Arguments<'_>) -> SimTime {
         self.timelines[rank].enqueue_fmt(self.compute[rank], dur, label)
     }

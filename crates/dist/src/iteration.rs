@@ -177,7 +177,6 @@ mod tests {
         };
         let dist = run_distributed_iteration(&grid(4, 2, 1), &spec);
 
-        use memo_hal::engine::RecordLevel;
         use memo_swap::schedule::{build_schedule, LayerCosts, LayerSegment};
         use memo_swap::tiers::TierStaging;
         let costs = LayerCosts::single_tier(
@@ -189,8 +188,7 @@ mod tests {
         );
         let mut host = TierStaging::unbounded(1);
         let layout = LayerSegment::uniform(spec.layers, 2, costs);
-        let single =
-            build_schedule(&layout, SimTime::ZERO, &mut host, 2, RecordLevel::Full).unwrap();
+        let single = build_schedule(&layout, SimTime::ZERO, &mut host, 2).unwrap();
         // The distributed run omits the backward prefetch waits, which are
         // fully hidden at these costs, so the makespans must agree exactly.
         assert_eq!(dist.makespan, single.makespan);

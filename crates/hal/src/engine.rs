@@ -12,26 +12,22 @@
 //! resolve all timestamps greedily at enqueue time: each operation starts at
 //! `max(stream cursor, pending event times)` and ends `duration` later.
 //!
-//! # The fast path
+//! # Recording
 //!
-//! The planner replays a full simulated iteration through this engine for
-//! *every* strategy it evaluates, so the per-op constant factor is the
-//! simulator's hot path. Three mechanisms keep it lean (DESIGN.md §2e):
+//! Every timeline records every span and mark, for Figure-11 rendering and
+//! Chrome-trace export. Runs that need only the numbers (the strategy
+//! search, unobserved pipeline runs) do not come here at all: they read
+//! `memo_swap::build_schedule_scalars`, the closed-form recurrence over the
+//! same schedule (DESIGN.md §2e). Two mechanisms keep a recorded run lean:
 //!
 //! * **Interned labels.** Spans carry a 4-byte [`Sym`] into a per-timeline
 //!   [`SymTable`] instead of a heap `String`; a distinct label is formatted
 //!   and allocated once per timeline, not once per op. Resolution back to
 //!   `&str` ([`Timeline::label`], [`Timeline::span_label`]) happens only at
 //!   render/export time.
-//! * **Recording levels.** [`RecordLevel::Full`] (the default) keeps every
-//!   span and mark for Figure-11 rendering and Chrome-trace export.
-//!   [`RecordLevel::CursorOnly`] — the search inner loop — tracks only
-//!   stream cursors, per-stream busy time, and event times: `enqueue`
-//!   becomes a handful of integer ops with no allocation at all, and
-//!   [`Timeline::enqueue_fmt`] skips even the label formatting.
 //! * **Arena pre-sizing.** [`Timeline::reserve_ops`] pre-sizes the
-//!   span/mark/event vectors from the profiled op count so a full-recording
-//!   replay performs no mid-run reallocation.
+//!   span/mark/event vectors from the profiled op count so a replay
+//!   performs no mid-run reallocation.
 //!
 //! The pre-fast-path engine is kept verbatim as [`crate::reference`]; the
 //! differential suites drive both in lockstep.
@@ -176,64 +172,6 @@ impl SymTable {
     }
 }
 
-/// How much of the execution a [`Timeline`] records.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RecordLevel {
-    /// Keep every span and mark (Figure-11 rendering, `--trace` export).
-    #[default]
-    Full,
-    /// Track only stream cursors, busy time, and event times — the search
-    /// inner loop, where only end-times and the makespan matter. Spans and
-    /// marks are not recorded and labels are never formatted.
-    CursorOnly,
-}
-
-/// A captured per-stream `(cursor, busy)` advance — the cursor-level
-/// summary of a simulated region, recordable at any [`RecordLevel`] and
-/// re-applicable to a compatible timeline through the splice primitives
-/// ([`Timeline::advance_cursor`] / [`Timeline::add_busy`]). This is what
-/// the delta-simulation layer memoizes: simulate a schedule once, capture
-/// it, and splice the capture into later timelines without replaying the
-/// event machinery.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CursorSegment {
-    /// Per-stream `(cursor_advance, busy_advance)`, in stream order.
-    advances: Vec<(SimTime, SimTime)>,
-}
-
-impl CursorSegment {
-    /// A segment from explicit per-stream `(cursor, busy)` advances.
-    pub fn from_advances(advances: Vec<(SimTime, SimTime)>) -> Self {
-        CursorSegment { advances }
-    }
-
-    /// The advance of `end` over `start`, both captured from the same
-    /// timeline (`start` earlier): per-stream cursor/busy deltas. Streams
-    /// created after `start` was taken contribute their full totals.
-    pub fn between(start: &CursorSegment, end: &CursorSegment) -> CursorSegment {
-        assert!(
-            start.advances.len() <= end.advances.len(),
-            "start snapshot has more streams than end"
-        );
-        CursorSegment {
-            advances: end
-                .advances
-                .iter()
-                .enumerate()
-                .map(|(i, &(c, b))| match start.advances.get(i) {
-                    Some(&(c0, b0)) => (c.saturating_sub(c0), b.saturating_sub(b0)),
-                    None => (c, b),
-                })
-                .collect(),
-        }
-    }
-
-    /// Per-stream `(cursor_advance, busy_advance)`, in stream order.
-    pub fn advances(&self) -> &[(SimTime, SimTime)] {
-        &self.advances
-    }
-}
-
 /// One executed operation, kept for timeline rendering and assertions.
 /// `Copy`: 32 bytes, no heap — the label is an interned [`Sym`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -272,7 +210,7 @@ struct Stream {
     name: String,
     cursor: SimTime,
     /// Sum of enqueued op durations (kept incrementally so `busy_time` is
-    /// O(1) and works at every recording level).
+    /// O(1)).
     busy: SimTime,
     /// Event times this stream must wait for before its next op.
     pending_waits: Vec<SimTime>,
@@ -301,48 +239,26 @@ pub struct Timeline {
     spans: Vec<Span>,
     marks: Vec<Mark>,
     syms: SymTable,
-    recording: RecordLevel,
     /// Reused by [`Self::intern_fmt`] so repeated labels format without
     /// allocating.
     scratch: String,
 }
 
 impl Timeline {
-    /// A full-recording timeline (the historical behaviour).
+    /// An empty timeline.
     pub fn new() -> Self {
         Timeline::default()
     }
 
-    /// A timeline at an explicit [`RecordLevel`].
-    pub fn with_recording(recording: RecordLevel) -> Self {
-        Timeline {
-            recording,
-            ..Timeline::default()
-        }
-    }
-
-    /// The active recording level.
-    pub fn recording(&self) -> RecordLevel {
-        self.recording
-    }
-
-    /// True when spans and marks are being kept ([`RecordLevel::Full`]).
-    pub fn records_spans(&self) -> bool {
-        self.recording == RecordLevel::Full
-    }
-
     /// Pre-size the span/mark/event arenas for a replay of known shape so
-    /// the hot loop never reallocates (no-op for the skipped vectors at
-    /// [`RecordLevel::CursorOnly`]).
+    /// the hot loop never reallocates.
     pub fn reserve_ops(&mut self, spans: usize, marks: usize, events: usize) {
         self.events.reserve(events);
-        if self.records_spans() {
-            self.spans.reserve(spans);
-            self.marks.reserve(marks);
-            // Every distinct label sits on at least one span, so `spans`
-            // bounds the symbol-table growth too.
-            self.syms.reserve(spans);
-        }
+        self.spans.reserve(spans);
+        self.marks.reserve(marks);
+        // Every distinct label sits on at least one span, so `spans`
+        // bounds the symbol-table growth too.
+        self.syms.reserve(spans);
     }
 
     /// Create a stream with a human-readable name (e.g. "compute").
@@ -386,12 +302,8 @@ impl Timeline {
 
     /// Intern a formatted label, reusing an internal scratch buffer —
     /// repeat labels cost a format into existing capacity plus a table
-    /// lookup, with no allocation. Returns [`Sym::EMPTY`] without
-    /// formatting at [`RecordLevel::CursorOnly`].
+    /// lookup, with no allocation.
     pub fn intern_fmt(&mut self, args: fmt::Arguments<'_>) -> Sym {
-        if !self.records_spans() {
-            return Sym::EMPTY;
-        }
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         let _ = scratch.write_fmt(args);
@@ -425,17 +337,12 @@ impl Timeline {
         duration: SimTime,
         label: impl AsRef<str>,
     ) -> SimTime {
-        let sym = if self.records_spans() {
-            self.syms.intern(label.as_ref())
-        } else {
-            Sym::EMPTY
-        };
+        let sym = self.syms.intern(label.as_ref());
         self.enqueue_sym(stream, duration, sym)
     }
 
-    /// [`Self::enqueue`] with a lazily formatted label: at
-    /// [`RecordLevel::CursorOnly`] the arguments are never formatted, so
-    /// the per-op cost is pure cursor arithmetic.
+    /// [`Self::enqueue`] with a formatted label, interned through
+    /// [`Self::intern_fmt`].
     pub fn enqueue_fmt(
         &mut self,
         stream: StreamId,
@@ -457,64 +364,13 @@ impl Timeline {
         let end = start + duration;
         s.cursor = end;
         s.busy += duration;
-        if self.recording == RecordLevel::Full {
-            self.spans.push(Span {
-                stream,
-                start,
-                end,
-                label,
-            });
-        }
+        self.spans.push(Span {
+            stream,
+            start,
+            end,
+            label,
+        });
         end
-    }
-
-    /// Advance a stream's cursor to `max(cursor, to)` without recording an
-    /// op — the splice primitive: steady-state layer splicing computes a
-    /// run of op end-times analytically and lands the cursor here. Pending
-    /// waits are drained into the cursor exactly as an enqueue would.
-    pub fn advance_cursor(&mut self, stream: StreamId, to: SimTime) {
-        let s = &mut self.streams[stream.0];
-        let mut cur = s.cursor;
-        for w in s.pending_waits.drain(..) {
-            cur = cur.max(w);
-        }
-        s.cursor = cur.max(to);
-    }
-
-    /// Credit busy time to a stream for ops accounted analytically (the
-    /// splice counterpart of the per-enqueue accumulation).
-    pub fn add_busy(&mut self, stream: StreamId, busy: SimTime) {
-        self.streams[stream.0].busy += busy;
-    }
-
-    /// Snapshot every stream's `(cursor, busy)` totals as a
-    /// [`CursorSegment`] relative to time zero. Works at every
-    /// [`RecordLevel`]: only the O(1) cursor/busy accumulators are read.
-    pub fn capture_segment(&self) -> CursorSegment {
-        CursorSegment {
-            advances: self.streams.iter().map(|s| (s.cursor, s.busy)).collect(),
-        }
-    }
-
-    /// Splice a captured segment into this timeline: each stream's cursor
-    /// advances by the segment's cursor delta (through
-    /// [`Self::advance_cursor`], so pending waits drain exactly as an
-    /// enqueue would) and its busy accumulator by the busy delta. The
-    /// segment may cover a prefix of the streams; covering more streams
-    /// than exist panics.
-    pub fn apply_segment(&mut self, seg: &CursorSegment) {
-        assert!(
-            seg.advances.len() <= self.streams.len(),
-            "segment covers {} streams, timeline has {}",
-            seg.advances.len(),
-            self.streams.len()
-        );
-        for (i, &(cursor, busy)) in seg.advances.iter().enumerate() {
-            let id = StreamId(i);
-            let to = self.streams[i].cursor + cursor;
-            self.advance_cursor(id, to);
-            self.add_busy(id, busy);
-        }
     }
 
     /// Record an event capturing the stream's current completion time.
@@ -532,13 +388,11 @@ impl Timeline {
         };
         self.events.push(t);
         let id = EventId(self.events.len() - 1);
-        if self.recording == RecordLevel::Full {
-            self.marks.push(Mark {
-                stream,
-                time: t,
-                kind: MarkKind::Record(id),
-            });
-        }
+        self.marks.push(Mark {
+            stream,
+            time: t,
+            kind: MarkKind::Record(id),
+        });
         id
     }
 
@@ -551,41 +405,35 @@ impl Timeline {
     pub fn wait_event(&mut self, stream: StreamId, event: EventId) {
         let t = self.events[event.0];
         self.streams[stream.0].pending_waits.push(t);
-        if self.recording == RecordLevel::Full {
-            self.marks.push(Mark {
-                stream,
-                time: t,
-                kind: MarkKind::Wait(event),
-            });
-        }
+        self.marks.push(Mark {
+            stream,
+            time: t,
+            kind: MarkKind::Wait(event),
+        });
     }
 
     /// Stall `stream` until an absolute time (used for host-side waits).
     pub fn wait_until(&mut self, stream: StreamId, time: SimTime) {
         self.streams[stream.0].pending_waits.push(time);
-        if self.recording == RecordLevel::Full {
-            self.marks.push(Mark {
-                stream,
-                time,
-                kind: MarkKind::WaitUntil,
-            });
-        }
+        self.marks.push(Mark {
+            stream,
+            time,
+            kind: MarkKind::WaitUntil,
+        });
     }
 
-    /// All recorded spans, in enqueue order (empty at
-    /// [`RecordLevel::CursorOnly`]).
+    /// All recorded spans, in enqueue order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
     }
 
-    /// All instantaneous marks (event records and waits), in call order
-    /// (empty at [`RecordLevel::CursorOnly`]).
+    /// All instantaneous marks (event records and waits), in call order.
     pub fn marks(&self) -> &[Mark] {
         &self.marks
     }
 
     /// Total busy time of one stream (sum of op durations). O(1): kept
-    /// incrementally, so it is exact at every recording level.
+    /// incrementally.
     pub fn busy_time(&self, stream: StreamId) -> SimTime {
         self.streams[stream.0].busy
     }
@@ -599,10 +447,6 @@ impl Timeline {
     ///
     /// * spans on one stream do not overlap and appear in time order;
     /// * no span has negative duration.
-    ///
-    /// Vacuously true at [`RecordLevel::CursorOnly`] (no spans recorded);
-    /// the differential suite covers cursor-only replays against a
-    /// full-recording lockstep run instead.
     pub fn check_causality(&self) -> Result<(), CausalityError> {
         let mut last_end: Vec<SimTime> = vec![SimTime::ZERO; self.streams.len()];
         for sp in &self.spans {
@@ -781,66 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_only_skips_spans_marks_and_labels() {
-        let mut full = Timeline::new();
-        let mut lean = Timeline::with_recording(RecordLevel::CursorOnly);
-        for tl in [&mut full, &mut lean] {
-            let c = tl.add_stream("compute");
-            let o = tl.add_stream("offload");
-            tl.enqueue_fmt(c, ms(10), format_args!("fwd L{}", 0));
-            let ev = tl.record_event(c);
-            tl.wait_event(o, ev);
-            tl.enqueue(o, ms(25), "off L0");
-            let off = tl.record_event(o);
-            tl.wait_event(c, off);
-            tl.enqueue(c, ms(10), "fwd L1");
-        }
-        assert!(lean.spans().is_empty() && lean.marks().is_empty());
-        assert_eq!(lean.symbols().len(), 1, "no labels interned");
-        assert_eq!(lean.makespan(), full.makespan());
-        for s in 0..2 {
-            let sid = StreamId(s);
-            assert_eq!(lean.stream_cursor(sid), full.stream_cursor(sid));
-            assert_eq!(lean.busy_time(sid), full.busy_time(sid));
-        }
-        assert_eq!(lean.event_time(EventId(0)), full.event_time(EventId(0)));
-        lean.check_causality().unwrap(); // vacuous but must not panic
-    }
-
-    #[test]
-    fn advance_cursor_and_add_busy_splice() {
-        // A spliced stream must be indistinguishable (cursor/busy/makespan)
-        // from one that enqueued the same ops.
-        let mut looped = Timeline::with_recording(RecordLevel::CursorOnly);
-        let s = looped.add_stream("compute");
-        for _ in 0..8 {
-            looped.enqueue_sym(s, ms(10), Sym::EMPTY);
-        }
-        let mut spliced = Timeline::with_recording(RecordLevel::CursorOnly);
-        let t = spliced.add_stream("compute");
-        spliced.enqueue_sym(t, ms(10), Sym::EMPTY);
-        spliced.advance_cursor(t, ms(80));
-        spliced.add_busy(t, ms(70));
-        assert_eq!(spliced.stream_cursor(t), looped.stream_cursor(s));
-        assert_eq!(spliced.busy_time(t), looped.busy_time(s));
-        assert_eq!(spliced.makespan(), looped.makespan());
-    }
-
-    #[test]
-    fn advance_cursor_drains_pending_waits() {
-        let mut tl = Timeline::new();
-        let a = tl.add_stream("a");
-        let b = tl.add_stream("b");
-        tl.enqueue(a, ms(50), "x");
-        let ev = tl.record_event(a);
-        tl.wait_event(b, ev);
-        tl.advance_cursor(b, ms(20)); // wait (50) dominates the target
-        assert_eq!(tl.stream_cursor(b), ms(50));
-        tl.enqueue(b, ms(5), "y");
-        assert_eq!(tl.stream_cursor(b), ms(55), "wait must not re-apply");
-    }
-
-    #[test]
     fn reserve_ops_is_observably_inert() {
         let mut tl = Timeline::new();
         let s = tl.add_stream("s");
@@ -848,55 +632,5 @@ mod tests {
         tl.enqueue(s, ms(1), "op");
         assert_eq!(tl.spans().len(), 1);
         assert_eq!(tl.makespan(), ms(1));
-    }
-
-    #[test]
-    fn captured_segment_splices_bit_exactly() {
-        // Simulate a two-stream region, capture it, and splice the capture
-        // into a fresh cursor-only timeline: cursors, busy totals and the
-        // makespan must be bit-identical to the simulated original.
-        let mut sim = Timeline::with_recording(RecordLevel::CursorOnly);
-        let a = sim.add_stream("a");
-        let b = sim.add_stream("b");
-        let start = sim.capture_segment();
-        sim.enqueue(a, ms(30), "x");
-        let ev = sim.record_event(a);
-        sim.wait_event(b, ev);
-        sim.enqueue(b, ms(12), "y");
-        let seg = CursorSegment::between(&start, &sim.capture_segment());
-
-        let mut fresh = Timeline::with_recording(RecordLevel::CursorOnly);
-        let fa = fresh.add_stream("a");
-        let fb = fresh.add_stream("b");
-        fresh.apply_segment(&seg);
-        assert_eq!(fresh.stream_cursor(fa), sim.stream_cursor(a));
-        assert_eq!(fresh.stream_cursor(fb), sim.stream_cursor(b));
-        assert_eq!(fresh.busy_time(fa), sim.busy_time(a));
-        assert_eq!(fresh.busy_time(fb), sim.busy_time(b));
-        assert_eq!(fresh.makespan(), sim.makespan());
-    }
-
-    #[test]
-    fn segment_between_handles_streams_added_after_start() {
-        let mut tl = Timeline::with_recording(RecordLevel::CursorOnly);
-        let a = tl.add_stream("a");
-        let start = tl.capture_segment();
-        tl.enqueue(a, ms(5), "x");
-        let b = tl.add_stream("b");
-        tl.enqueue(b, ms(7), "y");
-        let seg = CursorSegment::between(&start, &tl.capture_segment());
-        assert_eq!(seg.advances(), &[(ms(5), ms(5)), (ms(7), ms(7))]);
-    }
-
-    #[test]
-    fn apply_segment_accumulates_relative_advances() {
-        let mut tl = Timeline::with_recording(RecordLevel::CursorOnly);
-        let s = tl.add_stream("s");
-        tl.enqueue(s, ms(10), "pre");
-        let seg = CursorSegment::from_advances(vec![(ms(4), ms(3))]);
-        tl.apply_segment(&seg);
-        tl.apply_segment(&seg);
-        assert_eq!(tl.stream_cursor(s), ms(18));
-        assert_eq!(tl.busy_time(s), ms(16));
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! `speed_gates` times this engine against the fast path, and the
 //! differential suites in `crates/hal/tests` and `crates/swap/tests` drive
-//! both in lockstep asserting bit-identical makespans, cursors, and (at
-//! full recording) span/mark streams. Do not optimise this module.
+//! both in lockstep asserting bit-identical makespans, cursors, and
+//! span/mark streams. Do not optimise this module.
 //!
 //! Stream/event identifiers and [`MarkKind`] are shared with the new engine
 //! so state machines typed on them (e.g. `RoundingBuffers`) drive either.

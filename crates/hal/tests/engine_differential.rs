@@ -2,13 +2,11 @@
 //! the verbatim pre-fast-path engine (`memo_hal::reference`), driven in
 //! lockstep over scripted and pseudo-random op streams.
 //!
-//! At full recording the two must agree bit-for-bit on makespans, stream
-//! cursors, event times, busy/idle times, and the complete span and mark
-//! streams (labels compared after symbol resolution). At cursor-only
-//! recording the new engine must still agree on every timing quantity
-//! while recording nothing.
+//! The two must agree bit-for-bit on makespans, stream cursors, event
+//! times, busy/idle times, and the complete span and mark streams (labels
+//! compared after symbol resolution).
 
-use memo_hal::engine::{EventId, RecordLevel, StreamId, Timeline};
+use memo_hal::engine::{EventId, StreamId, Timeline};
 use memo_hal::reference::Timeline as RefTimeline;
 use memo_hal::time::SimTime;
 
@@ -33,17 +31,14 @@ enum Op {
     },
 }
 
-/// Drive the same script into all three timelines (reference, new-full,
-/// new-cursor-only) and assert agreement.
+/// Drive the same script into both timelines and assert agreement.
 fn run_lockstep(n_streams: usize, script: &[Op]) {
     let mut r = RefTimeline::new();
     let mut f = Timeline::new();
-    let mut l = Timeline::with_recording(RecordLevel::CursorOnly);
     for s in 0..n_streams {
         let name = format!("stream{s}");
         r.add_stream(name.clone());
-        f.add_stream(name.clone());
-        l.add_stream(name);
+        f.add_stream(name);
     }
     f.reserve_ops(script.len(), 2 * script.len(), script.len());
 
@@ -55,17 +50,13 @@ fn run_lockstep(n_streams: usize, script: &[Op]) {
                 let d = SimTime(*dur);
                 let end_r = r.enqueue(s, d, label.clone());
                 let end_f = f.enqueue_fmt(s, d, format_args!("{label}"));
-                let end_l = l.enqueue_fmt(s, d, format_args!("{label}"));
-                assert_eq!(end_r, end_f, "full enqueue end diverged at {op:?}");
-                assert_eq!(end_r, end_l, "lean enqueue end diverged at {op:?}");
+                assert_eq!(end_r, end_f, "enqueue end diverged at {op:?}");
             }
             Op::Record { stream } => {
                 let s = StreamId(*stream);
                 let er = r.record_event(s);
                 let ef = f.record_event(s);
-                let el = l.record_event(s);
                 assert_eq!(er, ef, "event ids diverged");
-                assert_eq!(er, el, "lean event ids diverged");
                 n_events += 1;
             }
             Op::Wait { stream, event } => {
@@ -73,40 +64,30 @@ fn run_lockstep(n_streams: usize, script: &[Op]) {
                 let e = EventId(*event);
                 r.wait_event(s, e);
                 f.wait_event(s, e);
-                l.wait_event(s, e);
             }
             Op::WaitUntil { stream, time } => {
                 let s = StreamId(*stream);
                 let t = SimTime(*time);
                 r.wait_until(s, t);
                 f.wait_until(s, t);
-                l.wait_until(s, t);
             }
         }
     }
 
     assert_eq!(r.makespan(), f.makespan());
-    assert_eq!(r.makespan(), l.makespan());
     for s in 0..n_streams {
         let sid = StreamId(s);
         assert_eq!(r.stream_cursor(sid), f.stream_cursor(sid), "cursor {s}");
-        assert_eq!(
-            r.stream_cursor(sid),
-            l.stream_cursor(sid),
-            "lean cursor {s}"
-        );
         assert_eq!(r.busy_time(sid), f.busy_time(sid), "busy {s}");
-        assert_eq!(r.busy_time(sid), l.busy_time(sid), "lean busy {s}");
         assert_eq!(r.idle_time(sid), f.idle_time(sid), "idle {s}");
         assert_eq!(r.stream_name(sid), f.stream_name(sid));
     }
     for e in 0..n_events {
         let id = EventId(e);
         assert_eq!(r.event_time(id), f.event_time(id), "event {e}");
-        assert_eq!(r.event_time(id), l.event_time(id), "lean event {e}");
     }
 
-    // Full recording: identical span and mark streams.
+    // Identical span and mark streams.
     assert_eq!(r.spans().len(), f.spans().len());
     for (sr, sf) in r.spans().iter().zip(f.spans()) {
         assert_eq!(sr.stream, sf.stream);
@@ -122,11 +103,6 @@ fn run_lockstep(n_streams: usize, script: &[Op]) {
     }
     assert!(r.check_causality().is_ok());
     assert!(f.check_causality().is_ok());
-
-    // Cursor-only recording: nothing recorded, nothing interned.
-    assert!(l.spans().is_empty());
-    assert!(l.marks().is_empty());
-    assert_eq!(l.symbols().len(), 1, "only the empty label");
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! Strategy search evaluates dense grids of candidates whose schedules
 //! differ in a single knob — and re-evaluates the *same* schedule inputs
 //! across sweep passes, serving queries, and lockstep verification legs.
-//! The [`SegmentCache`] memoizes the scalar result of the cursor-only
-//! schedule ([`build_schedule_scalars`]) keyed by a bit-exact fingerprint
+//! The [`SegmentCache`] memoizes the result of the scalar schedule
+//! ([`build_schedule_scalars`]) keyed by a bit-exact fingerprint
 //! of every input the recurrence reads: buffer slots, the head block,
 //! every run of the layout (count, policy, fwd/bwd/recompute times, and
 //! each Swap run's whole
@@ -259,7 +259,7 @@ fn lock_shard(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
     })
 }
 
-/// Sharded memo cache of cursor-only schedule builds, keyed by
+/// Sharded memo cache of scalar schedule builds, keyed by
 /// [`ScheduleKey`]. Process-global like `ProfileCache`; shards bound lock
 /// contention when sweeps run on the worker pool.
 pub struct SegmentCache {
@@ -313,7 +313,7 @@ impl SegmentCache {
         bump_scope(|s| s.fallbacks += 1);
     }
 
-    /// Cursor-only schedule build through the cache.
+    /// Scalar schedule build ([`build_schedule_scalars`]) through the cache.
     ///
     /// * **Hit (Ok)**: return the memoized scalars and replay the staging
     ///   effects in bulk — every Swap run's reserves, then its releases,

@@ -16,10 +16,12 @@
 //!   streams ([`schedule`]) exactly as in Figure 11. One builder serves
 //!   every per-layer layout — runs of swapped, fully recomputed and
 //!   retained layers, the paper's schedule being the two-run
-//!   [`LayerSegment::uniform`] — recorded in full or cursor-only with each
-//!   swap run's steady state spliced in closed form; [`reference`](mod@reference) keeps
-//!   the original event-loop builder as the differential oracle, and
-//!   [`delta`] memoizes the cursor-only builds.
+//!   [`LayerSegment::uniform`] — either recorded span by span
+//!   ([`build_schedule`]) or, for runs that need only numbers, as a scalar
+//!   recurrence with each swap run's steady state spliced in closed form
+//!   ([`build_schedule_scalars`]); [`reference`](mod@reference) keeps the
+//!   original event-loop builder as the differential oracle, and [`delta`]
+//!   memoizes the scalar builds.
 //! * Host staging capacity (and OOHM) is tracked by [`host`]; the N-tier
 //!   offload chain keeps one such pool per tier in [`tiers`], and the
 //!   α program generalises to a per-tier greedy waterfall

@@ -15,21 +15,23 @@
 //! the two-run layout [`LayerSegment::uniform`]; the delta-search extension
 //! puts full-recompute layers between the swapping prefix and the retained
 //! tail, trading host-staging pressure for re-forward compute. One
-//! recurrence serves every layout ([`build_schedule`]), recorded in full or
-//! cursor-only with each Swap run's steady region spliced in closed form.
+//! recurrence serves every layout, two ways: [`build_schedule`] runs it as
+//! an event loop and records every span, and [`build_schedule_scalars`]
+//! runs it in scalar arithmetic with each Swap run's steady region spliced
+//! in closed form. The two are bit-identical on every number they share.
 //!
 //! A layer's staged slice may span several tiers of the offload chain
 //! ([`TierTrafficList`]): the per-layer transfer time is the sum of the
 //! per-tier transfer times (the chain is traversed serially), and each
 //! tier's bytes are tracked in its own [`TierStaging`] pool.
 //!
-//! The builder returns both the timings (from which MFU/TGS derive) and the
-//! populated [`Timeline`] (for Figure 11 rendering); it reports an
-//! out-of-tier failure if the staged activations overflow any pool — the
-//! simulation's `X_oohm` when the host tier binds.
+//! [`build_schedule`] returns both the timings (from which MFU/TGS derive)
+//! and the populated [`Timeline`] (for Figure 11 rendering). Both builders
+//! report an out-of-tier failure if the staged activations overflow any
+//! pool — the simulation's `X_oohm` when the host tier binds.
 
 use crate::tiers::{OutOfTierMemory, TierStaging};
-use memo_hal::engine::{CursorSegment, EventId, RecordLevel, Timeline};
+use memo_hal::engine::{EventId, Timeline};
 use memo_hal::time::SimTime;
 
 /// Maximum offload tiers a layer's traffic can span (chain depth below GPU
@@ -215,7 +217,7 @@ pub struct ScheduleOutcome {
     pub timeline: Timeline,
 }
 
-/// Scalar results of a cursor-only schedule build — everything besides the
+/// Scalar results of [`build_schedule_scalars`] — everything besides the
 /// timeline and the staging side effects. Small and `Copy` so the delta
 /// layer ([`crate::delta`]) can memoize it and replay the staging effects
 /// in bulk without re-running the recurrence.
@@ -245,29 +247,6 @@ impl ScalarSchedule {
 
     pub fn compute_idle(&self) -> SimTime {
         self.makespan().saturating_sub(self.compute_busy)
-    }
-
-    /// Materialise the cursor-only [`ScheduleOutcome`] the fast path
-    /// returns: a 3-stream timeline carrying exactly these cursors and
-    /// busy totals, landed through the [`CursorSegment`] splice.
-    pub fn into_outcome(self, staging: &TierStaging) -> ScheduleOutcome {
-        let mut tl = Timeline::with_recording(RecordLevel::CursorOnly);
-        tl.add_stream("compute");
-        tl.add_stream("offload");
-        tl.add_stream("prefetch");
-        tl.apply_segment(&CursorSegment::from_advances(vec![
-            (self.compute_end, self.compute_busy),
-            (self.offload_end, self.io_busy),
-            (self.prefetch_end, self.io_busy),
-        ]));
-        ScheduleOutcome {
-            forward_end: self.forward_end,
-            makespan: self.makespan(),
-            compute_busy: self.compute_busy,
-            compute_idle: self.compute_idle(),
-            host_peak: staging.host_peak(),
-            timeline: tl,
-        }
     }
 }
 
@@ -418,34 +397,12 @@ impl<'a> KickTarget<'a> {
 /// user `b`'s offload, so an offload may hide under `slots − 1` layers of
 /// compute. [`LayerSegment::uniform`] is the paper's layout.
 ///
-/// * [`RecordLevel::Full`] runs the event machinery and returns a timeline
-///   with every span and mark — the `--trace`/Figure-11 path.
-/// * [`RecordLevel::CursorOnly`] runs [`build_schedule_scalars`]: the same
-///   recurrence in scalar u64 arithmetic, with each Swap run's steady
-///   region spliced in closed form. Makespan, per-stream cursors, busy
-///   times, per-tier peaks and out-of-tier errors are bit-identical to the
-///   `Full` run (asserted by `tests/differential.rs`); the returned
-///   timeline carries cursors and busy totals but no spans.
+/// This is the event-machinery simulation (every op a span, every
+/// dependency a recorded event), with arenas pre-sized from the exact op
+/// counts: the `--trace`/Figure-11 path and the differential reference of
+/// [`build_schedule_scalars`], which callers that need only the numbers
+/// use instead.
 pub fn build_schedule(
-    segments: &[LayerSegment],
-    t_head: SimTime,
-    staging: &mut TierStaging,
-    slots: usize,
-    level: RecordLevel,
-) -> Result<ScheduleOutcome, OutOfTierMemory> {
-    match level {
-        RecordLevel::Full => build_event_loop(segments, t_head, staging, slots),
-        RecordLevel::CursorOnly => {
-            let s = build_schedule_scalars(segments, t_head, staging, slots)?;
-            Ok(s.into_outcome(staging))
-        }
-    }
-}
-
-/// The full event-machinery simulation (every op a span, every dependency a
-/// recorded event), with arenas pre-sized from the exact op counts — the
-/// differential reference of [`build_schedule_scalars`].
-fn build_event_loop(
     segments: &[LayerSegment],
     t_head: SimTime,
     staging: &mut TierStaging,
@@ -646,16 +603,17 @@ impl SteadyDetector {
     }
 }
 
-/// The cursor-only schedule: the recurrence of [`build_schedule`]'s event
+/// The scalar schedule: the recurrence of [`build_schedule`]'s event
 /// loop in scalar u64 arithmetic, walking the runs without expanding them.
 /// Inside each Swap run the steady region is spliced in closed form —
 /// forward while the run continues, backward while both the layer and its
 /// prefetch-kick target lie in the run — with the staging effects batched
 /// through [`TierStaging::reserve_layers`] / [`TierStaging::release_layers`].
 /// Returns the cursors and busy totals without building a timeline; this is
-/// the unit the segment cache ([`crate::delta`]) memoizes, and callers
-/// wanting a [`ScheduleOutcome`] use [`ScalarSchedule::into_outcome`]. See
-/// DESIGN.md §2e for the bit-exactness argument.
+/// the unit the segment cache ([`crate::delta`]) memoizes. Makespan,
+/// per-stream cursors, busy times, per-tier peaks and out-of-tier errors
+/// are bit-identical to [`build_schedule`] (asserted by
+/// `tests/differential.rs`); see DESIGN.md §2e for the argument.
 pub fn build_schedule_scalars(
     segments: &[LayerSegment],
     t_head: SimTime,
@@ -835,7 +793,7 @@ mod tests {
         slots: usize,
     ) -> Result<ScheduleOutcome, OutOfTierMemory> {
         let segs = LayerSegment::uniform(n, slots, c);
-        build_schedule(&segs, t_head, staging, slots, RecordLevel::Full)
+        build_schedule(&segs, t_head, staging, slots)
     }
 
     fn run(n: usize, c: LayerCosts) -> ScheduleOutcome {
@@ -855,12 +813,21 @@ mod tests {
         ]
     }
 
-    fn assert_outcomes_match(a: &ScheduleOutcome, b: &ScheduleOutcome) {
-        assert_eq!(a.forward_end, b.forward_end);
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.compute_busy, b.compute_busy);
-        assert_eq!(a.compute_idle, b.compute_idle);
-        assert_eq!(a.host_peak, b.host_peak);
+    /// The recorded build and the scalar build (with its staging pools)
+    /// agree on every number they share.
+    fn assert_scalars_match(full: &ScheduleOutcome, fast: &ScalarSchedule, staging: &TierStaging) {
+        use memo_hal::engine::StreamId;
+        let tl = &full.timeline;
+        assert_eq!(full.forward_end, fast.forward_end);
+        assert_eq!(full.makespan, fast.makespan());
+        assert_eq!(full.compute_busy, fast.compute_busy);
+        assert_eq!(full.compute_idle, fast.compute_idle());
+        assert_eq!(full.host_peak, staging.host_peak());
+        assert_eq!(tl.stream_cursor(StreamId(0)), fast.compute_end);
+        assert_eq!(tl.stream_cursor(StreamId(1)), fast.offload_end);
+        assert_eq!(tl.stream_cursor(StreamId(2)), fast.prefetch_end);
+        assert_eq!(tl.busy_time(StreamId(1)), fast.io_busy);
+        assert_eq!(tl.busy_time(StreamId(2)), fast.io_busy);
     }
 
     #[test]
@@ -1052,23 +1019,10 @@ mod tests {
                         let segs = mixed(n, k, slots, c, 9);
                         let mut s1 = TierStaging::unbounded(1);
                         let mut s2 = TierStaging::unbounded(1);
-                        let full = build_schedule(
-                            &segs,
-                            SimTime::from_millis(5),
-                            &mut s1,
-                            slots,
-                            RecordLevel::Full,
-                        )
-                        .unwrap();
-                        let fast = build_schedule(
-                            &segs,
-                            SimTime::from_millis(5),
-                            &mut s2,
-                            slots,
-                            RecordLevel::CursorOnly,
-                        )
-                        .unwrap();
-                        assert_outcomes_match(&full, &fast);
+                        let t_head = SimTime::from_millis(5);
+                        let full = build_schedule(&segs, t_head, &mut s1, slots).unwrap();
+                        let fast = build_schedule_scalars(&segs, t_head, &mut s2, slots).unwrap();
+                        assert_scalars_match(&full, &fast, &s2);
                         assert_eq!(s1, s2);
                     }
                 }
@@ -1084,16 +1038,8 @@ mod tests {
         let half = mixed(n, 5, 2, c, 10);
         let mut s_all = TierStaging::unbounded(1);
         let mut s_half = TierStaging::unbounded(1);
-        let out_all =
-            build_schedule(&all, SimTime::ZERO, &mut s_all, 2, RecordLevel::CursorOnly).unwrap();
-        let out_half = build_schedule(
-            &half,
-            SimTime::ZERO,
-            &mut s_half,
-            2,
-            RecordLevel::CursorOnly,
-        )
-        .unwrap();
+        let out_all = build_schedule_scalars(&all, SimTime::ZERO, &mut s_all, 2).unwrap();
+        let out_half = build_schedule_scalars(&half, SimTime::ZERO, &mut s_half, 2).unwrap();
         assert_eq!(s_half.host_peak(), 5 * c.host_bytes());
         assert!(s_half.host_peak() < s_all.host_peak());
         // 5 recompute layers × 10 ms refwd lands on the compute stream.
@@ -1106,10 +1052,8 @@ mod tests {
         let segs = mixed(12, 10, 2, c, 0);
         let mut s1 = TierStaging::single(3 * 1_000_000);
         let mut s2 = TierStaging::single(3 * 1_000_000);
-        let e_full =
-            build_schedule(&segs, SimTime::ZERO, &mut s1, 2, RecordLevel::Full).unwrap_err();
-        let e_fast =
-            build_schedule(&segs, SimTime::ZERO, &mut s2, 2, RecordLevel::CursorOnly).unwrap_err();
+        let e_full = build_schedule(&segs, SimTime::ZERO, &mut s1, 2).unwrap_err();
+        let e_fast = build_schedule_scalars(&segs, SimTime::ZERO, &mut s2, 2).unwrap_err();
         assert_eq!(e_full, e_fast);
         assert_eq!(s1, s2);
     }

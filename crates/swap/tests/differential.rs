@@ -1,18 +1,19 @@
-//! Differential suite: the schedule fast path (`RecordLevel::CursorOnly`,
-//! steady-state splicing) vs the full event-machinery simulation vs the
-//! verbatim pre-fast-path builder on `memo_hal::reference`.
+//! Differential suite: the scalar schedule ([`build_schedule_scalars`],
+//! steady-state splicing) vs the recorded event-machinery simulation
+//! ([`build_schedule`]) vs the verbatim pre-fast-path builder on
+//! `memo_hal::reference`.
 //!
 //! Every cell asserts bit-identical makespans, forward ends, per-stream
 //! cursors, busy times, host peaks and post-run host usage across all three
 //! builders — and identical span/mark streams (after symbol resolution)
-//! between the full-recording run and the reference. OOHM failures must
+//! between the recorded run and the reference. OOHM failures must
 //! produce identical error values and leave the host tracker in the same
 //! state. The reference only knows the paper's uniform schedule, so those
 //! cells drive [`build_schedule`] with [`LayerSegment::uniform`]; mixed
 //! layouts (recompute runs, several swap runs) check the spliced scalar
 //! path against the full event loop.
 
-use memo_hal::engine::{MarkKind, RecordLevel, StreamId};
+use memo_hal::engine::{MarkKind, StreamId};
 use memo_hal::time::SimTime;
 use memo_swap::reference as ref_sched;
 use memo_swap::schedule::{
@@ -178,20 +179,8 @@ fn run_cell_with(
         sc.slots,
     );
     let layout = LayerSegment::uniform(sc.n_layers, sc.slots, sc.costs);
-    let full = build_schedule(
-        &layout,
-        sc.t_head,
-        &mut host_full,
-        sc.slots,
-        RecordLevel::Full,
-    );
-    let fast = build_schedule(
-        &layout,
-        sc.t_head,
-        &mut host_fast,
-        sc.slots,
-        RecordLevel::CursorOnly,
-    );
+    let full = build_schedule(&layout, sc.t_head, &mut host_full, sc.slots);
+    let fast = build_schedule_scalars(&layout, sc.t_head, &mut host_fast, sc.slots);
 
     // Every tier's tracker must end in the same state in all three runs,
     // pass or fail.
@@ -204,26 +193,48 @@ fn run_cell_with(
             assert_eq!(e_ref, e_fast, "{sc:?}: fast OOHM diverged");
         }
         (Ok(r), Ok(f), Ok(q)) => {
-            for out in [&f, &q] {
-                assert_eq!(r.makespan, out.makespan, "{sc:?}: makespan");
-                assert_eq!(r.forward_end, out.forward_end, "{sc:?}: forward_end");
-                assert_eq!(r.compute_busy, out.compute_busy, "{sc:?}: compute_busy");
-                assert_eq!(r.compute_idle, out.compute_idle, "{sc:?}: compute_idle");
-                assert_eq!(r.host_peak, out.host_peak, "{sc:?}: host_peak");
-                for s in streams() {
-                    assert_eq!(
-                        r.timeline.stream_cursor(s),
-                        out.timeline.stream_cursor(s),
-                        "{sc:?}: cursor of stream {s:?}"
-                    );
-                    assert_eq!(
-                        r.timeline.busy_time(s),
-                        out.timeline.busy_time(s),
-                        "{sc:?}: busy time of stream {s:?}"
-                    );
-                }
+            assert_eq!(r.makespan, f.makespan, "{sc:?}: makespan");
+            assert_eq!(r.forward_end, f.forward_end, "{sc:?}: forward_end");
+            assert_eq!(r.compute_busy, f.compute_busy, "{sc:?}: compute_busy");
+            assert_eq!(r.compute_idle, f.compute_idle, "{sc:?}: compute_idle");
+            assert_eq!(r.host_peak, f.host_peak, "{sc:?}: host_peak");
+            for s in streams() {
+                assert_eq!(
+                    r.timeline.stream_cursor(s),
+                    f.timeline.stream_cursor(s),
+                    "{sc:?}: cursor of stream {s:?}"
+                );
+                assert_eq!(
+                    r.timeline.busy_time(s),
+                    f.timeline.busy_time(s),
+                    "{sc:?}: busy time of stream {s:?}"
+                );
             }
-            // Full recording must reproduce the reference span/mark streams
+            // The scalar build: the same numbers without a timeline.
+            assert_eq!(r.makespan, q.makespan(), "{sc:?}: fast makespan");
+            assert_eq!(r.forward_end, q.forward_end, "{sc:?}: fast forward_end");
+            assert_eq!(r.compute_busy, q.compute_busy, "{sc:?}: fast compute_busy");
+            assert_eq!(
+                r.compute_idle,
+                q.compute_idle(),
+                "{sc:?}: fast compute_idle"
+            );
+            assert_eq!(r.host_peak, host_fast.host_peak(), "{sc:?}: fast host_peak");
+            let cursors = [q.compute_end, q.offload_end, q.prefetch_end];
+            let busy = [q.compute_busy, q.io_busy, q.io_busy];
+            for ((s, cursor), busy) in streams().into_iter().zip(cursors).zip(busy) {
+                assert_eq!(
+                    r.timeline.stream_cursor(s),
+                    cursor,
+                    "{sc:?}: fast cursor of stream {s:?}"
+                );
+                assert_eq!(
+                    r.timeline.busy_time(s),
+                    busy,
+                    "{sc:?}: fast busy time of stream {s:?}"
+                );
+            }
+            // The recorded run must reproduce the reference span/mark streams
             // exactly (labels via symbol resolution).
             let ref_spans: Vec<(StreamId, SimTime, SimTime, &str)> = r
                 .timeline
@@ -251,11 +262,6 @@ fn run_cell_with(
                 .map(|m| (m.stream, m.time, m.kind))
                 .collect();
             assert_eq!(ref_marks, new_marks, "{sc:?}: mark stream diverged");
-            // The fast path records no spans at all — that is its contract.
-            assert!(
-                q.timeline.spans().is_empty(),
-                "{sc:?}: fast path kept spans"
-            );
         }
         (r, f, q) => panic!(
             "{sc:?}: builders disagree on success: reference {:?} full {:?} fast {:?}",
@@ -397,7 +403,7 @@ fn spliced_mixed_layouts_match_the_event_loop() {
 fn check_mixed(layout: &[LayerSegment], t_head: SimTime, slots: usize, capacity: u64) {
     let mut host_full = TierStaging::single(capacity);
     let mut host_fast = TierStaging::single(capacity);
-    let full = build_schedule(layout, t_head, &mut host_full, slots, RecordLevel::Full);
+    let full = build_schedule(layout, t_head, &mut host_full, slots);
     let fast = build_schedule_scalars(layout, t_head, &mut host_fast, slots);
     let ctx = format!("{layout:?} slots {slots} capacity {capacity}");
     assert_eq!(host_full, host_fast, "{ctx}: staging state diverged");

@@ -43,11 +43,12 @@ OPTIONS:
                                          grid options do not apply)
     --all                                run all six training systems
     --strategy tp<T>,cp<C>,pp<P>,dp<D>   fix the parallelism (default: search)
-    --batch <B>                          sequences per DP replica (default: 1)
-    --sweep <START>:<END>:<STEP>         sweep the sequence length (k/m suffixes ok)
-    --pcie-gbps <N>                      nominal PCIe bandwidth override (GB/s)
-    --gpu-mem-gib <N>                    per-GPU memory override (GiB)
-    --host-mem-gib <N>                   per-node host DRAM override (GiB)
+    --batch <B>                          sequences per DP replica, >= 1 (default: 1)
+    --sweep <START>:<END>:<STEP>         sweep the sequence length from START up to
+                                         END >= START (k/m suffixes ok)
+    --pcie-gbps <N>                      nominal PCIe bandwidth override (GB/s, > 0)
+    --gpu-mem-gib <N>                    per-GPU memory override (whole GiB; 0 allowed)
+    --host-mem-gib <N>                   per-node host DRAM override (whole GiB; 0 allowed)
     --alpha-points <N>                   N-point dense α grid (N >= 2) over [0, 1]
                                          at the best (or fixed) MEMO strategy,
                                          swept as one grid row (one profile, one plan)
@@ -84,6 +85,23 @@ fn parse_seq(s: &str) -> Option<u64> {
         .ok()?
         .checked_mul(scale)
         .filter(|&n| n > 0)
+}
+
+/// A whole GiB count as bytes; `None` when it is malformed or too large
+/// for `u64` bytes (a plain `<< 30` would drop the high bits). Zero is
+/// legal: a zero pool is a typed `X_oom` / `X_oohm` experiment.
+fn gib_to_bytes(v: &str) -> Option<u64> {
+    v.parse::<u64>().ok()?.checked_mul(1 << 30)
+}
+
+/// `START:END:STEP` with `END >= START` (STEP > 0 by [`parse_seq`]).
+fn parse_sweep(v: &str) -> Option<(u64, u64, u64)> {
+    let parts: Vec<_> = v.split(':').collect();
+    match parts.as_slice() {
+        [a, b, c] => Some((parse_seq(a)?, parse_seq(b)?, parse_seq(c)?)),
+        _ => None,
+    }
+    .filter(|&(start, end, _)| end >= start)
 }
 
 fn parse_model(s: &str) -> Option<ModelConfig> {
@@ -358,8 +376,8 @@ fn main() -> ExitCode {
     let mut batch = 1u64;
     let mut sweep: Option<(u64, u64, u64)> = None;
     let mut pcie_gbps: Option<f64> = None;
-    let mut gpu_mem_gib: Option<u64> = None;
-    let mut host_mem_gib: Option<u64> = None;
+    let mut gpu_mem_bytes: Option<u64> = None;
+    let mut host_mem_bytes: Option<u64> = None;
     let mut trace_path: Option<String> = None;
     let mut report_path: Option<String> = None;
     let mut alpha_points: Option<usize> = None;
@@ -368,6 +386,10 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut take = || it.next().cloned();
+        let bad = |flag: &str, expected: &str| {
+            eprintln!("{flag} requires {expected}");
+            ExitCode::FAILURE
+        };
         match arg.as_str() {
             "--model" => match take() {
                 Some(v) => match parse_model(&v) {
@@ -382,7 +404,10 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--gpus" => gpus = take().and_then(|v| v.parse::<usize>().ok()),
+            "--gpus" => match take().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) if n > 0 => gpus = Some(n),
+                _ => return bad("--gpus", "an integer >= 1"),
+            },
             "--seq" => match take() {
                 Some(v) => match parse_seq_list(&v) {
                     Some(s) if !s.is_empty() => seq = Some(s),
@@ -405,20 +430,14 @@ fn main() -> ExitCode {
             },
             "--all" => all = true,
             "--strategy" => strategy = take(),
-            "--batch" => batch = take().and_then(|v| v.parse().ok()).unwrap_or(1),
-            "--sweep" => {
-                sweep = take().and_then(|v| {
-                    let parts: Vec<_> = v.split(':').collect();
-                    match parts.as_slice() {
-                        [a, b, c] => Some((parse_seq(a)?, parse_seq(b)?, parse_seq(c)?)),
-                        _ => None,
-                    }
-                });
-                if sweep.is_none() {
-                    eprintln!("--sweep expects START:END:STEP");
-                    return ExitCode::FAILURE;
-                }
-            }
+            "--batch" => match take().and_then(|v| v.parse::<u64>().ok()) {
+                Some(n) if n > 0 => batch = n,
+                _ => return bad("--batch", "an integer >= 1"),
+            },
+            "--sweep" => match take().as_deref().and_then(parse_sweep) {
+                Some(s) => sweep = Some(s),
+                None => return bad("--sweep", "START:END:STEP with END >= START"),
+            },
             "--trace" => match take() {
                 Some(v) => trace_path = Some(v),
                 None => {
@@ -441,9 +460,18 @@ fn main() -> ExitCode {
                 }
             },
             "--mixed-policy" => mixed_policy = true,
-            "--pcie-gbps" => pcie_gbps = take().and_then(|v| v.parse().ok()),
-            "--gpu-mem-gib" => gpu_mem_gib = take().and_then(|v| v.parse().ok()),
-            "--host-mem-gib" => host_mem_gib = take().and_then(|v| v.parse().ok()),
+            "--pcie-gbps" => match take().and_then(|v| v.parse::<f64>().ok()) {
+                Some(v) if v.is_finite() && v > 0.0 => pcie_gbps = Some(v),
+                _ => return bad("--pcie-gbps", "a finite number > 0"),
+            },
+            "--gpu-mem-gib" => match take().as_deref().and_then(gib_to_bytes) {
+                Some(b) => gpu_mem_bytes = Some(b),
+                None => return bad("--gpu-mem-gib", "a whole GiB count that fits u64 bytes"),
+            },
+            "--host-mem-gib" => match take().as_deref().and_then(gib_to_bytes) {
+                Some(b) => host_mem_bytes = Some(b),
+                None => return bad("--host-mem-gib", "a whole GiB count that fits u64 bytes"),
+            },
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -461,9 +489,7 @@ fn main() -> ExitCode {
     };
     let seqs: Vec<u64> = match (sweep, seq) {
         (Some((start, end, step)), _) => {
-            assert!(step > 0 && end >= start, "bad sweep range");
-            (0..)
-                .map(|k| start + k * step)
+            std::iter::successors(Some(start), |s| s.checked_add(step))
                 .take_while(|&s| s <= end)
                 .collect()
         }
@@ -487,11 +513,11 @@ fn main() -> ExitCode {
         if let Some(v) = pcie_gbps {
             workload.calib.set_pcie_bandwidth(v * 1e9);
         }
-        if let Some(v) = gpu_mem_gib {
-            workload.calib.gpu_memory_bytes = v << 30;
+        if let Some(b) = gpu_mem_bytes {
+            workload.calib.gpu_memory_bytes = b;
         }
-        if let Some(v) = host_mem_gib {
-            workload.calib.set_host_memory_bytes(v << 30);
+        if let Some(b) = host_mem_bytes {
+            workload.calib.set_host_memory_bytes(b);
         }
         println!(
             "{} model, {} tokens, {} GPUs (batch {batch}/replica)",

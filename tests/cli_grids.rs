@@ -115,3 +115,38 @@ fn memo_serve_rejects_gib_budgets_that_overflow_bytes() {
         }
     }
 }
+
+#[test]
+fn memo_sim_rejects_bad_numeric_flags_with_a_named_error() {
+    // Each bad value must exit 1 with an error naming its flag: never a
+    // panic (exit 101), a silent default, or a run over a nonsense
+    // calibration (a dead PCIe link, a GiB count whose `<< 30` wraps).
+    let cases: &[(&str, &str)] = &[
+        ("--sweep", "2k:1k:1k"),
+        ("--sweep", "1k:2k"),
+        ("--batch", "x"),
+        ("--batch", "0"),
+        ("--pcie-gbps", "0"),
+        ("--pcie-gbps", "-5"),
+        ("--pcie-gbps", "nan"),
+        ("--pcie-gbps", "inf"),
+        ("--pcie-gbps", "abc"),
+        ("--gpu-mem-gib", "17179869184"),
+        ("--gpu-mem-gib", "abc"),
+        ("--host-mem-gib", "17179869184"),
+        ("--host-mem-gib", "-1"),
+        ("--gpus", "abc"),
+        ("--gpus", "0"),
+    ];
+    for &(flag, value) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_memo-sim"))
+            .args(["--model", "7b", "--gpus", "8", "--seq", "64k", flag, value])
+            .output()
+            .expect("memo-sim must launch");
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(flag),
+            "{flag} {value}: error should name the flag"
+        );
+    }
+}

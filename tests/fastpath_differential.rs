@@ -1,17 +1,18 @@
 //! Differential suite for the iteration-simulation fast path.
 //!
-//! An unobserved `run_report` records at `RecordLevel::CursorOnly` and may
-//! take the steady-state splicing path in `memo_swap::schedule`; an
-//! observed run records at `RecordLevel::Full` and drives the event loop
-//! span by span. The two must agree bit-for-bit on every reported number —
-//! outcome metrics, byte and time breakdowns, and the OOM/OOHM
-//! diagnostics — across all six execution modes. Underneath, the swap
-//! schedule builder itself must match the verbatim pre-fast-path event
-//! loop on the reference engine at both recording levels.
+//! An unobserved `run_report` reads the scalar schedule
+//! (`memo_swap::build_schedule_scalars`, with steady-state splicing); an
+//! observed run records the event loop span by span
+//! (`memo_swap::build_schedule`). The two must agree bit-for-bit on every
+//! reported number — outcome metrics, byte and time breakdowns, and the
+//! OOM/OOHM diagnostics — across all six execution modes and the mixed
+//! `[Swap][Recompute][Retained]` layouts. Underneath, both schedule
+//! builders must match the verbatim pre-fast-path event loop on the
+//! reference engine.
 
 use memo::core::observer::RunObserver;
 use memo::core::session::Workload;
-use memo::hal::engine::RecordLevel;
+use memo::hal::engine::StreamId;
 use memo::model::config::ModelConfig;
 use memo::parallel::strategy::{ParallelConfig, SystemSpec};
 use memo_bench::inputs::sim_inputs;
@@ -37,7 +38,7 @@ fn six_modes() -> Vec<(SystemSpec, ParallelConfig)> {
     ]
 }
 
-/// Run one cell down both recording paths and assert the full reports are
+/// Run one cell unobserved and observed and assert the full reports are
 /// identical.
 #[track_caller]
 fn assert_cell_parity(w: &Workload, spec: SystemSpec, cfg: &ParallelConfig) {
@@ -64,18 +65,31 @@ fn six_modes_bit_identical_across_sequence_lengths() {
 #[test]
 fn schedule_builder_matches_the_reference_engine() {
     // The profiled MEMO inputs `speed_gates` times: reference engine vs the
-    // interned engine recording `Full` spans and `CursorOnly` (spliced).
+    // interned engine's recorded build and the scalar (spliced) build.
     for s_k in [64, 256, 1024] {
         let si = sim_inputs(&w7(s_k), &mega());
         let r = si.reference();
-        for level in [RecordLevel::Full, RecordLevel::CursorOnly] {
-            let s = si.schedule(level);
-            let what = format!("{s_k}K {level:?}");
-            assert_eq!(s.makespan, r.makespan, "{what}: makespan");
-            assert_eq!(s.forward_end, r.forward_end, "{what}: forward end");
-            assert_eq!(s.compute_busy, r.compute_busy, "{what}: compute busy");
-            assert_eq!(s.compute_idle, r.compute_idle, "{what}: compute idle");
-            assert_eq!(s.host_peak, r.host_peak, "{what}: host peak");
+        let s = si.schedule();
+        let what = format!("{s_k}K recorded");
+        assert_eq!(s.makespan, r.makespan, "{what}: makespan");
+        assert_eq!(s.forward_end, r.forward_end, "{what}: forward end");
+        assert_eq!(s.compute_busy, r.compute_busy, "{what}: compute busy");
+        assert_eq!(s.compute_idle, r.compute_idle, "{what}: compute idle");
+        assert_eq!(s.host_peak, r.host_peak, "{what}: host peak");
+
+        let (q, host_peak) = si.scalars();
+        let what = format!("{s_k}K scalar");
+        assert_eq!(q.makespan(), r.makespan, "{what}: makespan");
+        assert_eq!(q.forward_end, r.forward_end, "{what}: forward end");
+        assert_eq!(q.compute_busy, r.compute_busy, "{what}: compute busy");
+        assert_eq!(q.compute_idle(), r.compute_idle, "{what}: compute idle");
+        assert_eq!(host_peak, r.host_peak, "{what}: host peak");
+        let cursors = [q.compute_end, q.offload_end, q.prefetch_end];
+        let busy = [q.compute_busy, q.io_busy, q.io_busy];
+        for (i, (cursor, busy)) in cursors.into_iter().zip(busy).enumerate() {
+            let sid = StreamId(i);
+            assert_eq!(r.timeline.stream_cursor(sid), cursor, "{what}: cursor {i}");
+            assert_eq!(r.timeline.busy_time(sid), busy, "{what}: busy {i}");
         }
     }
 }
@@ -94,6 +108,33 @@ fn oom_and_oohm_diagnostics_identical() {
     starved.calib.set_host_memory_bytes(8 << 30);
     for (spec, cfg) in six_modes() {
         assert_cell_parity(&starved, spec, &cfg);
+    }
+}
+
+/// `MemoMixed(k)` for k in {0, L/2, L−2}: the three-run
+/// `[Swap × k][Recompute][Retained × 2]` layouts (k = L−2 is plain MEMO).
+fn mixed_specs(w: &Workload, cfg: &ParallelConfig) -> Vec<SystemSpec> {
+    let l = w.model.n_layers / cfg.pp;
+    [0, l / 2, l - 2]
+        .into_iter()
+        .map(|k| SystemSpec::MemoMixed(u8::try_from(k).expect("layer count fits u8")))
+        .collect()
+}
+
+#[test]
+fn mixed_layouts_bit_identical_observed_and_unobserved() {
+    for s_k in [64, 256, 1024] {
+        let w = w7(s_k);
+        for spec in mixed_specs(&w, &mega()) {
+            assert_cell_parity(&w, spec, &mega());
+        }
+    }
+    // The starved host of `oom_and_oohm_diagnostics_identical`: the swap
+    // runs overflow it, so the X_oohm diagnostics must match too.
+    let mut starved = w7(1024);
+    starved.calib.set_host_memory_bytes(8 << 30);
+    for spec in mixed_specs(&starved, &mega()) {
+        assert_cell_parity(&starved, spec, &mega());
     }
 }
 

@@ -212,7 +212,6 @@ proptest! {
         ratio in 0.1f64..3.0,
         remat_ms in 0u64..10,
     ) {
-        use memo::hal::engine::RecordLevel;
         use memo::swap::schedule::{build_schedule, LayerCosts, LayerSegment};
         use memo::swap::tiers::TierStaging;
         let bytes = 1_000_000u64;
@@ -226,7 +225,7 @@ proptest! {
         );
         let mut host = TierStaging::unbounded(1);
         let layout = LayerSegment::uniform(layers, 2, costs);
-        let out = build_schedule(&layout, SimTime::ZERO, &mut host, 2, RecordLevel::Full).unwrap();
+        let out = build_schedule(&layout, SimTime::ZERO, &mut host, 2).unwrap();
         prop_assert_eq!(host.host_used(), 0, "host must drain");
         let compute_total = SimTime::from_millis(layers as u64 * 3 * fwd_ms);
         prop_assert!(out.makespan >= compute_total);
