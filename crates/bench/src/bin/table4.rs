@@ -4,10 +4,31 @@
 
 use memo_bench::cell_text;
 use memo_bench::paper::{TABLE4, TABLE4_SEQ_K};
-use memo_core::ablation::Variant;
 use memo_core::session::Workload;
 use memo_model::config::ModelConfig;
-use memo_parallel::strategy::ParallelConfig;
+use memo_parallel::strategy::{ParallelConfig, SystemSpec};
+
+/// The rows in print order: name, execution mode, and the row of `TABLE4`
+/// it reproduces (none for the tensor-granularity extension).
+const ROWS: [(&str, SystemSpec, Option<usize>); 5] = [
+    ("Full Recomputation", SystemSpec::MegatronLM, Some(0)),
+    (
+        "Full Recomputation + Memory Plan",
+        SystemSpec::FullRecomputePlan,
+        Some(1),
+    ),
+    (
+        "Full Swapping + Memory Plan",
+        SystemSpec::FullSwapPlan,
+        Some(2),
+    ),
+    (
+        "Tensor-granularity Hybrid + Plan",
+        SystemSpec::TensorHybrid,
+        None,
+    ),
+    ("MEMO (fine-grained + plan)", SystemSpec::Memo, Some(3)),
+];
 
 fn main() {
     let cfg = ParallelConfig::megatron(4, 2, 1, 1);
@@ -16,16 +37,12 @@ fn main() {
         cfg.describe()
     );
 
-    for variant in Variant::EXTENDED {
-        // Paper rows exist only for the original four variants.
-        let paper_row = Variant::ALL
-            .iter()
-            .position(|v| *v == variant)
-            .map(|i| &TABLE4[i]);
-        print!("{:<36}", variant.name());
+    for (name, spec, paper_row) in ROWS {
+        let paper_row = paper_row.map(|i| &TABLE4[i]);
+        print!("{name:<36}");
         for (si, &s_k) in TABLE4_SEQ_K.iter().enumerate() {
             let w = Workload::new(ModelConfig::gpt_7b(), 8, s_k * 1024);
-            let out = w.run_variant(variant, &cfg);
+            let out = w.run_with(spec, &cfg);
             let paper = match paper_row {
                 Some(row) => row.mfu[si]
                     .map(|v| format!("{v:.1}"))

@@ -1,80 +1,34 @@
-//! The Table 4 ablation variants (§5.3), all at a fixed strategy
-//! (7B, 8 GPUs, TP 4 × CP 2 in the paper):
+//! The Table 4 ablation rows (§5.3), all at a fixed strategy (7B, 8 GPUs,
+//! TP 4 × CP 2 in the paper). Each row is a [`SystemSpec`] run through
+//! [`Workload::run_with`](crate::session::Workload::run_with):
 //!
-//! * `FullRecompute` — vanilla full recomputation on the caching allocator
-//!   (Megatron behaviour);
-//! * `FullRecomputePlan` — full recomputation, but transient tensors are
-//!   placed by the bi-level plan (isolates the memory-planning win);
-//! * `FullSwapPlan` — α forced to 1 with no recomputation (isolates the
-//!   swapping win and exposes the OOHM failure mode);
-//! * `Memo` — the full system (token-wise α from the LP + plan).
-
-use crate::outcome::CellOutcome;
-use crate::session::Workload;
-use memo_parallel::strategy::{ParallelConfig, SystemSpec};
-
-/// One row of Table 4 (plus one extension row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Variant {
-    FullRecompute,
-    FullRecomputePlan,
-    FullSwapPlan,
-    /// Extension beyond the paper's table: swap-vs-recompute decided per
-    /// whole tensor (Capuchin-style granularity, §6 related work).
-    TensorHybrid,
-    Memo,
-}
-
-impl Variant {
-    /// The paper's four Table 4 rows.
-    pub const ALL: [Variant; 4] = [
-        Variant::FullRecompute,
-        Variant::FullRecomputePlan,
-        Variant::FullSwapPlan,
-        Variant::Memo,
-    ];
-
-    /// The paper's rows plus the tensor-granularity extension.
-    pub const EXTENDED: [Variant; 5] = [
-        Variant::FullRecompute,
-        Variant::FullRecomputePlan,
-        Variant::FullSwapPlan,
-        Variant::TensorHybrid,
-        Variant::Memo,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Variant::FullRecompute => "Full Recomputation",
-            Variant::FullRecomputePlan => "Full Recomputation + Memory Plan",
-            Variant::FullSwapPlan => "Full Swapping + Memory Plan",
-            Variant::TensorHybrid => "Tensor-granularity Hybrid + Plan",
-            Variant::Memo => "MEMO (fine-grained + plan)",
-        }
-    }
-
-    /// The execution mode each ablation row dispatches to.
-    pub fn spec(self) -> SystemSpec {
-        match self {
-            Variant::FullRecompute => SystemSpec::MegatronLM,
-            Variant::FullRecomputePlan => SystemSpec::FullRecomputePlan,
-            Variant::FullSwapPlan => SystemSpec::FullSwapPlan,
-            Variant::TensorHybrid => SystemSpec::TensorHybrid,
-            Variant::Memo => SystemSpec::Memo,
-        }
-    }
-}
-
-/// Run one ablation variant: every row is a [`SystemSpec`] through the
-/// staged pipeline.
-pub fn run_variant(w: &Workload, variant: Variant, cfg: &ParallelConfig) -> CellOutcome {
-    w.run_with(variant.spec(), cfg)
-}
+//! * Full Recomputation — [`SystemSpec::MegatronLM`]: vanilla full
+//!   recomputation on the caching allocator;
+//! * Full Recomputation + Memory Plan — [`SystemSpec::FullRecomputePlan`]:
+//!   transient tensors placed by the bi-level plan (isolates the
+//!   memory-planning win);
+//! * Full Swapping + Memory Plan — [`SystemSpec::FullSwapPlan`]: α forced
+//!   to 1 with no recomputation (isolates the swapping win and exposes the
+//!   OOHM failure mode);
+//! * MEMO — [`SystemSpec::Memo`]: the full system (token-wise α from the
+//!   LP + plan);
+//! * extension beyond the paper's table — [`SystemSpec::TensorHybrid`]:
+//!   swap-vs-recompute decided per whole tensor (Capuchin-style
+//!   granularity, §6 related work).
+//!
+//! [`SystemSpec`]: memo_parallel::strategy::SystemSpec
+//! [`SystemSpec::MegatronLM`]: memo_parallel::strategy::SystemSpec::MegatronLM
+//! [`SystemSpec::FullRecomputePlan`]: memo_parallel::strategy::SystemSpec::FullRecomputePlan
+//! [`SystemSpec::FullSwapPlan`]: memo_parallel::strategy::SystemSpec::FullSwapPlan
+//! [`SystemSpec::Memo`]: memo_parallel::strategy::SystemSpec::Memo
+//! [`SystemSpec::TensorHybrid`]: memo_parallel::strategy::SystemSpec::TensorHybrid
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::outcome::CellOutcome;
     use crate::pipeline::ExecutionPipeline;
+    use crate::session::Workload;
+    use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 
     fn workload(s_k: u64) -> Workload {
         crate::testutil::w7(8, s_k)
@@ -90,16 +44,13 @@ mod tests {
         // full recompute + plan (42.05%) > full recompute (29.07%),
         // with MEMO matching full swapping.
         let w = workload(256);
-        let fr = run_variant(&w, Variant::FullRecompute, &cfg())
+        let fr = w.run_with(SystemSpec::MegatronLM, &cfg()).mfu().unwrap();
+        let frp = w
+            .run_with(SystemSpec::FullRecomputePlan, &cfg())
             .mfu()
             .unwrap();
-        let frp = run_variant(&w, Variant::FullRecomputePlan, &cfg())
-            .mfu()
-            .unwrap();
-        let fsp = run_variant(&w, Variant::FullSwapPlan, &cfg())
-            .mfu()
-            .unwrap();
-        let memo = run_variant(&w, Variant::Memo, &cfg()).mfu().unwrap();
+        let fsp = w.run_with(SystemSpec::FullSwapPlan, &cfg()).mfu().unwrap();
+        let memo = w.run_with(SystemSpec::Memo, &cfg()).mfu().unwrap();
         assert!(frp >= fr, "plan must not hurt recompute ({frp} vs {fr})");
         assert!(fsp > frp, "swap {fsp} should beat recompute {frp} at 256K");
         assert!(
@@ -113,7 +64,7 @@ mod tests {
         // Paper: X_oohm from 384K onward for Full Swapping + Plan.
         let mut hit = false;
         for s in [384u64, 512, 640, 768] {
-            let out = run_variant(&workload(s), Variant::FullSwapPlan, &cfg());
+            let out = workload(s).run_with(SystemSpec::FullSwapPlan, &cfg());
             if matches!(out, CellOutcome::Oohm { .. }) {
                 hit = true;
                 break;
@@ -129,8 +80,8 @@ mod tests {
     fn memo_supports_the_longest_sequences() {
         // MEMO must keep working at lengths where all ablations fail.
         let w = workload(896);
-        assert!(run_variant(&w, Variant::Memo, &cfg()).is_ok());
-        let fsp = run_variant(&w, Variant::FullSwapPlan, &cfg());
+        assert!(w.run_with(SystemSpec::Memo, &cfg()).is_ok());
+        let fsp = w.run_with(SystemSpec::FullSwapPlan, &cfg());
         assert!(!fsp.is_ok());
     }
 
@@ -165,9 +116,7 @@ mod tests {
                 .outcome
                 .mfu()
                 .unwrap();
-            let hybrid = run_variant(&w, Variant::TensorHybrid, &cfg())
-                .mfu()
-                .unwrap();
+            let hybrid = w.run_with(SystemSpec::TensorHybrid, &cfg()).mfu().unwrap();
             assert!(
                 memo >= hybrid - 1e-9,
                 "{s}K: memo {memo:.4} < tensor hybrid {hybrid:.4}"
@@ -184,18 +133,17 @@ mod tests {
         // Paper 64K row: full swapping 37.40% < full recompute + plan 42.91%
         // (offload cannot hide under compute at short lengths).
         let w = workload(64);
-        let frp = run_variant(&w, Variant::FullRecomputePlan, &cfg())
+        let frp = w
+            .run_with(SystemSpec::FullRecomputePlan, &cfg())
             .mfu()
             .unwrap();
-        let fsp = run_variant(&w, Variant::FullSwapPlan, &cfg())
-            .mfu()
-            .unwrap();
+        let fsp = w.run_with(SystemSpec::FullSwapPlan, &cfg()).mfu().unwrap();
         assert!(
             fsp < frp,
             "full swap {fsp} should lose to planned recompute {frp} at 64K"
         );
         // ...and MEMO should beat both by picking a fractional α.
-        let memo = run_variant(&w, Variant::Memo, &cfg()).mfu().unwrap();
+        let memo = w.run_with(SystemSpec::Memo, &cfg()).mfu().unwrap();
         assert!(memo >= frp && memo >= fsp);
     }
 }

@@ -25,7 +25,8 @@ use crate::serving::{self, Pick, TenantKind};
 use crate::session::Workload;
 use memo_hal::calib::CalibFingerprint;
 use memo_model::config::ModelConfig;
-use memo_model::hash::{FxHashMap, FxHasher};
+use memo_model::hash::{lock_shard, FxHashMap, FxHasher};
+use memo_model::stats::{ScopedStats, StatsScope, StatsSlot};
 use memo_model::trace::{IterationTrace, RematPolicy};
 use memo_parallel::strategy::ParallelConfig;
 use memo_plan::bilevel::BilevelReport;
@@ -33,8 +34,7 @@ use memo_plan::dispatch::PlannerKind;
 use std::cell::Cell;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::thread::LocalKey;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Everything `profile()` reads, by value. Two equal keys guarantee
 /// bit-identical reports.
@@ -144,6 +144,21 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
+}
+
+thread_local! {
+    /// Active profile/plan stats scope on this thread (`None` = unscoped).
+    static CACHE_SCOPE: Cell<Option<CacheStats>> = const { Cell::new(None) };
+    /// Active pick-table stats scope on this thread: the second slot of
+    /// [`CacheStats`], entered with `CacheStatsScope::enter_on(&PICK_SCOPE)`
+    /// and kept apart from profile/plan traffic.
+    pub static PICK_SCOPE: Cell<Option<CacheStats>> = const { Cell::new(None) };
+}
+
+impl ScopedStats for CacheStats {
+    fn slot() -> &'static StatsSlot<Self> {
+        &CACHE_SCOPE
+    }
 
     fn absorb(&mut self, other: CacheStats) {
         self.hits += other.hits;
@@ -151,93 +166,9 @@ impl CacheStats {
     }
 }
 
-type ScopeSlot = Cell<Option<CacheStats>>;
-
-thread_local! {
-    /// Active profile/plan stats scope on this thread (`None` = unscoped).
-    static CACHE_SCOPE: ScopeSlot = const { Cell::new(None) };
-    /// Active pick-table stats scope on this thread.
-    static PICK_SCOPE: ScopeSlot = const { Cell::new(None) };
-}
-
-fn bump_scope(slot: &'static LocalKey<ScopeSlot>, f: impl FnOnce(&mut CacheStats)) {
-    slot.with(|s| {
-        if let Some(mut cur) = s.get() {
-            f(&mut cur);
-            s.set(Some(cur));
-        }
-    });
-}
-
-/// RAII scope attributing this thread's profile/plan-cache lookups (or,
-/// from [`Self::enter_picks`], pick-table lookups) to one request. The
-/// process-global counters keep racing totals across every
-/// thread; a scope observes exactly the lookups made between `enter` and
-/// `finish` *on this thread*, so concurrent requests on different pool
-/// workers report disjoint counts. Entering saves any enclosing scope;
-/// finishing folds the inner counts back into it, composing the way the
-/// global counters do.
-#[derive(Debug)]
-pub struct CacheStatsScope {
-    slot: &'static LocalKey<ScopeSlot>,
-    prev: Option<CacheStats>,
-    done: bool,
-}
-
-impl CacheStatsScope {
-    pub fn enter() -> Self {
-        Self::enter_on(&CACHE_SCOPE)
-    }
-
-    /// A scope over this thread's pick-table lookups
-    /// ([`ProfileCache::pick`]), kept apart from profile/plan traffic.
-    pub fn enter_picks() -> Self {
-        Self::enter_on(&PICK_SCOPE)
-    }
-
-    fn enter_on(slot: &'static LocalKey<ScopeSlot>) -> Self {
-        CacheStatsScope {
-            slot,
-            prev: slot.replace(Some(CacheStats::default())),
-            done: false,
-        }
-    }
-
-    /// Close the scope and return the counts recorded inside it.
-    pub fn finish(mut self) -> CacheStats {
-        self.close()
-    }
-
-    fn close(&mut self) -> CacheStats {
-        if self.done {
-            return CacheStats::default();
-        }
-        self.done = true;
-        let inner = self.slot.replace(self.prev).unwrap_or_default();
-        bump_scope(self.slot, |outer| outer.absorb(inner));
-        inner
-    }
-}
-
-impl Drop for CacheStatsScope {
-    fn drop(&mut self) {
-        self.close();
-    }
-}
-
-/// Lock a shard, recovering from poisoning: a worker that panicked while
-/// holding the lock may have left a half-updated map behind, so the
-/// recovered shard is dropped wholesale — losing cached entries, never
-/// correctness (every entry is recomputable) — and the poison flag is
-/// cleared so later locks are clean.
-fn lock_shard<K, V>(shard: &Shard<K, V>) -> MutexGuard<'_, FxHashMap<K, Arc<V>>> {
-    shard.lock().unwrap_or_else(|poisoned| {
-        shard.clear_poison();
-        let mut guard = poisoned.into_inner();
-        guard.clear();
-        guard
-    })
-}
+/// Scope attributing this thread's profile/plan-cache lookups (or, on
+/// [`PICK_SCOPE`], pick-table lookups) to one request.
+pub type CacheStatsScope = StatsScope<CacheStats>;
 
 impl ProfileCache {
     const SHARDS: usize = 16;
@@ -301,10 +232,10 @@ impl ProfileCache {
     fn count(&self, hit: bool) {
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            bump_scope(&CACHE_SCOPE, |s| s.hits += 1);
+            CacheStatsScope::bump(|s| s.hits += 1);
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            bump_scope(&CACHE_SCOPE, |s| s.misses += 1);
+            CacheStatsScope::bump(|s| s.misses += 1);
         }
     }
 
@@ -381,18 +312,17 @@ impl ProfileCache {
     /// Look up or compute [`serving::pick`] for a `kind` tenant of `w`.
     /// Bypassed like the other tables.
     ///
-    /// These lookups are counted only in the thread's
-    /// [`CacheStatsScope::enter_picks`] scope, never in [`CacheStats`]
-    /// or [`Self::stats`], which keep meaning profile and plan traffic: a
-    /// request makes one pick lookup, and a training miss makes dozens of
-    /// profile lookups underneath it.
+    /// These lookups are counted only in the thread's [`PICK_SCOPE`]
+    /// scope, never in [`CacheStats`] or [`Self::stats`], which keep
+    /// meaning profile and plan traffic: a request makes one pick lookup,
+    /// and a training miss makes dozens of profile lookups underneath it.
     pub fn pick(&self, w: &Workload, kind: TenantKind, use_cache: bool) -> Arc<Pick> {
         let compute = || serving::pick(w, kind);
         if !use_cache {
             return Arc::new(compute());
         }
         let (pick, hit) = Self::memo(&self.pick_shards, PickKey::new(w, kind), compute);
-        bump_scope(&PICK_SCOPE, |s| {
+        CacheStatsScope::bump_on(&PICK_SCOPE, |s| {
             s.hits += u64::from(hit);
             s.misses += u64::from(!hit);
         });
@@ -586,7 +516,7 @@ mod tests {
         let cache = ProfileCache::new();
         let w = budget_w(16);
         for kind in KINDS {
-            let picks = CacheStatsScope::enter_picks();
+            let picks = CacheStatsScope::enter_on(&PICK_SCOPE);
             let first = cache.pick(&w, kind, true);
             let second = cache.pick(&w, kind, true);
             assert!(Arc::ptr_eq(&first, &second), "{kind:?}: repeat must hit");
@@ -620,7 +550,7 @@ mod tests {
             cache.clear();
             let b = cache.pick(&w, kind, true);
             assert!(!Arc::ptr_eq(&a, &b), "clear empties the pick table");
-            let picks = CacheStatsScope::enter_picks();
+            let picks = CacheStatsScope::enter_on(&PICK_SCOPE);
             let c = cache.pick(&w, kind, false);
             assert_eq!(picks.finish(), CacheStats::default());
             assert!(
@@ -665,7 +595,7 @@ mod tests {
         assert_ne!(*training, *serving);
         assert_eq!(serving.grid_cells, 4);
         assert!(serving.picked.is_none() && serving.report.is_none());
-        let picks = CacheStatsScope::enter_picks();
+        let picks = CacheStatsScope::enter_on(&PICK_SCOPE);
         assert!(Arc::ptr_eq(
             &training,
             &cache.pick(&w, TenantKind::Training, true)

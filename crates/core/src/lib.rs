@@ -17,8 +17,8 @@
 //! [`session`] is the user-facing API: build a [`session::Workload`], pick a
 //! [`SystemSpec`](memo_parallel::SystemSpec), `run_with()` — and read
 //! MFU/TGS or an OOM/OOHM outcome (the cells of Table 3), or
-//! `run_report()` for the full byte/time accounting. [`ablation`] provides
-//! the Table 4 variants.
+//! `run_report()` for the full byte/time accounting. [`ablation`] maps the
+//! Table 4 rows to their `SystemSpec`s.
 
 pub mod ablation;
 pub mod cache;

@@ -7,7 +7,6 @@
 //! for every cell of their strategy. Both fold their cells with
 //! [`pick_best_or_failure`].
 
-use crate::ablation::Variant;
 use crate::outcome::CellOutcome;
 use crate::pipeline::{ExecutionPipeline, ExecutionReport, Screen};
 use crate::profiler::ProfileReport;
@@ -125,11 +124,6 @@ impl Workload {
         obs: &mut crate::observer::RunObserver,
     ) -> ExecutionReport {
         ExecutionPipeline::new(system).execute_from(self, cfg, true, Some(obs))
-    }
-
-    /// Run an ablation variant (Table 4) with an explicit configuration.
-    pub fn run_variant(&self, variant: Variant, cfg: &ParallelConfig) -> CellOutcome {
-        crate::ablation::run_variant(self, variant, cfg)
     }
 
     /// Search all valid strategies for `system` (the paper's "manually

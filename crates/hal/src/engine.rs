@@ -21,10 +21,10 @@
 //! same schedule (DESIGN.md §2e). Two mechanisms keep a recorded run lean:
 //!
 //! * **Interned labels.** Spans carry a 4-byte [`Sym`] into a per-timeline
-//!   [`SymTable`] instead of a heap `String`; a distinct label is formatted
-//!   and allocated once per timeline, not once per op. Resolution back to
-//!   `&str` ([`Timeline::label`], [`Timeline::span_label`]) happens only at
-//!   render/export time.
+//!   [`TraceStrings`] table (the interner allocator traces use) instead of
+//!   a heap `String`; a distinct label is stored once per timeline, not
+//!   once per op. Resolution back to `&str` ([`Timeline::label`],
+//!   [`Timeline::span_label`]) happens only at render/export time.
 //! * **Arena pre-sizing.** [`Timeline::reserve_ops`] pre-sizes the
 //!   span/mark/event vectors from the profiled op count so a replay
 //!   performs no mid-run reallocation.
@@ -33,7 +33,7 @@
 //! differential suites drive both in lockstep.
 
 use crate::time::SimTime;
-use std::collections::HashMap;
+use memo_model::trace::{Sym, TraceStrings};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -44,133 +44,6 @@ pub struct StreamId(pub usize);
 /// Identifies a recorded event within one [`Timeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(pub usize);
-
-/// Interned span label: an index into the owning timeline's [`SymTable`]
-/// (the same pattern as `memo_model::trace::Sym` for allocator traces).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Sym(pub u32);
-
-impl Sym {
-    /// The empty label — index 0 of every [`SymTable`].
-    pub const EMPTY: Sym = Sym(0);
-}
-
-/// FNV-1a over `bytes` — cheap and deterministic for the short labels the
-/// simulator produces, so interning never pays SipHash or map rehash costs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-/// Pass-through hasher for map keys that are already uniform 64-bit hashes.
-#[derive(Debug, Clone, Copy, Default)]
-struct PrehashedKey(u64);
-
-impl std::hash::Hasher for PrehashedKey {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (unused by `u64` keys, which call `write_u64`).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-}
-
-type PrehashedState = std::hash::BuildHasherDefault<PrehashedKey>;
-
-/// Deduplicated label table of one timeline. Index 0 is always the empty
-/// string, so [`Sym::EMPTY`] (and `Sym::default()`) resolve in any table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SymTable {
-    strings: Vec<String>,
-    /// `fnv1a(label)` → index into `strings`. A miss costs one string
-    /// allocation; different labels sharing a 64-bit hash overflow into
-    /// `collisions` and are resolved by comparison (in practice never).
-    index: HashMap<u64, u32, PrehashedState>,
-    collisions: Vec<u32>,
-}
-
-impl Default for SymTable {
-    fn default() -> Self {
-        let mut t = SymTable {
-            strings: Vec::new(),
-            index: HashMap::default(),
-            collisions: Vec::new(),
-        };
-        t.intern("");
-        t
-    }
-}
-
-impl SymTable {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Intern `label`, allocating only on first sight.
-    pub fn intern(&mut self, label: &str) -> Sym {
-        let h = fnv1a(label.as_bytes());
-        if let Some(&i) = self.index.get(&h) {
-            if self.strings[i as usize] == label {
-                return Sym(i);
-            }
-            // 64-bit hash collision: the overflow list holds every label
-            // that lost its map slot.
-            for &j in &self.collisions {
-                if self.strings[j as usize] == label {
-                    return Sym(j);
-                }
-            }
-            let sym = self.push(label);
-            self.collisions.push(sym.0);
-            return sym;
-        }
-        let sym = self.push(label);
-        self.index.insert(h, sym.0);
-        sym
-    }
-
-    fn push(&mut self, label: &str) -> Sym {
-        let i = u32::try_from(self.strings.len()).expect("label table overflow");
-        self.strings.push(label.to_string());
-        Sym(i)
-    }
-
-    /// Pre-size for up to `n` additional distinct labels.
-    pub fn reserve(&mut self, n: usize) {
-        self.strings.reserve(n);
-        self.index.reserve(n);
-    }
-
-    /// The string behind `sym` (empty string for out-of-table symbols, so a
-    /// default-constructed `Sym` is always printable).
-    pub fn resolve(&self, sym: Sym) -> &str {
-        self.strings
-            .get(sym.0 as usize)
-            .map(String::as_str)
-            .unwrap_or("")
-    }
-
-    /// Number of distinct labels (including the empty string at index 0).
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-}
 
 /// One executed operation, kept for timeline rendering and assertions.
 /// `Copy`: 32 bytes, no heap — the label is an interned [`Sym`].
@@ -238,7 +111,7 @@ pub struct Timeline {
     events: Vec<SimTime>,
     spans: Vec<Span>,
     marks: Vec<Mark>,
-    syms: SymTable,
+    syms: TraceStrings,
     /// Reused by [`Self::intern_fmt`] so repeated labels format without
     /// allocating.
     scratch: String,
@@ -323,7 +196,7 @@ impl Timeline {
     }
 
     /// The symbol table (exporters that batch-resolve labels).
-    pub fn symbols(&self) -> &SymTable {
+    pub fn symbols(&self) -> &TraceStrings {
         &self.syms
     }
 

@@ -29,7 +29,7 @@ pub mod timeline;
 pub mod topology;
 
 pub use calib::Calibration;
-pub use engine::{EventId, StreamId, Sym, Timeline};
+pub use engine::{EventId, StreamId, Timeline};
 pub use hierarchy::{MemoryHierarchy, TierSharing, TierSpec};
 pub use time::SimTime;
 pub use topology::{ClusterSpec, GpuSpec, HostSpec, LinkKind};

@@ -1,12 +1,18 @@
-//! One Fx-style hasher for the workspace's hot-path maps.
+//! One Fx-style hasher for the workspace's hot-path maps, and the one
+//! lock for their sharded, process-wide forms.
 //!
-//! Keys are trace tensor ids, addresses, trace labels and profile-cache
-//! keys the program generated itself, so SipHash's protection against
-//! crafted collisions buys nothing there, and a multiply-rotate hash is
-//! much cheaper.
+//! Keys are trace tensor ids, addresses, trace and timeline labels, and
+//! profile-cache and segment-cache keys the program generated itself, so
+//! SipHash's protection against crafted collisions buys nothing there, and
+//! a multiply-rotate hash is much cheaper. Its neighbours: [`FxHashMap`],
+//! and [`lock_shard`], the poison-recovering lock of every `Mutex`-guarded
+//! shard of a memo table (`memo_core::cache::ProfileCache`,
+//! `memo_swap::SegmentCache`). Shard selection should read the hash's high
+//! 32 bits: an Fx hash ends in a multiply, so its low bits are the weakest.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Mutex, MutexGuard};
 
 /// Minimal FxHash-style hasher. Not DoS-hardened: use it only for keys the
 /// program generated (trace ids, simulated addresses, labels, cache keys).
@@ -60,6 +66,20 @@ impl Hasher for FxHasher {
 
 /// A `HashMap` keyed through [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// Lock a memo-table shard, recovering from poisoning: a worker that
+/// panicked while holding the lock may have left a half-updated map behind,
+/// so the recovered shard is dropped wholesale — losing memoized entries,
+/// never correctness (every entry is recomputable) — and the poison flag is
+/// cleared so later locks are clean.
+pub fn lock_shard<K, V>(shard: &Mutex<FxHashMap<K, V>>) -> MutexGuard<'_, FxHashMap<K, V>> {
+    shard.lock().unwrap_or_else(|poisoned| {
+        shard.clear_poison();
+        let mut guard = poisoned.into_inner();
+        guard.clear();
+        guard
+    })
+}
 
 #[cfg(test)]
 mod tests {

@@ -19,7 +19,10 @@
 //! * [`decode`] — decode-phase (serving) traces: per-step KV append,
 //!   continuous-batching arrivals/departures on a virtual step clock;
 //! * [`hash`] — the Fx hasher shared by the allocator's and the DSA
-//!   builder's hot-path maps, the trace label table and the profile cache.
+//!   builder's hot-path maps, the trace and timeline label table and the
+//!   profile and segment caches, plus the caches' shard lock;
+//! * [`stats`] — the thread-local stats scope that attributes cache and
+//!   pool counts to the request that caused them.
 
 pub mod activations;
 pub mod chunked;
@@ -28,6 +31,7 @@ pub mod decode;
 pub mod flops;
 pub mod hash;
 pub mod io;
+pub mod stats;
 pub mod trace;
 
 pub use activations::{LayerDims, SkeletalKind, SkeletalTensor};

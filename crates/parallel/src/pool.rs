@@ -27,6 +27,7 @@
 //!   strategy search keep the `>=` last-enumerated tie-break bit-exactly
 //!   (see `memo-core::session` and DESIGN.md).
 
+use memo_model::stats::{ScopedStats, StatsScope, StatsSlot};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -46,7 +47,16 @@ pub struct PoolStats {
     pub steals: u64,
 }
 
-impl PoolStats {
+thread_local! {
+    /// Active stats scope on this thread (`None` = unscoped).
+    static POOL_SCOPE: Cell<Option<PoolStats>> = const { Cell::new(None) };
+}
+
+impl ScopedStats for PoolStats {
+    fn slot() -> &'static StatsSlot<Self> {
+        &POOL_SCOPE
+    }
+
     fn absorb(&mut self, other: PoolStats) {
         self.batches += other.batches;
         self.jobs += other.jobs;
@@ -55,62 +65,12 @@ impl PoolStats {
     }
 }
 
-thread_local! {
-    /// Active stats scope on this thread (`None` = unscoped).
-    static POOL_SCOPE: Cell<Option<PoolStats>> = const { Cell::new(None) };
-}
-
-fn bump_scope(f: impl FnOnce(&mut PoolStats)) {
-    POOL_SCOPE.with(|s| {
-        if let Some(mut cur) = s.get() {
-            f(&mut cur);
-            s.set(Some(cur));
-        }
-    });
-}
-
-/// RAII scope attributing pool work *initiated from this thread* to one
-/// request. A scope observes exactly the batches started between `enter`
-/// and `finish` on this thread — including the steals and helper threads
-/// those batches used, which are credited to the initiating thread when
-/// each batch completes. Concurrent requests on different threads
-/// therefore report disjoint, correct counts. Entering saves any enclosing
-/// scope; finishing folds the inner counts back into it.
-#[derive(Debug)]
-pub struct PoolStatsScope {
-    prev: Option<PoolStats>,
-    done: bool,
-}
-
-impl PoolStatsScope {
-    pub fn enter() -> Self {
-        PoolStatsScope {
-            prev: POOL_SCOPE.replace(Some(PoolStats::default())),
-            done: false,
-        }
-    }
-
-    /// Close the scope and return the counts recorded inside it.
-    pub fn finish(mut self) -> PoolStats {
-        self.close()
-    }
-
-    fn close(&mut self) -> PoolStats {
-        if self.done {
-            return PoolStats::default();
-        }
-        self.done = true;
-        let inner = POOL_SCOPE.replace(self.prev).unwrap_or_default();
-        bump_scope(|outer| outer.absorb(inner));
-        inner
-    }
-}
-
-impl Drop for PoolStatsScope {
-    fn drop(&mut self) {
-        self.close();
-    }
-}
+/// Scope attributing pool work *initiated from this thread* to one request:
+/// it observes exactly the batches started between `enter` and `finish` on
+/// this thread — including the steals and helper threads those batches
+/// used, which are credited to the initiating thread when each batch
+/// completes.
+pub type PoolStatsScope = StatsScope<PoolStats>;
 
 /// Number of workers the host supports (`available_parallelism`, min 1).
 pub fn available_workers() -> usize {
@@ -150,7 +110,7 @@ fn release_helpers(n: usize) {
 
 /// Record a batch in the calling thread's scope (if any).
 fn count_batch(jobs: usize, helpers: usize) {
-    bump_scope(|s| {
+    PoolStatsScope::bump(|s| {
         s.batches += 1;
         s.jobs += jobs as u64;
         s.helpers_spawned += helpers as u64;
@@ -161,7 +121,7 @@ fn count_batch(jobs: usize, helpers: usize) {
 /// threads don't write the caller's thread-local) into the calling
 /// thread's scope.
 fn count_steals(stolen: u64) {
-    bump_scope(|s| s.steals += stolen);
+    PoolStatsScope::bump(|s| s.steals += stolen);
 }
 
 /// A bounded work-stealing pool. Holds no threads of its own: each [`run`]

@@ -206,9 +206,8 @@ impl DsaInstance {
     /// Indices of tensors overlapping tensor `i`, by linear scan.
     ///
     /// Retained as the differential oracle for the sweep-line
-    /// [`crate::index::IntervalIndex`], which replaces it on every hot
-    /// path (`IntervalIndex::query` for one-off lookups,
-    /// `IntervalIndex::adjacency` for all-pairs conflict lists).
+    /// [`crate::index::IntervalIndex`], whose `adjacency` replaces it on
+    /// every hot path.
     pub fn conflicts_of(&self, i: usize) -> Vec<usize> {
         let ti = self.tensors[i];
         self.tensors

@@ -1,13 +1,9 @@
 //! Sweep-line interval index over a [`DsaInstance`].
 //!
 //! Replaces the linear-scan `DsaInstance::conflicts_of` on every hot path:
-//!
-//! * [`IntervalIndex::query`] answers one-off "who overlaps tensor i?"
-//!   lookups in O(log n + k) via an implicit interval tree (tensors sorted
-//!   by birth, each subtree augmented with its maximum death);
-//! * [`IntervalIndex::adjacency`] materializes all per-tensor conflict
-//!   lists in O(n log n + K) with a birth-ordered sweep over a min-heap of
-//!   live tensors, where K is the total number of conflicting pairs.
+//! [`IntervalIndex::adjacency`] materializes all per-tensor conflict lists
+//! in O(n log n + K) with a birth-ordered sweep over a min-heap of live
+//! tensors, where K is the total number of conflicting pairs.
 //!
 //! `DsaInstance::conflicts_of` is retained as the differential oracle; see
 //! the tests at the bottom and `tests/boxing_scale.rs`.
@@ -16,9 +12,7 @@ use crate::dsa::DsaInstance;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Immutable interval index: tensor indices sorted by `(birth, death, idx)`
-/// with an implicit balanced tree (midpoint recursion) storing the maximum
-/// death over each subtree.
+/// Immutable interval index: tensor indices sorted by `(birth, death, idx)`.
 #[derive(Debug)]
 pub struct IntervalIndex {
     /// Original tensor indices in sorted order.
@@ -26,8 +20,6 @@ pub struct IntervalIndex {
     /// `birth[p]` / `death[p]` of `order[p]`.
     birth: Vec<usize>,
     death: Vec<usize>,
-    /// Max death over the implicit subtree rooted at sorted position `p`.
-    max_death: Vec<usize>,
 }
 
 impl IntervalIndex {
@@ -47,66 +39,11 @@ impl IntervalIndex {
             .iter()
             .map(|&i| inst.tensors[i as usize].death)
             .collect();
-        let mut max_death = vec![0usize; n];
-        fn build(lo: usize, hi: usize, death: &[usize], max_death: &mut [usize]) -> usize {
-            if lo >= hi {
-                return 0;
-            }
-            let mid = lo + (hi - lo) / 2;
-            let left = build(lo, mid, death, max_death);
-            let right = build(mid + 1, hi, death, max_death);
-            let m = death[mid].max(left).max(right);
-            max_death[mid] = m;
-            m
-        }
-        build(0, n, &death, &mut max_death);
         IntervalIndex {
             order,
             birth,
             death,
-            max_death,
         }
-    }
-
-    /// Original tensor indices whose lifespans intersect the half-open
-    /// interval `[qb, qd)`, ascending. An empty query interval matches
-    /// nothing.
-    pub fn query_interval(&self, qb: usize, qd: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.collect(0, self.order.len(), qb, qd, &mut out);
-        out.sort_unstable();
-        out
-    }
-
-    /// Conflicts of tensor `i` (original index), ascending; excludes `i`.
-    /// Differential-equal to `DsaInstance::conflicts_of(i)`.
-    pub fn query(&self, inst: &DsaInstance, i: usize) -> Vec<usize> {
-        let t = &inst.tensors[i];
-        let mut out = self.query_interval(t.birth, t.death);
-        out.retain(|&j| j != i);
-        out
-    }
-
-    fn collect(&self, lo: usize, hi: usize, qb: usize, qd: usize, out: &mut Vec<usize>) {
-        if lo >= hi || qb >= qd {
-            return;
-        }
-        let mid = lo + (hi - lo) / 2;
-        // Every death in this subtree is <= qb: nothing here outlives the
-        // query start.
-        if self.max_death[mid] <= qb {
-            return;
-        }
-        self.collect(lo, mid, qb, qd, out);
-        // Births are sorted: once a node's birth reaches the query end,
-        // neither it nor its right subtree can intersect.
-        if self.birth[mid] >= qd {
-            return;
-        }
-        if self.death[mid] > qb {
-            out.push(self.order[mid] as usize);
-        }
-        self.collect(mid + 1, hi, qb, qd, out);
     }
 
     /// All per-tensor conflict lists (each ascending), equivalent to
@@ -198,21 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn query_matches_conflicts_of_oracle() {
-        for seed in 1..=20u64 {
-            let inst = random_inst(seed, 40, 30);
-            let idx = IntervalIndex::new(&inst);
-            for i in 0..inst.len() {
-                assert_eq!(
-                    idx.query(&inst, i),
-                    inst.conflicts_of(i),
-                    "seed {seed} tensor {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn adjacency_matches_conflicts_of_oracle() {
         for seed in 1..=20u64 {
             let inst = random_inst(seed, 60, 25);
@@ -236,9 +158,7 @@ mod tests {
     #[test]
     fn empty_and_touching_intervals() {
         let inst = inst_from(&[(0, 5), (5, 9)]);
-        let idx = IntervalIndex::new(&inst);
-        assert!(idx.query(&inst, 0).is_empty(), "touching never overlaps");
-        assert!(idx.query_interval(3, 3).is_empty(), "empty query interval");
-        assert_eq!(idx.query_interval(4, 6), vec![0, 1]);
+        let adj = IntervalIndex::new(&inst).adjacency(&inst);
+        assert_eq!(adj, vec![Vec::<usize>::new(); 2], "touching never overlaps");
     }
 }

@@ -78,11 +78,9 @@ proptest! {
     // path can still afford.
     #[test]
     fn interval_index_matches_conflicts_of(inst in inst_strategy(90)) {
-        let index = IntervalIndex::new(&inst);
-        let adjacency = index.adjacency(&inst);
+        let adjacency = IntervalIndex::new(&inst).adjacency(&inst);
         for (i, row) in adjacency.iter().enumerate() {
             prop_assert_eq!(row, &inst.conflicts_of(i));
-            prop_assert_eq!(&index.query(&inst, i), &inst.conflicts_of(i));
         }
     }
 

@@ -30,7 +30,7 @@
 use crate::admission::{AdmissionController, AdmissionPolicy};
 use crate::elastic::ElasticPools;
 use crate::request::{PlanReply, PlanRequest, RequestOutcome, RequestRecord, TenantKind};
-use memo_core::cache::{CacheStats, CacheStatsScope, ProfileCache};
+use memo_core::cache::{CacheStats, CacheStatsScope, ProfileCache, PICK_SCOPE};
 use memo_core::session::Workload;
 use memo_obs::json::Json;
 use memo_obs::latency::LatencySummary;
@@ -408,7 +408,7 @@ impl PlanServer {
 fn plan_one(adm: &Admitted, use_cache: bool) -> PlanReply {
     let t0 = Instant::now();
     let cache_scope = CacheStatsScope::enter();
-    let pick_scope = CacheStatsScope::enter_picks();
+    let pick_scope = CacheStatsScope::enter_on(&PICK_SCOPE);
     let seg_scope = SegmentStatsScope::enter();
     let mut w = Workload::new(adm.req.model.config(), adm.req.n_gpus, adm.req.seq_len);
     w.calib.set_host_memory_bytes(adm.host_budget_bytes);

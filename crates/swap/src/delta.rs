@@ -29,11 +29,12 @@ use crate::schedule::{
 };
 use crate::tiers::{OutOfTierMemory, TierStaging};
 use memo_hal::time::SimTime;
+use memo_model::hash::{lock_shard, FxHashMap, FxHasher};
+use memo_model::stats::{ScopedStats, StatsScope, StatsSlot};
 use std::cell::Cell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// Most runs a [`ScheduleKey`] holds: the pipeline's
 /// `[Swap][Recompute][Retained]` layout.
@@ -135,39 +136,7 @@ impl Hash for ScheduleKey {
     }
 }
 
-/// FNV-1a over u64 words — the keys are already well-mixed integer words,
-/// so SipHash would be pure overhead on this hot path.
-pub struct FnvWordHasher(u64);
-
-impl Default for FnvWordHasher {
-    fn default() -> Self {
-        FnvWordHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvWordHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, w: u64) {
-        self.0 ^= w;
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-type Shard = HashMap<
-    ScheduleKey,
-    Result<ScalarSchedule, OutOfTierMemory>,
-    BuildHasherDefault<FnvWordHasher>,
->;
+type Shard = FxHashMap<ScheduleKey, Result<ScalarSchedule, OutOfTierMemory>>;
 
 /// Hit/miss/fallback counters of a [`SegmentCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -181,7 +150,16 @@ pub struct SegmentCacheStats {
     pub fallbacks: u64,
 }
 
-impl SegmentCacheStats {
+thread_local! {
+    /// Active stats scope on this thread (`None` = unscoped).
+    static SEGMENT_SCOPE: Cell<Option<SegmentCacheStats>> = const { Cell::new(None) };
+}
+
+impl ScopedStats for SegmentCacheStats {
+    fn slot() -> &'static StatsSlot<Self> {
+        &SEGMENT_SCOPE
+    }
+
     fn absorb(&mut self, other: SegmentCacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
@@ -189,75 +167,8 @@ impl SegmentCacheStats {
     }
 }
 
-thread_local! {
-    /// Active stats scope on this thread (`None` = unscoped).
-    static SEGMENT_SCOPE: Cell<Option<SegmentCacheStats>> = const { Cell::new(None) };
-}
-
-fn bump_scope(f: impl FnOnce(&mut SegmentCacheStats)) {
-    SEGMENT_SCOPE.with(|s| {
-        if let Some(mut cur) = s.get() {
-            f(&mut cur);
-            s.set(Some(cur));
-        }
-    });
-}
-
-/// RAII scope attributing this thread's segment-cache lookups to one
-/// request. The process-global counters keep racing totals across every
-/// thread; a scope observes exactly the lookups made between `enter` and
-/// `finish` *on this thread*, so concurrent requests on different pool
-/// workers report disjoint counts. Entering saves any enclosing scope;
-/// finishing folds the inner counts back into it, composing the way the
-/// global counters do.
-#[derive(Debug)]
-pub struct SegmentStatsScope {
-    prev: Option<SegmentCacheStats>,
-    done: bool,
-}
-
-impl SegmentStatsScope {
-    pub fn enter() -> Self {
-        SegmentStatsScope {
-            prev: SEGMENT_SCOPE.replace(Some(SegmentCacheStats::default())),
-            done: false,
-        }
-    }
-
-    /// Close the scope and return the counts recorded inside it.
-    pub fn finish(mut self) -> SegmentCacheStats {
-        self.close()
-    }
-
-    fn close(&mut self) -> SegmentCacheStats {
-        if self.done {
-            return SegmentCacheStats::default();
-        }
-        self.done = true;
-        let inner = SEGMENT_SCOPE.replace(self.prev).unwrap_or_default();
-        bump_scope(|outer| outer.absorb(inner));
-        inner
-    }
-}
-
-impl Drop for SegmentStatsScope {
-    fn drop(&mut self) {
-        self.close();
-    }
-}
-
-/// Lock a shard, recovering from poisoning: a worker that panicked while
-/// holding the lock may have left a half-updated map behind, so the
-/// recovered shard is dropped wholesale — losing memoized segments, never
-/// correctness — and the poison flag is cleared so later locks are clean.
-fn lock_shard(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
-    shard.lock().unwrap_or_else(|poisoned| {
-        shard.clear_poison();
-        let mut guard = poisoned.into_inner();
-        guard.clear();
-        guard
-    })
-}
+/// Scope attributing this thread's segment-cache lookups to one request.
+pub type SegmentStatsScope = StatsScope<SegmentCacheStats>;
 
 /// Sharded memo cache of scalar schedule builds, keyed by
 /// [`ScheduleKey`]. Process-global like `ProfileCache`; shards bound lock
@@ -293,24 +204,26 @@ impl SegmentCache {
     }
 
     fn shard(&self, key: &ScheduleKey) -> &Mutex<Shard> {
-        let mut h = FnvWordHasher::default();
+        // The shard comes from the hash's high half: an Fx hash ends in a
+        // multiply, so its low bits are the weakest.
+        let mut h = FxHasher::default();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % Self::SHARDS]
+        &self.shards[(h.finish() >> 32) as usize % Self::SHARDS]
     }
 
     fn count_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        bump_scope(|s| s.hits += 1);
+        SegmentStatsScope::bump(|s| s.hits += 1);
     }
 
     fn count_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        bump_scope(|s| s.misses += 1);
+        SegmentStatsScope::bump(|s| s.misses += 1);
     }
 
     fn count_fallback(&self) {
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        bump_scope(|s| s.fallbacks += 1);
+        SegmentStatsScope::bump(|s| s.fallbacks += 1);
     }
 
     /// Scalar schedule build ([`build_schedule_scalars`]) through the cache.
