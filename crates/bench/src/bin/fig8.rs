@@ -7,8 +7,7 @@ use memo_core::session::Workload;
 use memo_model::config::ModelConfig;
 use memo_model::trace::RematPolicy;
 use memo_parallel::strategy::ParallelConfig;
-use memo_plan::bilevel::{plan_flat, plan_iteration, PlanOptions};
-use memo_plan::bnb::BnbOptions;
+use memo_plan::bilevel::{plan_flat, plan_iteration};
 use memo_plan::dsa::DsaInstance;
 use std::time::Instant;
 
@@ -27,7 +26,7 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let report = plan_iteration(&p.trace, &PlanOptions::default());
+    let report = plan_iteration(&p.trace);
     let bilevel_time = t0.elapsed();
 
     if let Some(fwd) = report.layer_fwd {
@@ -63,7 +62,7 @@ fn main() {
     report.plan.validate_against(&p.trace).expect("plan valid");
 
     let t1 = Instant::now();
-    let (flat_plan, flat_stats) = plan_flat(&p.trace, BnbOptions::default());
+    let (flat_plan, flat_stats) = plan_flat(&p.trace);
     let flat_time = t1.elapsed();
     flat_plan
         .validate_against(&p.trace)

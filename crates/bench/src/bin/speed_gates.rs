@@ -18,7 +18,8 @@
 //!   KeepAll};
 //! * the "delta" gates: grid rows (`Workload::run_alpha_grid`) over the
 //!   dense MEMO@1M grid, warm sweep ≥ 3× and cold sweep ≥ 1× the per-cell
-//!   `execute_cached` baseline, and the mixed-policy sweep (with
+//!   `execute_cached` baseline (median of alternating pairs, caches
+//!   cleared before every cold sweep), and the mixed-policy sweep (with
 //!   full-simulation verification) < 30 s;
 //! * a cold, serial TensorHybrid strategy search ≥ 2× an exhaustive
 //!   `run_with` fold over the same grid at 7B/8 GPUs {256K, 1M}: the
@@ -77,6 +78,24 @@ fn min_ms(reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64() * 1e3);
     }
     best
+}
+
+/// Calls of a gate leg that take ~50 ms, calibrated off one call of `f`,
+/// at most `max`.
+fn reps_for(max: usize, f: impl FnOnce()) -> usize {
+    let t0 = Instant::now();
+    f();
+    ((0.05 / t0.elapsed().as_secs_f64().max(1e-7)) as usize).clamp(1, max)
+}
+
+/// Time two legs of a gate (each returns wall-ms) in 11 alternating
+/// pairs, so both see the same machine mode, and return the
+/// `(fast_ms, slow_ms)` pair of median `slow / fast` ratio.
+fn median_pair(mut fast: impl FnMut() -> f64, mut slow: impl FnMut() -> f64) -> (f64, f64) {
+    const PAIRS: usize = 11;
+    let mut pairs: Vec<(f64, f64)> = (0..PAIRS).map(|_| (fast(), slow())).collect();
+    pairs.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
+    pairs[PAIRS / 2]
 }
 
 fn sim_gate() -> bool {
@@ -198,7 +217,6 @@ fn replay_twice<A: DeviceAllocator>(mut a: A, trace: &IterationTrace) {
 
 fn caching_replay_gate() -> bool {
     const ROOMY: u64 = 1 << 42;
-    const PAIRS: usize = 11;
     let traces = replay_traces();
     let requests: usize = traces.iter().map(|t| 2 * t.len()).sum();
     let fast = || {
@@ -211,17 +229,8 @@ fn caching_replay_gate() -> bool {
             replay_twice(ReferenceCachingAllocator::new(ROOMY), t);
         }
     };
-    // Calibrate off the reference leg so each leg times ~50 ms, then time
-    // the legs in alternating repetitions so both see the same machine
-    // mode; the gate reads the median per-pair ratio.
-    let t0 = Instant::now();
-    reference();
-    let reps = ((0.05 / t0.elapsed().as_secs_f64().max(1e-7)) as usize).clamp(1, 10_000);
-    let mut pairs: Vec<(f64, f64)> = (0..PAIRS)
-        .map(|_| (mean_ms(reps, fast), mean_ms(reps, reference)))
-        .collect();
-    pairs.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
-    let (fast_ms, reference_ms) = pairs[PAIRS / 2];
+    let reps = reps_for(10_000, reference);
+    let (fast_ms, reference_ms) = median_pair(|| mean_ms(reps, fast), || mean_ms(reps, reference));
     let speedup = reference_ms / fast_ms.max(1e-12);
     let ns = |ms: f64| ms * 1e6 / requests as f64;
     gate(
@@ -243,7 +252,6 @@ fn clear_caches() {
 }
 
 fn static_search_gate() -> bool {
-    const PAIRS: usize = 11;
     let spec = SystemSpec::TensorHybrid;
     let cells = [256u64, 1024].map(|k| Workload::new(ModelConfig::gpt_7b(), 8, k << 10));
     // Serial, so the ratio measures the pruning rather than the pool width.
@@ -268,16 +276,9 @@ fn static_search_gate() -> bool {
             black_box(best);
         }
     };
-    // Calibrate off the exhaustive leg so each leg times ~50 ms, then
-    // alternate the legs and read the median per-pair ratio.
-    let t0 = Instant::now();
-    exhaustive();
-    let reps = ((0.05 / t0.elapsed().as_secs_f64().max(1e-7)) as usize).clamp(1, 1_000);
-    let mut pairs: Vec<(f64, f64)> = (0..PAIRS)
-        .map(|_| (mean_ms(reps, search), mean_ms(reps, exhaustive)))
-        .collect();
-    pairs.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
-    let (search_ms, exhaustive_ms) = pairs[PAIRS / 2];
+    let reps = reps_for(1_000, exhaustive);
+    let (search_ms, exhaustive_ms) =
+        median_pair(|| mean_ms(reps, search), || mean_ms(reps, exhaustive));
     let speedup = exhaustive_ms / search_ms.max(1e-12);
     gate(
         "cold static-plan search vs exhaustive fold, TensorHybrid 7B/8 GPUs {256K, 1M}",
@@ -313,24 +314,35 @@ fn delta_gates() -> [bool; 3] {
     let grid = memo_grid(&w);
     let cells = grid.cells().count();
 
-    // Cold: every leg starts from empty profile and segment caches.
-    clear_caches();
-    let cold_baseline_ms = min_ms(1, || {
-        black_box(sweep_baseline(&w, &grid));
-    });
-    clear_caches();
-    let cold_rows_ms = min_ms(1, || {
+    let rows = || {
         black_box(sweep_rows(&w, &grid));
-    });
+    };
+    let baseline = || {
+        black_box(sweep_baseline(&w, &grid));
+    };
+    let cold_rows = || {
+        clear_caches();
+        rows();
+    };
+    let cold_baseline = || {
+        clear_caches();
+        baseline();
+    };
+    // Each leg reads its best call, as the single-shot legs these pairs
+    // replaced did: a leg's mean also carries preemption noise, which
+    // dilutes the ratio. Cold: every sweep starts from empty profile and
+    // segment caches.
+    let reps = reps_for(1_000, cold_baseline);
+    let (cold_rows_ms, cold_baseline_ms) =
+        median_pair(|| min_ms(reps, cold_rows), || min_ms(reps, cold_baseline));
     let cold = cold_baseline_ms / cold_rows_ms.max(1e-9);
 
-    // Warm: steady-state repeated sweeps, best of 25.
-    let warm_baseline_ms = min_ms(25, || {
-        black_box(sweep_baseline(&w, &grid));
-    });
-    let warm_rows_ms = min_ms(25, || {
-        black_box(sweep_rows(&w, &grid));
-    });
+    // Warm: steady-state repeated sweeps.
+    baseline();
+    rows();
+    let reps = reps_for(10_000, baseline);
+    let (warm_rows_ms, warm_baseline_ms) =
+        median_pair(|| min_ms(reps, rows), || min_ms(reps, baseline));
     let warm = warm_baseline_ms / warm_rows_ms.max(1e-9);
 
     // Mixed-policy sweep: every swap-layer count of every strategy,

@@ -2,8 +2,8 @@
 //! `memo_plan`'s bi-level solver, with plan verification.
 
 use memo_model::trace::IterationTrace;
-use memo_plan::bilevel::{plan_iteration, plan_whole, BilevelReport, PlanOptions};
-use memo_plan::dispatch::{DispatchOptions, PlannerKind};
+use memo_plan::bilevel::{plan_iteration, plan_whole, BilevelReport};
+use memo_plan::dispatch::PlannerKind;
 
 /// Plan the addresses of every activation tensor in `trace`.
 ///
@@ -21,8 +21,8 @@ pub fn plan(trace: &IterationTrace) -> BilevelReport {
 /// boxing with a certified gap when large).
 pub fn plan_with(trace: &IterationTrace, planner: PlannerKind) -> BilevelReport {
     let report = match planner {
-        PlannerKind::Bilevel => plan_iteration(trace, &PlanOptions::default()),
-        PlannerKind::WholeTrace => plan_whole(trace, &DispatchOptions::default()),
+        PlannerKind::Bilevel => plan_iteration(trace),
+        PlannerKind::WholeTrace => plan_whole(trace),
     };
     debug_assert!(
         report.plan.validate_against(trace).is_ok(),

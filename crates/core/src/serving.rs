@@ -596,6 +596,14 @@ impl<'a> Replay<'a> {
         let Some(SeqState::Resident { bytes }) = self.seqs[seq as usize] else {
             unreachable!()
         };
+        self.release_resident(seq, bytes);
+        self.seqs[seq as usize] = Some(SeqState::Dead);
+        self.note_live(-1);
+        self.preempted += 1;
+    }
+
+    /// Return a resident sequence's `bytes` of KV to the policy's pool.
+    fn release_resident(&mut self, seq: u32, bytes: u64) {
         match self.eng.policy {
             KvCachePolicy::Paged => self.paged.as_mut().unwrap().release(seq).unwrap(),
             KvCachePolicy::Caching => {
@@ -603,17 +611,15 @@ impl<'a> Replay<'a> {
                 self.caching.as_mut().unwrap().free(id);
             }
             KvCachePolicy::TokenSwap => {
-                // After step-end rebalancing part of this sequence's rows
-                // may sit in the host pool; drain device first.
+                // After step-end rebalancing part of the rows may sit in
+                // the host pool: drain device first, then the host-staged
+                // remainder.
                 let from_resident = bytes.min(self.resident_kv);
                 self.resident_kv -= from_resident;
                 self.swapped_kv -= (bytes - from_resident).min(self.swapped_kv);
             }
             KvCachePolicy::Tiered => self.resident_kv -= bytes,
         }
-        self.seqs[seq as usize] = Some(SeqState::Dead);
-        self.note_live(-1);
-        self.preempted += 1;
     }
 
     /// Highest-id live resident sequence — the newest arrival, carrying
@@ -634,21 +640,7 @@ impl<'a> Replay<'a> {
         match state {
             SeqState::Dead => return,
             SeqState::PagedOut { .. } => self.pager.as_mut().unwrap().release(seq),
-            SeqState::Resident { bytes } => match self.eng.policy {
-                KvCachePolicy::Paged => self.paged.as_mut().unwrap().release(seq).unwrap(),
-                KvCachePolicy::Caching => {
-                    let id = self.caching_ids[seq as usize].take().expect("live tensor");
-                    self.caching.as_mut().unwrap().free(id);
-                }
-                KvCachePolicy::TokenSwap => {
-                    // The departing sequence's rows leave both pools:
-                    // device first, then the host-staged remainder.
-                    let from_resident = bytes.min(self.resident_kv);
-                    self.resident_kv -= from_resident;
-                    self.swapped_kv -= (bytes - from_resident).min(self.swapped_kv);
-                }
-                KvCachePolicy::Tiered => self.resident_kv -= bytes,
-            },
+            SeqState::Resident { bytes } => self.release_resident(seq, bytes),
         }
         self.seqs[seq as usize] = Some(SeqState::Dead);
         self.note_live(-1);

@@ -11,7 +11,6 @@ use crate::outcome::CellOutcome;
 use crate::pipeline::{ExecutionPipeline, ExecutionReport, Screen};
 use crate::profiler::ProfileReport;
 use memo_hal::calib::Calibration;
-use memo_hal::topology::ClusterSpec;
 use memo_model::config::ModelConfig;
 use memo_parallel::pool::Pool;
 use memo_parallel::search;
@@ -95,10 +94,6 @@ impl Workload {
             batch: 1,
             calib: Calibration::default(),
         }
-    }
-
-    pub fn cluster(&self) -> ClusterSpec {
-        ClusterSpec::with_gpus(self.n_gpus, self.calib.clone())
     }
 
     /// Run one execution mode with an explicit parallel configuration.

@@ -147,17 +147,6 @@ impl Calibration {
             .map_or(0, |t| t.capacity_per_gpu(self.gpus_per_node))
     }
 
-    /// Effective NVMe bandwidth per GPU under concurrent spill (bytes/s) —
-    /// tier 1 of the hierarchy.
-    pub fn effective_nvme_per_gpu(&self) -> f64 {
-        self.effective_tier_bandwidth(1)
-    }
-
-    /// NVMe capacity share per GPU (bytes) — tier 1 of the hierarchy.
-    pub fn nvme_capacity_per_gpu(&self) -> u64 {
-        self.tier_capacity_per_gpu(1)
-    }
-
     /// Host DRAM usable for activation staging, per GPU (bytes) — tier 0.
     pub fn host_capacity_per_gpu(&self) -> u64 {
         self.tier_capacity_per_gpu(0)
@@ -280,8 +269,8 @@ mod tests {
         // repo was recorded against.
         let c = Calibration::default();
         assert_eq!(c.effective_pcie(), 32e9 * 0.75 / 2.0);
-        assert_eq!(c.effective_nvme_per_gpu(), 25e9 / 8.0);
-        assert_eq!(c.nvme_capacity_per_gpu(), 30 * 1024 * GIB / 8);
+        assert_eq!(c.effective_tier_bandwidth(1), 25e9 / 8.0);
+        assert_eq!(c.tier_capacity_per_gpu(1), 30 * 1024 * GIB / 8);
         assert_eq!(
             c.host_capacity_per_gpu(),
             (((2048 * GIB) as f64 * 0.85) / 8.0) as u64

@@ -26,10 +26,8 @@ pub mod hierarchy;
 pub mod reference;
 pub mod time;
 pub mod timeline;
-pub mod topology;
 
 pub use calib::Calibration;
 pub use engine::{EventId, StreamId, Timeline};
 pub use hierarchy::{MemoryHierarchy, TierSharing, TierSpec};
 pub use time::SimTime;
-pub use topology::{ClusterSpec, GpuSpec, HostSpec, LinkKind};

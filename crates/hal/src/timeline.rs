@@ -62,24 +62,6 @@ pub fn render_ascii(tl: &Timeline, width: usize) -> String {
     out
 }
 
-/// Export spans as tab-separated values (`stream\tstart_ns\tend_ns\tlabel`)
-/// for external plotting of Figure-11-style schedules.
-pub fn export_tsv(tl: &Timeline) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("stream\tstart_ns\tend_ns\tlabel\n");
-    for sp in tl.spans() {
-        let _ = writeln!(
-            out,
-            "{}\t{}\t{}\t{}",
-            tl.stream_name(sp.stream),
-            sp.start.as_nanos(),
-            sp.end.as_nanos(),
-            tl.span_label(sp)
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,18 +81,6 @@ mod tests {
         assert!(art.contains("compute"));
         assert!(art.contains("offload"));
         assert!(art.contains("L0") || art.contains('#'));
-    }
-
-    #[test]
-    fn tsv_export_has_all_spans() {
-        let mut tl = Timeline::new();
-        let c = tl.add_stream("compute");
-        tl.enqueue(c, SimTime::from_millis(10), "L0");
-        tl.enqueue(c, SimTime::from_millis(5), "L1");
-        let tsv = export_tsv(&tl);
-        let lines: Vec<&str> = tsv.lines().collect();
-        assert_eq!(lines.len(), 3); // header + 2 spans
-        assert!(lines[1].starts_with("compute\t0\t10000000\tL0"));
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //!
 //! * the block-paged leg (`memo_alloc::paged`) admits a page table per
 //!   sequence and appends tokens in O(1);
-//! * the caching-allocator leg replays the pre-paging realloc pattern via
-//!   [`DecodeTrace::caching_requests`] — every append concatenates into a
-//!   *new* tensor and frees the old one, the growth pattern whose
-//!   fragmentation caps concurrency (the serving-side Figure 1a).
+//! * the caching-allocator leg (`memo_core::serving`) replays the
+//!   pre-paging realloc pattern itself — every append allocates a *new*
+//!   tensor one token larger and frees the old one, the growth pattern
+//!   whose fragmentation caps concurrency (the serving-side Figure 1a).
 
 use crate::config::{DType, ModelConfig};
-use crate::trace::{MemOp, Request, Sym, TensorId};
 
 /// K + V bytes one token adds across all layers of `model`.
 pub fn kv_bytes_per_token(model: &ModelConfig, dtype: DType) -> u64 {
@@ -179,73 +178,6 @@ pub fn generate_decode(params: &DecodeParams) -> DecodeTrace {
     }
 }
 
-impl DecodeTrace {
-    /// Logical allocator operations in the trace (arrivals + appends +
-    /// departures) — the denominator of replay-throughput comparisons.
-    pub fn logical_ops(&self) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| !matches!(e, DecodeEvent::StepEnd))
-            .count() as u64
-    }
-
-    /// The caching-allocator interpretation: the pre-paging KV realloc
-    /// pattern. A sequence's KV lives in one contiguous tensor; every
-    /// append allocates a tensor one token larger and frees the old one
-    /// (malloc-before-free, like `torch.cat` during the copy). This is
-    /// the request stream whose fragmentation story `tests/serving_kv.rs`
-    /// pins.
-    pub fn caching_requests(&self) -> Vec<Request> {
-        let kv = self.params.kv_bytes_per_token();
-        let mut out = Vec::with_capacity(self.events.len() * 2);
-        // seq -> (live tensor, tokens held)
-        let mut live: Vec<Option<(TensorId, u64)>> = Vec::new();
-        let mut next_id = 0u64;
-        let mut fresh = |bytes: u64, out: &mut Vec<Request>| {
-            let id = TensorId(next_id);
-            next_id += 1;
-            out.push(Request {
-                op: MemOp::Malloc,
-                tensor: id,
-                bytes,
-                label: Sym::EMPTY,
-            });
-            id
-        };
-        let free = |id: TensorId, out: &mut Vec<Request>| {
-            out.push(Request {
-                op: MemOp::Free,
-                tensor: id,
-                bytes: 0,
-                label: Sym::EMPTY,
-            });
-        };
-        for ev in &self.events {
-            match *ev {
-                DecodeEvent::Arrive { seq, prompt_tokens } => {
-                    let id = fresh(prompt_tokens * kv, &mut out);
-                    if live.len() <= seq as usize {
-                        live.resize(seq as usize + 1, None);
-                    }
-                    live[seq as usize] = Some((id, prompt_tokens));
-                }
-                DecodeEvent::Append { seq } => {
-                    let (old, tokens) = live[seq as usize].expect("append to live sequence");
-                    let id = fresh((tokens + 1) * kv, &mut out);
-                    free(old, &mut out);
-                    live[seq as usize] = Some((id, tokens + 1));
-                }
-                DecodeEvent::Depart { seq } => {
-                    let (old, _) = live[seq as usize].take().expect("depart live sequence");
-                    free(old, &mut out);
-                }
-                DecodeEvent::StepEnd => {}
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,28 +252,6 @@ mod tests {
                 .count() as u64,
             t.steps
         );
-    }
-
-    #[test]
-    fn caching_requests_balance_and_grow() {
-        let t = generate_decode(&small());
-        let reqs = t.caching_requests();
-        let mallocs = reqs.iter().filter(|r| r.op == MemOp::Malloc).count();
-        let frees = reqs.iter().filter(|r| r.op == MemOp::Free).count();
-        assert_eq!(mallocs, frees, "every KV tensor is eventually freed");
-        // Realloc pattern: one malloc per arrival + one per append.
-        let appends = t
-            .events
-            .iter()
-            .filter(|e| matches!(e, DecodeEvent::Append { .. }))
-            .count();
-        assert_eq!(mallocs, appends + t.params.arrivals);
-        let kv = t.params.kv_bytes_per_token();
-        for r in &reqs {
-            if r.op == MemOp::Malloc {
-                assert_eq!(r.bytes % kv, 0, "KV tensors are whole token rows");
-            }
-        }
     }
 
     #[test]

@@ -1,80 +1,9 @@
 //! Export of [`CachingAllocator`](memo_alloc::caching::CachingAllocator)
-//! event logs: the raw event list (to regenerate Figure 1(a)'s
-//! allocated-vs-reserved curves) and a Chrome counter track that plots the
-//! same curves directly in a trace viewer.
+//! event logs as a Chrome counter track that plots Figure 1(a)'s
+//! allocated-vs-reserved curves directly in a trace viewer.
 
 use crate::json::Json;
-use memo_alloc::caching::{AllocEvent, AllocEventKind};
-use memo_model::trace::TensorId;
-
-fn kind_name(kind: AllocEventKind) -> &'static str {
-    match kind {
-        AllocEventKind::Malloc => "malloc",
-        AllocEventKind::Free => "free",
-        AllocEventKind::SegmentCreate => "segment_create",
-        AllocEventKind::SegmentRelease => "segment_release",
-        AllocEventKind::Reorg => "reorg",
-    }
-}
-
-fn kind_from_name(name: &str) -> Option<AllocEventKind> {
-    Some(match name {
-        "malloc" => AllocEventKind::Malloc,
-        "free" => AllocEventKind::Free,
-        "segment_create" => AllocEventKind::SegmentCreate,
-        "segment_release" => AllocEventKind::SegmentRelease,
-        "reorg" => AllocEventKind::Reorg,
-        _ => return None,
-    })
-}
-
-/// The event log as a JSON array, one object per event in log order. The
-/// `seq` field is the index within the log (the allocator has no clock;
-/// request order *is* its time axis).
-pub fn alloc_trace_json(events: &[AllocEvent]) -> Json {
-    Json::Arr(
-        events
-            .iter()
-            .enumerate()
-            .map(|(seq, e)| {
-                Json::Obj(vec![
-                    ("seq".into(), Json::int(seq as u64)),
-                    ("kind".into(), Json::str(kind_name(e.kind))),
-                    (
-                        "tensor".into(),
-                        e.tensor.map_or(Json::Null, |t| Json::int(t.0)),
-                    ),
-                    ("bytes".into(), Json::int(e.bytes)),
-                    ("allocated".into(), Json::int(e.allocated)),
-                    ("reserved".into(), Json::int(e.reserved)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Parse an [`alloc_trace_json`] document back into events.
-pub fn parse_alloc_trace(doc: &Json) -> Result<Vec<AllocEvent>, String> {
-    let items = doc.as_arr().ok_or("alloc trace must be an array")?;
-    items
-        .iter()
-        .map(|e| {
-            let kind = e
-                .get("kind")
-                .and_then(Json::as_str)
-                .and_then(kind_from_name)
-                .ok_or("bad or missing kind")?;
-            let field = |k: &str| e.get(k).and_then(Json::as_u64).ok_or(format!("bad {k}"));
-            Ok(AllocEvent {
-                kind,
-                tensor: e.get("tensor").and_then(Json::as_u64).map(TensorId),
-                bytes: field("bytes")?,
-                allocated: field("allocated")?,
-                reserved: field("reserved")?,
-            })
-        })
-        .collect()
-}
+use memo_alloc::caching::AllocEvent;
 
 /// Chrome `"C"` counter events plotting allocated/reserved bytes over the
 /// event sequence (1 µs per event), as a track in process `pid`. Append to
@@ -105,6 +34,8 @@ pub fn chrome_memory_counters(pid: u64, events: &[AllocEvent]) -> Vec<Json> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memo_alloc::caching::AllocEventKind;
+    use memo_model::trace::TensorId;
 
     fn sample() -> Vec<AllocEvent> {
         vec![
@@ -130,14 +61,6 @@ mod tests {
                 reserved: 1 << 21,
             },
         ]
-    }
-
-    #[test]
-    fn round_trips_through_json_text() {
-        let events = sample();
-        let text = alloc_trace_json(&events).to_string();
-        let back = parse_alloc_trace(&crate::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, events);
     }
 
     #[test]

@@ -129,13 +129,6 @@ fn meta(pid: u64, tid: Option<u64>, what: &str, name: &str) -> Json {
     Json::Obj(fields)
 }
 
-/// One-shot export of a single timeline.
-pub fn export_chrome_trace(process_name: &str, tl: &Timeline) -> String {
-    let mut b = TraceBuilder::new();
-    b.add_timeline(process_name, tl);
-    b.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,8 +148,9 @@ mod tests {
 
     #[test]
     fn exports_metadata_spans_and_marks() {
-        let text = export_chrome_trace("dev0", &sample());
-        let doc = parse(&text).expect("valid JSON");
+        let mut b = TraceBuilder::new();
+        b.add_timeline("dev0", &sample());
+        let doc = parse(&b.to_string()).expect("valid JSON");
         let events = doc.as_arr().unwrap();
         let phase = |ph: &str| {
             events

@@ -6,10 +6,9 @@
 //!   export of [`Timeline`](memo_hal::engine::Timeline)s: one process per
 //!   simulated device or mode, one thread per stream, instant events for
 //!   recorded events and waits;
-//! * [`alloc_trace`] — the caching allocator's event log (malloc / free /
-//!   segment create / release / reorg, each stamped with allocated and
-//!   reserved bytes), as raw JSON and as Chrome counter tracks — the
-//!   Figure 1(a) curves regenerated from a run;
+//! * [`alloc_trace`] — the caching allocator's event log (each event
+//!   stamped with allocated and reserved bytes) as Chrome counter tracks —
+//!   the Figure 1(a) curves regenerated from a run;
 //! * [`report`] — [`ExecutionReport`](memo_core::pipeline::ExecutionReport)
 //!   and [`RunObserver`](memo_core::observer::RunObserver) serialization,
 //!   with a full parser back;
@@ -29,7 +28,7 @@ pub mod json;
 pub mod latency;
 pub mod report;
 
-pub use chrome::{export_chrome_trace, TraceBuilder};
+pub use chrome::TraceBuilder;
 pub use json::{parse, Json};
 pub use latency::LatencySummary;
 pub use report::{observed_json, parse_report, report_json};

@@ -1,10 +1,9 @@
-//! Strategy enumeration and search.
+//! Strategy enumeration.
 //!
 //! The paper "manually adjusts the distributed parallelism strategies for
 //! each system and each workload to achieve optimal training performance"
 //! (§5.2). We automate that: enumerate every valid configuration for the
-//! system, score each with a caller-supplied evaluator (typically the full
-//! simulated iteration, returning `None` on OOM/OOHM), and keep the best.
+//! system; `memo-core`'s strategy search simulates them and keeps the best.
 
 use crate::strategy::{ParallelConfig, SearchFamily, SystemSpec};
 use memo_model::config::ModelConfig;
@@ -49,24 +48,6 @@ pub fn enumerate_configs(
     out
 }
 
-/// Best configuration under `score` (higher is better; `None` = infeasible).
-/// Returns the config and its score.
-pub fn best_config<F>(
-    system: SystemSpec,
-    model: &ModelConfig,
-    n_gpus: usize,
-    gpus_per_node: usize,
-    mut score: F,
-) -> Option<(ParallelConfig, f64)>
-where
-    F: FnMut(&ParallelConfig) -> Option<f64>,
-{
-    enumerate_configs(system, model, n_gpus, gpus_per_node)
-        .into_iter()
-        .filter_map(|cfg| score(&cfg).map(|s| (cfg, s)))
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("scores are finite"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,21 +72,6 @@ mod tests {
         assert!(sps.contains(&8));
         assert!(!sps.contains(&16));
         assert!(!sps.contains(&32));
-    }
-
-    #[test]
-    fn best_config_maximises_score() {
-        let m = ModelConfig::gpt_7b();
-        // Prefer large TP artificially.
-        let best = best_config(SystemSpec::MegatronLM, &m, 8, 8, |c| Some(c.tp as f64));
-        assert_eq!(best.unwrap().0.tp, 8);
-    }
-
-    #[test]
-    fn infeasible_everything_yields_none() {
-        let m = ModelConfig::gpt_7b();
-        let best = best_config(SystemSpec::DeepSpeed, &m, 8, 8, |_| None::<f64>);
-        assert!(best.is_none());
     }
 
     #[test]

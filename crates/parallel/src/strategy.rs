@@ -148,11 +148,6 @@ impl SystemSpec {
         }
     }
 
-    /// True for the decode-phase serving modes.
-    pub fn is_serving(self) -> bool {
-        matches!(self, SystemSpec::Serving(_))
-    }
-
     /// Which strategy grid the search walks for this mode. Everything
     /// Megatron-shaped (including all MEMO variants) searches TP/CP/PP/DP;
     /// only DeepSpeed uses the Ulysses SP×DP space.

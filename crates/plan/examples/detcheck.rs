@@ -3,7 +3,7 @@
 use memo_model::trace::{
     IterationTrace, MemOp, Request, SegmentKind, Sym, TensorId, TraceSegment, TraceStrings,
 };
-use memo_plan::bilevel::{plan_iteration, PlanOptions};
+use memo_plan::bilevel::plan_iteration;
 
 const T: [(u64, u64, usize, usize); 56] = [
     (0, 64, 9, 25),
@@ -87,7 +87,7 @@ fn main() {
     let trace = IterationTrace::from_segments(vec![segment], TraceStrings::new())
         .expect("a trace without layers is periodic");
     trace.validate().expect("valid trace");
-    let report = plan_iteration(&trace, &PlanOptions::default());
+    let report = plan_iteration(&trace);
     report.plan.validate_against(&trace).unwrap();
     let mut entries: Vec<_> = report
         .plan

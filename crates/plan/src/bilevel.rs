@@ -27,26 +27,19 @@ use crate::dsa::{DsaInstance, DsaTensor};
 use crate::memplan::{MemoryPlan, PlannedTensor};
 use memo_model::trace::{BodyRequest, IterationTrace, MemOp, Segment, SegmentKind, Slot, TensorId};
 
-/// Planner configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanOptions {
-    /// Solver options for the level-1 (single layer) instances.
-    pub level1: BnbOptions,
-    /// Solver options for the level-2 (whole model) instance.
-    pub level2: BnbOptions,
-}
+/// Solver options for the level-1 (single layer) instances: the
+/// [`BnbOptions`] default.
+const LEVEL1: BnbOptions = BnbOptions {
+    node_limit: 2_000_000,
+    max_tensors: 40,
+};
 
-impl Default for PlanOptions {
-    fn default() -> Self {
-        PlanOptions {
-            level1: BnbOptions::default(),
-            level2: BnbOptions {
-                node_limit: 500_000,
-                max_tensors: 28,
-            },
-        }
-    }
-}
+/// Solver options for the level-2 (whole model) instance: a quarter of the
+/// default node budget, and exact search only up to 28 tensors.
+const LEVEL2: BnbOptions = BnbOptions {
+    node_limit: 500_000,
+    max_tensors: 28,
+};
 
 /// Statistics of one solver invocation.
 #[derive(Debug, Clone, Copy)]
@@ -181,16 +174,16 @@ impl BodySplit {
 /// use memo_model::activations::LayerDims;
 /// use memo_model::config::{DType, ModelConfig};
 /// use memo_model::trace::{generate, RematPolicy, TraceParams};
-/// use memo_plan::bilevel::{plan_iteration, PlanOptions};
+/// use memo_plan::bilevel::plan_iteration;
 ///
 /// let model = ModelConfig::tiny(4, 64, 4, 128);
 /// let dims = LayerDims::new(256, &model, DType::BF16);
 /// let trace = generate(&TraceParams::new(&model, dims, RematPolicy::MemoTokenWise));
-/// let report = plan_iteration(&trace, &PlanOptions::default());
+/// let report = plan_iteration(&trace);
 /// report.plan.validate_against(&trace).unwrap();
 /// assert!(report.plan.peak >= trace.peak_live_bytes());
 /// ```
-pub fn plan_iteration(trace: &IterationTrace, opts: &PlanOptions) -> BilevelReport {
+pub fn plan_iteration(trace: &IterationTrace) -> BilevelReport {
     let layers = trace.layers();
     let fwd = trace
         .segments()
@@ -207,7 +200,7 @@ pub fn plan_iteration(trace: &IterationTrace, opts: &PlanOptions) -> BilevelRepo
         let (seg, split) = body.as_ref()?;
         let (_, layer) = seg.layer()?;
         (!split.intra.is_empty())
-            .then(|| bnb::solve(&split.instance(trace, layer, seg.start), opts.level1))
+            .then(|| bnb::solve(&split.instance(trace, layer, seg.start), LEVEL1))
     };
     let fwd_sol = solve_level1(&fwd);
     let bwd_sol = solve_level1(&bwd);
@@ -301,7 +294,7 @@ pub fn plan_iteration(trace: &IterationTrace, opts: &PlanOptions) -> BilevelRepo
     let l2_inst = DsaInstance {
         tensors: l2_tensors,
     };
-    let l2_sol = bnb::solve(&l2_inst, opts.level2);
+    let l2_sol = bnb::solve(&l2_inst, LEVEL2);
     debug_assert!(l2_sol.assignment.validate(&l2_inst).is_ok());
 
     // Compose the plan in allocation order: a direct tensor takes its
@@ -354,17 +347,16 @@ pub fn plan_iteration(trace: &IterationTrace, opts: &PlanOptions) -> BilevelRepo
     }
 }
 
-/// Plan the whole iteration as one flat instance under the size-based
-/// dispatch policy (exact BnB below the threshold, the boxing family with
-/// its skyline certificate above it) — the `PlannerKind::WholeTrace`
-/// pipeline.
-pub fn plan_whole(
-    trace: &IterationTrace,
-    opts: &crate::dispatch::DispatchOptions,
-) -> BilevelReport {
-    let (plan, sol) = crate::dispatch::plan_whole_trace(trace, opts);
+/// Plan the whole iteration as one flat instance under the default
+/// size-based dispatch policy (exact BnB below the threshold, the boxing
+/// family with its skyline certificate above it) — the
+/// `PlannerKind::WholeTrace` pipeline.
+pub fn plan_whole(trace: &IterationTrace) -> BilevelReport {
+    let inst = DsaInstance::from_trace(trace);
+    let sol = crate::dispatch::solve(&inst, &crate::dispatch::DispatchOptions::default());
+    debug_assert!(sol.assignment.validate(&inst).is_ok());
     BilevelReport {
-        plan,
+        plan: MemoryPlan::from_assignment(&inst, &sol.assignment),
         layer_fwd: None,
         layer_bwd: None,
         level2: sol.level_stats(),
@@ -376,13 +368,13 @@ pub fn plan_whole(
 }
 
 /// The flat (single-level) formulation of the whole iteration, solved with
-/// the same machinery — the baseline the paper calls computationally
-/// intractable for commercial MIP solvers. Our heuristic fallback keeps it
-/// finite, so it serves as the ablation comparator for plan quality and
-/// solve time.
-pub fn plan_flat(trace: &IterationTrace, opts: BnbOptions) -> (MemoryPlan, LevelStats) {
+/// the same machinery under the default [`BnbOptions`] — the baseline the
+/// paper calls computationally intractable for commercial MIP solvers. Our
+/// heuristic fallback keeps it finite, so it serves as the ablation
+/// comparator for plan quality and solve time.
+pub fn plan_flat(trace: &IterationTrace) -> (MemoryPlan, LevelStats) {
     let inst = DsaInstance::from_trace(trace);
-    let sol = bnb::solve(&inst, opts);
+    let sol = bnb::solve(&inst, BnbOptions::default());
     let plan = MemoryPlan::from_assignment(&inst, &sol.assignment);
     (plan, (&sol).into())
 }
@@ -411,7 +403,7 @@ mod tests {
             RematPolicy::MemoTokenWise,
         ] {
             let t = trace(policy, 4);
-            let report = plan_iteration(&t, &PlanOptions::default());
+            let report = plan_iteration(&t);
             report
                 .plan
                 .validate_against(&t)
@@ -423,7 +415,7 @@ mod tests {
     #[test]
     fn bilevel_peak_close_to_liveness_bound() {
         let t = trace(RematPolicy::MemoTokenWise, 6);
-        let report = plan_iteration(&t, &PlanOptions::default());
+        let report = plan_iteration(&t);
         let lb = t.peak_live_bytes();
         let ratio = report.plan.peak as f64 / lb as f64;
         assert!(
@@ -436,8 +428,8 @@ mod tests {
     #[test]
     fn bilevel_not_worse_than_flat_heuristic_by_much() {
         let t = trace(RematPolicy::FullRecompute, 4);
-        let report = plan_iteration(&t, &PlanOptions::default());
-        let (flat, _) = plan_flat(&t, BnbOptions::default());
+        let report = plan_iteration(&t);
+        let (flat, _) = plan_flat(&t);
         flat.validate_against(&t).unwrap();
         let ratio = report.plan.peak as f64 / flat.peak as f64;
         assert!(
@@ -449,9 +441,29 @@ mod tests {
     }
 
     #[test]
+    fn level1_solves_under_the_solver_default() {
+        let d = BnbOptions::default();
+        assert_eq!(
+            (LEVEL1.node_limit, LEVEL1.max_tensors),
+            (d.node_limit, d.max_tensors)
+        );
+    }
+
+    #[test]
+    fn whole_trace_plan_validates() {
+        let m = ModelConfig::tiny(4, 64, 4, 128);
+        let dims = LayerDims::new(256, &m, DType::BF16);
+        let t = generate(&TraceParams::new(&m, dims, RematPolicy::MemoTokenWise));
+        let report = plan_whole(&t);
+        report.plan.validate_against(&t).unwrap();
+        assert!(report.plan.peak >= t.peak_live_bytes());
+        assert_eq!(report.level2.lower_bound, t.peak_live_bytes());
+    }
+
+    #[test]
     fn level1_stats_present_and_layer_plans_reused() {
         let t = trace(RematPolicy::MemoTokenWise, 5);
-        let report = plan_iteration(&t, &PlanOptions::default());
+        let report = plan_iteration(&t);
         assert!(report.layer_fwd.is_some());
         assert!(report.layer_bwd.is_some());
         // Level-2 instance size must be tiny relative to the full trace.
@@ -463,7 +475,7 @@ mod tests {
         use memo_alloc::plan::PlanAllocator;
         use memo_alloc::snapshot::replay;
         let t = trace(RematPolicy::MemoTokenWise, 4);
-        let report = plan_iteration(&t, &PlanOptions::default());
+        let report = plan_iteration(&t);
         let mut alloc =
             PlanAllocator::from_addresses(report.plan.address_triples(), report.plan.peak);
         let series = replay(&mut alloc, &t);
@@ -544,7 +556,7 @@ mod tests {
             p.ce_chunk_tokens = 64;
             p.materialize_logits = logits;
             let t = generate(&p);
-            let r = plan_iteration(&t, &PlanOptions::default());
+            let r = plan_iteration(&t);
             let case = (policy, comm, logits, layers);
             assert_eq!(r.plan.peak, peak, "{case:?}");
             assert_eq!(r.layer_fwd.map(stats), fwd, "{case:?}");

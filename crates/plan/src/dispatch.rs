@@ -16,16 +16,14 @@
 //!   default 4096). With `portfolio_max_tensors == 0` neither runs and
 //!   only the boxing candidates are reported.
 //!
-//! [`plan_whole_trace`] is the whole-model entry point: it streams the
-//! trace into a flat [`DsaInstance`] and dispatches it, producing a
-//! [`MemoryPlan`] — the path selected by `SystemSpec::MemoWholePlan`.
+//! [`crate::bilevel::plan_whole`] is the whole-model entry point: it
+//! streams the trace into a flat [`DsaInstance`] and dispatches it — the
+//! path selected by `SystemSpec::MemoWholePlan`.
 
 use crate::bilevel::LevelStats;
 use crate::bnb::{self, BnbOptions};
 use crate::boxing::{self, BoxingOptions, Candidate};
 use crate::dsa::{Assignment, DsaInstance};
-use crate::memplan::MemoryPlan;
-use memo_model::trace::IterationTrace;
 
 /// Which planning pipeline handles an iteration trace. This is the
 /// `SystemSpec`-level knob threaded through the execution pipeline and the
@@ -133,19 +131,6 @@ pub fn solve(inst: &DsaInstance, opts: &DispatchOptions) -> DispatchSolution {
     }
 }
 
-/// Plan a whole iteration trace as one flat instance (the
-/// `PlannerKind::WholeTrace` path).
-pub fn plan_whole_trace(
-    trace: &IterationTrace,
-    opts: &DispatchOptions,
-) -> (MemoryPlan, DispatchSolution) {
-    let inst = DsaInstance::from_trace(trace);
-    let sol = solve(&inst, opts);
-    debug_assert!(sol.assignment.validate(&inst).is_ok());
-    let plan = MemoryPlan::from_assignment(&inst, &sol.assignment);
-    (plan, sol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,19 +212,5 @@ mod tests {
             assert_eq!(sol.assignment.peak, sol.lower_bound, "{seq}/{chunk}");
             assert_eq!(sol.lower_bound, inst.lower_bound());
         }
-    }
-
-    #[test]
-    fn whole_trace_plan_validates() {
-        use memo_model::activations::LayerDims;
-        use memo_model::config::{DType, ModelConfig};
-        use memo_model::trace::{generate, RematPolicy, TraceParams};
-        let m = ModelConfig::tiny(4, 64, 4, 128);
-        let dims = LayerDims::new(256, &m, DType::BF16);
-        let trace = generate(&TraceParams::new(&m, dims, RematPolicy::MemoTokenWise));
-        let (plan, sol) = plan_whole_trace(&trace, &DispatchOptions::default());
-        plan.validate_against(&trace).unwrap();
-        assert!(plan.peak >= trace.peak_live_bytes());
-        assert_eq!(sol.lower_bound, trace.peak_live_bytes());
     }
 }

@@ -56,20 +56,6 @@ impl DsaInstanceBuilder {
         Self::default()
     }
 
-    /// Start the event cursor at `index_base` (useful when the stream is a
-    /// segment of a larger trace).
-    pub fn with_base(index_base: usize) -> Self {
-        DsaInstanceBuilder {
-            cursor: index_base,
-            ..Self::default()
-        }
-    }
-
-    /// Number of events consumed so far (including the base offset).
-    pub fn events(&self) -> usize {
-        self.cursor
-    }
-
     /// Feed one request. A `Free` without a matching `Malloc` poisons the
     /// builder: [`finish`](Self::finish) will return `None`.
     pub fn push(&mut self, r: &Request) {
@@ -104,19 +90,6 @@ impl DsaInstanceBuilder {
 }
 
 impl DsaInstance {
-    /// Build from a request slice. Every tensor must be allocated and freed
-    /// within the slice; `index_base` offsets the recorded birth/death
-    /// positions (useful when the slice is a segment of a larger trace).
-    ///
-    /// Returns `None` if any tensor crosses the slice boundary.
-    pub fn from_requests(requests: &[Request], index_base: usize) -> Option<DsaInstance> {
-        let mut b = DsaInstanceBuilder::with_base(index_base);
-        for r in requests {
-            b.push(r);
-        }
-        b.finish()
-    }
-
     /// Build from a whole iteration trace (the "flat" whole-model
     /// formulation), streaming the requests without collecting them.
     pub fn from_trace(trace: &IterationTrace) -> DsaInstance {
@@ -600,9 +573,13 @@ mod tests {
                 seq_tokens: seq,
                 chunk_tokens: chunk,
             };
-            let mut b = DsaInstanceBuilder::with_base(base);
+            let mut b = DsaInstanceBuilder::new();
             for_each_request(&p, |r| b.push(r));
-            let inst = b.finish().unwrap();
+            let mut inst = b.finish().unwrap();
+            for t in &mut inst.tensors {
+                t.birth += base;
+                t.death += base;
+            }
             assert_eq!(inst.lower_bound(), lower_bound_by_event_sort(&inst));
         }
     }
@@ -905,55 +882,46 @@ mod tests {
     }
 
     #[test]
-    fn from_requests_rejects_cross_boundary() {
+    fn finish_rejects_cross_boundary() {
         use memo_model::trace::{Request, Sym};
-        let reqs = vec![Request {
-            op: MemOp::Malloc,
-            tensor: TensorId(0),
-            bytes: 8,
-            label: Sym::EMPTY,
-        }];
-        assert!(DsaInstance::from_requests(&reqs, 0).is_none());
-        let reqs = vec![Request {
-            op: MemOp::Free,
-            tensor: TensorId(0),
-            bytes: 8,
-            label: Sym::EMPTY,
-        }];
-        assert!(
-            DsaInstance::from_requests(&reqs, 0).is_none(),
-            "free without malloc poisons the builder"
-        );
+        for (op, why) in [
+            (MemOp::Malloc, "an open tensor"),
+            (MemOp::Free, "a free without malloc poisons the builder"),
+        ] {
+            let mut b = DsaInstanceBuilder::new();
+            b.push(&Request {
+                op,
+                tensor: TensorId(0),
+                bytes: 8,
+                label: Sym::EMPTY,
+            });
+            assert!(b.finish().is_none(), "{why}");
+        }
     }
 
     #[test]
-    fn builder_matches_from_requests() {
+    fn builder_lifespans_are_half_open_cursor_intervals() {
         use memo_model::trace::{Request, Sym};
-        let reqs: Vec<Request> = [
+        let mut b = DsaInstanceBuilder::new();
+        for (op, id, bytes) in [
             (MemOp::Malloc, 0, 16),
             (MemOp::Malloc, 1, 8),
             (MemOp::Free, 0, 16),
             (MemOp::Malloc, 2, 4),
             (MemOp::Free, 2, 4),
             (MemOp::Free, 1, 8),
-        ]
-        .iter()
-        .map(|&(op, id, bytes)| Request {
-            op,
-            tensor: TensorId(id),
-            bytes,
-            label: Sym::EMPTY,
-        })
-        .collect();
-        let batch = DsaInstance::from_requests(&reqs, 7).unwrap();
-        let mut b = DsaInstanceBuilder::with_base(7);
-        for r in &reqs {
-            b.push(r);
+        ] {
+            b.push(&Request {
+                op,
+                tensor: TensorId(id),
+                bytes,
+                label: Sym::EMPTY,
+            });
         }
-        assert_eq!(b.events(), 7 + reqs.len());
-        let streamed = b.finish().unwrap();
-        assert_eq!(batch, streamed);
-        assert_eq!(streamed.tensors[0].birth, 7);
-        assert_eq!(streamed.tensors[0].death, 9);
+        // Tensors in free order, `[birth, death)` over push positions from 0.
+        assert_eq!(
+            b.finish().unwrap().tensors,
+            vec![t(0, 16, 0, 2), t(2, 4, 3, 4), t(1, 8, 1, 5)]
+        );
     }
 }

@@ -101,7 +101,7 @@ pub fn read_plan<R: BufRead>(r: R) -> Result<MemoryPlan, PlanParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bilevel::{plan_iteration, PlanOptions};
+    use crate::bilevel::plan_iteration;
     use memo_model::activations::LayerDims;
     use memo_model::config::{DType, ModelConfig};
     use memo_model::trace::{generate, RematPolicy, TraceParams};
@@ -111,7 +111,7 @@ mod tests {
         let m = ModelConfig::tiny(3, 32, 2, 64);
         let dims = LayerDims::new(128, &m, DType::BF16);
         let trace = generate(&TraceParams::new(&m, dims, RematPolicy::MemoTokenWise));
-        let report = plan_iteration(&trace, &PlanOptions::default());
+        let report = plan_iteration(&trace);
         let mut buf = Vec::new();
         write_plan(&report.plan, &mut buf).unwrap();
         let back = read_plan(&buf[..]).unwrap();

@@ -53,7 +53,7 @@ pub mod memplan;
 mod skyline;
 pub mod synth;
 
-pub use bilevel::{plan_iteration, plan_whole, BilevelReport, PlanOptions, WholeTraceStats};
+pub use bilevel::{plan_iteration, plan_whole, BilevelReport, WholeTraceStats};
 pub use boxing::{BoxingOptions, BoxingSolution};
 pub use dispatch::{DispatchOptions, DispatchSolution, PlannerBackend, PlannerKind};
 pub use dsa::{Assignment, DsaInstance, DsaInstanceBuilder, DsaTensor};

@@ -1,7 +1,7 @@
 //! Admission control on a deterministic virtual clock.
 //!
 //! The controller models the service as a fluid queue: admitted work adds
-//! its *estimated* service time to a backlog that drains at `workers`
+//! its *estimated* service time to a backlog that drains at a fixed 8
 //! seconds of work per second of virtual time. Requests are shed when the
 //! backlog's queue depth hits the limit, or when the estimated wait alone
 //! already busts the request's SLO.
@@ -14,29 +14,13 @@
 
 use crate::request::{PlanRequest, RejectReason};
 
-/// Tunables of the admission controller.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionPolicy {
-    /// Shed when the virtual queue reaches this many requests.
-    pub max_queue_depth: usize,
-    /// Shed requests whose SLO cannot be met even if admitted now.
-    pub deadline_shedding: bool,
-    /// Drain rate of the backlog (concurrent planning workers).
-    pub workers: usize,
-    /// EWMA smoothing for the per-request service estimate.
-    pub ewma_alpha: f64,
-}
+/// Drain rate of the backlog: the concurrent planning workers the cost
+/// model assumes. It is a constant rather than the execution pool's width
+/// so that the admitted set never depends on the machine.
+const WORKERS: usize = 8;
 
-impl Default for AdmissionPolicy {
-    fn default() -> Self {
-        AdmissionPolicy {
-            max_queue_depth: 64,
-            deadline_shedding: true,
-            workers: 8,
-            ewma_alpha: 0.2,
-        }
-    }
-}
+/// EWMA smoothing for the per-request service estimate.
+const EWMA_ALPHA: f64 = 0.2;
 
 /// Deterministic per-request service cost model (virtual seconds):
 /// planning cost scales with the sequence length (segment-cache work) and
@@ -51,18 +35,18 @@ pub fn virtual_service_estimate(req: &PlanRequest) -> f64 {
 /// The fluid-queue admission controller.
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
-    policy: AdmissionPolicy,
+    /// Shed when the virtual queue reaches this many requests.
+    max_queue_depth: usize,
     backlog_secs: f64,
     last_arrival_secs: f64,
     ewma_service_secs: f64,
 }
 
 impl AdmissionController {
-    pub fn new(policy: AdmissionPolicy) -> Self {
-        assert!(policy.workers > 0, "admission needs at least one worker");
-        assert!(policy.max_queue_depth > 0, "queue depth 0 sheds everything");
+    pub fn new(max_queue_depth: usize) -> Self {
+        assert!(max_queue_depth > 0, "queue depth 0 sheds everything");
         AdmissionController {
-            policy,
+            max_queue_depth,
             backlog_secs: 0.0,
             last_arrival_secs: 0.0,
             ewma_service_secs: 1e-3,
@@ -82,18 +66,18 @@ impl AdmissionController {
         // Drain: virtual time advanced by the arrival gap.
         let dt = (req.arrival_secs - self.last_arrival_secs).max(0.0);
         self.last_arrival_secs = req.arrival_secs;
-        self.backlog_secs = (self.backlog_secs - dt * self.policy.workers as f64).max(0.0);
+        self.backlog_secs = (self.backlog_secs - dt * WORKERS as f64).max(0.0);
 
         let depth = self.queue_depth();
-        if depth >= self.policy.max_queue_depth {
+        if depth >= self.max_queue_depth {
             return Err(RejectReason::QueueFull {
                 depth,
-                limit: self.policy.max_queue_depth,
+                limit: self.max_queue_depth,
             });
         }
-        let est_wait_secs = self.backlog_secs / self.policy.workers as f64;
+        let est_wait_secs = self.backlog_secs / WORKERS as f64;
         let est_service = virtual_service_estimate(req);
-        if self.policy.deadline_shedding && est_wait_secs + est_service > req.deadline_secs {
+        if est_wait_secs + est_service > req.deadline_secs {
             return Err(RejectReason::DeadlineUnmeetable {
                 est_wait_secs,
                 deadline_secs: req.deadline_secs,
@@ -107,8 +91,7 @@ impl AdmissionController {
     pub fn commit(&mut self, req: &PlanRequest) -> f64 {
         let est = virtual_service_estimate(req);
         self.backlog_secs += est;
-        let a = self.policy.ewma_alpha;
-        self.ewma_service_secs = (1.0 - a) * self.ewma_service_secs + a * est;
+        self.ewma_service_secs = (1.0 - EWMA_ALPHA) * self.ewma_service_secs + EWMA_ALPHA * est;
         est
     }
 }
@@ -133,14 +116,10 @@ mod tests {
 
     #[test]
     fn burst_fills_the_queue_then_gap_drains_it() {
-        let mut ctrl = AdmissionController::new(AdmissionPolicy {
-            max_queue_depth: 4,
-            deadline_shedding: false,
-            workers: 1,
-            ewma_alpha: 0.2,
-        });
-        // A burst at t=0: the 7B/64K estimate is 1 ms; depth hits 4 after
-        // four commits and the fifth request is shed.
+        let mut ctrl = AdmissionController::new(4);
+        // A burst at t=0 with SLOs no wait can bust: the 7B/64K estimate
+        // is 1 ms; depth hits 4 after four commits and the fifth request
+        // is shed.
         let mut shed = None;
         for i in 0..8 {
             match ctrl.admit(&req(i, 0.0, 1e9)) {
@@ -166,21 +145,17 @@ mod tests {
 
     #[test]
     fn tight_deadlines_are_shed_up_front() {
-        let mut ctrl = AdmissionController::new(AdmissionPolicy {
-            max_queue_depth: 1000,
-            deadline_shedding: true,
-            workers: 1,
-            ewma_alpha: 0.2,
-        });
-        // Pile up 5 ms of backlog, then ask for a 2 ms SLO.
-        for i in 0..5 {
+        let mut ctrl = AdmissionController::new(1000);
+        // Pile up 16 ms of backlog (a 2 ms wait at the fixed drain rate),
+        // then ask for a 2 ms SLO.
+        for i in 0..16 {
             ctrl.admit(&req(i, 0.0, 1e9)).unwrap();
             ctrl.commit(&req(i, 0.0, 1e9));
         }
-        let err = ctrl.admit(&req(6, 0.0, 2.0)).unwrap_err();
+        let err = ctrl.admit(&req(16, 0.0, 2.0)).unwrap_err();
         assert!(matches!(err, RejectReason::DeadlineUnmeetable { .. }));
         // A generous SLO on the same backlog is admitted.
-        assert!(ctrl.admit(&req(7, 0.0, 50.0)).is_ok());
+        assert!(ctrl.admit(&req(17, 0.0, 50.0)).is_ok());
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod request;
 pub mod server;
 pub mod zipf;
 
-pub use admission::{AdmissionController, AdmissionPolicy};
+pub use admission::AdmissionController;
 pub use elastic::ElasticPools;
 pub use request::{
     replies_match, ModelSize, PlanReply, PlanRequest, RejectReason, RequestOutcome, RequestRecord,

@@ -27,7 +27,7 @@
 //! pick table and recomputes every pick, so the check verifies each
 //! memoized reply against a fresh one.
 
-use crate::admission::{AdmissionController, AdmissionPolicy};
+use crate::admission::AdmissionController;
 use crate::elastic::ElasticPools;
 use crate::request::{PlanReply, PlanRequest, RequestOutcome, RequestRecord, TenantKind};
 use memo_core::cache::{CacheStats, CacheStatsScope, ProfileCache, PICK_SCOPE};
@@ -45,7 +45,8 @@ use std::time::Instant;
 pub struct ServeConfig {
     /// Planning workers of the execution pool (0 = machine width).
     pub workers: usize,
-    pub admission: AdmissionPolicy,
+    /// Admission sheds when the virtual queue reaches this many requests.
+    pub max_queue_depth: usize,
     /// Fleet-wide host-staging budget split across active tenants.
     pub host_total_bytes: u64,
     /// Fleet-wide arena budget gating in-flight concurrency.
@@ -59,7 +60,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 0,
-            admission: AdmissionPolicy::default(),
+            max_queue_depth: 64,
             host_total_bytes: 1024 << 30,
             arena_total_bytes: 64 << 30,
             serial: false,
@@ -297,7 +298,7 @@ impl PlanServer {
         &self,
         requests: &[PlanRequest],
     ) -> (Vec<Admitted>, Vec<Option<RequestOutcome>>, FleetStats) {
-        let mut ctrl = AdmissionController::new(self.cfg.admission);
+        let mut ctrl = AdmissionController::new(self.cfg.max_queue_depth);
         let mut pools = ElasticPools::new(self.cfg.host_total_bytes, self.cfg.arena_total_bytes);
         let mut remaining: HashMap<usize, usize> = HashMap::new();
         for r in requests {
@@ -628,18 +629,13 @@ mod tests {
     #[test]
     fn starved_fleet_sheds_with_typed_reasons() {
         let mut spec = StreamSpec::new(4, 60, 3);
-        // A dense burst against one worker and a tiny queue: queue and
+        // A dense burst against a tiny queue: queue and
         // deadline sheds. Arena of 1 GiB: budget sheds.
         spec.mean_gap_secs = 1e-5;
         spec.deadline_range_secs = (1e-4, 2e-3);
         let stream = generate(&spec);
         let report = PlanServer::new(ServeConfig {
-            admission: AdmissionPolicy {
-                max_queue_depth: 2,
-                deadline_shedding: true,
-                workers: 1,
-                ewma_alpha: 0.2,
-            },
+            max_queue_depth: 2,
             arena_total_bytes: 1 << 30,
             ..ServeConfig::default()
         })

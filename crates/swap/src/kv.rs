@@ -8,16 +8,15 @@
 //! M_host" (a single resident copy — `n_layers = 3` maps the activation
 //! program's `(n−2)` swap-layers factor to exactly 1). [`plan_kv_swap`]
 //! solves for the largest sustainable α and compares it against the
-//! fraction the device deficit *requires*; [`plan_kv_tiered`] waterfalls
-//! the same program down the PR-6 offload chain (host → NVMe → …).
+//! fraction the device deficit *requires*.
 //!
-//! [`KvPager`] is the MemGPT-style mechanism half: whole cold *sequences*
-//! are paged out through [`TierStaging`], nearest tier first, and their
-//! bytes keep accruing on that tier until departure. The serving engine
-//! (`memo_core::serving`) uses the planner for the α legs and the pager
-//! for the tiered leg.
+//! [`KvPager`] is the MemGPT-style tiered half: whole cold *sequences*
+//! are paged out through [`TierStaging`] down the offload chain (host →
+//! NVMe → …), nearest tier first, and their bytes keep accruing on that
+//! tier until departure. The serving engine (`memo_core::serving`) uses
+//! the planner for the α leg and the pager for the tiered leg.
 
-use crate::alpha::{solve_alpha, solve_alpha_tiered, AlphaInputs, BindingConstraint, TierLink};
+use crate::alpha::{solve_alpha, AlphaInputs, BindingConstraint};
 use crate::schedule::{TierTraffic, TierTrafficList};
 use crate::tiers::{OutOfTierMemory, TierStaging};
 
@@ -107,78 +106,6 @@ pub fn plan_kv_swap(inp: &KvSwapInputs) -> KvSwapPlan {
         feasible: needed <= sol.alpha + 1e-9 && host_bytes <= inp.host_capacity,
         host_bytes,
         step_overhead_secs: (transfer - inp.step_compute_secs).max(0.0),
-    }
-}
-
-/// Result of the tiered KV solve: the waterfall's per-tier fractions
-/// plus feasibility against the required fraction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KvTieredPlan {
-    pub alpha_needed: f64,
-    /// Per-tier sustainable fractions, host first (1/8 grid).
-    pub alphas: Vec<f64>,
-    pub feasible: bool,
-    /// Per-step stall when the chain carries `alpha_needed`, filling
-    /// tiers nearest-first at their solved shares.
-    pub step_overhead_secs: f64,
-}
-
-impl KvTieredPlan {
-    pub fn alpha_max(&self) -> f64 {
-        self.alphas.iter().sum()
-    }
-}
-
-/// Waterfall the KV α program down the offload chain (`extra` = tiers
-/// beyond the host, e.g. NVMe), MemGPT's tiered-context layout under
-/// MEMO's constraint program.
-pub fn plan_kv_tiered(inp: &KvSwapInputs, extra: &[TierLink]) -> KvTieredPlan {
-    let needed = alpha_needed(inp.total_kv_bytes, inp.device_kv_bytes);
-    let sol = solve_alpha_tiered(
-        &AlphaInputs {
-            s_input: 0,
-            s_attn: 0,
-            s_others: inp.total_kv_bytes,
-            bandwidth: inp.host_bandwidth,
-            t_layer_fwd: inp.step_compute_secs,
-            n_layers: 3,
-            host_capacity: inp.host_capacity,
-        },
-        extra,
-    );
-    // Charge `needed` across the chain nearest-first at each tier's
-    // solved share; whatever the chain cannot hide stalls the step.
-    let total = inp.total_kv_bytes as f64;
-    let mut remaining = needed;
-    let mut transfer = 0.0f64;
-    let links: Vec<(f64, f64)> = std::iter::once((sol.alpha(0), inp.host_bandwidth))
-        .chain(
-            extra
-                .iter()
-                .enumerate()
-                .map(|(i, l)| (sol.alpha(i + 1), l.bandwidth)),
-        )
-        .collect();
-    for (share, bw) in links {
-        if remaining <= 0.0 {
-            break;
-        }
-        let take = remaining.min(share);
-        if take > 0.0 && bw > 0.0 {
-            transfer += take * total / bw;
-        }
-        remaining -= take;
-    }
-    let feasible = needed <= sol.alpha_total() + 1e-9;
-    KvTieredPlan {
-        alpha_needed: needed,
-        alphas: sol.alphas,
-        feasible,
-        step_overhead_secs: if remaining > 1e-9 {
-            f64::INFINITY
-        } else {
-            (transfer - inp.step_compute_secs).max(0.0)
-        },
     }
 }
 
@@ -349,50 +276,6 @@ mod tests {
         assert_eq!(plan.alpha_max, 0.125);
         assert_eq!(plan.binding, BindingConstraint::HostMemory);
         assert!(!plan.feasible);
-    }
-
-    #[test]
-    fn tiered_waterfall_extends_feasibility() {
-        // Host DRAM holds only 1/4 of the KV (capacity-bound at fast
-        // PCIe), leaving 3/4 of the step window unused — an NVMe tier
-        // absorbs the remaining 0.25 of the needed 0.5.
-        let inp = KvSwapInputs {
-            total_kv_bytes: 4 * GIB,
-            device_kv_bytes: 2 * GIB,
-            step_compute_secs: 1.0,
-            host_bandwidth: 4.0 * GIB as f64,
-            host_capacity: GIB,
-        };
-        let single = plan_kv_swap(&inp);
-        assert_eq!(single.alpha_max, 0.25);
-        assert_eq!(single.binding, BindingConstraint::HostMemory);
-        assert!(!single.feasible);
-        let tiered = plan_kv_tiered(
-            &inp,
-            &[TierLink {
-                bandwidth: 2.0 * GIB as f64,
-                capacity: 100 * GIB,
-            }],
-        );
-        assert_eq!(tiered.alpha_needed, 0.5);
-        assert!(tiered.alpha_max() >= 0.5, "alphas {:?}", tiered.alphas);
-        assert!(tiered.feasible);
-        assert_eq!(tiered.step_overhead_secs, 0.0);
-    }
-
-    #[test]
-    fn tiered_with_no_extra_matches_single_tier() {
-        let inp = KvSwapInputs {
-            total_kv_bytes: 4 * GIB,
-            device_kv_bytes: 3 * GIB,
-            step_compute_secs: 1.0,
-            host_bandwidth: GIB as f64,
-            host_capacity: 100 * GIB,
-        };
-        let single = plan_kv_swap(&inp);
-        let tiered = plan_kv_tiered(&inp, &[]);
-        assert_eq!(tiered.alphas, vec![single.alpha_max]);
-        assert_eq!(tiered.feasible, single.feasible);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use alpha::{
 pub use buffers::RoundingBuffers;
 pub use delta::{ScheduleKey, SegmentCache, SegmentCacheStats, SegmentStatsScope};
 pub use host::HostStaging;
-pub use kv::{plan_kv_swap, plan_kv_tiered, KvPager, KvSwapInputs, KvSwapPlan, KvTieredPlan};
+pub use kv::{plan_kv_swap, KvPager, KvSwapInputs, KvSwapPlan};
 pub use schedule::{
     build_schedule, build_schedule_scalars, LayerCosts, LayerSegment, ScalarSchedule,
     ScheduleOutcome, SegmentPolicy, TierTraffic, TierTrafficList, MAX_TIERS,

@@ -14,7 +14,7 @@ use memo::core::{profiler, session::Workload};
 use memo::model::config::ModelConfig;
 use memo::model::trace::RematPolicy;
 use memo::parallel::strategy::ParallelConfig;
-use memo::plan::bilevel::{plan_iteration, PlanOptions};
+use memo::plan::bilevel::plan_iteration;
 
 const GIB: f64 = (1u64 << 30) as f64;
 
@@ -31,7 +31,7 @@ fn main() {
     );
 
     // Plan and verify.
-    let report = plan_iteration(&p.trace, &PlanOptions::default());
+    let report = plan_iteration(&p.trace);
     report.plan.validate_against(&p.trace).expect("plan sound");
     println!("\nbi-level plan:");
     println!(

@@ -14,7 +14,7 @@ use memo::model::config::ModelConfig;
 use memo::model::io::{read_trace, write_trace};
 use memo::model::trace::RematPolicy;
 use memo::parallel::strategy::ParallelConfig;
-use memo::plan::bilevel::{plan_iteration, PlanOptions};
+use memo::plan::bilevel::plan_iteration;
 use memo::plan::io::{read_plan, write_plan};
 use std::fs::File;
 use std::io::BufReader;
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- stage 2: memory planner --------------------------------------------
     let trace = read_trace(BufReader::new(File::open(&trace_path)?))?;
     trace.validate()?;
-    let report = plan_iteration(&trace, &PlanOptions::default());
+    let report = plan_iteration(&trace);
     write_plan(&report.plan, File::create(&plan_path)?)?;
     println!(
         "[planner]  wrote plan with {} placements, peak {:.3} GiB, to {}",

@@ -8,7 +8,7 @@
 //! rebalances.
 
 use memo::obs::json::Json;
-use memo::serve::{generate, AdmissionPolicy, PlanServer, RequestOutcome, ServeConfig, StreamSpec};
+use memo::serve::{generate, PlanServer, RequestOutcome, ServeConfig, StreamSpec};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -129,10 +129,7 @@ fn main() -> ExitCode {
 
     let server = PlanServer::new(ServeConfig {
         workers,
-        admission: AdmissionPolicy {
-            max_queue_depth: queue_depth,
-            ..AdmissionPolicy::default()
-        },
+        max_queue_depth: queue_depth,
         host_total_bytes: host_bytes,
         arena_total_bytes: arena_bytes,
         serial,

@@ -1,9 +1,69 @@
 //! Smoke test for the dense-grid CLI flags: run the real `memo-sim` binary
 //! with `--alpha-points` / `--mixed-policy` (the grid-row sweeps)
 //! and check that both tables and their picks come out; reject bad numeric
-//! flags of `memo-sim` and `memo-serve` with a named error.
+//! flags of `memo-sim` and `memo-serve` with a named error; and pin three
+//! `memo-sim` outputs byte for byte (the bit-identity contract).
 
+use memo::model::hash::FxHasher;
+use std::hash::Hasher;
 use std::process::Command;
+
+/// Stdout of a successful `memo-sim` run with `args`.
+fn memo_sim(args: &[&str]) -> Vec<u8> {
+    let out = Command::new(env!("CARGO_BIN_EXE_memo-sim"))
+        .args(args)
+        .output()
+        .expect("memo-sim must launch");
+    assert!(
+        out.status.success(),
+        "memo-sim {args:?} failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+#[test]
+fn memo_sim_outputs_match_the_committed_goldens() {
+    let grid = memo_sim(&[
+        "--model",
+        "7b",
+        "--gpus",
+        "8",
+        "--seq",
+        "64k,1m",
+        "--system",
+        "memo",
+        "--alpha-points",
+        "17",
+        "--mixed-policy",
+    ]);
+    assert!(
+        grid == include_bytes!("golden/memo_sim_7b_64k_1m_memo_grid.txt"),
+        "dense grids differ from the golden:\n{}",
+        String::from_utf8_lossy(&grid)
+    );
+    let all = memo_sim(&["--model", "7b", "--gpus", "8", "--seq", "1m", "--all"]);
+    assert!(
+        all == include_bytes!("golden/memo_sim_7b_1m_all.txt"),
+        "the 1M mode table differs from the golden:\n{}",
+        String::from_utf8_lossy(&all)
+    );
+
+    // The Chrome trace is ~0.8 MB, so it is pinned by digest.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("memo_sim_7b_256k.json");
+    let path_arg = path.to_str().expect("UTF-8 temp path");
+    memo_sim(&[
+        "--model", "7b", "--gpus", "8", "--seq", "256k", "--all", "--trace", path_arg,
+    ]);
+    let trace = std::fs::read(&path).expect("memo-sim wrote its trace");
+    let mut h = FxHasher::default();
+    h.write(&trace);
+    assert_eq!(
+        (trace.len(), h.finish()),
+        (806_849, 0x09ee_e200_aa98_2d34),
+        "the 7B/256K Chrome trace differs from the pinned digest"
+    );
+}
 
 #[test]
 fn memo_sim_dense_grid_flags_print_tables_and_picks() {

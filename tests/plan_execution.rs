@@ -9,7 +9,7 @@ use memo::alloc::DeviceAllocator;
 use memo::model::activations::LayerDims;
 use memo::model::config::{DType, ModelConfig};
 use memo::model::trace::{generate, RematPolicy, TraceParams};
-use memo::plan::bilevel::{plan_iteration, PlanOptions};
+use memo::plan::bilevel::plan_iteration;
 
 fn shapes() -> Vec<TraceParams> {
     let mut out = Vec::new();
@@ -35,7 +35,7 @@ fn every_plan_executes_cleanly() {
     for params in shapes() {
         let trace = generate(&params);
         trace.validate().expect("trace valid");
-        let report = plan_iteration(&trace, &PlanOptions::default());
+        let report = plan_iteration(&trace);
         report
             .plan
             .validate_against(&trace)
@@ -62,7 +62,7 @@ fn plans_beat_or_match_caching_reserved() {
     use memo::alloc::caching::CachingAllocator;
     for params in shapes() {
         let trace = generate(&params);
-        let report = plan_iteration(&trace, &PlanOptions::default());
+        let report = plan_iteration(&trace);
         let mut caching = CachingAllocator::new(u64::MAX / 4);
         let series = replay(&mut caching, &trace);
         // The plan's arena should not be dramatically worse than what the
@@ -86,7 +86,7 @@ fn pipeline_sharded_traces_plan_too() {
         let dims = LayerDims::new(256, &m, DType::BF16);
         let params = TraceParams::new(&m, dims, RematPolicy::MemoTokenWise);
         let trace = generate(&params);
-        let report = plan_iteration(&trace, &PlanOptions::default());
+        let report = plan_iteration(&trace);
         report
             .plan
             .validate_against(&trace)
@@ -107,7 +107,7 @@ fn file_pipeline_roundtrip_preserves_everything() {
         let trace2 = read_trace(&buf[..]).unwrap();
         assert_eq!(trace2, trace);
 
-        let report = plan_iteration(&trace2, &PlanOptions::default());
+        let report = plan_iteration(&trace2);
         let mut pbuf = Vec::new();
         write_plan(&report.plan, &mut pbuf).unwrap();
         let plan2 = read_plan(&pbuf[..]).unwrap();
