@@ -24,6 +24,9 @@
 //! * a cold, serial TensorHybrid strategy search ≥ 2× an exhaustive
 //!   `run_with` fold over the same grid at 7B/8 GPUs {256K, 1M}: the
 //!   search plans only the configs its pick needs;
+//! * a cold, serial Megatron-LM strategy search ≥ 3× an exhaustive
+//!   `run_with` fold over the same grid at 7B/8 GPUs/1M, where every
+//!   config fails: the search replays none that liveness certifies `X_oom`;
 //! * the 1,013,850-interval MegaTrain chunked instance plans in < 30 s,
 //!   validates in at most 3× the plan's time, stays within the boxing
 //!   guarantee (`gap_ok`) and is proven optimal (peak at the liveness
@@ -37,7 +40,7 @@ use memo_alloc::DeviceAllocator;
 use memo_bench::inputs::{kv_cell, memo_grid, replay_traces, sim_inputs, KvCell, MemoGrid};
 use memo_core::cache::ProfileCache;
 use memo_core::pipeline::{ExecutionPipeline, ExecutionReport};
-use memo_core::session::{SearchOptions, Workload};
+use memo_core::session::{pick_best_or_failure, SearchOptions, Workload};
 use memo_model::chunked::ChunkedParams;
 use memo_model::config::ModelConfig;
 use memo_model::decode::DecodeEvent;
@@ -291,6 +294,43 @@ fn static_search_gate() -> bool {
     )
 }
 
+fn failure_search_gate() -> bool {
+    let spec = SystemSpec::MegatronLM;
+    let w = Workload::new(ModelConfig::gpt_7b(), 8, 1 << 20);
+    let gpn = w.calib.gpus_per_node.min(w.n_gpus);
+    let configs = enumerate_configs(spec, &w.model, w.n_gpus, gpn);
+    // Serial, so the ratio measures the replays skipped rather than the
+    // pool width.
+    let opts = SearchOptions {
+        parallel: false,
+        cache: true,
+    };
+    let search = || {
+        clear_caches();
+        black_box(w.run_best_or_failure_with(spec, opts));
+    };
+    let exhaustive = || {
+        clear_caches();
+        let outcomes = configs.iter().map(|cfg| w.run_with(spec, cfg));
+        black_box(pick_best_or_failure(outcomes, |out| out));
+    };
+    let (pick, failure) = w.run_best_or_failure_with(spec, opts);
+    let reps = reps_for(1_000, exhaustive);
+    let (search_ms, exhaustive_ms) =
+        median_pair(|| mean_ms(reps, search), || mean_ms(reps, exhaustive));
+    let speedup = exhaustive_ms / search_ms.max(1e-12);
+    gate(
+        "cold all-fail search vs exhaustive fold, Megatron-LM 7B/8 GPUs/1M",
+        pick.is_none() && speedup >= 3.0,
+        format!(
+            "{speedup:.2}x ({exhaustive_ms:.2} -> {search_ms:.2} ms per search over {} configs, \
+             {}; gate >= 3x, nothing feasible)",
+            configs.len(),
+            failure.cell()
+        ),
+    )
+}
+
 /// One sweep of the grid through `execute_cached`, one cell at a time.
 fn sweep_baseline(w: &Workload, grid: &MemoGrid) -> Vec<ExecutionReport> {
     grid.cells()
@@ -417,6 +457,7 @@ fn main() -> ExitCode {
         kv_gate(),
         caching_replay_gate(),
         static_search_gate(),
+        failure_search_gate(),
     ];
     results.extend(delta_gates());
     results.push(megatrain_gate());

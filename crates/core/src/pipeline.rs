@@ -317,8 +317,9 @@ pub(crate) enum Screen {
     /// The config cannot succeed: stage 2 or 4 failed, or the timing is
     /// degenerate. Its failure may still depend on stage 3.
     CannotSucceed,
-    /// The config is certain to end `X_oom`, from liveness alone.
-    MustOom,
+    /// The config is certain to end `X_oom`, from liveness alone; the
+    /// search reports `Oom { needed, capacity: usable }` without stage 3.
+    MustOom { needed: u64 },
 }
 
 /// The staged executor: resolve a [`SystemSpec`] into [`PipelineStages`]
@@ -416,9 +417,7 @@ impl ExecutionPipeline {
     }
 
     /// Whether stage 3 replays the caching allocator
-    /// ([`MemoryBackend::CachingReplay`]). The strategy search hands such
-    /// grids to the pool whatever their size: one replay costs far more
-    /// than a hand-off.
+    /// ([`MemoryBackend::CachingReplay`]).
     pub(crate) fn replays_allocator(&self) -> bool {
         matches!(self.stages.backend, MemoryBackend::CachingReplay { .. })
     }
@@ -456,27 +455,27 @@ impl ExecutionPipeline {
     /// Recompute arm reads only its reorganisations (0 under a static
     /// plan), and stage 5 reads the plan only for `peak_gpu_bytes`. So the
     /// plan decides only *whether* the config succeeds. Every valid plan
-    /// peaks at or above the trace's liveness peak, so `model states +
-    /// skeletal buffers + peak_live_bytes > usable` (in `u128`) proves
-    /// stage 3's `X_oom`, which precedes any stage 4 failure.
+    /// peaks at or above the trace's liveness peak, so `needed = model
+    /// states + skeletal buffers + peak_live_bytes > usable` (in `u128`)
+    /// proves stage 3's `X_oom`, which precedes any stage 4 failure.
     ///
     /// A caching replay is bounded by [`Self::replay_tgs_bound`] and
-    /// certified by [`Self::replay_must_oom`].
+    /// certified by [`Self::replay_oom_certificate`].
     pub(crate) fn screen(&self, w: &Workload, cfg: &ParallelConfig, p: &ProfileReport) -> Screen {
         if self.replays_allocator() {
-            return if self.replay_must_oom(w, cfg, p) {
-                Screen::MustOom
-            } else {
-                Screen::Bound(self.replay_tgs_bound(w, cfg, p))
+            return match self.replay_oom_certificate(w, cfg, p) {
+                Some(needed) => Screen::MustOom { needed },
+                None => Screen::Bound(self.replay_tgs_bound(w, cfg, p)),
             };
         }
         let Ok(plan) = decide_activation(&self.stages.policy, w, p) else {
             return Screen::CannotSucceed;
         };
-        let resident = u128::from(p.model_states.total()) + u128::from(skeletal_bytes(p, &plan));
-        let usable = u128::from(w.calib.usable_gpu_memory());
-        if resident + u128::from(p.trace.peak_live_bytes()) > usable {
-            return Screen::MustOom;
+        let needed = u128::from(p.model_states.total())
+            + u128::from(skeletal_bytes(p, &plan))
+            + u128::from(p.trace.peak_live_bytes());
+        if let Some(needed) = oom_certificate(needed, w.calib.usable_gpu_memory()) {
+            return Screen::MustOom { needed };
         }
         let mem = MemoryAccounting {
             bytes: ByteBreakdown::default(),
@@ -512,36 +511,36 @@ impl ExecutionPipeline {
         mfu_tgs(w, cfg, t.iter_secs).map_or(f64::INFINITY, |(_, tgs)| tgs)
     }
 
-    /// Whether a caching-replay run of `cfg` on profile `p` is certain to
-    /// end `X_oom`, from liveness alone: the static bytes, every persistent
-    /// optimizer tensor and the trace's liveness peak exceed the usable
-    /// device memory (summed in `u128`). Inside the allocator, live bytes ≤
-    /// allocated ≤ reserved ≤ the `usable − static` it manages, and the
-    /// steady pass reaches the liveness peak with every persistent tensor
-    /// live, so some `malloc` up to there fails (if the static bytes alone
-    /// are not refused first). The outcome is `Oom` — never `Ok` or
-    /// `Degenerate` — but its shortfall is only known by replaying.
-    pub(crate) fn replay_must_oom(
+    /// The `needed` bytes that prove a caching-replay run of `cfg` on
+    /// profile `p` ends `X_oom`, from liveness alone: the static bytes,
+    /// every persistent optimizer tensor and the trace's liveness peak
+    /// ([`oom_certificate`]). Inside the allocator, live bytes ≤ allocated
+    /// ≤ reserved ≤ the `usable − static` it manages, and the steady pass
+    /// reaches the liveness peak with every persistent tensor live, so some
+    /// `malloc` up to there fails (or the static bytes alone are refused,
+    /// and are the `needed`). `None` when the run may fit.
+    pub(crate) fn replay_oom_certificate(
         &self,
         w: &Workload,
         cfg: &ParallelConfig,
         p: &ProfileReport,
-    ) -> bool {
+    ) -> Option<u64> {
         let MemoryBackend::CachingReplay { zero3_prefetch } = self.stages.backend else {
-            return false;
+            return None;
         };
-        let usable = u128::from(w.calib.usable_gpu_memory());
-        let static_bytes = u128::from(replay_static_bytes(w, cfg, zero3_prefetch));
+        let usable = w.calib.usable_gpu_memory();
+        let static_bytes = replay_static_bytes(w, cfg, zero3_prefetch);
         // The replay's own first check; it also keeps the persistent sizes
         // of a model this large from being computed at all.
         if static_bytes >= usable {
-            return true;
+            return Some(static_bytes);
         }
         let persistent: u128 = memo_parallel::memory::persistent_tensor_sizes(&w.model, cfg)
             .into_iter()
             .map(u128::from)
             .sum();
-        static_bytes + persistent + u128::from(p.trace.peak_live_bytes()) > usable
+        let needed = u128::from(static_bytes) + persistent + u128::from(p.trace.peak_live_bytes());
+        oom_certificate(needed, usable)
     }
 
     /// Stages 2–5 on a profile the caller already holds: bit-identical to
@@ -710,6 +709,11 @@ fn mfu_tgs(w: &Workload, cfg: &ParallelConfig, iter_secs: f64) -> Option<(f64, f
         w.calib.peak_flops,
         iter_secs,
     )
+}
+
+/// `needed`, saturated to `u64`, when it exceeds `usable`.
+fn oom_certificate(needed: u128, usable: u64) -> Option<u64> {
+    (needed > u128::from(usable)).then(|| u64::try_from(needed).unwrap_or(u64::MAX))
 }
 
 /// Fold the run's [`ProfileCache`] lookups into the observer. The scope is
@@ -1462,7 +1466,7 @@ mod tests {
                 vocab: 1,
             };
             assert_eq!(replay_static_bytes(&huge, &cfg, true), u64::MAX);
-            assert!(ds.replay_must_oom(&huge, &cfg, &p));
+            assert_eq!(ds.replay_oom_certificate(&huge, &cfg, &p), Some(u64::MAX));
             assert_eq!(
                 ds.execute_profiled(&huge, &cfg, &p, false),
                 CellOutcome::Oom {

@@ -21,7 +21,7 @@ use std::sync::Arc;
 /// cache-disabled combination is the oracle of the parallel-parity tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchOptions {
-    /// Fan the per-config screens (and the failure fold's evaluations)
+    /// Fan the per-config screens (and the *cannot succeed* evaluations)
     /// out over the work-stealing [`Pool`]. The best-first evaluations and
     /// the reduction stay serial, so the picked (cfg, outcome) is
     /// bit-identical to a serial run.
@@ -40,17 +40,14 @@ impl Default for SearchOptions {
     }
 }
 
-/// Strategy grids at or below this size skip the profile cache, and the
-/// worker pool too when their mode plans statically: the per-config fixed
-/// costs (task hand-off, `ProfileKey` construction + hashing) exceed any
-/// reuse such a grid can generate, and a small grid's keys are rarely
-/// shared with other searches (DeepSpeed's Ulysses grid pairs
-/// `FullRecompute` with materialized logits — no other backend asks for
-/// that profile). Caching-replay grids use the pool whatever their size:
-/// the failure fold of a grid with nothing feasible replays every config,
-/// and one allocator replay costs far more than a hand-off. Either way the
-/// search runs the same best-first loop, so the bypass never changes which
-/// configs are evaluated.
+/// Strategy grids at or below this size skip the profile cache and the
+/// worker pool: the per-config fixed costs (task hand-off, `ProfileKey`
+/// construction + hashing) exceed any reuse such a grid can generate, and
+/// a small grid's keys are rarely shared with other searches (DeepSpeed's
+/// Ulysses grid pairs `FullRecompute` with materialized logits — no other
+/// backend asks for that profile). The search runs the same best-first
+/// loop either way, so the bypass never changes which configs are
+/// evaluated.
 pub const SMALL_GRID_BYPASS: usize = 8;
 
 impl SearchOptions {
@@ -168,8 +165,8 @@ impl Workload {
     /// keeps its "last enumerated wins" semantics bit-exactly regardless of
     /// which worker finished first (golden parity depends on this —
     /// DESIGN.md). The configs it skips can neither win nor tie the pick,
-    /// nor be the least-bad failure, so the fold returns what the
-    /// exhaustive fold over every config would.
+    /// nor be the least-bad failure, and a certified config enters as its
+    /// certificate's `Oom`: the exhaustive fold's pick and failure kind.
     fn search_strategies(
         &self,
         system: SystemSpec,
@@ -178,13 +175,13 @@ impl Workload {
         let gpn = self.calib.gpus_per_node.min(self.n_gpus);
         let configs = search::enumerate_configs(system, &self.model, self.n_gpus, gpn);
         // Tiny grids (DeepSpeed's Ulysses axis is 4 configs at 8 GPUs) lose
-        // more to cache fingerprinting than it can return, and a tiny
-        // static-plan grid evaluates faster than the pool hands it out.
-        // Either way the outcome is identical (the cache is a pure memo and
-        // the reduction is order-fixed).
+        // more to cache fingerprinting than it can return, and evaluate
+        // faster than the pool hands them out. Either way the outcome is
+        // identical (the cache is a pure memo and the reduction is
+        // order-fixed).
         let small = configs.len() <= SMALL_GRID_BYPASS;
         let pipeline = ExecutionPipeline::new(system);
-        let parallel = opts.parallel && (!small || pipeline.replays_allocator());
+        let parallel = opts.parallel && !small;
         let outcomes = self.evaluate_best_first(&pipeline, configs, parallel, opts.cache && !small);
         pick_best_or_failure(outcomes, |(_, out)| out)
     }
@@ -194,17 +191,16 @@ impl Workload {
     ///
     /// 1. One map profiles and [screens](ExecutionPipeline::screen) every
     ///    config: a TGS bound (exact for a static plan), *cannot succeed*,
-    ///    or certified `X_oom`.
+    ///    or certified `X_oom`. A certified config takes its certificate's
+    ///    `Oom` and runs no further stage.
     /// 2. The bounded configs run stages 2–5 one at a time, in
     ///    [`best_first`] order, on the profiles already held.
     /// 3. Only if none succeeded: the *cannot succeed* configs run in one
-    ///    map, and then the certified ones too, unless some outcome so far
-    ///    is `X_oohm` ([`CellOutcome::failure_rank`] puts every OOHM below
-    ///    every OOM, so no certified config could be the least-bad failure).
+    ///    map, for the least-bad failure.
     ///
-    /// Returns the evaluated configs with their outcomes in enumeration
-    /// order. The evaluated set depends on the screens and outcomes alone,
-    /// never on the thread count.
+    /// Returns the evaluated and certified configs with their outcomes in
+    /// enumeration order. The evaluated set depends on the screens and
+    /// outcomes alone, never on the thread count.
     fn evaluate_best_first(
         &self,
         pipeline: &ExecutionPipeline,
@@ -230,8 +226,9 @@ impl Workload {
             );
             out
         };
-        let (mut open, mut bounds, mut cannot_succeed, mut certified) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let capacity = self.calib.usable_gpu_memory();
+        let mut outcomes: Vec<Option<CellOutcome>> = vec![None; configs.len()];
+        let (mut open, mut bounds, mut cannot_succeed) = (Vec::new(), Vec::new(), Vec::new());
         for (i, (_, screen)) in screened.iter().enumerate() {
             match *screen {
                 Screen::Bound(bound) => {
@@ -239,10 +236,11 @@ impl Workload {
                     bounds.push(bound);
                 }
                 Screen::CannotSucceed => cannot_succeed.push(i),
-                Screen::MustOom => certified.push(i),
+                Screen::MustOom { needed } => {
+                    outcomes[i] = Some(CellOutcome::Oom { needed, capacity })
+                }
             }
         }
-        let mut outcomes: Vec<Option<CellOutcome>> = vec![None; configs.len()];
         let mut feasible = false;
         best_first(&bounds, |k| {
             let out = evaluate(open[k]);
@@ -254,15 +252,6 @@ impl Workload {
         if !feasible {
             for (i, out) in map_in_order(parallel, cannot_succeed, |i| (i, evaluate(i))) {
                 outcomes[i] = Some(out);
-            }
-            let oohm = outcomes
-                .iter()
-                .flatten()
-                .any(|out| matches!(out, CellOutcome::Oohm { .. }));
-            if !oohm {
-                for (i, out) in map_in_order(parallel, certified, |i| (i, evaluate(i))) {
-                    outcomes[i] = Some(out);
-                }
             }
         }
         configs
@@ -472,27 +461,18 @@ mod tests {
             grid.len()
         );
         // The scopes count this thread's lookups only, so concurrent tests
-        // sharing the global cache cannot move them. A caching-replay grid
-        // runs on the pool whatever its size, and pooled lookups would land
-        // in the workers' scopes, so the cache assertion searches serially
-        // with the cache enabled: the bypass alone must keep it untouched.
+        // sharing the global cache cannot move them. A small grid also
+        // skips the pool, so every lookup it made would land here.
         let oracle =
             w.run_best_or_failure_with(SystemSpec::DeepSpeed, SearchOptions::serial_uncached());
         let scope = CacheStatsScope::enter();
-        let serial = w.run_best_or_failure_with(
-            SystemSpec::DeepSpeed,
-            SearchOptions {
-                parallel: false,
-                cache: true,
-            },
-        );
+        let default = w.run_best_or_failure(SystemSpec::DeepSpeed);
         assert_eq!(
             scope.finish(),
             CacheStats::default(),
             "bypass must skip the cache"
         );
-        assert_eq!(serial, oracle);
-        assert_eq!(w.run_best_or_failure(SystemSpec::DeepSpeed), oracle);
+        assert_eq!(default, oracle);
 
         // A Megatron-family grid is over the threshold and still uses it
         // (searched serially, so every lookup lands in this thread's scope).
@@ -608,16 +588,53 @@ mod tests {
 
     /// Every config of `spec`'s grid on `w`, with its screen and the
     /// outcome [`Workload::run_with`] reports for it.
-    fn screened_grid(w: &Workload, spec: SystemSpec) -> Vec<(Screen, CellOutcome)> {
+    fn screened_grid(w: &Workload, spec: SystemSpec) -> Vec<(ParallelConfig, Screen, CellOutcome)> {
         let pipeline = ExecutionPipeline::new(spec);
         let gpn = w.calib.gpus_per_node.min(w.n_gpus);
         search::enumerate_configs(spec, &w.model, w.n_gpus, gpn)
             .into_iter()
             .map(|cfg| {
                 let p = pipeline.profile(w, &cfg, true);
-                (pipeline.screen(w, &cfg, &p), w.run_with(spec, &cfg))
+                let screen = pipeline.screen(w, &cfg, &p);
+                (cfg, screen, w.run_with(spec, &cfg))
             })
             .collect()
+    }
+
+    /// The outcome the search folds for a config: its certificate's `Oom`
+    /// when certified, else `out`, what [`Workload::run_with`] reports.
+    fn search_outcome(w: &Workload, screen: Screen, out: &CellOutcome) -> CellOutcome {
+        match screen {
+            Screen::MustOom { needed } => CellOutcome::Oom {
+                needed,
+                capacity: w.calib.usable_gpu_memory(),
+            },
+            _ => out.clone(),
+        }
+    }
+
+    /// The documented fold over every enumerated config, one by one: `>=`
+    /// on TGS (last enumerated wins among equals), minimum `failure_rank`
+    /// among failures.
+    fn exhaustive_fold(
+        cells: impl IntoIterator<Item = (ParallelConfig, CellOutcome)>,
+    ) -> (Option<ParallelConfig>, CellOutcome) {
+        let mut best: Option<(ParallelConfig, CellOutcome, f64)> = None;
+        let mut failure = CellOutcome::NoValidStrategy;
+        for (cfg, out) in cells {
+            match out.metrics().map(|m| m.tgs) {
+                Some(tgs) if best.as_ref().is_none_or(|(_, _, b)| tgs >= *b) => {
+                    best = Some((cfg, out, tgs));
+                }
+                Some(_) => {}
+                None if out.failure_rank() < failure.failure_rank() => failure = out,
+                None => {}
+            }
+        }
+        match best {
+            Some((cfg, out, _)) => (Some(cfg), out),
+            None => (None, failure),
+        }
     }
 
     #[test]
@@ -681,7 +698,7 @@ mod tests {
                     if let Some(m) = out.metrics() {
                         best = best.max(m.tgs);
                     }
-                    if pipeline.replay_must_oom(&w, &cfg, &p) {
+                    if pipeline.replay_oom_certificate(&w, &cfg, &p).is_some() {
                         assert!(
                             matches!(out, CellOutcome::Oom { .. }),
                             "{spec:?} {} @ {}: certified, but {out:?}",
@@ -706,7 +723,7 @@ mod tests {
         let (mut exact, mut cannot_succeed) = (0, 0);
         for w in pruning_grids() {
             for spec in static_modes() {
-                for (screen, out) in screened_grid(&w, spec) {
+                for (_, screen, out) in screened_grid(&w, spec) {
                     let at = || format!("{spec:?} @ {}: {screen:?} vs {out:?}", w.seq_len);
                     match (screen, out.metrics()) {
                         (Screen::Bound(tgs), Some(m)) => {
@@ -722,7 +739,7 @@ mod tests {
                             cannot_succeed += 1;
                         }
                         // `static_certificate_implies_oom` checks these.
-                        (Screen::MustOom, _) => {}
+                        (Screen::MustOom { .. }, _) => {}
                     }
                 }
             }
@@ -739,9 +756,9 @@ mod tests {
         for w in pruning_grids() {
             for spec in static_modes() {
                 let rows = screened_grid(&w, spec);
-                let feasible = rows.iter().any(|(_, out)| out.is_ok());
-                for (screen, out) in rows {
-                    if screen == Screen::MustOom {
+                let feasible = rows.iter().any(|(_, _, out)| out.is_ok());
+                for (_, screen, out) in rows {
+                    if matches!(screen, Screen::MustOom { .. }) {
                         assert!(
                             matches!(out, CellOutcome::Oom { .. }),
                             "{spec:?} @ {}: certified, but {out:?}",
@@ -793,77 +810,59 @@ mod tests {
 
     #[test]
     fn pruned_search_matches_the_exhaustive_fold() {
-        // The documented fold over every enumerated config, run one by one:
-        // `>=` on TGS (last enumerated wins among equals), minimum
-        // `failure_rank` among failures.
-        let exhaustive = |w: &Workload, spec: SystemSpec| {
-            let gpn = w.calib.gpus_per_node.min(w.n_gpus);
-            let mut best: Option<(ParallelConfig, CellOutcome, f64)> = None;
-            let mut failure = CellOutcome::NoValidStrategy;
-            for cfg in search::enumerate_configs(spec, &w.model, w.n_gpus, gpn) {
-                let out = w.run_with(spec, &cfg);
-                match out.metrics().map(|m| m.tgs) {
-                    Some(tgs) if best.as_ref().is_none_or(|(_, _, b)| tgs >= *b) => {
-                        best = Some((cfg, out, tgs));
-                    }
-                    Some(_) => {}
-                    None if out.failure_rank() < failure.failure_rank() => failure = out,
-                    None => {}
-                }
-            }
-            match best {
-                Some((cfg, out, _)) => (Some(cfg), out),
-                None => (None, failure),
-            }
-        };
-        // Static-plan searches reaching each branch of the pruning: bounded
-        // configs pruned beside a feasible pick; all failed, with an OOHM
-        // known, so the certified configs go unplanned; all failed with OOM
-        // only, so they are planned for the least-bad failure. A serial,
-        // cached search looks each config's profile up once and each
-        // evaluated config's plan once, so its lookups count its plans.
-        let (mut pruned, mut certified_skipped, mut certified_planned) = (0, 0, 0);
+        // The oracle folds every config's search outcome: its certificate's
+        // `Oom` when certified, else its `run_with` outcome. Static-plan
+        // searches reach each branch of the pruning: bounded configs pruned
+        // beside a feasible pick, and all failed, with or without an OOHM
+        // known, where no certified config is planned. A serial, cached
+        // search looks each config's profile up once and each evaluated
+        // config's plan once, so its lookups count its plans.
+        let (mut pruned, mut certified_with_oohm, mut certified_oom_only) = (0, 0, 0);
         for w in pruning_grids() {
-            for spec in static_modes() {
+            for spec in SystemSpec::ALL_MODES {
                 let rows = screened_grid(&w, spec);
                 let n = rows.len() as u64;
-                if n <= SMALL_GRID_BYPASS as u64 {
-                    continue; // the search bypasses the cache: nothing to count
+                // A small grid bypasses the cache: nothing to count.
+                if !ExecutionPipeline::new(spec).replays_allocator() && n > SMALL_GRID_BYPASS as u64
+                {
+                    let scope = CacheStatsScope::enter();
+                    let serial_cached = SearchOptions {
+                        parallel: false,
+                        cache: true,
+                    };
+                    let _ = w.run_best_or_failure_with(spec, serial_cached);
+                    let lookups = scope.finish();
+                    let plans = lookups.hits + lookups.misses - n;
+                    let count = |f: &dyn Fn(&Screen) -> bool| {
+                        rows.iter().filter(|(_, s, _)| f(s)).count() as u64
+                    };
+                    let best = rows
+                        .iter()
+                        .filter_map(|(_, _, out)| out.metrics().map(|m| m.tgs))
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    let certified = count(&|s| matches!(s, Screen::MustOom { .. }));
+                    let at = format!("{spec:?} @ {}: {plans} plans", w.seq_len);
+                    if best.is_finite() {
+                        // Exactly the configs bounded at or above the pick.
+                        let kept = count(&|s| matches!(s, Screen::Bound(b) if *b >= best));
+                        assert_eq!(plans, kept, "{at}");
+                        pruned += count(&|s| matches!(s, Screen::Bound(b) if *b < best));
+                    } else {
+                        assert!(plans <= n - certified, "{at}");
+                        let oohm = rows
+                            .iter()
+                            .any(|(_, _, out)| matches!(out, CellOutcome::Oohm { .. }));
+                        if certified > 0 && oohm {
+                            certified_with_oohm += 1;
+                        } else if certified > 0 {
+                            certified_oom_only += 1;
+                        }
+                    }
                 }
-                let scope = CacheStatsScope::enter();
-                let serial_cached = SearchOptions {
-                    parallel: false,
-                    cache: true,
-                };
-                let _ = w.run_best_or_failure_with(spec, serial_cached);
-                let lookups = scope.finish();
-                let plans = lookups.hits + lookups.misses - n;
-                let count =
-                    |f: &dyn Fn(&Screen) -> bool| rows.iter().filter(|(s, _)| f(s)).count() as u64;
-                let best = rows
-                    .iter()
-                    .filter_map(|(_, out)| out.metrics().map(|m| m.tgs))
-                    .fold(f64::NEG_INFINITY, f64::max);
-                let oohm = rows.iter().any(|(screen, out)| {
-                    *screen != Screen::MustOom && matches!(out, CellOutcome::Oohm { .. })
-                });
-                let certified = count(&|s| *s == Screen::MustOom);
-                let at = format!("{spec:?} @ {}: {plans} plans", w.seq_len);
-                if best.is_finite() {
-                    // Exactly the configs bounded at or above the pick.
-                    let kept = count(&|s| matches!(s, Screen::Bound(b) if *b >= best));
-                    assert_eq!(plans, kept, "{at}");
-                    pruned += count(&|s| matches!(s, Screen::Bound(b) if *b < best));
-                } else if certified > 0 && oohm {
-                    assert!(plans <= n - certified, "{at}");
-                    certified_skipped += 1;
-                } else if certified > 0 {
-                    assert!(plans >= certified, "{at}");
-                    certified_planned += 1;
-                }
-            }
-            for spec in SystemSpec::ALL_MODES {
-                let oracle = exhaustive(&w, spec);
+                let oracle = exhaustive_fold(
+                    rows.iter()
+                        .map(|(cfg, screen, out)| (*cfg, search_outcome(&w, *screen, out))),
+                );
                 for opts in [SearchOptions::default(), SearchOptions::serial_uncached()] {
                     assert_eq!(
                         w.run_best_or_failure_with(spec, opts),
@@ -877,8 +876,71 @@ mod tests {
             }
         }
         assert!(
-            pruned > 0 && certified_skipped > 0 && certified_planned > 0,
-            "{pruned} / {certified_skipped} / {certified_planned}"
+            pruned > 0 && certified_with_oohm > 0 && certified_oom_only > 0,
+            "{pruned} / {certified_with_oohm} / {certified_oom_only}"
+        );
+    }
+
+    #[test]
+    fn certificates_keep_failure_kinds_and_are_real_shortfalls() {
+        let (mut all_fail, mut certified) = (0, 0);
+        for w in pruning_grids() {
+            let capacity = w.calib.usable_gpu_memory();
+            for spec in SystemSpec::ALL_MODES {
+                let replays = ExecutionPipeline::new(spec).replays_allocator();
+                let rows = screened_grid(&w, spec);
+                for (cfg, screen, out) in &rows {
+                    let Screen::MustOom { needed } = *screen else {
+                        continue;
+                    };
+                    let at = || {
+                        format!(
+                            "{spec:?} {} @ {}: {needed} vs {out:?}",
+                            cfg.describe(),
+                            w.seq_len
+                        )
+                    };
+                    assert!(needed > capacity, "{}", at());
+                    let CellOutcome::Oom { needed: ran, .. } = *out else {
+                        panic!("certified, but {}", at());
+                    };
+                    // Every valid plan peaks at or above LOAD.
+                    assert!(replays || needed <= ran, "{}", at());
+                    certified += 1;
+                }
+                if rows.iter().all(|(_, _, out)| !out.is_ok()) {
+                    let (_, searched) = w.run_best_or_failure(spec);
+                    let (_, exhaustive) =
+                        exhaustive_fold(rows.iter().map(|(cfg, _, out)| (*cfg, out.clone())));
+                    assert_eq!(
+                        std::mem::discriminant(&searched),
+                        std::mem::discriminant(&exhaustive),
+                        "{spec:?} @ {}: {searched:?} vs {exhaustive:?}",
+                        w.seq_len
+                    );
+                    all_fail += 1;
+                }
+            }
+        }
+        assert!(all_fail > 0 && certified > 0, "{all_fail} / {certified}");
+
+        // A model whose static bytes overflow `u64` certifies at `u64::MAX`.
+        let small = Workload::new(ModelConfig::gpt_7b(), 1, 1 << 10);
+        let cfg = ParallelConfig::ulysses(1, 1);
+        let ds = ExecutionPipeline::new(SystemSpec::DeepSpeed);
+        let p = ds.profile(&small, &cfg, false);
+        let mut huge = small.clone();
+        huge.model = ModelConfig {
+            name: "huge",
+            n_layers: 1,
+            hidden: 1 << 30,
+            ffn_hidden: 1 << 30,
+            n_heads: 1,
+            vocab: 1,
+        };
+        assert_eq!(
+            ds.screen(&huge, &cfg, &p),
+            Screen::MustOom { needed: u64::MAX }
         );
     }
 

@@ -1,7 +1,7 @@
 //! Smoke test for the dense-grid CLI flags: run the real `memo-sim` binary
 //! with `--alpha-points` / `--mixed-policy` (the grid-row sweeps)
 //! and check that both tables and their picks come out; reject bad numeric
-//! flags of `memo-sim` and `memo-serve` with a named error; and pin three
+//! flags of `memo-sim` and `memo-serve` with a named error; and pin five
 //! `memo-sim` outputs byte for byte (the bit-identity contract).
 
 use memo::model::hash::FxHasher;
@@ -62,6 +62,34 @@ fn memo_sim_outputs_match_the_committed_goldens() {
         (trace.len(), h.finish()),
         (806_849, 0x09ee_e200_aa98_2d34),
         "the 7B/256K Chrome trace differs from the pinned digest"
+    );
+}
+
+#[test]
+fn all_fail_cells_keep_their_stdout() {
+    // Every mode fails: three `X_oom` and three `X_oohm` at 2M tokens, and
+    // every config certified `X_oom` on four 2 GiB GPUs.
+    let long = memo_sim(&["--model", "7b", "--gpus", "8", "--seq", "2m", "--all"]);
+    assert!(
+        long == include_bytes!("golden/memo_sim_7b_2m_all.txt"),
+        "the 2M mode table differs from the golden:\n{}",
+        String::from_utf8_lossy(&long)
+    );
+    let small_gpu = memo_sim(&[
+        "--model",
+        "7b",
+        "--gpus",
+        "4",
+        "--seq",
+        "8k",
+        "--gpu-mem-gib",
+        "2",
+        "--all",
+    ]);
+    assert!(
+        small_gpu == include_bytes!("golden/memo_sim_7b_4gpu_8k_2gib_all.txt"),
+        "the 2 GiB mode table differs from the golden:\n{}",
+        String::from_utf8_lossy(&small_gpu)
     );
 }
 
