@@ -27,6 +27,9 @@
 //! * a cold, serial Megatron-LM strategy search ≥ 3× an exhaustive
 //!   `run_with` fold over the same grid at 7B/8 GPUs/1M, where every
 //!   config fails: the search replays none that liveness certifies `X_oom`;
+//! * a cold `profiler::profile` ≥ 2× the same call with the trace built,
+//!   over every config the six modes enumerate at 7B/8 GPUs/256K: the
+//!   profile streams the liveness peak and builds the trace on first use;
 //! * the 1,013,850-interval MegaTrain chunked instance plans in < 30 s,
 //!   validates in at most 3× the plan's time, stays within the boxing
 //!   guarantee (`gap_ok`) and is proven optimal (peak at the liveness
@@ -39,7 +42,8 @@ use memo_alloc::snapshot::replay_peak;
 use memo_alloc::DeviceAllocator;
 use memo_bench::inputs::{kv_cell, memo_grid, replay_traces, sim_inputs, KvCell, MemoGrid};
 use memo_core::cache::ProfileCache;
-use memo_core::pipeline::{ExecutionPipeline, ExecutionReport};
+use memo_core::pipeline::{ExecutionPipeline, ExecutionReport, PipelineStages};
+use memo_core::profiler::profile;
 use memo_core::session::{pick_best_or_failure, SearchOptions, Workload};
 use memo_model::chunked::ChunkedParams;
 use memo_model::config::ModelConfig;
@@ -331,6 +335,45 @@ fn failure_search_gate() -> bool {
     )
 }
 
+fn profile_gate() -> bool {
+    let w = Workload::new(ModelConfig::gpt_7b(), 8, 256 << 10);
+    let gpn = w.calib.gpus_per_node.min(w.n_gpus);
+    let configs: Vec<_> = SystemSpec::ALL_MODES
+        .into_iter()
+        .flat_map(|spec| {
+            let st = PipelineStages::for_spec(spec);
+            enumerate_configs(spec, &w.model, w.n_gpus, gpn)
+                .into_iter()
+                .map(move |cfg| (cfg, st.remat, st.materialize_logits))
+        })
+        .collect();
+    let lazy = || {
+        for (cfg, remat, logits) in &configs {
+            black_box(profile(&w, cfg, *remat, *logits));
+        }
+    };
+    let built = || {
+        for (cfg, remat, logits) in &configs {
+            let p = profile(&w, cfg, *remat, *logits);
+            black_box(&*p.trace);
+        }
+    };
+    let reps = reps_for(10_000, built);
+    let (lazy_ms, built_ms) = median_pair(|| mean_ms(reps, lazy), || mean_ms(reps, built));
+    let speedup = built_ms / lazy_ms.max(1e-12);
+    let us = |ms: f64| ms * 1e3 / configs.len() as f64;
+    gate(
+        "cold profile vs profile with the trace built, six modes at 7B/8 GPUs/256K",
+        speedup >= 2.0,
+        format!(
+            "{speedup:.2}x over {} configs ({:.2} -> {:.2} us per profile; gate >= 2x)",
+            configs.len(),
+            us(built_ms),
+            us(lazy_ms)
+        ),
+    )
+}
+
 /// One sweep of the grid through `execute_cached`, one cell at a time.
 fn sweep_baseline(w: &Workload, grid: &MemoGrid) -> Vec<ExecutionReport> {
     grid.cells()
@@ -458,6 +501,7 @@ fn main() -> ExitCode {
         caching_replay_gate(),
         static_search_gate(),
         failure_search_gate(),
+        profile_gate(),
     ];
     results.extend(delta_gates());
     results.push(megatrain_gate());

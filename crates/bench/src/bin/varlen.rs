@@ -40,7 +40,9 @@ fn main() {
         .map(|f| {
             let s = ((max_k * 1024) as f64 * f) as u64;
             let w = Workload::new(model.clone(), 8, s);
-            profiler::profile(&w, &cfg, RematPolicy::FullRecompute, false).trace
+            profiler::profile(&w, &cfg, RematPolicy::FullRecompute, false)
+                .trace
+                .into_inner()
         })
         .collect();
 

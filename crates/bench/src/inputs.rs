@@ -182,7 +182,11 @@ pub fn replay_traces() -> Vec<IterationTrace> {
     for seq_k in [64u64, 256, 1024] {
         let w = Workload::new(ModelConfig::gpt_7b(), 8, seq_k << 10);
         for policy in [RematPolicy::FullRecompute, RematPolicy::KeepAll] {
-            traces.push(memo_core::profiler::profile(&w, &cfg, policy, false).trace);
+            traces.push(
+                memo_core::profiler::profile(&w, &cfg, policy, false)
+                    .trace
+                    .into_inner(),
+            );
         }
     }
     traces

@@ -1,8 +1,10 @@
 //! Memoization of the profiling stage.
 //!
-//! `profile()` — trace generation, the α solve, and the calibrated cost
-//! model — is a pure function of (model, strategy, remat policy, logits
-//! materialization, sequence length, batch, calibration). The strategy
+//! `profile()` — the streamed liveness peak, the α solve, and the
+//! calibrated cost model, with the trace left to be generated on first use
+//! ([`profiler::LazyTrace`]) — is a pure function of (model, strategy,
+//! remat policy, logits materialization, sequence length, batch,
+//! calibration). The strategy
 //! search, the ablation variants and the bench sweeps evaluate the *same*
 //! (workload, config) pair under different downstream stages over and over;
 //! this cache computes each distinct profile once and shares it as an

@@ -2,7 +2,8 @@
 //!
 //! Every execution mode ([`SystemSpec`]) runs the same five stages:
 //!
-//! 1. **profile** — memory-request trace, per-layer costs, α program
+//! 1. **profile** — liveness peak, memory-request trace (built on first
+//!    use), per-layer costs, α program
 //!    ([`crate::profiler`]);
 //! 2. **activation policy** ([`ActivationPolicy`]) — how activations survive
 //!    to the backward pass: token-wise α swap into rounding buffers,
@@ -473,7 +474,7 @@ impl ExecutionPipeline {
         };
         let needed = u128::from(p.model_states.total())
             + u128::from(skeletal_bytes(p, &plan))
-            + u128::from(p.trace.peak_live_bytes());
+            + u128::from(p.peak_live_bytes);
         if let Some(needed) = oom_certificate(needed, w.calib.usable_gpu_memory()) {
             return Screen::MustOom { needed };
         }
@@ -539,7 +540,7 @@ impl ExecutionPipeline {
             .into_iter()
             .map(u128::from)
             .sum();
-        let needed = u128::from(static_bytes) + persistent + u128::from(p.trace.peak_live_bytes());
+        let needed = u128::from(static_bytes) + persistent + u128::from(p.peak_live_bytes);
         oom_certificate(needed, usable)
     }
 

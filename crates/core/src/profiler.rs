@@ -7,6 +7,12 @@
 //! trick that lets the real system profile under CUDA Unified Memory without
 //! OOM; our simulated profiler gets the same information from the trace
 //! generator and the calibrated cost model.
+//!
+//! The request sequence is the input of the memory plan (§4.2) and of the
+//! caching-allocator replay, and nothing else reads it: the strategy
+//! search screens a config on its liveness peak alone. So [`profile`]
+//! streams that peak ([`trace::peak_live_bytes`]) and leaves the sequence
+//! to a [`LazyTrace`], built the first time a plan or a replay reads it.
 
 use crate::session::Workload;
 use memo_alloc::unified::UnifiedMemoryAllocator;
@@ -18,6 +24,8 @@ use memo_parallel::cost::{self, LayerTime};
 use memo_parallel::memory::{self, ModelStateBytes};
 use memo_parallel::strategy::ParallelConfig;
 use memo_swap::alpha::{solve_alpha, AlphaInputs, AlphaSolution};
+use std::ops::Deref;
+use std::sync::OnceLock;
 
 /// How the profiling pass itself had to run (§4.3.2): profiling a single
 /// transformer layer suffices when it fits; otherwise the profiler records
@@ -31,11 +39,61 @@ pub enum ProfilingMode {
     UnifiedMemory { migration_secs: f64 },
 }
 
+/// The per-GPU memory request trace of one iteration, generated from its
+/// parameters the first time it is dereferenced and kept from then on.
+/// Two lazy traces are equal when the traces they build are.
+#[derive(Debug, Clone)]
+pub struct LazyTrace {
+    params: TraceParams,
+    trace: OnceLock<IterationTrace>,
+}
+
+impl LazyTrace {
+    /// The trace, by value.
+    pub fn into_inner(self) -> IterationTrace {
+        let params = self.params;
+        self.trace.into_inner().unwrap_or_else(|| build(&params))
+    }
+
+    /// Whether the trace has been built.
+    #[cfg(test)]
+    pub(crate) fn is_built(&self) -> bool {
+        self.trace.get().is_some()
+    }
+}
+
+impl Deref for LazyTrace {
+    type Target = IterationTrace;
+
+    fn deref(&self) -> &IterationTrace {
+        self.trace.get_or_init(|| build(&self.params))
+    }
+}
+
+impl PartialEq for LazyTrace {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+/// A [`LazyTrace`]'s initialiser: the only place a profile's trace is
+/// generated.
+fn build(params: &TraceParams) -> IterationTrace {
+    let built = trace::generate(params);
+    debug_assert!(built.validate().is_ok());
+    debug_assert_eq!(built.peak_live_bytes(), trace::peak_live_bytes(params));
+    built
+}
+
 /// Everything the planner and executor need about one workload+strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
-    /// The per-GPU memory request trace of one iteration.
-    pub trace: IterationTrace,
+    /// The per-GPU memory request trace of one iteration, built on first
+    /// use: only the memory plan and the allocator replay read it.
+    pub trace: LazyTrace,
+    /// The trace's liveness peak ([`IterationTrace::peak_live_bytes`]),
+    /// streamed without building the trace.
+    pub peak_live_bytes: u64,
     /// Per-layer time decomposition.
     pub layer_time: LayerTime,
     /// Per-layer skeletal byte split (per GPU).
@@ -115,8 +173,7 @@ pub fn profile(
     let dims = params.dims;
     params.ce_chunk_tokens = 8192;
     params.materialize_logits = materialize_logits;
-    let trace = trace::generate(&params);
-    debug_assert!(trace.validate().is_ok());
+    let peak_live_bytes = trace::peak_live_bytes(&params);
 
     let layer_time = cost::layer_time(&w.model, cfg, w.seq_len * w.batch, &w.calib);
     let split = activations::skeletal_split(&dims);
@@ -132,7 +189,11 @@ pub fn profile(
     });
 
     ProfileReport {
-        trace,
+        trace: LazyTrace {
+            params,
+            trace: OnceLock::new(),
+        },
+        peak_live_bytes,
         layer_time,
         split,
         alpha,
@@ -148,8 +209,10 @@ pub fn profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::ExecutionPipeline;
     use memo_model::config::ModelConfig;
-    use memo_parallel::strategy::ParallelConfig;
+    use memo_parallel::search;
+    use memo_parallel::strategy::{ParallelConfig, SystemSpec};
     use memo_swap::alpha::BindingConstraint;
 
     #[test]
@@ -161,6 +224,29 @@ mod tests {
         assert_eq!(p.layers_local, 32);
         assert_eq!(p.split.total(), 16 * p.dims.bsh_bytes());
         p.trace.validate().unwrap();
+    }
+
+    #[test]
+    fn streamed_peak_is_the_built_traces_peak() {
+        // Every config the six modes enumerate at 7B on 8 GPUs, each under
+        // its mode's remat policy and logits: every pair the modes use.
+        for seq_len in [256 << 10, 1 << 20] {
+            let w = Workload::new(ModelConfig::gpt_7b(), 8, seq_len);
+            let gpn = w.calib.gpus_per_node.min(w.n_gpus);
+            for spec in SystemSpec::ALL_MODES {
+                let pipeline = ExecutionPipeline::new(spec);
+                for cfg in search::enumerate_configs(spec, &w.model, w.n_gpus, gpn) {
+                    let p = pipeline.profile(&w, &cfg, false);
+                    assert!(!p.trace.is_built(), "profiling built the trace");
+                    assert_eq!(
+                        p.peak_live_bytes,
+                        p.trace.peak_live_bytes(),
+                        "{spec:?} {} at {seq_len} tokens",
+                        cfg.describe()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -945,6 +945,41 @@ mod tests {
     }
 
     #[test]
+    fn cold_searches_build_no_trace_for_a_certified_config() {
+        // Each (workload, mode) search runs at its own PCIe rate, so its
+        // profiles are keyed apart from every other test's and every other
+        // search's here: nothing else builds their traces. A grid small
+        // enough to bypass the cache leaves nothing to look up, so those
+        // checks pass trivially; the counts below show the rest do not.
+        let (mut rate, mut certified, mut built) = (0u32, 0, 0);
+        for base in pruning_grids() {
+            // 7B on four 2 GiB GPUs at 8K: every config is certified.
+            let all_certified = base.calib.gpu_memory_bytes == 2 << 30;
+            let gpn = base.calib.gpus_per_node.min(base.n_gpus);
+            for spec in SystemSpec::ALL_MODES {
+                let mut w = base.clone();
+                rate += 1;
+                w.calib.set_pcie_bandwidth(12e9 + f64::from(rate) * 1e6);
+                let _ = w.run_best_or_failure_with(spec, SearchOptions::default());
+                let pipeline = ExecutionPipeline::new(spec);
+                for cfg in search::enumerate_configs(spec, &w.model, w.n_gpus, gpn) {
+                    let p = pipeline.profile(&w, &cfg, true);
+                    let must_oom = matches!(pipeline.screen(&w, &cfg, &p), Screen::MustOom { .. });
+                    let at = format!("{spec:?} {} at {} tokens", cfg.describe(), w.seq_len);
+                    assert!(must_oom || !all_certified, "{at}: not certified");
+                    assert!(
+                        !(must_oom && p.trace.is_built()),
+                        "{at}: certified, but built"
+                    );
+                    certified += u32::from(must_oom);
+                    built += u32::from(p.trace.is_built());
+                }
+            }
+        }
+        assert!(certified > 0 && built > 0, "{certified} / {built}");
+    }
+
+    #[test]
     fn run_best_returns_feasible_strategy() {
         let w = w7(8, 128);
         let (cfg, out) = w.run_best(SystemSpec::Memo).expect("128K must be feasible");

@@ -650,9 +650,7 @@ impl IterationTrace {
                     .map(|r| (r.op, r.bytes)),
             )
         };
-        let body = |body: &[BodyRequest]| {
-            LiveRun::of(body.iter().map(|r| (r.op, r.bytes))).repeat(self.layers)
-        };
+        let body = |body: &[BodyRequest]| LiveRun::of(body.iter().map(|r| (r.op, r.bytes)));
         let runs = [
             spelled(&self.head),
             body(&self.fwd),
@@ -660,11 +658,7 @@ impl IterationTrace {
             body(&self.bwd),
             spelled(&self.tail),
         ];
-        let (mut live, mut peak) = (0i128, 0i128);
-        for run in &runs {
-            live = run.apply(live, &mut peak);
-        }
-        u64::try_from(peak).unwrap_or(u64::MAX)
+        iteration_peak(runs, self.layers)
     }
 
     /// Check that every malloc has exactly one later free with the same size,
@@ -765,21 +759,26 @@ impl LiveRun {
     fn of(requests: impl Iterator<Item = (MemOp, u64)>) -> LiveRun {
         let mut run = LiveRun::default();
         for (op, bytes) in requests {
-            let b = i128::from(bytes);
-            match op {
-                MemOp::Malloc => {
-                    run.net = run.net.saturating_add(b);
-                    run.floor = run.floor.map(|f| f.saturating_add(b));
-                    run.rise = run.rise.max(Some(run.net));
-                    run.top = run.top.max(run.floor);
-                }
-                MemOp::Free => {
-                    run.net = run.net.saturating_sub(b);
-                    run.floor = Some(run.floor.map_or(0, |f| f.saturating_sub(b).max(0)));
-                }
-            }
+            run.push(op, bytes);
         }
         run
+    }
+
+    /// Extend the run by one request.
+    fn push(&mut self, op: MemOp, bytes: u64) {
+        let b = i128::from(bytes);
+        match op {
+            MemOp::Malloc => {
+                self.net = self.net.saturating_add(b);
+                self.floor = self.floor.map(|f| f.saturating_add(b));
+                self.rise = self.rise.max(Some(self.net));
+                self.top = self.top.max(self.floor);
+            }
+            MemOp::Free => {
+                self.net = self.net.saturating_sub(b);
+                self.floor = Some(self.floor.map_or(0, |f| f.saturating_sub(b).max(0)));
+            }
+        }
     }
 
     /// The run repeated `n` times, in closed form. Repeat `k` (from 0) is
@@ -813,6 +812,18 @@ impl LiveRun {
         live.saturating_add(self.net)
             .max(self.floor.unwrap_or(i128::MIN))
     }
+}
+
+/// The liveness peak of an iteration from the runs of its five sections in
+/// order (head, forward body, middle, backward body, tail), each body
+/// repeated `layers` times: [`IterationTrace::peak_live_bytes`] of a built
+/// trace and [`peak_live_bytes`] of a streamed one.
+fn iteration_peak([head, fwd, middle, bwd, tail]: [LiveRun; 5], layers: usize) -> u64 {
+    let (mut live, mut peak) = (0i128, 0i128);
+    for run in [head, fwd.repeat(layers), middle, bwd.repeat(layers), tail] {
+        live = run.apply(live, &mut peak);
+    }
+    u64::try_from(peak).unwrap_or(u64::MAX)
 }
 
 /// Human-readable byte size (MiB granularity like Figure 4).
@@ -856,7 +867,9 @@ impl std::error::Error for TraceError {}
 // Generation
 // ---------------------------------------------------------------------------
 
-/// Builder holding the id counter, open tensors and the label table.
+/// Builder holding the id counter and the open tensors, and either
+/// recording every request or, in the non-recording mode, folding them
+/// into one [`LiveRun`] per section.
 ///
 /// While a layer body is generated, ids live in slot space: forward-body
 /// tensors are `FWD + k`, backward-body tensors `BWD + k`, and the two ports
@@ -864,15 +877,25 @@ impl std::error::Error for TraceError {}
 /// [`Slot`]s. Spelled-out ids stay below `FWD`.
 struct TraceBuilder {
     next_id: u64,
-    segments: Vec<TraceSegment>,
-    /// The open segment's requests; closing a segment copies them out, so
-    /// this buffer grows once per trace.
-    current: Vec<Request>,
     current_kind: Option<SegmentKind>,
     /// Open tensors and their sizes, oldest first. At most a few dozen are
     /// open at once and most frees hit a recent one, so a search from the
     /// back beats hashing.
     open: Vec<(TensorId, u64)>,
+    /// The requests, segments and labels; `None` in the non-recording mode.
+    rec: Option<Recording>,
+    /// The non-recording mode's requests, as (op, bytes) folded into the
+    /// run of their section ([`section_of`]).
+    runs: [LiveRun; 5],
+}
+
+/// What a recording [`TraceBuilder`] keeps.
+struct Recording {
+    /// The open section's closed segments.
+    segments: Vec<TraceSegment>,
+    /// The open segment's requests; closing a segment copies them out, so
+    /// this buffer grows once per trace.
+    current: Vec<Request>,
     strings: TraceStrings,
 }
 
@@ -881,15 +904,40 @@ const BWD: u64 = 1 << 62;
 const INPUT: TensorId = TensorId(u64::MAX);
 const GRAD: TensorId = TensorId(u64::MAX - 1);
 
+/// The section a segment of `kind` belongs to: head (0), forward body (1),
+/// middle (2: classifier forward and backward), backward body (3), tail (4).
+fn section_of(kind: SegmentKind) -> usize {
+    match kind {
+        SegmentKind::EmbeddingFwd => 0,
+        SegmentKind::LayerFwd(_) => 1,
+        SegmentKind::ClassifierFwd | SegmentKind::ClassifierBwd => 2,
+        SegmentKind::LayerBwd(_) => 3,
+        SegmentKind::EmbeddingBwd => 4,
+    }
+}
+
 impl TraceBuilder {
+    /// A builder that records the trace.
     fn new() -> Self {
         TraceBuilder {
+            rec: Some(Recording {
+                segments: Vec::new(),
+                current: Vec::with_capacity(128),
+                strings: TraceStrings::with_capacity(64),
+            }),
+            ..Self::streamed()
+        }
+    }
+
+    /// A builder in the non-recording mode: it keeps only the open tensors
+    /// and the sections' runs.
+    fn streamed() -> Self {
+        TraceBuilder {
             next_id: 0,
-            segments: Vec::new(),
-            current: Vec::with_capacity(128),
             current_kind: None,
             open: Vec::with_capacity(32),
-            strings: TraceStrings::with_capacity(64),
+            rec: None,
+            runs: [LiveRun::default(); 5],
         }
     }
 
@@ -900,28 +948,42 @@ impl TraceBuilder {
 
     fn end(&mut self) {
         let kind = self.current_kind.take().expect("no open segment");
-        self.segments.push(TraceSegment {
-            kind,
-            requests: self.current.drain(..).collect(),
-        });
+        if let Some(rec) = &mut self.rec {
+            rec.segments.push(TraceSegment {
+                kind,
+                requests: rec.current.drain(..).collect(),
+            });
+        }
     }
 
-    /// Close a layer body generated in slot space.
+    /// Close a layer body generated in slot space (empty when not
+    /// recording).
     fn end_body(&mut self) -> Vec<BodyRequest> {
         self.current_kind.take().expect("no open segment");
+        let Some(rec) = &mut self.rec else {
+            return Vec::new();
+        };
         let slot = |t: TensorId| match t {
             INPUT => Slot::Input,
             GRAD => Slot::Grad,
             TensorId(id) if id >= BWD => Slot::Bwd((id - BWD) as u32),
             TensorId(id) => Slot::Fwd((id - FWD) as u32),
         };
-        let body = self.current.drain(..).map(|r| BodyRequest {
+        let body = rec.current.drain(..).map(|r| BodyRequest {
             op: r.op,
             slot: slot(r.tensor),
             bytes: r.bytes,
             label: r.label,
         });
         body.collect()
+    }
+
+    /// Close a spelled-out section: its segments (empty when not
+    /// recording).
+    fn end_section(&mut self) -> Vec<TraceSegment> {
+        self.rec
+            .as_mut()
+            .map_or_else(Vec::new, |rec| std::mem::take(&mut rec.segments))
     }
 
     fn find_open(&self, id: TensorId) -> Option<usize> {
@@ -939,13 +1001,7 @@ impl TraceBuilder {
         let id = TensorId(self.next_id);
         self.next_id += 1;
         self.open.push((id, bytes));
-        let label = self.strings.intern_static(label);
-        self.current.push(Request {
-            op: MemOp::Malloc,
-            tensor: id,
-            bytes,
-            label,
-        });
+        self.push(MemOp::Malloc, id, bytes, label);
         id
     }
 
@@ -954,19 +1010,33 @@ impl TraceBuilder {
             .find_open(id)
             .unwrap_or_else(|| panic!("freeing unknown tensor {}", id.0));
         let (_, bytes) = self.open.remove(k);
-        let label = self.strings.intern_static(label);
-        self.current.push(Request {
-            op: MemOp::Free,
-            tensor: id,
-            bytes,
-            label,
-        });
+        self.push(MemOp::Free, id, bytes, label);
     }
 
-    fn finish(self) -> (Vec<TraceSegment>, TraceStrings) {
+    fn push(&mut self, op: MemOp, tensor: TensorId, bytes: u64, label: &'static str) {
+        match &mut self.rec {
+            Some(rec) => {
+                let label = rec.strings.intern_static(label);
+                rec.current.push(Request {
+                    op,
+                    tensor,
+                    bytes,
+                    label,
+                });
+            }
+            None => {
+                let kind = self.current_kind.expect("no open segment");
+                self.runs[section_of(kind)].push(op, bytes);
+            }
+        }
+    }
+
+    /// Close the tail section: its segments and the label table, or `None`
+    /// when not recording.
+    fn finish(&mut self) -> Option<(Vec<TraceSegment>, TraceStrings)> {
         assert!(self.current_kind.is_none(), "unclosed segment");
         assert!(self.open.is_empty(), "tensors leaked at trace end");
-        (self.segments, self.strings)
+        self.rec.take().map(|rec| (rec.segments, rec.strings))
     }
 }
 
@@ -992,10 +1062,25 @@ struct LayerSkeleton {
 /// and classifier segments spelled out, one forward and one backward layer
 /// body, and the ports that chain `params.model.n_layers` copies of them.
 pub fn generate(params: &TraceParams) -> IterationTrace {
-    let mut b = TraceBuilder::new();
+    emit(&mut TraceBuilder::new(), params).expect("a recording builder yields its trace")
+}
+
+/// The liveness peak of the trace [`generate`] would build for `params`,
+/// equal to its [`IterationTrace::peak_live_bytes`], without building it:
+/// the same emitters run on a builder that records no request, interns no
+/// label and folds each section into one running liveness summary.
+pub fn peak_live_bytes(params: &TraceParams) -> u64 {
+    let mut b = TraceBuilder::streamed();
+    emit(&mut b, params);
+    iteration_peak(b.runs, params.model.n_layers)
+}
+
+/// Run the emitters of one iteration on `b`: the trace when `b` records,
+/// else `None`, with the sections' runs left in `b`.
+fn emit(b: &mut TraceBuilder, params: &TraceParams) -> Option<IterationTrace> {
     let n = params.model.n_layers;
-    let mut boundary = embedding_forward(&mut b, params);
-    let head = std::mem::take(&mut b.segments);
+    let mut boundary = embedding_forward(b, params);
+    let head = b.end_section();
 
     // ---- transformer forward: layer 0 in slot space -------------------------
     let mut ports = Ports {
@@ -1010,7 +1095,7 @@ pub fn generate(params: &TraceParams) -> IterationTrace {
         let input = boundary.map(|t| b.rename(t, INPUT));
         b.next_id = FWD;
         b.begin(SegmentKind::LayerFwd(0));
-        let (skel, out) = layer_forward(&mut b, params, input, false);
+        let (skel, out) = layer_forward(b, params, input, false);
         fwd = b.end_body();
         ports.fwd_stride = b.next_id - FWD;
         ports.out_slot = out.map(|t| (t.0 - FWD) as u32);
@@ -1021,8 +1106,8 @@ pub fn generate(params: &TraceParams) -> IterationTrace {
         skeleton = Some(skel);
     }
 
-    let mut grad_boundary = classifier(&mut b, params, boundary);
-    let middle = std::mem::take(&mut b.segments);
+    let mut grad_boundary = classifier(b, params, boundary);
+    let middle = b.end_section();
 
     // ---- transformer backward: the last layer in slot space ------------------
     let mut bwd = Vec::new();
@@ -1032,7 +1117,7 @@ pub fn generate(params: &TraceParams) -> IterationTrace {
         let grad = b.rename(grad_boundary, GRAD);
         b.next_id = BWD;
         b.begin(SegmentKind::LayerBwd(n - 1));
-        let grad_in = layer_backward(&mut b, params, skel, grad);
+        let grad_in = layer_backward(b, params, skel, grad);
         bwd = b.end_body();
         ports.bwd_stride = b.next_id - BWD;
         ports.grad_slot = Some((grad_in.0 - BWD) as u32);
@@ -1042,9 +1127,9 @@ pub fn generate(params: &TraceParams) -> IterationTrace {
         b.next_id = ports.bwd_base + n as u64 * ports.bwd_stride;
     }
 
-    embedding_backward(&mut b, params, grad_boundary);
-    let (tail, strings) = b.finish();
-    IterationTrace {
+    embedding_backward(b, params, grad_boundary);
+    let (tail, strings) = b.finish()?;
+    Some(IterationTrace {
         head,
         fwd,
         middle,
@@ -1053,7 +1138,7 @@ pub fn generate(params: &TraceParams) -> IterationTrace {
         layers: n,
         ports,
         strings,
-    }
+    })
 }
 
 /// Embedding forward; returns the tensor feeding layer 0. Under MEMO the
@@ -1459,6 +1544,7 @@ mod tests {
                     assert_eq!(t.layers(), layers);
                     let what = format!("{policy:?}, {layers} layers, logits {materialize_logits}");
                     assert_eq!(t.peak_live_bytes(), flat_peak(&t), "{what}");
+                    assert_eq!(peak_live_bytes(&p), flat_peak(&t), "{what}: streamed");
                     assert_eq!(
                         t.peak_live_bytes(),
                         t.validate().unwrap().peak_live_bytes,
@@ -1719,7 +1805,7 @@ mod tests {
             b.end();
         }
         embedding_backward(&mut b, params, grad);
-        b.finish()
+        b.finish().expect("a recording builder")
     }
 
     /// Every policy × comm factor × logits mode × layer count of the
@@ -1761,6 +1847,11 @@ mod tests {
             let (segments, strings) = reference(&p);
             assert_eq!(t.strings, strings, "{case:?}: label tables differ");
             assert_eq!(t.layers(), p.model.n_layers);
+            assert_eq!(
+                peak_live_bytes(&p),
+                t.peak_live_bytes(),
+                "{case:?}: streamed peak"
+            );
             let expanded: Vec<(SegmentKind, usize, Vec<Request>)> = t
                 .segments()
                 .map(|s| (s.kind, s.start, s.requests().collect()))

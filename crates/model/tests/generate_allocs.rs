@@ -1,12 +1,14 @@
-//! `trace::generate` is allocation-light: a cold strategy search profiles
-//! every config once, so each call's heap traffic is on the search path.
-//! A counting global allocator checks that one call makes a small, fixed
-//! number of allocations, independent of the layer count (the layer bodies
-//! are generated once and expand lazily).
+//! `trace::generate` and `trace::peak_live_bytes` are allocation-light: a
+//! cold strategy search streams the liveness peak of every config it
+//! profiles and builds the trace of every config it plans or replays, so
+//! each call's heap traffic is on the search path. A counting global
+//! allocator checks that one call makes a small, fixed number of
+//! allocations, independent of the layer count (the layer bodies are
+//! generated once and expand lazily).
 
 use memo_model::activations::LayerDims;
 use memo_model::config::{DType, ModelConfig};
-use memo_model::trace::{generate, RematPolicy, TraceParams};
+use memo_model::trace::{generate, peak_live_bytes, RematPolicy, TraceParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -46,19 +48,24 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations and reallocations one `generate(p)` call makes.
-fn allocs_of(p: &TraceParams) -> u64 {
+/// Allocations and reallocations one `f()` call makes, not counting the
+/// drop of its result.
+fn allocs_of<T>(f: impl FnOnce() -> T) -> u64 {
     let before = ALLOCS.with(Cell::get);
-    let trace = generate(p);
+    let out = f();
     let n = ALLOCS.with(Cell::get) - before;
-    drop(trace);
+    drop(out);
     n
 }
 
-/// At most this many allocations per call; the generator used to make
-/// 103–179 (one label `String` per distinct label, four formatted labels
-/// per classifier chunk, and a hashed open-tensor map).
+/// At most this many allocations per `generate` call; the generator used
+/// to make 103–179 (one label `String` per distinct label, four formatted
+/// labels per classifier chunk, and a hashed open-tensor map).
 const BOUND: u64 = 32;
+
+/// At most this many per `peak_live_bytes` call. It makes one, the
+/// open-tensor list; the sections' runs live on the stack.
+const PEAK_BOUND: u64 = 2;
 
 #[test]
 fn generate_makes_few_allocations_independent_of_depth() {
@@ -69,7 +76,7 @@ fn generate_makes_few_allocations_independent_of_depth() {
     ] {
         for comm_factor in [1, 4] {
             for materialize_logits in [false, true] {
-                let counts = [1, 32].map(|layers| {
+                let params = [1, 32].map(|layers| {
                     let m = ModelConfig {
                         n_layers: layers,
                         ..ModelConfig::gpt_7b()
@@ -78,15 +85,23 @@ fn generate_makes_few_allocations_independent_of_depth() {
                     let mut p = TraceParams::new(&m, dims, policy);
                     p.comm_factor = comm_factor;
                     p.materialize_logits = materialize_logits;
-                    allocs_of(&p)
+                    p
                 });
                 let case = (policy, comm_factor, materialize_logits);
+                let counts = params.each_ref().map(|p| allocs_of(|| generate(p)));
                 assert!(
                     counts[0] <= BOUND,
                     "{case:?}: {} allocations per call, bound {BOUND}",
                     counts[0]
                 );
                 assert_eq!(counts[0], counts[1], "{case:?}: 1 vs 32 layers");
+                let peaks = params.each_ref().map(|p| allocs_of(|| peak_live_bytes(p)));
+                assert!(
+                    peaks[0] <= PEAK_BOUND,
+                    "{case:?}: {} allocations per streamed peak, bound {PEAK_BOUND}",
+                    peaks[0]
+                );
+                assert_eq!(peaks[0], peaks[1], "{case:?}: streamed, 1 vs 32 layers");
             }
         }
     }
