@@ -55,9 +55,8 @@ fn main() {
         report.level2.nodes
     );
     println!(
-        "bi-level plan peak  : {:.3} GiB in {:?} (paper: planning < 5 min; repetitive substructure makes it cheap)",
-        gib(report.plan.peak),
-        bilevel_time
+        "bi-level plan peak  : {:.3} GiB (paper: planning < 5 min; repetitive substructure makes it cheap)",
+        gib(report.plan.peak)
     );
     report.plan.validate_against(&p.trace).expect("plan valid");
 
@@ -68,15 +67,19 @@ fn main() {
         .validate_against(&p.trace)
         .expect("flat plan valid");
     println!(
-        "\nflat formulation    : {:>3} tensors, peak {:.3} GiB (optimal={}) in {:?}",
+        "\nflat formulation    : {:>3} tensors, peak {:.3} GiB (optimal={})",
         flat_stats.n_tensors,
         gib(flat_plan.peak),
-        flat_stats.optimal,
-        flat_time
+        flat_stats.optimal
     );
     println!(
-        "bi-level / flat peak ratio: {:.3}; bi-level / flat time ratio: {:.2}",
-        report.plan.peak as f64 / flat_plan.peak as f64,
+        "bi-level / flat peak ratio: {:.3}",
+        report.plan.peak as f64 / flat_plan.peak as f64
+    );
+    // Wall-clock times vary run to run, so they go to stderr and stdout
+    // stays byte-identical; speed claims belong to `speed_gates`.
+    eprintln!(
+        "bi-level plan in {bilevel_time:?}; flat plan in {flat_time:?}; bi-level / flat time ratio: {:.2}",
         bilevel_time.as_secs_f64() / flat_time.as_secs_f64().max(1e-9)
     );
 }

@@ -44,7 +44,7 @@ use memo_bench::inputs::{kv_cell, memo_grid, replay_traces, sim_inputs, KvCell, 
 use memo_core::cache::ProfileCache;
 use memo_core::pipeline::{ExecutionPipeline, ExecutionReport, PipelineStages};
 use memo_core::profiler::profile;
-use memo_core::session::{pick_best_or_failure, SearchOptions, Workload};
+use memo_core::session::{pick_best_or_failure, Workload};
 use memo_model::chunked::ChunkedParams;
 use memo_model::config::ModelConfig;
 use memo_model::decode::DecodeEvent;
@@ -261,15 +261,10 @@ fn clear_caches() {
 fn static_search_gate() -> bool {
     let spec = SystemSpec::TensorHybrid;
     let cells = [256u64, 1024].map(|k| Workload::new(ModelConfig::gpt_7b(), 8, k << 10));
-    // Serial, so the ratio measures the pruning rather than the pool width.
-    let opts = SearchOptions {
-        parallel: false,
-        cache: true,
-    };
     let search = || {
         for w in &cells {
             clear_caches();
-            black_box(w.run_best_or_failure_with(spec, opts));
+            black_box(w.run_best_or_failure(spec));
         }
     };
     let exhaustive = || {
@@ -303,22 +298,16 @@ fn failure_search_gate() -> bool {
     let w = Workload::new(ModelConfig::gpt_7b(), 8, 1 << 20);
     let gpn = w.calib.gpus_per_node.min(w.n_gpus);
     let configs = enumerate_configs(spec, &w.model, w.n_gpus, gpn);
-    // Serial, so the ratio measures the replays skipped rather than the
-    // pool width.
-    let opts = SearchOptions {
-        parallel: false,
-        cache: true,
-    };
     let search = || {
         clear_caches();
-        black_box(w.run_best_or_failure_with(spec, opts));
+        black_box(w.run_best_or_failure(spec));
     };
     let exhaustive = || {
         clear_caches();
         let outcomes = configs.iter().map(|cfg| w.run_with(spec, cfg));
         black_box(pick_best_or_failure(outcomes, |out| out));
     };
-    let (pick, failure) = w.run_best_or_failure_with(spec, opts);
+    let (pick, failure) = w.run_best_or_failure(spec);
     let reps = reps_for(1_000, exhaustive);
     let (search_ms, exhaustive_ms) =
         median_pair(|| mean_ms(reps, search), || mean_ms(reps, exhaustive));

@@ -20,9 +20,9 @@ pub struct Cell {
 /// Evaluate `systems × seq_k` for one (model, n_gpus) pair, in parallel.
 ///
 /// Cells fan out over the work-stealing [`Pool`], capped at
-/// `available_parallelism` workers machine-wide (the per-cell strategy
-/// search shares the same budget, so a sweep never oversubscribes the
-/// host). Results come back in job order, identical to a serial loop.
+/// `available_parallelism` workers machine-wide; each cell's strategy
+/// search runs on the worker that took it. Results come back in job order,
+/// identical to a serial loop.
 pub fn sweep_group(
     model: &ModelConfig,
     n_gpus: usize,

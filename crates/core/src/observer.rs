@@ -1,4 +1,4 @@
-//! Run observation: per-stage wall timing, cache/pool statistics, the
+//! Run observation: per-stage wall timing, cache statistics, the
 //! captured (or synthesized) stream timeline, and the allocator event log
 //! of one pipeline execution.
 //!
@@ -11,7 +11,6 @@
 
 use memo_alloc::caching::AllocEvent;
 use memo_hal::engine::Timeline;
-use memo_parallel::pool::PoolStats;
 
 /// Wall-clock seconds spent in each pipeline stage (host time, not
 /// simulated time). `schedule` includes the metrics arithmetic — the two
@@ -49,9 +48,6 @@ pub struct RunObserver {
     pub cache_hits: u64,
     /// Cache misses attributable to this run.
     pub cache_misses: u64,
-    /// Work-stealing pool counters, filled by callers that observed a
-    /// search (the pipeline itself never touches the pool).
-    pub pool: Option<PoolStats>,
     /// The simulated stream timeline: the three-stream swap schedule for
     /// the swap family, a synthesized single-stream timeline for the
     /// closed-form recompute family.
@@ -88,7 +84,6 @@ mod tests {
         let o = RunObserver::new();
         assert!(o.timeline.is_none());
         assert!(o.alloc_events.is_empty());
-        assert!(o.pool.is_none());
         assert_eq!(o.cache_hits + o.cache_misses, 0);
     }
 }

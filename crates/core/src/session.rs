@@ -12,53 +12,18 @@ use crate::pipeline::{ExecutionPipeline, ExecutionReport, Screen};
 use crate::profiler::ProfileReport;
 use memo_hal::calib::Calibration;
 use memo_model::config::ModelConfig;
-use memo_parallel::pool::Pool;
 use memo_parallel::search;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 use std::sync::Arc;
 
-/// Knobs of the strategy search. Both default on; the forced-serial,
-/// cache-disabled combination is the oracle of the parallel-parity tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchOptions {
-    /// Fan the per-config screens (and the *cannot succeed* evaluations)
-    /// out over the work-stealing [`Pool`]. The best-first evaluations and
-    /// the reduction stay serial, so the picked (cfg, outcome) is
-    /// bit-identical to a serial run.
-    pub parallel: bool,
-    /// Share profiles and static plans through the global
-    /// [`crate::cache::ProfileCache`].
-    pub cache: bool,
-}
-
-impl Default for SearchOptions {
-    fn default() -> Self {
-        SearchOptions {
-            parallel: true,
-            cache: true,
-        }
-    }
-}
-
-/// Strategy grids at or below this size skip the profile cache and the
-/// worker pool: the per-config fixed costs (task hand-off, `ProfileKey`
-/// construction + hashing) exceed any reuse such a grid can generate, and
-/// a small grid's keys are rarely shared with other searches (DeepSpeed's
-/// Ulysses grid pairs `FullRecompute` with materialized logits — no other
-/// backend asks for that profile). The search runs the same best-first
-/// loop either way, so the bypass never changes which configs are
-/// evaluated.
+/// Strategy grids at or below this size skip the profile cache: the
+/// per-config `ProfileKey` construction and hashing exceed any reuse such a
+/// grid can generate, and a small grid's keys are rarely shared with other
+/// searches (DeepSpeed's Ulysses grid pairs `FullRecompute` with
+/// materialized logits — no other backend asks for that profile). The
+/// search runs the same best-first loop either way, so the bypass never
+/// changes which configs are evaluated.
 pub const SMALL_GRID_BYPASS: usize = 8;
-
-impl SearchOptions {
-    /// Serial, uncached: exactly the pre-pool code path.
-    pub fn serial_uncached() -> Self {
-        SearchOptions {
-            parallel: false,
-            cache: false,
-        }
-    }
-}
 
 /// One training workload: a model, a cluster, a sequence length.
 ///
@@ -123,31 +88,25 @@ impl Workload {
     /// outcome by TGS, with its configuration. `None` when every strategy
     /// fails (the whole table cell is X_oom / X_oohm).
     pub fn run_best(&self, system: SystemSpec) -> Option<(ParallelConfig, CellOutcome)> {
-        self.run_best_with(system, SearchOptions::default())
-    }
-
-    /// [`Self::run_best`] with explicit [`SearchOptions`].
-    pub fn run_best_with(
-        &self,
-        system: SystemSpec,
-        opts: SearchOptions,
-    ) -> Option<(ParallelConfig, CellOutcome)> {
-        self.search_strategies(system, opts).0
+        self.search_strategies(system, true).0
     }
 
     /// Like [`Self::run_best`] but also reporting the dominant failure when
     /// no strategy works (for the X_oom vs X_oohm distinction in Table 3).
     pub fn run_best_or_failure(&self, system: SystemSpec) -> (Option<ParallelConfig>, CellOutcome) {
-        self.run_best_or_failure_with(system, SearchOptions::default())
+        self.run_best_or_failure_with(system, true)
     }
 
-    /// [`Self::run_best_or_failure`] with explicit [`SearchOptions`].
+    /// [`Self::run_best_or_failure`], sharing profiles and static plans
+    /// through the global [`crate::cache::ProfileCache`] only when
+    /// `use_cache`. The uncached search is the oracle of the cache-parity
+    /// tests.
     pub fn run_best_or_failure_with(
         &self,
         system: SystemSpec,
-        opts: SearchOptions,
+        use_cache: bool,
     ) -> (Option<ParallelConfig>, CellOutcome) {
-        match self.search_strategies(system, opts) {
+        match self.search_strategies(system, use_cache) {
             (Some((cfg, out)), _) => (Some(cfg), out),
             (None, failure) => (None, failure),
         }
@@ -159,61 +118,59 @@ impl Workload {
     /// shortfall wins. [`CellOutcome::NoValidStrategy`] when the space is
     /// empty.
     ///
-    /// The fold ([`pick_best_or_failure`]) runs serially in
-    /// enumeration-index order over the configs
-    /// [`Self::evaluate_best_first`] evaluated, so its `>=` tie-break
-    /// keeps its "last enumerated wins" semantics bit-exactly regardless of
-    /// which worker finished first (golden parity depends on this —
-    /// DESIGN.md). The configs it skips can neither win nor tie the pick,
-    /// nor be the least-bad failure, and a certified config enters as its
-    /// certificate's `Oom`: the exhaustive fold's pick and failure kind.
+    /// The search runs on the caller's thread. The fold
+    /// ([`pick_best_or_failure`]) runs in enumeration-index order over the
+    /// configs [`Self::evaluate_best_first`] evaluated, so its `>=`
+    /// tie-break keeps its "last enumerated wins" semantics bit-exactly
+    /// (golden parity depends on this — DESIGN.md). The configs it skips
+    /// can neither win nor tie the pick, nor be the least-bad failure, and
+    /// a certified config enters as its certificate's `Oom`: the exhaustive
+    /// fold's pick and failure kind.
     fn search_strategies(
         &self,
         system: SystemSpec,
-        opts: SearchOptions,
+        use_cache: bool,
     ) -> (Option<(ParallelConfig, CellOutcome)>, CellOutcome) {
         let gpn = self.calib.gpus_per_node.min(self.n_gpus);
         let configs = search::enumerate_configs(system, &self.model, self.n_gpus, gpn);
         // Tiny grids (DeepSpeed's Ulysses axis is 4 configs at 8 GPUs) lose
-        // more to cache fingerprinting than it can return, and evaluate
-        // faster than the pool hands them out. Either way the outcome is
-        // identical (the cache is a pure memo and the reduction is
-        // order-fixed).
-        let small = configs.len() <= SMALL_GRID_BYPASS;
+        // more to cache fingerprinting than it can return. Either way the
+        // outcome is identical: the cache is a pure memo.
+        let use_cache = use_cache && configs.len() > SMALL_GRID_BYPASS;
         let pipeline = ExecutionPipeline::new(system);
-        let parallel = opts.parallel && !small;
-        let outcomes = self.evaluate_best_first(&pipeline, configs, parallel, opts.cache && !small);
+        let outcomes = self.evaluate_best_first(&pipeline, configs, use_cache);
         pick_best_or_failure(outcomes, |(_, out)| out)
     }
 
     /// Evaluate only the configs the pick and the least-bad failure need,
     /// for either memory backend:
     ///
-    /// 1. One map profiles and [screens](ExecutionPipeline::screen) every
+    /// 1. One pass profiles and [screens](ExecutionPipeline::screen) every
     ///    config: a TGS bound (exact for a static plan), *cannot succeed*,
     ///    or certified `X_oom`. A certified config takes its certificate's
     ///    `Oom` and runs no further stage.
     /// 2. The bounded configs run stages 2–5 one at a time, in
     ///    [`best_first`] order, on the profiles already held.
-    /// 3. Only if none succeeded: the *cannot succeed* configs run in one
-    ///    map, for the least-bad failure.
+    /// 3. Only if none succeeded: the *cannot succeed* configs run, for the
+    ///    least-bad failure.
     ///
     /// Returns the evaluated and certified configs with their outcomes in
     /// enumeration order. The evaluated set depends on the screens and
-    /// outcomes alone, never on the thread count.
+    /// outcomes alone.
     fn evaluate_best_first(
         &self,
         pipeline: &ExecutionPipeline,
         configs: Vec<ParallelConfig>,
-        parallel: bool,
         use_cache: bool,
     ) -> Vec<(ParallelConfig, CellOutcome)> {
-        let screened: Vec<(Arc<ProfileReport>, Screen)> =
-            map_in_order(parallel, configs.iter().collect(), |cfg| {
+        let screened: Vec<(Arc<ProfileReport>, Screen)> = configs
+            .iter()
+            .map(|cfg| {
                 let p = pipeline.profile(self, cfg, use_cache);
                 let screen = pipeline.screen(self, cfg, &p);
                 (p, screen)
-            });
+            })
+            .collect();
         let evaluate = |i: usize| {
             let (p, screen) = &screened[i];
             let out = pipeline.execute_profiled(self, &configs[i], p, use_cache);
@@ -250,8 +207,8 @@ impl Workload {
             tgs
         });
         if !feasible {
-            for (i, out) in map_in_order(parallel, cannot_succeed, |i| (i, evaluate(i))) {
-                outcomes[i] = Some(out);
+            for i in cannot_succeed {
+                outcomes[i] = Some(evaluate(i));
             }
         }
         configs
@@ -366,20 +323,6 @@ pub fn pick_best_or_failure<T>(
     }
 }
 
-/// `items` mapped through `f`, in order: fanned out over the
-/// work-stealing [`Pool`] when `parallel`, else on this thread.
-fn map_in_order<I: Send, T: Send>(
-    parallel: bool,
-    items: Vec<I>,
-    f: impl Fn(I) -> T + Sync,
-) -> Vec<T> {
-    if parallel {
-        Pool::machine().map(items, f)
-    } else {
-        items.into_iter().map(f).collect()
-    }
-}
-
 /// Best-first evaluation under upper bounds. Visits the indices of `bounds`
 /// one at a time in descending bound order (stable, so equal bounds keep
 /// index order); `evaluate` returns each index's score, `None` for an
@@ -425,6 +368,7 @@ mod tests {
     use super::*;
     use crate::cache::{CacheStats, CacheStatsScope};
     use crate::testutil::w7;
+    use memo_parallel::pool::{PoolStats, PoolStatsScope};
 
     #[test]
     fn memo_beats_baselines_at_moderate_length() {
@@ -447,11 +391,11 @@ mod tests {
     }
 
     #[test]
-    fn small_grids_bypass_pool_and_cache_without_changing_the_pick() {
+    fn small_grids_bypass_the_cache_without_changing_the_pick() {
         // DeepSpeed's Ulysses axis at 8 GPUs enumerates 4 configs — under
-        // SMALL_GRID_BYPASS — so a default-options search must not touch
-        // the profile cache at all, and still pick exactly what the
-        // serial-uncached oracle picks.
+        // SMALL_GRID_BYPASS — so a default search must not touch the
+        // profile cache at all, and still pick exactly what the uncached
+        // oracle picks.
         let w = w7(8, 64);
         let gpn = w.calib.gpus_per_node.min(w.n_gpus);
         let grid = search::enumerate_configs(SystemSpec::DeepSpeed, &w.model, w.n_gpus, gpn);
@@ -461,10 +405,9 @@ mod tests {
             grid.len()
         );
         // The scopes count this thread's lookups only, so concurrent tests
-        // sharing the global cache cannot move them. A small grid also
-        // skips the pool, so every lookup it made would land here.
-        let oracle =
-            w.run_best_or_failure_with(SystemSpec::DeepSpeed, SearchOptions::serial_uncached());
+        // sharing the global cache cannot move them. The search runs on
+        // this thread, so every lookup it made would land here.
+        let oracle = w.run_best_or_failure_with(SystemSpec::DeepSpeed, false);
         let scope = CacheStatsScope::enter();
         let default = w.run_best_or_failure(SystemSpec::DeepSpeed);
         assert_eq!(
@@ -474,20 +417,31 @@ mod tests {
         );
         assert_eq!(default, oracle);
 
-        // A Megatron-family grid is over the threshold and still uses it
-        // (searched serially, so every lookup lands in this thread's scope).
+        // A Megatron-family grid is over the threshold and still uses it.
         let big = search::enumerate_configs(SystemSpec::Memo, &w.model, w.n_gpus, gpn);
         assert!(big.len() > SMALL_GRID_BYPASS);
         let scope = CacheStatsScope::enter();
-        let _ = w.run_best_with(
-            SystemSpec::Memo,
-            SearchOptions {
-                parallel: false,
-                cache: true,
-            },
-        );
+        let _ = w.run_best(SystemSpec::Memo);
         let s = scope.finish();
         assert!(s.hits + s.misses > 0, "large grids still use the cache");
+    }
+
+    #[test]
+    fn default_searches_start_no_pool_batch() {
+        // MEMO at 7B/8 GPUs/256K: a grid over SMALL_GRID_BYPASS, so the
+        // search uses the cache, and every lookup and pool batch it makes
+        // lands in this thread's scopes.
+        let w = w7(8, 256);
+        let gpn = w.calib.gpus_per_node.min(w.n_gpus);
+        let grid = search::enumerate_configs(SystemSpec::Memo, &w.model, w.n_gpus, gpn);
+        assert!(grid.len() > SMALL_GRID_BYPASS);
+        let pool = PoolStatsScope::enter();
+        let cache = CacheStatsScope::enter();
+        let (cfg, out) = w.run_best_or_failure(SystemSpec::Memo);
+        let lookups = cache.finish();
+        assert_eq!(pool.finish(), PoolStats::default(), "no fan-out");
+        assert!(lookups.hits + lookups.misses > 0, "{lookups:?}");
+        assert!(cfg.is_some() && out.is_ok(), "{out:?}");
     }
 
     /// Runs [`best_first`] on `bounds`, scoring index `i` with `scores[i]`,
@@ -791,13 +745,7 @@ mod tests {
             .len() as u64;
         assert!(configs > SMALL_GRID_BYPASS as u64);
         let scope = CacheStatsScope::enter();
-        let (cfg, out) = w.run_best_or_failure_with(
-            SystemSpec::TensorHybrid,
-            SearchOptions {
-                parallel: false,
-                cache: true,
-            },
-        );
+        let (cfg, out) = w.run_best_or_failure(SystemSpec::TensorHybrid);
         let lookups = scope.finish();
         assert!(cfg.is_some() && out.is_ok(), "{out:?}");
         assert_eq!(lookups.hits, 0, "a cold search");
@@ -826,11 +774,7 @@ mod tests {
                 if !ExecutionPipeline::new(spec).replays_allocator() && n > SMALL_GRID_BYPASS as u64
                 {
                     let scope = CacheStatsScope::enter();
-                    let serial_cached = SearchOptions {
-                        parallel: false,
-                        cache: true,
-                    };
-                    let _ = w.run_best_or_failure_with(spec, serial_cached);
+                    let _ = w.run_best_or_failure(spec);
                     let lookups = scope.finish();
                     let plans = lookups.hits + lookups.misses - n;
                     let count = |f: &dyn Fn(&Screen) -> bool| {
@@ -863,11 +807,11 @@ mod tests {
                     rows.iter()
                         .map(|(cfg, screen, out)| (*cfg, search_outcome(&w, *screen, out))),
                 );
-                for opts in [SearchOptions::default(), SearchOptions::serial_uncached()] {
+                for use_cache in [true, false] {
                     assert_eq!(
-                        w.run_best_or_failure_with(spec, opts),
+                        w.run_best_or_failure_with(spec, use_cache),
                         oracle,
-                        "{spec:?} {} on {} GPUs at {} tokens, {opts:?}",
+                        "{spec:?} {} on {} GPUs at {} tokens, cache {use_cache}",
                         w.model.name,
                         w.n_gpus,
                         w.seq_len
@@ -960,7 +904,7 @@ mod tests {
                 let mut w = base.clone();
                 rate += 1;
                 w.calib.set_pcie_bandwidth(12e9 + f64::from(rate) * 1e6);
-                let _ = w.run_best_or_failure_with(spec, SearchOptions::default());
+                let _ = w.run_best_or_failure(spec);
                 let pipeline = ExecutionPipeline::new(spec);
                 for cfg in search::enumerate_configs(spec, &w.model, w.n_gpus, gpn) {
                     let p = pipeline.profile(&w, &cfg, true);

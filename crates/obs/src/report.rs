@@ -275,7 +275,7 @@ pub fn parse_report(doc: &Json) -> Result<ExecutionReport, String> {
 /// Serialize what a [`RunObserver`] collected (host-side statistics only —
 /// the timeline and allocator events have their own exporters).
 pub fn observed_json(obs: &RunObserver) -> Json {
-    let mut fields = vec![
+    Json::Obj(vec![
         (
             "stage_secs".to_string(),
             Json::Obj(vec![
@@ -296,19 +296,7 @@ pub fn observed_json(obs: &RunObserver) -> Json {
             "alloc_events".to_string(),
             Json::int(obs.alloc_events.len() as u64),
         ),
-    ];
-    if let Some(pool) = obs.pool {
-        fields.push((
-            "pool".into(),
-            Json::Obj(vec![
-                ("batches".into(), Json::int(pool.batches)),
-                ("jobs".into(), Json::int(pool.jobs)),
-                ("helpers_spawned".into(), Json::int(pool.helpers_spawned)),
-                ("steals".into(), Json::int(pool.steals)),
-            ]),
-        ));
-    }
-    Json::Obj(fields)
+    ])
 }
 
 #[cfg(test)]
@@ -381,20 +369,10 @@ mod tests {
     fn observed_section_serializes() {
         let mut obs = RunObserver::new();
         obs.cache_hits = 3;
-        obs.pool = Some(memo_parallel::pool::PoolStats {
-            batches: 1,
-            jobs: 10,
-            helpers_spawned: 2,
-            steals: 5,
-        });
         let doc = observed_json(&obs);
         assert_eq!(
             doc.get("cache").unwrap().get("hits").unwrap().as_u64(),
             Some(3)
-        );
-        assert_eq!(
-            doc.get("pool").unwrap().get("steals").unwrap().as_u64(),
-            Some(5)
         );
     }
 }

@@ -1,11 +1,11 @@
-//! A bounded work-stealing job pool for the strategy search and sweeps.
+//! A bounded work-stealing job pool for coarse fan-outs: the table sweeps'
+//! cells and memo-serve's requests.
 //!
-//! The planner-quality experiments re-run the full strategy search for every
-//! (system × model × seq-len) cell, and `bench::sweep_group` used to spawn
-//! one OS thread per cell unconditionally. This module replaces both with a
-//! single abstraction: submit a batch of independent jobs, get their results
-//! back **in submission order**, never running more worker threads than the
-//! machine has cores — across *nested* uses too.
+//! Submit a batch of independent jobs, get their results back **in
+//! submission order**, never running more worker threads than the machine
+//! has cores — across *nested* uses too. A strategy search runs on its
+//! caller's thread: its per-config jobs take microseconds, less than
+//! spawning and joining a batch's scoped threads.
 //!
 //! Design notes (std-only; the workspace has no crates.io access):
 //!
@@ -13,19 +13,18 @@
 //!   blocks. A worker drains its own deque from the front and, when empty,
 //!   steals from the back of the fullest other deque — the classic Chase-Lev
 //!   arrangement approximated with mutexed deques, which is plenty here
-//!   because each job is a full profile/plan/schedule run (milliseconds to
-//!   seconds), not a microtask.
+//!   because each job is a whole search or request (milliseconds), not a
+//!   microtask.
 //! * **Global concurrency budget.** Helper threads beyond the calling thread
 //!   are metered by a process-wide token counter initialised to
-//!   `available_parallelism() - 1`. Nested `run` calls (a sweep cell whose
-//!   strategy search itself fans out) degrade gracefully toward serial
-//!   execution on the caller's thread instead of oversubscribing the host.
+//!   `available_parallelism() - 1`. Concurrent or nested `run` calls share
+//!   it and degrade gracefully toward serial execution on the caller's
+//!   thread instead of oversubscribing the host.
 //! * **Deterministic reduction order.** Results are returned indexed by
 //!   submission order regardless of which worker ran what and when. Callers
 //!   that fold the results serially therefore observe the exact sequence a
-//!   serial loop would have produced — this is what lets the parallel
-//!   strategy search keep the `>=` last-enumerated tie-break bit-exactly
-//!   (see `memo-core::session` and DESIGN.md).
+//!   serial loop would have produced, so a sweep's table is the serial
+//!   loop's.
 
 use memo_model::stats::{ScopedStats, StatsScope, StatsSlot};
 use std::cell::Cell;

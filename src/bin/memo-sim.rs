@@ -15,7 +15,6 @@ use memo::obs::alloc_trace::chrome_memory_counters;
 use memo::obs::chrome::TraceBuilder;
 use memo::obs::json::Json;
 use memo::obs::report::{observed_json, outcome_json, report_json};
-use memo::parallel::pool::{PoolStats, PoolStatsScope};
 use memo::parallel::strategy::{KvCachePolicy, ParallelConfig, SystemSpec};
 use std::process::ExitCode;
 
@@ -181,16 +180,9 @@ impl ObsSink {
     /// Re-run `system` under `cfg` observed and record the artifacts. The
     /// observed run is bit-identical to the unobserved one (the observer
     /// only reads pipeline state), and the profile cache makes it cheap.
-    fn record_run(
-        &mut self,
-        workload: &Workload,
-        system: SystemSpec,
-        cfg: &ParallelConfig,
-        pool_delta: Option<PoolStats>,
-    ) {
+    fn record_run(&mut self, workload: &Workload, system: SystemSpec, cfg: &ParallelConfig) {
         let mut obs = RunObserver::new();
         let rep = workload.run_report_observed(system, cfg, &mut obs);
-        obs.pool = pool_delta;
         let label = format!(
             "{} {} seq={}",
             system.name(),
@@ -324,9 +316,6 @@ fn report(
         }
         return true;
     }
-    // Thread-local scope, not a global snapshot-diff: only pool batches
-    // this run initiates land in its report.
-    let pool_scope = sink.as_ref().map(|_| PoolStatsScope::enter());
     let (cfg, outcome) = match cfg {
         Some(cfg) => {
             if let Err(e) = cfg.validate(
@@ -356,9 +345,8 @@ fn report(
         None => println!("{:<12} {}", system.name(), outcome.cell()),
     }
     if let Some(sink) = sink {
-        let pool_delta: Option<PoolStats> = pool_scope.map(PoolStatsScope::finish);
         match cfg {
-            Some(cfg) => sink.record_run(workload, system, &cfg, pool_delta),
+            Some(cfg) => sink.record_run(workload, system, &cfg),
             None => sink.record_failure(workload, system, outcome.cell()),
         }
     }

@@ -1,48 +1,46 @@
-//! Parity oracle for the search performance layer (PR 2).
+//! Parity oracle for the search performance layer.
 //!
-//! The work-stealing pool and the profile cache are pure plumbing: the
-//! strategy a search picks, and the outcome it reports, must be
-//! bit-identical to the pre-optimization serial/uncached code path. These
+//! The profile cache is pure plumbing: the strategy a search picks, and the
+//! outcome it reports, must be bit-identical to the uncached search. These
 //! tests pin that contract for every execution mode and — via proptest —
-//! for randomly drawn cache keys.
+//! for randomly drawn cache keys. (The file and test names predate the
+//! search's move to the caller's thread.)
 
 use memo::core::cache::ProfileCache;
 use memo::core::profiler;
-use memo::core::session::{SearchOptions, Workload};
+use memo::core::session::Workload;
 use memo::model::config::ModelConfig;
 use memo::model::trace::RematPolicy;
 use memo::parallel::strategy::{ParallelConfig, SystemSpec};
 use proptest::prelude::*;
 
 /// Every mode picks the identical (strategy, outcome) whether evaluated
-/// through the pool + cache or forced serial and uncached.
+/// through the profile cache or uncached.
 #[test]
 fn parallel_cached_search_matches_serial_for_every_mode() {
     for &(n_gpus, seq_k) in &[(8usize, 64u64), (8, 256), (8, 1024)] {
         let w = Workload::new(ModelConfig::gpt_7b(), n_gpus, seq_k * 1024);
         for &sys in &SystemSpec::ALL_MODES {
-            let serial = w.run_best_or_failure_with(sys, SearchOptions::serial_uncached());
-            let parallel = w.run_best_or_failure_with(sys, SearchOptions::default());
+            let uncached = w.run_best_or_failure_with(sys, false);
+            let cached = w.run_best_or_failure(sys);
             assert_eq!(
-                parallel,
-                serial,
-                "{} @ {seq_k}K: pool/cache path diverged from serial oracle",
+                cached,
+                uncached,
+                "{} @ {seq_k}K: cached search diverged from the uncached oracle",
                 sys.name()
             );
         }
     }
 }
 
-/// `run_best` (the convenience wrapper) agrees with the explicit serial
-/// options on the winning strategy.
+/// `run_best` (the convenience wrapper) agrees with the uncached search on
+/// the winning strategy.
 #[test]
 fn run_best_agrees_with_serial_options() {
     let w = Workload::new(ModelConfig::gpt_7b(), 8, 128 * 1024);
     for &sys in &[SystemSpec::Memo, SystemSpec::MegatronLM] {
-        assert_eq!(
-            w.run_best(sys),
-            w.run_best_with(sys, SearchOptions::serial_uncached())
-        );
+        let (cfg, out) = w.run_best_or_failure_with(sys, false);
+        assert_eq!(w.run_best(sys), cfg.map(|cfg| (cfg, out)));
     }
 }
 
