@@ -30,6 +30,10 @@
 //! * a cold `profiler::profile` ≥ 2× the same call with the trace built,
 //!   over every config the six modes enumerate at 7B/8 GPUs/256K: the
 //!   profile streams the liveness peak and builds the trace on first use;
+//! * memo-serve's admission bookkeeping (one `ElasticPools` reserve, one
+//!   release and two `drift_bytes` reads) at 48 active tenants ≤ 1.5× the
+//!   same at one tenant (median of alternating pairs): drift is read from
+//!   running totals, not from a scan of every slice;
 //! * the 1,013,850-interval MegaTrain chunked instance plans in < 30 s,
 //!   validates in at most 3× the plan's time, stays within the boxing
 //!   guarantee (`gap_ok`) and is proven optimal (peak at the liveness
@@ -53,6 +57,7 @@ use memo_parallel::search::enumerate_configs;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 use memo_plan::dispatch::{self, DispatchOptions};
 use memo_plan::DsaInstanceBuilder;
+use memo_serve::ElasticPools;
 use memo_swap::SegmentCache;
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -363,6 +368,38 @@ fn profile_gate() -> bool {
     )
 }
 
+/// memo-serve's per-request admission bookkeeping: one reserve, one
+/// release and two `drift_bytes` reads on tenant 0's slice, with `tenants`
+/// tenants active. Returns mean wall-ms per request over `reps`.
+fn admission_ms(tenants: usize, reps: usize) -> f64 {
+    const GIB: u64 = 1 << 30;
+    let mut pools = ElasticPools::new(1024 * GIB, 64 * GIB);
+    for t in 0..tenants {
+        pools.tenant_arrived(t);
+    }
+    mean_ms(reps, || {
+        pools.reserve(0, 1 << 20, 1 << 20).expect("fits the slice");
+        black_box(pools.drift_bytes());
+        pools.release(0, 1 << 20, 1 << 20);
+        black_box(pools.drift_bytes());
+    })
+}
+
+fn admission_gate() -> bool {
+    const REPS: usize = 200_000;
+    let (one_ms, many_ms) = median_pair(|| admission_ms(1, REPS), || admission_ms(48, REPS));
+    let ratio = many_ms / one_ms.max(1e-12);
+    gate(
+        "elastic admission bookkeeping at 48 tenants vs 1",
+        ratio <= 1.5,
+        format!(
+            "{ratio:.2}x ({:.1} -> {:.1} ns per reserve + release + 2 drift reads; gate <= 1.5x)",
+            one_ms * 1e6,
+            many_ms * 1e6
+        ),
+    )
+}
+
 /// One sweep of the grid through `execute_cached`, one cell at a time.
 fn sweep_baseline(w: &Workload, grid: &MemoGrid) -> Vec<ExecutionReport> {
     grid.cells()
@@ -491,6 +528,7 @@ fn main() -> ExitCode {
         static_search_gate(),
         failure_search_gate(),
         profile_gate(),
+        admission_gate(),
     ];
     results.extend(delta_gates());
     results.push(megatrain_gate());

@@ -183,11 +183,12 @@ impl Calibration {
         flops / (self.peak_flops * efficiency) + self.kernel_launch_secs
     }
 
-    /// A bit-exact fingerprint of every calibration field, usable as a hash
-    /// key. Floats are captured by their IEEE-754 bit patterns and the tier
-    /// chain by [`MemoryHierarchy::chain_hash`], so two calibrations
-    /// fingerprint equal iff every field is bit-identical — exactly the
-    /// condition under which the cost models produce identical outputs. The
+    /// A fingerprint of every calibration field, usable as a hash key.
+    /// Floats are captured by their IEEE-754 bit patterns and the tier
+    /// chain by its 64-bit [`MemoryHierarchy::chain_hash`], so two
+    /// calibrations fingerprint equal iff every field is bit-identical —
+    /// exactly the condition under which the cost models produce identical
+    /// outputs — up to a 64-bit collision in the tier-chain hash. The
     /// exhaustive destructuring makes adding a field without extending the
     /// fingerprint a compile error.
     pub fn fingerprint(&self) -> CalibFingerprint {

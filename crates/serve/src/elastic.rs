@@ -20,9 +20,9 @@
 //!   Overflow maps to [`RejectReason::BudgetUnavailable`].
 
 use crate::request::RejectReason;
+use memo_model::hash::FxHashMap;
 use memo_swap::schedule::{TierTraffic, TierTrafficList};
-use memo_swap::TierStaging;
-use std::collections::HashMap;
+use memo_swap::{HostStaging, TierStaging};
 
 /// Tier indices of a tenant slice's two pools.
 pub const HOST_TIER: usize = 0;
@@ -49,6 +49,14 @@ fn traffic(host_bytes: u64, arena_bytes: u64) -> TierTrafficList {
     t
 }
 
+/// A slice's own usage counters, per tier.
+fn usage(slice: &TierStaging) -> [u64; 2] {
+    [
+        slice.host_used(),
+        slice.pool(ARENA_TIER).map_or(0, HostStaging::used),
+    ]
+}
+
 /// The fleet's elastic budget pools: one [`TierStaging`] slice per active
 /// tenant, rebalanced to an even split on every arrival and departure.
 #[derive(Debug, Clone)]
@@ -58,7 +66,7 @@ pub struct ElasticPools {
     /// Active tenants in arrival order (the rebalance order is
     /// deterministic so the two server legs agree byte for byte).
     active: Vec<usize>,
-    slices: HashMap<usize, TierStaging>,
+    slices: FxHashMap<usize, TierStaging>,
     rebalances: u64,
     peak_active: usize,
     /// Independent reservation ledger, per tier: what the pools *should*
@@ -68,6 +76,11 @@ pub struct ElasticPools {
     ///
     /// [`drift_bytes`]: ElasticPools::drift_bytes
     ledger: [u64; 2],
+    /// Running per-tier totals of the slices' own usage counters, moved by
+    /// [`Self::retally`] from before/after reads of every slice change.
+    /// `None` once a total would leave `u64`: an inconsistent tally,
+    /// which reads as drift instead of wrapping.
+    staged: Option<[u64; 2]>,
 }
 
 impl ElasticPools {
@@ -76,10 +89,11 @@ impl ElasticPools {
             host_total,
             arena_total,
             active: Vec::new(),
-            slices: HashMap::new(),
+            slices: FxHashMap::default(),
             rebalances: 0,
             peak_active: 0,
             ledger: [0, 0],
+            staged: Some([0, 0]),
         }
     }
 
@@ -101,14 +115,60 @@ impl ElasticPools {
     /// server's `mixed_tenants_share_the_fleet_without_drift` test) —
     /// rebalances, failed-reserve rollbacks, and tenant churn must never
     /// leak or double-count staged bytes.
+    ///
+    /// O(1) in the tenant count: it compares the running totals of the
+    /// slices' usage counters with the ledger, two tallies kept apart
+    /// (the ledger counts requested bytes, the totals read the slices).
+    /// An inconsistent total reads as `u64::MAX`. Debug builds also
+    /// assert, on every call, that the totals equal a full scan of the
+    /// slices.
     pub fn drift_bytes(&self) -> u64 {
-        let mut staged = [0u64; 2];
-        for slice in self.slices.values() {
-            staged[HOST_TIER] += slice.host_used();
-            staged[ARENA_TIER] += slice.pool(ARENA_TIER).map_or(0, |p| p.used());
-        }
-        staged[HOST_TIER].abs_diff(self.ledger[HOST_TIER])
-            + staged[ARENA_TIER].abs_diff(self.ledger[ARENA_TIER])
+        debug_assert_eq!(
+            self.staged,
+            self.scan(),
+            "running totals diverged from the slices"
+        );
+        let Some(staged) = self.staged else {
+            return u64::MAX;
+        };
+        staged[HOST_TIER]
+            .abs_diff(self.ledger[HOST_TIER])
+            .saturating_add(staged[ARENA_TIER].abs_diff(self.ledger[ARENA_TIER]))
+    }
+
+    /// Per-tier sums of every slice's usage counters, `None` if a sum
+    /// leaves `u64`: the full scan the running totals replace.
+    fn scan(&self) -> Option<[u64; 2]> {
+        self.slices.values().try_fold([0u64; 2], |mut sum, slice| {
+            for (total, used) in sum.iter_mut().zip(usage(slice)) {
+                *total = total.checked_add(used)?;
+            }
+            Some(sum)
+        })
+    }
+
+    /// Apply `f` to `tenant`'s slice and carry the change of the slice's
+    /// usage counters into the running totals.
+    fn track<R>(&mut self, tenant: usize, f: impl FnOnce(&mut TierStaging) -> R) -> R {
+        let slice = self.slices.get_mut(&tenant).expect("tenant is active");
+        let before = usage(slice);
+        let result = f(slice);
+        let after = usage(slice);
+        self.retally(before, after);
+        result
+    }
+
+    /// Move the running totals from a slice's `before` usage to its
+    /// `after` usage, poisoning them rather than wrapping.
+    fn retally(&mut self, before: [u64; 2], after: [u64; 2]) {
+        self.staged = self.staged.and_then(|mut staged| {
+            for tier in [HOST_TIER, ARENA_TIER] {
+                staged[tier] = staged[tier]
+                    .checked_sub(before[tier])?
+                    .checked_add(after[tier])?;
+            }
+            Some(staged)
+        });
     }
 
     pub fn is_active(&self, tenant: usize) -> bool {
@@ -120,17 +180,15 @@ impl ElasticPools {
     fn rebalance(&mut self) {
         let n = self.active.len().max(1) as u64;
         let shares = [self.host_total / n, self.arena_total / n];
-        for tenant in &self.active {
-            self.slices
-                .get_mut(tenant)
-                .expect("active tenant has a slice")
-                .resize(&shares);
+        for i in 0..self.active.len() {
+            self.track(self.active[i], |slice| slice.resize(&shares));
         }
         self.rebalances += 1;
     }
 
     /// First in-flight presence of `tenant`: carve a slice and shrink
-    /// everyone else's.
+    /// everyone else's. The new slice holds nothing, so the running
+    /// totals do not move.
     pub fn tenant_arrived(&mut self, tenant: usize) {
         assert!(!self.is_active(tenant), "tenant {tenant} already active");
         self.active.push(tenant);
@@ -146,11 +204,9 @@ impl ElasticPools {
             .slices
             .remove(&tenant)
             .expect("departing tenant active");
-        assert_eq!(
-            slice.host_used() + slice.pool(ARENA_TIER).map_or(0, |p| p.used()),
-            0,
-            "tenant {tenant} departed with staged bytes"
-        );
+        let staged = usage(&slice);
+        self.retally(staged, [0, 0]);
+        assert_eq!(staged, [0, 0], "tenant {tenant} departed with staged bytes");
         self.active.retain(|&t| t != tenant);
         self.rebalance();
     }
@@ -161,7 +217,8 @@ impl ElasticPools {
         let share = self
             .slices
             .get(&tenant)
-            .map_or(0, |s| s.capacities()[HOST_TIER]);
+            .and_then(|s| s.pool(HOST_TIER))
+            .map_or(0, HostStaging::capacity);
         quantize_pow2(share)
     }
 
@@ -173,28 +230,29 @@ impl ElasticPools {
         host_bytes: u64,
         arena_bytes: u64,
     ) -> Result<(), RejectReason> {
-        let slice = self
-            .slices
-            .get_mut(&tenant)
-            .expect("reserving tenant is active");
-        let result = match slice.reserve_layer(&traffic(host_bytes, arena_bytes)) {
+        let result = self.track(tenant, |slice| {
+            slice
+                .reserve_layer(&traffic(host_bytes, arena_bytes))
+                .inspect_err(|e| {
+                    // reserve_layer commits nearer tiers before failing;
+                    // roll the host commit back so a shed request holds
+                    // nothing.
+                    if e.tier == ARENA_TIER {
+                        slice.release_layer(&traffic(host_bytes, 0));
+                    }
+                })
+        });
+        let result = match result {
             Ok(()) => {
                 self.ledger[HOST_TIER] += host_bytes;
                 self.ledger[ARENA_TIER] += arena_bytes;
                 Ok(())
             }
-            Err(e) => {
-                // reserve_layer commits nearer tiers before failing; roll
-                // the host commit back so a shed request holds nothing.
-                if e.tier == ARENA_TIER {
-                    slice.release_layer(&traffic(host_bytes, 0));
-                }
-                Err(RejectReason::BudgetUnavailable {
-                    tier: e.tier,
-                    requested: e.requested,
-                    capacity: e.capacity,
-                })
-            }
+            Err(e) => Err(RejectReason::BudgetUnavailable {
+                tier: e.tier,
+                requested: e.requested,
+                capacity: e.capacity,
+            }),
         };
         debug_assert_eq!(self.drift_bytes(), 0, "reserve drifted the ledger");
         result
@@ -209,11 +267,21 @@ impl ElasticPools {
                 .checked_sub(bytes)
                 .expect("released bytes the ledger does not hold (double release)");
         }
-        self.slices
-            .get_mut(&tenant)
-            .expect("releasing tenant is active")
-            .release_layer(&traffic(host_bytes, arena_bytes));
+        self.track(tenant, |slice| {
+            slice.release_layer(&traffic(host_bytes, arena_bytes))
+        });
         debug_assert_eq!(self.drift_bytes(), 0, "release drifted the ledger");
+    }
+
+    /// Stage bytes on `tenant`'s slice through the tracked path but skip
+    /// the ledger: the lost-bytes bug [`Self::drift_bytes`] must catch.
+    #[cfg(test)]
+    fn stage_unledgered(&mut self, tenant: usize, host_bytes: u64, arena_bytes: u64) {
+        self.track(tenant, |slice| {
+            slice
+                .reserve_layer(&traffic(host_bytes, arena_bytes))
+                .expect("unledgered bytes fit the slice")
+        });
     }
 }
 
@@ -313,6 +381,83 @@ mod tests {
         assert_eq!(pools.drift_bytes(), 0);
         pools.tenant_departed(0);
         pools.tenant_departed(1);
+    }
+
+    /// Drift is zero and the running totals equal a full scan.
+    fn assert_consistent(pools: &ElasticPools, step: &str) {
+        assert_eq!(pools.drift_bytes(), 0, "{step}: drift");
+        assert_eq!(pools.staged, pools.scan(), "{step}: totals vs scan");
+        assert_eq!(pools.staged, Some(pools.ledger), "{step}: totals vs ledger");
+    }
+
+    #[test]
+    fn running_totals_match_a_full_scan_through_churn() {
+        const TENANTS: usize = 6;
+        // A roomy host budget and a tight arena: arena reserves fail after
+        // their host commit, so the rollback runs.
+        let mut pools = ElasticPools::new(64 * GIB, 4 * GIB);
+        let mut inflight: Vec<(usize, u64, u64)> = Vec::new();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let (mut arena_rollbacks, mut releases, mut departures) = (0, 0, 0);
+        for step in 0..4000 {
+            let tenant = next(TENANTS as u64) as usize;
+            let holds = inflight.iter().any(|&(t, ..)| t == tenant);
+            let op = next(4);
+            let label = format!("step {step} op {op} tenant {tenant}");
+            if !pools.is_active(tenant) {
+                pools.tenant_arrived(tenant);
+            } else if op == 0 && !holds {
+                pools.tenant_departed(tenant);
+                departures += 1;
+            } else if op == 1 && !inflight.is_empty() {
+                let (t, host, arena) = inflight.swap_remove(next(inflight.len() as u64) as usize);
+                pools.release(t, host, arena);
+                releases += 1;
+            } else {
+                let (host, arena) = ((1 + next(4)) * GIB / 4, (1 + next(8)) * GIB / 8);
+                match pools.reserve(tenant, host, arena) {
+                    Ok(()) => inflight.push((tenant, host, arena)),
+                    Err(RejectReason::BudgetUnavailable { tier, .. }) => {
+                        arena_rollbacks += usize::from(tier == ARENA_TIER);
+                    }
+                    Err(other) => panic!("wrong reject: {other:?}"),
+                }
+            }
+            assert_consistent(&pools, &label);
+        }
+        for (t, host, arena) in inflight.drain(..) {
+            pools.release(t, host, arena);
+            assert_consistent(&pools, "final release");
+        }
+        for t in 0..TENANTS {
+            if pools.is_active(t) {
+                pools.tenant_departed(t);
+                assert_consistent(&pools, "final departure");
+            }
+        }
+        assert_eq!(pools.staged, Some([0, 0]));
+        assert!(arena_rollbacks > 0 && releases > 0 && departures > 0);
+        assert!(pools.rebalances() > 2 * departures);
+    }
+
+    #[test]
+    fn bytes_the_ledger_missed_read_as_drift() {
+        let mut pools = ElasticPools::new(8 * GIB, 2 * GIB);
+        pools.tenant_arrived(0);
+        pools.tenant_arrived(1);
+        pools.reserve(0, GIB, GIB / 2).unwrap();
+        assert_eq!(pools.drift_bytes(), 0);
+        // The slice changes through the tracked path, the ledger does not:
+        // the O(1) check still sees the gap between the two tallies.
+        pools.stage_unledgered(1, 3 << 20, 5 << 20);
+        assert_eq!(pools.drift_bytes(), 8 << 20);
+        assert_eq!(pools.staged, pools.scan());
     }
 
     #[test]

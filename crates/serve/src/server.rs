@@ -32,12 +32,13 @@ use crate::elastic::ElasticPools;
 use crate::request::{PlanReply, PlanRequest, RequestOutcome, RequestRecord, TenantKind};
 use memo_core::cache::{CacheStats, CacheStatsScope, ProfileCache, PICK_SCOPE};
 use memo_core::session::Workload;
+use memo_model::hash::FxHashMap;
 use memo_obs::json::Json;
 use memo_obs::latency::LatencySummary;
 use memo_parallel::pool::{Pool, PoolStats, PoolStatsScope};
 use memo_swap::{SegmentCacheStats, SegmentStatsScope};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Server knobs.
@@ -300,11 +301,11 @@ impl PlanServer {
     ) -> (Vec<Admitted>, Vec<Option<RequestOutcome>>, FleetStats) {
         let mut ctrl = AdmissionController::new(self.cfg.max_queue_depth);
         let mut pools = ElasticPools::new(self.cfg.host_total_bytes, self.cfg.arena_total_bytes);
-        let mut remaining: HashMap<usize, usize> = HashMap::new();
+        let mut remaining: FxHashMap<usize, usize> = FxHashMap::default();
         for r in requests {
             *remaining.entry(r.tenant).or_insert(0) += 1;
         }
-        let mut outstanding: HashMap<usize, usize> = HashMap::new();
+        let mut outstanding: FxHashMap<usize, usize> = FxHashMap::default();
         // In-flight virtual completions: (finish-time bits, id, tenant,
         // host quantum, arena quantum). f64 bits order like the floats
         // for the non-negative finish times used here.
@@ -316,8 +317,8 @@ impl PlanServer {
         let drain =
             |now: f64,
              pools: &mut ElasticPools,
-             outstanding: &mut HashMap<usize, usize>,
-             remaining: &HashMap<usize, usize>,
+             outstanding: &mut FxHashMap<usize, usize>,
+             remaining: &FxHashMap<usize, usize>,
              inflight: &mut BinaryHeap<Reverse<(u64, usize, usize, u64, u64)>>| {
                 while let Some(Reverse((finish_bits, _, tenant, hq, aq))) = inflight.peek().copied()
                 {
