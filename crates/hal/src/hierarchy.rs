@@ -11,9 +11,6 @@
 //! chain, and [`MemoryHierarchy::three_tier`] rebuilds the legacy chain
 //! bit-exactly so all goldens are unchanged.
 
-use memo_model::hash::FxHasher;
-use std::hash::Hasher;
-
 /// How many peers contend for a tier's link bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TierSharing {
@@ -140,16 +137,21 @@ impl MemoryHierarchy {
         self.tiers.push(tier);
     }
 
-    /// A 64-bit hash of the whole chain: every field of every tier (floats
-    /// by their IEEE-754 bit patterns, the name by its length and bytes)
-    /// plus the tier count and order, folded a word at a time through
-    /// [`FxHasher`]. Feeds [`crate::calib::CalibFingerprint`], and through
-    /// it only the in-memory profile- and pick-cache keys. The exhaustive
-    /// destructuring makes adding a `TierSpec` field without hashing it a
-    /// compile error.
+    /// A bit-exact FNV-1a hash of the whole chain: every field of every tier
+    /// (floats by their IEEE-754 bit patterns) plus the tier count and order.
+    /// Feeds [`crate::calib::CalibFingerprint`]. The exhaustive destructuring
+    /// makes adding a `TierSpec` field without hashing it a compile error.
     pub fn chain_hash(&self) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_usize(self.tiers.len());
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        fn mix(h: &mut u64, word: u64) {
+            for byte in word.to_le_bytes() {
+                *h ^= byte as u64;
+                *h = h.wrapping_mul(FNV_PRIME);
+            }
+        }
+        let mut h = FNV_OFFSET;
+        mix(&mut h, self.tiers.len() as u64);
         for t in &self.tiers {
             let TierSpec {
                 name,
@@ -160,22 +162,25 @@ impl MemoryHierarchy {
                 sharing,
                 latency_secs,
             } = t;
-            h.write_usize(name.len());
-            h.write(name.as_bytes());
-            h.write_u64(*capacity_bytes);
-            h.write_u64(usable_fraction.to_bits());
-            h.write_u64(write_bandwidth.to_bits());
-            h.write_u64(utilization.to_bits());
+            mix(&mut h, name.len() as u64);
+            for b in name.as_bytes() {
+                h ^= *b as u64;
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+            mix(&mut h, *capacity_bytes);
+            mix(&mut h, usable_fraction.to_bits());
+            mix(&mut h, write_bandwidth.to_bits());
+            mix(&mut h, utilization.to_bits());
             match sharing {
                 TierSharing::Fixed(n) => {
-                    h.write_u64(1);
-                    h.write_u64(n.to_bits());
+                    mix(&mut h, 1);
+                    mix(&mut h, n.to_bits());
                 }
-                TierSharing::NodeGpus => h.write_u64(2),
+                TierSharing::NodeGpus => mix(&mut h, 2),
             }
-            h.write_u64(latency_secs.to_bits());
+            mix(&mut h, latency_secs.to_bits());
         }
-        h.finish()
+        h
     }
 }
 

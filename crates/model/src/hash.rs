@@ -2,12 +2,11 @@
 //! lock for their sharded, process-wide forms.
 //!
 //! Keys are trace tensor ids, addresses, trace and timeline labels,
-//! memo-serve tenant ids, the tier-chain hash inside a calibration
-//! fingerprint, and profile-cache and segment-cache keys the program
-//! generated itself, so SipHash's protection against crafted collisions
-//! buys nothing there, and a multiply-rotate hash is much cheaper. Its
-//! neighbours: [`FxHashMap`], and [`lock_shard`], the poison-recovering
-//! lock of every `Mutex`-guarded shard of a memo table
+//! memo-serve tenant ids, and profile-cache and segment-cache keys the
+//! program generated itself, so SipHash's protection against crafted
+//! collisions buys nothing there, and a multiply-rotate hash is much
+//! cheaper. Its neighbours: [`FxHashMap`], and [`lock_shard`], the
+//! poison-recovering lock of every `Mutex`-guarded shard of a memo table
 //! (`memo_core::cache::ProfileCache`, `memo_swap::SegmentCache`). Shard
 //! selection should read the hash's high 32 bits: an Fx hash ends in a
 //! multiply, so its low bits are the weakest.
