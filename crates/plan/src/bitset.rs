@@ -1,7 +1,7 @@
 //! A hierarchical 64-ary bitset over `0..universe`: O(log₆₄ n) insert,
-//! remove, successor and predecessor. The skyline keeps its segment starts
-//! in one; [`crate::dsa::Assignment::validate`] keeps its live tensors'
-//! `(offset, index)` ranks in two.
+//! remove, successor and predecessor. [`crate::dsa::Assignment::validate`]'s
+//! event sweep keeps its live tensors' `(offset, index)` ranks in two. (The
+//! skyline keeps its segments on a stack and needs no set.)
 
 /// A set of positions in `0..universe` as a hierarchy of 64-ary bitsets:
 /// a set bit at level `k + 1` marks a nonzero word at level `k`.
@@ -24,10 +24,6 @@ impl BitTree {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.levels.last().is_none_or(|top| top[0] == 0)
-    }
-
-    pub(crate) fn contains(&self, x: usize) -> bool {
-        self.levels[0][x >> 6] >> (x & 63) & 1 == 1
     }
 
     pub(crate) fn insert(&mut self, mut x: usize) {
@@ -105,7 +101,7 @@ mod tests {
         assert_eq!(s.levels.len(), 4);
         for x in [0, 63, 64, 4095, 4096, 262_143, universe - 1] {
             s.insert(x);
-            assert!(s.contains(x));
+            assert_eq!(s.succ(x), Some(x));
         }
         assert_eq!(s.succ(1), Some(63));
         assert_eq!(s.succ(65), Some(4095));

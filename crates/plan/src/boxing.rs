@@ -8,13 +8,15 @@
 //!
 //! 0. **Certificate before boxing** (the `skyline` module): place tensors
 //!    longest-surviving first, each directly on top of the highest tensor
-//!    already placed in its lifespan. Stack-shaped traces (token-chunked
-//!    ones: layer inputs and carried chunk outputs freed in reverse
-//!    allocation order, chunk transients nested inside them) come out at
-//!    exactly the liveness bound `LOAD`, and `peak == LOAD` proves the
-//!    plan optimal, so the solver returns it at once. Otherwise it becomes
-//!    one more candidate below. It is a member of the best-fit portfolio
-//!    and is reported as [`Candidate::BestFit`].
+//!    already placed in its lifespan, keeping the skyline as a stack of
+//!    `(start, height)` segments below the current death (O(n) after the
+//!    order, O(depth) scratch). Stack-shaped traces (token-chunked ones:
+//!    layer inputs and carried chunk outputs freed in reverse allocation
+//!    order, each chunk's transients freed before its carried output)
+//!    come out at exactly the liveness bound `LOAD`, and `peak == LOAD`
+//!    proves the plan optimal, so the solver returns it at once. Otherwise
+//!    it becomes one more candidate below. It is a member of the best-fit
+//!    portfolio and is reported as [`Candidate::BestFit`].
 //! 1. **Jobset analysis** ([`jobsets`]): sweep the birth/death event points
 //!    and record, per power-of-two *height class* `c` (true sizes in
 //!    `(2^(c-1), 2^c]`), the maximum number of concurrently-live tensors
@@ -407,11 +409,9 @@ pub fn solve(inst: &DsaInstance) -> BoxingSolution {
 /// generation, polish, certification.
 pub fn solve_with(inst: &DsaInstance, opts: &BoxingOptions) -> BoxingSolution {
     let n = inst.tensors.len();
-    let (pos, span) = inst.dense_positions();
-    let load = inst.load_at(&pos, span);
+    let load = inst.lower_bound();
     let certify = |classes: usize| load.saturating_mul(2).saturating_mul(classes as u64);
-    let mut sky = (opts.portfolio_max_tensors > 0).then(|| skyline::place(inst, &pos, span));
-    drop(pos);
+    let mut sky = (opts.portfolio_max_tensors > 0).then(|| skyline::place(inst));
     if let Some((offsets, peak)) = sky.take_if(|&mut (_, peak)| peak == load) {
         // Optimal: boxing cannot beat it. Report the same `2·K·LOAD`.
         let mask = inst

@@ -15,6 +15,7 @@
 use crate::bitset::BitTree;
 use memo_model::hash::FxHashMap;
 use memo_model::trace::{IterationTrace, MemOp, Request, TensorId};
+use std::cmp::Reverse;
 
 /// One tensor to place. Lifespan is the half-open index interval
 /// `[birth, death)` over the request sequence's *event positions*.
@@ -113,16 +114,44 @@ impl DsaInstance {
     /// below. (This is the clique bound on the interval-overlap graph.)
     /// Saturates at `u64::MAX`; a tensor with `death <= birth` is live at
     /// no position.
+    ///
+    /// One delta sweep over the positions shifted by the smallest one, when
+    /// that leaves at most `2·n + 2` slots (the `dense_positions` test)
+    /// and the live tensors' byte total fits a `u64`: no live sum exceeds
+    /// that total, so wrapping `u64` arithmetic is exact. Sparse positions
+    /// and larger totals take the rank-compressed 128-bit sweep.
     pub fn lower_bound(&self) -> u64 {
-        let (pos, span) = self.dense_positions();
-        self.load_at(&pos, span)
+        let n = self.tensors.len();
+        let (mut lo, mut hi, mut total) = (usize::MAX, 0, Some(0u64));
+        for t in &self.tensors {
+            lo = lo.min(t.birth).min(t.death);
+            hi = hi.max(t.birth).max(t.death);
+            if t.birth < t.death {
+                total = total.and_then(|s| s.checked_add(t.size));
+            }
+        }
+        if n == 0 || hi - lo > 2 * n + 1 || total.is_none() {
+            let (pos, span) = self.dense_positions();
+            return self.load_at(&pos, span);
+        }
+        let mut delta = vec![0u64; hi - lo + 1];
+        for t in self.tensors.iter().filter(|t| t.birth < t.death) {
+            delta[t.birth - lo] = delta[t.birth - lo].wrapping_add(t.size);
+            delta[t.death - lo] = delta[t.death - lo].wrapping_sub(t.size);
+        }
+        let (mut live, mut peak) = (0u64, 0u64);
+        for x in delta {
+            live = live.wrapping_add(x);
+            peak = peak.max(live);
+        }
+        peak
     }
 
     /// [`lower_bound`](Self::lower_bound) over positions from
     /// [`dense_positions`](Self::dense_positions): one delta sweep. A birth
     /// and a death at the same position net out, which is the half-open
     /// "deaths first" rule. Byte sums run in 128 bits.
-    pub(crate) fn load_at(&self, pos: &[(usize, usize)], span: usize) -> u64 {
+    fn load_at(&self, pos: &[(usize, usize)], span: usize) -> u64 {
         let mut delta = vec![0i128; span];
         for (t, &(b, d)) in self.tensors.iter().zip(pos) {
             if b < d {
@@ -136,6 +165,21 @@ impl DsaInstance {
             peak = peak.max(live);
         }
         u64::try_from(peak).unwrap_or(u64::MAX)
+    }
+
+    /// Call `f` on every tensor index in death-descending order (ties:
+    /// birth ascending, then index), stopping at the first `false`; returns
+    /// whether every call returned `true`. A builder-made instance, whose
+    /// deaths strictly ascend, is walked backwards in place; any other
+    /// takes one sort of its indices.
+    pub(crate) fn death_descending(&self, f: impl FnMut(usize) -> bool) -> bool {
+        let t = &self.tensors;
+        if t.windows(2).all(|w| w[0].death < w[1].death) {
+            return (0..t.len()).rev().all(f);
+        }
+        let mut order: Vec<usize> = (0..t.len()).collect();
+        order.sort_unstable_by_key(|&i| (Reverse(t[i].death), t[i].birth, i));
+        order.into_iter().all(f)
     }
 
     /// Every tensor's `(birth, death)` renumbered onto `0..span`, order and
@@ -325,11 +369,14 @@ impl Assignment {
     /// live tensor, so it costs what a birth does; an inverted lifespan
     /// walks the live tensors under its address range.
     ///
-    /// The event order is a counting sort over
-    /// `DsaInstance::dense_positions`, and the live sets are
-    /// hierarchical bitsets over each tensor's rank in `(offset, index)`
-    /// order, so the only comparison sort is the rank sort. More than
-    /// `u32::MAX` tensors is an error (ranks and indices are `u32`).
+    /// A plan that passes the O(n) decision pass `stacks_up` (the
+    /// skyline's, on a stack-shaped trace) is accepted at once. Every other
+    /// plan, and every invalid one, goes through the sweep, which finds the
+    /// first error in event order. Its event order is a counting sort over
+    /// `DsaInstance::dense_positions`, and its live sets are hierarchical
+    /// bitsets over each tensor's rank in `(offset, index)` order, so its
+    /// only comparison sort is the rank sort. More than `u32::MAX` tensors
+    /// is an error (ranks and indices are `u32`).
     pub fn validate(&self, inst: &DsaInstance) -> Result<(), String> {
         let n = inst.tensors.len();
         if self.offsets.len() != n {
@@ -343,6 +390,9 @@ impl Assignment {
             return Err(format!(
                 "{n} tensors exceed the validator's u32 index limit"
             ));
+        }
+        if self.stacks_up(inst) {
+            return Ok(());
         }
         // `by_rank[r]` is the tensor of rank `r`: a stable sort by offset
         // breaks ties by index.
@@ -416,6 +466,41 @@ impl Assignment {
             }
         }
         Ok(())
+    }
+
+    /// A sufficient test for validity: `true` only if every tensor ends
+    /// within the peak and every two tensors whose lifespans overlap get
+    /// disjoint addresses. `false` decides nothing.
+    ///
+    /// Tensors are taken in death-descending order onto a stack of
+    /// `(birth, end)` entries whose address ranges ascend: each tensor must
+    /// start at or above the end of the top entry. An entry born at or
+    /// after the current death is live at no later position; it is popped
+    /// when it reaches the top. An entry that overlaps a later tensor is
+    /// born before that tensor's death, and so before every death walked
+    /// until then: it is still on the stack when the later tensor is
+    /// checked, below the top's end. The skyline walks the same order and puts
+    /// each tensor at the highest end among the placed tensors live at its
+    /// last position, which is at least the top's (the top is not stale, so
+    /// it is live there): its plans pass whenever no tensor has a zero size
+    /// or an empty lifespan.
+    fn stacks_up(&self, inst: &DsaInstance) -> bool {
+        let mut stack: Vec<(usize, u64)> = Vec::new();
+        inst.death_descending(|i| {
+            let t = &inst.tensors[i];
+            let off = self.offsets[i];
+            let Some(end) = off.checked_add(t.size).filter(|&e| e <= self.peak) else {
+                return false;
+            };
+            while stack.last().is_some_and(|&(b, _)| b >= t.death) {
+                stack.pop();
+            }
+            if stack.last().is_some_and(|&(_, top)| off < top) {
+                return false;
+            }
+            stack.push((t.birth, end));
+            true
+        })
     }
 
     /// The original O(n²) validator, retained as a differential oracle for
@@ -508,23 +593,54 @@ mod tests {
         assert_eq!(inst.lower_bound(), 30);
     }
 
-    /// The event-sort sweep `lower_bound` ran before dense positions
-    /// (exact while byte sums fit an `i64`), kept as its oracle.
+    /// The event-sort sweep `lower_bound` ran before dense positions, kept
+    /// as its oracle, with byte sums in 128 bits that saturate at
+    /// `u64::MAX` like `lower_bound`'s.
     fn lower_bound_by_event_sort(inst: &DsaInstance) -> u64 {
-        let mut events: Vec<(usize, i64)> = Vec::with_capacity(inst.tensors.len() * 2);
+        let mut events: Vec<(usize, i128)> = Vec::with_capacity(inst.tensors.len() * 2);
         for t in &inst.tensors {
-            events.push((t.birth, t.size as i64));
-            events.push((t.death, -(t.size as i64)));
+            events.push((t.birth, i128::from(t.size)));
+            events.push((t.death, -i128::from(t.size)));
         }
         // Deaths before births at the same index: lifespans are half-open.
         events.sort_by_key(|&(i, delta)| (i, delta));
-        let mut live = 0i64;
-        let mut peak = 0i64;
+        let mut live = 0i128;
+        let mut peak = 0i128;
         for (_, delta) in events {
             live += delta;
             peak = peak.max(live);
         }
-        peak as u64
+        u64::try_from(peak).unwrap_or(u64::MAX)
+    }
+
+    /// `lower_bound` sums in `u64` while the live tensors' byte total fits
+    /// and in 128 bits past it: totals of exactly `u64::MAX` and of
+    /// `u64::MAX + 1`, with overlapping and disjoint lifespans, match the
+    /// oracle (an empty lifespan's bytes are live nowhere and count toward
+    /// no total).
+    #[test]
+    fn lower_bound_at_the_u64_width_switch() {
+        let half = 1u64 << 63;
+        // Totals u64::MAX, u64::MAX, u64::MAX + 1, u64::MAX + 1.
+        for sizes in [[half - 1, half], [u64::MAX, 0], [half, half], [u64::MAX, 1]] {
+            for (birth, overlap) in [(2, true), (4, false)] {
+                let inst = DsaInstance {
+                    tensors: vec![
+                        t(0, sizes[0], 0, 4),
+                        t(1, sizes[1], birth, birth + 4),
+                        t(2, u64::MAX, 3, 3),
+                    ],
+                };
+                let want = if overlap {
+                    u64::MAX
+                } else {
+                    sizes[0].max(sizes[1])
+                };
+                let case = (sizes, overlap);
+                assert_eq!(inst.lower_bound(), want, "{case:?}");
+                assert_eq!(lower_bound_by_event_sort(&inst), want, "{case:?}");
+            }
+        }
     }
 
     proptest! {
@@ -838,8 +954,7 @@ mod tests {
                 t(i as u64, size.saturating_sub(2), birth, birth + len.max(shortest))
             });
             let inst = DsaInstance { tensors: tensors.collect() };
-            let (pos, span) = inst.dense_positions();
-            let (offsets, peak) = crate::skyline::place(&inst, &pos, span);
+            let (offsets, peak) = crate::skyline::place(&inst);
             let valid = Assignment { offsets, peak };
             prop_assert!(valid.validate(&inst).is_ok());
             assert_validators_agree(&valid, &inst);
@@ -868,8 +983,7 @@ mod tests {
         let mut b = DsaInstanceBuilder::new();
         for_each_request(&p, |r| b.push(r));
         let inst = b.finish().unwrap();
-        let (pos, span) = inst.dense_positions();
-        let (offsets, peak) = crate::skyline::place(&inst, &pos, span);
+        let (offsets, peak) = crate::skyline::place(&inst);
         let mut a = Assignment { offsets, peak };
         assert_eq!(a.validate(&inst), Ok(()));
         assert_eq!(validate_sweep(&a, &inst), Ok(()));
@@ -879,6 +993,41 @@ mod tests {
         let err = a.validate(&inst);
         assert!(err.is_err());
         assert_eq!(err, validate_sweep(&a, &inst));
+    }
+
+    /// The skyline's plans of chunked traces pass the O(n) decision pass,
+    /// in stored order and shuffled (where the order takes a sort), so
+    /// `validate` accepts them without the sweep; a plan with one tensor
+    /// dropped onto the one below it does not.
+    #[test]
+    fn skyline_plans_of_chunked_traces_stack_up() {
+        use memo_model::chunked::{for_each_request, ChunkedParams};
+        use memo_model::config::{DType, ModelConfig};
+        for (seq, chunk) in [(1000, 128), (1024, 256), (999, 97)] {
+            let p = ChunkedParams {
+                model: ModelConfig::tiny(3, 64, 4, 256),
+                dtype: DType::F16,
+                seq_tokens: seq,
+                chunk_tokens: chunk,
+            };
+            let mut b = DsaInstanceBuilder::new();
+            for_each_request(&p, |r| b.push(r));
+            let mut inst = b.finish().unwrap();
+            for shuffled in [false, true] {
+                if shuffled {
+                    let n = inst.len();
+                    for i in 0..n {
+                        inst.tensors.swap(i, (i * 7919 + 13) % n);
+                    }
+                }
+                let (offsets, peak) = crate::skyline::place(&inst);
+                let mut a = Assignment { offsets, peak };
+                assert!(a.stacks_up(&inst), "{seq}/{chunk} shuffled {shuffled}");
+                let top = (0..inst.len()).max_by_key(|&i| a.offsets[i]).unwrap();
+                a.offsets[top] -= 1;
+                assert!(!a.stacks_up(&inst), "{seq}/{chunk} shuffled {shuffled}");
+            }
+        }
     }
 
     #[test]

@@ -4,110 +4,104 @@
 //! Tensors are taken in death-descending order (ties: birth ascending,
 //! then index) and each one is put directly on top of the highest tensor
 //! already placed in its lifespan. The "skyline" is that height as a step
-//! function of the event position. Token-chunked and other stack-shaped
-//! traces — every tensor freed before anything allocated earlier that is
-//! still live, transients nested inside carried outputs — make this
-//! placement optimal: a tensor lands on exactly the tensors live with it,
-//! so the peak is the liveness bound `LOAD`, and `peak == LOAD` is then
-//! its own proof.
+//! function of the event position. Every placed tensor that overlaps a new
+//! one `[b, d)` dies at or after `d`, so it is live at `d − 1`: the new
+//! tensor lands on the highest top among the placed tensors live at its
+//! last position. Token-chunked and other stack-shaped traces make this
+//! placement optimal — no tensor dies inside a gap the order leaves below a
+//! tensor (DESIGN.md §2i) — so the peak is the liveness bound `LOAD`, and
+//! `peak == LOAD` is then its own proof.
 //!
-//! The step function lives on dense positions
-//! ([`DsaInstance::dense_positions`]): a hierarchical bitset of segment
-//! starts plus one height per start. Placing `[b, d)` splits the steps at
-//! `b` and `d`, takes the maximum over the starts in `[b, d)`, deletes the
-//! starts in `(b, d)` and writes the new top at `b`. Each start is inserted
-//! once and deleted at most once, so the whole placement is O(n log n),
-//! dominated by the order sort (nearly free for builder-made instances,
-//! which arrive sorted by ascending death).
+//! Nothing at or past the current death is read again, so the step
+//! function is kept only over `[0, current death)`, as a stack of
+//! `(start, height)` segments with ascending starts (positions below the
+//! first start have height 0). Placing `[b, d)` pops the segments starting
+//! at or after `b`, takes the maximum of those starting before `d` together
+//! with the segment left covering `b`, and pushes `(b, top)`. Each tensor
+//! pushes at most one segment and each segment is popped at most once, so
+//! the placement is O(n) after the order and its scratch is the stack,
+//! O(depth) on a stack-shaped trace. Positions are compared, never indexed,
+//! so they need no renumbering. The order is the stored order reversed for
+//! builder-made instances, whose deaths strictly ascend
+//! ([`DsaInstance::death_descending`]).
 
-use crate::bitset::BitTree;
 use crate::dsa::DsaInstance;
-use std::cmp::Reverse;
 
-/// The skyline: `top[s]` is the height on `[s, next start)` for every
-/// start `s`. Position 0 is always a start, so every position has one.
+/// The skyline over `[0, current death)`: `(start, height)` segments with
+/// ascending starts, each running up to the next start.
+#[derive(Default)]
 struct Skyline {
-    starts: BitTree,
-    top: Vec<u64>,
+    segments: Vec<(usize, u64)>,
 }
 
 impl Skyline {
-    fn new(span: usize) -> Self {
-        let mut starts = BitTree::new(span);
-        starts.insert(0);
-        Skyline {
-            starts,
-            top: vec![0; span],
+    /// Height of the last segment (0 when there is none).
+    fn last_height(&self) -> u64 {
+        self.segments.last().map_or(0, |&(_, h)| h)
+    }
+
+    /// Forget the segments starting at or after `d` (the caller reads only
+    /// positions below `d` from now on); returns the height just below `d`.
+    fn cut(&mut self, d: usize) -> u64 {
+        while self.segments.last().is_some_and(|&(s, _)| s >= d) {
+            self.segments.pop();
         }
+        self.last_height()
     }
 
-    fn height(&self, x: usize) -> u64 {
-        self.top[self.starts.pred(x).unwrap_or(0)]
-    }
-
-    fn split(&mut self, x: usize) {
-        if !self.starts.contains(x) {
-            self.top[x] = self.height(x);
-            self.starts.insert(x);
-        }
-    }
-
-    /// Put `size` bytes on `[b, d)` (`b < d`) on top of everything there;
-    /// returns the offset.
+    /// Put `size` bytes on `[b, d)` (`b < d`, `d` at most every earlier
+    /// call's) on top of everything there; returns the offset: the
+    /// highest of the segments starting in `[b, d)` and the one covering
+    /// `b`.
     fn place(&mut self, b: usize, d: usize, size: u64) -> u64 {
-        self.split(d);
-        self.split(b);
-        let mut base = self.top[b];
-        while let Some(s) = self.starts.succ(b + 1).filter(|&s| s < d) {
-            base = base.max(self.top[s]);
-            self.starts.remove(s);
+        let mut base = self.cut(d);
+        while self.segments.last().is_some_and(|&(s, _)| s >= b) {
+            self.segments.pop();
+            base = base.max(self.last_height());
         }
-        self.top[b] = base.saturating_add(size);
+        self.segments.push((b, base.saturating_add(size)));
         base
     }
 }
 
-/// Skyline placement of `inst` over its [`DsaInstance::dense_positions`]
-/// `pos`/`span`. Returns the offsets and their peak (saturating).
+/// Skyline placement of `inst`. Returns the offsets and their peak
+/// (saturating).
 ///
 /// A zero-size tensor occupies no address space: it sits at 0, which
 /// conflicts with nothing, and leaves the skyline unchanged.
 ///
 /// A tensor with an empty lifespan (`death == birth`; `death < birth` is
-/// treated alike) sits at its death point `p` and conflicts only with tensors live strictly around it
-/// (`birth < p < death`, the [`DsaInstance::conflicts_of`] rule). All of
-/// those die after `p`, so they were placed before any tensor dying at
-/// `p`; the point tensor takes the height just below `p` as it stood
-/// then, and — since nothing placed later conflicts with it — leaves the
-/// skyline unchanged.
-pub(crate) fn place(inst: &DsaInstance, pos: &[(usize, usize)], span: usize) -> (Vec<u64>, u64) {
-    let n = inst.tensors.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by_key(|&i| (Reverse(pos[i].1), pos[i].0, i));
-    let has_points = pos.iter().any(|&(b, d)| d <= b);
-    let mut sky = Skyline::new(span);
-    let mut offsets = vec![0u64; n];
+/// treated alike) sits at its death point `p` and conflicts only with
+/// tensors live strictly around it (`birth < p < death`, the
+/// [`DsaInstance::conflicts_of`] rule). All of those die after `p`, so
+/// they were placed before any tensor dying at `p`; the point tensor takes
+/// the height just below `p` as it stood then, and — since nothing placed
+/// later conflicts with it — leaves the skyline unchanged.
+pub(crate) fn place(inst: &DsaInstance) -> (Vec<u64>, u64) {
+    let has_points = inst.tensors.iter().any(|t| t.death <= t.birth);
+    let mut sky = Skyline::default();
+    let mut offsets = vec![0u64; inst.len()];
     let mut peak = 0u64;
     // Height just below the current death point, read before any tensor
     // dying there was placed (only needed for point tensors).
     let (mut death, mut below) = (usize::MAX, 0u64);
-    for i in order {
-        let (b, d) = pos[i];
-        let size = inst.tensors[i].size;
-        if has_points && d != death {
-            death = d;
-            below = d.checked_sub(1).map_or(0, |x| sky.height(x));
+    inst.death_descending(|i| {
+        let t = &inst.tensors[i];
+        if has_points && t.death != death {
+            death = t.death;
+            below = sky.cut(death);
         }
-        let off = if size == 0 {
+        let off = if t.size == 0 {
             0
-        } else if b < d {
-            sky.place(b, d, size)
+        } else if t.birth < t.death {
+            sky.place(t.birth, t.death, t.size)
         } else {
             below
         };
         offsets[i] = off;
-        peak = peak.max(off.saturating_add(size));
-    }
+        peak = peak.max(off.saturating_add(t.size));
+        true
+    });
     (offsets, peak)
 }
 
@@ -117,6 +111,7 @@ mod tests {
     use crate::dsa::DsaTensor;
     use memo_model::trace::TensorId;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
 
     /// Quadratic oracle: the same order, each tensor at the highest top
     /// among its already placed `conflicts_of` neighbours (a zero-size
@@ -146,8 +141,7 @@ mod tests {
     }
 
     fn skyline_of(inst: &DsaInstance) -> (Vec<u64>, u64) {
-        let (pos, span) = inst.dense_positions();
-        place(inst, &pos, span)
+        place(inst)
     }
 
     /// Random instances: zero sizes, empty lifespans and, with `base`, a
@@ -186,9 +180,41 @@ mod tests {
         fn skyline_matches_the_oracle_on_sparse_positions(
             inst in inst_strategy(usize::MAX / 4, 1 << 40),
         ) {
-            let (pos, span) = inst.dense_positions();
+            let (_, span) = inst.dense_positions();
             prop_assert!(span <= 2 * inst.len() + 2, "dense positions are O(n)");
-            prop_assert_eq!(place(&inst, &pos, span).0, oracle(&inst));
+            prop_assert_eq!(place(&inst).0, oracle(&inst));
+        }
+    }
+
+    /// Token-chunked traces of tiny models: random layer counts, widths,
+    /// chunk sizes and chunk counts, the last chunk often partial.
+    fn chunked_strategy() -> impl Strategy<Value = DsaInstance> {
+        let shape = (1usize..4, 1usize..5, 1u64..64, 1u64..12, 0u64..64);
+        shape.prop_map(|(layers, width, chunk, chunks, short)| {
+            use memo_model::chunked::{for_each_request, ChunkedParams};
+            use memo_model::config::{DType, ModelConfig};
+            let p = ChunkedParams {
+                model: ModelConfig::tiny(layers, 16 * width, 2, 64),
+                dtype: DType::F16,
+                seq_tokens: chunks * chunk - short % chunk,
+                chunk_tokens: chunk,
+            };
+            let mut b = crate::DsaInstanceBuilder::new();
+            for_each_request(&p, |r| b.push(r));
+            b.finish().expect("chunked traces are balanced")
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The segment stack on the stack-shaped traces it is built for:
+        /// the oracle's offsets, at the liveness bound.
+        #[test]
+        fn skyline_matches_the_oracle_on_chunked_traces(inst in chunked_strategy()) {
+            let (offsets, peak) = place(&inst);
+            prop_assert_eq!(&offsets, &oracle(&inst));
+            prop_assert_eq!(peak, inst.lower_bound());
         }
     }
 
