@@ -12,9 +12,6 @@
 //! * [`plan::PlanAllocator`] executes a static address plan produced by the
 //!   bi-level MIP planner: one arena reservation, zero fragmentation, zero
 //!   reorganisations, with runtime verification that the plan is sound.
-//! * [`unified::UnifiedMemoryAllocator`] simulates CUDA Unified Memory —
-//!   the profiler's fallback for workloads whose single-layer footprint
-//!   exceeds device memory (§4.3.2).
 //! * [`expandable::ExpandableAllocator`] simulates VMM-backed expandable
 //!   segments (PyTorch `expandable_segments`, GMLake) — the related-work
 //!   alternative to MEMO's static planning.
@@ -39,7 +36,6 @@ pub mod paged;
 pub mod plan;
 pub mod reference;
 pub mod snapshot;
-pub mod unified;
 
 use memo_model::trace::TensorId;
 

@@ -1,7 +1,9 @@
 //! # memo-bench — experiment regeneration harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §3 for the
-//! index), plus `speed_gates`, the release-mode wall-clock gates of the
+//! Two binaries: `experiments`, which regenerates every table and figure
+//! of the paper (`experiments <name>` runs one; see DESIGN.md §3 for the
+//! index, and `tests/golden/experiments.txt` for the checked output of a
+//! full run), and `speed_gates`, the release-mode wall-clock gates of the
 //! fast paths. This library holds the shared sweep driver, table
 //! formatting, the paper's reported numbers (embedded for side-by-side
 //! "paper vs reproduced" output) and the cell inputs that the speed gates
@@ -22,9 +24,4 @@ pub fn cell_text(out: &CellOutcome) -> String {
         CellOutcome::NoValidStrategy => "X_cfg".to_string(),
         CellOutcome::Degenerate { .. } => "X_time".to_string(),
     }
-}
-
-/// Sequence-length label, e.g. 1024 → "1024K".
-pub fn sk(s_k: u64) -> String {
-    format!("{s_k}K")
 }

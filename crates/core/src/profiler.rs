@@ -6,7 +6,8 @@
 //! all transformer layers are identical, profiling one layer suffices — the
 //! trick that lets the real system profile under CUDA Unified Memory without
 //! OOM; our simulated profiler gets the same information from the trace
-//! generator and the calibrated cost model.
+//! generator and the calibrated cost model, and never runs out of memory,
+//! so the Unified-Memory fallback is not modelled.
 //!
 //! The request sequence is the input of the memory plan (§4.2) and of the
 //! caching-allocator replay, and nothing else reads it: the strategy
@@ -15,7 +16,6 @@
 //! to a [`LazyTrace`], built the first time a plan or a replay reads it.
 
 use crate::session::Workload;
-use memo_alloc::unified::UnifiedMemoryAllocator;
 use memo_model::activations::{self, LayerDims, SkeletalSplit};
 use memo_model::config::DType;
 use memo_model::trace::{self, IterationTrace, RematPolicy, TraceParams};
@@ -26,18 +26,6 @@ use memo_parallel::strategy::ParallelConfig;
 use memo_swap::alpha::{solve_alpha, AlphaInputs, AlphaSolution};
 use std::ops::Deref;
 use std::sync::OnceLock;
-
-/// How the profiling pass itself had to run (§4.3.2): profiling a single
-/// transformer layer suffices when it fits; otherwise the profiler records
-/// under simulated CUDA Unified Memory, paying page-migration time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ProfilingMode {
-    /// One layer's working set fits in device memory.
-    SingleLayer,
-    /// Even one layer oversubscribes the device; Unified Memory pages the
-    /// overflow across PCIe for the estimated extra seconds.
-    UnifiedMemory { migration_secs: f64 },
-}
 
 /// The per-GPU memory request trace of one iteration, generated from its
 /// parameters the first time it is dereferenced and kept from then on.
@@ -114,49 +102,6 @@ pub struct ProfileReport {
     pub model_states: ModelStateBytes,
 }
 
-/// The per-GPU trace parameters of `cfg`'s shard of `w`, recording
-/// `n_layers` transformer layers under `policy`.
-fn local_trace_params(
-    w: &Workload,
-    cfg: &ParallelConfig,
-    n_layers: usize,
-    policy: RematPolicy,
-) -> TraceParams {
-    let tokens_local = cfg.tokens_local(w.seq_len) * w.batch;
-    let dims = LayerDims::new(tokens_local, &w.model, DType::BF16);
-    let mut local_model = w.model.clone();
-    local_model.n_layers = n_layers;
-    let mut params = TraceParams::new(&local_model, dims, policy);
-    params.vocab_local = (w.model.vocab as u64).div_ceil(cfg.tp as u64);
-    params.comm_factor = if cfg.sp { cfg.tp as u64 } else { 1 };
-    params
-}
-
-/// How the profiling pass of `cfg` on `w` has to run (§4.3.2). Profiling
-/// records one layer's requests without MEMO's memory techniques, so the
-/// working set is the full skeletal footprint plus transients; if that
-/// oversubscribes the device, a 1–2-layer keep-all trace is replayed under
-/// Unified Memory to estimate the migration cost. Nothing in a strategy
-/// search reads the mode, so [`profile`] does not compute it.
-pub fn profiling_mode(w: &Workload, cfg: &ParallelConfig) -> ProfilingMode {
-    let layers_local = cfg.layers_local(w.model.n_layers);
-    // The profiling pass records raw requests with *no* memory-saving
-    // techniques active, so it sees the keep-everything footprint of the
-    // layers it records (1-2 of them).
-    let naive = local_trace_params(w, cfg, layers_local.min(2), RematPolicy::KeepAll);
-    let split = activations::skeletal_split(&naive.dims);
-    let single_layer_bytes = split.total() + split.total() / 2; // + transient slack
-    let usable = w.calib.usable_gpu_memory();
-    if single_layer_bytes <= usable {
-        return ProfilingMode::SingleLayer;
-    }
-    let mut um = UnifiedMemoryAllocator::new(usable, w.calib.host_capacity_per_gpu());
-    let _ = memo_alloc::snapshot::replay_peak(&mut um, &trace::generate(&naive));
-    ProfilingMode::UnifiedMemory {
-        migration_secs: um.estimated_migration_secs(w.calib.effective_pcie()),
-    }
-}
-
 /// Profile a workload under a strategy and rematerialisation policy.
 ///
 /// `materialize_logits` models an unfused fp32 loss (DeepSpeed baseline).
@@ -169,8 +114,13 @@ pub fn profile(
     let layers_local = cfg.layers_local(w.model.n_layers);
 
     // Per-GPU trace: this GPU hosts `layers_local` transformer layers.
-    let mut params = local_trace_params(w, cfg, layers_local, policy);
-    let dims = params.dims;
+    let tokens_local = cfg.tokens_local(w.seq_len) * w.batch;
+    let dims = LayerDims::new(tokens_local, &w.model, DType::BF16);
+    let mut local_model = w.model.clone();
+    local_model.n_layers = layers_local;
+    let mut params = TraceParams::new(&local_model, dims, policy);
+    params.vocab_local = (w.model.vocab as u64).div_ceil(cfg.tp as u64);
+    params.comm_factor = if cfg.sp { cfg.tp as u64 } else { 1 };
     params.ce_chunk_tokens = 8192;
     params.materialize_logits = materialize_logits;
     let peak_live_bytes = trace::peak_live_bytes(&params);
@@ -283,28 +233,6 @@ mod tests {
         let cfg = ParallelConfig::megatron(4, 2, 2, 1);
         let p = profile(&w, &cfg, RematPolicy::FullRecompute, false);
         assert_eq!(p.layers_local, 20);
-    }
-
-    #[test]
-    fn profiling_mode_single_layer_at_moderate_lengths() {
-        let w = Workload::new(ModelConfig::gpt_7b(), 8, 256 * 1024);
-        let cfg = ParallelConfig::megatron(4, 2, 1, 1);
-        assert_eq!(profiling_mode(&w, &cfg), ProfilingMode::SingleLayer);
-    }
-
-    #[test]
-    fn profiling_mode_unified_memory_at_extreme_lengths() {
-        // One layer's skeletal footprint alone exceeds device memory: the
-        // profiler must fall back to Unified Memory and report a positive
-        // migration cost (the paper's exact fallback).
-        let w = Workload::new(ModelConfig::gpt_7b(), 8, 40 << 20);
-        let cfg = ParallelConfig::megatron(8, 1, 1, 1);
-        match profiling_mode(&w, &cfg) {
-            ProfilingMode::UnifiedMemory { migration_secs } => {
-                assert!(migration_secs > 0.0);
-            }
-            other => panic!("expected UM fallback, got {other:?}"),
-        }
     }
 
     #[test]

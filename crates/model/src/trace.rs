@@ -662,9 +662,11 @@ impl IterationTrace {
     }
 
     /// Check that every malloc has exactly one later free with the same size,
-    /// and vice versa. The same pass accumulates the liveness peak, so a
-    /// successful validation also yields [`TraceCheck::peak_live_bytes`]
-    /// without a second walk over the trace.
+    /// and vice versa; of several leaked tensors, the smallest id is named.
+    /// The same pass accumulates the liveness peak, saturating at `u64::MAX`
+    /// like [`IterationTrace::peak_live_bytes`], so a successful validation
+    /// also yields [`TraceCheck::peak_live_bytes`] without a second walk over
+    /// the trace.
     pub fn validate(&self) -> Result<TraceCheck, TraceError> {
         let mut open: HashMap<TensorId, u64> = HashMap::new();
         let mut count = 0usize;
@@ -677,7 +679,7 @@ impl IterationTrace {
                         return Err(TraceError::DoubleMalloc(r.tensor));
                     }
                     count += 1;
-                    live += r.bytes;
+                    live = live.saturating_add(r.bytes);
                     peak = peak.max(live);
                 }
                 MemOp::Free => match open.remove(&r.tensor) {
@@ -689,7 +691,7 @@ impl IterationTrace {
                 },
             }
         }
-        if let Some(&t) = open.keys().next() {
+        if let Some(&t) = open.keys().min() {
             return Err(TraceError::Leaked(t));
         }
         Ok(TraceCheck {
@@ -1593,6 +1595,30 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A one-segment trace in the text format `read_trace` parses.
+    fn read_text(requests: &str) -> IterationTrace {
+        let text = format!("# memo-trace v1\nsegment embedding_fwd 0\n{requests}");
+        crate::io::read_trace(text.as_bytes()).unwrap()
+    }
+
+    #[test]
+    fn validate_saturates_the_live_sum() {
+        let half = 1u64 << 63;
+        let t = read_text(&format!(
+            "malloc 1 {half} a\nmalloc 2 {half} b\nfree 1 {half} a\nfree 2 {half} b\n"
+        ));
+        assert_eq!(t.validate().unwrap().peak_live_bytes, u64::MAX);
+        assert_eq!(t.peak_live_bytes(), u64::MAX);
+    }
+
+    #[test]
+    fn validate_names_the_smallest_leaked_tensor() {
+        let t = read_text("malloc 9 8 a\nmalloc 4 8 a\nmalloc 7 8 a\nmalloc 5 8 a\n");
+        for _ in 0..50 {
+            assert_eq!(t.validate().unwrap_err(), TraceError::Leaked(TensorId(4)));
         }
     }
 

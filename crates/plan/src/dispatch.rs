@@ -174,7 +174,6 @@ mod tests {
         let opts = DispatchOptions {
             boxing: BoxingOptions {
                 portfolio_max_tensors: 0,
-                ..BoxingOptions::default()
             },
             ..DispatchOptions::default()
         };

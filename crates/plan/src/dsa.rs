@@ -49,7 +49,7 @@ pub struct DsaInstanceBuilder {
     open: FxHashMap<TensorId, (usize, u64)>,
     tensors: Vec<DsaTensor>,
     cursor: usize,
-    dangling_free: bool,
+    poisoned: bool,
 }
 
 impl DsaInstanceBuilder {
@@ -57,12 +57,15 @@ impl DsaInstanceBuilder {
         Self::default()
     }
 
-    /// Feed one request. A `Free` without a matching `Malloc` poisons the
-    /// builder: [`finish`](Self::finish) will return `None`.
+    /// Feed one request. A `Free` without a matching `Malloc`, or a second
+    /// `Malloc` of an open tensor, poisons the builder:
+    /// [`finish`](Self::finish) will return `None`.
     pub fn push(&mut self, r: &Request) {
         match r.op {
             MemOp::Malloc => {
-                self.open.insert(r.tensor, (self.cursor, r.bytes));
+                if self.open.insert(r.tensor, (self.cursor, r.bytes)).is_some() {
+                    self.poisoned = true;
+                }
             }
             MemOp::Free => match self.open.remove(&r.tensor) {
                 Some((birth, size)) => self.tensors.push(DsaTensor {
@@ -71,16 +74,17 @@ impl DsaInstanceBuilder {
                     birth,
                     death: self.cursor,
                 }),
-                None => self.dangling_free = true,
+                None => self.poisoned = true,
             },
         }
         self.cursor += 1;
     }
 
-    /// Finalize. Returns `None` if any tensor is still open or a free had
-    /// no matching malloc (the stream crossed a segment boundary).
+    /// Finalize. Returns `None` if any tensor is still open, a free had
+    /// no matching malloc (the stream crossed a segment boundary), or a
+    /// tensor was malloc'd while open.
     pub fn finish(self) -> Option<DsaInstance> {
-        if self.open.is_empty() && !self.dangling_free {
+        if self.open.is_empty() && !self.poisoned {
             Some(DsaInstance {
                 tensors: self.tensors,
             })
@@ -1046,6 +1050,21 @@ mod tests {
             });
             assert!(b.finish().is_none(), "{why}");
         }
+    }
+
+    #[test]
+    fn finish_rejects_a_double_malloc() {
+        use memo_model::trace::{Request, Sym};
+        let mut b = DsaInstanceBuilder::new();
+        for op in [MemOp::Malloc, MemOp::Malloc, MemOp::Free] {
+            b.push(&Request {
+                op,
+                tensor: TensorId(0),
+                bytes: 8,
+                label: Sym::EMPTY,
+            });
+        }
+        assert!(b.finish().is_none(), "the first lifespan was dropped");
     }
 
     #[test]

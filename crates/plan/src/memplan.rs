@@ -78,9 +78,9 @@ impl MemoryPlan {
 
     /// Validate the plan against the trace it was built for: every request
     /// is covered, and simulating the trace never co-locates live tensors
-    /// nor exceeds the declared peak.
+    /// nor exceeds the declared peak (nor `u64::MAX`).
     pub fn validate_against(&self, trace: &IterationTrace) -> Result<(), String> {
-        // Interval bookkeeping over live tensors.
+        // `[start, end)` of every live tensor.
         let mut live: Vec<(u64, u64, TensorId)> = Vec::new();
         for r in trace.flatten() {
             match r.op {
@@ -94,21 +94,27 @@ impl MemoryPlan {
                             r.tensor.0, p.bytes, r.bytes
                         ));
                     }
-                    if p.offset + p.bytes > self.peak {
+                    let end = p.offset.checked_add(p.bytes).ok_or_else(|| {
+                        format!(
+                            "tensor {} at offset {} with {} bytes ends past u64::MAX",
+                            r.tensor.0, p.offset, p.bytes
+                        )
+                    })?;
+                    if end > self.peak {
                         return Err(format!(
                             "tensor {} exceeds declared peak {}",
                             r.tensor.0, self.peak
                         ));
                     }
-                    for &(o, b, id) in &live {
-                        if p.offset < o + b && o < p.offset + p.bytes {
+                    for &(start, stop, id) in &live {
+                        if p.offset < stop && start < end {
                             return Err(format!(
                                 "live tensors {} and {} overlap in plan",
                                 r.tensor.0, id.0
                             ));
                         }
                     }
-                    live.push((p.offset, p.bytes, r.tensor));
+                    live.push((p.offset, end, r.tensor));
                 }
                 MemOp::Free => {
                     let idx = live
@@ -172,5 +178,25 @@ mod tests {
         }
         let plan = MemoryPlan::new(placements, max_bytes);
         assert!(plan.validate_against(&trace).is_err());
+    }
+
+    #[test]
+    fn placement_past_u64_max_is_rejected() {
+        let m = ModelConfig::tiny(2, 32, 2, 64);
+        let dims = LayerDims::new(64, &m, DType::BF16);
+        let trace = generate(&TraceParams::new(&m, dims, RematPolicy::FullRecompute));
+        let first = trace.flatten().next().unwrap();
+        let placements = vec![(
+            first.tensor,
+            PlannedTensor {
+                offset: u64::MAX - 3,
+                bytes: first.bytes,
+            },
+        )];
+        let err = MemoryPlan::new(placements, 100_000_000_000)
+            .validate_against(&trace)
+            .unwrap_err();
+        assert!(err.contains(&format!("tensor {}", first.tensor.0)), "{err}");
+        assert!(err.contains("past u64::MAX"), "{err}");
     }
 }

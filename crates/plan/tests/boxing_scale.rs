@@ -124,7 +124,6 @@ fn best_fit_is_last_resort_only() {
     let no_portfolio = DispatchOptions {
         boxing: BoxingOptions {
             portfolio_max_tensors: 0,
-            ..BoxingOptions::default()
         },
         ..DispatchOptions::default()
     };
