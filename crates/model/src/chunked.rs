@@ -160,11 +160,8 @@ pub fn for_each_request<F: FnMut(&Request)>(params: &ChunkedParams, mut sink: F)
         let mut layer_carries = Vec::with_capacity(chunks as usize);
         for k in 0..chunks {
             let c = chunk_len(k);
-            let transients: Vec<TensorId> = params
-                .transient_sizes(c)
-                .iter()
-                .map(|&b| e.malloc(b))
-                .collect();
+            let transients: [TensorId; FWD_TRANSIENTS] =
+                params.transient_sizes(c).map(|b| e.malloc(b));
             layer_carries.push(e.malloc(c * h * d));
             for id in transients.into_iter().rev() {
                 e.free(id);
@@ -176,7 +173,7 @@ pub fn for_each_request<F: FnMut(&Request)>(params: &ChunkedParams, mut sink: F)
     for layer in (0..n_layers).rev() {
         for k in (0..chunks).rev() {
             let c = chunk_len(k);
-            let grads: Vec<TensorId> = params.grad_sizes(c).iter().map(|&b| e.malloc(b)).collect();
+            let grads: [TensorId; BWD_TRANSIENTS] = params.grad_sizes(c).map(|b| e.malloc(b));
             for id in grads.into_iter().rev() {
                 e.free(id);
             }

@@ -160,9 +160,7 @@ impl BodySplit {
                 birth: start + birth,
                 death: start + death,
             });
-        DsaInstance {
-            tensors: tensors.collect(),
-        }
+        DsaInstance::new(tensors.collect())
     }
 }
 
@@ -291,9 +289,7 @@ pub fn plan_iteration(trace: &IterationTrace) -> BilevelReport {
                 death,
             }),
     );
-    let l2_inst = DsaInstance {
-        tensors: l2_tensors,
-    };
+    let l2_inst = DsaInstance::new(l2_tensors);
     let l2_sol = bnb::solve(&l2_inst, LEVEL2);
     debug_assert!(l2_sol.assignment.validate(&l2_inst).is_ok());
 

@@ -343,9 +343,12 @@ mod tests {
     fn classic_gap_instance_beats_greedy() {
         // Sizes and lifespans chosen so naive size-ordered best-fit leaves a
         // hole; exact search must reach the liveness bound or prove a gap.
-        let inst = DsaInstance {
-            tensors: vec![t(0, 4, 0, 3), t(1, 4, 4, 8), t(2, 6, 2, 6), t(3, 2, 1, 7)],
-        };
+        let inst = DsaInstance::new(vec![
+            t(0, 4, 0, 3),
+            t(1, 4, 4, 8),
+            t(2, 6, 2, 6),
+            t(3, 2, 1, 7),
+        ]);
         let sol = solve(&inst, BnbOptions::default());
         assert!(sol.optimal);
         sol.assignment.validate(&inst).unwrap();
@@ -369,7 +372,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let inst = DsaInstance { tensors };
+            let inst = DsaInstance::new(tensors);
             let sol = solve(&inst, BnbOptions::default());
             assert!(sol.optimal, "round {round}: search not exhausted");
             let bf = brute_force(&inst);
@@ -422,7 +425,7 @@ mod tests {
                     tensors.push(t(id, size, birth, birth + rng.gen_range(1..6)));
                 }
             }
-            let inst = DsaInstance { tensors };
+            let inst = DsaInstance::new(tensors);
             let sol = solve(&inst, BnbOptions::default());
             assert!(sol.optimal, "round {round}: search not exhausted");
             sol.assignment.validate(&inst).unwrap();
@@ -464,7 +467,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let inst = DsaInstance { tensors };
+            let inst = DsaInstance::new(tensors);
             let sol = solve(&inst, BnbOptions::default());
             assert!(sol.optimal, "round {round}: search not exhausted");
             sol.assignment.validate(&inst).unwrap();
@@ -609,13 +612,13 @@ mod tests {
     ];
 
     fn instance(shape: &[(u64, usize, usize)], unit: u64) -> DsaInstance {
-        DsaInstance {
-            tensors: shape
+        DsaInstance::new(
+            shape
                 .iter()
                 .enumerate()
                 .map(|(i, &(size, birth, death))| t(i as u64, size * unit, birth, death))
                 .collect(),
-        }
+        )
     }
 
     #[test]
@@ -646,9 +649,7 @@ mod tests {
 
     #[test]
     fn instant_optimality_when_heuristic_hits_bound() {
-        let inst = DsaInstance {
-            tensors: vec![t(0, 8, 0, 2), t(1, 8, 2, 4)],
-        };
+        let inst = DsaInstance::new(vec![t(0, 8, 0, 2), t(1, 8, 2, 4)]);
         let sol = solve(&inst, BnbOptions::default());
         assert!(sol.optimal);
         assert_eq!(sol.nodes, 0, "bound should close without search");
@@ -670,7 +671,7 @@ mod tests {
                 )
             })
             .collect();
-        let inst = DsaInstance { tensors };
+        let inst = DsaInstance::new(tensors);
         let sol = solve(
             &inst,
             BnbOptions {
@@ -697,7 +698,7 @@ mod tests {
                 )
             })
             .collect();
-        let inst = DsaInstance { tensors };
+        let inst = DsaInstance::new(tensors);
         let sol = solve(
             &inst,
             BnbOptions {

@@ -517,15 +517,15 @@ mod tests {
             state ^= state << 17;
             state
         };
-        DsaInstance {
-            tensors: (0..n)
+        DsaInstance::new(
+            (0..n)
                 .map(|i| {
                     let b = (next() as usize) % horizon;
                     let len = 1 + (next() as usize) % horizon;
                     t(i as u64, 1 + next() % max_size, b, b + len)
                 })
                 .collect(),
-        }
+        )
     }
 
     #[test]
@@ -541,9 +541,7 @@ mod tests {
 
     #[test]
     fn jobsets_counts_tracks_and_load() {
-        let inst = DsaInstance {
-            tensors: vec![t(0, 3, 0, 4), t(1, 4, 2, 6), t(2, 16, 1, 3)],
-        };
+        let inst = DsaInstance::new(vec![t(0, 3, 0, 4), t(1, 4, 2, 6), t(2, 16, 1, 3)]);
         let js = jobsets(&inst);
         assert_eq!(js.load, inst.lower_bound());
         assert_eq!(js.classes.len(), 2);
@@ -568,15 +566,11 @@ mod tests {
     #[test]
     fn solve_is_optimal_on_disjoint_and_identical_instances() {
         // All-disjoint: everything at offset 0.
-        let inst = DsaInstance {
-            tensors: vec![t(0, 7, 0, 1), t(1, 9, 1, 2), t(2, 5, 2, 3)],
-        };
+        let inst = DsaInstance::new(vec![t(0, 7, 0, 1), t(1, 9, 1, 2), t(2, 5, 2, 3)]);
         let sol = solve(&inst);
         assert_eq!(sol.assignment.peak, 9);
         // Fully-overlapping equal power-of-two sizes: perfect stacking.
-        let inst = DsaInstance {
-            tensors: (0..8).map(|i| t(i, 16, 0, 10)).collect(),
-        };
+        let inst = DsaInstance::new((0..8).map(|i| t(i, 16, 0, 10)).collect());
         let sol = solve(&inst);
         assert_eq!(sol.assignment.peak, 128);
         assert_eq!(sol.assignment.peak, sol.lower_bound);
@@ -584,9 +578,7 @@ mod tests {
 
     #[test]
     fn zero_size_tensors_are_placed_at_zero() {
-        let inst = DsaInstance {
-            tensors: vec![t(0, 0, 0, 5), t(1, 8, 0, 5), t(2, 0, 2, 4)],
-        };
+        let inst = DsaInstance::new(vec![t(0, 0, 0, 5), t(1, 8, 0, 5), t(2, 0, 2, 4)]);
         let sol = solve(&inst);
         sol.assignment.validate(&inst).unwrap();
         assert_eq!(sol.assignment.peak, 8);
@@ -599,16 +591,14 @@ mod tests {
     #[test]
     fn certified_exit_reports_the_boxing_guarantee() {
         // Nested lifespans over five height classes, plus a zero-size one.
-        let inst = DsaInstance {
-            tensors: vec![
-                t(0, 100, 0, 20),
-                t(1, 3, 1, 9),
-                t(2, 17, 2, 5),
-                t(3, 0, 3, 4),
-                t(4, 1, 10, 19),
-                t(5, 64, 11, 12),
-            ],
-        };
+        let inst = DsaInstance::new(vec![
+            t(0, 100, 0, 20),
+            t(1, 3, 1, 9),
+            t(2, 17, 2, 5),
+            t(3, 0, 3, 4),
+            t(4, 1, 10, 19),
+            t(5, 64, 11, 12),
+        ]);
         let sol = solve(&inst);
         let js = jobsets(&inst);
         assert_eq!(sol.assignment.peak, js.load, "stack-shaped: optimal");
@@ -622,9 +612,7 @@ mod tests {
     #[test]
     fn jobsets_sum_bytes_past_i64() {
         let huge = (1u64 << 63) + 1;
-        let inst = DsaInstance {
-            tensors: vec![t(0, huge, 0, 4), t(1, huge, 2, 6), t(2, 5, 0, 1)],
-        };
+        let inst = DsaInstance::new(vec![t(0, huge, 0, 4), t(1, huge, 2, 6), t(2, 5, 0, 1)]);
         let js = jobsets(&inst);
         assert_eq!(js.load, u64::MAX);
         let top = js.classes.last().unwrap();

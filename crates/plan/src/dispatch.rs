@@ -138,8 +138,8 @@ mod tests {
     use memo_model::trace::TensorId;
 
     fn chain(n: usize, overlap_all: bool) -> DsaInstance {
-        DsaInstance {
-            tensors: (0..n)
+        DsaInstance::new(
+            (0..n)
                 .map(|i| DsaTensor {
                     id: TensorId(i as u64),
                     size: 8 + i as u64,
@@ -147,7 +147,7 @@ mod tests {
                     death: if overlap_all { n + 1 } else { i + 1 },
                 })
                 .collect(),
-        }
+        )
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //!
 //! The whole-trace ("flat") formulation used to be written off as
 //! computationally intractable; with the streaming [`DsaInstanceBuilder`],
-//! the sweep-line [`crate::index::IntervalIndex`], the O(n log n)
-//! [`Assignment::validate`] and the [`crate::boxing`] solver it now scales
-//! to million-interval traces.
+//! the sweep-line [`crate::index::IntervalIndex`], [`Assignment::validate`]
+//! (an O(n) decision pass that accepts the skyline's plans, then an
+//! O(n log n) sweep for every other plan) and the [`crate::boxing`] solver
+//! it now scales to million-interval traces.
 
 use crate::bitset::BitTree;
-use memo_model::hash::FxHashMap;
 use memo_model::trace::{IterationTrace, MemOp, Request, TensorId};
 use std::cmp::Reverse;
 
@@ -35,20 +35,160 @@ impl DsaTensor {
 }
 
 /// A DSA problem instance.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// An instance made by [`DsaInstanceBuilder`] carries what the builder saw
+/// while streaming: the liveness bound, that its deaths strictly ascend,
+/// and that no lifespan is empty. The solver then skips the passes that
+/// would find them again. The tensors are private to this crate, so no
+/// caller can edit them out from under those facts: read them with
+/// [`tensors`](Self::tensors), and make an instance without facts with
+/// [`new`](Self::new). Equality compares the tensors only.
+#[derive(Debug, Clone, Default)]
 pub struct DsaInstance {
-    pub tensors: Vec<DsaTensor>,
+    /// Never edited in place once the instance has facts: code in this
+    /// crate that reorders or moves tensors makes a new instance.
+    pub(crate) tensors: Vec<DsaTensor>,
+    facts: Option<StreamFacts>,
+}
+
+/// What [`DsaInstanceBuilder`] knows of an instance it made. Its deaths
+/// strictly ascend (a tensor is stored at its free, and every request
+/// advances the cursor), and no lifespan is empty (a free comes after its
+/// malloc).
+#[derive(Debug, Clone, Copy)]
+struct StreamFacts {
+    /// The liveness bound: the peak of the builder's running sum of live
+    /// bytes, saturated to `u64` as [`DsaInstance::lower_bound`] does.
+    load: u64,
+}
+
+impl PartialEq for DsaInstance {
+    fn eq(&self, other: &Self) -> bool {
+        self.tensors == other.tensors
+    }
+}
+
+impl Eq for DsaInstance {}
+
+/// The builder's open tensors: an open-addressed table whose home slot
+/// for an id is the id's low bits, so the sequential ids of a trace land
+/// in adjacent slots. Collisions probe linearly, and a removal shifts the
+/// rest of its probe run back (no tombstones). The table doubles when it
+/// would be more than three-quarters full, so its size follows the open
+/// tensors, not the id range. Ids that share their low bits share a home
+/// and probe past each other; like the Fx-hashed map it replaced, the
+/// table assumes ids are not crafted to collide.
+#[derive(Debug, Default)]
+struct OpenTable {
+    /// A power-of-two number of slots (or none before the first insert).
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    id: TensorId,
+    /// [`VACANT`] marks an empty slot.
+    birth: usize,
+    size: u64,
+}
+
+/// The birth of an empty slot: the cursor would need `usize::MAX` pushes
+/// to reach it.
+const VACANT: usize = usize::MAX;
+const MIN_SLOTS: usize = 16;
+
+impl OpenTable {
+    fn home(&self, id: TensorId) -> usize {
+        id.0 as usize & (self.slots.len() - 1)
+    }
+
+    /// Open `id`; returns `false` (overwriting the entry) if it was open.
+    fn insert(&mut self, id: TensorId, birth: usize, size: u64) -> bool {
+        if 4 * (self.len + 1) > 3 * self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(id);
+        loop {
+            let s = &mut self.slots[i];
+            if s.birth == VACANT || s.id == id {
+                let fresh = s.birth == VACANT;
+                *s = Slot { id, birth, size };
+                self.len += usize::from(fresh);
+                return fresh;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Close `id`, returning its `(birth, size)` if it was open.
+    fn remove(&mut self, id: TensorId) -> Option<(usize, u64)> {
+        if self.len == 0 {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut hole = self.home(id);
+        let found = loop {
+            let s = self.slots[hole];
+            if s.birth == VACANT {
+                return None;
+            }
+            if s.id == id {
+                break s;
+            }
+            hole = (hole + 1) & mask;
+        };
+        // Pull each later entry of the run whose home is not in
+        // `(hole, j]` back into the hole.
+        let mut j = (hole + 1) & mask;
+        while self.slots[j].birth != VACANT {
+            let probe = j.wrapping_sub(self.home(self.slots[j].id)) & mask;
+            if probe >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = self.slots[j];
+                hole = j;
+            }
+            j = (j + 1) & mask;
+        }
+        self.slots[hole].birth = VACANT;
+        self.len -= 1;
+        Some((found.birth, found.size))
+    }
+
+    fn grow(&mut self) {
+        let vacant = Slot {
+            id: TensorId(0),
+            birth: VACANT,
+            size: 0,
+        };
+        let slots = vec![vacant; (2 * self.slots.len()).max(MIN_SLOTS)];
+        let old = std::mem::replace(&mut self.slots, slots);
+        let mask = self.slots.len() - 1;
+        for s in old.into_iter().filter(|s| s.birth != VACANT) {
+            let mut i = self.home(s.id);
+            while self.slots[i].birth != VACANT {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = s;
+        }
+    }
 }
 
 /// Streaming construction of a [`DsaInstance`] from a malloc/free event
 /// stream, without materializing the flattened request vector. Each pushed
 /// request advances the event cursor by one; lifespans are the half-open
-/// `[birth, death)` cursor intervals.
+/// `[birth, death)` cursor intervals. The builder keeps a running sum of
+/// the live bytes, whose peak is the instance's liveness bound.
 #[derive(Debug, Default)]
 pub struct DsaInstanceBuilder {
-    open: FxHashMap<TensorId, (usize, u64)>,
+    open: OpenTable,
     tensors: Vec<DsaTensor>,
     cursor: usize,
+    /// Bytes of the open tensors (and of any a second malloc overwrote,
+    /// which poisons the builder): at least every open size, so a free
+    /// never underflows it.
+    live: u128,
+    peak: u128,
     poisoned: bool,
 }
 
@@ -63,17 +203,22 @@ impl DsaInstanceBuilder {
     pub fn push(&mut self, r: &Request) {
         match r.op {
             MemOp::Malloc => {
-                if self.open.insert(r.tensor, (self.cursor, r.bytes)).is_some() {
+                if !self.open.insert(r.tensor, self.cursor, r.bytes) {
                     self.poisoned = true;
                 }
+                self.live += u128::from(r.bytes);
+                self.peak = self.peak.max(self.live);
             }
-            MemOp::Free => match self.open.remove(&r.tensor) {
-                Some((birth, size)) => self.tensors.push(DsaTensor {
-                    id: r.tensor,
-                    size,
-                    birth,
-                    death: self.cursor,
-                }),
+            MemOp::Free => match self.open.remove(r.tensor) {
+                Some((birth, size)) => {
+                    self.live -= u128::from(size);
+                    self.tensors.push(DsaTensor {
+                        id: r.tensor,
+                        size,
+                        birth,
+                        death: self.cursor,
+                    });
+                }
                 None => self.poisoned = true,
             },
         }
@@ -84,9 +229,12 @@ impl DsaInstanceBuilder {
     /// no matching malloc (the stream crossed a segment boundary), or a
     /// tensor was malloc'd while open.
     pub fn finish(self) -> Option<DsaInstance> {
-        if self.open.is_empty() && !self.poisoned {
+        if self.open.len == 0 && !self.poisoned {
             Some(DsaInstance {
                 tensors: self.tensors,
+                facts: Some(StreamFacts {
+                    load: u64::try_from(self.peak).unwrap_or(u64::MAX),
+                }),
             })
         } else {
             None
@@ -95,6 +243,14 @@ impl DsaInstanceBuilder {
 }
 
 impl DsaInstance {
+    /// An instance of `tensors`, in that order, without builder facts.
+    pub fn new(tensors: Vec<DsaTensor>) -> Self {
+        DsaInstance {
+            tensors,
+            facts: None,
+        }
+    }
+
     /// Build from a whole iteration trace (the "flat" whole-model
     /// formulation), streaming the requests without collecting them.
     pub fn from_trace(trace: &IterationTrace) -> DsaInstance {
@@ -105,6 +261,11 @@ impl DsaInstance {
         b.finish().expect("validated traces have no open tensors")
     }
 
+    /// The tensors, `tensors()[i]` placed at an assignment's `offsets[i]`.
+    pub fn tensors(&self) -> &[DsaTensor] {
+        &self.tensors
+    }
+
     pub fn len(&self) -> usize {
         self.tensors.len()
     }
@@ -113,18 +274,29 @@ impl DsaInstance {
         self.tensors.is_empty()
     }
 
+    /// Whether some tensor's lifespan is empty (`death <= birth`); never
+    /// for a builder-made instance, which is not scanned.
+    pub(crate) fn has_empty_lifespans(&self) -> bool {
+        self.facts.is_none() && self.tensors.iter().any(|t| t.death <= t.birth)
+    }
+
     /// Liveness lower bound: at any event point, all live tensors must fit,
     /// so `max_t Σ_{live at t} size` bounds every assignment's peak from
     /// below. (This is the clique bound on the interval-overlap graph.)
     /// Saturates at `u64::MAX`; a tensor with `death <= birth` is live at
     /// no position.
     ///
-    /// One delta sweep over the positions shifted by the smallest one, when
-    /// that leaves at most `2·n + 2` slots (the `dense_positions` test)
-    /// and the live tensors' byte total fits a `u64`: no live sum exceeds
-    /// that total, so wrapping `u64` arithmetic is exact. Sparse positions
-    /// and larger totals take the rank-compressed 128-bit sweep.
+    /// A builder-made instance returns the bound its builder streamed.
+    /// Any other takes one delta sweep over the positions shifted by the
+    /// smallest one, when that leaves at most `2·n + 2` slots (the
+    /// `dense_positions` test) and the live tensors' byte total fits a
+    /// `u64`: no live sum exceeds that total, so wrapping `u64` arithmetic
+    /// is exact. Sparse positions and larger totals take the
+    /// rank-compressed 128-bit sweep.
     pub fn lower_bound(&self) -> u64 {
+        if let Some(facts) = self.facts {
+            return facts.load;
+        }
         let n = self.tensors.len();
         let (mut lo, mut hi, mut total) = (usize::MAX, 0, Some(0u64));
         for t in &self.tensors {
@@ -173,12 +345,12 @@ impl DsaInstance {
 
     /// Call `f` on every tensor index in death-descending order (ties:
     /// birth ascending, then index), stopping at the first `false`; returns
-    /// whether every call returned `true`. A builder-made instance, whose
-    /// deaths strictly ascend, is walked backwards in place; any other
-    /// takes one sort of its indices.
+    /// whether every call returned `true`. An instance whose deaths
+    /// strictly ascend is walked backwards in place (a builder-made one
+    /// without a check); any other takes one sort of its indices.
     pub(crate) fn death_descending(&self, f: impl FnMut(usize) -> bool) -> bool {
         let t = &self.tensors;
-        if t.windows(2).all(|w| w[0].death < w[1].death) {
+        if self.facts.is_some() || t.windows(2).all(|w| w[0].death < w[1].death) {
             return (0..t.len()).rev().all(f);
         }
         let mut order: Vec<usize> = (0..t.len()).collect();
@@ -590,9 +762,7 @@ mod tests {
 
     #[test]
     fn lower_bound_is_max_liveness() {
-        let inst = DsaInstance {
-            tensors: vec![t(0, 10, 0, 4), t(1, 20, 2, 6), t(2, 5, 5, 8)],
-        };
+        let inst = DsaInstance::new(vec![t(0, 10, 0, 4), t(1, 20, 2, 6), t(2, 5, 5, 8)]);
         // at event 2..4: tensors 0+1 live => 30; at 5: 20+5 = 25
         assert_eq!(inst.lower_bound(), 30);
     }
@@ -628,13 +798,11 @@ mod tests {
         // Totals u64::MAX, u64::MAX, u64::MAX + 1, u64::MAX + 1.
         for sizes in [[half - 1, half], [u64::MAX, 0], [half, half], [u64::MAX, 1]] {
             for (birth, overlap) in [(2, true), (4, false)] {
-                let inst = DsaInstance {
-                    tensors: vec![
-                        t(0, sizes[0], 0, 4),
-                        t(1, sizes[1], birth, birth + 4),
-                        t(2, u64::MAX, 3, 3),
-                    ],
-                };
+                let inst = DsaInstance::new(vec![
+                    t(0, sizes[0], 0, 4),
+                    t(1, sizes[1], birth, birth + 4),
+                    t(2, u64::MAX, 3, 3),
+                ]);
                 let want = if overlap {
                     u64::MAX
                 } else {
@@ -662,7 +830,7 @@ mod tests {
                 let size = if size % 8 == 0 { 0 } else { size };
                 t(i as u64, size, base + b * stride, base + (b + len) * stride)
             });
-            let inst = DsaInstance { tensors: tensors.collect() };
+            let inst = DsaInstance::new(tensors.collect());
             prop_assert_eq!(inst.lower_bound(), lower_bound_by_event_sort(&inst));
             // Dense positions keep order and equality, in O(n) slots.
             let (pos, span) = inst.dense_positions();
@@ -695,11 +863,14 @@ mod tests {
             };
             let mut b = DsaInstanceBuilder::new();
             for_each_request(&p, |r| b.push(r));
-            let mut inst = b.finish().unwrap();
-            for t in &mut inst.tensors {
+            let built = b.finish().unwrap();
+            assert_eq!(built.lower_bound(), lower_bound_by_event_sort(&built));
+            let mut tensors = built.tensors;
+            for t in &mut tensors {
                 t.birth += base;
                 t.death += base;
             }
+            let inst = DsaInstance::new(tensors);
             assert_eq!(inst.lower_bound(), lower_bound_by_event_sort(&inst));
         }
     }
@@ -707,30 +878,22 @@ mod tests {
     #[test]
     fn lower_bound_sums_bytes_past_i64() {
         let huge = (1u64 << 63) + 1;
-        let inst = DsaInstance {
-            tensors: vec![t(0, huge, 0, 4), t(1, 3, 4, 6)],
-        };
+        let inst = DsaInstance::new(vec![t(0, huge, 0, 4), t(1, 3, 4, 6)]);
         assert_eq!(inst.lower_bound(), huge);
-        let inst = DsaInstance {
-            tensors: vec![t(0, huge, 0, 4), t(1, huge, 2, 6)],
-        };
+        let inst = DsaInstance::new(vec![t(0, huge, 0, 4), t(1, huge, 2, 6)]);
         assert_eq!(inst.lower_bound(), u64::MAX, "saturates");
     }
 
     #[test]
     fn lower_bound_respects_half_open_boundaries() {
         // tensor 1 born exactly when tensor 0 dies: address reuse possible.
-        let inst = DsaInstance {
-            tensors: vec![t(0, 10, 0, 3), t(1, 10, 3, 6)],
-        };
+        let inst = DsaInstance::new(vec![t(0, 10, 0, 3), t(1, 10, 3, 6)]);
         assert_eq!(inst.lower_bound(), 10);
     }
 
     #[test]
     fn validate_rejects_overlap() {
-        let inst = DsaInstance {
-            tensors: vec![t(0, 10, 0, 4), t(1, 10, 2, 6)],
-        };
+        let inst = DsaInstance::new(vec![t(0, 10, 0, 4), t(1, 10, 2, 6)]);
         let bad = Assignment {
             offsets: vec![0, 5],
             peak: 15,
@@ -747,9 +910,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_peak_violation() {
-        let inst = DsaInstance {
-            tensors: vec![t(0, 10, 0, 4)],
-        };
+        let inst = DsaInstance::new(vec![t(0, 10, 0, 4)]);
         let bad = Assignment {
             offsets: vec![5],
             peak: 12,
@@ -762,9 +923,7 @@ mod tests {
     fn validate_reports_overflow_at_u64_max_adjacent_offsets() {
         // Regression: offsets near u64::MAX used to overflow `offset + size`
         // (a debug-mode panic / release-mode wraparound masking the error).
-        let inst = DsaInstance {
-            tensors: vec![t(0, 8, 0, 4), t(1, 8, 2, 6)],
-        };
+        let inst = DsaInstance::new(vec![t(0, 8, 0, 4), t(1, 8, 2, 6)]);
         let bad = Assignment {
             offsets: vec![u64::MAX - 4, 0],
             peak: u64::MAX,
@@ -779,9 +938,7 @@ mod tests {
 
     #[test]
     fn validate_sweep_handles_zero_size_and_shared_offsets() {
-        let inst = DsaInstance {
-            tensors: vec![t(0, 0, 0, 4), t(1, 0, 1, 5), t(2, 4, 2, 6)],
-        };
+        let inst = DsaInstance::new(vec![t(0, 0, 0, 4), t(1, 0, 1, 5), t(2, 4, 2, 6)]);
         // Zero-size tensors at a nonzero range's boundaries are fine (and
         // may share an offset with each other).
         let ok = Assignment {
@@ -938,7 +1095,7 @@ mod tests {
             let offsets = raw.iter().map(|&(_, _, _, kind, off)| {
                 if kind == 1 && off < 4 { u64::MAX - off } else { off }
             });
-            let inst = DsaInstance { tensors: tensors.collect() };
+            let inst = DsaInstance::new(tensors.collect());
             assert_validators_agree(&Assignment { offsets: offsets.collect(), peak }, &inst);
         }
 
@@ -957,7 +1114,7 @@ mod tests {
             let tensors = raw.iter().enumerate().map(|(i, &(size, birth, len))| {
                 t(i as u64, size.saturating_sub(2), birth, birth + len.max(shortest))
             });
-            let inst = DsaInstance { tensors: tensors.collect() };
+            let inst = DsaInstance::new(tensors.collect());
             let (offsets, peak) = crate::skyline::place(&inst);
             let valid = Assignment { offsets, peak };
             prop_assert!(valid.validate(&inst).is_ok());
@@ -1019,10 +1176,12 @@ mod tests {
             let mut inst = b.finish().unwrap();
             for shuffled in [false, true] {
                 if shuffled {
-                    let n = inst.len();
+                    let mut tensors = inst.tensors;
+                    let n = tensors.len();
                     for i in 0..n {
-                        inst.tensors.swap(i, (i * 7919 + 13) % n);
+                        tensors.swap(i, (i * 7919 + 13) % n);
                     }
+                    inst = DsaInstance::new(tensors);
                 }
                 let (offsets, peak) = crate::skyline::place(&inst);
                 let mut a = Assignment { offsets, peak };
@@ -1091,5 +1250,215 @@ mod tests {
             b.finish().unwrap().tensors,
             vec![t(0, 16, 0, 2), t(2, 4, 3, 4), t(1, 8, 1, 5)]
         );
+    }
+
+    /// The `FxHashMap` builder the open table replaced, kept as the
+    /// differential oracle of [`DsaInstanceBuilder`]. Its instances carry
+    /// no facts, so the solver scans them.
+    #[derive(Default)]
+    struct MapBuilder {
+        open: memo_model::hash::FxHashMap<TensorId, (usize, u64)>,
+        tensors: Vec<DsaTensor>,
+        cursor: usize,
+        poisoned: bool,
+    }
+
+    impl MapBuilder {
+        fn push(&mut self, r: &Request) {
+            match r.op {
+                MemOp::Malloc => {
+                    if self.open.insert(r.tensor, (self.cursor, r.bytes)).is_some() {
+                        self.poisoned = true;
+                    }
+                }
+                MemOp::Free => match self.open.remove(&r.tensor) {
+                    Some((birth, size)) => {
+                        self.tensors.push(t(r.tensor.0, size, birth, self.cursor))
+                    }
+                    None => self.poisoned = true,
+                },
+            }
+            self.cursor += 1;
+        }
+
+        fn finish(self) -> Option<DsaInstance> {
+            (self.open.is_empty() && !self.poisoned).then(|| DsaInstance::new(self.tensors))
+        }
+    }
+
+    /// `(builder, oracle)` instances of the requests `feed` pushes.
+    fn build_both(
+        feed: impl FnOnce(&mut dyn FnMut(&Request)),
+    ) -> (Option<DsaInstance>, Option<DsaInstance>) {
+        let (mut b, mut m) = (DsaInstanceBuilder::new(), MapBuilder::default());
+        feed(&mut |r| {
+            b.push(r);
+            m.push(r);
+        });
+        (b.finish(), m.finish())
+    }
+
+    fn req(op: MemOp, id: u64, bytes: u64) -> Request {
+        Request {
+            op,
+            tensor: TensorId(id),
+            bytes,
+            label: memo_model::trace::Sym::EMPTY,
+        }
+    }
+
+    /// A run of sequential ids past the table's first size; ids that share
+    /// their low bits (`k`, `k + 2^61`, `k + 2^62`: `memo_model::trace`'s
+    /// forward and backward bases); and the top of the id space.
+    fn stream_ids() -> Vec<u64> {
+        let mut ids: Vec<u64> = (0..40).collect();
+        for k in 0..6 {
+            ids.extend([k + (1 << 61), k + (1 << 62), k + (3 << 61)]);
+        }
+        ids.extend([u64::MAX, u64::MAX - 1, 1 << 63]);
+        ids
+    }
+
+    /// Sizes whose live sums pass `u64::MAX`.
+    const STREAM_SIZES: [u64; 6] = [0, 1, 24, 4096, 1 << 63, u64::MAX];
+
+    /// A malloc/free stream from `steps`: a malloc of a closed id, or a free
+    /// of an open one; with `defects`, kinds 0 and 1 are a malloc and a free
+    /// whatever the id's state (a duplicate malloc, an unmatched free, or a
+    /// leak). Without `drain` the tensors left open leak.
+    fn stream(steps: &[(u8, usize, usize)], defects: bool, drain: bool) -> Vec<Request> {
+        let ids = stream_ids();
+        let (mut open, mut out) = (Vec::new(), Vec::new());
+        for &(kind, a, s) in steps {
+            let (id, size) = (ids[a % ids.len()], STREAM_SIZES[s % STREAM_SIZES.len()]);
+            match kind {
+                0 if defects => out.push(req(MemOp::Malloc, id, size)),
+                1 if defects => out.push(req(MemOp::Free, id, 0)),
+                0..=7 if !open.contains(&id) => {
+                    open.push(id);
+                    out.push(req(MemOp::Malloc, id, size));
+                }
+                _ if !open.is_empty() => {
+                    let id = open.remove(a % open.len());
+                    out.push(req(MemOp::Free, id, 0));
+                }
+                _ => {}
+            }
+        }
+        if drain {
+            out.extend(open.into_iter().rev().map(|id| req(MemOp::Free, id, 0)));
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The open table builds what the map did, poison verdicts
+        /// included, and the bound it streams is the one the sweeps find
+        /// (live bytes past `u64::MAX` saturate alike).
+        #[test]
+        fn builder_matches_the_map_oracle_on_random_streams(
+            steps in prop::collection::vec((0u8..16, 0usize..64, 0usize..6), 0..160),
+            defects in prop::sample::select(vec![false, false, true]),
+            drain in prop::sample::select(vec![true, true, true, false]),
+        ) {
+            let requests = stream(&steps, defects, drain);
+            let (built, oracle) = build_both(|push| requests.iter().for_each(push));
+            prop_assert_eq!(&built, &oracle);
+            if let Some(inst) = built {
+                let plain = DsaInstance::new(inst.tensors().to_vec());
+                prop_assert_eq!(inst.lower_bound(), plain.lower_bound());
+                prop_assert_eq!(inst.lower_bound(), lower_bound_by_event_sort(&plain));
+                prop_assert!(!plain.has_empty_lifespans());
+                prop_assert_eq!(crate::skyline::place(&inst), crate::skyline::place(&plain));
+            }
+        }
+    }
+
+    #[test]
+    fn builder_bound_saturates_past_u64_max() {
+        let requests = [
+            req(MemOp::Malloc, 1 << 61, u64::MAX),
+            req(MemOp::Malloc, 1 << 62, u64::MAX),
+            req(MemOp::Free, 1 << 61, 0),
+            req(MemOp::Free, 1 << 62, 0),
+            req(MemOp::Malloc, 0, 5),
+            req(MemOp::Free, 0, 0),
+        ];
+        let (built, oracle) = build_both(|push| requests.iter().for_each(push));
+        let (built, oracle) = (built.unwrap(), oracle.unwrap());
+        assert_eq!(built, oracle);
+        assert_eq!(built.lower_bound(), u64::MAX);
+        assert_eq!(oracle.lower_bound(), u64::MAX);
+    }
+
+    /// The builder's facts change what the solver scans, never what it
+    /// returns.
+    fn assert_solves_alike(built: &DsaInstance, oracle: &DsaInstance, case: &str) {
+        use crate::dispatch::{solve, DispatchOptions};
+        assert_eq!(built, oracle, "{case}");
+        assert_eq!(built.lower_bound(), oracle.lower_bound(), "{case}");
+        let opts = DispatchOptions::default();
+        let (a, b) = (solve(built, &opts), solve(oracle, &opts));
+        assert_eq!(a.assignment, b.assignment, "{case}");
+        assert_eq!(
+            (a.lower_bound, a.backend, a.guarantee, a.optimal),
+            (b.lower_bound, b.backend, b.guarantee, b.optimal),
+            "{case}"
+        );
+        assert_eq!(a.assignment.validate(built), Ok(()), "{case}");
+    }
+
+    /// The dsa-chunked strata (30B, 65B and 100B models; power-of-two and
+    /// 1.5× chunk sizes; a partial last chunk) at two layers and an eighth
+    /// of their chunks.
+    #[test]
+    fn builders_agree_and_solve_alike_on_chunked_strata() {
+        use memo_model::chunked::{for_each_request, ChunkedParams};
+        use memo_model::config::{DType, ModelConfig};
+        let strata = [
+            (ModelConfig::gpt_30b(), 32, &[1024, 2048, 4096][..]),
+            (ModelConfig::gpt_65b(), 48, &[1536, 3072]),
+            (ModelConfig::gpt_100b(), 64, &[1024, 2048, 4096]),
+        ];
+        for (model, chunks, chunk_tokens) in strata {
+            for (k, &chunk) in chunk_tokens.iter().enumerate() {
+                let p = ChunkedParams {
+                    model: ModelConfig {
+                        n_layers: 2,
+                        ..model.clone()
+                    },
+                    dtype: DType::F16,
+                    seq_tokens: chunks * chunk - (k as u64 * 331) % chunk,
+                    chunk_tokens: chunk,
+                };
+                let (built, oracle) = build_both(|push| for_each_request(&p, push));
+                let case = format!("{} {}/{chunk}", model.name, p.seq_tokens);
+                assert_solves_alike(&built.unwrap(), &oracle.unwrap(), &case);
+            }
+        }
+    }
+
+    /// Whole-model traces, whose ids share low bits across the forward and
+    /// backward bases, and whose plans take boxing when the skyline misses
+    /// the bound.
+    #[test]
+    fn builders_agree_and_solve_alike_on_whole_model_traces() {
+        use memo_model::activations::LayerDims;
+        use memo_model::config::{DType, ModelConfig};
+        use memo_model::trace::{generate, RematPolicy, TraceParams};
+        let m = ModelConfig::tiny(4, 64, 4, 128);
+        let dims = LayerDims::new(256, &m, DType::BF16);
+        for policy in [
+            RematPolicy::KeepAll,
+            RematPolicy::FullRecompute,
+            RematPolicy::MemoTokenWise,
+        ] {
+            let trace = generate(&TraceParams::new(&m, dims, policy));
+            let built = DsaInstance::from_trace(&trace);
+            let (_, oracle) = build_both(|push| trace.flatten().for_each(|r| push(&r)));
+            assert_solves_alike(&built, &oracle.unwrap(), &format!("{policy:?}"));
+        }
     }
 }

@@ -225,7 +225,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let inst = DsaInstance { tensors };
+            let inst = DsaInstance::new(tensors);
             let adj = adjacency(&inst);
             for o in ORDERS {
                 let order = ordering(&inst, o);
@@ -245,9 +245,7 @@ mod tests {
 
     #[test]
     fn disjoint_lifespans_share_addresses() {
-        let inst = DsaInstance {
-            tensors: vec![t(0, 100, 0, 2), t(1, 100, 2, 4), t(2, 100, 4, 6)],
-        };
+        let inst = DsaInstance::new(vec![t(0, 100, 0, 2), t(1, 100, 2, 4), t(2, 100, 4, 6)]);
         let a = solve(&inst);
         a.validate(&inst).unwrap();
         assert_eq!(a.peak, 100, "sequential tensors must reuse one slot");
@@ -255,9 +253,7 @@ mod tests {
 
     #[test]
     fn overlapping_tensors_stack() {
-        let inst = DsaInstance {
-            tensors: vec![t(0, 100, 0, 4), t(1, 50, 1, 3), t(2, 25, 2, 5)],
-        };
+        let inst = DsaInstance::new(vec![t(0, 100, 0, 4), t(1, 50, 1, 3), t(2, 25, 2, 5)]);
         let a = solve(&inst);
         a.validate(&inst).unwrap();
         assert_eq!(a.peak, 175);
@@ -281,7 +277,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let inst = DsaInstance { tensors };
+            let inst = DsaInstance::new(tensors);
             let a = solve(&inst);
             a.validate(&inst).unwrap();
             assert!(a.peak >= inst.lower_bound());
@@ -307,7 +303,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let inst = DsaInstance { tensors };
+            let inst = DsaInstance::new(tensors);
             let (a, base) = (solve_by_insertion(&inst), solve(&inst));
             a.validate(&inst).unwrap();
             assert_eq!(a.peak, a.measured_peak(&inst));

@@ -101,8 +101,8 @@ mod tests {
     use memo_model::trace::TensorId;
 
     fn inst_from(spans: &[(usize, usize)]) -> DsaInstance {
-        DsaInstance {
-            tensors: spans
+        DsaInstance::new(
+            spans
                 .iter()
                 .enumerate()
                 .map(|(i, &(b, d))| DsaTensor {
@@ -112,7 +112,7 @@ mod tests {
                     death: d,
                 })
                 .collect(),
-        }
+        )
     }
 
     /// Deterministic pseudo-random spans (xorshift; no external RNG).

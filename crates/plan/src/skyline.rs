@@ -76,9 +76,10 @@ impl Skyline {
 /// [`DsaInstance::conflicts_of`] rule). All of those die after `p`, so
 /// they were placed before any tensor dying at `p`; the point tensor takes
 /// the height just below `p` as it stood then, and — since nothing placed
-/// later conflicts with it — leaves the skyline unchanged.
+/// later conflicts with it — leaves the skyline unchanged. A builder-made
+/// instance has no empty lifespans, so it is not scanned for them.
 pub(crate) fn place(inst: &DsaInstance) -> (Vec<u64>, u64) {
-    let has_points = inst.tensors.iter().any(|t| t.death <= t.birth);
+    let has_points = inst.has_empty_lifespans();
     let mut sky = Skyline::default();
     let mut offsets = vec![0u64; inst.len()];
     let mut peak = 0u64;
@@ -148,9 +149,8 @@ mod tests {
     /// shifted or sparse position range.
     fn inst_strategy(base: usize, stride: usize) -> impl Strategy<Value = DsaInstance> {
         prop::collection::vec((0u64..64, 0usize..40, 0usize..12), 0..60).prop_map(move |raw| {
-            DsaInstance {
-                tensors: raw
-                    .into_iter()
+            DsaInstance::new(
+                raw.into_iter()
                     .enumerate()
                     .map(|(i, (size, birth, len))| DsaTensor {
                         id: TensorId(i as u64),
@@ -159,7 +159,7 @@ mod tests {
                         death: base + (birth + len) * stride,
                     })
                     .collect(),
-            }
+            )
         })
     }
 
@@ -240,7 +240,7 @@ mod tests {
         for s in 1..=20u64 {
             let (mut tensors, mut seed) = (Vec::new(), s);
             nest(&mut tensors, 0, 400, 7, &mut seed);
-            let inst = DsaInstance { tensors };
+            let inst = DsaInstance::new(tensors);
             let (offsets, peak) = skyline_of(&inst);
             assert_eq!(peak, inst.lower_bound(), "seed {s}");
             crate::dsa::Assignment { offsets, peak }

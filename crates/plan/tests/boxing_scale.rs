@@ -16,9 +16,8 @@ use proptest::prelude::*;
 /// random sub-intervals of a short horizon.
 fn inst_strategy(max_n: usize) -> impl Strategy<Value = DsaInstance> {
     prop::collection::vec((0u64..1024, 0usize..96, 1usize..48), 1..max_n).prop_map(|raw| {
-        DsaInstance {
-            tensors: raw
-                .into_iter()
+        DsaInstance::new(
+            raw.into_iter()
                 .enumerate()
                 .map(|(i, (size, birth, len))| DsaTensor {
                     id: TensorId(i as u64),
@@ -27,7 +26,7 @@ fn inst_strategy(max_n: usize) -> impl Strategy<Value = DsaInstance> {
                     death: birth + len,
                 })
                 .collect(),
-        }
+        )
     })
 }
 
@@ -53,13 +52,13 @@ proptest! {
         salt in prop::collection::vec(0u64..64, 60..61),
     ) {
         let offsets: Vec<u64> = inst
-            .tensors
+            .tensors()
             .iter()
             .zip(salt.iter().cycle())
             .map(|(_, s)| s * 32)
             .collect();
         let peak = inst
-            .tensors
+            .tensors()
             .iter()
             .zip(&offsets)
             .map(|(t, o)| o + t.size)
@@ -111,8 +110,8 @@ proptest! {
 // pure boxing candidates — the last-resort backend never appears.
 #[test]
 fn best_fit_is_last_resort_only() {
-    let inst = DsaInstance {
-        tensors: (0..60)
+    let inst = DsaInstance::new(
+        (0..60)
             .map(|i| DsaTensor {
                 id: TensorId(i),
                 size: 64 + i,
@@ -120,7 +119,7 @@ fn best_fit_is_last_resort_only() {
                 death: 10,
             })
             .collect(),
-    };
+    );
     let no_portfolio = DispatchOptions {
         boxing: BoxingOptions {
             portfolio_max_tensors: 0,
@@ -187,7 +186,7 @@ fn corpus_instance(seed: u64, n: usize) -> DsaInstance {
             }
         })
         .collect();
-    DsaInstance { tensors }
+    DsaInstance::new(tensors)
 }
 
 // Small instances where exact search completes: wherever BnB proves

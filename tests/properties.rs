@@ -15,9 +15,8 @@ use proptest::prelude::*;
 
 fn arb_instance(max_n: usize) -> impl Strategy<Value = DsaInstance> {
     prop::collection::vec((1u64..64, 0usize..30, 1usize..10), 1..max_n).prop_map(|raw| {
-        DsaInstance {
-            tensors: raw
-                .into_iter()
+        DsaInstance::new(
+            raw.into_iter()
                 .enumerate()
                 .map(|(i, (size, birth, len))| DsaTensor {
                     id: TensorId(i as u64),
@@ -26,7 +25,7 @@ fn arb_instance(max_n: usize) -> impl Strategy<Value = DsaInstance> {
                     death: birth + len,
                 })
                 .collect(),
-        }
+        )
     })
 }
 
