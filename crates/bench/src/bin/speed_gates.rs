@@ -34,10 +34,10 @@
 //!   release and two `drift_bytes` reads) at 48 active tenants ≤ 1.5× the
 //!   same at one tenant (median of alternating pairs): drift is read from
 //!   running totals, not from a scan of every slice;
-//! * the 1,013,850-interval MegaTrain chunked instance plans in < 30 s,
-//!   validates in at most 3× the plan's time, stays within the boxing
-//!   guarantee (`gap_ok`) and is proven optimal (peak at the liveness
-//!   bound).
+//! * the 1,013,850-interval MegaTrain chunked instance builds in at most
+//!   3× the plan's time, plans in < 30 s, validates in at most 3× the
+//!   plan's time, stays within the boxing guarantee (`gap_ok`) and is
+//!   proven optimal (peak at the liveness bound).
 
 use memo_alloc::caching::CachingAllocator;
 use memo_alloc::paged::PagedKvAllocator;
@@ -506,17 +506,25 @@ fn megatrain_gate() -> bool {
     let valid = sol.assignment.validate(&inst).is_ok();
     let validate_ms = t0.elapsed().as_secs_f64() * 1e3;
     let check = validate_ms / ms;
+    let build = build_ms / ms;
     let peak = sol.assignment.peak;
     let gap_ok = peak >= sol.lower_bound && sol.guarantee.is_none_or(|g| peak <= g);
     let optimal = sol.optimal;
     gate(
         "MegaTrain chunked plan",
-        inst.len() >= 1_000_000 && ms < 30_000.0 && valid && gap_ok && optimal && check <= 3.0,
+        inst.len() >= 1_000_000
+            && ms < 30_000.0
+            && valid
+            && gap_ok
+            && optimal
+            && check <= 3.0
+            && build <= 3.0,
         format!(
-            "{} intervals built in {build_ms:.1} ms, planned in {ms:.1} ms, validated in \
-             {validate_ms:.1} ms ({check:.2}x), \
+            "{} intervals built in {build_ms:.1} ms ({build:.2}x), planned in {ms:.1} ms, \
+             validated in {validate_ms:.1} ms ({check:.2}x), \
              valid {valid}, gap_ok {gap_ok}, optimal {optimal} (gap {:.3}; gate >= 1M \
-             intervals, < 30000 ms, validate <= 3x the plan, valid, gap_ok, optimal)",
+             intervals, build <= 3x the plan, < 30000 ms, validate <= 3x the plan, valid, \
+             gap_ok, optimal)",
             inst.len(),
             peak as f64 / sol.lower_bound.max(1) as f64
         ),

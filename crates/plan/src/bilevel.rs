@@ -157,11 +157,16 @@ impl BodySplit {
             .map(|&(slot, birth, death, bytes)| DsaTensor {
                 id: trace.resolve(slot, layer),
                 size: bytes,
-                birth: start + birth,
-                death: start + death,
+                birth: position(start + birth),
+                death: position(start + death),
             });
         DsaInstance::new(tensors.collect())
     }
+}
+
+/// A trace position as a [`DsaTensor`] position.
+fn position(index: usize) -> u32 {
+    u32::try_from(index).expect("trace positions fit in u32")
 }
 
 /// Run the bi-level planner over an iteration trace.
@@ -222,8 +227,8 @@ pub fn plan_iteration(trace: &IterationTrace) -> BilevelReport {
         MemOp::Malloc => direct.push(DsaTensor {
             id,
             size: bytes,
-            birth: index,
-            death: usize::MAX,
+            birth: position(index),
+            death: 0,
         }),
         MemOp::Free => frees.push((id, index)),
     };
@@ -245,19 +250,24 @@ pub fn plan_iteration(trace: &IterationTrace) -> BilevelReport {
             }
         }
     }
-    // Pair each direct tensor with its free.
+    // Pair each direct tensor with its free; `usize::MAX`, past every
+    // position, marks one still unpaired.
     let mut by_id: Vec<u32> = (0..direct.len() as u32).collect();
     by_id.sort_unstable_by_key(|&i| direct[i as usize].id);
+    let mut deaths = vec![usize::MAX; direct.len()];
     for (id, index) in frees {
         let k = by_id
             .binary_search_by_key(&id, |&i| direct[i as usize].id)
             .expect("validated trace");
-        direct[by_id[k] as usize].death = index;
+        deaths[by_id[k] as usize] = index;
     }
     debug_assert!(
-        direct.iter().all(|t| t.death != usize::MAX),
+        deaths.iter().all(|&d| d != usize::MAX),
         "trace leaks tensors"
     );
+    for (t, death) in direct.iter_mut().zip(deaths) {
+        t.death = position(death);
+    }
 
     // Pseudo ids follow the largest tensor id: Fwd ids grow with the
     // layer, Bwd ids with the backward position (so shrink with the layer).
@@ -285,8 +295,8 @@ pub fn plan_iteration(trace: &IterationTrace) -> BilevelReport {
             .map(|(k, &(birth, death, size))| DsaTensor {
                 id: TensorId(max_id + 1 + k as u64),
                 size,
-                birth,
-                death,
+                birth: position(birth),
+                death: position(death),
             }),
     );
     let l2_inst = DsaInstance::new(l2_tensors);

@@ -215,7 +215,7 @@ pub fn solve(inst: &DsaInstance, opts: BnbOptions) -> Solution {
 
     // Symmetry classes: tensors sharing (size, birth, death) are
     // interchangeable; give each distinct key one class id.
-    let mut keys: Vec<(u64, usize, usize)> = inst
+    let mut keys: Vec<(u64, u32, u32)> = inst
         .tensors
         .iter()
         .map(|t| (t.size, t.birth, t.death))
@@ -235,7 +235,7 @@ pub fn solve(inst: &DsaInstance, opts: BnbOptions) -> Solution {
     let placed: Vec<bool> = inst.tensors.iter().map(|t| t.size == 0).collect();
     let mut order: Vec<usize> = (0..n).filter(|&i| !placed[i]).collect();
     order.sort_by_key(|&i| (inst.tensors[i].birth, i));
-    let mut births: Vec<usize> = order.iter().map(|&i| inst.tensors[i].birth).collect();
+    let mut births: Vec<u32> = order.iter().map(|&i| inst.tensors[i].birth).collect();
     births.dedup();
     let live_at = births
         .iter()
@@ -281,7 +281,7 @@ mod tests {
     use crate::dsa::DsaTensor;
     use memo_model::trace::TensorId;
 
-    fn t(id: u64, size: u64, birth: usize, death: usize) -> DsaTensor {
+    fn t(id: u64, size: u64, birth: u32, death: u32) -> DsaTensor {
         DsaTensor {
             id: TensorId(id),
             size,
@@ -363,7 +363,7 @@ mod tests {
             let n = rng.gen_range(2..7);
             let tensors = (0..n)
                 .map(|i| {
-                    let birth = rng.gen_range(0..12usize);
+                    let birth = rng.gen_range(0..12u32);
                     t(
                         i as u64,
                         rng.gen_range(1..9) * 4,
@@ -420,7 +420,7 @@ mod tests {
                         ..twin
                     });
                 } else {
-                    let birth = rng.gen_range(0..8usize);
+                    let birth = rng.gen_range(0..8u32);
                     let size = rng.gen_range(0..5) * 4;
                     tensors.push(t(id, size, birth, birth + rng.gen_range(1..6)));
                 }
@@ -458,7 +458,7 @@ mod tests {
             let n = rng.gen_range(8..18);
             let tensors = (0..n)
                 .map(|i| {
-                    let birth = rng.gen_range(0..20usize);
+                    let birth = rng.gen_range(0..20u32);
                     t(
                         i as u64,
                         rng.gen_range(1..60),
@@ -486,7 +486,7 @@ mod tests {
     /// The seven distinct level-1 layer instances of a search-short run
     /// (2K–4K tokens per GPU), sizes in units of their GCD. Every one
     /// packs at exactly LOAD; the best-fit incumbent does not.
-    const SEARCH_SHORT_LAYERS: [&[(u64, usize, usize)]; 7] = [
+    const SEARCH_SHORT_LAYERS: [&[(u64, u32, u32)]; 7] = [
         &[
             (1, 591, 592),
             (16, 593, 597),
@@ -611,7 +611,7 @@ mod tests {
         ],
     ];
 
-    fn instance(shape: &[(u64, usize, usize)], unit: u64) -> DsaInstance {
+    fn instance(shape: &[(u64, u32, u32)], unit: u64) -> DsaInstance {
         DsaInstance::new(
             shape
                 .iter()
@@ -662,7 +662,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let tensors = (0..120)
             .map(|i| {
-                let birth = rng.gen_range(0..50usize);
+                let birth = rng.gen_range(0..50u32);
                 t(
                     i as u64,
                     rng.gen_range(1..100),
@@ -689,7 +689,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let tensors = (0..18)
             .map(|i| {
-                let birth = rng.gen_range(0..10usize);
+                let birth = rng.gen_range(0..10u32);
                 t(
                     i as u64,
                     rng.gen_range(1..50),

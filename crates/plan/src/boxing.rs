@@ -178,8 +178,8 @@ fn class_loads(inst: &DsaInstance) -> Vec<ClassLoad> {
             let mut events: Vec<(usize, i64, i128)> = Vec::with_capacity(members.len() * 2);
             for &i in members {
                 let t = &inst.tensors[i];
-                events.push((t.birth, 1, i128::from(t.size)));
-                events.push((t.death, -1, -i128::from(t.size)));
+                events.push((t.birth as usize, 1, i128::from(t.size)));
+                events.push((t.death as usize, -1, -i128::from(t.size)));
             }
             events.sort_unstable_by_key(|&(pos, d, _)| (pos, d));
             let (mut live, mut bytes) = (0i64, 0i128);
@@ -280,8 +280,8 @@ fn leaves_by_class(inst: &DsaInstance) -> BTreeMap<u32, Vec<Node>> {
             continue;
         }
         native.entry(class_of(t.size)).or_default().push(Node {
-            birth: t.birth,
-            death: t.death,
+            birth: t.birth as usize,
+            death: t.death as usize,
             kind: NodeKind::Leaf(i as u32),
         });
     }
@@ -500,7 +500,7 @@ mod tests {
     use crate::dsa::DsaTensor;
     use memo_model::trace::TensorId;
 
-    fn t(id: u64, size: u64, birth: usize, death: usize) -> DsaTensor {
+    fn t(id: u64, size: u64, birth: u32, death: u32) -> DsaTensor {
         DsaTensor {
             id: TensorId(id),
             size,
@@ -522,7 +522,7 @@ mod tests {
                 .map(|i| {
                     let b = (next() as usize) % horizon;
                     let len = 1 + (next() as usize) % horizon;
-                    t(i as u64, 1 + next() % max_size, b, b + len)
+                    t(i as u64, 1 + next() % max_size, b as u32, (b + len) as u32)
                 })
                 .collect(),
         )

@@ -139,12 +139,12 @@ mod tests {
 
     fn chain(n: usize, overlap_all: bool) -> DsaInstance {
         DsaInstance::new(
-            (0..n)
+            (0..n as u32)
                 .map(|i| DsaTensor {
-                    id: TensorId(i as u64),
-                    size: 8 + i as u64,
+                    id: TensorId(u64::from(i)),
+                    size: 8 + u64::from(i),
                     birth: if overlap_all { 0 } else { i },
-                    death: if overlap_all { n + 1 } else { i + 1 },
+                    death: if overlap_all { n as u32 + 1 } else { i + 1 },
                 })
                 .collect(),
         )

@@ -19,13 +19,18 @@ use std::cmp::Reverse;
 
 /// One tensor to place. Lifespan is the half-open index interval
 /// `[birth, death)` over the request sequence's *event positions*.
+/// Positions are `u32`, so a tensor takes 24 bytes: a million-interval
+/// instance stays under glibc's 32 MiB mmap ceiling (DESIGN.md, "Instance
+/// facts"). Code that computes with positions widens them to `usize`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DsaTensor {
     pub id: TensorId,
     pub size: u64,
-    pub birth: usize,
-    pub death: usize,
+    pub birth: u32,
+    pub death: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<DsaTensor>() == 24);
 
 impl DsaTensor {
     /// Two tensors conflict iff their lifespans intersect.
@@ -70,9 +75,107 @@ impl PartialEq for DsaInstance {
 
 impl Eq for DsaInstance {}
 
-/// The builder's open tensors: an open-addressed table whose home slot
-/// for an id is the id's low bits, so the sequential ids of a trace land
-/// in adjacent slots. Collisions probe linearly, and a removal shifts the
+/// The builder's open tensors: a nursery in front of a spill table.
+///
+/// The nursery is a ring of [`NURSERY`] slots direct-mapped over the id
+/// window `[lo, lo + NURSERY)`, slot `id % NURSERY`. A malloc past the
+/// window raises `lo` so that its id is the window's last, and moves the
+/// open ids that fall below the window into the [`OpenTable`]; ids below
+/// `lo` go straight to the table. `lo` only rises, so every table id is
+/// below `lo` and every nursery id at or above it: each open id lives in
+/// exactly one place, and a duplicate malloc or an unmatched free is found
+/// where the id would live. A trace's short-lived tensors (a chunk's
+/// transients) are opened and closed in the nursery with a bit test; only
+/// the long-lived ones reach the table.
+#[derive(Debug)]
+struct OpenTensors {
+    lo: u64,
+    /// Bit `id % NURSERY` is set iff that id of the window is open.
+    occupied: u64,
+    /// `(birth, size)` of the open id in each slot.
+    ring: [(u32, u64); NURSERY as usize],
+    spilled: OpenTable,
+}
+
+/// The nursery's window, in ids. A chunk of a token-chunked trace frees
+/// its transients within its own 12 forward ids (11 transients and the
+/// carried output) or 10 backward ids, so 64 holds every transient from
+/// malloc to free with room to spare; the occupancy mask is one word.
+const NURSERY: u64 = 64;
+
+impl Default for OpenTensors {
+    fn default() -> Self {
+        OpenTensors {
+            lo: 0,
+            occupied: 0,
+            ring: [(0, 0); NURSERY as usize],
+            spilled: OpenTable::default(),
+        }
+    }
+}
+
+impl OpenTensors {
+    fn is_empty(&self) -> bool {
+        self.occupied == 0 && self.spilled.len == 0
+    }
+
+    /// Open `id`; returns `false` (overwriting the entry) if it was open.
+    fn insert(&mut self, id: TensorId, birth: u32, size: u64) -> bool {
+        if id.0 < self.lo {
+            return self.spilled.insert(id, birth, size);
+        }
+        if id.0 - self.lo >= NURSERY {
+            self.slide(id.0 - (NURSERY - 1));
+        }
+        let k = id.0 % NURSERY;
+        let fresh = self.occupied >> k & 1 == 0;
+        self.occupied |= 1 << k;
+        self.ring[k as usize] = (birth, size);
+        fresh
+    }
+
+    /// Close `id`, returning its `(birth, size)` if it was open.
+    fn remove(&mut self, id: TensorId) -> Option<(u32, u64)> {
+        if id.0 < self.lo {
+            return self.spilled.remove(id);
+        }
+        if id.0 - self.lo >= NURSERY {
+            // Ahead of the window: never opened.
+            return None;
+        }
+        let k = id.0 % NURSERY;
+        if self.occupied >> k & 1 == 0 {
+            return None;
+        }
+        self.occupied &= !(1 << k);
+        Some(self.ring[k as usize])
+    }
+
+    /// Raise the window's low end to `lo`, spilling the open ids below it.
+    fn slide(&mut self, lo: u64) {
+        let gone = lo - self.lo;
+        let below = if gone >= NURSERY {
+            u64::MAX
+        } else {
+            ((1 << gone) - 1u64).rotate_left((self.lo % NURSERY) as u32)
+        };
+        let mut spill = self.occupied & below;
+        self.occupied &= !below;
+        while spill != 0 {
+            let k = u64::from(spill.trailing_zeros());
+            spill &= spill - 1;
+            // The id of slot `k` in the old window.
+            let id = self.lo + (k + NURSERY - self.lo % NURSERY) % NURSERY;
+            let (birth, size) = self.ring[k as usize];
+            self.spilled.insert(TensorId(id), birth, size);
+        }
+        self.lo = lo;
+    }
+}
+
+/// The nursery's spill table: an open-addressed table whose home slot for
+/// an id is the id's low bits, so the sequential ids of a trace land in
+/// adjacent slots. Collisions probe linearly, and a removal shifts the
 /// rest of its probe run back (no tombstones). The table doubles when it
 /// would be more than three-quarters full, so its size follows the open
 /// tensors, not the id range. Ids that share their low bits share a home
@@ -88,14 +191,13 @@ struct OpenTable {
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     id: TensorId,
-    /// [`VACANT`] marks an empty slot.
-    birth: usize,
+    /// A `u32` position, or [`VACANT`] for an empty slot.
+    birth: u64,
     size: u64,
 }
 
-/// The birth of an empty slot: the cursor would need `usize::MAX` pushes
-/// to reach it.
-const VACANT: usize = usize::MAX;
+/// The birth of an empty slot, past every `u32` position.
+const VACANT: u64 = u64::MAX;
 const MIN_SLOTS: usize = 16;
 
 impl OpenTable {
@@ -104,7 +206,7 @@ impl OpenTable {
     }
 
     /// Open `id`; returns `false` (overwriting the entry) if it was open.
-    fn insert(&mut self, id: TensorId, birth: usize, size: u64) -> bool {
+    fn insert(&mut self, id: TensorId, birth: u32, size: u64) -> bool {
         if 4 * (self.len + 1) > 3 * self.slots.len() {
             self.grow();
         }
@@ -114,7 +216,11 @@ impl OpenTable {
             let s = &mut self.slots[i];
             if s.birth == VACANT || s.id == id {
                 let fresh = s.birth == VACANT;
-                *s = Slot { id, birth, size };
+                *s = Slot {
+                    id,
+                    birth: u64::from(birth),
+                    size,
+                };
                 self.len += usize::from(fresh);
                 return fresh;
             }
@@ -123,7 +229,7 @@ impl OpenTable {
     }
 
     /// Close `id`, returning its `(birth, size)` if it was open.
-    fn remove(&mut self, id: TensorId) -> Option<(usize, u64)> {
+    fn remove(&mut self, id: TensorId) -> Option<(u32, u64)> {
         if self.len == 0 {
             return None;
         }
@@ -152,7 +258,7 @@ impl OpenTable {
         }
         self.slots[hole].birth = VACANT;
         self.len -= 1;
-        Some((found.birth, found.size))
+        Some((found.birth as u32, found.size))
     }
 
     fn grow(&mut self) {
@@ -181,9 +287,11 @@ impl OpenTable {
 /// the live bytes, whose peak is the instance's liveness bound.
 #[derive(Debug, Default)]
 pub struct DsaInstanceBuilder {
-    open: OpenTable,
+    open: OpenTensors,
     tensors: Vec<DsaTensor>,
-    cursor: usize,
+    /// The next request's position. A request pushed past `u32::MAX`
+    /// poisons the builder: its position would not fit a [`DsaTensor`].
+    cursor: u64,
     /// Bytes of the open tensors (and of any a second malloc overwrote,
     /// which poisons the builder): at least every open size, so a free
     /// never underflows it.
@@ -197,13 +305,27 @@ impl DsaInstanceBuilder {
         Self::default()
     }
 
-    /// Feed one request. A `Free` without a matching `Malloc`, or a second
-    /// `Malloc` of an open tensor, poisons the builder:
-    /// [`finish`](Self::finish) will return `None`.
+    /// A builder whose next request sits at position `cursor`.
+    #[cfg(test)]
+    fn starting_at(cursor: u64) -> Self {
+        DsaInstanceBuilder {
+            cursor,
+            ..Self::default()
+        }
+    }
+
+    /// Feed one request. A `Free` without a matching `Malloc`, a second
+    /// `Malloc` of an open tensor, or a request past position `u32::MAX`
+    /// poisons the builder: [`finish`](Self::finish) will return `None`.
     pub fn push(&mut self, r: &Request) {
+        let Ok(at) = u32::try_from(self.cursor) else {
+            self.poisoned = true;
+            return;
+        };
+        self.cursor += 1;
         match r.op {
             MemOp::Malloc => {
-                if !self.open.insert(r.tensor, self.cursor, r.bytes) {
+                if !self.open.insert(r.tensor, at, r.bytes) {
                     self.poisoned = true;
                 }
                 self.live += u128::from(r.bytes);
@@ -216,20 +338,20 @@ impl DsaInstanceBuilder {
                         id: r.tensor,
                         size,
                         birth,
-                        death: self.cursor,
+                        death: at,
                     });
                 }
                 None => self.poisoned = true,
             },
         }
-        self.cursor += 1;
     }
 
     /// Finalize. Returns `None` if any tensor is still open, a free had
-    /// no matching malloc (the stream crossed a segment boundary), or a
-    /// tensor was malloc'd while open.
+    /// no matching malloc (the stream crossed a segment boundary), a
+    /// tensor was malloc'd while open, or a request's position passed
+    /// `u32::MAX`.
     pub fn finish(self) -> Option<DsaInstance> {
-        if self.open.len == 0 && !self.poisoned {
+        if self.open.is_empty() && !self.poisoned {
             Some(DsaInstance {
                 tensors: self.tensors,
                 facts: Some(StreamFacts {
@@ -288,32 +410,22 @@ impl DsaInstance {
     ///
     /// A builder-made instance returns the bound its builder streamed.
     /// Any other takes one delta sweep over the positions shifted by the
-    /// smallest one, when that leaves at most `2·n + 2` slots (the
-    /// `dense_positions` test) and the live tensors' byte total fits a
-    /// `u64`: no live sum exceeds that total, so wrapping `u64` arithmetic
-    /// is exact. Sparse positions and larger totals take the
-    /// rank-compressed 128-bit sweep.
+    /// smallest one (`u64_sweep`): no live sum exceeds the live tensors'
+    /// byte total, so wrapping `u64` arithmetic is exact. Sparse positions
+    /// and larger totals take the rank-compressed 128-bit sweep.
     pub fn lower_bound(&self) -> u64 {
         if let Some(facts) = self.facts {
             return facts.load;
         }
-        let n = self.tensors.len();
-        let (mut lo, mut hi, mut total) = (usize::MAX, 0, Some(0u64));
-        for t in &self.tensors {
-            lo = lo.min(t.birth).min(t.death);
-            hi = hi.max(t.birth).max(t.death);
-            if t.birth < t.death {
-                total = total.and_then(|s| s.checked_add(t.size));
-            }
-        }
-        if n == 0 || hi - lo > 2 * n + 1 || total.is_none() {
+        let Some((lo, slots)) = self.u64_sweep() else {
             let (pos, span) = self.dense_positions();
             return self.load_at(&pos, span);
-        }
-        let mut delta = vec![0u64; hi - lo + 1];
+        };
+        let mut delta = vec![0u64; slots];
         for t in self.tensors.iter().filter(|t| t.birth < t.death) {
-            delta[t.birth - lo] = delta[t.birth - lo].wrapping_add(t.size);
-            delta[t.death - lo] = delta[t.death - lo].wrapping_sub(t.size);
+            let (b, d) = (t.birth as usize - lo, t.death as usize - lo);
+            delta[b] = delta[b].wrapping_add(t.size);
+            delta[d] = delta[d].wrapping_sub(t.size);
         }
         let (mut live, mut peak) = (0u64, 0u64);
         for x in delta {
@@ -321,6 +433,24 @@ impl DsaInstance {
             peak = peak.max(live);
         }
         peak
+    }
+
+    /// The shifted positions [`lower_bound`](Self::lower_bound) sweeps in
+    /// `u64`: the smallest position and the slot count once every position
+    /// is shifted by it. `None` when that leaves more than `2·n + 2` slots
+    /// (the `dense_positions` test), when the live tensors' byte total
+    /// passes `u64::MAX`, or for an empty instance.
+    fn u64_sweep(&self) -> Option<(usize, usize)> {
+        let (mut lo, mut hi, mut total) = (u32::MAX, 0, 0u64);
+        for t in &self.tensors {
+            lo = lo.min(t.birth).min(t.death);
+            hi = hi.max(t.birth).max(t.death);
+            if t.birth < t.death {
+                total = total.checked_add(t.size)?;
+            }
+        }
+        let slots = hi.checked_sub(lo)? as usize + 1;
+        (slots <= 2 * self.tensors.len() + 2).then_some((lo as usize, slots))
     }
 
     /// [`lower_bound`](Self::lower_bound) over positions from
@@ -364,7 +494,11 @@ impl DsaInstance {
     /// one sort instead, so memory stays O(n) for any position values.
     pub(crate) fn dense_positions(&self) -> (Vec<(usize, usize)>, usize) {
         let n = self.tensors.len();
-        let ends = || self.tensors.iter().flat_map(|t| [t.birth, t.death]);
+        let ends = || {
+            self.tensors
+                .iter()
+                .flat_map(|t| [t.birth as usize, t.death as usize])
+        };
         if n == 0 {
             return (Vec::new(), 0);
         }
@@ -373,7 +507,7 @@ impl DsaInstance {
             let pos = self
                 .tensors
                 .iter()
-                .map(|t| (t.birth - lo, t.death - lo))
+                .map(|t| (t.birth as usize - lo, t.death as usize - lo))
                 .collect();
             return (pos, hi - lo + 1);
         }
@@ -661,7 +795,7 @@ impl Assignment {
     /// it is live there): its plans pass whenever no tensor has a zero size
     /// or an empty lifespan.
     fn stacks_up(&self, inst: &DsaInstance) -> bool {
-        let mut stack: Vec<(usize, u64)> = Vec::new();
+        let mut stack: Vec<(u32, u64)> = Vec::new();
         inst.death_descending(|i| {
             let t = &inst.tensors[i];
             let off = self.offsets[i];
@@ -741,7 +875,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn t(id: u64, size: u64, birth: usize, death: usize) -> DsaTensor {
+    fn t(id: u64, size: u64, birth: u32, death: u32) -> DsaTensor {
         DsaTensor {
             id: TensorId(id),
             size,
@@ -771,7 +905,7 @@ mod tests {
     /// as its oracle, with byte sums in 128 bits that saturate at
     /// `u64::MAX` like `lower_bound`'s.
     fn lower_bound_by_event_sort(inst: &DsaInstance) -> u64 {
-        let mut events: Vec<(usize, i128)> = Vec::with_capacity(inst.tensors.len() * 2);
+        let mut events: Vec<(u32, i128)> = Vec::with_capacity(inst.tensors.len() * 2);
         for t in &inst.tensors {
             events.push((t.birth, i128::from(t.size)));
             events.push((t.death, -i128::from(t.size)));
@@ -818,14 +952,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        // Zero sizes, empty lifespans, a shifted base and sparse strides
-        // (which take the rank-compression path).
+        // Zero sizes, empty lifespans, a shifted base and sparse strides.
+        // Base `None` shifts the positions so that the largest `b + len`
+        // (102) lands on `u32::MAX`. Two distinct positions `SPARSE`
+        // apart leave more than `2·n + 2` slots, which forces the
+        // rank-compression path and `lower_bound`'s 128-bit sweep.
         #[test]
         fn dense_lower_bound_matches_the_event_sort(
-            raw in prop::collection::vec((0u64..1 << 40, 0usize..80, 0usize..24), 0..80),
-            base in prop::sample::select(vec![0usize, 7, 999, usize::MAX / 4]),
-            stride in prop::sample::select(vec![1usize, 2, 3, 1 << 40]),
+            raw in prop::collection::vec((0u64..1 << 40, 0u32..80, 0u32..24), 0..80),
+            base in prop::sample::select(vec![Some(0u32), Some(7), Some(999), None]),
+            stride in prop::sample::select(vec![1u32, 2, 3, SPARSE]),
         ) {
+            let base = base.unwrap_or(u32::MAX - 102 * stride);
             let tensors = raw.iter().enumerate().map(|(i, &(size, b, len))| {
                 let size = if size % 8 == 0 { 0 } else { size };
                 t(i as u64, size, base + b * stride, base + (b + len) * stride)
@@ -835,7 +973,7 @@ mod tests {
             // Dense positions keep order and equality, in O(n) slots.
             let (pos, span) = inst.dense_positions();
             prop_assert!(span <= 2 * inst.len() + 2);
-            let mut ends: Vec<(usize, usize)> = inst
+            let mut ends: Vec<(u32, usize)> = inst
                 .tensors
                 .iter()
                 .zip(&pos)
@@ -847,14 +985,26 @@ mod tests {
                 prop_assert_eq!(w[0].0 == w[1].0, w[0].1 == w[1].1);
                 prop_assert!(w[0].1 <= w[1].1);
             }
+            let mut distinct: Vec<u32> = ends.iter().map(|&(p, _)| p).collect();
+            distinct.dedup();
+            if stride == SPARSE && distinct.len() > 1 {
+                prop_assert_eq!(span, distinct.len(), "ranks, not shifted positions");
+                prop_assert!(inst.u64_sweep().is_none(), "the 128-bit sweep");
+            }
         }
     }
 
+    /// A stride that spreads positions past the shifted path's slots.
+    const SPARSE: u32 = 1 << 22;
+
+    /// Builder-made chunked instances, shifted; the last shift puts the
+    /// last death on `u32::MAX`. Shifted positions stay dense, so the
+    /// bound is the shifted `u64` sweep.
     #[test]
     fn dense_lower_bound_matches_the_event_sort_on_chunked_traces() {
         use memo_model::chunked::{for_each_request, ChunkedParams};
         use memo_model::config::{DType, ModelConfig};
-        for (seq, chunk, base) in [(1000, 256, 0), (1024, 128, 5), (999, 96, 1 << 33)] {
+        for (seq, chunk, base) in [(1000, 256, Some(0)), (1024, 128, Some(5)), (999, 96, None)] {
             let p = ChunkedParams {
                 model: ModelConfig::tiny(3, 64, 4, 256),
                 dtype: DType::F16,
@@ -865,12 +1015,15 @@ mod tests {
             for_each_request(&p, |r| b.push(r));
             let built = b.finish().unwrap();
             assert_eq!(built.lower_bound(), lower_bound_by_event_sort(&built));
+            let last = built.tensors.iter().map(|t| t.death).max().unwrap();
+            let base = base.unwrap_or(u32::MAX - last);
             let mut tensors = built.tensors;
             for t in &mut tensors {
                 t.birth += base;
                 t.death += base;
             }
             let inst = DsaInstance::new(tensors);
+            assert!(inst.u64_sweep().is_some(), "{seq}/{chunk}");
             assert_eq!(inst.lower_bound(), lower_bound_by_event_sort(&inst));
         }
     }
@@ -978,7 +1131,7 @@ mod tests {
             ));
         }
         // (position, 0 death / 1 empty lifespan / 2 birth, tensor)
-        let mut events: Vec<(usize, u8, u32)> = Vec::with_capacity(inst.tensors.len() * 2);
+        let mut events: Vec<(u32, u8, u32)> = Vec::with_capacity(inst.tensors.len() * 2);
         for (i, t) in inst.tensors.iter().enumerate() {
             if t.death <= t.birth {
                 events.push((t.birth, 1, i as u32));
@@ -1077,7 +1230,7 @@ mod tests {
         #[test]
         fn validate_matches_the_sweep_and_naive_oracles(
             raw in prop::collection::vec(
-                (0u64..10, 0usize..16, 0usize..8, 0u8..4, 0u64..24),
+                (0u64..10, 0u32..16, 0u32..8, 0u8..4, 0u64..24),
                 0..40,
             ),
             peak in prop::sample::select(vec![24u64, 30, u64::MAX]),
@@ -1108,8 +1261,8 @@ mod tests {
         /// them: each tensor moved onto another tensor's offset, or by ±1.
         #[test]
         fn validate_matches_the_oracles_on_mutated_valid_plans(
-            raw in prop::collection::vec((0u64..12, 0usize..30, 0usize..10), 1..30),
-            shortest in prop::sample::select(vec![0usize, 1]),
+            raw in prop::collection::vec((0u64..12, 0u32..30, 0u32..10), 1..30),
+            shortest in prop::sample::select(vec![0u32, 1]),
         ) {
             let tensors = raw.iter().enumerate().map(|(i, &(size, birth, len))| {
                 t(i as u64, size.saturating_sub(2), birth, birth + len.max(shortest))
@@ -1257,9 +1410,9 @@ mod tests {
     /// no facts, so the solver scans them.
     #[derive(Default)]
     struct MapBuilder {
-        open: memo_model::hash::FxHashMap<TensorId, (usize, u64)>,
+        open: memo_model::hash::FxHashMap<TensorId, (u32, u64)>,
         tensors: Vec<DsaTensor>,
-        cursor: usize,
+        cursor: u32,
         poisoned: bool,
     }
 
@@ -1376,6 +1529,111 @@ mod tests {
         }
     }
 
+    /// Sizes of the windowed streams, small enough that every instance
+    /// plans quickly.
+    const WINDOWED_SIZES: [u64; 4] = [0, 24, 4096, 1 << 20];
+
+    /// A stream over ascending ids, the shape the nursery is built for,
+    /// from `steps`: a malloc of the next id; a jump of the next id by
+    /// less than two windows, or by at least one; a free of the newest open tensor (a transient,
+    /// still in the ring) or of any open one (often spilled to the table
+    /// and freed thousands of ids after its malloc). With `defects`, also
+    /// a duplicate malloc of an open id (often a spilled one), a free of
+    /// an id ahead of the window, and a free of an id that is not open
+    /// (often one below the window). Without `drain` the tensors left open
+    /// leak, the newest of them from the ring.
+    fn windowed_stream(steps: &[(u8, u16, usize)], defects: bool, drain: bool) -> Vec<Request> {
+        let (mut next, mut open, mut out) = (0u64, Vec::new(), Vec::new());
+        for &(kind, a, s) in steps {
+            let (a, size) = (u64::from(a), WINDOWED_SIZES[s % WINDOWED_SIZES.len()]);
+            match kind {
+                0..=5 => {
+                    open.push(next);
+                    out.push(req(MemOp::Malloc, next, size));
+                    next += 1;
+                }
+                6 => next += a % (2 * NURSERY),
+                7 => next += NURSERY + a,
+                8..=10 if !open.is_empty() => {
+                    out.push(req(MemOp::Free, open.pop().unwrap(), 0));
+                }
+                11 | 12 if !open.is_empty() => {
+                    let id = open.remove(a as usize % open.len());
+                    out.push(req(MemOp::Free, id, 0));
+                }
+                13 if defects && !open.is_empty() => {
+                    out.push(req(MemOp::Malloc, open[a as usize % open.len()], size));
+                }
+                14 if defects => out.push(req(MemOp::Free, next + NURSERY + a, 0)),
+                15 if defects && !open.contains(&(a % next.max(1))) => {
+                    out.push(req(MemOp::Free, a % next.max(1), 0));
+                }
+                _ => {}
+            }
+        }
+        if drain {
+            out.extend(open.into_iter().rev().map(|id| req(MemOp::Free, id, 0)));
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The nursery and its spill table build what the map did, poison
+        /// verdicts included, and the solver plans the instances alike.
+        #[test]
+        fn builder_matches_the_map_oracle_on_windowed_streams(
+            steps in prop::collection::vec((0u8..16, 0u16..u16::MAX, 0usize..4), 0..400),
+            defects in prop::sample::select(vec![false, false, true]),
+            drain in prop::sample::select(vec![true, true, true, false]),
+        ) {
+            let requests = windowed_stream(&steps, defects, drain);
+            let (built, oracle) = build_both(|push| requests.iter().for_each(push));
+            prop_assert_eq!(&built, &oracle);
+            if let (Some(built), Some(oracle)) = (&built, &oracle) {
+                assert_solves_alike(built, oracle, &format!("{requests:?}"));
+            }
+        }
+    }
+
+    /// Each defect is found wherever its id lives: in the ring, in the
+    /// table, or ahead of the window.
+    #[test]
+    fn nursery_defects_are_found_in_the_ring_and_the_table() {
+        use MemOp::{Free, Malloc};
+        let far = 10 * NURSERY;
+        let cases: [(&str, &[(MemOp, u64)]); 6] = [
+            (
+                "balanced",
+                &[(Malloc, 0), (Malloc, far), (Free, 0), (Free, far)],
+            ),
+            (
+                "duplicate malloc of a spilled id",
+                &[(Malloc, 0), (Malloc, far), (Malloc, 0)],
+            ),
+            (
+                "free ahead of the window",
+                &[(Malloc, 0), (Free, far), (Free, 0)],
+            ),
+            ("leak in the ring", &[(Malloc, 0), (Malloc, 1), (Free, 0)]),
+            (
+                "leak in the table",
+                &[(Malloc, 0), (Malloc, far), (Free, far)],
+            ),
+            (
+                "double free of a spilled id",
+                &[(Malloc, 0), (Malloc, far), (Free, 0), (Free, 0)],
+            ),
+        ];
+        for (case, stream) in cases {
+            let (built, oracle) =
+                build_both(|push| stream.iter().for_each(|&(op, id)| push(&req(op, id, 8))));
+            assert_eq!(built, oracle, "{case}");
+            assert_eq!(built.is_some(), case == "balanced", "{case}");
+        }
+    }
+
     #[test]
     fn builder_bound_saturates_past_u64_max() {
         let requests = [
@@ -1460,5 +1718,88 @@ mod tests {
             let (_, oracle) = build_both(|push| trace.flatten().for_each(|r| push(&r)));
             assert_solves_alike(&built, &oracle.unwrap(), &format!("{policy:?}"));
         }
+    }
+
+    /// Positions run up to `u32::MAX`: a stream whose last request sits
+    /// there builds, and a request past it poisons the builder, whether
+    /// it closes a lifespan or opens one.
+    #[test]
+    fn builder_rejects_positions_past_u32_max() {
+        use MemOp::{Free, Malloc};
+        let top = u32::MAX;
+        let stream = [(Malloc, 7), (Malloc, 8), (Free, 8), (Free, 7)];
+        let build = |start: u32, extra: &[(MemOp, u64)]| {
+            let mut b = DsaInstanceBuilder::starting_at(u64::from(start));
+            for &(op, id) in stream.iter().chain(extra) {
+                b.push(&req(op, id, 8));
+            }
+            b.finish()
+        };
+        assert_eq!(
+            build(top - 3, &[])
+                .expect("the last request sits at u32::MAX")
+                .tensors,
+            vec![t(8, 8, top - 2, top - 1), t(7, 8, top - 3, top)]
+        );
+        assert!(build(top - 2, &[]).is_none(), "a free past u32::MAX");
+        assert!(
+            build(top - 3, &[(Malloc, 9)]).is_none(),
+            "a malloc past u32::MAX"
+        );
+    }
+
+    /// A chunked instance with two point tensors, shifted so that its last
+    /// death and one point tensor sit on `u32::MAX`, plans and validates
+    /// exactly as the unshifted copy, and a broken plan gets the same
+    /// verdict on both.
+    #[test]
+    fn positions_at_u32_max_plan_like_the_unshifted_copy() {
+        use crate::dispatch::{solve, DispatchOptions};
+        use memo_model::chunked::{for_each_request, ChunkedParams};
+        use memo_model::config::{DType, ModelConfig};
+        let p = ChunkedParams {
+            model: ModelConfig::tiny(3, 64, 4, 256),
+            dtype: DType::F16,
+            seq_tokens: 999,
+            chunk_tokens: 96,
+        };
+        let mut b = DsaInstanceBuilder::new();
+        for_each_request(&p, |r| b.push(r));
+        let mut tensors = b.finish().unwrap().tensors;
+        let last = tensors.iter().map(|t| t.death).max().unwrap();
+        tensors.push(t(1 << 40, 64, last, last));
+        tensors.push(t((1 << 40) + 1, 32, last / 2, last / 2));
+        let shift = u32::MAX - last;
+        let shifted: Vec<DsaTensor> = tensors
+            .iter()
+            .map(|&x| t(x.id.0, x.size, x.birth + shift, x.death + shift))
+            .collect();
+        assert!(shifted
+            .iter()
+            .any(|x| x.birth == u32::MAX && x.death == u32::MAX));
+        let (plain, shifted) = (DsaInstance::new(tensors), DsaInstance::new(shifted));
+        assert_eq!(plain.lower_bound(), shifted.lower_bound());
+        assert_eq!(
+            crate::skyline::place(&plain),
+            crate::skyline::place(&shifted)
+        );
+        let opts = DispatchOptions::default();
+        let (a, b) = (solve(&plain, &opts), solve(&shifted, &opts));
+        assert_eq!(a.assignment, b.assignment);
+        assert_eq!(
+            (a.lower_bound, a.backend, a.guarantee, a.optimal),
+            (b.lower_bound, b.backend, b.guarantee, b.optimal)
+        );
+        let mut plan = a.assignment;
+        assert_eq!(plan.validate(&plain), Ok(()));
+        assert_eq!(plan.validate(&shifted), Ok(()));
+        // Drop the highest tensor onto the one below it.
+        let top = (0..plain.len()).max_by_key(|&i| plan.offsets[i]).unwrap();
+        plan.offsets[top] -= 1;
+        let verdict = plan.validate(&plain);
+        assert!(verdict.is_err());
+        assert_eq!(plan.validate(&shifted), verdict);
+        assert_eq!(validate_sweep(&plan, &shifted), verdict);
+        assert!(plan.validate_naive(&shifted).is_err());
     }
 }

@@ -234,7 +234,7 @@ mod tests {
         }
     }
 
-    fn t(id: u64, size: u64, birth: usize, death: usize) -> DsaTensor {
+    fn t(id: u64, size: u64, birth: u32, death: u32) -> DsaTensor {
         DsaTensor {
             id: TensorId(id),
             size,
@@ -268,7 +268,7 @@ mod tests {
             let n = rng.gen_range(1..40);
             let tensors = (0..n)
                 .map(|i| {
-                    let birth = rng.gen_range(0..100usize);
+                    let birth = rng.gen_range(0..100u32);
                     t(
                         i as u64,
                         rng.gen_range(1..1000),

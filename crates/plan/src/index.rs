@@ -33,11 +33,11 @@ impl IntervalIndex {
         });
         let birth: Vec<usize> = order
             .iter()
-            .map(|&i| inst.tensors[i as usize].birth)
+            .map(|&i| inst.tensors[i as usize].birth as usize)
             .collect();
         let death: Vec<usize> = order
             .iter()
-            .map(|&i| inst.tensors[i as usize].death)
+            .map(|&i| inst.tensors[i as usize].death as usize)
             .collect();
         IntervalIndex {
             order,
@@ -108,8 +108,8 @@ mod tests {
                 .map(|(i, &(b, d))| DsaTensor {
                     id: TensorId(i as u64),
                     size: 1 + i as u64,
-                    birth: b,
-                    death: d,
+                    birth: b as u32,
+                    death: d as u32,
                 })
                 .collect(),
         )

@@ -84,18 +84,20 @@ pub(crate) fn place(inst: &DsaInstance) -> (Vec<u64>, u64) {
     let mut offsets = vec![0u64; inst.len()];
     let mut peak = 0u64;
     // Height just below the current death point, read before any tensor
-    // dying there was placed (only needed for point tensors).
+    // dying there was placed (only needed for point tensors). The first
+    // death, `usize::MAX`, is past every position.
     let (mut death, mut below) = (usize::MAX, 0u64);
     inst.death_descending(|i| {
         let t = &inst.tensors[i];
-        if has_points && t.death != death {
-            death = t.death;
+        let (b, d) = (t.birth as usize, t.death as usize);
+        if has_points && d != death {
+            death = d;
             below = sky.cut(death);
         }
         let off = if t.size == 0 {
             0
-        } else if t.birth < t.death {
-            sky.place(t.birth, t.death, t.size)
+        } else if b < d {
+            sky.place(b, d, t.size)
         } else {
             below
         };
@@ -147,8 +149,8 @@ mod tests {
 
     /// Random instances: zero sizes, empty lifespans and, with `base`, a
     /// shifted or sparse position range.
-    fn inst_strategy(base: usize, stride: usize) -> impl Strategy<Value = DsaInstance> {
-        prop::collection::vec((0u64..64, 0usize..40, 0usize..12), 0..60).prop_map(move |raw| {
+    fn inst_strategy(base: u32, stride: u32) -> impl Strategy<Value = DsaInstance> {
+        prop::collection::vec((0u64..64, 0u32..40, 0u32..12), 0..60).prop_map(move |raw| {
             DsaInstance::new(
                 raw.into_iter()
                     .enumerate()
@@ -176,12 +178,21 @@ mod tests {
             prop_assert!(a.validate_naive(&inst).is_ok());
         }
 
+        /// Positions `1 << 24` apart whose largest `birth + len` (50)
+        /// lands on `u32::MAX`: any two distinct ones are further apart
+        /// than `2·n + 2` slots, so dense positions are ranks.
         #[test]
         fn skyline_matches_the_oracle_on_sparse_positions(
-            inst in inst_strategy(usize::MAX / 4, 1 << 40),
+            inst in inst_strategy(u32::MAX - 50 * (1 << 24), 1 << 24),
         ) {
             let (_, span) = inst.dense_positions();
             prop_assert!(span <= 2 * inst.len() + 2, "dense positions are O(n)");
+            let mut distinct: Vec<u32> = inst.tensors.iter().flat_map(|t| [t.birth, t.death]).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            if distinct.len() > 1 {
+                prop_assert_eq!(span, distinct.len(), "ranks, not shifted positions");
+            }
             prop_assert_eq!(place(&inst).0, oracle(&inst));
         }
     }
@@ -222,7 +233,7 @@ mod tests {
     /// the liveness bound.
     #[test]
     fn laminar_instances_plan_at_the_liveness_bound() {
-        fn nest(out: &mut Vec<DsaTensor>, lo: usize, hi: usize, depth: u32, seed: &mut u64) {
+        fn nest(out: &mut Vec<DsaTensor>, lo: u32, hi: u32, depth: u32, seed: &mut u64) {
             *seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
             out.push(DsaTensor {
                 id: TensorId(out.len() as u64),
@@ -233,7 +244,7 @@ mod tests {
             if depth == 0 || hi - lo < 4 {
                 return;
             }
-            let mid = lo + 2 + (*seed >> 20) as usize % (hi - lo - 3);
+            let mid = lo + 2 + ((*seed >> 20) % u64::from(hi - lo - 3)) as u32;
             nest(out, lo + 1, mid, depth - 1, seed);
             nest(out, mid, hi - 1, depth - 1, seed);
         }

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 /// Arbitrary instances: jittered sizes (including zero-size markers) over
 /// random sub-intervals of a short horizon.
 fn inst_strategy(max_n: usize) -> impl Strategy<Value = DsaInstance> {
-    prop::collection::vec((0u64..1024, 0usize..96, 1usize..48), 1..max_n).prop_map(|raw| {
+    prop::collection::vec((0u64..1024, 0u32..96, 1u32..48), 1..max_n).prop_map(|raw| {
         DsaInstance::new(
             raw.into_iter()
                 .enumerate()
@@ -181,8 +181,8 @@ fn corpus_instance(seed: u64, n: usize) -> DsaInstance {
             DsaTensor {
                 id: TensorId(i as u64),
                 size,
-                birth,
-                death,
+                birth: birth as u32,
+                death: death as u32,
             }
         })
         .collect();

@@ -64,12 +64,14 @@ const BYTES_PER_INTERVAL: u64 = 32;
 /// skyline's stack; it reads ~9.
 const BUILT_BYTES_PER_INTERVAL: u64 = 16;
 
-/// The builder's allocations beyond its output `Vec` are its open table:
-/// 24-byte slots, at least 3/8 full once it has doubled, and the tables
-/// it outgrew sum to less than the last one, so under 128 bytes per peak
-/// open tensor, plus a little for the first tables; it reads ~94 on the
-/// chunked traces. A table indexed by the id range would grow with every
-/// id instead.
+/// The builder's allocations beyond its output `Vec` are its spill table
+/// (the nursery is a fixed ring inside the builder): 24-byte slots, at
+/// least 3/8 full once it has doubled, and the tables it outgrew sum to
+/// less than the last one, so under 128 bytes per peak open tensor, plus
+/// a little for the first tables. It reads ~94 on the chunked traces,
+/// whose long-lived carries spill, and 0 on a window that stays in the
+/// ring. A table indexed by the id range would grow with every id
+/// instead.
 const OPEN_BYTES_PER_TENSOR: u64 = 128;
 const OPEN_BYTES_SLACK: u64 = 64 * 1024;
 
@@ -147,16 +149,19 @@ fn builder_scratch(push: impl Fn(&mut dyn FnMut(&Request))) -> (u64, u64) {
     (bytes - stream - output, peak)
 }
 
+fn req(op: MemOp, id: u64) -> Request {
+    Request {
+        op,
+        tensor: TensorId(id),
+        bytes: 64,
+        label: Sym::EMPTY,
+    }
+}
+
 #[test]
 fn builder_scratch_follows_the_open_tensors() {
     let window = |push: &mut dyn FnMut(&Request)| {
         // 200K sequential ids, at most eight open at a time.
-        let req = |op, id| Request {
-            op,
-            tensor: TensorId(id),
-            bytes: 64,
-            label: Sym::EMPTY,
-        };
         for id in 0..200_000u64 {
             push(&req(MemOp::Malloc, id));
             if id >= 7 {
@@ -165,7 +170,27 @@ fn builder_scratch_follows_the_open_tensors() {
         }
         (200_000 - 7..200_000).for_each(|id| push(&req(MemOp::Free, id)));
     };
-    let mut cases = vec![("window".to_string(), builder_scratch(window))];
+    let spilling = |push: &mut dyn FnMut(&Request)| {
+        // The same window, but every 64th id stays open for 2000 ids, so
+        // it spills from the nursery to the table.
+        let long = |id: u64| id.is_multiple_of(64);
+        for id in 0..200_000u64 {
+            push(&req(MemOp::Malloc, id));
+            if id >= 7 && !long(id - 7) {
+                push(&req(MemOp::Free, id - 7));
+            }
+            if id >= 2000 && long(id - 2000) {
+                push(&req(MemOp::Free, id - 2000));
+            }
+        }
+        (200_000 - 2000..200_000)
+            .filter(|&id| long(id) || id >= 200_000 - 7)
+            .for_each(|id| push(&req(MemOp::Free, id)));
+    };
+    let mut cases = vec![
+        ("window".to_string(), builder_scratch(window)),
+        ("spilling window".to_string(), builder_scratch(spilling)),
+    ];
     for (layers, seq, chunk) in SHAPES {
         let p = params(layers, seq, chunk);
         let scratch = builder_scratch(|push| for_each_request(&p, push));

@@ -14,7 +14,7 @@ use memo::swap::alpha::{solve_alpha, AlphaInputs};
 use proptest::prelude::*;
 
 fn arb_instance(max_n: usize) -> impl Strategy<Value = DsaInstance> {
-    prop::collection::vec((1u64..64, 0usize..30, 1usize..10), 1..max_n).prop_map(|raw| {
+    prop::collection::vec((1u64..64, 0u32..30, 1u32..10), 1..max_n).prop_map(|raw| {
         DsaInstance::new(
             raw.into_iter()
                 .enumerate()
