@@ -243,11 +243,11 @@ struct Segment {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CachingStats {
     pub n_mallocs: u64,
-    pub n_frees: u64,
+    pub(crate) n_frees: u64,
     pub n_segments_created: u64,
-    pub n_segments_released: u64,
-    pub n_reorgs: u64,
-    pub peak_allocated: u64,
+    pub(crate) n_segments_released: u64,
+    pub(crate) n_reorgs: u64,
+    pub(crate) peak_allocated: u64,
     pub peak_reserved: u64,
 }
 
@@ -346,7 +346,8 @@ impl CachingAllocator {
     }
 
     /// Events recorded since recording was (re-)enabled; empty when off.
-    pub fn events(&self) -> &[AllocEvent] {
+    #[cfg(test)]
+    fn events(&self) -> &[AllocEvent] {
         self.events.as_deref().unwrap_or(&[])
     }
 
@@ -369,10 +370,6 @@ impl CachingAllocator {
                 reserved: self.reserved,
             });
         }
-    }
-
-    pub fn capacity(&self) -> u64 {
-        self.capacity
     }
 
     pub fn stats(&self) -> CachingStats {

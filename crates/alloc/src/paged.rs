@@ -58,17 +58,17 @@ impl std::error::Error for PagedError {}
 /// Cumulative counters, part of the parity surface.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PagedStats {
-    pub page_allocs: u64,
-    pub page_frees: u64,
-    pub appends: u64,
+    page_allocs: u64,
+    page_frees: u64,
+    appends: u64,
     pub failed_appends: u64,
-    pub peak_pages_in_use: u64,
+    peak_pages_in_use: u64,
 }
 
 /// One sequence's KV state: its ordered page table and bytes held.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeqKv {
-    pub pages: Vec<u32>,
+struct SeqKv {
+    pages: Vec<u32>,
     pub bytes: u64,
 }
 
@@ -77,10 +77,10 @@ pub struct SeqKv {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PagedSnapshot {
     /// `(seq, page table, bytes)` sorted by sequence id.
-    pub sequences: Vec<(u32, SeqKv)>,
-    pub free_pages: u64,
-    pub pages_in_use: u64,
-    pub stats: PagedStats,
+    sequences: Vec<(u32, SeqKv)>,
+    free_pages: u64,
+    pages_in_use: u64,
+    stats: PagedStats,
 }
 
 fn pages_for(bytes: u64, page_bytes: u64) -> u64 {

@@ -16,8 +16,8 @@ use std::collections::{BTreeMap, HashMap};
 
 /// One planned placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Placement {
-    pub offset: u64,
+struct Placement {
+    offset: u64,
     pub bytes: u64,
 }
 
@@ -50,10 +50,6 @@ impl PlanAllocator {
             live_ids: HashMap::new(),
             allocated: 0,
         }
-    }
-
-    pub fn arena_bytes(&self) -> u64 {
-        self.arena
     }
 
     fn overlap_check(&self, offset: u64, bytes: u64) -> Option<TensorId> {

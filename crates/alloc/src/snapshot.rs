@@ -10,16 +10,16 @@ use memo_model::trace::{IterationTrace, MemOp};
 
 /// One sample of the series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sample {
-    pub request_index: usize,
-    pub allocated: u64,
-    pub reserved: u64,
+struct Sample {
+    request_index: usize,
+    allocated: u64,
+    reserved: u64,
 }
 
 /// The recorded series plus outcome metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotSeries {
-    pub samples: Vec<Sample>,
+    samples: Vec<Sample>,
     pub reorgs: u64,
     /// Populated if the trace hit OOM; the series covers requests up to it.
     pub oom: Option<AllocError>,
@@ -45,7 +45,7 @@ impl SnapshotSeries {
     }
 
     /// Downsample to at most `n` points for plotting.
-    pub fn downsample(&self, n: usize) -> Vec<Sample> {
+    fn downsample(&self, n: usize) -> Vec<Sample> {
         if self.samples.len() <= n || n == 0 {
             return self.samples.clone();
         }

@@ -90,10 +90,10 @@ impl SimInputs {
 }
 
 /// α lattice points of the dense MEMO grid.
-pub const GRID_ALPHA_POINTS: usize = 17;
+const GRID_ALPHA_POINTS: usize = 17;
 
 /// The dense MEMO grid of a workload: every Megatron-family strategy (one
-/// row each) crossed with [`GRID_ALPHA_POINTS`] α points from 0 to 1, the
+/// row each) crossed with `GRID_ALPHA_POINTS` α points from 0 to 1, the
 /// cells `Workload::run_alpha_grid` sweeps row by row.
 #[derive(Debug, Clone)]
 pub struct MemoGrid {

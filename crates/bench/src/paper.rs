@@ -4,13 +4,10 @@
 //! `None` in the MFU position encodes a reported failure; `kind` says which
 //! (`"oom"` GPU, `"oohm"` host).
 
-/// One Table 3 row group: (model, n_gpus) and per-length MFU (%) for
+/// One Table 3 row group: one model's MFU (%) at each of [`SEQ_K`] for
 /// DeepSpeed, Megatron-LM and MEMO.
 pub struct Table3Group {
     pub model: &'static str,
-    pub n_gpus: usize,
-    /// Sequence lengths in K tokens.
-    pub seq_k: &'static [u64],
     pub deepspeed: &'static [Option<f64>],
     pub megatron: &'static [Option<f64>],
     pub memo: &'static [Option<f64>],
@@ -22,10 +19,9 @@ pub const SEQ_K: [u64; 12] = [
 
 /// Table 3 as printed in the paper (MFU %, `None` = X_oom / X_oohm).
 pub const TABLE3: [Table3Group; 4] = [
+    // 7B on 8 GPUs
     Table3Group {
         model: "7B",
-        n_gpus: 8,
-        seq_k: &SEQ_K,
         deepspeed: &[
             Some(27.95),
             Some(25.46),
@@ -69,10 +65,9 @@ pub const TABLE3: [Table3Group; 4] = [
             None,
         ],
     },
+    // 13B on 16 GPUs
     Table3Group {
         model: "13B",
-        n_gpus: 16,
-        seq_k: &SEQ_K,
         deepspeed: &[
             Some(27.97),
             Some(25.45),
@@ -116,10 +111,9 @@ pub const TABLE3: [Table3Group; 4] = [
             Some(52.10),
         ],
     },
+    // 30B on 32 GPUs
     Table3Group {
         model: "30B",
-        n_gpus: 32,
-        seq_k: &SEQ_K,
         deepspeed: &[
             Some(29.93),
             Some(25.54),
@@ -163,10 +157,9 @@ pub const TABLE3: [Table3Group; 4] = [
             None,
         ],
     },
+    // 65B on 64 GPUs
     Table3Group {
         model: "65B",
-        n_gpus: 64,
-        seq_k: &SEQ_K,
         deepspeed: &[
             Some(31.05),
             Some(26.13),
@@ -212,19 +205,16 @@ pub const TABLE3: [Table3Group; 4] = [
     },
 ];
 
-/// Table 4 (ablation, 7B on 8 GPUs at TP4·CP2), MFU %.
+/// Table 4 (ablation, 7B on 8 GPUs at TP4·CP2), MFU % at [`TABLE4_SEQ_K`].
 pub struct Table4Row {
-    pub method: &'static str,
-    pub seq_k: &'static [u64],
     pub mfu: &'static [Option<f64>],
 }
 
 pub const TABLE4_SEQ_K: [u64; 8] = [64, 128, 256, 384, 512, 640, 768, 896];
 
 pub const TABLE4: [Table4Row; 4] = [
+    // Full Recomputation
     Table4Row {
-        method: "Full Recomputation",
-        seq_k: &TABLE4_SEQ_K,
         mfu: &[
             Some(41.19),
             Some(23.00),
@@ -236,9 +226,8 @@ pub const TABLE4: [Table4Row; 4] = [
             None,
         ],
     },
+    // Full Recomputation + Memory Plan
     Table4Row {
-        method: "Full Recomputation + Memory Plan",
-        seq_k: &TABLE4_SEQ_K,
         mfu: &[
             Some(42.91),
             Some(43.17),
@@ -250,9 +239,8 @@ pub const TABLE4: [Table4Row; 4] = [
             None,
         ],
     },
+    // Full Swapping + Memory Plan
     Table4Row {
-        method: "Full Swapping + Memory Plan",
-        seq_k: &TABLE4_SEQ_K,
         mfu: &[
             Some(37.40),
             Some(46.33),
@@ -264,9 +252,8 @@ pub const TABLE4: [Table4Row; 4] = [
             None,
         ],
     },
+    // MEMO
     Table4Row {
-        method: "MEMO",
-        seq_k: &TABLE4_SEQ_K,
         mfu: &[
             Some(47.99),
             Some(50.96),
@@ -297,7 +284,7 @@ mod tests {
     #[test]
     fn table3_shapes_consistent() {
         for g in &TABLE3 {
-            assert_eq!(g.seq_k.len(), 12);
+            assert_eq!(SEQ_K.len(), 12);
             assert_eq!(g.deepspeed.len(), 12);
             assert_eq!(g.megatron.len(), 12);
             assert_eq!(g.memo.len(), 12);

@@ -11,7 +11,6 @@ use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 pub struct Cell {
     pub system: SystemSpec,
     pub model: &'static str,
-    pub n_gpus: usize,
     pub seq_k: u64,
     pub strategy: Option<ParallelConfig>,
     pub outcome: CellOutcome,
@@ -41,7 +40,6 @@ pub fn sweep_group(
         Cell {
             system: sys,
             model: model.name,
-            n_gpus,
             seq_k: s_k,
             strategy: cfg,
             outcome,

@@ -10,7 +10,7 @@
 //! this cache computes each distinct profile once and shares it as an
 //! `Arc<ProfileReport>`. The same shards memoize the memory plan of each
 //! profiled trace and `memo-serve`'s per-workload answer
-//! ([`crate::serving::pick`]): a training tenant's MEMO cell or a serving
+//! (`crate::serving::pick`): a training tenant's MEMO cell or a serving
 //! tenant's KV-cache policy.
 //!
 //! Correctness argument: a hit returns the identical bytes a fresh
@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Everything `profile()` reads, by value. Two equal keys guarantee
 /// bit-identical reports.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ProfileKey {
+pub(crate) struct ProfileKey {
     model: ModelConfig,
     cfg: ParallelConfig,
     policy: RematPolicy,
@@ -53,7 +53,7 @@ pub struct ProfileKey {
 }
 
 impl ProfileKey {
-    pub fn new(
+    pub(crate) fn new(
         w: &Workload,
         cfg: &ParallelConfig,
         policy: RematPolicy,
@@ -104,7 +104,7 @@ impl PickKey {
 /// distinct artifacts, so the planner knob must be part of the fingerprint —
 /// otherwise switching [`PlannerKind`] mid-process would serve stale plans.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanKey {
+struct PlanKey {
     profile: ProfileKey,
     planner: PlannerKind,
 }
@@ -116,8 +116,8 @@ type Shard<K, V> = Mutex<FxHashMap<K, Arc<V>>>;
 
 /// Sharded, process-wide memo table for [`profiler::profile`] and for the
 /// memory plan derived from its trace. The plan table is keyed by
-/// [`PlanKey`] — the same [`ProfileKey`] inputs plus the planner knob. A
-/// third table memoizes [`serving::pick`], keyed by tenant kind and
+/// `PlanKey` — the same `ProfileKey` inputs plus the planner knob. A
+/// third table memoizes `serving::pick`, keyed by tenant kind and
 /// workload.
 #[derive(Debug)]
 pub struct ProfileCache {
@@ -278,7 +278,7 @@ impl ProfileCache {
     /// same key. `trace` must be the trace of the [`ProfileReport`] this key
     /// maps to — the plan is a pure function of (trace, planner), and the
     /// trace a pure function of the key, so hits are bit-identical to fresh
-    /// [`crate::planner::plan_with`] calls.
+    /// `crate::planner::plan_with` calls.
     #[allow(clippy::too_many_arguments)]
     pub fn plan(
         &self,
@@ -311,11 +311,11 @@ impl ProfileCache {
         report
     }
 
-    /// Look up or compute [`serving::pick`] for a `kind` tenant of `w`.
+    /// Look up or compute `serving::pick` for a `kind` tenant of `w`.
     /// Bypassed like the other tables.
     ///
     /// These lookups are counted only in the thread's [`PICK_SCOPE`]
-    /// scope, never in [`CacheStats`] or [`Self::stats`], which keep
+    /// scope, never in the cache's own [`CacheStats`] counters, which keep
     /// meaning profile and plan traffic: a request makes one pick lookup,
     /// and a training miss makes dozens of profile lookups underneath it.
     pub fn pick(&self, w: &Workload, kind: TenantKind, use_cache: bool) -> Arc<Pick> {
@@ -332,7 +332,8 @@ impl ProfileCache {
     }
 
     /// Hit/miss counters since the cache was built.
-    pub fn stats(&self) -> CacheStats {
+    #[cfg(test)]
+    fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

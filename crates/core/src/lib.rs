@@ -17,12 +17,12 @@
 //! [`session`] is the user-facing API: build a [`session::Workload`], pick a
 //! [`SystemSpec`](memo_parallel::SystemSpec), `run_with()` — and read
 //! MFU/TGS or an OOM/OOHM outcome (the cells of Table 3), or
-//! `run_report()` for the full byte/time accounting. [`ablation`] maps the
+//! `run_report()` for the full byte/time accounting. `ablation` maps the
 //! Table 4 rows to their `SystemSpec`s.
 
-pub mod ablation;
+mod ablation;
 pub mod cache;
-pub mod metrics;
+mod metrics;
 pub mod observer;
 pub mod outcome;
 pub mod pipeline;
@@ -31,13 +31,9 @@ pub mod profiler;
 pub mod serving;
 pub mod session;
 
-pub use cache::{CacheStats, CacheStatsScope, ProfileCache};
 pub use metrics::Metrics;
-pub use observer::RunObserver;
-pub use outcome::CellOutcome;
 pub use pipeline::{ExecutionPipeline, ExecutionReport};
-pub use serving::{ServingEngine, ServingReport, ServingResources};
-pub use session::{pick_best_or_failure, Workload};
+pub use serving::{ServingEngine, ServingReport};
 
 #[cfg(test)]
 pub(crate) mod testutil {

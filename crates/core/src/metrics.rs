@@ -35,7 +35,7 @@ pub struct Metrics {
 /// answer. This used to be an `assert!` — a panic deep inside the metrics
 /// stage — but an observed pipeline reports the degenerate iteration as a
 /// [`crate::outcome::CellOutcome::Degenerate`] cell instead of aborting.
-pub fn compute_metrics(
+pub(crate) fn compute_metrics(
     model: &ModelConfig,
     s: u64,
     batch: u64,

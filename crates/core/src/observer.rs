@@ -29,7 +29,8 @@ pub struct StageSecs {
 
 impl StageSecs {
     /// Sum over the stages.
-    pub fn total(&self) -> f64 {
+    #[cfg(test)]
+    fn total(&self) -> f64 {
         self.profile + self.policy + self.memory + self.schedule
     }
 }
@@ -37,7 +38,7 @@ impl StageSecs {
 /// Everything one observed pipeline run collects.
 ///
 /// Construct with [`RunObserver::new`], pass as `Some(&mut obs)` to
-/// [`crate::pipeline::ExecutionPipeline::execute_from`] (or
+/// `crate::pipeline::ExecutionPipeline::execute_from` (or
 /// [`crate::session::Workload::run_report_observed`]), then hand the
 /// filled observer to the `memo-obs` exporters.
 #[derive(Debug, Clone, Default)]

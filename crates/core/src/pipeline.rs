@@ -5,7 +5,7 @@
 //! 1. **profile** — liveness peak, memory-request trace (built on first
 //!    use), per-layer costs, α program
 //!    ([`crate::profiler`]);
-//! 2. **activation policy** ([`ActivationPolicy`]) — how activations survive
+//! 2. **activation policy** (`ActivationPolicy`) — how activations survive
 //!    to the backward pass: token-wise α swap into rounding buffers,
 //!    per-tensor greedy swap, an N-tier host/NVMe/… waterfall, full
 //!    recomputation, or keep-all. Swap policies can fail host/NVMe
@@ -18,7 +18,7 @@
 //! 5. **metrics** — MFU/TGS plus the [`ByteBreakdown`]/[`TimeBreakdown`]
 //!    accounting of the [`ExecutionReport`].
 //!
-//! One private stage runner serves every caller. [`ExecutionPipeline::execute_from`]
+//! One private stage runner serves every caller. `ExecutionPipeline::execute_from`
 //! looks the profile and the static plan up in the process-global
 //! [`ProfileCache`]; the strategy search runs stages 2–5 on a profile it
 //! already holds; and a grid row (`Workload::run_alpha_grid`,
@@ -48,7 +48,7 @@ use std::time::Instant;
 
 /// Stage 2: how activations survive from forward to backward.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ActivationPolicy {
+pub(crate) enum ActivationPolicy {
     /// Token-wise α split (§4.1): swap `α · others` plus the mandatory
     /// input/attention rows into `slots` rotating rounding buffers,
     /// recompute the rest. `None` takes the solved α of the LP.
@@ -107,14 +107,14 @@ pub struct PipelineStages {
     pub materialize_logits: bool,
     /// Multiplier on the profiled head seconds (3.0 for the unfused
     /// softmax/log/NLL passes of the DeepSpeed loss).
-    pub head_scale: f64,
+    head_scale: f64,
     /// Stage 2 choice.
-    pub policy: ActivationPolicy,
+    pub(crate) policy: ActivationPolicy,
     /// Stage 3 choice.
     pub backend: MemoryBackend,
     /// Divisor on the closed-form iteration time (DeepSpeed's kernel and
     /// all-to-all inefficiency, calibrated).
-    pub derate: bool,
+    derate: bool,
     /// Which planner builds the [`MemoryBackend::StaticPlan`] layout: the
     /// bi-level decomposition or the flat whole-trace dispatch (exact /
     /// boxing / best-fit). Participates in the plan-cache fingerprint.
@@ -239,7 +239,7 @@ impl ByteBreakdown {
     /// Peak GPU bytes: everything resident at once. Saturates at
     /// `u64::MAX`, which no device holds, so an overflowing sum is a typed
     /// `X_oom` rather than a wrapped total that fits.
-    pub fn peak(&self) -> u64 {
+    pub(crate) fn peak(&self) -> u64 {
         self.model_states
             .saturating_add(self.skeletal_buffers)
             .saturating_add(self.planned_arena)
@@ -268,7 +268,8 @@ pub struct TimeBreakdown {
 
 impl TimeBreakdown {
     /// Sum of the components (equals the iteration seconds up to rounding).
-    pub fn total(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> f64 {
         self.compute + self.recompute + self.stall + self.bubble + self.optimizer + self.grad_sync
     }
 }
@@ -284,7 +285,7 @@ pub struct ExecutionReport {
     pub strategy: ParallelConfig,
     /// GPU byte accounting (model states / skeletal buffers / arena).
     pub bytes: ByteBreakdown,
-    /// Time decomposition; `time.total()` equals the metrics' `iter_secs`
+    /// Time decomposition; its components sum to the metrics' `iter_secs`
     /// on success.
     pub time: TimeBreakdown,
     /// The Table 3/4 cell: metrics, `X_oom`, or `X_oohm`.
@@ -391,7 +392,7 @@ impl ExecutionPipeline {
     /// perturb golden-parity outputs (the observer only *reads* what the
     /// stages already computed, and the one genuinely new artifact, the
     /// recompute-family timeline, is synthesized outside the metric path).
-    pub fn execute_from(
+    pub(crate) fn execute_from(
         &self,
         w: &Workload,
         cfg: &ParallelConfig,

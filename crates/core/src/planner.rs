@@ -19,7 +19,7 @@ pub fn plan(trace: &IterationTrace) -> BilevelReport {
 /// decomposition (§4.3.3) or the whole-trace flat DSA path, which hands the
 /// entire iteration to the size-based dispatch policy (exact BnB when small,
 /// boxing with a certified gap when large).
-pub fn plan_with(trace: &IterationTrace, planner: PlannerKind) -> BilevelReport {
+pub(crate) fn plan_with(trace: &IterationTrace, planner: PlannerKind) -> BilevelReport {
     let report = match planner {
         PlannerKind::Bilevel => plan_iteration(trace),
         PlannerKind::WholeTrace => plan_whole(trace),

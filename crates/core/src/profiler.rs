@@ -81,7 +81,7 @@ pub struct ProfileReport {
     pub trace: LazyTrace,
     /// The trace's liveness peak ([`IterationTrace::peak_live_bytes`]),
     /// streamed without building the trace.
-    pub peak_live_bytes: u64,
+    pub(crate) peak_live_bytes: u64,
     /// Per-layer time decomposition.
     pub layer_time: LayerTime,
     /// Per-layer skeletal byte split (per GPU).
@@ -91,9 +91,9 @@ pub struct ProfileReport {
     /// Head (classifier + loss) seconds per iteration, fwd+bwd.
     pub head_secs: f64,
     /// Optimizer step seconds.
-    pub optimizer_secs: f64,
+    pub(crate) optimizer_secs: f64,
     /// Exposed gradient-synchronisation seconds.
-    pub grad_sync_secs: f64,
+    pub(crate) grad_sync_secs: f64,
     /// Transformer layers resident on this GPU (pipeline sharding).
     pub layers_local: usize,
     /// Per-GPU activation dimensions.

@@ -19,9 +19,9 @@
 //!   sequences down the PR-6 tier chain via [`KvPager`].
 //!
 //! Everything is deterministic: same workload, same policy, same
-//! [`ServingReport`]. [`pick_policy`] folds the four legs of one trimmed
+//! [`ServingReport`]. `pick_policy` folds the four legs of one trimmed
 //! decode cell into the policy a serving tenant should run, and
-//! [`pick_training`] folds a training tenant's strategy grid × α lattice
+//! `pick_training` folds a training tenant's strategy grid × α lattice
 //! into its MEMO cell — the two answers `memo-serve` gives, both memoized
 //! as a [`Pick`] by [`crate::cache::ProfileCache::pick`].
 
@@ -41,54 +41,54 @@ use memo_swap::kv::{plan_kv_swap, KvPager, KvSwapInputs};
 /// Device/host resources a serving run sees, normally derived from a
 /// [`Workload`]'s calibration by [`ServingEngine::from_workload`].
 #[derive(Debug, Clone)]
-pub struct ServingResources {
+pub(crate) struct ServingResources {
     /// Device bytes available to the KV cache (after weights).
     pub device_kv_bytes: u64,
     /// Page size of the paged policy, bytes.
-    pub page_bytes: u64,
+    page_bytes: u64,
     /// Device peak FLOP/s and the decode-GEMM efficiency against it.
-    pub peak_flops: f64,
-    pub efficiency: f64,
+    peak_flops: f64,
+    efficiency: f64,
     /// Fixed per-step launch overhead, seconds.
-    pub kernel_launch_secs: f64,
+    kernel_launch_secs: f64,
     /// Effective device↔host bandwidth, bytes/s.
     pub host_bandwidth: f64,
     /// Host DRAM available for swapped/paged KV, bytes.
     pub host_capacity: u64,
     /// Stall per caching-allocator reorganisation, seconds.
-    pub reorg_penalty_secs: f64,
+    reorg_penalty_secs: f64,
     /// Offload tiers beyond the host, chain order.
-    pub extra_tiers: Vec<TierLink>,
+    extra_tiers: Vec<TierLink>,
 }
 
 /// Result of one serving run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
-    pub policy: KvCachePolicy,
+    pub(crate) policy: KvCachePolicy,
     /// Virtual-clock decode steps replayed.
-    pub steps: u64,
+    steps: u64,
     /// Tokens decoded (appends that succeeded).
-    pub tokens_generated: u64,
+    tokens_generated: u64,
     /// Largest number of simultaneously live sequences.
-    pub peak_seqs: usize,
+    peak_seqs: usize,
     /// Arrivals refused admission.
-    pub rejected: usize,
+    rejected: usize,
     /// Sequences killed mid-flight when memory ran out under them.
-    pub preempted: usize,
+    preempted: usize,
     /// Cold sequences paged off device (tiered policy only).
-    pub evictions: u64,
+    evictions: u64,
     /// Peak device KV bytes resident.
-    pub peak_kv_bytes: u64,
+    peak_kv_bytes: u64,
     /// Peak host bytes staged (swap/tiered policies).
-    pub host_peak_bytes: u64,
+    host_peak_bytes: u64,
     /// Caching-allocator reorganisations (caching policy only).
-    pub reorgs: u64,
+    reorgs: u64,
     /// Largest swapped fraction used (swap/tiered policies).
-    pub alpha: Option<f64>,
+    alpha: Option<f64>,
     /// Virtual wall time of the run, seconds.
-    pub sim_secs: f64,
+    sim_secs: f64,
     /// Decode throughput: generated tokens per virtual second.
-    pub tokens_per_sec: f64,
+    tokens_per_sec: f64,
     /// Decode FLOPs over `sim_secs · peak_flops`.
     pub utilization: f64,
 }
@@ -96,13 +96,17 @@ pub struct ServingReport {
 /// A decode workload bound to resources and a policy.
 #[derive(Debug, Clone)]
 pub struct ServingEngine {
-    pub params: DecodeParams,
-    pub resources: ServingResources,
-    pub policy: KvCachePolicy,
+    params: DecodeParams,
+    resources: ServingResources,
+    pub(crate) policy: KvCachePolicy,
 }
 
 impl ServingEngine {
-    pub fn new(params: DecodeParams, resources: ServingResources, policy: KvCachePolicy) -> Self {
+    pub(crate) fn new(
+        params: DecodeParams,
+        resources: ServingResources,
+        policy: KvCachePolicy,
+    ) -> Self {
         ServingEngine {
             params,
             resources,
@@ -156,7 +160,7 @@ impl ServingEngine {
     }
 
     /// Replay a pre-generated trace (benches reuse one trace across legs).
-    pub fn replay(&self, trace: &DecodeTrace) -> ServingReport {
+    fn replay(&self, trace: &DecodeTrace) -> ServingReport {
         let mut rt = Replay::new(self, trace);
         rt.run();
         rt.finish()
@@ -190,7 +194,7 @@ fn pick_cell(w: &Workload, policy: KvCachePolicy) -> ServingEngine {
 ///
 /// A pure function of `w` — the memoization contract of
 /// [`crate::cache::ProfileCache::pick`].
-pub fn pick_policy(w: &Workload) -> CellOutcome {
+fn pick_policy(w: &Workload) -> CellOutcome {
     let mut eng = pick_cell(w, KvCachePolicy::ALL[0]);
     let trace = generate_decode(&eng.params);
     let mut best: Option<(f64, CellOutcome)> = None;
@@ -210,12 +214,12 @@ pub fn pick_policy(w: &Workload) -> CellOutcome {
     best.expect("KvCachePolicy::ALL is non-empty").1
 }
 
-/// α lattice [`pick_training`] crosses each strategy with.
+/// α lattice `pick_training` crosses each strategy with.
 pub const ALPHA_POINTS: usize = 5;
 
 /// What a tenant runs on its cluster slice: a MEMO strategy grid
 /// (training) or a decode-phase KV-cache policy (serving). Selects the
-/// pick [`pick`] makes, and is part of the pick-table key.
+/// pick `pick` makes, and is part of the pick-table key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TenantKind {
     #[default]
@@ -223,16 +227,7 @@ pub enum TenantKind {
     Serving,
 }
 
-impl TenantKind {
-    pub fn label(&self) -> &'static str {
-        match self {
-            TenantKind::Training => "training",
-            TenantKind::Serving => "serving",
-        }
-    }
-}
-
-/// A tenant's planning answer: the value [`pick`] computes and
+/// A tenant's planning answer: the value `pick` computes and
 /// [`crate::cache::ProfileCache::pick`] memoizes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pick {
@@ -240,7 +235,7 @@ pub struct Pick {
     /// the whole grid failed.
     pub picked: Option<(ParallelConfig, f64)>,
     /// Full report of the winning training cell.
-    pub report: Option<ExecutionReport>,
+    pub(crate) report: Option<ExecutionReport>,
     /// The pick's outcome, or the least-bad failure over the grid.
     pub outcome: CellOutcome,
     /// Cells evaluated: |strategy grid| × [`ALPHA_POINTS`] for training,
@@ -255,7 +250,7 @@ pub struct Pick {
 /// least-bad failure.
 ///
 /// A pure function of `w`, like [`pick_policy`].
-pub fn pick_training(w: &Workload) -> Pick {
+pub(crate) fn pick_training(w: &Workload) -> Pick {
     let gpn = w.calib.gpus_per_node.min(w.n_gpus);
     let cells: Vec<_> = enumerate_configs(SystemSpec::Memo, &w.model, w.n_gpus, gpn)
         .into_iter()
@@ -274,9 +269,9 @@ pub fn pick_training(w: &Workload) -> Pick {
     }
 }
 
-/// The pick a `kind` tenant of `w` gets: [`pick_training`], or
-/// [`pick_policy`]'s outcome with no strategy cell.
-pub fn pick(w: &Workload, kind: TenantKind) -> Pick {
+/// The pick a `kind` tenant of `w` gets: `pick_training`, or
+/// `pick_policy`'s outcome with no strategy cell.
+pub(crate) fn pick(w: &Workload, kind: TenantKind) -> Pick {
     match kind {
         TenantKind::Training => pick_training(w),
         TenantKind::Serving => Pick {

@@ -4,58 +4,62 @@ use memo_hal::engine::{EventId, StreamId, Timeline};
 use memo_hal::time::SimTime;
 use std::fmt;
 
-/// One timeline per rank, each with compute/offload/prefetch streams, plus
+/// One timeline per rank, each with compute and offload streams, plus
 /// collectives that couple them.
 #[derive(Debug)]
-pub struct ClusterTimeline {
+pub(crate) struct ClusterTimeline {
     timelines: Vec<Timeline>,
     compute: Vec<StreamId>,
     offload: Vec<StreamId>,
-    prefetch: Vec<StreamId>,
 }
 
 impl ClusterTimeline {
-    pub fn new(world: usize) -> Self {
+    pub(crate) fn new(world: usize) -> Self {
         let mut timelines = Vec::with_capacity(world);
         let mut compute = Vec::with_capacity(world);
         let mut offload = Vec::with_capacity(world);
-        let mut prefetch = Vec::with_capacity(world);
         for _ in 0..world {
             let mut tl = Timeline::new();
             compute.push(tl.add_stream("compute"));
             offload.push(tl.add_stream("offload"));
-            prefetch.push(tl.add_stream("prefetch"));
             timelines.push(tl);
         }
         ClusterTimeline {
             timelines,
             compute,
             offload,
-            prefetch,
         }
     }
 
-    pub fn world(&self) -> usize {
-        self.timelines.len()
-    }
-
     /// Enqueue compute work on one rank.
-    pub fn compute(&mut self, rank: usize, dur: SimTime, label: &str) -> SimTime {
+    #[cfg(test)]
+    fn compute(&mut self, rank: usize, dur: SimTime, label: &str) -> SimTime {
         self.timelines[rank].enqueue(self.compute[rank], dur, label)
     }
 
     /// [`Self::compute`] with a formatted label.
-    pub fn compute_fmt(&mut self, rank: usize, dur: SimTime, label: fmt::Arguments<'_>) -> SimTime {
+    pub(crate) fn compute_fmt(
+        &mut self,
+        rank: usize,
+        dur: SimTime,
+        label: fmt::Arguments<'_>,
+    ) -> SimTime {
         self.timelines[rank].enqueue_fmt(self.compute[rank], dur, label)
     }
 
     /// Enqueue an offload transfer on one rank; returns its completion event.
-    pub fn offload(&mut self, rank: usize, dur: SimTime, label: &str) -> EventId {
+    #[cfg(test)]
+    fn offload(&mut self, rank: usize, dur: SimTime, label: &str) -> EventId {
         self.offload_fmt(rank, dur, format_args!("{label}"))
     }
 
     /// [`Self::offload`] with a lazily formatted label.
-    pub fn offload_fmt(&mut self, rank: usize, dur: SimTime, label: fmt::Arguments<'_>) -> EventId {
+    pub(crate) fn offload_fmt(
+        &mut self,
+        rank: usize,
+        dur: SimTime,
+        label: fmt::Arguments<'_>,
+    ) -> EventId {
         let tl = &mut self.timelines[rank];
         let compute_done = tl.record_event(self.compute[rank]);
         tl.wait_event(self.offload[rank], compute_done);
@@ -64,19 +68,24 @@ impl ClusterTimeline {
     }
 
     /// Make a rank's compute stream wait on one of its own events.
-    pub fn wait_compute(&mut self, rank: usize, ev: EventId) {
+    pub(crate) fn wait_compute(&mut self, rank: usize, ev: EventId) {
         self.timelines[rank].wait_event(self.compute[rank], ev);
     }
 
     /// A synchronous collective over `ranks`: starts when the slowest
     /// member's compute stream arrives, then occupies every member for
     /// `dur`. This barrier coupling is what amplifies stragglers.
-    pub fn collective(&mut self, ranks: &[usize], dur: SimTime, label: &str) {
+    pub(crate) fn collective(&mut self, ranks: &[usize], dur: SimTime, label: &str) {
         self.collective_fmt(ranks, dur, format_args!("{label}"));
     }
 
     /// [`Self::collective`] with a lazily formatted label.
-    pub fn collective_fmt(&mut self, ranks: &[usize], dur: SimTime, label: fmt::Arguments<'_>) {
+    pub(crate) fn collective_fmt(
+        &mut self,
+        ranks: &[usize],
+        dur: SimTime,
+        label: fmt::Arguments<'_>,
+    ) {
         let start = ranks
             .iter()
             .map(|&r| self.timelines[r].stream_cursor(self.compute[r]))
@@ -89,12 +98,12 @@ impl ClusterTimeline {
     }
 
     /// Completion time of a rank's compute stream.
-    pub fn compute_cursor(&self, rank: usize) -> SimTime {
+    pub(crate) fn compute_cursor(&self, rank: usize) -> SimTime {
         self.timelines[rank].stream_cursor(self.compute[rank])
     }
 
     /// Cluster makespan.
-    pub fn makespan(&self) -> SimTime {
+    pub(crate) fn makespan(&self) -> SimTime {
         self.timelines
             .iter()
             .map(|tl| tl.makespan())
@@ -103,13 +112,8 @@ impl ClusterTimeline {
     }
 
     /// Access one rank's timeline (rendering / assertions).
-    pub fn timeline(&self, rank: usize) -> &Timeline {
+    pub(crate) fn timeline(&self, rank: usize) -> &Timeline {
         &self.timelines[rank]
-    }
-
-    /// The prefetch stream id of a rank (for schedules that need it).
-    pub fn prefetch_stream(&self, rank: usize) -> StreamId {
-        self.prefetch[rank]
     }
 }
 

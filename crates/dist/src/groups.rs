@@ -9,8 +9,6 @@
 //! so a TP group is a contiguous run of ranks (it must sit inside one node
 //! for NVLink), and DP groups stride the furthest apart.
 
-use memo_parallel::strategy::ParallelConfig;
-
 /// One rank's coordinates in the 4-D parallelism grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankCoords {
@@ -39,16 +37,6 @@ pub enum Axis {
 }
 
 impl RankGrid {
-    pub fn from_config(cfg: &ParallelConfig) -> Self {
-        // Ulysses behaves like CP for grouping purposes (sequence split).
-        RankGrid {
-            tp: cfg.tp,
-            cp: cfg.cp * cfg.ulysses,
-            pp: cfg.pp,
-            dp: cfg.dp,
-        }
-    }
-
     pub fn world(&self) -> usize {
         self.tp * self.cp * self.pp * self.dp
     }
@@ -71,7 +59,7 @@ impl RankGrid {
     }
 
     /// The ranks sharing every coordinate with `rank` except `axis`.
-    pub fn group_of(&self, rank: usize, axis: Axis) -> Vec<usize> {
+    fn group_of(&self, rank: usize, axis: Axis) -> Vec<usize> {
         let c = self.coords_of(rank);
         let n = match axis {
             Axis::Tp => self.tp,
@@ -159,13 +147,5 @@ mod tests {
         assert_eq!(g.group_of(3, Axis::Cp).len(), 2);
         assert_eq!(g.group_of(3, Axis::Dp).len(), 2);
         assert_eq!(g.groups(Axis::Tp).len(), 4); // 16 / 4
-    }
-
-    #[test]
-    fn from_config_folds_ulysses_into_cp() {
-        use memo_parallel::strategy::ParallelConfig;
-        let g = RankGrid::from_config(&ParallelConfig::ulysses(8, 2));
-        assert_eq!((g.tp, g.cp, g.dp), (1, 8, 2));
-        assert_eq!(g.world(), 16);
     }
 }

@@ -43,7 +43,7 @@ pub struct DistOutcome {
     pub makespan: SimTime,
     /// Mean per-rank compute-stream idle fraction of the makespan.
     pub mean_idle_fraction: f64,
-    /// Slowdown versus the jitter-free run of the same spec.
+    /// Completion time of each rank's compute stream.
     pub per_rank_end: Vec<SimTime>,
 }
 

@@ -6,7 +6,7 @@
 //!
 //! * [`groups`] — the rank grid: world = DP × PP × CP × TP (TP fastest,
 //!   Megatron rank order) and the communication groups along each axis;
-//! * [`cluster`] — per-rank timelines plus *collectives* that synchronise
+//! * `cluster` — per-rank timelines plus *collectives* that synchronise
 //!   member ranks (a collective starts when its slowest member arrives —
 //!   the mechanism by which stragglers poison synchronous training);
 //! * [`iteration`] — a MEMO-style iteration run across every rank, with
@@ -18,10 +18,6 @@
 //! strategies amplify compute-time variance — context for the paper's
 //! "large TP/SP sizes introduce significant communication overheads" (§5.2).
 
-pub mod cluster;
+mod cluster;
 pub mod groups;
 pub mod iteration;
-
-pub use cluster::ClusterTimeline;
-pub use groups::RankGrid;
-pub use iteration::{run_distributed_iteration, DistOutcome, DistSpec};

@@ -7,7 +7,7 @@
 //! The offload chain below GPU HBM lives in [`MemoryHierarchy`]: an ordered
 //! list of [`crate::hierarchy::TierSpec`]s (host DRAM, NVMe, and optionally
 //! CXL- or remote-memory pools). The default chain reproduces the paper's
-//! GPU→host→NVMe testbed bit-exactly; see [`MemoryHierarchy::three_tier`].
+//! GPU→host→NVMe testbed bit-exactly; see `MemoryHierarchy::three_tier`.
 //!
 //! Two derating factors deserve explanation because they anchor the paper's
 //! headline crossovers:
@@ -26,9 +26,7 @@
 
 use crate::hierarchy::MemoryHierarchy;
 
-pub const GIB: u64 = 1 << 30;
-pub const MIB: u64 = 1 << 20;
-pub const KIB: u64 = 1 << 10;
+pub(crate) const GIB: u64 = 1 << 30;
 
 /// Hardware and kernel-efficiency constants used by every cost model.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +46,7 @@ pub struct Calibration {
     /// NCCL channel buffers for every communicator group (TP/CP/DP/PP each
     /// allocate their own), TransformerEngine workspaces and cuDNN plans —
     /// memory a training job cannot give to activations.
-    pub gpu_reserved_bytes: u64,
+    gpu_reserved_bytes: u64,
     /// Number of GPUs attached to each node.
     pub gpus_per_node: usize,
     /// The ordered offload chain below GPU HBM, nearest tier first. Tier 0
@@ -56,13 +54,13 @@ pub struct Calibration {
     /// testbed); deeper tiers (NVMe, CXL, ...) are reached through it.
     pub hierarchy: MemoryHierarchy,
     /// NVLink bandwidth per GPU within a node, bytes/s (400 GB/s).
-    pub nvlink_bandwidth: f64,
+    nvlink_bandwidth: f64,
     /// Achievable fraction of NVLink bandwidth for NCCL collectives.
-    pub nvlink_utilization: f64,
+    nvlink_utilization: f64,
     /// Inter-node InfiniBand bandwidth per node, bytes/s (200 GB/s).
-    pub ib_bandwidth: f64,
+    ib_bandwidth: f64,
     /// Achievable fraction of IB bandwidth.
-    pub ib_utilization: f64,
+    ib_utilization: f64,
     /// Wall time charged for one caching-allocator reorganisation
     /// (a burst of `cudaFree` + `cudaMalloc` calls), seconds.
     pub reorg_penalty_secs: f64,
@@ -152,11 +150,6 @@ impl Calibration {
         self.tier_capacity_per_gpu(0)
     }
 
-    /// Raw host DRAM per node, bytes (tier 0 pool size).
-    pub fn host_memory_bytes(&self) -> u64 {
-        self.hierarchy.tier(0).map_or(0, |t| t.capacity_bytes)
-    }
-
     /// Resize the host DRAM pool (tier 0), keeping its link untouched.
     pub fn set_host_memory_bytes(&mut self, bytes: u64) {
         if let Some(t) = self.hierarchy.tiers.first_mut() {
@@ -185,7 +178,7 @@ impl Calibration {
 
     /// A fingerprint of every calibration field, usable as a hash key.
     /// Floats are captured by their IEEE-754 bit patterns and the tier
-    /// chain by its 64-bit [`MemoryHierarchy::chain_hash`], so two
+    /// chain by its 64-bit `MemoryHierarchy::chain_hash`, so two
     /// calibrations fingerprint equal iff every field is bit-identical —
     /// exactly the condition under which the cost models produce identical
     /// outputs — up to a 64-bit collision in the tier-chain hash. The
@@ -248,7 +241,7 @@ mod tests {
         let c = Calibration::default();
         assert_eq!(c.peak_flops, 312e12);
         assert_eq!(c.gpu_memory_bytes, 80 * GIB);
-        assert_eq!(c.host_memory_bytes(), 2048 * GIB);
+        assert_eq!(c.hierarchy.tier(0).unwrap().capacity_bytes, 2048 * GIB);
         assert_eq!(c.gpus_per_node, 8);
         assert_eq!(c.hierarchy.len(), 2);
         assert_eq!(c.hierarchy.tier(0).unwrap().name, "host");
@@ -285,7 +278,7 @@ mod tests {
     fn host_capacity_split_across_gpus() {
         let c = Calibration::default();
         let per_gpu = c.host_capacity_per_gpu();
-        assert!(per_gpu * 8 <= c.host_memory_bytes());
+        assert!(per_gpu * 8 <= c.hierarchy.tier(0).unwrap().capacity_bytes);
         assert!(per_gpu > 100 * GIB);
     }
 

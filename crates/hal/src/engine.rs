@@ -23,8 +23,8 @@
 //! * **Interned labels.** Spans carry a 4-byte [`Sym`] into a per-timeline
 //!   [`TraceStrings`] table (the interner allocator traces use) instead of
 //!   a heap `String`; a distinct label is stored once per timeline, not
-//!   once per op. Resolution back to `&str` ([`Timeline::label`],
-//!   [`Timeline::span_label`]) happens only at render/export time.
+//!   once per op. Resolution back to `&str` ([`Timeline::span_label`])
+//!   happens only at render/export time.
 //! * **Arena pre-sizing.** [`Timeline::reserve_ops`] pre-sizes the
 //!   span/mark/event vectors from the profiled op count so a replay
 //!   performs no mid-run reallocation.
@@ -52,7 +52,7 @@ pub struct Span {
     pub stream: StreamId,
     pub start: SimTime,
     pub end: SimTime,
-    pub label: Sym,
+    label: Sym,
 }
 
 /// What an instantaneous [`Mark`] on a stream denotes.
@@ -168,26 +168,16 @@ impl Timeline {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Intern `label` into this timeline's symbol table.
-    pub fn intern(&mut self, label: &str) -> Sym {
-        self.syms.intern(label)
-    }
-
     /// Intern a formatted label, reusing an internal scratch buffer —
     /// repeat labels cost a format into existing capacity plus a table
     /// lookup, with no allocation.
-    pub fn intern_fmt(&mut self, args: fmt::Arguments<'_>) -> Sym {
+    fn intern_fmt(&mut self, args: fmt::Arguments<'_>) -> Sym {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         let _ = scratch.write_fmt(args);
         let sym = self.syms.intern(&scratch);
         self.scratch = scratch;
         sym
-    }
-
-    /// The string behind an interned label.
-    pub fn label(&self, sym: Sym) -> &str {
-        self.syms.resolve(sym)
     }
 
     /// The label of a recorded span (render/export-time resolution).
@@ -215,7 +205,7 @@ impl Timeline {
     }
 
     /// [`Self::enqueue`] with a formatted label, interned through
-    /// [`Self::intern_fmt`].
+    /// `Self::intern_fmt`.
     pub fn enqueue_fmt(
         &mut self,
         stream: StreamId,
@@ -228,7 +218,12 @@ impl Timeline {
 
     /// [`Self::enqueue`] with a pre-interned label — the hot-path variant
     /// for callers that intern once outside their replay loop.
-    pub fn enqueue_sym(&mut self, stream: StreamId, duration: SimTime, label: Sym) -> SimTime {
+    pub(crate) fn enqueue_sym(
+        &mut self,
+        stream: StreamId,
+        duration: SimTime,
+        label: Sym,
+    ) -> SimTime {
         let s = &mut self.streams[stream.0];
         let mut start = s.cursor;
         for w in s.pending_waits.drain(..) {
@@ -347,8 +342,8 @@ impl Timeline {
 /// [`Timeline::check_causality`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CausalityError {
-    pub label: String,
-    pub detail: String,
+    label: String,
+    detail: String,
 }
 
 impl fmt::Display for CausalityError {

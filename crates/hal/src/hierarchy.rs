@@ -8,7 +8,7 @@
 //! Tier 0 is the offload tier *nearest* the GPU (host DRAM on the paper's
 //! testbed); deeper tiers are reached through it. Every consumer that used to
 //! read the flat `pcie_*`/`nvme_*`/`host_*` calibration fields now reads the
-//! chain, and [`MemoryHierarchy::three_tier`] rebuilds the legacy chain
+//! chain, and `MemoryHierarchy::three_tier` rebuilds the legacy chain
 //! bit-exactly so all goldens are unchanged.
 
 /// How many peers contend for a tier's link bandwidth.
@@ -22,7 +22,7 @@ pub enum TierSharing {
 
 impl TierSharing {
     /// The divisor applied to the nominal link bandwidth.
-    pub fn sharers(&self, gpus_per_node: usize) -> f64 {
+    fn sharers(&self, gpus_per_node: usize) -> f64 {
         match *self {
             TierSharing::Fixed(n) => n,
             TierSharing::NodeGpus => gpus_per_node as f64,
@@ -54,12 +54,12 @@ pub struct TierSpec {
 
 impl TierSpec {
     /// Effective per-GPU offload bandwidth under concurrent use (bytes/s).
-    pub fn effective_write_bandwidth(&self, gpus_per_node: usize) -> f64 {
+    pub(crate) fn effective_write_bandwidth(&self, gpus_per_node: usize) -> f64 {
         self.write_bandwidth * self.utilization / self.sharing.sharers(gpus_per_node)
     }
 
     /// This GPU's share of the tier's usable capacity (bytes).
-    pub fn capacity_per_gpu(&self, gpus_per_node: usize) -> u64 {
+    pub(crate) fn capacity_per_gpu(&self, gpus_per_node: usize) -> u64 {
         if self.usable_fraction == 1.0 {
             // Exact integer split — the legacy NVMe-capacity path.
             self.capacity_bytes / gpus_per_node as u64
@@ -77,17 +77,12 @@ pub struct MemoryHierarchy {
 }
 
 impl MemoryHierarchy {
-    /// An empty chain (no offload target at all).
-    pub fn none() -> Self {
-        MemoryHierarchy { tiers: Vec::new() }
-    }
-
     /// The legacy GPU→host→NVMe chain, bit-exact with the flat calibration
     /// fields it replaced: tier 0 is host DRAM behind the shared PCIe switch,
     /// tier 1 the node NVMe array (utilization 1.0, shared by all GPUs, so
     /// its effective bandwidth reduces to `nvme_bandwidth / gpus_per_node`).
     #[allow(clippy::too_many_arguments)]
-    pub fn three_tier(
+    pub(crate) fn three_tier(
         host_memory_bytes: u64,
         host_usable_fraction: f64,
         pcie_bandwidth: f64,
@@ -141,7 +136,7 @@ impl MemoryHierarchy {
     /// (floats by their IEEE-754 bit patterns) plus the tier count and order.
     /// Feeds [`crate::calib::CalibFingerprint`]. The exhaustive destructuring
     /// makes adding a `TierSpec` field without hashing it a compile error.
-    pub fn chain_hash(&self) -> u64 {
+    pub(crate) fn chain_hash(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         fn mix(h: &mut u64, word: u64) {

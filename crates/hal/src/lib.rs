@@ -22,12 +22,9 @@
 
 pub mod calib;
 pub mod engine;
-pub mod hierarchy;
+mod hierarchy;
 pub mod reference;
 pub mod time;
 pub mod timeline;
 
-pub use calib::Calibration;
-pub use engine::{EventId, StreamId, Timeline};
 pub use hierarchy::{MemoryHierarchy, TierSharing, TierSpec};
-pub use time::SimTime;

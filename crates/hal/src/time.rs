@@ -43,12 +43,8 @@ impl SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
 
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
-    }
-
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
     }
 }
 

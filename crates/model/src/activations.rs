@@ -32,8 +32,8 @@ use crate::config::{DType, ModelConfig};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LayerDims {
     pub tokens_local: u64,
-    pub hidden: u64,
-    pub ffn_hidden: u64,
+    pub(crate) hidden: u64,
+    pub(crate) ffn_hidden: u64,
     pub dtype: DType,
 }
 
@@ -53,7 +53,7 @@ impl LayerDims {
     }
 
     /// Bytes of one `b·s_local·ffn` activation tensor.
-    pub fn bsf_bytes(&self) -> u64 {
+    pub(crate) fn bsf_bytes(&self) -> u64 {
         self.tokens_local * self.ffn_hidden * self.dtype.size_bytes()
     }
 }
@@ -74,7 +74,7 @@ pub enum SkeletalKind {
 }
 
 impl SkeletalKind {
-    pub const ALL: [SkeletalKind; 10] = [
+    const ALL: [SkeletalKind; 10] = [
         SkeletalKind::LayerInput,
         SkeletalKind::Ln1Out,
         SkeletalKind::Q,

@@ -1,15 +1,13 @@
 //! Token-chunked offload trace generation (the real MegaTrain shape).
 //!
-//! `memo_plan::synth` builds a *statistical* million-interval instance —
-//! right interval structure, made-up sizes. This module generates the
-//! actual request stream of token-chunked training with real
-//! model-derived tensor sizes: each transformer layer processes the
-//! sequence in chunks of `chunk_tokens`, every chunk materialises its
-//! transient activations (QKV, FlashAttention LSE, FFN intermediates, …)
-//! sized from the [`ModelConfig`], frees them LIFO at chunk end, and
-//! carries one chunk-output tensor to the matching backward chunk. Layer
-//! inputs are the skeletal boundary activations, alive from their forward
-//! layer until its backward.
+//! This module generates the actual request stream of token-chunked
+//! training with real model-derived tensor sizes: each transformer layer
+//! processes the sequence in chunks of `chunk_tokens`, every chunk
+//! materialises its transient activations (QKV, FlashAttention LSE, FFN
+//! intermediates, …) sized from the [`ModelConfig`], frees them LIFO at
+//! chunk end, and carries one chunk-output tensor to the matching backward
+//! chunk. Layer inputs are the skeletal boundary activations, alive from
+//! their forward layer until its backward.
 //!
 //! The stream is exposed as a visitor ([`for_each_request`]) so callers
 //! — `speed_gates`' MegaTrain gate in particular — can feed a
@@ -57,7 +55,8 @@ impl ChunkedParams {
     /// per layer, every chunk allocates its forward transients + one
     /// carried chunk output + its backward gradient transients, plus the
     /// layer's boundary input.
-    pub fn intervals(&self) -> u64 {
+    #[cfg(test)]
+    fn intervals(&self) -> u64 {
         let per_chunk = (FWD_TRANSIENTS + 1 + BWD_TRANSIENTS) as u64;
         self.model.n_layers as u64 * (self.chunks() * per_chunk + 1)
     }
@@ -185,7 +184,8 @@ pub fn for_each_request<F: FnMut(&Request)>(params: &ChunkedParams, mut sink: F)
 
 /// Materialise the full request vector (tests and small instances; the
 /// MegaTrain preset is ~2M requests — prefer [`for_each_request`]).
-pub fn generate_chunked(params: &ChunkedParams) -> Vec<Request> {
+#[cfg(test)]
+fn generate_chunked(params: &ChunkedParams) -> Vec<Request> {
     let mut out = Vec::with_capacity(2 * params.intervals() as usize);
     for_each_request(params, |r| out.push(*r));
     out

@@ -9,7 +9,7 @@ pub enum DType {
 }
 
 impl DType {
-    pub const fn size_bytes(self) -> u64 {
+    pub(crate) const fn size_bytes(self) -> u64 {
         match self {
             DType::F16 | DType::BF16 => 2,
             DType::F32 => 4,
@@ -139,7 +139,8 @@ impl ModelConfig {
     }
 
     /// Head dimension (`h / n_heads`).
-    pub fn head_dim(&self) -> usize {
+    #[cfg(test)]
+    fn head_dim(&self) -> usize {
         self.hidden / self.n_heads
     }
 }

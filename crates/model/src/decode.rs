@@ -5,8 +5,8 @@
 //! sequences *arrive and depart* continuously, and every decode step
 //! appends one token's K/V rows to every active sequence. This module
 //! generates that request shape deterministically — same
-//! [`DecodeParams`], same trace, on every machine — in the style of
-//! `memo_plan::synth` (seeded xorshift64, no external RNG crates).
+//! [`DecodeParams`], same trace, on every machine (seeded xorshift64, no
+//! external RNG crates).
 //!
 //! The trace is *logical*: arrivals, per-step appends, departures on a
 //! virtual step clock. Allocator legs interpret it:
@@ -21,7 +21,7 @@
 use crate::config::{DType, ModelConfig};
 
 /// K + V bytes one token adds across all layers of `model`.
-pub fn kv_bytes_per_token(model: &ModelConfig, dtype: DType) -> u64 {
+fn kv_bytes_per_token(model: &ModelConfig, dtype: DType) -> u64 {
     2 * model.hidden as u64 * dtype.size_bytes() * model.n_layers as u64
 }
 
@@ -90,11 +90,11 @@ pub struct DecodeTrace {
     pub params: DecodeParams,
     pub events: Vec<DecodeEvent>,
     /// Virtual-clock steps ([`DecodeEvent::StepEnd`] count).
-    pub steps: u64,
+    steps: u64,
     /// Tokens appended across all sequences (prompt + decode).
-    pub total_tokens: u64,
+    total_tokens: u64,
     /// Largest number of simultaneously active sequences.
-    pub peak_active: usize,
+    peak_active: usize,
 }
 
 struct Rng(u64);

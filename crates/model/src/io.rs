@@ -72,8 +72,8 @@ pub fn write_trace<W: Write>(trace: &IterationTrace, w: W) -> io::Result<()> {
 /// Parse error with a line number.
 #[derive(Debug)]
 pub struct ParseError {
-    pub line: usize,
-    pub message: String,
+    line: usize,
+    message: String,
     /// Set when the file parses but its layers are not periodic; `line` is
     /// then the offending segment's header (0 for a layer-count mismatch).
     pub period: Option<PeriodError>,

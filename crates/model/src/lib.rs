@@ -33,12 +33,3 @@ pub mod hash;
 pub mod io;
 pub mod stats;
 pub mod trace;
-
-pub use activations::{LayerDims, SkeletalKind, SkeletalTensor};
-pub use chunked::{for_each_request, generate_chunked, ChunkedParams};
-pub use config::{DType, ModelConfig};
-pub use decode::{generate_decode, kv_bytes_per_token, DecodeEvent, DecodeParams, DecodeTrace};
-pub use trace::{
-    IterationTrace, MemOp, RematPolicy, Request, SegmentKind, Sym, TraceCheck, TraceSegment,
-    TraceStrings,
-};

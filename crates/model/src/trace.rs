@@ -200,7 +200,7 @@ pub enum RematPolicy {
 pub struct TraceParams {
     pub model: ModelConfig,
     /// Per-GPU activation dimensions (already divided by TP·CP).
-    pub dims: LayerDims,
+    dims: LayerDims,
     /// Vocabulary shard size on this GPU (vocab / TP under tensor parallelism).
     pub vocab_local: u64,
     /// Sequence-parallel gather factor: transient all-gather buffers are this
@@ -254,7 +254,7 @@ pub struct BodyRequest {
     pub op: MemOp,
     pub slot: Slot,
     pub bytes: u64,
-    pub label: Sym,
+    label: Sym,
 }
 
 /// How the slots of layer `l` map to tensor ids. Layer `l`'s forward body
@@ -283,10 +283,10 @@ struct Ports {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCheck {
     /// Number of distinct tensors (malloc/free pairs).
-    pub tensors: usize,
+    tensors: usize,
     /// Peak of the sum of live tensor bytes over the request sequence — a
     /// lower bound for any address assignment.
-    pub peak_live_bytes: u64,
+    pub(crate) peak_live_bytes: u64,
 }
 
 /// A full training-iteration trace in periodic form (see the module docs).
@@ -300,7 +300,7 @@ pub struct IterationTrace {
     layers: usize,
     ports: Ports,
     /// Interned label table; every request's `label` indexes into it.
-    pub strings: TraceStrings,
+    pub(crate) strings: TraceStrings,
 }
 
 /// One segment of an [`IterationTrace`], expanded on demand.
@@ -463,7 +463,8 @@ impl IterationTrace {
     }
 
     /// The label string of a request (resolved through the trace's table).
-    pub fn label_of(&self, r: &Request) -> &str {
+    #[cfg(test)]
+    fn label_of(&self, r: &Request) -> &str {
         self.strings.resolve(r.label)
     }
 
@@ -665,7 +666,7 @@ impl IterationTrace {
     /// and vice versa; of several leaked tensors, the smallest id is named.
     /// The same pass accumulates the liveness peak, saturating at `u64::MAX`
     /// like [`IterationTrace::peak_live_bytes`], so a successful validation
-    /// also yields [`TraceCheck::peak_live_bytes`] without a second walk over
+    /// also yields `TraceCheck::peak_live_bytes` without a second walk over
     /// the trace.
     pub fn validate(&self) -> Result<TraceCheck, TraceError> {
         let mut open: HashMap<TensorId, u64> = HashMap::new();
@@ -829,7 +830,7 @@ fn iteration_peak([head, fwd, middle, bwd, tail]: [LiveRun; 5], layers: usize) -
 }
 
 /// Human-readable byte size (MiB granularity like Figure 4).
-pub fn human_bytes(b: u64) -> String {
+fn human_bytes(b: u64) -> String {
     const MIB: u64 = 1 << 20;
     const GIB: u64 = 1 << 30;
     if b >= GIB {

@@ -84,7 +84,7 @@ impl TraceBuilder {
     /// The assembled trace as a [`Json`] array, duration events sorted by
     /// (ts, pid, tid) as trace viewers expect. Metadata events keep their
     /// natural position (ts 0 ordering is irrelevant for `"M"`).
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         let mut events = self.events.clone();
         events.sort_by(|a, b| {
             let key = |e: &Json| {

@@ -176,8 +176,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 /// A parse failure: what went wrong and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    pub offset: usize,
-    pub message: String,
+    offset: usize,
+    message: String,
 }
 
 impl std::fmt::Display for ParseError {

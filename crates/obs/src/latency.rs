@@ -11,12 +11,12 @@ use crate::json::Json;
 /// Percentile summary of a latency sample set (seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
-    pub count: usize,
+    pub(crate) count: usize,
     pub p50_secs: f64,
     pub p90_secs: f64,
     pub p99_secs: f64,
     pub max_secs: f64,
-    pub mean_secs: f64,
+    mean_secs: f64,
 }
 
 impl LatencySummary {

@@ -28,7 +28,4 @@ pub mod json;
 pub mod latency;
 pub mod report;
 
-pub use chrome::TraceBuilder;
-pub use json::{parse, Json};
-pub use latency::LatencySummary;
 pub use report::{observed_json, parse_report, report_json};

@@ -188,7 +188,7 @@ pub fn outcome_json(out: &CellOutcome) -> Json {
 }
 
 /// Parse an [`outcome_json`] document back.
-pub fn parse_outcome(doc: &Json) -> Result<CellOutcome, String> {
+fn parse_outcome(doc: &Json) -> Result<CellOutcome, String> {
     let kind = doc
         .get("kind")
         .and_then(Json::as_str)

@@ -12,15 +12,15 @@ use memo_model::config::ModelConfig;
 /// Seconds of *exposed* communication per transformer layer (forward), by
 /// mechanism. Backward is charged at the same volume again.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LayerComm {
-    pub tp_sp: f64,
-    pub cp_ring: f64,
-    pub ulysses_a2a: f64,
-    pub zero3_gather: f64,
+pub(crate) struct LayerComm {
+    tp_sp: f64,
+    cp_ring: f64,
+    ulysses_a2a: f64,
+    pub(crate) zero3_gather: f64,
 }
 
 impl LayerComm {
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.tp_sp + self.cp_ring + self.ulysses_a2a + self.zero3_gather
     }
 }
@@ -45,7 +45,7 @@ fn group_bandwidth(degree: usize, intra_node_budget: usize, calib: &Calibration)
 }
 
 /// Exposed communication seconds for one layer's **forward** pass.
-pub fn layer_comm(
+pub(crate) fn layer_comm(
     model: &ModelConfig,
     cfg: &ParallelConfig,
     s: u64,
@@ -120,7 +120,7 @@ pub fn pipeline_bubble_factor(pp: usize, micro_batches: usize) -> f64 {
 /// `v×` more pipeline communication for a `v×` smaller bubble — but with
 /// `m = 1` (the long-context regime) even `v = 4` leaves a large bubble,
 /// which is why Tables 6–7 avoid PP altogether.
-pub fn interleaved_bubble_factor(pp: usize, micro_batches: usize, v: usize) -> f64 {
+fn interleaved_bubble_factor(pp: usize, micro_batches: usize, v: usize) -> f64 {
     1.0 + (pp.saturating_sub(1)) as f64 / (micro_batches.max(1) * v.max(1)) as f64
 }
 

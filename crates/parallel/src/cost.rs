@@ -18,10 +18,10 @@ pub struct LayerTime {
     /// Elementwise/norm forward time.
     pub elementwise_fwd: f64,
     /// Exposed forward communication.
-    pub comm_fwd: f64,
+    comm_fwd: f64,
     /// Full backward time (compute + exposed comm).
     pub bwd: f64,
-    pub comm_detail: LayerComm,
+    comm_detail: LayerComm,
 }
 
 impl LayerTime {

@@ -25,5 +25,4 @@ pub mod pool;
 pub mod search;
 pub mod strategy;
 
-pub use cost::LayerTime;
-pub use strategy::{KvCachePolicy, ParallelConfig, SearchFamily, StrategyError, SystemSpec};
+pub use strategy::{KvCachePolicy, ParallelConfig, StrategyError, SystemSpec};

@@ -8,9 +8,9 @@ use memo_model::config::ModelConfig;
 /// Breakdown of model-state bytes on one GPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelStateBytes {
-    pub params: u64,
-    pub grads: u64,
-    pub optimizer: u64,
+    params: u64,
+    grads: u64,
+    optimizer: u64,
 }
 
 impl ModelStateBytes {

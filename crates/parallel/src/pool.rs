@@ -41,7 +41,7 @@ pub struct PoolStats {
     /// Total jobs executed across all batches.
     pub jobs: u64,
     /// Helper threads spawned beyond the calling threads.
-    pub helpers_spawned: u64,
+    helpers_spawned: u64,
     /// Successful steals from another worker's deque.
     pub steals: u64,
 }
@@ -123,11 +123,9 @@ fn count_steals(stolen: u64) {
     PoolStatsScope::bump(|s| s.steals += stolen);
 }
 
-/// A bounded work-stealing pool. Holds no threads of its own: each [`run`]
+/// A bounded work-stealing pool. Holds no threads of its own: each `run`
 /// spawns scoped workers capped by both the pool's width and the global
 /// helper budget, so a `Pool` is cheap to construct anywhere.
-///
-/// [`run`]: Pool::run
 #[derive(Debug, Clone, Copy)]
 pub struct Pool {
     width: usize,
@@ -153,7 +151,7 @@ impl Pool {
     /// helper budget is exhausted (nested `run` calls), everything executes
     /// on the calling thread, serially, in submission order. A panicking job
     /// propagates the panic to the caller after the scope joins.
-    pub fn run<F, T>(&self, jobs: Vec<F>) -> Vec<T>
+    fn run<F, T>(&self, jobs: Vec<F>) -> Vec<T>
     where
         F: FnOnce() -> T + Send,
         T: Send,

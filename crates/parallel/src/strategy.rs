@@ -94,7 +94,7 @@ impl KvCachePolicy {
 
 /// How the strategy search enumerates configurations for a spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SearchFamily {
+pub(crate) enum SearchFamily {
     /// TP × CP × PP × DP divisor grid (Megatron-style systems and MEMO).
     MegatronGrid,
     /// Ulysses SP × DP pairs (DeepSpeed).
@@ -151,7 +151,7 @@ impl SystemSpec {
     /// Which strategy grid the search walks for this mode. Everything
     /// Megatron-shaped (including all MEMO variants) searches TP/CP/PP/DP;
     /// only DeepSpeed uses the Ulysses SP×DP space.
-    pub fn family(self) -> SearchFamily {
+    pub(crate) fn family(self) -> SearchFamily {
         match self {
             SystemSpec::DeepSpeed => SearchFamily::UlyssesGrid,
             _ => SearchFamily::MegatronGrid,
@@ -181,7 +181,8 @@ pub struct ParallelConfig {
 
 impl ParallelConfig {
     /// Pure data parallelism.
-    pub fn dp_only(dp: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn dp_only(dp: usize) -> Self {
         ParallelConfig {
             tp: 1,
             cp: 1,
@@ -229,7 +230,7 @@ impl ParallelConfig {
     /// group, so Megatron's distributed optimizer shards across DP×CP; for
     /// DeepSpeed the Ulysses group likewise behaves as data parallel for
     /// parameter sharding.
-    pub fn zero_group(&self) -> usize {
+    pub(crate) fn zero_group(&self) -> usize {
         self.dp * self.cp * self.ulysses
     }
 

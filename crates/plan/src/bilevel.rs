@@ -68,7 +68,6 @@ impl From<&Solution> for LevelStats {
 /// decomposition).
 #[derive(Debug, Clone, Copy)]
 pub struct WholeTraceStats {
-    pub backend: crate::dispatch::PlannerBackend,
     /// Boxing's certified `2·K·LOAD` bound (None on the exact path).
     pub guarantee: Option<u64>,
 }
@@ -367,7 +366,6 @@ pub fn plan_whole(trace: &IterationTrace) -> BilevelReport {
         layer_bwd: None,
         level2: sol.level_stats(),
         whole: Some(WholeTraceStats {
-            backend: sol.backend,
             guarantee: sol.guarantee,
         }),
     }

@@ -66,7 +66,7 @@ pub struct Solution {
     /// True iff the returned peak is provably optimal.
     pub optimal: bool,
     /// Search nodes expanded (0 when the bound closed immediately).
-    pub nodes: u64,
+    pub(crate) nodes: u64,
     /// Liveness lower bound of the instance.
     pub lower_bound: u64,
 }

@@ -17,7 +17,7 @@
 //!    proves the plan optimal, so the solver returns it at once. Otherwise
 //!    it becomes one more candidate below. It is a member of the best-fit
 //!    portfolio and is reported as [`Candidate::BestFit`].
-//! 1. **Jobset analysis** ([`jobsets`]): sweep the birth/death event points
+//! 1. **Jobset analysis** (`class_loads`): sweep the birth/death event points
 //!    and record, per power-of-two *height class* `c` (true sizes in
 //!    `(2^(c-1), 2^c]`), the maximum number of concurrently-live tensors
 //!    `T_c` and the maximum live bytes, plus the global liveness load
@@ -79,27 +79,28 @@ impl Default for BoxingOptions {
     }
 }
 
-/// Per-height-class liveness summary from [`jobsets`].
+/// Per-height-class liveness summary from [`class_loads`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClassLoad {
+struct ClassLoad {
     /// Height class: true sizes in `(2^(class-1), 2^class]`.
-    pub class: u32,
+    class: u32,
     /// Number of tensors in the class.
-    pub count: usize,
+    count: usize,
     /// Maximum concurrently-live tensors (= optimal track count).
-    pub tracks: usize,
+    tracks: usize,
     /// Maximum concurrently-live true bytes within the class.
-    pub max_live_bytes: u64,
+    max_live_bytes: u64,
 }
 
 /// Event-point liveness jobsets: the global load plus per-class summaries.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Jobsets {
+struct Jobsets {
     /// `DsaInstance::lower_bound()`: max total live bytes at any event.
-    pub load: u64,
+    load: u64,
     /// Nonempty height classes, ascending. Zero-size tensors are excluded
     /// (they occupy no address space).
-    pub classes: Vec<ClassLoad>,
+    classes: Vec<ClassLoad>,
 }
 
 /// How the winning candidate was produced.
@@ -123,7 +124,6 @@ impl Candidate {
 /// Solve statistics.
 #[derive(Debug, Clone)]
 pub struct BoxingStats {
-    pub n_tensors: usize,
     /// Nonempty height classes (the `K` in the `2·K·LOAD` guarantee).
     pub classes: usize,
     /// Which candidate won (before polish).
@@ -153,15 +153,16 @@ fn class_of(size: u64) -> u32 {
 }
 
 /// Compute the event-point liveness jobsets.
-pub fn jobsets(inst: &DsaInstance) -> Jobsets {
+#[cfg(test)]
+fn jobsets(inst: &DsaInstance) -> Jobsets {
     Jobsets {
         load: inst.lower_bound(),
         classes: class_loads(inst),
     }
 }
 
-/// The per-class half of [`jobsets`]. Byte sums run in 128 bits and
-/// saturate at `u64::MAX`.
+/// The per-class liveness summaries, ascending by class. Byte sums run in
+/// 128 bits and saturate at `u64::MAX`.
 fn class_loads(inst: &DsaInstance) -> Vec<ClassLoad> {
     let mut per_class: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
     for (i, t) in inst.tensors.iter().enumerate() {
@@ -423,7 +424,6 @@ pub fn solve_with(inst: &DsaInstance, opts: &BoxingOptions) -> BoxingSolution {
             lower_bound: load,
             guarantee: certify(classes),
             stats: BoxingStats {
-                n_tensors: n,
                 classes,
                 candidate: Candidate::BestFit,
                 polish_passes: 0,
@@ -486,7 +486,6 @@ pub fn solve_with(inst: &DsaInstance, opts: &BoxingOptions) -> BoxingSolution {
         lower_bound: load,
         guarantee,
         stats: BoxingStats {
-            n_tensors: n,
             classes: classes.len(),
             candidate,
             polish_passes,

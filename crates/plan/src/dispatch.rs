@@ -85,13 +85,13 @@ pub struct DispatchSolution {
     /// Proven optimal (exact search closed, or peak == lower bound).
     pub optimal: bool,
     /// Exact-search nodes (0 for boxing).
-    pub nodes: u64,
+    pub(crate) nodes: u64,
     /// Boxing's certified `2·K·LOAD` bound (None on the exact path).
     pub guarantee: Option<u64>,
 }
 
 impl DispatchSolution {
-    pub fn level_stats(&self) -> LevelStats {
+    pub(crate) fn level_stats(&self) -> LevelStats {
         LevelStats {
             n_tensors: self.assignment.offsets.len(),
             peak: self.assignment.peak,

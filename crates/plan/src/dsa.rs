@@ -34,7 +34,7 @@ const _: () = assert!(std::mem::size_of::<DsaTensor>() == 24);
 
 impl DsaTensor {
     /// Two tensors conflict iff their lifespans intersect.
-    pub fn overlaps(&self, other: &DsaTensor) -> bool {
+    pub(crate) fn overlaps(&self, other: &DsaTensor) -> bool {
         self.birth < other.death && other.birth < self.death
     }
 }
@@ -661,7 +661,7 @@ impl LiveRanks<'_> {
 
 impl Assignment {
     /// Verify the assignment: tensors whose lifespans overlap (by
-    /// [`DsaTensor::overlaps`]) get disjoint address ranges, and no tensor
+    /// `DsaTensor::overlaps`) get disjoint address ranges, and no tensor
     /// exceeds the reported peak.
     ///
     /// Runs an O(n log n) event sweep: replay births/deaths in event order

@@ -56,7 +56,7 @@ impl IntervalIndex {
     /// Like [`adjacency`](Self::adjacency) but aborts returning `None` once
     /// more than `max_pairs` conflicting pairs have been discovered — used
     /// to gate quadratic-in-K polish passes on dense instances.
-    pub fn adjacency_capped(
+    pub(crate) fn adjacency_capped(
         &self,
         inst: &DsaInstance,
         max_pairs: usize,

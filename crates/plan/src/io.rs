@@ -27,8 +27,8 @@ pub fn write_plan<W: Write>(plan: &MemoryPlan, w: W) -> io::Result<()> {
 /// Plan parse failure with a line number.
 #[derive(Debug)]
 pub struct PlanParseError {
-    pub line: usize,
-    pub message: String,
+    line: usize,
+    message: String,
 }
 
 impl std::fmt::Display for PlanParseError {

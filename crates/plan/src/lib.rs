@@ -23,7 +23,7 @@
 //! * [`bilevel`] — level-1 solve of the trace's fwd/bwd layer bodies,
 //!   pseudo-request substitution, level-2 solve of the whole iteration
 //!   built from body offsets without expanding the trace;
-//! * [`index`] — sweep-line interval index (O(log n + k) conflict queries,
+//! * `index` — sweep-line interval index (O(log n + k) conflict queries,
 //!   O(n log n + K) all-pairs adjacency) replacing the linear-scan
 //!   `conflicts_of` on hot paths;
 //! * [`boxing`] — near-optimal whole-trace solver: a longest-surviving-first
@@ -35,9 +35,7 @@
 //! * [`dispatch`] — size-based planner dispatch (exact BnB below a
 //!   threshold, the boxing family above it) and the
 //!   whole-trace planning entry point;
-//! * [`synth`] — synthetic MegaTrain-class trace generator (100B+ models,
-//!   few GPUs, NVMe offload) for stressing the large-instance path;
-//! * [`memplan`] — the resulting [`MemoryPlan`]
+//! * `memplan` — the resulting [`MemoryPlan`]
 //!   consumed by `memo_alloc::plan::PlanAllocator`.
 
 pub mod bilevel;
@@ -47,15 +45,11 @@ pub mod boxing;
 pub mod dispatch;
 pub mod dsa;
 pub mod heuristic;
-pub mod index;
+mod index;
 pub mod io;
-pub mod memplan;
+mod memplan;
 mod skyline;
-pub mod synth;
 
-pub use bilevel::{plan_iteration, plan_whole, BilevelReport, WholeTraceStats};
-pub use boxing::{BoxingOptions, BoxingSolution};
-pub use dispatch::{DispatchOptions, DispatchSolution, PlannerBackend, PlannerKind};
 pub use dsa::{Assignment, DsaInstance, DsaInstanceBuilder, DsaTensor};
 pub use index::IntervalIndex;
 pub use memplan::MemoryPlan;

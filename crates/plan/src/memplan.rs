@@ -29,7 +29,7 @@ impl MemoryPlan {
     /// A plan from `(tensor, placement)` pairs in any order.
     ///
     /// Panics if a tensor is placed twice.
-    pub fn new(mut placements: Vec<(TensorId, PlannedTensor)>, peak: u64) -> MemoryPlan {
+    pub(crate) fn new(mut placements: Vec<(TensorId, PlannedTensor)>, peak: u64) -> MemoryPlan {
         if !placements.is_sorted_by_key(|&(id, _)| id) {
             placements.sort_unstable_by_key(|&(id, _)| id);
         }
@@ -41,7 +41,7 @@ impl MemoryPlan {
     }
 
     /// Build a plan from a solved DSA assignment over `inst`.
-    pub fn from_assignment(
+    pub(crate) fn from_assignment(
         inst: &crate::dsa::DsaInstance,
         assignment: &crate::dsa::Assignment,
     ) -> MemoryPlan {
@@ -61,7 +61,7 @@ impl MemoryPlan {
     }
 
     /// The placement of `tensor`, if planned.
-    pub fn get(&self, tensor: TensorId) -> Option<&PlannedTensor> {
+    fn get(&self, tensor: TensorId) -> Option<&PlannedTensor> {
         let i = self
             .placements
             .binary_search_by_key(&tensor, |&(id, _)| id)

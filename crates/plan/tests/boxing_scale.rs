@@ -4,13 +4,15 @@
 //! against the linear-scan `conflicts_of`, and boxing against the exact
 //! branch-and-bound optimum on a seeded corpus.
 
+mod synth;
+
 use memo_model::trace::TensorId;
 use memo_plan::bnb::{self, BnbOptions};
 use memo_plan::boxing::{self, BoxingOptions};
 use memo_plan::dispatch::{self, DispatchOptions, PlannerBackend};
-use memo_plan::synth::{megatrain_instance, MegaTrainParams};
 use memo_plan::{Assignment, DsaInstance, DsaTensor, IntervalIndex};
 use proptest::prelude::*;
+use synth::{megatrain_instance, MegaTrainParams};
 
 /// Arbitrary instances: jittered sizes (including zero-size markers) over
 /// random sub-intervals of a short horizon.
@@ -151,6 +153,7 @@ fn megatrain_midscale_plans_within_certificate() {
         inst.len()
     );
     let sol = dispatch::solve(&inst, &DispatchOptions::default());
+    assert_eq!(sol.backend, PlannerBackend::Boxing);
     sol.assignment.validate(&inst).unwrap();
     assert!(sol.assignment.peak >= sol.lower_bound);
     assert!(sol.assignment.peak <= sol.guarantee.expect("boxing path"));

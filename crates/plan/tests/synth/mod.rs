@@ -1,4 +1,4 @@
-//! Synthetic MegaTrain-class DSA instances.
+//! Synthetic MegaTrain-class DSA instances for the scale tests.
 //!
 //! Real iteration traces top out at a few thousand intervals because
 //! per-layer request *counts* are fixed (only sizes scale with sequence
@@ -6,11 +6,14 @@
 //! via aggressive NVMe offload) is different: token-wise chunking across
 //! hundreds of layers and hundreds of chunks per layer yields *millions*
 //! of transient intervals per iteration. This module generates that shape
-//! directly through the streaming [`DsaInstanceBuilder`], so tests can
-//! stress the boxing path at scales where exact search is infeasible.
+//! directly through the streaming `DsaInstanceBuilder`, so tests can
+//! stress the boxing path at scales where exact search is infeasible. The
+//! real token-chunked traces (`memo_model::chunked::ChunkedParams`) are
+//! stack-shaped and plan through the skyline certificate instead, so this
+//! generator is what keeps a mid-scale instance on the boxing backend.
 
-use crate::dsa::{DsaInstance, DsaInstanceBuilder};
 use memo_model::trace::{MemOp, Request, Sym, TensorId};
+use memo_plan::dsa::{DsaInstance, DsaInstanceBuilder};
 
 /// Parameters of the synthetic chunked fwd/bwd workload.
 #[derive(Debug, Clone, Copy)]
@@ -32,19 +35,6 @@ pub struct MegaTrainParams {
 }
 
 impl MegaTrainParams {
-    /// ~1.08M intervals: 96 layers × 512 chunks × (10 transients + 1
-    /// carry) × fwd+bwd, plus 96 boundary activations.
-    pub fn million_interval() -> Self {
-        MegaTrainParams {
-            layers: 96,
-            chunks_per_layer: 512,
-            transients_per_chunk: 10,
-            transient_bytes: 2 << 20,
-            resident_bytes: 512 << 20,
-            seed: 0xC0FFEE,
-        }
-    }
-
     /// Expected interval count for these parameters.
     pub fn intervals(&self) -> usize {
         self.layers * self.chunks_per_layer * (self.transients_per_chunk + 1) * 2 + self.layers
@@ -134,31 +124,21 @@ pub fn megatrain_instance(p: &MegaTrainParams) -> DsaInstance {
         .expect("generator closes every tensor it opens")
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn small_instance_has_expected_shape() {
-        let p = MegaTrainParams {
-            layers: 3,
-            chunks_per_layer: 4,
-            transients_per_chunk: 2,
-            transient_bytes: 1 << 10,
-            resident_bytes: 1 << 16,
-            seed: 7,
-        };
-        let inst = megatrain_instance(&p);
-        assert_eq!(inst.len(), p.intervals());
-        // All boundaries live at the fwd/bwd turning point.
-        assert!(inst.lower_bound() >= p.layers as u64 * p.resident_bytes);
-        let sol = crate::boxing::solve(&inst);
-        sol.assignment.validate(&inst).unwrap();
-        assert!(sol.assignment.peak <= sol.guarantee);
-    }
-
-    #[test]
-    fn million_interval_params_clear_the_bar() {
-        assert!(MegaTrainParams::million_interval().intervals() >= 1_000_000);
-    }
+#[test]
+fn small_instance_has_expected_shape() {
+    let p = MegaTrainParams {
+        layers: 3,
+        chunks_per_layer: 4,
+        transients_per_chunk: 2,
+        transient_bytes: 1 << 10,
+        resident_bytes: 1 << 16,
+        seed: 7,
+    };
+    let inst = megatrain_instance(&p);
+    assert_eq!(inst.len(), p.intervals());
+    // All boundaries live at the fwd/bwd turning point.
+    assert!(inst.lower_bound() >= p.layers as u64 * p.resident_bytes);
+    let sol = memo_plan::boxing::solve(&inst);
+    sol.assignment.validate(&inst).unwrap();
+    assert!(sol.assignment.peak <= sol.guarantee);
 }

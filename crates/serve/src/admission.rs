@@ -26,7 +26,7 @@ const EWMA_ALPHA: f64 = 0.2;
 /// planning cost scales with the sequence length (segment-cache work) and
 /// the layer count (profile work). Absolute scale is arbitrary — only
 /// ratios against gaps and SLOs matter.
-pub fn virtual_service_estimate(req: &PlanRequest) -> f64 {
+fn virtual_service_estimate(req: &PlanRequest) -> f64 {
     let seq_scale = req.seq_len as f64 / (64.0 * 1024.0);
     let layer_scale = req.model.config().n_layers as f64 / 32.0;
     1e-3 * seq_scale * layer_scale
@@ -34,7 +34,7 @@ pub fn virtual_service_estimate(req: &PlanRequest) -> f64 {
 
 /// The fluid-queue admission controller.
 #[derive(Debug, Clone)]
-pub struct AdmissionController {
+pub(crate) struct AdmissionController {
     /// Shed when the virtual queue reaches this many requests.
     max_queue_depth: usize,
     backlog_secs: f64,
@@ -43,7 +43,7 @@ pub struct AdmissionController {
 }
 
 impl AdmissionController {
-    pub fn new(max_queue_depth: usize) -> Self {
+    pub(crate) fn new(max_queue_depth: usize) -> Self {
         assert!(max_queue_depth > 0, "queue depth 0 sheds everything");
         AdmissionController {
             max_queue_depth,
@@ -54,7 +54,7 @@ impl AdmissionController {
     }
 
     /// Requests (not seconds) in the virtual queue right now.
-    pub fn queue_depth(&self) -> usize {
+    fn queue_depth(&self) -> usize {
         (self.backlog_secs / self.ewma_service_secs.max(1e-9)).ceil() as usize
     }
 
@@ -62,7 +62,7 @@ impl AdmissionController {
     /// follow up with [`Self::commit`] once the request's budget is also
     /// secured (queue-depth and deadline shedding happen here, budget
     /// shedding in the elastic pools).
-    pub fn admit(&mut self, req: &PlanRequest) -> Result<f64, RejectReason> {
+    pub(crate) fn admit(&mut self, req: &PlanRequest) -> Result<f64, RejectReason> {
         // Drain: virtual time advanced by the arrival gap.
         let dt = (req.arrival_secs - self.last_arrival_secs).max(0.0);
         self.last_arrival_secs = req.arrival_secs;
@@ -88,7 +88,7 @@ impl AdmissionController {
 
     /// Account an admitted request: its estimate joins the backlog and
     /// updates the EWMA the queue-depth conversion uses.
-    pub fn commit(&mut self, req: &PlanRequest) -> f64 {
+    pub(crate) fn commit(&mut self, req: &PlanRequest) -> f64 {
         let est = virtual_service_estimate(req);
         self.backlog_secs += est;
         self.ewma_service_secs = (1.0 - EWMA_ALPHA) * self.ewma_service_secs + EWMA_ALPHA * est;

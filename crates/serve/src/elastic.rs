@@ -25,11 +25,11 @@ use memo_swap::schedule::{TierTraffic, TierTrafficList};
 use memo_swap::{HostStaging, TierStaging};
 
 /// Tier indices of a tenant slice's two pools.
-pub const HOST_TIER: usize = 0;
-pub const ARENA_TIER: usize = 1;
+const HOST_TIER: usize = 0;
+const ARENA_TIER: usize = 1;
 
 /// Largest power of two ≤ `bytes` (0 stays 0).
-pub fn quantize_pow2(bytes: u64) -> u64 {
+fn quantize_pow2(bytes: u64) -> u64 {
     if bytes == 0 {
         0
     } else {
@@ -97,15 +97,15 @@ impl ElasticPools {
         }
     }
 
-    pub fn active_tenants(&self) -> usize {
+    pub(crate) fn active_tenants(&self) -> usize {
         self.active.len()
     }
 
-    pub fn peak_active_tenants(&self) -> usize {
+    pub(crate) fn peak_active_tenants(&self) -> usize {
         self.peak_active
     }
 
-    pub fn rebalances(&self) -> u64 {
+    pub(crate) fn rebalances(&self) -> u64 {
         self.rebalances
     }
 
@@ -171,7 +171,7 @@ impl ElasticPools {
         });
     }
 
-    pub fn is_active(&self, tenant: usize) -> bool {
+    pub(crate) fn is_active(&self, tenant: usize) -> bool {
         self.slices.contains_key(&tenant)
     }
 
@@ -199,7 +199,7 @@ impl ElasticPools {
 
     /// Last in-flight request of `tenant` finished and no more are
     /// coming: return its slice to the pool and grow everyone else's.
-    pub fn tenant_departed(&mut self, tenant: usize) {
+    pub(crate) fn tenant_departed(&mut self, tenant: usize) {
         let slice = self
             .slices
             .remove(&tenant)
@@ -213,7 +213,7 @@ impl ElasticPools {
 
     /// The planning budget of `tenant`'s current slice: the host share,
     /// quantized down to a power of two for cache-key stability.
-    pub fn quantized_host_share(&self, tenant: usize) -> u64 {
+    pub(crate) fn quantized_host_share(&self, tenant: usize) -> u64 {
         let share = self
             .slices
             .get(&tenant)

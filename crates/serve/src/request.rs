@@ -24,7 +24,7 @@ pub enum ModelSize {
 }
 
 impl ModelSize {
-    pub fn config(&self) -> ModelConfig {
+    pub(crate) fn config(&self) -> ModelConfig {
         match self {
             ModelSize::Gpt7b => ModelConfig::gpt_7b(),
             ModelSize::Gpt13b => ModelConfig::gpt_13b(),
@@ -56,13 +56,13 @@ pub struct PlanRequest {
     pub n_gpus: usize,
     pub seq_len: u64,
     /// Arrival stamp on the stream's virtual clock (seconds).
-    pub arrival_secs: f64,
+    pub(crate) arrival_secs: f64,
     /// SLO: answer within this many seconds of arrival.
-    pub deadline_secs: f64,
+    pub(crate) deadline_secs: f64,
 }
 
 /// Why admission control turned a request away. `cell()` renders the
-/// paper-table style label, like [`memo_core::CellOutcome::cell`] does for planning
+/// paper-table style label, like [`memo_core::outcome::CellOutcome::cell`] does for planning
 /// failures — a shed request is an `X_*` cell of the fleet table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RejectReason {
@@ -82,7 +82,7 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
-    pub fn cell(&self) -> &'static str {
+    pub(crate) fn cell(&self) -> &'static str {
         match self {
             RejectReason::QueueFull { .. } => "X_queue",
             RejectReason::DeadlineUnmeetable { .. } => "X_deadline",
@@ -126,12 +126,12 @@ pub struct PlanReply {
     /// Host-memory planning budget the request ran under (quantized).
     pub host_budget_bytes: u64,
     /// Profile-cache traffic attributable to this request alone.
-    pub cache: CacheStats,
+    pub(crate) cache: CacheStats,
     /// Pick-table traffic of this request: one lookup, or none on the
     /// uncached serial leg.
-    pub picks: CacheStats,
+    pub(crate) picks: CacheStats,
     /// Segment-cache traffic attributable to this request alone.
-    pub segments: SegmentCacheStats,
+    pub(crate) segments: SegmentCacheStats,
     /// Wall-clock service latency of the planning work.
     pub latency_secs: f64,
 }

@@ -74,7 +74,7 @@ impl Default for ServeConfig {
 /// quantum (profiling scratch), both proportional to sequence length.
 /// Serving tenants are host-heavy (token-wise KV swap stages cold rows
 /// through pinned buffers) but barely touch the planning arena.
-pub fn staging_quanta(req: &PlanRequest) -> (u64, u64) {
+fn staging_quanta(req: &PlanRequest) -> (u64, u64) {
     match req.kind {
         TenantKind::Training => (req.seq_len * 1024, req.seq_len * 4096),
         TenantKind::Serving => (req.seq_len * 2048, req.seq_len * 512),
@@ -204,7 +204,7 @@ pub struct ServeReport {
 /// The planning service.
 #[derive(Debug, Clone, Default)]
 pub struct PlanServer {
-    pub cfg: ServeConfig,
+    cfg: ServeConfig,
 }
 
 impl PlanServer {

@@ -20,7 +20,7 @@ pub struct Zipf {
 impl Zipf {
     /// Weights 1/(rank+1)^s, normalized. `s = 0` is uniform; larger `s`
     /// concentrates mass on the head.
-    pub fn new(n: usize, s: f64) -> Self {
+    fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "a Zipf law needs at least one rank");
         let weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(s)).collect();
         let total: f64 = weights.iter().sum();
@@ -35,7 +35,7 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    pub fn sample(&self, rng: &mut StdRng) -> usize {
+    fn sample(&self, rng: &mut StdRng) -> usize {
         let r: f64 = rng.gen_range(0.0..1.0);
         self.cdf
             .partition_point(|&c| c <= r)
@@ -46,7 +46,7 @@ impl Zipf {
 /// Everything that determines a request stream.
 #[derive(Debug, Clone)]
 pub struct StreamSpec {
-    pub tenants: usize,
+    pub(crate) tenants: usize,
     pub requests: usize,
     pub seed: u64,
     /// Zipf exponent of tenant popularity (0 = uniform).
@@ -56,7 +56,7 @@ pub struct StreamSpec {
     /// Mean virtual-clock gap between arrivals (seconds).
     pub mean_gap_secs: f64,
     /// SLO budgets are drawn uniformly from this range (seconds).
-    pub deadline_range_secs: (f64, f64),
+    pub(crate) deadline_range_secs: (f64, f64),
     /// Every `stride`-th tenant is a *serving* tenant planning decode
     /// KV policies instead of training grids (0 = training-only). The
     /// head of the Zipf law (tenant 0) always stays a training tenant
@@ -80,7 +80,7 @@ impl StreamSpec {
 }
 
 /// Which kind of work tenant `tenant` submits under `serving_stride`.
-pub fn tenant_kind(tenant: usize, serving_stride: usize) -> TenantKind {
+fn tenant_kind(tenant: usize, serving_stride: usize) -> TenantKind {
     if serving_stride > 0 && tenant % serving_stride == serving_stride - 1 {
         TenantKind::Serving
     } else {
@@ -92,7 +92,7 @@ pub fn tenant_kind(tenant: usize, serving_stride: usize) -> TenantKind {
 /// same (model, gpus, sequence) as conditions change, they don't issue
 /// random one-offs. This is what gives the head of the Zipf law its cache
 /// locality.
-pub fn tenant_workload(tenant: usize, n_gpus: usize) -> (ModelSize, usize, u64) {
+fn tenant_workload(tenant: usize, n_gpus: usize) -> (ModelSize, usize, u64) {
     let model = if tenant.is_multiple_of(2) {
         ModelSize::Gpt7b
     } else {

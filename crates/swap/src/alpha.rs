@@ -57,11 +57,11 @@ pub struct AlphaSolution {
     pub host_infeasible_at_zero: bool,
     /// True if even α = 0 cannot hide the mandatory offload under compute —
     /// short sequences where swapping stalls the forward pass.
-    pub overlap_infeasible_at_zero: bool,
+    overlap_infeasible_at_zero: bool,
 }
 
 /// The α grid step (1/8).
-pub const ALPHA_GRID: f64 = 0.125;
+pub(crate) const ALPHA_GRID: f64 = 0.125;
 
 /// Round α down to the 1/8 grid.
 fn quantize_down(alpha: f64) -> f64 {
@@ -140,7 +140,8 @@ pub fn solve_alpha(inp: &AlphaInputs) -> AlphaSolution {
 }
 
 /// Bytes offloaded per layer at the solved α.
-pub fn offload_bytes(inp: &AlphaInputs, alpha: f64) -> u64 {
+#[cfg(test)]
+fn offload_bytes(inp: &AlphaInputs, alpha: f64) -> u64 {
     inp.s_input + inp.s_attn + (alpha * inp.s_others as f64).round() as u64
 }
 
@@ -364,7 +365,7 @@ pub struct TierLink {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TieredSolution {
     /// Per-tier swapped fractions on the 1/8 grid, `alphas[0]` = host.
-    pub alphas: Vec<f64>,
+    alphas: Vec<f64>,
     /// See [`AlphaSolution::host_infeasible_at_zero`].
     pub host_infeasible_at_zero: bool,
 }

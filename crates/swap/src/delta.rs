@@ -49,7 +49,7 @@ const MAX_KEY_WORDS: usize = 3 + 5 * MAX_KEY_RUNS + 1 + 3 * MAX_TIERS + 1 + 2 * 
 /// Two equal keys imply bit-identical [`ScalarSchedule`]s *and* identical
 /// staging side effects (the recurrence is a pure function of the key).
 #[derive(Debug, Clone, Copy)]
-pub struct ScheduleKey {
+struct ScheduleKey {
     len: u8,
     words: [u64; MAX_KEY_WORDS],
 }
@@ -59,7 +59,7 @@ impl ScheduleKey {
     /// fixed key capacity — more than `MAX_KEY_RUNS` runs, or traffic
     /// and staging chains too deep for the words left — and the caller
     /// falls back to the uncached path.
-    pub fn new(
+    fn new(
         segments: &[LayerSegment],
         t_head: SimTime,
         staging: &TierStaging,
@@ -171,7 +171,7 @@ impl ScopedStats for SegmentCacheStats {
 pub type SegmentStatsScope = StatsScope<SegmentCacheStats>;
 
 /// Sharded memo cache of scalar schedule builds, keyed by
-/// [`ScheduleKey`]. Process-global like `ProfileCache`; shards bound lock
+/// `ScheduleKey`. Process-global like `ProfileCache`; shards bound lock
 /// contention when sweeps run on the worker pool.
 pub struct SegmentCache {
     shards: Vec<Mutex<Shard>>,
@@ -186,7 +186,7 @@ impl SegmentCache {
     /// eviction policy as `ProfileCache`).
     const SHARD_CAP: usize = 4096;
 
-    pub fn new() -> Self {
+    fn new() -> Self {
         SegmentCache {
             shards: (0..Self::SHARDS)
                 .map(|_| Mutex::new(Shard::default()))
@@ -289,7 +289,8 @@ impl SegmentCache {
         result
     }
 
-    pub fn stats(&self) -> SegmentCacheStats {
+    #[cfg(test)]
+    fn stats(&self) -> SegmentCacheStats {
         SegmentCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

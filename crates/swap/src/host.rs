@@ -6,10 +6,10 @@
 
 /// Out-of-host-memory failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OutOfHostMemory {
-    pub requested: u64,
-    pub used: u64,
-    pub capacity: u64,
+pub(crate) struct OutOfHostMemory {
+    pub(crate) requested: u64,
+    pub(crate) used: u64,
+    pub(crate) capacity: u64,
 }
 
 impl std::fmt::Display for OutOfHostMemory {
@@ -33,7 +33,7 @@ pub struct HostStaging {
 }
 
 impl HostStaging {
-    pub fn new(capacity: u64) -> Self {
+    pub(crate) fn new(capacity: u64) -> Self {
         HostStaging {
             capacity,
             used: 0,
@@ -43,14 +43,14 @@ impl HostStaging {
 
     /// An effectively unlimited tracker for tests, benches and models that
     /// only want the peak accounting: the capacity is `u64::MAX / 2`.
-    pub fn unbounded() -> Self {
+    pub(crate) fn unbounded() -> Self {
         HostStaging::new(u64::MAX / 2)
     }
 
     /// Stage `bytes` on the host (an offload landing). A sum past
     /// `u64::MAX` exceeds every capacity, so it is refused like any other
     /// overflow.
-    pub fn reserve(&mut self, bytes: u64) -> Result<(), OutOfHostMemory> {
+    pub(crate) fn reserve(&mut self, bytes: u64) -> Result<(), OutOfHostMemory> {
         match self.used.checked_add(bytes) {
             Some(used) if used <= self.capacity => {
                 self.used = used;
@@ -71,7 +71,7 @@ impl HostStaging {
     /// of the schedule fast path. On overflow, the reservations that fit
     /// are committed (exactly as the sequential loop would leave them) and
     /// the error reports the state at the first failing reservation.
-    pub fn reserve_many(&mut self, bytes: u64, count: u64) -> Result<(), OutOfHostMemory> {
+    pub(crate) fn reserve_many(&mut self, bytes: u64, count: u64) -> Result<(), OutOfHostMemory> {
         if bytes == 0 || count == 0 {
             return Ok(());
         }
@@ -93,7 +93,7 @@ impl HostStaging {
     }
 
     /// Release `bytes` (activations consumed by the backward pass).
-    pub fn release(&mut self, bytes: u64) {
+    pub(crate) fn release(&mut self, bytes: u64) {
         assert!(bytes <= self.used, "releasing more than staged");
         self.used -= bytes;
         self.check();
@@ -102,7 +102,7 @@ impl HostStaging {
     /// Release `count` reservations of `bytes` each ([`Self::release`]
     /// batched for the schedule fast path). A total past `u64::MAX` is
     /// more than was ever staged.
-    pub fn release_many(&mut self, bytes: u64, count: u64) {
+    pub(crate) fn release_many(&mut self, bytes: u64, count: u64) {
         let total = bytes.checked_mul(count).filter(|&t| t <= self.used);
         let total = total.expect("releasing more than staged");
         self.used -= total;
@@ -114,7 +114,7 @@ impl HostStaging {
     /// over-commits the pool — no staged bytes are revoked, but every
     /// further [`Self::reserve`] fails until usage drains back under the
     /// new capacity.
-    pub fn set_capacity(&mut self, capacity: u64) {
+    pub(crate) fn set_capacity(&mut self, capacity: u64) {
         self.capacity = capacity;
         self.check();
     }
@@ -135,7 +135,7 @@ impl HostStaging {
         self.used
     }
 
-    pub fn peak(&self) -> u64 {
+    pub(crate) fn peak(&self) -> u64 {
         self.peak
     }
 

@@ -21,7 +21,7 @@ use crate::schedule::{TierTraffic, TierTrafficList};
 use crate::tiers::{OutOfTierMemory, TierStaging};
 
 /// The KV α grid is the activation grid (1/8).
-pub use crate::alpha::ALPHA_GRID;
+pub(crate) use crate::alpha::ALPHA_GRID;
 
 /// Inputs to the KV swap solve, per device.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,12 +45,12 @@ pub struct KvSwapPlan {
     pub alpha_needed: f64,
     /// Largest α the overlap + host constraints sustain (1/8 grid,
     /// rounded down, Eq. 1–3 semantics).
-    pub alpha_max: f64,
+    alpha_max: f64,
     /// Which constraint fixed `alpha_max`.
-    pub binding: BindingConstraint,
+    binding: BindingConstraint,
     /// `alpha_needed ≤ alpha_max`: the deficit is coverable without
     /// stalling decode or exhausting the host.
-    pub feasible: bool,
+    feasible: bool,
     /// Host bytes the swapped fraction occupies.
     pub host_bytes: u64,
     /// Per-step stall when running at `alpha_needed` anyway: transfer
@@ -62,12 +62,12 @@ pub struct KvSwapPlan {
 
 /// Round a required fraction *up* to the 1/8 grid (a deficit can only be
 /// covered by swapping at least that much).
-pub fn quantize_up(alpha: f64) -> f64 {
+fn quantize_up(alpha: f64) -> f64 {
     ((alpha / ALPHA_GRID).ceil() * ALPHA_GRID).clamp(0.0, 1.0)
 }
 
 /// Fraction of `total` that does not fit in `device`, on the up-grid.
-pub fn alpha_needed(total_kv_bytes: u64, device_kv_bytes: u64) -> f64 {
+fn alpha_needed(total_kv_bytes: u64, device_kv_bytes: u64) -> f64 {
     if total_kv_bytes <= device_kv_bytes || total_kv_bytes == 0 {
         return 0.0;
     }
@@ -179,7 +179,8 @@ impl KvPager {
     }
 
     /// True if `seq` currently lives off device.
-    pub fn is_paged_out(&self, seq: u32) -> bool {
+    #[cfg(test)]
+    fn is_paged_out(&self, seq: u32) -> bool {
         self.placed.get(seq as usize).is_some_and(|p| p.is_some())
     }
 
@@ -195,7 +196,8 @@ impl KvPager {
     }
 
     /// Bytes currently staged across the chain.
-    pub fn staged_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn staged_bytes(&self) -> u64 {
         (0..self.staging.len())
             .map(|t| self.staging.pool(t).map_or(0, |p| p.used()))
             .sum()

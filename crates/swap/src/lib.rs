@@ -20,9 +20,9 @@
 //!   ([`build_schedule`]) or, for runs that need only numbers, as a scalar
 //!   recurrence with each swap run's steady state spliced in closed form
 //!   ([`build_schedule_scalars`]); [`reference`](mod@reference) keeps the
-//!   original event-loop builder as the differential oracle, and [`delta`]
+//!   original event-loop builder as the differential oracle, and `delta`
 //!   memoizes the scalar builds.
-//! * Host staging capacity (and OOHM) is tracked by [`host`]; the N-tier
+//! * Host staging capacity (and OOHM) is tracked by `host`; the N-tier
 //!   offload chain keeps one such pool per tier in [`tiers`], and the
 //!   α program generalises to a per-tier greedy waterfall
 //!   ([`alpha::solve_alpha_tiered`]).
@@ -33,21 +33,16 @@
 
 pub mod alpha;
 pub mod buffers;
-pub mod delta;
-pub mod host;
+mod delta;
+mod host;
 pub mod kv;
 pub mod reference;
 pub mod schedule;
 pub mod tiers;
 
-pub use alpha::{
-    solve_alpha, solve_alpha_tiered, AlphaInputs, AlphaSolution, BindingConstraint, TierLink,
-    TieredSolution,
-};
 pub use buffers::RoundingBuffers;
-pub use delta::{ScheduleKey, SegmentCache, SegmentCacheStats, SegmentStatsScope};
+pub use delta::{SegmentCache, SegmentCacheStats, SegmentStatsScope};
 pub use host::HostStaging;
-pub use kv::{plan_kv_swap, KvPager, KvSwapInputs, KvSwapPlan};
 pub use schedule::{
     build_schedule, build_schedule_scalars, LayerCosts, LayerSegment, ScalarSchedule,
     ScheduleOutcome, SegmentPolicy, TierTraffic, TierTrafficList, MAX_TIERS,

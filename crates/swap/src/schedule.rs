@@ -91,11 +91,11 @@ impl TierTrafficList {
         self.as_slice().get(tier)
     }
 
-    pub fn as_slice(&self) -> &[TierTraffic] {
+    fn as_slice(&self) -> &[TierTraffic] {
         &self.items[..self.len]
     }
 
-    pub fn iter(&self) -> std::slice::Iter<'_, TierTraffic> {
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, TierTraffic> {
         self.as_slice().iter()
     }
 
@@ -162,7 +162,8 @@ impl LayerCosts {
     }
 
     /// Costs for an arbitrary offload chain.
-    pub fn with_traffic(
+    #[cfg(test)]
+    pub(crate) fn with_traffic(
         t_fwd: SimTime,
         t_bwd: SimTime,
         t_recompute: SimTime,
@@ -177,14 +178,15 @@ impl LayerCosts {
     }
 
     /// Bytes staged on the host tier (tier 0) per layer.
-    pub fn host_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn host_bytes(&self) -> u64 {
         self.traffic.bytes(0)
     }
 
     /// Per-layer staging transfer time across the whole chain: the tiers
     /// are traversed serially, so the times add. An idle tier (0 bytes)
     /// contributes nothing regardless of its bandwidth or latency.
-    pub fn t_transfer(&self) -> SimTime {
+    pub(crate) fn t_transfer(&self) -> SimTime {
         let mut secs = 0.0;
         for t in &self.traffic {
             if t.bytes != 0 {
@@ -195,7 +197,8 @@ impl LayerCosts {
     }
 
     /// Bytes staged per layer across the whole chain.
-    pub fn staged_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn staged_bytes(&self) -> u64 {
         self.traffic.iter().map(|t| t.bytes).sum()
     }
 }
@@ -219,7 +222,7 @@ pub struct ScheduleOutcome {
 
 /// Scalar results of [`build_schedule_scalars`] — everything besides the
 /// timeline and the staging side effects. Small and `Copy` so the delta
-/// layer ([`crate::delta`]) can memoize it and replay the staging effects
+/// layer (`crate::delta`) can memoize it and replay the staging effects
 /// in bulk without re-running the recurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScalarSchedule {
@@ -267,11 +270,11 @@ pub enum SegmentPolicy {
 /// A run of consecutive layers sharing one policy and one cost profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerSegment {
-    pub count: usize,
-    pub policy: SegmentPolicy,
+    pub(crate) count: usize,
+    pub(crate) policy: SegmentPolicy,
     /// Per-layer costs; `traffic` is read only for `Swap` layers and
     /// `t_recompute` only for `Swap`/`Recompute` layers.
-    pub costs: LayerCosts,
+    pub(crate) costs: LayerCosts,
 }
 
 impl LayerSegment {
@@ -608,9 +611,9 @@ impl SteadyDetector {
 /// Inside each Swap run the steady region is spliced in closed form —
 /// forward while the run continues, backward while both the layer and its
 /// prefetch-kick target lie in the run — with the staging effects batched
-/// through [`TierStaging::reserve_layers`] / [`TierStaging::release_layers`].
+/// through `TierStaging::reserve_layers` / `TierStaging::release_layers`.
 /// Returns the cursors and busy totals without building a timeline; this is
-/// the unit the segment cache ([`crate::delta`]) memoizes. Makespan,
+/// the unit the segment cache (`crate::delta`) memoizes. Makespan,
 /// per-stream cursors, busy times, per-tier peaks and out-of-tier errors
 /// are bit-identical to [`build_schedule`] (asserted by
 /// `tests/differential.rs`); see DESIGN.md §2e for the argument.

@@ -64,19 +64,15 @@ impl TierStaging {
         TierStaging::new(&[capacity])
     }
 
-    /// `n_tiers` pools of [`HostStaging::unbounded`] capacity.
+    /// `n_tiers` pools of `HostStaging::unbounded` capacity.
     pub fn unbounded(n_tiers: usize) -> Self {
         TierStaging {
             pools: (0..n_tiers).map(|_| HostStaging::unbounded()).collect(),
         }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pools.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.pools.is_empty()
     }
 
     pub fn pool(&self, tier: usize) -> Option<&HostStaging> {
@@ -94,17 +90,19 @@ impl TierStaging {
     }
 
     /// Per-tier peak bytes, in chain order.
-    pub fn peaks(&self) -> Vec<u64> {
+    #[cfg(test)]
+    fn peaks(&self) -> Vec<u64> {
         self.pools.iter().map(HostStaging::peak).collect()
     }
 
     /// Per-tier capacities, in chain order.
-    pub fn capacities(&self) -> Vec<u64> {
+    #[cfg(test)]
+    fn capacities(&self) -> Vec<u64> {
         self.pools.iter().map(HostStaging::capacity).collect()
     }
 
     /// Elastically resize every pool in chain order (the eLLM-style
-    /// repartition primitive, see [`HostStaging::set_capacity`]): staged
+    /// repartition primitive, see `HostStaging::set_capacity`): staged
     /// bytes and peaks are kept, shrinking below a pool's usage
     /// over-commits that pool until it drains. The chain shape is fixed —
     /// `capacities` must have one entry per pool.
@@ -144,7 +142,7 @@ impl TierStaging {
     /// Stage `count` layers with semantics identical to `count` sequential
     /// [`Self::reserve_layer`] calls — the splice primitive of the schedule
     /// fast path, batched across every pool.
-    pub fn reserve_layers(
+    pub(crate) fn reserve_layers(
         &mut self,
         traffic: &TierTrafficList,
         count: u64,
@@ -187,7 +185,7 @@ impl TierStaging {
     }
 
     /// Release `count` layers ([`Self::release_layer`] batched).
-    pub fn release_layers(&mut self, traffic: &TierTrafficList, count: u64) {
+    pub(crate) fn release_layers(&mut self, traffic: &TierTrafficList, count: u64) {
         self.check_width(traffic);
         for (tier, t) in traffic.iter().enumerate() {
             self.pools[tier].release_many(t.bytes, count);

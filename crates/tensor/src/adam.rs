@@ -2,18 +2,18 @@
 
 /// Adam state (first/second moments, step counter).
 #[derive(Debug, Clone)]
-pub struct Adam {
+pub(crate) struct Adam {
     pub lr: f32,
-    pub beta1: f32,
-    pub beta2: f32,
-    pub eps: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
     m: Vec<f32>,
     v: Vec<f32>,
     step: u64,
 }
 
 impl Adam {
-    pub fn new(n_params: usize, lr: f32) -> Self {
+    pub(crate) fn new(n_params: usize, lr: f32) -> Self {
         Adam {
             lr,
             beta1: 0.9,
@@ -26,7 +26,7 @@ impl Adam {
     }
 
     /// One update: `params -= lr · m̂ / (√v̂ + eps)`.
-    pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
+    pub(crate) fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), self.m.len());
         assert_eq!(grads.len(), self.m.len());
         self.step += 1;

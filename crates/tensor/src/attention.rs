@@ -12,13 +12,13 @@
 /// Output of the forward pass: the attention output and the log-sum-exp per
 /// (row, head) — the only state the backward needs besides `q/k/v`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AttnOutput {
-    pub out: Vec<f32>,
-    pub lse: Vec<f32>, // [t * n_heads]
+pub(crate) struct AttnOutput {
+    pub(crate) out: Vec<f32>,
+    pub(crate) lse: Vec<f32>, // [t * n_heads]
 }
 
 /// Streaming causal attention forward.
-pub fn attention_fwd(
+pub(crate) fn attention_fwd(
     q: &[f32],
     k: &[f32],
     v: &[f32],
@@ -69,7 +69,7 @@ pub fn attention_fwd(
 
 /// FlashAttention-style backward: recompute `P` from `Q, K, L`.
 #[allow(clippy::too_many_arguments)]
-pub fn attention_bwd(
+pub(crate) fn attention_bwd(
     q: &[f32],
     k: &[f32],
     v: &[f32],

@@ -35,24 +35,24 @@ impl GptConfig {
 /// The model: embeddings, layers, final norm, classifier.
 #[derive(Debug, Clone)]
 pub struct TinyGpt {
-    pub cfg: GptConfig,
-    pub tok_emb: Vec<f32>, // [V, h]
-    pub pos_emb: Vec<f32>, // [max_seq, h]
+    cfg: GptConfig,
+    tok_emb: Vec<f32>, // [V, h]
+    pos_emb: Vec<f32>, // [max_seq, h]
     pub layers: Vec<LayerParams>,
-    pub lnf_g: Vec<f32>,
-    pub lnf_b: Vec<f32>,
-    pub head: Vec<f32>, // [h, V]
+    lnf_g: Vec<f32>,
+    lnf_b: Vec<f32>,
+    head: Vec<f32>, // [h, V]
 }
 
 /// Gradients matching [`TinyGpt`].
 #[derive(Debug, Clone)]
 pub struct GptGrads {
-    pub tok_emb: Vec<f32>,
-    pub pos_emb: Vec<f32>,
+    tok_emb: Vec<f32>,
+    pos_emb: Vec<f32>,
     pub layers: Vec<LayerGrads>,
-    pub lnf_g: Vec<f32>,
-    pub lnf_b: Vec<f32>,
-    pub head: Vec<f32>,
+    lnf_g: Vec<f32>,
+    lnf_b: Vec<f32>,
+    head: Vec<f32>,
 }
 
 impl GptGrads {
@@ -132,7 +132,7 @@ impl TinyGpt {
     }
 
     /// All parameters flattened (for the optimizer).
-    pub fn flat_params(&self) -> Vec<f32> {
+    pub(crate) fn flat_params(&self) -> Vec<f32> {
         let mut out = Vec::new();
         out.extend_from_slice(&self.tok_emb);
         out.extend_from_slice(&self.pos_emb);
@@ -151,7 +151,7 @@ impl TinyGpt {
     }
 
     /// Write back flattened parameters (inverse of [`Self::flat_params`]).
-    pub fn set_flat_params(&mut self, flat: &[f32]) {
+    pub(crate) fn set_flat_params(&mut self, flat: &[f32]) {
         let mut pos = 0usize;
         let mut take = |dst: &mut Vec<f32>| {
             let n = dst.len();

@@ -16,16 +16,16 @@ use crate::store::{ActivationStore, Skeletal, Stash};
 /// Layer hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerShape {
-    pub hidden: usize,
+    pub(crate) hidden: usize,
     pub ffn: usize,
-    pub n_heads: usize,
+    pub(crate) n_heads: usize,
     /// Apply rotary position embeddings to q/k. RoPE is per-token, so the
     /// post-RoPE q/k rows remain token-wise recomputable.
     pub rope: bool,
 }
 
 impl LayerShape {
-    pub fn head_dim(&self) -> usize {
+    fn head_dim(&self) -> usize {
         self.hidden / self.n_heads
     }
 }
@@ -33,36 +33,36 @@ impl LayerShape {
 /// Learnable parameters of one layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerParams {
-    pub shape: LayerShape,
-    pub ln1_g: Vec<f32>,
-    pub ln1_b: Vec<f32>,
-    pub wqkv: Vec<f32>,  // [h, 3h]
-    pub bqkv: Vec<f32>,  // [3h]
-    pub wproj: Vec<f32>, // [h, h]
-    pub bproj: Vec<f32>,
-    pub ln2_g: Vec<f32>,
-    pub ln2_b: Vec<f32>,
-    pub w1: Vec<f32>, // [h, f]
-    pub b1: Vec<f32>,
-    pub w2: Vec<f32>, // [f, h]
-    pub b2: Vec<f32>,
+    pub(crate) shape: LayerShape,
+    pub(crate) ln1_g: Vec<f32>,
+    pub(crate) ln1_b: Vec<f32>,
+    pub(crate) wqkv: Vec<f32>,  // [h, 3h]
+    pub(crate) bqkv: Vec<f32>,  // [3h]
+    pub(crate) wproj: Vec<f32>, // [h, h]
+    pub(crate) bproj: Vec<f32>,
+    pub(crate) ln2_g: Vec<f32>,
+    pub(crate) ln2_b: Vec<f32>,
+    pub(crate) w1: Vec<f32>, // [h, f]
+    pub(crate) b1: Vec<f32>,
+    pub(crate) w2: Vec<f32>, // [f, h]
+    pub(crate) b2: Vec<f32>,
 }
 
 /// Gradient buffers matching [`LayerParams`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerGrads {
-    pub ln1_g: Vec<f32>,
-    pub ln1_b: Vec<f32>,
+    pub(crate) ln1_g: Vec<f32>,
+    pub(crate) ln1_b: Vec<f32>,
     pub wqkv: Vec<f32>,
-    pub bqkv: Vec<f32>,
-    pub wproj: Vec<f32>,
-    pub bproj: Vec<f32>,
-    pub ln2_g: Vec<f32>,
-    pub ln2_b: Vec<f32>,
-    pub w1: Vec<f32>,
-    pub b1: Vec<f32>,
-    pub w2: Vec<f32>,
-    pub b2: Vec<f32>,
+    pub(crate) bqkv: Vec<f32>,
+    pub(crate) wproj: Vec<f32>,
+    pub(crate) bproj: Vec<f32>,
+    pub(crate) ln2_g: Vec<f32>,
+    pub(crate) ln2_b: Vec<f32>,
+    pub(crate) w1: Vec<f32>,
+    pub(crate) b1: Vec<f32>,
+    pub(crate) w2: Vec<f32>,
+    pub(crate) b2: Vec<f32>,
 }
 
 impl LayerGrads {

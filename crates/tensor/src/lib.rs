@@ -9,33 +9,28 @@
 //! really re-computes, and really round-trips activation rows through a
 //! simulated host buffer:
 //!
-//! * [`ops`] — matmul, LayerNorm, GELU, embedding, fused softmax
+//! * `ops` — matmul, LayerNorm, GELU, embedding, fused softmax
 //!   cross-entropy, each with hand-written backward passes;
-//! * [`attention`] — causal multi-head attention in the FlashAttention
+//! * `attention` — causal multi-head attention in the FlashAttention
 //!   style: streaming softmax forward that keeps only the output and the
 //!   per-row log-sum-exp, backward by recomputing probabilities;
-//! * [`ring`] — ring attention (context parallelism) over sequence blocks,
-//!   validated against the single-device kernel;
 //! * [`store`] — the activation store with the three policies (KeepAll /
 //!   FullRecompute / TokenWise{α}) mirroring `memo_model`'s skeletal
 //!   catalog;
 //! * [`layer`], [`gpt`] — a small decoder-only GPT with manual backward;
-//! * [`adam`] — the optimizer;
+//! * `adam` — the optimizer;
 //! * [`train`] — deterministic synthetic data and the training loop used to
 //!   regenerate Figure 12(d).
 //!
 //! Everything is `f32`, single-threaded and fully deterministic, so the
 //! equivalence assertions are *bitwise*.
 
-pub mod adam;
-pub mod attention;
+mod adam;
+mod attention;
 pub mod gpt;
 pub mod layer;
-pub mod ops;
-pub mod ring;
+pub(crate) mod ops;
 pub mod store;
 pub mod train;
 
-pub use gpt::{GptConfig, TinyGpt};
 pub use store::Policy;
-pub use train::{train_loss_curve, TrainSpec};

@@ -2,7 +2,7 @@
 //! row-major `[rows, cols]` slices of `f32`.
 
 /// `y = x · w`, where `x` is `[t, m]`, `w` is `[m, n]`, `y` is `[t, n]`.
-pub fn matmul(x: &[f32], w: &[f32], t: usize, m: usize, n: usize, y: &mut [f32]) {
+pub(crate) fn matmul(x: &[f32], w: &[f32], t: usize, m: usize, n: usize, y: &mut [f32]) {
     assert_eq!(x.len(), t * m);
     assert_eq!(w.len(), m * n);
     assert_eq!(y.len(), t * n);
@@ -24,7 +24,7 @@ pub fn matmul(x: &[f32], w: &[f32], t: usize, m: usize, n: usize, y: &mut [f32])
 
 /// Backward of [`matmul`]: `dx += dy · wᵀ`, `dw += xᵀ · dy`.
 #[allow(clippy::too_many_arguments)]
-pub fn matmul_bwd(
+pub(crate) fn matmul_bwd(
     x: &[f32],
     w: &[f32],
     dy: &[f32],
@@ -62,7 +62,7 @@ pub fn matmul_bwd(
 }
 
 /// Add a bias row to every row of `y` (`[t, n] += [n]`).
-pub fn add_bias(y: &mut [f32], b: &[f32], t: usize, n: usize) {
+pub(crate) fn add_bias(y: &mut [f32], b: &[f32], t: usize, n: usize) {
     for i in 0..t {
         for j in 0..n {
             y[i * n + j] += b[j];
@@ -71,7 +71,7 @@ pub fn add_bias(y: &mut [f32], b: &[f32], t: usize, n: usize) {
 }
 
 /// Backward of [`add_bias`]: `db += Σ_rows dy`.
-pub fn add_bias_bwd(dy: &[f32], t: usize, n: usize, db: &mut [f32]) {
+pub(crate) fn add_bias_bwd(dy: &[f32], t: usize, n: usize, db: &mut [f32]) {
     for i in 0..t {
         for j in 0..n {
             db[j] += dy[i * n + j];
@@ -82,14 +82,14 @@ pub fn add_bias_bwd(dy: &[f32], t: usize, n: usize, db: &mut [f32]) {
 const LN_EPS: f32 = 1e-5;
 
 /// Row-wise LayerNorm with gain `g` and bias `b`.
-pub fn layernorm(x: &[f32], g: &[f32], b: &[f32], t: usize, n: usize, y: &mut [f32]) {
+pub(crate) fn layernorm(x: &[f32], g: &[f32], b: &[f32], t: usize, n: usize, y: &mut [f32]) {
     for i in 0..t {
         layernorm_row(&x[i * n..(i + 1) * n], g, b, &mut y[i * n..(i + 1) * n]);
     }
 }
 
 /// One row of [`layernorm`] — the unit of token-wise recomputation.
-pub fn layernorm_row(x: &[f32], g: &[f32], b: &[f32], y: &mut [f32]) {
+pub(crate) fn layernorm_row(x: &[f32], g: &[f32], b: &[f32], y: &mut [f32]) {
     let n = x.len();
     let mean = x.iter().sum::<f32>() / n as f32;
     let var = x.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
@@ -101,7 +101,7 @@ pub fn layernorm_row(x: &[f32], g: &[f32], b: &[f32], y: &mut [f32]) {
 
 /// Backward of [`layernorm`].
 #[allow(clippy::too_many_arguments)]
-pub fn layernorm_bwd(
+pub(crate) fn layernorm_bwd(
     x: &[f32],
     g: &[f32],
     dy: &[f32],
@@ -138,20 +138,20 @@ pub fn layernorm_bwd(
 }
 
 /// GELU (tanh approximation), elementwise.
-pub fn gelu(x: &[f32], y: &mut [f32]) {
+pub(crate) fn gelu(x: &[f32], y: &mut [f32]) {
     for (yo, &xi) in y.iter_mut().zip(x) {
         *yo = gelu_scalar(xi);
     }
 }
 
 #[inline]
-pub fn gelu_scalar(x: f32) -> f32 {
+fn gelu_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
     0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
 }
 
 /// Backward of [`gelu`]: `dx += gelu'(x) * dy`.
-pub fn gelu_bwd(x: &[f32], dy: &[f32], dx: &mut [f32]) {
+pub(crate) fn gelu_bwd(x: &[f32], dy: &[f32], dx: &mut [f32]) {
     const C: f32 = 0.797_884_6;
     for i in 0..x.len() {
         let xi = x[i];
@@ -170,7 +170,7 @@ pub fn gelu_bwd(x: &[f32], dy: &[f32], dx: &mut [f32]) {
 /// per-position orthogonal transform. Being token-wise, it sits squarely in
 /// MEMO's recomputable class: a discarded post-RoPE row is rebuilt from the
 /// row's pre-RoPE value and its absolute position.
-pub fn rope_row(x: &mut [f32], pos: usize) {
+pub(crate) fn rope_row(x: &mut [f32], pos: usize) {
     let d = x.len();
     let mut j = 0;
     while j + 1 < d {
@@ -185,7 +185,7 @@ pub fn rope_row(x: &mut [f32], pos: usize) {
 
 /// Backward of [`rope_row`]: rotations are orthogonal, so the gradient
 /// rotates by the inverse angle.
-pub fn rope_row_bwd(dy: &mut [f32], pos: usize) {
+pub(crate) fn rope_row_bwd(dy: &mut [f32], pos: usize) {
     let d = dy.len();
     let mut j = 0;
     while j + 1 < d {
@@ -199,14 +199,14 @@ pub fn rope_row_bwd(dy: &mut [f32], pos: usize) {
 }
 
 /// Embedding lookup: `y[i] = table[ids[i]]`.
-pub fn embedding(table: &[f32], ids: &[usize], n: usize, y: &mut [f32]) {
+pub(crate) fn embedding(table: &[f32], ids: &[usize], n: usize, y: &mut [f32]) {
     for (i, &id) in ids.iter().enumerate() {
         y[i * n..(i + 1) * n].copy_from_slice(&table[id * n..(id + 1) * n]);
     }
 }
 
 /// Backward of [`embedding`]: scatter-add.
-pub fn embedding_bwd(dy: &[f32], ids: &[usize], n: usize, dtable: &mut [f32]) {
+pub(crate) fn embedding_bwd(dy: &[f32], ids: &[usize], n: usize, dtable: &mut [f32]) {
     for (i, &id) in ids.iter().enumerate() {
         for j in 0..n {
             dtable[id * n + j] += dy[i * n + j];
@@ -216,7 +216,7 @@ pub fn embedding_bwd(dy: &[f32], ids: &[usize], n: usize, dtable: &mut [f32]) {
 
 /// Fused softmax cross-entropy over logits `[t, v]` with integer targets.
 /// Returns mean loss; writes `dlogits` scaled by `1/t`.
-pub fn softmax_xent(
+pub(crate) fn softmax_xent(
     logits: &[f32],
     targets: &[usize],
     t: usize,

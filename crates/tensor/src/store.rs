@@ -22,16 +22,16 @@ use crate::attention::AttnOutput;
 /// The layer input and attention output are always kept, as in MEMO.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TensorMask {
-    pub ln1: bool,
-    pub qkv: bool,
-    pub res1: bool,
-    pub ln2: bool,
-    pub fc1: bool,
-    pub gelu: bool,
+    pub(crate) ln1: bool,
+    pub(crate) qkv: bool,
+    pub(crate) res1: bool,
+    pub(crate) ln2: bool,
+    pub(crate) fc1: bool,
+    pub(crate) gelu: bool,
 }
 
 impl TensorMask {
-    pub const NONE: TensorMask = TensorMask {
+    pub(crate) const NONE: TensorMask = TensorMask {
         ln1: false,
         qkv: false,
         res1: false,
@@ -39,7 +39,7 @@ impl TensorMask {
         fc1: false,
         gelu: false,
     };
-    pub const ALL: TensorMask = TensorMask {
+    pub(crate) const ALL: TensorMask = TensorMask {
         ln1: true,
         qkv: true,
         res1: true,
@@ -67,7 +67,7 @@ pub enum Policy {
 impl Policy {
     /// Token rows of the "others" tensors kept on host (uniform policies;
     /// [`Policy::PerTensor`] decides per tensor instead).
-    pub fn rows_kept(self, t: usize) -> usize {
+    pub(crate) fn rows_kept(self, t: usize) -> usize {
         match self {
             Policy::KeepAll => t,
             Policy::FullRecompute => 0,
@@ -91,35 +91,35 @@ impl Policy {
 /// The ten skeletal tensors of one layer (all `[t, dim]` row-major).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Skeletal {
-    pub input: Vec<f32>,
-    pub ln1: Vec<f32>,
-    pub q: Vec<f32>,
-    pub k: Vec<f32>,
-    pub v: Vec<f32>,
-    pub attn: Option<AttnOutput>,
-    pub res1: Vec<f32>,
-    pub ln2: Vec<f32>,
-    pub fc1: Vec<f32>,
-    pub gelu: Vec<f32>,
+    pub(crate) input: Vec<f32>,
+    pub(crate) ln1: Vec<f32>,
+    pub(crate) q: Vec<f32>,
+    pub(crate) k: Vec<f32>,
+    pub(crate) v: Vec<f32>,
+    pub(crate) attn: Option<AttnOutput>,
+    pub(crate) res1: Vec<f32>,
+    pub(crate) ln2: Vec<f32>,
+    pub(crate) fc1: Vec<f32>,
+    pub(crate) gelu: Vec<f32>,
 }
 
 /// What actually survives the forward pass for one layer.
 #[derive(Debug, Clone)]
 pub struct Stash {
     /// Number of leading token rows present in the partial tensors.
-    pub rows_kept: usize,
-    pub t: usize,
-    pub input: Vec<f32>,
+    pub(crate) rows_kept: usize,
+    pub(crate) t: usize,
+    pub(crate) input: Vec<f32>,
     /// `None` under FullRecompute (rebuilt by re-running attention).
-    pub attn: Option<AttnOutput>,
-    pub ln1: Vec<f32>,
+    pub(crate) attn: Option<AttnOutput>,
+    pub(crate) ln1: Vec<f32>,
     pub q: Vec<f32>,
-    pub k: Vec<f32>,
-    pub v: Vec<f32>,
-    pub res1: Vec<f32>,
-    pub ln2: Vec<f32>,
-    pub fc1: Vec<f32>,
-    pub gelu: Vec<f32>,
+    pub(crate) k: Vec<f32>,
+    pub(crate) v: Vec<f32>,
+    pub(crate) res1: Vec<f32>,
+    pub(crate) ln2: Vec<f32>,
+    pub(crate) fc1: Vec<f32>,
+    pub(crate) gelu: Vec<f32>,
 }
 
 /// Per-run host byte accounting (the 4-byte-per-f32 analogue of
@@ -144,7 +144,7 @@ impl HostCounters {
 /// The store: one stash slot per layer plus host accounting.
 #[derive(Debug, Clone)]
 pub struct ActivationStore {
-    pub policy: Policy,
+    pub(crate) policy: Policy,
     stashes: Vec<Option<Stash>>,
     pub host: HostCounters,
 }
@@ -167,7 +167,7 @@ impl ActivationStore {
 
     /// Stash layer `idx`'s skeletal tensors per the policy. The dropped data
     /// is genuinely gone.
-    pub fn save(&mut self, idx: usize, t: usize, skel: Skeletal) {
+    pub(crate) fn save(&mut self, idx: usize, t: usize, skel: Skeletal) {
         let keep = self.policy.rows_kept(t);
         let mask = self.policy.mask();
         let attn = match self.policy {

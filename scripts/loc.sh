@@ -1,13 +1,21 @@
 #!/usr/bin/env bash
-# Per-crate and total counts of two things in the shipped sources
+# Per-crate and total counts of three things in the shipped sources
 # (crates/*/src/**/*.rs and src/**/*.rs):
 #   lines  non-test lines: every line except the items gated by `#[cfg(test)]`
 #          (the attribute, any attributes after it, and the item: one line
 #          for a `use` or other `;` item, otherwise up to its closing brace)
-#   pub    of those, the lines starting (after indentation) with `pub ` or `pub(`
+#   pub    of those, the lines starting (after indentation) with a bare `pub `;
+#          `pub(crate)`, `pub(super)` and `pub(in ..)` lines do not count
+#   unref  of those, the top-level (unindented) `pub` fn, struct, enum, union,
+#          const, trait, type, static and mod items whose name appears in no
+#          `.rs` file outside the library's own `src/`: not in another crate,
+#          not in a bin (`src/bin/`), not in any `tests/` or `examples/`. Such
+#          an item is public only because it is re-exported or sits in a
+#          public signature; anything else should be `pub(crate)`.
 #
 # Braces are counted as written, so a gated item with an unbalanced brace in a
 # string or char literal would end early or late; the sources have none.
+# Names are matched as whole identifiers anywhere in a file, comments included.
 #
 # Usage: scripts/loc.sh [REPO_ROOT]   (defaults to the repository holding this script)
 set -euo pipefail
@@ -15,11 +23,18 @@ set -euo pipefail
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 cd "$root"
 
+# Every .rs file a library's public items can be named from.
+all_sources() {
+    find crates src tests examples -name '*.rs' 2>/dev/null | sort
+}
+
 count() {
-    # Prints "<lines> <pub>" for the .rs files under the given directory.
+    # Prints one "name <ident>" line per top-level `pub` item of the library
+    # sources under the given directory (bins excluded), then "<lines> <pub>"
+    # for all of its sources.
     # State per file: `gated` while skipping a `#[cfg(test)]` item, `opened`
     # once its body brace was seen, `depth` its open braces.
-    find "$1" -name '*.rs' -print0 | sort -z | xargs -0 -r awk '
+    find "$1" -name '*.rs' -print0 | sort -z | xargs -0 -r awk -v bin="$1/bin/" '
         # Skip one line of a gated item; clears `gated` once the item ends.
         function skip(line,    opens) {
             opens = gsub(/\{/, "{", line)
@@ -45,21 +60,48 @@ count() {
         }
         {
             lines++
-            if ($0 ~ /^[[:space:]]*pub[ (]/) pubs++
+            if ($0 !~ /^[[:space:]]*pub /) next
+            pubs++
+            if (index(FILENAME, bin) == 1) next
+            item = $0
+            if (!sub(/^pub ((const|async|unsafe) )*(fn|struct|enum|union|const|trait|type|static( mut)?|mod) /, "", item)) next
+            if (match(item, /^[A-Za-z_][A-Za-z0-9_]*/)) print "name", substr(item, 1, RLENGTH)
         }
         END { printf "%d %d\n", lines, pubs }
-    ' | awk '{ lines += $1; pubs += $2 } END { printf "%d %d\n", lines, pubs }'
+    '
 }
 
-printf '%-12s %8s %6s\n' crate lines pub
+# Prints how many of the names in `$2` (one a line) appear in no source
+# outside `$1` (bins under `$1/bin/` count as outside).
+unref() {
+    all_sources | awk -v own="$1/" -v bin="$1/bin/" 'index($0, own) != 1 || index($0, bin) == 1' |
+        xargs -r grep -ohE '[A-Za-z_][A-Za-z0-9_]*' |
+        awk -v names="$2" '
+            { named[$0] = 1 }
+            END {
+                k = split(names, list, "\n")
+                for (i = 1; i <= k; i++) if (list[i] != "" && !(list[i] in named)) n++
+                print n + 0
+            }'
+}
+
+printf '%-12s %8s %6s %6s\n' crate lines pub unref
 total_lines=0
 total_pub=0
+total_unref=0
 for dir in crates/*/src src; do
     [ -d "$dir" ] || continue
     if [ "$dir" = src ]; then name=memo; else name=$(basename "$(dirname "$dir")"); fi
-    read -r lines pubs < <(count "$dir")
-    printf '%-12s %8d %6d\n' "$name" "$lines" "$pubs"
+    out=$(count "$dir")
+    lines=0
+    pubs=0
+    while read -r a b _; do
+        [ "$a" = name ] || { lines=$((lines + a)); pubs=$((pubs + b)); }
+    done <<<"$out"
+    unrefs=$(unref "$dir" "$(awk '$1 == "name" { print $2 }' <<<"$out")")
+    printf '%-12s %8d %6d %6d\n' "$name" "$lines" "$pubs" "$unrefs"
     total_lines=$((total_lines + lines))
     total_pub=$((total_pub + pubs))
+    total_unref=$((total_unref + unrefs))
 done
-printf '%-12s %8d %6d\n' total "$total_lines" "$total_pub"
+printf '%-12s %8d %6d %6d\n' total "$total_lines" "$total_pub" "$total_unref"
