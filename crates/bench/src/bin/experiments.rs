@@ -35,6 +35,7 @@ use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 use memo_parallel::{cost, memory};
 use memo_plan::bilevel::{plan_flat, plan_iteration};
 use memo_plan::dsa::DsaInstance;
+use memo_swap::alpha::solve_alpha;
 use memo_swap::schedule::{build_schedule, LayerCosts, LayerSegment};
 use memo_swap::tiers::TierStaging;
 use memo_tensor::train::{train_loss_curve, TrainSpec};
@@ -273,6 +274,7 @@ fn fig11() {
     let w = Workload::new(ModelConfig::gpt_7b(), 8, 96 * 1024);
     let cfg = ParallelConfig::megatron(4, 2, 1, 1);
     let p = profiler::profile(&w, &cfg, RematPolicy::MemoTokenWise, false);
+    let sol = solve_alpha(&p.alpha_inputs(&w.calib, 2));
     let lt = &p.layer_time;
     let n = 6; // a few layers are enough to see the pattern
 
@@ -280,14 +282,11 @@ fn fig11() {
         "Figure 11 — schedule w/ and w/o token-wise recomputation (7B, 96K, {})",
         cfg.describe()
     );
-    println!(
-        "solved α = {} (binding: {:?})\n",
-        p.alpha.alpha, p.alpha.binding
-    );
+    println!("solved α = {} (binding: {:?})\n", sol.alpha, sol.binding);
 
     let mut trace = TraceBuilder::new();
     for (label, alpha) in [
-        ("with token-wise recomputation (α from LP)", p.alpha.alpha),
+        ("with token-wise recomputation (α from LP)", sol.alpha),
         ("w/o token-wise recomputation (α = 1, full swap)", 1.0),
     ] {
         let costs = LayerCosts::single_tier(

@@ -8,6 +8,7 @@ use memo_model::decode::{generate_decode, DecodeParams, DecodeTrace};
 use memo_model::trace::{IterationTrace, RematPolicy};
 use memo_parallel::search;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
+use memo_swap::alpha::solve_alpha;
 use memo_swap::reference::ReferenceScheduleOutcome;
 use memo_swap::schedule::{
     build_schedule, build_schedule_scalars, LayerCosts, LayerSegment, ScalarSchedule,
@@ -30,7 +31,9 @@ pub struct SimInputs {
 /// `ExecutionPipeline::build_schedule`'s token-wise arm.
 pub fn sim_inputs(w: &Workload, cfg: &ParallelConfig) -> SimInputs {
     let p = memo_core::profiler::profile(w, cfg, RematPolicy::MemoTokenWise, false);
-    let swapped_others = (p.alpha.alpha * p.split.s_others as f64).round() as u64;
+    let slots = 2;
+    let alpha = solve_alpha(&p.alpha_inputs(&w.calib, slots)).alpha;
+    let swapped_others = (alpha * p.split.s_others as f64).round() as u64;
     let offload_bytes = p.split.s_input + p.split.s_attn + swapped_others;
     let recompute_fraction = 1.0 - swapped_others as f64 / p.split.s_others.max(1) as f64;
     let mut traffic = TierTrafficList::new();
@@ -51,7 +54,7 @@ pub fn sim_inputs(w: &Workload, cfg: &ParallelConfig) -> SimInputs {
         },
         t_head: SimTime::from_secs_f64(p.head_secs),
         buffer_bytes: p.split.total(),
-        slots: 2,
+        slots,
         host_capacity: w.calib.host_capacity_per_gpu().max(1),
     }
 }

@@ -102,15 +102,7 @@ mod tests {
                 memo_model::trace::RematPolicy::MemoTokenWise,
                 false,
             );
-            let raw = memo_swap::alpha::solve_alpha_raw(&memo_swap::alpha::AlphaInputs {
-                s_input: p.split.s_input,
-                s_attn: p.split.s_attn,
-                s_others: p.split.s_others,
-                bandwidth: w.calib.effective_pcie(),
-                t_layer_fwd: p.layer_time.fwd(),
-                n_layers: p.layers_local,
-                host_capacity: w.calib.host_capacity_per_gpu(),
-            });
+            let raw = memo_swap::alpha::solve_alpha_raw(&p.alpha_inputs(&w.calib, 2));
             let memo = ExecutionPipeline::memo_at_alpha(raw, 2)
                 .execute_cached(&w, &cfg(), true)
                 .outcome

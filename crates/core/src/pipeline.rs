@@ -3,13 +3,13 @@
 //! Every execution mode ([`SystemSpec`]) runs the same five stages:
 //!
 //! 1. **profile** — liveness peak, memory-request trace (built on first
-//!    use), per-layer costs, α program
+//!    use), per-layer costs and skeletal bytes, the α program's inputs
 //!    ([`crate::profiler`]);
 //! 2. **activation policy** (`ActivationPolicy`) — how activations survive
-//!    to the backward pass: token-wise α swap into rounding buffers,
-//!    per-tensor greedy swap, an N-tier host/NVMe/… waterfall, full
-//!    recomputation, or keep-all. Swap policies can fail host/NVMe
-//!    feasibility (`X_oohm`);
+//!    to the backward pass: swap into rounding buffers under an α rule (the
+//!    α program over one or more offload tiers, a fixed α, or whole
+//!    tensors), full recomputation, or keep-all. The swap policy can fail
+//!    host/NVMe feasibility (`X_oohm`);
 //! 3. **memory backend** ([`MemoryBackend`]) — where tensors live: the
 //!    bi-level static plan or a PyTorch-style caching-allocator replay.
 //!    Both report a peak, reorganisation count, and a uniform `X_oom`;
@@ -41,7 +41,10 @@ use memo_parallel::comm;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 use memo_plan::bilevel::BilevelReport;
 use memo_plan::dispatch::PlannerKind;
-use memo_swap::schedule::{LayerCosts, LayerSegment, SegmentPolicy, TierTraffic, TierTrafficList};
+use memo_swap::alpha::{solve_alpha_tiered, AlphaInputs, TierLink};
+use memo_swap::schedule::{
+    LayerCosts, LayerSegment, SegmentPolicy, TierTraffic, TierTrafficList, MAX_TIERS,
+};
 use memo_swap::tiers::TierStaging;
 use std::sync::Arc;
 use std::time::Instant;
@@ -49,32 +52,16 @@ use std::time::Instant;
 /// Stage 2: how activations survive from forward to backward.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ActivationPolicy {
-    /// Token-wise α split (§4.1): swap `α · others` plus the mandatory
-    /// input/attention rows into `slots` rotating rounding buffers,
-    /// recompute the rest. `None` takes the solved α of the LP.
-    TokenWise {
-        alpha_override: Option<f64>,
-        slots: usize,
-    },
-    /// Capuchin-style granularity: greedily swap whole tensors, largest
-    /// first, under the overlap and host budgets.
-    TensorGreedy,
-    /// N-tier α waterfall over the calibration's [`memo_hal::MemoryHierarchy`]:
-    /// token rows cascade down the chain, each tier absorbing what the
-    /// nearer tiers cannot. `depth = 0` uses the whole chain; `depth = d`
-    /// truncates it to the first `d` offload tiers (so `d = 1` is the
-    /// host-only token-wise policy and `d = 2` the host+NVMe pair).
-    Tiered { depth: u8 },
-    /// Per-layer mixed policy (the dense-grid extension): the first
-    /// `swap_layers` layers swap token-wise exactly as [`Self::TokenWise`],
-    /// the last `slots` layers stay resident in their rounding buffers, and
-    /// every layer in between fully recomputes — trading host-staging
-    /// pressure for re-forward compute. `swap_layers` is clamped to the
-    /// layers that could swap at all (`layers_local − slots`); at the clamp
-    /// the schedule is bit-identical to [`Self::TokenWise`].
-    MixedTokenWise {
+    /// Swap (§4.1): of the `layers_local − slots` staged layers, the first
+    /// `swap_layers` offload the mandatory input/attention rows plus the
+    /// share of the other skeletal bytes that `alpha` picks, and recompute
+    /// the rest; the last `slots` layers stay in their rotating rounding
+    /// buffers, and any staged layer beyond `swap_layers` fully recomputes
+    /// (the dense-grid mixed layout). `swap_layers = usize::MAX` is the
+    /// paper's uniform layout.
+    Swap {
+        alpha: AlphaRule,
         swap_layers: usize,
-        alpha_override: Option<f64>,
         slots: usize,
     },
     /// Re-forward every transformer layer during backward (Megatron-LM
@@ -83,6 +70,27 @@ pub(crate) enum ActivationPolicy {
     /// Keep every activation resident (no recompute, no swap).
     KeepAll,
 }
+
+/// How the swap policy picks what a staged layer offloads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum AlphaRule {
+    /// The α program over the first `depth` offload tiers of the
+    /// calibration's [`memo_hal::MemoryHierarchy`] (0 = the whole chain):
+    /// `depth = 1` is the paper's host-only LP, deeper chains run the
+    /// N-tier waterfall, each tier absorbing what nearer tiers cannot.
+    Lp { depth: u8 },
+    /// A fixed α on the host tier (the full-swap ablation, α grids).
+    Fixed(f64),
+    /// Capuchin-style granularity: whole tensors, largest first, under the
+    /// overlap and host budgets.
+    WholeTensors,
+}
+
+/// The paper's host-only α program.
+const HOST_LP: AlphaRule = AlphaRule::Lp { depth: 1 };
+
+/// The paper's two rounding buffers (§4.1, Figure 6).
+const PAPER_SLOTS: usize = 2;
 
 /// Stage 3: where tensors live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,42 +132,31 @@ pub struct PipelineStages {
 impl PipelineStages {
     /// The stage choices for a named execution mode.
     pub fn for_spec(spec: SystemSpec) -> PipelineStages {
-        let token_wise = |alpha_override, slots| PipelineStages {
+        let swap = |alpha, swap_layers, slots| PipelineStages {
             remat: RematPolicy::MemoTokenWise,
             materialize_logits: false,
             head_scale: 1.0,
-            policy: ActivationPolicy::TokenWise {
-                alpha_override,
+            policy: ActivationPolicy::Swap {
+                alpha,
+                swap_layers,
                 slots,
             },
             backend: MemoryBackend::StaticPlan,
             derate: false,
             planner: PlannerKind::Bilevel,
         };
+        let uniform = |alpha| swap(alpha, usize::MAX, PAPER_SLOTS);
         match spec {
-            SystemSpec::Memo => token_wise(None, 2),
+            SystemSpec::Memo => uniform(HOST_LP),
             SystemSpec::MemoWholePlan => PipelineStages {
                 planner: PlannerKind::WholeTrace,
-                ..token_wise(None, 2)
+                ..uniform(HOST_LP)
             },
-            SystemSpec::FullSwapPlan => token_wise(Some(1.0), 2),
-            SystemSpec::MemoBufferSlots(n) => token_wise(None, n as usize),
-            SystemSpec::TensorHybrid => PipelineStages {
-                policy: ActivationPolicy::TensorGreedy,
-                ..token_wise(None, 2)
-            },
-            SystemSpec::MemoTiered(depth) => PipelineStages {
-                policy: ActivationPolicy::Tiered { depth },
-                ..token_wise(None, 2)
-            },
-            SystemSpec::MemoMixed(k) => PipelineStages {
-                policy: ActivationPolicy::MixedTokenWise {
-                    swap_layers: k as usize,
-                    alpha_override: None,
-                    slots: 2,
-                },
-                ..token_wise(None, 2)
-            },
+            SystemSpec::FullSwapPlan => uniform(AlphaRule::Fixed(1.0)),
+            SystemSpec::MemoBufferSlots(n) => swap(HOST_LP, usize::MAX, n as usize),
+            SystemSpec::TensorHybrid => uniform(AlphaRule::WholeTensors),
+            SystemSpec::MemoTiered(depth) => uniform(AlphaRule::Lp { depth }),
+            SystemSpec::MemoMixed(k) => swap(HOST_LP, k as usize, PAPER_SLOTS),
             SystemSpec::MegatronLM => PipelineStages {
                 remat: RematPolicy::FullRecompute,
                 materialize_logits: false,
@@ -345,8 +342,9 @@ impl ExecutionPipeline {
     /// dense α grids that no named spec covers.
     pub fn memo_at_alpha(alpha: f64, slots: usize) -> Self {
         let mut stages = PipelineStages::for_spec(SystemSpec::Memo);
-        stages.policy = ActivationPolicy::TokenWise {
-            alpha_override: Some(alpha),
+        stages.policy = ActivationPolicy::Swap {
+            alpha: AlphaRule::Fixed(alpha),
+            swap_layers: usize::MAX,
             slots,
         };
         ExecutionPipeline {
@@ -362,9 +360,9 @@ impl ExecutionPipeline {
         // The spec tag is reporting-only; the policy carries the exact count.
         let spec = SystemSpec::MemoMixed(k.min(u8::MAX as usize) as u8);
         let mut stages = PipelineStages::for_spec(spec);
-        stages.policy = ActivationPolicy::MixedTokenWise {
+        stages.policy = ActivationPolicy::Swap {
+            alpha: alpha_override.map_or(HOST_LP, AlphaRule::Fixed),
             swap_layers: k,
-            alpha_override,
             slots,
         };
         ExecutionPipeline { spec, stages }
@@ -774,205 +772,132 @@ fn tier_traffic(w: &Workload, tier: usize, bytes: u64) -> TierTraffic {
     }
 }
 
-/// Token-wise swap of `swapped_others` bytes of the recomputable skeletal
-/// tensors per layer on the first `swap_layers` layers; the rest of each
-/// swapping layer is recomputed before its backward.
-fn token_wise_swap(
-    w: &Workload,
-    p: &ProfileReport,
-    swapped_others: u64,
-    report_alpha: f64,
-    slots: usize,
-    swap_layers: usize,
-) -> ActivationPlan {
-    let offload_bytes = p.split.s_input + p.split.s_attn + swapped_others;
-    let recompute_fraction = 1.0 - swapped_others as f64 / p.split.s_others.max(1) as f64;
-    let mut traffic = TierTrafficList::new();
-    traffic.push(tier_traffic(w, 0, offload_bytes));
-    ActivationPlan::Swap {
-        alpha: report_alpha,
-        swap_layers,
-        slots,
-        traffic,
-        t_recompute: recompute_fraction * p.layer_time.fwd_without_attention(),
-    }
-}
-
-/// [`token_wise_swap`] on every layer but the last `slots`, behind the
-/// host gate shared by the single-tier swap policies: the solver's α is
-/// feasible by construction unless even α = 0 overflows the host;
-/// overrides and greedy picks may not be. The gate counts the layers the
-/// schedule stages.
-fn token_wise_plan(
-    w: &Workload,
-    p: &ProfileReport,
-    swapped_others: u64,
-    report_alpha: f64,
-    slots: usize,
-) -> Result<ActivationPlan, CellOutcome> {
-    let swap_layers = p.layers_local.saturating_sub(slots);
-    let host_capacity = w.calib.host_capacity_per_gpu();
-    let staged_layers = swap_layers as u64;
-    let staged = staged_layers * (p.split.s_input + p.split.s_attn + swapped_others);
-    if p.alpha.host_infeasible_at_zero || staged > host_capacity {
-        return Err(CellOutcome::Oohm {
-            needed: staged.max(staged_layers * p.split.swapped_bytes(0.0)),
-            capacity: host_capacity,
-        });
-    }
-    Ok(token_wise_swap(
-        w,
-        p,
-        swapped_others,
-        report_alpha,
-        slots,
-        swap_layers,
-    ))
-}
-
+/// Stage 2. The swap arm offloads, on each of its `swap_layers` (clamped
+/// to the staged layers), what its α rule picks, behind one gate: a tier
+/// the staged layers overflow is `X_oohm`.
 fn decide_activation(
     policy: &ActivationPolicy,
     w: &Workload,
     p: &ProfileReport,
 ) -> Result<ActivationPlan, CellOutcome> {
-    match *policy {
-        ActivationPolicy::TokenWise {
-            alpha_override,
-            slots,
-        } => {
-            let alpha = alpha_override.unwrap_or(p.alpha.alpha);
-            token_wise_plan(
-                w,
-                p,
-                (alpha * p.split.s_others as f64).round() as u64,
-                alpha,
-                slots,
-            )
-        }
-        ActivationPolicy::TensorGreedy => {
-            // Per-tensor candidates (Figure 5's "others"), largest first.
-            let mut candidates: Vec<u64> = memo_model::activations::skeletal_catalog(&p.dims)
-                .into_iter()
-                .filter(|t| t.kind.token_wise_recomputable())
-                .map(|t| t.bytes)
-                .collect();
-            candidates.sort_unstable_by(|a, b| b.cmp(a));
-
-            let mandatory = p.split.s_input + p.split.s_attn;
-            let bw_budget = (w.calib.effective_pcie() * p.layer_time.fwd()) as u64;
-            let staged_layers = p.layers_local.saturating_sub(2).max(1) as u64;
-            let host_budget = w.calib.host_capacity_per_gpu() / staged_layers;
-            let budget = bw_budget.min(host_budget);
-
-            let mut picked = 0u64;
-            for bytes in candidates {
-                if mandatory + picked + bytes <= budget {
-                    picked += bytes;
-                }
-            }
-            let alpha_equiv = picked as f64 / p.split.s_others.max(1) as f64;
-            token_wise_plan(w, p, picked, alpha_equiv, 2)
-        }
-        ActivationPolicy::Tiered { depth } => {
-            use memo_swap::alpha::{solve_alpha_tiered, AlphaInputs, TierLink};
-            let chain_len = w.calib.hierarchy.len().min(memo_swap::schedule::MAX_TIERS);
-            let n_tiers = if depth == 0 {
-                chain_len
-            } else {
-                (depth as usize).min(chain_len)
-            }
-            .max(1);
-            if n_tiers <= 1 {
-                // A one-tier chain is exactly the paper's token-wise policy.
-                let alpha = p.alpha.alpha;
-                return token_wise_plan(
-                    w,
-                    p,
-                    (alpha * p.split.s_others as f64).round() as u64,
-                    alpha,
-                    2,
-                );
-            }
-            // The greedy waterfall over the truncated chain; tier 0 (host)
-            // inputs are identical to the base α program's.
-            let links: Vec<TierLink> = (1..n_tiers)
-                .map(|k| TierLink {
-                    bandwidth: w.calib.effective_tier_bandwidth(k),
-                    capacity: w.calib.tier_capacity_per_gpu(k),
-                })
-                .collect();
-            let sol = solve_alpha_tiered(
-                &AlphaInputs {
-                    s_input: p.split.s_input,
-                    s_attn: p.split.s_attn,
-                    s_others: p.split.s_others,
-                    bandwidth: w.calib.effective_pcie(),
-                    t_layer_fwd: p.layer_time.fwd(),
-                    n_layers: p.layers_local,
-                    host_capacity: w.calib.host_capacity_per_gpu(),
-                },
-                &links,
-            );
-            // With deeper tiers, even the mandatory input+attn tensors can
-            // spill past the host, so the hard failures are the deeper
-            // tiers' own capacities.
-            let staged_layers = p.layers_local.saturating_sub(2) as u64;
-            let mut traffic = TierTrafficList::new();
-            let host_bytes = if sol.host_infeasible_at_zero {
-                0
-            } else {
-                p.split.s_input
-                    + p.split.s_attn
-                    + (sol.alpha(0) * p.split.s_others as f64).round() as u64
-            };
-            traffic.push(tier_traffic(w, 0, host_bytes));
-            for k in 1..n_tiers {
-                let bytes = (sol.alpha(k) * p.split.s_others as f64).round() as u64
-                    + if k == 1 && sol.host_infeasible_at_zero {
-                        p.split.s_input + p.split.s_attn
-                    } else {
-                        0
-                    };
-                if staged_layers * bytes > w.calib.tier_capacity_per_gpu(k) {
-                    return Err(CellOutcome::Oohm {
-                        needed: staged_layers * bytes,
-                        capacity: w.calib.tier_capacity_per_gpu(k),
-                    });
-                }
-                traffic.push(tier_traffic(w, k, bytes));
-            }
-            let alpha = sol.alpha_total().min(1.0);
-            Ok(ActivationPlan::Swap {
-                alpha,
-                swap_layers: staged_layers as usize,
-                slots: 2,
-                traffic,
-                t_recompute: (1.0 - alpha) * p.layer_time.fwd_without_attention(),
-            })
-        }
-        ActivationPolicy::MixedTokenWise {
+    let (rule, swap_layers, slots) = match *policy {
+        ActivationPolicy::Swap {
+            alpha,
             swap_layers,
-            alpha_override,
             slots,
-        } => {
-            let alpha = alpha_override.unwrap_or(p.alpha.alpha);
-            let swapped_others = (alpha * p.split.s_others as f64).round() as u64;
-            let k = swap_layers.min(p.layers_local.saturating_sub(slots));
-            // Unlike the uniform gate, α = 0 overflowing the host is no
-            // failure — `k = 0` is always host-feasible (pure recompute +
-            // retained), which is exactly the search space this policy opens.
-            let host_capacity = w.calib.host_capacity_per_gpu();
-            let staged = k as u64 * (p.split.s_input + p.split.s_attn + swapped_others);
-            if staged > host_capacity {
-                return Err(CellOutcome::Oohm {
-                    needed: staged,
-                    capacity: host_capacity,
-                });
-            }
-            Ok(token_wise_swap(w, p, swapped_others, alpha, slots, k))
+        } => (alpha, swap_layers, slots),
+        ActivationPolicy::FullRecompute => return Ok(ActivationPlan::Recompute { refwd: true }),
+        ActivationPolicy::KeepAll => return Ok(ActivationPlan::Recompute { refwd: false }),
+    };
+    // The buffers rotate in pairs at least (Figure 6): fewer slots is no
+    // valid configuration rather than a schedule.
+    if slots < 2 {
+        return Err(CellOutcome::NoValidStrategy);
+    }
+    let inputs = p.alpha_inputs(&w.calib, slots);
+    let swap_layers = swap_layers.min(inputs.staged_layers);
+    let offload = rule.offload(w, p, &inputs);
+    let mandatory = p.split.s_input + p.split.s_attn;
+    let mut traffic = TierTrafficList::new();
+    for (tier, &others) in offload.others[..offload.tiers].iter().enumerate() {
+        let bytes = if tier == offload.mandatory_tier {
+            mandatory + others
+        } else {
+            others
+        };
+        let needed = (swap_layers as u64).saturating_mul(bytes);
+        let capacity = w.calib.tier_capacity_per_gpu(tier);
+        if needed > capacity {
+            return Err(CellOutcome::Oohm { needed, capacity });
         }
-        ActivationPolicy::FullRecompute => Ok(ActivationPlan::Recompute { refwd: true }),
-        ActivationPolicy::KeepAll => Ok(ActivationPlan::Recompute { refwd: false }),
+        traffic.push(tier_traffic(w, tier, bytes));
+    }
+    let swapped: u64 = offload.others.iter().sum();
+    let recompute_fraction = 1.0 - swapped as f64 / p.split.s_others.max(1) as f64;
+    Ok(ActivationPlan::Swap {
+        alpha: offload.alpha,
+        swap_layers,
+        slots,
+        traffic,
+        t_recompute: recompute_fraction * p.layer_time.fwd_without_attention(),
+    })
+}
+
+/// What one swapping layer offloads under an [`AlphaRule`].
+struct Offload {
+    /// Reported α.
+    alpha: f64,
+    /// Bytes of the recomputable ("others") skeletal tensors each tier
+    /// takes, host first; the rest of them is recomputed.
+    others: [u64; MAX_TIERS],
+    /// Tiers the rule stages on.
+    tiers: usize,
+    /// The tier that takes the mandatory input/attention rows.
+    mandatory_tier: usize,
+}
+
+impl AlphaRule {
+    fn offload(self, w: &Workload, p: &ProfileReport, inputs: &AlphaInputs) -> Offload {
+        let s_others = p.split.s_others;
+        let share = |alpha: f64| (alpha * s_others as f64).round() as u64;
+        let mut others = [0u64; MAX_TIERS];
+        let host_only = |alpha, others| Offload {
+            alpha,
+            others,
+            tiers: 1,
+            mandatory_tier: 0,
+        };
+        match self {
+            AlphaRule::Fixed(alpha) => {
+                others[0] = share(alpha);
+                host_only(alpha, others)
+            }
+            AlphaRule::WholeTensors => {
+                // Per-tensor candidates (Figure 5's "others"), largest first.
+                let mut candidates: Vec<u64> = memo_model::activations::skeletal_catalog(&p.dims)
+                    .into_iter()
+                    .filter(|t| t.kind.token_wise_recomputable())
+                    .map(|t| t.bytes)
+                    .collect();
+                candidates.sort_unstable_by(|a, b| b.cmp(a));
+                let mandatory = p.split.s_input + p.split.s_attn;
+                let bw_budget = (inputs.bandwidth * inputs.t_layer_fwd) as u64;
+                let host_budget = inputs.host_capacity / inputs.staged_layers.max(1) as u64;
+                let budget = bw_budget.min(host_budget);
+                for bytes in candidates {
+                    if mandatory + others[0] + bytes <= budget {
+                        others[0] += bytes;
+                    }
+                }
+                host_only(others[0] as f64 / s_others.max(1) as f64, others)
+            }
+            AlphaRule::Lp { depth } => {
+                let chain = w.calib.hierarchy.len().min(MAX_TIERS);
+                let tiers = match depth {
+                    0 => chain,
+                    d => (d as usize).min(chain),
+                }
+                .max(1);
+                let links: Vec<TierLink> = (1..tiers)
+                    .map(|k| TierLink {
+                        bandwidth: w.calib.effective_tier_bandwidth(k),
+                        capacity: w.calib.tier_capacity_per_gpu(k),
+                    })
+                    .collect();
+                let sol = solve_alpha_tiered(inputs, &links);
+                for (k, o) in others[..tiers].iter_mut().enumerate() {
+                    *o = share(sol.alpha(k));
+                }
+                Offload {
+                    alpha: sol.alpha_total().min(1.0),
+                    others,
+                    tiers,
+                    // Mandatory rows the host cannot hold even at α = 0
+                    // spill to the next tier when there is one.
+                    mandatory_tier: usize::from(sol.host_infeasible_at_zero && tiers > 1),
+                }
+            }
+        }
     }
 }
 
@@ -1224,7 +1149,7 @@ fn oohm(e: memo_swap::tiers::OutOfTierMemory) -> CellOutcome {
 /// legacy `.max(1)` floor, deeper pools their exact capacity shares.
 fn staging_for(w: &Workload, traffic: &TierTrafficList) -> TierStaging {
     let n = traffic.len().max(1);
-    let mut capacities = [0u64; memo_swap::schedule::MAX_TIERS];
+    let mut capacities = [0u64; MAX_TIERS];
     for (k, c) in capacities[..n].iter_mut().enumerate() {
         *c = match k {
             0 => w.calib.host_capacity_per_gpu().max(1),

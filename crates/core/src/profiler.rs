@@ -7,7 +7,9 @@
 //! trick that lets the real system profile under CUDA Unified Memory without
 //! OOM; our simulated profiler gets the same information from the trace
 //! generator and the calibrated cost model, and never runs out of memory,
-//! so the Unified-Memory fallback is not modelled.
+//! so the Unified-Memory fallback is not modelled. The profile holds those
+//! quantities, not α: stage 2 solves the program for its own rounding-buffer
+//! count ([`ProfileReport::alpha_inputs`]).
 //!
 //! The request sequence is the input of the memory plan (§4.2) and of the
 //! caching-allocator replay, and nothing else reads it: the strategy
@@ -16,6 +18,7 @@
 //! to a [`LazyTrace`], built the first time a plan or a replay reads it.
 
 use crate::session::Workload;
+use memo_hal::calib::Calibration;
 use memo_model::activations::{self, LayerDims, SkeletalSplit};
 use memo_model::config::DType;
 use memo_model::trace::{self, IterationTrace, RematPolicy, TraceParams};
@@ -23,7 +26,7 @@ use memo_parallel::comm;
 use memo_parallel::cost::{self, LayerTime};
 use memo_parallel::memory::{self, ModelStateBytes};
 use memo_parallel::strategy::ParallelConfig;
-use memo_swap::alpha::{solve_alpha, AlphaInputs, AlphaSolution};
+use memo_swap::alpha::AlphaInputs;
 use std::ops::Deref;
 use std::sync::OnceLock;
 
@@ -86,8 +89,6 @@ pub struct ProfileReport {
     pub layer_time: LayerTime,
     /// Per-layer skeletal byte split (per GPU).
     pub split: SkeletalSplit,
-    /// The solved α program.
-    pub alpha: AlphaSolution,
     /// Head (classifier + loss) seconds per iteration, fwd+bwd.
     pub head_secs: f64,
     /// Optimizer step seconds.
@@ -100,6 +101,23 @@ pub struct ProfileReport {
     pub dims: LayerDims,
     /// Per-GPU model-state bytes.
     pub model_states: ModelStateBytes,
+}
+
+impl ProfileReport {
+    /// The α program's inputs (§4.1, Eq. 1–3) for this profile on
+    /// `calib`'s host tier with `slots` rounding buffers: every layer
+    /// beyond the buffers stages.
+    pub fn alpha_inputs(&self, calib: &Calibration, slots: usize) -> AlphaInputs {
+        AlphaInputs {
+            s_input: self.split.s_input,
+            s_attn: self.split.s_attn,
+            s_others: self.split.s_others,
+            bandwidth: calib.effective_pcie(),
+            t_layer_fwd: self.layer_time.fwd(),
+            staged_layers: self.layers_local.saturating_sub(slots),
+            host_capacity: calib.host_capacity_per_gpu(),
+        }
+    }
 }
 
 /// Profile a workload under a strategy and rematerialisation policy.
@@ -128,16 +146,6 @@ pub fn profile(
     let layer_time = cost::layer_time(&w.model, cfg, w.seq_len * w.batch, &w.calib);
     let split = activations::skeletal_split(&dims);
 
-    let alpha = solve_alpha(&AlphaInputs {
-        s_input: split.s_input,
-        s_attn: split.s_attn,
-        s_others: split.s_others,
-        bandwidth: w.calib.effective_pcie(),
-        t_layer_fwd: layer_time.fwd(),
-        n_layers: layers_local,
-        host_capacity: w.calib.host_capacity_per_gpu(),
-    });
-
     ProfileReport {
         trace: LazyTrace {
             params,
@@ -146,7 +154,6 @@ pub fn profile(
         peak_live_bytes,
         layer_time,
         split,
-        alpha,
         head_secs: cost::head_seconds(&w.model, cfg, w.seq_len * w.batch, &w.calib),
         optimizer_secs: cost::optimizer_seconds(&w.model, cfg, &w.calib),
         grad_sync_secs: comm::grad_sync_seconds(&w.model, cfg, &w.calib),
@@ -163,7 +170,7 @@ mod tests {
     use memo_model::config::ModelConfig;
     use memo_parallel::search;
     use memo_parallel::strategy::{ParallelConfig, SystemSpec};
-    use memo_swap::alpha::BindingConstraint;
+    use memo_swap::alpha::{solve_alpha, BindingConstraint};
 
     #[test]
     fn profile_produces_consistent_dims() {
@@ -207,12 +214,12 @@ mod tests {
         for s in [64, 128, 256, 384] {
             let w = Workload::new(ModelConfig::gpt_7b(), 8, s * 1024);
             let p = profile(&w, &cfg, RematPolicy::MemoTokenWise, false);
+            let alpha = solve_alpha(&p.alpha_inputs(&w.calib, 2)).alpha;
             assert!(
-                p.alpha.alpha >= prev,
-                "alpha must be monotone over s (s={s}K: {} < {prev})",
-                p.alpha.alpha
+                alpha >= prev,
+                "alpha must be monotone over s (s={s}K: {alpha} < {prev})"
             );
-            prev = p.alpha.alpha;
+            prev = alpha;
         }
     }
 
@@ -223,8 +230,9 @@ mod tests {
         let w = Workload::new(ModelConfig::gpt_7b(), 8, 1 << 20);
         let cfg = ParallelConfig::megatron(8, 1, 1, 1);
         let p = profile(&w, &cfg, RematPolicy::MemoTokenWise, false);
-        assert!(p.alpha.alpha < 1.0);
-        assert_eq!(p.alpha.binding, BindingConstraint::HostMemory);
+        let sol = solve_alpha(&p.alpha_inputs(&w.calib, 2));
+        assert!(sol.alpha < 1.0);
+        assert_eq!(sol.binding, BindingConstraint::HostMemory);
     }
 
     #[test]

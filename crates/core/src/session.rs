@@ -369,6 +369,7 @@ mod tests {
     use crate::cache::{CacheStats, CacheStatsScope};
     use crate::testutil::w7;
     use memo_parallel::pool::{PoolStats, PoolStatsScope};
+    use memo_swap::alpha::BindingConstraint;
 
     #[test]
     fn memo_beats_baselines_at_moderate_length() {
@@ -825,6 +826,81 @@ mod tests {
         );
     }
 
+    /// A failed cell names a real shortfall: `needed > capacity`.
+    fn assert_real_shortfall(out: &CellOutcome, at: &dyn Fn() -> String) {
+        if let CellOutcome::Oom { needed, capacity } | CellOutcome::Oohm { needed, capacity } = *out
+        {
+            assert!(needed > capacity, "{}: {out:?}", at());
+        }
+    }
+
+    #[test]
+    fn a_cell_where_nothing_stages_cannot_fail_on_the_host() {
+        // 7B cut to two layers: on TP4·CP2 both stay in the two rounding
+        // buffers, so nothing stages and no host is too small for it, an
+        // empty one included. Every config of every mode runs or falls
+        // short for real.
+        let model = ModelConfig {
+            n_layers: 2,
+            ..ModelConfig::gpt_7b()
+        };
+        let mega = ParallelConfig::megatron(4, 2, 1, 1);
+        for host_gib in [0u64, 1, 4] {
+            let mut w = Workload::new(model.clone(), 8, 512 << 10);
+            w.calib.set_host_memory_bytes(host_gib << 30);
+            for spec in SystemSpec::ALL_MODES {
+                for (cfg, _, out) in screened_grid(&w, spec) {
+                    assert_real_shortfall(&out, &|| {
+                        format!("{spec:?} {} at {host_gib} GiB", cfg.describe())
+                    });
+                }
+            }
+            let memo = w.run_with(SystemSpec::Memo, &mega);
+            assert!(memo.is_ok(), "{host_gib} GiB of host: {memo:?}");
+        }
+    }
+
+    #[test]
+    fn fewer_than_two_buffer_slots_is_no_valid_config() {
+        // The buffers rotate in pairs at least (Figure 6), but a spec read
+        // from a report may carry 0 or 1 slots: `X_cfg`, run alone or
+        // searched, not a panic in the schedule.
+        let w = w7(8, 256);
+        let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+        for slots in [0u8, 1] {
+            let spec = SystemSpec::MemoBufferSlots(slots);
+            assert_eq!(w.run_with(spec, &cfg), CellOutcome::NoValidStrategy);
+            assert_eq!(w.run_best_or_failure(spec).1, CellOutcome::NoValidStrategy);
+        }
+    }
+
+    #[test]
+    fn alpha_counts_only_the_layers_beyond_the_buffers() {
+        // 7B on 8 GPUs at 512K on TP4·CP2 (32 local layers) under a binding
+        // host: α is the LP optimum for the 32 − slots layers that stage,
+        // so each extra buffer leaves the host more per staged layer. The
+        // two-buffer cells are the paper's.
+        let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+        for (host_gib, cells) in [
+            (512u64, [(0.0, "51.24"), (0.125, "51.41"), (0.125, "51.44")]),
+            (768, [(0.125, "51.37"), (0.25, "51.53"), (0.25, "51.56")]),
+        ] {
+            let mut w = w7(8, 512);
+            w.calib.set_host_memory_bytes(host_gib << 30);
+            let p = ExecutionPipeline::new(SystemSpec::Memo).profile(&w, &cfg, true);
+            for (slots, (alpha, mfu)) in [2u8, 3, 4].into_iter().zip(cells) {
+                let at = format!("{host_gib} GiB, {slots} slots");
+                let lp = memo_swap::alpha::solve_alpha(&p.alpha_inputs(&w.calib, slots.into()));
+                assert_eq!(lp.alpha, alpha, "{at}");
+                assert_eq!(lp.binding, BindingConstraint::HostMemory, "{at}");
+                let out = w.run_with(SystemSpec::MemoBufferSlots(slots), &cfg);
+                let m = out.metrics().expect("feasible");
+                assert_eq!(m.alpha, Some(alpha), "{at}");
+                assert_eq!(format!("{:.2}", m.mfu * 100.0), mfu, "{at}");
+            }
+        }
+    }
+
     #[test]
     fn certificates_keep_failure_kinds_and_are_real_shortfalls() {
         let (mut all_fail, mut certified) = (0, 0);
@@ -834,6 +910,9 @@ mod tests {
                 let replays = ExecutionPipeline::new(spec).replays_allocator();
                 let rows = screened_grid(&w, spec);
                 for (cfg, screen, out) in &rows {
+                    assert_real_shortfall(out, &|| {
+                        format!("{spec:?} {} @ {}", cfg.describe(), w.seq_len)
+                    });
                     let Screen::MustOom { needed } = *screen else {
                         continue;
                     };

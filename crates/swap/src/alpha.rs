@@ -3,14 +3,16 @@
 //! ```text
 //! max  α
 //! s.t. (S_input + S_attn + α·S_others) / B        ≤ T_layer      (overlap)
-//!      (n − 2)·(S_input + S_attn + α·S_others)    ≤ M_CPU        (host)
+//!      L_staged·(S_input + S_attn + α·S_others)   ≤ M_CPU        (host)
 //!      0 ≤ α ≤ 1
 //! ```
 //!
 //! The overlap constraint keeps one layer's offload hidden under the next
-//! layer's forward compute; the host constraint keeps (n−2) layers' staged
-//! activations within CPU DRAM (the last two layers never swap — their
-//! backward starts immediately, §4.1). Both constraints are monotone in α,
+//! layer's forward compute; the host constraint keeps the staged layers'
+//! activations within CPU DRAM. `L_staged` counts the layers that offload:
+//! every layer but the last `slots`, which stay in their rounding buffers
+//! because their backward starts immediately (§4.1; the paper's two buffers
+//! give `n − 2`). Both constraints are monotone in α,
 //! so the optimum is the smaller of two closed-form intercepts, clamped to
 //! `[0, 1]` and rounded **down** to a 1/8 grid (the granularity the paper's
 //! Appendix-A strategies use, and coarse enough that the token split lands
@@ -29,8 +31,10 @@ pub struct AlphaInputs {
     pub bandwidth: f64,
     /// Forward time of one transformer layer, seconds.
     pub t_layer_fwd: f64,
-    /// Number of transformer layers.
-    pub n_layers: usize,
+    /// Layers whose activations stage off the device: the transformer
+    /// layers beyond the rounding buffers (`layers − slots`). The host
+    /// bound divides by at least one.
+    pub staged_layers: usize,
     /// Host DRAM available to this GPU's staged activations, bytes.
     pub host_capacity: u64,
 }
@@ -68,19 +72,41 @@ fn quantize_down(alpha: f64) -> f64 {
     ((alpha / ALPHA_GRID).floor() * ALPHA_GRID).clamp(0.0, 1.0)
 }
 
+impl AlphaInputs {
+    /// One tier's two intercepts as upper bounds on its α: the overlap
+    /// bound, where `window` bytes cross its link in the forward window,
+    /// and the space bound, where `capacity` holds the staged layers; each
+    /// after `mandatory` bytes per layer. Both are `+∞` when there are no
+    /// "others" bytes to split.
+    fn intercepts(&self, window: f64, capacity: u64, mandatory: f64) -> (f64, f64) {
+        if self.s_others == 0 {
+            return (f64::INFINITY, f64::INFINITY);
+        }
+        let others = self.s_others as f64;
+        let staged = self.staged_layers.max(1) as f64;
+        (
+            (window - mandatory) / others,
+            (capacity as f64 / staged - mandatory) / others,
+        )
+    }
+
+    /// The host tier's intercepts (Eq. 2 and Eq. 3).
+    fn host_intercepts(&self) -> (f64, f64) {
+        let mandatory = (self.s_input + self.s_attn) as f64;
+        self.intercepts(
+            self.bandwidth * self.t_layer_fwd,
+            self.host_capacity,
+            mandatory,
+        )
+    }
+}
+
 /// The continuous optimum of the program (no grid): the exact token-wise
 /// fraction. `solve_alpha` rounds this down to the 1/8 grid the paper's
 /// Appendix A reports; the executor's token-wise mechanism could realise any
 /// value on the 1/tokens grid, which is effectively this continuum.
 pub fn solve_alpha_raw(inp: &AlphaInputs) -> f64 {
-    let mandatory = (inp.s_input + inp.s_attn) as f64;
-    let others = inp.s_others as f64;
-    if others <= 0.0 {
-        return 1.0;
-    }
-    let swap_layers = inp.n_layers.saturating_sub(2).max(1) as f64;
-    let overlap_cap = (inp.bandwidth * inp.t_layer_fwd - mandatory) / others;
-    let host_cap = (inp.host_capacity as f64 / swap_layers - mandatory) / others;
+    let (overlap_cap, host_cap) = inp.host_intercepts();
     overlap_cap.min(host_cap).clamp(0.0, 1.0)
 }
 
@@ -95,28 +121,14 @@ pub fn solve_alpha_raw(inp: &AlphaInputs) -> f64 {
 /// let sol = solve_alpha(&AlphaInputs {
 ///     s_input: 100, s_attn: 100, s_others: 1400,
 ///     bandwidth: 1000.0, t_layer_fwd: 1.0,
-///     n_layers: 32, host_capacity: u64::MAX / 2,
+///     staged_layers: 30, host_capacity: u64::MAX / 2,
 /// });
 /// assert_eq!(sol.alpha, 0.5);
 /// assert_eq!(sol.binding, BindingConstraint::Overlap);
 /// ```
 pub fn solve_alpha(inp: &AlphaInputs) -> AlphaSolution {
-    let mandatory = (inp.s_input + inp.s_attn) as f64;
-    let others = inp.s_others as f64;
-    let swap_layers = inp.n_layers.saturating_sub(2).max(1) as f64;
-
     // Constraint intercepts as α upper bounds (∞ when S_others = 0).
-    let overlap_cap = if others > 0.0 {
-        (inp.bandwidth * inp.t_layer_fwd - mandatory) / others
-    } else {
-        f64::INFINITY
-    };
-    let host_cap = if others > 0.0 {
-        (inp.host_capacity as f64 / swap_layers - mandatory) / others
-    } else {
-        f64::INFINITY
-    };
-
+    let (overlap_cap, host_cap) = inp.host_intercepts();
     let overlap_infeasible_at_zero = overlap_cap < 0.0;
     let host_infeasible_at_zero = host_cap < 0.0;
 
@@ -156,7 +168,7 @@ mod tests {
             s_others: 1400,
             bandwidth: 1000.0, // bytes/s
             t_layer_fwd: 1.0,
-            n_layers: 32,
+            staged_layers: 30,
             host_capacity: u64::MAX / 2,
         }
     }
@@ -197,7 +209,7 @@ mod tests {
     #[test]
     fn oohm_detected_when_mandatory_swaps_overflow_host() {
         let sol = solve_alpha(&AlphaInputs {
-            host_capacity: 100, // < (n-2) * 200 by far
+            host_capacity: 100, // < staged × 200 by far
             ..base()
         });
         assert_eq!(sol.alpha, 0.0);
@@ -287,8 +299,8 @@ mod tests {
 ///
 /// ```text
 /// (S_in + S_attn + α_host·S_o)/B_pcie + α_nvme·S_o/B_nvme ≤ T_layer
-/// (n−2)·(S_in + S_attn + α_host·S_o)                      ≤ M_host
-/// (n−2)·α_nvme·S_o                                        ≤ M_nvme
+/// L_staged·(S_in + S_attn + α_host·S_o)                  ≤ M_host
+/// L_staged·α_nvme·S_o                                     ≤ M_nvme
 /// ```
 ///
 /// Host rows are preferred (PCIe is faster), so `α_host` is solved first.
@@ -329,19 +341,18 @@ pub fn solve_alpha_two_tier(
     let alpha_host = base.alpha;
     let mandatory = (inp.s_input + inp.s_attn) as f64;
     let others = inp.s_others as f64;
-    let swap_layers = inp.n_layers.saturating_sub(2).max(1) as f64;
 
     // Remaining overlap headroom after the host-tier traffic.
     let pcie_time = (mandatory + alpha_host * others) / inp.bandwidth;
     let headroom = (inp.t_layer_fwd - pcie_time).max(0.0);
-    let nvme_cap_bw = headroom * nvme_bandwidth / others;
-    let nvme_cap_space = nvme_capacity as f64 / swap_layers / others;
+    let (nvme_cap_bw, nvme_cap_space) =
+        inp.intercepts(headroom * nvme_bandwidth, nvme_capacity, 0.0);
     let alpha_nvme = nvme_cap_bw
         .min(nvme_cap_space)
         .min(1.0 - alpha_host)
         .max(0.0);
     // quantise down to the 1/8 grid, consistent with the host tier
-    let alpha_nvme = ((alpha_nvme / ALPHA_GRID).floor() * ALPHA_GRID).clamp(0.0, 1.0);
+    let alpha_nvme = quantize_down(alpha_nvme);
     TwoTierSolution {
         alpha_host,
         alpha_nvme,
@@ -409,7 +420,6 @@ pub fn solve_alpha_tiered(inp: &AlphaInputs, extra: &[TierLink]) -> TieredSoluti
     }
     let mandatory = (inp.s_input + inp.s_attn) as f64;
     let others = inp.s_others as f64;
-    let swap_layers = inp.n_layers.saturating_sub(2).max(1) as f64;
 
     // Transfer time already claimed by nearer tiers; starts at the host
     // (PCIe) traffic of the base solution.
@@ -421,11 +431,10 @@ pub fn solve_alpha_tiered(inp: &AlphaInputs, extra: &[TierLink]) -> TieredSoluti
             continue;
         }
         let headroom = (inp.t_layer_fwd - time_used).max(0.0);
-        let cap_bw = headroom * link.bandwidth / others;
-        let cap_space = link.capacity as f64 / swap_layers / others;
+        let (cap_bw, cap_space) = inp.intercepts(headroom * link.bandwidth, link.capacity, 0.0);
         let alpha_tier = cap_bw.min(cap_space).min(1.0 - total).max(0.0);
         // quantise down to the 1/8 grid, consistent with the host tier
-        let alpha_tier = ((alpha_tier / ALPHA_GRID).floor() * ALPHA_GRID).clamp(0.0, 1.0);
+        let alpha_tier = quantize_down(alpha_tier);
         alphas.push(alpha_tier);
         total += alpha_tier;
         time_used += alpha_tier * others / link.bandwidth;
@@ -448,7 +457,7 @@ mod two_tier_tests {
             s_others: 1600,
             bandwidth: 1000.0,
             t_layer_fwd: 4.0,
-            n_layers: 12,
+            staged_layers: 10,
             host_capacity: 6000, // per layer 600 -> alpha_host = 0.25
         }
     }
@@ -514,7 +523,7 @@ mod tiered_tests {
                             s_others,
                             bandwidth,
                             t_layer_fwd,
-                            n_layers: 12,
+                            staged_layers: 10,
                             host_capacity,
                         });
                     }
@@ -584,7 +593,7 @@ mod tiered_tests {
             s_others: 1600,
             bandwidth: 1000.0,
             t_layer_fwd: 4.0,
-            n_layers: 12,
+            staged_layers: 10,
             host_capacity: 6000,
         };
         let shallow = solve_alpha_tiered(
@@ -622,7 +631,7 @@ mod tiered_tests {
             s_others: 1600,
             bandwidth: 1000.0,
             t_layer_fwd: 8.0,
-            n_layers: 12,
+            staged_layers: 10,
             host_capacity: 6000,
         };
         let sol = solve_alpha_tiered(

@@ -5,8 +5,7 @@
 //! KV cache for attention, so keeping an α fraction of token rows off
 //! device turns into per-step streaming traffic: the overlap constraint
 //! becomes "α·S_kv / B ≤ T_step" and the host constraint "α·S_kv ≤
-//! M_host" (a single resident copy — `n_layers = 3` maps the activation
-//! program's `(n−2)` swap-layers factor to exactly 1). [`plan_kv_swap`]
+//! M_host" (a single resident copy: one staged layer). [`plan_kv_swap`]
 //! solves for the largest sustainable α and compares it against the
 //! fraction the device deficit *requires*.
 //!
@@ -81,14 +80,14 @@ pub fn plan_kv_swap(inp: &KvSwapInputs) -> KvSwapPlan {
     // Map onto the activation program: no mandatory tensor-level swaps
     // (s_input = s_attn = 0), the whole KV cache is the α-managed pool,
     // one decode step is the overlap window, and a single resident copy
-    // on the host (n_layers = 3 ⇒ swap-layers factor n−2 = 1).
+    // stages on the host.
     let sol = solve_alpha(&AlphaInputs {
         s_input: 0,
         s_attn: 0,
         s_others: inp.total_kv_bytes,
         bandwidth: inp.host_bandwidth,
         t_layer_fwd: inp.step_compute_secs,
-        n_layers: 3,
+        staged_layers: 1,
         host_capacity: inp.host_capacity,
     });
     let host_bytes = (needed * inp.total_kv_bytes as f64).ceil() as u64;

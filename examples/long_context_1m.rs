@@ -11,6 +11,7 @@ use memo::core::{planner, profiler, session::Workload};
 use memo::model::config::ModelConfig;
 use memo::model::trace::RematPolicy;
 use memo::parallel::strategy::{ParallelConfig, SystemSpec};
+use memo::swap::alpha::solve_alpha;
 use memo::swap::buffers::skeletal_gpu_bytes;
 
 const GIB: f64 = (1u64 << 30) as f64;
@@ -38,14 +39,16 @@ fn main() {
     println!("  memory request trace   : {} requests", p.trace.len());
 
     // --- 2. the α program (§4.1) -------------------------------------------
+    // MEMO's two rounding buffers: every other layer stages on the host.
+    let alpha = solve_alpha(&p.alpha_inputs(&workload.calib, 2));
     println!("\n[token-wise swap fraction]");
     println!(
         "  solved α = {} (binding constraint: {:?})",
-        p.alpha.alpha, p.alpha.binding
+        alpha.alpha, alpha.binding
     );
     println!(
         "  offloaded per layer    : {:.2} GiB",
-        p.split.swapped_bytes(p.alpha.alpha) as f64 / GIB
+        p.split.swapped_bytes(alpha.alpha) as f64 / GIB
     );
 
     // --- 3. bi-level memory plan (§4.2) -------------------------------------
@@ -72,7 +75,7 @@ fn main() {
         p.split.s_input,
         p.split.s_attn,
         p.split.s_others,
-        p.alpha.alpha,
+        alpha.alpha,
     );
     println!("\n[GPU memory budget per device]");
     println!(

@@ -53,7 +53,9 @@ proptest! {
         prop_assert!(sol.assignment.peak >= sol.lower_bound);
     }
 
-    /// The α LP always returns a grid value satisfying both constraints.
+    /// The α LP returns the largest grid value satisfying both
+    /// constraints (DESIGN.md invariant 4): α holds them, and α + 1/8
+    /// breaks one unless α = 1.
     #[test]
     fn alpha_always_feasible(
         s_input in 1u64..1_000_000,
@@ -61,23 +63,36 @@ proptest! {
         s_others in 0u64..20_000_000,
         bandwidth in 1e6f64..1e11,
         t_layer in 1e-4f64..10.0,
-        n_layers in 3usize..96,
+        staged_layers in 1usize..94,
         host in 1u64..(1u64 << 42),
     ) {
         let inp = AlphaInputs {
             s_input, s_attn, s_others, bandwidth,
-            t_layer_fwd: t_layer, n_layers, host_capacity: host,
+            t_layer_fwd: t_layer, staged_layers, host_capacity: host,
         };
         let sol = solve_alpha(&inp);
         prop_assert!((0.0..=1.0).contains(&sol.alpha));
         // grid check
         let steps = sol.alpha / 0.125;
         prop_assert!((steps - steps.round()).abs() < 1e-9);
-        let swapped = (s_input + s_attn) as f64 + sol.alpha * s_others as f64;
+        let swapped = |alpha: f64| (s_input + s_attn) as f64 + alpha * s_others as f64;
+        let overlap_holds = |alpha| swapped(alpha) / bandwidth <= t_layer * (1.0 + 1e-9);
+        let host_holds = |alpha| staged_layers as f64 * swapped(alpha) <= host as f64 * (1.0 + 1e-9);
         // If α > 0 was chosen, both constraints must hold at it.
         if sol.alpha > 0.0 {
-            prop_assert!(swapped / bandwidth <= t_layer * (1.0 + 1e-9));
-            prop_assert!((n_layers as f64 - 2.0) * swapped <= host as f64 * (1.0 + 1e-9));
+            prop_assert!(overlap_holds(sol.alpha));
+            prop_assert!(host_holds(sol.alpha));
+        }
+        // Maximal: the next grid step breaks a constraint (checked with
+        // the tolerance the other way, so rounding cannot excuse it).
+        if sol.alpha < 1.0 {
+            let next = sol.alpha + 0.125;
+            let tight = |lhs: f64, rhs: f64| lhs > rhs * (1.0 - 1e-9);
+            prop_assert!(
+                tight(swapped(next) / bandwidth, t_layer)
+                    || tight(staged_layers as f64 * swapped(next), host as f64),
+                "α = {} is not maximal: {} also holds", sol.alpha, next
+            );
         }
     }
 
