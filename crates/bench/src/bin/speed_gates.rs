@@ -34,6 +34,11 @@
 //!   release and two `drift_bytes` reads) at 48 active tenants ≤ 1.5× the
 //!   same at one tenant (median of alternating pairs): drift is read from
 //!   running totals, not from a scan of every slice;
+//! * a trivial 1,500-job `Pool::machine().map` ≤ 2× one
+//!   `std::thread::scope` that spawns and joins as many empty closures as
+//!   the batch has helper threads (median calls, median of alternating
+//!   pairs): a batch of microsecond jobs costs about its spawns, not a
+//!   lock per job (a 1-core machine runs it serially and passes);
 //! * the 1,013,850-interval MegaTrain chunked instance builds in at most
 //!   3× the plan's time, plans in < 30 s, validates in at most 3× the
 //!   plan's time, stays within the boxing guarantee (`gap_ok`) and is
@@ -53,6 +58,7 @@ use memo_model::chunked::ChunkedParams;
 use memo_model::config::ModelConfig;
 use memo_model::decode::DecodeEvent;
 use memo_model::trace::{IterationTrace, TensorId};
+use memo_parallel::pool::{available_workers, Pool};
 use memo_parallel::search::enumerate_configs;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
 use memo_plan::dispatch::{self, DispatchOptions};
@@ -90,6 +96,19 @@ fn min_ms(reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64() * 1e3);
     }
     best
+}
+
+/// Median wall-ms of `reps` calls.
+fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut ms: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[reps / 2]
 }
 
 /// Calls of a gate leg that take ~50 ms, calibrated off one call of `f`,
@@ -368,6 +387,42 @@ fn profile_gate() -> bool {
     )
 }
 
+fn pool_gate() -> bool {
+    const JOBS: usize = 1_500;
+    const REPS: usize = 101;
+    const NAME: &str = "pool batch of 1,500 trivial jobs vs its helpers' scoped spawns";
+    let helpers = available_workers() - 1;
+    if helpers == 0 {
+        return gate(NAME, true, "1 core: the batch runs serially".into());
+    }
+    let (spawn_ms, pool_ms) = median_pair(
+        || {
+            median_ms(REPS, || {
+                std::thread::scope(|s| {
+                    for _ in 0..helpers {
+                        s.spawn(|| ());
+                    }
+                })
+            })
+        },
+        || {
+            median_ms(REPS, || {
+                black_box(Pool::machine().map((0..JOBS).collect(), |x: usize| black_box(x)));
+            })
+        },
+    );
+    let ratio = pool_ms / spawn_ms.max(1e-12);
+    gate(
+        NAME,
+        ratio <= 2.0,
+        format!(
+            "{ratio:.2}x ({:.1} -> {:.1} us, helper threads: {helpers}; gate <= 2x)",
+            spawn_ms * 1e3,
+            pool_ms * 1e3
+        ),
+    )
+}
+
 /// memo-serve's per-request admission bookkeeping: one reserve, one
 /// release and two `drift_bytes` reads on tenant 0's slice, with `tenants`
 /// tenants active. Returns mean wall-ms per request over `reps`.
@@ -540,6 +595,7 @@ fn main() -> ExitCode {
         failure_search_gate(),
         profile_gate(),
         admission_gate(),
+        pool_gate(),
     ];
     results.extend(delta_gates());
     results.push(megatrain_gate());

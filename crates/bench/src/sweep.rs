@@ -18,7 +18,7 @@ pub struct Cell {
 
 /// Evaluate `systems × seq_k` for one (model, n_gpus) pair, in parallel.
 ///
-/// Cells fan out over the work-stealing [`Pool`], capped at
+/// Cells fan out over the chunked [`Pool`], capped at
 /// `available_parallelism` workers machine-wide; each cell's strategy
 /// search runs on the worker that took it. Results come back in job order,
 /// identical to a serial loop.

@@ -205,8 +205,9 @@ impl ProfileCache {
     ///
     /// The value is computed outside the lock: it is expensive, and
     /// concurrent misses on one key are rare (the search fans out over
-    /// distinct configs). A racing duplicate insert is harmless, because
-    /// every memoized function is pure and both values are bit-identical.
+    /// distinct configs). When two misses on one key race, the first
+    /// insert wins and the later one returns the stored value, so every
+    /// lookup of a key reads one value until the shard is evicted.
     fn memo<K: Hash + Eq, V>(
         table: &[Shard<K, V>],
         key: K,
@@ -222,6 +223,9 @@ impl ProfileCache {
         }
         let value = Arc::new(compute());
         let mut map = lock_shard(shard);
+        if let Some(first) = map.get(&key) {
+            return (Arc::clone(first), false);
+        }
         if map.len() >= Self::SHARD_CAP {
             map.clear();
         }

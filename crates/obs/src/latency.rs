@@ -21,26 +21,36 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Summarise `samples` (any order; non-finite samples are rejected by
-    /// debug assertion, tolerated as sorted-last in release). `None` for an
-    /// empty set — there is no honest percentile of nothing.
+    /// debug assertion). `None` for an empty set — there is no honest
+    /// percentile of nothing. The mean sums the samples in input order.
     pub fn from_secs(samples: &[f64]) -> Option<LatencySummary> {
         if samples.is_empty() {
             return None;
         }
         debug_assert!(samples.iter().all(|s| s.is_finite()));
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let nearest_rank = |p: f64| {
-            let rank = (p * sorted.len() as f64).ceil() as usize;
-            sorted[rank.clamp(1, sorted.len()) - 1]
+        let n = samples.len();
+        let cmp = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
+        // Select the three ranks from the top down: each selection leaves
+        // everything below its rank in front of it, so the next one only
+        // partitions that prefix. No full sort.
+        let mut v = samples.to_vec();
+        let mut hi = n;
+        let mut nearest_rank = |p: f64| {
+            let rank = ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
+            let x = *v[..hi].select_nth_unstable_by(rank, cmp).1;
+            hi = rank + 1;
+            x
         };
+        let p99_secs = nearest_rank(0.99);
+        let p90_secs = nearest_rank(0.90);
+        let p50_secs = nearest_rank(0.50);
         Some(LatencySummary {
-            count: sorted.len(),
-            p50_secs: nearest_rank(0.50),
-            p90_secs: nearest_rank(0.90),
-            p99_secs: nearest_rank(0.99),
-            max_secs: *sorted.last().unwrap(),
-            mean_secs: sorted.iter().sum::<f64>() / sorted.len() as f64,
+            count: n,
+            p50_secs,
+            p90_secs,
+            p99_secs,
+            max_secs: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            mean_secs: samples.iter().sum::<f64>() / n as f64,
         })
     }
 
@@ -89,6 +99,60 @@ mod tests {
         assert_eq!(s.p99_secs, 99.0);
         assert_eq!(s.max_secs, 100.0);
         assert!((s.mean_secs - 50.5).abs() < 1e-12);
+    }
+
+    /// The summary as it was computed with a full sort.
+    fn sorted_summary(samples: &[f64]) -> LatencySummary {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let rank =
+            |p: f64| sorted[((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1];
+        LatencySummary {
+            count: sorted.len(),
+            p50_secs: rank(0.50),
+            p90_secs: rank(0.90),
+            p99_secs: rank(0.99),
+            max_secs: *sorted.last().unwrap(),
+            mean_secs: sorted.iter().sum::<f64>() / sorted.len() as f64,
+        }
+    }
+
+    #[test]
+    fn selection_matches_the_sorted_summary() {
+        // xorshift64: seeded, so a failure reproduces.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in [1, 2, 3, 10, 99, 100, 101, 1_436, 5_000] {
+            for _ in 0..4 {
+                // Latency-like samples with repeats: a few distinct
+                // microsecond values plus a heavy tail.
+                let samples: Vec<f64> = (0..n)
+                    .map(|_| {
+                        let r = next();
+                        if r % 3 == 0 {
+                            (r % 7) as f64 * 1e-7
+                        } else {
+                            (r >> 11) as f64 / (1u64 << 53) as f64 * 1e-3
+                        }
+                    })
+                    .collect();
+                let got = LatencySummary::from_secs(&samples).unwrap();
+                let want = sorted_summary(&samples);
+                assert_eq!(got.count, want.count);
+                assert_eq!(
+                    (got.p50_secs, got.p90_secs, got.p99_secs, got.max_secs),
+                    (want.p50_secs, want.p90_secs, want.p99_secs, want.max_secs),
+                    "n = {n}"
+                );
+                let rel = (got.mean_secs - want.mean_secs).abs() / want.mean_secs.abs().max(1e-300);
+                assert!(rel <= 1e-12, "n = {n}: mean off by {rel:e}");
+            }
+        }
     }
 
     #[test]

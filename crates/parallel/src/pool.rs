@@ -1,5 +1,5 @@
-//! A bounded work-stealing job pool for coarse fan-outs: the table sweeps'
-//! cells and memo-serve's requests.
+//! A bounded, chunked job pool behind the table sweeps' cells and
+//! memo-serve's requests.
 //!
 //! Submit a batch of independent jobs, get their results back **in
 //! submission order**, never running more worker threads than the machine
@@ -9,15 +9,21 @@
 //!
 //! Design notes (std-only; the workspace has no crates.io access):
 //!
-//! * **Work stealing.** Jobs are dealt to per-worker deques in contiguous
-//!   blocks. A worker drains its own deque from the front and, when empty,
-//!   steals from the back of the fullest other deque — the classic Chase-Lev
-//!   arrangement approximated with mutexed deques, which is plenty here
-//!   because each job is a whole search or request (milliseconds), not a
-//!   microtask.
+//! * **Guided self-scheduling.** A batch is cut into contiguous chunks,
+//!   each holding 1/(2 × workers) of the items not yet cut, so chunk
+//!   sizes shrink to single items at the tail (a guided schedule).
+//!   Workers claim chunks in order through one atomic cursor and take
+//!   each chunk's items out of its own uncontended lock: a job of half a
+//!   microsecond (a warm memo-serve request) pays a shared-counter bump
+//!   per chunk, not a lock per job, and the single-item tail leaves a
+//!   table sweep's last long searches to whichever worker is free.
+//! * **Per-worker state.** [`Pool::map_init`] gives every worker one
+//!   `init()` value for the batch, created when the worker claims its
+//!   first chunk and dropped with the batch; [`Pool::map`] is `map_init`
+//!   with unit state.
 //! * **Global concurrency budget.** Helper threads beyond the calling thread
 //!   are metered by a process-wide token counter initialised to
-//!   `available_parallelism() - 1`. Concurrent or nested `run` calls share
+//!   `available_parallelism() - 1`. Concurrent or nested batches share
 //!   it and degrade gracefully toward serial execution on the caller's
 //!   thread instead of oversubscribing the host.
 //! * **Deterministic reduction order.** Results are returned indexed by
@@ -28,21 +34,21 @@
 
 use memo_model::stats::{ScopedStats, StatsScope, StatsSlot};
 use std::cell::Cell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Pool telemetry for the batches one thread started inside a
 /// [`PoolStatsScope`] (advisory counts; the scope is the only reader).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// `run` invocations (batches of jobs).
+    /// Batches of jobs (`map` and `map_init` calls).
     pub batches: u64,
     /// Total jobs executed across all batches.
     pub jobs: u64,
     /// Helper threads spawned beyond the calling threads.
     helpers_spawned: u64,
-    /// Successful steals from another worker's deque.
+    /// Chunks run on helper threads rather than on the calling thread:
+    /// the share of a batch the helpers took over.
     pub steals: u64,
 }
 
@@ -66,16 +72,22 @@ impl ScopedStats for PoolStats {
 
 /// Scope attributing pool work *initiated from this thread* to one request:
 /// it observes exactly the batches started between `enter` and `finish` on
-/// this thread — including the steals and helper threads those batches
-/// used, which are credited to the initiating thread when each batch
+/// this thread — including the helper threads those batches used and
+/// the chunks they ran, which are credited to the initiating thread when each batch
 /// completes.
 pub type PoolStatsScope = StatsScope<PoolStats>;
 
-/// Number of workers the host supports (`available_parallelism`, min 1).
+/// Number of workers the host supports (`available_parallelism`, min 1),
+/// read once per process: on Linux each `available_parallelism` call
+/// reads the cgroup's CPU quota from files, which costs more than a batch
+/// of microsecond jobs.
 pub fn available_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Process-wide helper-thread tokens. The calling thread is always free, so
@@ -116,14 +128,14 @@ fn count_batch(jobs: usize, helpers: usize) {
     });
 }
 
-/// Fold a finished batch's steal count (accumulated per run so helper
-/// threads don't write the caller's thread-local) into the calling
-/// thread's scope.
+/// Fold the chunks a finished batch's helpers ran (returned by the
+/// helpers, so they never write the caller's thread-local) into the
+/// calling thread's scope.
 fn count_steals(stolen: u64) {
     PoolStatsScope::bump(|s| s.steals += stolen);
 }
 
-/// A bounded work-stealing pool. Holds no threads of its own: each `run`
+/// A bounded chunked pool. Holds no threads of its own: each batch
 /// spawns scoped workers capped by both the pool's width and the global
 /// helper budget, so a `Pool` is cheap to construct anywhere.
 #[derive(Debug, Clone, Copy)]
@@ -145,18 +157,34 @@ impl Pool {
         Pool::new(available_workers())
     }
 
-    /// Run every job and return the results **in submission order**.
-    ///
-    /// Jobs run at most `min(width, jobs, cores)` at a time; when the global
-    /// helper budget is exhausted (nested `run` calls), everything executes
-    /// on the calling thread, serially, in submission order. A panicking job
-    /// propagates the panic to the caller after the scope joins.
-    fn run<F, T>(&self, jobs: Vec<F>) -> Vec<T>
+    /// Map `f` over `items` through the pool, preserving item order.
+    pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
     where
-        F: FnOnce() -> T + Send,
+        I: Send,
         T: Send,
+        F: Fn(I) -> T + Sync,
     {
-        let n = jobs.len();
+        self.map_init(items, || (), |(), item| f(item))
+    }
+
+    /// Map `f` over `items` with per-worker state and return the results
+    /// **in submission order**. Each worker calls `init` once, when it
+    /// claims its first chunk, and passes that state to `f` for every item
+    /// it runs; the states are dropped with the batch.
+    ///
+    /// Items run at most `min(width, items, cores)` at a time; when the
+    /// global helper budget is exhausted (nested batches), everything
+    /// executes on the calling thread, serially, in submission order, with
+    /// one state. A panicking job propagates the panic to the caller after
+    /// the scope joins.
+    pub fn map_init<I, S, T, Init, F>(&self, items: Vec<I>, init: Init, f: F) -> Vec<T>
+    where
+        I: Send,
+        T: Send,
+        Init: Fn() -> S + Sync,
+        F: Fn(&mut S, I) -> T + Sync,
+    {
+        let n = items.len();
         if n == 0 {
             return Vec::new();
         }
@@ -168,117 +196,76 @@ impl Pool {
         count_batch(n, helpers);
         if helpers == 0 {
             // Serial fast path: submission order *is* execution order.
-            return jobs.into_iter().map(|f| f()).collect();
+            let mut state = init();
+            return items.into_iter().map(|item| f(&mut state, item)).collect();
         }
         let workers = helpers + 1;
 
-        // Deal contiguous index blocks to per-worker deques.
-        let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|f| Mutex::new(Some(f))).collect();
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| {
-                let lo = w * n / workers;
-                let hi = (w + 1) * n / workers;
-                Mutex::new((lo..hi).collect())
-            })
-            .collect();
-
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let run_steals = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            let jobs = &jobs;
-            let queues = &queues;
-            let run_steals = &run_steals;
-            let handles: Vec<_> = (1..workers)
-                .map(|w| scope.spawn(move || worker_loop(w, jobs, queues, run_steals)))
-                .collect();
-            let mut done = worker_loop(0, jobs, queues, run_steals);
-            for h in handles {
-                done.extend(h.join().expect("pool worker panicked"));
+        // Guided chunks: each takes 1/(2 × workers) of the items left, so
+        // they shrink to single items at the tail. Claimed in order through
+        // `next`, which publishes only indices (each chunk's items pass
+        // through its own lock), so it can be `Relaxed`.
+        let mut chunks: Vec<Mutex<Vec<I>>> = Vec::new();
+        let (mut items, mut left) = (items.into_iter(), n);
+        while left > 0 {
+            let len = left.div_ceil(2 * workers);
+            chunks.push(Mutex::new(items.by_ref().take(len).collect()));
+            left -= len;
+        }
+        let n_chunks = chunks.len();
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut state = None;
+            let mut done = Vec::new();
+            loop {
+                let c = next.fetch_add(1, Ordering::Relaxed);
+                let Some(chunk) = chunks.get(c) else { break };
+                let chunk = std::mem::take(&mut *chunk.lock().expect("chunk mutex poisoned"));
+                let state = state.get_or_insert_with(&init);
+                done.push((c, chunk.into_iter().map(|item| f(state, item)).collect()));
             }
-            for (idx, value) in done {
-                slots[idx] = Some(value);
+            done
+        };
+
+        let mut slots: Vec<Vec<T>> = (0..n_chunks).map(|_| Vec::new()).collect();
+        let mut stolen = 0;
+        std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut done = work();
+            for h in handles {
+                let theirs = h.join().expect("pool worker panicked");
+                stolen += theirs.len() as u64;
+                done.extend(theirs);
+            }
+            for (c, results) in done {
+                slots[c] = results;
             }
         });
         release_helpers(helpers);
-        count_steals(run_steals.into_inner());
-        slots
-            .into_iter()
-            .map(|s| s.expect("every job index produced a result"))
-            .collect()
-    }
-
-    /// Map `f` over `items` through the pool, preserving item order.
-    pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(I) -> T + Sync,
-    {
-        let f = &f;
-        self.run(
-            items
-                .into_iter()
-                .map(|item| move || f(item))
-                .collect::<Vec<_>>(),
-        )
-    }
-}
-
-/// One worker: drain own deque from the front, then steal from the back of
-/// the fullest other deque until every queue is empty.
-fn worker_loop<F, T>(
-    me: usize,
-    jobs: &[Mutex<Option<F>>],
-    queues: &[Mutex<VecDeque<usize>>],
-    steals: &AtomicU64,
-) -> Vec<(usize, T)>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    let mut out = Vec::new();
-    loop {
-        let idx = pop_own(&queues[me]).or_else(|| steal(me, queues, steals));
-        let Some(idx) = idx else { break };
-        let job = jobs[idx]
-            .lock()
-            .expect("job mutex poisoned")
-            .take()
-            .expect("job indices are claimed exactly once");
-        out.push((idx, job()));
-    }
-    out
-}
-
-fn pop_own(queue: &Mutex<VecDeque<usize>>) -> Option<usize> {
-    queue.lock().expect("queue mutex poisoned").pop_front()
-}
-
-fn steal(me: usize, queues: &[Mutex<VecDeque<usize>>], steals: &AtomicU64) -> Option<usize> {
-    // Victim with the most remaining work first.
-    let mut victims: Vec<(usize, usize)> = queues
-        .iter()
-        .enumerate()
-        .filter(|&(w, _)| w != me)
-        .map(|(w, q)| (q.lock().expect("queue mutex poisoned").len(), w))
-        .collect();
-    victims.sort_unstable_by(|a, b| b.cmp(a));
-    for (_, w) in victims {
-        if let Some(idx) = queues[w].lock().expect("queue mutex poisoned").pop_back() {
-            // Per-run accumulator: helper threads must not touch the
-            // caller's thread-local scope, so the run folds this into the
-            // initiating scope once, at batch end.
-            steals.fetch_add(1, Ordering::Relaxed);
-            return Some(idx);
+        count_steals(stolen);
+        let mut out = Vec::with_capacity(n);
+        for results in slots {
+            out.extend(results);
         }
+        out
     }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+
+    impl Pool {
+        /// Run every job through the pool, results in submission order.
+        fn run<F, T>(&self, jobs: Vec<F>) -> Vec<T>
+        where
+            F: FnOnce() -> T + Send,
+            T: Send,
+        {
+            self.map(jobs, |job| job())
+        }
+    }
 
     #[test]
     fn results_keep_submission_order() {
@@ -406,8 +393,9 @@ mod tests {
 
     #[test]
     fn scope_captures_steals_of_its_own_batches() {
-        // Uneven job durations force steals; they must land in the scope
-        // that initiated the batch (accumulated per run, not per thread).
+        // Uneven job durations leave most chunks to the helper; its chunk
+        // count must land in the scope that initiated the batch
+        // (accumulated per batch, not per thread).
         if available_workers() < 2 {
             return; // serial machine: nothing to steal
         }
@@ -426,9 +414,9 @@ mod tests {
         let s = scope.finish();
         assert_eq!(s.batches, 1);
         assert_eq!(s.jobs, 64);
-        // With worker 0 pinned on the slow job its whole block gets stolen
-        // (scheduling-dependent, so no exact count — but the plumbing must
-        // deliver the run's steals to this scope).
+        // With worker 0 pinned on the slow job the helper runs the rest of
+        // the chunks (scheduling-dependent, so no exact count — but the
+        // plumbing must deliver the batch's count to this scope).
         assert!(s.steals <= 64);
     }
 
@@ -442,6 +430,100 @@ mod tests {
         assert_eq!((si.batches, si.jobs), (1, 2));
         let so = outer.finish();
         assert_eq!((so.batches, so.jobs), (2, 5), "inner counts fold outward");
+    }
+
+    #[test]
+    fn map_init_makes_at_most_one_state_per_worker() {
+        let inits = AtomicUsize::new(0);
+        let scope = PoolStatsScope::enter();
+        let out = Pool::machine().map_init(
+            (0..1_500).collect::<Vec<u64>>(),
+            || {
+                inits.fetch_add(1, Ordering::SeqCst);
+                0u64
+            },
+            |seen, x| {
+                *seen += 1;
+                x * 2
+            },
+        );
+        let s = scope.finish();
+        assert_eq!(out, (0..1_500).map(|x| x * 2).collect::<Vec<_>>());
+        let inits = inits.load(Ordering::SeqCst);
+        assert!(
+            (1..=s.helpers_spawned as usize + 1).contains(&inits),
+            "{inits} states for {} workers",
+            s.helpers_spawned + 1
+        );
+        assert!(s.steals <= 1_500);
+
+        // Serial fast path: one state threads through every item in order.
+        for pool in [Pool::new(1), Pool::machine()] {
+            let n = if pool.width == 1 { 40 } else { 1 };
+            let inits = AtomicUsize::new(0);
+            let out = pool.map_init(
+                (0..n).collect::<Vec<_>>(),
+                || {
+                    inits.fetch_add(1, Ordering::SeqCst);
+                    Vec::new()
+                },
+                |order: &mut Vec<usize>, x| {
+                    order.push(x);
+                    order.len()
+                },
+            );
+            assert_eq!(inits.load(Ordering::SeqCst), 1);
+            assert_eq!(out, (1..=n).collect::<Vec<_>>(), "state runs in order");
+        }
+    }
+
+    #[test]
+    fn map_init_keeps_submission_order_at_every_chunking() {
+        for n in [1, 2, 15, 16, 17, 97, 1_500] {
+            let out =
+                Pool::machine().map_init((0..n).collect::<Vec<usize>>(), || 7, |k, x| x * *k + 1);
+            assert_eq!(
+                out,
+                (0..n).map(|x| x * 7 + 1).collect::<Vec<_>>(),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn nested_map_init_runs_serially_and_keeps_order() {
+        let outer = Pool::machine().map_init(
+            (0..16).collect::<Vec<usize>>(),
+            || (),
+            |(), o| {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                let me = std::thread::current().id();
+                let scope = PoolStatsScope::enter();
+                let inner = Pool::machine().map_init(
+                    (0..33).collect::<Vec<usize>>(),
+                    || 0,
+                    |count, i| {
+                        *count += 1;
+                        (o * 100 + i, *count, std::thread::current().id() == me)
+                    },
+                );
+                (me, inner, scope.finish().helpers_spawned)
+            },
+        );
+        let threads: std::collections::HashSet<_> = outer.iter().map(|(t, ..)| *t).collect();
+        for (o, (_, inner, helpers)) in outer.into_iter().enumerate() {
+            let values: Vec<_> = inner.iter().map(|&(v, ..)| v).collect();
+            assert_eq!(values, (0..33).map(|i| o * 100 + i).collect::<Vec<_>>());
+            // An outer batch that ran on every core held every helper
+            // token for its whole run, so each nested batch was serial:
+            // one state, on the thread that started it.
+            if threads.len() == available_workers() {
+                assert_eq!(helpers, 0, "outer job {o} spawned helpers");
+                let counts: Vec<_> = inner.iter().map(|&(_, c, _)| c).collect();
+                assert_eq!(counts, (1..=33).collect::<Vec<_>>());
+                assert!(inner.iter().all(|&(.., here)| here));
+            }
+        }
     }
 
     #[test]

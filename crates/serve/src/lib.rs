@@ -4,7 +4,7 @@
 //! given a (model, cluster, sequence) workload, find the best MEMO
 //! strategy cell. This crate turns that into a *service* (DESIGN.md §2h):
 //! a stream of heterogeneous planning queries from many simulated tenants,
-//! driven through the shared work-stealing pool with the process-global
+//! driven through the shared chunked pool with the process-global
 //! profile and segment caches shared across requests.
 //!
 //! * `request` — the wire types: [`PlanRequest`],

@@ -121,7 +121,8 @@ impl std::fmt::Display for RejectReason {
 /// in `memo-core`/`memo-swap`/`memo-parallel`).
 #[derive(Debug, Clone)]
 pub struct PlanReply {
-    /// The picked cell (shared with the pick table on a memoized reply).
+    /// The picked cell: on a pooled reply, the worker's copy of the pick
+    /// table's pick, shared by that worker's replies with the same key.
     pub pick: Arc<Pick>,
     /// Host-memory planning budget the request ran under (quantized).
     pub host_budget_bytes: u64,

@@ -12,13 +12,15 @@
 //!    its quantized host planning budget *at admission* — later rebalances
 //!    never change what an in-flight request plans against.
 //! 2. **Execution (pooled, wall clock).** Admitted requests fan out over
-//!    the work-stealing [`Pool`]. Each one is a single lookup in the
-//!    process-global pick table ([`ProfileCache::pick`]), keyed by tenant
-//!    kind and workload (frozen host budget included): a repeat costs one
-//!    hash probe, and a miss computes [`memo_core::serving::pick`] over
-//!    the shared profile and segment caches. Per-request cache traffic,
-//!    pick-table traffic and pool activity are scoped with the RAII stats
-//!    scopes, so concurrent requests report disjoint, exact counts.
+//!    the chunked [`Pool`]. Each worker keeps its own pick memo for the
+//!    batch, keyed by the request fields the pick depends on (frozen host
+//!    budget included): a repeat on that worker costs one local hash
+//!    probe. A memo miss is a single lookup in the process-global pick
+//!    table ([`ProfileCache::pick`]), and a table miss computes
+//!    [`memo_core::serving::pick`] over the shared profile and segment
+//!    caches. Per-request cache traffic, pick-table traffic and pool
+//!    activity are scoped with the RAII stats scopes, so concurrent
+//!    requests report disjoint, exact counts.
 //!
 //! Because phase 1 never reads a wall clock and phase 2's results are a
 //! pure function of each request, a pooled serve and a serial serve of
@@ -29,8 +31,11 @@
 
 use crate::admission::AdmissionController;
 use crate::elastic::ElasticPools;
-use crate::request::{PlanReply, PlanRequest, RequestOutcome, RequestRecord, TenantKind};
+use crate::request::{
+    ModelSize, PlanReply, PlanRequest, RequestOutcome, RequestRecord, TenantKind,
+};
 use memo_core::cache::{CacheStats, CacheStatsScope, ProfileCache, PICK_SCOPE};
+use memo_core::serving::Pick;
 use memo_core::session::Workload;
 use memo_model::hash::FxHashMap;
 use memo_obs::json::Json;
@@ -39,6 +44,7 @@ use memo_parallel::pool::{Pool, PoolStats, PoolStatsScope};
 use memo_swap::{SegmentCacheStats, SegmentStatsScope};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Server knobs.
@@ -81,12 +87,42 @@ fn staging_quanta(req: &PlanRequest) -> (u64, u64) {
     }
 }
 
-/// An admitted request with its frozen planning budget.
+/// Everything an admitted request's pick depends on: the request fields
+/// [`plan_one`] turns into a [`Workload`], and the host budget frozen at
+/// admission. It keys the per-worker pick memo of a pooled serve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct RequestKey {
+    kind: TenantKind,
+    model: ModelSize,
+    n_gpus: usize,
+    seq_len: u64,
+    host_budget_bytes: u64,
+}
+
+impl RequestKey {
+    fn new(req: &PlanRequest, host_budget_bytes: u64) -> Self {
+        RequestKey {
+            kind: req.kind,
+            model: req.model,
+            n_gpus: req.n_gpus,
+            seq_len: req.seq_len,
+            host_budget_bytes,
+        }
+    }
+
+    /// The workload the request plans for: a pure function of the key.
+    fn workload(&self) -> Workload {
+        let mut w = Workload::new(self.model.config(), self.n_gpus, self.seq_len);
+        w.calib.set_host_memory_bytes(self.host_budget_bytes);
+        w
+    }
+}
+
+/// An admitted request: its stream position and what it plans.
 #[derive(Debug, Clone)]
 struct Admitted {
     idx: usize,
-    req: PlanRequest,
-    host_budget_bytes: u64,
+    key: RequestKey,
 }
 
 /// Fleet-level counters phase 1 leaves behind.
@@ -222,7 +258,7 @@ impl PlanServer {
         let replies: Vec<(usize, PlanReply)> = if self.cfg.serial {
             admitted
                 .iter()
-                .map(|a| (a.idx, plan_one(a, false)))
+                .map(|a| (a.idx, plan_one(&a.key, false)))
                 .collect()
         } else {
             let pool = if self.cfg.workers == 0 {
@@ -230,7 +266,9 @@ impl PlanServer {
             } else {
                 Pool::new(self.cfg.workers)
             };
-            pool.map(admitted, |a| (a.idx, plan_one(&a, true)))
+            pool.map_init(admitted, FxHashMap::default, |memo, a| {
+                (a.idx, plan_memoized(memo, a.key))
+            })
         };
         let wall_secs = t0.elapsed().as_secs_f64();
         let pool_stats = pool_scope.finish();
@@ -364,8 +402,7 @@ impl PlanServer {
                     let host_budget_bytes = pools.quantized_host_share(req.tenant).max(1 << 30);
                     admitted.push(Admitted {
                         idx,
-                        req: req.clone(),
-                        host_budget_bytes,
+                        key: RequestKey::new(req, host_budget_bytes),
                     });
                 }
                 Err(reason) => {
@@ -406,17 +443,23 @@ impl PlanServer {
 /// (no nested fan-out), which is what makes the thread-local stats scopes
 /// exact. The pooled leg looks picks up; the serial leg passes
 /// `use_cache = false` and recomputes them. Both are pure functions of
-/// (request, frozen host budget), which keeps the legs record-identical.
-fn plan_one(adm: &Admitted, use_cache: bool) -> PlanReply {
+/// the [`RequestKey`], which keeps the legs record-identical.
+///
+/// The pooled leg calls this only on a miss in its worker's memo
+/// ([`plan_memoized`]), so a key is looked up in the pick table at most
+/// once per worker and serve. That is the one way its behaviour can
+/// differ from looking every request up in the table: a shard eviction
+/// (`SHARD_CAP`) inside one serve would turn a later lookup of an evicted
+/// key into a table miss and a fresh pick, where the memo reports a hit
+/// and replies with the pick the table held before the eviction.
+fn plan_one(key: &RequestKey, use_cache: bool) -> PlanReply {
     let t0 = Instant::now();
     let cache_scope = CacheStatsScope::enter();
     let pick_scope = CacheStatsScope::enter_on(&PICK_SCOPE);
     let seg_scope = SegmentStatsScope::enter();
-    let mut w = Workload::new(adm.req.model.config(), adm.req.n_gpus, adm.req.seq_len);
-    w.calib.set_host_memory_bytes(adm.host_budget_bytes);
     PlanReply {
-        pick: ProfileCache::global().pick(&w, adm.req.kind, use_cache),
-        host_budget_bytes: adm.host_budget_bytes,
+        pick: ProfileCache::global().pick(&key.workload(), key.kind, use_cache),
+        host_budget_bytes: key.host_budget_bytes,
         cache: cache_scope.finish(),
         picks: pick_scope.finish(),
         segments: seg_scope.finish(),
@@ -424,12 +467,38 @@ fn plan_one(adm: &Admitted, use_cache: bool) -> PlanReply {
     }
 }
 
+/// Execute one admitted request of a pooled serve through its worker's
+/// pick memo. A hit replies with the memo's pick and reports one pick hit
+/// and no profile or segment traffic, as a warm pick-table hit does. A
+/// miss runs [`plan_one`] and memoizes the worker's own copy of the
+/// table's pick. The table keeps the first pick inserted for a key, even
+/// when two workers miss on it at once, so every worker copies the same
+/// pick. The copy spares the workers one shared reference count bumped
+/// per request: on 2 vCPUs it halves fleet-mixed's `op_ms_p90` against
+/// replying with the table's `Arc` (DESIGN.md §2h).
+fn plan_memoized(memo: &mut FxHashMap<RequestKey, Arc<Pick>>, key: RequestKey) -> PlanReply {
+    let t0 = Instant::now();
+    if let Some(pick) = memo.get(&key) {
+        return PlanReply {
+            pick: Arc::clone(pick),
+            host_budget_bytes: key.host_budget_bytes,
+            cache: CacheStats::default(),
+            picks: CacheStats { hits: 1, misses: 0 },
+            segments: SegmentCacheStats::default(),
+            latency_secs: t0.elapsed().as_secs_f64(),
+        };
+    }
+    let mut reply = plan_one(&key, true);
+    reply.pick = Arc::new((*reply.pick).clone());
+    memo.insert(key, Arc::clone(&reply.pick));
+    reply
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::request::{replies_match, RejectReason};
     use crate::zipf::{generate, StreamSpec};
-    use std::sync::Arc;
 
     fn small_stream() -> Vec<PlanRequest> {
         let mut spec = StreamSpec::new(6, 36, 11);
@@ -578,6 +647,50 @@ mod tests {
             let fresh = reply(&serial, i);
             assert_eq!(fresh.picks, CacheStats::default(), "serial leg bypasses");
             assert!(replies_match(&reply(&pooled, i), &fresh));
+        }
+    }
+
+    #[test]
+    fn a_warm_reserve_hits_every_pick_and_matches_one_worker() {
+        let mut spec = StreamSpec::new(48, 1500, 45);
+        spec.serving_stride = 2;
+        let stream = generate(&spec);
+        let pooled = PlanServer::new(ServeConfig::default());
+        pooled.serve(&stream);
+        let warm = pooled.serve(&stream);
+        let s = &warm.summary;
+        assert!(s.planned > 1000, "{} of 1500 planned", s.planned);
+        assert_eq!(
+            s.picks,
+            CacheStats {
+                hits: s.planned as u64,
+                misses: 0
+            }
+        );
+
+        let one = PlanServer::new(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .serve(&stream);
+        assert_eq!(one.summary.picks, s.picks);
+        for (p, o) in warm.records.iter().zip(&one.records) {
+            let (RequestOutcome::Planned(a), RequestOutcome::Planned(b)) = (&p.outcome, &o.outcome)
+            else {
+                assert_eq!(
+                    p.cell(),
+                    o.cell(),
+                    "request {} shed differently",
+                    p.request.id
+                );
+                continue;
+            };
+            assert!(replies_match(a, b), "request {} diverged", p.request.id);
+            assert_eq!(a.picks, b.picks);
+            assert_eq!(a.host_budget_bytes, b.host_budget_bytes);
+            let key = RequestKey::new(&p.request, a.host_budget_bytes);
+            let direct = ProfileCache::global().pick(&key.workload(), key.kind, true);
+            assert_eq!(*a.pick, *direct, "request {}", p.request.id);
         }
     }
 

@@ -174,7 +174,7 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "  throughput: {:.0} plans/s over {:.2} s (pool: {} jobs, {} steals)",
+        "  throughput: {:.0} plans/s over {:.2} s (pool: {} jobs, {} chunks on helpers)",
         s.qps, s.wall_secs, s.pool.jobs, s.pool.steals
     );
 
