@@ -10,7 +10,8 @@
 //! times them:
 //!
 //! * the iteration-simulation fast path (`build_schedule_scalars`, with
-//!   steady-state splicing) ≥ 3× the reference engine at MEMO@1M;
+//!   steady-state splicing) ≥ 3× the reference schedule builder
+//!   (`memo_swap::reference`, every op a recorded span) at MEMO@1M;
 //! * paged KV replay ≥ 3× the caching allocator's realloc pattern at
 //!   13B@256K;
 //! * caching-allocator trace replay ≥ 3× `ReferenceCachingAllocator` on
@@ -146,7 +147,7 @@ fn sim_gate() -> bool {
     });
     let speedup = reference_ms / fast_ms.max(1e-12);
     gate(
-        "sim fast path vs reference engine at MEMO@1M",
+        "sim fast path vs reference schedule builder at MEMO@1M",
         speedup >= 3.0,
         format!("{speedup:.2}x ({reference_ms:.4} -> {fast_ms:.4} ms per build; gate >= 3x)"),
     )

@@ -60,7 +60,7 @@ pub fn sim_inputs(w: &Workload, cfg: &ParallelConfig) -> SimInputs {
 }
 
 impl SimInputs {
-    /// The schedule on the heap-labelled reference engine.
+    /// The schedule of the verbatim reference builder (`memo_swap::reference`).
     pub fn reference(&self) -> ReferenceScheduleOutcome {
         let mut host = TierStaging::single(self.host_capacity);
         memo_swap::reference::build_iteration_schedule_with_slots(
@@ -74,7 +74,7 @@ impl SimInputs {
         .expect("host fits")
     }
 
-    /// The schedule recorded on the interned engine.
+    /// The schedule recorded by `build_schedule`.
     pub fn schedule(&self) -> ScheduleOutcome {
         let mut host = TierStaging::single(self.host_capacity);
         let layout = LayerSegment::uniform(self.n_layers, self.slots, self.costs);

@@ -1090,18 +1090,16 @@ fn synthesize_recompute_timeline(
     let lt = &p.layer_time;
     let secs = |s: f64| SimTime::from_secs_f64(s / derate);
     let mut tl = Timeline::new();
-    let ops = p.layers_local * if refwd { 3 } else { 2 } + 4;
-    tl.reserve_ops(ops, 0, 0);
     let c = tl.add_stream("compute");
     for i in 0..p.layers_local {
-        tl.enqueue_fmt(c, secs(lt.fwd()), format_args!("fwd L{i}"));
+        tl.enqueue(c, secs(lt.fwd()), format!("fwd L{i}"));
     }
     tl.enqueue(c, secs(head_secs), "head");
     for i in (0..p.layers_local).rev() {
         if refwd {
-            tl.enqueue_fmt(c, secs(lt.fwd()), format_args!("refwd L{i}"));
+            tl.enqueue(c, secs(lt.fwd()), format!("refwd L{i}"));
         }
-        tl.enqueue_fmt(c, secs(lt.bwd), format_args!("bwd L{i}"));
+        tl.enqueue(c, secs(lt.bwd), format!("bwd L{i}"));
     }
     if stalls > 0.0 {
         tl.enqueue(c, secs(stalls), "reorg stalls");

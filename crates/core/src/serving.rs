@@ -72,9 +72,12 @@ pub struct ServingReport {
     /// Largest number of simultaneously live sequences.
     peak_seqs: usize,
     /// Arrivals refused admission.
-    rejected: usize,
+    pub rejected: usize,
     /// Sequences killed mid-flight when memory ran out under them.
-    preempted: usize,
+    pub preempted: usize,
+    /// The smallest refused arrival or append that outgrew the whole pool
+    /// that refused it; the run's failure when it served no token.
+    shortfall: Option<Shortfall>,
     /// Cold sequences paged off device (tiered policy only).
     evictions: u64,
     /// Peak device KV bytes resident.
@@ -91,6 +94,17 @@ pub struct ServingReport {
     tokens_per_sec: f64,
     /// Decode FLOPs over `sim_secs · peak_flops`.
     pub utilization: f64,
+}
+
+/// A refused arrival or append that needs more than the whole pool holds:
+/// `needed > capacity`, whatever else is resident.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Shortfall {
+    /// Refused by the host tier (the swap policy's staged rows) rather
+    /// than the device KV pool.
+    host: bool,
+    needed: u64,
+    capacity: u64,
 }
 
 /// A decode workload bound to resources and a policy.
@@ -320,6 +334,7 @@ struct Replay<'a> {
     peak_seqs: usize,
     rejected: usize,
     preempted: usize,
+    shortfall: Option<Shortfall>,
     peak_kv: u64,
     host_peak: u64,
     alpha_used: f64,
@@ -363,6 +378,7 @@ impl<'a> Replay<'a> {
             peak_seqs: 0,
             rejected: 0,
             preempted: 0,
+            shortfall: None,
             peak_kv: 0,
             host_peak: 0,
             alpha_used: 0.0,
@@ -421,6 +437,8 @@ impl<'a> Replay<'a> {
     fn arrive(&mut self, seq: u32, prompt_tokens: u64) {
         let bytes = prompt_tokens * self.kv_per_token;
         let r = &self.eng.resources;
+        // Host bytes the swap leg asked for; every other leg asks the device.
+        let mut host_needed = None;
         let admitted = match self.eng.policy {
             KvCachePolicy::Paged => {
                 let a = self.paged.as_mut().unwrap();
@@ -457,8 +475,8 @@ impl<'a> Replay<'a> {
                     device_kv_bytes: r.device_kv_bytes,
                     step_compute_secs: self.nominal_step_secs(),
                     host_bandwidth: r.host_bandwidth,
-                    host_capacity: r.host_capacity,
                 });
+                host_needed = Some(plan.host_bytes);
                 plan.host_bytes <= r.host_capacity
             }
             KvCachePolicy::Tiered => self.tiered_make_room(bytes, None),
@@ -475,6 +493,40 @@ impl<'a> Replay<'a> {
         } else {
             *self.state(seq) = Some(SeqState::Dead);
             self.rejected += 1;
+            match host_needed {
+                Some(needed) => self.note_refusal(true, needed, self.eng.resources.host_capacity),
+                None => self.note_refusal(
+                    false,
+                    self.device_need(0, bytes),
+                    self.eng.resources.device_kv_bytes,
+                ),
+            }
+        }
+    }
+
+    /// Device bytes a resident sequence holding `held` bytes needs to grow
+    /// to `grown`: whole pages under paging, the old and the new tensor at
+    /// once under the caching leg's realloc pattern.
+    fn device_need(&self, held: u64, grown: u64) -> u64 {
+        match self.eng.policy {
+            KvCachePolicy::Paged => {
+                let page = self.eng.resources.page_bytes;
+                grown.div_ceil(page).saturating_mul(page)
+            }
+            KvCachePolicy::Caching => held + grown,
+            KvCachePolicy::TokenSwap | KvCachePolicy::Tiered => grown,
+        }
+    }
+
+    /// Keep the smallest refused request that exceeds the whole pool that
+    /// refused it: the run's failure if it serves no token.
+    fn note_refusal(&mut self, host: bool, needed: u64, capacity: u64) {
+        if needed > capacity && self.shortfall.is_none_or(|s| needed < s.needed) {
+            self.shortfall = Some(Shortfall {
+                host,
+                needed,
+                capacity,
+            });
         }
     }
 
@@ -576,6 +628,8 @@ impl<'a> Replay<'a> {
                     self.seqs[seq as usize] = Some(SeqState::Resident { bytes: bytes + kv });
                     self.decode_token(tokens);
                 } else {
+                    let needed = self.device_need(bytes, bytes + kv);
+                    self.note_refusal(false, needed, self.eng.resources.device_kv_bytes);
                     self.kill_resident(seq);
                 }
             }
@@ -672,7 +726,6 @@ impl<'a> Replay<'a> {
                         device_kv_bytes: r.device_kv_bytes,
                         step_compute_secs: compute,
                         host_bandwidth: r.host_bandwidth,
-                        host_capacity: r.host_capacity,
                     });
                     if plan.host_bytes > r.host_capacity {
                         if let Some(victim) = self.youngest_resident() {
@@ -741,6 +794,7 @@ impl<'a> Replay<'a> {
             peak_seqs: self.peak_seqs,
             rejected: self.rejected,
             preempted: self.preempted,
+            shortfall: self.shortfall,
             evictions: self.pager.as_ref().map_or(0, |p| p.evictions()),
             peak_kv_bytes: self.peak_kv,
             host_peak_bytes: host_peak,
@@ -768,8 +822,21 @@ impl ServingReport {
     /// Map the serving run onto the training-report vocabulary so the
     /// CLI and `memo-serve` reuse one outcome type: tokens/sec → TGS,
     /// decode utilization → MFU, device KV peak → GPU peak.
+    ///
+    /// A run that served no token fails with its smallest refused request
+    /// that exceeds the whole pool: `X_oom` against the device KV bytes
+    /// when the device pool refused it, `X_oohm` against the host tier when
+    /// the host did.
     pub fn to_outcome(&self) -> crate::outcome::CellOutcome {
         use crate::outcome::CellOutcome;
+        if let (0, Some(s)) = (self.tokens_generated, self.shortfall) {
+            let (needed, capacity) = (s.needed, s.capacity);
+            return if s.host {
+                CellOutcome::Oohm { needed, capacity }
+            } else {
+                CellOutcome::Oom { needed, capacity }
+            };
+        }
         if self.sim_secs <= 0.0 || !self.sim_secs.is_finite() {
             return CellOutcome::Degenerate {
                 iter_secs: self.sim_secs,
@@ -914,6 +981,52 @@ mod tests {
         assert!(rep.tokens_per_sec > 0.0);
         let outcome = rep.to_outcome();
         assert!(outcome.is_ok());
+    }
+
+    /// Cells that serve no token, 7B on 8 GPUs: every leg at 256K (token-swap
+    /// still serves there), token-swap at 768K, which admit no sequence,
+    /// and caching at 128K, whose one admitted sequence cannot grow by a
+    /// token under the realloc pattern. None may read `Ok` with zero
+    /// tokens, and every failure must be a shortfall against the pool that
+    /// refused: the device KV bytes for `X_oom`, the host tier for `X_oohm`.
+    #[test]
+    fn cells_that_serve_no_token_fail_with_a_real_shortfall() {
+        let cells = KvCachePolicy::ALL
+            .into_iter()
+            .map(|policy| (policy, 256u64))
+            .chain([
+                (KvCachePolicy::TokenSwap, 768),
+                (KvCachePolicy::Caching, 128),
+            ]);
+        let mut failures = 0;
+        for (policy, k) in cells {
+            let w = Workload::new(ModelConfig::gpt_7b(), 8, k << 10);
+            let eng = ServingEngine::from_workload(&w, policy);
+            let rep = eng.run();
+            let cell = format!("{} at {k}K", policy.name());
+            match rep.to_outcome() {
+                CellOutcome::Ok(_) => {
+                    assert!(rep.tokens_generated > 0, "{cell}: ok with zero tokens")
+                }
+                CellOutcome::Oom { needed, capacity } => {
+                    assert_eq!(capacity, eng.resources.device_kv_bytes, "{cell}");
+                    assert!(needed > capacity, "{cell}: {needed} <= {capacity}");
+                    assert_eq!(rep.tokens_generated, 0, "{cell}");
+                    failures += 1;
+                }
+                CellOutcome::Oohm { needed, capacity } => {
+                    assert_eq!(capacity, eng.resources.host_capacity, "{cell}");
+                    assert!(needed > capacity, "{cell}: {needed} <= {capacity}");
+                    assert_eq!(rep.tokens_generated, 0, "{cell}");
+                    failures += 1;
+                }
+                other => panic!("{cell}: unexpected {other:?}"),
+            }
+        }
+        assert_eq!(
+            failures, 5,
+            "all but token-swap at 256K, and both other cells"
+        );
     }
 
     /// The pick before the trace was shared: one `run()` per leg, each

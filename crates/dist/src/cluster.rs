@@ -2,7 +2,6 @@
 
 use memo_hal::engine::{EventId, StreamId, Timeline};
 use memo_hal::time::SimTime;
-use std::fmt;
 
 /// One timeline per rank, each with compute and offload streams, plus
 /// collectives that couple them.
@@ -32,38 +31,26 @@ impl ClusterTimeline {
     }
 
     /// Enqueue compute work on one rank.
-    #[cfg(test)]
-    fn compute(&mut self, rank: usize, dur: SimTime, label: &str) -> SimTime {
+    pub(crate) fn compute(
+        &mut self,
+        rank: usize,
+        dur: SimTime,
+        label: impl Into<String>,
+    ) -> SimTime {
         self.timelines[rank].enqueue(self.compute[rank], dur, label)
     }
 
-    /// [`Self::compute`] with a formatted label.
-    pub(crate) fn compute_fmt(
-        &mut self,
-        rank: usize,
-        dur: SimTime,
-        label: fmt::Arguments<'_>,
-    ) -> SimTime {
-        self.timelines[rank].enqueue_fmt(self.compute[rank], dur, label)
-    }
-
     /// Enqueue an offload transfer on one rank; returns its completion event.
-    #[cfg(test)]
-    fn offload(&mut self, rank: usize, dur: SimTime, label: &str) -> EventId {
-        self.offload_fmt(rank, dur, format_args!("{label}"))
-    }
-
-    /// [`Self::offload`] with a lazily formatted label.
-    pub(crate) fn offload_fmt(
+    pub(crate) fn offload(
         &mut self,
         rank: usize,
         dur: SimTime,
-        label: fmt::Arguments<'_>,
+        label: impl Into<String>,
     ) -> EventId {
         let tl = &mut self.timelines[rank];
         let compute_done = tl.record_event(self.compute[rank]);
         tl.wait_event(self.offload[rank], compute_done);
-        tl.enqueue_fmt(self.offload[rank], dur, label);
+        tl.enqueue(self.offload[rank], dur, label);
         tl.record_event(self.offload[rank])
     }
 
@@ -76,16 +63,6 @@ impl ClusterTimeline {
     /// member's compute stream arrives, then occupies every member for
     /// `dur`. This barrier coupling is what amplifies stragglers.
     pub(crate) fn collective(&mut self, ranks: &[usize], dur: SimTime, label: &str) {
-        self.collective_fmt(ranks, dur, format_args!("{label}"));
-    }
-
-    /// [`Self::collective`] with a lazily formatted label.
-    pub(crate) fn collective_fmt(
-        &mut self,
-        ranks: &[usize],
-        dur: SimTime,
-        label: fmt::Arguments<'_>,
-    ) {
         let start = ranks
             .iter()
             .map(|&r| self.timelines[r].stream_cursor(self.compute[r]))
@@ -93,7 +70,7 @@ impl ClusterTimeline {
             .unwrap_or(SimTime::ZERO);
         for &r in ranks {
             self.timelines[r].wait_until(self.compute[r], start);
-            self.timelines[r].enqueue_fmt(self.compute[r], dur, label);
+            self.timelines[r].enqueue(self.compute[r], dur, label);
         }
     }
 

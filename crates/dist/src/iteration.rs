@@ -81,18 +81,18 @@ pub fn run_distributed_iteration(grid: &RankGrid, spec: &DistSpec) -> DistOutcom
                 }
             }
             let t = scale(spec.t_fwd, jitter_fwd[rank][layer]);
-            cluster.compute_fmt(rank, t, format_args!("fwd L{layer}"));
+            cluster.compute(rank, t, format!("fwd L{layer}"));
         }
         if spec.t_collective > SimTime::ZERO {
             for g in tp_groups.iter().chain(cp_groups.iter()) {
                 if g.len() > 1 {
-                    cluster.collective_fmt(g, spec.t_collective, format_args!("coll L{layer}"));
+                    cluster.collective(g, spec.t_collective, &format!("coll L{layer}"));
                 }
             }
         }
         if swaps(layer) && spec.t_offload > SimTime::ZERO {
             for (rank, done) in off_done.iter_mut().enumerate() {
-                let ev = cluster.offload_fmt(rank, spec.t_offload, format_args!("off L{layer}"));
+                let ev = cluster.offload(rank, spec.t_offload, format!("off L{layer}"));
                 done[layer] = Some(ev);
             }
         }
@@ -102,12 +102,12 @@ pub fn run_distributed_iteration(grid: &RankGrid, spec: &DistSpec) -> DistOutcom
     for layer in (0..spec.layers).rev() {
         for (rank, jb) in jitter_bwd.iter().enumerate() {
             let t = scale(spec.t_bwd, jb[layer]);
-            cluster.compute_fmt(rank, t, format_args!("bwd L{layer}"));
+            cluster.compute(rank, t, format!("bwd L{layer}"));
         }
         if spec.t_collective > SimTime::ZERO {
             for g in tp_groups.iter().chain(cp_groups.iter()) {
                 if g.len() > 1 {
-                    cluster.collective_fmt(g, spec.t_collective, format_args!("bcoll L{layer}"));
+                    cluster.collective(g, spec.t_collective, &format!("bcoll L{layer}"));
                 }
             }
         }

@@ -14,28 +14,14 @@
 //!
 //! # Recording
 //!
-//! Every timeline records every span and mark, for Figure-11 rendering and
-//! Chrome-trace export. Runs that need only the numbers (the strategy
-//! search, unobserved pipeline runs) do not come here at all: they read
-//! `memo_swap::build_schedule_scalars`, the closed-form recurrence over the
-//! same schedule (DESIGN.md §2e). Two mechanisms keep a recorded run lean:
-//!
-//! * **Interned labels.** Spans carry a 4-byte [`Sym`] into a per-timeline
-//!   [`TraceStrings`] table (the interner allocator traces use) instead of
-//!   a heap `String`; a distinct label is stored once per timeline, not
-//!   once per op. Resolution back to `&str` ([`Timeline::span_label`])
-//!   happens only at render/export time.
-//! * **Arena pre-sizing.** [`Timeline::reserve_ops`] pre-sizes the
-//!   span/mark/event vectors from the profiled op count so a replay
-//!   performs no mid-run reallocation.
-//!
-//! The pre-fast-path engine is kept verbatim as [`crate::reference`]; the
-//! differential suites drive both in lockstep.
+//! Every timeline records every span (with an owned `String` label) and
+//! every mark, for Figure-11 rendering and Chrome-trace export. Runs that
+//! need only the numbers (the strategy search, unobserved pipeline runs) do
+//! not come here at all: they read `memo_swap::build_schedule_scalars`, the
+//! closed-form recurrence over the same schedule (DESIGN.md §2e).
 
 use crate::time::SimTime;
-use memo_model::trace::{Sym, TraceStrings};
 use std::fmt;
-use std::fmt::Write as _;
 
 /// Identifies a stream within one [`Timeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,13 +32,12 @@ pub struct StreamId(pub usize);
 pub struct EventId(pub usize);
 
 /// One executed operation, kept for timeline rendering and assertions.
-/// `Copy`: 32 bytes, no heap — the label is an interned [`Sym`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     pub stream: StreamId,
     pub start: SimTime,
     pub end: SimTime,
-    label: Sym,
+    pub label: String,
 }
 
 /// What an instantaneous [`Mark`] on a stream denotes.
@@ -82,9 +67,6 @@ pub struct Mark {
 struct Stream {
     name: String,
     cursor: SimTime,
-    /// Sum of enqueued op durations (kept incrementally so `busy_time` is
-    /// O(1)).
-    busy: SimTime,
     /// Event times this stream must wait for before its next op.
     pending_waits: Vec<SimTime>,
 }
@@ -111,10 +93,6 @@ pub struct Timeline {
     events: Vec<SimTime>,
     spans: Vec<Span>,
     marks: Vec<Mark>,
-    syms: TraceStrings,
-    /// Reused by [`Self::intern_fmt`] so repeated labels format without
-    /// allocating.
-    scratch: String,
 }
 
 impl Timeline {
@@ -123,23 +101,11 @@ impl Timeline {
         Timeline::default()
     }
 
-    /// Pre-size the span/mark/event arenas for a replay of known shape so
-    /// the hot loop never reallocates.
-    pub fn reserve_ops(&mut self, spans: usize, marks: usize, events: usize) {
-        self.events.reserve(events);
-        self.spans.reserve(spans);
-        self.marks.reserve(marks);
-        // Every distinct label sits on at least one span, so `spans`
-        // bounds the symbol-table growth too.
-        self.syms.reserve(spans);
-    }
-
     /// Create a stream with a human-readable name (e.g. "compute").
     pub fn add_stream(&mut self, name: impl Into<String>) -> StreamId {
         self.streams.push(Stream {
             name: name.into(),
             cursor: SimTime::ZERO,
-            busy: SimTime::ZERO,
             pending_waits: Vec::new(),
         });
         StreamId(self.streams.len() - 1)
@@ -168,28 +134,6 @@ impl Timeline {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Intern a formatted label, reusing an internal scratch buffer —
-    /// repeat labels cost a format into existing capacity plus a table
-    /// lookup, with no allocation.
-    fn intern_fmt(&mut self, args: fmt::Arguments<'_>) -> Sym {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let _ = scratch.write_fmt(args);
-        let sym = self.syms.intern(&scratch);
-        self.scratch = scratch;
-        sym
-    }
-
-    /// The label of a recorded span (render/export-time resolution).
-    pub fn span_label(&self, span: &Span) -> &str {
-        self.syms.resolve(span.label)
-    }
-
-    /// The symbol table (exporters that batch-resolve labels).
-    pub fn symbols(&self) -> &TraceStrings {
-        &self.syms
-    }
-
     /// Enqueue an operation of `duration` on `stream`; returns its end time.
     ///
     /// The op starts no earlier than the stream cursor and no earlier than
@@ -198,31 +142,7 @@ impl Timeline {
         &mut self,
         stream: StreamId,
         duration: SimTime,
-        label: impl AsRef<str>,
-    ) -> SimTime {
-        let sym = self.syms.intern(label.as_ref());
-        self.enqueue_sym(stream, duration, sym)
-    }
-
-    /// [`Self::enqueue`] with a formatted label, interned through
-    /// `Self::intern_fmt`.
-    pub fn enqueue_fmt(
-        &mut self,
-        stream: StreamId,
-        duration: SimTime,
-        args: fmt::Arguments<'_>,
-    ) -> SimTime {
-        let sym = self.intern_fmt(args);
-        self.enqueue_sym(stream, duration, sym)
-    }
-
-    /// [`Self::enqueue`] with a pre-interned label — the hot-path variant
-    /// for callers that intern once outside their replay loop.
-    pub(crate) fn enqueue_sym(
-        &mut self,
-        stream: StreamId,
-        duration: SimTime,
-        label: Sym,
+        label: impl Into<String>,
     ) -> SimTime {
         let s = &mut self.streams[stream.0];
         let mut start = s.cursor;
@@ -231,12 +151,11 @@ impl Timeline {
         }
         let end = start + duration;
         s.cursor = end;
-        s.busy += duration;
         self.spans.push(Span {
             stream,
             start,
             end,
-            label,
+            label: label.into(),
         });
         end
     }
@@ -300,10 +219,15 @@ impl Timeline {
         &self.marks
     }
 
-    /// Total busy time of one stream (sum of op durations). O(1): kept
-    /// incrementally.
+    /// Total busy time of one stream (sum of op durations).
     pub fn busy_time(&self, stream: StreamId) -> SimTime {
-        self.streams[stream.0].busy
+        SimTime(
+            self.spans
+                .iter()
+                .filter(|sp| sp.stream == stream)
+                .map(|sp| (sp.end - sp.start).as_nanos())
+                .sum(),
+        )
     }
 
     /// Idle ("bubble") time of a stream before the makespan.
@@ -318,17 +242,16 @@ impl Timeline {
     pub fn check_causality(&self) -> Result<(), CausalityError> {
         let mut last_end: Vec<SimTime> = vec![SimTime::ZERO; self.streams.len()];
         for sp in &self.spans {
-            // Labels resolve (borrowing) only on the failing span.
             if sp.end < sp.start {
                 return Err(CausalityError {
-                    label: self.span_label(sp).to_string(),
+                    label: sp.label.clone(),
                     detail: "negative duration".into(),
                 });
             }
             let le = &mut last_end[sp.stream.0];
             if sp.start < *le {
                 return Err(CausalityError {
-                    label: self.span_label(sp).to_string(),
+                    label: sp.label.clone(),
                     detail: format!("starts at {} before stream tail {}", sp.start, le),
                 });
             }
@@ -477,28 +400,5 @@ mod tests {
         tl.wait_until(s, ms(100));
         let end = tl.enqueue(s, ms(1), "late");
         assert_eq!(end, ms(101));
-    }
-
-    #[test]
-    fn labels_intern_once_and_resolve() {
-        let mut tl = Timeline::new();
-        let s = tl.add_stream("s");
-        tl.enqueue(s, ms(1), "fwd L0");
-        tl.enqueue_fmt(s, ms(1), format_args!("fwd L{}", 1));
-        tl.enqueue_fmt(s, ms(1), format_args!("fwd L{}", 0)); // repeat
-        assert_eq!(tl.symbols().len(), 3, "empty + two distinct labels");
-        let labels: Vec<&str> = tl.spans().iter().map(|sp| tl.span_label(sp)).collect();
-        assert_eq!(labels, ["fwd L0", "fwd L1", "fwd L0"]);
-        assert_eq!(tl.spans()[0].label, tl.spans()[2].label);
-    }
-
-    #[test]
-    fn reserve_ops_is_observably_inert() {
-        let mut tl = Timeline::new();
-        let s = tl.add_stream("s");
-        tl.reserve_ops(16, 16, 16);
-        tl.enqueue(s, ms(1), "op");
-        assert_eq!(tl.spans().len(), 1);
-        assert_eq!(tl.makespan(), ms(1));
     }
 }

@@ -23,7 +23,6 @@
 pub mod calib;
 pub mod engine;
 mod hierarchy;
-pub mod reference;
 pub mod time;
 pub mod timeline;
 

@@ -44,7 +44,7 @@ pub fn render_ascii(tl: &Timeline, width: usize) -> String {
                 cell[0] = '[';
                 let last = cell.len() - 1;
                 cell[last] = ']';
-                for (k, ch) in tl.span_label(sp).chars().take(cell.len() - 2).enumerate() {
+                for (k, ch) in sp.label.chars().take(cell.len() - 2).enumerate() {
                     cell[1 + k] = ch;
                 }
             }

@@ -54,11 +54,10 @@ pub enum MemOp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TensorId(pub u64);
 
-/// Interned label symbol: an index into the owning trace's (or timeline's)
-/// [`TraceStrings`] table. Requests and timeline spans carry a 4-byte `Sym`
-/// instead of a heap-allocated `String`, so generating and replaying a
-/// 1M-token trace allocates each distinct label once instead of once per
-/// request.
+/// Interned label symbol: an index into the owning trace's
+/// [`TraceStrings`] table. Requests carry a 4-byte `Sym` instead of a
+/// heap-allocated `String`, so generating and replaying a 1M-token trace
+/// allocates each distinct label once instead of once per request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(pub u32);
 
@@ -67,7 +66,7 @@ impl Sym {
     pub const EMPTY: Sym = Sym(0);
 }
 
-/// Deduplicated label table of one trace or timeline. Index 0 is always the empty
+/// Deduplicated label table of one trace. Index 0 is always the empty
 /// string, so [`Sym::EMPTY`] (and `Sym::default()`) resolve in any table.
 /// Symbols are numbered in order of first sight.
 ///
@@ -122,12 +121,6 @@ impl TraceStrings {
         self.index.insert(label.clone(), i);
         self.strings.push(label);
         Sym(i)
-    }
-
-    /// Pre-size for up to `n` additional distinct labels.
-    pub fn reserve(&mut self, n: usize) {
-        self.strings.reserve(n);
-        self.index.reserve(n);
     }
 
     /// The string behind `sym` (empty string for out-of-table symbols, so a

@@ -44,7 +44,7 @@ impl TraceBuilder {
         }
         for sp in tl.spans() {
             self.events.push(Json::Obj(vec![
-                ("name".into(), Json::str(tl.span_label(sp))),
+                ("name".into(), Json::str(sp.label.as_str())),
                 ("cat".into(), Json::str("sim")),
                 ("ph".into(), Json::str("X")),
                 ("pid".into(), Json::int(pid)),

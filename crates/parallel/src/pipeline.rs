@@ -50,10 +50,6 @@ pub fn simulate(
 ) -> PipelineOutcome {
     assert!(pp >= 1 && m >= 1);
     let mut tl = Timeline::new();
-    // Every (stage, micro-batch) runs one fwd and one bwd op, each with a
-    // recorded event; waits add at most one mark per op.
-    let ops = 2 * pp * m;
-    tl.reserve_ops(ops, 2 * ops, ops);
     let stages: Vec<_> = (0..pp)
         .map(|s| tl.add_stream(format!("stage{s}")))
         .collect();
@@ -127,10 +123,10 @@ pub fn simulate(
                     tl.wait_event(stages[s], ev);
                 }
                 let dur = if is_fwd { t_fwd } else { t_bwd };
-                tl.enqueue_fmt(
+                tl.enqueue(
                     stages[s],
                     dur,
-                    format_args!("{}{}s{}", if is_fwd { "F" } else { "B" }, j, s),
+                    format!("{}{}s{}", if is_fwd { "F" } else { "B" }, j, s),
                 );
                 let ev = tl.record_event(stages[s]);
                 if is_fwd {

@@ -14,12 +14,13 @@
 //! case, [`skeletal_gpu_bytes`]) — it is rebuilt in place right before each
 //! backward.
 //!
-//! This type is a pure state machine over
-//! [`EventId`]s; the executor owns the
+//! [`RoundingBuffers`] is a pure state machine over [`EventId`]s; its
+//! executor, the reference schedule builder (`crate::reference`), owns the
 //! [`Timeline`](memo_hal::engine::Timeline) and asks the manager which event
-//! must be awaited before each transition. Every illegal transition panics:
-//! a buffer-safety bug in the scheduler must never silently corrupt the
-//! simulation.
+//! must be awaited before each transition. `build_schedule` keeps the same
+//! guards as one offload-done and one prefetch-done event per slot. Every
+//! illegal transition panics: a buffer-safety bug in the scheduler must
+//! never silently corrupt the simulation.
 
 use memo_hal::engine::EventId;
 

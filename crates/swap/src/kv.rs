@@ -6,8 +6,10 @@
 //! device turns into per-step streaming traffic: the overlap constraint
 //! becomes "α·S_kv / B ≤ T_step" and the host constraint "α·S_kv ≤
 //! M_host" (a single resident copy: one staged layer). [`plan_kv_swap`]
-//! solves for the largest sustainable α and compares it against the
-//! fraction the device deficit *requires*.
+//! does not solve that program: it returns the fraction the device deficit
+//! *requires*, the host bytes it occupies and the per-step stall of the
+//! transfer compute cannot hide. The caller gates the host bytes on its
+//! own host capacity, and a violated overlap constraint is that stall.
 //!
 //! [`KvPager`] is the MemGPT-style tiered half: whole cold *sequences*
 //! are paged out through [`TierStaging`] down the offload chain (host →
@@ -15,7 +17,6 @@
 //! tier until departure. The serving engine (`memo_core::serving`) uses
 //! the planner for the α leg and the pager for the tiered leg.
 
-use crate::alpha::{solve_alpha, AlphaInputs, BindingConstraint};
 use crate::schedule::{TierTraffic, TierTrafficList};
 use crate::tiers::{OutOfTierMemory, TierStaging};
 
@@ -33,29 +34,18 @@ pub struct KvSwapInputs {
     pub step_compute_secs: f64,
     /// Effective device↔host bandwidth, bytes/s.
     pub host_bandwidth: f64,
-    /// Host DRAM available for swapped KV, bytes.
-    pub host_capacity: u64,
 }
 
-/// Result of the single-tier KV α solve.
+/// The single-tier KV swap at the fraction the device deficit requires.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvSwapPlan {
     /// Fraction that *must* live off device (1/8 grid, rounded up).
     pub alpha_needed: f64,
-    /// Largest α the overlap + host constraints sustain (1/8 grid,
-    /// rounded down, Eq. 1–3 semantics).
-    alpha_max: f64,
-    /// Which constraint fixed `alpha_max`.
-    binding: BindingConstraint,
-    /// `alpha_needed ≤ alpha_max`: the deficit is coverable without
-    /// stalling decode or exhausting the host.
-    feasible: bool,
-    /// Host bytes the swapped fraction occupies.
+    /// Host bytes the swapped fraction occupies (the caller checks them
+    /// against its host capacity).
     pub host_bytes: u64,
-    /// Per-step stall when running at `alpha_needed` anyway: transfer
-    /// time not hidden under compute (0 when the overlap constraint
-    /// holds; ∞-like large when infeasible on host capacity is *not*
-    /// modelled here — check `feasible`).
+    /// Per-step stall of running at `alpha_needed`: transfer time not
+    /// hidden under compute (0 when the overlap constraint holds).
     pub step_overhead_secs: f64,
 }
 
@@ -74,22 +64,10 @@ fn alpha_needed(total_kv_bytes: u64, device_kv_bytes: u64) -> f64 {
     quantize_up(deficit)
 }
 
-/// Solve the single-tier (host) KV α program.
+/// Plan the single-tier (host) KV swap: the fraction the device deficit
+/// requires, its host bytes and its per-step stall.
 pub fn plan_kv_swap(inp: &KvSwapInputs) -> KvSwapPlan {
     let needed = alpha_needed(inp.total_kv_bytes, inp.device_kv_bytes);
-    // Map onto the activation program: no mandatory tensor-level swaps
-    // (s_input = s_attn = 0), the whole KV cache is the α-managed pool,
-    // one decode step is the overlap window, and a single resident copy
-    // stages on the host.
-    let sol = solve_alpha(&AlphaInputs {
-        s_input: 0,
-        s_attn: 0,
-        s_others: inp.total_kv_bytes,
-        bandwidth: inp.host_bandwidth,
-        t_layer_fwd: inp.step_compute_secs,
-        staged_layers: 1,
-        host_capacity: inp.host_capacity,
-    });
     let host_bytes = (needed * inp.total_kv_bytes as f64).ceil() as u64;
     let transfer = if inp.host_bandwidth > 0.0 {
         needed * inp.total_kv_bytes as f64 / inp.host_bandwidth
@@ -100,9 +78,6 @@ pub fn plan_kv_swap(inp: &KvSwapInputs) -> KvSwapPlan {
     };
     KvSwapPlan {
         alpha_needed: needed,
-        alpha_max: sol.alpha,
-        binding: sol.binding,
-        feasible: needed <= sol.alpha + 1e-9 && host_bytes <= inp.host_capacity,
         host_bytes,
         step_overhead_secs: (transfer - inp.step_compute_secs).max(0.0),
     }
@@ -221,10 +196,8 @@ mod tests {
             device_kv_bytes: 16 * GIB,
             step_compute_secs: 0.05,
             host_bandwidth: 20e9,
-            host_capacity: 100 * GIB,
         });
         assert_eq!(plan.alpha_needed, 0.0);
-        assert!(plan.feasible);
         assert_eq!(plan.step_overhead_secs, 0.0);
     }
 
@@ -240,20 +213,16 @@ mod tests {
 
     #[test]
     fn overlap_bound_matches_eq2() {
-        // B·T = 1 GiB of hideable traffic against 4 GiB of KV → α_max
-        // 0.25; a 50% deficit is infeasible, a 25% one is not.
+        // B·T = 1 GiB of hideable traffic against 4 GiB of KV: a 50%
+        // deficit stalls each step, a 25% one hides under compute.
         let base = KvSwapInputs {
             total_kv_bytes: 4 * GIB,
             device_kv_bytes: 2 * GIB,
             step_compute_secs: 1.0,
             host_bandwidth: GIB as f64,
-            host_capacity: 100 * GIB,
         };
         let plan = plan_kv_swap(&base);
-        assert_eq!(plan.alpha_max, 0.25);
         assert_eq!(plan.alpha_needed, 0.5);
-        assert!(!plan.feasible);
-        assert_eq!(plan.binding, BindingConstraint::Overlap);
         // Running anyway stalls: 2 GiB over 1 GiB/s − 1 s compute = 1 s.
         assert!((plan.step_overhead_secs - 1.0).abs() < 1e-9);
 
@@ -261,22 +230,7 @@ mod tests {
             device_kv_bytes: 3 * GIB,
             ..base
         });
-        assert!(ok.feasible);
         assert_eq!(ok.step_overhead_secs, 0.0);
-    }
-
-    #[test]
-    fn host_capacity_binds_like_eq3() {
-        let plan = plan_kv_swap(&KvSwapInputs {
-            total_kv_bytes: 8 * GIB,
-            device_kv_bytes: 4 * GIB,
-            step_compute_secs: 100.0, // overlap never binds
-            host_bandwidth: 20e9,
-            host_capacity: GIB, // host holds only 1/8 of the KV
-        });
-        assert_eq!(plan.alpha_max, 0.125);
-        assert_eq!(plan.binding, BindingConstraint::HostMemory);
-        assert!(!plan.feasible);
     }
 
     #[test]

@@ -1,23 +1,23 @@
-//! The pre-fast-path three-stream schedule builder, kept **verbatim** on
-//! [`memo_hal::reference::Timeline`] as the differential baseline for
-//! [`crate::schedule`] (the same pattern as `memo_alloc::reference`): one
-//! heap-labelled span per op, every layer simulated through the event
-//! machinery.
+//! The pre-fast-path three-stream schedule builder, kept **verbatim** as
+//! the schedule oracle for [`crate::schedule`] (the same pattern as
+//! `memo_alloc::reference`): the paper's uniform layout only, one span per
+//! op on the one [`Timeline`], every layer simulated through the event
+//! machinery and its buffer slots tracked by [`RoundingBuffers`].
 //!
-//! `speed_gates` times this builder against the fast path, and
-//! `crates/swap/tests/differential.rs` drives both in lockstep asserting
-//! bit-identical makespans, per-stream cursors, busy times, host peaks and
-//! OOHM errors. Do not optimise this module.
+//! `speed_gates` times this builder against `build_schedule_scalars`, and
+//! `crates/swap/tests/differential.rs` drives it, `build_schedule` and the
+//! scalars in lockstep asserting bit-identical makespans, per-stream
+//! cursors, busy times, host peaks, OOHM errors and (against
+//! `build_schedule`) span and mark streams. Do not optimise this module.
 
 use crate::buffers::RoundingBuffers;
 use crate::schedule::LayerCosts;
 use crate::tiers::{OutOfTierMemory, TierStaging};
-use memo_hal::engine::StreamId;
-use memo_hal::reference::Timeline;
+use memo_hal::engine::{StreamId, Timeline};
 use memo_hal::time::SimTime;
 
 /// Timing results of one simulated iteration's transformer portion
-/// (mirrors `crate::schedule::ScheduleOutcome` on the reference engine).
+/// (mirrors `crate::schedule::ScheduleOutcome` for the reference builder).
 #[derive(Debug, Clone)]
 pub struct ReferenceScheduleOutcome {
     /// End of the last forward layer (compute stream).

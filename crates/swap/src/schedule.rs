@@ -401,10 +401,9 @@ impl<'a> KickTarget<'a> {
 /// compute. [`LayerSegment::uniform`] is the paper's layout.
 ///
 /// This is the event-machinery simulation (every op a span, every
-/// dependency a recorded event), with arenas pre-sized from the exact op
-/// counts: the `--trace`/Figure-11 path and the differential reference of
-/// [`build_schedule_scalars`], which callers that need only the numbers
-/// use instead.
+/// dependency a recorded event): the `--trace`/Figure-11 path and the
+/// differential reference of [`build_schedule_scalars`], which callers
+/// that need only the numbers use instead.
 pub fn build_schedule(
     segments: &[LayerSegment],
     t_head: SimTime,
@@ -412,25 +411,7 @@ pub fn build_schedule(
     slots: usize,
 ) -> Result<ScheduleOutcome, OutOfTierMemory> {
     let users = validate_layout(segments, slots);
-    // Exact op counts: Swap layers offload in the forward pass and prefetch
-    // in the backward pass; Swap and Recompute layers with a nonzero
-    // `t_recompute` add one recompute span each.
-    let (mut n, mut swaps, mut remats) = (0usize, 0usize, 0usize);
-    for seg in segments {
-        n += seg.count;
-        if seg.policy == SegmentPolicy::Swap {
-            swaps += seg.count;
-        }
-        if seg.policy != SegmentPolicy::Retained && seg.costs.t_recompute > SimTime::ZERO {
-            remats += seg.count;
-        }
-    }
     let mut tl = Timeline::new();
-    let n_spans = 2 * n + 2 * swaps + usize::from(t_head > SimTime::ZERO) + remats;
-    let n_events = 2 * n + 2 * swaps;
-    // Marks: one per recorded event, plus the four wait sites (forward
-    // compute, offload, backward compute, prefetch) — `swaps` each.
-    tl.reserve_ops(n_spans, n_events + 4 * swaps, n_events);
     let compute = tl.add_stream("compute");
     let offload = tl.add_stream("offload");
     let prefetch = tl.add_stream("prefetch");
@@ -448,12 +429,12 @@ pub fn build_schedule(
                     off_done[b % slots].expect("layout validity: previous slot occupant swaps");
                 tl.wait_event(compute, ev);
             }
-            tl.enqueue_fmt(compute, seg.costs.t_fwd, format_args!("fwd L{layer}"));
+            tl.enqueue(compute, seg.costs.t_fwd, format!("fwd L{layer}"));
             let fwd_done = tl.record_event(compute);
             if seg.policy == SegmentPolicy::Swap {
                 staging.reserve_layer(&seg.costs.traffic)?;
                 tl.wait_event(offload, fwd_done);
-                tl.enqueue_fmt(offload, t_transfer, format_args!("off L{layer}"));
+                tl.enqueue(offload, t_transfer, format!("off L{layer}"));
                 off_done[b % slots] = Some(tl.record_event(offload));
             }
             b += usize::from(user);
@@ -472,7 +453,8 @@ pub fn build_schedule(
     // kick for ordinal `b` lands `slots` backwards before `b`'s own, and
     // the kicks in between fill the other slots.
     let mut pf_done: Vec<Option<EventId>> = vec![None; slots];
-    let mut kick = KickTarget::new(segments, users, n);
+    // The forward pass left `layer` at the layer count.
+    let mut kick = KickTarget::new(segments, users, layer);
     for seg in segments.iter().rev() {
         let costs = &seg.costs;
         for _ in 0..seg.count {
@@ -480,7 +462,7 @@ pub fn build_schedule(
             match seg.policy {
                 SegmentPolicy::Recompute => {
                     if costs.t_recompute > SimTime::ZERO {
-                        tl.enqueue_fmt(compute, costs.t_recompute, format_args!("refwd L{layer}"));
+                        tl.enqueue(compute, costs.t_recompute, format!("refwd L{layer}"));
                     }
                 }
                 SegmentPolicy::Swap => {
@@ -488,12 +470,12 @@ pub fn build_schedule(
                     let ev = pf_done[b % slots].expect("prefetch must be kicked before backward");
                     tl.wait_event(compute, ev);
                     if costs.t_recompute > SimTime::ZERO {
-                        tl.enqueue_fmt(compute, costs.t_recompute, format_args!("remat L{layer}"));
+                        tl.enqueue(compute, costs.t_recompute, format!("remat L{layer}"));
                     }
                 }
                 SegmentPolicy::Retained => b -= 1,
             }
-            tl.enqueue_fmt(compute, costs.t_bwd, format_args!("bwd L{layer}"));
+            tl.enqueue(compute, costs.t_bwd, format!("bwd L{layer}"));
             let bwd_done = tl.record_event(compute);
             if seg.policy == SegmentPolicy::Swap {
                 staging.release_layer(&costs.traffic);
@@ -503,7 +485,7 @@ pub fn build_schedule(
                 // the Swap layer occupying ordinal b − slots.
                 let target = kick.seek(b - slots);
                 tl.wait_event(prefetch, bwd_done);
-                tl.enqueue_fmt(prefetch, kick.t_transfer, format_args!("pf L{target}"));
+                tl.enqueue(prefetch, kick.t_transfer, format!("pf L{target}"));
                 pf_done[b % slots] = Some(tl.record_event(prefetch));
             }
         }

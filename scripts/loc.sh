@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Per-crate and total counts of three things in the shipped sources
-# (crates/*/src/**/*.rs and src/**/*.rs):
+# Per-crate and total counts of four things in the shipped sources
+# (crates/*/src/**/*.rs and src/**/*.rs) and manifests:
 #   lines  non-test lines: every line except the items gated by `#[cfg(test)]`
 #          (the attribute, any attributes after it, and the item: one line
 #          for a `use` or other `;` item, otherwise up to its closing brace)
@@ -12,6 +12,9 @@
 #          not in a bin (`src/bin/`), not in any `tests/` or `examples/`. Such
 #          an item is public only because it is re-exported or sits in a
 #          public signature; anything else should be `pub(crate)`.
+#   deps   workspace crates (the packages under crates/) the package's
+#          Cargo.toml lists under `[dependencies]`; dev-dependencies and
+#          the stand-ins under third_party/ do not count
 #
 # Braces are counted as written, so a gated item with an unbalanced brace in a
 # string or char literal would end early or late; the sources have none.
@@ -85,13 +88,43 @@ unref() {
             }'
 }
 
-printf '%-12s %8s %6s %6s\n' crate lines pub unref
+# The package names of the workspace crates, one a line.
+crate_names() {
+    awk '
+        /^\[/ { in_pkg = ($0 == "[package]"); next }
+        in_pkg && match($0, /^name[[:space:]]*=[[:space:]]*"[^"]+"/) {
+            split(substr($0, RSTART, RLENGTH), parts, "\"")
+            print parts[2]
+        }
+    ' crates/*/Cargo.toml
+}
+
+# Prints how many of the crates named in `$2` (one a line) the manifest `$1`
+# lists under `[dependencies]`.
+deps() {
+    awk -v names="$2" '
+        BEGIN { k = split(names, list, "\n"); for (i = 1; i <= k; i++) crate[list[i]] = 1 }
+        /^\[/ { in_deps = ($0 == "[dependencies]"); next }
+        in_deps && match($0, /^[A-Za-z0-9_-]+/) && (substr($0, RSTART, RLENGTH) in crate) { n++ }
+        END { print n + 0 }
+    ' "$1"
+}
+
+crates=$(crate_names)
+printf '%-12s %8s %6s %6s %6s\n' crate lines pub unref deps
 total_lines=0
 total_pub=0
 total_unref=0
+total_deps=0
 for dir in crates/*/src src; do
     [ -d "$dir" ] || continue
-    if [ "$dir" = src ]; then name=memo; else name=$(basename "$(dirname "$dir")"); fi
+    if [ "$dir" = src ]; then
+        name=memo
+        manifest=Cargo.toml
+    else
+        name=$(basename "$(dirname "$dir")")
+        manifest=$(dirname "$dir")/Cargo.toml
+    fi
     out=$(count "$dir")
     lines=0
     pubs=0
@@ -99,9 +132,11 @@ for dir in crates/*/src src; do
         [ "$a" = name ] || { lines=$((lines + a)); pubs=$((pubs + b)); }
     done <<<"$out"
     unrefs=$(unref "$dir" "$(awk '$1 == "name" { print $2 }' <<<"$out")")
-    printf '%-12s %8d %6d %6d\n' "$name" "$lines" "$pubs" "$unrefs"
+    ndeps=$(deps "$manifest" "$crates")
+    printf '%-12s %8d %6d %6d %6d\n' "$name" "$lines" "$pubs" "$unrefs" "$ndeps"
     total_lines=$((total_lines + lines))
     total_pub=$((total_pub + pubs))
     total_unref=$((total_unref + unrefs))
+    total_deps=$((total_deps + ndeps))
 done
-printf '%-12s %8d %6d %6d\n' total "$total_lines" "$total_pub" "$total_unref"
+printf '%-12s %8d %6d %6d %6d\n' total "$total_lines" "$total_pub" "$total_unref" "$total_deps"

@@ -9,7 +9,7 @@
 use memo::core::observer::RunObserver;
 use memo::core::outcome::CellOutcome;
 use memo::core::session::{pick_best_or_failure, Workload};
-use memo::core::ServingEngine;
+use memo::core::{ServingEngine, ServingReport};
 use memo::model::config::ModelConfig;
 use memo::obs::alloc_trace::chrome_memory_counters;
 use memo::obs::chrome::TraceBuilder;
@@ -212,12 +212,21 @@ impl ObsSink {
     }
 
     /// Record a serving cell: no strategy, no observed pipeline — just
-    /// the outcome (tokens/sec as TGS, decode utilization as MFU).
-    fn record_serving(&mut self, workload: &Workload, system: SystemSpec, out: &CellOutcome) {
+    /// the outcome (tokens/sec as TGS, decode utilization as MFU) and the
+    /// run's rejected and preempted sequence counts.
+    fn record_serving(
+        &mut self,
+        workload: &Workload,
+        system: SystemSpec,
+        rep: &ServingReport,
+        out: &CellOutcome,
+    ) {
         self.reports.push(Json::Obj(vec![
             ("seq".into(), Json::int(workload.seq_len)),
             ("system".into(), Json::str(system.name())),
             ("outcome".into(), outcome_json(out)),
+            ("rejected".into(), Json::int(rep.rejected as u64)),
+            ("preempted".into(), Json::int(rep.preempted as u64)),
         ]));
     }
 }
@@ -295,9 +304,8 @@ fn report(
     // Serving cells replay the decode engine — there is no strategy
     // search, pipeline, or observer behind them.
     if let SystemSpec::Serving(policy) = system {
-        let outcome = ServingEngine::from_workload(workload, policy)
-            .run()
-            .to_outcome();
+        let rep = ServingEngine::from_workload(workload, policy).run();
+        let outcome = rep.to_outcome();
         match outcome.metrics() {
             Some(m) => println!(
                 "{:<12} {:<18} util {:5.2}%   tok/s {:9.2}   KV {:5.1} GiB   host {:5.1} GiB{}",
@@ -312,7 +320,7 @@ fn report(
             None => println!("{:<12} {}", system.name(), outcome.cell()),
         }
         if let Some(sink) = sink {
-            sink.record_serving(workload, system, &outcome);
+            sink.record_serving(workload, system, &rep, &outcome);
         }
         return true;
     }

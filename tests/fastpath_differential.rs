@@ -7,8 +7,8 @@
 //! reported number — outcome metrics, byte and time breakdowns, and the
 //! OOM/OOHM diagnostics — across all six execution modes and the mixed
 //! `[Swap][Recompute][Retained]` layouts. Underneath, both schedule
-//! builders must match the verbatim pre-fast-path event loop on the
-//! reference engine.
+//! builders must match the verbatim pre-fast-path schedule builder
+//! (`memo_swap::reference`).
 
 use memo::core::observer::RunObserver;
 use memo::core::session::Workload;
@@ -64,8 +64,8 @@ fn six_modes_bit_identical_across_sequence_lengths() {
 
 #[test]
 fn schedule_builder_matches_the_reference_engine() {
-    // The profiled MEMO inputs `speed_gates` times: reference engine vs the
-    // interned engine's recorded build and the scalar (spliced) build.
+    // The profiled MEMO inputs `speed_gates` times: the reference builder
+    // vs `build_schedule`'s recorded build and the scalar (spliced) build.
     for s_k in [64, 256, 1024] {
         let si = sim_inputs(&w7(s_k), &mega());
         let r = si.reference();
