@@ -24,14 +24,23 @@
 //!
 //! Blocks are nodes of one slab, linked `prev`/`next` to their address
 //! neighbours inside their segment, the way `CUDACachingAllocator` links
-//! its `Block`s: a live tensor maps straight to its node, and splitting
-//! and coalescing are link edits. The free blocks are indexed **by size
-//! class**: each pool keeps 64 power-of-two classes over the 512 B-rounded
-//! sizes (class *k* holds sizes in `[512·2^k, 512·2^(k+1))`) with a `u64`
-//! occupancy bitmap for first-nonempty-class lookup and an in-class
-//! best-fit scan. A free node records its position in its class, so
-//! taking it out is one `swap_remove`. Apart from that scan, `malloc` and
-//! `free` are O(1): one hash lookup of the tensor and a few link edits.
+//! its `Block`s, and splitting and coalescing are link edits. The core
+//! hands out and takes back blocks, not tensors: `alloc` returns a block's
+//! node and `release` frees by node, the way PyTorch frees by `Block`. The
+//! free blocks are indexed **by size class**: each pool keeps 64
+//! power-of-two classes over the 512 B-rounded sizes (class *k* holds sizes
+//! in `[512·2^k, 512·2^(k+1))`) with a `u64` occupancy bitmap for
+//! first-nonempty-class lookup and an in-class best-fit scan. A free node
+//! records its position in its class, so taking it out is one
+//! `swap_remove`. Apart from that scan, a request is O(1): a few link
+//! edits, plus finding the tensor's block.
+//!
+//! A trace replay ([`DeviceAllocator::serve`], which every function of
+//! [`crate::snapshot`] goes through) finds it without hashing: trace ids
+//! are malloc ordinals ([`memo_model::trace::IterationTrace::tensors`]),
+//! so the replay keeps each tensor's node in a `Vec` indexed by id. Only
+//! `malloc`/`free`, whose callers pick their own ids, hash the tensor into
+//! a map.
 //!
 //! The pre-optimization implementation survives verbatim as
 //! [`crate::reference::ReferenceCachingAllocator`], and the two are kept
@@ -42,7 +51,8 @@
 
 use crate::{AllocError, DeviceAllocator};
 use memo_model::hash::FxHashMap;
-use memo_model::trace::TensorId;
+use memo_model::trace::{MemOp, Request, TensorId};
+use std::ops::ControlFlow;
 
 const ROUND: u64 = 512;
 const SMALL_LIMIT: u64 = 1 << 20; // requests below this go to the small pool
@@ -102,21 +112,23 @@ fn absorb_next(nodes: &mut [Node], keep: u32, gone: u32) {
     }
 }
 
-/// One cached free block: the `(size, base, off)` triple the old BTree
-/// index stored, kept in a size-class bucket with its node.
+/// One cached free block, kept in a size-class bucket with its node: its
+/// size and address, the sort key of best fit. The old BTree index sorted
+/// `(size, base, off)`, and `(size, base + off)` sorts the same way:
+/// segments never overlap, and a later base lies above every block of an
+/// earlier segment (the cursor only grows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FreeEntry {
     size: u64,
-    base: u64,
-    off: u64,
+    addr: u64,
     node: u32,
 }
 
 impl FreeEntry {
-    /// The old index's sort key — best-fit order is min over this tuple.
+    /// The best-fit order: min over this pair.
     #[inline]
-    fn key(&self) -> (u64, u64, u64) {
-        (self.size, self.base, self.off)
+    fn key(&self) -> (u64, u64) {
+        (self.size, self.addr)
     }
 }
 
@@ -155,8 +167,7 @@ impl SegregatedLists {
         n.slot = class.len() as u32;
         class.push(FreeEntry {
             size: n.size,
-            base,
-            off: n.off,
+            addr: base + n.off,
             node,
         });
         self.occupancy |= 1 << k;
@@ -182,23 +193,18 @@ impl SegregatedLists {
     }
 
     /// Best-fit lookup, bit-exact with the BTree's
-    /// `range((rounded, 0, 0)..).next()`: the minimum `(size, base, off)`
-    /// tuple among entries with `size ≥ rounded`. The request's own class
+    /// `range((rounded, 0, 0)..).next()`: the node of the minimum
+    /// `(size, addr)` entry with `size ≥ rounded`. The request's own class
     /// is scanned for fitting entries; every entry in a higher class is
     /// strictly larger than every entry here, so on a miss the occupancy
     /// bitmap jumps straight to the first nonempty higher class and the
-    /// scan there only resolves `(base, off)` ties on equal sizes.
-    fn best_fit(&self, rounded: u64) -> Option<FreeEntry> {
+    /// scan there only resolves address ties on equal sizes.
+    fn best_fit(&self, rounded: u64) -> Option<u32> {
         let k = class_of(rounded);
         if self.occupancy & (1 << k) != 0 {
-            let mut best: Option<FreeEntry> = None;
-            for e in &self.classes[k] {
-                if e.size >= rounded && best.is_none_or(|b| e.key() < b.key()) {
-                    best = Some(*e);
-                }
-            }
-            if best.is_some() {
-                return best;
+            let fits = self.classes[k].iter().filter(|e| e.size >= rounded);
+            if let Some(e) = fits.min_by_key(|e| e.key()) {
+                return Some(e.node);
             }
         }
         let higher = if k + 1 >= N_CLASSES {
@@ -210,13 +216,10 @@ impl SegregatedLists {
             return None;
         }
         let j = higher.trailing_zeros() as usize;
-        let mut best: Option<FreeEntry> = None;
-        for e in &self.classes[j] {
-            if best.is_none_or(|b| e.key() < b.key()) {
-                best = Some(*e);
-            }
-        }
-        best
+        self.classes[j]
+            .iter()
+            .min_by_key(|e| e.key())
+            .map(|e| e.node)
     }
 
     /// The largest cached size: the max entry of the highest nonempty class.
@@ -311,8 +314,10 @@ pub struct CachingAllocator {
     spare: Vec<u32>,
     /// Free lists, indexed by [`Pool`].
     free: [SegregatedLists; 2],
-    /// Live tensor → its block.
+    /// Tensor → its block, for the tensors `malloc` handed out.
     live: FxHashMap<TensorId, u32>,
+    /// Blocks handed out and not released, however they were named.
+    live_blocks: usize,
     allocated: u64,
     reserved: u64,
     stats: CachingStats,
@@ -332,6 +337,7 @@ impl CachingAllocator {
             spare: Vec::new(),
             free: [SegregatedLists::new(), SegregatedLists::new()],
             live: FxHashMap::default(),
+            live_blocks: 0,
             allocated: 0,
             reserved: 0,
             stats: CachingStats::default(),
@@ -459,7 +465,7 @@ impl CachingAllocator {
     /// reorganisation in debug builds: reserved bytes are exactly the
     /// allocated plus the cached free ones (unsplit slack counts as
     /// allocated), `allocated ≤ reserved ≤ capacity`, and the segments'
-    /// live-block counts sum to the live tensors.
+    /// live-block counts sum to the blocks handed out and not released.
     #[inline]
     fn check_accounting(&self) {
         debug_assert_eq!(
@@ -476,7 +482,7 @@ impl CachingAllocator {
         );
         debug_assert_eq!(
             self.segments.iter().map(|s| s.live_blocks).sum::<usize>(),
-            self.live.len(),
+            self.live_blocks,
             "segment live blocks != live tensors"
         );
     }
@@ -495,8 +501,8 @@ impl CachingAllocator {
 
     /// Hand the free block `node` out for a `rounded`-byte request,
     /// splitting off the remainder as a new free block when it is large
-    /// enough. Returns the block's address.
-    fn take_block(&mut self, pool: Pool, node: u32, rounded: u64) -> u64 {
+    /// enough.
+    fn take_block(&mut self, pool: Pool, node: u32, rounded: u64) {
         self.free[pool as usize].remove(&mut self.nodes, node);
         let Node {
             seg,
@@ -532,17 +538,22 @@ impl CachingAllocator {
             self.allocated += size;
         }
         self.segments[seg as usize].live_blocks += 1;
-        base + off
+        self.live_blocks += 1;
     }
 
-    /// Give `node` to tensor `id` and record the malloc.
-    fn hand_out(&mut self, id: TensorId, pool: Pool, node: u32, rounded: u64) -> u64 {
-        let addr = self.take_block(pool, node, rounded);
-        self.live.insert(id, node);
+    /// Hand `node` out for tensor `id` and record the malloc.
+    fn hand_out(&mut self, id: TensorId, pool: Pool, node: u32, rounded: u64) -> u32 {
+        self.take_block(pool, node, rounded);
         self.stats.peak_allocated = self.stats.peak_allocated.max(self.allocated);
         self.emit(AllocEventKind::Malloc, Some(id), rounded);
         self.check_accounting();
-        addr
+        node
+    }
+
+    /// The address of block `node`.
+    fn address(&self, node: u32) -> u64 {
+        let Node { seg, off, .. } = self.nodes[node as usize];
+        self.segments[seg as usize].base + off
     }
 
     /// Simulated `cudaMalloc`: create a new segment with one free block.
@@ -635,28 +646,26 @@ impl CachingAllocator {
         }
         lists.insert(nodes, merged, base);
     }
-}
 
-impl DeviceAllocator for CachingAllocator {
-    fn malloc(&mut self, id: TensorId, bytes: u64) -> Result<u64, AllocError> {
-        assert!(
-            !self.live.contains_key(&id),
-            "tensor {} allocated twice",
-            id.0
-        );
+    /// The block-handle core of every malloc: serve `bytes` from the pools
+    /// (best fit, else a fresh segment, else reorganise and retry) and
+    /// return the block's node, or `None` when the device is out of memory
+    /// ([`Self::out_of_memory`] then describes it). Nothing maps a tensor
+    /// to the node; `id` only labels the events.
+    fn alloc(&mut self, id: TensorId, bytes: u64) -> Option<u32> {
         let rounded = Self::round_size(bytes);
         let pool = Self::pool_for(rounded);
         self.stats.n_mallocs += 1;
 
         // 1. cached block?
-        if let Some(e) = self.free[pool as usize].best_fit(rounded) {
-            return Ok(self.hand_out(id, pool, e.node, rounded));
+        if let Some(node) = self.free[pool as usize].best_fit(rounded) {
+            return Some(self.hand_out(id, pool, node, rounded));
         }
 
         // 2. fresh segment?
         let seg_size = Self::segment_size_for(pool, rounded);
         if let Some(node) = self.cuda_malloc(pool, seg_size) {
-            return Ok(self.hand_out(id, pool, node, rounded));
+            return Some(self.hand_out(id, pool, node, rounded));
         }
 
         // 3. reorganise and retry (the expensive path). Released segments
@@ -666,15 +675,83 @@ impl DeviceAllocator for CachingAllocator {
         self.emit(AllocEventKind::Reorg, None, 0);
         self.release_cached_segments();
         self.check_accounting();
-        match self.cuda_malloc(pool, seg_size) {
-            Some(node) => Ok(self.hand_out(id, pool, node, rounded)),
-            None => Err(AllocError::OutOfMemory {
-                requested: bytes,
-                allocated: self.allocated,
-                reserved: self.reserved,
-                capacity: self.capacity,
-            }),
+        let node = self.cuda_malloc(pool, seg_size)?;
+        Some(self.hand_out(id, pool, node, rounded))
+    }
+
+    /// The error of the malloc of `bytes` that [`Self::alloc`] just failed.
+    fn out_of_memory(&self, bytes: u64) -> AllocError {
+        AllocError::OutOfMemory {
+            requested: bytes,
+            allocated: self.allocated,
+            reserved: self.reserved,
+            capacity: self.capacity,
         }
+    }
+
+    /// The block-handle core of every free: return the live block `node`
+    /// to its pool. `id` only labels the event.
+    fn release(&mut self, id: TensorId, node: u32) {
+        let Node { seg, size, .. } = self.nodes[node as usize];
+        debug_assert!(!self.nodes[node as usize].is_free());
+        self.allocated -= size;
+        self.segments[seg as usize].live_blocks -= 1;
+        self.live_blocks -= 1;
+        self.stats.n_frees += 1;
+        self.coalesce(node);
+        self.emit(AllocEventKind::Free, Some(id), size);
+        self.check_accounting();
+    }
+
+    /// One request of [`DeviceAllocator::serve`], with `blocks` holding the
+    /// node of each tensor the replay allocated (`NIL` while not live).
+    /// Breaks with the bytes of a malloc the device cannot serve. The map
+    /// is read only while `malloc` holds some tensor, to keep a duplicate
+    /// from passing.
+    ///
+    /// Never inlined, so the closure `serve` passes to `try_for_each` is one
+    /// call and inlines into the trace's iterator adapters; with this body
+    /// inlined into it, the adapters call the closure per request instead,
+    /// about a third slower.
+    #[inline(never)]
+    fn serve_one(&mut self, blocks: &mut [u32], r: Request) -> ControlFlow<u64> {
+        let block = &mut blocks[r.tensor.0 as usize];
+        match r.op {
+            MemOp::Malloc => {
+                let by_id = !self.live.is_empty() && self.live.contains_key(&r.tensor);
+                assert!(
+                    *block == NIL && !by_id,
+                    "tensor {} allocated twice",
+                    r.tensor.0
+                );
+                match self.alloc(r.tensor, r.bytes) {
+                    Some(node) => *block = node,
+                    None => return ControlFlow::Break(r.bytes),
+                }
+            }
+            MemOp::Free => match std::mem::replace(block, NIL) {
+                // Not this replay's: a tensor `malloc` holds, or an unknown
+                // one, which `free` rejects.
+                NIL => self.free(r.tensor),
+                node => self.release(r.tensor, node),
+            },
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+impl DeviceAllocator for CachingAllocator {
+    fn malloc(&mut self, id: TensorId, bytes: u64) -> Result<u64, AllocError> {
+        assert!(
+            !self.live.contains_key(&id),
+            "tensor {} allocated twice",
+            id.0
+        );
+        let Some(node) = self.alloc(id, bytes) else {
+            return Err(self.out_of_memory(bytes));
+        };
+        self.live.insert(id, node);
+        Ok(self.address(node))
     }
 
     fn free(&mut self, id: TensorId) {
@@ -682,14 +759,30 @@ impl DeviceAllocator for CachingAllocator {
             .live
             .remove(&id)
             .unwrap_or_else(|| panic!("freeing unknown tensor {}", id.0));
-        let Node { seg, size, .. } = self.nodes[node as usize];
-        debug_assert!(!self.nodes[node as usize].is_free());
-        self.allocated -= size;
-        self.segments[seg as usize].live_blocks -= 1;
-        self.stats.n_frees += 1;
-        self.coalesce(node);
-        self.emit(AllocEventKind::Free, Some(id), size);
-        self.check_accounting();
+        self.release(id, node);
+    }
+
+    /// The trace replay's fast path: each tensor's node sits in a table of
+    /// `tensors` entries indexed by id, so no request hashes its tensor.
+    /// The checks are `malloc`'s and `free`'s, with their messages. A
+    /// tensor the requests leave live keeps its block, but no later
+    /// request can name it.
+    fn serve(
+        &mut self,
+        tensors: usize,
+        mut requests: impl Iterator<Item = Request>,
+        mut served: impl FnMut(&Self),
+    ) -> Result<(), AllocError> {
+        let mut blocks = vec![NIL; tensors];
+        let failed = requests.try_for_each(|r| {
+            self.serve_one(&mut blocks, r)?;
+            served(self);
+            ControlFlow::Continue(())
+        });
+        match failed {
+            ControlFlow::Continue(()) => Ok(()),
+            ControlFlow::Break(bytes) => Err(self.out_of_memory(bytes)),
+        }
     }
 
     fn allocated_bytes(&self) -> u64 {
@@ -1069,6 +1162,59 @@ mod tests {
     fn unknown_free_panics() {
         let mut a = CachingAllocator::new(1 << 30);
         a.free(tid(42));
+    }
+
+    /// A one-segment trace of `(op, id)` requests of 1 KiB each.
+    fn trace_of(requests: &[(MemOp, u64)]) -> memo_model::trace::IterationTrace {
+        use memo_model::trace::{IterationTrace, SegmentKind, Sym, TraceSegment, TraceStrings};
+        let requests = requests
+            .iter()
+            .map(|&(op, id)| Request {
+                op,
+                tensor: tid(id),
+                bytes: 1024,
+                label: Sym::EMPTY,
+            })
+            .collect();
+        let segment = TraceSegment {
+            kind: SegmentKind::EmbeddingFwd,
+            requests,
+        };
+        IterationTrace::from_segments(vec![segment], TraceStrings::new()).unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "tensor 0 allocated twice")]
+    fn replayed_double_malloc_panics() {
+        let trace = trace_of(&[(MemOp::Malloc, 5), (MemOp::Malloc, 5)]);
+        let _ = crate::snapshot::replay_peak(&mut CachingAllocator::new(1 << 30), &trace);
+    }
+
+    #[test]
+    #[should_panic(expected = "tensor 1 allocated twice")]
+    fn replayed_malloc_of_a_tensor_malloc_holds_panics() {
+        let mut a = CachingAllocator::new(1 << 30);
+        a.malloc(tid(1), 1024).unwrap();
+        let trace = trace_of(&[(MemOp::Malloc, 7), (MemOp::Malloc, 8)]);
+        let _ = crate::snapshot::replay_peak(&mut a, &trace);
+    }
+
+    #[test]
+    #[should_panic(expected = "freeing unknown tensor 1")]
+    fn replayed_unknown_free_panics() {
+        let trace = trace_of(&[(MemOp::Malloc, 5), (MemOp::Free, 6)]);
+        let _ = crate::snapshot::replay_peak(&mut CachingAllocator::new(1 << 30), &trace);
+    }
+
+    #[test]
+    fn replay_frees_a_tensor_malloc_holds() {
+        // Trace ids are malloc ordinals; a free the replay did not allocate
+        // goes to the tensors `malloc` holds.
+        let mut a = CachingAllocator::new(1 << 30);
+        a.malloc(tid(0), 1024).unwrap();
+        let trace = trace_of(&[(MemOp::Free, 9)]);
+        assert_eq!(crate::snapshot::replay_peak(&mut a, &trace).1, None);
+        assert_eq!(a.allocated_bytes(), 0);
     }
 
     #[test]

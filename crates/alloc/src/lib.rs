@@ -37,7 +37,7 @@ pub mod plan;
 pub mod reference;
 pub mod snapshot;
 
-use memo_model::trace::TensorId;
+use memo_model::trace::{MemOp, Request, TensorId};
 
 /// Result of a failed allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,7 +83,7 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
-/// Common interface of the two allocators.
+/// Common interface of the training allocators.
 pub trait DeviceAllocator {
     /// Allocate `bytes` for tensor `id`; returns the device address.
     fn malloc(&mut self, id: TensorId, bytes: u64) -> Result<u64, AllocError>;
@@ -95,4 +95,32 @@ pub trait DeviceAllocator {
     fn reserved_bytes(&self) -> u64;
     /// Number of reorganisation episodes so far (always 0 for plans).
     fn reorg_count(&self) -> u64;
+
+    /// Serve `requests`, whose tensor ids are all below `tensors`, in
+    /// order, calling `served` after each; stop at the first failed malloc
+    /// and return its error. The trace replays of [`snapshot`] all come
+    /// here. By default every request goes through [`malloc`] or [`free`]
+    /// by id; the caching allocator keeps the tensors in a table of
+    /// `tensors` entries instead.
+    ///
+    /// [`malloc`]: DeviceAllocator::malloc
+    /// [`free`]: DeviceAllocator::free
+    fn serve(
+        &mut self,
+        tensors: usize,
+        mut requests: impl Iterator<Item = Request>,
+        mut served: impl FnMut(&Self),
+    ) -> Result<(), AllocError> {
+        let _ = tensors;
+        requests.try_for_each(|r| {
+            match r.op {
+                MemOp::Malloc => {
+                    self.malloc(r.tensor, r.bytes)?;
+                }
+                MemOp::Free => self.free(r.tensor),
+            }
+            served(self);
+            Ok(())
+        })
+    }
 }

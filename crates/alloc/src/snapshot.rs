@@ -6,7 +6,7 @@
 //! fragmentation.
 
 use crate::{AllocError, DeviceAllocator};
-use memo_model::trace::{IterationTrace, MemOp};
+use memo_model::trace::{IterationTrace, MemOp, Request, Sym, TensorId};
 
 /// One sample of the series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,23 +94,15 @@ fn human_gib(b: u64) -> String {
 /// Stops at the first OOM (recorded in the result) — like a real job crash.
 pub fn replay<A: DeviceAllocator>(alloc: &mut A, trace: &IterationTrace) -> SnapshotSeries {
     let mut samples = Vec::with_capacity(trace.len());
-    let mut oom = None;
-    for (i, r) in trace.flatten().enumerate() {
-        match r.op {
-            MemOp::Malloc => {
-                if let Err(e) = alloc.malloc(r.tensor, r.bytes) {
-                    oom = Some(e);
-                    break;
-                }
-            }
-            MemOp::Free => alloc.free(r.tensor),
-        }
-        samples.push(Sample {
-            request_index: i,
-            allocated: alloc.allocated_bytes(),
-            reserved: alloc.reserved_bytes(),
-        });
-    }
+    let oom = alloc
+        .serve(trace.tensors(), trace.flatten(), |a| {
+            samples.push(Sample {
+                request_index: samples.len(),
+                allocated: a.allocated_bytes(),
+                reserved: a.reserved_bytes(),
+            })
+        })
+        .err();
     SnapshotSeries {
         samples,
         reorgs: alloc.reorg_count(),
@@ -127,18 +119,44 @@ pub fn replay_peak<A: DeviceAllocator>(
     trace: &IterationTrace,
 ) -> (u64, Option<AllocError>) {
     let mut peak = 0;
-    for r in trace.flatten() {
-        match r.op {
-            MemOp::Malloc => {
-                if let Err(e) = alloc.malloc(r.tensor, r.bytes) {
-                    return (peak, Some(e));
-                }
-            }
-            MemOp::Free => alloc.free(r.tensor),
-        }
-        peak = peak.max(alloc.reserved_bytes());
+    let oom = alloc
+        .serve(trace.tensors(), trace.flatten(), |a| {
+            peak = peak.max(a.reserved_bytes())
+        })
+        .err();
+    (peak, oom)
+}
+
+/// Replay `trace` the way a PyTorch training job meets it: a warm-up
+/// iteration, then the optimizer's lazy allocation of the `persistent`
+/// tensors (never freed; ids `trace.tensors() + k`), then a steady-state
+/// iteration, all on `alloc`. `before_steady` runs just before the steady
+/// iteration (to start an event log, say). Returns the steady iteration's
+/// peak reserved bytes and reorganisation count, or the first OOM.
+pub fn replay_training<A: DeviceAllocator>(
+    alloc: &mut A,
+    trace: &IterationTrace,
+    persistent: &[u64],
+    before_steady: impl FnOnce(&mut A),
+) -> Result<(u64, u64), AllocError> {
+    let tensors = trace.tensors();
+    let held = persistent.iter().enumerate().map(|(k, &bytes)| Request {
+        op: MemOp::Malloc,
+        tensor: TensorId((tensors + k) as u64),
+        bytes,
+        label: Sym::EMPTY,
+    });
+    alloc.serve(
+        tensors + persistent.len(),
+        trace.flatten().chain(held),
+        |_| (),
+    )?;
+    let reorgs = alloc.reorg_count();
+    before_steady(alloc);
+    match replay_peak(alloc, trace) {
+        (peak, None) => Ok((peak, alloc.reorg_count() - reorgs)),
+        (_, Some(err)) => Err(err),
     }
-    (peak, None)
 }
 
 #[cfg(test)]
@@ -233,6 +251,41 @@ mod tests {
             assert_eq!(oom, series.oom, "{capacity}");
             assert_eq!(b.reorg_count(), series.reorgs, "{capacity}");
         }
+    }
+
+    #[test]
+    fn sparse_ids_replay_through_a_table_of_tensors_entries() {
+        // Ids near `u64::MAX` fold to malloc ordinals, so the handle table
+        // has `tensors()` entries; one sized by the ids could not be built.
+        use crate::reference::ReferenceCachingAllocator;
+        use memo_model::trace::{SegmentKind, TraceSegment, TraceStrings};
+        let request = |op, id: u64| Request {
+            op,
+            tensor: TensorId(u64::MAX - id),
+            bytes: (id + 1) << 20,
+            label: Sym::EMPTY,
+        };
+        let requests = vec![
+            request(MemOp::Malloc, 0),
+            request(MemOp::Malloc, 9),
+            request(MemOp::Free, 0),
+            request(MemOp::Malloc, 4),
+            request(MemOp::Free, 9),
+            request(MemOp::Free, 4),
+        ];
+        let segment = TraceSegment {
+            kind: SegmentKind::EmbeddingFwd,
+            requests,
+        };
+        let trace = IterationTrace::from_segments(vec![segment], TraceStrings::new()).unwrap();
+        assert_eq!(trace.tensors(), 3);
+        let mut fast = CachingAllocator::new(1 << 30);
+        let mut reference = ReferenceCachingAllocator::new(1 << 30);
+        assert_eq!(replay(&mut fast, &trace), replay(&mut reference, &trace));
+        assert_eq!(
+            replay_training(&mut fast, &trace, &[3 << 20], |_| ()),
+            replay_training(&mut reference, &trace, &[3 << 20], |_| ())
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use memo_alloc::caching::CachingAllocator;
 use memo_alloc::reference::ReferenceCachingAllocator;
-use memo_alloc::{snapshot, DeviceAllocator};
+use memo_alloc::{snapshot, AllocError, DeviceAllocator};
 use memo_model::activations::LayerDims;
 use memo_model::config::{DType, ModelConfig};
 use memo_model::trace::{generate, IterationTrace, MemOp, RematPolicy, TensorId, TraceParams};
@@ -303,6 +303,74 @@ fn identical_on_the_search_replay_shape() {
     }
     assert!(reorganised > 0, "no run survived by reorganising");
     assert!(ooms > 0, "no capacity forced an OOM");
+}
+
+/// `snapshot::replay_training`, the caching-replay search's whole replay
+/// (warm-up, persistent tensors, steady iteration), on a fresh device of
+/// `capacity`: the handle path against the reference, which serves the
+/// same requests by `TensorId`. Both must agree on the steady peak and
+/// reorganisations or the OOM, on the stats and on the full event stream.
+fn assert_training_replays_identical(
+    trace: &IterationTrace,
+    persistent: &[u64],
+    capacity: u64,
+    what: &str,
+) -> Result<(u64, u64), AllocError> {
+    let mut new = CachingAllocator::new(capacity);
+    let mut old = ReferenceCachingAllocator::new(capacity);
+    new.record_events(true);
+    old.record_events(true);
+    let replayed = snapshot::replay_training(&mut new, trace, persistent, |_| ());
+    let reference = snapshot::replay_training(&mut old, trace, persistent, |_| ());
+    assert_eq!(replayed, reference, "{what}: outcome diverged");
+    assert_eq!(new.reorg_count(), old.reorg_count(), "{what}: reorgs");
+    assert_eq!(new.stats(), old.stats(), "{what}: stats diverged");
+    assert_eq!(
+        new.take_events(),
+        old.take_events(),
+        "{what}: events diverged"
+    );
+    replayed
+}
+
+#[test]
+fn identical_on_the_training_replay_entry_point() {
+    // All three remat policies of 7B on 8 GPUs (TP4·CP2) at 1M: a roomy
+    // device, then devices cut to fractions of the roomy run's steady peak
+    // until one survives only by reorganising and one runs out of memory.
+    let m = ModelConfig::gpt_7b();
+    let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+    let persistent = memo_parallel::memory::persistent_tensor_sizes(&m, &cfg);
+    for policy in [
+        RematPolicy::KeepAll,
+        RematPolicy::FullRecompute,
+        RematPolicy::MemoTokenWise,
+    ] {
+        let trace = sharded_trace(&m, &cfg, 1 << 20, policy);
+        let what = |capacity: u64| format!("7B {policy:?} @ {capacity} B");
+        let roomy = 1u64 << 42;
+        let (peak, reorgs) =
+            assert_training_replays_identical(&trace, &persistent, roomy, &what(roomy))
+                .expect("the roomy device fits");
+        assert_eq!(reorgs, 0, "the roomy device reorganises");
+        let (mut reorganised, mut oom) = (false, false);
+        for permille in [1000u64, 995, 990, 980, 960, 900, 600] {
+            let capacity = peak / 1000 * permille;
+            match assert_training_replays_identical(&trace, &persistent, capacity, &what(capacity))
+            {
+                Ok((_, reorgs)) => reorganised |= reorgs > 0,
+                Err(_) => oom = true,
+            }
+            if reorganised && oom {
+                break;
+            }
+        }
+        assert!(
+            reorganised,
+            "{policy:?}: no device survived by reorganising"
+        );
+        assert!(oom, "{policy:?}: no device ran out of memory");
+    }
 }
 
 mod random_scripts {

@@ -14,9 +14,11 @@
 //!   (`memo_swap::reference`, every op a recorded span) at MEMO@1M;
 //! * paged KV replay ≥ 3× the caching allocator's realloc pattern at
 //!   13B@256K;
-//! * caching-allocator trace replay ≥ 3× `ReferenceCachingAllocator` on
-//!   the 7B/8-GPU (TP4·CP2) traces at {64K, 256K, 1M} × {FullRecompute,
-//!   KeepAll};
+//! * the caching-replay search's whole replay (`replay_training`:
+//!   warm-up, persistent tensors, steady iteration) on `CachingAllocator`
+//!   ≥ 3× the same on `ReferenceCachingAllocator`, which serves it by
+//!   `TensorId`, over the 7B/8-GPU (TP4·CP2) traces at {64K, 256K, 1M} ×
+//!   {FullRecompute, KeepAll};
 //! * the "delta" gates: grid rows (`Workload::run_alpha_grid`) over the
 //!   dense MEMO@1M grid, warm sweep ≥ 3× and cold sweep ≥ 1× the per-cell
 //!   `execute_cached` baseline (median of alternating pairs, caches
@@ -48,7 +50,7 @@
 use memo_alloc::caching::CachingAllocator;
 use memo_alloc::paged::PagedKvAllocator;
 use memo_alloc::reference::ReferenceCachingAllocator;
-use memo_alloc::snapshot::replay_peak;
+use memo_alloc::snapshot::replay_training;
 use memo_alloc::DeviceAllocator;
 use memo_bench::inputs::{kv_cell, memo_grid, replay_traces, sim_inputs, KvCell, MemoGrid};
 use memo_core::cache::ProfileCache;
@@ -59,6 +61,7 @@ use memo_model::chunked::ChunkedParams;
 use memo_model::config::ModelConfig;
 use memo_model::decode::DecodeEvent;
 use memo_model::trace::{IterationTrace, TensorId};
+use memo_parallel::memory::persistent_tensor_sizes;
 use memo_parallel::pool::{available_workers, Pool};
 use memo_parallel::search::enumerate_configs;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
@@ -240,25 +243,33 @@ fn kv_gate() -> bool {
     )
 }
 
-/// The warm-up and steady passes a caching-replay search runs per config,
-/// on a fresh device large enough that neither pass reorganises.
-fn replay_twice<A: DeviceAllocator>(mut a: A, trace: &IterationTrace) {
-    black_box(replay_peak(&mut a, trace));
-    black_box(replay_peak(&mut a, trace));
+/// The replay a caching-replay search runs per config
+/// (`replay_training`: warm-up, the optimizer's persistent tensors,
+/// steady iteration), on a fresh device large enough that no pass
+/// reorganises.
+fn replay_like_the_search<A: DeviceAllocator>(
+    mut a: A,
+    trace: &IterationTrace,
+    persistent: &[u64],
+) {
+    black_box(replay_training(&mut a, trace, persistent, |_| ())).expect("the roomy device fits");
 }
 
 fn caching_replay_gate() -> bool {
     const ROOMY: u64 = 1 << 42;
     let traces = replay_traces();
-    let requests: usize = traces.iter().map(|t| 2 * t.len()).sum();
+    // The optimizer states of the model and config the traces shard.
+    let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+    let persistent = persistent_tensor_sizes(&ModelConfig::gpt_7b(), &cfg);
+    let requests: usize = traces.iter().map(|t| 2 * t.len() + persistent.len()).sum();
     let fast = || {
         for t in &traces {
-            replay_twice(CachingAllocator::new(ROOMY), t);
+            replay_like_the_search(CachingAllocator::new(ROOMY), t, &persistent);
         }
     };
     let reference = || {
         for t in &traces {
-            replay_twice(ReferenceCachingAllocator::new(ROOMY), t);
+            replay_like_the_search(ReferenceCachingAllocator::new(ROOMY), t, &persistent);
         }
     };
     let reps = reps_for(10_000, reference);

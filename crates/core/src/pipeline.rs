@@ -32,7 +32,7 @@ use crate::outcome::CellOutcome;
 use crate::profiler::ProfileReport;
 use crate::session::Workload;
 use memo_alloc::caching::CachingAllocator;
-use memo_alloc::snapshot::replay_peak;
+use memo_alloc::snapshot::replay_training;
 use memo_alloc::AllocError;
 use memo_hal::engine::Timeline;
 use memo_hal::time::SimTime;
@@ -1003,14 +1003,14 @@ fn replay_static_bytes(w: &Workload, cfg: &ParallelConfig, zero3_prefetch: bool)
 }
 
 /// Replay a baseline through the caching allocator the way a real PyTorch
-/// job runs: iteration 1 on a fresh allocator, then the optimizer's lazy
-/// allocation of persistent gradient/Adam tensors (which land scattered in
-/// the cached activation segments and pin them), then a steady-state
-/// iteration whose reorganisations and peak are what training actually pays
-/// every step. `static_bytes` ([`replay_static_bytes`]) stay outside the
-/// allocator. Returns the steady-state iteration's peak reserved bytes and
-/// reorganisation count — all the pipeline reads, so the passes drive the
-/// allocator through [`replay_peak`] and record no per-request series.
+/// job runs ([`replay_training`]): iteration 1 on a fresh allocator, then
+/// the optimizer's lazy allocation of persistent gradient/Adam tensors
+/// (which land scattered in the cached activation segments and pin them),
+/// then a steady-state iteration whose reorganisations and peak are what
+/// training actually pays every step. `static_bytes`
+/// ([`replay_static_bytes`]) stay outside the allocator. Returns the
+/// steady-state iteration's peak reserved bytes and reorganisation count —
+/// all the pipeline reads, so no pass records a per-request series.
 fn caching_replay_pass(
     w: &Workload,
     cfg: &ParallelConfig,
@@ -1018,9 +1018,6 @@ fn caching_replay_pass(
     static_bytes: u64,
     obs: Option<&mut RunObserver>,
 ) -> Result<(u64, u64), CellOutcome> {
-    use memo_alloc::DeviceAllocator as _;
-    use memo_model::trace::TensorId;
-
     let usable = w.calib.usable_gpu_memory();
     if static_bytes >= usable {
         return Err(CellOutcome::Oom {
@@ -1029,48 +1026,17 @@ fn caching_replay_pass(
         });
     }
     let mut alloc = CachingAllocator::new(usable - static_bytes);
+    let persistent = memo_parallel::memory::persistent_tensor_sizes(&w.model, cfg);
     // Record the *steady-state* iteration only — that is the one whose
-    // fragmentation behaviour training pays every step (Figure 1a). The
-    // recorder stays off through warm-up and the optimizer's lazy
-    // allocations; it is enabled just before the steady replay below.
-
-    // Iteration 1 (warm-up).
-    if let (_, Some(err)) = replay_peak(&mut alloc, &p.trace) {
-        return Err(replay_oom(&err, static_bytes, usable));
-    }
-
-    // First optimizer step: grads + Adam states appear, permanently.
-    for (k, bytes) in memo_parallel::memory::persistent_tensor_sizes(&w.model, cfg)
-        .into_iter()
-        .enumerate()
-    {
-        let id = TensorId((1 << 40) + k as u64);
-        if let Err(AllocError::OutOfMemory {
-            reserved,
-            requested,
-            ..
-        }) = alloc.malloc(id, bytes)
-        {
-            return Err(CellOutcome::Oom {
-                needed: static_bytes
-                    .saturating_add(reserved)
-                    .saturating_add(requested),
-                capacity: usable,
-            });
-        }
-    }
-    let reorgs_before_steady = alloc.reorg_count();
-
-    // Steady-state iteration.
-    alloc.record_events(obs.is_some());
-    let (peak_reserved, oom) = replay_peak(&mut alloc, &p.trace);
+    // fragmentation behaviour training pays every step (Figure 1a).
+    let record = obs.is_some();
+    let replayed = replay_training(&mut alloc, &p.trace, &persistent, |a| {
+        a.record_events(record)
+    });
     if let Some(o) = obs {
         o.alloc_events = alloc.take_events();
     }
-    if let Some(err) = oom {
-        return Err(replay_oom(&err, static_bytes, usable));
-    }
-    Ok((peak_reserved, alloc.reorg_count() - reorgs_before_steady))
+    replayed.map_err(|err| replay_oom(&err, static_bytes, usable))
 }
 
 /// A single-stream timeline for the recompute family, mirroring the

@@ -168,6 +168,7 @@ mod tests {
     use super::*;
     use crate::pipeline::ExecutionPipeline;
     use memo_model::config::ModelConfig;
+    use memo_model::trace::MemOp;
     use memo_parallel::search;
     use memo_parallel::strategy::{ParallelConfig, SystemSpec};
     use memo_swap::alpha::{solve_alpha, BindingConstraint};
@@ -204,6 +205,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn generated_traces_number_tensors_by_malloc_ordinal() {
+        // Every trace a search can replay: the paper models on 8 GPUs, every
+        // config each mode enumerates under its remat policy and logits, at
+        // 8K, 64K and 256K tokens. The k-th malloc allocates `TensorId(k)`,
+        // every request's id is below `tensors()`, and so is the count.
+        let mut traces = 0;
+        for model in ModelConfig::paper_models() {
+            for seq_len in [8u64 << 10, 64 << 10, 256 << 10] {
+                let w = Workload::new(model.clone(), 8, seq_len);
+                let gpn = w.calib.gpus_per_node.min(w.n_gpus);
+                for spec in SystemSpec::ALL_MODES {
+                    let pipeline = ExecutionPipeline::new(spec);
+                    for cfg in search::enumerate_configs(spec, &w.model, w.n_gpus, gpn) {
+                        let p = pipeline.profile(&w, &cfg, false);
+                        let t = &*p.trace;
+                        let what =
+                            format!("{} {spec:?} {} at {seq_len}", model.name, cfg.describe());
+                        let mallocs = t.flatten().filter(|r| r.op == MemOp::Malloc);
+                        for (k, r) in mallocs.enumerate() {
+                            assert_eq!(r.tensor.0, k as u64, "{what}: malloc {k}");
+                        }
+                        let count = t.flatten().filter(|r| r.op == MemOp::Malloc).count();
+                        assert_eq!(t.tensors(), count, "{what}: tensor count");
+                        assert!(t.flatten().all(|r| (r.tensor.0 as usize) < count), "{what}");
+                        traces += 1;
+                    }
+                }
+            }
+        }
+        assert!(traces > 400, "only {traces} traces");
     }
 
     #[test]

@@ -343,9 +343,19 @@ struct Replay<'a> {
 impl<'a> Replay<'a> {
     fn new(eng: &'a ServingEngine, trace: &'a DecodeTrace) -> Self {
         let r = &eng.resources;
+        // A device pool below one page holds no page: the paged leg admits
+        // nothing, and one page is the smallest request it refuses.
+        let no_page = (eng.policy == KvCachePolicy::Paged && r.device_kv_bytes < r.page_bytes)
+            .then_some(Shortfall {
+                host: false,
+                needed: r.page_bytes,
+                capacity: r.device_kv_bytes,
+            });
         let (paged, caching, pager) = match eng.policy {
             KvCachePolicy::Paged => (
-                Some(PagedKvAllocator::new(r.device_kv_bytes, r.page_bytes)),
+                no_page
+                    .is_none()
+                    .then(|| PagedKvAllocator::new(r.device_kv_bytes, r.page_bytes)),
                 None,
                 None,
             ),
@@ -378,7 +388,7 @@ impl<'a> Replay<'a> {
             peak_seqs: 0,
             rejected: 0,
             preempted: 0,
-            shortfall: None,
+            shortfall: no_page,
             peak_kv: 0,
             host_peak: 0,
             alpha_used: 0.0,
@@ -412,10 +422,10 @@ impl<'a> Replay<'a> {
 
     fn device_kv_now(&self) -> u64 {
         match self.eng.policy {
-            KvCachePolicy::Paged => {
-                let a = self.paged.as_ref().unwrap();
-                a.pages_in_use() * a.page_bytes()
-            }
+            KvCachePolicy::Paged => self
+                .paged
+                .as_ref()
+                .map_or(0, |a| a.pages_in_use() * a.page_bytes()),
             KvCachePolicy::Caching => self.caching.as_ref().unwrap().allocated_bytes(),
             KvCachePolicy::TokenSwap => self.resident_kv.min(self.eng.resources.device_kv_bytes),
             KvCachePolicy::Tiered => self.resident_kv,
@@ -440,8 +450,8 @@ impl<'a> Replay<'a> {
         // Host bytes the swap leg asked for; every other leg asks the device.
         let mut host_needed = None;
         let admitted = match self.eng.policy {
-            KvCachePolicy::Paged => {
-                let a = self.paged.as_mut().unwrap();
+            // A pool of no page admits nothing.
+            KvCachePolicy::Paged => self.paged.as_mut().is_some_and(|a| {
                 a.admit(seq).expect("fresh sequence");
                 match a.append_bytes(seq, bytes) {
                     Ok(()) => true,
@@ -451,7 +461,7 @@ impl<'a> Replay<'a> {
                     }
                     Err(e) => panic!("paged admit: {e}"),
                 }
-            }
+            }),
             KvCachePolicy::Caching => {
                 let id = self.fresh_tensor();
                 let a = self.caching.as_mut().unwrap();
@@ -1027,6 +1037,45 @@ mod tests {
             failures, 5,
             "all but token-swap at 256K, and both other cells"
         );
+    }
+
+    #[test]
+    fn weights_that_leave_no_kv_page_fail_typed() {
+        // 65B's fp16 weights fill an 8-GPU device, so the KV pool is below
+        // one page: the paged leg refuses one page, the caching and tiered
+        // legs their smallest arrival, and none panics. Token swap stages
+        // every row on the host and still serves.
+        let w = Workload::new(ModelConfig::gpt_65b(), 8, 64 << 10);
+        for policy in KvCachePolicy::ALL {
+            let eng = ServingEngine::from_workload(&w, policy);
+            let r = &eng.resources;
+            assert!(r.device_kv_bytes < r.page_bytes, "the pool holds a page");
+            let rep = eng.run();
+            let outcome = rep.to_outcome();
+            match policy {
+                KvCachePolicy::Paged => assert_eq!(
+                    outcome,
+                    CellOutcome::Oom {
+                        needed: r.page_bytes,
+                        capacity: r.device_kv_bytes,
+                    }
+                ),
+                KvCachePolicy::Caching | KvCachePolicy::Tiered => match outcome {
+                    CellOutcome::Oom { needed, capacity } => {
+                        assert_eq!(capacity, r.device_kv_bytes, "{policy:?}");
+                        assert!(needed > capacity, "{policy:?}: {needed} <= {capacity}");
+                    }
+                    other => panic!("{policy:?}: unexpected {other:?}"),
+                },
+                KvCachePolicy::TokenSwap => {
+                    assert!(outcome.is_ok(), "{policy:?}: {outcome:?}");
+                    assert!(rep.tokens_generated > 0);
+                }
+            }
+            if !outcome.is_ok() {
+                assert_eq!(rep.tokens_generated, 0, "{policy:?}");
+            }
+        }
     }
 
     /// The pick before the trace was shared: one `run()` per leg, each

@@ -292,6 +292,8 @@ pub struct IterationTrace {
     tail: Vec<TraceSegment>,
     layers: usize,
     ports: Ports,
+    /// The tensor count: every request names a `TensorId` below it.
+    tensors: usize,
     /// Interned label table; every request's `label` indexes into it.
     pub(crate) strings: TraceStrings,
 }
@@ -384,6 +386,14 @@ impl IterationTrace {
         self.layers
     }
 
+    /// The number of tensors the trace names. Tensor ids are malloc
+    /// ordinals: every request's id is below `tensors()`, and in a valid
+    /// trace the k-th malloc allocates `TensorId(k)`, so a replay can keep
+    /// its live tensors in a table of `tensors()` entries indexed by id.
+    pub fn tensors(&self) -> usize {
+        self.tensors
+    }
+
     /// The tensor id `slot` names in layer `layer`.
     pub fn resolve(&self, slot: Slot, layer: usize) -> TensorId {
         self.try_resolve(slot, layer)
@@ -463,11 +473,17 @@ impl IterationTrace {
 
     /// Fold a spelled-out segment list into periodic form: layer 0's
     /// segments become the bodies, and every other layer segment must equal
-    /// them with that layer's tensor ids.
+    /// them with that layer's tensor ids. The ids are first renumbered as
+    /// malloc ordinals in request order (see [`IterationTrace::tensors`]):
+    /// a malloc of a tensor that is not live takes the next one, every
+    /// other request keeps its tensor's, so a duplicate malloc or a double
+    /// free stays one, and sparse ids (from a file, say) become
+    /// `0, 1, 2, …`.
     pub fn from_segments(
-        segments: Vec<TraceSegment>,
+        mut segments: Vec<TraceSegment>,
         strings: TraceStrings,
     ) -> Result<IterationTrace, PeriodError> {
+        let tensors = renumber(&mut segments);
         let count = |want_fwd: bool| {
             segments
                 .iter()
@@ -521,6 +537,7 @@ impl IterationTrace {
             tail,
             layers,
             ports: Ports::default(),
+            tensors,
             strings,
         };
         if layers == 0 {
@@ -722,6 +739,34 @@ impl IterationTrace {
         }
         out
     }
+}
+
+/// Renumber the tensors of `segments`, in request order, as malloc
+/// ordinals: a malloc of a tensor that is not live takes the next ordinal,
+/// and every other request keeps its tensor's current one, so a duplicate
+/// malloc or a double free stays one. A free of a tensor never seen (a
+/// defect, or a layer body's port) takes the next ordinal too. A valid
+/// trace thus allocates `TensorId(k)` at its k-th malloc, and a generated
+/// one, already numbered that way, is left as it is. Returns the number of
+/// ordinals handed out.
+fn renumber(segments: &mut [TraceSegment]) -> usize {
+    use std::collections::hash_map::Entry;
+    // A tensor's ordinal, and whether it is live.
+    let mut ids: FxHashMap<TensorId, (TensorId, bool)> = FxHashMap::default();
+    let mut next = 0u64;
+    for r in segments.iter_mut().flat_map(|s| &mut s.requests) {
+        let malloc = r.op == MemOp::Malloc;
+        let (ordinal, live) = match ids.entry(r.tensor) {
+            Entry::Occupied(e) if e.get().1 || !malloc => e.into_mut(),
+            e => {
+                next += 1;
+                e.insert_entry((TensorId(next - 1), false)).into_mut()
+            }
+        };
+        *live = malloc;
+        r.tensor = *ordinal;
+    }
+    next as usize
 }
 
 /// Two traces are equal when they expand to the same segments and requests
@@ -1124,6 +1169,8 @@ fn emit(b: &mut TraceBuilder, params: &TraceParams) -> Option<IterationTrace> {
     }
 
     embedding_backward(b, params, grad_boundary);
+    // Every id was a malloc ordinal, so the counter is the tensor count.
+    let tensors = b.next_id as usize;
     let (tail, strings) = b.finish()?;
     Some(IterationTrace {
         head,
@@ -1133,6 +1180,7 @@ fn emit(b: &mut TraceBuilder, params: &TraceParams) -> Option<IterationTrace> {
         tail,
         layers: n,
         ports,
+        tensors,
         strings,
     })
 }
@@ -1610,10 +1658,41 @@ mod tests {
 
     #[test]
     fn validate_names_the_smallest_leaked_tensor() {
-        let t = read_text("malloc 9 8 a\nmalloc 4 8 a\nmalloc 7 8 a\nmalloc 5 8 a\n");
+        // The file's ids 9, 4, 7, 5 read as malloc ordinals 0..=3; with 9
+        // (ordinal 0) freed, ordinals 1..=3 leak and 1 is named.
+        let t = read_text("malloc 9 8 a\nmalloc 4 8 a\nmalloc 7 8 a\nmalloc 5 8 a\nfree 9 8 a\n");
         for _ in 0..50 {
-            assert_eq!(t.validate().unwrap_err(), TraceError::Leaked(TensorId(4)));
+            assert_eq!(t.validate().unwrap_err(), TraceError::Leaked(TensorId(1)));
         }
+    }
+
+    #[test]
+    fn sparse_ids_are_renumbered_as_malloc_ordinals() {
+        // Ids near `u64::MAX` (and a reused one) read as 0, 1, 2 in malloc
+        // order, so `tensors()` counts tensors, not id values.
+        let top = u64::MAX;
+        let t = read_text(&format!(
+            "malloc {top} 8 a\nmalloc {} 8 b\nfree {top} 8 a\nmalloc {top} 8 c\n\
+             free {} 8 b\nfree {top} 8 c\n",
+            top - 7,
+            top - 7
+        ));
+        let ids: Vec<u64> = t.flatten().map(|r| r.tensor.0).collect();
+        assert_eq!(ids, [0, 1, 0, 2, 1, 2]);
+        assert_eq!(t.tensors(), 3);
+        t.validate().unwrap();
+        // Defects survive the renumbering: a duplicate malloc stays one
+        // tensor, a free of an unseen id takes an ordinal of its own.
+        let dup = read_text(&format!("malloc {top} 8 a\nmalloc {top} 8 a\nfree 3 8 a\n"));
+        assert_eq!(
+            dup.flatten().map(|r| r.tensor.0).collect::<Vec<_>>(),
+            [0, 0, 1]
+        );
+        assert_eq!(dup.tensors(), 2);
+        assert_eq!(
+            dup.validate().unwrap_err(),
+            TraceError::DoubleMalloc(TensorId(0))
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ USAGE:
     memo-sim --model <7b|13b|30b|65b> --gpus <N> --seq <LEN> [OPTIONS]
 
 LEN accepts k/m suffixes (e.g. 512k, 1m) and comma-separated lists
-(e.g. --seq 64k,256k,1m runs one cell per length).
+(e.g. --seq 64k,256k,1m runs one cell per length), at most 1024 lengths.
 
 OPTIONS:
     --system <SYS>                       system to simulate (default: memo); one of
@@ -44,11 +44,12 @@ OPTIONS:
     --strategy tp<T>,cp<C>,pp<P>,dp<D>   fix the parallelism (default: search)
     --batch <B>                          sequences per DP replica, >= 1 (default: 1)
     --sweep <START>:<END>:<STEP>         sweep the sequence length from START up to
-                                         END >= START (k/m suffixes ok)
+                                         END >= START (k/m suffixes ok), at most
+                                         1024 lengths
     --pcie-gbps <N>                      nominal PCIe bandwidth override (GB/s, > 0)
     --gpu-mem-gib <N>                    per-GPU memory override (whole GiB; 0 allowed)
     --host-mem-gib <N>                   per-node host DRAM override (whole GiB; 0 allowed)
-    --alpha-points <N>                   N-point dense α grid (N >= 2) over [0, 1]
+    --alpha-points <N>                   N-point dense α grid (2 <= N <= 10001) over [0, 1]
                                          at the best (or fixed) MEMO strategy,
                                          swept as one grid row (one profile, one plan)
     --mixed-policy                       per-layer mixed-policy search at the same
@@ -61,7 +62,23 @@ OPTIONS:
     --report-json <PATH>                 write run reports (outcome + byte/time
                                          breakdowns + observer stats) as JSON
     -h, --help                           this help
+
+A grid past its limit (--seq, --sweep, --alpha-points) exits with status 2.
 ";
+
+/// Most sequence lengths one run takes (`--seq` list or `--sweep`).
+const MAX_CELLS: u64 = 1024;
+/// Most points of an `--alpha-points` grid (a step of 1e-4).
+const MAX_ALPHA_POINTS: u64 = 10_001;
+
+/// Refuse a grid flag asking for more than `limit` `unit`s: print which
+/// and return exit status 2.
+fn over_limit(flag: &str, count: u64, limit: u64, unit: &str) -> Option<ExitCode> {
+    (count > limit).then(|| {
+        eprintln!("{flag} asks for {count} {unit}, above the limit of {limit}");
+        ExitCode::from(2)
+    })
+}
 
 /// One or more sequence lengths, comma-separated (`64k,256k,1m`).
 fn parse_seq_list(s: &str) -> Option<Vec<u64>> {
@@ -406,7 +423,13 @@ fn main() -> ExitCode {
             },
             "--seq" => match take() {
                 Some(v) => match parse_seq_list(&v) {
-                    Some(s) if !s.is_empty() => seq = Some(s),
+                    Some(s) if !s.is_empty() => {
+                        let n = s.len() as u64;
+                        if let Some(code) = over_limit("--seq", n, MAX_CELLS, "lengths") {
+                            return code;
+                        }
+                        seq = Some(s)
+                    }
                     _ => {
                         eprintln!("bad sequence length '{v}' (examples: 512k, 1m, 64k,256k,1m)");
                         return ExitCode::FAILURE;
@@ -431,7 +454,13 @@ fn main() -> ExitCode {
                 _ => return bad("--batch", "an integer >= 1"),
             },
             "--sweep" => match take().as_deref().and_then(parse_sweep) {
-                Some(s) => sweep = Some(s),
+                Some((start, end, step)) => {
+                    let n = (end - start) / step + 1;
+                    if let Some(code) = over_limit("--sweep", n, MAX_CELLS, "lengths") {
+                        return code;
+                    }
+                    sweep = Some((start, end, step))
+                }
                 None => return bad("--sweep", "START:END:STEP with END >= START"),
             },
             "--trace" => match take() {
@@ -449,9 +478,17 @@ fn main() -> ExitCode {
                 }
             },
             "--alpha-points" => match take().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 2 => alpha_points = Some(n),
+                Some(n) if n >= 2 => {
+                    let limit = MAX_ALPHA_POINTS;
+                    if let Some(code) = over_limit("--alpha-points", n as u64, limit, "points") {
+                        return code;
+                    }
+                    alpha_points = Some(n)
+                }
                 _ => {
-                    eprintln!("--alpha-points requires an integer >= 2");
+                    eprintln!(
+                        "--alpha-points requires an integer >= 2 (at most {MAX_ALPHA_POINTS})"
+                    );
                     return ExitCode::FAILURE;
                 }
             },

@@ -238,3 +238,37 @@ fn memo_sim_rejects_bad_numeric_flags_with_a_named_error() {
         );
     }
 }
+
+#[test]
+fn memo_sim_bounds_grid_sizes_with_exit_2() {
+    // A grid past its limit must be refused up front with status 2 and a
+    // message naming the flag and the limit, never run out of memory
+    // (an `--alpha-points 100000000` grid asked for 22 GB and aborted) or
+    // run unbounded. `--help` states each limit.
+    let too_many_lengths = vec!["1k"; 1025].join(",");
+    let cases: &[(&str, &str, &str)] = &[
+        ("--alpha-points", "100000000", "10001"),
+        ("--alpha-points", "10002", "10001"),
+        ("--sweep", "1:100000000000:1", "1024"),
+        ("--sweep", "1k:2m:1k", "1024"),
+        ("--seq", &too_many_lengths, "1024"),
+    ];
+    for &(flag, value, limit) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_memo-sim"))
+            .args(["--model", "7b", "--gpus", "8", "--seq", "64k", flag, value])
+            .output()
+            .expect("memo-sim must launch");
+        let shown = &value[..value.len().min(24)];
+        assert_eq!(out.status.code(), Some(2), "{flag} {shown}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag) && stderr.contains(&format!("limit of {limit}")),
+            "{flag} {shown}: {stderr}"
+        );
+    }
+    let help = memo_sim(&["--help"]);
+    let help = String::from_utf8_lossy(&help);
+    for limit in ["at most 1024 lengths", "2 <= N <= 10001"] {
+        assert!(help.contains(limit), "--help does not state {limit:?}");
+    }
+}
