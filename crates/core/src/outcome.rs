@@ -65,14 +65,26 @@ impl CellOutcome {
         }
     }
 
+    /// Every outcome kind: `ok`, then the failures' table labels, in the
+    /// order [`Self::kind`] indexes them.
+    pub const KINDS: [&'static str; 5] = ["ok", "X_oom", "X_oohm", "X_cfg", "X_time"];
+
+    /// This outcome's index in [`Self::KINDS`].
+    pub fn kind(&self) -> usize {
+        match self {
+            CellOutcome::Ok(_) => 0,
+            CellOutcome::Oom { .. } => 1,
+            CellOutcome::Oohm { .. } => 2,
+            CellOutcome::NoValidStrategy => 3,
+            CellOutcome::Degenerate { .. } => 4,
+        }
+    }
+
     /// Render like the paper's table cells: "52.34% / 1786.2" or "X_oom".
     pub fn cell(&self) -> String {
         match self {
             CellOutcome::Ok(m) => format!("{:.2}% {:>8.2}", m.mfu * 100.0, m.tgs),
-            CellOutcome::Oom { .. } => "X_oom".into(),
-            CellOutcome::Oohm { .. } => "X_oohm".into(),
-            CellOutcome::NoValidStrategy => "X_cfg".into(),
-            CellOutcome::Degenerate { .. } => "X_time".into(),
+            failure => Self::KINDS[failure.kind()].into(),
         }
     }
 }
@@ -92,6 +104,11 @@ mod tests {
         assert!(oom.mfu().is_none());
         let degenerate = CellOutcome::Degenerate { iter_secs: 0.0 };
         assert_eq!(degenerate.cell(), "X_time");
+        assert_eq!(CellOutcome::KINDS[oom.kind()], "X_oom");
+        assert_eq!(
+            CellOutcome::KINDS[CellOutcome::NoValidStrategy.kind()],
+            "X_cfg"
+        );
         assert!(!degenerate.is_ok());
     }
 }

@@ -297,6 +297,26 @@ pub(crate) fn pick(w: &Workload, kind: TenantKind) -> Pick {
     }
 }
 
+/// The paged leg's pool: the device KV bytes, capped at the pages the
+/// trace can ever hold at once. A sequence holds at most its full length's
+/// `⌈bytes / page⌉ ≤ bytes / page + 1` pages, so all of the trace's
+/// sequences together hold at most its total KV bytes in pages plus one
+/// page per sequence. A pool that large never runs out, so the cap moves
+/// no result; it sizes the free bitmap and the `u32` page ids by the
+/// trace, not by the device (a 2^34 GiB device is 2^41 pages of a 7B
+/// cell). Past `u32::MAX` pages the trace itself would hold billions of
+/// append events.
+fn paged_pool_bytes(r: &ServingResources, trace: &DecodeTrace) -> u64 {
+    let kv_bytes = trace
+        .total_tokens()
+        .saturating_mul(trace.params.kv_bytes_per_token());
+    let trace_pages = kv_bytes
+        .div_ceil(r.page_bytes)
+        .saturating_add(trace.params.arrivals as u64)
+        .max(1);
+    (r.device_kv_bytes / r.page_bytes).min(trace_pages) * r.page_bytes
+}
+
 /// Per-sequence replay state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum SeqState {
@@ -355,7 +375,7 @@ impl<'a> Replay<'a> {
             KvCachePolicy::Paged => (
                 no_page
                     .is_none()
-                    .then(|| PagedKvAllocator::new(r.device_kv_bytes, r.page_bytes)),
+                    .then(|| PagedKvAllocator::new(paged_pool_bytes(r, trace), r.page_bytes)),
                 None,
                 None,
             ),
@@ -1076,6 +1096,70 @@ mod tests {
                 assert_eq!(rep.tokens_generated, 0, "{policy:?}");
             }
         }
+    }
+
+    /// Capping the paged pool at the trace's pages moves no serving cell:
+    /// over the paper's models, two GPU counts, two contexts and three
+    /// device sizes (two of them far more than a trace can fill, where the
+    /// cap binds), the capped replay reports exactly what a replay over the
+    /// whole device pool does.
+    #[test]
+    fn capping_the_paged_pool_at_the_traces_pages_moves_no_cell() {
+        let mut capped = 0;
+        for model in [
+            ModelConfig::gpt_7b(),
+            ModelConfig::gpt_13b(),
+            ModelConfig::gpt_30b(),
+            ModelConfig::gpt_65b(),
+        ] {
+            for (gpus, seq) in [(8, 16 << 10), (64, 16 << 10), (8, 64 << 10)] {
+                for gpu_mem_gib in [None, Some(1u64 << 10), Some(1 << 14)] {
+                    let mut w = Workload::new(model.clone(), gpus, seq);
+                    if let Some(gib) = gpu_mem_gib {
+                        w.calib.gpu_memory_bytes = gib << 30;
+                    }
+                    let eng = ServingEngine::from_workload(&w, KvCachePolicy::Paged);
+                    let r = &eng.resources;
+                    if r.device_kv_bytes < r.page_bytes {
+                        continue;
+                    }
+                    let cell = format!(
+                        "{} {gpus} GPUs {seq} tokens {gpu_mem_gib:?} GiB",
+                        model.name
+                    );
+                    let trace = generate_decode(&eng.params);
+                    let mut whole = Replay::new(&eng, &trace);
+                    let device_pages = r.device_kv_bytes / r.page_bytes;
+                    let pool = whole.paged.as_ref().expect("a pool of pages");
+                    capped += usize::from(pool.total_pages() < device_pages);
+                    whole.paged = Some(PagedKvAllocator::new(r.device_kv_bytes, r.page_bytes));
+                    whole.run();
+                    assert_eq!(whole.finish(), eng.replay(&trace), "{cell}");
+                }
+            }
+        }
+        assert!(capped >= 8, "the cap bound in {capped} cells");
+    }
+
+    /// `--gpu-mem-gib 17179869183`, the largest whole GiB count whose
+    /// bytes fit `u64`: every policy serves a 7B cell, the paged leg over
+    /// a pool sized by its trace instead of 2^41 `u32`-numbered pages. (The
+    /// context is 4K because the caching leg's replay grows quadratically
+    /// with it on so large a device: 64K takes ~10 s optimised.)
+    #[test]
+    fn a_device_of_2_pow_34_gib_serves_on_every_policy() {
+        let mut w = Workload::new(ModelConfig::gpt_7b(), 8, 4 << 10);
+        w.calib.gpu_memory_bytes = 17_179_869_183 << 30;
+        for policy in KvCachePolicy::ALL {
+            let eng = ServingEngine::from_workload(&w, policy);
+            let rep = eng.run();
+            assert!(rep.to_outcome().is_ok(), "{policy:?}: {rep:?}");
+            assert!(rep.tokens_generated > 0 && rep.rejected + rep.preempted == 0);
+        }
+        let eng = ServingEngine::from_workload(&w, KvCachePolicy::Paged);
+        let trace = generate_decode(&eng.params);
+        let pool = Replay::new(&eng, &trace).paged.expect("a pool of pages");
+        assert!(pool.total_pages() <= u64::from(u32::MAX));
     }
 
     /// The pick before the trace was shared: one `run()` per leg, each

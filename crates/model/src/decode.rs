@@ -97,6 +97,13 @@ pub struct DecodeTrace {
     peak_active: usize,
 }
 
+impl DecodeTrace {
+    /// Tokens appended across all sequences (prompt + decode).
+    pub fn total_tokens(&self) -> u64 {
+        self.total_tokens
+    }
+}
+
 struct Rng(u64);
 
 impl Rng {

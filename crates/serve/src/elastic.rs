@@ -1,11 +1,16 @@
 //! Elastic repartitioning of the cluster's shared memory budgets.
 //!
 //! The fleet has one host-staging budget and one arena budget; active
-//! tenants split both evenly. Arrival of a new tenant or departure of an
-//! idle one triggers a rebalance — every live slice is resized *in place*
-//! through [`TierStaging::resize`], so bytes a tenant already staged ride
-//! along (a shrink below usage over-commits the slice until it drains,
-//! exactly the eLLM-style semantics of `HostStaging::set_capacity`).
+//! tenants split both evenly (eLLM's even split), so every active slice
+//! has the same capacity: `total / n` per tier. Arrival of a new tenant or
+//! departure of an idle one rebalances the fleet by recomputing that one
+//! pair of shares, in O(1) however many tenants are active. A slice is
+//! just its two used-byte counters, so bytes a tenant already staged ride
+//! along; a shrink below usage over-commits the slice until it drains
+//! (nothing is revoked, but every reserve on it fails meanwhile).
+//!
+//! Tenants are dense *slots* `0, 1, 2, …` that index the slices directly;
+//! the server numbers a stream's tenant ids in first-appearance order.
 //!
 //! Two different things are carved out of a tenant's slice:
 //!
@@ -20,11 +25,8 @@
 //!   Overflow maps to [`RejectReason::BudgetUnavailable`].
 
 use crate::request::RejectReason;
-use memo_model::hash::FxHashMap;
-use memo_swap::schedule::{TierTraffic, TierTrafficList};
-use memo_swap::{HostStaging, TierStaging};
 
-/// Tier indices of a tenant slice's two pools.
+/// Tier indices of a tenant slice's two counters.
 const HOST_TIER: usize = 0;
 const ARENA_TIER: usize = 1;
 
@@ -37,42 +39,24 @@ fn quantize_pow2(bytes: u64) -> u64 {
     }
 }
 
-fn traffic(host_bytes: u64, arena_bytes: u64) -> TierTrafficList {
-    let mut t = TierTrafficList::new();
-    for bytes in [host_bytes, arena_bytes] {
-        t.push(TierTraffic {
-            bytes,
-            bandwidth: 1e9,
-            latency_secs: 0.0,
-        });
-    }
-    t
-}
-
-/// A slice's own usage counters, per tier.
-fn usage(slice: &TierStaging) -> [u64; 2] {
-    [
-        slice.host_used(),
-        slice.pool(ARENA_TIER).map_or(0, HostStaging::used),
-    ]
-}
-
-/// The fleet's elastic budget pools: one [`TierStaging`] slice per active
-/// tenant, rebalanced to an even split on every arrival and departure.
+/// The fleet's elastic budget pools: one even share of each budget per
+/// active tenant, and each active tenant's used bytes per tier.
 #[derive(Debug, Clone)]
 pub struct ElasticPools {
-    host_total: u64,
-    arena_total: u64,
-    /// Active tenants in arrival order (the rebalance order is
-    /// deterministic so the two server legs agree byte for byte).
-    active: Vec<usize>,
-    slices: FxHashMap<usize, TierStaging>,
+    totals: [u64; 2],
+    /// Every active slice's capacity per tier: the totals split evenly
+    /// over the active tenants, recomputed on every arrival and departure.
+    shares: [u64; 2],
+    /// Used bytes per tier of each slot's slice; `None` while the slot's
+    /// tenant is not active.
+    slices: Vec<Option<[u64; 2]>>,
+    active: usize,
     rebalances: u64,
     peak_active: usize,
     /// Independent reservation ledger, per tier: what the pools *should*
     /// hold given every successful reserve minus every release. Compared
     /// against the slices' own usage counters by [`drift_bytes`] — any
-    /// gap means elastic resizes or rollbacks lost staged bytes.
+    /// gap means a reserve, a release or a departure lost staged bytes.
     ///
     /// [`drift_bytes`]: ElasticPools::drift_bytes
     ledger: [u64; 2],
@@ -86,10 +70,10 @@ pub struct ElasticPools {
 impl ElasticPools {
     pub fn new(host_total: u64, arena_total: u64) -> Self {
         ElasticPools {
-            host_total,
-            arena_total,
-            active: Vec::new(),
-            slices: FxHashMap::default(),
+            totals: [host_total, arena_total],
+            shares: [host_total, arena_total],
+            slices: Vec::new(),
+            active: 0,
             rebalances: 0,
             peak_active: 0,
             ledger: [0, 0],
@@ -98,7 +82,7 @@ impl ElasticPools {
     }
 
     pub(crate) fn active_tenants(&self) -> usize {
-        self.active.len()
+        self.active
     }
 
     pub(crate) fn peak_active_tenants(&self) -> usize {
@@ -113,8 +97,8 @@ impl ElasticPools {
     /// between the reservation ledger and what the slices actually hold.
     /// Zero at all times is the mixed-tenant contract (asserted by the
     /// server's `mixed_tenants_share_the_fleet_without_drift` test) —
-    /// rebalances, failed-reserve rollbacks, and tenant churn must never
-    /// leak or double-count staged bytes.
+    /// failed-reserve rollbacks and tenant churn must never leak or
+    /// double-count staged bytes.
     ///
     /// O(1) in the tenant count: it compares the running totals of the
     /// slices' usage counters with the ledger, two tallies kept apart
@@ -139,21 +123,28 @@ impl ElasticPools {
     /// Per-tier sums of every slice's usage counters, `None` if a sum
     /// leaves `u64`: the full scan the running totals replace.
     fn scan(&self) -> Option<[u64; 2]> {
-        self.slices.values().try_fold([0u64; 2], |mut sum, slice| {
-            for (total, used) in sum.iter_mut().zip(usage(slice)) {
-                *total = total.checked_add(used)?;
-            }
-            Some(sum)
-        })
+        self.slices
+            .iter()
+            .flatten()
+            .try_fold([0u64; 2], |mut sum, used| {
+                for (total, &used) in sum.iter_mut().zip(used) {
+                    *total = total.checked_add(used)?;
+                }
+                Some(sum)
+            })
     }
 
-    /// Apply `f` to `tenant`'s slice and carry the change of the slice's
-    /// usage counters into the running totals.
-    fn track<R>(&mut self, tenant: usize, f: impl FnOnce(&mut TierStaging) -> R) -> R {
-        let slice = self.slices.get_mut(&tenant).expect("tenant is active");
-        let before = usage(slice);
-        let result = f(slice);
-        let after = usage(slice);
+    /// Apply `f` to `slot`'s usage counters and carry their change into
+    /// the running totals.
+    fn track<R>(&mut self, slot: usize, f: impl FnOnce(&mut [u64; 2]) -> R) -> R {
+        let used = self
+            .slices
+            .get_mut(slot)
+            .and_then(Option::as_mut)
+            .expect("tenant is active");
+        let before = *used;
+        let result = f(used);
+        let after = *used;
         self.retally(before, after);
         result
     }
@@ -171,89 +162,86 @@ impl ElasticPools {
         });
     }
 
-    pub(crate) fn is_active(&self, tenant: usize) -> bool {
-        self.slices.contains_key(&tenant)
+    pub(crate) fn is_active(&self, slot: usize) -> bool {
+        self.slices.get(slot).is_some_and(Option::is_some)
     }
 
-    /// Even split of both budgets over the active tenants, applied via
-    /// elastic resize (usage and peaks survive).
+    /// Even split of both budgets over the active tenants. Every slice
+    /// reads the shares, so usage survives and no slice is touched.
     fn rebalance(&mut self) {
-        let n = self.active.len().max(1) as u64;
-        let shares = [self.host_total / n, self.arena_total / n];
-        for i in 0..self.active.len() {
-            self.track(self.active[i], |slice| slice.resize(&shares));
-        }
+        let n = self.active.max(1) as u64;
+        self.shares = [self.totals[HOST_TIER] / n, self.totals[ARENA_TIER] / n];
         self.rebalances += 1;
     }
 
-    /// First in-flight presence of `tenant`: carve a slice and shrink
-    /// everyone else's. The new slice holds nothing, so the running
-    /// totals do not move.
-    pub fn tenant_arrived(&mut self, tenant: usize) {
-        assert!(!self.is_active(tenant), "tenant {tenant} already active");
-        self.active.push(tenant);
-        self.peak_active = self.peak_active.max(self.active.len());
-        self.slices.insert(tenant, TierStaging::new(&[0, 0]));
+    /// First in-flight presence of the tenant in `slot`: carve a slice and
+    /// shrink everyone else's. The new slice holds nothing, so the running
+    /// totals do not move. Slots are dense: the slice table grows to
+    /// `slot + 1` entries.
+    pub fn tenant_arrived(&mut self, slot: usize) {
+        assert!(!self.is_active(slot), "tenant {slot} already active");
+        if slot >= self.slices.len() {
+            self.slices.resize(slot + 1, None);
+        }
+        self.slices[slot] = Some([0, 0]);
+        self.active += 1;
+        self.peak_active = self.peak_active.max(self.active);
         self.rebalance();
     }
 
-    /// Last in-flight request of `tenant` finished and no more are
-    /// coming: return its slice to the pool and grow everyone else's.
-    pub(crate) fn tenant_departed(&mut self, tenant: usize) {
-        let slice = self
+    /// Last in-flight request of the tenant in `slot` finished and no more
+    /// are coming: return its slice to the pool and grow everyone else's.
+    pub(crate) fn tenant_departed(&mut self, slot: usize) {
+        let staged = self
             .slices
-            .remove(&tenant)
+            .get_mut(slot)
+            .and_then(Option::take)
             .expect("departing tenant active");
-        let staged = usage(&slice);
         self.retally(staged, [0, 0]);
-        assert_eq!(staged, [0, 0], "tenant {tenant} departed with staged bytes");
-        self.active.retain(|&t| t != tenant);
+        assert_eq!(staged, [0, 0], "tenant {slot} departed with staged bytes");
+        self.active -= 1;
         self.rebalance();
     }
 
-    /// The planning budget of `tenant`'s current slice: the host share,
-    /// quantized down to a power of two for cache-key stability.
-    pub(crate) fn quantized_host_share(&self, tenant: usize) -> u64 {
-        let share = self
-            .slices
-            .get(&tenant)
-            .and_then(|s| s.pool(HOST_TIER))
-            .map_or(0, HostStaging::capacity);
-        quantize_pow2(share)
+    /// The planning budget of an active tenant: the host share, quantized
+    /// down to a power of two for cache-key stability.
+    pub(crate) fn quantized_host_share(&self) -> u64 {
+        quantize_pow2(self.shares[HOST_TIER])
     }
 
-    /// Stage one in-flight request's bytes against the tenant's slice.
-    /// Debug builds check the ledger against the slices afterwards.
+    /// Stage one in-flight request's bytes against the tenant's slice:
+    /// host, then arena, each against its share. The first tier that does
+    /// not fit fails the reserve with its `requested` bytes and `capacity`;
+    /// the host bytes are committed only together with the arena's, so an
+    /// arena failure leaves the host tier as it was. Debug builds check
+    /// the ledger against the slices afterwards.
     pub fn reserve(
         &mut self,
-        tenant: usize,
+        slot: usize,
         host_bytes: u64,
         arena_bytes: u64,
     ) -> Result<(), RejectReason> {
-        let result = self.track(tenant, |slice| {
-            slice
-                .reserve_layer(&traffic(host_bytes, arena_bytes))
-                .inspect_err(|e| {
-                    // reserve_layer commits nearer tiers before failing;
-                    // roll the host commit back so a shed request holds
-                    // nothing.
-                    if e.tier == ARENA_TIER {
-                        slice.release_layer(&traffic(host_bytes, 0));
-                    }
-                })
-        });
-        let result = match result {
-            Ok(()) => {
-                self.ledger[HOST_TIER] += host_bytes;
-                self.ledger[ARENA_TIER] += arena_bytes;
-                Ok(())
+        let requested = [host_bytes, arena_bytes];
+        let shares = self.shares;
+        let result = self.track(slot, |used| {
+            let mut grown = *used;
+            for tier in [HOST_TIER, ARENA_TIER] {
+                grown[tier] = used[tier]
+                    .checked_add(requested[tier])
+                    .filter(|&u| u <= shares[tier])
+                    .ok_or(RejectReason::BudgetUnavailable {
+                        tier,
+                        requested: requested[tier],
+                        capacity: shares[tier],
+                    })?;
             }
-            Err(e) => Err(RejectReason::BudgetUnavailable {
-                tier: e.tier,
-                requested: e.requested,
-                capacity: e.capacity,
-            }),
-        };
+            *used = grown;
+            Ok(())
+        });
+        if result.is_ok() {
+            self.ledger[HOST_TIER] += host_bytes;
+            self.ledger[ARENA_TIER] += arena_bytes;
+        }
         debug_assert_eq!(self.drift_bytes(), 0, "reserve drifted the ledger");
         result
     }
@@ -261,26 +249,30 @@ impl ElasticPools {
     /// Release one in-flight request's bytes. Releasing more than the
     /// ledger holds — a double release — panics in every build rather
     /// than wrapping the ledger.
-    pub fn release(&mut self, tenant: usize, host_bytes: u64, arena_bytes: u64) {
-        for (tier, bytes) in [(HOST_TIER, host_bytes), (ARENA_TIER, arena_bytes)] {
+    pub fn release(&mut self, slot: usize, host_bytes: u64, arena_bytes: u64) {
+        let released = [host_bytes, arena_bytes];
+        for tier in [HOST_TIER, ARENA_TIER] {
             self.ledger[tier] = self.ledger[tier]
-                .checked_sub(bytes)
+                .checked_sub(released[tier])
                 .expect("released bytes the ledger does not hold (double release)");
         }
-        self.track(tenant, |slice| {
-            slice.release_layer(&traffic(host_bytes, arena_bytes))
+        self.track(slot, |used| {
+            for tier in [HOST_TIER, ARENA_TIER] {
+                used[tier] = used[tier]
+                    .checked_sub(released[tier])
+                    .expect("releasing more than staged");
+            }
         });
         debug_assert_eq!(self.drift_bytes(), 0, "release drifted the ledger");
     }
 
-    /// Stage bytes on `tenant`'s slice through the tracked path but skip
+    /// Stage bytes on `slot`'s slice through the tracked path but skip
     /// the ledger: the lost-bytes bug [`Self::drift_bytes`] must catch.
     #[cfg(test)]
-    fn stage_unledgered(&mut self, tenant: usize, host_bytes: u64, arena_bytes: u64) {
-        self.track(tenant, |slice| {
-            slice
-                .reserve_layer(&traffic(host_bytes, arena_bytes))
-                .expect("unledgered bytes fit the slice")
+    fn stage_unledgered(&mut self, slot: usize, host_bytes: u64, arena_bytes: u64) {
+        self.track(slot, |used| {
+            used[HOST_TIER] += host_bytes;
+            used[ARENA_TIER] += arena_bytes;
         });
     }
 }
@@ -295,17 +287,17 @@ mod tests {
     fn shares_split_evenly_and_quantize_to_powers_of_two() {
         let mut pools = ElasticPools::new(96 * GIB, 24 * GIB);
         pools.tenant_arrived(0);
-        assert_eq!(pools.quantized_host_share(0), 64 * GIB);
+        assert_eq!(pools.quantized_host_share(), 64 * GIB);
         pools.tenant_arrived(1);
         pools.tenant_arrived(2);
         // 96/3 = 32 GiB exact: already a power of two.
-        for t in 0..3 {
-            assert_eq!(pools.quantized_host_share(t), 32 * GIB);
-        }
+        assert_eq!(pools.shares, [32 * GIB, 8 * GIB]);
+        assert_eq!(pools.quantized_host_share(), 32 * GIB);
         pools.tenant_departed(1);
         // 96/2 = 48 GiB → quantized down to 32 GiB: the cache key did NOT
         // move even though the raw share did.
-        assert_eq!(pools.quantized_host_share(0), 32 * GIB);
+        assert_eq!(pools.shares, [48 * GIB, 12 * GIB]);
+        assert_eq!(pools.quantized_host_share(), 32 * GIB);
         assert_eq!(pools.rebalances(), 4);
         assert_eq!(pools.peak_active_tenants(), 3);
     }
@@ -341,6 +333,42 @@ mod tests {
         pools.release(7, 2 * GIB, GIB);
         pools.tenant_departed(7);
         assert_eq!(pools.active_tenants(), 0);
+    }
+
+    #[test]
+    fn a_shrink_below_usage_over_commits_until_the_slice_drains() {
+        let mut pools = ElasticPools::new(8 * GIB, 8 * GIB);
+        pools.tenant_arrived(0);
+        for _ in 0..5 {
+            pools.reserve(0, GIB, 0).unwrap();
+        }
+        // A second tenant halves the host share to 4 GiB, below tenant 0's
+        // 5 GiB: nothing is revoked, but every reserve on the slice fails,
+        // even one that asks the host tier for nothing.
+        pools.tenant_arrived(1);
+        assert_eq!(pools.slices[0], Some([5 * GIB, 0]));
+        assert_eq!(
+            pools.reserve(0, 0, GIB),
+            Err(RejectReason::BudgetUnavailable {
+                tier: HOST_TIER,
+                requested: 0,
+                capacity: 4 * GIB,
+            })
+        );
+        // The newcomer's slice is a full share of its own.
+        pools.reserve(1, 4 * GIB, 0).unwrap();
+        // Drained back under the share, the slice admits again, up to it.
+        pools.release(0, GIB, 0);
+        pools.release(0, GIB, 0);
+        pools.reserve(0, GIB, 0).unwrap();
+        assert!(pools.reserve(0, 1, 0).is_err());
+        // A departure grows the share back: the staged bytes ride along and
+        // the new headroom admits more.
+        pools.release(1, 4 * GIB, 0);
+        pools.tenant_departed(1);
+        pools.reserve(0, 4 * GIB, 0).unwrap();
+        assert_eq!(pools.slices[0], Some([8 * GIB, 0]));
+        assert_consistent(&pools, "after the regrowth");
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! * `admission` — queue-depth and deadline shedding on a deterministic
 //!   virtual clock (a fluid queue fed by a cost model, never by measured
 //!   wall time — so both server legs admit the identical set);
-//! * `elastic` — the fleet's host-staging and arena budgets as elastic
-//!   per-tenant [`TierStaging`](memo_swap::TierStaging) slices, rebalanced
-//!   on tenant arrival/departure, with power-of-two quantization of the
-//!   planning budget for profile-cache key stability;
+//! * `elastic` — the fleet's host-staging and arena budgets split evenly
+//!   over the active tenants: one share per tier, recomputed in O(1) on
+//!   tenant arrival/departure, and each tenant's used bytes per tier in a
+//!   slot-indexed table, with power-of-two quantization of the planning
+//!   budget for profile-cache key stability;
 //! * `server` — the two-phase [`PlanServer`]:
 //!   serial deterministic admission, then pooled execution — one lookup
 //!   per request in `memo-core`'s pick table — with per-request RAII

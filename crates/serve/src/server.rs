@@ -35,6 +35,7 @@ use crate::request::{
     ModelSize, PlanReply, PlanRequest, RequestOutcome, RequestRecord, TenantKind,
 };
 use memo_core::cache::{CacheStats, CacheStatsScope, ProfileCache, PICK_SCOPE};
+use memo_core::outcome::CellOutcome;
 use memo_core::serving::Pick;
 use memo_core::session::Workload;
 use memo_model::hash::FxHashMap;
@@ -144,6 +145,9 @@ pub struct ServeSummary {
     pub shed_budget: usize,
     /// Planned requests whose picked cell is feasible (not an `X_*`).
     pub feasible: usize,
+    /// Planned requests by their pick's outcome kind, indexed like
+    /// [`CellOutcome::KINDS`]: `ok`, `X_oom`, `X_oohm`, `X_cfg`, `X_time`.
+    pub cells: [usize; 5],
     pub rebalances: u64,
     pub peak_active_tenants: usize,
     /// Worst gap between the pools' reservation ledger and the slices'
@@ -178,6 +182,11 @@ impl ServeSummary {
         }
     }
 
+    /// [`Self::cells`] named by their outcome kinds.
+    pub fn cell_counts(&self) -> impl Iterator<Item = (&'static str, usize)> {
+        CellOutcome::KINDS.into_iter().zip(self.cells)
+    }
+
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("requests".into(), Json::int(self.requests as u64)),
@@ -186,6 +195,14 @@ impl ServeSummary {
             ("shed_deadline".into(), Json::int(self.shed_deadline as u64)),
             ("shed_budget".into(), Json::int(self.shed_budget as u64)),
             ("feasible".into(), Json::int(self.feasible as u64)),
+            (
+                "cells".into(),
+                Json::Obj(
+                    self.cell_counts()
+                        .map(|(kind, n)| (kind.into(), Json::int(n as u64)))
+                        .collect(),
+                ),
+            ),
             ("rebalances".into(), Json::int(self.rebalances)),
             (
                 "peak_active_tenants".into(),
@@ -280,6 +297,7 @@ impl PlanServer {
             shed_deadline: 0,
             shed_budget: 0,
             feasible: 0,
+            cells: [0; 5],
             rebalances: fleet.rebalances,
             peak_active_tenants: fleet.peak_active_tenants,
             budget_drift_bytes: fleet.budget_drift_bytes,
@@ -297,7 +315,7 @@ impl PlanServer {
         };
         let mut latencies = Vec::with_capacity(replies.len());
         for (idx, reply) in replies {
-            summary.feasible += usize::from(reply.pick.outcome.is_ok());
+            summary.cells[reply.pick.outcome.kind()] += 1;
             summary.profile_cache.hits += reply.cache.hits;
             summary.profile_cache.misses += reply.cache.misses;
             summary.picks.hits += reply.picks.hits;
@@ -308,6 +326,7 @@ impl PlanServer {
             latencies.push(reply.latency_secs);
             outcomes[idx] = Some(RequestOutcome::Planned(Box::new(reply)));
         }
+        summary.feasible = summary.cells[0];
         summary.latency = LatencySummary::from_secs(&latencies);
 
         let records: Vec<RequestRecord> = requests
@@ -332,6 +351,11 @@ impl PlanServer {
     }
 
     /// Phase 1: the deterministic admission walk (see module docs).
+    ///
+    /// A counting pass numbers the stream's tenant ids with dense slots in
+    /// first-appearance order: the walk's one hash per request. The pools,
+    /// the per-tenant counters and the in-flight heap then work on slots,
+    /// so sparse or huge tenant ids cost nothing extra.
     #[allow(clippy::type_complexity)]
     fn admit_stream(
         &self,
@@ -339,12 +363,21 @@ impl PlanServer {
     ) -> (Vec<Admitted>, Vec<Option<RequestOutcome>>, FleetStats) {
         let mut ctrl = AdmissionController::new(self.cfg.max_queue_depth);
         let mut pools = ElasticPools::new(self.cfg.host_total_bytes, self.cfg.arena_total_bytes);
-        let mut remaining: FxHashMap<usize, usize> = FxHashMap::default();
-        for r in requests {
-            *remaining.entry(r.tenant).or_insert(0) += 1;
+        let mut slot_of: FxHashMap<usize, usize> = FxHashMap::default();
+        let slots: Vec<usize> = requests
+            .iter()
+            .map(|r| {
+                let next = slot_of.len();
+                *slot_of.entry(r.tenant).or_insert(next)
+            })
+            .collect();
+        // Requests of each slot's tenant still to arrive, and in flight.
+        let mut remaining = vec![0usize; slot_of.len()];
+        for &slot in &slots {
+            remaining[slot] += 1;
         }
-        let mut outstanding: FxHashMap<usize, usize> = FxHashMap::default();
-        // In-flight virtual completions: (finish-time bits, id, tenant,
+        let mut outstanding = vec![0usize; slot_of.len()];
+        // In-flight virtual completions: (finish-time bits, id, slot,
         // host quantum, arena quantum). f64 bits order like the floats
         // for the non-negative finish times used here.
         let mut inflight: BinaryHeap<Reverse<(u64, usize, usize, u64, u64)>> = BinaryHeap::new();
@@ -355,25 +388,23 @@ impl PlanServer {
         let drain =
             |now: f64,
              pools: &mut ElasticPools,
-             outstanding: &mut FxHashMap<usize, usize>,
-             remaining: &FxHashMap<usize, usize>,
+             outstanding: &mut [usize],
+             remaining: &[usize],
              inflight: &mut BinaryHeap<Reverse<(u64, usize, usize, u64, u64)>>| {
-                while let Some(Reverse((finish_bits, _, tenant, hq, aq))) = inflight.peek().copied()
-                {
+                while let Some(Reverse((finish_bits, _, slot, hq, aq))) = inflight.peek().copied() {
                     if f64::from_bits(finish_bits) > now {
                         break;
                     }
                     inflight.pop();
-                    pools.release(tenant, hq, aq);
-                    let left = outstanding.get_mut(&tenant).expect("in-flight tenant");
-                    *left -= 1;
-                    if *left == 0 && remaining.get(&tenant).copied().unwrap_or(0) == 0 {
-                        pools.tenant_departed(tenant);
+                    pools.release(slot, hq, aq);
+                    outstanding[slot] -= 1;
+                    if outstanding[slot] == 0 && remaining[slot] == 0 {
+                        pools.tenant_departed(slot);
                     }
                 }
             };
 
-        for (idx, req) in requests.iter().enumerate() {
+        for ((idx, req), &slot) in requests.iter().enumerate().zip(&slots) {
             drain(
                 req.arrival_secs,
                 &mut pools,
@@ -381,25 +412,25 @@ impl PlanServer {
                 &remaining,
                 &mut inflight,
             );
-            *remaining.get_mut(&req.tenant).expect("counted tenant") -= 1;
-            if !pools.is_active(req.tenant) {
-                pools.tenant_arrived(req.tenant);
+            remaining[slot] -= 1;
+            if !pools.is_active(slot) {
+                pools.tenant_arrived(slot);
             }
 
             let (hq, aq) = staging_quanta(req);
             let decision = ctrl
                 .admit(req)
-                .and_then(|est_wait| pools.reserve(req.tenant, hq, aq).map(|()| est_wait));
+                .and_then(|est_wait| pools.reserve(slot, hq, aq).map(|()| est_wait));
             match decision {
                 Ok(est_wait) => {
                     let est_service = ctrl.commit(req);
                     let finish = req.arrival_secs + est_wait + est_service;
-                    inflight.push(Reverse((finish.to_bits(), req.id, req.tenant, hq, aq)));
-                    *outstanding.entry(req.tenant).or_insert(0) += 1;
+                    inflight.push(Reverse((finish.to_bits(), req.id, slot, hq, aq)));
+                    outstanding[slot] += 1;
                     // Planning budget: the tenant's quantized share right
                     // now, floored at 1 GiB so a crowded fleet still plans
                     // against *something*.
-                    let host_budget_bytes = pools.quantized_host_share(req.tenant).max(1 << 30);
+                    let host_budget_bytes = pools.quantized_host_share().max(1 << 30);
                     admitted.push(Admitted {
                         idx,
                         key: RequestKey::new(req, host_budget_bytes),
@@ -407,10 +438,8 @@ impl PlanServer {
                 }
                 Err(reason) => {
                     outcomes[idx] = Some(RequestOutcome::Rejected(reason));
-                    if outstanding.get(&req.tenant).copied().unwrap_or(0) == 0
-                        && remaining[&req.tenant] == 0
-                    {
-                        pools.tenant_departed(req.tenant);
+                    if outstanding[slot] == 0 && remaining[slot] == 0 {
+                        pools.tenant_departed(slot);
                     }
                 }
             }
@@ -602,6 +631,23 @@ mod tests {
             json.get("pick_hits").and_then(Json::as_u64),
             Some(s.picks.hits)
         );
+        // Planned picks by outcome kind: they sum to `planned`, `ok` is
+        // `feasible`, and each count is the records' own.
+        assert_eq!(s.cells.iter().sum::<usize>(), s.planned);
+        assert_eq!(s.cells[0], s.feasible);
+        for (kind, n) in s.cell_counts() {
+            let records = report
+                .records
+                .iter()
+                .filter(|r| match &r.outcome {
+                    RequestOutcome::Planned(p) => CellOutcome::KINDS[p.pick.outcome.kind()] == kind,
+                    RequestOutcome::Rejected(_) => false,
+                })
+                .count();
+            assert_eq!(n, records, "{kind}");
+            let cells = json.get("cells").expect("cell counts");
+            assert_eq!(cells.get(kind).and_then(Json::as_u64), Some(n as u64));
+        }
     }
 
     #[test]
@@ -737,6 +783,144 @@ mod tests {
                 trained > 0,
                 "{tenants} tenants: some training requests planned"
             );
+        }
+    }
+
+    /// What the admission walk decided for every request, one record of
+    /// four words each: `[0, frozen host budget, 0, 0]` when admitted, the
+    /// reject kind (1 queue, 2 deadline, 3 budget) and its numbers
+    /// otherwise. Then the summary counters the walk feeds: planned, queue,
+    /// deadline and budget sheds, rebalances, peak active tenants, drift.
+    fn admission_records(cfg: ServeConfig, stream: &[PlanRequest]) -> (Vec<[u64; 4]>, [u64; 7]) {
+        let (admitted, outcomes, fleet) = PlanServer::new(cfg).admit_stream(stream);
+        let mut records = vec![[0; 4]; stream.len()];
+        for a in &admitted {
+            records[a.idx] = [0, a.key.host_budget_bytes, 0, 0];
+        }
+        let mut shed = [0u64; 3];
+        for (record, outcome) in records.iter_mut().zip(outcomes) {
+            let Some(RequestOutcome::Rejected(reason)) = outcome else {
+                continue;
+            };
+            *record = match reason {
+                RejectReason::QueueFull { depth, limit } => [1, depth as u64, limit as u64, 0],
+                RejectReason::DeadlineUnmeetable {
+                    est_wait_secs,
+                    deadline_secs,
+                } => [2, est_wait_secs.to_bits(), deadline_secs.to_bits(), 0],
+                RejectReason::BudgetUnavailable {
+                    tier,
+                    requested,
+                    capacity,
+                } => [3, tier as u64, requested, capacity],
+            };
+            shed[record[0] as usize - 1] += 1;
+        }
+        let summary = [
+            admitted.len() as u64,
+            shed[0],
+            shed[1],
+            shed[2],
+            fleet.rebalances,
+            fleet.peak_active_tenants as u64,
+            fleet.budget_drift_bytes,
+        ];
+        (records, summary)
+    }
+
+    /// FNV-1a over the records' little-endian words.
+    fn fnv(records: &[[u64; 4]]) -> u64 {
+        records
+            .iter()
+            .flatten()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+    }
+
+    /// The three pinned streams: fleet-mixed's shape (48 tenants, 1,500
+    /// requests, every second tenant serving) under the default config,
+    /// under fleet budgets tight enough to shed on both tiers, and under a
+    /// queue-depth limit of 2.
+    fn pinned_streams() -> [(ServeConfig, Vec<PlanRequest>); 3] {
+        let stream = |seed| {
+            let mut spec = StreamSpec::new(48, 1500, seed);
+            spec.serving_stride = 2;
+            generate(&spec)
+        };
+        [
+            (ServeConfig::default(), stream(1000)),
+            (
+                ServeConfig {
+                    host_total_bytes: 8 << 30,
+                    arena_total_bytes: 8 << 30,
+                    ..ServeConfig::default()
+                },
+                stream(2000),
+            ),
+            (
+                ServeConfig {
+                    max_queue_depth: 2,
+                    ..ServeConfig::default()
+                },
+                stream(3000),
+            ),
+        ]
+    }
+
+    /// Every admission decision of the pinned streams, recorded before the
+    /// elastic pools became plain counters: each record's digest, then the
+    /// summary counters.
+    #[test]
+    fn admission_decisions_match_the_recorded_digests() {
+        const PINNED: [(u64, [u64; 7]); 3] = [
+            (0x290d_c601_bb6b_81bd, [1426, 0, 29, 45, 96, 46, 0]),
+            (0xc3a1_bdbd_9b0f_120a, [306, 0, 20, 1174, 96, 47, 0]),
+            (0xb321_06c9_3a6a_4176, [1357, 102, 11, 30, 96, 47, 0]),
+        ];
+        let mut budget_tiers = [0usize; 2];
+        for ((cfg, stream), (digest, summary)) in pinned_streams().into_iter().zip(PINNED) {
+            let (records, counters) = admission_records(cfg, &stream);
+            for r in records.iter().filter(|r| r[0] == 3) {
+                budget_tiers[r[1] as usize] += 1;
+            }
+            assert_eq!((fnv(&records), counters), (digest, summary));
+        }
+        assert!(
+            budget_tiers[0] > 0 && budget_tiers[1] > 0,
+            "{budget_tiers:?}"
+        );
+    }
+
+    /// Tenant ids are names, not indices: remapping them to sparse values
+    /// near `usize::MAX` changes no decision and no reply.
+    #[test]
+    fn sparse_tenant_ids_serve_identically() {
+        for (cfg, stream) in pinned_streams() {
+            let sparse: Vec<PlanRequest> = stream
+                .iter()
+                .map(|r| PlanRequest {
+                    tenant: usize::MAX - r.tenant * 0x9e37_79b9,
+                    ..r.clone()
+                })
+                .collect();
+            assert_eq!(
+                admission_records(cfg.clone(), &sparse),
+                admission_records(cfg.clone(), &stream)
+            );
+            let server = PlanServer::new(cfg);
+            let (a, b) = (server.serve(&sparse), server.serve(&stream));
+            for (x, y) in a.records.iter().zip(&b.records) {
+                match (&x.outcome, &y.outcome) {
+                    (RequestOutcome::Planned(p), RequestOutcome::Planned(q)) => {
+                        assert!(replies_match(p, q), "request {}", x.request.id)
+                    }
+                    (RequestOutcome::Rejected(p), RequestOutcome::Rejected(q)) => assert_eq!(p, q),
+                    _ => panic!("request {} admitted once", x.request.id),
+                }
+            }
+            assert_eq!(a.summary.cells, b.summary.cells);
         }
     }
 

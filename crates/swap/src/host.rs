@@ -26,7 +26,7 @@ impl std::error::Error for OutOfHostMemory {}
 
 /// A simple reserve/release capacity tracker.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HostStaging {
+pub(crate) struct HostStaging {
     capacity: u64,
     used: u64,
     peak: u64,
@@ -75,7 +75,7 @@ impl HostStaging {
         if bytes == 0 || count == 0 {
             return Ok(());
         }
-        let fit = (self.capacity - self.used.min(self.capacity)) / bytes;
+        let fit = (self.capacity - self.used) / bytes;
         // `fit · bytes ≤ capacity − used`, so neither product nor sum can
         // overflow.
         let staged = fit.min(count) * bytes;
@@ -109,29 +109,20 @@ impl HostStaging {
         self.check();
     }
 
-    /// Elastically resize the pool in place (the eLLM-style repartition
-    /// primitive): `used` and `peak` are kept. Shrinking below `used`
-    /// over-commits the pool — no staged bytes are revoked, but every
-    /// further [`Self::reserve`] fails until usage drains back under the
-    /// new capacity.
-    pub(crate) fn set_capacity(&mut self, capacity: u64) {
-        self.capacity = capacity;
-        self.check();
-    }
-
     /// Debug builds check the accounting after every operation: the bytes
-    /// staged never exceed their high-water mark. (`used ≤ capacity` is not
-    /// an invariant: [`Self::set_capacity`] may over-commit the pool.)
+    /// staged never exceed their high-water mark, nor the mark the
+    /// capacity.
     fn check(&self) {
         debug_assert!(
-            self.used <= self.peak,
-            "staging accounting: {} bytes used above the {} byte peak",
+            self.used <= self.peak && self.peak <= self.capacity,
+            "staging accounting: {} bytes used, {} byte peak, {} byte capacity",
             self.used,
-            self.peak
+            self.peak,
+            self.capacity
         );
     }
 
-    pub fn used(&self) -> u64 {
+    pub(crate) fn used(&self) -> u64 {
         self.used
     }
 
@@ -139,7 +130,7 @@ impl HostStaging {
         self.peak
     }
 
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.capacity
     }
 }

@@ -42,7 +42,6 @@ pub mod tiers;
 
 pub use buffers::RoundingBuffers;
 pub use delta::{SegmentCache, SegmentCacheStats, SegmentStatsScope};
-pub use host::HostStaging;
 pub use schedule::{
     build_schedule, build_schedule_scalars, LayerCosts, LayerSegment, ScalarSchedule,
     ScheduleOutcome, SegmentPolicy, TierTraffic, TierTrafficList, MAX_TIERS,

@@ -1,6 +1,6 @@
 //! Per-tier staging pools for the N-tier offload chain.
 //!
-//! [`TierStaging`] generalises the single [`HostStaging`] pool to one pool
+//! [`TierStaging`] generalises the single `HostStaging` pool to one pool
 //! per offload tier (host DRAM, NVMe, CXL, ...), indexed in chain order —
 //! pool 0 is the tier nearest the GPU. A *layer* reservation stages that
 //! layer's per-tier traffic across all pools at once; the batched
@@ -75,7 +75,7 @@ impl TierStaging {
         self.pools.len()
     }
 
-    pub fn pool(&self, tier: usize) -> Option<&HostStaging> {
+    pub(crate) fn pool(&self, tier: usize) -> Option<&HostStaging> {
         self.pools.get(tier)
     }
 
@@ -93,28 +93,6 @@ impl TierStaging {
     #[cfg(test)]
     fn peaks(&self) -> Vec<u64> {
         self.pools.iter().map(HostStaging::peak).collect()
-    }
-
-    /// Per-tier capacities, in chain order.
-    #[cfg(test)]
-    fn capacities(&self) -> Vec<u64> {
-        self.pools.iter().map(HostStaging::capacity).collect()
-    }
-
-    /// Elastically resize every pool in chain order (the eLLM-style
-    /// repartition primitive, see `HostStaging::set_capacity`): staged
-    /// bytes and peaks are kept, shrinking below a pool's usage
-    /// over-commits that pool until it drains. The chain shape is fixed —
-    /// `capacities` must have one entry per pool.
-    pub fn resize(&mut self, capacities: &[u64]) {
-        assert_eq!(
-            capacities.len(),
-            self.pools.len(),
-            "resize must cover every pool of the chain"
-        );
-        for (pool, &c) in self.pools.iter_mut().zip(capacities) {
-            pool.set_capacity(c);
-        }
     }
 
     fn check_width(&self, traffic: &TierTrafficList) {
@@ -159,7 +137,7 @@ impl TierStaging {
                 continue;
             }
             let p = &self.pools[tier];
-            fit = fit.min((p.capacity() - p.used().min(p.capacity())) / t.bytes);
+            fit = fit.min((p.capacity() - p.used()) / t.bytes);
         }
         for (tier, t) in traffic.iter().enumerate() {
             self.pools[tier]
@@ -277,37 +255,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn elastic_resize_keeps_usage_and_over_commits_on_shrink() {
-        let mut tiers = TierStaging::new(&[1000, 500]);
-        let t = traffic(&[100, 40]);
-        for _ in 0..4 {
-            tiers.reserve_layer(&t).unwrap();
-        }
-        // Grow: the staged bytes ride along, new headroom admits more.
-        tiers.resize(&[2000, 500]);
-        assert_eq!(tiers.capacities(), vec![2000, 500]);
-        assert_eq!(tiers.host_used(), 400);
-        tiers.reserve_layer(&t).unwrap();
-        // Shrink below usage: nothing is revoked, but reserves fail until
-        // the pool drains back under the new capacity.
-        tiers.resize(&[300, 500]);
-        assert_eq!(tiers.host_used(), 500);
-        let err = tiers.reserve_layer(&t).unwrap_err();
-        assert_eq!((err.tier, err.used, err.capacity), (0, 500, 300));
-        tiers.release_layers(&t, 3);
-        tiers.reserve_layer(&t).unwrap();
-        assert_eq!(tiers.host_used(), 300);
-        assert_eq!(tiers.host_peak(), 500, "peak survives the resizes");
-    }
-
-    #[test]
-    #[should_panic(expected = "resize must cover every pool")]
-    fn resize_rejects_shape_changes() {
-        let mut tiers = TierStaging::new(&[1000, 500]);
-        tiers.resize(&[1000]);
     }
 
     #[test]

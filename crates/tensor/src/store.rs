@@ -123,7 +123,7 @@ pub struct Stash {
 }
 
 /// Per-run host byte accounting (the 4-byte-per-f32 analogue of
-/// `memo_swap::HostStaging`).
+/// memo-swap's `HostStaging` pools).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostCounters {
     pub bytes: u64,

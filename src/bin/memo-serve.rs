@@ -18,8 +18,8 @@ USAGE:
     memo-serve [OPTIONS]
 
 OPTIONS:
-    --tenants N        simulated tenants (default 48)
-    --requests N       stream length (default 1500)
+    --tenants N        simulated tenants, 1 <= N <= 1000000 (default 48)
+    --requests N       stream length, 1 <= N <= 1000000 (default 1500)
     --seed N           stream seed (default 42)
     --zipf S           tenant-popularity Zipf exponent (default 1.1)
     --gpus N           cluster slice per request (default 8)
@@ -31,7 +31,23 @@ OPTIONS:
     --serial           serial reference leg (one worker, recomputes every pick)
     --report-json PATH write the summary JSON to PATH
     -h, --help         this text
+
+A count past its limit (--tenants, --requests) exits with status 2.
 ";
+
+/// Most tenants one stream draws from (the Zipf law's table is one `f64`
+/// per tenant).
+const MAX_TENANTS: usize = 1_000_000;
+/// Most requests one stream holds (every request is generated, admitted
+/// and recorded in memory).
+const MAX_REQUESTS: usize = 1_000_000;
+
+/// Refuse a count flag asking for more than `limit` `unit`s: print which
+/// and return exit status 2.
+fn over_limit(flag: &str, count: usize, limit: usize, unit: &str) -> ExitCode {
+    eprintln!("{flag} asks for {count} {unit}, above the limit of {limit}");
+    ExitCode::from(2)
+}
 
 /// A positive GiB count as bytes; `None` when it is zero, malformed or
 /// too large for `u64` bytes (a plain `<< 30` would drop the high bits).
@@ -66,10 +82,16 @@ fn main() -> ExitCode {
         };
         match arg.as_str() {
             "--tenants" => match take().and_then(|v| v.parse().ok()) {
+                Some(n) if n > MAX_TENANTS => {
+                    return over_limit("--tenants", n, MAX_TENANTS, "tenants")
+                }
                 Some(n) if n > 0 => tenants = n,
                 _ => return bad("--tenants"),
             },
             "--requests" => match take().and_then(|v| v.parse().ok()) {
+                Some(n) if n > MAX_REQUESTS => {
+                    return over_limit("--requests", n, MAX_REQUESTS, "requests")
+                }
                 Some(n) if n > 0 => requests = n,
                 _ => return bad("--requests"),
             },
@@ -143,9 +165,20 @@ fn main() -> ExitCode {
         requests,
         if serial { " (serial leg)" } else { "" }
     );
+    // Planned picks by outcome kind, the kinds that occurred.
+    let cells: Vec<String> = s
+        .cell_counts()
+        .filter(|&(_, n)| n > 0)
+        .map(|(kind, n)| format!("{kind} {n}"))
+        .collect();
     println!(
-        "  planned {:>5}  feasible {:>5}  shed: queue {} deadline {} budget {}",
-        s.planned, s.feasible, s.shed_queue, s.shed_deadline, s.shed_budget
+        "  planned {:>5}  feasible {:>5} ({})  shed: queue {} deadline {} budget {}",
+        s.planned,
+        s.feasible,
+        cells.join(", "),
+        s.shed_queue,
+        s.shed_deadline,
+        s.shed_budget
     );
     println!(
         "  caches: pick {:.1}% hit ({} / {})  profile {:.1}% hit ({} / {})  \

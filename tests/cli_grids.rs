@@ -1,7 +1,8 @@
 //! Smoke test for the dense-grid CLI flags: run the real `memo-sim` binary
 //! with `--alpha-points` / `--mixed-policy` (the grid-row sweeps)
 //! and check that both tables and their picks come out; reject bad numeric
-//! flags of `memo-sim` and `memo-serve` with a named error; and pin five
+//! flags of `memo-sim` and `memo-serve` with a named error (and grids and
+//! streams past their limits with exit 2); and pin five
 //! `memo-sim` outputs byte for byte (the bit-identity contract).
 
 use memo::model::hash::FxHasher;
@@ -201,6 +202,45 @@ fn memo_serve_rejects_gib_budgets_that_overflow_bytes() {
                 "{flag} {gib}: error should name the flag"
             );
         }
+    }
+}
+
+#[test]
+fn memo_serve_bounds_stream_sizes_with_exit_2() {
+    // A stream past its limit must be refused up front with status 2 and a
+    // message naming the flag and the limit: `--requests 100000000` grew
+    // to 5.3 GB in 6 s, and `--tenants 1000000000` printed nothing in 15 s.
+    // `--help` states each limit.
+    let cases: &[(&str, &str)] = &[
+        ("--requests", "100000000"),
+        ("--requests", "1000001"),
+        ("--tenants", "1000000000"),
+        ("--tenants", "1000001"),
+    ];
+    for &(flag, value) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_memo-serve"))
+            .args([flag, value])
+            .output()
+            .expect("memo-serve must launch");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag) && stderr.contains("limit of 1000000"),
+            "{flag} {value}: {stderr}"
+        );
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_memo-serve"))
+        .arg("--help")
+        .output()
+        .expect("memo-serve must launch");
+    assert!(out.status.success());
+    let help = String::from_utf8_lossy(&out.stdout);
+    for flag in ["--tenants", "--requests"] {
+        assert!(
+            help.lines()
+                .any(|l| l.contains(flag) && l.contains("1 <= N <= 1000000")),
+            "--help does not state the limit of {flag}"
+        );
     }
 }
 
