@@ -35,7 +35,6 @@ use memo_plan::bilevel::BilevelReport;
 use memo_plan::dispatch::PlannerKind;
 use std::cell::Cell;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Everything `profile()` reads, by value. Two equal keys guarantee
@@ -124,12 +123,9 @@ pub struct ProfileCache {
     shards: Vec<Shard<ProfileKey, ProfileReport>>,
     plan_shards: Vec<Shard<PlanKey, BilevelReport>>,
     pick_shards: Vec<Shard<PickKey, Pick>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
-/// Hit/miss counters: cumulative for a [`ProfileCache`], or per request
-/// inside a scope.
+/// Hit/miss counters of the lookups inside one scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     pub hits: u64,
@@ -189,8 +185,6 @@ impl ProfileCache {
             shards: shards(),
             plan_shards: shards(),
             pick_shards: shards(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -233,16 +227,12 @@ impl ProfileCache {
         (value, false)
     }
 
-    /// Record one profile/plan lookup in the global counters and the
-    /// thread's stats scope.
-    fn count(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            CacheStatsScope::bump(|s| s.hits += 1);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            CacheStatsScope::bump(|s| s.misses += 1);
-        }
+    /// Record one profile/plan lookup in the thread's stats scope.
+    fn count(hit: bool) {
+        CacheStatsScope::bump(|s| {
+            s.hits += u64::from(hit);
+            s.misses += u64::from(!hit);
+        });
     }
 
     /// Look up or compute the profile for `(w, cfg, policy, materialize_logits)`.
@@ -274,7 +264,7 @@ impl ProfileCache {
         compute: impl FnOnce() -> ProfileReport,
     ) -> Arc<ProfileReport> {
         let (report, hit) = Self::memo(&self.shards, key, compute);
-        self.count(hit);
+        Self::count(hit);
         report
     }
 
@@ -311,7 +301,7 @@ impl ProfileCache {
         let compute = || crate::planner::plan_with(trace, planner);
         let key = PlanKey { profile, planner };
         let (report, hit) = Self::memo(&self.plan_shards, key, compute);
-        self.count(hit);
+        Self::count(hit);
         report
     }
 
@@ -319,9 +309,9 @@ impl ProfileCache {
     /// Bypassed like the other tables.
     ///
     /// These lookups are counted only in the thread's [`PICK_SCOPE`]
-    /// scope, never in the cache's own [`CacheStats`] counters, which keep
-    /// meaning profile and plan traffic: a request makes one pick lookup,
-    /// and a training miss makes dozens of profile lookups underneath it.
+    /// scope, never in the profile/plan scope, which keeps meaning profile
+    /// and plan traffic: a request makes one pick lookup, and a training
+    /// miss makes dozens of profile lookups underneath it.
     pub fn pick(&self, w: &Workload, kind: TenantKind, use_cache: bool) -> Arc<Pick> {
         let compute = || serving::pick(w, kind);
         if !use_cache {
@@ -333,15 +323,6 @@ impl ProfileCache {
             s.misses += u64::from(!hit);
         });
         pick
-    }
-
-    /// Hit/miss counters since the cache was built.
-    #[cfg(test)]
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
     }
 
     /// Drop every cached entry (tests; bench runs isolating phases).
@@ -368,12 +349,13 @@ mod tests {
         let cache = ProfileCache::new();
         let w = w7(8, 64);
         let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+        let scope = CacheStatsScope::enter();
         let first = cache.profile(&w, &cfg, RematPolicy::MemoTokenWise, false, true);
         let second = cache.profile(&w, &cfg, RematPolicy::MemoTokenWise, false, true);
         assert!(Arc::ptr_eq(&first, &second), "second lookup must hit");
         let fresh = profiler::profile(&w, &cfg, RematPolicy::MemoTokenWise, false);
         assert_eq!(*first, fresh);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(scope.finish(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]
@@ -398,10 +380,11 @@ mod tests {
         let cache = ProfileCache::new();
         let w = w7(8, 64);
         let cfg = ParallelConfig::megatron(8, 1, 1, 1);
+        let scope = CacheStatsScope::enter();
         let a = cache.profile(&w, &cfg, RematPolicy::MemoTokenWise, false, false);
         let b = cache.profile(&w, &cfg, RematPolicy::MemoTokenWise, false, false);
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0 });
+        assert_eq!(scope.finish(), CacheStats { hits: 0, misses: 0 });
         assert_eq!(*a, *b, "bypass still deterministic");
     }
 
@@ -459,9 +442,8 @@ mod tests {
     fn overlapping_request_scopes_report_disjoint_counts() {
         use std::sync::{Arc as StdArc, Barrier};
         // Two overlapping "requests" on separate threads against the same
-        // shared cache: each scope must see exactly its own lookups even
-        // though the global counters race (this is the per-request stats
-        // bug the serve layer exposes).
+        // shared cache: each scope must see exactly its own lookups (this
+        // is the per-request stats bug the serve layer exposes).
         let cache = StdArc::new(ProfileCache::new());
         let barrier = StdArc::new(Barrier::new(2));
         let spawn = |hits: usize, tp: usize| {
@@ -485,8 +467,6 @@ mod tests {
         let sb = b.join().unwrap();
         assert_eq!(sa, CacheStats { hits: 2, misses: 1 });
         assert_eq!(sb, CacheStats { hits: 4, misses: 1 });
-        // The globals hold the racing total, as before.
-        assert_eq!(cache.stats(), CacheStats { hits: 6, misses: 2 });
     }
 
     #[test]
@@ -525,7 +505,13 @@ mod tests {
         for kind in KINDS {
             let picks = CacheStatsScope::enter_on(&PICK_SCOPE);
             let first = cache.pick(&w, kind, true);
+            let profiles = CacheStatsScope::enter();
             let second = cache.pick(&w, kind, true);
+            assert_eq!(
+                profiles.finish(),
+                CacheStats::default(),
+                "{kind:?}: pick lookups stay out of the profile/plan scope"
+            );
             assert!(Arc::ptr_eq(&first, &second), "{kind:?}: repeat must hit");
             let uncached = cache.pick(&w, kind, false);
             assert!(!Arc::ptr_eq(&first, &uncached));
@@ -540,11 +526,6 @@ mod tests {
         assert_eq!(
             *cache.pick(&w, TenantKind::Training, true),
             serving::pick_training(&w)
-        );
-        assert_eq!(
-            cache.stats(),
-            CacheStats::default(),
-            "pick lookups stay out of CacheStats"
         );
     }
 

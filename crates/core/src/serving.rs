@@ -16,7 +16,16 @@
 //!   (`memo_swap::kv`): an α fraction of token rows streams through host
 //!   DRAM each step, overlapped with decode compute.
 //! * [`KvCachePolicy::Tiered`] — MemGPT-style paging of whole cold
-//!   sequences down the PR-6 tier chain via [`KvPager`].
+//!   sequences down the offload chain (host → NVMe → …), each onto the
+//!   nearest tier of a [`TierStaging`] with room.
+//!
+//! A replay holds one state per policy, owned by that policy's arm of an
+//! enum: the paged pool, the caching allocator and its tensor ids, the
+//! swap leg's resident and host-staged bytes, or the tiered leg's resident
+//! bytes and tier chain. Each arm's admission and growth return the
+//! refusal they made, and a sequence's state is the only record of where
+//! its KV sits. Debug builds check the swap and tiered ledgers against the
+//! sequences after every trace event.
 //!
 //! Everything is deterministic: same workload, same policy, same
 //! [`ServingReport`]. `pick_policy` folds the four legs of one trimmed
@@ -29,21 +38,22 @@ use crate::outcome::CellOutcome;
 use crate::pipeline::ExecutionReport;
 use crate::session::{pick_best_or_failure, Workload};
 use memo_alloc::caching::CachingAllocator;
-use memo_alloc::paged::{PagedError, PagedKvAllocator};
+use memo_alloc::paged::PagedKvAllocator;
 use memo_alloc::DeviceAllocator;
 use memo_model::decode::{generate_decode, DecodeEvent, DecodeParams, DecodeTrace};
 use memo_model::trace::TensorId;
 use memo_parallel::search::enumerate_configs;
 use memo_parallel::{KvCachePolicy, ParallelConfig, SystemSpec};
 use memo_swap::alpha::TierLink;
-use memo_swap::kv::{plan_kv_swap, KvPager, KvSwapInputs};
+use memo_swap::kv::{plan_kv_swap, KvSwapInputs};
+use memo_swap::TierStaging;
 
 /// Device/host resources a serving run sees, normally derived from a
 /// [`Workload`]'s calibration by [`ServingEngine::from_workload`].
 #[derive(Debug, Clone)]
 pub(crate) struct ServingResources {
     /// Device bytes available to the KV cache (after weights).
-    pub device_kv_bytes: u64,
+    device_kv_bytes: u64,
     /// Page size of the paged policy, bytes.
     page_bytes: u64,
     /// Device peak FLOP/s and the decode-GEMM efficiency against it.
@@ -52,9 +62,9 @@ pub(crate) struct ServingResources {
     /// Fixed per-step launch overhead, seconds.
     kernel_launch_secs: f64,
     /// Effective device↔host bandwidth, bytes/s.
-    pub host_bandwidth: f64,
+    host_bandwidth: f64,
     /// Host DRAM available for swapped/paged KV, bytes.
-    pub host_capacity: u64,
+    host_capacity: u64,
     /// Stall per caching-allocator reorganisation, seconds.
     reorg_penalty_secs: f64,
     /// Offload tiers beyond the host, chain order.
@@ -93,7 +103,7 @@ pub struct ServingReport {
     /// Decode throughput: generated tokens per virtual second.
     tokens_per_sec: f64,
     /// Decode FLOPs over `sim_secs · peak_flops`.
-    pub utilization: f64,
+    utilization: f64,
 }
 
 /// A refused arrival or append that needs more than the whole pool holds:
@@ -167,6 +177,22 @@ impl ServingEngine {
         )
     }
 
+    /// FLOPs one appended token costs for a sequence holding `tokens`:
+    /// the weight GEMVs (2·P) plus attention over the KV held.
+    fn token_flops(&self, tokens: u64) -> f64 {
+        let m = &self.params.model;
+        2.0 * m.params() as f64 + 4.0 * (m.hidden * m.n_layers) as f64 * tokens as f64
+    }
+
+    /// A nominal full-batch step time for admission-time α solves, so
+    /// admission does not depend on the half-built current step.
+    fn nominal_step_secs(&self) -> f64 {
+        let r = &self.resources;
+        let per_token = self.token_flops(self.params.prompt_tokens);
+        r.kernel_launch_secs
+            + self.params.max_batch as f64 * per_token / (r.peak_flops * r.efficiency)
+    }
+
     /// Replay the decode trace under the policy.
     pub fn run(&self) -> ServingReport {
         let trace = generate_decode(&self.params);
@@ -211,8 +237,7 @@ fn pick_cell(w: &Workload, policy: KvCachePolicy) -> ServingEngine {
 fn pick_policy(w: &Workload) -> CellOutcome {
     let mut eng = pick_cell(w, KvCachePolicy::ALL[0]);
     let trace = generate_decode(&eng.params);
-    let mut best: Option<(f64, CellOutcome)> = None;
-    for policy in KvCachePolicy::ALL {
+    let mut leg = |policy| {
         eng.policy = policy;
         let rep = eng.replay(&trace);
         let outcome = rep.to_outcome();
@@ -221,11 +246,16 @@ fn pick_policy(w: &Workload) -> CellOutcome {
         } else {
             f64::NEG_INFINITY
         };
-        if best.as_ref().is_none_or(|(s, _)| score > *s) {
-            best = Some((score, outcome));
+        (score, outcome)
+    };
+    let mut best = leg(KvCachePolicy::ALL[0]);
+    for &policy in &KvCachePolicy::ALL[1..] {
+        let next = leg(policy);
+        if next.0 > best.0 {
+            best = next;
         }
     }
-    best.expect("KvCachePolicy::ALL is non-empty").1
+    best.1
 }
 
 /// α lattice `pick_training` crosses each strategy with.
@@ -322,10 +352,144 @@ fn paged_pool_bytes(r: &ServingResources, trace: &DecodeTrace) -> u64 {
 enum SeqState {
     /// KV on device, `bytes` resident.
     Resident { bytes: u64 },
-    /// KV paged out to `tier` (tiered policy).
+    /// KV paged out to `tier` of the tiered arm's chain: the only record
+    /// of what sits where.
     PagedOut { tier: usize, bytes: u64 },
     /// Rejected at arrival or preempted mid-flight; later events skipped.
     Dead,
+}
+
+/// `v[i]`, growing `v` with `None` up to it.
+fn slot<T: Clone>(v: &mut Vec<Option<T>>, i: u32) -> &mut Option<T> {
+    let i = i as usize;
+    if v.len() <= i {
+        v.resize(i + 1, None);
+    }
+    &mut v[i]
+}
+
+/// The resident sequences' ids and bytes, lowest id (oldest arrival) first.
+fn residents(seqs: &[Option<SeqState>]) -> impl DoubleEndedIterator<Item = (u32, u64)> + '_ {
+    seqs.iter().enumerate().filter_map(|(i, s)| match s {
+        Some(SeqState::Resident { bytes }) => Some((i as u32, *bytes)),
+        _ => None,
+    })
+}
+
+/// One KV-cache policy's state, owned by its arm.
+enum Pool {
+    /// The block-paged pool; `None` when the device holds less than one
+    /// page.
+    Paged(Option<PagedKvAllocator>),
+    /// The caching allocator serving the realloc pattern: each resident
+    /// sequence's live tensor, dense by sequence id, and the next fresh id.
+    Caching {
+        alloc: CachingAllocator,
+        ids: Vec<Option<TensorId>>,
+        next: u64,
+    },
+    /// The α swap's device-resident and host-staged KV bytes.
+    TokenSwap { resident: u64, swapped: u64 },
+    /// Device-resident KV bytes, the offload chain cold sequences page out
+    /// to (0 = host), and the page-outs so far.
+    Tiered {
+        resident: u64,
+        chain: TierStaging,
+        evictions: u64,
+    },
+}
+
+impl Pool {
+    fn new(eng: &ServingEngine, trace: &DecodeTrace) -> Self {
+        let r = &eng.resources;
+        match eng.policy {
+            KvCachePolicy::Paged => Pool::Paged(
+                (r.device_kv_bytes >= r.page_bytes)
+                    .then(|| PagedKvAllocator::new(paged_pool_bytes(r, trace), r.page_bytes)),
+            ),
+            KvCachePolicy::Caching => Pool::Caching {
+                alloc: CachingAllocator::new(r.device_kv_bytes),
+                ids: Vec::new(),
+                next: 0,
+            },
+            KvCachePolicy::TokenSwap => Pool::TokenSwap {
+                resident: 0,
+                swapped: 0,
+            },
+            KvCachePolicy::Tiered => {
+                let mut caps = vec![r.host_capacity];
+                caps.extend(r.extra_tiers.iter().map(|t| t.capacity));
+                Pool::Tiered {
+                    resident: 0,
+                    chain: TierStaging::new(&caps),
+                    evictions: 0,
+                }
+            }
+        }
+    }
+
+    /// Device KV bytes in use, capped at the device under the swap arm.
+    fn device_bytes(&self, device_kv_bytes: u64) -> u64 {
+        match self {
+            Pool::Paged(pool) => pool
+                .as_ref()
+                .map_or(0, |a| a.pages_in_use() * a.page_bytes()),
+            Pool::Caching { alloc, .. } => alloc.allocated_bytes(),
+            Pool::TokenSwap { resident, .. } => (*resident).min(device_kv_bytes),
+            Pool::Tiered { resident, .. } => *resident,
+        }
+    }
+
+    /// Return a resident sequence's `bytes` of KV.
+    fn release(&mut self, seq: u32, bytes: u64) {
+        match self {
+            // A resident sequence was admitted, so the release succeeds.
+            Pool::Paged(pool) => {
+                if let Some(a) = pool {
+                    let _ = a.release(seq);
+                }
+            }
+            Pool::Caching { alloc, ids, .. } => {
+                if let Some(id) = slot(ids, seq).take() {
+                    alloc.free(id);
+                }
+            }
+            Pool::TokenSwap { resident, swapped } => {
+                // After step-end rebalancing part of the rows may sit in
+                // the host pool: drain device first, then the host-staged
+                // remainder.
+                let from_resident = bytes.min(*resident);
+                *resident -= from_resident;
+                *swapped -= (bytes - from_resident).min(*swapped);
+            }
+            Pool::Tiered { resident, .. } => *resident -= bytes,
+        }
+    }
+}
+
+/// Page the coldest resident sequences other than `asking` out, each onto
+/// the nearest tier of `chain` with room, until `resident` is at most
+/// `limit`. False when no resident sequence or no tier is left to take one.
+fn page_out(
+    seqs: &mut [Option<SeqState>],
+    asking: u32,
+    resident: &mut u64,
+    limit: u64,
+    chain: &mut TierStaging,
+    evictions: &mut u64,
+) -> bool {
+    while *resident > limit {
+        let Some((victim, bytes)) = residents(seqs).find(|&(s, _)| s != asking) else {
+            return false;
+        };
+        let Some(tier) = (0..chain.tiers()).find(|&t| chain.reserve_on(t, bytes).is_ok()) else {
+            return false;
+        };
+        seqs[victim as usize] = Some(SeqState::PagedOut { tier, bytes });
+        *resident -= bytes;
+        *evictions += 1;
+    }
+    true
 }
 
 struct Replay<'a> {
@@ -334,17 +498,7 @@ struct Replay<'a> {
     kv_per_token: u64,
     seqs: Vec<Option<SeqState>>,
     live: usize,
-    /// Device-resident KV bytes (all policies).
-    resident_kv: u64,
-    /// Off-device KV bytes under the swap policy.
-    swapped_kv: u64,
-    // Policy state (at most one is live per run).
-    paged: Option<PagedKvAllocator>,
-    caching: Option<CachingAllocator>,
-    pager: Option<KvPager>,
-    /// Realloc-pattern tensor ids for the caching leg.
-    caching_ids: Vec<Option<TensorId>>,
-    next_tensor: u64,
+    pool: Pool,
     // Accounting.
     step_flops: f64,
     total_flops: f64,
@@ -363,43 +517,21 @@ struct Replay<'a> {
 impl<'a> Replay<'a> {
     fn new(eng: &'a ServingEngine, trace: &'a DecodeTrace) -> Self {
         let r = &eng.resources;
+        let pool = Pool::new(eng, trace);
         // A device pool below one page holds no page: the paged leg admits
         // nothing, and one page is the smallest request it refuses.
-        let no_page = (eng.policy == KvCachePolicy::Paged && r.device_kv_bytes < r.page_bytes)
-            .then_some(Shortfall {
-                host: false,
-                needed: r.page_bytes,
-                capacity: r.device_kv_bytes,
-            });
-        let (paged, caching, pager) = match eng.policy {
-            KvCachePolicy::Paged => (
-                no_page
-                    .is_none()
-                    .then(|| PagedKvAllocator::new(paged_pool_bytes(r, trace), r.page_bytes)),
-                None,
-                None,
-            ),
-            KvCachePolicy::Caching => (None, Some(CachingAllocator::new(r.device_kv_bytes)), None),
-            KvCachePolicy::TokenSwap => (None, None, None),
-            KvCachePolicy::Tiered => {
-                let mut caps = vec![r.host_capacity];
-                caps.extend(r.extra_tiers.iter().map(|t| t.capacity));
-                (None, None, Some(KvPager::new(&caps)))
-            }
-        };
+        let shortfall = matches!(pool, Pool::Paged(None)).then_some(Shortfall {
+            host: false,
+            needed: r.page_bytes,
+            capacity: r.device_kv_bytes,
+        });
         Replay {
             eng,
             trace,
             kv_per_token: eng.params.kv_bytes_per_token(),
             seqs: Vec::new(),
             live: 0,
-            resident_kv: 0,
-            swapped_kv: 0,
-            paged,
-            caching,
-            pager,
-            caching_ids: Vec::new(),
-            next_tensor: 0,
+            pool,
             step_flops: 0.0,
             total_flops: 0.0,
             sim_secs: 0.0,
@@ -408,31 +540,11 @@ impl<'a> Replay<'a> {
             peak_seqs: 0,
             rejected: 0,
             preempted: 0,
-            shortfall: no_page,
+            shortfall,
             peak_kv: 0,
             host_peak: 0,
             alpha_used: 0.0,
         }
-    }
-
-    fn state(&mut self, seq: u32) -> &mut Option<SeqState> {
-        if self.seqs.len() <= seq as usize {
-            self.seqs.resize(seq as usize + 1, None);
-        }
-        &mut self.seqs[seq as usize]
-    }
-
-    fn fresh_tensor(&mut self) -> TensorId {
-        let id = TensorId(self.next_tensor);
-        self.next_tensor += 1;
-        id
-    }
-
-    /// FLOPs one appended token costs for a sequence holding `tokens`:
-    /// the weight GEMVs (2·P) plus attention over the KV held.
-    fn token_flops(&self, tokens: u64) -> f64 {
-        let m = &self.eng.params.model;
-        2.0 * m.params() as f64 + 4.0 * (m.hidden * m.n_layers) as f64 * tokens as f64
     }
 
     fn note_live(&mut self, delta: i64) {
@@ -440,289 +552,239 @@ impl<'a> Replay<'a> {
         self.peak_seqs = self.peak_seqs.max(self.live);
     }
 
-    fn device_kv_now(&self) -> u64 {
-        match self.eng.policy {
-            KvCachePolicy::Paged => self
-                .paged
-                .as_ref()
-                .map_or(0, |a| a.pages_in_use() * a.page_bytes()),
-            KvCachePolicy::Caching => self.caching.as_ref().unwrap().allocated_bytes(),
-            KvCachePolicy::TokenSwap => self.resident_kv.min(self.eng.resources.device_kv_bytes),
-            KvCachePolicy::Tiered => self.resident_kv,
+    fn run(&mut self) {
+        let trace = self.trace;
+        for &ev in &trace.events {
+            self.event(ev);
         }
     }
 
-    fn run(&mut self) {
-        for ev in &self.trace.events {
-            match *ev {
-                DecodeEvent::Arrive { seq, prompt_tokens } => self.arrive(seq, prompt_tokens),
-                DecodeEvent::Append { seq } => self.append(seq),
-                DecodeEvent::Depart { seq } => self.depart(seq),
-                DecodeEvent::StepEnd => self.step_end(),
+    fn event(&mut self, ev: DecodeEvent) {
+        match ev {
+            DecodeEvent::Arrive { seq, prompt_tokens } => self.arrive(seq, prompt_tokens),
+            DecodeEvent::Append { seq } => self.append(seq),
+            DecodeEvent::Depart { seq } => self.depart(seq),
+            DecodeEvent::StepEnd => self.step_end(),
+        }
+        let device = self.pool.device_bytes(self.eng.resources.device_kv_bytes);
+        self.peak_kv = self.peak_kv.max(device);
+        self.check_ledger();
+    }
+
+    /// Debug builds check the policy's byte ledger after every trace event:
+    /// the swap arm's device and host bytes, and the tiered arm's device
+    /// bytes, each sum to the bytes of the resident sequences, and every
+    /// chain tier holds exactly the bytes paged out onto it.
+    fn check_ledger(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let held = || residents(&self.seqs).map(|(_, bytes)| bytes).sum::<u64>();
+        match &self.pool {
+            Pool::Paged(_) | Pool::Caching { .. } => {}
+            Pool::TokenSwap { resident, swapped } => {
+                assert_eq!(resident + swapped, held(), "token-swap KV ledger");
             }
-            self.peak_kv = self.peak_kv.max(self.device_kv_now());
+            Pool::Tiered {
+                resident, chain, ..
+            } => {
+                assert_eq!(*resident, held(), "tiered device KV ledger");
+                let mut placed = vec![0; chain.tiers()];
+                for s in self.seqs.iter().flatten() {
+                    if let SeqState::PagedOut { tier, bytes } = *s {
+                        placed[tier] += bytes;
+                    }
+                }
+                for (tier, bytes) in placed.into_iter().enumerate() {
+                    assert_eq!(chain.used(tier), bytes, "tier {tier} KV ledger");
+                }
+            }
         }
     }
 
     fn arrive(&mut self, seq: u32, prompt_tokens: u64) {
         let bytes = prompt_tokens * self.kv_per_token;
-        let r = &self.eng.resources;
-        // Host bytes the swap leg asked for; every other leg asks the device.
-        let mut host_needed = None;
-        let admitted = match self.eng.policy {
-            // A pool of no page admits nothing.
-            KvCachePolicy::Paged => self.paged.as_mut().is_some_and(|a| {
-                a.admit(seq).expect("fresh sequence");
-                match a.append_bytes(seq, bytes) {
-                    Ok(()) => true,
-                    Err(PagedError::OutOfPages { .. }) => {
-                        a.release(seq).unwrap();
-                        false
+        if slot(&mut self.seqs, seq).is_some() {
+            // A malformed trace: `generate_decode` arrives each id once.
+            panic!("decode trace: sequence {seq} arrives twice");
+        }
+        let state = match self.reserve(seq, 0, bytes, true) {
+            Ok(()) => {
+                self.note_live(1);
+                let flops = self.eng.token_flops(prompt_tokens / 2);
+                self.step_flops += prompt_tokens as f64 * flops;
+                SeqState::Resident { bytes }
+            }
+            Err(refusal) => {
+                self.rejected += 1;
+                self.note_refusal(refusal);
+                SeqState::Dead
+            }
+        };
+        self.seqs[seq as usize] = Some(state);
+    }
+
+    /// Grow `seq`, holding `held` bytes (none when `arriving`), by `add`
+    /// bytes, or return the refusal: whole pages under paging, the old and
+    /// the new tensor at once under the caching leg's realloc pattern, the
+    /// α plan's host bytes when the swap leg admits, and the grown sequence
+    /// on the tiered leg's device.
+    fn reserve(&mut self, seq: u32, held: u64, add: u64, arriving: bool) -> Result<(), Shortfall> {
+        let eng = self.eng;
+        let r = &eng.resources;
+        let grown = held + add;
+        let device = |needed| {
+            Err(Shortfall {
+                host: false,
+                needed,
+                capacity: r.device_kv_bytes,
+            })
+        };
+        match &mut self.pool {
+            // `arrive` admits each id once, so only a full pool refuses; an
+            // arrival it refuses is released again.
+            Pool::Paged(pool) => {
+                let refused = pool.as_mut().is_none_or(|a| {
+                    let admitted = if arriving { a.admit(seq) } else { Ok(()) };
+                    let refused = admitted.and_then(|()| a.append_bytes(seq, add)).is_err();
+                    if refused && arriving {
+                        let _ = a.release(seq);
                     }
-                    Err(e) => panic!("paged admit: {e}"),
-                }
-            }),
-            KvCachePolicy::Caching => {
-                let id = self.fresh_tensor();
-                let a = self.caching.as_mut().unwrap();
-                if a.malloc(id, bytes).is_ok() {
-                    if self.caching_ids.len() <= seq as usize {
-                        self.caching_ids.resize(seq as usize + 1, None);
-                    }
-                    self.caching_ids[seq as usize] = Some(id);
-                    true
-                } else {
-                    false
+                    refused
+                });
+                if refused {
+                    return device(grown.div_ceil(r.page_bytes).saturating_mul(r.page_bytes));
                 }
             }
-            KvCachePolicy::TokenSwap => {
+            Pool::Caching { alloc, ids, next } => {
+                // Realloc pattern: new tensor first, then free the old one.
+                let id = TensorId(*next);
+                *next += 1;
+                if alloc.malloc(id, grown).is_err() {
+                    return device(held + grown);
+                }
+                if let Some(old) = slot(ids, seq).replace(id) {
+                    alloc.free(old);
+                }
+            }
+            Pool::TokenSwap { resident, swapped } => {
                 // Admit as long as the host can hold the swapped rows.
                 // Overlap infeasibility is a throughput hit, not an OOM:
                 // decode turns bandwidth-bound (the FlexGen regime) and
                 // `step_end` charges the exposed transfer time.
-                let plan = plan_kv_swap(&KvSwapInputs {
-                    total_kv_bytes: self.resident_kv + self.swapped_kv + bytes,
-                    device_kv_bytes: r.device_kv_bytes,
-                    step_compute_secs: self.nominal_step_secs(),
-                    host_bandwidth: r.host_bandwidth,
+                if arriving {
+                    let plan = plan_kv_swap(&KvSwapInputs {
+                        total_kv_bytes: *resident + *swapped + add,
+                        device_kv_bytes: r.device_kv_bytes,
+                        step_compute_secs: eng.nominal_step_secs(),
+                        host_bandwidth: r.host_bandwidth,
+                    });
+                    if plan.host_bytes > r.host_capacity {
+                        return Err(Shortfall {
+                            host: true,
+                            needed: plan.host_bytes,
+                            capacity: r.host_capacity,
+                        });
+                    }
+                }
+                *resident += add;
+            }
+            Pool::Tiered {
+                resident,
+                chain,
+                evictions,
+            } => {
+                let room = r.device_kv_bytes.checked_sub(add).is_some_and(|limit| {
+                    page_out(&mut self.seqs, seq, resident, limit, chain, evictions)
                 });
-                host_needed = Some(plan.host_bytes);
-                plan.host_bytes <= r.host_capacity
-            }
-            KvCachePolicy::Tiered => self.tiered_make_room(bytes, None),
-        };
-        if admitted {
-            if self.eng.policy == KvCachePolicy::TokenSwap
-                || self.eng.policy == KvCachePolicy::Tiered
-            {
-                self.resident_kv += bytes;
-            }
-            *self.state(seq) = Some(SeqState::Resident { bytes });
-            self.note_live(1);
-            self.step_flops += prompt_tokens as f64 * self.token_flops(prompt_tokens / 2);
-        } else {
-            *self.state(seq) = Some(SeqState::Dead);
-            self.rejected += 1;
-            match host_needed {
-                Some(needed) => self.note_refusal(true, needed, self.eng.resources.host_capacity),
-                None => self.note_refusal(
-                    false,
-                    self.device_need(0, bytes),
-                    self.eng.resources.device_kv_bytes,
-                ),
+                if !room {
+                    return device(grown);
+                }
+                *resident += add;
             }
         }
-    }
-
-    /// Device bytes a resident sequence holding `held` bytes needs to grow
-    /// to `grown`: whole pages under paging, the old and the new tensor at
-    /// once under the caching leg's realloc pattern.
-    fn device_need(&self, held: u64, grown: u64) -> u64 {
-        match self.eng.policy {
-            KvCachePolicy::Paged => {
-                let page = self.eng.resources.page_bytes;
-                grown.div_ceil(page).saturating_mul(page)
-            }
-            KvCachePolicy::Caching => held + grown,
-            KvCachePolicy::TokenSwap | KvCachePolicy::Tiered => grown,
-        }
+        Ok(())
     }
 
     /// Keep the smallest refused request that exceeds the whole pool that
     /// refused it: the run's failure if it serves no token.
-    fn note_refusal(&mut self, host: bool, needed: u64, capacity: u64) {
-        if needed > capacity && self.shortfall.is_none_or(|s| needed < s.needed) {
-            self.shortfall = Some(Shortfall {
-                host,
-                needed,
-                capacity,
-            });
+    fn note_refusal(&mut self, refusal: Shortfall) {
+        if refusal.needed > refusal.capacity
+            && self.shortfall.is_none_or(|s| refusal.needed < s.needed)
+        {
+            self.shortfall = Some(refusal);
         }
-    }
-
-    /// Tiered admission: page out the coldest resident sequences until
-    /// `bytes` fit on device (never the sequence asking for room).
-    /// Returns false if the chain is full too.
-    fn tiered_make_room(&mut self, bytes: u64, exclude: Option<u32>) -> bool {
-        if bytes > self.eng.resources.device_kv_bytes {
-            return false;
-        }
-        while self.resident_kv + bytes > self.eng.resources.device_kv_bytes {
-            let Some(victim) = self.coldest_resident(exclude) else {
-                return false;
-            };
-            let Some(SeqState::Resident { bytes: vb }) = self.seqs[victim as usize] else {
-                unreachable!()
-            };
-            let pager = self.pager.as_mut().unwrap();
-            match pager.evict(victim, vb) {
-                Ok(tier) => {
-                    self.seqs[victim as usize] = Some(SeqState::PagedOut { tier, bytes: vb });
-                    self.resident_kv -= vb;
-                }
-                Err(_) => return false,
-            }
-        }
-        true
-    }
-
-    /// Lowest-id live resident sequence — oldest arrival, the coldest
-    /// under continuous batching's monotone ids.
-    fn coldest_resident(&self, exclude: Option<u32>) -> Option<u32> {
-        self.seqs.iter().enumerate().find_map(|(i, s)| {
-            (matches!(s, Some(SeqState::Resident { .. })) && Some(i as u32) != exclude)
-                .then_some(i as u32)
-        })
     }
 
     fn append(&mut self, seq: u32) {
         let kv = self.kv_per_token;
-        let state = match *self.state(seq) {
-            Some(s) => s,
-            None => panic!("append before arrive"),
+        let Some(state) = *slot(&mut self.seqs, seq) else {
+            // A malformed trace: a sequence's appends follow its arrival.
+            panic!("decode trace: sequence {seq} appends before it arrives");
         };
         match state {
             SeqState::Dead => (),
             SeqState::PagedOut { tier, bytes } => {
-                let pager = self.pager.as_mut().unwrap();
-                if pager.append(seq, kv).is_ok() {
+                // Its decode appends land on its tier.
+                let grown = match &mut self.pool {
+                    Pool::Tiered { chain, .. } => chain.reserve_on(tier, kv).is_ok(),
+                    _ => false,
+                };
+                if grown {
                     self.seqs[seq as usize] = Some(SeqState::PagedOut {
                         tier,
                         bytes: bytes + kv,
                     });
-                    self.decode_token(bytes / self.kv_per_token);
+                    self.decode_token(bytes / kv);
                 } else {
-                    pager.release(seq);
-                    self.seqs[seq as usize] = Some(SeqState::Dead);
-                    self.note_live(-1);
-                    self.preempted += 1;
+                    self.preempt(seq, state);
                 }
             }
-            SeqState::Resident { bytes } => {
-                let tokens = bytes / kv;
-                let ok = match self.eng.policy {
-                    KvCachePolicy::Paged => {
-                        match self.paged.as_mut().unwrap().append_bytes(seq, kv) {
-                            Ok(()) => true,
-                            Err(PagedError::OutOfPages { .. }) => false,
-                            Err(e) => panic!("paged append: {e}"),
-                        }
-                    }
-                    KvCachePolicy::Caching => {
-                        // Realloc pattern: new tensor first, then free old.
-                        let old = self.caching_ids[seq as usize].expect("live tensor");
-                        let id = self.fresh_tensor();
-                        let a = self.caching.as_mut().unwrap();
-                        if a.malloc(id, bytes + kv).is_ok() {
-                            a.free(old);
-                            self.caching_ids[seq as usize] = Some(id);
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    KvCachePolicy::TokenSwap => {
-                        self.resident_kv += kv;
-                        true
-                    }
-                    KvCachePolicy::Tiered => {
-                        if self.tiered_make_room(kv, Some(seq)) {
-                            self.resident_kv += kv;
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                };
-                if ok {
+            SeqState::Resident { bytes } => match self.reserve(seq, bytes, kv, false) {
+                Ok(()) => {
                     self.seqs[seq as usize] = Some(SeqState::Resident { bytes: bytes + kv });
-                    self.decode_token(tokens);
-                } else {
-                    let needed = self.device_need(bytes, bytes + kv);
-                    self.note_refusal(false, needed, self.eng.resources.device_kv_bytes);
-                    self.kill_resident(seq);
+                    self.decode_token(bytes / kv);
                 }
-            }
+                Err(refusal) => {
+                    self.note_refusal(refusal);
+                    self.preempt(seq, state);
+                }
+            },
         }
     }
 
     fn decode_token(&mut self, tokens_held: u64) {
-        self.step_flops += self.token_flops(tokens_held);
+        self.step_flops += self.eng.token_flops(tokens_held);
         self.tokens_generated += 1;
     }
 
-    fn kill_resident(&mut self, seq: u32) {
-        let Some(SeqState::Resident { bytes }) = self.seqs[seq as usize] else {
-            unreachable!()
-        };
-        self.release_resident(seq, bytes);
+    /// Return the KV `seq` holds in `state` and mark it dead.
+    fn retire(&mut self, seq: u32, state: SeqState) {
+        match (state, &mut self.pool) {
+            (SeqState::Dead, _) => return,
+            (SeqState::Resident { bytes }, pool) => pool.release(seq, bytes),
+            // Only the tiered arm pages a sequence out, onto its chain.
+            (SeqState::PagedOut { tier, bytes }, Pool::Tiered { chain, .. }) => {
+                chain.release_on(tier, bytes)
+            }
+            (SeqState::PagedOut { .. }, _) => {}
+        }
         self.seqs[seq as usize] = Some(SeqState::Dead);
         self.note_live(-1);
+    }
+
+    /// Kill a live sequence mid-flight: memory ran out under it.
+    fn preempt(&mut self, seq: u32, state: SeqState) {
+        self.retire(seq, state);
         self.preempted += 1;
     }
 
-    /// Return a resident sequence's `bytes` of KV to the policy's pool.
-    fn release_resident(&mut self, seq: u32, bytes: u64) {
-        match self.eng.policy {
-            KvCachePolicy::Paged => self.paged.as_mut().unwrap().release(seq).unwrap(),
-            KvCachePolicy::Caching => {
-                let id = self.caching_ids[seq as usize].take().expect("live tensor");
-                self.caching.as_mut().unwrap().free(id);
-            }
-            KvCachePolicy::TokenSwap => {
-                // After step-end rebalancing part of the rows may sit in
-                // the host pool: drain device first, then the host-staged
-                // remainder.
-                let from_resident = bytes.min(self.resident_kv);
-                self.resident_kv -= from_resident;
-                self.swapped_kv -= (bytes - from_resident).min(self.swapped_kv);
-            }
-            KvCachePolicy::Tiered => self.resident_kv -= bytes,
-        }
-    }
-
-    /// Highest-id live resident sequence — the newest arrival, carrying
-    /// the least prefill investment; shed first under host pressure.
-    fn youngest_resident(&self) -> Option<u32> {
-        self.seqs
-            .iter()
-            .enumerate()
-            .rev()
-            .find_map(|(i, s)| matches!(s, Some(SeqState::Resident { .. })).then_some(i as u32))
-    }
-
     fn depart(&mut self, seq: u32) {
-        let state = match *self.state(seq) {
-            Some(s) => s,
-            None => panic!("depart before arrive"),
+        let Some(state) = *slot(&mut self.seqs, seq) else {
+            // A malformed trace: a sequence departs after its arrival.
+            panic!("decode trace: sequence {seq} departs before it arrives");
         };
-        match state {
-            SeqState::Dead => return,
-            SeqState::PagedOut { .. } => self.pager.as_mut().unwrap().release(seq),
-            SeqState::Resident { bytes } => self.release_resident(seq, bytes),
-        }
-        self.seqs[seq as usize] = Some(SeqState::Dead);
-        self.note_live(-1);
+        self.retire(seq, state);
     }
 
     /// Pure compute time of the step just accumulated.
@@ -731,72 +793,67 @@ impl<'a> Replay<'a> {
         r.kernel_launch_secs + self.step_flops / (r.peak_flops * r.efficiency)
     }
 
-    /// A nominal full-batch step time for admission-time α solves, so
-    /// admission does not depend on the half-built current step.
-    fn nominal_step_secs(&self) -> f64 {
-        let r = &self.eng.resources;
-        let per_token = self.token_flops(self.eng.params.prompt_tokens);
-        r.kernel_launch_secs
-            + self.eng.params.max_batch as f64 * per_token / (r.peak_flops * r.efficiency)
-    }
-
     fn step_end(&mut self) {
-        let r = &self.eng.resources;
+        let eng = self.eng;
+        let r = &eng.resources;
         let compute = self.step_compute_secs();
-        let overhead = match self.eng.policy {
-            KvCachePolicy::Paged | KvCachePolicy::Caching => 0.0,
-            KvCachePolicy::TokenSwap => {
-                // Appends may have grown the pool past what the host can
-                // absorb; shed the youngest sequences first (they have
-                // the least prefill investment).
-                loop {
-                    let total = self.resident_kv + self.swapped_kv;
+        let overhead = loop {
+            break match &mut self.pool {
+                Pool::Paged(_) | Pool::Caching { .. } => 0.0,
+                Pool::TokenSwap { resident, swapped } => {
+                    // Appends may have grown the pool past what the host
+                    // can absorb; shed the youngest sequences first (they
+                    // have the least prefill investment).
+                    let total = *resident + *swapped;
                     let plan = plan_kv_swap(&KvSwapInputs {
                         total_kv_bytes: total,
                         device_kv_bytes: r.device_kv_bytes,
                         step_compute_secs: compute,
                         host_bandwidth: r.host_bandwidth,
                     });
-                    if plan.host_bytes > r.host_capacity {
-                        if let Some(victim) = self.youngest_resident() {
-                            self.kill_resident(victim);
-                            continue;
-                        }
+                    let shed = (plan.host_bytes > r.host_capacity)
+                        .then(|| residents(&self.seqs).next_back())
+                        .flatten();
+                    if let Some((victim, bytes)) = shed {
+                        self.preempt(victim, SeqState::Resident { bytes });
+                        continue;
                     }
                     // Rebalance the split to the solved α.
-                    self.swapped_kv = plan.host_bytes.min(total);
-                    self.resident_kv = total - self.swapped_kv;
+                    *swapped = plan.host_bytes.min(total);
+                    *resident = total - *swapped;
                     self.alpha_used = self.alpha_used.max(plan.alpha_needed);
                     self.host_peak = self.host_peak.max(plan.host_bytes);
-                    break plan.step_overhead_secs;
+                    plan.step_overhead_secs
                 }
-            }
-            KvCachePolicy::Tiered => {
-                // Paged-out live sequences stream their KV through their
-                // tier's link every step; charge what compute cannot hide.
-                let mut transfer = 0.0f64;
-                let mut needed = 0u64;
-                for s in self.seqs.iter().flatten() {
-                    if let SeqState::PagedOut { tier, bytes } = *s {
-                        let bw = if tier == 0 {
-                            r.host_bandwidth
-                        } else {
-                            r.extra_tiers[tier - 1].bandwidth
-                        };
-                        if bw > 0.0 {
-                            transfer += bytes as f64 / bw;
+                Pool::Tiered {
+                    resident, chain, ..
+                } => {
+                    // Paged-out live sequences stream their KV through
+                    // their tier's link every step; charge what compute
+                    // cannot hide.
+                    let mut transfer = 0.0f64;
+                    let mut needed = 0u64;
+                    for s in self.seqs.iter().flatten() {
+                        if let SeqState::PagedOut { tier, bytes } = *s {
+                            let bw = if tier == 0 {
+                                r.host_bandwidth
+                            } else {
+                                r.extra_tiers[tier - 1].bandwidth
+                            };
+                            if bw > 0.0 {
+                                transfer += bytes as f64 / bw;
+                            }
+                            needed += bytes;
                         }
-                        needed += bytes;
                     }
+                    let total = *resident + needed;
+                    if total > 0 {
+                        self.alpha_used = self.alpha_used.max(needed as f64 / total as f64);
+                    }
+                    self.host_peak = self.host_peak.max(chain.host_peak());
+                    (transfer - compute).max(0.0)
                 }
-                let total = self.resident_kv + needed;
-                if total > 0 {
-                    self.alpha_used = self.alpha_used.max(needed as f64 / total as f64);
-                }
-                let pager = self.pager.as_ref().unwrap();
-                self.host_peak = self.host_peak.max(pager.host_peak());
-                (transfer - compute).max(0.0)
-            }
+            };
         };
         self.sim_secs += compute + overhead;
         self.total_flops += self.step_flops;
@@ -806,17 +863,20 @@ impl<'a> Replay<'a> {
 
     fn finish(self) -> ServingReport {
         let r = &self.eng.resources;
-        let mut sim_secs = self.sim_secs;
-        let reorgs = self.caching.as_ref().map_or(0, |a| a.reorg_count());
-        sim_secs += reorgs as f64 * r.reorg_penalty_secs;
-        let host_peak = match self.eng.policy {
-            KvCachePolicy::Tiered => self
-                .pager
-                .as_ref()
-                .map_or(0, |p| p.host_peak())
-                .max(self.host_peak),
-            _ => self.host_peak,
+        let (reorgs, evictions, host_peak, alpha) = match &self.pool {
+            Pool::Paged(_) => (0, 0, self.host_peak, None),
+            Pool::Caching { alloc, .. } => (alloc.reorg_count(), 0, self.host_peak, None),
+            Pool::TokenSwap { .. } => (0, 0, self.host_peak, Some(self.alpha_used)),
+            Pool::Tiered {
+                chain, evictions, ..
+            } => (
+                0,
+                *evictions,
+                chain.host_peak().max(self.host_peak),
+                Some(self.alpha_used),
+            ),
         };
+        let sim_secs = self.sim_secs + reorgs as f64 * r.reorg_penalty_secs;
         ServingReport {
             policy: self.eng.policy,
             steps: self.steps,
@@ -825,14 +885,11 @@ impl<'a> Replay<'a> {
             rejected: self.rejected,
             preempted: self.preempted,
             shortfall: self.shortfall,
-            evictions: self.pager.as_ref().map_or(0, |p| p.evictions()),
+            evictions,
             peak_kv_bytes: self.peak_kv,
             host_peak_bytes: host_peak,
             reorgs,
-            alpha: match self.eng.policy {
-                KvCachePolicy::TokenSwap | KvCachePolicy::Tiered => Some(self.alpha_used),
-                _ => None,
-            },
+            alpha,
             sim_secs,
             tokens_per_sec: if sim_secs > 0.0 {
                 self.tokens_generated as f64 / sim_secs
@@ -1130,9 +1187,12 @@ mod tests {
                     let trace = generate_decode(&eng.params);
                     let mut whole = Replay::new(&eng, &trace);
                     let device_pages = r.device_kv_bytes / r.page_bytes;
-                    let pool = whole.paged.as_ref().expect("a pool of pages");
+                    let Pool::Paged(Some(pool)) = &whole.pool else {
+                        panic!("{cell}: a pool of pages");
+                    };
                     capped += usize::from(pool.total_pages() < device_pages);
-                    whole.paged = Some(PagedKvAllocator::new(r.device_kv_bytes, r.page_bytes));
+                    let uncapped = PagedKvAllocator::new(r.device_kv_bytes, r.page_bytes);
+                    whole.pool = Pool::Paged(Some(uncapped));
                     whole.run();
                     assert_eq!(whole.finish(), eng.replay(&trace), "{cell}");
                 }
@@ -1158,7 +1218,9 @@ mod tests {
         }
         let eng = ServingEngine::from_workload(&w, KvCachePolicy::Paged);
         let trace = generate_decode(&eng.params);
-        let pool = Replay::new(&eng, &trace).paged.expect("a pool of pages");
+        let Pool::Paged(Some(pool)) = Replay::new(&eng, &trace).pool else {
+            panic!("a pool of pages");
+        };
         assert!(pool.total_pages() <= u64::from(u32::MAX));
     }
 
@@ -1218,5 +1280,144 @@ mod tests {
         }
         assert!(starved > 0, "the grid must reach starved swap/tiered legs");
         assert!(picks.len() >= 2, "the grid must move the pick: {picks:?}");
+    }
+
+    /// FNV-1a over the `Debug` text of `reports`, in order.
+    fn digest(reports: &[ServingReport]) -> u64 {
+        reports
+            .iter()
+            .flat_map(|r| format!("{r:?}").into_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+    }
+
+    /// A tiered cell whose host tier holds about one full sequence and
+    /// which has no deeper tier, so paging out runs the chain dry.
+    fn one_sequence_host_cell() -> ServingEngine {
+        let mut r = resources(2 * 96 * kv_token());
+        r.host_capacity = 96 * kv_token();
+        ServingEngine::new(tiny_params(5, 10), r, KvCachePolicy::Tiered)
+    }
+
+    /// The tiered arm pages the coldest sequence out onto the nearest tier
+    /// with room, spills to the next tier when the host is full, grows a
+    /// paged-out sequence on its own tier, and preempts one whose tier is
+    /// full.
+    #[test]
+    fn tiered_arm_places_nearest_first_and_spills() {
+        let seq_bytes = 64 * kv_token();
+        let mut r = resources(seq_bytes);
+        r.host_capacity = 2 * seq_bytes;
+        r.extra_tiers = vec![TierLink {
+            bandwidth: 1e9,
+            capacity: 10 * seq_bytes,
+        }];
+        let eng = ServingEngine::new(tiny_params(1, 4), r, KvCachePolicy::Tiered);
+        let trace = generate_decode(&eng.params);
+        let mut rt = Replay::new(&eng, &trace);
+        for seq in 0..4 {
+            rt.event(DecodeEvent::Arrive {
+                seq,
+                prompt_tokens: 64,
+            });
+        }
+        let paged_out = |tier, bytes| Some(SeqState::PagedOut { tier, bytes });
+        assert_eq!(
+            rt.seqs,
+            [
+                paged_out(0, seq_bytes),
+                paged_out(0, seq_bytes), // the host is now full
+                paged_out(1, seq_bytes), // so the third spills to tier 1
+                Some(SeqState::Resident { bytes: seq_bytes }),
+            ]
+        );
+        let chain = |rt: &Replay| match &rt.pool {
+            Pool::Tiered {
+                chain, evictions, ..
+            } => (chain.used(0), chain.used(1), chain.host_peak(), *evictions),
+            _ => panic!("a tiered pool"),
+        };
+        assert_eq!(chain(&rt), (2 * seq_bytes, seq_bytes, 2 * seq_bytes, 3));
+
+        // Appends accrue on the sequence's own tier.
+        rt.event(DecodeEvent::Append { seq: 2 });
+        assert_eq!(rt.seqs[2], paged_out(1, seq_bytes + kv_token()));
+        // Host-resident seq 0 cannot grow: the host is full, so it is
+        // preempted and its tier drained.
+        rt.event(DecodeEvent::Append { seq: 0 });
+        assert_eq!(rt.seqs[0], Some(SeqState::Dead));
+        assert_eq!(rt.preempted, 1);
+        rt.event(DecodeEvent::Depart { seq: 1 });
+        assert_eq!(rt.seqs[1], Some(SeqState::Dead));
+        let grown = seq_bytes + kv_token();
+        assert_eq!(chain(&rt), (0, grown, 2 * seq_bytes, 3));
+    }
+
+    #[test]
+    fn a_full_host_tier_preempts_and_rejects() {
+        let rep = one_sequence_host_cell().run();
+        assert_eq!(
+            (rep.evictions, rep.preempted, rep.rejected),
+            (2, 4, 3),
+            "{rep:?}"
+        );
+    }
+
+    /// Every report of `pick_policy_matches_the_four_run_oracle`'s grid, of
+    /// the `from_workload` cells of the two typed-failure tests, and of the
+    /// unit tests' tiny cells under every policy, recorded before the
+    /// replay kept one state per policy: one digest per group.
+    #[test]
+    fn serving_reports_match_the_recorded_digests() {
+        let mut grid = Vec::new();
+        for model in [ModelConfig::gpt_7b(), ModelConfig::gpt_13b()] {
+            for gpus in [4, 8] {
+                for k in [64u64, 128, 256] {
+                    for gib in [1u64, 4, 16, 64, 256, 1024] {
+                        let mut w = Workload::new(model.clone(), gpus, k << 10);
+                        w.calib.set_host_memory_bytes(gib << 30);
+                        grid.extend(four_run_oracle(&w).1);
+                    }
+                }
+            }
+        }
+        let failing = KvCachePolicy::ALL
+            .into_iter()
+            .map(|policy| (ModelConfig::gpt_7b(), policy, 256u64))
+            .chain([
+                (ModelConfig::gpt_7b(), KvCachePolicy::TokenSwap, 768),
+                (ModelConfig::gpt_7b(), KvCachePolicy::Caching, 128),
+            ])
+            .chain(KvCachePolicy::ALL.map(|policy| (ModelConfig::gpt_65b(), policy, 64)))
+            .map(|(model, policy, k)| {
+                ServingEngine::from_workload(&Workload::new(model, 8, k << 10), policy).run()
+            })
+            .collect::<Vec<_>>();
+        let kv = kv_token();
+        let mut tiny = Vec::new();
+        for (max_batch, arrivals, device) in [
+            (4, 12, 1 << 24),
+            (3, 9, 1 << 22),
+            (6, 12, 3 * 96 * kv),
+            (5, 10, 2 * 96 * kv),
+            (8, 24, 4 * 96 * kv),
+        ] {
+            for policy in KvCachePolicy::ALL {
+                let params = tiny_params(max_batch, arrivals);
+                tiny.push(ServingEngine::new(params, resources(device), policy).run());
+            }
+        }
+        tiny.push(one_sequence_host_cell().run());
+        let got = [digest(&grid), digest(&failing), digest(&tiny)];
+        assert_eq!((grid.len(), failing.len(), tiny.len()), (288, 10, 21));
+        assert_eq!(
+            got,
+            [
+                0x8742_0754_5a3c_34f9,
+                0x39cc_761e_8672_8458,
+                0x7ac1_721b_c352_cf3c,
+            ]
+        );
     }
 }

@@ -1,14 +1,14 @@
 //! One thread-local RAII stats scope for every per-request counter.
 //!
-//! The profile cache, the segment cache and the worker pool keep racing
-//! process-wide totals, and a request also wants exactly the counts it
-//! caused. Each counter type names a thread-local slot ([`ScopedStats`]);
+//! The profile cache, the segment cache and the worker pool keep no
+//! process-wide totals: a request wants exactly the counts it caused.
+//! Each counter type names a thread-local slot ([`ScopedStats`]);
 //! its bump sites add to that slot through [`StatsScope::bump`] while a
 //! scope is open on the thread, and do nothing otherwise. A scope observes
 //! exactly the bumps made between `enter` and `finish` *on its thread*, so
 //! concurrent requests on different pool workers report disjoint counts.
 //! Entering saves any enclosing scope; finishing (or dropping) folds the
-//! inner counts back into it, composing the way the global counters do.
+//! inner counts back into it, so the outer scope counts both.
 
 use std::cell::Cell;
 use std::thread::LocalKey;

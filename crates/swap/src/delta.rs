@@ -33,7 +33,6 @@ use memo_model::hash::{lock_shard, FxHashMap, FxHasher};
 use memo_model::stats::{ScopedStats, StatsScope, StatsSlot};
 use std::cell::Cell;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Most runs a [`ScheduleKey`] holds: the pipeline's
@@ -71,7 +70,7 @@ impl ScheduleKey {
         let traffic_words: usize = swap_runs(segments)
             .map(|s| 1 + 3 * s.costs.traffic.len())
             .sum();
-        if 3 + 5 * segments.len() + traffic_words + 1 + 2 * staging.len() > MAX_KEY_WORDS {
+        if 3 + 5 * segments.len() + traffic_words + 1 + 2 * staging.tiers() > MAX_KEY_WORDS {
             return None;
         }
         let mut words = [0u64; MAX_KEY_WORDS];
@@ -98,8 +97,8 @@ impl ScheduleKey {
                 }
             }
         }
-        push(staging.len() as u64);
-        for tier in 0..staging.len() {
+        push(staging.tiers() as u64);
+        for tier in 0..staging.tiers() {
             let pool = staging.pool(tier).expect("tier < len");
             push(pool.capacity());
             push(pool.used());
@@ -138,7 +137,8 @@ impl Hash for ScheduleKey {
 
 type Shard = FxHashMap<ScheduleKey, Result<ScalarSchedule, OutOfTierMemory>>;
 
-/// Hit/miss/fallback counters of a [`SegmentCache`].
+/// Hit/miss/fallback counters of the [`SegmentCache`] lookups inside one
+/// scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SegmentCacheStats {
     /// Schedule builds served from a memoized segment.
@@ -175,9 +175,6 @@ pub type SegmentStatsScope = StatsScope<SegmentCacheStats>;
 /// contention when sweeps run on the worker pool.
 pub struct SegmentCache {
     shards: Vec<Mutex<Shard>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    fallbacks: AtomicU64,
 }
 
 impl SegmentCache {
@@ -191,9 +188,6 @@ impl SegmentCache {
             shards: (0..Self::SHARDS)
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
         }
     }
 
@@ -209,21 +203,6 @@ impl SegmentCache {
         let mut h = FxHasher::default();
         key.hash(&mut h);
         &self.shards[(h.finish() >> 32) as usize % Self::SHARDS]
-    }
-
-    fn count_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        SegmentStatsScope::bump(|s| s.hits += 1);
-    }
-
-    fn count_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        SegmentStatsScope::bump(|s| s.misses += 1);
-    }
-
-    fn count_fallback(&self) {
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        SegmentStatsScope::bump(|s| s.fallbacks += 1);
     }
 
     /// Scalar schedule build ([`build_schedule_scalars`]) through the cache.
@@ -247,14 +226,14 @@ impl SegmentCache {
         staging: &mut TierStaging,
         slots: usize,
     ) -> Result<ScalarSchedule, OutOfTierMemory> {
-        let narrow = swap_runs(segments).any(|s| staging.len() < s.costs.traffic.len());
+        let narrow = swap_runs(segments).any(|s| staging.tiers() < s.costs.traffic.len());
         let key = if narrow {
             None
         } else {
             ScheduleKey::new(segments, t_head, staging, slots)
         };
         let Some(key) = key else {
-            self.count_fallback();
+            SegmentStatsScope::bump(|s| s.fallbacks += 1);
             return build_schedule_scalars(segments, t_head, staging, slots);
         };
         let cached = {
@@ -262,7 +241,7 @@ impl SegmentCache {
             shard.get(&key).copied()
         };
         if let Some(entry) = cached {
-            self.count_hit();
+            SegmentStatsScope::bump(|s| s.hits += 1);
             // Deterministic: the key captures every pool's capacity and
             // used bytes, so a state that admitted the reserves once admits
             // them again — and one that failed fails identically.
@@ -279,7 +258,7 @@ impl SegmentCache {
                 Err(e) => unreachable!("memoized failure {e} did not reproduce"),
             };
         }
-        self.count_miss();
+        SegmentStatsScope::bump(|s| s.misses += 1);
         let result = build_schedule_scalars(segments, t_head, staging, slots);
         let mut shard = lock_shard(self.shard(&key));
         if shard.len() >= Self::SHARD_CAP {
@@ -289,16 +268,7 @@ impl SegmentCache {
         result
     }
 
-    #[cfg(test)]
-    fn stats(&self) -> SegmentCacheStats {
-        SegmentCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drop every memoized segment (stats are kept).
+    /// Drop every memoized segment (scopes keep their counts).
     pub fn clear(&self) {
         for shard in &self.shards {
             lock_shard(shard).clear();
@@ -342,27 +312,29 @@ mod tests {
     fn hit_returns_bit_identical_scalars_and_staging_state() {
         let cache = SegmentCache::new();
         let c = costs(1_000_000);
+        let scope = SegmentStatsScope::enter();
         let mut s1 = TierStaging::single(100_000_000);
         let miss = cached(&cache, 12, c, SimTime::from_millis(5), &mut s1).unwrap();
         let mut s2 = TierStaging::single(100_000_000);
         let hit = cached(&cache, 12, c, SimTime::from_millis(5), &mut s2).unwrap();
         assert_eq!(miss, hit);
         assert_eq!(s1, s2, "staging replay must reproduce used bytes and peaks");
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
+        let st = scope.finish();
+        assert_eq!((st.hits, st.misses), (1, 1));
     }
 
     #[test]
     fn memoized_failure_replays_error_and_partial_state() {
         let cache = SegmentCache::new();
         let c = costs(1_000_000);
+        let scope = SegmentStatsScope::enter();
         let mut s1 = TierStaging::single(3 * 1_000_000);
         let e1 = cached(&cache, 12, c, SimTime::ZERO, &mut s1).unwrap_err();
         let mut s2 = TierStaging::single(3 * 1_000_000);
         let e2 = cached(&cache, 12, c, SimTime::ZERO, &mut s2).unwrap_err();
         assert_eq!(e1, e2);
         assert_eq!(s1, s2, "partial commit state must match the real build");
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(scope.finish().hits, 1);
     }
 
     #[test]
@@ -371,12 +343,13 @@ mod tests {
         // the recurrence would behave differently (and may OOHM).
         let cache = SegmentCache::new();
         let c = costs(1_000_000);
+        let scope = SegmentStatsScope::enter();
         let mut fresh = TierStaging::single(10 * 1_000_000);
         cached(&cache, 12, c, SimTime::ZERO, &mut fresh).unwrap();
         let mut dirty = TierStaging::single(10 * 1_000_000);
         dirty.reserve_layer(&c.traffic).unwrap();
         let r = cached(&cache, 12, c, SimTime::ZERO, &mut dirty);
-        assert_eq!(cache.stats().hits, 0, "dirty pool must miss");
+        assert_eq!(scope.finish().hits, 0, "dirty pool must miss");
         // 10 layers swap but only 9 more layers fit on top of the 1 staged.
         assert!(r.is_err());
     }
@@ -420,6 +393,7 @@ mod tests {
         // the shard, recomputes, and memoization resumes.
         let cache = SegmentCache::new();
         let c = costs(1_000_000);
+        let scope = SegmentStatsScope::enter();
         let mut s1 = TierStaging::single(100_000_000);
         let before = cached(&cache, 12, c, SimTime::from_millis(5), &mut s1).unwrap();
         // Poison every shard so the test does not depend on which shard
@@ -442,7 +416,7 @@ mod tests {
         let hit = cached(&cache, 12, c, SimTime::from_millis(5), &mut s3).unwrap();
         assert_eq!(before, hit);
         // miss (cold), miss (post-poison recompute), then a clean hit.
-        let st = cache.stats();
+        let st = scope.finish();
         assert_eq!((st.hits, st.misses), (1, 2));
         // Recovery is lazy (per shard, on next lock); clear() touches every
         // shard, after which no poison flag may remain.
@@ -455,7 +429,7 @@ mod tests {
         use std::sync::{Arc, Barrier};
         // Two overlapping "requests" on separate threads, each inside its
         // own scope, hammering the same shared cache. Every scope must see
-        // exactly its own lookups even though the global counters race.
+        // exactly its own lookups.
         let cache = Arc::new(SegmentCache::new());
         let barrier = Arc::new(Barrier::new(2));
         let spawn = |reps: u64, offload: u64| {
@@ -489,9 +463,6 @@ mod tests {
         let sb = b.join().unwrap();
         assert_eq!((sa.hits, sa.misses, sa.fallbacks), (2, 1, 1));
         assert_eq!((sb.hits, sb.misses, sb.fallbacks), (4, 1, 1));
-        // The globals hold the racing total, as before.
-        let st = cache.stats();
-        assert_eq!((st.hits, st.misses, st.fallbacks), (6, 2, 2));
     }
 
     #[test]
@@ -530,6 +501,7 @@ mod tests {
             SimTime::ZERO,
             traffic,
         );
+        let scope = SegmentStatsScope::enter();
         let mut a = TierStaging::new(&[u64::MAX / 2, 10 * 400_000]);
         let first = cached(&cache, 10, c, SimTime::ZERO, &mut a).unwrap();
         // Same shape, deeper tier smaller: must miss and fail on tier 1.
@@ -539,6 +511,6 @@ mod tests {
         let mut a2 = TierStaging::new(&[u64::MAX / 2, 10 * 400_000]);
         let hit = cached(&cache, 10, c, SimTime::ZERO, &mut a2).unwrap();
         assert_eq!(first, hit);
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(scope.finish().hits, 1);
     }
 }

@@ -1,4 +1,4 @@
-//! Token-wise KV swap/recompute and tiered cold-KV paging (serving).
+//! Token-wise KV swap for serving.
 //!
 //! MEMO's α mechanism (Eq. 1–3) applied to the KV cache instead of
 //! skeletal activations. During decode every step must *read* the whole
@@ -11,14 +11,13 @@
 //! transfer compute cannot hide. The caller gates the host bytes on its
 //! own host capacity, and a violated overlap constraint is that stall.
 //!
-//! [`KvPager`] is the MemGPT-style tiered half: whole cold *sequences*
-//! are paged out through [`TierStaging`] down the offload chain (host →
-//! NVMe → …), nearest tier first, and their bytes keep accruing on that
-//! tier until departure. The serving engine (`memo_core::serving`) uses
-//! the planner for the α leg and the pager for the tiered leg.
-
-use crate::schedule::{TierTraffic, TierTrafficList};
-use crate::tiers::{OutOfTierMemory, TierStaging};
+//! The tiered half, MemGPT-style paging of whole cold *sequences* down
+//! the offload chain, needs no planner: the serving engine
+//! (`memo_core::serving`) places each one on its own [`TierStaging`]
+//! through the per-tier `reserve_on`/`release_on` calls, and its sequence
+//! state is the only record of which tier holds what.
+//!
+//! [`TierStaging`]: crate::tiers::TierStaging
 
 /// The KV α grid is the activation grid (1/8).
 pub(crate) use crate::alpha::ALPHA_GRID;
@@ -83,106 +82,6 @@ pub fn plan_kv_swap(inp: &KvSwapInputs) -> KvSwapPlan {
     }
 }
 
-/// MemGPT-style pager: whole cold sequences page out through the offload
-/// chain, nearest tier with room first, and stay there (appending on
-/// their tier) until departure.
-#[derive(Debug, Clone)]
-pub struct KvPager {
-    staging: TierStaging,
-    /// seq → (tier, bytes staged there); dense by sequence id.
-    placed: Vec<Option<(usize, u64)>>,
-    evictions: u64,
-}
-
-impl KvPager {
-    /// One pool per tier beyond the device, chain order (0 = host).
-    pub fn new(tier_capacities: &[u64]) -> Self {
-        assert!(!tier_capacities.is_empty(), "pager needs at least one tier");
-        KvPager {
-            staging: TierStaging::new(tier_capacities),
-            placed: Vec::new(),
-            evictions: 0,
-        }
-    }
-
-    fn traffic_at(&self, tier: usize, bytes: u64) -> TierTrafficList {
-        let mut t = TierTrafficList::new();
-        for i in 0..=tier {
-            t.push(TierTraffic {
-                bytes: if i == tier { bytes } else { 0 },
-                bandwidth: 1.0,
-                latency_secs: 0.0,
-            });
-        }
-        t
-    }
-
-    /// Page a resident sequence out: place its `bytes` on the nearest
-    /// tier with room. Returns the tier index.
-    pub fn evict(&mut self, seq: u32, bytes: u64) -> Result<usize, OutOfTierMemory> {
-        if self.placed.len() <= seq as usize {
-            self.placed.resize(seq as usize + 1, None);
-        }
-        assert!(
-            self.placed[seq as usize].is_none(),
-            "sequence {seq} already paged out"
-        );
-        let n = self.staging.len();
-        let mut last_err = None;
-        for tier in 0..n {
-            match self.staging.reserve_layer(&self.traffic_at(tier, bytes)) {
-                Ok(()) => {
-                    self.placed[seq as usize] = Some((tier, bytes));
-                    self.evictions += 1;
-                    return Ok(tier);
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.expect("at least one tier"))
-    }
-
-    /// Grow a paged-out sequence in place (its decode appends land on its
-    /// tier). Fails if the tier is full — the engine then rejects or
-    /// departs the sequence.
-    pub fn append(&mut self, seq: u32, bytes: u64) -> Result<(), OutOfTierMemory> {
-        let (tier, held) = self.placed[seq as usize].expect("sequence not paged out");
-        self.staging.reserve_layer(&self.traffic_at(tier, bytes))?;
-        self.placed[seq as usize] = Some((tier, held + bytes));
-        Ok(())
-    }
-
-    /// True if `seq` currently lives off device.
-    #[cfg(test)]
-    fn is_paged_out(&self, seq: u32) -> bool {
-        self.placed.get(seq as usize).is_some_and(|p| p.is_some())
-    }
-
-    /// Release a departed (or recalled) sequence's staged bytes.
-    pub fn release(&mut self, seq: u32) {
-        if let Some(Some((tier, bytes))) = self.placed.get_mut(seq as usize).map(|p| p.take()) {
-            self.staging.release_layer(&self.traffic_at(tier, bytes));
-        }
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Bytes currently staged across the chain.
-    #[cfg(test)]
-    fn staged_bytes(&self) -> u64 {
-        (0..self.staging.len())
-            .map(|t| self.staging.pool(t).map_or(0, |p| p.used()))
-            .sum()
-    }
-
-    /// Peak bytes ever staged on the nearest (host) tier.
-    pub fn host_peak(&self) -> u64 {
-        self.staging.host_peak()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,36 +130,5 @@ mod tests {
             ..base
         });
         assert_eq!(ok.step_overhead_secs, 0.0);
-    }
-
-    #[test]
-    fn pager_places_nearest_first_and_spills() {
-        let mut pager = KvPager::new(&[2 * GIB, 10 * GIB]);
-        assert_eq!(pager.evict(0, GIB).unwrap(), 0);
-        assert_eq!(pager.evict(1, GIB).unwrap(), 0); // host now full
-        assert_eq!(pager.evict(2, GIB).unwrap(), 1); // spills to tier 1
-        assert!(pager.is_paged_out(1));
-        assert_eq!(pager.staged_bytes(), 3 * GIB);
-        assert_eq!(pager.evictions(), 3);
-
-        // Appends accrue on the sequence's own tier.
-        pager.append(2, GIB).unwrap();
-        assert_eq!(pager.staged_bytes(), 4 * GIB);
-        // Host-resident seq 0 cannot grow: host is full.
-        assert!(pager.append(0, GIB).is_err());
-
-        pager.release(1);
-        assert!(!pager.is_paged_out(1));
-        assert_eq!(pager.staged_bytes(), 3 * GIB);
-        assert_eq!(pager.host_peak(), 2 * GIB);
-    }
-
-    #[test]
-    fn pager_oom_reports_deepest_tier() {
-        let mut pager = KvPager::new(&[GIB, GIB]);
-        pager.evict(0, GIB).unwrap();
-        pager.evict(1, GIB).unwrap();
-        let err = pager.evict(2, GIB).unwrap_err();
-        assert_eq!(err.tier, 1, "error surfaces the last tier tried");
     }
 }

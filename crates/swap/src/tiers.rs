@@ -71,7 +71,8 @@ impl TierStaging {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    /// Number of tiers in the chain.
+    pub fn tiers(&self) -> usize {
         self.pools.len()
     }
 
@@ -81,7 +82,12 @@ impl TierStaging {
 
     /// Used bytes of the host pool (tier 0), 0 with no pools.
     pub fn host_used(&self) -> u64 {
-        self.pools.first().map_or(0, HostStaging::used)
+        self.used(0)
+    }
+
+    /// Used bytes of pool `tier` (0 = host), 0 past the chain.
+    pub fn used(&self, tier: usize) -> u64 {
+        self.pools.get(tier).map_or(0, HostStaging::used)
     }
 
     /// Peak bytes of the host pool (tier 0), 0 with no pools.
@@ -152,6 +158,20 @@ impl TierStaging {
                 .expect_err("a tier must be full"));
         }
         Ok(())
+    }
+
+    /// Stage `bytes` on tier `tier` alone (a whole sequence paged out, or
+    /// its growth there): committed if they fit, otherwise refused with
+    /// nothing changed.
+    pub fn reserve_on(&mut self, tier: usize, bytes: u64) -> Result<(), OutOfTierMemory> {
+        self.pools[tier]
+            .reserve(bytes)
+            .map_err(|e| OutOfTierMemory::new(tier, e))
+    }
+
+    /// Release `bytes` from tier `tier` alone.
+    pub fn release_on(&mut self, tier: usize, bytes: u64) {
+        self.pools[tier].release(bytes);
     }
 
     /// Release one layer's traffic from every pool.
@@ -260,7 +280,7 @@ mod tests {
     #[test]
     fn unbounded_pools_absorb_everything() {
         let mut tiers = TierStaging::unbounded(3);
-        assert_eq!(tiers.len(), 3);
+        assert_eq!(tiers.tiers(), 3);
         tiers
             .reserve_layers(&traffic(&[1 << 40, 1 << 38, 1 << 36]), 1000)
             .unwrap();

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Per-crate and total counts of four things in the shipped sources
+# Per-crate and total counts of five things in the shipped sources
 # (crates/*/src/**/*.rs and src/**/*.rs) and manifests:
 #   lines  non-test lines: every line except the items gated by `#[cfg(test)]`
 #          (the attribute, any attributes after it, and the item: one line
 #          for a `use` or other `;` item, otherwise up to its closing brace)
 #   pub    of those, the lines starting (after indentation) with a bare `pub `;
 #          `pub(crate)`, `pub(super)` and `pub(in ..)` lines do not count
+#   panics of those, the lines containing `.unwrap()`, `.expect(`, `panic!` or
+#          `unreachable!` (comments included; `assert!` and `debug_assert!`
+#          do not count)
 #   unref  of those, the top-level (unindented) `pub` fn, struct, enum, union,
 #          const, trait, type, static and mod items whose name appears in no
 #          `.rs` file outside the library's own `src/`: not in another crate,
@@ -33,8 +36,8 @@ all_sources() {
 
 count() {
     # Prints one "name <ident>" line per top-level `pub` item of the library
-    # sources under the given directory (bins excluded), then "<lines> <pub>"
-    # for all of its sources.
+    # sources under the given directory (bins excluded), then
+    # "<lines> <pub> <panics>" for all of its sources.
     # State per file: `gated` while skipping a `#[cfg(test)]` item, `opened`
     # once its body brace was seen, `depth` its open braces.
     find "$1" -name '*.rs' -print0 | sort -z | xargs -0 -r awk -v bin="$1/bin/" '
@@ -63,6 +66,7 @@ count() {
         }
         {
             lines++
+            if ($0 ~ /\.unwrap\(\)|\.expect\(|panic!|unreachable!/) panics++
             if ($0 !~ /^[[:space:]]*pub /) next
             pubs++
             if (index(FILENAME, bin) == 1) next
@@ -70,7 +74,7 @@ count() {
             if (!sub(/^pub ((const|async|unsafe) )*(fn|struct|enum|union|const|trait|type|static( mut)?|mod) /, "", item)) next
             if (match(item, /^[A-Za-z_][A-Za-z0-9_]*/)) print "name", substr(item, 1, RLENGTH)
         }
-        END { printf "%d %d\n", lines, pubs }
+        END { printf "%d %d %d\n", lines, pubs, panics }
     '
 }
 
@@ -111,9 +115,10 @@ deps() {
 }
 
 crates=$(crate_names)
-printf '%-12s %8s %6s %6s %6s\n' crate lines pub unref deps
+printf '%-12s %8s %6s %6s %6s %6s\n' crate lines pub panics unref deps
 total_lines=0
 total_pub=0
+total_panics=0
 total_unref=0
 total_deps=0
 for dir in crates/*/src src; do
@@ -128,15 +133,17 @@ for dir in crates/*/src src; do
     out=$(count "$dir")
     lines=0
     pubs=0
-    while read -r a b _; do
-        [ "$a" = name ] || { lines=$((lines + a)); pubs=$((pubs + b)); }
+    panics=0
+    while read -r a b c _; do
+        [ "$a" = name ] || { lines=$((lines + a)); pubs=$((pubs + b)); panics=$((panics + c)); }
     done <<<"$out"
     unrefs=$(unref "$dir" "$(awk '$1 == "name" { print $2 }' <<<"$out")")
     ndeps=$(deps "$manifest" "$crates")
-    printf '%-12s %8d %6d %6d %6d\n' "$name" "$lines" "$pubs" "$unrefs" "$ndeps"
+    printf '%-12s %8d %6d %6d %6d %6d\n' "$name" "$lines" "$pubs" "$panics" "$unrefs" "$ndeps"
     total_lines=$((total_lines + lines))
     total_pub=$((total_pub + pubs))
+    total_panics=$((total_panics + panics))
     total_unref=$((total_unref + unrefs))
     total_deps=$((total_deps + ndeps))
 done
-printf '%-12s %8d %6d %6d %6d\n' total "$total_lines" "$total_pub" "$total_unref" "$total_deps"
+printf '%-12s %8d %6d %6d %6d %6d\n' total "$total_lines" "$total_pub" "$total_panics" "$total_unref" "$total_deps"
