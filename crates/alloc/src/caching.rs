@@ -30,17 +30,22 @@
 //! free blocks are indexed **by size class**: each pool keeps 64
 //! power-of-two classes over the 512 B-rounded sizes (class *k* holds sizes
 //! in `[512·2^k, 512·2^(k+1))`) with a `u64` occupancy bitmap for
-//! first-nonempty-class lookup and an in-class best-fit scan. A free node
-//! records its position in its class, so taking it out is one
-//! `swap_remove`. Apart from that scan, a request is O(1): a few link
-//! edits, plus finding the tensor's block.
+//! first-nonempty-class lookup and an in-class best-fit scan, a
+//! branch-free minimum over each entry's `(size, addr)` packed into one
+//! `u128`. A free node records its position in its class, so taking it out
+//! is one `swap_remove`. Apart from that scan, a request is O(1): a few
+//! link edits, plus finding the tensor's block.
 //!
 //! A trace replay ([`DeviceAllocator::serve`], which every function of
 //! [`crate::snapshot`] goes through) finds it without hashing: trace ids
 //! are malloc ordinals ([`memo_model::trace::IterationTrace::tensors`]),
-//! so the replay keeps each tensor's node in a `Vec` indexed by id. Only
+//! so the replay keeps each tensor's node in a table indexed by id. Only
 //! `malloc`/`free`, whose callers pick their own ids, hash the tensor into
 //! a map.
+//!
+//! [`CachingAllocator::reset`] makes an allocator a fresh one of a new
+//! capacity while every buffer (slab, free lists, map, table) keeps its
+//! capacity, so a caller replaying many traces reuses one workspace.
 //!
 //! The pre-optimization implementation survives verbatim as
 //! [`crate::reference::ReferenceCachingAllocator`], and the two are kept
@@ -125,11 +130,33 @@ struct FreeEntry {
 }
 
 impl FreeEntry {
-    /// The best-fit order: min over this pair.
+    /// The best-fit order, packed into one integer: size, then address.
+    /// Sizes are multiples of 512, so no entry's key is `u128::MAX`.
     #[inline]
-    fn key(&self) -> (u64, u64) {
-        (self.size, self.addr)
+    fn key(&self) -> u128 {
+        (u128::from(self.size) << 64) | u128::from(self.addr)
     }
+}
+
+/// The node of the minimum-key entry of `entries` with `size ≥ rounded`,
+/// by a scan with no data-dependent branch: an entry too small keys as
+/// `u128::MAX`, and each step selects the smaller key and its node. Keys
+/// are distinct (no two free blocks share an address), so the minimum is
+/// the one `min_by_key` over the fitting entries returns.
+#[inline]
+fn min_fit(entries: &[FreeEntry], rounded: u64) -> Option<u32> {
+    let (mut best, mut node) = (u128::MAX, NIL);
+    for e in entries {
+        let key = if e.size >= rounded {
+            e.key()
+        } else {
+            u128::MAX
+        };
+        let less = key < best;
+        best = if less { key } else { best };
+        node = if less { e.node } else { node };
+    }
+    (node != NIL).then_some(node)
 }
 
 /// `floor(log2(size / 512))`: the power-of-two class of a rounded size.
@@ -174,6 +201,15 @@ impl SegregatedLists {
         self.total_free += n.size;
     }
 
+    /// Unlist every block, keeping the lists' capacities.
+    fn clear(&mut self) {
+        for class in &mut self.classes {
+            class.clear();
+        }
+        self.occupancy = 0;
+        self.total_free = 0;
+    }
+
     /// Unlist `node`: swap-remove its entry and fix the stored position of
     /// the entry moved into its place.
     #[inline]
@@ -198,13 +234,13 @@ impl SegregatedLists {
     /// is scanned for fitting entries; every entry in a higher class is
     /// strictly larger than every entry here, so on a miss the occupancy
     /// bitmap jumps straight to the first nonempty higher class and the
-    /// scan there only resolves address ties on equal sizes.
+    /// scan there only resolves address ties on equal sizes. Both scans
+    /// are [`min_fit`]'s branch-free minimum.
     fn best_fit(&self, rounded: u64) -> Option<u32> {
         let k = class_of(rounded);
         if self.occupancy & (1 << k) != 0 {
-            let fits = self.classes[k].iter().filter(|e| e.size >= rounded);
-            if let Some(e) = fits.min_by_key(|e| e.key()) {
-                return Some(e.node);
+            if let Some(node) = min_fit(&self.classes[k], rounded) {
+                return Some(node);
             }
         }
         let higher = if k + 1 >= N_CLASSES {
@@ -215,11 +251,7 @@ impl SegregatedLists {
         if higher == 0 {
             return None;
         }
-        let j = higher.trailing_zeros() as usize;
-        self.classes[j]
-            .iter()
-            .min_by_key(|e| e.key())
-            .map(|e| e.node)
+        min_fit(&self.classes[higher.trailing_zeros() as usize], 0)
     }
 
     /// The largest cached size: the max entry of the highest nonempty class.
@@ -316,6 +348,10 @@ pub struct CachingAllocator {
     free: [SegregatedLists; 2],
     /// Tensor → its block, for the tensors `malloc` handed out.
     live: FxHashMap<TensorId, u32>,
+    /// [`DeviceAllocator::serve`]'s table of each replayed tensor's block
+    /// (`NIL` while not live), kept between calls for its capacity only:
+    /// every `serve` starts it empty.
+    blocks: Vec<u32>,
     /// Blocks handed out and not released, however they were named.
     live_blocks: usize,
     allocated: u64,
@@ -337,12 +373,51 @@ impl CachingAllocator {
             spare: Vec::new(),
             free: [SegregatedLists::new(), SegregatedLists::new()],
             live: FxHashMap::default(),
+            blocks: Vec::new(),
             live_blocks: 0,
             allocated: 0,
             reserved: 0,
             stats: CachingStats::default(),
             events: None,
         }
+    }
+
+    /// Make this allocator a fresh one managing `capacity` bytes, as
+    /// [`Self::new`] would, while its buffers (the block slab, the free
+    /// lists, the tensor map and [`DeviceAllocator::serve`]'s tensor
+    /// table) keep their capacity: a replay workspace reused across
+    /// replays allocates only where a replay outgrows every earlier one.
+    /// Event recording is off, as on a fresh allocator.
+    pub fn reset(&mut self, capacity: u64) {
+        // Destructured in full, so that a new field cannot be left out.
+        let CachingAllocator {
+            capacity: cap,
+            va_cursor,
+            segments,
+            nodes,
+            spare,
+            free,
+            live,
+            blocks,
+            live_blocks,
+            allocated,
+            reserved,
+            stats,
+            events,
+        } = self;
+        *cap = capacity;
+        *va_cursor = 0;
+        segments.clear();
+        nodes.clear();
+        spare.clear();
+        free.iter_mut().for_each(SegregatedLists::clear);
+        live.clear();
+        blocks.clear();
+        *live_blocks = 0;
+        *allocated = 0;
+        *reserved = 0;
+        *stats = CachingStats::default();
+        *events = None;
     }
 
     /// Enable or disable event recording. Enabling starts a fresh event
@@ -764,21 +839,25 @@ impl DeviceAllocator for CachingAllocator {
 
     /// The trace replay's fast path: each tensor's node sits in a table of
     /// `tensors` entries indexed by id, so no request hashes its tensor.
-    /// The checks are `malloc`'s and `free`'s, with their messages. A
-    /// tensor the requests leave live keeps its block, but no later
-    /// request can name it.
+    /// The table is the allocator's own, refilled on every call. The
+    /// checks are `malloc`'s and `free`'s, with their messages. A tensor
+    /// the requests leave live keeps its block, but no later request can
+    /// name it.
     fn serve(
         &mut self,
         tensors: usize,
         mut requests: impl Iterator<Item = Request>,
         mut served: impl FnMut(&Self),
     ) -> Result<(), AllocError> {
-        let mut blocks = vec![NIL; tensors];
+        let mut blocks = std::mem::take(&mut self.blocks);
+        blocks.clear();
+        blocks.resize(tensors, NIL);
         let failed = requests.try_for_each(|r| {
             self.serve_one(&mut blocks, r)?;
             served(self);
             ControlFlow::Continue(())
         });
+        self.blocks = blocks;
         match failed {
             ControlFlow::Continue(()) => Ok(()),
             ControlFlow::Break(bytes) => Err(self.out_of_memory(bytes)),
@@ -1204,6 +1283,16 @@ mod tests {
     fn replayed_unknown_free_panics() {
         let trace = trace_of(&[(MemOp::Malloc, 5), (MemOp::Free, 6)]);
         let _ = crate::snapshot::replay_peak(&mut CachingAllocator::new(1 << 30), &trace);
+    }
+
+    #[test]
+    #[should_panic(expected = "freeing unknown tensor 0")]
+    fn a_tensor_one_replay_leaves_live_is_unknown_to_the_next() {
+        // The replays share the allocator's tensor table, but each starts
+        // it empty: the second cannot free the block the first left live.
+        let mut a = CachingAllocator::new(1 << 30);
+        let _ = crate::snapshot::replay_peak(&mut a, &trace_of(&[(MemOp::Malloc, 5)]));
+        let _ = crate::snapshot::replay_peak(&mut a, &trace_of(&[(MemOp::Free, 5)]));
     }
 
     #[test]

@@ -306,21 +306,22 @@ fn identical_on_the_search_replay_shape() {
 }
 
 /// `snapshot::replay_training`, the caching-replay search's whole replay
-/// (warm-up, persistent tensors, steady iteration), on a fresh device of
-/// `capacity`: the handle path against the reference, which serves the
-/// same requests by `TensorId`. Both must agree on the steady peak and
-/// reorganisations or the OOM, on the stats and on the full event stream.
+/// (warm-up, persistent tensors, steady iteration), on `new`, a fresh or
+/// reset device of `capacity`: the handle path against the reference,
+/// which serves the same requests by `TensorId`. Both must agree on the
+/// steady peak and reorganisations or the OOM, on the stats and on the
+/// full event stream.
 fn assert_training_replays_identical(
+    new: &mut CachingAllocator,
     trace: &IterationTrace,
     persistent: &[u64],
     capacity: u64,
     what: &str,
 ) -> Result<(u64, u64), AllocError> {
-    let mut new = CachingAllocator::new(capacity);
     let mut old = ReferenceCachingAllocator::new(capacity);
     new.record_events(true);
     old.record_events(true);
-    let replayed = snapshot::replay_training(&mut new, trace, persistent, |_| ());
+    let replayed = snapshot::replay_training(new, trace, persistent, |_| ());
     let reference = snapshot::replay_training(&mut old, trace, persistent, |_| ());
     assert_eq!(replayed, reference, "{what}: outcome diverged");
     assert_eq!(new.reorg_count(), old.reorg_count(), "{what}: reorgs");
@@ -333,6 +334,20 @@ fn assert_training_replays_identical(
     replayed
 }
 
+/// The remat policies of the training replay tests.
+const TRAINING_POLICIES: [RematPolicy; 3] = [
+    RematPolicy::KeepAll,
+    RematPolicy::FullRecompute,
+    RematPolicy::MemoTokenWise,
+];
+
+/// A device no training replay fills.
+const ROOMY: u64 = 1 << 42;
+
+/// Devices cut to these fractions (‰) of a roomy replay's steady peak: one
+/// survives only by reorganising, and one runs out of memory.
+const DEVICE_PERMILLE: [u64; 7] = [1000, 995, 990, 980, 960, 900, 600];
+
 #[test]
 fn identical_on_the_training_replay_entry_point() {
     // All three remat policies of 7B on 8 GPUs (TP4·CP2) at 1M: a roomy
@@ -341,23 +356,25 @@ fn identical_on_the_training_replay_entry_point() {
     let m = ModelConfig::gpt_7b();
     let cfg = ParallelConfig::megatron(4, 2, 1, 1);
     let persistent = memo_parallel::memory::persistent_tensor_sizes(&m, &cfg);
-    for policy in [
-        RematPolicy::KeepAll,
-        RematPolicy::FullRecompute,
-        RematPolicy::MemoTokenWise,
-    ] {
+    for policy in TRAINING_POLICIES {
         let trace = sharded_trace(&m, &cfg, 1 << 20, policy);
         let what = |capacity: u64| format!("7B {policy:?} @ {capacity} B");
-        let roomy = 1u64 << 42;
-        let (peak, reorgs) =
-            assert_training_replays_identical(&trace, &persistent, roomy, &what(roomy))
-                .expect("the roomy device fits");
+        let replay = |capacity: u64| {
+            let mut fresh = CachingAllocator::new(capacity);
+            assert_training_replays_identical(
+                &mut fresh,
+                &trace,
+                &persistent,
+                capacity,
+                &what(capacity),
+            )
+        };
+        let (peak, reorgs) = replay(ROOMY).expect("the roomy device fits");
         assert_eq!(reorgs, 0, "the roomy device reorganises");
         let (mut reorganised, mut oom) = (false, false);
-        for permille in [1000u64, 995, 990, 980, 960, 900, 600] {
+        for permille in DEVICE_PERMILLE {
             let capacity = peak / 1000 * permille;
-            match assert_training_replays_identical(&trace, &persistent, capacity, &what(capacity))
-            {
+            match replay(capacity) {
                 Ok((_, reorgs)) => reorganised |= reorgs > 0,
                 Err(_) => oom = true,
             }
@@ -416,4 +433,69 @@ mod random_scripts {
             drive(capacity, &script);
         }
     }
+}
+
+#[test]
+fn a_reset_workspace_replays_like_a_fresh_allocator() {
+    // The training replays of `identical_on_the_training_replay_entry_point`
+    // (three policies; roomy, reorganising and OOM devices) on one
+    // workspace, reset before each, the way the search reuses one: each
+    // must equal a fresh allocator's replay and the reference's, outcome,
+    // stats and events. Some replays follow an OOM-aborted one, which left
+    // tensors live in the workspace.
+    let m = ModelConfig::gpt_7b();
+    let cfg = ParallelConfig::megatron(4, 2, 1, 1);
+    let persistent = memo_parallel::memory::persistent_tensor_sizes(&m, &cfg);
+    let mut workspace = CachingAllocator::new(0);
+    let (mut replays, mut after_oom, mut last_oom) = (0, 0, false);
+    let mut replay = |trace: &IterationTrace, capacity: u64, what: &str| {
+        workspace.reset(capacity);
+        let reused = assert_training_replays_identical(
+            &mut workspace,
+            trace,
+            &persistent,
+            capacity,
+            &format!("{what}, reset"),
+        );
+        let mut fresh = CachingAllocator::new(capacity);
+        let fresh_out =
+            assert_training_replays_identical(&mut fresh, trace, &persistent, capacity, what);
+        assert_eq!(reused, fresh_out, "{what}: outcome");
+        assert_eq!(workspace.stats(), fresh.stats(), "{what}: stats");
+        assert_eq!(
+            workspace.allocated_bytes(),
+            fresh.allocated_bytes(),
+            "{what}"
+        );
+        assert_eq!(workspace.reserved_bytes(), fresh.reserved_bytes(), "{what}");
+        // The events carry no address: one more malloc must land at the
+        // same one.
+        let probe = tid(u64::MAX);
+        let at = |a: &mut CachingAllocator| a.malloc(probe, 3 * MIB);
+        assert_eq!(at(&mut workspace), at(&mut fresh), "{what}: next address");
+        replays += 1;
+        after_oom += usize::from(last_oom);
+        last_oom = reused.is_err();
+        if last_oom {
+            assert!(workspace.allocated_bytes() > 0, "{what}: nothing left live");
+        }
+        reused
+    };
+    let mut traces = Vec::new();
+    for policy in TRAINING_POLICIES {
+        let trace = sharded_trace(&m, &cfg, 1 << 20, policy);
+        let what = |capacity: u64| format!("7B {policy:?} @ {capacity} B");
+        let (peak, _) = replay(&trace, ROOMY, &what(ROOMY)).expect("the roomy device fits");
+        for permille in DEVICE_PERMILLE {
+            let capacity = peak / 1000 * permille;
+            let _ = replay(&trace, capacity, &what(capacity));
+        }
+        traces.push(trace);
+    }
+    // One more roomy replay, after the last policy's smallest device.
+    replay(&traces[0], ROOMY, "7B KeepAll, roomy again").expect("the roomy device fits");
+    assert!(
+        after_oom >= 3,
+        "{after_oom} of {replays} replays follow an OOM"
+    );
 }

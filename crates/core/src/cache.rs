@@ -52,12 +52,16 @@ pub(crate) struct ProfileKey {
 }
 
 impl ProfileKey {
+    /// The key of `cfg`'s profile on `w`, whose calibration the caller
+    /// fingerprinted as `calib` (once per search or row, not per key).
     pub(crate) fn new(
         w: &Workload,
         cfg: &ParallelConfig,
         policy: RematPolicy,
         materialize_logits: bool,
+        calib: CalibFingerprint,
     ) -> Self {
+        debug_assert!(calib == w.calib.fingerprint());
         ProfileKey {
             model: w.model.clone(),
             cfg: *cfg,
@@ -66,7 +70,7 @@ impl ProfileKey {
             n_gpus: w.n_gpus,
             seq_len: w.seq_len,
             batch: w.batch,
-            calib: w.calib.fingerprint(),
+            calib,
         }
     }
 }
@@ -252,12 +256,13 @@ impl ProfileCache {
         if !use_cache {
             return Arc::new(compute());
         }
-        self.profile_keyed(ProfileKey::new(w, cfg, policy, materialize_logits), compute)
+        let key = ProfileKey::new(w, cfg, policy, materialize_logits, w.calib.fingerprint());
+        self.profile_keyed(key, compute)
     }
 
-    /// [`Self::profile`] under a key the caller built: a grid row keeps it
-    /// for its plan lookup ([`Self::plan_keyed`]), so the row fingerprints
-    /// its calibration once.
+    /// [`Self::profile`] under a key the caller built: a grid row or a
+    /// search keeps it for its plan lookup ([`Self::plan_keyed`]), and
+    /// fingerprints its calibration once for all its keys.
     pub(crate) fn profile_keyed(
         &self,
         key: ProfileKey,
@@ -287,8 +292,8 @@ impl ProfileCache {
         if !use_cache {
             return Arc::new(crate::planner::plan_with(trace, planner));
         }
-        let profile = ProfileKey::new(w, cfg, policy, materialize_logits);
-        self.plan_keyed(profile, planner, trace)
+        let key = ProfileKey::new(w, cfg, policy, materialize_logits, w.calib.fingerprint());
+        self.plan_keyed(key, planner, trace)
     }
 
     /// [`Self::plan`] under the profile's key.

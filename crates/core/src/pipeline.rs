@@ -34,6 +34,7 @@ use crate::session::Workload;
 use memo_alloc::caching::CachingAllocator;
 use memo_alloc::snapshot::replay_training;
 use memo_alloc::AllocError;
+use memo_hal::calib::CalibFingerprint;
 use memo_hal::engine::Timeline;
 use memo_hal::time::SimTime;
 use memo_model::trace::RematPolicy;
@@ -46,6 +47,7 @@ use memo_swap::schedule::{
     LayerCosts, LayerSegment, SegmentPolicy, TierTraffic, TierTrafficList, MAX_TIERS,
 };
 use memo_swap::tiers::TierStaging;
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -291,9 +293,9 @@ pub struct ExecutionReport {
 
 /// Where stage 3 gets the static plan.
 enum PlanSource<'a> {
-    /// The global [`ProfileCache`]; `use_cache = false` recomputes the
-    /// plan unconditionally.
-    Lookup { use_cache: bool },
+    /// The global [`ProfileCache`], under the profile's `key`; with no key
+    /// the plan is recomputed unconditionally.
+    Lookup { key: Option<&'a ProfileKey> },
     /// A grid row's plan, looked up under the row's profile `key` by the
     /// first cell that reaches stage 3 and held for the rest of the row.
     /// Row cells also build their swap schedules through the global
@@ -306,15 +308,63 @@ enum PlanSource<'a> {
     },
 }
 
-/// What the strategy search knows about one config before stage 3
-/// ([`ExecutionPipeline::screen`]).
+/// What the strategy search knows about one config before stage 3 and
+/// before its liveness peak ([`ExecutionPipeline::bound`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Bound {
+    /// `Some`: the config may succeed, with a TGS of at most this (exact
+    /// for a static plan, the zero-stall bound for a caching replay).
+    /// `None`: it cannot succeed, because stage 2 or 4 failed or the
+    /// timing is degenerate; its failure may still depend on stage 3.
+    pub(crate) tgs: Option<f64>,
+    /// What a liveness certificate of `X_oom` adds the peak to.
+    pub(crate) floor: Floor,
+}
+
+/// The bytes a run of one config holds beside its transient tensors: the
+/// part of a liveness certificate ([`Floor::certificate`]) that needs no
+/// liveness peak.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Floor {
+    /// Stage 2 fails before stage 3: no certificate applies.
+    Uncertifiable,
+    /// The caching replay refuses its static bytes, whatever the peak:
+    /// `X_oom` with this `needed`.
+    Refused(u64),
+    /// Stage 3 needs these bytes plus the trace's liveness peak; `X_oom`
+    /// when the sum exceeds the usable bytes. Above them on its own, the
+    /// run is `X_oom` whatever the peak, and these bytes are a lower bound
+    /// on its `needed`.
+    PlusPeak(u128),
+}
+
+impl Floor {
+    /// The `needed` bytes that prove a run on profile `p` ends `X_oom`
+    /// on `usable` bytes, from liveness alone; `None` when it may fit.
+    /// Streams `p`'s peak unless it has been read.
+    pub(crate) fn certificate(self, p: &ProfileReport, usable: u64) -> Option<u64> {
+        match self {
+            Floor::Uncertifiable => None,
+            Floor::Refused(needed) => Some(needed),
+            Floor::PlusPeak(bytes) => oom_certificate(plus_peak(bytes, p), usable),
+        }
+    }
+}
+
+/// `bytes` plus `p`'s liveness peak: a [`Floor::PlusPeak`] certificate's
+/// `needed`, before saturation.
+pub(crate) fn plus_peak(bytes: u128, p: &ProfileReport) -> u128 {
+    bytes + u128::from(p.trace.live_peak())
+}
+
+/// What the strategy search knows about one config before stage 3:
+/// [`ExecutionPipeline::bound`] and the certificate it allows, composed.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Screen {
-    /// The config may succeed, with a TGS of at most this: exact for a
-    /// static plan, the zero-stall bound for a caching replay.
+    /// The config may succeed, with a TGS of at most this.
     Bound(f64),
-    /// The config cannot succeed: stage 2 or 4 failed, or the timing is
-    /// degenerate. Its failure may still depend on stage 3.
+    /// The config cannot succeed; its failure may still depend on stage 3.
     CannotSucceed,
     /// The config is certain to end `X_oom`, from liveness alone; the
     /// search reports `Oom { needed, capacity: usable }` without stage 3.
@@ -406,11 +456,12 @@ impl ExecutionPipeline {
         // requests on other workers must not leak into this run's counts.
         let cache_scope = obs.as_ref().map(|_| CacheStatsScope::enter());
         let t0 = obs.as_ref().map(|_| Instant::now());
-        let p = self.profile(w, cfg, use_cache);
+        let key = use_cache.then(|| self.profile_key(w, cfg, w.calib.fingerprint()));
+        let p = self.keyed_profile(w, cfg, key.as_ref());
         if let Some(o) = obs.as_deref_mut() {
             o.stage_secs.profile = t0.unwrap().elapsed().as_secs_f64();
         }
-        let source = PlanSource::Lookup { use_cache };
+        let source = PlanSource::Lookup { key: key.as_ref() };
         let report = self.run_stages(w, cfg, &p, source, obs.as_deref_mut());
         finish_cache_delta(obs, cache_scope);
         report
@@ -422,15 +473,46 @@ impl ExecutionPipeline {
         matches!(self.stages.backend, MemoryBackend::CachingReplay { .. })
     }
 
-    /// Stage 1 alone, through the global [`ProfileCache`].
+    /// Stage 1 alone, through the global [`ProfileCache`] only when
+    /// `use_cache`.
+    #[cfg(test)]
     pub(crate) fn profile(
         &self,
         w: &Workload,
         cfg: &ParallelConfig,
         use_cache: bool,
     ) -> Arc<ProfileReport> {
+        let key = use_cache.then(|| self.profile_key(w, cfg, w.calib.fingerprint()));
+        self.keyed_profile(w, cfg, key.as_ref())
+    }
+
+    /// The [`ProfileCache`] key of `cfg`'s profile under this mode, on the
+    /// workload's calibration as fingerprinted by the caller: a search or
+    /// a row fingerprints it once for all its keys.
+    pub(crate) fn profile_key(
+        &self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        calib: CalibFingerprint,
+    ) -> ProfileKey {
         let st = &self.stages;
-        ProfileCache::global().profile(w, cfg, st.remat, st.materialize_logits, use_cache)
+        ProfileKey::new(w, cfg, st.remat, st.materialize_logits, calib)
+    }
+
+    /// Stage 1 alone: the profile cached under `key`, or computed afresh
+    /// with no lookup when there is no key.
+    pub(crate) fn keyed_profile(
+        &self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        key: Option<&ProfileKey>,
+    ) -> Arc<ProfileReport> {
+        let (remat, logits) = (self.stages.remat, self.stages.materialize_logits);
+        let compute = || crate::profiler::profile(w, cfg, remat, logits);
+        match key {
+            Some(key) => ProfileCache::global().profile_keyed(key.clone(), compute),
+            None => Arc::new(compute()),
+        }
     }
 
     /// A grid row's cached profile and the key it was looked up under,
@@ -440,15 +522,14 @@ impl ExecutionPipeline {
         w: &Workload,
         cfg: &ParallelConfig,
     ) -> (Arc<ProfileReport>, ProfileKey) {
-        let (remat, logits) = (self.stages.remat, self.stages.materialize_logits);
-        let key = ProfileKey::new(w, cfg, remat, logits);
-        let compute = || crate::profiler::profile(w, cfg, remat, logits);
-        let p = ProfileCache::global().profile_keyed(key.clone(), compute);
-        (p, key)
+        let key = self.profile_key(w, cfg, w.calib.fingerprint());
+        (self.keyed_profile(w, cfg, Some(&key)), key)
     }
 
     /// What the strategy search learns about `cfg` on profile `p` without
-    /// running stage 3 (no plan, no allocator replay).
+    /// running stage 3 (no plan, no allocator replay) and without reading
+    /// the liveness peak: a TGS bound, and the [`Floor`] of its liveness
+    /// certificate.
     ///
     /// A static plan runs stages 2 and 4 and reports the **exact** TGS:
     /// the Swap arm of stage 4 never reads the memory accounting, the
@@ -457,36 +538,48 @@ impl ExecutionPipeline {
     /// plan decides only *whether* the config succeeds. Every valid plan
     /// peaks at or above the trace's liveness peak, so `needed = model
     /// states + skeletal buffers + peak_live_bytes > usable` (in `u128`)
-    /// proves stage 3's `X_oom`, which precedes any stage 4 failure.
+    /// proves stage 3's `X_oom`, which precedes any stage 4 failure: the
+    /// floor is the model states plus the skeletal buffers.
     ///
-    /// A caching replay is bounded by [`Self::replay_tgs_bound`] and
-    /// certified by [`Self::replay_oom_certificate`].
-    pub(crate) fn screen(&self, w: &Workload, cfg: &ParallelConfig, p: &ProfileReport) -> Screen {
-        if self.replays_allocator() {
-            return match self.replay_oom_certificate(w, cfg, p) {
-                Some(needed) => Screen::MustOom { needed },
-                None => Screen::Bound(self.replay_tgs_bound(w, cfg, p)),
+    /// A caching replay is bounded by [`Self::replay_tgs_bound`]; its floor
+    /// is [`replay_floor`]'s.
+    pub(crate) fn bound(&self, w: &Workload, cfg: &ParallelConfig, p: &ProfileReport) -> Bound {
+        if let MemoryBackend::CachingReplay { zero3_prefetch } = self.stages.backend {
+            return Bound {
+                tgs: Some(self.replay_tgs_bound(w, cfg, p)),
+                floor: replay_floor(w, cfg, zero3_prefetch),
             };
         }
         let Ok(plan) = decide_activation(&self.stages.policy, w, p) else {
-            return Screen::CannotSucceed;
+            return Bound {
+                tgs: None,
+                floor: Floor::Uncertifiable,
+            };
         };
-        let needed = u128::from(p.model_states.total())
-            + u128::from(skeletal_bytes(p, &plan))
-            + u128::from(p.peak_live_bytes);
-        if let Some(needed) = oom_certificate(needed, w.calib.usable_gpu_memory()) {
-            return Screen::MustOom { needed };
-        }
+        let floor = Floor::PlusPeak(
+            u128::from(p.model_states.total()) + u128::from(skeletal_bytes(p, &plan)),
+        );
         let mem = MemoryAccounting {
             bytes: ByteBreakdown::default(),
             reorgs: 0,
         };
         let head_secs = self.head_secs(p);
         let derate = self.stages.derate;
-        match build_schedule(w, cfg, p, head_secs, &plan, &mem, derate, false, None) {
-            Ok((iter_secs, _, _)) => mfu_tgs(w, cfg, iter_secs)
-                .map_or(Screen::CannotSucceed, |(_, tgs)| Screen::Bound(tgs)),
-            Err(_) => Screen::CannotSucceed,
+        let tgs = build_schedule(w, cfg, p, head_secs, &plan, &mem, derate, false, None)
+            .ok()
+            .and_then(|(iter_secs, _, _)| mfu_tgs(w, cfg, iter_secs))
+            .map(|(_, tgs)| tgs);
+        Bound { tgs, floor }
+    }
+
+    /// [`Self::bound`] and its certificate, composed: certified `X_oom`
+    /// first, else the bound.
+    #[cfg(test)]
+    pub(crate) fn screen(&self, w: &Workload, cfg: &ParallelConfig, p: &ProfileReport) -> Screen {
+        let Bound { tgs, floor } = self.bound(w, cfg, p);
+        match floor.certificate(p, w.calib.usable_gpu_memory()) {
+            Some(needed) => Screen::MustOom { needed },
+            None => tgs.map_or(Screen::CannotSucceed, Screen::Bound),
         }
     }
 
@@ -511,50 +604,19 @@ impl ExecutionPipeline {
         mfu_tgs(w, cfg, t.iter_secs).map_or(f64::INFINITY, |(_, tgs)| tgs)
     }
 
-    /// The `needed` bytes that prove a caching-replay run of `cfg` on
-    /// profile `p` ends `X_oom`, from liveness alone: the static bytes,
-    /// every persistent optimizer tensor and the trace's liveness peak
-    /// ([`oom_certificate`]). Inside the allocator, live bytes ≤ allocated
-    /// ≤ reserved ≤ the `usable − static` it manages, and the steady pass
-    /// reaches the liveness peak with every persistent tensor live, so some
-    /// `malloc` up to there fails (or the static bytes alone are refused,
-    /// and are the `needed`). `None` when the run may fit.
-    pub(crate) fn replay_oom_certificate(
-        &self,
-        w: &Workload,
-        cfg: &ParallelConfig,
-        p: &ProfileReport,
-    ) -> Option<u64> {
-        let MemoryBackend::CachingReplay { zero3_prefetch } = self.stages.backend else {
-            return None;
-        };
-        let usable = w.calib.usable_gpu_memory();
-        let static_bytes = replay_static_bytes(w, cfg, zero3_prefetch);
-        // The replay's own first check; it also keeps the persistent sizes
-        // of a model this large from being computed at all.
-        if static_bytes >= usable {
-            return Some(static_bytes);
-        }
-        let persistent: u128 = memo_parallel::memory::persistent_tensor_sizes(&w.model, cfg)
-            .into_iter()
-            .map(u128::from)
-            .sum();
-        let needed = u128::from(static_bytes) + persistent + u128::from(p.peak_live_bytes);
-        oom_certificate(needed, usable)
-    }
-
     /// Stages 2–5 on a profile the caller already holds: bit-identical to
     /// [`Self::execute_cached`]'s outcome, with no second profile lookup. A
-    /// static plan still comes from the [`ProfileCache`] under
-    /// `use_cache`, so modes that share a trace share its plan.
+    /// static plan still comes from the [`ProfileCache`] under the
+    /// profile's `key` (recomputed when there is none), so modes that share
+    /// a trace share its plan.
     pub(crate) fn execute_profiled(
         &self,
         w: &Workload,
         cfg: &ParallelConfig,
         p: &ProfileReport,
-        use_cache: bool,
+        key: Option<&ProfileKey>,
     ) -> CellOutcome {
-        let source = PlanSource::Lookup { use_cache };
+        let source = PlanSource::Lookup { key };
         self.run_stages(w, cfg, p, source, None).outcome
     }
 
@@ -713,7 +775,12 @@ fn mfu_tgs(w: &Workload, cfg: &ParallelConfig, iter_secs: f64) -> Option<(f64, f
 
 /// `needed`, saturated to `u64`, when it exceeds `usable`.
 fn oom_certificate(needed: u128, usable: u64) -> Option<u64> {
-    (needed > u128::from(usable)).then(|| u64::try_from(needed).unwrap_or(u64::MAX))
+    (needed > u128::from(usable)).then(|| saturate(needed))
+}
+
+/// A `u128` byte count as a `u64` shortfall, saturating at `u64::MAX`.
+pub(crate) fn saturate(bytes: u128) -> u64 {
+    u64::try_from(bytes).unwrap_or(u64::MAX)
 }
 
 /// Fold the run's [`ProfileCache`] lookups into the observer. The scope is
@@ -925,16 +992,15 @@ fn account_memory(
             // A row's cells borrow the plan the row holds.
             let looked_up;
             let report: &BilevelReport = match source {
-                PlanSource::Lookup { use_cache } => {
-                    looked_up = ProfileCache::global().plan(
-                        w,
-                        cfg,
-                        stages.remat,
-                        stages.materialize_logits,
-                        stages.planner,
-                        &p.trace,
-                        *use_cache,
-                    );
+                PlanSource::Lookup { key } => {
+                    looked_up = match key {
+                        Some(key) => ProfileCache::global().plan_keyed(
+                            (*key).clone(),
+                            stages.planner,
+                            &p.trace,
+                        ),
+                        None => Arc::new(crate::planner::plan_with(&p.trace, stages.planner)),
+                    };
                     &looked_up
                 }
                 PlanSource::Row { key, plan: held } => held.get_or_insert_with(|| {
@@ -1002,8 +1068,35 @@ fn replay_static_bytes(w: &Workload, cfg: &ParallelConfig, zero3_prefetch: bool)
     }
 }
 
+/// The liveness certificate's [`Floor`] of a caching-replay run of `cfg`:
+/// the static bytes plus every persistent optimizer tensor. Inside the
+/// allocator, live bytes ≤ allocated ≤ reserved ≤ the `usable − static` it
+/// manages, and the steady pass reaches the liveness peak with every
+/// persistent tensor live, so some `malloc` up to there fails when the sum
+/// with the peak exceeds `usable`. Static bytes of `usable` or more are
+/// refused before any `malloc` ([`caching_replay_pass`]'s own first check),
+/// and are the `needed`; that check also keeps the persistent sizes of a
+/// model this large from being summed at all.
+fn replay_floor(w: &Workload, cfg: &ParallelConfig, zero3_prefetch: bool) -> Floor {
+    let static_bytes = replay_static_bytes(w, cfg, zero3_prefetch);
+    if static_bytes >= w.calib.usable_gpu_memory() {
+        return Floor::Refused(static_bytes);
+    }
+    let persistent = memo_parallel::memory::persistent_tensor_bytes(&w.model, cfg);
+    Floor::PlusPeak(u128::from(static_bytes) + persistent)
+}
+
+thread_local! {
+    /// This thread's caching-replay workspace: every replay resets it
+    /// ([`CachingAllocator::reset`]) rather than building a fresh
+    /// allocator, so its slab, free lists and tensor table keep their
+    /// capacity from one replay to the next.
+    static REPLAY_WORKSPACE: RefCell<CachingAllocator> = RefCell::new(CachingAllocator::new(0));
+}
+
 /// Replay a baseline through the caching allocator the way a real PyTorch
-/// job runs ([`replay_training`]): iteration 1 on a fresh allocator, then
+/// job runs ([`replay_training`]): iteration 1 on a fresh allocator (this
+/// thread's workspace, reset to the device's capacity), then
 /// the optimizer's lazy allocation of persistent gradient/Adam tensors
 /// (which land scattered in the cached activation segments and pin them),
 /// then a steady-state iteration whose reorganisations and peak are what
@@ -1025,18 +1118,18 @@ fn caching_replay_pass(
             capacity: usable,
         });
     }
-    let mut alloc = CachingAllocator::new(usable - static_bytes);
     let persistent = memo_parallel::memory::persistent_tensor_sizes(&w.model, cfg);
     // Record the *steady-state* iteration only — that is the one whose
     // fragmentation behaviour training pays every step (Figure 1a).
     let record = obs.is_some();
-    let replayed = replay_training(&mut alloc, &p.trace, &persistent, |a| {
-        a.record_events(record)
-    });
-    if let Some(o) = obs {
-        o.alloc_events = alloc.take_events();
-    }
-    replayed.map_err(|err| replay_oom(&err, static_bytes, usable))
+    REPLAY_WORKSPACE.with_borrow_mut(|alloc| {
+        alloc.reset(usable - static_bytes);
+        let replayed = replay_training(alloc, &p.trace, &persistent, |a| a.record_events(record));
+        if let Some(o) = obs {
+            o.alloc_events = alloc.take_events();
+        }
+        replayed.map_err(|err| replay_oom(&err, static_bytes, usable))
+    })
 }
 
 /// A single-stream timeline for the recompute family, mirroring the
@@ -1357,9 +1450,10 @@ mod tests {
                 vocab: 1,
             };
             assert_eq!(replay_static_bytes(&huge, &cfg, true), u64::MAX);
-            assert_eq!(ds.replay_oom_certificate(&huge, &cfg, &p), Some(u64::MAX));
+            let certified = Screen::MustOom { needed: u64::MAX };
+            assert_eq!(ds.screen(&huge, &cfg, &p), certified);
             assert_eq!(
-                ds.execute_profiled(&huge, &cfg, &p, false),
+                ds.execute_profiled(&huge, &cfg, &p, None),
                 CellOutcome::Oom {
                     needed: u64::MAX,
                     capacity: huge.calib.usable_gpu_memory(),

@@ -13,9 +13,12 @@
 //!
 //! The request sequence is the input of the memory plan (§4.2) and of the
 //! caching-allocator replay, and nothing else reads it: the strategy
-//! search screens a config on its liveness peak alone. So [`profile`]
-//! streams that peak ([`trace::peak_live_bytes`]) and leaves the sequence
-//! to a [`LazyTrace`], built the first time a plan or a replay reads it.
+//! search certifies a config on its liveness peak alone, and only when its
+//! fold reads the certificate. So [`profile`] builds neither: a
+//! [`LazyTrace`] holds the trace's parameters, builds the sequence the
+//! first time a plan or a replay reads it, and streams the peak
+//! ([`trace::peak_live_bytes`]) the first time a certificate reads it
+//! (`LazyTrace::live_peak`).
 
 use crate::session::Workload;
 use memo_hal::calib::Calibration;
@@ -31,25 +34,51 @@ use std::ops::Deref;
 use std::sync::OnceLock;
 
 /// The per-GPU memory request trace of one iteration, generated from its
-/// parameters the first time it is dereferenced and kept from then on.
-/// Two lazy traces are equal when the traces they build are.
+/// parameters the first time it is dereferenced and kept from then on,
+/// and its liveness peak, likewise computed on first read. Two lazy traces
+/// are equal when the traces they build are.
 #[derive(Debug, Clone)]
 pub struct LazyTrace {
     params: TraceParams,
     trace: OnceLock<IterationTrace>,
+    peak: OnceLock<u64>,
 }
 
 impl LazyTrace {
+    fn new(params: TraceParams) -> Self {
+        LazyTrace {
+            params,
+            trace: OnceLock::new(),
+            peak: OnceLock::new(),
+        }
+    }
+
     /// The trace, by value.
     pub fn into_inner(self) -> IterationTrace {
         let params = self.params;
         self.trace.into_inner().unwrap_or_else(|| build(&params))
     }
 
+    /// The trace's liveness peak ([`IterationTrace::peak_live_bytes`]):
+    /// read off the trace when it is built, else streamed without building
+    /// it ([`trace::peak_live_bytes`]).
+    pub(crate) fn live_peak(&self) -> u64 {
+        *self.peak.get_or_init(|| match self.trace.get() {
+            Some(built) => built.peak_live_bytes(),
+            None => trace::peak_live_bytes(&self.params),
+        })
+    }
+
     /// Whether the trace has been built.
     #[cfg(test)]
     pub(crate) fn is_built(&self) -> bool {
         self.trace.get().is_some()
+    }
+
+    /// Whether the liveness peak has been read.
+    #[cfg(test)]
+    pub(crate) fn is_peak_read(&self) -> bool {
+        self.peak.get().is_some()
     }
 }
 
@@ -80,11 +109,9 @@ fn build(params: &TraceParams) -> IterationTrace {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// The per-GPU memory request trace of one iteration, built on first
-    /// use: only the memory plan and the allocator replay read it.
+    /// use: only the memory plan and the allocator replay read it. Its
+    /// liveness peak, likewise lazy, is all a certificate reads.
     pub trace: LazyTrace,
-    /// The trace's liveness peak ([`IterationTrace::peak_live_bytes`]),
-    /// streamed without building the trace.
-    pub(crate) peak_live_bytes: u64,
     /// Per-layer time decomposition.
     pub layer_time: LayerTime,
     /// Per-layer skeletal byte split (per GPU).
@@ -141,17 +168,12 @@ pub fn profile(
     params.comm_factor = if cfg.sp { cfg.tp as u64 } else { 1 };
     params.ce_chunk_tokens = 8192;
     params.materialize_logits = materialize_logits;
-    let peak_live_bytes = trace::peak_live_bytes(&params);
 
     let layer_time = cost::layer_time(&w.model, cfg, w.seq_len * w.batch, &w.calib);
     let split = activations::skeletal_split(&dims);
 
     ProfileReport {
-        trace: LazyTrace {
-            params,
-            trace: OnceLock::new(),
-        },
-        peak_live_bytes,
+        trace: LazyTrace::new(params),
         layer_time,
         split,
         head_secs: cost::head_seconds(&w.model, cfg, w.seq_len * w.batch, &w.calib),
@@ -196,8 +218,11 @@ mod tests {
                 for cfg in search::enumerate_configs(spec, &w.model, w.n_gpus, gpn) {
                     let p = pipeline.profile(&w, &cfg, false);
                     assert!(!p.trace.is_built(), "profiling built the trace");
+                    assert!(!p.trace.is_peak_read(), "profiling streamed the peak");
+                    let streamed = p.trace.live_peak();
+                    assert!(!p.trace.is_built(), "streaming the peak built the trace");
                     assert_eq!(
-                        p.peak_live_bytes,
+                        streamed,
                         p.trace.peak_live_bytes(),
                         "{spec:?} {} at {seq_len} tokens",
                         cfg.describe()

@@ -381,10 +381,11 @@ enum Pool {
     /// The block-paged pool; `None` when the device holds less than one
     /// page.
     Paged(Option<PagedKvAllocator>),
-    /// The caching allocator serving the realloc pattern: each resident
+    /// The caching allocator serving the realloc pattern (boxed: it is
+    /// several times the size of every other arm), each resident
     /// sequence's live tensor, dense by sequence id, and the next fresh id.
     Caching {
-        alloc: CachingAllocator,
+        alloc: Box<CachingAllocator>,
         ids: Vec<Option<TensorId>>,
         next: u64,
     },
@@ -408,7 +409,7 @@ impl Pool {
                     .then(|| PagedKvAllocator::new(paged_pool_bytes(r, trace), r.page_bytes)),
             ),
             KvCachePolicy::Caching => Pool::Caching {
-                alloc: CachingAllocator::new(r.device_kv_bytes),
+                alloc: Box::new(CachingAllocator::new(r.device_kv_bytes)),
                 ids: Vec::new(),
                 next: 0,
             },

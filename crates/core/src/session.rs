@@ -7,8 +7,9 @@
 //! for every cell of their strategy. Both fold their cells with
 //! [`pick_best_or_failure`].
 
+use crate::cache::ProfileKey;
 use crate::outcome::CellOutcome;
-use crate::pipeline::{ExecutionPipeline, ExecutionReport, Screen};
+use crate::pipeline::{self, Bound, ExecutionPipeline, ExecutionReport, Floor};
 use crate::profiler::ProfileReport;
 use memo_hal::calib::Calibration;
 use memo_model::config::ModelConfig;
@@ -143,73 +144,102 @@ impl Workload {
     }
 
     /// Evaluate only the configs the pick and the least-bad failure need,
-    /// for either memory backend:
+    /// for either memory backend, and read a liveness peak only where the
+    /// fold reads the certificate it decides:
     ///
-    /// 1. One pass profiles and [screens](ExecutionPipeline::screen) every
-    ///    config: a TGS bound (exact for a static plan), *cannot succeed*,
-    ///    or certified `X_oom`. A certified config takes its certificate's
-    ///    `Oom` and runs no further stage.
-    /// 2. The bounded configs run stages 2–5 one at a time, in
-    ///    [`best_first`] order, on the profiles already held.
-    /// 3. Only if none succeeded: the *cannot succeed* configs run, for the
-    ///    least-bad failure.
+    /// 1. One pass profiles and [bounds](ExecutionPipeline::bound) every
+    ///    config, under one calibration fingerprint: a TGS bound (exact
+    ///    for a static plan) or *cannot succeed*, and the [`Floor`] of its
+    ///    liveness certificate. No peak is read.
+    /// 2. The bounded configs are visited one at a time, in [`best_first`]
+    ///    order. A visit certifies first: a floor above the usable bytes is
+    ///    `X_oom` whatever the peak, and its exact `needed` is deferred;
+    ///    otherwise the peak is streamed and a certified config takes its
+    ///    certificate's `Oom`. Only an uncertified config runs stages 2–5,
+    ///    on the profile already held.
+    /// 3. Only if none succeeded: the *cannot succeed* configs are visited
+    ///    the same way, for the least-bad failure. Then a deferred config's
+    ///    `needed` is computed only while its floor ranks at or before the
+    ///    incumbent failure ([`read_deferred`]): a known OOHM, or a smaller
+    ///    known shortfall, leaves the rest unread.
     ///
-    /// Returns the evaluated and certified configs with their outcomes in
-    /// enumeration order. The evaluated set depends on the screens and
-    /// outcomes alone.
+    /// Certified and deferred configs return no TGS, so they move neither
+    /// the incumbent nor the pruning: the visits, and so the evaluated set,
+    /// are those of certifying every config up front. Returns the evaluated
+    /// and certified configs with their outcomes in enumeration order; a
+    /// deferred config left unread could be neither the pick nor the
+    /// least-bad failure, and is left out.
     fn evaluate_best_first(
         &self,
         pipeline: &ExecutionPipeline,
         configs: Vec<ParallelConfig>,
         use_cache: bool,
     ) -> Vec<(ParallelConfig, CellOutcome)> {
-        let screened: Vec<(Arc<ProfileReport>, Screen)> = configs
+        let calib = use_cache.then(|| self.calib.fingerprint());
+        let bounded: Vec<(Option<ProfileKey>, Arc<ProfileReport>, Bound)> = configs
             .iter()
             .map(|cfg| {
-                let p = pipeline.profile(self, cfg, use_cache);
-                let screen = pipeline.screen(self, cfg, &p);
-                (p, screen)
+                let key = calib.map(|calib| pipeline.profile_key(self, cfg, calib));
+                let p = pipeline.keyed_profile(self, cfg, key.as_ref());
+                let bound = pipeline.bound(self, cfg, &p);
+                (key, p, bound)
             })
             .collect();
-        let evaluate = |i: usize| {
-            let (p, screen) = &screened[i];
-            let out = pipeline.execute_profiled(self, &configs[i], p, use_cache);
-            debug_assert!(
-                pipeline.replays_allocator()
-                    || out.metrics().is_none_or(
-                        |m| matches!(screen, Screen::Bound(b) if b.to_bits() == m.tgs.to_bits())
-                    ),
-                "a static plan's screen is its exact TGS: {screen:?} vs {out:?}"
-            );
-            out
-        };
         let capacity = self.calib.usable_gpu_memory();
         let mut outcomes: Vec<Option<CellOutcome>> = vec![None; configs.len()];
+        // Certified `X_oom` configs whose `needed` is yet to be read, with
+        // their floors.
+        let mut deferred: Vec<(usize, u128)> = Vec::new();
+        // Certify config `i`, then evaluate it unless certified; its TGS.
+        let mut visit = |i: usize| {
+            let (key, p, bound) = &bounded[i];
+            let out = match bound.floor {
+                Floor::PlusPeak(bytes) if bytes > u128::from(capacity) => {
+                    deferred.push((i, bytes));
+                    return None;
+                }
+                floor => match floor.certificate(p, capacity) {
+                    Some(needed) => CellOutcome::Oom { needed, capacity },
+                    None => {
+                        let out = pipeline.execute_profiled(self, &configs[i], p, key.as_ref());
+                        debug_assert!(
+                            pipeline.replays_allocator()
+                                || out.metrics().is_none_or(|m| bound
+                                    .tgs
+                                    .is_some_and(|b| b.to_bits() == m.tgs.to_bits())),
+                            "a static plan's bound is its exact TGS: {bound:?} vs {out:?}"
+                        );
+                        out
+                    }
+                },
+            };
+            let tgs = out.metrics().map(|m| m.tgs);
+            outcomes[i] = Some(out);
+            tgs
+        };
         let (mut open, mut bounds, mut cannot_succeed) = (Vec::new(), Vec::new(), Vec::new());
-        for (i, (_, screen)) in screened.iter().enumerate() {
-            match *screen {
-                Screen::Bound(bound) => {
+        for (i, (_, _, bound)) in bounded.iter().enumerate() {
+            match bound.tgs {
+                Some(tgs) => {
                     open.push(i);
-                    bounds.push(bound);
+                    bounds.push(tgs);
                 }
-                Screen::CannotSucceed => cannot_succeed.push(i),
-                Screen::MustOom { needed } => {
-                    outcomes[i] = Some(CellOutcome::Oom { needed, capacity })
-                }
+                None => cannot_succeed.push(i),
             }
         }
         let mut feasible = false;
         best_first(&bounds, |k| {
-            let out = evaluate(open[k]);
-            let tgs = out.metrics().map(|m| m.tgs);
+            let tgs = visit(open[k]);
             feasible |= tgs.is_some();
-            outcomes[open[k]] = Some(out);
             tgs
         });
         if !feasible {
             for i in cannot_succeed {
-                outcomes[i] = Some(evaluate(i));
+                visit(i);
             }
+            read_deferred(&mut outcomes, deferred, capacity, |i, floor| {
+                pipeline::plus_peak(floor, &bounded[i].1)
+            });
         }
         configs
             .into_iter()
@@ -323,6 +353,43 @@ pub fn pick_best_or_failure<T>(
     }
 }
 
+/// Give the deferred `X_oom` configs (index, floor) their `Oom` on
+/// `capacity` bytes, with `needed(i, floor)` (at least `floor`, before
+/// saturation), only where one can still be [`pick_best_or_failure`]'s
+/// least-bad failure over `outcomes`: the first of minimum
+/// [`CellOutcome::failure_rank`]. They are read smallest floor first, and
+/// the first whose floor ranks after the incumbent failure (a higher
+/// shortfall, or an equal one at a later index) ends the pass: its
+/// `needed`, and every later one's, ranks after the incumbent too. Left
+/// out, they leave the fold's failure as it would be with every `needed`
+/// read.
+fn read_deferred(
+    outcomes: &mut [Option<CellOutcome>],
+    mut deferred: Vec<(usize, u128)>,
+    capacity: u64,
+    mut needed: impl FnMut(usize, u128) -> u128,
+) {
+    let oom = |needed: u128| CellOutcome::Oom {
+        needed: pipeline::saturate(needed),
+        capacity,
+    };
+    let mut incumbent = outcomes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, out)| Some((out.as_ref()?.failure_rank(), i)))
+        .min();
+    deferred.sort_unstable_by_key(|&(i, floor)| (oom(floor).failure_rank(), i));
+    for (i, floor) in deferred {
+        if incumbent.is_some_and(|known| (oom(floor).failure_rank(), i) > known) {
+            break;
+        }
+        let out = oom(needed(i, floor));
+        let rank = (out.failure_rank(), i);
+        incumbent = Some(incumbent.map_or(rank, |known| known.min(rank)));
+        outcomes[i] = Some(out);
+    }
+}
+
 /// Best-first evaluation under upper bounds. Visits the indices of `bounds`
 /// one at a time in descending bound order (stable, so equal bounds keep
 /// index order); `evaluate` returns each index's score, `None` for an
@@ -367,6 +434,7 @@ fn pruned(bound: f64, incumbent: f64) -> bool {
 mod tests {
     use super::*;
     use crate::cache::{CacheStats, CacheStatsScope};
+    use crate::pipeline::Screen;
     use crate::testutil::w7;
     use memo_parallel::pool::{PoolStats, PoolStatsScope};
     use memo_swap::alpha::BindingConstraint;
@@ -500,6 +568,91 @@ mod tests {
         assert_eq!(best_first_order(&bounds, &scores), [0, 2, 3, 5]);
     }
 
+    mod deferred_reads {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn deferred_needs_are_read_only_where_the_fold_reads_them(
+                cells in prop::collection::vec((0u8..6, 0u64..48, 0u64..16), 1..12),
+            ) {
+                // Each cell is unevaluated (0), an OOHM (1), an OOM (2), a
+                // degenerate timing (3), no valid strategy (4), or deferred
+                // (5) with a floor above the capacity and a peak on top. The
+                // fold over what `read_deferred` reads must be the fold over
+                // every `needed`.
+                let capacity = 32;
+                let (mut known, mut all, mut deferred) = (Vec::new(), Vec::new(), Vec::new());
+                for (i, &(kind, bytes, peak)) in cells.iter().enumerate() {
+                    let out = match kind {
+                        0 => None,
+                        1 => Some(CellOutcome::Oohm { needed: capacity + 1 + bytes, capacity }),
+                        2 => Some(CellOutcome::Oom { needed: capacity + 1 + bytes, capacity }),
+                        3 => Some(CellOutcome::Degenerate { iter_secs: 0.0 }),
+                        4 => Some(CellOutcome::NoValidStrategy),
+                        _ => {
+                            let floor = u128::from(capacity + 1 + bytes);
+                            deferred.push((i, floor));
+                            all.push(Some(CellOutcome::Oom {
+                                needed: capacity + 1 + bytes + peak,
+                                capacity,
+                            }));
+                            known.push(None);
+                            continue;
+                        }
+                    };
+                    known.push(out.clone());
+                    all.push(out);
+                }
+                let mut reads = 0;
+                read_deferred(&mut known, deferred.clone(), capacity, |i, floor| {
+                    reads += 1;
+                    floor + u128::from(cells[i].2)
+                });
+                let fold = |outs: &[Option<CellOutcome>]| {
+                    pick_best_or_failure(outs.iter().flatten(), |out| out).1
+                };
+                prop_assert_eq!(fold(&known), fold(&all));
+                // A read `needed` is the real one; an OOHM leaves none to read.
+                for (i, out) in known.iter().enumerate() {
+                    prop_assert!(out.is_none() || *out == all[i]);
+                }
+                let oohm = all.iter().flatten().any(|o| matches!(o, CellOutcome::Oohm { .. }));
+                prop_assert!(!oohm || reads == 0);
+                prop_assert!(reads <= deferred.len());
+            }
+        }
+    }
+
+    #[test]
+    fn deferred_needs_beat_a_worse_known_failure_and_skip_a_better_one() {
+        // Known failures 40 and 35 bytes short; deferred floors 10 (with a
+        // peak of 50, so 60 short), 20 (read: its floor ranks before the
+        // incumbent; 20 short) and 45 (skipped: after the incumbent).
+        let capacity = 100;
+        let oom = |short: u64| {
+            Some(CellOutcome::Oom {
+                needed: capacity + short,
+                capacity,
+            })
+        };
+        let mut outcomes = vec![oom(40), None, None, oom(35), None];
+        let deferred =
+            [(1, 10u128), (2, 20), (4, 45)].map(|(i, short)| (i, u128::from(capacity) + short));
+        let mut read = Vec::new();
+        read_deferred(&mut outcomes, deferred.to_vec(), capacity, |i, floor| {
+            read.push(i);
+            floor + if i == 1 { 50 } else { 0 }
+        });
+        assert_eq!(read, [1, 2]);
+        assert_eq!(outcomes, [oom(40), oom(60), oom(20), oom(35), None]);
+        let (_, failure) = pick_best_or_failure(outcomes.iter().flatten(), |out| out);
+        assert_eq!(failure, oom(20).unwrap());
+    }
+
     #[test]
     fn best_first_without_a_feasible_result_evaluates_everything() {
         let bounds: Vec<f64> = (0..11).map(|i| (i * 7 % 11) as f64).collect();
@@ -612,7 +765,7 @@ mod tests {
                     let bound = pipeline.replay_tgs_bound(&w, &cfg, &p);
                     assert!(bound.is_finite(), "{spec:?} {}", cfg.describe());
                     bounds.push(bound);
-                    let out = pipeline.execute_profiled(&w, &cfg, &p, true);
+                    let out = pipeline.execute_profiled(&w, &cfg, &p, None);
                     assert_eq!(out, w.run_with(spec, &cfg), "{spec:?} {}", cfg.describe());
                     if let Some(m) = out.metrics() {
                         assert!(
@@ -653,7 +806,7 @@ mod tests {
                     if let Some(m) = out.metrics() {
                         best = best.max(m.tgs);
                     }
-                    if pipeline.replay_oom_certificate(&w, &cfg, &p).is_some() {
+                    if matches!(pipeline.screen(&w, &cfg, &p), Screen::MustOom { .. }) {
                         assert!(
                             matches!(out, CellOutcome::Oom { .. }),
                             "{spec:?} {} @ {}: certified, but {out:?}",
@@ -1000,6 +1153,46 @@ mod tests {
             }
         }
         assert!(certified > 0 && built > 0, "{certified} / {built}");
+    }
+
+    #[test]
+    fn cold_searches_stream_no_peak_below_their_pick() {
+        // Each (workload, mode) search runs cold at a PCIe rate of its own
+        // (apart from `cold_searches_build_no_trace_for_a_certified_config`'s
+        // too), so only it can have read its profiles' peaks. A config
+        // bounded strictly below a feasible pick is never visited, so
+        // nothing certifies it: its peak stays unread.
+        let (mut rate, mut unread) = (0u32, 0);
+        for base in pruning_grids() {
+            let gpn = base.calib.gpus_per_node.min(base.n_gpus);
+            for spec in SystemSpec::ALL_MODES {
+                let mut w = base.clone();
+                rate += 1;
+                w.calib.set_pcie_bandwidth(14e9 + f64::from(rate) * 1e6);
+                let pipeline = ExecutionPipeline::new(spec);
+                let configs = search::enumerate_configs(spec, &w.model, w.n_gpus, gpn);
+                let (pick, out) = w.run_best_or_failure(spec);
+                let Some(best) = out.metrics().map(|m| m.tgs) else {
+                    continue;
+                };
+                // A small grid bypasses the cache: nothing to look at.
+                if configs.len() <= SMALL_GRID_BYPASS {
+                    continue;
+                }
+                assert!(pick.is_some());
+                for cfg in configs {
+                    let p = pipeline.profile(&w, &cfg, true);
+                    let below = pipeline.bound(&w, &cfg, &p).tgs.is_some_and(|b| b < best);
+                    let at = format!("{spec:?} {} at {} tokens", cfg.describe(), w.seq_len);
+                    assert!(
+                        !(below && p.trace.is_peak_read()),
+                        "{at}: pruned, but its peak was read"
+                    );
+                    unread += u32::from(below);
+                }
+            }
+        }
+        assert!(unread > 0, "no config was bounded below its pick");
     }
 
     #[test]

@@ -72,48 +72,50 @@ pub fn params_bytes(model: &ModelConfig, cfg: &ParallelConfig) -> u64 {
 /// into whatever cached blocks are free after the first backward pass, which
 /// is the root cause of the reserved-vs-allocated gap of Figure 1(a).
 pub fn persistent_tensor_sizes(model: &ModelConfig, cfg: &ParallelConfig) -> Vec<u64> {
+    let (layer, layers, head) = persistent_groups(model, cfg);
+    let mut out = Vec::with_capacity(layers * 4 + 4);
+    for _ in 0..layers {
+        out.extend(layer);
+    }
+    out.extend(head);
+    out
+}
+
+/// The sum of [`persistent_tensor_sizes`], in `u128` so that no sum
+/// wraps, without listing the tensors.
+pub fn persistent_tensor_bytes(model: &ModelConfig, cfg: &ParallelConfig) -> u128 {
+    let (layer, layers, head) = persistent_groups(model, cfg);
+    let sum = |group: [u64; 4]| group.into_iter().map(u128::from).sum::<u128>();
+    sum(layer) * layers as u128 + sum(head)
+}
+
+/// The persistent tensors of one transformer layer, the number of layers
+/// on this pipeline stage, and the embedding + classifier tensors. Each
+/// group is the fp16 gradient, then the fp32 master weights, `exp_avg` and
+/// `exp_avg_sq` as three tensors, the way Adam allocates them.
+fn persistent_groups(model: &ModelConfig, cfg: &ParallelConfig) -> ([u64; 4], usize, [u64; 4]) {
     let zg = cfg.zero_group() as u64;
+    let group = |p: u64| {
+        // fp16 grads, sharded from ZeRO-2 up
+        let g = if cfg.zero_stage >= 2 {
+            2 * p.div_ceil(zg)
+        } else {
+            2 * p
+        };
+        // fp32 master + exp_avg + exp_avg_sq, sharded from ZeRO-1 up.
+        let o = if cfg.zero_stage >= 1 {
+            12 * p.div_ceil(zg)
+        } else {
+            12 * p
+        };
+        [g, o / 3, o / 3, o - 2 * (o / 3)]
+    };
     let layer_p = model.params_per_layer().div_ceil((cfg.tp) as u64);
     // Embedding/classifier states sit on the first/last pipeline stages;
     // charge the per-stage average.
     let head_p = (2 * model.vocab as u64 * model.hidden as u64).div_ceil((cfg.tp * cfg.pp) as u64);
     let layers = model.n_layers.div_ceil(cfg.pp);
-    let mut out = Vec::with_capacity(layers * 4 + 4);
-    for _ in 0..layers {
-        // fp16 grads
-        let g = if cfg.zero_stage >= 2 {
-            2 * layer_p.div_ceil(zg)
-        } else {
-            2 * layer_p
-        };
-        out.push(g);
-        // fp32 master + exp_avg + exp_avg_sq, sharded from ZeRO-1 up.
-        let o = if cfg.zero_stage >= 1 {
-            12 * layer_p.div_ceil(zg)
-        } else {
-            12 * layer_p
-        };
-        // three separate tensors, as Adam allocates them
-        out.push(o / 3);
-        out.push(o / 3);
-        out.push(o - 2 * (o / 3));
-    }
-    // embedding + classifier states
-    let g = if cfg.zero_stage >= 2 {
-        2 * head_p.div_ceil(zg)
-    } else {
-        2 * head_p
-    };
-    let o = if cfg.zero_stage >= 1 {
-        12 * head_p.div_ceil(zg)
-    } else {
-        12 * head_p
-    };
-    out.push(g);
-    out.push(o / 3);
-    out.push(o / 3);
-    out.push(o - 2 * (o / 3));
-    out
+    (group(layer_p), layers, group(head_p))
 }
 
 /// Bytes of the largest transiently-gathered parameter group under ZeRO-3
@@ -192,6 +194,7 @@ mod tests {
         ] {
             let ms = model_state_bytes(&m, &cfg);
             let lazy: u64 = persistent_tensor_sizes(&m, &cfg).iter().sum();
+            assert_eq!(persistent_tensor_bytes(&m, &cfg), u128::from(lazy));
             let expect = ms.grads + ms.optimizer;
             let ratio = lazy as f64 / expect as f64;
             assert!(

@@ -42,7 +42,9 @@ OPTIONS:
                                          grid options do not apply)
     --all                                run all six training systems
     --strategy tp<T>,cp<C>,pp<P>,dp<D>   fix the parallelism (default: search)
-    --batch <B>                          sequences per DP replica, >= 1 (default: 1)
+    --batch <B>                          sequences per DP replica, >= 1 (default: 1);
+                                         every length times B is at most
+                                         4294967296 tokens (4096m)
     --sweep <START>:<END>:<STEP>         sweep the sequence length from START up to
                                          END >= START (k/m suffixes ok), at most
                                          1024 lengths
@@ -63,13 +65,18 @@ OPTIONS:
                                          breakdowns + observer stats) as JSON
     -h, --help                           this help
 
-A grid past its limit (--seq, --sweep, --alpha-points) exits with status 2.
+A grid past its limit (--seq, --sweep, --alpha-points), or a length times
+--batch past 4294967296 tokens, exits with status 2.
 ";
 
 /// Most sequence lengths one run takes (`--seq` list or `--sweep`).
 const MAX_CELLS: u64 = 1024;
 /// Most points of an `--alpha-points` grid (a step of 1e-4).
 const MAX_ALPHA_POINTS: u64 = 10_001;
+/// Most tokens per DP replica, a sequence length times `--batch`: 2^32,
+/// 512× the longest context MEMO trains, and far below any product that
+/// wraps a `u64` in the model's byte or FLOP counts.
+const MAX_TOKENS: u64 = 1 << 32;
 
 /// Refuse a grid flag asking for more than `limit` `unit`s: print which
 /// and return exit status 2.
@@ -219,12 +226,13 @@ impl ObsSink {
         ]));
     }
 
-    /// Record a cell where no strategy was valid (nothing to re-run).
-    fn record_failure(&mut self, workload: &Workload, system: SystemSpec, outcome_cell: String) {
+    /// Record a cell where no strategy succeeded (nothing to re-run): its
+    /// least-bad failure, with the kind and the shortfall.
+    fn record_failure(&mut self, workload: &Workload, system: SystemSpec, outcome: &CellOutcome) {
         self.reports.push(Json::Obj(vec![
             ("seq".into(), Json::int(workload.seq_len)),
             ("system".into(), Json::str(system.name())),
-            ("outcome".into(), Json::str(outcome_cell)),
+            ("outcome".into(), outcome_json(outcome)),
         ]));
     }
 
@@ -372,7 +380,7 @@ fn report(
     if let Some(sink) = sink {
         match cfg {
             Some(cfg) => sink.record_run(workload, system, &cfg),
-            None => sink.record_failure(workload, system, outcome.cell()),
+            None => sink.record_failure(workload, system, &outcome),
         }
     }
     true
@@ -532,6 +540,18 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let longest = seqs.iter().copied().max().unwrap_or(0);
+    if longest
+        .checked_mul(batch)
+        .is_none_or(|tokens| tokens > MAX_TOKENS)
+    {
+        let flag = if sweep.is_some() { "--sweep" } else { "--seq" };
+        eprintln!(
+            "{flag} {longest} times --batch {batch} asks for more tokens per replica \
+             than the limit of {MAX_TOKENS}"
+        );
+        return ExitCode::from(2);
+    }
 
     let systems: Vec<SystemSpec> = if all {
         SystemSpec::ALL_MODES.to_vec()

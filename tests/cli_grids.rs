@@ -3,9 +3,11 @@
 //! and check that both tables and their picks come out; reject bad numeric
 //! flags of `memo-sim` and `memo-serve` with a named error (and grids and
 //! streams past their limits with exit 2); and pin five
-//! `memo-sim` outputs byte for byte (the bit-identity contract).
+//! `memo-sim` outputs byte for byte (the bit-identity contract), and the
+//! shortfalls of the failed modes of three of them.
 
 use memo::model::hash::FxHasher;
+use memo::obs::json::{parse, Json};
 use std::hash::Hasher;
 use std::process::Command;
 
@@ -92,6 +94,77 @@ fn all_fail_cells_keep_their_stdout() {
         "the 2 GiB mode table differs from the golden:\n{}",
         String::from_utf8_lossy(&small_gpu)
     );
+}
+
+/// A failed mode's report record: system, kind, `needed`, `capacity`.
+type Shortfall<'a> = (&'a str, &'a str, u64, u64);
+
+#[test]
+fn golden_cells_keep_their_failures_shortfalls() {
+    // The stdout goldens print a failed mode as `X_oom` or `X_oohm` alone.
+    // Its `--report-json` record carries the least-bad failure's `needed`
+    // and `capacity` as well, which a search that certifies configs
+    // without running them must keep. Recorded before the search read
+    // liveness peaks lazily.
+    let usable = 73_014_444_032;
+    let cells: &[(&[&str], &[Shortfall])] = &[
+        (
+            &["--gpus", "8", "--seq", "1m"],
+            &[
+                ("DeepSpeed", "oom", 143_246_460_928, usable),
+                ("Megatron-LM", "oom", 77_403_414_528, usable),
+                ("Megatron-KA", "oom", 576_693_362_688, usable),
+            ],
+        ),
+        (
+            &["--gpus", "8", "--seq", "2m"],
+            &[
+                ("DeepSpeed", "oom", 271_975_680_000, usable),
+                ("Megatron-LM", "oom", 137_532_956_672, usable),
+                ("Megatron-KA", "oom", 1_136_112_852_992, usable),
+                ("TensorHybrid", "oohm", 240_518_168_576, 233_646_220_902),
+                ("MEMO", "oohm", 240_518_168_576, 233_646_220_902),
+                ("MEMO+NVMe", "oohm", 4_638_564_679_680, 4_123_168_604_160),
+            ],
+        ),
+        (
+            &["--gpus", "4", "--seq", "8k", "--gpu-mem-gib", "2"],
+            &[
+                ("DeepSpeed", "oom", 4_233_453_568, 0),
+                ("Megatron-LM", "oom", 3_427_934_208, 0),
+                ("Megatron-KA", "oom", 3_427_934_208, 0),
+                ("TensorHybrid", "oom", 28_245_557_248, 0),
+                ("MEMO", "oom", 28_010_676_224, 0),
+                ("MEMO+NVMe", "oom", 28_010_676_224, 0),
+            ],
+        ),
+    ];
+    for (i, &(args, expected)) in cells.iter().enumerate() {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("memo_sim_shortfalls_{i}.json"));
+        let path_arg = path.to_str().expect("UTF-8 temp path");
+        let mut argv = vec!["--model", "7b", "--all", "--report-json", path_arg];
+        argv.extend_from_slice(args);
+        memo_sim(&argv);
+        let text = std::fs::read_to_string(&path).expect("memo-sim wrote its report");
+        let doc = parse(&text).expect("the report is JSON");
+        let failures: Vec<Shortfall> = doc
+            .as_arr()
+            .expect("one record per mode")
+            .iter()
+            .filter_map(|r| {
+                let out = r.get("outcome")?;
+                let field = |k| out.get(k).and_then(Json::as_u64).expect("a shortfall");
+                Some((
+                    r.get("system")?.as_str()?,
+                    out.get("kind")?.as_str()?,
+                    field("needed"),
+                    field("capacity"),
+                ))
+            })
+            .collect();
+        assert_eq!(failures, expected, "memo-sim --model 7b --all {args:?}");
+    }
 }
 
 #[test]
@@ -308,7 +381,59 @@ fn memo_sim_bounds_grid_sizes_with_exit_2() {
     }
     let help = memo_sim(&["--help"]);
     let help = String::from_utf8_lossy(&help);
-    for limit in ["at most 1024 lengths", "2 <= N <= 10001"] {
+    for limit in [
+        "at most 1024 lengths",
+        "2 <= N <= 10001",
+        "4294967296 tokens",
+    ] {
         assert!(help.contains(limit), "--help does not state {limit:?}");
+    }
+}
+
+#[test]
+fn memo_sim_bounds_tokens_times_batch_with_exit_2() {
+    // A length times `--batch` past 2^32 tokens per replica must be refused
+    // with status 2 naming both flags, before any cell runs: unchecked,
+    // 2^63 × 2 wraps to 0 tokens, an `ok` cell with an MFU of ~10^32 %
+    // (or an overflow panic in a debug build). The limit itself runs.
+    let cases: &[&[&str]] = &[
+        &["--seq", "9223372036854775808", "--batch", "2"],
+        &["--batch", "2", "--seq", "64k,4096m"],
+        &["--seq", "4294967297"],
+        &["--sweep", "1m:4097m:1024m"],
+        &["--seq", "1m", "--batch", "4097"],
+    ];
+    for &args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_memo-sim"))
+            .args(["--model", "7b", "--gpus", "8", "--system", "megatron"])
+            .args(args)
+            .output()
+            .expect("memo-sim must launch");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran a cell");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let length_flag = if args.contains(&"--sweep") {
+            "--sweep"
+        } else {
+            "--seq"
+        };
+        assert!(
+            stderr.contains(length_flag)
+                && stderr.contains("--batch")
+                && stderr.contains("limit of 4294967296"),
+            "{args:?}: {stderr}"
+        );
+    }
+    for args in [
+        ["--seq", "4096m", "--batch", "1"],
+        ["--seq", "1m", "--batch", "4096"],
+    ] {
+        memo_sim(
+            &[
+                &["--model", "7b", "--gpus", "8", "--system", "megatron"],
+                &args[..],
+            ]
+            .concat(),
+        );
     }
 }
